@@ -98,7 +98,7 @@ func TestFederationThreeDaemons(t *testing.T) {
 	addrC, _ := startProcess(t, append(base, "-node", "C", "-peer", addrB)...)
 
 	dial := func(addr string) *wire.Client {
-		c, err := wire.Dial(addr, rpcTimeout)
+		c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout, Proto: wire.ProtoV1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +347,7 @@ func TestFederationFlagValidation(t *testing.T) {
 // normally and reports its node name in stats.
 func TestFederatedDaemonSingle(t *testing.T) {
 	addr, _, stop := startDaemon(t, "-node", "solo")
-	c, err := wire.Dial(addr.String(), 5*time.Second)
+	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second, Proto: wire.ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,9 +193,14 @@ func (c *Client) PublishValues(vals ...float64) (int, error) {
 	return c.c.PublishVals(vals, c.timeout)
 }
 
-// PublishBatch posts several events in one request and returns per-event
-// match counts. Oversized batches split transparently; on v2 the chunks
-// pipeline.
+// PublishBatch posts several events given as attribute maps and returns
+// per-event match counts. On a v2 connection, maps that all cover the schema
+// are sent as vectors, chunked into frames with up to the pipeline depth in
+// flight at once. Otherwise — a v1 connection, or an event that omits an
+// attribute and leans on server-side defaults — the batch travels as JSON,
+// one request at a time, split while it exceeds the request size cap. On
+// error the counts gathered so far are returned with it, as a lower bound on
+// what the daemon committed.
 func (c *Client) PublishBatch(events []map[string]float64) ([]int, error) {
 	return c.c.PublishBatch(events, c.timeout)
 }

@@ -109,7 +109,7 @@ func run() error {
 	defer c.stop()
 
 	// A subscriber at the far end of the chain...
-	subC, err := wire.Dial(c.addr, rpcTimeout)
+	subC, err := wire.DialWith(c.addr, wire.DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		return err
 	}
@@ -118,7 +118,7 @@ func run() error {
 		return err
 	}
 	// ...and a local watcher at the middle hop.
-	subB, err := wire.Dial(b.addr, rpcTimeout)
+	subB, err := wire.DialWith(b.addr, wire.DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		return err
 	}
@@ -127,7 +127,7 @@ func run() error {
 		return err
 	}
 
-	pub, err := wire.Dial(a.addr, rpcTimeout)
+	pub, err := wire.DialWith(a.addr, wire.DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		return err
 	}
@@ -144,7 +144,7 @@ func run() error {
 		select {
 		case n := <-subC.Notifications():
 			fmt.Printf("C notified: %s matched temperature=%g two wire hops from the publisher\n",
-				n.Profile, n.Event["temperature"])
+				n.Profile, subC.EventMap(n)["temperature"])
 			done = true
 		case <-time.After(100 * time.Millisecond):
 		}
@@ -173,7 +173,7 @@ func run() error {
 	}
 	select {
 	case n := <-subB.Notifications():
-		fmt.Printf("B notified locally: %s matched humidity=%g\n", n.Profile, n.Event["humidity"])
+		fmt.Printf("B notified locally: %s matched humidity=%g\n", n.Profile, subB.EventMap(n)["humidity"])
 	case <-time.After(5 * time.Second):
 		return fmt.Errorf("B's local watcher starved")
 	}

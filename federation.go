@@ -31,17 +31,6 @@ type FederationStats struct {
 	Local Stats
 }
 
-// DialNetwork joins a wire-level broker federation with default dial
-// behavior.
-//
-// Deprecated: use JoinNetwork, which takes typed DialOptions
-// (WithProtocol, WithDialTimeout, WithServiceOptions) instead of positional
-// service options. DialNetwork(sch, node, peers, opts...) is exactly
-// JoinNetwork(sch, node, peers, WithServiceOptions(opts...)).
-func DialNetwork(sch *Schema, node string, peers []string, opts ...Option) (*Federation, error) {
-	return JoinNetwork(sch, node, peers, WithServiceOptions(opts...))
-}
-
 // Schema returns the federation's schema.
 func (f *Federation) Schema() *Schema { return f.svc.Schema() }
 

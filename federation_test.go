@@ -13,7 +13,7 @@ import (
 )
 
 // startFedDaemon boots an in-process genasd twin (service + wire server +
-// federation overlay) for the public DialNetwork tests. The daemon side is
+// federation overlay) for the public JoinNetwork tests. The daemon side is
 // driven through a wire client, exactly as a real deployment would.
 func startFedDaemon(t *testing.T, node string, sch *Schema) (addr string) {
 	t.Helper()
@@ -50,21 +50,21 @@ func startFedDaemon(t *testing.T, node string, sch *Schema) (addr string) {
 	return ln.Addr().String()
 }
 
-// TestDialNetwork: a process joins a daemon federation through the public
+// TestJoinNetwork: a process joins a daemon federation through the public
 // surface — local subscriptions receive events published at the daemon, and
 // local publishes reach the daemon's subscribers; non-matching events never
 // cross the wire.
-func TestDialNetwork(t *testing.T) {
+func TestJoinNetwork(t *testing.T) {
 	const rpcTimeout = 5 * time.Second
 	sch := monitoringSchema(t)
 	addr := startFedDaemon(t, "daemon", sch)
-	remote, err := wire.Dial(addr, rpcTimeout)
+	remote, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout, Proto: wire.ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = remote.Close() })
 
-	f, err := DialNetwork(sch, "leaf", []string{addr})
+	f, err := JoinNetwork(sch, "leaf", []string{addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,20 +151,20 @@ func TestDialNetwork(t *testing.T) {
 	}
 }
 
-// TestDialNetworkErrors: bad peers and bad options fail fast, and a
+// TestJoinNetworkErrors: bad peers and bad options fail fast, and a
 // peer-less federation still works as a plain local service.
-func TestDialNetworkErrors(t *testing.T) {
+func TestJoinNetworkErrors(t *testing.T) {
 	sch := monitoringSchema(t)
-	if _, err := DialNetwork(sch, "", nil); err == nil {
+	if _, err := JoinNetwork(sch, "", nil); err == nil {
 		t.Error("missing node name must fail")
 	}
-	if _, err := DialNetwork(sch, "leaf", []string{"127.0.0.1:1"}); err == nil {
+	if _, err := JoinNetwork(sch, "leaf", []string{"127.0.0.1:1"}); err == nil {
 		t.Error("unreachable peer must fail")
 	}
-	if _, err := DialNetwork(sch, "leaf", nil, WithSearch("bogus")); err == nil {
+	if _, err := JoinNetwork(sch, "leaf", nil, WithServiceOptions(WithSearch("bogus"))); err == nil {
 		t.Error("bad option must fail")
 	}
-	f, err := DialNetwork(sch, "solo", nil)
+	f, err := JoinNetwork(sch, "solo", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -476,7 +476,7 @@ func (s *Service) PublishCtx(ctx context.Context, values map[string]float64) (in
 //
 //genas:hotpath
 func (s *Service) PublishValues(vals ...float64) (int, error) {
-	if err := s.validateVals(vals); err != nil {
+	if err := event.Validate(s.sch, vals); err != nil {
 		return 0, err
 	}
 	return s.brk.PublishValues(vals)
@@ -487,24 +487,10 @@ func (s *Service) PublishValues(vals ...float64) (int, error) {
 //
 //genas:hotpath
 func (s *Service) PublishValuesCtx(ctx context.Context, vals ...float64) (int, error) {
-	if err := s.validateVals(vals); err != nil {
+	if err := event.Validate(s.sch, vals); err != nil {
 		return 0, err
 	}
 	return s.brk.PublishValuesCtx(ctx, vals)
-}
-
-//genas:hotpath
-func (s *Service) validateVals(vals []float64) error {
-	if len(vals) != s.sch.N() {
-		//genas:allow hotpath cold arity-error branch; the steady-state event passes validation without allocating
-		return fmt.Errorf("%w: got %d values for %d attributes", event.ErrArity, len(vals), s.sch.N())
-	}
-	for i := range vals {
-		if err := s.sch.Validate(i, vals[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // PublishEvent posts a prebuilt event.

@@ -476,9 +476,10 @@ func (b *Broker) Unsubscribe(id predicate.ID) error {
 // subscriber. It returns the number of matched profiles. Subscribers with the
 // default DropNewest policy never block the publish path: over-full buffers
 // drop (counted per subscription and broker-wide); Block-policy subscribers
-// apply backpressure.
+// apply backpressure. The broker keeps ev.Vals: the caller hands the slice
+// over.
 func (b *Broker) Publish(ev event.Event) (int, error) {
-	return b.publish(ev, nil)
+	return b.publishOne(ev, true, nil)
 }
 
 // PublishCtx is Publish with a cancellation context: it refuses to start on a
@@ -488,34 +489,7 @@ func (b *Broker) PublishCtx(ctx context.Context, ev event.Event) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return b.publish(ev, ctx.Done())
-}
-
-func (b *Broker) publish(ev event.Event, cancel <-chan struct{}) (int, error) {
-	if len(ev.Vals) != b.schema.N() {
-		return 0, fmt.Errorf("%w: got %d values for %d attributes",
-			event.ErrArity, len(ev.Vals), b.schema.N())
-	}
-	if b.closed.Load() {
-		return 0, ErrClosed
-	}
-
-	ev.Seq = b.seq.Add(1)
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
-	b.published.Add(1)
-
-	if b.adapt != nil {
-		b.adapt.Observe(ev.Vals)
-	}
-
-	ids, _, err := b.filter.Match(ev.Vals)
-	if err != nil {
-		return 0, err
-	}
-	b.deliver(ev, ids, time.Now(), cancel)
-	return len(ids), nil
+	return b.publishOne(ev, true, ctx.Done())
 }
 
 // PublishValues filters one positionally-encoded event without building an
@@ -527,7 +501,7 @@ func (b *Broker) publish(ev event.Event, cancel <-chan struct{}) (int, error) {
 //
 //genas:hotpath
 func (b *Broker) PublishValues(vals []float64) (int, error) {
-	return b.publishValues(vals, nil)
+	return b.publishOne(event.Event{Vals: vals}, false, nil)
 }
 
 // PublishValuesCtx is PublishValues with a cancellation context (see
@@ -538,40 +512,63 @@ func (b *Broker) PublishValuesCtx(ctx context.Context, vals []float64) (int, err
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return b.publishValues(vals, ctx.Done())
+	return b.publishOne(event.Event{Vals: vals}, false, ctx.Done())
 }
 
-// publishValues is the zero-allocation filter path: nothing on the miss
-// branch allocates, and the event value (with its own copy of vals)
-// materializes only after at least one profile matched.
+// arityErr reports event i of a batch (i < 0: a lone event) carrying got
+// values instead of one per schema attribute.
+func (b *Broker) arityErr(i, got int) error {
+	if i < 0 {
+		return fmt.Errorf("%w: got %d values for %d attributes", event.ErrArity, got, b.schema.N())
+	}
+	return fmt.Errorf("%w: event %d: got %d values for %d attributes", event.ErrArity, i, got, b.schema.N())
+}
+
+// admit is the prologue every publish entry point runs once its arity checks
+// passed: it refuses on a closed broker, counts n published events and
+// reserves their n consecutive sequence numbers, returning the one before
+// the first.
 //
 //genas:hotpath
-func (b *Broker) publishValues(vals []float64, cancel <-chan struct{}) (int, error) {
-	if len(vals) != b.schema.N() {
-		//genas:allow hotpath cold arity-error branch; well-formed events pass without allocating
-		return 0, fmt.Errorf("%w: got %d values for %d attributes",
-			event.ErrArity, len(vals), b.schema.N())
-	}
+func (b *Broker) admit(n int) (uint64, error) {
 	if b.closed.Load() {
 		return 0, ErrClosed
 	}
+	b.published.Add(uint64(n))
+	return b.seq.Add(uint64(n)) - uint64(n), nil
+}
 
-	seq := b.seq.Add(1)
-	b.published.Add(1)
-
-	if b.adapt != nil {
-		b.adapt.Observe(vals)
+// publishOne is the single-event core behind Publish and PublishValues.
+// Nothing on the miss branch allocates. On a match the event is stamped (its
+// sequence number, and the time unless the caller set one) and delivered;
+// owned says the caller handed ev.Vals over — otherwise the caller keeps the
+// slice and the notifications carry a copy.
+//
+//genas:hotpath
+func (b *Broker) publishOne(ev event.Event, owned bool, cancel <-chan struct{}) (int, error) {
+	if len(ev.Vals) != b.schema.N() {
+		return 0, b.arityErr(-1, len(ev.Vals))
 	}
-
-	ids, _, err := b.filter.Match(vals)
+	base, err := b.admit(1)
 	if err != nil {
 		return 0, err
 	}
-	if len(ids) == 0 {
-		return 0, nil
+	if b.adapt != nil {
+		b.adapt.Observe(ev.Vals)
 	}
-	ev := event.Event{Vals: append([]float64(nil), vals...), Time: time.Now(), Seq: seq}
-	b.deliver(ev, ids, ev.Time, cancel)
+	ids, _, err := b.filter.Match(ev.Vals)
+	if err != nil || len(ids) == 0 {
+		return 0, err
+	}
+	now := time.Now()
+	if !owned {
+		ev.Vals = append([]float64(nil), ev.Vals...)
+	}
+	ev.Seq = base + 1
+	if ev.Time.IsZero() {
+		ev.Time = now
+	}
+	b.deliver(ev, ids, now, cancel)
 	return len(ids), nil
 }
 
@@ -597,24 +594,25 @@ func (b *Broker) PublishBatchCtx(ctx context.Context, evs []event.Event) ([]int,
 	return b.publishBatch(evs, ctx.Done())
 }
 
+// publishBatch stays apart from publishOne as far as the engine's MatchBatch
+// needs: all vectors go to the matcher in one call, against one snapshot.
 func (b *Broker) publishBatch(evs []event.Event, cancel <-chan struct{}) ([]int, error) {
 	if len(evs) == 0 {
 		return nil, nil
 	}
 	for i := range evs {
 		if len(evs[i].Vals) != b.schema.N() {
-			return nil, fmt.Errorf("%w: event %d: got %d values for %d attributes",
-				event.ErrArity, i, len(evs[i].Vals), b.schema.N())
+			return nil, b.arityErr(i, len(evs[i].Vals))
 		}
 	}
-	if b.closed.Load() {
-		return nil, ErrClosed
+	base, err := b.admit(len(evs))
+	if err != nil {
+		return nil, err
 	}
 
 	// Stamp sequence numbers and times on a copy: like Publish, the batch
 	// path must not mutate caller-visible events (a reused buffer would
 	// otherwise keep its first call's timestamps forever).
-	base := b.seq.Add(uint64(len(evs))) - uint64(len(evs))
 	now := time.Now()
 	batch := make([]event.Event, len(evs))
 	vals := make([][]float64, len(evs))
@@ -626,7 +624,6 @@ func (b *Broker) publishBatch(evs []event.Event, cancel <-chan struct{}) ([]int,
 		}
 		vals[i] = batch[i].Vals
 	}
-	b.published.Add(uint64(len(evs)))
 
 	if b.adapt != nil {
 		b.adapt.ObserveBatch(vals)

@@ -32,15 +32,29 @@ type Event struct {
 	Seq uint64
 }
 
-// New validates vals against s and returns the event.
-func New(s *schema.Schema, vals ...float64) (Event, error) {
+// Validate checks a schema-order value vector: arity first, then every slot
+// against its attribute's domain. It is the one validation every ingestion
+// path shares (event construction, the service facade, the wire server and
+// peer links) and allocates nothing for a well-formed vector.
+//
+//genas:hotpath
+func Validate(s *schema.Schema, vals []float64) error {
 	if len(vals) != s.N() {
-		return Event{}, fmt.Errorf("%w: got %d values for %d attributes", ErrArity, len(vals), s.N())
+		//genas:allow hotpath cold arity-error branch; well-formed events pass without allocating
+		return fmt.Errorf("%w: got %d values for %d attributes", ErrArity, len(vals), s.N())
 	}
 	for i, v := range vals {
 		if err := s.Validate(i, v); err != nil {
-			return Event{}, err
+			return err
 		}
+	}
+	return nil
+}
+
+// New validates vals against s and returns the event.
+func New(s *schema.Schema, vals ...float64) (Event, error) {
+	if err := Validate(s, vals); err != nil {
+		return Event{}, err
 	}
 	e := Event{Vals: make([]float64, len(vals))}
 	copy(e.Vals, vals)

@@ -1,7 +1,8 @@
 // Package federation takes the Siena-style overlay of internal/routing over
 // the wire: multiple genasd processes form the same acyclic broker topology
-// the in-process Network models, speaking the JSON-line protocol's peer
-// frames (hello, route_add/route_withdraw, forward) over TCP.
+// the in-process Network models, speaking the wire protocol's peer messages
+// (hello, route_add/route_withdraw, forward) over TCP, each link in the codec
+// its two ends negotiated.
 //
 // Each daemon keeps one peer link per neighbor. A link records the profiles
 // subscribed in that neighbor's direction (its route set) and runs its own
@@ -84,6 +85,8 @@ type Fed struct {
 	brk       *broker.Broker
 	opts      Options
 	maxProto  wire.Proto  // cap for per-link protocol negotiation
+	lines     wire.Codec  // what a link negotiated down to v1 speaks
+	frames    wire.Codec  // what a link that negotiated v2 speaks
 	engineCfg core.Config // link engines inherit the broker's engine config
 	log       *log.Logger
 
@@ -108,9 +111,11 @@ type Fed struct {
 type peerLink struct {
 	name string
 	conn net.Conn
-	// proto is the link's negotiated protocol generation, fixed by the
-	// hello exchange before the link attaches.
+	// proto is the link's negotiated protocol generation and codec the
+	// encoding that goes with it, both fixed by the hello exchange before the
+	// link attaches. Only codec is consulted once the link runs.
 	proto wire.Proto
+	codec wire.Codec
 	// out carries encoded frames to the writer goroutine. Enqueues happen
 	// only under Fed.mu (either side — close(out) runs under the write lock,
 	// which is what makes the pair race-free); a full queue means the peer
@@ -172,6 +177,8 @@ func New(brk *broker.Broker, opts Options) (*Fed, error) {
 		brk:       brk,
 		opts:      opts,
 		maxProto:  maxProto,
+		lines:     wire.LineCodec(brk.Schema()),
+		frames:    wire.FrameCodec(brk.Schema()),
 		engineCfg: engineCfg,
 		log:       logger,
 		peers:     make(map[*peerLink]struct{}),
@@ -318,17 +325,17 @@ func (f *Fed) connect(addr string) (*peerLink, *bufio.Reader, error) {
 		return nil, nil, err
 	}
 	l.name = reply.Node
-	l.proto = negotiated(f.maxProto, reply.Proto)
+	l.proto, l.codec = f.negotiated(reply.Proto)
 	return l, rd, nil
 }
 
-// negotiated resolves a link's protocol: the minimum of our cap and the
-// peer's advertised generation (absent = v1).
-func negotiated(ours wire.Proto, theirs int) wire.Proto {
-	if ours >= wire.ProtoV2 && theirs >= int(wire.ProtoV2) {
-		return wire.ProtoV2
+// negotiated resolves a link's protocol and codec: the minimum of our cap
+// and the peer's advertised generation (absent = v1).
+func (f *Fed) negotiated(theirs int) (wire.Proto, wire.Codec) {
+	if f.maxProto >= wire.ProtoV2 && theirs >= int(wire.ProtoV2) {
+		return wire.ProtoV2, f.frames
 	}
-	return wire.ProtoV1
+	return wire.ProtoV1, f.lines
 }
 
 // checkHello validates the peer's identity and schema.
@@ -358,7 +365,7 @@ func (f *Fed) HandlePeer(conn net.Conn, rd *bufio.Reader, hello wire.Request) {
 	}
 	l := f.newLink(conn)
 	l.name = hello.Node
-	l.proto = negotiated(f.maxProto, hello.Proto)
+	l.proto, l.codec = f.negotiated(hello.Proto)
 	reply := wire.Request{Op: wire.OpHello, Node: f.name, Schema: f.sch.String()}
 	if l.proto >= wire.ProtoV2 {
 		// Confirm the upgrade only to a peer that asked for it; a pre-v2
@@ -447,112 +454,34 @@ func (f *Fed) attach(l *peerLink) error {
 	return nil
 }
 
-// runLink consumes peer frames until the connection drops, then tears the
-// link down (withdrawing its routes from the remaining links).
+// runLink consumes peer messages in the link's codec until the connection
+// drops, then tears the link down (withdrawing its routes from the remaining
+// links). The read scratch is reused across messages — an inbound forward is
+// decoded, matched locally and re-forwarded without allocating on the miss
+// path. A message that does not decode but left the stream intact is logged
+// and skipped; any other read error ends the link.
 func (f *Fed) runLink(l *peerLink, rd *bufio.Reader) {
-	if l.proto >= wire.ProtoV2 {
-		f.runLinkV2(l, rd)
-		return
-	}
+	in := wire.NewInbound(rd)
 	for {
-		line, err := wire.ReadLine(rd)
+		req, err := l.codec.ReadRequest(in)
+		if errors.Is(err, wire.ErrBadMessage) {
+			f.log.Printf("federation: bad frame from %s: %v", l.name, err)
+			continue
+		}
 		if err != nil {
 			if err == io.EOF {
 				err = nil
 			}
 			f.dropLink(l, err)
 			return
-		}
-		if len(line) == 0 {
-			continue
-		}
-		req, err := wire.DecodeRequest(line)
-		if err != nil {
-			f.log.Printf("federation: bad frame from %s: %v", l.name, err)
-			continue
 		}
 		f.handleFrame(l, req)
 	}
 }
 
-// runLinkV2 consumes binary peer frames. The frame buffer and the forward
-// scratch vector are reused across frames — an inbound forward is decoded,
-// matched locally and re-forwarded without allocating on the miss path.
-// Framing errors (truncation, oversized prefix, unknown type) tear the link
-// down: once the stream position is lost, every later byte is garbage.
-func (f *Fed) runLinkV2(l *peerLink, rd *bufio.Reader) {
-	var (
-		buf     []byte
-		scratch = make([]float64, 0, f.sch.N())
-	)
-	for {
-		typ, payload, err := wire.ReadFrame(rd, &buf)
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			f.dropLink(l, err)
-			return
-		}
-		switch typ {
-		case wire.FrameForward:
-			vals, err := wire.DecodeForwardFrame(payload, scratch)
-			if cap(vals) > cap(scratch) {
-				scratch = vals
-			}
-			if err != nil {
-				f.dropLink(l, err)
-				return
-			}
-			f.handleForwardVals(l, vals)
-		case wire.FrameRouteAdd:
-			id, profile, priority, err := wire.DecodeRouteAddFrame(payload)
-			if err != nil {
-				f.dropLink(l, err)
-				return
-			}
-			p, err := predicate.Parse(f.sch, predicate.ID(id), profile)
-			if err != nil {
-				f.log.Printf("federation: route_add %q from %s: %v", id, l.name, err)
-				continue
-			}
-			p.Priority = priority
-			f.addRoute(l, p)
-		case wire.FrameRouteWithdraw:
-			id, err := wire.DecodeRouteWithdrawFrame(payload)
-			if err != nil {
-				f.dropLink(l, err)
-				return
-			}
-			f.removeRoute(l, predicate.ID(id))
-		default:
-			f.dropLink(l, fmt.Errorf("%w: unexpected frame type 0x%02x", wire.ErrBadFrame, typ))
-			return
-		}
-	}
-}
-
-// handleForwardVals delivers one inbound v2 forward locally (zero-copy: the
-// broker copies the vector only on match) and re-forwards it over matching
-// links. Domain validation mirrors the v1 path's event.FromMap strictness.
-func (f *Fed) handleForwardVals(l *peerLink, vals []float64) {
-	if len(vals) != f.sch.N() {
-		f.log.Printf("federation: forward from %s: %d values for %d attributes", l.name, len(vals), f.sch.N())
-		return
-	}
-	for i, v := range vals {
-		if err := f.sch.Validate(i, v); err != nil {
-			f.log.Printf("federation: forward from %s: %v", l.name, err)
-			return
-		}
-	}
-	if _, err := f.brk.PublishValues(vals); err != nil && !errors.Is(err, broker.ErrClosed) {
-		f.log.Printf("federation: local delivery of forward from %s: %v", l.name, err)
-	}
-	f.forward(vals, l)
-}
-
-// handleFrame processes one peer frame.
+// handleFrame processes one peer message. A forward is validated like any
+// published event, delivered locally on the broker's value path (the vector
+// is copied only on match) and re-forwarded over the other matching links.
 func (f *Fed) handleFrame(l *peerLink, req wire.Request) {
 	switch req.Op {
 	case wire.OpRouteAdd:
@@ -566,15 +495,15 @@ func (f *Fed) handleFrame(l *peerLink, req wire.Request) {
 	case wire.OpRouteWithdraw:
 		f.removeRoute(l, predicate.ID(req.ID))
 	case wire.OpForward:
-		ev, err := event.FromMap(f.sch, req.Event)
+		vals, err := req.EventVals(f.sch, nil)
 		if err != nil {
 			f.log.Printf("federation: forward from %s: %v", l.name, err)
 			return
 		}
-		if _, err := f.brk.Publish(ev); err != nil && !errors.Is(err, broker.ErrClosed) {
+		if _, err := f.brk.PublishValues(vals); err != nil && !errors.Is(err, broker.ErrClosed) {
 			f.log.Printf("federation: local delivery of forward from %s: %v", l.name, err)
 		}
-		f.forward(ev.Vals, l)
+		f.forward(vals, l)
 	default:
 		f.log.Printf("federation: unexpected op %q on peer link %s", req.Op, l.name)
 	}
@@ -700,7 +629,7 @@ func (f *Fed) ProfileRemoved(id predicate.ID) {
 // EventPublished implements wire.Overlay: offer a locally published event to
 // every link whose routing filter matches it. The vector is read only
 // during the call (matching plus synchronous encode), never retained — the
-// server's zero-copy v2 publish path hands it a reused scratch slice.
+// server's publish path hands it a connection's reused read scratch.
 func (f *Fed) EventPublished(ev event.Event) { f.forward(ev.Vals, nil) }
 
 // forward sends an event vector over every link (except the one it arrived
@@ -709,8 +638,8 @@ func (f *Fed) EventPublished(ev event.Event) { f.forward(ev.Vals, nil) }
 // in-process overlay's deliver. The whole path takes only the read lock —
 // concurrent publishers of a federated broker never serialize on the
 // overlay state. Each wire encoding is produced at most once per event
-// (one binary frame for the v2 links, one JSON line for the v1 links) and
-// fanned out to every matching link of that generation.
+// per distinct link codec and fanned out to every matching link that speaks
+// it.
 func (f *Fed) forward(vals []float64, from *peerLink) {
 	f.mu.RLock()
 	type hop struct {
@@ -749,26 +678,13 @@ func (f *Fed) forward(vals []float64, from *peerLink) {
 	if len(targets) == 0 {
 		return
 	}
-	// Encode once per protocol generation present among the targets.
-	var lineEnc, frameEnc []byte
+	// Encode once per distinct codec among the targets, outside the lock.
+	var encs encodings
+	req := wire.Request{Op: wire.OpForward, Vals: vals}
 	for _, l := range targets {
-		if l.proto >= wire.ProtoV2 {
-			if frameEnc == nil {
-				frameEnc = wire.AppendForwardFrame(nil, vals)
-			}
-			continue
-		}
-		if lineEnc == nil {
-			payload := make(map[string]float64, f.sch.N())
-			for i, v := range vals {
-				payload[f.sch.At(i).Name] = v
-			}
-			enc, err := wire.EncodeLine(wire.Request{Op: wire.OpForward, Event: payload})
-			if err != nil {
-				f.log.Printf("federation: encode forward frame: %v", err)
-				return
-			}
-			lineEnc = enc
+		if _, err := encs.of(l.codec, req); err != nil {
+			f.log.Printf("federation: encode forward frame: %v", err)
+			return
 		}
 	}
 	// Enqueue under the read lock: channel sends are concurrency-safe, and
@@ -780,15 +696,34 @@ func (f *Fed) forward(vals []float64, from *peerLink) {
 		if _, live := f.peers[l]; !live {
 			continue
 		}
-		enc := lineEnc
-		if l.proto >= wire.ProtoV2 {
-			enc = frameEnc
-		}
-		if f.enqueueBytesLocked(l, enc) {
+		if enc, _ := encs.of(l.codec, req); f.enqueueBytesLocked(l, enc) {
 			f.forwarded.Add(1)
 		}
 	}
 	f.mu.RUnlock()
+}
+
+// encodings caches one message's bytes per distinct link codec, so a fan-out
+// encodes once per codec however many links share it. A Fed's links speak
+// one of two codecs; a third would simply be encoded per use.
+type encodings struct {
+	codecs [2]wire.Codec
+	bytes  [2][]byte
+	n      int
+}
+
+func (e *encodings) of(c wire.Codec, req wire.Request) ([]byte, error) {
+	for i := 0; i < e.n; i++ {
+		if e.codecs[i] == c {
+			return e.bytes[i], nil
+		}
+	}
+	b, err := c.AppendRequest(nil, req)
+	if err == nil && e.n < len(e.codecs) {
+		e.codecs[e.n], e.bytes[e.n] = c, b
+		e.n++
+	}
+	return b, err
 }
 
 // writeFrame writes one frame directly on a connection — handshake only,
@@ -825,22 +760,22 @@ func (f *Fed) writeLoop(l *peerLink) {
 	}
 }
 
-// enqueueLocked queues one frame for the link's writer. Caller holds Fed.mu
-// (which is what makes the queue-close race-free). A full queue means the
-// peer cannot absorb its frames within the write timeout budget: the link is
-// poisoned rather than blocking the broker.
-func (f *Fed) enqueueLocked(l *peerLink, req wire.Request) bool {
-	b, err := wire.EncodeLine(req)
+// enqueueLocked encodes one message in the link's codec and queues it for
+// the link's writer; failures surface through the link's teardown/replay
+// cycle. Caller holds Fed.mu (which is what makes the queue-close race-free).
+func (f *Fed) enqueueLocked(l *peerLink, req wire.Request) {
+	b, err := l.codec.AppendRequest(nil, req)
 	if err != nil {
 		f.log.Printf("federation: encode %s frame: %v", req.Op, err)
-		return false
+		return
 	}
-	return f.enqueueBytesLocked(l, b)
+	f.enqueueBytesLocked(l, b)
 }
 
-// enqueueBytesLocked is enqueueLocked for a pre-encoded frame (the forward
-// path encodes once for all target links). It reports whether the frame was
-// queued.
+// enqueueBytesLocked queues one encoded message (the forward path encodes
+// once for all target links) and reports whether it was queued. A full queue
+// means the peer cannot absorb its frames within the write timeout budget:
+// the link is poisoned rather than blocking the broker.
 func (f *Fed) enqueueBytesLocked(l *peerLink, b []byte) bool {
 	select {
 	case l.out <- b:
@@ -852,22 +787,12 @@ func (f *Fed) enqueueBytesLocked(l *peerLink, b []byte) bool {
 	}
 }
 
-// sendRouteAdd/sendRouteWithdraw announce route changes on the link's
-// negotiated encoding; failures surface through the link's teardown/replay
-// cycle. Caller holds Fed.mu.
+// sendRouteAdd/sendRouteWithdraw announce route changes. Caller holds Fed.mu.
 func (f *Fed) sendRouteAdd(l *peerLink, p *predicate.Profile) {
-	if l.proto >= wire.ProtoV2 {
-		f.enqueueBytesLocked(l, wire.AppendRouteAddFrame(nil, string(p.ID), p.Render(f.sch), p.Priority))
-		return
-	}
 	f.enqueueLocked(l, wire.Request{Op: wire.OpRouteAdd, ID: string(p.ID), Profile: p.Render(f.sch), Priority: p.Priority})
 }
 
 func (f *Fed) sendRouteWithdraw(l *peerLink, id predicate.ID) {
-	if l.proto >= wire.ProtoV2 {
-		f.enqueueBytesLocked(l, wire.AppendRouteWithdrawFrame(nil, string(id)))
-		return
-	}
 	f.enqueueLocked(l, wire.Request{Op: wire.OpRouteWithdraw, ID: string(id)})
 }
 

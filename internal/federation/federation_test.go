@@ -87,7 +87,7 @@ func startDaemon(t *testing.T, node, spec string, peers ...string) *daemon {
 
 func dial(t *testing.T, addr string) *wire.Client {
 	t.Helper()
-	c, err := wire.Dial(addr, rpcTimeout)
+	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout, Proto: wire.ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}

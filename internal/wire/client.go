@@ -4,39 +4,40 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Client speaks the wire protocol. Notifications are demultiplexed from
-// request responses: responses arrive on an internal reply queue (v1: in
-// request order; v2: matched by correlation id), notifications on
-// Notifications(). Client is safe for concurrent use. On v1 requests are
-// serialized; on v2 they pipeline.
+// Client speaks the wire protocol in whichever codec the dial negotiated.
+// Every request gets a correlation id and a waiter in the pending table; one
+// reader goroutine hands each reply to its id's waiter and notifications to
+// Notifications(). Client is safe for concurrent use, and concurrent requests
+// pipeline.
 type Client struct {
 	conn  net.Conn
-	proto Proto
-	slots *slots
+	proto Proto // negotiated at dial, reported by Proto
+	codec codec
 	depth int
+	// slots is the schema's slot layout: negotiated in the v2 hello, fetched
+	// on first need on a v1 connection (nil until then).
+	slots atomic.Pointer[slots]
 
-	reqMu sync.Mutex // serializes v1 request/response pairs
-
-	wmu  sync.Mutex // serializes v2 frame writes
-	wbuf []byte     // reused v2 frame build buffer, guarded by wmu
+	// wmu serializes request writes. Correlation ids are allocated under it,
+	// so ids are written in increasing order — which is what lets the line
+	// codec, whose replies carry no id, pair reply k with request k.
+	wmu     sync.Mutex
+	wbuf    []byte // reused message build buffer
+	nextCid uint32
 
 	pendMu  sync.Mutex
-	nextCid uint32
 	pending map[uint32]chan Response
 
-	mu      sync.Mutex
-	names   []string // cached v1 schema attribute names (lazy)
-	closed  bool
-	replies chan Response
-	notifs  chan Response
-	readErr error
-	done    chan struct{}
+	mu     sync.Mutex
+	closed bool
+	notifs chan Response
+	done   chan struct{}
 }
 
 // DialConfig parameterizes DialWith. The zero value dials with no timeout,
@@ -57,15 +58,6 @@ type DialConfig struct {
 // DialConfig.PipelineDepth is zero.
 const DefaultPipelineDepth = 32
 
-// Dial connects to a GENAS daemon speaking protocol v1.
-//
-// Deprecated: use DialWith (or genas.Dial on the public surface), which
-// negotiates protocol v2 where available. Dial stays v1-pinned so existing
-// callers observe no behavior change.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	return DialWith(addr, DialConfig{Timeout: timeout, Proto: ProtoV1})
-}
-
 // DialWith connects to a GENAS daemon. Unless cfg pins a protocol it sends
 // a hello advertising v2 first: a v2 server confirms with the schema (whose
 // attribute order defines the binary slot layout) and the connection
@@ -79,56 +71,41 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	if cfg.Proto == ProtoV1 {
-		return newClientV1(conn), nil
-	}
-
-	rd := bufio.NewReaderSize(conn, 64*1024)
-	resp, err := negotiateV2(conn, rd, cfg.Timeout)
-	if err != nil {
-		_ = conn.Close()
-		if cfg.Proto == ProtoV2 {
-			return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
-		}
-		// Auto mode: the server does not speak v2 (old daemon, pinned v1,
-		// or a garbled handshake). Redial plain v1 — the handshake may have
-		// left the first connection in an unknown state, a fresh one is
-		// deterministic.
-		conn, err = net.DialTimeout("tcp", addr, cfg.Timeout)
-		if err != nil {
-			return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
-		}
-		return newClientV1(conn), nil
-	}
-
-	names := make([]string, len(resp.Attributes))
-	for i, a := range resp.Attributes {
-		names[i] = a.Name
-	}
-	c := &Client{
-		conn:    conn,
-		proto:   ProtoV2,
-		slots:   newSlots(names),
-		depth:   cfg.PipelineDepth,
-		pending: make(map[uint32]chan Response),
-		notifs:  make(chan Response, 256),
-		done:    make(chan struct{}),
-	}
-	go c.readLoopV2(rd)
-	return c, nil
-}
-
-func newClientV1(conn net.Conn) *Client {
+	// A v1 connection until negotiation says otherwise: batched publishes go
+	// out one line at a time.
 	c := &Client{
 		conn:    conn,
 		proto:   ProtoV1,
+		codec:   lineCodec{},
 		depth:   1,
-		replies: make(chan Response, 16),
-		notifs:  make(chan Response, 256),
+		pending: make(map[uint32]chan Response),
+		notifs:  make(chan Response, 256), // a burst the consumer may lag by before notifications drop
 		done:    make(chan struct{}),
 	}
-	go c.readLoop()
-	return c
+	rd := bufio.NewReaderSize(conn, 64*1024)
+	if cfg.Proto != ProtoV1 {
+		resp, err := negotiateV2(conn, rd, cfg.Timeout)
+		switch {
+		case err == nil:
+			c.proto, c.codec, c.depth = ProtoV2, frameCodec{}, cfg.PipelineDepth
+			c.slots.Store(attrSlots(resp.Attributes))
+		case cfg.Proto == ProtoV2:
+			_ = conn.Close()
+			return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+		default:
+			// Auto mode: the server does not speak v2 (old daemon, pinned v1,
+			// or a garbled handshake). Redial plain v1 — the handshake may have
+			// left the first connection in an unknown state, a fresh one is
+			// deterministic.
+			_ = conn.Close()
+			if c.conn, err = net.DialTimeout("tcp", addr, cfg.Timeout); err != nil {
+				return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+			}
+			rd = bufio.NewReaderSize(c.conn, 64*1024)
+		}
+	}
+	go c.readLoop(NewInbound(rd))
+	return c, nil
 }
 
 // negotiateV2 runs the upgrade handshake on a fresh connection: one hello
@@ -169,15 +146,16 @@ func negotiateV2(conn net.Conn, rd *bufio.Reader, timeout time.Duration) (Respon
 // Proto reports the connection's negotiated protocol generation.
 func (c *Client) Proto() Proto { return c.proto }
 
-// readLoop splits the inbound v1 stream into replies and notifications.
-func (c *Client) readLoop() {
+// readLoop demultiplexes the inbound stream: notifications to
+// Notifications(), every reply to its correlation id's waiter. A reply whose
+// waiter gave up (timed out) finds no entry and is dropped — it is never
+// handed to another request.
+func (c *Client) readLoop(in *Inbound) {
 	defer close(c.done)
-	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		resp, err := DecodeResponse(sc.Bytes())
+	for {
+		cid, resp, err := c.codec.readResponse(in)
 		if err != nil {
-			continue // tolerate garbage lines
+			break
 		}
 		if resp.Type == MsgNotification {
 			select {
@@ -186,57 +164,12 @@ func (c *Client) readLoop() {
 			}
 			continue
 		}
-		c.replies <- resp
-	}
-	c.mu.Lock()
-	c.readErr = sc.Err()
-	c.mu.Unlock()
-	close(c.notifs)
-}
-
-// readLoopV2 demultiplexes the inbound binary stream: notifications to
-// Notifications() (payload in Response.Vals, schema slot order), responses
-// to their correlation id's waiter. The frame buffer is reused across reads.
-func (c *Client) readLoopV2(rd *bufio.Reader) {
-	defer close(c.done)
-	var buf []byte
-	for {
-		typ, payload, err := ReadFrame(rd, &buf)
-		if err != nil {
-			if err != io.EOF {
-				c.mu.Lock()
-				c.readErr = err
-				c.mu.Unlock()
-			}
-			break
-		}
-		if typ == frameNotify {
-			profile, seq, vals, err := decodeNotifyFrame(payload)
-			if err != nil {
-				c.mu.Lock()
-				c.readErr = err
-				c.mu.Unlock()
-				break
-			}
-			select {
-			case c.notifs <- Response{Type: MsgNotification, Profile: profile, Seq: seq, Vals: vals}:
-			default: // drop when the consumer lags; mirrors broker policy
-			}
-			continue
-		}
-		cid, resp, err := decodeResponseFrame(typ, payload, c.slots)
-		if err != nil {
-			c.mu.Lock()
-			c.readErr = err
-			c.mu.Unlock()
-			break
-		}
 		c.pendMu.Lock()
 		ch := c.pending[cid]
 		delete(c.pending, cid)
 		c.pendMu.Unlock()
 		if ch != nil {
-			ch <- resp // cap 1: never blocks, survives abandoned waiters
+			ch <- resp // cap 1: never blocks
 		}
 	}
 	// Fail every in-flight request, then the notification stream.
@@ -250,29 +183,56 @@ func (c *Client) readLoopV2(rd *bufio.Reader) {
 }
 
 // Notifications returns the inbound notification stream. The channel closes
-// when the connection drops. On a v2 connection the payload arrives in
-// Response.Vals (schema slot order); EventMap converts when names are
-// needed.
+// when the connection drops. The payload arrives the way the codec carries
+// it — Response.Vals (schema slot order) from frames, Response.Event from
+// lines; EventMap gives the named form of either.
 func (c *Client) Notifications() <-chan Response { return c.notifs }
 
 // EventMap returns a notification's payload as attribute name → value,
-// whichever protocol delivered it.
+// whichever codec delivered it.
 func (c *Client) EventMap(resp Response) map[string]float64 {
-	if resp.Event != nil || c.slots == nil || resp.Vals == nil {
+	if resp.Event != nil || resp.Vals == nil {
 		return resp.Event
 	}
-	return c.slots.mapOf(resp.Vals)
+	m, _ := c.slots.Load().mapOf(resp.Vals)
+	return m
 }
 
-// register allocates a correlation id and its reply channel.
-func (c *Client) register() (uint32, chan Response) {
+// maxRequest caps one encoded request. It stays 64 KiB under MaxFrame: old
+// line-protocol daemons read a request as one line of at most 1 MiB, and an
+// oversized one would kill the connection without an error reply.
+const maxRequest = MaxFrame - 64*1024
+
+// post encodes one request, registers its waiter and writes it. The id is
+// allocated, and the waiter registered, under the write lock, before the
+// bytes leave: replies cannot overtake their registration, and ids reach the
+// wire in order.
+func (c *Client) post(req Request, timeout time.Duration) (uint32, chan Response, error) {
 	ch := make(chan Response, 1)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	cid := c.nextCid + 1
+	b, err := c.codec.appendRequest(c.wbuf[:0], cid, req, c.slots.Load())
+	if err != nil {
+		return 0, nil, err
+	}
+	c.wbuf = b
+	if len(b) > maxRequest {
+		return 0, nil, fmt.Errorf("%w: request encodes to %d bytes", ErrFrameTooBig, len(b))
+	}
+	c.nextCid = cid
 	c.pendMu.Lock()
-	c.nextCid++
-	cid := c.nextCid
 	c.pending[cid] = ch
 	c.pendMu.Unlock()
-	return cid, ch
+	if timeout > 0 {
+		_ = c.conn.SetWriteDeadline(time.Now().Add(timeout))
+	}
+	//genas:allow locksafe wmu exists to serialize request writes on the shared conn; only pendMu, never held across a blocking call, nests under it
+	if _, err := c.conn.Write(b); err != nil {
+		c.deregister(cid)
+		return 0, nil, fmt.Errorf("wire: write: %w", err)
+	}
+	return cid, ch, nil
 }
 
 func (c *Client) deregister(cid uint32) {
@@ -318,77 +278,11 @@ func (c *Client) await(cid uint32, ch chan Response, timeout time.Duration) (Res
 
 // roundTrip sends one request and waits for its reply.
 func (c *Client) roundTrip(req Request, timeout time.Duration) (Response, error) {
-	if c.proto >= ProtoV2 {
-		return c.roundTripV2(req, timeout)
-	}
-	b, err := EncodeLine(req)
+	cid, ch, err := c.post(req, timeout)
 	if err != nil {
-		return Response{}, err
-	}
-	return c.roundTripLine(b, timeout)
-}
-
-// roundTripV2 sends one request as a binary frame and waits for the frame
-// carrying its correlation id.
-func (c *Client) roundTripV2(req Request, timeout time.Duration) (Response, error) {
-	cid, ch := c.register()
-	c.wmu.Lock()
-	b, err := appendRequestFrame(c.wbuf[:0], cid, req, c.slots)
-	if err == nil {
-		c.wbuf = b
-		if len(b) > MaxFrame+4 {
-			err = fmt.Errorf("%w: request encodes to %d bytes", ErrFrameTooBig, len(b))
-		} else {
-			if timeout > 0 {
-				_ = c.conn.SetWriteDeadline(time.Now().Add(timeout))
-			}
-			//genas:allow locksafe wmu exists to serialize frame writes on the shared conn; nothing else is ever taken under it
-			_, err = c.conn.Write(b)
-			if err != nil {
-				err = fmt.Errorf("wire: write: %w", err)
-			}
-		}
-	}
-	c.wmu.Unlock()
-	if err != nil {
-		c.deregister(cid)
 		return Response{}, err
 	}
 	return c.await(cid, ch, timeout)
-}
-
-// roundTripLine sends one pre-encoded v1 line and waits for its reply.
-func (c *Client) roundTripLine(b []byte, timeout time.Duration) (Response, error) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	if timeout > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	//genas:allow locksafe v1 has no request ids: reqMu serializes each request/response round trip by design
-	if _, err := c.conn.Write(b); err != nil {
-		return Response{}, fmt.Errorf("wire: write: %w", err)
-	}
-	var timer <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
-	}
-	//genas:allow locksafe the reply wait is the round trip; timeout and done channels bound it
-	select {
-	case resp, ok := <-c.replies:
-		if !ok {
-			return Response{}, errors.New("wire: connection closed")
-		}
-		if resp.Type == MsgError {
-			return resp, fmt.Errorf("wire: server: %s", resp.Error)
-		}
-		return resp, nil
-	case <-c.done:
-		return Response{}, errors.New("wire: connection closed")
-	case <-timer:
-		return Response{}, errors.New("wire: request timed out")
-	}
 }
 
 // Ping round-trips a ping.
@@ -419,65 +313,40 @@ func (c *Client) Publish(ev map[string]float64, timeout time.Duration) (int, err
 	return resp.Matched, nil
 }
 
-// attrNames resolves the schema attribute order, fetching it once on v1
-// (v2 learned it during the handshake).
-func (c *Client) attrNames(timeout time.Duration) ([]string, error) {
-	if c.slots != nil {
-		return c.slots.names, nil
-	}
-	c.mu.Lock()
-	names := c.names
-	c.mu.Unlock()
-	if names != nil {
-		return names, nil
+// slotTable resolves the schema's slot layout, which every vector request
+// needs: a v2 connection negotiated it in the hello, a v1 connection fetches
+// the schema once.
+func (c *Client) slotTable(timeout time.Duration) (*slots, error) {
+	if sl := c.slots.Load(); sl != nil {
+		return sl, nil
 	}
 	attrs, err := c.Schema(timeout)
 	if err != nil {
 		return nil, err
 	}
-	names = make([]string, len(attrs))
+	sl := attrSlots(attrs)
+	c.slots.Store(sl)
+	return sl, nil
+}
+
+// attrSlots builds the slot table a schema response describes: slot i is
+// attribute i of the list.
+func attrSlots(attrs []AttrPayload) *slots {
+	names := make([]string, len(attrs))
 	for i, a := range attrs {
 		names[i] = a.Name
 	}
-	c.mu.Lock()
-	c.names = names
-	c.mu.Unlock()
-	return names, nil
+	return newSlots(names)
 }
 
-// PublishVals posts one event as a schema-order value vector. On v2 this is
-// the zero-copy hot path: one small binary frame, vals reusable on return.
-// On v1 it degrades to Publish with the attribute-name map the JSON codec
-// requires (the schema is fetched once, lazily).
+// PublishVals posts one event as a schema-order value vector; vals is
+// reusable on return. The frame codec sends it as it is — one small binary
+// frame, no map on either end — and the line codec names the values.
 func (c *Client) PublishVals(vals []float64, timeout time.Duration) (int, error) {
-	if c.proto < ProtoV2 {
-		names, err := c.attrNames(timeout)
-		if err != nil {
-			return 0, err
-		}
-		if len(vals) != len(names) {
-			return 0, fmt.Errorf("wire: %d values for %d attributes", len(vals), len(names))
-		}
-		ev := make(map[string]float64, len(names))
-		for i, v := range vals {
-			ev[names[i]] = v
-		}
-		return c.Publish(ev, timeout)
+	if _, err := c.slotTable(timeout); err != nil {
+		return 0, err
 	}
-	cid, ch := c.register()
-	c.wmu.Lock()
-	c.wbuf = appendPublishFrame(c.wbuf[:0], cid, vals)
-	if timeout > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	//genas:allow locksafe wmu exists to serialize frame writes on the shared conn; nothing else is ever taken under it
-	_, err := c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
-	if err != nil {
-		c.deregister(cid)
-		return 0, fmt.Errorf("wire: write: %w", err)
-	}
-	resp, err := c.await(cid, ch, timeout)
+	resp, err := c.roundTrip(Request{Op: OpPublish, Vals: vals}, timeout)
 	if err != nil {
 		return 0, err
 	}
@@ -485,41 +354,26 @@ func (c *Client) PublishVals(vals []float64, timeout time.Duration) (int, error)
 }
 
 // PublishValsBatch posts a batch of schema-order value vectors and returns
-// per-event match counts. On v2 the batch is chunked into frames that
-// pipeline up to the connection's depth — later chunks are on the wire
-// while earlier acknowledgements are still in flight. On v1 it degrades to
-// PublishBatch. Like PublishBatch, on error the counts gathered so far
-// accompany it as a lower bound on what was committed.
+// per-event match counts. The batch is chunked into requests sized from the
+// codec's encoding of one event, each under the request cap, and up to the
+// connection's pipeline depth of them are in flight at once — later chunks
+// are on the wire while earlier acknowledgements are still outstanding (a v1
+// connection's depth is one). On error the counts gathered so far accompany
+// it as a lower bound on what was committed: the chunk that errored may
+// itself have been processed by the server (e.g. a response timeout after a
+// successful write), so callers must not treat the count as exact when
+// deciding to retry.
 func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]int, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	if c.proto < ProtoV2 {
-		names, err := c.attrNames(timeout)
-		if err != nil {
-			return nil, err
-		}
-		evs := make([]map[string]float64, len(batch))
-		for i, vals := range batch {
-			if len(vals) != len(names) {
-				return nil, fmt.Errorf("wire: event %d: %d values for %d attributes", i, len(vals), len(names))
-			}
-			ev := make(map[string]float64, len(names))
-			for j, v := range vals {
-				ev[names[j]] = v
-			}
-			evs[i] = ev
-		}
-		return c.PublishBatch(evs, timeout)
+	sl, err := c.slotTable(timeout)
+	if err != nil {
+		return nil, err
 	}
-
-	// Chunk so the window has depth frames to pipeline, each frame well
-	// under the size cap (one event costs 8·N+4 payload bytes).
-	per := (len(batch) + c.depth - 1) / c.depth
-	if per < 8 {
-		per = 8
-	}
-	if maxPer := (MaxFrame - 16) / (8*len(c.slots.names) + 4); per > maxPer && maxPer > 0 {
+	// Chunk so the window has depth requests to pipeline.
+	per := max(8, (len(batch)+c.depth-1)/c.depth)
+	if maxPer := (maxRequest - 64) / c.codec.eventSize(sl); per > maxPer && maxPer > 0 {
 		per = maxPer
 	}
 
@@ -551,18 +405,9 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 	}
 	for lo := 0; lo < len(batch); lo += per {
 		hi := min(lo+per, len(batch))
-		cid, ch := c.register()
-		c.wmu.Lock()
-		c.wbuf = appendPublishBatchFrame(c.wbuf[:0], cid, batch[lo:hi])
-		if timeout > 0 {
-			_ = c.conn.SetWriteDeadline(time.Now().Add(timeout))
-		}
-		//genas:allow locksafe wmu exists to serialize frame writes on the shared conn; nothing else is ever taken under it
-		_, err := c.conn.Write(c.wbuf)
-		c.wmu.Unlock()
+		cid, ch, err := c.post(Request{Op: OpPublishBatch, Batch: batch[lo:hi]}, timeout)
 		if err != nil {
-			c.deregister(cid)
-			return fail(fmt.Errorf("wire: write: %w", err))
+			return fail(err)
 		}
 		window = append(window, inflight{cid, ch, hi - lo})
 		if len(window) >= c.depth {
@@ -579,65 +424,29 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 	return counts, nil
 }
 
-// maxBatchFrame is the largest encoded publish_batch frame the client sends
-// in one line: the server reads a frame as one line capped at 1 MiB, and an
-// oversized line would kill the connection without an error frame. Batches
-// that encode larger are split transparently.
-const maxBatchFrame = 1<<20 - 64*1024
-
-// PublishBatch posts several events as a batch and returns the per-event
-// match counts, positionally aligned with evs. Batches whose encoding
-// exceeds the server's frame cap are split into several publish_batch
-// frames automatically. On error the counts gathered so far are returned
-// alongside it as a lower bound on what was committed: the frame that
-// errored may itself have been processed by the server (e.g. a response
-// timeout after a successful write), so callers must not treat the count as
-// exact when deciding to retry.
+// PublishBatch posts several events given as attribute maps and returns the
+// per-event match counts, positionally aligned with evs. When every map
+// covers the known schema exactly the batch becomes vectors and takes
+// PublishValsBatch's path (chunked, pipelined, same error contract).
+// Otherwise — an event leans on server-side defaults, or a v1 connection has
+// not learned the schema — it travels as one JSON request, halved for as
+// long as its encoding exceeds the request cap.
 func (c *Client) PublishBatch(evs []map[string]float64, timeout time.Duration) ([]int, error) {
 	if len(evs) == 0 {
 		return nil, nil
 	}
-	line, err := EncodeLine(Request{Op: OpPublishBatch, Events: evs})
-	if err != nil {
-		return nil, err
+	if batch, ok := c.slots.Load().vectorsOf(evs); ok {
+		return c.PublishValsBatch(batch, timeout)
 	}
-	if len(line) > maxBatchFrame {
-		if len(evs) == 1 {
-			return nil, fmt.Errorf("wire: event encodes to %d bytes, exceeding the %d-byte frame cap", len(line), maxBatchFrame)
-		}
-		// Split proportionally to the measured encoding, so each chunk is
-		// encoded roughly once more; recursion only handles size skew
-		// between events (recursive halving would re-encode every event
-		// once per level).
-		chunks := len(line)/maxBatchFrame + 1
-		if chunks > len(evs) {
-			chunks = len(evs)
-		}
-		per := (len(evs) + chunks - 1) / chunks
-		counts := make([]int, 0, len(evs))
-		for lo := 0; lo < len(evs); lo += per {
-			hi := lo + per
-			if hi > len(evs) {
-				hi = len(evs)
-			}
-			part, err := c.PublishBatch(evs[lo:hi], timeout)
-			counts = append(counts, part...)
-			if err != nil {
-				return counts, err
-			}
-		}
-		return counts, nil
-	}
-	// The JSON rendering always dominates the binary one, so a batch that
-	// fits a v1 line fits a v2 frame too.
-	if c.proto >= ProtoV2 {
-		resp, err := c.roundTripV2(Request{Op: OpPublishBatch, Events: evs}, timeout)
+	resp, err := c.roundTrip(Request{Op: OpPublishBatch, Events: evs}, timeout)
+	if errors.Is(err, ErrFrameTooBig) && len(evs) > 1 {
+		counts, err := c.PublishBatch(evs[:len(evs)/2], timeout)
 		if err != nil {
-			return nil, err
+			return counts, err
 		}
-		return resp.MatchedEach, nil
+		rest, err := c.PublishBatch(evs[len(evs)/2:], timeout)
+		return append(counts, rest...), err
 	}
-	resp, err := c.roundTripLine(line, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -46,9 +46,7 @@ var (
 )
 
 // Frame type bytes. Client requests are 0x0_, server responses 0x4_, peer
-// frames 0x8_. Only the peer frames are exported: internal/federation
-// encodes and decodes them directly, everything else stays inside this
-// package.
+// frames 0x8_.
 const (
 	framePublish      byte = 0x01 // cid, vector
 	framePublishBatch byte = 0x02 // cid, u32 count, count vectors
@@ -154,48 +152,6 @@ func trimEOL(b []byte) []byte {
 	return b
 }
 
-// slots maps attribute names to vector positions — the schema knowledge the
-// two ends of a v2 connection share after the hello exchange.
-type slots struct {
-	names []string
-	index map[string]int
-}
-
-func newSlots(names []string) *slots {
-	idx := make(map[string]int, len(names))
-	for i, n := range names {
-		idx[n] = i
-	}
-	return &slots{names: names, index: idx}
-}
-
-// vectorOf converts an attribute map to a slot vector. It fails (second
-// return false) unless the map names exactly the schema's attributes — a
-// partial event relies on server-side defaults and must travel as JSON.
-func (s *slots) vectorOf(m map[string]float64) ([]float64, bool) {
-	if len(m) != len(s.names) {
-		return nil, false
-	}
-	vec := make([]float64, len(s.names))
-	for name, v := range m {
-		i, ok := s.index[name]
-		if !ok {
-			return nil, false
-		}
-		vec[i] = v
-	}
-	return vec, true
-}
-
-// mapOf is vectorOf's inverse.
-func (s *slots) mapOf(vec []float64) map[string]float64 {
-	m := make(map[string]float64, len(vec))
-	for i, v := range vec {
-		m[s.names[i]] = v
-	}
-	return m
-}
-
 // --- primitive appends -------------------------------------------------
 
 func appendU32(dst []byte, v uint32) []byte {
@@ -283,12 +239,16 @@ func (c *cur) str() string {
 }
 
 // vec decodes a vector into dst (appending — pass a reused scratch slice
-// truncated to zero length for the pooled decode path).
+// truncated to zero length for the pooled decode path, or nil for a fresh
+// slice of exactly the announced length).
 func (c *cur) vec(dst []float64) []float64 {
 	n := c.u32()
 	if c.bad || uint64(n)*8 > uint64(len(c.b)) {
 		c.bad = true
 		return dst
+	}
+	if dst == nil {
+		dst = make([]float64, 0, n)
 	}
 	for i := 0; i < int(n); i++ {
 		dst = append(dst, c.f64())
@@ -304,20 +264,13 @@ func (c *cur) done() error {
 	return nil
 }
 
-// --- hot-path frame builders and decoders ------------------------------
+// --- binary frame builders and decoders --------------------------------
 
 func appendPublishFrame(dst []byte, cid uint32, vals []float64) []byte {
 	dst, mark := beginFrame(dst, framePublish)
 	dst = appendU32(dst, cid)
 	dst = appendVec(dst, vals)
 	return finishFrame(dst, mark)
-}
-
-func decodePublishFrame(payload []byte, scratch []float64) (cid uint32, vals []float64, err error) {
-	c := cur{b: payload}
-	cid = c.u32()
-	vals = c.vec(scratch[:0])
-	return cid, vals, c.done()
 }
 
 func appendPublishBatchFrame(dst []byte, cid uint32, batch [][]float64) []byte {
@@ -380,7 +333,11 @@ func appendControlFrame(dst []byte, typ byte, cid uint32, js []byte) []byte {
 	return finishFrame(dst, mark)
 }
 
-// --- peer frames (used by internal/federation) -------------------------
+// --- peer frames -------------------------------------------------------
+//
+// Peer links reach these through a Codec like every other message; they are
+// exported because the benchmark's stack ladder times the forward pair on
+// its own.
 
 // AppendForwardFrame encodes one event crossing a peer link.
 func AppendForwardFrame(dst []byte, vals []float64) []byte {
@@ -429,40 +386,68 @@ func DecodeRouteWithdrawFrame(payload []byte) (string, error) {
 	return id, c.done()
 }
 
-// --- generic Request/Response <-> frame conversion ---------------------
-//
-// The generic converters give every v1 message a v2 encoding (hot shapes
-// binary, the rest as control frames) and back. The hot paths above bypass
-// them; they exist for the cold client operations and as the codec oracle
-// the cross-codec property tests and the fuzz targets pin.
+// --- the frame codec --------------------------------------------------
 
-// appendRequestFrame encodes any request as one v2 frame. Events whose maps
-// do not cover the schema exactly (server-side defaults) fall back to a
-// control frame, preserving v1 semantics bit for bit.
+// frameCodec is protocol v2. Publishes, their acknowledgements, errors,
+// notifications and the peer frames are binary; every other message rides its
+// JSON encoding inside a control frame. Framing errors are fatal: once the
+// stream position is lost every later byte is garbage, so none of them wraps
+// ErrBadMessage.
+type frameCodec struct{}
+
+func (frameCodec) readRequest(in *Inbound) (uint32, Request, error) {
+	typ, payload, err := ReadFrame(in.rd, &in.buf)
+	if err != nil {
+		return 0, Request{}, err
+	}
+	in.size = len(payload) + 5
+	return decodeRequestFrame(typ, payload, in)
+}
+
+func (frameCodec) readResponse(in *Inbound) (uint32, Response, error) {
+	typ, payload, err := ReadFrame(in.rd, &in.buf)
+	if err != nil {
+		return 0, Response{}, err
+	}
+	return decodeResponseFrame(typ, payload)
+}
+
+func (frameCodec) appendRequest(dst []byte, cid uint32, req Request, sl *slots) ([]byte, error) {
+	return appendRequestFrame(dst, cid, req, sl)
+}
+
+func (frameCodec) appendResponse(dst []byte, cid uint32, resp Response, sl *slots) ([]byte, error) {
+	return appendResponseFrame(dst, cid, resp, sl)
+}
+
+// eventSize is exact: a u32 count and one f64 per attribute.
+func (frameCodec) eventSize(sl *slots) int { return 8*len(sl.names) + 4 }
+
+// appendRequestFrame encodes any request as one frame. A publish, forward or
+// publish_batch travels as vectors — the caller's, or its attribute maps
+// converted when they cover the schema exactly; maps that lean on server-side
+// defaults fall back to a control frame, preserving v1 semantics bit for bit.
 func appendRequestFrame(dst []byte, cid uint32, req Request, sl *slots) ([]byte, error) {
-	switch req.Op {
-	case OpPublish:
-		if vec, ok := sl.vectorOf(req.Event); ok {
-			return appendPublishFrame(dst, cid, vec), nil
+	vals := req.Vals
+	if vals == nil {
+		vals, _ = sl.vectorOf(req.Event)
+	}
+	switch {
+	case req.Op == OpPublish && vals != nil:
+		return appendPublishFrame(dst, cid, vals), nil
+	case req.Op == OpForward && vals != nil:
+		return AppendForwardFrame(dst, vals), nil
+	case req.Op == OpPublishBatch:
+		batch := req.Batch
+		if batch == nil {
+			batch, _ = sl.vectorsOf(req.Events)
 		}
-	case OpPublishBatch:
-		batch := make([][]float64, len(req.Events))
-		ok := len(req.Events) > 0
-		for i, ev := range req.Events {
-			if batch[i], ok = sl.vectorOf(ev); !ok {
-				break
-			}
-		}
-		if ok {
+		if batch != nil {
 			return appendPublishBatchFrame(dst, cid, batch), nil
 		}
-	case OpForward:
-		if vec, ok := sl.vectorOf(req.Event); ok {
-			return AppendForwardFrame(dst, vec), nil
-		}
-	case OpRouteAdd:
+	case req.Op == OpRouteAdd:
 		return AppendRouteAddFrame(dst, req.ID, req.Profile, req.Priority), nil
-	case OpRouteWithdraw:
+	case req.Op == OpRouteWithdraw:
 		return AppendRouteWithdrawFrame(dst, req.ID), nil
 	}
 	js, err := json.Marshal(req)
@@ -472,41 +457,29 @@ func appendRequestFrame(dst []byte, cid uint32, req Request, sl *slots) ([]byte,
 	return appendControlFrame(dst, frameControl, cid, js), nil
 }
 
-// decodeRequestFrame is appendRequestFrame's inverse. Peer frames decode
-// with cid 0 (they carry none).
-func decodeRequestFrame(typ byte, payload []byte, sl *slots) (uint32, Request, error) {
+// decodeRequestFrame is appendRequestFrame's inverse. A publish or forward
+// vector is decoded into in's scratch and valid until the next read; batch
+// vectors are allocated one by one, because notifications retain them. Peer
+// frames decode with cid 0 (they carry none).
+func decodeRequestFrame(typ byte, payload []byte, in *Inbound) (uint32, Request, error) {
+	c := cur{b: payload}
 	switch typ {
 	case framePublish:
-		cid, vals, err := decodePublishFrame(payload, nil)
-		if err != nil {
-			return 0, Request{}, err
-		}
-		if len(vals) != len(sl.names) {
-			return 0, Request{}, fmt.Errorf("%w: %d values for %d attributes", ErrBadFrame, len(vals), len(sl.names))
-		}
-		return cid, Request{Op: OpPublish, Event: sl.mapOf(vals)}, nil
+		cid := c.u32()
+		in.vals = c.vec(in.vals[:0])
+		return cid, Request{Op: OpPublish, Vals: in.vals}, c.done()
 	case framePublishBatch:
-		c := cur{b: payload}
 		cid := c.u32()
 		n := c.u32()
-		if c.bad || uint64(n) > uint64(len(c.b)) { // each event costs ≥ 4 bytes
+		if c.bad || n == 0 || uint64(n) > uint64(len(c.b)) { // each event costs ≥ 4 bytes
 			return 0, Request{}, fmt.Errorf("%w: bad batch count", ErrBadFrame)
 		}
-		events := make([]map[string]float64, 0, n)
-		var scratch []float64
-		for i := uint32(0); i < n; i++ {
-			scratch = c.vec(scratch[:0])
-			if c.bad || len(scratch) != len(sl.names) {
-				return 0, Request{}, fmt.Errorf("%w: bad batch vector", ErrBadFrame)
-			}
-			events = append(events, sl.mapOf(scratch))
+		in.batch = in.batch[:0]
+		for i := uint32(0); i < n && !c.bad; i++ {
+			in.batch = append(in.batch, c.vec(nil))
 		}
-		if err := c.done(); err != nil {
-			return 0, Request{}, err
-		}
-		return cid, Request{Op: OpPublishBatch, Events: events}, nil
+		return cid, Request{Op: OpPublishBatch, Batch: in.batch}, c.done()
 	case frameControl:
-		c := cur{b: payload}
 		cid := c.u32()
 		if c.bad {
 			return 0, Request{}, fmt.Errorf("%w: short control frame", ErrBadFrame)
@@ -517,32 +490,20 @@ func decodeRequestFrame(typ byte, payload []byte, sl *slots) (uint32, Request, e
 		}
 		return cid, req, nil
 	case FrameForward:
-		vals, err := DecodeForwardFrame(payload, nil)
-		if err != nil {
-			return 0, Request{}, err
-		}
-		if len(vals) != len(sl.names) {
-			return 0, Request{}, fmt.Errorf("%w: %d values for %d attributes", ErrBadFrame, len(vals), len(sl.names))
-		}
-		return 0, Request{Op: OpForward, Event: sl.mapOf(vals)}, nil
+		in.vals = c.vec(in.vals[:0])
+		return 0, Request{Op: OpForward, Vals: in.vals}, c.done()
 	case FrameRouteAdd:
 		id, profile, priority, err := DecodeRouteAddFrame(payload)
-		if err != nil {
-			return 0, Request{}, err
-		}
-		return 0, Request{Op: OpRouteAdd, ID: id, Profile: profile, Priority: priority}, nil
+		return 0, Request{Op: OpRouteAdd, ID: id, Profile: profile, Priority: priority}, err
 	case FrameRouteWithdraw:
 		id, err := DecodeRouteWithdrawFrame(payload)
-		if err != nil {
-			return 0, Request{}, err
-		}
-		return 0, Request{Op: OpRouteWithdraw, ID: id}, nil
+		return 0, Request{Op: OpRouteWithdraw, ID: id}, err
 	default:
 		return 0, Request{}, fmt.Errorf("%w: unknown request frame type 0x%02x", ErrBadFrame, typ)
 	}
 }
 
-// appendResponseFrame encodes any response as one v2 frame: publish
+// appendResponseFrame encodes any response as one frame: publish
 // acknowledgements, errors and notifications in binary, the rest as control
 // frames.
 func appendResponseFrame(dst []byte, cid uint32, resp Response, sl *slots) ([]byte, error) {
@@ -554,8 +515,12 @@ func appendResponseFrame(dst []byte, cid uint32, resp Response, sl *slots) ([]by
 	case resp.Type == MsgError:
 		return appendErrFrame(dst, cid, resp.Op, resp.Error), nil
 	case resp.Type == MsgNotification:
-		if vec, ok := sl.vectorOf(resp.Event); ok {
-			return appendNotifyFrame(dst, resp.Profile, resp.Seq, vec), nil
+		vals := resp.Vals
+		if vals == nil {
+			vals, _ = sl.vectorOf(resp.Event)
+		}
+		if vals != nil {
+			return appendNotifyFrame(dst, resp.Profile, resp.Seq, vals), nil
 		}
 	}
 	js, err := json.Marshal(resp)
@@ -565,19 +530,16 @@ func appendResponseFrame(dst []byte, cid uint32, resp Response, sl *slots) ([]by
 	return appendControlFrame(dst, frameControlRe, cid, js), nil
 }
 
-// decodeResponseFrame is appendResponseFrame's inverse.
-func decodeResponseFrame(typ byte, payload []byte, sl *slots) (uint32, Response, error) {
+// decodeResponseFrame is appendResponseFrame's inverse. A notification's
+// vector is freshly allocated: the consumer keeps it.
+func decodeResponseFrame(typ byte, payload []byte) (uint32, Response, error) {
+	c := cur{b: payload}
 	switch typ {
 	case frameOK:
-		c := cur{b: payload}
 		cid := c.u32()
 		matched := int(c.u32())
-		if err := c.done(); err != nil {
-			return 0, Response{}, err
-		}
-		return cid, Response{Type: MsgOK, Op: OpPublish, Matched: matched}, nil
+		return cid, Response{Type: MsgOK, Op: OpPublish, Matched: matched}, c.done()
 	case frameOKBatch:
-		c := cur{b: payload}
 		cid := c.u32()
 		n := c.u32()
 		if c.bad || uint64(n)*4 > uint64(len(c.b)) {
@@ -589,30 +551,16 @@ func decodeResponseFrame(typ byte, payload []byte, sl *slots) (uint32, Response,
 			counts[i] = int(c.u32())
 			total += counts[i]
 		}
-		if err := c.done(); err != nil {
-			return 0, Response{}, err
-		}
-		return cid, Response{Type: MsgOK, Op: OpPublishBatch, Matched: total, MatchedEach: counts}, nil
+		return cid, Response{Type: MsgOK, Op: OpPublishBatch, Matched: total, MatchedEach: counts}, c.done()
 	case frameErr:
-		c := cur{b: payload}
 		cid := c.u32()
 		op := Op(c.str())
 		msg := c.str()
-		if err := c.done(); err != nil {
-			return 0, Response{}, err
-		}
-		return cid, Response{Type: MsgError, Op: op, Error: msg}, nil
+		return cid, Response{Type: MsgError, Op: op, Error: msg}, c.done()
 	case frameNotify:
 		profile, seq, vals, err := decodeNotifyFrame(payload)
-		if err != nil {
-			return 0, Response{}, err
-		}
-		if len(vals) != len(sl.names) {
-			return 0, Response{}, fmt.Errorf("%w: %d values for %d attributes", ErrBadFrame, len(vals), len(sl.names))
-		}
-		return 0, Response{Type: MsgNotification, Profile: profile, Seq: seq, Event: sl.mapOf(vals)}, nil
+		return 0, Response{Type: MsgNotification, Profile: profile, Seq: seq, Vals: vals}, err
 	case frameControlRe:
-		c := cur{b: payload}
 		cid := c.u32()
 		if c.bad {
 			return 0, Response{}, fmt.Errorf("%w: short control frame", ErrBadFrame)

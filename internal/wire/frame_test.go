@@ -26,9 +26,9 @@ func TestReadFrameEdges(t *testing.T) {
 	if err != nil || typ != framePublish {
 		t.Fatalf("ReadFrame = %v type 0x%02x", err, typ)
 	}
-	cid, vals, err := decodePublishFrame(payload, nil)
-	if err != nil || cid != 7 || len(vals) != 2 || vals[0] != 1.5 || vals[1] != -2 {
-		t.Fatalf("decodePublishFrame = %d %v %v", cid, vals, err)
+	cid, req, err := decodeRequestFrame(typ, payload, new(Inbound))
+	if vals := req.Vals; err != nil || cid != 7 || len(vals) != 2 || vals[0] != 1.5 || vals[1] != -2 {
+		t.Fatalf("decodeRequestFrame = %d %v %v", cid, vals, err)
 	}
 	if _, _, err := ReadFrame(rd, &buf); err != io.EOF {
 		t.Fatalf("EOF at frame boundary = %v, want io.EOF", err)
@@ -136,8 +136,7 @@ func TestHotFrameRoundTrips(t *testing.T) {
 
 	t.Run("ok-batch", func(t *testing.T) {
 		typ, payload := read(t, appendOKBatchFrame(nil, 5, []int{0, 3, 1}))
-		sl := newSlots([]string{"a"})
-		cid, resp, err := decodeResponseFrame(typ, payload, sl)
+		cid, resp, err := decodeResponseFrame(typ, payload)
 		if err != nil || cid != 5 {
 			t.Fatal(err)
 		}
@@ -148,7 +147,7 @@ func TestHotFrameRoundTrips(t *testing.T) {
 
 	t.Run("err", func(t *testing.T) {
 		typ, payload := read(t, appendErrFrame(nil, 8, OpPublish, "out of domain"))
-		cid, resp, err := decodeResponseFrame(typ, payload, newSlots(nil))
+		cid, resp, err := decodeResponseFrame(typ, payload)
 		if err != nil || cid != 8 || resp.Type != MsgError || resp.Op != OpPublish || resp.Error != "out of domain" {
 			t.Errorf("err frame = %d %+v %v", cid, resp, err)
 		}
@@ -184,13 +183,13 @@ func TestHotFrameRoundTrips(t *testing.T) {
 
 	// Malformed payloads fail with ErrBadFrame, never panic.
 	t.Run("malformed payloads", func(t *testing.T) {
-		sl := newSlots([]string{"a", "b"})
-		if _, _, err := decodePublishFrame([]byte{0, 0}, nil); !errors.Is(err, ErrBadFrame) {
+		in := new(Inbound)
+		if _, _, err := decodeRequestFrame(framePublish, []byte{0, 0}, in); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("short publish = %v", err)
 		}
 		// A vector count that promises more floats than the payload holds.
 		bad := appendU32(appendU32(nil, 1), 1000)
-		if _, _, err := decodePublishFrame(bad, nil); !errors.Is(err, ErrBadFrame) {
+		if _, _, err := decodeRequestFrame(framePublish, bad, in); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("overlong vector count = %v", err)
 		}
 		// A string length pointing past the payload end.
@@ -199,14 +198,18 @@ func TestHotFrameRoundTrips(t *testing.T) {
 		}
 		// Trailing garbage after a complete payload.
 		trail := append(appendU32(appendU32(nil, 1), 0), 0xAA)
-		if _, _, err := decodePublishFrame(trail, nil); !errors.Is(err, ErrBadFrame) {
+		if _, _, err := decodeRequestFrame(framePublish, trail, in); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("trailing bytes = %v", err)
 		}
+		// A batch that announces no events.
+		if _, _, err := decodeRequestFrame(framePublishBatch, appendU32(appendU32(nil, 1), 0), in); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("empty batch = %v", err)
+		}
 		// Unknown frame types on both decode surfaces.
-		if _, _, err := decodeRequestFrame(0x7F, nil, sl); !errors.Is(err, ErrBadFrame) {
+		if _, _, err := decodeRequestFrame(0x7F, nil, in); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("unknown request type = %v", err)
 		}
-		if _, _, err := decodeResponseFrame(0x7F, nil, sl); !errors.Is(err, ErrBadFrame) {
+		if _, _, err := decodeResponseFrame(0x7F, nil); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("unknown response type = %v", err)
 		}
 	})
@@ -215,6 +218,37 @@ func TestHotFrameRoundTrips(t *testing.T) {
 // crossCodecSlots is the schema both codec directions share in the
 // cross-codec property tests.
 var crossCodecSlots = newSlots([]string{"temperature", "humidity"})
+
+// named renders a decoded message's vectors the way the line codec would —
+// as attribute maps — so a frame-decoded message compares JSON-equal to its
+// v1 form. Vectors of the wrong arity have no named form and are left alone.
+func named(sl *slots, vals []float64, batch [][]float64) (ev map[string]float64, evs []map[string]float64) {
+	if vals != nil {
+		ev, _ = sl.mapOf(vals)
+	}
+	for _, v := range batch {
+		m, err := sl.mapOf(v)
+		if err != nil {
+			return ev, nil
+		}
+		evs = append(evs, m)
+	}
+	return ev, evs
+}
+
+func namedRequest(sl *slots, r Request) Request {
+	if ev, evs := named(sl, r.Vals, r.Batch); ev != nil || evs != nil {
+		r.Event, r.Events = ev, evs
+	}
+	return r
+}
+
+func namedResponse(sl *slots, r Response) Response {
+	if ev, _ := named(sl, r.Vals, nil); ev != nil {
+		r.Event = ev
+	}
+	return r
+}
 
 // TestCrossCodecRequests is the v1↔v2 property test: every v1 request shape —
 // hot binary encodings, peer frames and the JSON control fallback — must
@@ -258,10 +292,11 @@ func TestCrossCodecRequests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cid, got, err := decodeRequestFrame(typ, payload, crossCodecSlots)
+			cid, got, err := decodeRequestFrame(typ, payload, new(Inbound))
 			if err != nil {
 				t.Fatal(err)
 			}
+			got = namedRequest(crossCodecSlots, got)
 			if peer[req.Op] {
 				if cid != 0 {
 					t.Errorf("peer frame carried cid %d", cid)
@@ -304,10 +339,11 @@ func TestCrossCodecResponses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cid, got, err := decodeResponseFrame(typ, payload, crossCodecSlots)
+			cid, got, err := decodeResponseFrame(typ, payload)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got = namedResponse(crossCodecSlots, got)
 			if resp.Type != MsgNotification && cid != 7 {
 				t.Errorf("cid = %d, want 7", cid)
 			}
@@ -333,7 +369,10 @@ func TestSlotsVectorOf(t *testing.T) {
 	if _, ok := sl.vectorOf(map[string]float64{"a": 1, "c": 2}); ok {
 		t.Error("unknown attribute must not vectorize")
 	}
-	if m := sl.mapOf([]float64{1, 2}); m["a"] != 1 || m["b"] != 2 {
-		t.Errorf("mapOf = %v", m)
+	if m, err := sl.mapOf([]float64{1, 2}); err != nil || m["a"] != 1 || m["b"] != 2 {
+		t.Errorf("mapOf = %v %v", m, err)
+	}
+	if _, err := sl.mapOf([]float64{1}); err == nil {
+		t.Error("a vector of the wrong arity must not be named")
 	}
 }

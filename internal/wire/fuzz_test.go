@@ -107,7 +107,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if cid, req, err := decodeRequestFrame(typ, payload, sl); err == nil {
+		in := new(Inbound)
+		if cid, req, err := decodeRequestFrame(typ, payload, in); err == nil {
+			// Re-encoding reads the request's vectors, decoding it again
+			// overwrites the read scratch they alias: detach them first.
+			req.Vals = append([]float64(nil), req.Vals...)
 			enc, err := appendRequestFrame(nil, cid, req, sl)
 			if err != nil {
 				t.Fatalf("accepted request %+v does not re-encode: %v", req, err)
@@ -116,17 +120,17 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded request frame does not read: %v", err)
 			}
-			cid2, again, err := decodeRequestFrame(typ2, payload2, sl)
+			cid2, again, err := decodeRequestFrame(typ2, payload2, in)
 			if err != nil {
 				t.Fatalf("re-encoded request frame does not decode: %v", err)
 			}
-			a, _ := json.Marshal(req)
-			b, _ := json.Marshal(again)
+			a, _ := json.Marshal(namedRequest(sl, req))
+			b, _ := json.Marshal(namedRequest(sl, again))
 			if !bytes.Equal(a, b) || cid2 != cid {
 				t.Fatalf("request round trip drifted (cid %d→%d):\n  first  %s\n  second %s", cid, cid2, a, b)
 			}
 		}
-		if cid, resp, err := decodeResponseFrame(typ, payload, sl); err == nil {
+		if cid, resp, err := decodeResponseFrame(typ, payload); err == nil {
 			enc, err := appendResponseFrame(nil, cid, resp, sl)
 			if err != nil {
 				t.Fatalf("accepted response %+v does not re-encode: %v", resp, err)
@@ -135,12 +139,12 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded response frame does not read: %v", err)
 			}
-			cid2, again, err := decodeResponseFrame(typ2, payload2, sl)
+			cid2, again, err := decodeResponseFrame(typ2, payload2)
 			if err != nil {
 				t.Fatalf("re-encoded response frame does not decode: %v", err)
 			}
-			a, _ := json.Marshal(resp)
-			b, _ := json.Marshal(again)
+			a, _ := json.Marshal(namedResponse(sl, resp))
+			b, _ := json.Marshal(namedResponse(sl, again))
 			if !bytes.Equal(a, b) || cid2 != cid {
 				t.Fatalf("response round trip drifted (cid %d→%d):\n  first  %s\n  second %s", cid, cid2, a, b)
 			}

@@ -176,17 +176,17 @@ func TestNegotiateFallbackToV1(t *testing.T) {
 	}
 }
 
-// TestV1ClientAgainstV2Server pins backward interop: the deprecated
-// line-protocol Dial keeps working unchanged against an upgraded daemon.
+// TestV1ClientAgainstV2Server pins backward interop: a client pinned to the
+// line protocol keeps working unchanged against an upgraded daemon.
 func TestV1ClientAgainstV2Server(t *testing.T) {
 	addr := startServer(t)
-	c, err := Dial(addr, rpcTimeout)
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
 	if c.Proto() != ProtoV1 {
-		t.Fatalf("deprecated Dial negotiated %d, want v1", c.Proto())
+		t.Fatalf("pinned-v1 dial negotiated %d, want v1", c.Proto())
 	}
 	if err := c.Subscribe("hot", "profile(temperature >= 35)", 0, rpcTimeout); err != nil {
 		t.Fatal(err)
@@ -263,5 +263,65 @@ func TestHelloAfterUpgrade(t *testing.T) {
 	}
 	if err := c.Ping(rpcTimeout); err != nil {
 		t.Fatalf("connection died after re-hello: %v", err)
+	}
+}
+
+// TestPublishBatchOfMaps pins what PublishBatch does with attribute maps on a
+// frame connection: maps that cover the schema become vectors and take the
+// chunked, pipelined path of PublishValsBatch (compact frames, several in
+// flight); a batch with a partial map cannot, travels as JSON and — this
+// server fills in no defaults — is refused without harming the connection.
+func TestPublishBatchOfMaps(t *testing.T) {
+	addr := startServer(t)
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, PipelineDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Subscribe("warm", "profile(temperature >= 0)", 0, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 2000
+	evs := make([]map[string]float64, n)
+	for i := range evs {
+		temp := 10.0
+		if i%2 == 1 {
+			temp = -10
+		}
+		evs[i] = map[string]float64{"temperature": temp, "humidity": 50}
+	}
+	counts, err := c.PublishBatch(evs, rpcTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(counts) != n {
+		t.Fatalf("got %d counts for %d events", len(counts), n)
+	}
+	for i, cnt := range counts {
+		if want := 1 - i%2; cnt != want {
+			t.Fatalf("counts[%d] = %d, want %d", i, cnt, want)
+		}
+	}
+	st, err := c.Stats(rpcTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Published != n {
+		t.Errorf("published = %d, want %d", st.Published, n)
+	}
+	if st.FramesPipelined == 0 {
+		t.Error("FramesPipelined = 0: the map batch went out as one unpipelined request")
+	}
+	if st.BytesPerEventWire > 24 {
+		t.Errorf("BytesPerEventWire = %g: the map batch did not travel as vectors", st.BytesPerEventWire)
+	}
+
+	evs[1] = map[string]float64{"temperature": 5}
+	if _, err := c.PublishBatch(evs[:4], rpcTimeout); err == nil {
+		t.Error("a batch with a partial event must fail on a server without defaults")
+	}
+	if err := c.Ping(rpcTimeout); err != nil {
+		t.Fatalf("connection died after the refused batch: %v", err)
 	}
 }

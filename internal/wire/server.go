@@ -10,6 +10,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"genas/internal/broker"
 	"genas/internal/event"
@@ -34,8 +35,8 @@ type Overlay interface {
 	ProfileRemoved(id predicate.ID)
 	// EventPublished offers a locally published event for forwarding over
 	// matching peer links. The overlay must not retain ev.Vals after
-	// returning: the zero-copy v2 publish path hands it a reused scratch
-	// slice (encode synchronously, enqueue bytes).
+	// returning: the publish path hands it the connection's reused read
+	// scratch (encode synchronously, enqueue bytes).
 	EventPublished(ev event.Event)
 	// Stats reports the overlay node name, live peer link count and the
 	// forwarded/early-rejected counters.
@@ -54,6 +55,9 @@ type Server struct {
 	ln       net.Listener
 	log      *log.Logger
 	maxProto Proto
+	// lines and frames are the two codecs a connection can speak, bound to
+	// the broker's schema and shared by every connection.
+	lines, frames Codec
 
 	// Wire-level counters (stats frame): bytes and events received on
 	// publish/publish_batch frames, and frames observed queued behind the
@@ -73,7 +77,11 @@ func NewServer(brk *broker.Broker, logger *log.Logger) *Server {
 	if logger == nil {
 		logger = log.New(discard{}, "", 0)
 	}
-	return &Server{brk: brk, log: logger, maxProto: ProtoV2, conns: make(map[net.Conn]struct{})}
+	return &Server{
+		brk: brk, log: logger, maxProto: ProtoV2,
+		lines: LineCodec(brk.Schema()), frames: FrameCodec(brk.Schema()),
+		conns: make(map[net.Conn]struct{}),
+	}
 }
 
 // SetDefaults installs opt-in fill-ins for event attributes omitted from
@@ -200,107 +208,52 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// connState tracks one connection's subscriptions, negotiated protocol and
-// synchronized writer. proto, slots and cid are owned by the request loop
-// goroutine: proto/slots are fixed before the first subscription can spawn a
-// forwarder, cid before each dispatch.
+// writeTimeout bounds one write to a client connection (federation's
+// WriteTimeout default). A client that stops reading cannot park its
+// connection's writers forever: when the deadline expires the connection
+// closes and its subscriptions are torn down.
+const writeTimeout = 10 * time.Second
+
+// connState tracks one connection's subscriptions, negotiated codec and
+// synchronized writer. codec is read by the request loop and by every send;
+// it changes once, on the hello upgrade, when no forwarder is running.
 type connState struct {
 	conn  net.Conn
-	proto Proto
-	slots *slots
-	cid   uint32
+	codec Codec
 	subs  map[string]*broker.Subscription
+	evs   []event.Event // publish_batch scratch, owned by the request loop
 	wg    sync.WaitGroup
 
 	mu   sync.Mutex
-	wbuf []byte // reused frame/line build buffer, guarded by mu
+	wbuf []byte // reused message build buffer, guarded by mu
 }
 
-func (cs *connState) writeLine(v any) error {
-	b, err := EncodeLine(v)
-	if err != nil {
-		return err
-	}
+// send writes one message — a reply paired with its request's correlation
+// id, or a notification (cid 0) — in the connection's codec. It holds the
+// server's only write: a failed or timed-out write closes the connection,
+// which ends the request loop and tears the subscriptions down.
+func (cs *connState) send(cid uint32, resp Response) error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	//genas:allow locksafe cs.mu exists to serialize frame writes on the shared conn; nothing else is ever taken under it
-	_, err = cs.conn.Write(b)
-	return err
-}
-
-// writeFrame writes an already-encoded v2 frame.
-func (cs *connState) writeFrame(b []byte) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	//genas:allow locksafe cs.mu exists to serialize frame writes on the shared conn; nothing else is ever taken under it
-	_, err := cs.conn.Write(b)
-	return err
-}
-
-// send writes one response on the connection's negotiated protocol. On v2
-// it reuses the connection's write buffer and pairs the response with the
-// request's correlation id.
-func (cs *connState) send(resp Response) error {
-	if cs.proto < ProtoV2 {
-		return cs.writeLine(resp)
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	b, err := appendResponseFrame(cs.wbuf[:0], cs.cid, resp, cs.slots)
+	b, err := cs.codec.c.appendResponse(cs.wbuf[:0], cid, resp, cs.codec.sl)
 	if err != nil {
 		return err
 	}
 	cs.wbuf = b
-	//genas:allow locksafe cs.mu exists to serialize frame writes on the shared conn; nothing else is ever taken under it
-	_, err = cs.conn.Write(b)
+	_ = cs.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	//genas:allow locksafe cs.mu exists to serialize message writes on the shared conn; nothing else is ever taken under it
+	if _, err = cs.conn.Write(b); err != nil {
+		_ = cs.conn.Close()
+	}
 	return err
 }
 
-// sendOK acknowledges one v2 publish frame.
-func (cs *connState) sendOK(cid uint32, matched int) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.wbuf = appendOKFrame(cs.wbuf[:0], cid, matched)
-	//genas:allow locksafe cs.mu exists to serialize frame writes on the shared conn; nothing else is ever taken under it
-	_, err := cs.conn.Write(cs.wbuf)
-	return err
-}
-
-// sendOKBatch acknowledges one v2 publish_batch frame.
-func (cs *connState) sendOKBatch(cid uint32, counts []int) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.wbuf = appendOKBatchFrame(cs.wbuf[:0], cid, counts)
-	//genas:allow locksafe cs.mu exists to serialize frame writes on the shared conn; nothing else is ever taken under it
-	_, err := cs.conn.Write(cs.wbuf)
-	return err
-}
-
-// sendErr reports one failed v2 request.
-func (cs *connState) sendErr(cid uint32, op Op, msg string) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.wbuf = appendErrFrame(cs.wbuf[:0], cid, op, msg)
-	//genas:allow locksafe cs.mu exists to serialize frame writes on the shared conn; nothing else is ever taken under it
-	_, err := cs.conn.Write(cs.wbuf)
-	return err
-}
-
-// sendNotify pushes one notification in binary, straight from the broker's
-// event vector — no attribute map is built on the v2 path.
-func (cs *connState) sendNotify(profile string, seq uint64, vals []float64) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.wbuf = appendNotifyFrame(cs.wbuf[:0], profile, seq, vals)
-	//genas:allow locksafe cs.mu exists to serialize frame writes on the shared conn; nothing else is ever taken under it
-	_, err := cs.conn.Write(cs.wbuf)
-	return err
-}
-
-// handle runs one connection's request loop.
+// handle runs one connection's session: read a request in the connection's
+// codec, dispatch it, answer. The loop is the same for both protocols; a
+// hello only swaps the codec.
 func (s *Server) handle(conn net.Conn) {
 	defer s.untrack(conn)
-	cs := &connState{conn: conn, proto: ProtoV1, subs: make(map[string]*broker.Subscription)}
+	cs := &connState{conn: conn, codec: s.lines, subs: make(map[string]*broker.Subscription)}
 	defer func() {
 		// Tear down this connection's subscriptions, then wait for their
 		// forwarder goroutines (closing the subscription closes its channel,
@@ -314,237 +267,83 @@ func (s *Server) handle(conn net.Conn) {
 		_ = conn.Close()
 	}()
 
-	rd := bufio.NewReaderSize(conn, 64*1024)
+	in := NewInbound(bufio.NewReaderSize(conn, 64*1024))
 	for {
-		line, err := ReadLine(rd)
-		if err != nil {
+		cid, req, err := cs.codec.c.readRequest(in)
+		var resp Response
+		switch {
+		case errors.Is(err, ErrBadMessage):
+			// The stream is intact: report and read on.
+		case err != nil:
+			// The stream position is lost (or the peer is gone): the
+			// connection closes and the deferred teardown drops its
+			// subscriptions.
 			if err != io.EOF {
 				s.log.Printf("wire: connection %s: %v", conn.RemoteAddr(), err)
 			}
 			return
-		}
-		if len(line) == 0 {
-			continue
-		}
-		req, err := DecodeRequest(line)
-		if err != nil {
-			_ = cs.writeLine(Response{Type: MsgError, Error: err.Error()})
-			continue
-		}
-		if req.Op == OpHello {
-			if req.Node == "" && req.Proto >= int(ProtoV2) {
-				// A v2-capable client asking to upgrade (peer hellos always
-				// carry a node name). Confirm with the schema so the client
-				// can build its slot table, then switch codecs: every byte
-				// after this response line is a binary frame.
-				if s.maxProto < ProtoV2 {
-					_ = cs.writeLine(Response{Type: MsgError, Op: req.Op, Error: "protocol v2 disabled"})
-					continue
-				}
-				if len(cs.subs) != 0 {
-					_ = cs.writeLine(Response{Type: MsgError, Op: req.Op, Error: "hello must be the connection's first frame"})
-					continue
-				}
-				if err := cs.writeLine(Response{Type: MsgOK, Op: req.Op, Proto: int(ProtoV2), Attributes: schemaPayload(s.brk.Schema())}); err != nil {
-					return
-				}
-				cs.proto = ProtoV2
-				cs.slots = newSlots(attrNames(s.brk.Schema()))
-				s.serveV2(cs, rd)
+		case req.Op == OpHello:
+			if s.hello(cs, in, cid, req) {
 				return
 			}
-			// A peer daemon, not a client: hand the connection over to the
-			// federation layer, which runs the link until it drops.
-			if s.overlay == nil {
-				_ = cs.writeLine(Response{Type: MsgError, Op: req.Op, Error: "daemon is not federated"})
-				continue
-			}
-			// A connection with live subscriptions has notification
-			// forwarders writing to it; handing it to the federation would
-			// put two unsynchronized writers on one conn. Hello must precede
-			// any subscription.
-			if len(cs.subs) != 0 {
-				_ = cs.writeLine(Response{Type: MsgError, Op: req.Op, Error: "hello must be the connection's first frame"})
-				continue
-			}
-			if s.maxProto < ProtoV2 && req.Proto >= int(ProtoV2) {
-				// A v1-pinned daemon negotiates every peer link down to v1.
-				req.Proto = int(ProtoV1)
-			}
-			// Forwarders of already-removed subscriptions may still be
-			// draining; wait them out so no stray write can interleave with
-			// the peer frame stream.
-			cs.wg.Wait()
-			s.overlay.HandlePeer(conn, rd, req)
-			return
-		}
-		if req.Op == OpPublish || req.Op == OpPublishBatch {
-			s.wireBytes.Add(uint64(len(line) + 1))
-			s.wireEvents.Add(uint64(max(1, len(req.Events))))
-			if rd.Buffered() > 0 {
+			continue
+		default:
+			if in.rd.Buffered() > 0 {
 				s.framesPipelined.Add(1)
 			}
+			resp, err = s.dispatch(cs, in, req)
 		}
-		if err := s.dispatch(cs, req); err != nil {
-			if writeErr := cs.writeLine(Response{Type: MsgError, Op: req.Op, Error: err.Error()}); writeErr != nil {
-				return
-			}
-		}
-	}
-}
-
-// serveV2 runs the connection after a negotiated upgrade: binary frames in
-// both directions, many requests in flight. The read buffer and the event
-// scratch vector are reused across frames — the hot publish path decodes
-// into scratch, matches, and answers without allocating.
-func (s *Server) serveV2(cs *connState, rd *bufio.Reader) {
-	sch := s.brk.Schema()
-	var (
-		buf     []byte
-		scratch = make([]float64, 0, sch.N())
-		evs     []event.Event
-	)
-	for {
-		typ, payload, err := ReadFrame(rd, &buf)
 		if err != nil {
-			// Framing is unrecoverable: a truncated, oversized or malformed
-			// prefix means the stream position is lost, so the connection
-			// closes (the deferred teardown in handle drops subscriptions).
-			if err != io.EOF {
-				s.log.Printf("wire: v2 connection %s: %v", cs.conn.RemoteAddr(), err)
-			}
-			return
+			resp = Response{Type: MsgError, Op: req.Op, Error: err.Error()}
 		}
-		if rd.Buffered() > 0 {
-			s.framesPipelined.Add(1)
-		}
-		switch typ {
-		case framePublish:
-			cid, vals, err := decodePublishFrame(payload, scratch)
-			if cap(vals) > cap(scratch) {
-				scratch = vals
-			}
-			if err != nil {
-				s.log.Printf("wire: v2 connection %s: %v", cs.conn.RemoteAddr(), err)
-				return
-			}
-			s.wireBytes.Add(uint64(len(payload) + 5))
-			s.wireEvents.Add(1)
-			matched, err := s.publishVals(sch, vals)
-			if err != nil {
-				if cs.sendErr(cid, OpPublish, err.Error()) != nil {
-					return
-				}
-				continue
-			}
-			if cs.sendOK(cid, matched) != nil {
-				return
-			}
-
-		case framePublishBatch:
-			c := cur{b: payload}
-			cid := c.u32()
-			n := c.u32()
-			if c.bad || n == 0 || uint64(n) > uint64(len(c.b)) {
-				s.log.Printf("wire: v2 connection %s: %v", cs.conn.RemoteAddr(), fmt.Errorf("%w: bad batch count", ErrBadFrame))
-				return
-			}
-			// Batch events are retained by notifications, so each vector is
-			// decoded into its own slice (the v1 path allocates per event
-			// too — the batch saving is in framing and response coalescing).
-			evs = evs[:0]
-			for i := uint32(0); i < n && !c.bad; i++ {
-				evs = append(evs, event.Event{Vals: c.vec(make([]float64, 0, sch.N()))})
-			}
-			if err := c.done(); err != nil {
-				s.log.Printf("wire: v2 connection %s: %v", cs.conn.RemoteAddr(), err)
-				return
-			}
-			s.wireBytes.Add(uint64(len(payload) + 5))
-			s.wireEvents.Add(uint64(n))
-			counts, err := s.publishBatchVals(sch, evs)
-			if err != nil {
-				if cs.sendErr(cid, OpPublishBatch, err.Error()) != nil {
-					return
-				}
-				continue
-			}
-			if cs.sendOKBatch(cid, counts) != nil {
-				return
-			}
-
-		case frameControl:
-			cid, req, err := decodeRequestFrame(typ, payload, cs.slots)
-			if err != nil {
-				s.log.Printf("wire: v2 connection %s: %v", cs.conn.RemoteAddr(), err)
-				return
-			}
-			if req.Op == OpHello {
-				if cs.sendErr(cid, req.Op, "connection already upgraded") != nil {
-					return
-				}
-				continue
-			}
-			cs.cid = cid
-			if err := s.dispatch(cs, req); err != nil {
-				if cs.sendErr(cid, req.Op, err.Error()) != nil {
-					return
-				}
-			}
-
-		default:
-			s.log.Printf("wire: v2 connection %s: %v", cs.conn.RemoteAddr(),
-				fmt.Errorf("%w: unknown frame type 0x%02x", ErrBadFrame, typ))
+		if cs.send(cid, resp) != nil {
 			return
 		}
 	}
 }
 
-// publishVals validates a slot vector against the schema domains (matching
-// the v1 JSON path's strictness) and publishes it on the broker's
-// zero-allocation value path. vals may be a reused scratch slice: the broker
-// copies on match and the overlay encodes synchronously.
-func (s *Server) publishVals(sch *schema.Schema, vals []float64) (int, error) {
-	if len(vals) != sch.N() {
-		return 0, fmt.Errorf("%w: got %d values for %d attributes", event.ErrArity, len(vals), sch.N())
+// hello serves a hello request and reports whether the connection has left
+// the request loop. A client advertising v2 (peer hellos always carry a node
+// name) is confirmed with the schema, from which it builds its slot table,
+// and the connection's codec is swapped: every byte after the confirmation
+// line, in both directions, is a binary frame. A peer daemon's connection is
+// handed to the federation layer, which runs the link until it drops.
+func (s *Server) hello(cs *connState, in *Inbound, cid uint32, req Request) (over bool) {
+	upgrade := req.Node == "" && req.Proto >= int(ProtoV2)
+	var refusal string
+	switch {
+	case cs.codec != s.lines:
+		refusal = "connection already upgraded"
+	case upgrade && s.maxProto < ProtoV2:
+		refusal = "protocol v2 disabled"
+	case !upgrade && s.overlay == nil:
+		refusal = "daemon is not federated"
+	case len(cs.subs) != 0:
+		// A connection with live subscriptions has notification forwarders
+		// writing to it: they must neither straddle a codec switch nor share
+		// the conn with the federation's writer.
+		refusal = "hello must be the connection's first frame"
 	}
-	for i, v := range vals {
-		if err := sch.Validate(i, v); err != nil {
-			return 0, err
+	if refusal != "" {
+		return cs.send(cid, Response{Type: MsgError, Op: req.Op, Error: refusal}) != nil
+	}
+	// Forwarders of already-removed subscriptions may still be draining; wait
+	// them out so no stray write can interleave with what follows.
+	cs.wg.Wait()
+	if upgrade {
+		confirm := Response{Type: MsgOK, Op: req.Op, Proto: int(ProtoV2), Attributes: schemaPayload(s.brk.Schema())}
+		if cs.send(cid, confirm) != nil {
+			return true
 		}
+		cs.codec = s.frames
+		return false
 	}
-	matched, err := s.brk.PublishValues(vals)
-	if err != nil {
-		return 0, err
+	if s.maxProto < ProtoV2 && req.Proto >= int(ProtoV2) {
+		// A v1-pinned daemon negotiates every peer link down to v1.
+		req.Proto = int(ProtoV1)
 	}
-	if s.overlay != nil {
-		s.overlay.EventPublished(event.Event{Vals: vals})
-	}
-	return matched, nil
-}
-
-// publishBatchVals validates and publishes a decoded v2 batch.
-func (s *Server) publishBatchVals(sch *schema.Schema, evs []event.Event) ([]int, error) {
-	for i, ev := range evs {
-		if len(ev.Vals) != sch.N() {
-			return nil, fmt.Errorf("event %d: %w: got %d values for %d attributes", i, event.ErrArity, len(ev.Vals), sch.N())
-		}
-		for j, v := range ev.Vals {
-			if err := sch.Validate(j, v); err != nil {
-				return nil, fmt.Errorf("event %d: %w", i, err)
-			}
-		}
-	}
-	counts, err := s.brk.PublishBatch(evs)
-	if err != nil {
-		return nil, err
-	}
-	if s.overlay != nil {
-		for _, ev := range evs {
-			s.overlay.EventPublished(ev)
-		}
-	}
-	return counts, nil
+	s.overlay.HandlePeer(cs.conn, in.rd, req)
+	return true
 }
 
 // schemaPayload renders the broker schema as wire attribute descriptors (the
@@ -565,109 +364,113 @@ func schemaPayload(sch *schema.Schema) []AttrPayload {
 	return attrs
 }
 
-func attrNames(sch *schema.Schema) []string {
-	names := make([]string, sch.N())
-	for i := range names {
-		names[i] = sch.At(i).Name
-	}
-	return names
-}
-
-// dispatch executes one request; returned errors are reported to the client.
-func (s *Server) dispatch(cs *connState, req Request) error {
+// dispatch executes one request and returns its reply; a returned error is
+// reported to the client and the connection lives on.
+func (s *Server) dispatch(cs *connState, in *Inbound, req Request) (Response, error) {
 	sch := s.brk.Schema()
 	switch req.Op {
 	case OpPing:
-		return cs.send(Response{Type: MsgPong, Op: req.Op})
+		return Response{Type: MsgPong, Op: req.Op}, nil
 
 	case OpSchema:
-		return cs.send(Response{Type: MsgSchema, Op: req.Op, Attributes: schemaPayload(sch)})
+		return Response{Type: MsgSchema, Op: req.Op, Attributes: schemaPayload(sch)}, nil
 
 	case OpSubscribe:
 		if req.ID == "" {
-			return errors.New("subscribe: missing id")
+			return Response{}, errors.New("subscribe: missing id")
 		}
 		p, err := predicate.Parse(sch, predicate.ID(req.ID), req.Profile)
 		if err != nil {
-			return err
+			return Response{}, err
 		}
 		p.Priority = req.Priority
 		sub, err := s.brk.Subscribe(p)
 		if err != nil {
-			return err
+			return Response{}, err
 		}
 		cs.subs[req.ID] = sub
 		cs.wg.Add(1)
 		go func() {
 			defer cs.wg.Done()
-			s.forward(cs, sub)
+			forward(cs, sub)
 		}()
 		if s.overlay != nil {
 			s.overlay.ProfileAdded(p)
 		}
-		return cs.send(Response{Type: MsgOK, Op: req.Op, Profile: req.ID})
+		return Response{Type: MsgOK, Op: req.Op, Profile: req.ID}, nil
 
 	case OpUnsubscribe:
 		if _, ok := cs.subs[req.ID]; !ok {
-			return fmt.Errorf("unsubscribe: %s not subscribed on this connection", req.ID)
+			return Response{}, fmt.Errorf("unsubscribe: %s not subscribed on this connection", req.ID)
 		}
 		delete(cs.subs, req.ID)
 		if err := s.brk.Unsubscribe(predicate.ID(req.ID)); err != nil {
-			return err
+			return Response{}, err
 		}
 		if s.overlay != nil {
 			s.overlay.ProfileRemoved(predicate.ID(req.ID))
 		}
-		return cs.send(Response{Type: MsgOK, Op: req.Op, Profile: req.ID})
+		return Response{Type: MsgOK, Op: req.Op, Profile: req.ID}, nil
 
 	case OpPublish:
-		ev, err := event.FromMapWith(sch, req.Event, s.defaults)
+		s.wireBytes.Add(uint64(in.size))
+		s.wireEvents.Add(1)
+		// A decoded vector is the connection's read scratch; the broker
+		// copies it on match and the overlay encodes synchronously.
+		vals, err := req.EventVals(sch, s.defaults)
 		if err != nil {
-			return err
+			return Response{}, err
 		}
-		matched, err := s.brk.Publish(ev)
+		matched, err := s.brk.PublishValues(vals)
 		if err != nil {
-			return err
+			return Response{}, err
 		}
 		if s.overlay != nil {
-			s.overlay.EventPublished(ev)
+			s.overlay.EventPublished(event.Event{Vals: vals})
 		}
-		return cs.send(Response{Type: MsgOK, Op: req.Op, Matched: matched})
+		return Response{Type: MsgOK, Op: req.Op, Matched: matched}, nil
 
 	case OpPublishBatch:
-		if len(req.Events) == 0 {
-			return errors.New("publish_batch: no events")
+		n := max(len(req.Batch), len(req.Events))
+		s.wireBytes.Add(uint64(in.size))
+		s.wireEvents.Add(uint64(max(1, n)))
+		if n == 0 {
+			return Response{}, errors.New("publish_batch: no events")
 		}
-		evs := make([]event.Event, len(req.Events))
-		for i, payload := range req.Events {
-			ev, err := event.FromMapWith(sch, payload, s.defaults)
+		cs.evs = cs.evs[:0]
+		for i := 0; i < n; i++ {
+			one := Request{}
+			if req.Batch != nil {
+				one.Vals = req.Batch[i]
+			} else {
+				one.Event = req.Events[i]
+			}
+			vals, err := one.EventVals(sch, s.defaults)
 			if err != nil {
-				return fmt.Errorf("event %d: %w", i, err)
+				return Response{}, fmt.Errorf("event %d: %w", i, err)
 			}
-			evs[i] = ev
+			cs.evs = append(cs.evs, event.Event{Vals: vals})
 		}
-		counts, err := s.brk.PublishBatch(evs)
+		counts, err := s.brk.PublishBatch(cs.evs)
 		if err != nil {
-			return err
-		}
-		if s.overlay != nil {
-			for _, ev := range evs {
-				s.overlay.EventPublished(ev)
-			}
+			return Response{}, err
 		}
 		total := 0
-		for _, c := range counts {
+		for i, c := range counts {
 			total += c
+			if s.overlay != nil {
+				s.overlay.EventPublished(cs.evs[i])
+			}
 		}
-		return cs.send(Response{Type: MsgOK, Op: req.Op, Matched: total, MatchedEach: counts})
+		return Response{Type: MsgOK, Op: req.Op, Matched: total, MatchedEach: counts}, nil
 
 	case OpQuench:
 		i, err := sch.Index(req.Attr)
 		if err != nil {
-			return err
+			return Response{}, err
 		}
 		q := s.brk.Quenched(i, schema.Closed(req.Lo, req.Hi))
-		return cs.send(Response{Type: MsgOK, Op: req.Op, Quenched: q})
+		return Response{Type: MsgOK, Op: req.Op, Quenched: q}, nil
 
 	case OpProfiles:
 		var payload []ProfilePayload
@@ -678,7 +481,7 @@ func (s *Server) dispatch(cs *connState, req Request) error {
 				Priority: p.Priority,
 			})
 		}
-		return cs.send(Response{Type: MsgOK, Op: req.Op, Profiles: payload})
+		return Response{Type: MsgOK, Op: req.Op, Profiles: payload}, nil
 
 	case OpStats:
 		st := s.brk.Stats()
@@ -709,36 +512,20 @@ func (s *Server) dispatch(cs *connState, req Request) error {
 			payload.BytesPerEventWire = float64(s.wireBytes.Load()) / float64(we)
 		}
 		payload.FramesPipelined = s.framesPipelined.Load()
-		return cs.send(Response{Type: MsgStats, Op: req.Op, Stats: payload})
+		return Response{Type: MsgStats, Op: req.Op, Stats: payload}, nil
 
 	default:
-		return fmt.Errorf("unknown op %q", req.Op)
+		return Response{}, fmt.Errorf("unknown op %q", req.Op)
 	}
 }
 
 // forward pushes one subscription's notifications to the connection until
-// the subscription channel closes. On v2 the event vector goes out in
-// binary as-is; v1 builds the attribute-name map the JSON codec needs.
-func (s *Server) forward(cs *connState, sub *broker.Subscription) {
-	sch := s.brk.Schema()
+// the subscription channel closes or a write fails. The event vector goes to
+// the codec as it is.
+func forward(cs *connState, sub *broker.Subscription) {
 	for n := range sub.C() {
-		if cs.proto >= ProtoV2 {
-			if err := cs.sendNotify(string(n.Profile), n.Event.Seq, n.Event.Vals); err != nil {
-				return
-			}
-			continue
-		}
-		payload := make(map[string]float64, sch.N())
-		for i, v := range n.Event.Vals {
-			payload[sch.At(i).Name] = v
-		}
-		resp := Response{
-			Type:    MsgNotification,
-			Profile: string(n.Profile),
-			Event:   payload,
-			Seq:     n.Event.Seq,
-		}
-		if err := cs.writeLine(resp); err != nil {
+		resp := Response{Type: MsgNotification, Profile: string(n.Profile), Seq: n.Event.Seq, Vals: n.Event.Vals}
+		if cs.send(0, resp) != nil {
 			return
 		}
 	}

@@ -1,0 +1,354 @@
+package wire
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"genas/internal/broker"
+	"genas/internal/schema"
+)
+
+// sessionOutcome is what one scripted request came to, in a form that is the
+// same whichever codec carried it: failed or not, and the reply's meaning.
+type sessionOutcome struct {
+	step   string
+	failed bool
+	reply  string
+}
+
+// runSessionScript drives one fixed script through a fresh server over a
+// connection pinned to proto, and returns every step's outcome, the
+// notifications the connection received, and the goroutines left behind
+// once everything is closed.
+func runSessionScript(t *testing.T, proto Proto) (outcomes []sessionOutcome, notifs []string, leaked int) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+
+	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk, err := broker.New(sch, broker.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(brk, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(context.Background(), ln) }()
+
+	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout, Proto: proto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Proto() != proto {
+		t.Fatalf("negotiated proto %d, want %d", c.Proto(), proto)
+	}
+	sl, err := c.slotTable(rpcTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	script := []struct {
+		step string
+		req  Request
+	}{
+		{"ping", Request{Op: OpPing}},
+		{"schema", Request{Op: OpSchema}},
+		{"subscribe", Request{Op: OpSubscribe, ID: "hot", Profile: "profile(temperature >= 35)", Priority: 2}},
+		{"publish map", Request{Op: OpPublish, Event: map[string]float64{"temperature": 41, "humidity": 10}}},
+		{"publish vector", Request{Op: OpPublish, Vals: []float64{45, 20}}},
+		{"publish vector miss", Request{Op: OpPublish, Vals: []float64{5, 20}}},
+		{"batch", Request{Op: OpPublishBatch, Batch: [][]float64{{36, 1}, {0, 2}, {50, 3}}}},
+		{"batch of maps", Request{Op: OpPublishBatch, Events: []map[string]float64{
+			{"temperature": 37, "humidity": 4}, {"temperature": 1, "humidity": 5}}}},
+		{"quench cold", Request{Op: OpQuench, Attr: "temperature", Lo: -30, Hi: 0}},
+		{"quench hot", Request{Op: OpQuench, Attr: "temperature", Lo: 30, Hi: 50}},
+		{"stats", Request{Op: OpStats}},
+		{"profiles", Request{Op: OpProfiles}},
+		{"unknown op", Request{Op: "frobnicate"}},
+		{"bad arity", Request{Op: OpPublish, Vals: []float64{1}}},
+		{"bad arity in batch", Request{Op: OpPublishBatch, Batch: [][]float64{{36, 1}, {2}}}},
+		{"out of domain", Request{Op: OpPublish, Vals: []float64{400, 10}}},
+		{"out of domain map", Request{Op: OpPublish, Event: map[string]float64{"temperature": 400, "humidity": 10}}},
+		{"partial map", Request{Op: OpPublish, Event: map[string]float64{"temperature": 40}}},
+		{"second hello", Request{Op: OpHello}},
+		{"unsubscribe", Request{Op: OpUnsubscribe, ID: "hot"}},
+		{"unsubscribe again", Request{Op: OpUnsubscribe, ID: "hot"}},
+		{"publish after unsubscribe", Request{Op: OpPublish, Vals: []float64{45, 20}}},
+		{"still alive", Request{Op: OpPing}},
+	}
+	for _, st := range script {
+		resp, err := c.roundTrip(st.req, rpcTimeout)
+		out := sessionOutcome{step: st.step, failed: err != nil}
+		if err == nil {
+			if resp.Stats != nil {
+				// The two wire-level counters measure the encoding itself.
+				stats := *resp.Stats
+				stats.BytesPerEventWire, stats.FramesPipelined = 0, 0
+				resp.Stats = &stats
+			}
+			js, _ := json.Marshal(resp)
+			out.reply = string(js)
+		}
+		outcomes = append(outcomes, out)
+	}
+
+	// Five scripted events matched "hot" while it was subscribed; all five
+	// notifications were written before the unsubscribe was acknowledged.
+	for i := 0; i < 5; i++ {
+		select {
+		case n := <-c.Notifications():
+			js, _ := json.Marshal(namedResponse(sl, n))
+			notifs = append(notifs, string(js))
+		case <-time.After(2 * time.Second):
+			t.Fatalf("proto %d: notification %d never arrived", proto, i)
+		}
+	}
+	select {
+	case n := <-c.Notifications():
+		t.Errorf("proto %d: unexpected extra notification %+v", proto, n)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	_ = c.Close()
+	srv.Close()
+	if err := <-serveDone; err != nil {
+		t.Errorf("Serve returned %v", err)
+	}
+	brk.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return outcomes, notifs, runtime.NumGoroutine() - before
+}
+
+// TestSessionCrossCodec is the session-level twin of TestCrossCodecRequests/
+// Responses: one script, run through the server's single session loop once
+// per codec, must come to the same outcomes — every reply with the same
+// meaning, every failure a failure, the same notifications in the same order
+// — and leave no goroutine behind after Close.
+func TestSessionCrossCodec(t *testing.T) {
+	lineOut, lineNotifs, lineLeak := runSessionScript(t, ProtoV1)
+	frameOut, frameNotifs, frameLeak := runSessionScript(t, ProtoV2)
+
+	if lineLeak > 0 || frameLeak > 0 {
+		t.Errorf("goroutines left after Close: %d on lines, %d on frames", lineLeak, frameLeak)
+	}
+	if len(lineOut) != len(frameOut) {
+		t.Fatalf("%d outcomes on lines, %d on frames", len(lineOut), len(frameOut))
+	}
+	wantFailed := map[string]bool{
+		"unknown op": true, "bad arity": true, "bad arity in batch": true, "out of domain": true,
+		"out of domain map": true, "partial map": true, "second hello": true, "unsubscribe again": true,
+	}
+	for i, lo := range lineOut {
+		fo := frameOut[i]
+		if lo != fo {
+			t.Errorf("step %q differs across codecs:\n lines:  failed=%v %s\n frames: failed=%v %s",
+				lo.step, lo.failed, lo.reply, fo.failed, fo.reply)
+		}
+		if lo.failed != wantFailed[lo.step] {
+			t.Errorf("step %q: failed = %v, want %v", lo.step, lo.failed, wantFailed[lo.step])
+		}
+	}
+	if len(lineNotifs) != len(frameNotifs) {
+		t.Fatalf("%d notifications on lines, %d on frames", len(lineNotifs), len(frameNotifs))
+	}
+	for i := range lineNotifs {
+		if lineNotifs[i] != frameNotifs[i] {
+			t.Errorf("notification %d differs across codecs:\n lines:  %s\n frames: %s", i, lineNotifs[i], frameNotifs[i])
+		}
+	}
+}
+
+// TestLateReplyIsNotHandedToTheNextRequest pins the line protocol's implicit
+// correlation: a reply that arrives after its request timed out belongs to
+// that request and is dropped, never handed to the request that follows. The
+// scripted server holds the subscribe's reply back until the publish has
+// arrived, then answers both in order.
+func TestLateReplyIsNotHandedToTheNextRequest(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		rd := bufio.NewReader(conn)
+		for _, wantOp := range []Op{OpSubscribe, OpPublish} {
+			line, err := ReadLine(rd)
+			if err != nil {
+				served <- err
+				return
+			}
+			if req, err := DecodeRequest(line); err != nil || req.Op != wantOp {
+				served <- errors.New("scripted server: unexpected request " + string(line))
+				return
+			}
+		}
+		_, err = conn.Write([]byte(`{"type":"ok","op":"subscribe","profile":"hot"}` + "\n" +
+			`{"type":"ok","op":"publish","matched":7}` + "\n"))
+		served <- err
+	}()
+
+	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Subscribe("hot", "profile(temperature >= 35)", 0, 50*time.Millisecond); err == nil {
+		t.Fatal("the subscribe was answered before the script allowed it")
+	}
+	matched, err := c.Publish(map[string]float64{"temperature": 41, "humidity": 10}, rpcTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if matched != 7 {
+		t.Errorf("publish got matched=%d: the subscribe's late reply, not its own (want 7)", matched)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pipeListener hands a server the server halves of net.Pipe connections.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	select {
+	case <-l.done:
+	default:
+		close(l.done)
+	}
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// dial connects a new pipe to the server. The server's half turns whatever
+// write deadline the server sets into one 50 ms away, so the test observes
+// the server's policy without waiting out its real timeout; a server that
+// sets no deadline keeps none.
+func (l *pipeListener) dial() net.Conn {
+	client, server := net.Pipe()
+	l.conns <- hastyConn{server}
+	return client
+}
+
+type hastyConn struct{ net.Conn }
+
+func (c hastyConn) SetWriteDeadline(time.Time) error {
+	return c.Conn.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
+}
+
+// TestNeverReadingSubscriber: a subscriber that stops reading must not park
+// its connection forever. A pipe has no buffer, so the first notification
+// blocks the server's write; the write deadline expires, the connection
+// closes and its subscription is torn down — while a second connection keeps
+// working and Server.Close returns.
+func TestNeverReadingSubscriber(t *testing.T) {
+	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk, err := broker.New(sch, broker.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
+	srv := NewServer(brk, nil)
+	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(context.Background(), ln) }()
+
+	// call writes one request line and reads one reply line.
+	call := func(conn net.Conn, rd *bufio.Reader, req Request) Response {
+		t.Helper()
+		line, err := EncodeLine(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(rpcTimeout))
+		if _, err := conn.Write(line); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := ReadLine(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := DecodeResponse(bytes.Clone(reply))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	stuck := ln.dial()
+	defer func() { _ = stuck.Close() }()
+	if resp := call(stuck, bufio.NewReader(stuck), Request{Op: OpSubscribe, ID: "all", Profile: "profile(temperature >= -30)"}); resp.Type != MsgOK {
+		t.Fatalf("subscribe = %+v", resp)
+	}
+	// From here on the subscriber never reads again.
+
+	healthy := ln.dial()
+	defer func() { _ = healthy.Close() }()
+	hrd := bufio.NewReader(healthy)
+	if resp := call(healthy, hrd, Request{Op: OpPublish, Event: map[string]float64{"temperature": 20, "humidity": 50}}); resp.Matched != 1 {
+		t.Fatalf("publish = %+v", resp)
+	}
+
+	deadline := time.Now().Add(3 * time.Second)
+	for brk.Stats().Subscriptions != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the never-reading subscriber's connection was not torn down: its subscription is still registered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if resp := call(healthy, hrd, Request{Op: OpPing}); resp.Type != MsgPong {
+		t.Fatalf("second connection after the teardown: %+v", resp)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close did not return")
+	}
+	if err := <-serveDone; err != nil {
+		t.Errorf("Serve returned %v", err)
+	}
+}

@@ -81,7 +81,7 @@ func TestCloseDuringNotificationFlood(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(ln.Addr().String(), time.Second)
+			c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: time.Second, Proto: ProtoV1})
 			if err != nil {
 				return
 			}
@@ -160,7 +160,7 @@ func TestCloseWithoutContextCancel(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(context.Background(), ln) }()
 	// Make sure the server is actually accepting before closing it.
-	c, err := Dial(ln.Addr().String(), time.Second)
+	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: time.Second, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}

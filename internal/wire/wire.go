@@ -1,14 +1,22 @@
-// Package wire defines the JSON-line protocol spoken between the GENAS
-// daemon (cmd/genasd) and its clients (cmd/genas): one JSON object per line
-// over TCP. The protocol carries the generic service's runtime definitions —
-// profiles in the profile language, events in the event notation — so "all
-// events, attributes, domains, and compare operators can be created and
-// specified at runtime" (paper §4.2).
+// Package wire defines the protocol spoken between the GENAS daemon
+// (cmd/genasd), its clients (cmd/genas) and its peers: Request and Response
+// messages, carried as one JSON object per line (v1, line.go) or as
+// length-prefixed binary frames (v2, frame.go). Which of the two is on a
+// connection is known only to its codec (codec.go); the server, client and
+// peer-link session loops are written once over that seam. The protocol
+// carries the generic service's runtime definitions — profiles in the profile
+// language, events in the event notation — so "all events, attributes,
+// domains, and compare operators can be created and specified at runtime"
+// (paper §4.2).
 package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+
+	"genas/internal/event"
+	"genas/internal/schema"
 )
 
 // Proto selects a wire protocol generation for a connection or peer link.
@@ -94,6 +102,24 @@ type Request struct {
 	// hello frames. Absent (0) means v1: pre-v2 peers never send it, so the
 	// negotiated protocol with them is min(2, 1) = 1 and nothing changes.
 	Proto int `json:"proto,omitempty"`
+	// Vals and Batch carry a publish, forward or publish_batch payload as
+	// schema-order vectors. Never on the wire under these names: the frame
+	// codec writes and reads them in binary (a decoded vector aliases the
+	// connection's read scratch and is valid until the next read), the line
+	// codec renders them as Event and Events.
+	Vals  []float64   `json:"-"`
+	Batch [][]float64 `json:"-"`
+}
+
+// EventVals resolves a publish or forward payload to a validated
+// schema-order vector: the vector the codec decoded when there is one, else
+// the attribute map completed from d (nil: every attribute is mandatory).
+func (r *Request) EventVals(sch *schema.Schema, d *event.Defaults) ([]float64, error) {
+	if r.Vals != nil {
+		return r.Vals, event.Validate(sch, r.Vals)
+	}
+	ev, err := event.FromMapWith(sch, r.Event, d)
+	return ev.Vals, err
 }
 
 // MsgType enumerates server→client message types.
@@ -139,9 +165,10 @@ type Response struct {
 	// Proto confirms the negotiated protocol generation in a hello response
 	// (0 when absent, meaning v1).
 	Proto int `json:"proto,omitempty"`
-	// Vals is the notification payload as a schema-order vector when the
-	// notification arrived on a v2 connection. Never on the wire — v2 carries
-	// it in binary, v1 uses Event.
+	// Vals is the notification payload as a schema-order vector: what the
+	// server hands every codec, and what a client receives from the frame
+	// codec. Never on the wire under this name — frames carry it in binary,
+	// the line codec renders it as Event.
 	Vals []float64 `json:"-"`
 }
 
@@ -199,6 +226,11 @@ type AttrPayload struct {
 	Labels []string `json:"labels,omitempty"`
 }
 
+// ErrBadMessage reports a line that does not decode as a message. The stream
+// position is intact — the next line starts a new message — so a session
+// answers or logs it and reads on, where a framing error ends the connection.
+var ErrBadMessage = errors.New("wire: bad message")
+
 // EncodeLine marshals a message and appends '\n'.
 func EncodeLine(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
@@ -212,10 +244,10 @@ func EncodeLine(v any) ([]byte, error) {
 func DecodeRequest(line []byte) (Request, error) {
 	var r Request
 	if err := json.Unmarshal(line, &r); err != nil {
-		return Request{}, fmt.Errorf("wire: bad request: %w", err)
+		return Request{}, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	if r.Op == "" {
-		return Request{}, fmt.Errorf("wire: missing op")
+		return Request{}, fmt.Errorf("%w: missing op", ErrBadMessage)
 	}
 	return r, nil
 }
@@ -224,10 +256,10 @@ func DecodeRequest(line []byte) (Request, error) {
 func DecodeResponse(line []byte) (Response, error) {
 	var r Response
 	if err := json.Unmarshal(line, &r); err != nil {
-		return Response{}, fmt.Errorf("wire: bad response: %w", err)
+		return Response{}, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	if r.Type == "" {
-		return Response{}, fmt.Errorf("wire: missing type")
+		return Response{}, fmt.Errorf("%w: missing type", ErrBadMessage)
 	}
 	return r, nil
 }

@@ -51,7 +51,7 @@ func startServer(t *testing.T) string {
 
 func TestPingAndSchema(t *testing.T) {
 	addr := startServer(t)
-	c, err := Dial(addr, rpcTimeout)
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +71,12 @@ func TestPingAndSchema(t *testing.T) {
 
 func TestSubscribePublishNotify(t *testing.T) {
 	addr := startServer(t)
-	subC, err := Dial(addr, rpcTimeout)
+	subC, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = subC.Close() }()
-	pubC, err := Dial(addr, rpcTimeout)
+	pubC, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSubscribePublishNotify(t *testing.T) {
 
 func TestQuenchAndStats(t *testing.T) {
 	addr := startServer(t)
-	c, err := Dial(addr, rpcTimeout)
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestQuenchAndStats(t *testing.T) {
 
 func TestServerErrors(t *testing.T) {
 	addr := startServer(t)
-	c, err := Dial(addr, rpcTimeout)
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestMalformedInput(t *testing.T) {
 		t.Errorf("expected error responses, got %q", buf[:n])
 	}
 	// The server still accepts a healthy client afterwards.
-	c, err := Dial(addr, rpcTimeout)
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestMalformedInput(t *testing.T) {
 // from the filter.
 func TestDisconnectCleansSubscriptions(t *testing.T) {
 	addr := startServer(t)
-	short, err := Dial(addr, rpcTimeout)
+	short, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestDisconnectCleansSubscriptions(t *testing.T) {
 	}
 	_ = short.Close()
 
-	probe, err := Dial(addr, rpcTimeout)
+	probe, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestCodecErrors(t *testing.T) {
 
 func TestProfilesListing(t *testing.T) {
 	addr := startServer(t)
-	c, err := Dial(addr, rpcTimeout)
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
 	if err != nil {
 		t.Fatal(err)
 	}
