@@ -260,6 +260,53 @@ func TestNetworkFacade(t *testing.T) {
 	}
 }
 
+// TestNetworkConnectAfterSubscribe: Connect replays the subscriptions both
+// sides already hold, so the order of Subscribe and Connect does not matter.
+func TestNetworkConnectAfterSubscribe(t *testing.T) {
+	sch := monitoringSchema(t)
+	svc, err := NewService(sch) // for its parsers only
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	prof, err := svc.ParseProfile("hot", "profile(temperature >= 35)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := svc.ParseEvent("event(temperature=41; humidity=10; radiation=5)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := NewNetwork(sch, true)
+	defer nw.Close()
+	for _, n := range []string{"edge", "core"} {
+		if err := nw.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, err := nw.Subscribe("core", prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Connect("edge", "core"); err != nil {
+		t.Fatal(err)
+	}
+	if matched, err := nw.Publish("edge", ev); err != nil || matched != 1 {
+		t.Fatalf("publish across the late link matched %d (err %v), want 1", matched, err)
+	}
+	select {
+	case n := <-sub.C():
+		if n.Profile != "hot" {
+			t.Errorf("notification = %+v", n)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("no notification across a link connected after the subscription")
+	}
+	if st := nw.Stats(); st.Messages != 1 || st.Filtered != 0 {
+		t.Errorf("stats = %+v, want one forward and nothing filtered", st)
+	}
+}
+
 func TestWithEventDistributions(t *testing.T) {
 	sch := monitoringSchema(t)
 	svc, err := NewService(sch, WithEventDistributions(map[string]string{

@@ -4,13 +4,15 @@
 // (hello, route_add/route_withdraw, forward) over TCP, each link in the codec
 // its two ends negotiated.
 //
-// Each daemon keeps one peer link per neighbor. A link records the profiles
-// subscribed in that neighbor's direction (its route set) and runs its own
-// distribution-based filter engine over the uncovered routes — so an event
-// crosses a TCP link only when that link's engine matches it, and
-// "unnecessary event information is rejected as early as possible" (paper
-// §5) at every hop. Covering pruning is applied per peer link exactly as in
-// the in-process overlay.
+// Each daemon keeps one peer link per neighbor and one routing.Table, the
+// same state machine the in-process overlay runs: per link it records the
+// profiles subscribed in that neighbor's direction and runs a filter engine
+// over the uncovered ones, so an event crosses a TCP link only when that
+// link's engine matches it, and "unnecessary event information is rejected
+// as early as possible" (paper §5) at every hop. This package decides nothing
+// about routes: it is the transport (handshake, codec negotiation, per-link
+// writer queue, reconnect supervision) that feeds peer messages to the table
+// and sends the messages the table returns.
 //
 // Link lifecycle: the dialing side owns reconnection — when a link drops,
 // its routes are withdrawn from the remaining links, and on reconnect the
@@ -28,13 +30,12 @@ import (
 	"log"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"genas/internal/broker"
-	"genas/internal/core"
 	"genas/internal/event"
 	"genas/internal/predicate"
+	"genas/internal/routing"
 	"genas/internal/schema"
 	"genas/internal/wire"
 )
@@ -75,33 +76,29 @@ type Options struct {
 	Logger *log.Logger
 }
 
-// Fed is one broker's wire-level overlay state: its peer links, their route
-// sets and filter engines, and the forward/filter counters. It implements
-// wire.Overlay, so a wire.Server mirrors local subscriptions and publishes
-// into it.
+// Fed is one broker's wire-level overlay state: its peer links and the route
+// table deciding what crosses them. It implements wire.Overlay, so a
+// wire.Server mirrors local subscriptions and publishes into it.
 type Fed struct {
-	name      string
-	sch       *schema.Schema
-	brk       *broker.Broker
-	opts      Options
-	maxProto  wire.Proto  // cap for per-link protocol negotiation
-	lines     wire.Codec  // what a link negotiated down to v1 speaks
-	frames    wire.Codec  // what a link that negotiated v2 speaks
-	engineCfg core.Config // link engines inherit the broker's engine config
-	log       *log.Logger
+	name     string
+	sch      *schema.Schema
+	brk      *broker.Broker
+	opts     Options
+	maxProto wire.Proto // cap for per-link protocol negotiation
+	lines    wire.Codec // what a link negotiated down to v1 speaks
+	frames   wire.Codec // what a link that negotiated v2 speaks
+	log      *log.Logger
 
-	// mu guards the peer maps and every link's route state. The forward hot
-	// path only reads (snapshot + non-blocking enqueue), so it takes the
-	// read side and concurrent publishers do not serialize here.
+	// mu guards links and serialises table, which always holds exactly the
+	// links of the map. The forward hot path only reads (match + non-blocking
+	// enqueue), so it takes the read side and concurrent publishers do not
+	// serialize here.
 	mu     sync.RWMutex
-	peers  map[*peerLink]struct{}
-	byName map[string]*peerLink
+	links  map[string]*peerLink
+	table  *routing.Table
 	closed bool
 	done   chan struct{} // closed by Close; wakes supervisor backoffs
 	wg     sync.WaitGroup
-
-	forwarded atomic.Uint64 // events sent over a peer link
-	filtered  atomic.Uint64 // link crossings avoided by early rejection
 }
 
 // peerLink is one TCP link to a neighbor daemon. After the handshake every
@@ -122,11 +119,6 @@ type peerLink struct {
 	// cannot keep up and poisons the link.
 	out     chan []byte
 	outOnce sync.Once
-	// routes are the profiles announced by the peer (subscribers in its
-	// direction); engine filters events against the uncovered subset.
-	// Both are guarded by Fed.mu.
-	routes map[predicate.ID]*predicate.Profile
-	engine *core.Engine
 }
 
 // closeOut closes the outbound queue exactly once (dropLink and Close can
@@ -161,29 +153,23 @@ func New(brk *broker.Broker, opts Options) (*Fed, error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	// Link engines inherit the broker's measure configuration. With Covering
-	// they additionally run in aggregated mode: each route add/withdraw is an
-	// incremental covering-poset mutation, and only uncovered (root) routes
-	// are indexed for forwarding — no per-announcement rescans.
-	engineCfg := brk.Engine().Config()
-	engineCfg.Aggregate = opts.Covering
 	maxProto := wire.ProtoV2
 	if opts.Proto == wire.ProtoV1 {
 		maxProto = wire.ProtoV1
 	}
 	return &Fed{
-		name:      opts.Node,
-		sch:       brk.Schema(),
-		brk:       brk,
-		opts:      opts,
-		maxProto:  maxProto,
-		lines:     wire.LineCodec(brk.Schema()),
-		frames:    wire.FrameCodec(brk.Schema()),
-		engineCfg: engineCfg,
-		log:       logger,
-		peers:     make(map[*peerLink]struct{}),
-		byName:    make(map[string]*peerLink),
-		done:      make(chan struct{}),
+		name:     opts.Node,
+		sch:      brk.Schema(),
+		brk:      brk,
+		opts:     opts,
+		maxProto: maxProto,
+		lines:    wire.LineCodec(brk.Schema()),
+		frames:   wire.FrameCodec(brk.Schema()),
+		log:      logger,
+		links:    make(map[string]*peerLink),
+		// Link engines inherit the broker's measure configuration.
+		table: routing.NewTable(brk.Schema(), brk.Engine().Config(), opts.Covering),
+		done:  make(chan struct{}),
 	}, nil
 }
 
@@ -385,72 +371,38 @@ func (f *Fed) HandlePeer(conn net.Conn, rd *bufio.Reader, hello wire.Request) {
 
 // newLink allocates a link's state for a fresh connection.
 func (f *Fed) newLink(conn net.Conn) *peerLink {
-	return &peerLink{
-		conn:   conn,
-		out:    make(chan []byte, outQueueDepth),
-		routes: make(map[predicate.ID]*predicate.Profile),
-		engine: core.NewEngine(f.sch, f.engineCfg),
-	}
+	return &peerLink{conn: conn, out: make(chan []byte, outQueueDepth)}
 }
 
-// attach registers a live link, starts its writer and replays the route set
-// the peer should know: every locally subscribed profile plus every route
-// learned from the other links. An existing link with the same peer name is
-// displaced (its reader will tear it down), and its routes are withdrawn
-// from the remaining links — the peer's replay re-adds whatever it still
-// has, so a subscriber dropped while the link was dark does not leave stale
-// routes at third-party brokers.
+// attach registers a live link, starts its writer and sends the route replay
+// the table returns for it (see routing.Table.Attach). An existing link with
+// the same peer name is displaced: its reader will tear it down, and the
+// table withdraws its routes from the remaining links ahead of the replay.
 func (f *Fed) attach(l *peerLink) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return ErrClosed
 	}
-	if old, ok := f.byName[l.name]; ok {
-		// A reconnect raced the old link's teardown: displace it. Closing the
-		// conn wakes its reader, whose dropLink is identity-guarded.
+	if old, ok := f.links[l.name]; ok {
+		// A reconnect raced the old link's teardown. Closing the conn wakes
+		// its reader, whose dropLink is identity-guarded.
 		_ = old.conn.Close()
 		old.closeOut()
-		delete(f.peers, old)
-		delete(f.byName, l.name)
-		for id := range old.routes {
-			for o := range f.peers {
-				f.sendRouteWithdraw(o, id)
-			}
-		}
 	}
-	f.peers[l] = struct{}{}
-	f.byName[l.name] = l
+	f.links[l.name] = l
+	msgs := f.table.Attach(l.name, f.brk.Engine().Profiles())
 
-	// Route replay. Local profiles first, then transit routes. The queue is
-	// grown to hold the entire replay before the writer starts: a route set
-	// larger than the steady-state queue must replay in full rather than
-	// overflow, poison the link and flap forever.
-	locals := f.brk.Engine().Profiles()
-	replay := len(locals)
-	for o := range f.peers {
-		if o != l {
-			replay += len(o.routes)
-		}
-	}
-	if need := replay + outQueueDepth; need > cap(l.out) {
+	// The queue is grown to hold the entire replay before the writer starts:
+	// a route set larger than the steady-state queue must replay in full
+	// rather than overflow, poison the link and flap forever.
+	if need := len(msgs) + outQueueDepth; need > cap(l.out) {
 		l.out = make(chan []byte, need)
 	}
 	f.wg.Add(1)
 	go f.writeLoop(l)
 	f.log.Printf("federation: %s linked to peer %s (%s)", f.name, l.name, l.conn.RemoteAddr())
-
-	for _, p := range locals {
-		f.sendRouteAdd(l, p)
-	}
-	for o := range f.peers {
-		if o == l {
-			continue
-		}
-		for _, p := range o.routes {
-			f.sendRouteAdd(l, p)
-		}
-	}
+	f.send(msgs)
 	return nil
 }
 
@@ -491,9 +443,9 @@ func (f *Fed) handleFrame(l *peerLink, req wire.Request) {
 			return
 		}
 		p.Priority = req.Priority
-		f.addRoute(l, p)
+		f.routeChanged(l, routing.Msg{ID: p.ID, Profile: p})
 	case wire.OpRouteWithdraw:
-		f.removeRoute(l, predicate.ID(req.ID))
+		f.routeChanged(l, routing.Msg{ID: predicate.ID(req.ID)})
 	case wire.OpForward:
 		vals, err := req.EventVals(f.sch, nil)
 		if err != nil {
@@ -503,74 +455,26 @@ func (f *Fed) handleFrame(l *peerLink, req wire.Request) {
 		if _, err := f.brk.PublishValues(vals); err != nil && !errors.Is(err, broker.ErrClosed) {
 			f.log.Printf("federation: local delivery of forward from %s: %v", l.name, err)
 		}
-		f.forward(vals, l)
+		f.forward(vals, l.name)
 	default:
 		f.log.Printf("federation: unexpected op %q on peer link %s", req.Op, l.name)
 	}
 }
 
-// addRoute installs a route announced by l and re-announces it to every
-// other link (the topology is acyclic, so propagation terminates). An
-// announcement identical to the installed route is dropped — a reconnect
-// replay of n unchanged routes must not trigger n engine rebuilds and a
-// federation-wide re-broadcast.
-func (f *Fed) addRoute(l *peerLink, p *predicate.Profile) {
+// routeChanged hands a route announcement (m.Profile set) or withdrawal that
+// arrived over l to the table and sends the re-announcements it returns.
+// Identity-guarded: a frame still buffered on a displaced link must not
+// touch its successor's routes.
+func (f *Fed) routeChanged(l *peerLink, m routing.Msg) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed || f.byName[l.name] != l {
+	if f.links[l.name] != l {
 		return
 	}
-	if old, ok := l.routes[p.ID]; ok &&
-		old.Priority == p.Priority && old.Render(f.sch) == p.Render(f.sch) {
-		return
-	}
-	f.installRouteLocked(l, p)
-	for o := range f.peers {
-		if o != l {
-			f.sendRouteAdd(o, p)
-		}
-	}
-}
-
-// installRouteLocked updates the link engine for a new or changed route —
-// one incremental engine mutation either way. Under covering the engine's
-// aggregation poset places the route against the link's root antichain
-// itself (demoting routes the newcomer absorbs, riding under a broader
-// route when covered), so replaying n routes costs n poset insertions, not
-// the rescans of the rebuild era. Caller holds f.mu.
-func (f *Fed) installRouteLocked(l *peerLink, p *predicate.Profile) {
-	if _, replaced := l.routes[p.ID]; replaced {
-		// The id's old predicate sits in the engine: replace, never duplicate.
-		if err := l.engine.RemoveProfile(p.ID); err != nil {
-			f.log.Printf("federation: link %s route %s: %v", l.name, p.ID, err)
-		}
-	}
-	l.routes[p.ID] = p
-	if err := l.engine.AddProfile(p); err != nil {
-		f.log.Printf("federation: link %s route %s: %v", l.name, p.ID, err)
-	}
-}
-
-// removeRoute withdraws a route announced by l and propagates the withdrawal.
-func (f *Fed) removeRoute(l *peerLink, id predicate.ID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed || f.byName[l.name] != l {
-		return
-	}
-	if _, ok := l.routes[id]; !ok {
-		return
-	}
-	delete(l.routes, id)
-	// One incremental removal; under covering the poset re-arms routes the
-	// withdrawn one covered (its kids re-link upward or promote to roots).
-	if err := l.engine.RemoveProfile(id); err != nil {
-		f.log.Printf("federation: link %s withdraw %s: %v", l.name, id, err)
-	}
-	for o := range f.peers {
-		if o != l {
-			f.sendRouteWithdraw(o, id)
-		}
+	if m.Profile != nil {
+		f.send(f.table.Announce(l.name, m.Profile))
+	} else {
+		f.send(f.table.Withdraw(l.name, m.ID))
 	}
 }
 
@@ -581,23 +485,16 @@ func (f *Fed) dropLink(l *peerLink, cause error) {
 	_ = l.conn.Close()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.peers[l]; !ok {
+	if f.links[l.name] != l {
 		return
 	}
-	delete(f.peers, l)
-	if f.byName[l.name] == l {
-		delete(f.byName, l.name)
-	}
+	delete(f.links, l.name)
 	l.closeOut()
 	if cause == nil {
 		cause = errors.New("peer disconnected")
 	}
 	f.log.Printf("federation: link to %s down: %v", l.name, cause)
-	for id := range l.routes {
-		for o := range f.peers {
-			f.sendRouteWithdraw(o, id)
-		}
-	}
+	f.send(f.table.Detach(l.name))
 }
 
 // ProfileAdded implements wire.Overlay: announce a local subscription to
@@ -605,12 +502,7 @@ func (f *Fed) dropLink(l *peerLink, cause error) {
 func (f *Fed) ProfileAdded(p *predicate.Profile) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return
-	}
-	for l := range f.peers {
-		f.sendRouteAdd(l, p)
-	}
+	f.send(f.table.Announce(routing.Local, p))
 }
 
 // ProfileRemoved implements wire.Overlay: withdraw a local subscription from
@@ -618,89 +510,42 @@ func (f *Fed) ProfileAdded(p *predicate.Profile) {
 func (f *Fed) ProfileRemoved(id predicate.ID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return
-	}
-	for l := range f.peers {
-		f.sendRouteWithdraw(l, id)
-	}
+	f.send(f.table.Withdraw(routing.Local, id))
 }
 
 // EventPublished implements wire.Overlay: offer a locally published event to
 // every link whose routing filter matches it. The vector is read only
 // during the call (matching plus synchronous encode), never retained — the
 // server's publish path hands it a connection's reused read scratch.
-func (f *Fed) EventPublished(ev event.Event) { f.forward(ev.Vals, nil) }
+func (f *Fed) EventPublished(ev event.Event) { f.forward(ev.Vals, routing.Local) }
 
-// forward sends an event vector over every link (except the one it arrived
-// on) whose filter engine matches it; rejected crossings count as filtered.
-// Matching runs outside f.mu against an engine snapshot, exactly like the
-// in-process overlay's deliver. The whole path takes only the read lock —
-// concurrent publishers of a federated broker never serialize on the
-// overlay state. Each wire encoding is produced at most once per event
-// per distinct link codec and fanned out to every matching link that speaks
-// it.
-func (f *Fed) forward(vals []float64, from *peerLink) {
+// forward sends an event vector over every link the table accepts it for
+// (never the one it arrived on). The whole path takes only the read lock:
+// matching is lock-free inside the link engines, channel sends are
+// concurrency-safe and closeOut runs only under the write lock, so concurrent
+// publishers of a federated broker never serialize on the overlay state and
+// a link found here cannot close its queue mid-enqueue. Each wire encoding
+// is produced at most once per event per distinct link codec and fanned out
+// to every accepting link that speaks it.
+func (f *Fed) forward(vals []float64, from string) {
+	var buf [8]string // keeps the usual fan-out off the heap
 	f.mu.RLock()
-	type hop struct {
-		l   *peerLink
-		eng *core.Engine
+	defer f.mu.RUnlock()
+	targets, err := f.table.Route(vals, from, buf[:0])
+	if err != nil {
+		f.log.Printf("federation: forward: %v", err)
 	}
-	hops := make([]hop, 0, len(f.peers))
-	for l := range f.peers {
-		if l != from {
-			hops = append(hops, hop{l: l, eng: l.engine})
-		}
-	}
-	f.mu.RUnlock()
-	if len(hops) == 0 {
-		return
-	}
-
-	var targets []*peerLink
-	for _, h := range hops {
-		if h.eng.ProfileCount() == 0 {
-			f.filtered.Add(1)
-			continue
-		}
-		ids, _, err := h.eng.Match(vals)
-		if err != nil {
-			f.log.Printf("federation: link %s match: %v", h.l.name, err)
-			continue
-		}
-		if len(ids) == 0 {
-			// Early rejection: nobody beyond this link wants the event.
-			f.filtered.Add(1)
-			continue
-		}
-		targets = append(targets, h.l)
-	}
-	if len(targets) == 0 {
-		return
-	}
-	// Encode once per distinct codec among the targets, outside the lock.
 	var encs encodings
 	req := wire.Request{Op: wire.OpForward, Vals: vals}
-	for _, l := range targets {
-		if _, err := encs.of(l.codec, req); err != nil {
+	for _, name := range targets {
+		l := f.links[name]
+		enc, err := encs.of(l.codec, req)
+		if err != nil {
 			f.log.Printf("federation: encode forward frame: %v", err)
 			return
 		}
+		f.enqueueBytesLocked(l, enc)
 	}
-	// Enqueue under the read lock: channel sends are concurrency-safe, and
-	// closeOut only runs under the write lock, so a link found live here
-	// cannot close its queue mid-enqueue. Close empties the peer maps, so
-	// the liveness check also covers a concurrent shutdown.
-	f.mu.RLock()
-	for _, l := range targets {
-		if _, live := f.peers[l]; !live {
-			continue
-		}
-		if enc, _ := encs.of(l.codec, req); f.enqueueBytesLocked(l, enc) {
-			f.forwarded.Add(1)
-		}
-	}
-	f.mu.RUnlock()
 }
 
 // encodings caches one message's bytes per distinct link codec, so a fan-out
@@ -773,35 +618,37 @@ func (f *Fed) enqueueLocked(l *peerLink, req wire.Request) {
 }
 
 // enqueueBytesLocked queues one encoded message (the forward path encodes
-// once for all target links) and reports whether it was queued. A full queue
-// means the peer cannot absorb its frames within the write timeout budget:
-// the link is poisoned rather than blocking the broker.
-func (f *Fed) enqueueBytesLocked(l *peerLink, b []byte) bool {
+// once for all target links). A full queue means the peer cannot absorb its
+// frames within the write timeout budget: the link is poisoned rather than
+// blocking the broker.
+func (f *Fed) enqueueBytesLocked(l *peerLink, b []byte) {
 	select {
 	case l.out <- b:
-		return true
 	default:
 		f.log.Printf("federation: peer %s cannot keep up (%d frames queued); dropping the link", l.name, len(l.out))
 		_ = l.conn.Close()
-		return false
 	}
 }
 
-// sendRouteAdd/sendRouteWithdraw announce route changes. Caller holds Fed.mu.
-func (f *Fed) sendRouteAdd(l *peerLink, p *predicate.Profile) {
-	f.enqueueLocked(l, wire.Request{Op: wire.OpRouteAdd, ID: string(p.ID), Profile: p.Render(f.sch), Priority: p.Priority})
+// send executes the route messages the table returned: each is encoded in
+// its link's codec and queued, in order. Caller holds Fed.mu.
+func (f *Fed) send(msgs []routing.Msg) {
+	for _, m := range msgs {
+		req := wire.Request{Op: wire.OpRouteWithdraw, ID: string(m.ID)}
+		if p := m.Profile; p != nil {
+			req = wire.Request{Op: wire.OpRouteAdd, ID: string(m.ID), Profile: p.Render(f.sch), Priority: p.Priority}
+		}
+		f.enqueueLocked(f.links[m.To], req)
+	}
 }
 
-func (f *Fed) sendRouteWithdraw(l *peerLink, id predicate.ID) {
-	f.enqueueLocked(l, wire.Request{Op: wire.OpRouteWithdraw, ID: string(id)})
-}
-
-// Stats implements wire.Overlay.
+// Stats implements wire.Overlay. forwarded counts the link crossings the
+// table accepted, filtered the ones it avoided.
 func (f *Fed) Stats() (node string, peers int, forwarded, filtered uint64) {
 	f.mu.RLock()
-	n := len(f.peers)
-	f.mu.RUnlock()
-	return f.name, n, f.forwarded.Load(), f.filtered.Load()
+	defer f.mu.RUnlock()
+	forwarded, filtered = f.table.Counters()
+	return f.name, len(f.links), forwarded, filtered
 }
 
 // ProtoV2Peers implements wire.Overlay: the number of live links speaking
@@ -810,7 +657,7 @@ func (f *Fed) ProtoV2Peers() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	n := 0
-	for l := range f.peers {
+	for _, l := range f.links {
 		if l.proto >= wire.ProtoV2 {
 			n++
 		}
@@ -819,28 +666,19 @@ func (f *Fed) ProtoV2Peers() int {
 }
 
 // RouteCount returns the number of uncovered routes on the link to the named
-// peer (0 when the link is down) — the wire twin of Node.RouteCount. With
-// covering that is the link poset's root count: covered routes stay
-// registered but uncounted, matching the pruned tables of the rescan era.
+// peer (0 when the link is down), the wire twin of Node.RouteCount.
 func (f *Fed) RouteCount(peer string) int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	l, ok := f.byName[peer]
-	if !ok {
-		return 0
-	}
-	if st := l.engine.AggStats(); st.Enabled {
-		return st.Roots
-	}
-	return l.engine.ProfileCount()
+	return f.table.RouteCount(peer)
 }
 
 // Peers lists the names of the live peer links.
 func (f *Fed) Peers() []string {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	names := make([]string, 0, len(f.peers))
-	for name := range f.byName {
+	names := make([]string, 0, len(f.links))
+	for name := range f.links {
 		names = append(names, name)
 	}
 	return names
@@ -856,14 +694,14 @@ func (f *Fed) Close() {
 	}
 	f.closed = true
 	close(f.done)
-	for l := range f.peers {
+	// Empty the map and the table so nothing enqueues to the closed queues:
+	// late dropLink/forward callers find no live link and back off.
+	for name, l := range f.links {
 		_ = l.conn.Close()
 		l.closeOut()
+		delete(f.links, name)
+		_ = f.table.Detach(name) // nobody is left to tell
 	}
-	// Empty the maps so nothing enqueues to the closed queues: late
-	// dropLink/forward callers find no live link and back off.
-	f.peers = make(map[*peerLink]struct{})
-	f.byName = make(map[string]*peerLink)
 	f.mu.Unlock()
 	f.wg.Wait()
 }

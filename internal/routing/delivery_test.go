@@ -13,18 +13,11 @@ import (
 	"genas/internal/predicate"
 )
 
-// errPoisoned is returned by the failing link filter below.
+// errPoisoned is what the poisoned link below fails every match with.
 var errPoisoned = errors.New("poisoned link engine")
 
-// poisonedFilter is a link engine whose Match always fails.
-type poisonedFilter struct{}
-
-func (poisonedFilter) ProfileCount() int { return 1 }
-func (poisonedFilter) Match([]float64) ([]predicate.ID, int, error) {
-	return nil, 0, errPoisoned
-}
-
-// poisonLink swaps the named link's filter engine for one that always errors.
+// poisonLink makes every match on the named link fail (the Table's test
+// hook).
 func poisonLink(t *testing.T, nw *Network, node, via string) {
 	t.Helper()
 	n, err := nw.Node(node)
@@ -33,11 +26,11 @@ func poisonLink(t *testing.T, nw *Network, node, via string) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	l, ok := n.links[via]
+	l, ok := n.table.links[via]
 	if !ok {
 		t.Fatalf("no link %s-%s", node, via)
 	}
-	l.engine = poisonedFilter{}
+	l.broken = errPoisoned
 }
 
 // TestDeliverSurvivesPoisonedLink: when one link's engine errors, the event
@@ -312,5 +305,75 @@ func TestRoutingRaceStress(t *testing.T) {
 				t.Error("stress run forwarded nothing across links")
 			}
 		})
+	}
+}
+
+// TestConnectDuringChurn: Connect's replay is a consistent cut. Subscribers
+// come and go at A and at C while A is being linked to B—C; had a withdrawal
+// overtaken the replayed announcement of its id on the new link, the route
+// would stay installed for good. Afterwards every link must hold exactly
+// the subscriptions that survived. Run under -race.
+func TestConnectDuringChurn(t *testing.T) {
+	const stable = 200
+	s := testSchema(t)
+	for round := 0; round < 20; round++ {
+		nw := NewNetwork(s, Options{})
+		for _, n := range []string{"A", "B", "C"} {
+			if _, err := nw.AddNode(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := nw.Connect("B", "C"); err != nil {
+			t.Fatal(err)
+		}
+		// A long replay ahead of the churned ids keeps the window open.
+		for i := 0; i < stable; i++ {
+			id := predicate.ID(fmt.Sprintf("stable%d", i))
+			if _, err := nw.Subscribe("A", predicate.MustParse(s, id, "profile(volume >= 50)")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg, running sync.WaitGroup
+		for _, node := range []string{"A", "C"} {
+			wg.Add(1)
+			running.Add(1)
+			go func() {
+				defer wg.Done()
+				var once sync.Once
+				defer once.Do(running.Done)
+				for i := 0; i < 40; i++ {
+					if i == 4 {
+						once.Do(running.Done) // Connect starts in mid-churn
+					}
+					id := predicate.ID(fmt.Sprintf("%s%d", node, i))
+					if _, err := nw.Subscribe(node, predicate.MustParse(s, id, "profile(price >= 500)")); err != nil {
+						t.Error(err)
+						return
+					}
+					if i%4 == 0 {
+						continue // every fourth subscription stays
+					}
+					if err := nw.Unsubscribe(node, id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		running.Wait()
+		if err := nw.Connect("A", "B"); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		for _, c := range []struct {
+			node, via string
+			want      int
+		}{{"B", "A", stable + 10}, {"C", "B", stable + 10}, {"A", "B", 10}, {"B", "C", 10}} {
+			n, _ := nw.Node(c.node)
+			if rc := n.RouteCount(c.via); rc != c.want {
+				t.Fatalf("round %d: %s→%s holds %d routes, %d subscriptions live beyond it", round, c.node, c.via, rc, c.want)
+			}
+		}
+		nw.Close()
 	}
 }

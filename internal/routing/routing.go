@@ -8,13 +8,18 @@
 // every hop ("Our approach can be used to reduce workload in resource
 // critical environments … unnecessary event information is rejected as
 // early as possible", §5).
+//
+// The overlay protocol lives in one place, Table: a per-broker state machine
+// that holds the per-link route sets and filter engines and returns the
+// messages to send instead of sending them. Network runs one Table per Node
+// and executes the messages as calls on the neighbour; internal/federation
+// runs the same Table per daemon and executes them over TCP.
 package routing
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"genas/internal/broker"
 	"genas/internal/core"
@@ -54,9 +59,6 @@ type Network struct {
 	nodes  map[string]*Node
 	// parent is a union-find structure guarding acyclicity.
 	parent map[string]string
-
-	messages atomic.Uint64 // inter-broker event forwards
-	filtered atomic.Uint64 // events stopped by early rejection at some link
 }
 
 // NewNetwork creates an empty overlay over one schema.
@@ -72,46 +74,18 @@ func NewNetwork(s *schema.Schema, opts Options) *Network {
 	}
 }
 
-// Node is one broker in the overlay.
+// Node is one broker in the overlay: a local broker plus the route Table
+// toward its neighbours.
 type Node struct {
 	name  string
-	nw    *Network
 	local *broker.Broker
 
+	// mu guards table and peers. It is released before any call into a
+	// neighbour: the messages a table method returns are executed after
+	// unlocking, so no path holds one node's lock while entering another's.
 	mu    sync.RWMutex
-	links map[string]*link
-}
-
-// linkFilter is the matching surface deliver needs from a link's filter
-// engine. Production links always hold a *core.Engine; tests substitute
-// failing filters to pin deliver's behavior when one link errors.
-type linkFilter interface {
-	ProfileCount() int
-	Match(vals []float64) ([]predicate.ID, int, error)
-}
-
-// link is the routing state toward one neighbor: the profiles subscribed in
-// that direction and the filter deciding forwards.
-type link struct {
-	peer *Node
-	// routes maps profile id to the propagated profile.
-	routes map[predicate.ID]*predicate.Profile
-	// filter is the concrete engine route churn mutates incrementally. With
-	// covering enabled it runs in aggregated mode: the canonical poset prunes
-	// covered routes structurally, replacing the per-install rescan.
-	filter *core.Engine
-	// engine is the match surface deliver reads. It normally aliases filter;
-	// tests substitute failing filters to pin deliver's error behavior.
-	engine linkFilter
-}
-
-// newLink builds the routing state toward peer. Covering links aggregate:
-// the engine's poset maintains the uncovered route set incrementally.
-func (nw *Network) newLink(peer *Node) *link {
-	cfg := nw.opts.Engine
-	cfg.Aggregate = nw.opts.Covering
-	eng := core.NewEngine(nw.schema, cfg)
-	return &link{peer: peer, routes: make(map[predicate.ID]*predicate.Profile), filter: eng, engine: eng}
+	table *Table
+	peers map[string]*Node
 }
 
 // AddNode creates a broker node.
@@ -125,7 +99,12 @@ func (nw *Network) AddNode(name string) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{name: name, nw: nw, local: b, links: make(map[string]*link)}
+	n := &Node{
+		name:  name,
+		local: b,
+		table: NewTable(nw.schema, nw.opts.Engine, nw.opts.Covering),
+		peers: make(map[string]*Node),
+	}
 	nw.nodes[name] = n
 	nw.parent[name] = name
 	return n, nil
@@ -152,6 +131,11 @@ func (nw *Network) find(x string) string {
 }
 
 // Connect links two nodes bidirectionally. The topology must stay acyclic.
+// Subscriptions the two sides already hold are replayed across the new link
+// in both directions (each node's own profiles plus the routes it learned
+// from its other links), so connecting after subscribing routes exactly like
+// subscribing after connecting. Connect excludes concurrent Subscribe and
+// Unsubscribe propagation, which makes the replay a consistent cut.
 func (nw *Network) Connect(a, b string) error {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -166,10 +150,7 @@ func (nw *Network) Connect(a, b string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, b)
 	}
-	na.mu.Lock()
-	_, linked := na.links[b]
-	na.mu.Unlock()
-	if linked {
+	if na.peer(b) != nil {
 		return fmt.Errorf("%w: %s-%s", ErrAlreadyLinked, a, b)
 	}
 	if nw.find(a) == nw.find(b) {
@@ -177,12 +158,11 @@ func (nw *Network) Connect(a, b string) error {
 	}
 	nw.parent[nw.find(a)] = nw.find(b)
 
-	na.mu.Lock()
-	na.links[b] = nw.newLink(nb)
-	na.mu.Unlock()
-	nb.mu.Lock()
-	nb.links[a] = nw.newLink(na)
-	nb.mu.Unlock()
+	// Both ends attach before either replay runs: a replayed route arriving
+	// over a link its receiver does not know yet would be ignored.
+	toB, toA := na.attach(nb), nb.attach(na)
+	na.send(toB)
+	nb.send(toA)
 	return nil
 }
 
@@ -197,7 +177,7 @@ func (nw *Network) Subscribe(node string, p *predicate.Profile) (*broker.Subscri
 	if err != nil {
 		return nil, err
 	}
-	n.propagate(p, "")
+	nw.flood(n, Msg{ID: p.ID, Profile: p})
 	return sub, nil
 }
 
@@ -211,83 +191,59 @@ func (nw *Network) Unsubscribe(node string, id predicate.ID) error {
 	if err := n.local.Unsubscribe(id); err != nil {
 		return err
 	}
-	n.withdraw(id, "")
+	nw.flood(n, Msg{ID: id})
 	return nil
 }
 
-// propagate installs p on every neighbor's link back toward this node, then
-// recurses outward. from is the neighbor name the propagation arrived from
-// ("" at the subscription origin).
-func (n *Node) propagate(p *predicate.Profile, from string) {
-	n.mu.RLock()
-	peers := make([]*Node, 0, len(n.links))
-	for name, l := range n.links {
-		if name == from {
-			continue
-		}
-		peers = append(peers, l.peer)
-	}
-	n.mu.RUnlock()
-	for _, peer := range peers {
-		peer.installRoute(n.name, p)
-		peer.propagate(p, n.name)
-	}
+// flood carries a change of n's own subscriptions through the overlay. It
+// holds the topology lock's read side, so Connect replays over a new link
+// either before or after a whole flood, never in between: a withdrawal
+// overtaking the replayed announcement of the same id on the new link would
+// leave the route installed for good.
+func (nw *Network) flood(n *Node, m Msg) {
+	nw.mu.RLock()
+	defer nw.mu.RUnlock()
+	n.receive(Local, m)
 }
 
-// installRoute records that profiles in direction `via` include p. The link
-// engine is mutated incrementally: one AddProfile, which under covering is a
-// single poset insertion — the engine's aggregation layer demotes newly
-// covered routes itself, so no rescan of the existing route set happens here.
-func (n *Node) installRoute(via string, p *predicate.Profile) {
+// attach adds the link toward peer and returns the route replay peer must
+// receive.
+func (n *Node) attach(peer *Node) []Msg {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	l, ok := n.links[via]
-	if !ok {
-		return
-	}
-	if _, exists := l.routes[p.ID]; exists {
-		// Re-install under the same id: replace, never duplicate.
-		_ = l.filter.RemoveProfile(p.ID)
-	}
-	l.routes[p.ID] = p
-	// Cannot fail: the id is not registered (checked above).
-	_ = l.filter.AddProfile(p)
+	n.peers[peer.name] = peer
+	return n.table.Attach(peer.name, n.local.Engine().Profiles())
 }
 
-// withdraw removes the route for id in every direction away from `from`.
-func (n *Node) withdraw(id predicate.ID, from string) {
+// peer returns the neighbour behind the named link, nil when there is none.
+func (n *Node) peer(name string) *Node {
 	n.mu.RLock()
-	peers := make([]*Node, 0, len(n.links))
-	for name, l := range n.links {
-		if name == from {
-			continue
-		}
-		peers = append(peers, l.peer)
-	}
-	n.mu.RUnlock()
-	for _, peer := range peers {
-		peer.removeRoute(n.name, id)
-		peer.withdraw(id, n.name)
-	}
+	defer n.mu.RUnlock()
+	return n.peers[name]
 }
 
-// removeRoute withdraws id from the link toward `via`. Under covering the
-// engine's poset re-arms previously covered routes itself (kids of an
-// emptied node re-link upward or promote to roots), so withdrawal is one
-// incremental RemoveProfile, not a rebuild.
-func (n *Node) removeRoute(via string, id predicate.ID) {
+// receive applies one route message that arrived over the link from (Local:
+// a change of this node's own subscriptions) and sends what the table asks
+// for. Propagation is this recursion, depth first, which keeps every link's
+// messages in order.
+func (n *Node) receive(from string, m Msg) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	l, ok := n.links[via]
-	if !ok {
-		return
+	var out []Msg
+	if m.Profile != nil {
+		out = n.table.Announce(from, m.Profile)
+	} else {
+		out = n.table.Withdraw(from, m.ID)
 	}
-	if _, exists := l.routes[id]; !exists {
-		return
+	n.mu.Unlock()
+	n.send(out)
+}
+
+// send executes the messages n's table returned as calls on the neighbours.
+// The caller has released n.mu.
+func (n *Node) send(msgs []Msg) {
+	for _, m := range msgs {
+		n.peer(m.To).receive(n.name, m)
 	}
-	delete(l.routes, id)
-	// Cannot fail: the id was registered (checked above).
-	_ = l.filter.RemoveProfile(id)
 }
 
 // CoveredByOther reports whether some other route strictly covers p. Ties
@@ -321,52 +277,29 @@ func (nw *Network) Publish(node string, ev event.Event) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return n.deliver(ev, "")
+	return n.deliver(ev, Local)
 }
 
-// deliver matches locally, then forwards over links whose routing filter
-// accepts the event. A failing link never aborts the fan-out: every healthy
-// link still receives the event and the errors are joined, so the returned
-// match total always covers every reachable broker.
+// deliver matches locally, then forwards over the links the table accepts
+// the event for. A failing link never aborts the fan-out: every healthy link
+// still receives the event and the errors are joined, so the returned match
+// total always covers every reachable broker.
 func (n *Node) deliver(ev event.Event, from string) (int, error) {
-	matched, err := n.local.Publish(ev)
+	total, err := n.local.Publish(ev)
 	if err != nil {
 		return 0, err
 	}
-	total := matched
-
+	var buf [8]string // keeps the usual fan-out off the heap
 	n.mu.RLock()
-	type hop struct {
-		peer   *Node
-		engine linkFilter
-	}
-	hops := make([]hop, 0, len(n.links))
-	for name, l := range n.links {
-		if name == from {
-			continue
-		}
-		hops = append(hops, hop{peer: l.peer, engine: l.engine})
-	}
+	hops, err := n.table.Route(ev.Vals, from, buf[:0])
 	n.mu.RUnlock()
 
 	var errs []error
-	for _, h := range hops {
-		if h.engine.ProfileCount() == 0 {
-			n.nw.filtered.Add(1)
-			continue
-		}
-		ids, _, err := h.engine.Match(ev.Vals)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("link %s-%s: %w", n.name, h.peer.name, err))
-			continue
-		}
-		if len(ids) == 0 {
-			// Early rejection: nobody beyond this link wants the event.
-			n.nw.filtered.Add(1)
-			continue
-		}
-		n.nw.messages.Add(1)
-		sub, err := h.peer.deliver(ev, n.name)
+	if err != nil {
+		errs = append(errs, fmt.Errorf("node %s: %w", n.name, err))
+	}
+	for _, name := range hops {
+		sub, err := n.peer(name).deliver(ev, n.name)
 		total += sub
 		if err != nil {
 			errs = append(errs, err)
@@ -381,21 +314,12 @@ func (n *Node) Broker() *broker.Broker { return n.local }
 // Name returns the node name.
 func (n *Node) Name() string { return n.name }
 
-// RouteCount returns the number of uncovered routes installed toward `via`.
-// With covering enabled that is the link poset's root count: covered routes
-// stay registered (so withdrawal of their coverer re-arms them) but are not
-// counted, matching the pruned route table of the rescan era.
+// RouteCount returns the number of uncovered routes installed toward `via`
+// (see Table.RouteCount).
 func (n *Node) RouteCount(via string) int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	l, ok := n.links[via]
-	if !ok {
-		return 0
-	}
-	if st := l.filter.AggStats(); st.Enabled {
-		return st.Roots
-	}
-	return l.engine.ProfileCount()
+	return n.table.RouteCount(via)
 }
 
 // Stats summarizes overlay traffic.
@@ -405,15 +329,17 @@ type Stats struct {
 	Filtered uint64 // link crossings avoided by early rejection
 }
 
-// Stats returns overlay-wide counters.
+// Stats returns overlay-wide counters: the sum of every node's table.
 func (nw *Network) Stats() Stats {
 	nw.mu.RLock()
 	defer nw.mu.RUnlock()
-	return Stats{
-		Nodes:    len(nw.nodes),
-		Messages: nw.messages.Load(),
-		Filtered: nw.filtered.Load(),
+	st := Stats{Nodes: len(nw.nodes)}
+	for _, n := range nw.nodes {
+		forwarded, filtered := n.table.Counters()
+		st.Messages += forwarded
+		st.Filtered += filtered
 	}
+	return st
 }
 
 // Close shuts every broker down. The node set is snapshotted under the

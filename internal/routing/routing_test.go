@@ -13,7 +13,7 @@ import (
 	"genas/internal/schema"
 )
 
-func testSchema(t *testing.T) *schema.Schema {
+func testSchema(t testing.TB) *schema.Schema {
 	t.Helper()
 	price, _ := schema.NewNumericDomain(0, 1000)
 	vol, _ := schema.NewNumericDomain(0, 100)

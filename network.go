@@ -27,7 +27,11 @@ func (n *Network) AddNode(name string) error {
 	return err
 }
 
-// Connect links two brokers. The topology must stay acyclic.
+// Connect links two brokers. The topology must stay acyclic. Subscriptions
+// made before the link exist across it afterwards: Connect replays, in both
+// directions, each side's own profiles and the routes it learned from its
+// other links, so Subscribe-then-Connect routes exactly like
+// Connect-then-Subscribe.
 func (n *Network) Connect(a, b string) error { return n.nw.Connect(a, b) }
 
 // Subscribe registers a profile at the named broker; the profile propagates
