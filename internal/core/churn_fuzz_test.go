@@ -33,6 +33,7 @@ type churnFilter interface {
 	AddProfile(*predicate.Profile) error
 	RemoveProfile(predicate.ID) error
 	Match([]float64) ([]predicate.ID, int, error)
+	MatchBatch([][]float64, int) ([]BatchResult, error)
 	Rebuild() error
 	Reorder() error
 }
@@ -119,7 +120,13 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 				t.Fatalf("step %d: oracle rebuild: %v", step, err)
 			}
 		}
-		for _, probe := range probes {
+		// The batch path translates tombstones and expands canonical nodes in
+		// its own loop, so it answers to the same ground truth as Match.
+		batch, err := filter.MatchBatch(probes, 2)
+		if err != nil {
+			t.Fatalf("step %d: match batch: %v", step, err)
+		}
+		for i, probe := range probes {
 			got, _, err := filter.Match(probe)
 			if err != nil {
 				t.Fatalf("step %d: match %v: %v", step, probe, err)
@@ -145,6 +152,9 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 			a := strings.Join(sortedIDs(fromAgg), ",")
 			if g != w {
 				t.Fatalf("step %d: probe %v: incremental engine matched {%s}, direct evaluation says {%s}", step, probe, g, w)
+			}
+			if b := strings.Join(sortedIDs(batch[i].IDs), ","); b != w {
+				t.Fatalf("step %d: probe %v: incremental engine batch-matched {%s}, direct evaluation says {%s}", step, probe, b, w)
 			}
 			if o != w {
 				t.Fatalf("step %d: probe %v: from-scratch engine matched {%s}, direct evaluation says {%s}", step, probe, o, w)

@@ -775,44 +775,6 @@ func (e *Engine) matchIDs(vals []float64, dst []predicate.ID) (ids []predicate.I
 	return ids, matchOps, false, nil
 }
 
-// MatchDense is Match returning dense indices into the tree snapshot (hot
-// path; avoids the ID materialization). The indices are only meaningful
-// against the Profiles() of the snapshot that produced them — under churn,
-// Tree() may already point at a successor — so callers needing identity
-// should use Match. Under aggregation the indices denote canonical nodes,
-// not subscriptions; use Match for concrete ids.
-//
-//genas:hotpath
-func (e *Engine) MatchDense(vals []float64) ([]int, int, error) {
-	snap := e.snap.Load()
-	if snap.empty {
-		return nil, 0, nil // an empty filter matches nothing
-	}
-	if snap.tree == nil {
-		var err error
-		snap, err = e.lazySnapshot()
-		if err != nil {
-			return nil, 0, err
-		}
-		if snap.empty {
-			return nil, 0, nil
-		}
-	}
-	t := snap.tree
-	matched, ops := t.Match(vals)
-	if t.HasDead() {
-		live := make([]int, 0, len(matched))
-		for _, pi := range matched {
-			if !t.Dead(pi) {
-				live = append(live, pi)
-			}
-		}
-		matched = live
-	}
-	e.account.Record(ops, len(matched))
-	return matched, ops, nil
-}
-
 // Tree exposes the current automaton (nil until first built). A stale
 // snapshot (pending lazy rebuild) is resolved first, so the returned tree
 // reflects the current corpus and configuration; it may be superseded by

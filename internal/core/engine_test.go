@@ -27,7 +27,7 @@ func TestEngineLifecycle(t *testing.T) {
 	s := testSchema(t)
 	e := NewEngine(s, Config{})
 
-	if m, ops, err := e.MatchDense([]float64{1, 2}); err != nil || m != nil || ops != 0 {
+	if m, ops, err := e.Match([]float64{1, 2}); err != nil || m != nil || ops != 0 {
 		t.Fatalf("empty engine must match nothing: %v %d %v", m, ops, err)
 	}
 	if err := e.Rebuild(); !errors.Is(err, ErrNoProfiles) {
@@ -80,7 +80,7 @@ func TestEngineAccount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, _, err := e.MatchDense([]float64{float64(i), 0}); err != nil {
+		if _, _, err := e.Match([]float64{float64(i), 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +221,7 @@ func TestEngineConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				_, _, err := e.MatchDense([]float64{float64(rng.Intn(100)), float64(rng.Intn(100))})
+				_, _, err := e.Match([]float64{float64(rng.Intn(100)), float64(rng.Intn(100))})
 				if err != nil && !errors.Is(err, ErrNoProfiles) {
 					t.Errorf("match: %v", err)
 					return
@@ -318,5 +318,37 @@ func TestMatchBatch(t *testing.T) {
 	out, err := empty.MatchBatch(events[:3], 2)
 	if err != nil || len(out) != 3 || out[0].IDs != nil {
 		t.Errorf("empty engine batch: %v %v", out, err)
+	}
+}
+
+// TestAggregatedRemoveCoalesces: under aggregation the edit budget counts
+// unsubscribes too, and the one that spends it pays the coalescing rebuild
+// itself. Adds land on odd edits and removes on even ones here, so the
+// 128-edit floor of coalesceThreshold falls on a remove.
+func TestAggregatedRemoveCoalesces(t *testing.T) {
+	s := testSchema(t)
+	e := NewEngine(s, Config{Aggregate: true})
+	if err := e.AddProfile(predicate.MustParse(s, "keep", "profile(x = 1)")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Match([]float64{1, 0}); err != nil { // publish a tree to patch
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if e.edits != 2*i {
+			t.Fatalf("pair %d starts at %d edits, want %d", i, e.edits, 2*i)
+		}
+		if err := e.AddProfile(predicate.MustParse(s, "tmp", fmt.Sprintf("profile(y = %d)", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RemoveProfile("tmp"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.edits != 0 {
+		t.Fatalf("%d edits pending after the 128th, want a coalesced index", e.edits)
+	}
+	if ids, _, err := e.Match([]float64{1, 63}); err != nil || len(ids) != 1 || ids[0] != "keep" {
+		t.Errorf("coalesced index matched %v, %v; want [keep]", ids, err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -325,8 +326,9 @@ func TestReconnectReplaysRoutes(t *testing.T) {
 	}
 }
 
-// TestHandshakeRejections: schema mismatch, self-peering and non-federated
-// daemons all reject the link with a useful error.
+// TestHandshakeRejections: schema mismatch, self-peering, non-federated
+// daemons and a peer that hangs up mid-handshake all fail the dial with a
+// useful error.
 func TestHandshakeRejections(t *testing.T) {
 	a := startDaemon(t, "A", testSpec)
 
@@ -387,6 +389,21 @@ func TestHandshakeRejections(t *testing.T) {
 	t.Cleanup(fedC.Close)
 	if err := fedC.Dial(ln.Addr().String()); err == nil || !strings.Contains(err.Error(), "not federated") {
 		t.Errorf("non-federated dial err = %v", err)
+	}
+
+	// A peer that hangs up without answering the hello.
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = mute.Close() })
+	go func() {
+		if conn, err := mute.Accept(); err == nil {
+			_ = conn.Close()
+		}
+	}()
+	if err := fedC.Dial(mute.Addr().String()); err == nil || !strings.Contains(err.Error(), "handshake") {
+		t.Errorf("hung-up handshake dial err = %v", err)
 	}
 
 	// New without a node name fails.
@@ -495,6 +512,56 @@ func TestDisplacedLinkWithdrawsStaleRoutes(t *testing.T) {
 	_ = connect()
 	waitFor(t, "stale route withdrawn at A", func() bool { return a.fed.RouteCount("B") == 0 })
 	waitFor(t, "stale route withdrawn at B", func() bool { return b.fed.RouteCount("Z") == 0 })
+}
+
+// TestFrameOnDisplacedLinkIsIgnored: a route message that arrives on a link
+// a reconnect has displaced must not touch its successor's routes. Over TCP
+// the displaced conn is closed, so only a frame already buffered could still
+// arrive; here B reads each link's frames from a pipe the test feeds, which
+// makes the late frame certain.
+func TestFrameOnDisplacedLinkIsIgnored(t *testing.T) {
+	a := startDaemon(t, "A", testSpec)
+	b := startDaemon(t, "B", testSpec, a.addr)
+	hello := wire.Request{Op: wire.OpHello, Node: "Z", Schema: b.brk.Schema().String()}
+	// link runs B's end of a peer link to Z: inbound frames are whatever is
+	// written to the returned pipe, outbound ones are discarded.
+	link := func() (*io.PipeWriter, <-chan struct{}) {
+		near, far := net.Pipe()
+		go func() { _, _ = io.Copy(io.Discard, far) }()
+		pr, pw := io.Pipe()
+		t.Cleanup(func() { _ = pw.Close() })
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			b.fed.HandlePeer(near, bufio.NewReader(pr), hello)
+		}()
+		return pw, done
+	}
+	routeAdd := func(w io.Writer, id string) {
+		t.Helper()
+		line, err := wire.EncodeLine(wire.Request{Op: wire.OpRouteAdd, ID: id, Profile: "profile(temperature >= 35)"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	old, oldDone := link()
+	routeAdd(old, "hot")
+	waitFor(t, "route at A", func() bool { return a.fed.RouteCount("B") == 1 })
+	cur, _ := link() // Z reconnects without the route
+	waitFor(t, "stale route withdrawn at A", func() bool { return a.fed.RouteCount("B") == 0 })
+
+	routeAdd(old, "late")
+	_ = old.Close()
+	<-oldDone // the displaced reader has handled "late" and its own teardown
+	if n := b.fed.RouteCount("Z"); n != 0 {
+		t.Fatalf("a frame on the displaced link installed %d route(s) on its successor", n)
+	}
+	routeAdd(cur, "live")
+	waitFor(t, "successor link still routes", func() bool { return a.fed.RouteCount("B") == 1 })
 }
 
 // TestCloseDuringTraffic: closing a federated broker while publishes and

@@ -8,7 +8,7 @@ import (
 
 // SnapFreeze enforces the epoch/RCU snapshot discipline PR 7 built the hot
 // path on: a type annotated //genas:frozen (the tree snapshot Node/Edge,
-// the match-set buckets, a published loadgen Plan) is immutable once a
+// the match-set buckets, the poset image agg.Snapshot) is immutable once a
 // value escapes its construction — publishers load snapshots lock-free, so
 // any later write is a data race. Writes are only legal inside functions
 // annotated //genas:builder, the designated construction/transform sites

@@ -248,6 +248,47 @@ func TestPipelinedBatch(t *testing.T) {
 	}
 }
 
+// TestV1BatchIsChunkedUnderTheRequestCap: a line-protocol batch that would
+// encode past maxRequest as one request is not refused but split, sized by
+// the line codec's per-event bound, into requests acknowledged one at a time
+// (a v1 window is one deep), and the counts still align positionally.
+func TestV1BatchIsChunkedUnderTheRequestCap(t *testing.T) {
+	addr := startServer(t)
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Subscribe("hot", "profile(temperature >= 0)", 0, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	// {"humidity":50.123456789,"temperature":-10.123456789} is 53 bytes.
+	const n = 24000
+	if n*53 <= maxRequest {
+		t.Fatalf("%d events fit one request; the batch no longer needs chunking", n)
+	}
+	batch := make([][]float64, n)
+	for i := range batch {
+		batch[i] = []float64{10.123456789 * float64(1-2*(i%2)), 50.123456789}
+	}
+	before := c.nextCid
+	counts, err := c.PublishValsBatch(batch, rpcTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent := c.nextCid - before; sent < 2 {
+		t.Errorf("batch went out as %d request(s), want several", sent)
+	}
+	if len(counts) != n {
+		t.Fatalf("got %d counts for %d events", len(counts), n)
+	}
+	for i, cnt := range counts {
+		if want := 1 - i%2; cnt != want {
+			t.Fatalf("counts[%d] = %d, want %d", i, cnt, want)
+		}
+	}
+}
+
 // TestHelloAfterUpgrade pins the one v2-specific semantic error: a second
 // client hello on an upgraded connection answers with an error frame and the
 // connection survives.

@@ -229,6 +229,35 @@ func TestLateReplyIsNotHandedToTheNextRequest(t *testing.T) {
 	}
 }
 
+// TestRequestAfterConnectionLoss: a request posted after the reader has seen
+// the connection drop has nobody left to fail its waiter, so await must
+// notice the closed connection itself and not sit out the timeout.
+func TestRequestAfterConnectionLoss(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			_ = conn.Close()
+		}
+	}()
+	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	<-c.done
+	// The peer closed cleanly, so this first write still succeeds locally.
+	start := time.Now()
+	if err := c.Ping(rpcTimeout); err == nil {
+		t.Fatal("ping on a dropped connection succeeded")
+	} else if waited := time.Since(start); waited >= rpcTimeout {
+		t.Errorf("ping failed only after %v (%v): it waited out the timeout", waited, err)
+	}
+}
+
 // pipeListener hands a server the server halves of net.Pipe connections.
 type pipeListener struct {
 	conns chan net.Conn
@@ -275,7 +304,8 @@ func (c hastyConn) SetWriteDeadline(time.Time) error {
 // its connection forever. A pipe has no buffer, so the first notification
 // blocks the server's write; the write deadline expires, the connection
 // closes and its subscription is torn down — while a second connection keeps
-// working and Server.Close returns.
+// working and Server.Close returns. The same deadline bounds a reply: a
+// client that sends a request and never reads the answer is cut off too.
 func TestNeverReadingSubscriber(t *testing.T) {
 	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
 	if err != nil {
@@ -320,6 +350,19 @@ func TestNeverReadingSubscriber(t *testing.T) {
 	}
 	// From here on the subscriber never reads again.
 
+	mute := ln.dial()
+	defer func() { _ = mute.Close() }()
+	if resp := call(mute, bufio.NewReader(mute), Request{Op: OpSubscribe, ID: "quiet", Profile: "profile(temperature >= 45)"}); resp.Type != MsgOK {
+		t.Fatalf("subscribe = %+v", resp)
+	}
+	ping, err := EncodeLine(Request{Op: OpPing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mute.Write(ping); err != nil { // the pong is never read
+		t.Fatal(err)
+	}
+
 	healthy := ln.dial()
 	defer func() { _ = healthy.Close() }()
 	hrd := bufio.NewReader(healthy)
@@ -330,7 +373,7 @@ func TestNeverReadingSubscriber(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	for brk.Stats().Subscriptions != 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("the never-reading subscriber's connection was not torn down: its subscription is still registered")
+			t.Fatal("a never-reading connection was not torn down: its subscription is still registered")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
