@@ -64,8 +64,8 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		proto      = fs.String("proto", "auto", "max wire protocol: auto | v1 | v2 (v1 pins every connection to JSON lines)")
 		node       = fs.String("node", "", "federation node name (required with -peer; enables broker peering)")
 		peer       = fs.String("peer", "", "comma-separated peer daemon addresses to dial, e.g. 'host1:7452,host2:7452'")
-		covering   = fs.Bool("covering", true, "prune covered routes from per-peer-link filters (federation)")
-		aggregate  = fs.Bool("aggregate", false, "canonical subscription aggregation: intern equal structures, index only covering-poset roots")
+		covering   = fs.Bool("covering", true, "count only uncovered routes per peer link (federation; link filters index only those either way)")
+		_          = fs.Bool("aggregate", false, "no effect, accepted for old command lines: canonical subscription aggregation is the only index")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -99,9 +99,6 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		genas.WithAttrOrdering(*attrs),
 		genas.WithSearch(*search),
 		genas.WithShards(*shards),
-	}
-	if *aggregate {
-		opts = append(opts, genas.WithAggregation())
 	}
 	if *adaptiveOn {
 		opts = append(opts, genas.WithAdaptivePolicy(*window, *threshold, false))

@@ -101,7 +101,7 @@ type RemoteStats struct {
 	FilterOps     uint64
 	MeanOps       float64
 	Restructures  int
-	// Aggregation counters (aggregated daemons only).
+	// Aggregation counters (Aggregated is true from every current daemon).
 	Aggregated           bool
 	CanonicalNodes       int
 	CanonicalRoots       int

@@ -170,17 +170,15 @@ func WithBinarySearch() Option {
 	return WithSearch("binary")
 }
 
-// WithAggregation enables canonical subscription aggregation: structurally
-// equivalent profiles intern to one canonical predicate node, the nodes form
-// a covering poset, and the filter automaton indexes only the poset's roots.
-// Matched canonical nodes are expanded back to concrete subscription ids at
-// delivery time, so per-subscription semantics (priorities, buffers,
-// counters) are untouched. Construction-time only, like the shard count.
+// WithAggregation selects nothing and is kept for callers written when
+// canonical subscription aggregation was optional. Every service aggregates:
+// structurally equivalent profiles intern to one canonical predicate node,
+// the nodes form a covering poset, and the filter automaton indexes only the
+// poset's roots. Matched canonical nodes are expanded back to concrete
+// subscription ids at delivery time, so per-subscription semantics
+// (priorities, buffers, counters) are untouched.
 func WithAggregation() Option {
-	return func(o *options) error {
-		o.broker.Engine.Aggregate = true
-		return nil
-	}
+	return func(*options) error { return nil }
 }
 
 // WithSearch selects the within-node search strategy by name: "linear"
@@ -546,8 +544,8 @@ type Stats struct {
 	// Restructures counts adaptive tree restructures (0 without
 	// WithAdaptive).
 	Restructures int
-	// Aggregated reports whether canonical subscription aggregation is on
-	// (WithAggregation). The remaining fields are zero when it is off.
+	// Aggregated is always true: canonical subscription aggregation is the
+	// service's only index. The field stays for callers that branch on it.
 	Aggregated bool
 	// CanonicalNodes is the number of distinct canonical predicates the
 	// subscriptions intern to; CanonicalRoots of those are uncovered and
@@ -572,7 +570,7 @@ func (s *Service) Stats() Stats {
 		FilterOps:            bs.FilterOps,
 		MeanOps:              bs.MeanOps,
 		Restructures:         s.Restructures(),
-		Aggregated:           bs.Aggregation.Enabled,
+		Aggregated:           true,
 		CanonicalNodes:       bs.Aggregation.Nodes,
 		CanonicalRoots:       bs.Aggregation.Roots,
 		PosetDepth:           bs.Aggregation.MaxDepth,

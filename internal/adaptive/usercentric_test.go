@@ -61,10 +61,11 @@ func TestUserCentricFavorsPriorityProfiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Dense index of the vip profile in the engine's corpus.
+		// The engine's tree indexes canonical structures, not subscribers:
+		// the vip's slot is the one whose structure accepts v = 90.
 		tr := e.Tree()
 		for pi, p := range tr.Profiles() {
-			if p.ID == "vip" {
+			if p.Matches([]float64{90}) {
 				pc := analysis.PerProfile[pi]
 				if pc.MatchProb == 0 {
 					t.Fatal("vip profile unreachable")

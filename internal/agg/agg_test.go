@@ -2,6 +2,7 @@ package agg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func parse(t *testing.T, s *schema.Schema, id, expr string) *predicate.Profile {
 	return p
 }
 
-func mustAdd(t *testing.T, po *Poset, p *predicate.Profile) AddResult {
+func mustAdd(t *testing.T, po *Poset, p *predicate.Profile) Delta {
 	t.Helper()
 	if po.Has(p.ID) {
 		t.Fatalf("duplicate add %s", p.ID)
@@ -91,15 +92,14 @@ func TestInterningSharesOneNode(t *testing.T) {
 	po := NewPoset(s)
 	// Three spellings of the same constraint: x ∈ [0,50] over domain [0,99].
 	mustAdd(t, po, parse(t, s, "a", "profile(x in [0,50])"))
-	r2 := mustAdd(t, po, parse(t, s, "b", "profile(x <= 50)"))
-	r3 := mustAdd(t, po, parse(t, s, "c", "profile(x <= 50; y >= 0)"))
-	if r2.New {
-		t.Fatalf("x<=50 should intern onto the x in [0,50] node")
+	mustAdd(t, po, parse(t, s, "b", "profile(x <= 50)"))
+	if got := po.NodeCount(); got != 1 {
+		t.Fatalf("x<=50 should intern onto the x in [0,50] node, have %d nodes", got)
 	}
 	// y >= 0 constrains y nominally (whole domain), so c is a distinct,
 	// covered structure — exactly the oracle's verdict.
-	if !r3.New {
-		t.Fatalf("nominally stricter profile must get its own node")
+	if d := mustAdd(t, po, parse(t, s, "c", "profile(x <= 50; y >= 0)")); len(d.Joined)+len(d.Left) != 0 {
+		t.Fatalf("a covered structure must leave the root set alone, got %+v", d)
 	}
 	if got := po.NodeCount(); got != 2 {
 		t.Fatalf("NodeCount = %d, want 2", got)
@@ -125,15 +125,15 @@ func TestDemotionOnWiderAdd(t *testing.T) {
 	s := testSchema(t)
 	po := NewPoset(s)
 	narrow := mustAdd(t, po, parse(t, s, "n", "profile(x in [10,20])"))
-	if narrow.NewRoot == nil {
-		t.Fatalf("first structure must enter as a root")
+	if len(narrow.Joined) != 1 || len(narrow.Left) != 0 {
+		t.Fatalf("first structure must enter as a root, got %+v", narrow)
 	}
 	wide := mustAdd(t, po, parse(t, s, "w", "profile(x in [0,50])"))
-	if wide.NewRoot == nil {
-		t.Fatalf("wider structure must enter as a root")
+	if len(wide.Joined) != 1 {
+		t.Fatalf("wider structure must enter as a root, got %+v", wide)
 	}
-	if len(wide.Demoted) != 1 || wide.Demoted[0] != narrow.NodeIdx {
-		t.Fatalf("Demoted = %v, want [%d]", wide.Demoted, narrow.NodeIdx)
+	if len(wide.Left) != 1 || wide.Left[0] != narrow.Joined[0].Idx {
+		t.Fatalf("Left = %v, want [%d]", wide.Left, narrow.Joined[0].Idx)
 	}
 	if got := len(po.RootList()); got != 1 {
 		t.Fatalf("roots = %d, want 1", got)
@@ -160,8 +160,8 @@ func TestRemoveInternalCovererRelinksAndPromotes(t *testing.T) {
 	}
 	// Remove the internal coverer b: c must re-link beneath a, no promotion.
 	res, ok := po.Remove("b")
-	if !ok || !res.Emptied || res.WasRoot || len(res.Promoted) != 0 {
-		t.Fatalf("Remove(b) = %+v ok=%v, want emptied non-root, no promotions", res, ok)
+	if !ok || po.NodeCount() != 3 || len(res.Left) != 0 || len(res.Joined) != 0 {
+		t.Fatalf("Remove(b) = %+v ok=%v, want a detached non-root, no promotions", res, ok)
 	}
 	if rel := po.RelationOf("a", "c"); rel != Covers {
 		t.Fatalf("after removing b, RelationOf(a,c) = %v, want covers", rel)
@@ -171,11 +171,11 @@ func TestRemoveInternalCovererRelinksAndPromotes(t *testing.T) {
 	}
 	// Remove the root a: both c and d lose their last parent and re-arm.
 	res, ok = po.Remove("a")
-	if !ok || !res.Emptied || !res.WasRoot {
-		t.Fatalf("Remove(a) = %+v ok=%v, want emptied root", res, ok)
+	if !ok || po.NodeCount() != 2 || len(res.Left) != 1 {
+		t.Fatalf("Remove(a) = %+v ok=%v, want a detached root", res, ok)
 	}
-	if len(res.Promoted) != 2 {
-		t.Fatalf("Promoted = %v, want both c and d", res.Promoted)
+	if len(res.Joined) != 2 {
+		t.Fatalf("Joined = %v, want both c and d", res.Joined)
 	}
 	if got := len(po.RootList()); got != 2 {
 		t.Fatalf("roots = %d, want 2", got)
@@ -194,7 +194,7 @@ func TestRemoveMemberKeepsNode(t *testing.T) {
 	mustAdd(t, po, parse(t, s, "a", "profile(x = 5)"))
 	mustAdd(t, po, parse(t, s, "b", "profile(x = 5)"))
 	res, ok := po.Remove("a")
-	if !ok || res.Emptied {
+	if !ok || len(res.Left) != 0 {
 		t.Fatalf("Remove(a) = %+v ok=%v, want member drop without detach", res, ok)
 	}
 	if got := po.NodeCount(); got != 1 {
@@ -276,6 +276,55 @@ func TestCompactPreservesSemantics(t *testing.T) {
 	}
 }
 
+// TestBulkInternKeepsNoDirtyList: while nodes wait to be linked the pending
+// Compact re-records every node, so a bulk load must not queue one dirty entry
+// per subscriber first; and a member change made while unlinked still shows in
+// the image Freeze publishes.
+func TestBulkInternKeepsNoDirtyList(t *testing.T) {
+	s := testSchema(t)
+	po := NewPoset(s)
+	for i := 0; i < 1000; i++ {
+		po.Intern(parse(t, s, fmt.Sprintf("s%d", i), fmt.Sprintf("profile(x = %d)", i%10)))
+	}
+	po.Remove("s0")
+	if len(po.dirty) > 1 || cap(po.dirty) > 10 {
+		t.Fatalf("1000 interned subscribers queued %d dirty entries (cap %d)", len(po.dirty), cap(po.dirty))
+	}
+	if got, want := strings.Join(expandAll(t, s, po, []float64{0, 0}), ","), strings.Join(direct(po, []float64{0, 0}), ","); got != want {
+		t.Fatalf("expand %q != direct evaluation %q", got, want)
+	}
+}
+
+// TestDeltaReportsNodeTableChange: only a created or an emptied structure
+// changes the node table, whether or not it is a root.
+func TestDeltaReportsNodeTableChange(t *testing.T) {
+	s := testSchema(t)
+	po := NewPoset(s)
+	steps := []struct {
+		add, remove string
+		expr        string
+		nodes       int
+	}{
+		{add: "wide", expr: "profile(x in [0,90])", nodes: 1},
+		{add: "twin", expr: "profile(x <= 90)", nodes: 0},
+		{add: "in", expr: "profile(x in [5,60])", nodes: 1},
+		{remove: "twin", nodes: 0},
+		{remove: "in", nodes: -1},
+		{remove: "wide", nodes: -1},
+	}
+	for _, st := range steps {
+		var d Delta
+		if st.add != "" {
+			d = mustAdd(t, po, parse(t, s, st.add, st.expr))
+		} else {
+			d, _ = po.Remove(predicate.ID(st.remove))
+		}
+		if d.Nodes != st.nodes {
+			t.Fatalf("%+v: Delta.Nodes = %d", st, d.Nodes)
+		}
+	}
+}
+
 func TestStatsShape(t *testing.T) {
 	s := testSchema(t)
 	po := NewPoset(s)
@@ -315,5 +364,142 @@ func TestDiamondExpansionDedup(t *testing.T) {
 	got := expandAll(t, s, po, []float64{15, 15})
 	if strings.Join(got, ",") != "both,left,right" {
 		t.Fatalf("expand = %v, want both,left,right exactly once each", got)
+	}
+}
+
+// TestHashCollisionsInternApart forces every form onto one hash bucket: equal
+// forms must still share a node, distinct ones must not, and a node leaving
+// the bucket — from its head, its middle or its tail — must take only itself.
+func TestHashCollisionsInternApart(t *testing.T) {
+	s := testSchema(t)
+	po := NewPoset(s)
+	po.hash = func([]span) uint64 { return 7 }
+	exprs := []string{"profile(x = 1)", "profile(x = 2)", "profile(x = 3)", "profile(x = 4)"}
+	for i, e := range exprs {
+		mustAdd(t, po, parse(t, s, fmt.Sprintf("p%d", i), e))
+		po.Intern(parse(t, s, fmt.Sprintf("twin%d", i), e))
+	}
+	if po.NodeCount() != len(exprs) || po.SubCount() != 2*len(exprs) || len(po.byForm) != 1 {
+		t.Fatalf("%d nodes, %d subscriptions in %d buckets, want %d, %d in 1", po.NodeCount(), po.SubCount(), len(po.byForm), len(exprs), 2*len(exprs))
+	}
+	for i := range exprs {
+		if rel := po.RelationOf(predicate.ID(fmt.Sprintf("p%d", i)), predicate.ID(fmt.Sprintf("twin%d", i))); rel != Equal {
+			t.Fatalf("p%d and twin%d are %v, want equal", i, i, rel)
+		}
+	}
+	// The chain reads newest first: p3, p2, p1, p0. Drop its middle, its tail,
+	// its head, then the last node and with it the bucket.
+	for step, i := range []int{2, 0, 3, 1} {
+		for _, id := range []string{fmt.Sprintf("p%d", i), fmt.Sprintf("twin%d", i)} {
+			if _, ok := po.Remove(predicate.ID(id)); !ok {
+				t.Fatalf("remove %s: unknown", id)
+			}
+		}
+		if want := len(exprs) - step - 1; po.NodeCount() != want {
+			t.Fatalf("after removing structure %d: %d nodes, want %d", i, po.NodeCount(), want)
+		}
+		for j := range exprs {
+			got := strings.Join(expandAll(t, s, po, []float64{float64(j + 1), 0}), ",")
+			if want := strings.Join(direct(po, []float64{float64(j + 1), 0}), ","); got != want {
+				t.Fatalf("after removing structure %d: x=%d expands to %q, direct evaluation %q", i, j+1, got, want)
+			}
+		}
+	}
+	if len(po.byForm) != 0 {
+		t.Fatalf("empty poset keeps %d buckets", len(po.byForm))
+	}
+	// A structure that left can come back, onto a fresh node.
+	if d := mustAdd(t, po, parse(t, s, "again", exprs[0])); len(d.Joined) != 1 {
+		t.Fatalf("re-added structure joined %v", d.Joined)
+	}
+}
+
+// checkReduction fails unless po's edges are exactly the transitive
+// reduction of its covering order: parents and kids mirror each other, every
+// edge is a strict covering, and no edge is implied by a path through another
+// kid of the same parent.
+func checkReduction(t *testing.T, po *Poset) {
+	t.Helper()
+	roots := 0
+	for _, n := range po.nodes {
+		if n == nil {
+			continue
+		}
+		if len(n.parents) == 0 {
+			roots++
+		}
+		for _, k := range n.kids {
+			if !coversForm(n.form, k.form) || coversForm(k.form, n.form) {
+				t.Fatalf("edge %d→%d is not a strict covering", n.idx, k.idx)
+			}
+			if !slices.Contains(k.parents, n) {
+				t.Fatalf("edge %d→%d has no parent link back", n.idx, k.idx)
+			}
+			for _, c := range n.kids {
+				if c != k && coversForm(c.form, k.form) {
+					t.Fatalf("edge %d→%d is implied by the path through %d", n.idx, k.idx, c.idx)
+				}
+			}
+		}
+		for _, pa := range n.parents {
+			if !slices.Contains(pa.kids, n) {
+				t.Fatalf("parent link %d→%d has no edge", pa.idx, n.idx)
+			}
+		}
+	}
+	if roots != po.roots {
+		t.Fatalf("%d parentless nodes, root count %d", roots, po.roots)
+	}
+	checkComplete(t, po)
+}
+
+// checkComplete fails unless a path of edges leads from every node to every
+// node it covers.
+func checkComplete(t *testing.T, po *Poset) {
+	t.Helper()
+	for _, n := range po.nodes {
+		for _, o := range po.nodes {
+			if n != nil && o != nil && o != n && coversForm(o.form, n.form) && !po.reachable(o, n) {
+				t.Fatalf("%d covers %d but no path leads there", o.idx, n.idx)
+			}
+		}
+	}
+}
+
+// TestLinkYieldsTransitiveReduction: one pass over interned nodes, in
+// whichever order they arrived, and one-by-one Adds both leave exactly the
+// transitive reduction — including when a later node lands between an earlier
+// pair (the direct edge goes) or above earlier roots (they are demoted). After
+// removals the order must still be complete, and exact again once compacted.
+func TestLinkYieldsTransitiveReduction(t *testing.T) {
+	s := testSchema(t)
+	exprs := []string{
+		"profile(x in [20,30]; y = 5)",
+		"profile(x in [0,90])",
+		"profile(x in [10,40])", // lands between the two above
+		"profile(x in [10,40]; y in [0,50])",
+		"profile(y in [0,50])",
+		"profile(x in [20,30])",
+		"profile(x in [0,99])", // demotes the widest x range
+		"profile(x in [50,60]; y in [60,70])",
+		"profile(x > 99)", // accepts nothing, covered on x by every x range
+	}
+	for rot := range exprs {
+		bulk, inc := NewPoset(s), NewPoset(s)
+		for i := range exprs {
+			e := exprs[(i+rot)%len(exprs)]
+			bulk.Intern(parse(t, s, fmt.Sprintf("p%d", i), e))
+			mustAdd(t, inc, parse(t, s, fmt.Sprintf("p%d", i), e))
+		}
+		if bulk.Stats() != inc.Stats() || bulk.Stats().Roots != 2 || bulk.Stats().MaxDepth != 5 {
+			t.Fatalf("rotation %d: bulk %+v, incremental %+v, want 2 roots and depth 5", rot, bulk.Stats(), inc.Stats())
+		}
+		checkReduction(t, bulk)
+		checkReduction(t, inc)
+		inc.Remove("p2")
+		inc.Remove("p5")
+		checkComplete(t, inc)
+		inc.Compact()
+		checkReduction(t, inc)
 	}
 }

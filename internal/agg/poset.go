@@ -1,7 +1,7 @@
 package agg
 
 import (
-	"strconv"
+	"slices"
 
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -16,28 +16,24 @@ type SubRef struct {
 	Priority float64
 }
 
-// node is one canonical conjunction in the poset.
+// node is one canonical conjunction in the poset. A linked node with no
+// parents is a root: one of the structures the tree indexes.
 type node struct {
-	idx   int32
-	key   string
-	mask  uint64
-	canon []attrCanon
+	idx  int32
+	mark uint32 // per-operation scratch, guarded by the owner's writer mutex
+	form []span
 	// rep is the canonical representative profile the tree indexes (for
-	// roots) and the expansion walk evaluates (for inner nodes). Its ID is
-	// synthetic; its predicate column is shared with the first member.
+	// roots) and the expansion walk evaluates (for inner nodes). It has no
+	// id; its predicate column is shared with the first member.
 	rep *predicate.Profile
 	// subs is append-only: frozen snapshots alias the backing array, so
-	// removal copies (COW) instead of truncating in place.
+	// removal copies (COW) instead of truncating in place. subs and kids are
+	// written through Poset.setSubs, edge and dropKid only: those mark the
+	// node dirty, without which the next Snapshot keeps its old record.
 	subs    []SubRef
 	kids    []*node
 	parents []*node
-	root    bool
-
-	// Per-operation DFS scratch, guarded by the owner's writer mutex.
-	visit   uint32 // pushed on the traversal stack this generation
-	evalGen uint32 // coversN is valid this generation
-	coversN bool
-	pmark   uint32 // chosen as a parent of the node being inserted
+	next    *node // intern-table chain: the next node whose form hashes alike
 }
 
 // NodeRef pairs a node index with its representative profile — the engine's
@@ -47,34 +43,25 @@ type NodeRef struct {
 	Rep *predicate.Profile
 }
 
-// AddResult describes what an Add changed in terms the engine applies to its
-// automaton: at most one new root to index and the roots demoted beneath it.
-type AddResult struct {
-	// NodeIdx is the canonical node the subscription landed on.
-	NodeIdx int32
-	// New reports that a new canonical node was created (an interning miss).
-	New bool
-	// NewRoot is non-nil when the new node entered as a root: the engine
-	// must index its representative.
-	NewRoot *predicate.Profile
-	// Demoted lists previously-indexed roots now covered by the new root;
-	// the engine tombstones their tree slots (they remain reachable through
-	// the new root's expansion edges).
-	Demoted []int32
-}
-
-// RemoveResult describes what a Remove changed.
-type RemoveResult struct {
-	// NodeIdx is the canonical node the subscription left.
-	NodeIdx int32
-	// Emptied reports the node lost its last member and was detached.
-	Emptied bool
-	// WasRoot reports the detached node was indexed; the engine tombstones
-	// its tree slot.
-	WasRoot bool
-	// Promoted lists formerly-covered nodes that became roots when their
-	// last covering parent detached; the engine indexes their reps.
-	Promoted []NodeRef
+// Delta is what one Add or Remove changed, in the terms the engine applies to
+// its automaton. Most calls change nothing: a subscriber joining or leaving
+// an existing structure. A structure entering or leaving beneath a coverer
+// changes the node table but leaves both lists empty.
+type Delta struct {
+	// Nodes is the change in the canonical node count: +1 when Add created a
+	// structure, -1 when Remove emptied one. An emptied node leaves a hole in
+	// the node table that only Compact reclaims, so the engine charges these
+	// to the budget that buys its next rebuild.
+	Nodes int
+	// Joined lists the nodes that became roots: a new uncovered structure,
+	// or the formerly-covered nodes promoted when their last coverer
+	// detached. The engine indexes their representatives.
+	Joined []NodeRef
+	// Left lists the nodes that stopped being roots: roots demoted beneath a
+	// wider new structure (they remain reachable through its expansion
+	// edges), or a root that lost its last member. The engine tombstones
+	// their tree slots.
+	Left []int32
 }
 
 // Stats summarizes the poset shape for observability.
@@ -90,28 +77,55 @@ type Stats struct {
 	MaxDepth int
 }
 
+// Ratio returns subscriptions per canonical node — the aggregation compression
+// factor (0 when empty).
+func (s Stats) Ratio() float64 {
+	if s.Nodes == 0 {
+		return 0
+	}
+	return float64(s.Subscriptions) / float64(s.Nodes)
+}
+
 // Poset is the canonical interning + covering structure. It is not
 // goroutine-safe: every method is a write-side operation the owning engine
 // serializes on its mutex, except the frozen Snapshot handed to readers.
 type Poset struct {
 	sch *schema.Schema
 	// nodes is append-only between Compact calls; removed nodes leave nil
-	// holes so published snapshots' indices stay stable.
-	nodes  []*node
-	byKey  map[string]*node
+	// holes so published snapshots' indices stay stable. keys is aligned
+	// with it.
+	nodes []*node
+	keys  []linkKey
+	// byForm interns nodes by the hash of their form; hash is hashForm
+	// except in the test that forces collisions.
+	byForm map[uint64]*node
+	hash   func([]span) uint64
 	bySub  map[predicate.ID]*node
 	subCnt int
+	live   int // non-nil entries of nodes
 	roots  int
-	gen    uint32
-	seq    int64 // synthetic rep id counter; never reused, survives Compact
+	gen    uint32 // current value of node.mark
+	// unlinked is set while some node was interned without being placed in
+	// the order (Intern): edges and roots are then stale, and whoever reads
+	// the order next pays one Compact for all of them.
+	unlinked bool
+
+	// img is the chunk table of the last Snapshot and dirty lists the nodes
+	// whose members or kids changed since: Freeze re-records only those.
+	img   [][]SnapNode
+	dirty []int32
+
+	form         []span  // attach's scratch
+	above, below []*node // link's scratch
 }
 
 // NewPoset creates an empty poset over schema s.
 func NewPoset(s *schema.Schema) *Poset {
 	return &Poset{
-		sch:   s,
-		byKey: make(map[string]*node),
-		bySub: make(map[predicate.ID]*node),
+		sch:    s,
+		byForm: make(map[uint64]*node),
+		hash:   hashForm,
+		bySub:  make(map[predicate.ID]*node),
 	}
 }
 
@@ -125,22 +139,15 @@ func (po *Poset) Has(id predicate.ID) bool {
 func (po *Poset) SubCount() int { return po.subCnt }
 
 // NodeCount returns the live canonical node count.
-func (po *Poset) NodeCount() int {
-	n := 0
-	for _, nd := range po.nodes {
-		if nd != nil {
-			n++
-		}
-	}
-	return n
-}
+func (po *Poset) NodeCount() int { return po.live }
 
 // RootList returns the current roots in node order — the corpus the engine's
 // tree indexes on a full rebuild.
 func (po *Poset) RootList() []NodeRef {
+	po.ensureLinked()
 	out := make([]NodeRef, 0, po.roots)
 	for _, n := range po.nodes {
-		if n != nil && n.root {
+		if n != nil && len(n.parents) == 0 {
 			out = append(out, NodeRef{Idx: n.idx, Rep: n.rep})
 		}
 	}
@@ -163,170 +170,175 @@ func (po *Poset) Profiles() []*predicate.Profile {
 	return out
 }
 
-// Add registers profile p. The caller has already rejected duplicates via
-// Has; p's predicate column is aliased, not copied.
-func (po *Poset) Add(p *predicate.Profile) AddResult {
-	canon := canonOf(po.sch, p)
-	key := keyOf(canon)
-	if n := po.byKey[key]; n != nil {
-		// Interning hit: the structure exists, attach the member. The tree
-		// and the poset edges are untouched.
-		n.subs = append(n.subs, SubRef{ID: p.ID, Priority: p.Priority})
-		po.bySub[p.ID] = n
-		po.subCnt++
-		return AddResult{NodeIdx: n.idx}
+// attach registers p's subscription on its canonical node, creating the node
+// on an interning miss (reported by created): it is then in the tables but
+// not yet in the order. The caller has already rejected duplicates via Has;
+// p's predicate column is aliased, not copied.
+func (po *Poset) attach(p *predicate.Profile) (n *node, created bool) {
+	po.form = formOf(po.sch, p, po.form[:0])
+	h := po.hash(po.form)
+	for n = po.byForm[h]; n != nil && !slices.Equal(n.form, po.form); {
+		n = n.next
 	}
-	n := &node{
-		key:   key,
-		mask:  maskOf(canon),
-		canon: canon,
-		subs:  []SubRef{{ID: p.ID, Priority: p.Priority}},
+	if n == nil {
+		created = true
+		n = &node{
+			idx:  int32(len(po.nodes)),
+			form: slices.Clone(po.form),
+			rep:  &predicate.Profile{Preds: p.Preds},
+			next: po.byForm[h],
+		}
+		po.byForm[h] = n
+		po.nodes = append(po.nodes, n)
+		po.keys = append(po.keys, keyOf(n.form))
+		po.live++
 	}
-	po.seq++
-	n.rep = &predicate.Profile{
-		ID:    predicate.ID("\x00agg:" + strconv.FormatInt(po.seq, 10)),
-		Preds: p.Preds,
-	}
+	po.setSubs(n, append(n.subs, SubRef{ID: p.ID, Priority: p.Priority}))
 	po.bySub[p.ID] = n
 	po.subCnt++
-	demoted := po.linkNew(n)
-	res := AddResult{NodeIdx: n.idx, New: true, Demoted: demoted}
-	if n.root {
-		res.NewRoot = n.rep
-	}
-	return res
+	return n, created
 }
 
-// linkNew appends n to the node table and links it into the poset: parents
-// are the minimal existing coverers, kids the maximal existing covered
-// nodes. Returns the indices of roots demoted beneath n. Shared by Add and
-// Compact.
-func (po *Poset) linkNew(n *node) []int32 {
-	n.idx = int32(len(po.nodes))
-	po.nodes = append(po.nodes, n)
-	po.byKey[n.key] = n
-
-	parents := po.findParents(n)
-	kids := po.findKids(n, parents)
-
-	for _, pa := range parents {
-		pa.kids = append(pa.kids, n)
-		n.parents = append(n.parents, pa)
+// touch marks n's snapshot record stale. While nodes wait to be linked it
+// records nothing: the pending Compact re-records every node.
+func (po *Poset) touch(n *node) {
+	if !po.unlinked {
+		po.dirty = append(po.dirty, n.idx)
 	}
-	var demoted []int32
-	for _, k := range kids {
-		n.kids = append(n.kids, k)
-		k.parents = append(k.parents, n)
-		if k.root {
-			k.root = false
-			po.roots--
-			demoted = append(demoted, k.idx)
+}
+
+// setSubs replaces n's member list.
+func (po *Poset) setSubs(n *node, subs []SubRef) {
+	n.subs = subs
+	po.touch(n)
+}
+
+// edge hangs k beneath pa.
+func (po *Poset) edge(pa, k *node) {
+	pa.kids = append(pa.kids, k)
+	k.parents = append(k.parents, pa)
+	po.touch(pa)
+}
+
+// dropKid takes k off pa's kid list (write-side lists are never aliased by
+// snapshots — Freeze copies them — so it edits them in place).
+func (po *Poset) dropKid(pa, k *node) {
+	pa.kids = dropNode(pa.kids, k)
+	po.touch(pa)
+}
+
+// unedge removes the edge from pa to k.
+func (po *Poset) unedge(pa, k *node) {
+	po.dropKid(pa, k)
+	k.parents = dropNode(k.parents, pa)
+}
+
+// Intern registers profile p like Add but leaves a new structure out of the
+// order: the next reader of the order links every node in one pass. That is
+// the bulk-load path — placing nodes one by one while nothing reads the
+// order in between buys nothing.
+func (po *Poset) Intern(p *predicate.Profile) {
+	if _, created := po.attach(p); created {
+		po.unlinked = true
+	}
+}
+
+// Add registers profile p and places a new structure in the order at once.
+func (po *Poset) Add(p *predicate.Profile) Delta {
+	po.ensureLinked()
+	n, created := po.attach(p)
+	if !created {
+		// Interning hit: the tree and the poset edges are untouched.
+		return Delta{}
+	}
+	d := po.link(n)
+	d.Nodes = 1
+	return d
+}
+
+// link places n into the order among the nodes before it in the table, all
+// linked already: Add's newest node, or each node in turn under Compact. One
+// scan over the keys finds every node covering n and every node n covers;
+// n's parents are the minimal coverers and its kids the maximal covered
+// nodes. A coverer is minimal when none of its kids covers n, a covered node
+// maximal when n covers none of its parents, because covering is transitive
+// along poset edges. An edge from a coverer of n straight to a kid of n is
+// dropped — n now sits between the two — so the edges stay the transitive
+// reduction of the order.
+func (po *Poset) link(n *node) (d Delta) {
+	key := po.keys[n.idx] // a copy: the scan keeps it in registers
+	above, below := po.above[:0], po.below[:0]
+	for j := range po.keys[:n.idx] {
+		switch o := &po.keys[j]; {
+		case o.attr == key.attr && (o.lo-key.lo)*(key.hi-o.hi) < 0:
+			// Both start at one attribute and neither hull there holds the
+			// other: the common case, settled by one predictable branch
+			// (an empty hull makes the product infinite or NaN, never
+			// negative, and falls through to the exact tests).
+		case o.attr < 0:
+		case mayCover(o, &key) && coversForm(po.nodes[j].form, n.form):
+			above = append(above, po.nodes[j])
+		case mayCover(&key, o) && coversForm(n.form, po.nodes[j].form):
+			below = append(below, po.nodes[j])
 		}
 	}
-	if len(parents) == 0 {
-		n.root = true
+	po.above, po.below = above, below
+
+	po.gen++
+	covers := po.gen
+	for _, a := range above {
+		a.mark = covers
+	}
+	for _, a := range above {
+		if !anyMarked(a.kids, covers) {
+			po.edge(a, n)
+		}
+	}
+	if len(n.parents) == 0 {
 		po.roots++
+		d.Joined = []NodeRef{{Idx: n.idx, Rep: n.rep}}
 	}
-	return demoted
-}
 
-// findParents returns the minimal existing coverers of n: DFS from the
-// covering roots, descending only into kids that also cover n. Every
-// coverer sits on an all-covering chain from a covering root (covering is
-// transitive along poset edges), so the descent is complete; a covering
-// node none of whose kids cover n is minimal. The result is an antichain.
-func (po *Poset) findParents(n *node) []*node {
 	po.gen++
-	gen := po.gen
-	var minimal, stack []*node
-	for _, r := range po.nodes {
-		if r == nil || !r.root || r == n {
+	for _, b := range below {
+		b.mark = po.gen
+	}
+	for _, b := range below {
+		if anyMarked(b.parents, po.gen) {
 			continue
 		}
-		r.visit = gen
-		r.evalGen = gen
-		r.coversN = po.covers(r, n)
-		if r.coversN {
-			stack = append(stack, r)
+		if len(b.parents) == 0 {
+			po.roots--
+			d.Left = append(d.Left, b.idx)
 		}
+		for i := len(b.parents) - 1; i >= 0; i-- { // downwards: unedge swaps the tail in
+			if a := b.parents[i]; a.mark == covers {
+				po.unedge(a, b)
+			}
+		}
+		po.edge(n, b)
 	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		hasCoveringKid := false
-		for _, k := range x.kids {
-			if k.evalGen != gen {
-				k.evalGen = gen
-				k.coversN = po.covers(k, n)
-			}
-			if !k.coversN {
-				continue
-			}
-			hasCoveringKid = true
-			if k.visit != gen {
-				k.visit = gen
-				stack = append(stack, k)
-			}
-		}
-		if !hasCoveringKid {
-			minimal = append(minimal, x)
-		}
-	}
-	return minimal
+	return d
 }
 
-// findKids returns the maximal existing nodes n covers. Full DFS over the
-// structure — a covered node can hang beneath nodes incomparable to n — with
-// pruning beneath every covered node found (its descendants are covered
-// transitively, hence not maximal). Nodes already chosen as parents are
-// never collected: a distinct key rules out mutual covering, so this is a
-// pure cycle guard.
-func (po *Poset) findKids(n *node, parents []*node) []*node {
-	po.gen++
-	gen := po.gen
-	for _, pa := range parents {
-		pa.pmark = gen
-	}
-	var maximal, stack []*node
-	for _, r := range po.nodes {
-		if r == nil || !r.root || r == n {
-			continue
-		}
-		r.visit = gen
-		stack = append(stack, r)
-	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if x.pmark != gen && po.covers(n, x) {
-			maximal = append(maximal, x)
-			continue
-		}
-		for _, k := range x.kids {
-			if k.visit != gen {
-				k.visit = gen
-				stack = append(stack, k)
-			}
+// anyMarked reports whether one of ns carries mark.
+func anyMarked(ns []*node, mark uint32) bool {
+	for _, n := range ns {
+		if n.mark == mark {
+			return true
 		}
 	}
-	return maximal
-}
-
-// covers reports whether node a covers node b, via the bitmask prefilter
-// then the canonical containment test.
-func (po *Poset) covers(a, b *node) bool {
-	return a.mask&^b.mask == 0 && coversCanon(a.canon, b.canon)
+	return false
 }
 
 // Remove unregisters subscription id. ok is false when id is unknown.
-func (po *Poset) Remove(id predicate.ID) (res RemoveResult, ok bool) {
+func (po *Poset) Remove(id predicate.ID) (d Delta, ok bool) {
 	n := po.bySub[id]
 	if n == nil {
-		return RemoveResult{}, false
+		return d, false
 	}
 	delete(po.bySub, id)
 	po.subCnt--
-	res.NodeIdx = n.idx
 	// COW: frozen snapshots alias the old backing array.
 	subs := make([]SubRef, 0, len(n.subs)-1)
 	for _, sr := range n.subs {
@@ -334,87 +346,101 @@ func (po *Poset) Remove(id predicate.ID) (res RemoveResult, ok bool) {
 			subs = append(subs, sr)
 		}
 	}
-	n.subs = subs
+	po.setSubs(n, subs)
 	if len(subs) > 0 {
-		return res, true
+		return d, true
+	}
+	d.Nodes = -1
+
+	// Last member gone: the node leaves the tables.
+	h := po.hash(n.form)
+	if head := po.byForm[h]; head != n {
+		for head.next != n {
+			head = head.next
+		}
+		head.next = n.next
+	} else if n.next != nil {
+		po.byForm[h] = n.next
+	} else {
+		delete(po.byForm, h)
+	}
+	po.nodes[n.idx] = nil
+	po.keys[n.idx].attr = -1
+	po.live--
+	if po.unlinked {
+		// No order to mend: the pending Compact links what is left.
+		return d, true
 	}
 
-	// Last member gone: detach the node eagerly. Kids re-link to the
-	// node's parents; a kid left with no parents is promoted to root, so a
-	// covered subscription resurfaces in the index the moment its coverer
-	// unsubscribes (federation's re-announce semantics depend on this).
-	res.Emptied = true
+	// Detach eagerly. Kids re-link to the node's parents; a kid left with
+	// no parents is promoted to root, so a covered subscription resurfaces
+	// in the index the moment its coverer unsubscribes (federation's
+	// re-announce semantics depend on this). A kid may keep another path
+	// from such a parent, so removal can leave a redundant transitive edge:
+	// expansion visits a node once whatever the number of edges into it, and
+	// the next Compact drops them.
+	if len(n.parents) == 0 {
+		po.roots--
+		d.Left = []int32{n.idx}
+	}
 	for _, pa := range n.parents {
-		pa.kids = dropNode(pa.kids, n)
+		po.dropKid(pa, n)
 	}
 	for _, k := range n.kids {
 		k.parents = dropNode(k.parents, n)
 		for _, pa := range n.parents {
-			if !hasParent(k, pa) {
-				pa.kids = append(pa.kids, k)
-				k.parents = append(k.parents, pa)
+			if !slices.Contains(k.parents, pa) {
+				po.edge(pa, k)
 			}
 		}
-		if len(k.parents) == 0 && !k.root {
-			k.root = true
+		if len(k.parents) == 0 {
 			po.roots++
-			res.Promoted = append(res.Promoted, NodeRef{Idx: k.idx, Rep: k.rep})
+			d.Joined = append(d.Joined, NodeRef{Idx: k.idx, Rep: k.rep})
 		}
 	}
-	if n.root {
-		n.root = false
-		po.roots--
-		res.WasRoot = true
-	}
-	delete(po.byKey, n.key)
-	po.nodes[n.idx] = nil
 	n.kids, n.parents = nil, nil
-	return res, true
+	return d, true
 }
 
-// dropNode removes x from s in place (write-side lists are never aliased by
-// snapshots — Freeze copies them).
+// dropNode removes x from s in place.
 func dropNode(s []*node, x *node) []*node {
-	for i, v := range s {
-		if v == x {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
+	if i := slices.Index(s, x); i >= 0 {
+		s[i] = s[len(s)-1]
+		return s[:len(s)-1]
 	}
 	return s
 }
 
-// hasParent reports whether pa is already a parent of k.
-func hasParent(k *node, pa *node) bool {
-	for _, v := range k.parents {
-		if v == pa {
-			return true
+// Compact rebuilds the order over the live nodes in one pass, dropping the
+// nil holes churn leaves behind and the redundant transitive edges removal
+// tolerates. Members and reps survive; indices are reassigned. The engine
+// calls this from its coalescing rebuild, right before re-indexing the roots;
+// it is also how nodes interned without linking enter the order.
+func (po *Poset) Compact() {
+	live := 0
+	for i, n := range po.nodes {
+		if n == nil {
+			continue
 		}
+		n.idx, n.kids, n.parents = int32(live), nil, nil
+		po.nodes[live], po.keys[live] = n, po.keys[i]
+		live++
 	}
-	return false
+	clear(po.nodes[live:])
+	po.nodes, po.keys = po.nodes[:live], po.keys[:live]
+	po.roots = 0
+	po.unlinked = false
+	// Every record moved: the next Snapshot shares nothing with the last.
+	po.img, po.dirty = nil, po.dirty[:0]
+	for _, n := range po.nodes {
+		po.touch(n)
+		po.link(n)
+	}
 }
 
-// Compact rebuilds the poset from its live nodes, dropping the nil holes
-// churn leaves behind and the redundant transitive edges incremental
-// linking tolerates. Members, reps and synthetic ids survive; indices are
-// reassigned. The engine calls this from its coalescing rebuild, right
-// before re-indexing the roots.
-func (po *Poset) Compact() {
-	live := make([]*node, 0, len(po.nodes))
-	for _, n := range po.nodes {
-		if n != nil {
-			live = append(live, n)
-		}
-	}
-	po.nodes = po.nodes[:0]
-	po.byKey = make(map[string]*node, len(live))
-	po.roots = 0
-	for _, n := range live {
-		n.kids, n.parents = nil, nil
-		n.root = false
-	}
-	for _, n := range live {
-		po.linkNew(n)
+func (po *Poset) ensureLinked() {
+	if po.unlinked {
+		po.Compact()
 	}
 }
 
@@ -446,6 +472,7 @@ func (r Relation) String() string {
 // RelationOf reports the poset order between two registered subscriptions.
 // Unknown ids are incomparable.
 func (po *Poset) RelationOf(a, b predicate.ID) Relation {
+	po.ensureLinked()
 	na, nb := po.bySub[a], po.bySub[b]
 	if na == nil || nb == nil {
 		return Incomparable
@@ -466,8 +493,7 @@ func (po *Poset) RelationOf(a, b predicate.ID) Relation {
 // by the poset invariant, exactly when from's node covers to's strictly.
 func (po *Poset) reachable(from, to *node) bool {
 	po.gen++
-	gen := po.gen
-	from.visit = gen
+	from.mark = po.gen
 	stack := []*node{from}
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
@@ -476,8 +502,8 @@ func (po *Poset) reachable(from, to *node) bool {
 			if k == to {
 				return true
 			}
-			if k.visit != gen {
-				k.visit = gen
+			if k.mark != po.gen {
+				k.mark = po.gen
 				stack = append(stack, k)
 			}
 		}
@@ -489,32 +515,23 @@ func (po *Poset) reachable(from, to *node) bool {
 // covering chain, measured in nodes, via memoized longest-path DFS (the
 // poset is a DAG).
 func (po *Poset) Stats() Stats {
-	st := Stats{Subscriptions: po.subCnt, Roots: po.roots}
-	depth := make(map[*node]int, len(po.nodes))
+	po.ensureLinked()
+	st := Stats{Subscriptions: po.subCnt, Nodes: po.live, Roots: po.roots}
+	depth := make([]int, len(po.nodes)) // 0: not computed yet
 	var chain func(n *node) int
 	chain = func(n *node) int {
-		if d, ok := depth[n]; ok {
-			return d
-		}
-		depth[n] = 1 // cycle guard; the DAG invariant makes this a no-op
-		d := 1
-		for _, k := range n.kids {
-			if kd := chain(k) + 1; kd > d {
-				d = kd
+		if depth[n.idx] == 0 {
+			d := 1
+			for _, k := range n.kids {
+				d = max(d, chain(k)+1)
 			}
+			depth[n.idx] = d
 		}
-		depth[n] = d
-		return d
+		return depth[n.idx]
 	}
 	for _, n := range po.nodes {
-		if n == nil {
-			continue
-		}
-		st.Nodes++
-		if n.root {
-			if d := chain(n); d > st.MaxDepth {
-				st.MaxDepth = d
-			}
+		if n != nil && len(n.parents) == 0 {
+			st.MaxDepth = max(st.MaxDepth, chain(n))
 		}
 	}
 	return st

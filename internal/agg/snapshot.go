@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"slices"
 	"sync"
 
 	"genas/internal/predicate"
@@ -11,14 +12,22 @@ import (
 // node records the match path walks lock-free. It is published through the
 // engine's atomic snapshot pointer next to the tree it expands.
 //
+// The records sit in chunks of chunkSize, so that successive images share
+// every chunk that did not change between them: the engine freezes after each
+// subscribe and unsubscribe, which touches a node or two, and must not pay
+// for the poset each time.
+//
 //genas:frozen
 type Snapshot struct {
-	// Nodes is indexed by poset node index; detached nodes leave zero
-	// entries (nil Prof), which the expansion never reaches.
-	Nodes []SnapNode
-	// Subs is the concrete subscription count at freeze time.
-	Subs int
+	// chunks[i>>chunkShift][i&(chunkSize-1)] is poset node i; detached nodes
+	// leave zero records (nil Prof), which the expansion never reaches.
+	chunks [][]SnapNode
 }
+
+const (
+	chunkShift = 6
+	chunkSize  = 1 << chunkShift
+)
 
 // SnapNode mirrors one canonical node for expansion.
 //
@@ -31,34 +40,54 @@ type SnapNode struct {
 	// past this snapshot's length and removals copy, so the header is
 	// stable.
 	Subs []SubRef
-	// Kids holds the node indices hanging beneath this node (fresh copy —
-	// the write side re-links kid lists in place).
+	// Kids holds the node indices hanging beneath this node (a copy — the
+	// write side re-links kid lists in place).
 	Kids []int32
 }
 
-// Freeze builds the frozen snapshot image of the current poset state.
+// Freeze builds the frozen snapshot image of the current poset state: the
+// last image with the records of the nodes touched since written afresh, each
+// into a private copy of its chunk.
 //
 //genas:builder
 func (po *Poset) Freeze() *Snapshot {
-	s := &Snapshot{Nodes: make([]SnapNode, len(po.nodes)), Subs: po.subCnt}
-	for i, n := range po.nodes {
+	po.ensureLinked()
+	chunks := make([][]SnapNode, (len(po.nodes)+chunkSize-1)>>chunkShift)
+	copy(chunks, po.img)
+	slices.Sort(po.dirty)
+	private := -1 // the chunk copied last: dirty is sorted, so each is copied once
+	for _, i := range po.dirty {
+		c := int(i) >> chunkShift
+		if c != private {
+			// The last chunk is as long as the node table needs; a node
+			// appended to it is dirty and so lengthens it here.
+			fresh := make([]SnapNode, min(chunkSize, len(po.nodes)-c<<chunkShift))
+			copy(fresh, chunks[c])
+			chunks[c], private = fresh, c
+		}
+		rec := &chunks[c][i&(chunkSize-1)]
+		n := po.nodes[i]
 		if n == nil {
+			*rec = SnapNode{}
 			continue
 		}
-		kids := make([]int32, len(n.kids))
-		for j, k := range n.kids {
-			kids[j] = k.idx
+		*rec = SnapNode{Prof: n.rep, Subs: n.subs}
+		if len(n.kids) > 0 {
+			rec.Kids = make([]int32, len(n.kids))
+			for j, k := range n.kids {
+				rec.Kids[j] = k.idx
+			}
 		}
-		s.Nodes[i] = SnapNode{Prof: n.rep, Subs: n.subs, Kids: kids}
 	}
-	return s
+	po.img, po.dirty = chunks, po.dirty[:0]
+	return &Snapshot{chunks: chunks}
 }
 
-// expandScratch is the pooled DFS state for Expand: an explicit stack plus
-// generation-stamped visit marks, so per-event expansion allocates nothing
-// once the pool is warm.
+// expandScratch is the pooled walk state for Expand: the list of accepted
+// nodes plus generation-stamped visit marks, so per-event expansion allocates
+// nothing but its result once the pool is warm.
 type expandScratch struct {
-	stack []int32
+	nodes []int32
 	mark  []uint32
 	gen   uint32
 }
@@ -81,8 +110,15 @@ func (sc *expandScratch) reset(n int) {
 		}
 		sc.gen = 1
 	}
-	sc.stack = sc.stack[:0]
+	sc.nodes = sc.nodes[:0]
 }
+
+// Slots returns the length of the node table the image mirrors, holes
+// included, rounded up to whole chunks: what a walk's visit marks must span.
+func (s *Snapshot) Slots() int { return len(s.chunks) << chunkShift }
+
+// at returns the record of poset node i.
+func (s *Snapshot) at(i int32) *SnapNode { return &s.chunks[i>>chunkShift][i&(chunkSize-1)] }
 
 // Expand translates the tree's matched slots into concrete subscription
 // ids, appending to dst. matched holds dense indices into t (the canonical
@@ -91,14 +127,16 @@ func (sc *expandScratch) reset(n int) {
 // re-evaluating each child's representative against the event — covering
 // guarantees a child that fails can have no matching descendant — and marks
 // visited nodes so DAG diamonds and multi-root overlaps emit each
-// subscription once. The second result counts the predicate evaluations
-// spent descending, which the engine folds into its operation accounting.
+// subscription once. The walk first lists the accepted nodes on its pooled
+// scratch, so dst grows at most once, to the exact total, however many
+// members and covered nodes a matched root brings. The second result counts
+// the predicate evaluations spent descending, which the engine folds into its
+// operation accounting.
 //
 //genas:hotpath
 func (s *Snapshot) Expand(vals []float64, matched []int, t2n []int32, t *tree.Tree, dst []predicate.ID) ([]predicate.ID, int) {
 	sc := scratchPool.Get().(*expandScratch)
-	sc.reset(len(s.Nodes))
-	ops := 0
+	sc.reset(s.Slots())
 	dead := t.HasDead()
 	for _, pi := range matched {
 		if dead && t.Dead(pi) {
@@ -109,24 +147,29 @@ func (s *Snapshot) Expand(vals []float64, matched []int, t2n []int32, t *tree.Tr
 			continue
 		}
 		sc.mark[ni] = sc.gen
-		sc.stack = append(sc.stack, ni)
+		sc.nodes = append(sc.nodes, ni)
 	}
-	for len(sc.stack) > 0 {
-		ni := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
-		n := &s.Nodes[ni]
-		for i := range n.Subs {
-			dst = append(dst, n.Subs[i].ID)
-		}
+	ops, total := 0, 0
+	for i := 0; i < len(sc.nodes); i++ {
+		n := s.at(sc.nodes[i])
+		total += len(n.Subs)
 		for _, ki := range n.Kids {
 			if sc.mark[ki] == sc.gen {
 				continue
 			}
 			sc.mark[ki] = sc.gen
 			ops++
-			if s.Nodes[ki].Prof.Matches(vals) {
-				sc.stack = append(sc.stack, ki)
+			if s.at(ki).Prof.Matches(vals) {
+				sc.nodes = append(sc.nodes, ki)
 			}
+		}
+	}
+	if need := len(dst) + total; need > cap(dst) {
+		dst = append(make([]predicate.ID, 0, need), dst...)
+	}
+	for _, ni := range sc.nodes {
+		for _, sr := range s.at(ni).Subs {
+			dst = append(dst, sr.ID)
 		}
 	}
 	scratchPool.Put(sc)

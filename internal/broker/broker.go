@@ -838,8 +838,8 @@ type Stats struct {
 	FilterEvents uint64
 	FilterOps    uint64
 	MeanOps      float64
-	// Aggregation describes the engine's canonical subscription layer
-	// (Enabled false, zero counters, on an unaggregated engine).
+	// Aggregation describes the shape of the engine's index: the canonical
+	// subscription poset.
 	Aggregation core.AggStats
 }
 

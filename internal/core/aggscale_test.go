@@ -74,10 +74,11 @@ func aggScalePopulation(s *schema.Schema, rng *rand.Rand, distinct, n int) []*pr
 // subscription must stay under 8 KiB. This population measures ~0.5 KiB; the
 // ceiling is not tighter because the root automaton, a cost fixed by the
 // templates and not the subscriber count, grows several-fold with one more
-// attribute or fewer don't-cares. A flat index pays an automaton entry per
-// subscription (14.8 KB each on the benchmark's 4 000-profile match-drift)
-// and its batch build is superlinear in distinct structures, so a collapse
-// back to per-profile indexing passes neither the ceiling nor the timeout.
+// attribute or fewer don't-cares. An index with an automaton entry per
+// subscription costs what one distinct structure does (14.8 KB each on the
+// benchmark's 4 000-profile match-drift) and its batch build is superlinear
+// in distinct structures, so a collapse to per-profile indexing passes
+// neither the ceiling nor the timeout.
 // Heap growth is a count, not a timing: it needs no noise tolerance.
 //
 // Semantics: aggregation is an index transform, not a filter change, so
@@ -98,7 +99,7 @@ func TestAggregatedScale(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	e := NewEngine(s, Config{Aggregate: true})
+	e := NewEngine(s, Config{})
 	for _, p := range subs {
 		if err := e.AddProfile(p); err != nil {
 			t.Fatal(err)

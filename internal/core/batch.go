@@ -32,36 +32,16 @@ func (e *Engine) MatchBatch(events [][]float64, workers int) ([]BatchResult, err
 	if len(events) == 0 {
 		return nil, nil
 	}
-	snap := e.snap.Load()
-	if !snap.empty && snap.tree == nil {
-		var err error
-		snap, err = e.lazySnapshot()
-		if err != nil {
-			return nil, err
-		}
+	snap, err := e.current()
+	if err != nil {
+		return nil, err
 	}
-	if snap.empty || snap.tree == nil {
-		return make([]BatchResult, len(events)), nil
-	}
-	t := snap.tree
-
 	results := make([]BatchResult, len(events))
-	profiles := t.Profiles()
+	if snap.empty {
+		return results, nil
+	}
 	runBatch(len(events), workers, func(i int) {
-		matched, ops := t.Match(events[i])
-		if snap.expand != nil {
-			ids, expOps := snap.expand.Expand(events[i], matched, snap.t2n, t, nil)
-			results[i] = BatchResult{IDs: ids, Ops: ops + expOps}
-			return
-		}
-		ids := make([]predicate.ID, 0, len(matched))
-		for _, pi := range matched {
-			if t.Dead(pi) {
-				continue
-			}
-			ids = append(ids, profiles[pi].ID)
-		}
-		results[i] = BatchResult{IDs: ids, Ops: ops}
+		results[i].IDs, results[i].Ops = snap.match(events[i], nil)
 	})
 
 	for _, r := range results {

@@ -11,21 +11,21 @@ import (
 
 // The churn-sequence oracle harness: one engine (single-tree or sharded)
 // mutated only through incremental AddProfile/RemoveProfile, checked against
-// three independent oracles after every few operations:
+// two independent oracles after every few operations:
 //
 //  1. direct evaluation — every live profile's Matches over a probe grid is
 //     ground truth for what the filter must return;
-//  2. a from-scratch engine — built fresh from the current corpus and
-//     explicitly rebuilt, proving the incrementally grown automaton and the
-//     canonical one compute identical match sets;
-//  3. a from-scratch aggregated engine — the covering poset, the root-only
-//     automaton and delivery-time expansion must produce the same ids too.
+//  2. a from-scratch engine — bulk-loaded with the current corpus and built
+//     once, proving that the incrementally maintained poset, automaton and
+//     slot tables and the canonical ones (one linking pass, one tree build)
+//     compute identical match sets.
 //
 // The byte stream drives the op mix (subscribe, unsubscribe, restructure),
 // the profile shapes and the interleaved probes, so the fuzzer explores
-// interleavings (insert-over-tombstone, remove-of-just-inserted, coalesce
-// mid-sequence, reorder of a fragmented successor tree) that the handwritten
-// tests cannot enumerate.
+// interleavings (insert-over-tombstone, remove-of-just-inserted, demotion on
+// a wider add, unsubscribe of a poset-internal coverer, promotion of orphaned
+// kids, coalesce mid-sequence, reorder of a fragmented successor tree) that
+// the handwritten tests cannot enumerate.
 
 // churnFilter is the surface the harness exercises: satisfied by both
 // *Engine and *Sharded.
@@ -101,27 +101,17 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 
 	verify := func(step int) {
 		t.Helper()
-		// Oracle 2: a fresh engine over the same corpus, canonically built.
+		// Oracle 2: a fresh engine over the same corpus, canonically built
+		// (it stays stale while loading, so its first match links the poset
+		// and builds the tree in one go).
 		oracle := NewEngine(s, Config{})
-		// Oracle 3: a fresh aggregated engine over the same corpus — the
-		// canonical poset + root-only automaton + delivery-time expansion
-		// must compute the exact same match sets as every other party.
-		aggregated := NewEngine(s, Config{Aggregate: true})
 		for _, id := range order {
 			if err := oracle.AddProfile(live[id]); err != nil {
 				t.Fatalf("step %d: oracle add %s: %v", step, id, err)
 			}
-			if err := aggregated.AddProfile(live[id]); err != nil {
-				t.Fatalf("step %d: aggregated add %s: %v", step, id, err)
-			}
 		}
-		if len(order) > 0 {
-			if err := oracle.Rebuild(); err != nil {
-				t.Fatalf("step %d: oracle rebuild: %v", step, err)
-			}
-		}
-		// The batch path translates tombstones and expands canonical nodes in
-		// its own loop, so it answers to the same ground truth as Match.
+		// The batch path resolves its own snapshots, so it answers to the same
+		// ground truth as Match.
 		batch, err := filter.MatchBatch(probes, 2)
 		if err != nil {
 			t.Fatalf("step %d: match batch: %v", step, err)
@@ -142,14 +132,9 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 			if err != nil {
 				t.Fatalf("step %d: oracle match %v: %v", step, probe, err)
 			}
-			fromAgg, _, err := aggregated.Match(probe)
-			if err != nil {
-				t.Fatalf("step %d: aggregated match %v: %v", step, probe, err)
-			}
 			g := strings.Join(sortedIDs(got), ",")
 			w := strings.Join(sortedIDs(want), ",")
 			o := strings.Join(sortedIDs(fromScratch), ",")
-			a := strings.Join(sortedIDs(fromAgg), ",")
 			if g != w {
 				t.Fatalf("step %d: probe %v: incremental engine matched {%s}, direct evaluation says {%s}", step, probe, g, w)
 			}
@@ -158,9 +143,6 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 			}
 			if o != w {
 				t.Fatalf("step %d: probe %v: from-scratch engine matched {%s}, direct evaluation says {%s}", step, probe, o, w)
-			}
-			if a != w {
-				t.Fatalf("step %d: probe %v: aggregated engine matched {%s}, direct evaluation says {%s}", step, probe, a, w)
 			}
 		}
 	}
@@ -262,9 +244,6 @@ func FuzzChurnSequence(f *testing.F) {
 			schema.Attribute{Name: "y", Domain: b},
 		)
 		runChurnSequence(t, s, NewEngine(s, Config{}), data, 8)
-		// Same script through the aggregated engine: the canonical poset and
-		// delivery-time expansion must agree with every oracle as well.
-		runChurnSequence(t, s, NewEngine(s, Config{Aggregate: true}), data, 8)
 	})
 }
 
@@ -292,12 +271,6 @@ func TestChurnSequenceOracle(t *testing.T) {
 	}{
 		{"engine", func() churnFilter { return NewEngine(s, Config{}) }},
 		{"sharded", func() churnFilter { return NewSharded(s, Config{}, 3) }},
-		// The aggregated engine runs the same scripts incrementally, so the
-		// poset's own churn paths — demotion on a wider add, unsubscribe of a
-		// poset-internal coverer, promotion of orphaned kids — are all
-		// oracle-checked against direct evaluation and the flat engines.
-		{"engine-agg", func() churnFilter { return NewEngine(s, Config{Aggregate: true}) }},
-		{"sharded-agg", func() churnFilter { return NewSharded(s, Config{Aggregate: true}, 3) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := byte(1); seed <= 3; seed++ {

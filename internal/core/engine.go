@@ -4,6 +4,12 @@
 // selectivity measures — value measures V1–V3 and attribute measures A1–A3 —
 // and filters events while accounting operations.
 //
+// The corpus has one index: the covering poset of canonical structures
+// (internal/agg). Subscriptions intern onto canonical nodes, covered nodes
+// hang beneath their coverers, the automaton indexes the poset's roots, and
+// a match expands the roots it reached into subscription ids. Match cost
+// grows with distinct predicate structure, not with subscriber count.
+//
 // The engine "evaluates first those event-values and attributes that have
 // the highest selectivity": attributes with high selectivity move to the top
 // levels of the tree and, inside every node, values with the highest
@@ -116,13 +122,9 @@ type Config struct {
 	// ProfileDists is P_p per schema attribute. Nil means the empirical
 	// profile distribution derived from the corpus itself.
 	ProfileDists []dist.Dist
-	// Aggregate enables canonical subscription aggregation (internal/agg):
-	// structurally identical profiles intern onto one canonical node,
-	// covered structures hang beneath their coverer in a poset, and the
-	// automaton indexes only the poset roots — concrete ids are expanded
-	// through the poset per match. Match cost then grows with distinct
-	// predicate structure, not subscriber count. Construction-time only:
-	// SetConfig cannot toggle it.
+	// Aggregate selects nothing: canonical subscription aggregation
+	// (internal/agg) is the engine's only index, so the field is accepted
+	// and ignored. It stays for the callers that still set it.
 	Aggregate bool
 }
 
@@ -133,10 +135,10 @@ var (
 	ErrNoProfiles       = errors.New("core: no profiles registered")
 )
 
-// snapshot is one immutable published state of the engine's automaton.
-// Matches load the snapshot pointer once and traverse it without any lock:
-// successor snapshots share untouched nodes with their predecessor, and no
-// published tree is ever mutated. Three states exist:
+// snapshot is one immutable published state of the engine's index. Matches
+// load the snapshot pointer once and traverse it without any lock: successor
+// snapshots share untouched nodes with their predecessor, and no published
+// tree is ever mutated. Three states exist:
 //
 //   - empty: no profiles are registered; matching is a lock-free no-op.
 //   - stale (tree == nil, empty == false): profiles exist but the automaton
@@ -144,15 +146,28 @@ var (
 //     bulk registration before the first publish stays cheap.
 //   - built (tree != nil): ready to traverse.
 type snapshot struct {
+	// tree is the automaton over the poset's roots.
 	tree  *tree.Tree
 	empty bool
-	// expand and t2n exist only under aggregation: expand is the frozen
-	// poset image matched ids are expanded through, and t2n maps each tree
-	// slot (dense index) to its poset node. t2n is append-only across
-	// successor snapshots — writes land past every predecessor's length —
-	// so snapshots share its backing array like the tree shares nodes.
+	// expand is the frozen poset image matched roots are expanded through,
+	// and t2n maps each tree slot (dense index) to its poset node. t2n is
+	// append-only across successor snapshots — writes land past every
+	// predecessor's length — so snapshots share its backing array like the
+	// tree shares nodes.
 	expand *agg.Snapshot
 	t2n    []int32
+}
+
+// match filters one event through a built snapshot, appending the matched
+// subscription ids to dst: the tree matches canonical roots and the poset
+// image expands them into concrete ids, its descent evaluations charged to
+// the event like tree comparisons.
+//
+//genas:hotpath
+func (s *snapshot) match(vals []float64, dst []predicate.ID) ([]predicate.ID, int) {
+	matched, ops := s.tree.Match(vals)
+	dst, descents := s.expand.Expand(vals, matched, s.t2n, s.tree, dst)
+	return dst, ops + descents
 }
 
 // Engine is the distribution-based filter component. It is safe for
@@ -165,51 +180,42 @@ type Engine struct {
 	mu      sync.Mutex // serializes writers: churn, rebuilds, config
 	schema  *schema.Schema
 	cfg     Config
-	byID    map[predicate.ID]int
-	dense   []*predicate.Profile
 	account stats.OpAccount
 
-	// treeIdx maps profile id to its dense index inside the published tree
-	// (tree indices are append-only between rebuilds, so they drift from
-	// e.dense, which swap-removes). Valid only while snap.tree != nil.
-	treeIdx map[predicate.ID]int
-	// edits counts incremental transforms since the last full rebuild; once
-	// it passes coalesceThreshold the next churn op rebuilds, restoring the
-	// canonical structure and clearing tombstones.
+	// agg is the index: the covering poset holds every subscription — one
+	// SubRef on its canonical node — and the automaton indexes the poset's
+	// roots only. t2n is the write side of snapshot.t2n; nodeTree maps a
+	// poset node index back to its tree slot (-1: not indexed) for
+	// demotions. Both are valid only while snap.tree != nil.
+	agg      *agg.Poset
+	t2n      []int32
+	nodeTree []int32
+	// edits counts the index edits since the last full rebuild: a root
+	// indexed, a slot tombstoned, or a structure created or emptied beneath
+	// a coverer (the automaton is untouched, but the poset's node table grew
+	// or gained a hole). Once it reaches coalesceThreshold the churn op that
+	// spent the budget rebuilds, restoring the canonical structure and
+	// clearing tombstones and holes. A subscriber joining or leaving an
+	// existing structure changes neither and is not an edit.
 	edits int
 	// vo is the value order applied at the last rebuild, reused by
 	// incremental inserts (recomputing empirical measures per insert would
 	// rescan the corpus; drift between rebuilds is bounded by coalescing).
 	vo tree.ValueOrder
-
-	// Aggregation state (cfg.Aggregate): the covering poset replaces
-	// byID/dense entirely — per-subscription state collapses to one SubRef
-	// inside the poset. t2n is the write side of snapshot.t2n; nodeTree
-	// maps a poset node index back to its tree slot for demotions.
-	agg      *agg.Poset
-	t2n      []int32
-	nodeTree map[int32]int
 }
 
 // coalesceThreshold returns the edit budget before the next churn operation
-// pays a full rebuild: proportional to the corpus so large engines don't
+// pays a full rebuild: proportional to the index so large engines don't
 // rebuild constantly, floored so small ones don't rebuild on every edit.
 func (e *Engine) coalesceThreshold() int {
-	// Four edits per live profile before paying a full rebuild: successor
+	// Two edits per canonical node before paying a full rebuild: successor
 	// trees fragment slowly (each insert adds at most a few cuts per level)
 	// and tombstones only cost a bitmap test at translation, so rebuilding
-	// once per corpus-sized batch of edits trades a small match-path drift
-	// for keeping the rebuild entirely off the steady churn path. Under
-	// aggregation the automaton's size driver is the canonical node count,
-	// not the subscriber count, so the budget scales with that instead.
-	size := len(e.dense)
-	if e.agg != nil {
-		size = e.agg.NodeCount()
-	}
-	if n := 2 * size; n > 128 {
-		return n
-	}
-	return 128
+	// once per index-sized batch of edits trades a small match-path drift
+	// for keeping the rebuild entirely off the steady churn path. The
+	// automaton's size driver is the canonical node count, not the
+	// subscriber count, so the budget scales with that.
+	return max(2*e.agg.NodeCount(), 128)
 }
 
 // NewEngine creates an engine over schema s.
@@ -223,15 +229,7 @@ func NewEngine(s *schema.Schema, cfg Config) *Engine {
 	if cfg.Search == 0 {
 		cfg.Search = tree.SearchLinear
 	}
-	e := &Engine{
-		schema: s,
-		cfg:    cfg,
-	}
-	if cfg.Aggregate {
-		e.agg = agg.NewPoset(s)
-	} else {
-		e.byID = make(map[predicate.ID]int)
-	}
+	e := &Engine{schema: s, cfg: cfg, agg: agg.NewPoset(s)}
 	e.snap.Store(&snapshot{empty: true})
 	return e
 }
@@ -239,228 +237,123 @@ func NewEngine(s *schema.Schema, cfg Config) *Engine {
 // Schema returns the engine's schema.
 func (e *Engine) Schema() *schema.Schema { return e.schema }
 
-// AddProfile registers a profile. When an automaton is live the profile is
-// inserted incrementally (a successor snapshot sharing the untouched node
-// graph); otherwise the tree is built lazily on the next match.
+// AddProfile registers a profile: the subscription joins its canonical node
+// in the poset. While no automaton is live the node is only interned — the
+// lazy build on the next match links the poset in one pass. Otherwise the
+// automaton changes only when a new structure enters as a root (indexed) or
+// demotes existing roots beneath it (tombstoned — they stay reachable
+// through the new root's expansion edges), in a successor snapshot sharing
+// the untouched node graph.
 func (e *Engine) AddProfile(p *predicate.Profile) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.agg != nil {
-		return e.addAggLocked(p)
-	}
-	if _, dup := e.byID[p.ID]; dup {
-		return fmt.Errorf("%w: %s", ErrDuplicateProfile, p.ID)
-	}
-	e.byID[p.ID] = len(e.dense)
-	e.dense = append(e.dense, p)
-	snap := e.snap.Load()
-	switch {
-	case snap.empty:
-		e.snap.Store(&snapshot{})
-	case snap.tree == nil:
-		// Already stale; the pending lazy build picks the profile up.
-	default:
-		e.edits++
-		if e.edits >= e.coalesceThreshold() {
-			e.coalesceLocked()
-			return nil
-		}
-		nt, ti := snap.tree.WithProfile(p, e.vo)
-		e.treeIdx[p.ID] = ti
-		e.snap.Store(&snapshot{tree: nt})
-	}
-	return nil
-}
-
-// addAggLocked is AddProfile's aggregation path: the subscription joins its
-// canonical node in the poset; the automaton changes only when a new
-// structure enters as a root (indexed) or demotes existing roots beneath it
-// (tombstoned — they stay reachable through the new root's expansion edges).
-// Every churn op republishes the frozen expansion image, so in-flight
-// matches keep expanding against the state they matched under.
-func (e *Engine) addAggLocked(p *predicate.Profile) error {
 	if e.agg.Has(p.ID) {
 		return fmt.Errorf("%w: %s", ErrDuplicateProfile, p.ID)
 	}
-	res := e.agg.Add(p)
 	snap := e.snap.Load()
-	switch {
-	case snap.empty:
+	if snap.tree != nil {
+		e.patchLocked(snap, e.agg.Add(p))
+		return nil
+	}
+	e.agg.Intern(p)
+	if snap.empty {
 		e.snap.Store(&snapshot{})
-	case snap.tree == nil:
-		// Already stale; the pending lazy build picks the node up.
-	default:
-		e.edits++
-		if e.edits >= e.coalesceThreshold() {
-			e.coalesceLocked()
-			return nil
-		}
-		t := snap.tree
-		for _, d := range res.Demoted {
-			ti, ok := e.nodeTree[d]
-			if !ok {
-				e.snap.Store(&snapshot{}) // defensive: force a lazy rebuild
-				return nil
-			}
-			delete(e.nodeTree, d)
-			t = t.WithoutProfile(ti)
-		}
-		if res.NewRoot != nil {
-			var ti int
-			t, ti = t.WithProfile(res.NewRoot, e.vo)
-			if ti != len(e.t2n) {
-				e.snap.Store(&snapshot{}) // defensive: slot table out of step
-				return nil
-			}
-			e.t2n = append(e.t2n, res.NodeIdx)
-			e.nodeTree[res.NodeIdx] = ti
-		}
-		e.snap.Store(&snapshot{tree: t, expand: e.agg.Freeze(), t2n: e.t2n})
 	}
 	return nil
 }
 
-// RemoveProfile unregisters a profile by id. When an automaton is live the
-// profile is tombstoned in a successor snapshot (O(1)); tombstones are
-// compacted by the next coalescing rebuild.
+// RemoveProfile unregisters a profile by id. Dropping a member usually
+// leaves the automaton untouched; when a canonical node loses its last
+// member it detaches eagerly — its tree slot is tombstoned if it was a root
+// (O(1); the next coalescing rebuild compacts tombstones), and formerly
+// covered nodes promoted by the detach are indexed, so a covered
+// subscription resurfaces the moment its last coverer leaves.
 func (e *Engine) RemoveProfile(id predicate.ID) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.agg != nil {
-		return e.removeAggLocked(id)
-	}
-	i, ok := e.byID[id]
+	d, ok := e.agg.Remove(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownProfile, id)
 	}
-	last := len(e.dense) - 1
-	e.dense[i] = e.dense[last]
-	e.dense = e.dense[:last]
-	delete(e.byID, id)
-	if i < last {
-		e.byID[e.dense[i].ID] = i
+	if e.agg.SubCount() == 0 {
+		e.resetLocked()
+	} else if snap := e.snap.Load(); snap.tree != nil {
+		e.patchLocked(snap, d)
 	}
-	snap := e.snap.Load()
-	switch {
-	case len(e.dense) == 0:
-		e.storeEmptyLocked()
-	case snap.empty || snap.tree == nil:
-		// Nothing published or already stale; the next build reads e.dense.
-	default:
-		ti, ok := e.treeIdx[id]
-		if !ok {
-			// Defensive: unknown tree index, fall back to a lazy rebuild.
-			e.snap.Store(&snapshot{})
-			return nil
-		}
-		delete(e.treeIdx, id)
-		e.edits++
-		if e.edits >= e.coalesceThreshold() {
-			e.coalesceLocked()
-			return nil
-		}
-		e.snap.Store(&snapshot{tree: snap.tree.WithoutProfile(ti)})
-	}
+	// Otherwise the snapshot is stale already; the next build reads the poset.
 	return nil
 }
 
-// removeAggLocked is RemoveProfile's aggregation path. Dropping a member
-// usually leaves the automaton untouched (only the expansion image
-// refreshes); when a canonical node loses its last member it detaches
-// eagerly — its tree slot is tombstoned if it was a root, and formerly
-// covered nodes promoted by the detach are indexed, so a covered
-// subscription resurfaces the moment its last coverer leaves.
-func (e *Engine) removeAggLocked(id predicate.ID) error {
-	res, ok := e.agg.Remove(id)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownProfile, id)
-	}
-	snap := e.snap.Load()
-	switch {
-	case e.agg.SubCount() == 0:
-		e.storeEmptyLocked()
-	case snap.empty || snap.tree == nil:
-		// Nothing published or already stale; the next build reads the poset.
-	default:
+// patchLocked applies one churn op's root-set change to the live automaton
+// and publishes the successor. Every churn op republishes the frozen
+// expansion image, even when the tree is untouched, so in-flight matches
+// keep expanding against the state they matched under.
+func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
+	if n := len(d.Left) + len(d.Joined); n > 0 {
+		e.edits += n
+	} else if d.Nodes != 0 {
 		e.edits++
-		if e.edits >= e.coalesceThreshold() {
-			e.coalesceLocked()
-			return nil
-		}
-		t := snap.tree
-		if res.Emptied && res.WasRoot {
-			ti, ok := e.nodeTree[res.NodeIdx]
-			if !ok {
-				e.snap.Store(&snapshot{}) // defensive: force a lazy rebuild
-				return nil
-			}
-			delete(e.nodeTree, res.NodeIdx)
-			t = t.WithoutProfile(ti)
-		}
-		for _, pr := range res.Promoted {
-			var ti int
-			t, ti = t.WithProfile(pr.Rep, e.vo)
-			if ti != len(e.t2n) {
-				e.snap.Store(&snapshot{}) // defensive: slot table out of step
-				return nil
-			}
-			e.t2n = append(e.t2n, pr.Idx)
-			e.nodeTree[pr.Idx] = ti
-		}
-		e.snap.Store(&snapshot{tree: t, expand: e.agg.Freeze(), t2n: e.t2n})
 	}
-	return nil
+	if e.edits >= e.coalesceThreshold() {
+		// Build errors (e.g. an A3 ordering failure) must not fail the
+		// churn operation — the poset update already happened — so the
+		// error surfaces on the next match, from the stale snapshot a
+		// failed rebuild leaves.
+		_ = e.rebuildLocked()
+		return
+	}
+	t := snap.tree
+	for _, ni := range d.Left {
+		if int(ni) >= len(e.nodeTree) || e.nodeTree[ni] < 0 {
+			e.snap.Store(&snapshot{}) // defensive: force a lazy rebuild
+			return
+		}
+		t = t.WithoutProfile(int(e.nodeTree[ni]))
+		e.nodeTree[ni] = -1
+	}
+	for _, r := range d.Joined {
+		var ti int
+		t, ti = t.WithProfile(r.Rep, e.vo)
+		if ti != len(e.t2n) {
+			e.snap.Store(&snapshot{}) // defensive: slot table out of step
+			return
+		}
+		e.t2n = append(e.t2n, r.Idx)
+		for int(r.Idx) >= len(e.nodeTree) {
+			e.nodeTree = append(e.nodeTree, -1)
+		}
+		e.nodeTree[r.Idx] = int32(ti)
+	}
+	e.snap.Store(&snapshot{tree: t, expand: e.agg.Freeze(), t2n: e.t2n})
 }
 
-// coalesceLocked replaces the incrementally grown automaton with a freshly
-// built one (canonical structure, ordering recomputed, tombstones cleared).
-// Build errors (e.g. an A3 ordering failure) must not fail the churn
-// operation — the corpus update already happened — so on error the engine
-// publishes a stale snapshot and the error surfaces on the next match.
-func (e *Engine) coalesceLocked() {
-	if err := e.rebuildLocked(); err != nil {
-		e.snap.Store(&snapshot{})
-	}
-}
-
-func (e *Engine) storeEmptyLocked() {
+// resetLocked publishes the empty state. Going empty is the natural point
+// to drop the holes and edge fragments churn left in the poset.
+func (e *Engine) resetLocked() {
 	e.snap.Store(&snapshot{empty: true})
-	e.treeIdx = nil
+	e.agg = agg.NewPoset(e.schema)
+	e.t2n, e.nodeTree = nil, nil
 	e.edits = 0
-	e.t2n = nil
-	e.nodeTree = nil
-	if e.agg != nil && e.agg.SubCount() == 0 {
-		// Going empty is the natural point to drop the holes and edge
-		// fragments churn left behind.
-		e.agg = agg.NewPoset(e.schema)
-	}
 }
 
 // ProfileCount returns the number of registered profiles (concrete
-// subscriptions, not canonical nodes, under aggregation).
+// subscriptions, not canonical nodes).
 func (e *Engine) ProfileCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.agg != nil {
-		return e.agg.SubCount()
-	}
-	return len(e.dense)
+	return e.agg.SubCount()
 }
 
-// Profiles returns a copy of the registered profiles. Under aggregation the
-// originals are not retained — that is the memory win — so each entry is
-// synthesized from its canonical node: the id and priority are the
+// Profiles returns the registered profiles. The originals are not retained
+// — one SubRef per subscriber is the memory the index costs — so each entry
+// is synthesized from its canonical node: the id and priority are the
 // subscriber's, the predicate column is the node's representative (an
-// equivalent constraint, possibly spelled differently than the original).
+// equivalent constraint, spelled the way the structure's first subscriber
+// spelled it).
 func (e *Engine) Profiles() []*predicate.Profile {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.agg != nil {
-		return e.agg.Profiles()
-	}
-	out := make([]*predicate.Profile, len(e.dense))
-	copy(out, e.dense)
-	return out
+	return e.agg.Profiles()
 }
 
 // eventDists returns P_e, defaulting to uniform per attribute.
@@ -475,23 +368,17 @@ func (e *Engine) eventDists() []dist.Dist {
 	return ds
 }
 
-// corpusLocked returns the profile set the automaton indexes and the
-// selectivity measures rank over: the dense corpus, or the poset's
-// canonical roots under aggregation. Callers hold e.mu.
-func (e *Engine) corpusLocked() []*predicate.Profile {
-	if e.agg == nil {
-		return e.dense
-	}
-	roots := e.agg.RootList()
-	out := make([]*predicate.Profile, len(roots))
-	for i, r := range roots {
-		out[i] = r.Rep
-	}
-	return out
+// empirical is Measure V2 estimated from the corpus when no profile
+// distribution is configured. It ranks over the subscriptions, not over the
+// roots the automaton indexes: a region's demand is its subscribers and
+// their priorities (the user-centric weighting of §4.3), however many of
+// them share a structure or hang beneath a coverer.
+func (e *Engine) empirical(desc bool) tree.ValueOrder {
+	return selectivity.V2Empirical(e.schema, e.agg.Profiles(), desc)
 }
 
-// valueOrder materializes the configured value measure over corpus.
-func (e *Engine) valueOrder(corpus []*predicate.Profile) tree.ValueOrder {
+// valueOrder materializes the configured value measure.
+func (e *Engine) valueOrder() tree.ValueOrder {
 	ed := e.eventDists()
 	pd := e.cfg.ProfileDists
 	switch e.cfg.ValueMeasure {
@@ -501,20 +388,16 @@ func (e *Engine) valueOrder(corpus []*predicate.Profile) tree.ValueOrder {
 		return selectivity.V1(ed, true)
 	case ValueEventAsc:
 		return selectivity.V1(ed, false)
-	case ValueProfile:
+	case ValueProfile, ValueProfileAsc:
+		desc := e.cfg.ValueMeasure == ValueProfile
 		if pd == nil {
-			return selectivity.V2Empirical(e.schema, corpus, true)
+			return e.empirical(desc)
 		}
-		return selectivity.V2(pd, true)
-	case ValueProfileAsc:
-		if pd == nil {
-			return selectivity.V2Empirical(e.schema, corpus, false)
-		}
-		return selectivity.V2(pd, false)
+		return selectivity.V2(pd, desc)
 	case ValueCombined, ValueCombinedAsc:
 		desc := e.cfg.ValueMeasure == ValueCombined
 		if pd == nil {
-			emp := selectivity.V2Empirical(e.schema, corpus, desc)
+			emp := e.empirical(desc)
 			v1 := selectivity.V1(ed, desc)
 			return tree.ValueOrder{
 				Name:       "event*profile-emp",
@@ -530,18 +413,21 @@ func (e *Engine) valueOrder(corpus []*predicate.Profile) tree.ValueOrder {
 	}
 }
 
-// attrOrder computes the configured attribute order over corpus.
-func (e *Engine) attrOrder(corpus []*predicate.Profile) ([]int, error) {
+// attrOrder computes the configured attribute order over roots, the corpus
+// the automaton indexes. (A covered structure references no region and
+// leaves no attribute unspecified that its coverer does not, so the A1/A2
+// statistics of the roots are those of every subscription.)
+func (e *Engine) attrOrder(roots []*predicate.Profile) ([]int, error) {
 	switch e.cfg.AttrOrdering {
 	case AttrA1, AttrA1Asc:
-		st := selectivity.AttributeStats(e.schema, corpus, nil)
+		st := selectivity.AttributeStats(e.schema, roots, nil)
 		return selectivity.OrderAttributes(st, selectivity.MeasureA1, e.cfg.AttrOrdering == AttrA1), nil
 	case AttrA2, AttrA2Asc:
-		st := selectivity.AttributeStats(e.schema, corpus, e.eventDists())
+		st := selectivity.AttributeStats(e.schema, roots, e.eventDists())
 		return selectivity.OrderAttributes(st, selectivity.MeasureA2, e.cfg.AttrOrdering == AttrA2), nil
 	case AttrA3:
 		order, _, err := selectivity.OrderAttributesA3(
-			e.schema, corpus, e.eventDists(), e.valueOrder(corpus), e.cfg.Search)
+			e.schema, roots, e.eventDists(), e.valueOrder(), e.cfg.Search)
 		return order, err
 	default:
 		order := make([]int, e.schema.N())
@@ -560,60 +446,35 @@ func (e *Engine) Rebuild() error {
 	return e.rebuildLocked()
 }
 
-// rebuildLocked builds a fresh automaton from the current corpus and
-// publishes it. Callers hold e.mu.
-func (e *Engine) rebuildLocked() error {
-	if e.agg != nil {
-		return e.rebuildAggLocked()
-	}
-	if len(e.dense) == 0 {
-		e.storeEmptyLocked()
-		return ErrNoProfiles
-	}
-	order, err := e.attrOrder(e.dense)
-	if err != nil {
-		return err
-	}
-	// The automaton keeps its own copy of the corpus: RemoveProfile mutates
-	// e.dense in place, and in-flight matches must keep translating dense
-	// indices against the snapshot that produced them.
-	corpus := make([]*predicate.Profile, len(e.dense))
-	copy(corpus, e.dense)
-	t, err := tree.Build(e.schema, corpus,
-		tree.WithAttributeOrder(order), tree.WithSearch(e.cfg.Search))
-	if err != nil {
-		return err
-	}
-	vo := e.valueOrder(corpus)
-	// The tree is not published yet, so the in-place ordering pass is safe.
-	t.ApplyValueOrder(vo)
-	e.vo = vo
-	e.treeIdx = make(map[predicate.ID]int, len(corpus))
-	for i, p := range corpus {
-		e.treeIdx[p.ID] = i
-	}
-	e.edits = 0
-	e.snap.Store(&snapshot{tree: t})
-	return nil
-}
-
-// rebuildAggLocked is rebuildLocked under aggregation: the poset compacts
-// (clearing churn holes and redundant edges), the automaton is rebuilt over
-// the canonical roots only, and the slot↔node tables are derived fresh.
-func (e *Engine) rebuildAggLocked() error {
+// rebuildLocked builds a fresh index from the poset and publishes it: the
+// poset compacts (linking what was only interned, clearing churn holes and
+// redundant edges), the automaton is rebuilt over the canonical roots only,
+// and the slot↔node tables are derived fresh. Compacting renumbers the
+// nodes, which orphans the slot tables a live snapshot was patched through,
+// so a failed build leaves the engine stale, never patchable. Callers hold
+// e.mu.
+func (e *Engine) rebuildLocked() (err error) {
 	if e.agg.SubCount() == 0 {
-		e.storeEmptyLocked()
+		e.resetLocked()
 		return ErrNoProfiles
 	}
+	defer func() {
+		if err != nil {
+			e.snap.Store(&snapshot{})
+		}
+	}()
 	e.agg.Compact()
 	roots := e.agg.RootList()
 	corpus := make([]*predicate.Profile, len(roots))
 	t2n := make([]int32, len(roots))
-	nodeTree := make(map[int32]int, len(roots))
+	nodeTree := make([]int32, e.agg.NodeCount())
+	for i := range nodeTree {
+		nodeTree[i] = -1
+	}
 	for i, r := range roots {
 		corpus[i] = r.Rep
 		t2n[i] = r.Idx
-		nodeTree[r.Idx] = i
+		nodeTree[r.Idx] = int32(i)
 	}
 	order, err := e.attrOrder(corpus)
 	if err != nil {
@@ -624,7 +485,7 @@ func (e *Engine) rebuildAggLocked() error {
 	if err != nil {
 		return err
 	}
-	vo := e.valueOrder(corpus)
+	vo := e.valueOrder()
 	// The tree is not published yet, so the in-place ordering pass is safe.
 	t.ApplyValueOrder(vo)
 	e.vo = vo
@@ -643,12 +504,11 @@ func (e *Engine) Reorder() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	snap := e.snap.Load()
-	if snap.empty || snap.tree == nil {
+	if snap.tree == nil {
 		return e.rebuildLocked()
 	}
-	vo := e.valueOrder(e.corpusLocked())
-	e.vo = vo
-	e.snap.Store(&snapshot{tree: snap.tree.Reordered(vo), expand: snap.expand, t2n: snap.t2n})
+	e.vo = e.valueOrder()
+	e.snap.Store(&snapshot{tree: snap.tree.Reordered(e.vo), expand: snap.expand, t2n: snap.t2n})
 	return nil
 }
 
@@ -681,26 +541,24 @@ func (e *Engine) SetConfig(cfg Config) {
 	if cfg.Search == 0 {
 		cfg.Search = e.cfg.Search
 	}
-	// Aggregation is a construction-time layout decision (the poset either
-	// holds the corpus or the dense slice does); a zero-value cfg must not
-	// silently discard it.
-	cfg.Aggregate = e.cfg.Aggregate
 	e.cfg = cfg
 	if snap := e.snap.Load(); !snap.empty {
 		e.snap.Store(&snapshot{})
 	}
 }
 
-// lazySnapshot resolves a stale snapshot: it (re)builds the automaton under
-// the writer mutex, unless a concurrent writer already did, and returns the
-// resulting built or empty snapshot (never a stale one). Matching needs the
-// whole snapshot, not just the tree: under aggregation the expansion image
-// and slot table published alongside it must come from the same build.
-func (e *Engine) lazySnapshot() (*snapshot, error) {
+// current returns the engine's snapshot with a pending lazy build resolved:
+// built or empty, never stale. The stale case (re)builds the index under the
+// writer mutex, unless a concurrent writer already did. Matching needs the
+// whole snapshot, not just the tree: the expansion image and slot table
+// published alongside it must come from the same build.
+func (e *Engine) current() (*snapshot, error) {
+	if snap := e.snap.Load(); snap.empty || snap.tree != nil {
+		return snap, nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	snap := e.snap.Load()
-	if snap.empty || snap.tree != nil {
+	if snap := e.snap.Load(); snap.empty || snap.tree != nil {
 		return snap, nil
 	}
 	if err := e.rebuildLocked(); err != nil {
@@ -732,66 +590,28 @@ func (e *Engine) Match(vals []float64) ([]predicate.ID, int, error) {
 //
 //genas:hotpath
 func (e *Engine) matchIDs(vals []float64, dst []predicate.ID) (ids []predicate.ID, ops int, empty bool, err error) {
-	snap := e.snap.Load()
+	snap, err := e.current()
+	if err != nil {
+		return dst, 0, false, err
+	}
 	if snap.empty {
 		return dst, 0, true, nil
 	}
-	if snap.tree == nil {
-		snap, err = e.lazySnapshot()
-		if err != nil {
-			return dst, 0, false, err
-		}
-		if snap.empty {
-			return dst, 0, true, nil
-		}
-	}
-	t := snap.tree
-	matched, matchOps := t.Match(vals)
-	ids = dst
-	if ids == nil {
-		ids = make([]predicate.ID, 0, len(matched))
-	}
-	if snap.expand != nil {
-		// Aggregated: the tree matched canonical roots; expand them through
-		// the poset image into concrete subscription ids, charging the
-		// descent evaluations to the event like tree comparisons.
-		var expOps int
-		ids, expOps = snap.expand.Expand(vals, matched, snap.t2n, t, ids)
-		return ids, matchOps + expOps, false, nil
-	}
-	profiles := t.Profiles()
-	if t.HasDead() {
-		for _, pi := range matched {
-			if t.Dead(pi) {
-				continue
-			}
-			ids = append(ids, profiles[pi].ID)
-		}
-	} else {
-		for _, pi := range matched {
-			ids = append(ids, profiles[pi].ID)
-		}
-	}
-	return ids, matchOps, false, nil
+	ids, ops = snap.match(vals, dst)
+	return ids, ops, false, nil
 }
 
 // Tree exposes the current automaton (nil until first built). A stale
 // snapshot (pending lazy rebuild) is resolved first, so the returned tree
 // reflects the current corpus and configuration; it may be superseded by
-// the time the caller inspects it.
+// the time the caller inspects it. It indexes the poset's roots: its
+// profiles are canonical representatives, not subscriptions.
 func (e *Engine) Tree() *tree.Tree {
-	snap := e.snap.Load()
-	if snap.empty {
+	snap, err := e.current()
+	if err != nil {
 		return nil
 	}
-	if snap.tree != nil {
-		return snap.tree
-	}
-	sn, err := e.lazySnapshot()
-	if err != nil || sn == nil {
-		return nil
-	}
-	return sn.tree
+	return snap.tree
 }
 
 // Analyze runs the analytic cost model (Eq. 2) under the engine's event
@@ -817,46 +637,16 @@ func (e *Engine) Analyze() (selectivity.Analysis, error) {
 	return selectivity.Analyze(t, ed), nil
 }
 
-// AggStats summarizes the aggregation layer's shape. Enabled is false on an
-// unaggregated filter, where the other fields are zero.
-type AggStats struct {
-	// Enabled reports whether canonical aggregation is active.
-	Enabled bool
-	// Subscriptions is the concrete subscription count.
-	Subscriptions int
-	// Nodes is the canonical node count — the real index size driver.
-	Nodes int
-	// Roots is the number of nodes the automaton actually indexes.
-	Roots int
-	// MaxDepth is the longest covering chain, in nodes (max across shards
-	// for a sharded filter).
-	MaxDepth int
-}
+// AggStats summarizes the shape of the index: subscriptions, canonical nodes,
+// the roots the automaton indexes and the longest covering chain (for a
+// sharded filter the counts add and the depth is the worst shard's).
+type AggStats = agg.Stats
 
-// Ratio returns profiles-per-canonical-node — the aggregation compression
-// factor (0 when empty or disabled).
-func (s AggStats) Ratio() float64 {
-	if s.Nodes == 0 {
-		return 0
-	}
-	return float64(s.Subscriptions) / float64(s.Nodes)
-}
-
-// AggStats reports the aggregation layer's shape.
+// AggStats reports the shape of the index.
 func (e *Engine) AggStats() AggStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.agg == nil {
-		return AggStats{}
-	}
-	st := e.agg.Stats()
-	return AggStats{
-		Enabled:       true,
-		Subscriptions: st.Subscriptions,
-		Nodes:         st.Nodes,
-		Roots:         st.Roots,
-		MaxDepth:      st.MaxDepth,
-	}
+	return e.agg.Stats()
 }
 
 // Account returns the live operation accounting summary.

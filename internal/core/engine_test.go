@@ -321,13 +321,14 @@ func TestMatchBatch(t *testing.T) {
 	}
 }
 
-// TestAggregatedRemoveCoalesces: under aggregation the edit budget counts
+// TestAggregatedRemoveCoalesces: the edit budget counts the automaton edits of
 // unsubscribes too, and the one that spends it pays the coalescing rebuild
-// itself. Adds land on odd edits and removes on even ones here, so the
-// 128-edit floor of coalesceThreshold falls on a remove.
+// itself. Every add here indexes a new root and every remove tombstones it,
+// so adds land on odd edits and removes on even ones, and the 128-edit floor
+// of coalesceThreshold falls on a remove.
 func TestAggregatedRemoveCoalesces(t *testing.T) {
 	s := testSchema(t)
-	e := NewEngine(s, Config{Aggregate: true})
+	e := NewEngine(s, Config{})
 	if err := e.AddProfile(predicate.MustParse(s, "keep", "profile(x = 1)")); err != nil {
 		t.Fatal(err)
 	}
@@ -350,5 +351,136 @@ func TestAggregatedRemoveCoalesces(t *testing.T) {
 	}
 	if ids, _, err := e.Match([]float64{1, 63}); err != nil || len(ids) != 1 || ids[0] != "keep" {
 		t.Errorf("coalesced index matched %v, %v; want [keep]", ids, err)
+	}
+}
+
+// TestCoalescingCountsAutomatonEdits: a subscriber joining or leaving a
+// structure the poset already holds touches neither the automaton nor the
+// node table, so no number of them may trigger a rebuild; the budget of
+// 2 x nodes (at least 128) is spent by index edits only, and spending it
+// rebuilds exactly once.
+func TestCoalescingCountsAutomatonEdits(t *testing.T) {
+	s := testSchema(t)
+	e := NewEngine(s, Config{})
+	for i := 0; i < 100; i++ {
+		if err := e.AddProfile(predicate.MustParse(s, predicate.ID(fmt.Sprintf("r%d", i)), fmt.Sprintf("profile(x = %d)", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built := e.Tree()
+	if built == nil {
+		t.Fatal("no tree built")
+	}
+	for i := 0; i < 1000; i++ {
+		// Spelled differently each time, interned onto the same node.
+		twin := predicate.MustParse(s, "twin", fmt.Sprintf("profile(x in [%d,%d])", i%100, i%100))
+		if err := e.AddProfile(twin); err != nil {
+			t.Fatal(err)
+		}
+		if ids, _, err := e.Match([]float64{float64(i % 100), 0}); err != nil || len(ids) != 2 {
+			t.Fatalf("pair %d: matched %v, %v; want the root and its twin", i, ids, err)
+		}
+		if err := e.RemoveProfile(twin.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Tree() != built || e.edits != 0 {
+		t.Fatalf("1000 interning hits rebuilt the tree (%v) or spent %d edits", e.Tree() != built, e.edits)
+	}
+
+	// 100 nodes: the budget is 200 root edits. Each pair below spends two.
+	rebuilds, last := 0, built
+	for i := 0; i < 100; i++ {
+		if err := e.AddProfile(predicate.MustParse(s, "tmp", fmt.Sprintf("profile(y = %d)", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RemoveProfile("tmp"); err != nil {
+			t.Fatal(err)
+		}
+		// A rebuilt tree has no tombstones; every patched successor since
+		// the first edit carries some.
+		if now := e.Tree(); now != last && !now.HasDead() {
+			rebuilds++
+		}
+		last = e.Tree()
+	}
+	if rebuilds != 1 || e.edits != 0 {
+		t.Fatalf("200 root edits on 100 nodes rebuilt %d times and left %d edits, want one rebuild on the 200th", rebuilds, e.edits)
+	}
+}
+
+// TestCoveredChurnStaysBounded: distinct structures that come and go beneath
+// a coverer never edit the automaton, but each leaves a hole in the poset's
+// node table that only a rebuild's Compact reclaims. They are charged to the
+// edit budget, so the table — and with it the published image, every Add's
+// link scan and the expansion's mark array — stays proportional to the live
+// nodes however long the churn runs.
+func TestCoveredChurnStaysBounded(t *testing.T) {
+	s := testSchema(t)
+	e := NewEngine(s, Config{})
+	if err := e.AddProfile(predicate.MustParse(s, "wide", "profile(x in [0,100])")); err != nil {
+		t.Fatal(err)
+	}
+	built := e.Tree()
+	const pairs = 2000
+	rebuilds, last := 0, built
+	for i := 0; i < pairs; i++ {
+		// A different structure each time: [lo, lo+1] for 2000 distinct lo.
+		lo := float64(i) * 0.04
+		p := predicate.MustParse(s, "covered", fmt.Sprintf("profile(x in [%g,%g])", lo, lo+1))
+		if err := e.AddProfile(p); err != nil {
+			t.Fatal(err)
+		}
+		if ids, _, err := e.Match([]float64{lo + 0.5, 0}); err != nil || len(ids) != 2 {
+			t.Fatalf("pair %d: matched %v, %v; want the coverer and the covered node", i, ids, err)
+		}
+		if err := e.RemoveProfile(p.ID); err != nil {
+			t.Fatal(err)
+		}
+		// At most 2 live nodes: the budget is 128 edits, so the table never
+		// holds more than 2 + 128 slots (3 chunks of 64).
+		if slots := e.snap.Load().expand.Slots(); slots > 192 {
+			t.Fatalf("pair %d: the published image spans %d node slots for %d live nodes", i, slots, e.agg.NodeCount())
+		}
+		if now := e.Tree(); now != last {
+			rebuilds++
+			last = now
+		}
+	}
+	// Two edits a pair against a budget of 128: one rebuild every 64 pairs.
+	if want := pairs * 2 / 128; rebuilds != want {
+		t.Fatalf("%d covered pairs rebuilt %d times, want %d", pairs, rebuilds, want)
+	}
+	if st := e.AggStats(); st.Nodes != 1 || st.Roots != 1 || st.Subscriptions != 1 {
+		t.Fatalf("after the churn: %+v, want the one wide root", st)
+	}
+}
+
+// TestMatchAllocatesOnce: the expansion sizes its result by the subscriptions
+// the walk accepted, not by the roots the tree matched, so a root shared by
+// several subscribers with a covered node beneath it costs one allocation —
+// the id slice — not one per doubling.
+func TestMatchAllocatesOnce(t *testing.T) {
+	s := testSchema(t)
+	e := NewEngine(s, Config{})
+	for i := 0; i < 5; i++ {
+		if err := e.AddProfile(predicate.MustParse(s, predicate.ID(fmt.Sprintf("m%d", i)), "profile(x in [10,20])")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := e.AddProfile(predicate.MustParse(s, predicate.ID(fmt.Sprintf("c%d", i)), "profile(x in [12,18]; y <= 50)")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ev := []float64{15, 5}
+	if ids, _, err := e.Match(ev); err != nil || len(ids) != 8 {
+		t.Fatalf("matched %v, %v; want all 8 subscriptions", ids, err)
+	}
+	if st := e.AggStats(); st.Roots != 1 || st.Nodes != 2 {
+		t.Fatalf("index shape %+v, want one root over one covered node", st)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _, _, _ = e.Match(ev) }); allocs != 1 {
+		t.Errorf("Match allocated %.1f times per event, want exactly 1", allocs)
 	}
 }

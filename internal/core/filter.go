@@ -22,7 +22,8 @@ type Filter interface {
 	RemoveProfile(id predicate.ID) error
 	// ProfileCount returns the number of registered profiles.
 	ProfileCount() int
-	// Profiles returns a copy of the registered profiles.
+	// Profiles returns the registered profiles, each carrying its canonical
+	// structure's first spelling.
 	Profiles() []*predicate.Profile
 	// Match filters one event, returning matched ids and operations spent.
 	Match(vals []float64) ([]predicate.ID, int, error)
@@ -40,8 +41,8 @@ type Filter interface {
 	SetConfig(cfg Config)
 	// SetEventDists replaces P_e (the adaptive component's entry point).
 	SetEventDists(ds []dist.Dist)
-	// AggStats reports the canonical-aggregation layer's shape (Enabled is
-	// false, with zero counters, on an unaggregated filter).
+	// AggStats reports the shape of the index: subscriptions, canonical
+	// nodes, indexed roots, covering depth.
 	AggStats() AggStats
 	// Account returns the live operation accounting summary.
 	Account() stats.Summary

@@ -5,13 +5,11 @@ import (
 	"runtime"
 	"sync"
 
-	"genas/internal/agg"
 	"genas/internal/dist"
 	"genas/internal/predicate"
 	"genas/internal/schema"
 	"genas/internal/selectivity"
 	"genas/internal/stats"
-	"genas/internal/tree"
 )
 
 // Sharded is an N-way partitioned filter: profiles are hashed across N
@@ -186,51 +184,27 @@ func (sh *Sharded) MatchBatch(events [][]float64, workers int) ([]BatchResult, e
 	if len(events) == 0 {
 		return nil, nil
 	}
-	type shardSnap struct {
-		t        *tree.Tree
-		profiles []*predicate.Profile
-		expand   *agg.Snapshot
-		t2n      []int32
-	}
-	snaps := make([]shardSnap, 0, len(sh.shards))
+	snaps := make([]*snapshot, 0, len(sh.shards))
 	for _, e := range sh.shards {
-		s := e.snap.Load()
-		if !s.empty && s.tree == nil {
-			var err error
-			s, err = e.lazySnapshot()
-			if err != nil {
-				return nil, err
-			}
+		s, err := e.current()
+		if err != nil {
+			return nil, err
 		}
-		if s.empty || s.tree == nil {
-			continue
+		if !s.empty {
+			snaps = append(snaps, s)
 		}
-		snaps = append(snaps, shardSnap{t: s.tree, profiles: s.tree.Profiles(), expand: s.expand, t2n: s.t2n})
 	}
 	results := make([]BatchResult, len(events))
 	if len(snaps) == 0 {
-		return results, nil
+		return results, nil // an empty filter matches nothing and accounts nothing
 	}
 	runBatch(len(events), workers, func(i int) {
-		var ids []predicate.ID
-		ops := 0
-		for _, sn := range snaps {
-			matched, o := sn.t.Match(events[i])
-			ops += o
-			if sn.expand != nil {
-				var expOps int
-				ids, expOps = sn.expand.Expand(events[i], matched, sn.t2n, sn.t, ids)
-				ops += expOps
-				continue
-			}
-			for _, pi := range matched {
-				if sn.t.Dead(pi) {
-					continue
-				}
-				ids = append(ids, sn.profiles[pi].ID)
-			}
+		r := &results[i]
+		for _, s := range snaps {
+			var ops int
+			r.IDs, ops = s.match(events[i], r.IDs)
+			r.Ops += ops
 		}
-		results[i] = BatchResult{IDs: ids, Ops: ops}
 	})
 	for _, r := range results {
 		sh.record(r.Ops, len(r.IDs))
@@ -306,16 +280,10 @@ func (sh *Sharded) AggStats() AggStats {
 	var out AggStats
 	for _, e := range sh.shards {
 		st := e.AggStats()
-		if !st.Enabled {
-			continue
-		}
-		out.Enabled = true
 		out.Subscriptions += st.Subscriptions
 		out.Nodes += st.Nodes
 		out.Roots += st.Roots
-		if st.MaxDepth > out.MaxDepth {
-			out.MaxDepth = st.MaxDepth
-		}
+		out.MaxDepth = max(out.MaxDepth, st.MaxDepth)
 	}
 	return out
 }
@@ -333,8 +301,8 @@ func (sh *Sharded) ResetAccount() {
 
 // Analyze merges the analytic cost model across shards. Expected operations
 // add (every event visits every shard); the match probability combines as
-// 1−Π(1−pᵢ) under the shards' independent corpora; per-profile costs align
-// with Profiles() order.
+// 1−Π(1−pᵢ) under the shards' independent corpora; PerProfile holds one entry
+// per indexed root (selectivity.Analysis), in shard order.
 func (sh *Sharded) Analyze() (selectivity.Analysis, error) {
 	var out selectivity.Analysis
 	nonEmpty := 0

@@ -319,8 +319,8 @@ func TestShardedAnalyze(t *testing.T) {
 	if a.MatchProb <= 0 || a.MatchProb > 1 {
 		t.Errorf("MatchProb = %v", a.MatchProb)
 	}
-	if len(a.PerProfile) != sharded.ProfileCount() {
-		t.Errorf("PerProfile = %d entries for %d profiles", len(a.PerProfile), sharded.ProfileCount())
+	if roots := sharded.AggStats().Roots; len(a.PerProfile) != roots || roots >= sharded.ProfileCount() {
+		t.Errorf("PerProfile = %d entries for %d indexed roots of %d profiles", len(a.PerProfile), roots, sharded.ProfileCount())
 	}
 	if len(a.PerLevelOps) != s.N() {
 		t.Errorf("PerLevelOps = %d entries for %d attributes", len(a.PerLevelOps), s.N())

@@ -55,8 +55,9 @@ type Options struct {
 	// Node is this daemon's name in the overlay (required, unique among
 	// neighbors).
 	Node string
-	// Covering enables covering-based pruning of each link's filter engine
-	// (on by default in genasd; equivalent routes keep the smallest id).
+	// Covering makes RouteCount and the routes counter report only the
+	// uncovered routes of a link (on by default in genasd). Every link's
+	// filter engine indexes just those whether or not it is set.
 	Covering bool
 	// DialTimeout bounds one connect+handshake attempt (default 5s).
 	DialTimeout time.Duration

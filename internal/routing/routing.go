@@ -39,10 +39,10 @@ var (
 
 // Options configure a Network.
 type Options struct {
-	// Covering enables covering-based propagation pruning: link engines run
-	// in aggregated mode, so each route install is one incremental covering-
-	// poset insertion instead of an O(n²) rescan of the whole route set, and
-	// only uncovered (root) routes are indexed for forwarding decisions.
+	// Covering makes RouteCount report only the uncovered (root) routes of a
+	// link. The link engines index just those either way: each route install
+	// is one incremental covering-poset insertion instead of an O(n²) rescan
+	// of the whole route set.
 	Covering bool
 	// Engine configures every filter engine in the overlay (local and
 	// per-link).

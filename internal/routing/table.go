@@ -32,19 +32,20 @@ type Msg struct {
 // nothing weaker. In-process nodes (Network) send by calling the neighbour,
 // daemons (federation.Fed) by encoding onto the link's queue.
 type Table struct {
-	sch   *schema.Schema
-	cfg   core.Config
-	links map[string]*link
+	sch      *schema.Schema
+	cfg      core.Config
+	covering bool // RouteCount reports uncovered routes only
+	links    map[string]*link
 
 	forwarded atomic.Uint64 // link crossings Route accepted
 	filtered  atomic.Uint64 // link crossings avoided by early rejection
 }
 
 // link is the routing state toward one neighbour: the profiles subscribed in
-// that direction and the filter engine deciding forwards. With covering the
-// engine runs in aggregated mode: its poset keeps covered routes registered
-// (so withdrawing their coverer re-arms them) but indexes and counts only the
-// uncovered ones, one incremental poset mutation per route change.
+// that direction and the filter engine deciding forwards. The engine's poset
+// keeps covered routes registered (so withdrawing their coverer re-arms them)
+// but indexes only the uncovered ones, one incremental poset mutation per
+// route change.
 type link struct {
 	routes map[predicate.ID]*predicate.Profile
 	engine *core.Engine
@@ -54,11 +55,11 @@ type link struct {
 	broken error
 }
 
-// NewTable creates an empty table. Every link engine is configured by cfg;
-// covering enables covering-based pruning of each link's route set.
+// NewTable creates an empty table. Every link engine is configured by cfg and
+// prunes covered routes from its index either way; covering selects what
+// RouteCount reports.
 func NewTable(s *schema.Schema, cfg core.Config, covering bool) *Table {
-	cfg.Aggregate = covering
-	return &Table{sch: s, cfg: cfg, links: make(map[string]*link)}
+	return &Table{sch: s, cfg: cfg, covering: covering, links: make(map[string]*link)}
 }
 
 // fanout appends one message about id for every link except from.
@@ -182,25 +183,25 @@ func (l *link) accepts(vals []float64) (bool, error) {
 	if l.broken != nil {
 		return false, l.broken
 	}
-	if l.engine.ProfileCount() == 0 {
+	if len(l.routes) == 0 {
 		return false, nil
 	}
 	ids, _, err := l.engine.Match(vals)
 	return len(ids) > 0, err
 }
 
-// RouteCount returns the number of uncovered routes toward the named link (0
-// when it is not attached). With covering that is the link poset's root
-// count: covered routes stay registered but uncounted.
+// RouteCount returns the number of routes toward the named link (0 when it is
+// not attached). With covering that is the link poset's root count: covered
+// routes stay registered but uncounted.
 func (t *Table) RouteCount(name string) int {
 	l, ok := t.links[name]
 	if !ok {
 		return 0
 	}
-	if st := l.engine.AggStats(); st.Enabled {
-		return st.Roots
+	if t.covering {
+		return l.engine.AggStats().Roots
 	}
-	return l.engine.ProfileCount()
+	return len(l.routes)
 }
 
 // Counters returns how many link crossings Route accepted and how many it

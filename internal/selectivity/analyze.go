@@ -29,7 +29,9 @@ type Analysis struct {
 	PerLevelOps   []float64
 	PerLevelMatch []float64
 	PerLevelR0    []float64
-	// PerProfile is indexed by dense profile index.
+	// PerProfile is indexed by the tree's dense profile index. For an
+	// engine's tree that is one entry per indexed root — a canonical
+	// structure no other covers — not one per subscription.
 	PerProfile []ProfileCost
 }
 

@@ -191,7 +191,6 @@ func cloneReordered(old *Node, vo ValueOrder, memo map[*Node]*Node) *Node {
 		Attr:      old.Attr,
 		discrete:  old.discrete,
 		nSubrange: old.nSubrange,
-		key:       old.key,
 		extra:     old.extra,
 	}
 	n.edges = make([]Edge, len(old.edges))

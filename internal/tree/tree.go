@@ -160,8 +160,6 @@ type Node struct {
 	// discrete marks integer/categorical attribute domains, where hash
 	// search can index individual values.
 	discrete bool
-	// key is the memoization key (level + alive profile set).
-	key string
 }
 
 // Edges exposes the node's edges (shared slice; callers must not mutate).
@@ -343,7 +341,6 @@ func (t *Tree) build(alive []int, level int, memo map[string]*Node) *Node {
 	n := &Node{
 		Level:    level,
 		Attr:     attr,
-		key:      key,
 		discrete: dom.Kind() != schema.KindNumeric,
 	}
 	last := level == t.schema.N()-1

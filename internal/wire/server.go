@@ -497,13 +497,12 @@ func (s *Server) dispatch(cs *connState, in *Inbound, req Request) (Response, er
 		if a := s.brk.Adaptor(); a != nil {
 			payload.Restructures = a.Restructures()
 		}
-		if ag := st.Aggregation; ag.Enabled {
-			payload.Aggregated = true
-			payload.CanonicalNodes = ag.Nodes
-			payload.CanonicalRoots = ag.Roots
-			payload.PosetDepth = ag.MaxDepth
-			payload.ProfilesPerCanonical = ag.Ratio()
-		}
+		ag := st.Aggregation
+		payload.Aggregated = true
+		payload.CanonicalNodes = ag.Nodes
+		payload.CanonicalRoots = ag.Roots
+		payload.PosetDepth = ag.MaxDepth
+		payload.ProfilesPerCanonical = ag.Ratio()
 		if s.overlay != nil {
 			payload.Node, payload.Peers, payload.Forwarded, payload.Filtered = s.overlay.Stats()
 			payload.ProtoV2Peers = s.overlay.ProtoV2Peers()

@@ -190,7 +190,7 @@ type StatsPayload struct {
 	FilterOps     uint64  `json:"filter_ops"`
 	MeanOps       float64 `json:"mean_ops"`
 	Restructures  int     `json:"restructures,omitempty"`
-	// Aggregation counters (aggregated daemons only): distinct canonical
+	// Aggregation counters (aggregated is always true): distinct canonical
 	// predicate nodes, uncovered roots the automaton indexes, the longest
 	// covering chain, and subscriptions-per-canonical-node.
 	Aggregated           bool    `json:"aggregated,omitempty"`

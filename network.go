@@ -14,9 +14,10 @@ type Network struct {
 // NetworkStats is the overlay-wide counter snapshot.
 type NetworkStats = routing.Stats
 
-// NewNetwork creates a distributed broker overlay over the schema. With
-// covering enabled, profiles covered by already-propagated profiles are not
-// re-propagated (Siena-style optimization).
+// NewNetwork creates a distributed broker overlay over the schema. Every
+// link filter indexes only the profiles no other profile of that link covers
+// (Siena-style optimization); with covering enabled the per-link route
+// counts report just those, too.
 func NewNetwork(sch *Schema, covering bool) *Network {
 	return &Network{nw: routing.NewNetwork(sch, routing.Options{Covering: covering})}
 }
