@@ -86,7 +86,10 @@ type RemoteNotification struct {
 	Profile string
 	// Seq is the daemon's sequence number for the event.
 	Seq uint64
-	// Event is the payload as attribute name → value.
+	// Event is the payload as attribute name → value. The notifications one
+	// event caused on a connection share one map — the rule in-process
+	// subscribers live under, where every Notification of an event shares
+	// Event.Vals: read it, copy it before changing it.
 	Event map[string]float64
 }
 
@@ -142,10 +145,17 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 }
 
 // convertNotifications adapts the wire notification stream (maps on v1,
-// slot vectors on v2) to RemoteNotification values.
+// slot vectors on v2) to RemoteNotification values. A connection's daemon
+// numbers every event once, so consecutive notifications with one Seq are one
+// event's, and its map is built once.
 func (c *Client) convertNotifications() {
+	var seq uint64
+	var ev map[string]float64
 	for resp := range c.c.Notifications() {
-		n := RemoteNotification{Profile: resp.Profile, Seq: resp.Seq, Event: c.c.EventMap(resp)}
+		if ev == nil || resp.Seq != seq {
+			seq, ev = resp.Seq, c.c.EventMap(resp)
+		}
+		n := RemoteNotification{Profile: resp.Profile, Seq: resp.Seq, Event: ev}
 		select {
 		case c.notifs <- n:
 		default: // drop when the consumer lags; mirrors broker policy

@@ -2,7 +2,9 @@ package genas
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -111,6 +113,54 @@ func TestDialClient(t *testing.T) {
 	}
 	if err := c.Unsubscribe("hot"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoteNotificationsShareTheEvent: the notifications one event causes on
+// a connection carry one Event map between them, whichever protocol delivered
+// them, and the next event gets a map of its own.
+func TestRemoteNotificationsShareTheEvent(t *testing.T) {
+	sch := monitoringSchema(t)
+	addr := startPlainDaemon(t, sch, false)
+	for _, proto := range []Protocol{V1, V2} {
+		c, err := Dial(addr, WithDialTimeout(5*time.Second), WithProtocol(proto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = c.Close() }()
+		for _, id := range []string{"warm", "hot"} {
+			if err := c.Subscribe(fmt.Sprint(id, proto), "profile(temperature >= 35)", 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, temp := range []float64{40, 45} {
+			if _, err := c.PublishValues(temp, 10, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []RemoteNotification
+		for len(got) < 4 {
+			select {
+			case n := <-c.Notifications():
+				got = append(got, n)
+			case <-time.After(2 * time.Second):
+				t.Fatalf("protocol %v: notification %d never arrived", proto, len(got))
+			}
+		}
+		same := func(a, b map[string]float64) bool {
+			return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+		}
+		if got[0].Seq != got[1].Seq || !same(got[0].Event, got[1].Event) || got[0].Event["temperature"] != 40 {
+			t.Errorf("protocol %v: first event's notifications %+v and %+v do not share one map", proto, got[0], got[1])
+		}
+		if got[2].Seq != got[3].Seq || !same(got[2].Event, got[3].Event) || same(got[1].Event, got[2].Event) || got[2].Event["temperature"] != 45 {
+			t.Errorf("protocol %v: second event's notifications %+v and %+v", proto, got[2], got[3])
+		}
+		for _, id := range []string{"warm", "hot"} {
+			if err := c.Unsubscribe(fmt.Sprint(id, proto)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

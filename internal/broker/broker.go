@@ -53,15 +53,16 @@ type Notification struct {
 }
 
 // sharedChan is a delivery channel possibly shared by several subscriptions
-// (group delivery). The channel closes when the last member unsubscribes.
+// (a Queue). The channel closes when the last reference is released: every
+// member holds one, and so does a queue's owner until it closes the queue.
 type sharedChan struct {
 	ch     chan Notification
 	refs   atomic.Int32
 	closed atomic.Bool
 }
 
-// release drops one member reference and closes the channel when none
-// remain.
+// release drops one reference and closes the channel when none remain.
+// Caller holds regMu.
 func (sc *sharedChan) release() {
 	if sc.refs.Add(-1) == 0 && sc.closed.CompareAndSwap(false, true) {
 		close(sc.ch)
@@ -300,7 +301,17 @@ func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscriptio
 	}
 	b.regMu.Lock()
 	defer b.regMu.Unlock()
-	if b.closed.Load() {
+	return b.register(p, &sharedChan{ch: make(chan Notification, o.Buffer)}, o.Policy)
+}
+
+// register is the one registration routine: it makes p a member of the
+// delivery channel sc — a fresh one (SubscribeWith) or one that other
+// subscriptions already deliver into (Queue.Subscribe, and through it
+// SubscribeGroup). Caller holds regMu, which also serializes it with every
+// release of sc: a channel found open here cannot close before the member
+// holds its reference.
+func (b *Broker) register(p *predicate.Profile, sc *sharedChan, policy DropPolicy) (*Subscription, error) {
+	if b.closed.Load() || sc.closed.Load() {
 		return nil, ErrClosed
 	}
 	shard := b.shardFor(p.ID)
@@ -310,9 +321,7 @@ func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscriptio
 	if dup {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateSub, p.ID)
 	}
-	sc := &sharedChan{ch: make(chan Notification, o.Buffer)}
-	sc.refs.Store(1)
-	sub := &Subscription{id: p.ID, profile: p, shared: sc, policy: o.Policy, done: make(chan struct{})}
+	sub := &Subscription{id: p.ID, profile: p, shared: sc, policy: policy, done: make(chan struct{})}
 	// Insert into the delivery map before the profile becomes matchable: the
 	// reverse order would let a concurrent Publish match the profile, miss
 	// it in the map and silently lose the notification.
@@ -325,7 +334,55 @@ func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscriptio
 		shard.mu.Unlock()
 		return nil, err
 	}
+	sc.refs.Add(1)
 	return sub, nil
+}
+
+// Queue is a delivery channel that subscriptions join one at a time and
+// leave through Unsubscribe: the consumer is whoever drains C — a
+// connection's forwarder, a group's detector — not the single subscription.
+// Members deliver with the non-blocking DropNewest policy into the one
+// buffer. The owner holds a reference of its own, so the channel stays open
+// between subscriptions and closes once the owner has called Close and the
+// last member is gone.
+type Queue struct {
+	b      *Broker
+	shared *sharedChan
+	once   sync.Once
+}
+
+// NewQueue creates an empty queue buffering up to buffer notifications.
+func (b *Broker) NewQueue(buffer int) (*Queue, error) {
+	if buffer <= 0 {
+		return nil, ErrBadBufferSize
+	}
+	q := &Queue{b: b, shared: &sharedChan{ch: make(chan Notification, buffer)}}
+	q.shared.refs.Store(1) // the owner's
+	return q, nil
+}
+
+// C returns the queue's notification channel.
+func (q *Queue) C() <-chan Notification { return q.shared.ch }
+
+// Subscribe registers p as a member of the queue. The profile ID must be
+// unique within the broker.
+func (q *Queue) Subscribe(p *predicate.Profile) (*Subscription, error) {
+	if p == nil {
+		return nil, ErrNilProfile
+	}
+	q.b.regMu.Lock()
+	defer q.b.regMu.Unlock()
+	return q.b.register(p, q.shared, DropNewest)
+}
+
+// Close drops the owner's reference: members stay subscribed until they are
+// unsubscribed, and the channel closes with the last of them.
+func (q *Queue) Close() {
+	q.once.Do(func() {
+		q.b.regMu.Lock()
+		defer q.b.regMu.Unlock()
+		q.shared.release()
+	})
 }
 
 // Group is a set of subscriptions delivering over one ordered channel: all
@@ -355,68 +412,26 @@ func (g *Group) Close() {
 }
 
 // SubscribeGroup registers several profiles that share one notification
-// channel. Registration is atomic: on any failure no profile remains
-// subscribed.
+// channel: a queue whose owner's reference spans only the registration, so the
+// channel closes with the last member. Registration is atomic: on any failure
+// no profile remains subscribed.
 func (b *Broker) SubscribeGroup(buffer int, profiles ...*predicate.Profile) (*Group, error) {
-	if buffer <= 0 {
-		return nil, ErrBadBufferSize
+	q, err := b.NewQueue(buffer)
+	if err != nil {
+		return nil, err
 	}
+	defer q.Close()
 	if len(profiles) == 0 {
 		return nil, ErrNilProfile
 	}
-	b.regMu.Lock()
-	defer b.regMu.Unlock()
-	if b.closed.Load() {
-		return nil, ErrClosed
-	}
-	seen := make(map[predicate.ID]bool, len(profiles))
+	g := &Group{b: b, shared: q.shared}
 	for _, p := range profiles {
-		if p == nil {
-			return nil, ErrNilProfile
-		}
-		shard := b.shardFor(p.ID)
-		shard.mu.RLock()
-		_, dup := shard.subs[p.ID]
-		shard.mu.RUnlock()
-		if dup || seen[p.ID] {
-			return nil, fmt.Errorf("%w: %s", ErrDuplicateSub, p.ID)
-		}
-		seen[p.ID] = true
-	}
-	sc := &sharedChan{ch: make(chan Notification, buffer)}
-	g := &Group{b: b, shared: sc}
-	added := make([]predicate.ID, 0, len(profiles))
-	rollback := func() {
-		for _, id := range added {
-			shard := b.shardFor(id)
-			shard.mu.Lock()
-			sub := shard.subs[id]
-			delete(shard.subs, id)
-			shard.mu.Unlock()
-			_ = b.filter.RemoveProfile(id)
-			if sub != nil {
-				sub.end()
-			}
-		}
-	}
-	for _, p := range profiles {
-		sub := &Subscription{id: p.ID, profile: p, shared: sc, done: make(chan struct{})}
-		shard := b.shardFor(p.ID)
-		// Delivery map first, then the filter — see SubscribeBuffered.
-		shard.mu.Lock()
-		shard.subs[p.ID] = sub
-		shard.mu.Unlock()
-		if err := b.filter.AddProfile(p); err != nil {
-			shard.mu.Lock()
-			delete(shard.subs, p.ID)
-			shard.mu.Unlock()
-			rollback()
+		if _, err := q.Subscribe(p); err != nil {
+			g.Close() // unsubscribes the members registered so far
 			return nil, err
 		}
-		sc.refs.Add(1)
-		added = append(added, p.ID)
+		g.ids = append(g.ids, p.ID)
 	}
-	g.ids = added
 	return g, nil
 }
 

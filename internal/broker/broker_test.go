@@ -417,3 +417,110 @@ func TestGroupOrderingPreserved(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueJoinAndLeave: a queue is one channel that subscriptions join and
+// leave one at a time. The owner's reference keeps it open between
+// subscriptions; it closes once the owner has closed it and the last member
+// is gone, whichever comes last, and a closed queue takes no new member.
+func TestQueueJoinAndLeave(t *testing.T) {
+	b := newBroker(t, Options{Shards: 2})
+	s := b.Schema()
+	if _, err := b.NewQueue(0); !errors.Is(err, ErrBadBufferSize) {
+		t.Error("zero buffer must fail")
+	}
+	q, err := b.NewQueue(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Subscribe(nil); !errors.Is(err, ErrNilProfile) {
+		t.Error("nil profile must fail")
+	}
+	sub, err := q.Subscribe(predicate.MustParse(s, "hot", "profile(temperature >= 30)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Subscribe(predicate.MustParse(s, "hot", "profile(humidity >= 0)")); !errors.Is(err, ErrDuplicateSub) {
+		t.Errorf("duplicate id: %v", err)
+	}
+	if _, err := q.Subscribe(predicate.MustParse(s, "wet", "profile(humidity >= 90)")); err != nil {
+		t.Fatal(err)
+	}
+	// One event, both members, one channel: contiguous, tallied per member.
+	if n, err := b.Publish(event.MustNew(s, 40, 95)); err != nil || n != 2 {
+		t.Fatalf("publish matched %d, %v", n, err)
+	}
+	for i := 0; i < 2; i++ {
+		if n := <-q.C(); n.Event.Seq != 1 {
+			t.Errorf("notification %d: %+v", i, n)
+		}
+	}
+	if sub.Delivered() != 1 {
+		t.Errorf("hot delivered %d", sub.Delivered())
+	}
+	// The last member leaves: the owner still holds the channel open, and a
+	// new member can join it.
+	for _, id := range []predicate.ID{"hot", "wet"} {
+		if err := b.Unsubscribe(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case _, open := <-q.C():
+		t.Fatalf("queue channel yielded (open=%v) while its owner holds it", open)
+	default:
+	}
+	if _, err := q.Subscribe(predicate.MustParse(s, "late", "profile(temperature >= 30)")); err != nil {
+		t.Fatal(err)
+	}
+	// The owner leaves first: the channel outlives it until "late" is gone.
+	q.Close()
+	q.Close() // idempotent
+	if _, err := q.Subscribe(predicate.MustParse(s, "later", "profile(temperature >= 30)")); err != nil {
+		t.Fatal("a member may still join while the channel is open")
+	}
+	if _, err := b.Publish(event.MustNew(s, 40, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Unsubscribe("late"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Unsubscribe("later"); err != nil {
+		t.Fatal(err)
+	}
+	drained := 0
+	for range q.C() { // terminates: the last reference closed the channel
+		drained++
+	}
+	if drained != 2 {
+		t.Errorf("drained %d queued notifications, want 2", drained)
+	}
+	if _, err := q.Subscribe(predicate.MustParse(s, "never", "profile(temperature >= 30)")); !errors.Is(err, ErrClosed) {
+		t.Errorf("join after the channel closed: %v", err)
+	}
+	if b.Stats().Subscriptions != 0 {
+		t.Errorf("members leaked: %d", b.Stats().Subscriptions)
+	}
+}
+
+// TestQueueClosesWithTheBroker: broker shutdown ends every member, so a
+// queue whose owner already left closes; one whose owner has not closes when
+// it does.
+func TestQueueClosesWithTheBroker(t *testing.T) {
+	b := newBroker(t, Options{})
+	s := b.Schema()
+	q, err := b.NewQueue(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Subscribe(predicate.MustParse(s, "x", "profile(temperature >= 0)")); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if _, err := q.Subscribe(predicate.MustParse(s, "y", "profile(temperature >= 0)")); !errors.Is(err, ErrClosed) {
+		t.Errorf("join on a closed broker: %v", err)
+	}
+	q.Close()
+	if _, open := <-q.C(); open {
+		t.Error("queue channel must close once broker and owner are gone")
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"genas/internal/adaptive"
 	"genas/internal/event"
@@ -345,4 +347,79 @@ func TestChurnRaceStress(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestQueueChurnRace races publishers against subscriptions joining and
+// leaving one queue while its consumer drains it, then tears everything down:
+// no send may hit the closed channel, every delivered notification is either
+// consumed or counted as dropped, and the consumer ends with the channel.
+func TestQueueChurnRace(t *testing.T) {
+	s := testSchema(t)
+	b, err := New(s, Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := b.NewQueue(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var consumed atomic.Uint64
+	consumerDone := make(chan struct{})
+	go func() {
+		defer close(consumerDone)
+		for range q.C() {
+			consumed.Add(1)
+		}
+	}()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := b.PublishValues([]float64{float64((i+p)%80 - 30), float64(i % 100)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				id := predicate.ID(fmt.Sprintf("m%d-%d", c, i%5))
+				if _, err := q.Subscribe(predicate.MustParse(s, id, fmt.Sprintf("profile(temperature >= %d)", i%80-30))); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := b.Unsubscribe(id); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	q.Close() // no member is left: the owner's was the last reference
+	select {
+	case <-consumerDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the queue did not close with its last reference")
+	}
+	st := b.Stats()
+	if st.Delivered != consumed.Load() {
+		t.Errorf("delivered %d, consumed %d (dropped %d)", st.Delivered, consumed.Load(), st.Dropped)
+	}
+	b.Close()
 }

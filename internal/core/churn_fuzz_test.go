@@ -144,6 +144,12 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 			if o != w {
 				t.Fatalf("step %d: probe %v: from-scratch engine matched {%s}, direct evaluation says {%s}", step, probe, o, w)
 			}
+			// The yes/no probe of the link filters answers to the same truth.
+			if e, ok := filter.(*Engine); ok {
+				if hit, err := e.MatchAny(probe); err != nil || hit != (len(want) > 0) {
+					t.Fatalf("step %d: probe %v: MatchAny = %v, %v; direct evaluation matched {%s}", step, probe, hit, err, w)
+				}
+			}
 		}
 	}
 

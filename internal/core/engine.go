@@ -582,6 +582,21 @@ func (e *Engine) Match(vals []float64) ([]predicate.ID, int, error) {
 	return ids, ops, nil
 }
 
+// MatchAny reports whether the event matches at least one registered
+// profile — what a link filter asks — without building the id list: a tree
+// slot is live exactly while its canonical node has a subscriber, so the first
+// live matched root answers, tombstones and the empty state handled as Match
+// handles them. The probe is not counted in the operation accounting.
+//
+//genas:hotpath
+func (e *Engine) MatchAny(vals []float64) (bool, error) {
+	snap, err := e.current()
+	if err != nil || snap.empty {
+		return false, err
+	}
+	return snap.tree.MatchAny(vals), nil
+}
+
 // matchIDs is Match without operation accounting, appending matched ids to
 // dst: the sharded engine merges per-shard results into one buffer and
 // accounts once per event at the top level. empty reports that the engine

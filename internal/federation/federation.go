@@ -11,8 +11,10 @@
 // link's engine matches it, and "unnecessary event information is rejected
 // as early as possible" (paper §5) at every hop. This package decides nothing
 // about routes: it is the transport (handshake, codec negotiation, per-link
-// writer queue, reconnect supervision) that feeds peer messages to the table
-// and sends the messages the table returns.
+// outbox and writer, reconnect supervision) that feeds peer messages to the
+// table and sends the messages the table returns. An event is encoded once per
+// codec and copied into the outbox of every link that accepts it; a link's
+// writer sends whatever has gathered there in one write.
 //
 // Link lifecycle: the dialing side owns reconnection — when a link drops,
 // its routes are withdrawn from the remaining links, and on reconnect the
@@ -30,6 +32,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"genas/internal/broker"
@@ -100,12 +103,15 @@ type Fed struct {
 	closed bool
 	done   chan struct{} // closed by Close; wakes supervisor backoffs
 	wg     sync.WaitGroup
+
+	slowCuts atomic.Uint64 // links cut because their peer could not keep up
 }
 
 // peerLink is one TCP link to a neighbor daemon. After the handshake every
-// outbound frame goes through out, drained by a single writer goroutine:
-// frame order per link is preserved (route adds and withdrawals must not
-// reorder) while no caller ever blocks on peer TCP while holding Fed.mu.
+// outbound message goes through the outbox, drained by a single writer
+// goroutine: message order per link is preserved (route adds and withdrawals
+// must not reorder) while no caller ever blocks on peer TCP while holding
+// Fed.mu.
 type peerLink struct {
 	name string
 	conn net.Conn
@@ -114,21 +120,28 @@ type peerLink struct {
 	// link attaches. Only codec is consulted once the link runs.
 	proto wire.Proto
 	codec wire.Codec
-	// out carries encoded frames to the writer goroutine. Enqueues happen
-	// only under Fed.mu (either side — close(out) runs under the write lock,
-	// which is what makes the pair race-free); a full queue means the peer
-	// cannot keep up and poisons the link.
-	out     chan []byte
-	outOnce sync.Once
+	// The outbox: messages gather in buf until the writer swaps it for its
+	// spare and writes them all at once. forwards counts the event frames in
+	// buf; cut poisons the link, once (enqueueLocked). wake tells the writer
+	// buf is not empty: enqueues happen only under Fed.mu (either side) and
+	// close(wake) under its write lock, which is what makes the pair race-free.
+	mu       sync.Mutex
+	buf      []byte
+	forwards int
+	cut      bool
+	wake     chan struct{}
+	wakeOnce sync.Once
 }
 
-// closeOut closes the outbound queue exactly once (dropLink and Close can
-// both reach it).
-func (l *peerLink) closeOut() { l.outOnce.Do(func() { close(l.out) }) }
+// closeOut ends the writer, exactly once (dropLink and Close can both reach
+// it).
+func (l *peerLink) closeOut() { l.wakeOnce.Do(func() { close(l.wake) }) }
 
-// outQueueDepth bounds the per-link outbound queue: deep enough to absorb a
-// full route replay plus a forward burst, small enough that a wedged peer is
-// detected by overflow rather than unbounded memory.
+// outQueueDepth bounds the forward frames waiting in a link's outbox: deep
+// enough to absorb a burst, small enough that a wedged peer is detected by
+// overflow rather than unbounded memory. Route messages do not count: they are
+// bounded by the route tables they mirror, and a replay must arrive in full
+// however large it is.
 const outQueueDepth = 1024
 
 // New creates the federation state for a broker. The returned Fed has no
@@ -372,7 +385,7 @@ func (f *Fed) HandlePeer(conn net.Conn, rd *bufio.Reader, hello wire.Request) {
 
 // newLink allocates a link's state for a fresh connection.
 func (f *Fed) newLink(conn net.Conn) *peerLink {
-	return &peerLink{conn: conn, out: make(chan []byte, outQueueDepth)}
+	return &peerLink{conn: conn, wake: make(chan struct{}, 1)}
 }
 
 // attach registers a live link, starts its writer and sends the route replay
@@ -392,18 +405,10 @@ func (f *Fed) attach(l *peerLink) error {
 		old.closeOut()
 	}
 	f.links[l.name] = l
-	msgs := f.table.Attach(l.name, f.brk.Engine().Profiles())
-
-	// The queue is grown to hold the entire replay before the writer starts:
-	// a route set larger than the steady-state queue must replay in full
-	// rather than overflow, poison the link and flap forever.
-	if need := len(msgs) + outQueueDepth; need > cap(l.out) {
-		l.out = make(chan []byte, need)
-	}
 	f.wg.Add(1)
 	go f.writeLoop(l)
 	f.log.Printf("federation: %s linked to peer %s (%s)", f.name, l.name, l.conn.RemoteAddr())
-	f.send(msgs)
+	f.send(f.table.Attach(l.name, f.brk.Engine().Profiles()))
 	return nil
 }
 
@@ -522,12 +527,12 @@ func (f *Fed) EventPublished(ev event.Event) { f.forward(ev.Vals, routing.Local)
 
 // forward sends an event vector over every link the table accepts it for
 // (never the one it arrived on). The whole path takes only the read lock:
-// matching is lock-free inside the link engines, channel sends are
-// concurrency-safe and closeOut runs only under the write lock, so concurrent
-// publishers of a federated broker never serialize on the overlay state and
-// a link found here cannot close its queue mid-enqueue. Each wire encoding
-// is produced at most once per event per distinct link codec and fanned out
-// to every accepting link that speaks it.
+// matching is lock-free inside the link engines, an outbox has its own mutex
+// and closeOut runs only under the write lock, so concurrent publishers of a
+// federated broker never serialize on the overlay state and a link found here
+// cannot lose its writer mid-enqueue. Each wire encoding is produced at most
+// once per event per distinct link codec, into pooled scratch, and copied into
+// the outbox of every accepting link that speaks it.
 func (f *Fed) forward(vals []float64, from string) {
 	var buf [8]string // keeps the usual fan-out off the heap
 	f.mu.RLock()
@@ -536,41 +541,32 @@ func (f *Fed) forward(vals []float64, from string) {
 	if err != nil {
 		f.log.Printf("federation: forward: %v", err)
 	}
-	var encs encodings
+	if len(targets) == 0 {
+		return // most events at a leaf, and every filtered one
+	}
+	sc := fwdPool.Get().(*fwdScratch)
+	defer fwdPool.Put(sc)
+	sc.enc[0], sc.enc[1] = sc.enc[0][:0], sc.enc[1][:0]
 	req := wire.Request{Op: wire.OpForward, Vals: vals}
 	for _, name := range targets {
 		l := f.links[name]
-		enc, err := encs.of(l.codec, req)
-		if err != nil {
-			f.log.Printf("federation: encode forward frame: %v", err)
-			return
+		enc := &sc.enc[l.proto-wire.ProtoV1]
+		if len(*enc) == 0 {
+			if *enc, err = l.codec.AppendRequest(*enc, req); err != nil {
+				f.log.Printf("federation: encode forward frame: %v", err)
+				return
+			}
 		}
-		f.enqueueBytesLocked(l, enc)
+		f.enqueueLocked(l, *enc, true)
 	}
 }
 
-// encodings caches one message's bytes per distinct link codec, so a fan-out
-// encodes once per codec however many links share it. A Fed's links speak
-// one of two codecs; a third would simply be encoded per use.
-type encodings struct {
-	codecs [2]wire.Codec
-	bytes  [2][]byte
-	n      int
-}
+// fwdScratch holds one event's encoding per link protocol (v1, v2), so a
+// fan-out encodes once per codec however many links share it; pooled, so
+// steady-state forwarding grows no buffer.
+type fwdScratch struct{ enc [2][]byte }
 
-func (e *encodings) of(c wire.Codec, req wire.Request) ([]byte, error) {
-	for i := 0; i < e.n; i++ {
-		if e.codecs[i] == c {
-			return e.bytes[i], nil
-		}
-	}
-	b, err := c.AppendRequest(nil, req)
-	if err == nil && e.n < len(e.codecs) {
-		e.codecs[e.n], e.bytes[e.n] = c, b
-		e.n++
-	}
-	return b, err
-}
+var fwdPool = sync.Pool{New: func() any { return new(fwdScratch) }}
 
 // writeFrame writes one frame directly on a connection — handshake only,
 // before the link's writer goroutine exists.
@@ -586,15 +582,22 @@ func (f *Fed) writeFrame(conn net.Conn, req wire.Request) error {
 	return nil
 }
 
-// writeLoop is the link's single writer: it drains the outbound queue so
-// enqueuers (who hold Fed.mu) never block on peer TCP. A write failure
-// poisons the connection — the link's reader tears it down — and the loop
-// keeps draining so the queue never wedges.
+// writeLoop is the link's single writer: woken when the outbox holds
+// something, it swaps the outbox for its spare buffer and writes everything
+// that gathered in one conn.Write, so enqueuers (who hold Fed.mu) never block
+// on peer TCP. A write failure closes the conn, which makes the link's reader
+// tear the link down; what is queued until then is dropped, not retried.
 func (f *Fed) writeLoop(l *peerLink) {
 	defer f.wg.Done()
+	var spare []byte
 	broken := false
-	for b := range l.out {
-		if broken {
+	for range l.wake {
+		l.mu.Lock()
+		b := l.buf
+		l.buf, l.forwards = spare[:0], 0
+		l.mu.Unlock()
+		spare = b
+		if len(b) == 0 || broken {
 			continue
 		}
 		_ = l.conn.SetWriteDeadline(time.Now().Add(f.opts.WriteTimeout))
@@ -606,28 +609,31 @@ func (f *Fed) writeLoop(l *peerLink) {
 	}
 }
 
-// enqueueLocked encodes one message in the link's codec and queues it for
-// the link's writer; failures surface through the link's teardown/replay
-// cycle. Caller holds Fed.mu (which is what makes the queue-close race-free).
-func (f *Fed) enqueueLocked(l *peerLink, req wire.Request) {
-	b, err := l.codec.AppendRequest(nil, req)
-	if err != nil {
-		f.log.Printf("federation: encode %s frame: %v", req.Op, err)
+// enqueueLocked copies one encoded message into the link's outbox and wakes
+// its writer; failures surface through the link's teardown/replay cycle. An
+// event frame (forward) counts against outQueueDepth: with that many waiting
+// the peer cannot keep up, and the link is poisoned rather than blocking the
+// broker — once: it stays in f.links until its reader has run dropLink, and
+// every enqueue until then finds the flag and leaves. Caller holds Fed.mu.
+func (f *Fed) enqueueLocked(l *peerLink, b []byte, forward bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case l.cut:
 		return
-	}
-	f.enqueueBytesLocked(l, b)
-}
-
-// enqueueBytesLocked queues one encoded message (the forward path encodes
-// once for all target links). A full queue means the peer cannot absorb its
-// frames within the write timeout budget: the link is poisoned rather than
-// blocking the broker.
-func (f *Fed) enqueueBytesLocked(l *peerLink, b []byte) {
-	select {
-	case l.out <- b:
-	default:
-		f.log.Printf("federation: peer %s cannot keep up (%d frames queued); dropping the link", l.name, len(l.out))
+	case forward && l.forwards >= outQueueDepth:
+		l.cut = true
+		f.slowCuts.Add(1)
+		f.log.Printf("federation: peer %s cannot keep up (%d forwards queued); dropping the link", l.name, l.forwards)
 		_ = l.conn.Close()
+		return
+	case forward:
+		l.forwards++
+	}
+	l.buf = append(l.buf, b...)
+	select {
+	case l.wake <- struct{}{}:
+	default: // the writer has a wake-up pending
 	}
 }
 
@@ -639,9 +645,19 @@ func (f *Fed) send(msgs []routing.Msg) {
 		if p := m.Profile; p != nil {
 			req = wire.Request{Op: wire.OpRouteAdd, ID: string(m.ID), Profile: p.Render(f.sch), Priority: p.Priority}
 		}
-		f.enqueueLocked(f.links[m.To], req)
+		l := f.links[m.To]
+		b, err := l.codec.AppendRequest(nil, req)
+		if err != nil {
+			f.log.Printf("federation: encode %s frame: %v", req.Op, err)
+			continue
+		}
+		f.enqueueLocked(l, b, false)
 	}
 }
+
+// SlowCuts counts the links cut because their peer could not keep up with
+// the events forwarded to it.
+func (f *Fed) SlowCuts() uint64 { return f.slowCuts.Load() }
 
 // Stats implements wire.Overlay. forwarded counts the link crossings the
 // table accepted, filtered the ones it avoided.

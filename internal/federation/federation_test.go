@@ -5,13 +5,17 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"genas/internal/broker"
+	"genas/internal/event"
 	"genas/internal/federation"
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -37,6 +41,13 @@ const testSpec = "temperature=numeric[-30,50]; humidity=numeric[0,100]"
 // synchronously (they must already be up).
 func startDaemon(t *testing.T, node, spec string, peers ...string) *daemon {
 	t.Helper()
+	return startDaemonProto(t, node, spec, wire.ProtoAuto, peers...)
+}
+
+// startDaemonProto is startDaemon with a protocol cap: wire.ProtoV1 pins the
+// daemon's client connections and peer links to JSON lines.
+func startDaemonProto(t *testing.T, node, spec string, proto wire.Proto, peers ...string) *daemon {
+	t.Helper()
 	sch, err := schema.ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -50,11 +61,13 @@ func startDaemon(t *testing.T, node, spec string, peers ...string) *daemon {
 		Covering: true,
 		RetryMin: 20 * time.Millisecond,
 		RetryMax: 200 * time.Millisecond,
+		Proto:    proto,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := wire.NewServer(brk, nil)
+	srv.SetMaxProto(proto)
 	srv.SetOverlay(fed)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -720,5 +733,223 @@ func TestMissingNodeRejected(t *testing.T) {
 	}
 	if !strings.Contains(string(buf[:n]), "missing node") {
 		t.Errorf("reply = %q, want a missing-node error", buf[:n])
+	}
+}
+
+// rawPeer accepts one connection on a fresh listener and completes the peer
+// handshake by hand as node "raw" speaking v2, announcing one route that
+// every event matches. It hands the connection over once the handshake is
+// done: what the peer then does with it is the test's business.
+func rawPeer(t *testing.T, sch *schema.Schema) (addr string, conns <-chan net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	out := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		rd := bufio.NewReader(conn)
+		if _, err := wire.ReadLine(rd); err != nil {
+			t.Errorf("raw peer: reading the hello: %v", err)
+			return
+		}
+		hello, _ := wire.EncodeLine(wire.Request{Op: wire.OpHello, Node: "raw", Schema: sch.String(), Proto: int(wire.ProtoV2)})
+		route := wire.AppendRouteAddFrame(nil, "all", "profile(temperature >= -30)", 0)
+		if _, err := conn.Write(append(hello, route...)); err != nil {
+			t.Errorf("raw peer: %v", err)
+			return
+		}
+		out <- conn
+	}()
+	return ln.Addr().String(), out
+}
+
+// TestForwardDoesNotAllocate pins the send path of one hop: deciding that a
+// link accepts an event, encoding it once and copying it into the link's
+// outbox allocates nothing once the buffers are warm, and the link's writer
+// sends what gathered without allocating either.
+func TestForwardDoesNotAllocate(t *testing.T) {
+	a := startDaemon(t, "A", testSpec)
+	addr, conns := rawPeer(t, a.brk.Schema())
+	if err := a.fed.Dial(addr); err != nil {
+		t.Fatal(err)
+	}
+	conn := <-conns
+	defer func() { _ = conn.Close() }()
+	var received atomic.Int64
+	go func() {
+		buf := make([]byte, 4096)
+		for {
+			n, err := conn.Read(buf)
+			received.Add(int64(n))
+			if err != nil {
+				return
+			}
+		}
+	}()
+	waitFor(t, "the raw peer's route", func() bool { return a.fed.RouteCount("raw") == 1 })
+
+	// The whole hop is measured: the events are offered, the link's writer puts
+	// their frames on the wire and the peer reads them. (Mallocs counts every
+	// goroutine of the process; nothing else is running.)
+	ev := event.Event{Vals: []float64{20, 50}}
+	frame := int64(len(wire.AppendForwardFrame(nil, ev.Vals)))
+	var sent int64
+	hop := func(events int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < events; i++ {
+			a.fed.EventPublished(ev)
+		}
+		sent += int64(events) * frame
+		waitFor(t, "the forwarded frames", func() bool { return received.Load() >= sent })
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	hop(100)            // the outbox, its spare and the encoding scratch grow to size
+	const events = 1000 // under outQueueDepth: the writer need not keep up
+	if allocs := hop(events); allocs/events != 0 && !raceEnabled {
+		t.Errorf("forwarding %d accepted events over one v2 link allocated %d times", events, allocs)
+	}
+	if got := received.Load(); got != sent {
+		t.Errorf("peer received %d bytes of the %d forwarded", got, sent)
+	}
+}
+
+func forwardedFiltered(f *federation.Fed) (uint64, uint64) {
+	_, _, fwd, flt := f.Stats()
+	return fwd, flt
+}
+
+// syncLog is a log sink the test can read while goroutines still write.
+type syncLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *syncLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *syncLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestSlowPeerIsCutOnce: a peer that stops reading fills its link's outbox;
+// at outQueueDepth waiting forwards the link is cut — logged once and counted
+// once however many events are still offered to it before its reader has torn
+// it down — its routes are withdrawn and none of its goroutines stays behind.
+func TestSlowPeerIsCutOnce(t *testing.T) {
+	sch, err := schema.ParseSpec(testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk, err := broker.New(sch, broker.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
+	var logs syncLog
+	fed, err := federation.New(brk, federation.Options{Node: "A", Covering: true, Logger: log.New(&logs, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fed.Close()
+	before := runtime.NumGoroutine()
+
+	// A pipe has no buffer: once the peer stops reading, the link's writer
+	// blocks in its first write and everything else gathers in the outbox.
+	ours, theirs := net.Pipe()
+	defer func() { _ = theirs.Close() }()
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		fed.HandlePeer(ours, bufio.NewReader(ours), wire.Request{Op: wire.OpHello, Node: "mute", Schema: sch.String(), Proto: int(wire.ProtoV2)})
+	}()
+	if _, err := wire.ReadLine(bufio.NewReader(theirs)); err != nil { // the hello reply
+		t.Fatal(err)
+	}
+	if _, err := theirs.Write(wire.AppendRouteAddFrame(nil, "all", "profile(temperature >= -30)", 0)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the mute peer's route", func() bool { return fed.RouteCount("mute") == 1 })
+	// From here on the peer never reads again.
+
+	ev := event.Event{Vals: []float64{20, 50}}
+	for i := 0; i < 3000; i++ {
+		fed.EventPublished(ev)
+	}
+	select {
+	case <-handled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the cut link's reader did not return")
+	}
+	if peers := fed.Peers(); len(peers) != 0 || fed.RouteCount("mute") != 0 {
+		t.Errorf("after the cut: peers %v, %d routes toward the peer", peers, fed.RouteCount("mute"))
+	}
+	if n := strings.Count(logs.String(), "cannot keep up"); n != 1 || fed.SlowCuts() != 1 {
+		t.Errorf("%d \"cannot keep up\" log lines and %d counted cuts, want one of each:\n%s", n, fed.SlowCuts(), logs.String())
+	}
+	if n := strings.Count(logs.String(), "write to mute"); n > 1 {
+		t.Errorf("the cut link's writer logged %d failed writes, want at most the one in flight:\n%s", n, logs.String())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines left behind by the cut link", n-before)
+	}
+}
+
+// TestMixedCodecFanOut: a daemon whose two links negotiated different codecs
+// — one neighbour pinned to JSON lines, one speaking frames — forwards one
+// event over both, encoded once for each, in order, and nothing is lost when
+// a burst gathers in the outboxes and leaves in a few writes.
+func TestMixedCodecFanOut(t *testing.T) {
+	a := startDaemonProto(t, "A", testSpec, wire.ProtoV1)
+	b := startDaemon(t, "B", testSpec, a.addr)
+	c := startDaemon(t, "C", testSpec, b.addr)
+	waitFor(t, "B's links", func() bool { return len(b.fed.Peers()) == 2 && len(c.fed.Peers()) == 1 })
+	if n := b.fed.ProtoV2Peers(); n != 1 {
+		t.Fatalf("B speaks v2 on %d links, want exactly the one to C", n)
+	}
+	subA, subC := dial(t, a.addr), dial(t, c.addr)
+	for id, sub := range map[string]*wire.Client{"hotA": subA, "hotC": subC} {
+		if err := sub.Subscribe(id, "profile(temperature >= 35)", 0, rpcTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "routes at B", func() bool { return b.fed.RouteCount("A") == 1 && b.fed.RouteCount("C") == 1 })
+
+	pub := dial(t, b.addr)
+	const events = 200
+	batch := make([][]float64, events)
+	for i := range batch {
+		batch[i] = []float64{35 + float64(i%10), float64(i % 100)}
+	}
+	if _, err := pub.PublishValsBatch(batch, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	for name, sub := range map[string]*wire.Client{"A (lines)": subA, "C (frames)": subC} {
+		for i := 0; i < events; i++ {
+			select {
+			case n := <-sub.Notifications():
+				if got := sub.EventMap(n)["humidity"]; got != float64(i%100) {
+					t.Fatalf("%s: notification %d carries humidity %v: forwards left their order", name, i, got)
+				}
+			case <-time.After(rpcTimeout):
+				t.Fatalf("%s: notification %d of %d never arrived", name, i, events)
+			}
+		}
 	}
 }

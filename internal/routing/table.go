@@ -186,8 +186,7 @@ func (l *link) accepts(vals []float64) (bool, error) {
 	if len(l.routes) == 0 {
 		return false, nil
 	}
-	ids, _, err := l.engine.Match(vals)
-	return len(ids) > 0, err
+	return l.engine.MatchAny(vals)
 }
 
 // RouteCount returns the number of routes toward the named link (0 when it is

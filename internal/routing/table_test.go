@@ -330,3 +330,33 @@ func TestNetworkAndTableChainCountAlike(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteDoesNotAllocate pins the link filter's yes/no probe: deciding
+// which links an event crosses builds no id list, whether a link accepts the
+// event or rejects it, and also on a patched automaton (incremental inserts
+// park profiles in extra sets, tombstones need the liveness test).
+func TestRouteDoesNotAllocate(t *testing.T) {
+	s := testSchema(t)
+	tb := starTable(t, true)
+	tb.Announce("a", predicate.MustParse(s, "hi", "profile(price >= 500)"))
+	var buf [8]string
+	route := func(price float64, want int) {
+		t.Helper()
+		vals := []float64{price, 10}
+		if dst, err := tb.Route(vals, Local, buf[:0]); err != nil || len(dst) != want {
+			t.Fatalf("price %v: routed to %v (%v), want %d links", price, dst, err, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = tb.Route(vals, Local, buf[:0]) }); n != 0 {
+			t.Errorf("price %v: Route allocates %v times per event", price, n)
+		}
+	}
+	route(900, 1) // accepted by a
+	route(100, 0) // rejected by a; b and c hold no routes
+	tb.Announce("a", predicate.MustParse(s, "any", "profile(volume >= 0)"))
+	tb.Announce("a", predicate.MustParse(s, "lo", "profile(price <= 50)"))
+	tb.Withdraw("a", "hi")
+	route(900, 1)
+	tb.Withdraw("a", "any")
+	route(900, 0)
+	route(20, 1)
+}

@@ -211,6 +211,40 @@ func (t *Tree) Match(vals []float64) (matched []int, ops int) {
 	}
 }
 
+// MatchAny reports whether the event matches at least one live (not
+// tombstoned) profile: Match's walk, stopping at the first hit instead of
+// collecting, so it never allocates.
+func (t *Tree) MatchAny(vals []float64) bool {
+	n := t.root
+	for {
+		if t.anyLive(n.extra) {
+			return true
+		}
+		ei, _ := n.step(vals[n.Attr], t.strategy)
+		if ei < 0 {
+			return false
+		}
+		e := &n.edges[ei]
+		if e.Child == nil {
+			return t.anyLive(e.Profiles)
+		}
+		n = e.Child
+	}
+}
+
+// anyLive reports whether ps holds a profile index that is not tombstoned.
+func (t *Tree) anyLive(ps []int) bool {
+	if t.deadCount == 0 {
+		return len(ps) > 0
+	}
+	for _, pi := range ps {
+		if !t.Dead(pi) {
+			return true
+		}
+	}
+	return false
+}
+
 // MatchPath is Match but additionally reports the per-level operations,
 // which the per-profile accounting of Fig. 5(b) needs.
 func (t *Tree) MatchPath(vals []float64) (matched []int, ops int, perLevel []int) {

@@ -32,7 +32,7 @@ type Client struct {
 	nextCid uint32
 
 	pendMu  sync.Mutex
-	pending map[uint32]chan Response
+	pending map[uint32]*waiter
 
 	mu     sync.Mutex
 	closed bool
@@ -78,7 +78,7 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 		proto:   ProtoV1,
 		codec:   lineCodec{},
 		depth:   1,
-		pending: make(map[uint32]chan Response),
+		pending: make(map[uint32]*waiter),
 		notifs:  make(chan Response, 256), // a burst the consumer may lag by before notifications drop
 		done:    make(chan struct{}),
 	}
@@ -116,7 +116,7 @@ func negotiateV2(conn net.Conn, rd *bufio.Reader, timeout time.Duration) (Respon
 		_ = conn.SetDeadline(time.Now().Add(timeout))
 		defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	}
-	hello, err := EncodeLine(Request{Op: OpHello, Proto: int(ProtoV2)})
+	hello, err := EncodeLine(Request{Op: OpHello, Proto: int(ProtoV2), Grouped: true})
 	if err != nil {
 		return Response{}, err
 	}
@@ -158,25 +158,33 @@ func (c *Client) readLoop(in *Inbound) {
 			break
 		}
 		if resp.Type == MsgNotification {
-			select {
-			case c.notifs <- resp:
-			default: // drop when the consumer lags; mirrors broker policy
+			// One Response per matched id; those of a grouped frame share
+			// its vector.
+			ids := resp.IDs
+			if resp.IDs = nil; ids == nil {
+				ids = []string{resp.Profile} // a per-id frame, or a line
+			}
+			for _, resp.Profile = range ids {
+				select {
+				case c.notifs <- resp:
+				default: // drop when the consumer lags; mirrors broker policy
+				}
 			}
 			continue
 		}
 		c.pendMu.Lock()
-		ch := c.pending[cid]
+		w := c.pending[cid]
 		delete(c.pending, cid)
 		c.pendMu.Unlock()
-		if ch != nil {
-			ch <- resp // cap 1: never blocks
+		if w != nil {
+			w.ch <- resp // cap 1: never blocks
 		}
 	}
 	// Fail every in-flight request, then the notification stream.
 	c.pendMu.Lock()
-	for cid, ch := range c.pending {
+	for cid, w := range c.pending {
 		delete(c.pending, cid)
-		close(ch)
+		close(w.ch)
 	}
 	c.pendMu.Unlock()
 	close(c.notifs)
@@ -203,12 +211,23 @@ func (c *Client) EventMap(resp Response) map[string]float64 {
 // oversized one would kill the connection without an error reply.
 const maxRequest = MaxFrame - 64*1024
 
+// waiter is one request's reply slot and timeout, pooled. It returns to the
+// pool only once its reply was received: a waiter that gave up is never
+// reused, so a reader that had already claimed it parks the late reply where
+// no other request will find it.
+type waiter struct {
+	ch    chan Response
+	timer *time.Timer
+}
+
+// (Resetting a timer discards whatever it held: go.mod is past 1.23.)
+var waiters = sync.Pool{New: func() any { return &waiter{make(chan Response, 1), time.NewTimer(0)} }}
+
 // post encodes one request, registers its waiter and writes it. The id is
 // allocated, and the waiter registered, under the write lock, before the
 // bytes leave: replies cannot overtake their registration, and ids reach the
 // wire in order.
-func (c *Client) post(req Request, timeout time.Duration) (uint32, chan Response, error) {
-	ch := make(chan Response, 1)
+func (c *Client) post(req Request, timeout time.Duration) (uint32, *waiter, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	cid := c.nextCid + 1
@@ -221,8 +240,9 @@ func (c *Client) post(req Request, timeout time.Duration) (uint32, chan Response
 		return 0, nil, fmt.Errorf("%w: request encodes to %d bytes", ErrFrameTooBig, len(b))
 	}
 	c.nextCid = cid
+	w := waiters.Get().(*waiter)
 	c.pendMu.Lock()
-	c.pending[cid] = ch
+	c.pending[cid] = w
 	c.pendMu.Unlock()
 	if timeout > 0 {
 		_ = c.conn.SetWriteDeadline(time.Now().Add(timeout))
@@ -232,7 +252,7 @@ func (c *Client) post(req Request, timeout time.Duration) (uint32, chan Response
 		c.deregister(cid)
 		return 0, nil, fmt.Errorf("wire: write: %w", err)
 	}
-	return cid, ch, nil
+	return cid, w, nil
 }
 
 func (c *Client) deregister(cid uint32) {
@@ -243,46 +263,44 @@ func (c *Client) deregister(cid uint32) {
 
 // await blocks until cid's response arrives, the connection drops, or the
 // timeout fires.
-func (c *Client) await(cid uint32, ch chan Response, timeout time.Duration) (Response, error) {
+func (c *Client) await(cid uint32, w *waiter, timeout time.Duration) (Response, error) {
 	var timer <-chan time.Time
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
+		w.timer.Reset(timeout)
+		timer = w.timer.C
 	}
-	finish := func(resp Response, ok bool) (Response, error) {
-		if !ok {
-			return Response{}, errors.New("wire: connection closed")
-		}
-		if resp.Type == MsgError {
-			return resp, fmt.Errorf("wire: server: %s", resp.Error)
-		}
-		return resp, nil
-	}
+	var resp Response
+	var ok bool
 	select {
-	case resp, ok := <-ch:
-		return finish(resp, ok)
+	case resp, ok = <-w.ch:
 	case <-c.done:
 		// The reader may have parked the response just before exiting.
 		select {
-		case resp, ok := <-ch:
-			return finish(resp, ok)
+		case resp, ok = <-w.ch:
 		default:
 		}
-		return Response{}, errors.New("wire: connection closed")
 	case <-timer:
 		c.deregister(cid)
 		return Response{}, errors.New("wire: request timed out")
 	}
+	w.timer.Stop() // before the waiter can reach another request
+	if !ok {
+		return Response{}, errors.New("wire: connection closed")
+	}
+	waiters.Put(w)
+	if resp.Type == MsgError {
+		return resp, fmt.Errorf("wire: server: %s", resp.Error)
+	}
+	return resp, nil
 }
 
 // roundTrip sends one request and waits for its reply.
 func (c *Client) roundTrip(req Request, timeout time.Duration) (Response, error) {
-	cid, ch, err := c.post(req, timeout)
+	cid, w, err := c.post(req, timeout)
 	if err != nil {
 		return Response{}, err
 	}
-	return c.await(cid, ch, timeout)
+	return c.await(cid, w, timeout)
 }
 
 // Ping round-trips a ping.
@@ -379,7 +397,7 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 
 	type inflight struct {
 		cid uint32
-		ch  chan Response
+		w   *waiter
 		n   int
 	}
 	var window []inflight
@@ -387,7 +405,7 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 	collect := func() error {
 		w := window[0]
 		window = window[1:]
-		resp, err := c.await(w.cid, w.ch, timeout)
+		resp, err := c.await(w.cid, w.w, timeout)
 		if err != nil {
 			return err
 		}
@@ -405,11 +423,11 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 	}
 	for lo := 0; lo < len(batch); lo += per {
 		hi := min(lo+per, len(batch))
-		cid, ch, err := c.post(Request{Op: OpPublishBatch, Batch: batch[lo:hi]}, timeout)
+		cid, w, err := c.post(Request{Op: OpPublishBatch, Batch: batch[lo:hi]}, timeout)
 		if err != nil {
 			return fail(err)
 		}
-		window = append(window, inflight{cid, ch, hi - lo})
+		window = append(window, inflight{cid, w, hi - lo})
 		if len(window) >= c.depth {
 			if err := collect(); err != nil {
 				return fail(err)

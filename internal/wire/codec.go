@@ -34,16 +34,38 @@ type Inbound struct {
 	rd    *bufio.Reader
 	buf   []byte      // frame payload
 	vals  []float64   // publish or forward vector
-	batch [][]float64 // publish_batch vectors (each freshly allocated: notifications retain them)
+	batch [][]float64 // publish_batch vectors (a fresh block per frame: notifications retain them)
+	ids   []string    // the ids of a grouped notification
 	// size is the wire size of the message read last.
 	size int
 	// replies counts the replies read so far. The line protocol carries no
 	// correlation ids and answers in request order: reply k answers request k.
 	replies uint32
+	// interned holds the id strings of the notifications read so far (a
+	// client's read half only): a subscriber is notified of the same ids over
+	// and over, and only the first sighting allocates the string.
+	interned map[string]string
 }
 
 // NewInbound wraps a connection's buffered reader.
 func NewInbound(rd *bufio.Reader) *Inbound { return &Inbound{rd: rd} }
+
+// maxInterned bounds Inbound.interned; a full table starts over, so ids
+// that churned away do not pin it.
+const maxInterned = 1 << 16
+
+// id returns a notified id as a string without allocating it twice.
+func (in *Inbound) id(b []byte) string {
+	s, ok := in.interned[string(b)]
+	if !ok {
+		if in.interned == nil || len(in.interned) >= maxInterned {
+			in.interned = make(map[string]string)
+		}
+		s = string(b)
+		in.interned[s] = s
+	}
+	return s
+}
 
 // slots maps attribute names to vector positions — the schema knowledge the
 // two ends of a connection share.

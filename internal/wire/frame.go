@@ -57,6 +57,9 @@ const (
 	frameErr       byte = 0x43 // cid, str op, str message
 	frameNotify    byte = 0x44 // str profile, u64 seq, vector
 	frameControlRe byte = 0x45 // cid, v1 JSON response
+	// frameNotifyGroup replaces the k frameNotify of one event on a connection
+	// whose hello negotiated Grouped: the vector travels once.
+	frameNotifyGroup byte = 0x46 // u64 seq, vector, u32 k ≥ 1, k str profile
 
 	// FrameForward carries one event (vector payload) across a peer link.
 	FrameForward byte = 0x81
@@ -73,14 +76,16 @@ const (
 // ErrFrameTruncated; an oversized or zero length prefix returns
 // ErrFrameTooBig / ErrBadFrame without consuming the payload.
 func ReadFrame(rd *bufio.Reader, buf *[]byte) (typ byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-		if err == io.EOF {
+	// Peeked: a local array would escape through the reader, one allocation per frame.
+	hdr, err := rd.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) == 0 {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: connection closed inside the length prefix", ErrFrameTruncated)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	_, _ = rd.Discard(4) // cannot fail: the bytes are buffered
 	if n == 0 {
 		return 0, nil, fmt.Errorf("%w: zero-length frame", ErrBadFrame)
 	}
@@ -229,13 +234,16 @@ func (c *cur) u64() uint64 {
 
 func (c *cur) f64() float64 { return math.Float64frombits(c.u64()) }
 
-func (c *cur) str() string {
+func (c *cur) str() string { return string(c.bytes()) }
+
+// bytes takes a length-prefixed string as a view of the payload.
+func (c *cur) bytes() []byte {
 	n := c.u32()
 	if c.bad || uint64(n) > uint64(len(c.b)) {
 		c.bad = true
-		return ""
+		return nil
 	}
-	return string(c.take(int(n)))
+	return c.take(int(n))
 }
 
 // vec decodes a vector into dst (appending — pass a reused scratch slice
@@ -291,12 +299,15 @@ func appendNotifyFrame(dst []byte, profile string, seq uint64, vals []float64) [
 	return finishFrame(dst, mark)
 }
 
-func decodeNotifyFrame(payload []byte) (profile string, seq uint64, vals []float64, err error) {
-	c := cur{b: payload}
-	profile = c.str()
-	seq = c.u64()
-	vals = c.vec(nil)
-	return profile, seq, vals, c.done()
+func appendNotifyGroupFrame(dst []byte, seq uint64, vals []float64, ids []string) []byte {
+	dst, mark := beginFrame(dst, frameNotifyGroup)
+	dst = appendU64(dst, seq)
+	dst = appendVec(dst, vals)
+	dst = appendU32(dst, uint32(len(ids)))
+	for _, id := range ids {
+		dst = appendStr(dst, id)
+	}
+	return finishFrame(dst, mark)
 }
 
 func appendOKFrame(dst []byte, cid uint32, matched int) []byte {
@@ -393,7 +404,11 @@ func DecodeRouteWithdrawFrame(payload []byte) (string, error) {
 // JSON encoding inside a control frame. Framing errors are fatal: once the
 // stream position is lost every later byte is garbage, so none of them wraps
 // ErrBadMessage.
-type frameCodec struct{}
+type frameCodec struct {
+	// grouped lets the server end write frameNotifyGroup: the connection's
+	// hello negotiated it. (The client end reads either spelling.)
+	grouped bool
+}
 
 func (frameCodec) readRequest(in *Inbound) (uint32, Request, error) {
 	typ, payload, err := ReadFrame(in.rd, &in.buf)
@@ -409,25 +424,17 @@ func (frameCodec) readResponse(in *Inbound) (uint32, Response, error) {
 	if err != nil {
 		return 0, Response{}, err
 	}
-	return decodeResponseFrame(typ, payload)
-}
-
-func (frameCodec) appendRequest(dst []byte, cid uint32, req Request, sl *slots) ([]byte, error) {
-	return appendRequestFrame(dst, cid, req, sl)
-}
-
-func (frameCodec) appendResponse(dst []byte, cid uint32, resp Response, sl *slots) ([]byte, error) {
-	return appendResponseFrame(dst, cid, resp, sl)
+	return decodeResponseFrame(typ, payload, in)
 }
 
 // eventSize is exact: a u32 count and one f64 per attribute.
 func (frameCodec) eventSize(sl *slots) int { return 8*len(sl.names) + 4 }
 
-// appendRequestFrame encodes any request as one frame. A publish, forward or
+// appendRequest encodes any request as one frame. A publish, forward or
 // publish_batch travels as vectors — the caller's, or its attribute maps
 // converted when they cover the schema exactly; maps that lean on server-side
 // defaults fall back to a control frame, preserving v1 semantics bit for bit.
-func appendRequestFrame(dst []byte, cid uint32, req Request, sl *slots) ([]byte, error) {
+func (frameCodec) appendRequest(dst []byte, cid uint32, req Request, sl *slots) ([]byte, error) {
 	vals := req.Vals
 	if vals == nil {
 		vals, _ = sl.vectorOf(req.Event)
@@ -457,10 +464,10 @@ func appendRequestFrame(dst []byte, cid uint32, req Request, sl *slots) ([]byte,
 	return appendControlFrame(dst, frameControl, cid, js), nil
 }
 
-// decodeRequestFrame is appendRequestFrame's inverse. A publish or forward
+// decodeRequestFrame is appendRequest's inverse. A publish or forward
 // vector is decoded into in's scratch and valid until the next read; batch
-// vectors are allocated one by one, because notifications retain them. Peer
-// frames decode with cid 0 (they carry none).
+// vectors are carved out of one block allocated per frame, because
+// notifications retain them. Peer frames decode with cid 0 (they carry none).
 func decodeRequestFrame(typ byte, payload []byte, in *Inbound) (uint32, Request, error) {
 	c := cur{b: payload}
 	switch typ {
@@ -471,12 +478,17 @@ func decodeRequestFrame(typ byte, payload []byte, in *Inbound) (uint32, Request,
 	case framePublishBatch:
 		cid := c.u32()
 		n := c.u32()
-		if c.bad || n == 0 || uint64(n) > uint64(len(c.b)) { // each event costs ≥ 4 bytes
+		if c.bad || n == 0 || uint64(n)*4 > uint64(len(c.b)) { // each event costs ≥ 4 bytes
 			return 0, Request{}, fmt.Errorf("%w: bad batch count", ErrBadFrame)
 		}
+		// A well-formed frame holds exactly this many values, so the block
+		// never regrows; each vector is capped so no append can reach the next.
+		block := make([]float64, 0, (len(c.b)-4*int(n))/8)
 		in.batch = in.batch[:0]
 		for i := uint32(0); i < n && !c.bad; i++ {
-			in.batch = append(in.batch, c.vec(nil))
+			lo := len(block)
+			block = c.vec(block)
+			in.batch = append(in.batch, block[lo:len(block):len(block)])
 		}
 		return cid, Request{Op: OpPublishBatch, Batch: in.batch}, c.done()
 	case frameControl:
@@ -503,10 +515,11 @@ func decodeRequestFrame(typ byte, payload []byte, in *Inbound) (uint32, Request,
 	}
 }
 
-// appendResponseFrame encodes any response as one frame: publish
-// acknowledgements, errors and notifications in binary, the rest as control
-// frames.
-func appendResponseFrame(dst []byte, cid uint32, resp Response, sl *slots) ([]byte, error) {
+// appendResponse encodes any response: publish acknowledgements, errors and
+// notifications in binary, the rest as control frames. A notification that
+// stands for several ids is one grouped frame where the hello negotiated it,
+// else one frame per id.
+func (fc frameCodec) appendResponse(dst []byte, cid uint32, resp Response, sl *slots) ([]byte, error) {
 	switch {
 	case resp.Type == MsgOK && resp.Op == OpPublish && resp.MatchedEach == nil:
 		return appendOKFrame(dst, cid, resp.Matched), nil
@@ -519,8 +532,17 @@ func appendResponseFrame(dst []byte, cid uint32, resp Response, sl *slots) ([]by
 		if vals == nil {
 			vals, _ = sl.vectorOf(resp.Event)
 		}
-		if vals != nil {
+		switch {
+		case vals == nil:
+		case resp.IDs == nil:
 			return appendNotifyFrame(dst, resp.Profile, resp.Seq, vals), nil
+		case fc.grouped:
+			return appendNotifyGroupFrame(dst, resp.Seq, vals, resp.IDs), nil
+		default:
+			for _, id := range resp.IDs {
+				dst = appendNotifyFrame(dst, id, resp.Seq, vals)
+			}
+			return dst, nil
 		}
 	}
 	js, err := json.Marshal(resp)
@@ -530,9 +552,10 @@ func appendResponseFrame(dst []byte, cid uint32, resp Response, sl *slots) ([]by
 	return appendControlFrame(dst, frameControlRe, cid, js), nil
 }
 
-// decodeResponseFrame is appendResponseFrame's inverse. A notification's
-// vector is freshly allocated: the consumer keeps it.
-func decodeResponseFrame(typ byte, payload []byte) (uint32, Response, error) {
+// decodeResponseFrame is appendResponse's inverse. A notification's vector is
+// freshly allocated, once per frame: the consumer keeps it. Its ids are
+// interned (Inbound.id) and listed in in's scratch.
+func decodeResponseFrame(typ byte, payload []byte, in *Inbound) (uint32, Response, error) {
 	c := cur{b: payload}
 	switch typ {
 	case frameOK:
@@ -558,8 +581,21 @@ func decodeResponseFrame(typ byte, payload []byte) (uint32, Response, error) {
 		msg := c.str()
 		return cid, Response{Type: MsgError, Op: op, Error: msg}, c.done()
 	case frameNotify:
-		profile, seq, vals, err := decodeNotifyFrame(payload)
-		return 0, Response{Type: MsgNotification, Profile: profile, Seq: seq, Vals: vals}, err
+		profile := in.id(c.bytes())
+		seq := c.u64()
+		return 0, Response{Type: MsgNotification, Profile: profile, Seq: seq, Vals: c.vec(nil)}, c.done()
+	case frameNotifyGroup:
+		seq := c.u64()
+		vals := c.vec(nil)
+		k := c.u32()
+		if c.bad || k == 0 || uint64(k)*4 > uint64(len(c.b)) { // each id costs ≥ 4 bytes
+			return 0, Response{}, fmt.Errorf("%w: bad id count", ErrBadFrame)
+		}
+		in.ids = in.ids[:0]
+		for i := uint32(0); i < k && !c.bad; i++ {
+			in.ids = append(in.ids, in.id(c.bytes()))
+		}
+		return 0, Response{Type: MsgNotification, Seq: seq, Vals: vals, IDs: in.ids}, c.done()
 	case frameControlRe:
 		cid := c.u32()
 		if c.bad {
@@ -570,7 +606,6 @@ func decodeResponseFrame(typ byte, payload []byte) (uint32, Response, error) {
 			return 0, Response{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
 		return cid, resp, nil
-	default:
-		return 0, Response{}, fmt.Errorf("%w: unknown response frame type 0x%02x", ErrBadFrame, typ)
 	}
+	return 0, Response{}, fmt.Errorf("%w: unknown response frame type 0x%02x", ErrBadFrame, typ)
 }

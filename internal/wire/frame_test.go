@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -123,20 +124,46 @@ func TestHotFrameRoundTrips(t *testing.T) {
 		if typ != frameNotify {
 			t.Fatalf("type 0x%02x", typ)
 		}
-		profile, seq, got, err := decodeNotifyFrame(payload)
-		if err != nil || profile != "hot" || seq != 99 {
-			t.Fatalf("decode = %q %d %v", profile, seq, err)
+		_, resp, err := decodeResponseFrame(typ, payload, new(Inbound))
+		if err != nil || resp.Profile != "hot" || resp.Seq != 99 {
+			t.Fatalf("decode = %+v %v", resp, err)
 		}
 		for i, v := range vals {
-			if math.Float64bits(got[i]) != math.Float64bits(v) {
-				t.Errorf("val[%d] = %v, want %v", i, got[i], v)
+			if math.Float64bits(resp.Vals[i]) != math.Float64bits(v) {
+				t.Errorf("val[%d] = %v, want %v", i, resp.Vals[i], v)
+			}
+		}
+	})
+
+	t.Run("notify-group", func(t *testing.T) {
+		vals := []float64{41, 10}
+		ids := []string{"hot", "", "an id with spaces"}
+		typ, payload := read(t, appendNotifyGroupFrame(nil, 7, vals, ids))
+		if typ != frameNotifyGroup {
+			t.Fatalf("type 0x%02x", typ)
+		}
+		_, resp, err := decodeResponseFrame(typ, payload, new(Inbound))
+		if err != nil || resp.Type != MsgNotification || resp.Seq != 7 || resp.Profile != "" ||
+			!reflect.DeepEqual(resp.IDs, ids) || !reflect.DeepEqual(resp.Vals, vals) {
+			t.Fatalf("decode = %+v %v", resp, err)
+		}
+		// No ids, more ids than payload, an id cut short, trailing bytes.
+		head := appendVec(appendU64(nil, 7), vals)
+		for name, bad := range map[string][]byte{
+			"k=0":          appendU32(head, 0),
+			"k>payload":    appendStr(appendU32(head, 3), "hot"),
+			"truncated id": append(appendU32(appendU32(head, 1), 9), "hot"...),
+			"trailing":     append(appendStr(appendU32(head, 1), "hot"), 0),
+		} {
+			if _, _, err := decodeResponseFrame(frameNotifyGroup, bad, new(Inbound)); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
 			}
 		}
 	})
 
 	t.Run("ok-batch", func(t *testing.T) {
 		typ, payload := read(t, appendOKBatchFrame(nil, 5, []int{0, 3, 1}))
-		cid, resp, err := decodeResponseFrame(typ, payload)
+		cid, resp, err := decodeResponseFrame(typ, payload, new(Inbound))
 		if err != nil || cid != 5 {
 			t.Fatal(err)
 		}
@@ -147,7 +174,7 @@ func TestHotFrameRoundTrips(t *testing.T) {
 
 	t.Run("err", func(t *testing.T) {
 		typ, payload := read(t, appendErrFrame(nil, 8, OpPublish, "out of domain"))
-		cid, resp, err := decodeResponseFrame(typ, payload)
+		cid, resp, err := decodeResponseFrame(typ, payload, new(Inbound))
 		if err != nil || cid != 8 || resp.Type != MsgError || resp.Op != OpPublish || resp.Error != "out of domain" {
 			t.Errorf("err frame = %d %+v %v", cid, resp, err)
 		}
@@ -209,7 +236,7 @@ func TestHotFrameRoundTrips(t *testing.T) {
 		if _, _, err := decodeRequestFrame(0x7F, nil, in); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("unknown request type = %v", err)
 		}
-		if _, _, err := decodeResponseFrame(0x7F, nil); !errors.Is(err, ErrBadFrame) {
+		if _, _, err := decodeResponseFrame(0x7F, nil, new(Inbound)); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("unknown response type = %v", err)
 		}
 	})
@@ -252,7 +279,7 @@ func namedResponse(sl *slots, r Response) Response {
 
 // TestCrossCodecRequests is the v1↔v2 property test: every v1 request shape —
 // hot binary encodings, peer frames and the JSON control fallback — must
-// survive appendRequestFrame → ReadFrame → decodeRequestFrame with identical
+// survive appendRequest → ReadFrame → decodeRequestFrame with identical
 // meaning (JSON equality) and, on client frames, an intact correlation id.
 func TestCrossCodecRequests(t *testing.T) {
 	reqs := []Request{
@@ -283,7 +310,7 @@ func TestCrossCodecRequests(t *testing.T) {
 	peer := map[Op]bool{OpForward: true, OpRouteAdd: true, OpRouteWithdraw: true}
 	for _, req := range reqs {
 		t.Run(string(req.Op), func(t *testing.T) {
-			enc, err := appendRequestFrame(nil, 42, req, crossCodecSlots)
+			enc, err := frameCodec{}.appendRequest(nil, 42, req, crossCodecSlots)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -330,7 +357,7 @@ func TestCrossCodecResponses(t *testing.T) {
 	}
 	for _, resp := range resps {
 		t.Run(string(resp.Type)+"/"+string(resp.Op), func(t *testing.T) {
-			enc, err := appendResponseFrame(nil, 7, resp, crossCodecSlots)
+			enc, err := frameCodec{}.appendResponse(nil, 7, resp, crossCodecSlots)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +366,7 @@ func TestCrossCodecResponses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cid, got, err := decodeResponseFrame(typ, payload)
+			cid, got, err := decodeResponseFrame(typ, payload, new(Inbound))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -85,7 +86,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			f.Fatalf("bad corpus line %q: %v", line, err)
 		}
-		enc, err := appendRequestFrame(nil, 9, req, sl)
+		enc, err := frameCodec{}.appendRequest(nil, 9, req, sl)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -96,6 +97,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(appendOKBatchFrame(nil, 2, []int{0, 1, 2}))
 	f.Add(appendErrFrame(nil, 3, OpPublish, "boom"))
 	f.Add(appendNotifyFrame(nil, "hot", 7, []float64{41, 10}))
+	// The grouped notification: well-formed, without ids, announcing more ids
+	// than the payload holds, and with its last id cut short.
+	group := appendNotifyGroupFrame(nil, 7, []float64{41, 10}, []string{"hot", "dry"})
+	f.Add(group)
+	f.Add(appendNotifyGroupFrame(nil, 7, []float64{41, 10}, nil))
+	f.Add(finishFrame(appendU32(appendVec(appendU64(append([]byte(nil), 0, 0, 0, 0, frameNotifyGroup), 7), []float64{41, 10}), 1<<20), 0))
+	f.Add(finishFrame(append([]byte(nil), group[:len(group)-2]...), 0))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
@@ -112,7 +120,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			// Re-encoding reads the request's vectors, decoding it again
 			// overwrites the read scratch they alias: detach them first.
 			req.Vals = append([]float64(nil), req.Vals...)
-			enc, err := appendRequestFrame(nil, cid, req, sl)
+			enc, err := frameCodec{}.appendRequest(nil, cid, req, sl)
 			if err != nil {
 				t.Fatalf("accepted request %+v does not re-encode: %v", req, err)
 			}
@@ -130,8 +138,9 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("request round trip drifted (cid %d→%d):\n  first  %s\n  second %s", cid, cid2, a, b)
 			}
 		}
-		if cid, resp, err := decodeResponseFrame(typ, payload); err == nil {
-			enc, err := appendResponseFrame(nil, cid, resp, sl)
+		fc := frameCodec{grouped: true}
+		if cid, resp, err := decodeResponseFrame(typ, payload, in); err == nil {
+			enc, err := fc.appendResponse(nil, cid, resp, sl)
 			if err != nil {
 				t.Fatalf("accepted response %+v does not re-encode: %v", resp, err)
 			}
@@ -139,13 +148,13 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded response frame does not read: %v", err)
 			}
-			cid2, again, err := decodeResponseFrame(typ2, payload2)
+			cid2, again, err := decodeResponseFrame(typ2, payload2, new(Inbound))
 			if err != nil {
 				t.Fatalf("re-encoded response frame does not decode: %v", err)
 			}
 			a, _ := json.Marshal(namedResponse(sl, resp))
 			b, _ := json.Marshal(namedResponse(sl, again))
-			if !bytes.Equal(a, b) || cid2 != cid {
+			if !bytes.Equal(a, b) || cid2 != cid || !slices.Equal(resp.IDs, again.IDs) {
 				t.Fatalf("response round trip drifted (cid %d→%d):\n  first  %s\n  second %s", cid, cid2, a, b)
 			}
 		}

@@ -67,14 +67,25 @@ func (lineCodec) appendRequest(dst []byte, _ uint32, req Request, sl *slots) ([]
 	return appendJSONLine(dst, req)
 }
 
+// appendResponse writes one line, or — for a notification standing for
+// several ids — one line per id over the one rendered event.
 func (lineCodec) appendResponse(dst []byte, _ uint32, resp Response, sl *slots) ([]byte, error) {
+	var err error
 	if resp.Vals != nil {
-		var err error
 		if resp.Event, err = sl.mapOf(resp.Vals); err != nil {
 			return nil, err
 		}
 	}
-	return appendJSONLine(dst, resp)
+	if resp.IDs == nil {
+		return appendJSONLine(dst, resp)
+	}
+	for _, id := range resp.IDs {
+		resp.Profile = id
+		if dst, err = appendJSONLine(dst, resp); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 func appendJSONLine(dst []byte, v any) ([]byte, error) {

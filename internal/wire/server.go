@@ -214,38 +214,92 @@ func (s *Server) Close() {
 // closes and its subscriptions are torn down.
 const writeTimeout = 10 * time.Second
 
+// notifyQueue is a connection's notification budget: how far the broker may
+// run ahead of the connection's forwarder before it drops the newest — one
+// buffer however many subscriptions the connection holds, sized like the burst
+// a client's Notifications() absorbs.
+const notifyQueue = 256
+
 // connState tracks one connection's subscriptions, negotiated codec and
-// synchronized writer. codec is read by the request loop and by every send;
-// it changes once, on the hello upgrade, when no forwarder is running.
+// synchronized writer. codec is read by the request loop and the forwarder;
+// it changes once, on the hello upgrade, which is refused once a forwarder
+// exists.
 type connState struct {
 	conn  net.Conn
 	codec Codec
 	subs  map[string]*broker.Subscription
 	evs   []event.Event // publish_batch scratch, owned by the request loop
-	wg    sync.WaitGroup
-
-	mu   sync.Mutex
-	wbuf []byte // reused message build buffer, guarded by mu
+	rbuf  []byte        // reply build buffer, owned by the request loop
+	// queue is the one channel every subscription of the connection delivers
+	// into, created with the first of them; fwd closes when its forwarder —
+	// the only goroutine a connection starts — has exited.
+	queue *broker.Queue
+	fwd   chan struct{}
+	mu    sync.Mutex // serializes writes: replies and notification bursts
 }
 
-// send writes one message — a reply paired with its request's correlation
-// id, or a notification (cid 0) — in the connection's codec. It holds the
-// server's only write: a failed or timed-out write closes the connection,
-// which ends the request loop and tears the subscriptions down.
-func (cs *connState) send(cid uint32, resp Response) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	b, err := cs.codec.c.appendResponse(cs.wbuf[:0], cid, resp, cs.codec.sl)
+// reply writes one reply, paired with its request's correlation id.
+func (cs *connState) reply(cid uint32, resp Response) error {
+	b, err := cs.codec.c.appendResponse(cs.rbuf[:0], cid, resp, cs.codec.sl)
 	if err != nil {
 		return err
 	}
-	cs.wbuf = b
+	cs.rbuf = b
+	return cs.send(b)
+}
+
+// send puts encoded messages on the wire. It holds the server's only write:
+// a failed or timed-out write closes the connection, which ends the request
+// loop and tears the subscriptions down.
+func (cs *connState) send(b []byte) error {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	_ = cs.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	//genas:allow locksafe cs.mu exists to serialize message writes on the shared conn; nothing else is ever taken under it
-	if _, err = cs.conn.Write(b); err != nil {
+	_, err := cs.conn.Write(b)
+	if err != nil {
 		_ = cs.conn.Close()
 	}
 	return err
+}
+
+// forward is the connection's one notification writer. It blocks for a
+// notification and sends it together with whatever else is queued at that
+// moment (at most notifyQueue: nobody else receives from q, so those receives
+// cannot block) in one write: a burst costs one wake-up and one syscall.
+// Consecutive notifications of one event (one Seq) become one message listing
+// their ids, which each codec spells its own way — the only grouping there is.
+func (cs *connState) forward(q <-chan broker.Notification, logger *log.Logger) {
+	defer close(cs.fwd)
+	var buf []byte
+	var ids []string
+	for n := range q {
+		buf = buf[:0]
+		for rest := len(q); ; rest-- {
+			ids = append(ids, string(n.Profile))
+			next := n
+			if rest > 0 {
+				next = <-q
+			}
+			if rest == 0 || next.Event.Seq != n.Event.Seq {
+				resp := Response{Type: MsgNotification, Seq: n.Event.Seq, Vals: n.Event.Vals, IDs: ids}
+				b, err := cs.codec.c.appendResponse(buf, 0, resp, cs.codec.sl)
+				if err != nil {
+					logger.Printf("wire: connection %s: notification %d: %v", cs.conn.RemoteAddr(), resp.Seq, err)
+				} else {
+					buf = b
+				}
+				ids = ids[:0]
+			}
+			if rest == 0 {
+				break
+			}
+			n = next
+		}
+		if cs.send(buf) != nil {
+			return
+		}
+	}
 }
 
 // handle runs one connection's session: read a request in the connection's
@@ -255,15 +309,18 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.untrack(conn)
 	cs := &connState{conn: conn, codec: s.lines, subs: make(map[string]*broker.Subscription)}
 	defer func() {
-		// Tear down this connection's subscriptions, then wait for their
-		// forwarder goroutines (closing the subscription closes its channel,
-		// which ends the forwarder).
+		// Tear down this connection's subscriptions, then wait for its
+		// forwarder: the queue closes with its last reference, which ends it
+		// once it has written what was still queued.
 		for id := range cs.subs {
 			if s.brk.Unsubscribe(predicate.ID(id)) == nil && s.overlay != nil {
 				s.overlay.ProfileRemoved(predicate.ID(id))
 			}
 		}
-		cs.wg.Wait()
+		if cs.queue != nil {
+			cs.queue.Close()
+			<-cs.fwd
+		}
 		_ = conn.Close()
 	}()
 
@@ -296,7 +353,7 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			resp = Response{Type: MsgError, Op: req.Op, Error: err.Error()}
 		}
-		if cs.send(cid, resp) != nil {
+		if cs.reply(cid, resp) != nil {
 			return
 		}
 	}
@@ -318,24 +375,21 @@ func (s *Server) hello(cs *connState, in *Inbound, cid uint32, req Request) (ove
 		refusal = "protocol v2 disabled"
 	case !upgrade && s.overlay == nil:
 		refusal = "daemon is not federated"
-	case len(cs.subs) != 0:
-		// A connection with live subscriptions has notification forwarders
-		// writing to it: they must neither straddle a codec switch nor share
+	case cs.queue != nil:
+		// A connection that ever subscribed has a notification forwarder
+		// writing to it: it must neither straddle a codec switch nor share
 		// the conn with the federation's writer.
 		refusal = "hello must be the connection's first frame"
 	}
 	if refusal != "" {
-		return cs.send(cid, Response{Type: MsgError, Op: req.Op, Error: refusal}) != nil
+		return cs.reply(cid, Response{Type: MsgError, Op: req.Op, Error: refusal}) != nil
 	}
-	// Forwarders of already-removed subscriptions may still be draining; wait
-	// them out so no stray write can interleave with what follows.
-	cs.wg.Wait()
 	if upgrade {
-		confirm := Response{Type: MsgOK, Op: req.Op, Proto: int(ProtoV2), Attributes: schemaPayload(s.brk.Schema())}
-		if cs.send(cid, confirm) != nil {
+		confirm := Response{Type: MsgOK, Op: req.Op, Proto: int(ProtoV2), Grouped: req.Grouped, Attributes: schemaPayload(s.brk.Schema())}
+		if cs.reply(cid, confirm) != nil {
 			return true
 		}
-		cs.codec = s.frames
+		cs.codec = Codec{frameCodec{grouped: req.Grouped}, s.frames.sl}
 		return false
 	}
 	if s.maxProto < ProtoV2 && req.Proto >= int(ProtoV2) {
@@ -384,16 +438,19 @@ func (s *Server) dispatch(cs *connState, in *Inbound, req Request) (Response, er
 			return Response{}, err
 		}
 		p.Priority = req.Priority
-		sub, err := s.brk.Subscribe(p)
+		if cs.queue == nil {
+			q, err := s.brk.NewQueue(notifyQueue)
+			if err != nil {
+				return Response{}, err
+			}
+			cs.queue, cs.fwd = q, make(chan struct{})
+			go cs.forward(q.C(), s.log)
+		}
+		sub, err := cs.queue.Subscribe(p)
 		if err != nil {
 			return Response{}, err
 		}
 		cs.subs[req.ID] = sub
-		cs.wg.Add(1)
-		go func() {
-			defer cs.wg.Done()
-			forward(cs, sub)
-		}()
 		if s.overlay != nil {
 			s.overlay.ProfileAdded(p)
 		}
@@ -515,17 +572,5 @@ func (s *Server) dispatch(cs *connState, in *Inbound, req Request) (Response, er
 
 	default:
 		return Response{}, fmt.Errorf("unknown op %q", req.Op)
-	}
-}
-
-// forward pushes one subscription's notifications to the connection until
-// the subscription channel closes or a write fails. The event vector goes to
-// the codec as it is.
-func forward(cs *connState, sub *broker.Subscription) {
-	for n := range sub.C() {
-		resp := Response{Type: MsgNotification, Profile: string(n.Profile), Seq: n.Event.Seq, Vals: n.Event.Vals}
-		if cs.send(0, resp) != nil {
-			return
-		}
 	}
 }

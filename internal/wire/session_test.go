@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
@@ -58,6 +59,15 @@ func runSessionScript(t *testing.T, proto Proto) (outcomes []sessionOutcome, not
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A bystander on a connection of its own, matching every scripted event:
+	// neither connection may ever be notified of the other's ids.
+	other, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout, Proto: proto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Subscribe("bystander", "profile(temperature >= -30)", 0, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
 
 	script := []struct {
 		step string
@@ -83,6 +93,12 @@ func runSessionScript(t *testing.T, proto Proto) (outcomes []sessionOutcome, not
 		{"out of domain map", Request{Op: OpPublish, Event: map[string]float64{"temperature": 400, "humidity": 10}}},
 		{"partial map", Request{Op: OpPublish, Event: map[string]float64{"temperature": 40}}},
 		{"second hello", Request{Op: OpHello}},
+		// Unsubscribe while queued: the burst's four notifications ("warm"
+		// thrice, "hot" once) are in the connection's queue when "warm" leaves.
+		// The queue is not purged: ids unsubscribed mid-burst are still delivered.
+		{"subscribe warm", Request{Op: OpSubscribe, ID: "warm", Profile: "profile(temperature >= 20)"}},
+		{"burst", Request{Op: OpPublishBatch, Batch: [][]float64{{30, 1}, {40, 2}, {25, 3}}}},
+		{"unsubscribe warm", Request{Op: OpUnsubscribe, ID: "warm"}},
 		{"unsubscribe", Request{Op: OpUnsubscribe, ID: "hot"}},
 		{"unsubscribe again", Request{Op: OpUnsubscribe, ID: "hot"}},
 		{"publish after unsubscribe", Request{Op: OpPublish, Vals: []float64{45, 20}}},
@@ -104,15 +120,31 @@ func runSessionScript(t *testing.T, proto Proto) (outcomes []sessionOutcome, not
 		outcomes = append(outcomes, out)
 	}
 
-	// Five scripted events matched "hot" while it was subscribed; all five
-	// notifications were written before the unsubscribe was acknowledged.
-	for i := 0; i < 5; i++ {
+	// Five scripted events matched "hot" before the burst, which owes four
+	// more notifications; all nine were queued before their subscriptions
+	// ended.
+	for i := 0; i < 9; i++ {
 		select {
 		case n := <-c.Notifications():
+			if n.Profile != "hot" && n.Profile != "warm" {
+				t.Errorf("proto %d: notified of %q, which this connection never subscribed", proto, n.Profile)
+			}
 			js, _ := json.Marshal(namedResponse(sl, n))
 			notifs = append(notifs, string(js))
 		case <-time.After(2 * time.Second):
 			t.Fatalf("proto %d: notification %d never arrived", proto, i)
+		}
+	}
+	// The bystander saw each of the 12 accepted scripted events once, and only
+	// under its own id.
+	for i := 0; i < 12; i++ {
+		select {
+		case n := <-other.Notifications():
+			if n.Profile != "bystander" {
+				t.Errorf("proto %d: the bystander was notified of %q", proto, n.Profile)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("proto %d: bystander notification %d never arrived", proto, i)
 		}
 	}
 	select {
@@ -122,6 +154,7 @@ func runSessionScript(t *testing.T, proto Proto) (outcomes []sessionOutcome, not
 	}
 
 	_ = c.Close()
+	_ = other.Close()
 	srv.Close()
 	if err := <-serveDone; err != nil {
 		t.Errorf("Serve returned %v", err)
@@ -226,6 +259,89 @@ func TestLateReplyIsNotHandedToTheNextRequest(t *testing.T) {
 	}
 	if err := <-served; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLateReplyDoesNotReachAPooledWaiter is the same rule seen from the reply
+// slots, which requests now share through a pool: a waiter that gave up never
+// returns to the pool, so the reply that arrives late for it cannot surface in
+// a later request that drew the same slot. The scripted v2 server answers a
+// ping at once (its waiter goes back to the pool), holds the subscribe's reply
+// back until the publish has arrived, then answers both.
+func TestLateReplyDoesNotReachAPooledWaiter(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		rd := bufio.NewReader(conn)
+		if _, err := ReadLine(rd); err != nil { // the hello
+			served <- err
+			return
+		}
+		if _, err := conn.Write(v2Confirmation(false)); err != nil {
+			served <- err
+			return
+		}
+		in := NewInbound(rd)
+		var cids []uint32
+		for _, wantOp := range []Op{OpPing, OpSubscribe, OpPublish} {
+			cid, req, err := frameCodec{}.readRequest(in)
+			if err != nil || req.Op != wantOp {
+				served <- fmt.Errorf("scripted server: got %q (%v), want %q", req.Op, err, wantOp)
+				return
+			}
+			cids = append(cids, cid)
+			if wantOp == OpPing {
+				pong, _ := frameCodec{}.appendResponse(nil, cid, Response{Type: MsgPong, Op: OpPing}, nil)
+				if _, err := conn.Write(pong); err != nil {
+					served <- err
+					return
+				}
+			}
+		}
+		late, _ := frameCodec{}.appendResponse(nil, cids[1], Response{Type: MsgOK, Op: OpSubscribe, Profile: "hot"}, nil)
+		_, err = conn.Write(appendOKFrame(late, cids[2], 7))
+		served <- err
+	}()
+
+	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout, Proto: ProtoV2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Ping(rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Subscribe("hot", "profile(temperature >= 35)", 0, 50*time.Millisecond); err == nil {
+		t.Fatal("the subscribe was answered before the script allowed it")
+	}
+	resp, err := c.roundTrip(Request{Op: OpPublish, Vals: []float64{41, 10}}, rpcTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Op != OpPublish || resp.Matched != 7 {
+		t.Errorf("publish got %+v: the subscribe's late reply, not its own (want matched 7)", resp)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	// Every waiter the pool hands out from here on is empty.
+	for i := 0; i < 64; i++ {
+		w := waiters.Get().(*waiter)
+		select {
+		case stale := <-w.ch:
+			t.Fatalf("a pooled waiter holds %+v", stale)
+		default:
+		}
 	}
 }
 

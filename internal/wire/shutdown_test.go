@@ -199,11 +199,19 @@ func TestCloseWithoutContextCancel(t *testing.T) {
 // stream.
 func upgradeRaw(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	t.Helper()
+	conn, rd, _ := upgradeRawWith(t, addr, Request{Op: OpHello, Proto: int(ProtoV2)})
+	return conn, rd
+}
+
+// upgradeRawWith is upgradeRaw with the hello of the caller's choice; it also
+// returns the server's confirmation.
+func upgradeRawWith(t *testing.T, addr string, helloReq Request) (net.Conn, *bufio.Reader, Response) {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, err := EncodeLine(Request{Op: OpHello, Proto: int(ProtoV2)})
+	hello, err := EncodeLine(helloReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +229,7 @@ func upgradeRaw(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 		t.Fatalf("upgrade refused: %+v %v", resp, err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	return conn, rd
+	return conn, rd, resp
 }
 
 // TestV2GarbageClosesConnection pins the v2 framing error policy: once the

@@ -3,7 +3,9 @@
 // messages, carried as one JSON object per line (v1, line.go) or as
 // length-prefixed binary frames (v2, frame.go). Which of the two is on a
 // connection is known only to its codec (codec.go); the server, client and
-// peer-link session loops are written once over that seam. The protocol
+// peer-link session loops are written once over that seam. The server
+// delivers per connection — one queue, one forwarder and one write per burst,
+// however many subscriptions the connection holds (server.go). The protocol
 // carries the generic service's runtime definitions — profiles in the profile
 // language, events in the event notation — so "all events, attributes,
 // domains, and compare operators can be created and specified at runtime"
@@ -102,6 +104,10 @@ type Request struct {
 	// hello frames. Absent (0) means v1: pre-v2 peers never send it, so the
 	// negotiated protocol with them is min(2, 1) = 1 and nothing changes.
 	Proto int `json:"proto,omitempty"`
+	// Grouped, in a client's hello, offers to take one notification frame per
+	// event (frameNotifyGroup) in place of one per matched id. The server sends
+	// that frame only after echoing the field: a party that ignores it changes nothing.
+	Grouped bool `json:"grouped,omitempty"`
 	// Vals and Batch carry a publish, forward or publish_batch payload as
 	// schema-order vectors. Never on the wire under these names: the frame
 	// codec writes and reads them in binary (a decoded vector aliases the
@@ -165,6 +171,13 @@ type Response struct {
 	// Proto confirms the negotiated protocol generation in a hello response
 	// (0 when absent, meaning v1).
 	Proto int `json:"proto,omitempty"`
+	// Grouped echoes a hello's Grouped offer when the server accepts it.
+	Grouped bool `json:"grouped,omitempty"`
+	// IDs lists the matched subscriptions of a notification that stands for
+	// several (Profile is then unset): what the server hands every codec per
+	// event and connection, and what a grouped frame decodes to (valid until
+	// the next read). Never on the wire under this name.
+	IDs []string `json:"-"`
 	// Vals is the notification payload as a schema-order vector: what the
 	// server hands every codec, and what a client receives from the frame
 	// codec. Never on the wire under this name — frames carry it in binary,
