@@ -33,8 +33,10 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"genas"
+	"genas/internal/adaptive"
 	"genas/internal/federation"
 	"genas/internal/hook"
 	"genas/internal/wire"
@@ -54,7 +56,7 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		schemaSpec = fs.String("schema", "", "schema spec, e.g. 'temp=numeric[-30,50]; state=cat{ok,alarm}'")
 		adaptiveOn = fs.Bool("adaptive", false, "enable adaptive tree restructuring")
 		goal       = fs.String("goal", "event", "adaptive goal: event | user")
-		window     = fs.Int("window", 1024, "events between drift checks")
+		window     = fs.Int("window", 1024, "events between drift checks, and the length of the history a check reads")
 		threshold  = fs.Float64("threshold", 0.1, "total-variation drift threshold")
 		measure    = fs.String("measure", "natural", "value measure: natural | event | profile | event*profile")
 		attrs      = fs.String("attrs", "natural", "attribute ordering: natural | A1 | A2 | A3")
@@ -174,6 +176,17 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		<-ctx.Done()
 		srv.Close()
 	}()
+	if a := hook.BrokerOf(svc).Adaptor(); a != nil {
+		logged := make(chan struct{})
+		go func() {
+			defer close(logged)
+			logRestructures(ctx, a, sch, logger)
+		}()
+		defer func() {
+			stop()
+			<-logged
+		}()
+	}
 
 	// Readiness is announced only after the signal handler is installed: a
 	// caller may send SIGTERM the moment it learns the address, and before
@@ -188,6 +201,39 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 	}
 	logger.Print("shut down")
 	return 0
+}
+
+// logRestructures writes one line per adaptive restructure, read from the
+// adaptor's decision ring once a second and a last time when ctx ends.
+func logRestructures(ctx context.Context, a *adaptive.Adaptor, sch *genas.Schema, logger *log.Logger) {
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	last := 0
+	for running := true; running; {
+		select {
+		case <-ctx.Done():
+			running = false
+		case <-tick.C:
+		}
+		for _, d := range a.Decisions() {
+			if d.Seq <= last {
+				continue
+			}
+			if d.Seq > last+1 {
+				logger.Printf("adaptive: restructures %d to %d left the decision ring unlogged", last+1, d.Seq-1)
+			}
+			last = d.Seq
+			var drift strings.Builder
+			for _, i := range d.Reordered {
+				fmt.Fprintf(&drift, " %s tv=%.3f floor=%.3f", sch.At(i).Name, d.TV[i], d.Floor[i])
+			}
+			if d.Err != nil {
+				fmt.Fprintf(&drift, "; failed: %v", d.Err)
+			}
+			logger.Printf("adaptive: restructure %d after %d events in %v: nodes re-sorted %d, path-copied %d, the rest shared; reordered for%s",
+				d.Seq, d.Seen, d.Duration, d.Resorted, d.Copied, drift.String())
+		}
+	}
 }
 
 // parseProto reads the -proto flag. "auto" and "v2" both let connections

@@ -108,6 +108,36 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDaemonLogsRestructures: an adaptive daemon writes one line per
+// restructure, taken from the adaptor's decision ring, naming the attributes
+// it reordered for and what the restructure touched.
+func TestDaemonLogsRestructures(t *testing.T) {
+	addr, stderr, stop := startDaemon(t, "-adaptive", "-window", "64")
+	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second, Proto: wire.ProtoV1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Subscribe("hot", "profile(temperature >= 35)", 0, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]map[string]float64, 128)
+	for i := range batch {
+		batch[i] = map[string]float64{"temperature": 40 + float64(i%8), "humidity": float64(i * 100 / len(batch))}
+	}
+	if _, err := c.PublishBatch(batch, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if code := stop(); code != 0 {
+		t.Errorf("daemon exit code = %d", code)
+	}
+	out := stderr.String()
+	if !strings.Contains(out, "adaptive: restructure 1 after ") || !strings.Contains(out, " temperature tv=") ||
+		!strings.Contains(out, "nodes re-sorted") {
+		t.Errorf("no restructure line in the daemon's log:\n%s", out)
+	}
+}
+
 // TestDaemonDefaults covers -defaults: the configured attribute may be
 // omitted from publish frames, everything else stays mandatory.
 func TestDaemonDefaults(t *testing.T) {

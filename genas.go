@@ -151,9 +151,13 @@ func WithUserCentricAdaptive() Option {
 	}
 }
 
-// WithAdaptivePolicy tunes the adaptation loop: window is the number of
-// events between drift checks, threshold the total-variation distance that
-// triggers a restructure.
+// WithAdaptivePolicy tunes the adaptation loop. window is the number of
+// events between drift checks and the length of the history a check reads —
+// the window that just closed, nothing older. threshold is the
+// total-variation distance between that window and the distribution the
+// tree is ordered for, beyond what sampling noise explains, at which an
+// attribute counts as drifted and the nodes testing it are re-sorted.
+// reorderAttributes rebuilds the tree with Measure A2 instead.
 func WithAdaptivePolicy(window int, threshold float64, reorderAttributes bool) Option {
 	return func(o *options) error {
 		o.broker.Adaptive = true

@@ -1,10 +1,13 @@
 // Package adaptive implements the adaptive filter component of §1/§5: the
 // filter "can either work based on predefined distributions for the observed
 // events, or it has to maintain a history of events in order to determine
-// the event distribution". The Adaptor maintains per-attribute histograms of
-// the observed events, detects distribution drift against the distribution
-// the tree was last optimized for, and restructures the profile tree
-// (cheaply by value reordering, optionally fully by attribute reordering).
+// the event distribution". The Adaptor keeps a bounded history — one window
+// of events per attribute — and at each window boundary compares the window
+// that just closed with the distribution the tree was last ordered for. An
+// attribute has drifted when the two are further apart than sampling noise
+// explains; the restructure re-sorts the nodes testing a drifted attribute
+// and shares the rest of the automaton (optionally it rebuilds, reordering
+// the attributes too).
 //
 // Two optimization goals are supported, mirroring the paper's event-centric
 // and user-centric approaches: event-centric minimizes average operations
@@ -14,7 +17,10 @@ package adaptive
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"genas/internal/core"
 	"genas/internal/dist"
@@ -49,13 +55,16 @@ type Policy struct {
 	// Goal selects the measures applied on restructure (default
 	// EventCentric).
 	Goal Goal
-	// Window is the number of observed events between drift checks
-	// (default 1024).
+	// Window is the number of observed events between drift checks and the
+	// length of the history a check reads: the events of the window that
+	// just closed, nothing older (default 1024).
 	Window int
-	// Threshold is the total-variation distance that triggers a
-	// restructure (default 0.1). The paper warns the event-based measure
-	// "is a fragile measure, not robust to changes in the distributions";
-	// the threshold provides the stability hysteresis.
+	// Threshold is the total-variation distance between the closed window
+	// and the distribution the tree is ordered for, beyond the distance
+	// sampling noise alone would put between them, that marks an attribute
+	// as drifted (default 0.1). The paper warns the event-based measure "is
+	// a fragile measure, not robust to changes in the distributions"; the
+	// threshold provides the stability hysteresis.
 	Threshold float64
 	// Bins is the per-attribute histogram resolution (default 64).
 	Bins int
@@ -89,7 +98,7 @@ func (p Policy) withDefaults() Policy {
 
 // Engine is the filter surface the adaptor drives: both the single-tree
 // core.Engine and the sharded core.Sharded satisfy it. On a sharded engine
-// the drift snapshot is taken once over the aggregated event history and the
+// the drift check runs once over the aggregated event history and the
 // restructure fans out per shard, each shard locking independently — the
 // adaptation never stops the world.
 type Engine interface {
@@ -97,29 +106,51 @@ type Engine interface {
 	Config() core.Config
 	SetConfig(cfg core.Config)
 	Rebuild() error
-	Reorder() error
+	Reorder(attrs ...int) (resorted, copied int, err error)
 }
 
-// Adaptor couples a filter engine with event-history histograms.
+// Decision records one restructure: what the drift check saw and what the
+// restructure cost.
+type Decision struct {
+	Seq  int    // 1-based ordinal of the restructure
+	Seen uint64 // events observed when the check ran
+	// TV and Floor hold, per attribute, the total variation between the
+	// closed window and the applied distribution, and its sampling floor.
+	TV, Floor []float64
+	// Reordered lists the attributes whose nodes were re-sorted and whose
+	// window became the applied distribution: the drifted ones, or all when
+	// the whole tree was restructured.
+	Reordered []int
+	// Resorted and Copied count the nodes re-sorted and the nodes only
+	// path-copied; every other node is shared with the predecessor. Both
+	// are zero for a rebuild.
+	Resorted, Copied int
+	Duration         time.Duration
+	Err              error // the engine's failure, if any
+}
+
+// Adaptor couples a filter engine with a windowed event history.
 type Adaptor struct {
-	mu      sync.Mutex
-	engine  Engine
-	policy  Policy
-	hists   []*dist.Histogram
-	applied []dist.Shape // shapes the engine currently runs with
-	seen    uint64
-	sinceCk int
+	engine Engine
+	policy Policy
+	hists  []*dist.Histogram
+	// seen and sinceCk advance on every observed event; restructures and
+	// checks are read by stats. None of them takes the mutex.
+	seen, sinceCk        atomic.Uint64
+	restructures, checks atomic.Int64
 
-	// restructMu serializes the engine-mutation phase of a restructure
-	// (SetConfig + Rebuild/Reorder). It is separate from mu so that the
-	// per-event Observe bookkeeping never blocks behind a running rebuild;
-	// without it, two overlapping drift windows could interleave their
-	// SetConfig fan-outs and leave a sharded engine's shards rebuilt under
-	// different distribution snapshots.
-	restructMu sync.Mutex
-
-	restructures int
-	checks       int
+	// mu serializes the drift check and the restructure it may trigger —
+	// window rotation, SetConfig and Rebuild/Reorder — so two overlapping
+	// boundaries cannot interleave their SetConfig fan-outs and leave a
+	// sharded engine's shards ordered for different windows. It guards
+	// applied, appliedN and ring.
+	mu       sync.Mutex
+	applied  []dist.Dist // per attribute, what the engine is ordered for
+	appliedN []float64   // and the sample size behind it (0: the exact prior)
+	// ring holds the last restructures, but for one slot: the one after the
+	// newest is the drift check's scratch, where a check that finds no drift
+	// writes its TV and floor and commits nothing.
+	ring [64]Decision
 }
 
 // New creates an adaptor for the engine. The engine's configuration is
@@ -127,21 +158,27 @@ type Adaptor struct {
 func New(engine Engine, policy Policy) (*Adaptor, error) {
 	p := policy.withDefaults()
 	s := engine.Schema()
-	hists := make([]*dist.Histogram, s.N())
-	applied := make([]dist.Shape, s.N())
-	for i := 0; i < s.N(); i++ {
+	a := &Adaptor{engine: engine, policy: p, hists: make([]*dist.Histogram, s.N()),
+		applied: make([]dist.Dist, s.N()), appliedN: make([]float64, s.N())}
+	for i := range a.hists {
 		h, err := dist.NewHistogram(s.At(i).Domain, p.Bins)
 		if err != nil {
 			return nil, err
 		}
-		hists[i] = h
-		applied[i] = dist.UniformShape{} // prior before any history
+		a.hists[i] = h
+		a.applied[i] = dist.New(dist.UniformShape{}, s.At(i).Domain) // prior before any history
 	}
-	return &Adaptor{engine: engine, policy: p, hists: hists, applied: applied}, nil
+	for i := range a.ring {
+		d := &a.ring[i]
+		d.TV, d.Floor, d.Reordered = make([]float64, s.N()), make([]float64, s.N()), make([]int, 0, s.N())
+	}
+	return a, nil
 }
 
-// Observe feeds one event into the history and runs the periodic drift
-// check. It returns true when a restructure was triggered.
+// Observe feeds one event into the history and runs the drift check when it
+// closes a window. It returns true when a restructure was applied.
+//
+//genas:hotpath
 func (a *Adaptor) Observe(vals []float64) bool {
 	for i, h := range a.hists {
 		h.Observe(vals[i])
@@ -152,127 +189,138 @@ func (a *Adaptor) Observe(vals []float64) bool {
 // ObserveBatch feeds a whole batch into the history and runs at most one
 // drift check, amortizing the adaptor bookkeeping over the batch (the
 // batched publish path's entry point).
+//
+//genas:hotpath
 func (a *Adaptor) ObserveBatch(events [][]float64) bool {
 	for _, vals := range events {
 		for i, h := range a.hists {
 			h.Observe(vals[i])
 		}
 	}
-	return a.bump(len(events))
+	return a.bump(uint64(len(events)))
 }
 
 // bump advances the event counters by n and runs the drift check when a
 // window boundary was crossed.
-func (a *Adaptor) bump(n int) bool {
-	if n <= 0 {
+func (a *Adaptor) bump(n uint64) bool {
+	seen := a.seen.Add(n)
+	if a.sinceCk.Add(n) < uint64(a.policy.Window) || seen < a.policy.MinHistory {
 		return false
 	}
-	a.mu.Lock()
-	a.seen += uint64(n)
-	a.sinceCk += n
-	due := a.sinceCk >= a.policy.Window && a.seen >= a.policy.MinHistory
-	if due {
-		a.sinceCk = 0
-	}
-	a.mu.Unlock()
-	if !due {
-		return false
-	}
-	return a.maybeAdapt(false)
+	ok, err := a.check(false)
+	return ok && err == nil
 }
 
-// ForceAdapt restructures unconditionally with the current history.
+// ForceAdapt closes the open window and restructures the whole tree for it,
+// drifted or not.
 func (a *Adaptor) ForceAdapt() error {
-	if ok := a.maybeAdapt(true); !ok {
-		return fmt.Errorf("adaptive: forced restructure failed")
-	}
-	return nil
+	_, err := a.check(true)
+	return err
 }
 
-// maybeAdapt compares live histograms against the applied distributions and
-// restructures when drifted (or when forced).
-func (a *Adaptor) maybeAdapt(force bool) bool {
-	a.restructMu.Lock()
-	defer a.restructMu.Unlock()
+// check closes the window, compares it per attribute with the applied
+// distribution and restructures for the attributes that drifted beyond their
+// sampling floor by the threshold (for all of them when forced). It reports
+// whether it restructured, and the engine's error if that failed.
+func (a *Adaptor) check(force bool) (bool, error) {
 	a.mu.Lock()
-	a.checks++
-	drift := 0.0
-	snaps := make([]dist.Shape, len(a.hists))
+	defer a.mu.Unlock()
+	if !force && a.sinceCk.Load() < uint64(a.policy.Window) {
+		return false, nil // a concurrent publisher ran this boundary's check
+	}
+	a.sinceCk.Store(0)
+	a.checks.Add(1)
+	seq := int(a.restructures.Load())
+	d := &a.ring[seq%len(a.ring)]
+	d.Reordered = d.Reordered[:0]
 	for i, h := range a.hists {
-		snaps[i] = h.Snapshot()
-		if d := dist.TotalVariation(snaps[i], a.applied[i], a.policy.Bins); d > drift {
-			drift = d
+		h.Rotate()
+		d.TV[i], d.Floor[i] = h.Drift(a.applied[i].Shape(), a.appliedN[i])
+		if d.TV[i]-d.Floor[i] >= a.policy.Threshold {
+			d.Reordered = append(d.Reordered, i)
 		}
 	}
-	if !force && drift < a.policy.Threshold {
-		a.mu.Unlock()
-		return false
+	if !force && len(d.Reordered) == 0 {
+		return false, nil
 	}
-	s := a.engine.Schema()
-	ds := make([]dist.Dist, len(snaps))
-	for i := range snaps {
-		ds[i] = dist.New(snaps[i], s.At(i).Domain)
-	}
-	goal := a.policy.Goal
-	rebuildAttrs := a.policy.ReorderAttributes
-	a.mu.Unlock()
 
+	start := time.Now()
+	d.Seq, d.Seen = seq+1, a.seen.Load()
 	cfg := a.engine.Config()
-	switch goal {
-	case UserCentric:
-		cfg.ValueMeasure = core.ValueCombined
-	default:
-		cfg.ValueMeasure = core.ValueEvent
+	measure := core.ValueEvent
+	if a.policy.Goal == UserCentric {
+		measure = core.ValueCombined
 	}
-	if rebuildAttrs {
+	// A node's order is the measure's ranking under its attribute's
+	// distribution alone, so only a new measure (the first restructure), a
+	// rebuild or the caller's demand touch the attributes that did not drift.
+	attrs := d.Reordered
+	if force || a.policy.ReorderAttributes || cfg.ValueMeasure != measure {
+		attrs = nil
+		d.Reordered = d.Reordered[:0]
+		for i := range a.hists {
+			d.Reordered = append(d.Reordered, i)
+		}
+	}
+	for _, i := range d.Reordered {
+		a.applied[i] = dist.New(a.hists[i].Snapshot(), a.applied[i].Domain())
+		a.appliedN[i] = a.hists[i].Window()
+	}
+	cfg.ValueMeasure = measure
+	cfg.EventDists = slices.Clone(a.applied)
+	if a.policy.ReorderAttributes {
 		cfg.AttrOrdering = core.AttrA2
 	}
-	cfg.EventDists = ds
+	// SetConfig is the commitment point: the engine adopts the new
+	// distributions now or, if the eager pass below fails, on its next
+	// rebuild, so the drift baseline tracks this window either way.
 	a.engine.SetConfig(cfg)
-	// SetConfig is the commitment point: the engine is now dirty and adopts
-	// the new distributions on its next rebuild — eagerly below, or lazily
-	// on the next match if the eager pass fails — so the drift baseline
-	// must track this snapshot either way.
-	a.mu.Lock()
-	a.applied = snaps
-	a.restructures++
-	a.mu.Unlock()
-	var err error
-	if rebuildAttrs {
-		err = a.engine.Rebuild()
+	if a.policy.ReorderAttributes {
+		d.Resorted, d.Copied, d.Err = 0, 0, a.engine.Rebuild()
 	} else {
-		err = a.engine.Reorder()
+		d.Resorted, d.Copied, d.Err = a.engine.Reorder(attrs...)
 	}
-	return err == nil
+	if d.Err != nil {
+		d.Err = fmt.Errorf("adaptive: restructure %d: %w", d.Seq, d.Err)
+	}
+	d.Duration = time.Since(start)
+	a.restructures.Add(1)
+	return true, d.Err
 }
 
 // Restructures returns how many restructures have been applied.
-func (a *Adaptor) Restructures() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.restructures
-}
+func (a *Adaptor) Restructures() int { return int(a.restructures.Load()) }
 
 // Checks returns how many drift checks have run.
-func (a *Adaptor) Checks() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.checks
-}
+func (a *Adaptor) Checks() int { return int(a.checks.Load()) }
 
 // Seen returns the number of observed events.
-func (a *Adaptor) Seen() uint64 {
+func (a *Adaptor) Seen() uint64 { return a.seen.Load() }
+
+// Decisions returns the records of the latest restructures (at most 63),
+// oldest first.
+func (a *Adaptor) Decisions() []Decision {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.seen
+	n := int(a.restructures.Load())
+	first := max(0, n-len(a.ring)+1)
+	out := make([]Decision, 0, n-first)
+	for i := first; i < n; i++ {
+		d := a.ring[i%len(a.ring)]
+		d.TV, d.Floor, d.Reordered = slices.Clone(d.TV), slices.Clone(d.Floor), slices.Clone(d.Reordered)
+		out = append(out, d)
+	}
+	return out
 }
 
-// History returns the live per-attribute empirical distributions.
+// History returns the per-attribute empirical distributions of the last
+// closed window (the uniform prior before the first one closes).
 func (a *Adaptor) History() []dist.Dist {
-	s := a.engine.Schema()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	out := make([]dist.Dist, len(a.hists))
 	for i, h := range a.hists {
-		out[i] = dist.New(h.Snapshot(), s.At(i).Domain)
+		out[i] = dist.New(h.Snapshot(), a.applied[i].Domain())
 	}
 	return out
 }

@@ -35,7 +35,7 @@ type churnFilter interface {
 	Match([]float64) ([]predicate.ID, int, error)
 	MatchBatch([][]float64, int) ([]BatchResult, error)
 	Rebuild() error
-	Reorder() error
+	Reorder(attrs ...int) (resorted, copied int, err error)
 }
 
 // churnProbes is the event grid every oracle check sweeps: domain edges,
@@ -172,10 +172,13 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 		switch {
 		case op%8 == 7 && len(order) > 0:
 			// Occasionally restructure explicitly: Reorder on a possibly
-			// fragmented successor tree, Rebuild as the heavy variant.
+			// fragmented successor tree — every node, or one attribute's —
+			// Rebuild as the heavy variant.
 			var err error
-			if op%16 == 7 {
-				err = filter.Reorder()
+			if op%32 == 7 {
+				_, _, err = filter.Reorder()
+			} else if op%32 == 23 {
+				_, _, err = filter.Reorder(step % 2)
 			} else {
 				err = filter.Rebuild()
 			}

@@ -497,19 +497,22 @@ func (e *Engine) rebuildLocked() (err error) {
 }
 
 // Reorder re-applies the value ordering on the existing structure (cheap
-// restructuring after a distribution update). The reordered automaton is
-// published as a successor snapshot; in-flight matches finish on the old
-// order.
-func (e *Engine) Reorder() error {
+// restructuring after a distribution update) to the nodes testing one of
+// attrs — none given: to every node — and reports how many nodes it re-sorted
+// and how many it only path-copied; the rest of the automaton is shared with
+// the predecessor. The reordered automaton is published as a successor
+// snapshot; in-flight matches finish on the old order.
+func (e *Engine) Reorder(attrs ...int) (resorted, copied int, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	snap := e.snap.Load()
 	if snap.tree == nil {
-		return e.rebuildLocked()
+		return 0, 0, e.rebuildLocked()
 	}
 	e.vo = e.valueOrder()
-	e.snap.Store(&snapshot{tree: snap.tree.Reordered(e.vo), expand: snap.expand, t2n: snap.t2n})
-	return nil
+	t, resorted, copied := snap.tree.Reordered(e.vo, attrs...)
+	e.snap.Store(&snapshot{tree: t, expand: snap.expand, t2n: snap.t2n})
+	return resorted, copied, nil
 }
 
 // SetEventDists replaces P_e (the adaptive component's entry point) without
@@ -527,8 +530,12 @@ func (e *Engine) Config() Config {
 	return e.cfg
 }
 
-// SetConfig replaces the measure/search configuration. The published
-// automaton is invalidated; the next match rebuilds with the new settings.
+// SetConfig replaces the measure/search configuration. A built automaton
+// stays published while its structure still holds — the value measure and the
+// distributions only order values inside nodes, which the next Reorder
+// re-applies — and is invalidated, for the next match to rebuild, when the
+// attribute ordering or the search changed or the ordering is derived from the
+// distributions (A2, A3).
 func (e *Engine) SetConfig(cfg Config) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -541,8 +548,10 @@ func (e *Engine) SetConfig(cfg Config) {
 	if cfg.Search == 0 {
 		cfg.Search = e.cfg.Search
 	}
+	structural := cfg.AttrOrdering != e.cfg.AttrOrdering || cfg.Search != e.cfg.Search ||
+		cfg.AttrOrdering == AttrA2 || cfg.AttrOrdering == AttrA2Asc || cfg.AttrOrdering == AttrA3
 	e.cfg = cfg
-	if snap := e.snap.Load(); !snap.empty {
+	if snap := e.snap.Load(); structural && !snap.empty {
 		e.snap.Store(&snapshot{})
 	}
 }

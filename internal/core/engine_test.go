@@ -117,6 +117,9 @@ func TestEngineMeasuresChangeOrder(t *testing.T) {
 	cfg := e.Config()
 	cfg.ValueMeasure = ValueEvent
 	e.SetConfig(cfg)
+	if _, _, err := e.Reorder(); err != nil {
+		t.Fatal(err)
+	}
 	aV1, err := e.Analyze()
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +184,7 @@ func TestEngineReorderKeepsSemantics(t *testing.T) {
 		dist.New(dist.PeakLow(0.9), s.At(0).Domain),
 		dist.New(dist.PeakHigh(0.9), s.At(1).Domain),
 	})
-	if err := e.Reorder(); err != nil {
+	if _, _, err := e.Reorder(); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range before {

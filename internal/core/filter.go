@@ -32,8 +32,10 @@ type Filter interface {
 	MatchBatch(events [][]float64, workers int) ([]BatchResult, error)
 	// Rebuild reconstructs the automaton(s) with the current configuration.
 	Rebuild() error
-	// Reorder re-applies the value ordering without rebuilding structure.
-	Reorder() error
+	// Reorder re-applies the value ordering without rebuilding structure, to
+	// the nodes testing one of attrs (none given: to all), and reports the
+	// nodes re-sorted and the nodes only path-copied.
+	Reorder(attrs ...int) (resorted, copied int, err error)
 	// Config returns a copy of the current configuration.
 	Config() Config
 	// SetConfig replaces the measure/search configuration (applied on the

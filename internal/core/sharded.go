@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"genas/internal/dist"
 	"genas/internal/predicate"
@@ -242,15 +243,20 @@ func (sh *Sharded) Rebuild() error {
 }
 
 // Reorder re-applies the value ordering on every non-empty shard
-// concurrently (the cheap half of restructuring). Empty shards are skipped,
-// not failed, like in Rebuild.
-func (sh *Sharded) Reorder() error {
-	return sh.perShard(func(e *Engine) error {
-		if err := e.Reorder(); err != nil && !errors.Is(err, ErrNoProfiles) {
-			return err
+// concurrently (the cheap half of restructuring), summing the shards' node
+// counts. Empty shards are skipped, not failed, like in Rebuild.
+func (sh *Sharded) Reorder(attrs ...int) (resorted, copied int, err error) {
+	var rs, cp atomic.Int64
+	err = sh.perShard(func(e *Engine) error {
+		r, c, err := e.Reorder(attrs...)
+		rs.Add(int64(r))
+		cp.Add(int64(c))
+		if errors.Is(err, ErrNoProfiles) {
+			return nil
 		}
-		return nil
+		return err
 	})
+	return int(rs.Load()), int(cp.Load()), err
 }
 
 // Config returns a copy of the current configuration (identical across

@@ -264,7 +264,7 @@ func TestShardedRestructure(t *testing.T) {
 	if got := sharded.Config(); got.ValueMeasure != ValueEvent || got.AttrOrdering != AttrA2 {
 		t.Fatalf("config did not fan out: %+v", got)
 	}
-	if err := sharded.Reorder(); err != nil {
+	if _, _, err := sharded.Reorder(); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
@@ -284,7 +284,7 @@ func TestShardedRestructure(t *testing.T) {
 	if err := small.Rebuild(); err != nil {
 		t.Fatalf("rebuild with empty shards: %v", err)
 	}
-	if err := small.Reorder(); err != nil {
+	if _, _, err := small.Reorder(); err != nil {
 		t.Fatalf("reorder with empty shards: %v", err)
 	}
 }

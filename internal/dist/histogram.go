@@ -13,13 +13,18 @@ import (
 var ErrBadHistogram = errors.New("dist: invalid histogram")
 
 // Histogram is the adaptive component's event history for one attribute: an
-// equal-width bin counter over the domain. Observe is lock-free and safe for
-// concurrent use with Snapshot, so the hot publish path never serializes on
-// statistics bookkeeping.
+// equal-width bin counter over the domain, read one window at a time. Observe
+// is one lock-free add on the lifetime counts; Rotate closes the window open
+// since the previous Rotate by differencing them against the counts it saw
+// then, so every observation lands in exactly one window whatever the
+// interleaving. Rotate and the window readers (Snapshot, Drift, Window) must
+// be serialized by the caller; Observe and N never wait for them.
 type Histogram struct {
 	dom    schema.Domain
-	counts []int64
-	total  int64
+	counts []int64   // lifetime, atomic
+	base   []int64   // counts at the last Rotate
+	win    []float64 // bin masses of the last closed window
+	n      float64   // their sum
 }
 
 // NewHistogram creates a histogram with the given number of equal-width bins
@@ -31,7 +36,7 @@ func NewHistogram(dom schema.Domain, bins int) (*Histogram, error) {
 	if dom.Kind() == 0 {
 		return nil, fmt.Errorf("%w: unset domain", ErrBadHistogram)
 	}
-	return &Histogram{dom: dom, counts: make([]int64, bins)}, nil
+	return &Histogram{dom: dom, counts: make([]int64, bins), base: make([]int64, bins), win: make([]float64, bins)}, nil
 }
 
 // Bins returns the bin count.
@@ -40,6 +45,8 @@ func (h *Histogram) Bins() int { return len(h.counts) }
 // Observe counts one value. Values outside the domain clamp to the nearest
 // bin and NaN is dropped, so a misbehaving publisher cannot corrupt the
 // history.
+//
+//genas:hotpath
 func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) {
 		return
@@ -54,35 +61,45 @@ func (h *Histogram) Observe(v float64) {
 	if f >= float64(len(h.counts)) {
 		f = float64(len(h.counts) - 1)
 	}
-	bin := int(f)
-	atomic.AddInt64(&h.counts[bin], 1)
-	atomic.AddInt64(&h.total, 1)
+	atomic.AddInt64(&h.counts[int(f)], 1)
 }
 
-// N returns the number of observed values.
+// N returns the number of values observed over the histogram's lifetime.
 func (h *Histogram) N() uint64 {
-	return uint64(atomic.LoadInt64(&h.total))
+	var n int64
+	for i := range h.counts {
+		n += atomic.LoadInt64(&h.counts[i])
+	}
+	return uint64(n)
 }
 
-// Snapshot freezes the current counts into a normalized step shape. With no
-// history yet it returns the uniform shape — the same prior the adaptive
+// Rotate closes the open window: what was observed since the previous Rotate
+// becomes the window the readers see.
+func (h *Histogram) Rotate() {
+	h.n = 0
+	for i := range h.counts {
+		c := atomic.LoadInt64(&h.counts[i])
+		h.win[i] = float64(c - h.base[i])
+		h.base[i] = c
+		h.n += h.win[i]
+	}
+}
+
+// Window returns the number of values in the last closed window.
+func (h *Histogram) Window() float64 { return h.n }
+
+// Snapshot freezes the last closed window into a normalized step shape. With
+// an empty window it returns the uniform shape — the same prior the adaptive
 // component starts from, so an empty histogram never reports drift.
 func (h *Histogram) Snapshot() Shape {
-	weights := make([]float64, len(h.counts))
-	total := 0.0
-	for i := range h.counts {
-		c := float64(atomic.LoadInt64(&h.counts[i]))
-		weights[i] = c
-		total += c
-	}
-	if total <= 0 {
+	if h.n <= 0 {
 		return UniformShape{}
 	}
-	cuts := make([]float64, len(weights)+1)
+	cuts := make([]float64, len(h.win)+1)
 	for i := range cuts {
-		cuts[i] = float64(i) / float64(len(weights))
+		cuts[i] = float64(i) / float64(len(h.win))
 	}
-	s, err := NewStepAt("hist", cuts, weights)
+	s, err := NewStepAt("hist", cuts, h.win)
 	if err != nil {
 		// Unreachable: cuts and weights are valid by construction.
 		return UniformShape{}
@@ -90,14 +107,25 @@ func (h *Histogram) Snapshot() Shape {
 	return s
 }
 
-// Shape is Snapshot; it exists so histograms satisfy the same reading
-// pattern as Dist.
-func (h *Histogram) Shape() Shape { return h.Snapshot() }
-
-// Reset clears all counts.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		atomic.StoreInt64(&h.counts[i], 0)
+// Drift compares the last closed window with the applied shape, itself an
+// estimate from n samples (0: exact). It returns their total variation on
+// the histogram's bins and the sampling floor: the value that distance is
+// expected to take when nothing drifted and only the two samples' noise
+// separates them, sqrt((1/n_window + 1/n)/2π) · Σ sqrt(p_i(1−p_i)) over the
+// window's bin masses p_i. An empty window reports no drift.
+func (h *Histogram) Drift(applied Shape, n float64) (tv, floor float64) {
+	if h.n <= 0 {
+		return 0, 0
 	}
-	atomic.StoreInt64(&h.total, 0)
+	bins := float64(len(h.win))
+	for i, w := range h.win {
+		p := w / h.n
+		tv += math.Abs(p - MassOn(applied, float64(i)/bins, float64(i+1)/bins))
+		floor += math.Sqrt(p * (1 - p))
+	}
+	v := 1 / h.n
+	if n > 0 {
+		v += 1 / n
+	}
+	return tv / 2, floor * math.Sqrt(v/(2*math.Pi))
 }

@@ -60,11 +60,9 @@ func TestHistogramConvergesToSource(t *testing.T) {
 		if h.N() != n {
 			t.Fatalf("N = %d", h.N())
 		}
+		h.Rotate()
 		if tv := TotalVariation(h.Snapshot(), sh, 10); tv > 0.02 {
 			t.Errorf("%s: snapshot TV from source = %g", name, tv)
-		}
-		if tv := TotalVariation(h.Shape(), h.Snapshot(), 10); tv != 0 {
-			t.Errorf("%s: Shape and Snapshot disagree by %g", name, tv)
 		}
 	}
 }
@@ -83,6 +81,7 @@ func TestHistogramClampsOutliers(t *testing.T) {
 	if h.N() != 3 {
 		t.Errorf("N = %d", h.N())
 	}
+	h.Rotate()
 	s := h.Snapshot()
 	if m := MassOn(s, 0, 0.25); math.Abs(m-1.0/3) > 1e-9 {
 		t.Errorf("low edge bin mass = %g", m)
@@ -117,21 +116,110 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestHistogramReset clears the history back to the uniform prior.
-func TestHistogramReset(t *testing.T) {
+// TestHistogramWindowsPartitionStream: a closed window holds exactly what
+// was observed since the previous Rotate and nothing older, an empty one
+// falls back to the uniform prior, and N keeps the lifetime count.
+func TestHistogramWindowsPartitionStream(t *testing.T) {
 	h, err := NewHistogram(intDom(t, 0, 9), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		h.Observe(1)
+	for w, v := range []float64{1, 9} {
+		for i := 0; i < 100*(w+1); i++ {
+			h.Observe(v)
+		}
+		h.Rotate()
+		if h.Window() != float64(100*(w+1)) {
+			t.Errorf("window %d holds %g values", w, h.Window())
+		}
+		lo := float64(int(v)/2) / 5
+		if m := MassOn(h.Snapshot(), lo, lo+0.2); m != 1 {
+			t.Errorf("window %d: mass %g on the bin of %g, want all of it", w, m, v)
+		}
 	}
-	h.Reset()
-	if h.N() != 0 {
-		t.Errorf("N after reset = %d", h.N())
+	h.Rotate()
+	if tv := TotalVariation(h.Snapshot(), UniformShape{}, 5); tv != 0 || h.Window() != 0 {
+		t.Errorf("empty window: %g values, drifts by %g", h.Window(), tv)
 	}
-	if tv := TotalVariation(h.Snapshot(), UniformShape{}, 5); tv != 0 {
-		t.Errorf("reset snapshot drifts by %g", tv)
+	if tv, floor := h.Drift(PeakHigh(0.9), 0); tv != 0 || floor != 0 {
+		t.Errorf("empty window reports drift %g, floor %g", tv, floor)
+	}
+	if h.N() != 300 {
+		t.Errorf("N = %d, want the lifetime 300", h.N())
+	}
+}
+
+// TestHistogramRotateUnderConcurrentObserve: windows partition the stream
+// whatever the interleaving — the masses of the windows closed while writers
+// run, plus the one closed after they stop, add up to the values observed.
+func TestHistogramRotateUnderConcurrentObserve(t *testing.T) {
+	h, err := NewHistogram(intDom(t, 0, 99), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, per = 4, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < per; i++ {
+				h.Observe(float64(rng.Intn(100)))
+			}
+		}(int64(w))
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	sum := 0.0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		h.Rotate()
+		sum += h.Window()
+	}
+	h.Rotate()
+	if sum += h.Window(); sum != workers*per {
+		t.Errorf("window masses add up to %g, want %d", sum, workers*per)
+	}
+}
+
+// TestHistogramDriftFloor: the sampling floor is what the total variation
+// between two samples of one source comes to on average, so drift beyond it
+// centres on zero without drift and on the true distance with it. (The
+// floor is a plug-in estimate from the window's own bins, biased low by a
+// tenth where bins hold one or two values, as the tail bins here do.)
+func TestHistogramDriftFloor(t *testing.T) {
+	dom := intDom(t, 0, 99)
+	src := New(PeakHigh(0.9), dom)
+	rng := rand.New(rand.NewSource(4))
+	window := func(d Dist, n int) *Histogram {
+		h, err := NewHistogram(dom, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			h.Observe(d.Sample(rng))
+		}
+		h.Rotate()
+		return h
+	}
+	const rounds, n = 200, 200
+	excess, floors := 0.0, 0.0
+	for r := 0; r < rounds; r++ {
+		tv, floor := window(src, n).Drift(window(src, n).Snapshot(), n)
+		excess += (tv - floor) / rounds
+		floors += floor / rounds
+	}
+	if math.Abs(excess) > 0.25*floors {
+		t.Errorf("mean drift beyond the floor = %g under no drift (floor %g)", excess, floors)
+	}
+	tv, floor := window(New(UniformShape{}, dom), 4096).Drift(src.Shape(), 0)
+	if want := TotalVariation(UniformShape{}, src.Shape(), 16); math.Abs(tv-floor-want) > 0.05 {
+		t.Errorf("drift beyond the floor = %g, true distance %g", tv-floor, want)
 	}
 }
 
@@ -150,6 +238,7 @@ func TestHistogramDriftDetection(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		h.Observe(src.Sample(rng))
 	}
+	h.Rotate()
 	snap := h.Snapshot()
 	if tv := TotalVariation(snap, applied, 16); tv < 0.5 {
 		t.Errorf("drifted stream TV from uniform prior = %g, want large", tv)

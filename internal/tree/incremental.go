@@ -1,8 +1,8 @@
 // Incremental maintenance of the profile tree: insert one profile by
 // transforming only the automaton states the profile can reach (the
 // "corridor"), remove one profile by tombstoning its dense index, and
-// re-apply a value order by cloning the node graph so concurrent readers of
-// the original tree never observe a half-ordered node.
+// re-apply a value order by cloning the nodes it re-sorts so concurrent readers
+// of the original tree never observe a half-ordered node.
 //
 // All three operations are persistent: the receiver tree is never mutated,
 // the successor shares every node the change does not touch. That is what
@@ -25,6 +25,7 @@
 package tree
 
 import (
+	"slices"
 	"sync"
 
 	"genas/internal/predicate"
@@ -168,42 +169,68 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 	return &nt
 }
 
-// Reordered returns a successor tree with vo applied to every node. Unlike
-// ApplyValueOrder it does not mutate the receiver: the node graph is cloned
-// (structure, buckets and ordering state; profile and leaf slices are
-// shared), so readers of the old tree keep a consistent defined order.
-func (t *Tree) Reordered(vo ValueOrder) *Tree {
-	nt := *t
-	memo := make(map[*Node]*Node, 64)
-	nt.root = cloneReordered(t.root, vo, memo)
-	nt.meta = &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
-	return &nt
-}
-
-//
-//genas:builder
-func cloneReordered(old *Node, vo ValueOrder, memo map[*Node]*Node) *Node {
-	if n, ok := memo[old]; ok {
-		return n
+// Reordered returns a successor tree with vo applied to the nodes that test
+// one of attrs (none given: to every node). Unlike ApplyValueOrder it does not
+// mutate the receiver, and it costs what is reordered: nodes down to the
+// deepest level testing such an attribute are path-copied, those testing one
+// get fresh buckets and ordering state, and everything below — like every
+// profile and leaf slice — is shared, so readers of the old tree keep a
+// consistent defined order. It reports the nodes re-sorted and the nodes
+// copied only to re-point their children.
+func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copied int) {
+	r := reorderer{vo: vo, sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node)}
+	for _, a := range attrs {
+		r.sel[a] = true
 	}
-	n := &Node{
-		Level:     old.Level,
-		Attr:      old.Attr,
-		discrete:  old.discrete,
-		nSubrange: old.nSubrange,
-		extra:     old.extra,
-	}
-	n.edges = make([]Edge, len(old.edges))
-	copy(n.edges, old.edges)
-	for i := range n.edges {
-		if n.edges[i].Child != nil {
-			n.edges[i].Child = cloneReordered(n.edges[i].Child, vo, memo)
+	for level, a := range t.attrOrder {
+		if len(attrs) == 0 {
+			r.sel[a] = true
+		}
+		if r.sel[a] {
+			r.deepest = level
 		}
 	}
-	n.buckets = make([]bucket, len(old.buckets))
-	copy(n.buckets, old.buckets)
-	n.applyOrder(vo)
-	memo[old] = n
+	c := *t
+	c.root = r.clone(t.root)
+	c.meta = &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
+	return &c, r.resorted, r.copied
+}
+
+// reorderer carries one Reordered call: the selected attributes, the deepest
+// level testing one, and the memo that keeps shared states shared.
+type reorderer struct {
+	vo               ValueOrder
+	sel              []bool
+	deepest          int
+	memo             map[*Node]*Node
+	sc               orderScratch
+	resorted, copied int
+}
+
+//genas:builder
+func (r *reorderer) clone(old *Node) *Node {
+	if old.Level > r.deepest {
+		return old
+	}
+	if n, ok := r.memo[old]; ok {
+		return n
+	}
+	n := new(Node)
+	*n = *old
+	if old.Level < r.deepest {
+		n.edges = slices.Clone(old.edges)
+		for i := range n.edges {
+			n.edges[i].Child = r.clone(n.edges[i].Child)
+		}
+	}
+	if r.sel[old.Attr] {
+		n.buckets, n.scan = slices.Clone(old.buckets), nil
+		n.applyOrder(r.vo, &r.sc)
+		r.resorted++
+	} else {
+		r.copied++
+	}
+	r.memo[old] = n
 	return n
 }
 
@@ -337,6 +364,7 @@ type inserter struct {
 	posBuf  []int
 	scanBuf []int
 	compBuf []int
+	sc      orderScratch // chain's applyOrder
 	// a chunk-allocates every object the successor tree retains.
 	a arena
 }
@@ -671,7 +699,7 @@ func (ins *inserter) chain(level int) *Node {
 		}
 		n.nSubrange = len(n.edges)
 	}
-	n.applyOrder(ins.vo)
+	n.applyOrder(ins.vo, &ins.sc)
 	ins.chains[level] = n
 	return n
 }

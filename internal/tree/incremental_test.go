@@ -281,7 +281,7 @@ func TestReorderedDoesNotMutateOriginal(t *testing.T) {
 	}
 	before := tr.Root().ScanOrder()
 
-	re := tr.Reordered(ValueOrder{
+	re, _, _ := tr.Reordered(ValueOrder{
 		Name:       "reverse",
 		Descending: true,
 		Rank:       func(_ int, region []Interval) float64 { return region[0].Lo },

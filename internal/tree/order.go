@@ -2,7 +2,7 @@ package tree
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"genas/internal/schema"
 )
@@ -63,73 +63,77 @@ func (t *Tree) applyNaturalOrder() {
 // the cheap half of restructuring (the expensive half, attribute reordering,
 // requires Build with a different order).
 func (t *Tree) ApplyValueOrder(vo ValueOrder) {
+	var sc orderScratch
 	for _, level := range t.ensureMeta().levels {
 		for _, n := range level {
-			n.applyOrder(vo)
+			n.applyOrder(vo, &sc)
 		}
 	}
+}
+
+// orderScratch is applyOrder's working set, reused from node to node: the
+// defined-order entries (one per subrange or gap bucket, one for all the
+// complement pieces together) and the region handed to Rank.
+type orderScratch struct {
+	entries []orderEntry
+	comp    []Interval
+	one     [1]Interval
+}
+
+type orderEntry struct {
+	score float64
+	nat   int // natural tiebreak: bucket index, or len(buckets) for the complement entry
+	edge  int
 }
 
 // applyOrder ranks the node's buckets and rebuilds scan/orderPos.
 //
 //genas:builder
-func (n *Node) applyOrder(vo ValueOrder) {
-	type scored struct {
-		score float64
-		// natural tiebreak position
-		nat int
-		// region indices: which buckets form the entry. Subrange and gap
-		// buckets are singletons; all complement pieces form one entry.
-		buckets []int
-		edge    int
-	}
-	entries := make([]scored, 0, len(n.buckets))
-	var complementPieces []int
-	complementEdge := -1
+func (n *Node) applyOrder(vo ValueOrder, sc *orderScratch) {
+	entries, comp := sc.entries[:0], sc.comp[:0]
+	compEdge := -1
 	for bi, b := range n.buckets {
 		if b.edge >= 0 && n.edges[b.edge].Kind != EdgeSubrange {
-			complementPieces = append(complementPieces, bi)
-			complementEdge = b.edge
+			comp = append(comp, b.iv)
+			compEdge = b.edge
 			continue
 		}
-		entries = append(entries, scored{nat: bi, buckets: []int{bi}, edge: b.edge})
+		sc.one[0] = b.iv
+		entries = append(entries, orderEntry{score: vo.Rank(n.Attr, sc.one[:]), nat: bi, edge: b.edge})
 	}
-	if complementEdge >= 0 {
-		entries = append(entries, scored{nat: len(n.buckets), buckets: complementPieces, edge: complementEdge})
+	if compEdge >= 0 {
+		entries = append(entries, orderEntry{score: vo.Rank(n.Attr, comp), nat: len(n.buckets), edge: compEdge})
 	}
-
-	for i := range entries {
-		region := make([]Interval, len(entries[i].buckets))
-		for j, bi := range entries[i].buckets {
-			region[j] = n.buckets[bi].iv
-		}
-		entries[i].score = vo.Rank(n.Attr, region)
-	}
-
-	sort.SliceStable(entries, func(i, j int) bool {
-		si, sj := entries[i].score, entries[j].score
-		if si != sj {
-			if vo.Descending {
-				return si > sj
+	slices.SortFunc(entries, func(x, y orderEntry) int {
+		if x.score != y.score {
+			if (x.score > y.score) == vo.Descending {
+				return -1
 			}
-			return si < sj
+			return 1
 		}
 		// "The order of values with equal selectivity is arbitrary (such as
 		// the natural order of the values)."
-		return entries[i].nat < entries[j].nat
+		return x.nat - y.nat
 	})
 
 	n.orderPos = make([]int, len(n.edges))
 	n.scan = n.scan[:0]
 	for pos, e := range entries {
-		for _, bi := range e.buckets {
-			n.buckets[bi].orderPos = pos + 1
+		if e.nat < len(n.buckets) {
+			n.buckets[e.nat].orderPos = pos + 1
+		} else {
+			for bi := range n.buckets {
+				if n.buckets[bi].edge == compEdge {
+					n.buckets[bi].orderPos = pos + 1
+				}
+			}
 		}
 		if e.edge >= 0 {
 			n.orderPos[e.edge] = pos + 1
 			n.scan = append(n.scan, e.edge)
 		}
 	}
+	sc.entries, sc.comp = entries, comp
 }
 
 // ScanOrder returns the edge indices in scan order (copy).

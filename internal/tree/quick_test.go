@@ -176,3 +176,122 @@ func TestQuickOrderPositionsArePermutation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fingerprint renders every unique node of the tree: identity, children,
+// buckets with their lookup-table positions, scan order and position table.
+func fingerprint(tr *Tree) string {
+	out := ""
+	for _, level := range tr.Levels() {
+		for _, n := range level {
+			out += fmt.Sprintf("%p %+v %v %v %v %v\n", n, n.buckets, n.scan, n.orderPos, n.extra, n.nSubrange)
+			for _, e := range n.edges {
+				out += fmt.Sprintf("  %v %v %v %p\n", e.Kind, e.Iv, e.Profiles, e.Child)
+			}
+		}
+	}
+	return out
+}
+
+// TestQuickPartialReorder: for random trees — fresh from Build or grown by
+// inserts — random attribute orders and random sets of drifted attributes,
+// re-sorting only the nodes that test a drifted attribute gives the same
+// matches at the same per-event cost as re-sorting every node under an order
+// that changed on those attributes alone; it shares every node below the
+// deepest drifted level with the predecessor, copies every node at or above
+// it, counts both, and leaves the predecessor bit for bit as it was.
+func TestQuickPartialReorder(t *testing.T) {
+	s := incrSchema(t)
+	salted := func(salts []float64, desc bool) ValueOrder {
+		return ValueOrder{Name: "quick", Descending: desc, Rank: func(attr int, region []Interval) float64 {
+			return math.Mod((region[0].Lo+1)*salts[attr], 13)
+		}}
+	}
+	check := func(seed int64, pick uint8, desc bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var profiles []*predicate.Profile
+		for i := 0; i < 4+rng.Intn(12); i++ {
+			profiles = append(profiles, randomProfile(t, s, rng, i))
+		}
+		oldSalts := []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
+		old, err := Build(s, profiles, WithAttributeOrder(rng.Perm(s.N())))
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		old.ApplyValueOrder(salted(oldSalts, desc))
+		if grow := rng.Intn(4); grow > 0 {
+			for i := 0; i < grow; i++ {
+				old, _ = old.WithProfile(randomProfile(t, s, rng, 100+i), salted(oldSalts, desc))
+			}
+			// Inserted nodes inherit their neighbours' positions; a whole
+			// reorder makes the order the measure's again.
+			old, _, _ = old.Reordered(salted(oldSalts, desc))
+		}
+
+		var drifted []int
+		newSalts := append([]float64(nil), oldSalts...)
+		deepest := -1
+		for level, attr := range old.AttrOrder() {
+			if pick>>attr&1 == 1 {
+				drifted = append(drifted, attr)
+				newSalts[attr] = rng.Float64() * 100
+				deepest = level
+			}
+		}
+		if drifted == nil {
+			return true // no attributes given means all of them: the other test case
+		}
+		before := fingerprint(old)
+		part, resorted, copied := old.Reordered(salted(newSalts, desc), drifted...)
+		full, all, none := old.Reordered(salted(newSalts, desc))
+		if fingerprint(old) != before {
+			t.Errorf("seed %d: Reordered mutated its receiver", seed)
+			return false
+		}
+		if all != old.Stats().Nodes || none != 0 {
+			t.Errorf("seed %d: whole reorder re-sorted %d and copied %d of %d nodes", seed, all, none, old.Stats().Nodes)
+			return false
+		}
+		for i := 0; i < 60; i++ {
+			vals := randomProbe(s, rng)
+			pm, pops := part.Match(vals)
+			fm, fops := full.Match(vals)
+			if !reflect.DeepEqual(pm, fm) || pops != fops {
+				t.Errorf("seed %d drifted %v: probe %v matched %v in %d ops, whole reorder %v in %d", seed, drifted, vals, pm, pops, fm, fops)
+				return false
+			}
+		}
+		wantResorted, wantCopied := 0, 0
+		for level, nodes := range old.Levels() {
+			successors := part.Levels()[level]
+			if len(successors) != len(nodes) {
+				t.Errorf("seed %d: level %d has %d nodes, had %d", seed, level, len(successors), len(nodes))
+				return false
+			}
+			was := make(map[*Node]bool, len(nodes))
+			for _, n := range nodes {
+				was[n] = true
+			}
+			for _, n := range successors {
+				if was[n] != (level > deepest) {
+					t.Errorf("seed %d drifted %v: level %d node shared = %v, deepest drifted level %d", seed, drifted, level, was[n], deepest)
+					return false
+				}
+			}
+			switch {
+			case pick>>old.AttrOrder()[level]&1 == 1:
+				wantResorted += len(nodes)
+			case level < deepest:
+				wantCopied += len(nodes)
+			}
+		}
+		if resorted != wantResorted || copied != wantCopied {
+			t.Errorf("seed %d drifted %v: reported %d re-sorted, %d copied; want %d, %d", seed, drifted, resorted, copied, wantResorted, wantCopied)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
