@@ -39,6 +39,7 @@ import (
 	"genas/internal/adaptive"
 	"genas/internal/federation"
 	"genas/internal/hook"
+	"genas/internal/tree"
 	"genas/internal/wire"
 )
 
@@ -60,7 +61,7 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		threshold  = fs.Float64("threshold", 0.1, "total-variation drift threshold")
 		measure    = fs.String("measure", "natural", "value measure: natural | event | profile | event*profile")
 		attrs      = fs.String("attrs", "natural", "attribute ordering: natural | A1 | A2 | A3")
-		search     = fs.String("search", "linear", "node search: linear | binary | interpolation | hash")
+		search     = fs.String("search", tree.DefaultSearch.String(), "node search: weighted | linear | binary | interpolation | hash")
 		shards     = fs.Int("shards", 1, "engine/delivery shard count (0 = GOMAXPROCS, 1 = single tree)")
 		defaults   = fs.String("defaults", "", "fill-ins for omitted event attributes, e.g. 'radiation=1; humidity=0'")
 		proto      = fs.String("proto", "auto", "max wire protocol: auto | v1 | v2 (v1 pins every connection to JSON lines)")

@@ -30,6 +30,7 @@ func run() error {
 	)
 	svc, err := genas.NewService(sch,
 		genas.WithAdaptivePolicy(500, 0.08, true), // learn P_e, reorder attributes too
+		genas.WithSearch("linear"),                // the paper's scan: Measure V1 is its order, and its count
 	)
 	if err != nil {
 		return err

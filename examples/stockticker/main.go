@@ -113,8 +113,8 @@ func run() error {
 
 func report(static, adaptive *genas.Service) {
 	ss, as := static.Stats(), adaptive.Stats()
-	fmt.Printf("  static   (natural order): mean %.2f ops/quote\n", ss.MeanOps)
-	fmt.Printf("  adaptive (V1 + A2):       mean %.2f ops/quote\n", as.MeanOps)
+	fmt.Printf("  static   (uniform prior): mean %.2f ops/quote\n", ss.MeanOps)
+	fmt.Printf("  adaptive (P_e + A2):      mean %.2f ops/quote\n", as.MeanOps)
 	if as.MeanOps > 0 {
 		fmt.Printf("  speedup: %.2fx fewer comparisons per quote\n", ss.MeanOps/as.MeanOps)
 	}

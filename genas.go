@@ -185,13 +185,16 @@ func WithAggregation() Option {
 	return func(*options) error { return nil }
 }
 
-// WithSearch selects the within-node search strategy by name: "linear"
-// (ordered scan with the lookup-table early-termination rule), "binary",
-// "interpolation" or "hash" (the further strategies of the paper's outlook,
-// §5).
+// WithSearch selects the within-node search strategy by name: "weighted"
+// (the default, tree.DefaultSearch: a search tree per node balanced by event
+// probability), "linear" (the paper's ordered scan with the lookup-table
+// early-termination rule), "binary", "interpolation" or "hash" (the further
+// strategies of the paper's outlook, §5).
 func WithSearch(name string) Option {
 	return func(o *options) error {
 		switch name {
+		case tree.DefaultSearch.String():
+			o.broker.Engine.Search = tree.DefaultSearch
 		case "linear":
 			o.broker.Engine.Search = tree.SearchLinear
 		case "binary":

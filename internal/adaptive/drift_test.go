@@ -13,6 +13,7 @@ import (
 	"genas/internal/dist"
 	"genas/internal/predicate"
 	"genas/internal/schema"
+	"genas/internal/tree"
 )
 
 // The two halves of the benchmark's match-drift plan, drawn i.i.d. instead
@@ -49,12 +50,12 @@ func hotKeys() half {
 
 // driftEngine holds narrow range profiles with uniform centres, as
 // match-drift does, temperature at the root.
-func driftEngine(t *testing.T) *core.Engine {
+func driftEngine(t *testing.T, search tree.Search) *core.Engine {
 	t.Helper()
 	temp, _ := schema.NewNumericDomain(-30, 50)
 	hum, _ := schema.NewNumericDomain(0, 100)
 	s := schema.MustNew(schema.Attribute{Name: "temperature", Domain: temp}, schema.Attribute{Name: "humidity", Domain: hum})
-	e := core.NewEngine(s, core.Config{})
+	e := core.NewEngine(s, core.Config{Search: search})
 	rng := rand.New(rand.NewSource(2002))
 	for i := 0; i < 600; i++ {
 		tLo := -30 + 0.5*float64(rng.Intn(154))
@@ -93,21 +94,22 @@ func feed(t *testing.T, e *core.Engine, a *Adaptor, gen half, rng *rand.Rand, wi
 }
 
 // TestDriftTwin drives the adaptor at the benchmark's policy over
-// match-drift's two alternating halves. It must restructure for each flip —
+// match-drift's two alternating halves, on the paper's scan (the weighted
+// search has its own twin below). It must restructure for each flip —
 // the parent's cumulative history stopped after the first cycle — by
 // re-sorting the one node that tests temperature, and each half must then
 // cost fewer operations than under the order fitted to the mixture of both,
 // which is what the parent's history converged to.
 func TestDriftTwin(t *testing.T) {
 	halves := []half{lowPeak, hotKeys()}
-	e := driftEngine(t)
+	e := driftEngine(t, tree.SearchLinear)
 	a, err := New(e, Policy{Window: driftWindow, Threshold: driftThreshold})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The mixture order: V1 under one whole cycle's histogram.
-	mix := driftEngine(t)
+	mix := driftEngine(t, tree.SearchLinear)
 	rng := rand.New(rand.NewSource(1))
 	mixDists := make([]dist.Dist, 2)
 	for attr := range mixDists {
@@ -160,6 +162,39 @@ func TestDriftTwin(t *testing.T) {
 	}
 }
 
+// TestDriftTwinWeighted is the twin on the default search: the adaptor
+// restructures once per flip, re-weighting the probe tree of the one node that
+// tests temperature, and each half then costs no more operations than on the
+// same tree left on uniform weights.
+func TestDriftTwinWeighted(t *testing.T) {
+	halves := []half{lowPeak, hotKeys()}
+	e, uniform := driftEngine(t, tree.DefaultSearch), driftEngine(t, tree.DefaultSearch)
+	a, err := New(e, Policy{Window: driftWindow, Threshold: driftThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for c := 0; c < 3; c++ {
+		before := a.Restructures()
+		for hi, gen := range halves {
+			adapted := feed(t, e, a, gen, rng, halfWindows)
+			flat := feed(t, uniform, nil, gen, rng, 1)
+			t.Logf("cycle %d half %d: re-weighted %d uniform %d", c, hi, adapted, flat)
+			if adapted > flat {
+				t.Errorf("cycle %d half %d: %d ops on the re-weighted tree, %d on uniform weights", c, hi, adapted, flat)
+			}
+		}
+		if got := a.Restructures() - before; c > 0 && got != 2 {
+			t.Errorf("cycle %d: %d restructures, want one per flip", c, got)
+		}
+	}
+	for _, d := range a.Decisions()[1:] {
+		if len(d.Reordered) != 1 || d.Reordered[0] != 0 || d.Resorted != 1 || d.Copied != 0 || d.Err != nil {
+			t.Errorf("restructure %d: want temperature alone, one node re-weighted: %+v", d.Seq, d)
+		}
+	}
+}
+
 // TestStationaryTwin: either half of match-drift repeated for as long as
 // the drifting twin runs, drawn i.i.d. (so every window carries its full
 // sampling noise), restructures in the warm-up and never again, and a check
@@ -167,7 +202,7 @@ func TestDriftTwin(t *testing.T) {
 func TestStationaryTwin(t *testing.T) {
 	for name, gen := range map[string]half{"low peak": lowPeak, "hot keys": hotKeys()} {
 		t.Run(name, func(t *testing.T) {
-			e := driftEngine(t)
+			e := driftEngine(t, tree.DefaultSearch)
 			a, err := New(e, Policy{Window: driftWindow, Threshold: driftThreshold})
 			if err != nil {
 				t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"genas/internal/dist"
 	"genas/internal/predicate"
 	"genas/internal/schema"
+	"genas/internal/tree"
 )
 
 // TestUserCentricFavorsPriorityProfiles verifies the paper's user-centric
@@ -26,7 +27,7 @@ func TestUserCentricFavorsPriorityProfiles(t *testing.T) {
 	// concentrate where the crowd watches, so event-centric ordering puts
 	// the VIP's region late in the scan.
 	build := func(goal Goal) (*core.Engine, predicate.ID) {
-		e := core.NewEngine(s, core.Config{})
+		e := core.NewEngine(s, core.Config{Search: tree.SearchLinear}) // the goals are value orders of the scan
 		vip := predicate.MustParse(s, "vip", "profile(v = 90)")
 		vip.Priority = 50
 		if err := e.AddProfile(vip); err != nil {

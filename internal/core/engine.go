@@ -113,8 +113,8 @@ type Config struct {
 	ValueMeasure ValueMeasure
 	// AttrOrdering selects the level order (default natural).
 	AttrOrdering AttrOrdering
-	// Search selects the within-node strategy (default linear with the
-	// lookup-table early-termination rule).
+	// Search selects the within-node strategy (default tree.DefaultSearch;
+	// tree.SearchLinear is the paper's scan).
 	Search tree.Search
 	// EventDists is P_e per schema attribute. Nil means uniform; the
 	// adaptive component replaces it with live histogram snapshots.
@@ -227,7 +227,7 @@ func NewEngine(s *schema.Schema, cfg Config) *Engine {
 		cfg.AttrOrdering = AttrNatural
 	}
 	if cfg.Search == 0 {
-		cfg.Search = tree.SearchLinear
+		cfg.Search = tree.DefaultSearch
 	}
 	e := &Engine{schema: s, cfg: cfg, agg: agg.NewPoset(s)}
 	e.snap.Store(&snapshot{empty: true})
@@ -377,8 +377,19 @@ func (e *Engine) empirical(desc bool) tree.ValueOrder {
 	return selectivity.V2Empirical(e.schema, e.agg.Profiles(), desc)
 }
 
-// valueOrder materializes the configured value measure.
+// valueOrder materializes the configured value measure, with the configured
+// P_e as the weight of the weighted search (none configured: none, which the
+// tree reads as uniform).
 func (e *Engine) valueOrder() tree.ValueOrder {
+	vo := e.rankOrder()
+	if e.cfg.EventDists != nil {
+		vo.Mass = selectivity.V1(e.cfg.EventDists, true).Mass
+	}
+	return vo
+}
+
+// rankOrder is the configured value measure's ranking.
+func (e *Engine) rankOrder() tree.ValueOrder {
 	ed := e.eventDists()
 	pd := e.cfg.ProfileDists
 	switch e.cfg.ValueMeasure {
@@ -486,8 +497,11 @@ func (e *Engine) rebuildLocked() (err error) {
 		return err
 	}
 	vo := e.valueOrder()
-	// The tree is not published yet, so the in-place ordering pass is safe.
-	t.ApplyValueOrder(vo)
+	// Build leaves the natural order on uniform weights; anything else is
+	// applied in place, which is safe while the tree is not published.
+	if e.cfg.ValueMeasure != ValueNatural || vo.Mass != nil {
+		t.ApplyValueOrder(vo)
+	}
 	e.vo = vo
 	e.t2n = t2n
 	e.nodeTree = nodeTree

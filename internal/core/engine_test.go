@@ -102,7 +102,7 @@ func TestEngineMeasuresChangeOrder(t *testing.T) {
 		dist.New(dist.PeakHigh(0.95), s.At(0).Domain),
 		dist.New(dist.UniformShape{}, s.At(1).Domain),
 	}
-	e := NewEngine(s, Config{EventDists: eds})
+	e := NewEngine(s, Config{EventDists: eds, Search: tree.SearchLinear}) // the measures order the scan
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 40; i++ {
 		expr := fmt.Sprintf("profile(x = %d)", rng.Intn(100))
@@ -252,7 +252,7 @@ func TestConfigDefaults(t *testing.T) {
 	s := testSchema(t)
 	e := NewEngine(s, Config{})
 	cfg := e.Config()
-	if cfg.ValueMeasure != ValueNatural || cfg.AttrOrdering != AttrNatural || cfg.Search != tree.SearchLinear {
+	if cfg.ValueMeasure != ValueNatural || cfg.AttrOrdering != AttrNatural || cfg.Search != tree.DefaultSearch {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	// SetConfig with zero fields keeps previous values.

@@ -48,15 +48,15 @@ func DontCareSweep(seed int64) (Table, error) {
 	for _, frac := range fractions {
 		t.Columns = append(t.Columns, fmt.Sprintf("dc=%.0f%%", frac*100))
 		profiles := genProfilesEqualityND(s, profileCount, eds, frac, rng)
-		tr, err := tree.Build(s, profiles)
+		tr, err := tree.Build(s, profiles, tree.WithSearch(tree.SearchLinear))
 		if err != nil {
 			return Table{}, err
 		}
-		tr.ApplyValueOrder(selectivity.V1(eds, true))
+		vo := selectivity.V1(eds, true)
+		tr.ApplyValueOrder(vo)
 		a := selectivity.Analyze(tr, eds)
 		linear.Values = append(linear.Values, a.TotalOps)
-		tr.SetStrategy(tree.SearchBinary)
-		binary.Values = append(binary.Values, selectivity.Analyze(tr, eds).TotalOps)
+		binary.Values = append(binary.Values, selectivity.Analyze(tr.WithStrategy(tree.SearchBinary, vo), eds).TotalOps)
 		nodes.Values = append(nodes.Values, float64(tr.Stats().Nodes))
 		matchP.Values = append(matchP.Values, a.MatchProb)
 	}
@@ -134,15 +134,15 @@ func OperatorSweep(seed int64) (Table, error) {
 				profiles = append(profiles, p)
 			}
 		}
-		tr, err := tree.Build(s, profiles)
+		tr, err := tree.Build(s, profiles, tree.WithSearch(tree.SearchLinear))
 		if err != nil {
 			return Table{}, err
 		}
-		tr.ApplyValueOrder(selectivity.V1(eds, true))
+		vo := selectivity.V1(eds, true)
+		tr.ApplyValueOrder(vo)
 		a := selectivity.Analyze(tr, eds)
 		linear.Values = append(linear.Values, a.TotalOps)
-		tr.SetStrategy(tree.SearchBinary)
-		binary.Values = append(binary.Values, selectivity.Analyze(tr, eds).TotalOps)
+		binary.Values = append(binary.Values, selectivity.Analyze(tr.WithStrategy(tree.SearchBinary, vo), eds).TotalOps)
 		edges.Values = append(edges.Values, float64(len(tr.Root().Edges())))
 		expM.Values = append(expM.Values, a.ExpMatches)
 	}

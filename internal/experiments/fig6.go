@@ -73,18 +73,17 @@ func Fig6(widths []float64, title string, seed int64) (Table, error) {
 			}
 			t.Columns = append(t.Columns, edName+" "+ord)
 
-			tr, err := tree.Build(s, profiles, tree.WithAttributeOrder(order))
+			tr, err := tree.Build(s, profiles, tree.WithAttributeOrder(order), tree.WithSearch(tree.SearchLinear))
 			if err != nil {
 				return Table{}, err
 			}
-			tr.ApplyValueOrder(selectivity.V1(eds, true))
+			vo := selectivity.V1(eds, true)
+			tr.ApplyValueOrder(vo)
 			linear.Values = append(linear.Values, selectivity.Analyze(tr, eds).TotalOps)
 
 			// Binary search ignores the scan order, so the same automaton is
-			// reused with the strategy switched.
-			tr.SetStrategy(tree.SearchBinary)
-			binary.Values = append(binary.Values, selectivity.Analyze(tr, eds).TotalOps)
-			tr.SetStrategy(tree.SearchLinear)
+			// reused, copied for the other strategy.
+			binary.Values = append(binary.Values, selectivity.Analyze(tr.WithStrategy(tree.SearchBinary, vo), eds).TotalOps)
 		}
 	}
 	t.Series = []Series{linear, binary}

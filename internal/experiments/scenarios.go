@@ -83,11 +83,8 @@ func TV1(n, profileCount int, peName, ppName string, vo string, seed int64) (Sce
 	profiles := genProfilesEqualityND(s, profileCount, pds, 0.3, rng)
 
 	start := time.Now()
-	tr, err := tree.Build(s, profiles)
+	tr, err := buildOrdered(s, profiles, vo, eds, pds)
 	if err != nil {
-		return ScenarioResult{}, err
-	}
-	if err := applyOrder(tr, vo, eds, pds); err != nil {
 		return ScenarioResult{}, err
 	}
 	buildTime := time.Since(start)
@@ -126,12 +123,9 @@ func TV3(profileCount int, peName, ppName string, vo string, seed int64) (Scenar
 		return ScenarioResult{}, err
 	}
 	profiles := GenProfiles1D(s, profileCount, pp, rng)
-	tr, err := tree.Build(s, profiles)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
 	eds := []dist.Dist{pe}
-	if err := applyOrder(tr, vo, eds, []dist.Dist{pp}); err != nil {
+	tr, err := buildOrdered(s, profiles, vo, eds, []dist.Dist{pp})
+	if err != nil {
 		return ScenarioResult{}, err
 	}
 
@@ -167,12 +161,9 @@ func TV4(profileCount int, peName, ppName string, vo string, seed int64) (Scenar
 		return ScenarioResult{}, err
 	}
 	profiles := GenProfiles1D(s, profileCount, pp, rng)
-	tr, err := tree.Build(s, profiles)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
 	eds := []dist.Dist{pe}
-	if err := applyOrder(tr, vo, eds, []dist.Dist{pp}); err != nil {
+	tr, err := buildOrdered(s, profiles, vo, eds, []dist.Dist{pp})
+	if err != nil {
 		return ScenarioResult{}, err
 	}
 	a := selectivity.Analyze(tr, eds)
@@ -184,14 +175,19 @@ func TV4(profileCount int, peName, ppName string, vo string, seed int64) (Scenar
 	}, nil
 }
 
-// applyOrder configures the tree's value order (or binary search).
-func applyOrder(tr *tree.Tree, vo string, eds, pds []dist.Dist) error {
+// buildOrdered builds the tree searched by the paper's scan under the named
+// value order, or by binary search.
+func buildOrdered(s *schema.Schema, profiles []*predicate.Profile, vo string, eds, pds []dist.Dist) (*tree.Tree, error) {
+	search := tree.SearchLinear
+	if vo == "binary" {
+		search = tree.SearchBinary
+	}
+	tr, err := tree.Build(s, profiles, tree.WithSearch(search))
+	if err != nil {
+		return nil, err
+	}
 	switch vo {
-	case "", "natural":
-		return nil
-	case "binary":
-		tr.SetStrategy(tree.SearchBinary)
-		return nil
+	case "", "natural", "binary":
 	case "event":
 		tr.ApplyValueOrder(selectivity.V1(eds, true))
 	case "profile":
@@ -199,9 +195,9 @@ func applyOrder(tr *tree.Tree, vo string, eds, pds []dist.Dist) error {
 	case "event*profile":
 		tr.ApplyValueOrder(selectivity.V3(eds, pds, true))
 	default:
-		return fmt.Errorf("experiments: unknown value order %q", vo)
+		return nil, fmt.Errorf("experiments: unknown value order %q", vo)
 	}
-	return nil
+	return tr, nil
 }
 
 // runUntilPrecise posts sampled events until the 95% CI half-width is within

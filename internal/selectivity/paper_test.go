@@ -50,7 +50,7 @@ func example2Setup(t *testing.T) (*tree.Tree, []dist.Dist) {
 		predicate.MustParse(s, "PB", "profile(temperature >= 30)"),
 		predicate.MustParse(s, "PC", "profile(temperature >= 35)"),
 	}
-	tr, err := tree.Build(s, profiles)
+	tr, err := tree.Build(s, profiles, tree.WithSearch(tree.SearchLinear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +74,14 @@ func example2Setup(t *testing.T) (*tree.Tree, []dist.Dist) {
 func TestPaperExample2(t *testing.T) {
 	tr, pe := example2Setup(t)
 
-	tr.ApplyValueOrder(selectivity.V1(pe, true))
+	v1 := selectivity.V1(pe, true)
+	tr.ApplyValueOrder(v1)
 	a := selectivity.Analyze(tr, pe)
 	almost(t, "V1 E(X)", a.MatchOps, 0.87, 1e-9)
 	almost(t, "V1 R0", a.R0Ops, 0.34, 1e-9)
 	almost(t, "V1 R", a.TotalOps, 1.21, 1e-9)
 
-	tr.SetStrategy(tree.SearchBinary)
-	b := selectivity.Analyze(tr, pe)
+	b := selectivity.Analyze(tr.WithStrategy(tree.SearchBinary, v1), pe)
 	almost(t, "binary E(X)", b.MatchOps, 1.65, 1e-9)
 	almost(t, "binary R0", b.R0Ops, 0.34, 1e-9)
 	almost(t, "binary R", b.TotalOps, 1.99, 1e-9)
@@ -180,7 +180,7 @@ func TestPaperExample3Selectivities(t *testing.T) {
 func TestPaperExample3Reordering(t *testing.T) {
 	s, profiles, pe := example3Setup(t)
 
-	natural, err := tree.Build(s, profiles)
+	natural, err := tree.Build(s, profiles, tree.WithSearch(tree.SearchLinear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestPaperExample3Reordering(t *testing.T) {
 
 	stats := selectivity.AttributeStats(s, profiles, pe)
 	order := selectivity.OrderAttributes(stats, selectivity.MeasureA1, true)
-	reordered, err := tree.Build(s, profiles, tree.WithAttributeOrder(order))
+	reordered, err := tree.Build(s, profiles, tree.WithAttributeOrder(order), tree.WithSearch(tree.SearchLinear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +217,15 @@ func TestPaperExample4(t *testing.T) {
 	stats := selectivity.AttributeStats(s, profiles, pe)
 	order := selectivity.OrderAttributes(stats, selectivity.MeasureA2, true)
 
-	combined, err := tree.Build(s, profiles, tree.WithAttributeOrder(order))
+	combined, err := tree.Build(s, profiles, tree.WithAttributeOrder(order), tree.WithSearch(tree.SearchLinear))
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined.ApplyValueOrder(selectivity.V1(pe, true))
+	v1 := selectivity.V1(pe, true)
+	combined.ApplyValueOrder(v1)
 	av := selectivity.Analyze(combined, pe)
 
-	naturalValues, err := tree.Build(s, profiles, tree.WithAttributeOrder(order))
+	naturalValues, err := tree.Build(s, profiles, tree.WithAttributeOrder(order), tree.WithSearch(tree.SearchLinear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +236,7 @@ func TestPaperExample4(t *testing.T) {
 			av.MatchOps, anat.MatchOps)
 	}
 
-	combined.SetStrategy(tree.SearchBinary)
-	abin := selectivity.Analyze(combined, pe)
+	abin := selectivity.Analyze(combined.WithStrategy(tree.SearchBinary, v1), pe)
 	if av.MatchOps >= abin.MatchOps {
 		t.Errorf("on this distribution V1 linear must beat binary: V1 %.3f, binary %.3f",
 			av.MatchOps, abin.MatchOps)

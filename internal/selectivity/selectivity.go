@@ -57,15 +57,12 @@ func NaturalDesc() tree.ValueOrder {
 }
 
 // V1 orders values by event probability (Measure V1). dists is indexed by
-// schema attribute.
+// schema attribute. The same P_e weighs the probe trees of the weighted search.
 func V1(dists []dist.Dist, descending bool) tree.ValueOrder {
-	return tree.ValueOrder{
-		Name:       suffix("event", descending),
-		Descending: descending,
-		Rank: func(attr int, region []tree.Interval) float64 {
-			return massOf(dists[attr], region)
-		},
+	mass := func(attr int, region []tree.Interval) float64 {
+		return massOf(dists[attr], region)
 	}
+	return tree.ValueOrder{Name: suffix("event", descending), Descending: descending, Rank: mass, Mass: mass}
 }
 
 // V2 orders values by profile probability (Measure V2).
@@ -87,6 +84,7 @@ func V3(edists, pdists []dist.Dist, descending bool) tree.ValueOrder {
 		Rank: func(attr int, region []tree.Interval) float64 {
 			return massOf(edists[attr], region) * massOf(pdists[attr], region)
 		},
+		Mass: V1(edists, descending).Mass,
 	}
 }
 

@@ -88,7 +88,7 @@ func TestAnalyzeMatchesEmpirical(t *testing.T) {
 				eds[i] = dist.New(dist.PeakLow(0.9), s.At(i).Domain)
 			}
 		}
-		for _, strategy := range []tree.Search{tree.SearchLinear, tree.SearchBinary, tree.SearchLinearNoStop, tree.SearchInterpolation, tree.SearchHash} {
+		for _, strategy := range []tree.Search{tree.SearchLinear, tree.SearchBinary, tree.SearchLinearNoStop, tree.SearchInterpolation, tree.SearchHash, tree.SearchWeighted} {
 			tr, err := tree.Build(s, profiles, tree.WithSearch(strategy))
 			if err != nil {
 				t.Fatal(err)
@@ -190,7 +190,7 @@ func TestA3FindsOptimum(t *testing.T) {
 		t.Fatalf("A3 order = %v", best)
 	}
 	check := func(order []int) float64 {
-		tr, err := tree.Build(s, profiles, tree.WithAttributeOrder(order))
+		tr, err := tree.Build(s, profiles, tree.WithAttributeOrder(order), tree.WithSearch(tree.SearchLinear))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestV2EmpiricalPriorities(t *testing.T) {
 	hi.Priority = 10
 	profiles := []*predicate.Profile{lo, hi}
 
-	tr, err := tree.Build(s, profiles)
+	tr, err := tree.Build(s, profiles, tree.WithSearch(tree.SearchLinear))
 	if err != nil {
 		t.Fatal(err)
 	}

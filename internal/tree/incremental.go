@@ -178,7 +178,7 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 // consistent defined order. It reports the nodes re-sorted and the nodes
 // copied only to re-point their children.
 func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copied int) {
-	r := reorderer{vo: vo, sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node)}
+	r := reorderer{vo: vo, strategy: t.strategy, sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node)}
 	for _, a := range attrs {
 		r.sel[a] = true
 	}
@@ -200,6 +200,7 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 // level testing one, and the memo that keeps shared states shared.
 type reorderer struct {
 	vo               ValueOrder
+	strategy         Search
 	sel              []bool
 	deepest          int
 	memo             map[*Node]*Node
@@ -225,7 +226,7 @@ func (r *reorderer) clone(old *Node) *Node {
 	}
 	if r.sel[old.Attr] {
 		n.buckets, n.scan = slices.Clone(old.buckets), nil
-		n.applyOrder(r.vo, &r.sc)
+		n.applyOrder(r.vo, r.strategy, &r.sc)
 		r.resorted++
 	} else {
 		r.copied++
@@ -477,7 +478,11 @@ func (ins *inserter) dontCare(old *Node) *Node {
 	ins.bksBuf[old.Level] = bks
 	ins.srcPos[old.Level] = srcPos
 	n.buckets = ins.a.bucketSlice(bks)
-	ins.deriveOrder(n, srcPos)
+	if ins.t.strategy == SearchWeighted {
+		n.scan = old.scan // the subrange edges are the old ones, and so is their probe tree
+	} else {
+		ins.deriveOrder(n, srcPos)
+	}
 	return n
 }
 
@@ -606,6 +611,11 @@ func ivBefore(a, b schema.Interval) bool {
 //
 //genas:builder
 func (ins *inserter) deriveOrder(n *Node, srcPos []int) {
+	if ins.t.strategy == SearchWeighted {
+		ins.scanBuf = balanced(ins.scanBuf[:0], 0, n.nSubrange-1)
+		n.scan = ins.a.intSlice(ins.scanBuf)
+		return
+	}
 	entries := ins.ord[:0]
 	compBuckets := ins.compBuf[:0]
 	compEdge := -1
@@ -699,7 +709,7 @@ func (ins *inserter) chain(level int) *Node {
 		}
 		n.nSubrange = len(n.edges)
 	}
-	n.applyOrder(ins.vo, &ins.sc)
+	n.applyOrder(ins.vo, t.strategy, &ins.sc)
 	ins.chains[level] = n
 	return n
 }

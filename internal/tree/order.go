@@ -30,6 +30,10 @@ type ValueOrder struct {
 	// Descending scans high scores first (the usual choice for the
 	// probability measures V1–V3).
 	Descending bool
+	// Mass is the event probability P_e of a region (additive over regions),
+	// the weight a SearchWeighted probe tree balances; the scans ignore it.
+	// Nil weighs a region by its domain measure: uniform P_e.
+	Mass RankFunc
 }
 
 // NaturalOrder returns the ascending natural order implied by the domain.
@@ -59,25 +63,29 @@ func (t *Tree) applyNaturalOrder() {
 // ApplyValueOrder recomputes every node's defined order: the lookup-table
 // positions over all buckets (including D₀ gaps, which non-matching events
 // would occupy — Example 2 ranks the zero-subdomain region x₀ alongside the
-// stored values) and the edge scan order. Structure is untouched; this is
+// stored values) and the edge scan order — under SearchWeighted, the probe
+// tree for vo.Mass. Structure is untouched; this is
 // the cheap half of restructuring (the expensive half, attribute reordering,
 // requires Build with a different order).
 func (t *Tree) ApplyValueOrder(vo ValueOrder) {
 	var sc orderScratch
 	for _, level := range t.ensureMeta().levels {
 		for _, n := range level {
-			n.applyOrder(vo, &sc)
+			n.applyOrder(vo, t.strategy, &sc)
 		}
 	}
 }
 
 // orderScratch is applyOrder's working set, reused from node to node: the
 // defined-order entries (one per subrange or gap bucket, one for all the
-// complement pieces together) and the region handed to Rank.
+// complement pieces together) and the region handed to Rank and Mass; for the
+// probe tree, the prefix sums of the weights and an optimal subtree's tables.
 type orderScratch struct {
-	entries []orderEntry
-	comp    []Interval
-	one     [1]Interval
+	entries   []orderEntry
+	comp      []Interval
+	one       [1]Interval
+	cum, cost []float64
+	root      []int32
 }
 
 type orderEntry struct {
@@ -86,10 +94,16 @@ type orderEntry struct {
 	edge  int
 }
 
-// applyOrder ranks the node's buckets and rebuilds scan/orderPos.
+// applyOrder ranks the node's buckets and rebuilds scan/orderPos, or lays out
+// the probe tree that takes their place under SearchWeighted.
 //
 //genas:builder
-func (n *Node) applyOrder(vo ValueOrder, sc *orderScratch) {
+func (n *Node) applyOrder(vo ValueOrder, strategy Search, sc *orderScratch) {
+	if strategy == SearchWeighted {
+		sc.weigh(n, vo)
+		n.scan, n.orderPos = sc.lay(make([]int, 0, n.nSubrange), 0, n.nSubrange), nil
+		return
+	}
 	entries, comp := sc.entries[:0], sc.comp[:0]
 	compEdge := -1
 	for bi, b := range n.buckets {
@@ -136,7 +150,7 @@ func (n *Node) applyOrder(vo ValueOrder, sc *orderScratch) {
 	sc.entries, sc.comp = entries, comp
 }
 
-// ScanOrder returns the edge indices in scan order (copy).
+// ScanOrder returns the edge indices in scan order or probe-tree preorder (copy).
 func (n *Node) ScanOrder() []int { return append([]int(nil), n.scan...) }
 
 // OrderPositions returns the defined-order position of every edge (copy).

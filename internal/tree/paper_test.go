@@ -51,7 +51,7 @@ func paperProfiles(t *testing.T, s *schema.Schema) []*predicate.Profile {
 func TestPaperExample1(t *testing.T) {
 	s := paperSchema(t)
 	profiles := paperProfiles(t, s)
-	tr, err := tree.Build(s, profiles)
+	tr, err := tree.Build(s, profiles, tree.WithSearch(tree.SearchLinear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPaperExample1(t *testing.T) {
 func TestPaperExample1Naive(t *testing.T) {
 	s := paperSchema(t)
 	profiles := paperProfiles(t, s)
-	tr, err := tree.Build(s, profiles)
+	tr, err := tree.Build(s, profiles, tree.WithSearch(tree.SearchLinear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPaperExample5(t *testing.T) {
 	for _, lbl := range []string{"b", "c", "d", "e", "f"} {
 		profiles = append(profiles, predicate.MustParse(s, predicate.ID("p"+lbl), "profile(x = "+lbl+")"))
 	}
-	tr, err := tree.Build(s, profiles)
+	tr, err := tree.Build(s, profiles, tree.WithSearch(tree.SearchLinear))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func TestQuickTreeEquivalence(t *testing.T) {
 			}
 			profiles = append(profiles, p)
 		}
-		for _, strategy := range []Search{SearchLinear, SearchBinary, SearchInterpolation, SearchHash} {
+		for _, strategy := range []Search{SearchLinear, SearchBinary, SearchInterpolation, SearchHash, SearchWeighted} {
 			tr, err := Build(s, profiles, WithSearch(strategy))
 			if err != nil {
 				return false
@@ -142,7 +142,7 @@ func TestQuickOrderPositionsArePermutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr, err := Build(s, profiles)
+	tr, err := Build(s, profiles, WithSearch(SearchLinear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,8 @@ func fingerprint(tr *Tree) string {
 }
 
 // TestQuickPartialReorder: for random trees — fresh from Build or grown by
-// inserts — random attribute orders and random sets of drifted attributes,
+// inserts — the scan or the weighted search, random attribute orders and
+// random sets of drifted attributes,
 // re-sorting only the nodes that test a drifted attribute gives the same
 // matches at the same per-event cost as re-sorting every node under an order
 // that changed on those attributes alone; it shares every node below the
@@ -202,9 +203,10 @@ func fingerprint(tr *Tree) string {
 func TestQuickPartialReorder(t *testing.T) {
 	s := incrSchema(t)
 	salted := func(salts []float64, desc bool) ValueOrder {
-		return ValueOrder{Name: "quick", Descending: desc, Rank: func(attr int, region []Interval) float64 {
+		rank := func(attr int, region []Interval) float64 {
 			return math.Mod((region[0].Lo+1)*salts[attr], 13)
-		}}
+		}
+		return ValueOrder{Name: "quick", Descending: desc, Rank: rank, Mass: rank}
 	}
 	check := func(seed int64, pick uint8, desc bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -213,7 +215,8 @@ func TestQuickPartialReorder(t *testing.T) {
 			profiles = append(profiles, randomProfile(t, s, rng, i))
 		}
 		oldSalts := []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-		old, err := Build(s, profiles, WithAttributeOrder(rng.Perm(s.N())))
+		old, err := Build(s, profiles, WithAttributeOrder(rng.Perm(s.N())),
+			WithSearch([]Search{SearchLinear, SearchWeighted}[rng.Intn(2)]))
 		if err != nil {
 			t.Error(err)
 			return false
@@ -293,5 +296,256 @@ func TestQuickPartialReorder(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// saltedMass is a positive pseudo-random event mass over regions.
+func saltedMass(salt float64) ValueOrder {
+	vo := NaturalOrder()
+	vo.Mass = func(attr int, region []Interval) float64 {
+		return (region[0].Hi - region[0].Lo + 0.01) * (1 + math.Mod((region[0].Lo+float64(attr)+1)*salt, 7))
+	}
+	return vo
+}
+
+// sameEdges walks two trees of one structure node by node and fails where the
+// weighted probe and the paper's scan disagree on the edge for a value of any
+// bucket, or for a value beyond either end of the domain.
+func sameEdges(t *testing.T, what string, weighted, linear *Tree) {
+	t.Helper()
+	for level, nodes := range linear.Levels() {
+		for i, ln := range nodes {
+			wn := weighted.Levels()[level][i]
+			vals := []float64{ln.buckets[0].iv.Lo - 1, ln.buckets[len(ln.buckets)-1].iv.Hi + 1}
+			for _, b := range ln.buckets {
+				vals = append(vals, inside(b.iv))
+			}
+			for _, v := range vals {
+				want, _ := ln.step(v, SearchLinear)
+				if got, ops := wn.step(v, SearchWeighted); got != want || ops > len(wn.edges) {
+					t.Fatalf("%s: level %d node %d value %v: probe found edge %d in %d ops, scan %d\n%+v\n%v",
+						what, level, i, v, got, ops, want, wn.buckets, wn.scan)
+				}
+			}
+		}
+	}
+}
+
+// TestQuickWeightedFindsTheScansEdge: for random corpora the weighted probe
+// returns the edge the paper's scan returns, in every bucket of every node and
+// outside the domain, after Build, WithProfile, WithoutProfile and Reordered.
+func TestQuickWeightedFindsTheScansEdge(t *testing.T) {
+	s := incrSchema(t)
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var profiles []*predicate.Profile
+		for i := 0; i < 1+rng.Intn(14); i++ {
+			profiles = append(profiles, randomProfile(t, s, rng, i))
+		}
+		order := rng.Perm(s.N())
+		var trees [2]*Tree
+		for i, strategy := range []Search{SearchWeighted, SearchLinear} {
+			tr, err := Build(s, profiles, WithAttributeOrder(order), WithSearch(strategy))
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			trees[i] = tr
+		}
+		sameEdges(t, "Build", trees[0], trees[1])
+		vo := saltedMass(rng.Float64() * 100)
+		for step := 0; step < 6; step++ {
+			p := randomProfile(t, s, rng, 100+step)
+			for i := range trees {
+				trees[i], _ = trees[i].WithProfile(p, vo)
+			}
+			sameEdges(t, "WithProfile", trees[0], trees[1])
+		}
+		for i := range trees {
+			trees[i] = trees[i].WithoutProfile(rng.Intn(len(profiles)))
+		}
+		sameEdges(t, "WithoutProfile", trees[0], trees[1])
+		for i := range trees {
+			trees[i], _, _ = trees[i].Reordered(saltedMass(rng.Float64()*100), rng.Intn(s.N()))
+		}
+		sameEdges(t, "Reordered", trees[0], trees[1])
+		sameEdges(t, "WithStrategy", trees[1].WithStrategy(SearchWeighted, vo), trees[1])
+		return !t.Failed()
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+// layoutCost is the expected probes, times the weight, of the preorder probe
+// tree scan[pos:] over edges lo..hi under weigh's prefix sums.
+func layoutCost(scan []int, cum []float64, pos, lo, hi int) float64 {
+	if lo > hi {
+		return 0
+	}
+	r := scan[pos]
+	return cum[2*hi+3] - cum[2*lo] + layoutCost(scan, cum, pos+1, lo, r-1) + layoutCost(scan, cum, pos+1+r-lo, r+1, hi)
+}
+
+// bruteCost is the least layoutCost over every search tree on edges lo..hi.
+func bruteCost(cum []float64, lo, hi int) float64 {
+	if lo > hi {
+		return 0
+	}
+	best := math.Inf(1)
+	for r := lo; r <= hi; r++ {
+		best = math.Min(best, bruteCost(cum, lo, r-1)+bruteCost(cum, r+1, hi))
+	}
+	return cum[2*hi+3] - cum[2*lo] + best
+}
+
+// TestQuickWeightedLayoutIsOptimal: under the weights it was laid out for, a
+// node's probe tree never costs more than plain binary search's, and on nodes
+// of at most 8 subrange edges it costs the minimum over all search trees.
+func TestQuickWeightedLayoutIsOptimal(t *testing.T) {
+	s := incrSchema(t)
+	small := 0
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var profiles []*predicate.Profile
+		for i := 0; i < 1+rng.Intn(10); i++ {
+			profiles = append(profiles, randomProfile(t, s, rng, i))
+		}
+		tr, err := Build(s, profiles)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		vo := NaturalOrder() // uniform weights
+		if seed%3 != 0 {
+			vo = saltedMass(rng.Float64() * 100)
+		}
+		tr.ApplyValueOrder(vo)
+		var sc orderScratch
+		for _, nodes := range tr.Levels() {
+			for _, n := range nodes {
+				sc.weigh(n, vo)
+				got := layoutCost(n.scan, sc.cum, 0, 0, n.nSubrange-1)
+				if bin := layoutCost(balanced(nil, 0, n.nSubrange-1), sc.cum, 0, 0, n.nSubrange-1); got > bin+1e-12 {
+					t.Errorf("seed %d: layout %v costs %g, binary search %g", seed, n.scan, got, bin)
+				}
+				if n.nSubrange <= 8 {
+					small++
+					if want := bruteCost(sc.cum, 0, n.nSubrange-1); math.Abs(got-want) > 1e-12 {
+						t.Errorf("seed %d: layout %v costs %g, the best tree %g", seed, n.scan, got, want)
+					}
+				}
+			}
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+	if small == 0 {
+		t.Error("no node small enough for the brute-force check")
+	}
+}
+
+// TestWeightedLayoutOfAWideNode: a node with more subrange edges than one
+// optimal table holds is split by weight first; the probe still finds every
+// edge, in no more probes than the skew of the weights explains.
+func TestWeightedLayoutOfAWideNode(t *testing.T) {
+	d, err := schema.NewIntegerDomain(0, 4*maxOptimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := schema.MustNew(schema.Attribute{Name: "x", Domain: d})
+	var profiles []*predicate.Profile
+	for v := 0; v < 4*maxOptimal; v += 3 {
+		pr, err := predicate.NewComparison(0, predicate.OpEq, float64(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := predicate.New(s, predicate.ID(fmt.Sprintf("p%d", v)), pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, p)
+	}
+	var trees [2]*Tree
+	for i, strategy := range []Search{SearchWeighted, SearchLinear} {
+		if trees[i], err = Build(s, profiles, WithSearch(strategy)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := trees[0].Root().nSubrange; n <= maxOptimal {
+		t.Fatalf("root has %d subrange edges, want more than %d", n, maxOptimal)
+	}
+	sameEdges(t, "uniform", trees[0], trees[1])
+	// 90 % of the mass on the lowest hundredth of the domain.
+	hot := NaturalOrder()
+	hot.Mass = func(_ int, region []Interval) float64 {
+		if region[0].Hi < 0.04*maxOptimal {
+			return 90 * (region[0].Hi - region[0].Lo + 1)
+		}
+		return (region[0].Hi - region[0].Lo + 1) / 10
+	}
+	re, _, _ := trees[0].Reordered(hot)
+	sameEdges(t, "skewed", re, trees[1])
+	_, cold := trees[0].Match([]float64{3})
+	_, warm := re.Match([]float64{3})
+	if warm >= cold {
+		t.Errorf("a value in the hot hundredth takes %d probes, %d under uniform weights", warm, cold)
+	}
+}
+
+// TestProbeOpsAreComparisons: the operations the default search reports are
+// the interval comparisons it executes. An edge was compared with the value
+// exactly when replacing its interval by the point {v} makes the probe stop
+// there, and the trailing edge was tested exactly when moving the domain's
+// bounds off v turns its match into a miss.
+func TestProbeOpsAreComparisons(t *testing.T) {
+	s := incrSchema(t)
+	rng := rand.New(rand.NewSource(9))
+	var profiles []*predicate.Profile
+	for i := 0; i < 40; i++ {
+		profiles = append(profiles, randomProfile(t, s, rng, i))
+	}
+	tr, err := Build(s, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Strategy() != DefaultSearch {
+		t.Fatalf("Build defaults to %v", tr.Strategy())
+	}
+	tr.ApplyValueOrder(saltedMass(17))
+	checked := 0
+	for _, nodes := range tr.Levels() {
+		for _, n := range nodes {
+			for _, b := range n.buckets {
+				v := inside(b.iv)
+				edge, ops := n.step(v, DefaultSearch)
+				compared := 0
+				for k := 0; k < n.nSubrange; k++ {
+					c := *n
+					c.edges = append([]Edge(nil), n.edges...)
+					c.edges[k].Iv = schema.Closed(v, v)
+					if got, _ := c.probe(v); got == k {
+						compared++
+					}
+				}
+				if edge >= n.nSubrange {
+					c := *n
+					c.buckets = []bucket{{iv: schema.Closed(v+1, v+2)}}
+					if got, _ := c.probe(v); got != -1 {
+						t.Fatalf("value %v: the trailing edge matched without a test of the domain", v)
+					}
+					compared++
+				}
+				if ops != compared {
+					t.Fatalf("node %+v layout %v value %v: %d ops reported, %d intervals compared", n.buckets, n.scan, v, ops, compared)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 100 {
+		t.Errorf("only %d buckets checked", checked)
 	}
 }

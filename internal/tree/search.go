@@ -1,9 +1,5 @@
 package tree
 
-import (
-	"sort"
-)
-
 // Operation counting convention (calibrated against the paper's Examples 2–5,
 // see EXPERIMENTS.md):
 //
@@ -18,7 +14,8 @@ import (
 //     scan slot.
 //
 // Locating the searched value's bucket (the "lookup table" consultation) is
-// bookkeeping and costs nothing, as in the paper's prototype.
+// bookkeeping and costs nothing, as in the paper's prototype — for the five
+// strategies of the reproduction; SearchWeighted runs what it counts (probe).
 
 // bucketOf returns the index of the bucket containing v (every domain value
 // is in exactly one bucket). Returns −1 for values outside the domain.
@@ -42,6 +39,9 @@ func (n *Node) bucketOf(v float64) int {
 // step runs the node's search for value v and returns the chosen edge index
 // (−1 for a non-match) and the operations spent.
 func (n *Node) step(v float64, strategy Search) (edge, ops int) {
+	if strategy == SearchWeighted {
+		return n.probe(v)
+	}
 	bi := n.bucketOf(v)
 	if bi < 0 {
 		// Outside the domain: reject without touching the structure.
@@ -295,13 +295,8 @@ func (n *Node) Buckets() []Bucket {
 // search implementations with step, so analytic and empirical costs agree
 // by construction.
 func (n *Node) CostOf(bi int, strategy Search) (edge, ops int) {
+	if strategy == SearchWeighted {
+		return n.probe(inside(n.buckets[bi].iv))
+	}
 	return n.dispatch(n.buckets[bi], strategy)
-}
-
-// sortBucketsByPos re-sorts nothing but validates that scan positions are
-// strictly increasing along the scan order; used by tests.
-func (n *Node) scanPositionsIncreasing() bool {
-	return sort.SliceIsSorted(n.scan, func(i, j int) bool {
-		return n.orderPos[n.scan[i]] < n.orderPos[n.scan[j]]
-	})
 }

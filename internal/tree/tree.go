@@ -44,13 +44,19 @@ type Search int
 // position estimate; hash search models an idealized per-value lookup table
 // on discrete domains (one operation per node) and degrades to binary
 // search on continuous domains, where hashing values is not applicable.
+// SearchWeighted probes a per-node search tree balanced by P_e (weighted.go).
 const (
 	SearchLinear Search = iota + 1
 	SearchLinearNoStop
 	SearchBinary
 	SearchInterpolation
 	SearchHash
+	SearchWeighted
 )
+
+// DefaultSearch is the strategy of every tree, engine, service and daemon
+// built without naming one. SearchLinear is the paper's scan.
+const DefaultSearch = SearchWeighted
 
 // String names the strategy in experiment tables.
 func (s Search) String() string {
@@ -65,6 +71,8 @@ func (s Search) String() string {
 		return "interpolation"
 	case SearchHash:
 		return "hash"
+	case SearchWeighted:
+		return "weighted"
 	default:
 		return "Search(" + strconv.Itoa(int(s)) + ")"
 	}
@@ -144,9 +152,10 @@ type Node struct {
 	edges []Edge
 	// buckets is the natural-order partition of the whole domain.
 	buckets []bucket
-	// scan lists edge indices in defined (scan) order.
+	// scan lists edge indices in defined (scan) order; under SearchWeighted
+	// it is the probe tree over the subrange edges, in preorder.
 	scan []int
-	// orderPos[i] is the defined-order position of edges[i].
+	// orderPos[i] is the defined-order position of edges[i] (the scans only).
 	orderPos []int
 	// nSubrange counts the leading subrange edges (edges[:nSubrange] are in
 	// natural ascending order; a complement or star edge follows, if any).
@@ -247,7 +256,7 @@ func WithAttributeOrder(order []int) Option {
 	return func(c *config) { c.attrOrder = append([]int(nil), order...) }
 }
 
-// WithSearch selects the within-node search strategy (default SearchLinear).
+// WithSearch selects the within-node search strategy (default DefaultSearch).
 func WithSearch(s Search) Option {
 	return func(c *config) { c.strategy = s }
 }
@@ -257,7 +266,7 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 	if len(profiles) == 0 {
 		return nil, ErrNoProfiles
 	}
-	cfg := config{strategy: SearchLinear}
+	cfg := config{strategy: DefaultSearch}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -472,8 +481,14 @@ func (t *Tree) AttrOrder() []int { return append([]int(nil), t.attrOrder...) }
 // Strategy returns the within-node search strategy.
 func (t *Tree) Strategy() Search { return t.strategy }
 
-// SetStrategy switches the search strategy (safe between matches).
-func (t *Tree) SetStrategy(s Search) { t.strategy = s }
+// WithStrategy returns a successor tree searching with s, every node cloned and
+// laid out for it under vo; the receiver, which may be published, is untouched.
+func (t *Tree) WithStrategy(s Search, vo ValueOrder) *Tree {
+	c := *t
+	c.strategy = s
+	nt, _, _ := c.Reordered(vo)
+	return nt
+}
 
 // Levels returns the unique nodes per level (shared slices; do not mutate).
 // On incremental successor trees the lists are computed lazily on first use.
@@ -516,7 +531,11 @@ func (t *Tree) dumpNode(b *strings.Builder, n *Node, depth int, seen map[*Node]b
 	}
 	seen[n] = true
 	fmt.Fprintf(b, "%s%s\n", indent, name)
-	for _, ei := range n.scan {
+	for i := range n.edges {
+		ei := i // the probe tree of SearchWeighted is no scan order: natural order
+		if t.strategy != SearchWeighted {
+			ei = n.scan[i]
+		}
 		e := &n.edges[ei]
 		label := e.Iv.String()
 		switch e.Kind {

@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"genas/internal/predicate"
@@ -138,7 +139,7 @@ func TestScanPositionsIncreasing(t *testing.T) {
 		values = append(values, []int{rng.Intn(31), rng.Intn(31)})
 	}
 	profiles := eqProfiles(t, s, values...)
-	tr, err := Build(s, profiles)
+	tr, err := Build(s, profiles, WithSearch(SearchLinear))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestCostOfConsistentWithMatch(t *testing.T) {
 	rp, _ := predicate.New(s, "range", rangePr)
 	profiles = append(profiles, rp)
 
-	for _, strategy := range []Search{SearchLinear, SearchLinearNoStop, SearchBinary, SearchInterpolation, SearchHash} {
+	for _, strategy := range []Search{SearchLinear, SearchLinearNoStop, SearchBinary, SearchInterpolation, SearchHash, SearchWeighted} {
 		tr, err := Build(s, profiles, WithSearch(strategy))
 		if err != nil {
 			t.Fatal(err)
@@ -217,18 +218,21 @@ func TestCostOfConsistentWithMatch(t *testing.T) {
 	}
 }
 
-// TestOutOfDomainEventsRejectFree: values outside the domain cost nothing
-// and match nothing.
+// TestOutOfDomainEventsRejectFree: values outside the domain match nothing,
+// and cost nothing where the bucket lookup is free — the weighted probe finds
+// out by comparing, and counts that.
 func TestOutOfDomainEventsRejectFree(t *testing.T) {
-	s := gridSchema(t, 1, 9)
-	profiles := eqProfiles(t, s, []int{5})
-	tr, err := Build(s, profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matched, ops := tr.Match([]float64{42})
-	if matched != nil || ops != 0 {
-		t.Errorf("out-of-domain: matched=%v ops=%d", matched, ops)
+	s := gridSchema(t, 2, 9)
+	profiles := eqProfiles(t, s, []int{5, -1}, []int{-1, 5})
+	for strategy, wantOps := range map[Search]int{SearchLinear: 0, SearchWeighted: 2} {
+		tr, err := Build(s, profiles, WithSearch(strategy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched, ops := tr.Match([]float64{42, 5})
+		if matched != nil || ops != wantOps {
+			t.Errorf("%v out-of-domain: matched=%v ops=%d, want %d", strategy, matched, ops, wantOps)
+		}
 	}
 }
 
@@ -288,4 +292,12 @@ func TestMatchPathLevels(t *testing.T) {
 			t.Fatalf("more levels than attributes: %v", perLevel)
 		}
 	}
+}
+
+// scanPositionsIncreasing reports whether the defined-order positions are
+// strictly increasing along the scan order.
+func (n *Node) scanPositionsIncreasing() bool {
+	return sort.SliceIsSorted(n.scan, func(i, j int) bool {
+		return n.orderPos[n.scan[i]] < n.orderPos[n.scan[j]]
+	})
 }
