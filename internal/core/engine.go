@@ -491,16 +491,11 @@ func (e *Engine) rebuildLocked() (err error) {
 	if err != nil {
 		return err
 	}
+	vo := e.valueOrder()
 	t, err := tree.Build(e.schema, corpus,
-		tree.WithAttributeOrder(order), tree.WithSearch(e.cfg.Search))
+		tree.WithAttributeOrder(order), tree.WithSearch(e.cfg.Search), tree.WithValueOrder(vo))
 	if err != nil {
 		return err
-	}
-	vo := e.valueOrder()
-	// Build leaves the natural order on uniform weights; anything else is
-	// applied in place, which is safe while the tree is not published.
-	if e.cfg.ValueMeasure != ValueNatural || vo.Mass != nil {
-		t.ApplyValueOrder(vo)
 	}
 	e.vo = vo
 	e.t2n = t2n

@@ -120,42 +120,42 @@ func NewAny(attr int) Predicate { return Predicate{Attr: attr, Op: OpAny} }
 // Intervals canonicalizes the predicate into a union of disjoint intervals
 // clipped to the attribute domain dom. OpAny returns the whole domain.
 func (p Predicate) Intervals(dom schema.Domain) []schema.Interval {
+	return p.AppendIntervals(nil, dom)
+}
+
+// AppendIntervals appends Intervals(dom) to dst: the tree builder collects a
+// whole corpus in one block.
+func (p Predicate) AppendIntervals(dst []schema.Interval, dom schema.Domain) []schema.Interval {
 	clip := dom.Interval()
-	var raw []schema.Interval
+	add := func(iv schema.Interval) {
+		if c := iv.Intersect(clip); !c.Empty() {
+			dst = append(dst, c)
+		}
+	}
 	switch p.Op {
 	case OpEq:
-		raw = []schema.Interval{schema.Point(p.Value)}
+		add(schema.Point(p.Value))
 	case OpNe:
-		raw = []schema.Interval{
-			{Lo: clip.Lo, Hi: p.Value, HiOpen: true},
-			{Lo: p.Value, Hi: clip.Hi, LoOpen: true},
-		}
+		add(schema.Interval{Lo: clip.Lo, Hi: p.Value, HiOpen: true})
+		add(schema.Interval{Lo: p.Value, Hi: clip.Hi, LoOpen: true})
 	case OpLt:
-		raw = []schema.Interval{{Lo: clip.Lo, Hi: p.Value, HiOpen: true}}
+		add(schema.Interval{Lo: clip.Lo, Hi: p.Value, HiOpen: true})
 	case OpLe:
-		raw = []schema.Interval{{Lo: clip.Lo, Hi: p.Value}}
+		add(schema.Interval{Lo: clip.Lo, Hi: p.Value})
 	case OpGt:
-		raw = []schema.Interval{{Lo: p.Value, Hi: clip.Hi, LoOpen: true}}
+		add(schema.Interval{Lo: p.Value, Hi: clip.Hi, LoOpen: true})
 	case OpGe:
-		raw = []schema.Interval{{Lo: p.Value, Hi: clip.Hi}}
+		add(schema.Interval{Lo: p.Value, Hi: clip.Hi})
 	case OpRange:
-		raw = []schema.Interval{{Lo: p.Value, Hi: p.Hi}}
+		add(schema.Interval{Lo: p.Value, Hi: p.Hi})
 	case OpIn:
-		raw = make([]schema.Interval, 0, len(p.Set))
 		for _, v := range p.Set {
-			raw = append(raw, schema.Point(v))
+			add(schema.Point(v))
 		}
 	case OpAny:
-		raw = []schema.Interval{clip}
+		add(clip)
 	}
-	out := raw[:0]
-	for _, iv := range raw {
-		c := iv.Intersect(clip)
-		if !c.Empty() {
-			out = append(out, c)
-		}
-	}
-	return out
+	return dst
 }
 
 // Matches reports whether value x satisfies the predicate.

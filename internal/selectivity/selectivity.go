@@ -258,12 +258,11 @@ func OrderAttributesA3(
 			return
 		}
 		tr, buildErr := tree.Build(s, profiles,
-			tree.WithAttributeOrder(order), tree.WithSearch(strategy))
+			tree.WithAttributeOrder(order), tree.WithSearch(strategy), tree.WithValueOrder(vo))
 		if buildErr != nil {
 			err = buildErr
 			return
 		}
-		tr.ApplyValueOrder(vo)
 		a := Analyze(tr, edists)
 		if first || a.TotalOps < bestOps {
 			first = false

@@ -11,9 +11,10 @@
 package subrange
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
-	"strconv"
 
 	"genas/internal/schema"
 )
@@ -62,159 +63,23 @@ type Decomposition struct {
 	DomainSize float64
 }
 
-// piece is an elementary fragment during the sweep.
-type piece struct {
-	iv    schema.Interval
-	profs []int
-}
-
 // Decompose partitions dom according to the constraints.
 func Decompose(dom schema.Domain, cons []Constraint) Decomposition {
-	constraining := make([]Constraint, 0, len(cons))
-	var star []int
-	for _, c := range cons {
-		if c.DontCare {
-			star = append(star, c.Profile)
+	ix := NewIndex(dom, cons)
+	rows := make([]int, len(cons))
+	for i := range rows {
+		rows[i] = i
+	}
+	var s Sweep
+	s.Reset(ix, rows)
+	dec := Decomposition{DomainSize: dom.Size(), Star: profilesOf(cons, s.Star)}
+	for s.Next() {
+		if len(s.Active) == 0 {
+			dec.Gaps = append(dec.Gaps, s.Iv)
+			dec.GapSize += measure(s.Iv, ix.discrete)
 			continue
 		}
-		constraining = append(constraining, c)
-	}
-	return decompose(dom, constraining, star)
-}
-
-// DecomposeIndexed is Decompose for a pre-indexed constraint table: byProfile
-// is indexed by dense profile id, alive selects the live subset. The tree
-// builder calls this at every automaton state; it avoids materializing a
-// fresh constraint slice per state.
-func DecomposeIndexed(dom schema.Domain, byProfile []Constraint, alive []int) Decomposition {
-	constraining := make([]Constraint, 0, len(alive))
-	var star []int
-	for _, pi := range alive {
-		c := byProfile[pi]
-		if c.DontCare {
-			star = append(star, pi)
-			continue
-		}
-		constraining = append(constraining, c)
-	}
-	return decompose(dom, constraining, star)
-}
-
-func decompose(dom schema.Domain, constraining []Constraint, star []int) Decomposition {
-	dec := Decomposition{DomainSize: dom.Size(), Star: star}
-	clip := dom.Interval()
-	discrete := dom.Kind() == schema.KindInteger || dom.Kind() == schema.KindCategorical
-	sort.Ints(dec.Star)
-
-	if len(constraining) == 0 {
-		// Whole domain is one gap (the (*) region if Star is non-empty).
-		dec.Gaps = []schema.Interval{clip}
-		dec.GapSize = measure(clip, discrete)
-		if len(dec.Star) == 0 {
-			dec.D0Size = dec.GapSize
-		}
-		return dec
-	}
-
-	// Sweep: distinct endpoints induce point pieces and open pieces. Piece
-	// 2i is the point {cuts[i]}, piece 2i+1 the open interval
-	// (cuts[i], cuts[i+1]). Profiles enter and leave at piece indices; runs
-	// of pieces between changes share one profile set, so sets are
-	// materialized once per run instead of once per piece (the naive
-	// per-piece × per-profile scan is quadratic on large corpora).
-	var all []schema.Interval
-	for _, c := range constraining {
-		all = append(all, c.Intervals...)
-	}
-	cuts := schema.Cuts(clip, all)
-	cutIdx := make(map[float64]int, len(cuts))
-	for i, x := range cuts {
-		cutIdx[x] = i
-	}
-	pieces := elementaryPieces(cuts)
-	nPieces := len(pieces)
-
-	addEv := make([][]int, nPieces+1)
-	remEv := make([][]int, nPieces+1)
-	for _, c := range constraining {
-		for _, iv := range c.Intervals {
-			civ := iv.Intersect(clip)
-			if civ.Empty() {
-				continue
-			}
-			i, ok1 := cutIdx[civ.Lo]
-			j, ok2 := cutIdx[civ.Hi]
-			if !ok1 || !ok2 {
-				continue // defensive: endpoints are cuts by construction
-			}
-			start := 2 * i
-			if civ.LoOpen {
-				start++
-			}
-			end := 2 * j
-			if civ.HiOpen {
-				end--
-			}
-			if end < start {
-				continue
-			}
-			addEv[start] = append(addEv[start], c.Profile)
-			remEv[end+1] = append(remEv[end+1], c.Profile)
-		}
-	}
-
-	classified := make([]piece, 0, nPieces)
-	active := make(map[int]struct{})
-	var runSet []int
-	dirty := true
-	for pi, iv := range pieces {
-		if len(addEv[pi]) > 0 || len(remEv[pi]) > 0 {
-			for _, p := range addEv[pi] {
-				active[p] = struct{}{}
-			}
-			for _, p := range remEv[pi] {
-				delete(active, p)
-			}
-			dirty = true
-		}
-		if dirty {
-			runSet = make([]int, 0, len(active))
-			for p := range active {
-				runSet = append(runSet, p)
-			}
-			sort.Ints(runSet)
-			dirty = false
-		}
-		classified = append(classified, piece{iv: iv, profs: runSet})
-	}
-
-	// On discrete domains, drop pieces containing no atom (e.g. the open
-	// interval (3,4) on an integer grid) and snap the survivors to closed
-	// atom-aligned intervals so that grid adjacency is visible to merging.
-	if discrete {
-		kept := classified[:0]
-		for _, p := range classified {
-			lo, hi, n := atomBounds(p.iv)
-			if n == 0 {
-				continue
-			}
-			p.iv = schema.Closed(lo, hi)
-			kept = append(kept, p)
-		}
-		classified = kept
-	}
-
-	// Merge adjacent pieces with identical profile sets (this produces the
-	// single [30,50] edge when only one profile with a1 ≥ 30 is alive).
-	merged := mergeAdjacent(classified, discrete)
-
-	for _, p := range merged {
-		if len(p.profs) == 0 {
-			dec.Gaps = append(dec.Gaps, p.iv)
-			dec.GapSize += measure(p.iv, discrete)
-			continue
-		}
-		dec.Subranges = append(dec.Subranges, Subrange{Iv: p.iv, Profiles: p.profs})
+		dec.Subranges = append(dec.Subranges, Subrange{Iv: s.Iv, Profiles: profilesOf(cons, s.Active)})
 	}
 	if len(dec.Star) == 0 {
 		dec.D0Size = dec.GapSize
@@ -222,20 +87,190 @@ func decompose(dom schema.Domain, constraining []Constraint, star []int) Decompo
 	return dec
 }
 
-// elementaryPieces splits the domain at the cut positions into alternating
-// point and open pieces: {c0} (c0,c1) {c1} (c1,c2) … {ck}.
-func elementaryPieces(cuts []float64) []schema.Interval {
-	out := make([]schema.Interval, 0, 2*len(cuts)+1)
-	for i, x := range cuts {
-		out = append(out, schema.Point(x))
-		if i+1 < len(cuts) {
-			op := schema.Open(x, cuts[i+1])
-			if !op.Empty() {
-				out = append(out, op)
+// profilesOf returns the sorted profile indices of the given constraint rows.
+func profilesOf(cons []Constraint, rows []int) []int {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]int, len(rows))
+	for i, r := range rows {
+		out[i] = cons[r].Profile
+	}
+	sort.Ints(out)
+	return out
+}
+
+// bound is a position on the attribute's axis between two neighbouring sets of
+// values: just below x or, with above set, just above it. An interval is a
+// half-open run of bounds — [3,5] is [(3,below), (5,above)) — and bounds order
+// by value, then below before above: the order of the elementary pieces
+// {c0} (c0,c1) {c1} … that the distinct endpoints of a profile set induce. On
+// a discrete domain every bound lies below an atom: [3,5] is [3, 6).
+type bound struct {
+	x     float64
+	above bool
+}
+
+func compareBounds(a, b bound) int {
+	if a.x != b.x {
+		return cmp.Compare(a.x, b.x)
+	}
+	switch {
+	case a.above == b.above:
+		return 0
+	case b.above:
+		return -1
+	}
+	return 1
+}
+
+// Index holds the constraints of one attribute in rank space: every interval
+// of every row — clipped to the domain, snapped to the atom grid on a discrete
+// one, joined with the intervals of its row that it touches — is a pair of
+// ranks into the sorted distinct bounds. It is built once per constraint
+// table; a Sweep then decomposes any subset of the rows by sorting integers.
+type Index struct {
+	discrete bool
+	bounds   []bound // by rank; the first and the last are the domain's ends
+	spans    []span
+	off      []int32 // row r owns spans[off[r]:off[r+1]]: ascending, apart
+	dontCare []bool
+}
+
+// span is the run of bounds [lo, hi), in ranks.
+type span struct{ lo, hi int32 }
+
+// NewIndex ranks the interval endpoints of cons; row i of the index is cons[i].
+func NewIndex(dom schema.Domain, cons []Constraint) *Index {
+	clip := dom.Interval()
+	ix := &Index{
+		discrete: dom.Kind() != schema.KindNumeric,
+		off:      make([]int32, len(cons)+1),
+		dontCare: make([]bool, len(cons)),
+	}
+	ends := [2]bound{{x: clip.Lo}, {x: clip.Hi, above: true}}
+	if ix.discrete {
+		ends[1] = bound{x: clip.Hi + 1}
+	}
+	var runs [][2]bound
+	for r, c := range cons {
+		ix.dontCare[r] = c.DontCare
+		if c.DontCare {
+			c.Intervals = nil // it constrains nothing, whatever it lists
+		}
+		base := len(runs)
+		for _, iv := range c.Intervals {
+			iv = iv.Intersect(clip)
+			run := [2]bound{{iv.Lo, iv.LoOpen}, {iv.Hi, !iv.HiOpen}}
+			if lo, hi, n := atomBounds(iv); ix.discrete && n > 0 {
+				run = [2]bound{{x: lo}, {x: hi + 1}}
+			} else if ix.discrete || iv.Empty() {
+				continue
 			}
+			// Canonical intervals ascend; anything else is sorted into place.
+			i := len(runs)
+			for runs = append(runs, run); i > base && compareBounds(run[0], runs[i-1][0]) < 0; i-- {
+				runs[i] = runs[i-1]
+			}
+			runs[i] = run
+		}
+		kept := base
+		for _, run := range runs[base:] {
+			if kept > base && compareBounds(run[0], runs[kept-1][1]) <= 0 {
+				// It overlaps or continues its predecessor: one span.
+				if compareBounds(runs[kept-1][1], run[1]) < 0 {
+					runs[kept-1][1] = run[1]
+				}
+				continue
+			}
+			runs[kept] = run
+			kept++
+		}
+		runs = runs[:kept]
+		ix.off[r+1] = int32(kept)
+	}
+	ix.bounds = append(make([]bound, 0, 2*len(runs)+2), ends[:]...)
+	for _, run := range runs {
+		ix.bounds = append(ix.bounds, run[:]...)
+	}
+	slices.SortFunc(ix.bounds, compareBounds)
+	ix.bounds = slices.Compact(ix.bounds)
+	ix.spans = make([]span, len(runs))
+	for i, run := range runs {
+		lo, _ := slices.BinarySearchFunc(ix.bounds, run[0], compareBounds)
+		hi, _ := slices.BinarySearchFunc(ix.bounds, run[1], compareBounds)
+		ix.spans[i] = span{int32(lo), int32(hi)}
+	}
+	return ix
+}
+
+// piece returns the domain values between the bounds ranked lo and hi.
+func (ix *Index) piece(lo, hi int) schema.Interval {
+	a, b := ix.bounds[lo], ix.bounds[hi]
+	if ix.discrete {
+		return schema.Closed(a.x, b.x-1)
+	}
+	return schema.Interval{Lo: a.x, LoOpen: a.above, Hi: b.x, HiOpen: !b.above}
+}
+
+// Sweep walks the partition that a subset of an Index's rows induces on the
+// domain, in natural order: every maximal piece covered by one fixed set of
+// constraining rows, the uncovered pieces included. Its buffers are reused
+// from one Reset to the next, so a tree build decomposes every state with
+// one Sweep and no allocation.
+type Sweep struct {
+	// Iv is the current piece and Active the rows covering it, ascending;
+	// both hold until the following Next.
+	Iv     schema.Interval
+	Active []int
+	// Star lists the swept rows that are don't-care, in the order given.
+	Star []int
+
+	ix   *Index
+	keys []uint64 // the rows' span ends, sorted: rank<<32 | row<<1 | entering
+	k    int      // the first key not yet applied
+	at   int      // the rank at which the next piece begins
+}
+
+// Reset starts a sweep over the given rows of ix.
+func (s *Sweep) Reset(ix *Index, rows []int) {
+	s.ix, s.k, s.at = ix, 0, 0
+	s.keys, s.Active, s.Star = s.keys[:0], s.Active[:0], s.Star[:0]
+	for _, r := range rows {
+		if ix.dontCare[r] {
+			s.Star = append(s.Star, r)
+			continue
+		}
+		for _, sp := range ix.spans[ix.off[r]:ix.off[r+1]] {
+			s.keys = append(s.keys, uint64(sp.lo)<<32|uint64(r)<<1|1, uint64(sp.hi)<<32|uint64(r)<<1)
 		}
 	}
-	return out
+	slices.Sort(s.keys)
+}
+
+// Next advances to the next piece and reports whether there is one. A row's
+// spans lie apart, so no row leaves and enters at one bound: the set changes
+// at every bound some row ends on, and each piece is maximal as it comes.
+func (s *Sweep) Next() bool {
+	end := len(s.ix.bounds) - 1
+	if s.at == end {
+		return false
+	}
+	for ; s.k < len(s.keys) && int(s.keys[s.k]>>32) == s.at; s.k++ {
+		r := int(uint32(s.keys[s.k]) >> 1)
+		i, _ := slices.BinarySearch(s.Active, r)
+		if s.keys[s.k]&1 != 0 {
+			s.Active = slices.Insert(s.Active, i, r)
+		} else {
+			s.Active = slices.Delete(s.Active, i, i+1)
+		}
+	}
+	next := end
+	if s.k < len(s.keys) {
+		next = int(s.keys[s.k] >> 32)
+	}
+	s.Iv, s.at = s.ix.piece(s.at, next), next
+	return true
 }
 
 // atomBounds returns the first and last integer inside the interval and the
@@ -288,69 +323,6 @@ func measure(iv schema.Interval, discrete bool) float64 {
 		return atomCount(iv)
 	}
 	return iv.Length()
-}
-
-func sameProfiles(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeAdjacent joins touching pieces with equal profile sets.
-func mergeAdjacent(in []piece, discrete bool) []piece {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make([]piece, 0, len(in))
-	cur := in[0]
-	for _, p := range in[1:] {
-		if sameProfiles(cur.profs, p.profs) && touches(cur.iv, p.iv, discrete) {
-			cur.iv = join(cur.iv, p.iv)
-			continue
-		}
-		out = append(out, cur)
-		cur = p
-	}
-	out = append(out, cur)
-	return out
-}
-
-// touches reports whether b continues a with no domain value between them.
-func touches(a, b schema.Interval, discrete bool) bool {
-	if discrete {
-		// Atom-aligned closed intervals are contiguous when b starts on the
-		// next grid point (the open gap between them held no atom).
-		return b.Lo == a.Hi+1 || b.Lo == a.Hi
-	}
-	if a.Hi != b.Lo {
-		return false
-	}
-	// If both sides exclude the shared endpoint the single point a.Hi would
-	// be lost, so at least one side must be closed.
-	return !a.HiOpen || !b.LoOpen
-}
-
-func join(a, b schema.Interval) schema.Interval {
-	return schema.Interval{Lo: a.Lo, LoOpen: a.LoOpen, Hi: b.Hi, HiOpen: b.HiOpen}
-}
-
-// Key builds a canonical string key of a profile set for DFSA state sharing.
-// It is on the tree-construction hot path.
-func Key(profs []int) string {
-	buf := make([]byte, 0, 8*len(profs))
-	for i, p := range profs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, int64(p), 10)
-	}
-	return string(buf)
 }
 
 // MaxSubranges returns the paper's bound 2p−1 on the number of covered

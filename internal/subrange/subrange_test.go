@@ -2,6 +2,7 @@ package subrange
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"genas/internal/schema"
@@ -239,8 +240,8 @@ func TestPointPredicates(t *testing.T) {
 	}
 }
 
-// TestDecomposeIndexedAgrees: the indexed fast path returns identical
-// decompositions.
+// TestDecomposeIndexedAgrees: a sweep over a subset of an index's rows yields
+// the decomposition of that subset.
 func TestDecomposeIndexedAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	dom := intDom(t, 0, 50)
@@ -261,25 +262,21 @@ func TestDecomposeIndexedAgrees(t *testing.T) {
 				subset = append(subset, byProfile[i])
 			}
 		}
-		a := Decompose(dom, subset)
-		b := DecomposeIndexed(dom, byProfile, alive)
-		if len(a.Subranges) != len(b.Subranges) || a.D0Size != b.D0Size || a.GapSize != b.GapSize {
-			t.Fatalf("indexed mismatch: %+v vs %+v", a, b)
-		}
-		for i := range a.Subranges {
-			if a.Subranges[i].Iv != b.Subranges[i].Iv {
-				t.Fatalf("subrange %d: %v vs %v", i, a.Subranges[i].Iv, b.Subranges[i].Iv)
+		want := Decompose(dom, subset)
+		var s Sweep
+		s.Reset(NewIndex(dom, byProfile), alive)
+		var got Decomposition
+		got.Star = append(got.Star, s.Star...)
+		for s.Next() {
+			if len(s.Active) == 0 {
+				got.Gaps = append(got.Gaps, s.Iv)
+				continue
 			}
+			got.Subranges = append(got.Subranges, Subrange{Iv: s.Iv, Profiles: append([]int(nil), s.Active...)})
 		}
-	}
-}
-
-func TestKey(t *testing.T) {
-	if Key(nil) != "" {
-		t.Error("empty key")
-	}
-	if Key([]int{1, 23, 456}) != "1,23,456" {
-		t.Errorf("Key = %q", Key([]int{1, 23, 456}))
+		if !reflect.DeepEqual(got.Subranges, want.Subranges) || !reflect.DeepEqual(got.Gaps, want.Gaps) || !reflect.DeepEqual(got.Star, want.Star) {
+			t.Fatalf("indexed mismatch: %+v vs %+v", got, want)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 	// never read beyond their own length. The aliasing is safe as long as
 	// successors are derived linearly (always from the newest tree), which
 	// the engine's writer mutex guarantees; two siblings derived from one
-	// parent would clobber each other's column and are not supported.
+	// parent would clobber each other's slot and are not supported.
 	nt.profiles = append(t.profiles, p)
 	if t.deadCount > 0 {
 		nt.dead = make([]bool, np+1)
@@ -61,34 +61,9 @@ func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 		nt.deadCount = t.deadCount
 	}
 
-	// Extend the canonical constraint table with p's column, exactly as
-	// Build would have computed it.
-	sat := true
-	nt.cons = make([][]subrange.Constraint, t.schema.N())
-	for attr := 0; attr < t.schema.N(); attr++ {
-		dom := t.schema.At(attr).Domain
-		var c subrange.Constraint
-		if !p.Constrains(attr) {
-			c = subrange.Constraint{Profile: np, DontCare: true}
-		} else {
-			ivs := p.Pred(attr).Intervals(dom)
-			c = subrange.Constraint{Profile: np, Intervals: ivs}
-			discrete := dom.Kind() != schema.KindNumeric
-			ok := false
-			for _, iv := range ivs {
-				if _, snapped := subrange.Snap(iv, discrete); snapped {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				sat = false
-			}
-		}
-		// Same linear-derivation aliasing argument as for profiles above.
-		nt.cons[attr] = append(t.cons[attr], c)
-	}
-	if !sat {
+	ins := inserterPool.Get().(*inserter)
+	defer inserterPool.Put(ins)
+	if !ins.reset(nt, p, np, vo) {
 		// The profile is unsatisfiable on some attribute: it can never
 		// match, so the automaton is unchanged and the whole node graph is
 		// shared. The index still exists (it appears in no leaf).
@@ -96,18 +71,9 @@ func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 		nt.meta = t.meta
 		return nt, np
 	}
-
-	ins := inserterPool.Get().(*inserter)
-	ins.reset(nt, np, vo)
-	for level := 0; level < t.schema.N(); level++ {
-		if !nt.cons[t.attrOrder[level]][np].DontCare {
-			ins.lastCons = level
-		}
-	}
 	nt.root = ins.transform(t.root)
 	nt.meta = &graphMeta{} // filled lazily on the first Levels/Stats call
 	ins.release()
-	inserterPool.Put(ins)
 	return nt, np
 }
 
@@ -116,14 +82,41 @@ func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 // successor tree keeps.
 var inserterPool = sync.Pool{New: func() any { return new(inserter) }}
 
-// reset prepares a (possibly recycled) inserter for one WithProfile call.
-func (ins *inserter) reset(nt *Tree, np int, vo ValueOrder) {
+// reset prepares a (possibly recycled) inserter for one WithProfile call: p's
+// canonical constraint on every attribute, exactly as Build computes it, and
+// the deepest level it constrains. It reports whether p is satisfiable.
+func (ins *inserter) reset(nt *Tree, p *predicate.Profile, np int, vo ValueOrder) bool {
 	n := nt.schema.N()
+	ins.cons, ins.ivs, ins.lastCons = ins.cons[:0], ins.ivs[:0], -1
+	for attr := 0; attr < n; attr++ {
+		c := subrange.Constraint{Profile: np, DontCare: !p.Constrains(attr)}
+		if !c.DontCare {
+			dom := nt.schema.At(attr).Domain
+			from := len(ins.ivs)
+			ins.ivs = p.Pred(attr).AppendIntervals(ins.ivs, dom)
+			c.Intervals = ins.ivs[from:]
+			sat := false
+			for _, iv := range c.Intervals {
+				if _, ok := subrange.Snap(iv, dom.Kind() != schema.KindNumeric); ok {
+					sat = true
+					break
+				}
+			}
+			if !sat {
+				return false
+			}
+		}
+		ins.cons = append(ins.cons, c)
+	}
+	for level, attr := range nt.attrOrder {
+		if !ins.cons[attr].DontCare {
+			ins.lastCons = level
+		}
+	}
 	ins.t = nt
 	ins.np = np
 	ins.npSlice = ins.a.unionTail(nil, np)
 	ins.vo = vo
-	ins.lastCons = -1
 	if ins.memo == nil {
 		ins.memo = make(map[*Node]*Node, 256)
 	} else {
@@ -141,6 +134,7 @@ func (ins *inserter) reset(nt *Tree, np int, vo ValueOrder) {
 			ins.chains[i] = nil
 		}
 	}
+	return true
 }
 
 // release drops the references the successor tree now owns (the arena and
@@ -178,7 +172,7 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 // consistent defined order. It reports the nodes re-sorted and the nodes
 // copied only to re-point their children.
 func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copied int) {
-	r := reorderer{vo: vo, strategy: t.strategy, sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node)}
+	r := reorderer{vo: vo, strategy: t.strategy, sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node), a: arena{grow: true}}
 	for _, a := range attrs {
 		r.sel[a] = true
 	}
@@ -205,6 +199,7 @@ type reorderer struct {
 	deepest          int
 	memo             map[*Node]*Node
 	sc               orderScratch
+	a                arena
 	resorted, copied int
 }
 
@@ -226,7 +221,7 @@ func (r *reorderer) clone(old *Node) *Node {
 	}
 	if r.sel[old.Attr] {
 		n.buckets, n.scan = slices.Clone(old.buckets), nil
-		n.applyOrder(r.vo, r.strategy, &r.sc)
+		n.applyOrder(r.vo, r.strategy, &r.sc, &r.a)
 		r.resorted++
 	} else {
 		r.copied++
@@ -235,92 +230,100 @@ func (r *reorderer) clone(old *Node) *Node {
 	return n
 }
 
-// arena chunk-allocates the successor objects of one insert. A corridor
+// arena chunk-allocates the objects of one insert or one build. A corridor
 // transform creates hundreds of small, identically shaped objects (nodes,
-// edge lists, bucket lists, order tables); allocating each individually made
-// malloc fixed costs and the resulting GC assist rate the dominant term of
-// the churn path. Chunks are pinned by the successor tree exactly as long as
-// individually allocated objects would be; the unused tail of the last chunk
-// of each kind is the only overhead.
+// edge lists, bucket lists, order tables), a build tens of thousands;
+// allocating each individually made malloc fixed costs and the resulting GC
+// assist rate the dominant term of both. Chunks are pinned by the tree exactly
+// as long as individually allocated objects would be; the unused tail of the
+// last chunk of each kind is the only overhead.
 type arena struct {
-	nodes   []Node
-	edges   []Edge
-	buckets []bucket
-	ints    []int
+	nodes   slab[Node]
+	edges   slab[Edge]
+	buckets slab[bucket]
+	ints    slab[int]
+	// grow lets chunks grow with what the arena already holds (Build); an
+	// insert keeps them at their small fixed size.
+	grow bool
 }
 
 // Chunk sizes are deliberately small: a corridor fills dozens of chunks
 // whatever their size, so the only real overhead is the partially used last
 // chunk of each kind — small chunks bound that waste at a few KB while the
-// malloc fixed cost stays amortized.
+// malloc fixed cost stays amortized. A growing arena instead asks for a
+// thirty-second of what it holds, up to maxChunk elements: a tree of a dozen nodes
+// pays for no chunk, the tail of a large one stays a percent or two, and the chunk
+// count is logarithmic up to maxChunk.
 const (
 	nodeChunk   = 64
 	edgeChunk   = 128
 	bucketChunk = 128
 	intChunk    = 256
+	maxChunk    = 1 << 15
 )
 
-func chunkCap(need, d int) int {
-	if need > d {
-		return need
-	}
-	return d
+// slab hands out runs of one chunked element type.
+type slab[T any] struct {
+	free []T // the unused tail of the current chunk
+	held int // elements in all chunks so far
 }
 
-func (a *arena) node() *Node {
-	if len(a.nodes) == cap(a.nodes) {
-		a.nodes = make([]Node, 0, nodeChunk)
+// take returns n fresh elements, refilling with a chunk of d, or of what the
+// slab's growth asks for, when fewer are left.
+//
+//genas:builder
+func (s *slab[T]) take(n, d int, grow bool) []T {
+	if len(s.free) < n {
+		if grow {
+			d = min(s.held/32, maxChunk)
+		}
+		d = max(n, d)
+		s.free, s.held = make([]T, d), s.held+d
 	}
-	a.nodes = a.nodes[:len(a.nodes)+1]
-	return &a.nodes[len(a.nodes)-1]
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }
+
+//genas:builder
+func (a *arena) node() *Node { return &a.nodes.take(1, nodeChunk, a.grow)[0] }
 
 // edgeSlice commits a scratch-built edge list to arena storage.
 //
 //genas:builder
 func (a *arena) edgeSlice(src []Edge) []Edge {
-	if cap(a.edges)-len(a.edges) < len(src) {
-		a.edges = make([]Edge, 0, chunkCap(len(src), edgeChunk))
-	}
-	base := len(a.edges)
-	a.edges = append(a.edges, src...)
-	return a.edges[base:len(a.edges):len(a.edges)]
+	out := a.edges.take(len(src), edgeChunk, a.grow)
+	copy(out, src)
+	return out
 }
 
 // bucketSlice commits a scratch-built bucket list to arena storage.
 //
 //genas:builder
 func (a *arena) bucketSlice(src []bucket) []bucket {
-	if cap(a.buckets)-len(a.buckets) < len(src) {
-		a.buckets = make([]bucket, 0, chunkCap(len(src), bucketChunk))
-	}
-	base := len(a.buckets)
-	a.buckets = append(a.buckets, src...)
-	return a.buckets[base:len(a.buckets):len(a.buckets)]
+	out := a.buckets.take(len(src), bucketChunk, a.grow)
+	copy(out, src)
+	return out
 }
+
+// reserve returns n zeroed ints of arena storage.
+func (a *arena) reserve(n int) []int { return a.ints.take(n, intChunk, a.grow) }
 
 // intSlice commits a scratch-built int list to arena storage.
 func (a *arena) intSlice(src []int) []int {
-	if cap(a.ints)-len(a.ints) < len(src) {
-		a.ints = make([]int, 0, chunkCap(len(src), intChunk))
-	}
-	base := len(a.ints)
-	a.ints = append(a.ints, src...)
-	return a.ints[base:len(a.ints):len(a.ints)]
+	out := a.reserve(len(src))
+	copy(out, src)
+	return out
 }
 
 // unionTail appends np to a sorted dense-index set in arena storage. np is
 // the largest index in the successor corpus by construction, so the union is
 // a copy plus one trailing element.
 func (a *arena) unionTail(src []int, np int) []int {
-	need := len(src) + 1
-	if cap(a.ints)-len(a.ints) < need {
-		a.ints = make([]int, 0, chunkCap(need, intChunk))
-	}
-	base := len(a.ints)
-	a.ints = append(a.ints, src...)
-	a.ints = append(a.ints, np)
-	return a.ints[base:len(a.ints):len(a.ints)]
+	out := a.reserve(len(src) + 1)
+	copy(out, src)
+	out[len(src)] = np
+	return out
 }
 
 // inserter carries one WithProfile transform: the successor tree under
@@ -329,6 +332,10 @@ func (a *arena) unionTail(src []int, np int) []int {
 type inserter struct {
 	t  *Tree
 	np int
+	// cons is np's canonical constraint per schema attribute, its intervals
+	// in ivs; both are scratch no successor tree refers to.
+	cons []subrange.Constraint
+	ivs  []schema.Interval
 	// npSlice is the one-profile set {np}, shared by every edge and leaf
 	// that carries only the new profile.
 	npSlice []int
@@ -405,7 +412,7 @@ func (ins *inserter) transform(old *Node) *Node {
 		n = ins.a.node()
 		*n = *old
 		n.extra = ins.a.unionTail(old.extra, ins.np)
-	} else if c := &ins.t.cons[old.Attr][ins.np]; c.DontCare {
+	} else if c := &ins.cons[old.Attr]; c.DontCare {
 		n = ins.dontCare(old)
 	} else {
 		n = ins.constrain(old, c.Intervals)
@@ -686,7 +693,7 @@ func (ins *inserter) chain(level int) *Node {
 	dom := t.schema.At(attr).Domain
 	last := level == t.schema.N()-1
 	n := &Node{Level: level, Attr: attr, discrete: dom.Kind() != schema.KindNumeric}
-	if c := &t.cons[attr][ins.np]; c.DontCare {
+	if c := &ins.cons[attr]; c.DontCare {
 		e := Edge{Kind: EdgeStar, Iv: dom.Interval(), Profiles: ins.npSlice}
 		if !last {
 			e.Child = ins.chain(level + 1)
@@ -709,7 +716,7 @@ func (ins *inserter) chain(level int) *Node {
 		}
 		n.nSubrange = len(n.edges)
 	}
-	n.applyOrder(ins.vo, t.strategy, &ins.sc)
+	n.applyOrder(ins.vo, t.strategy, &ins.sc, &ins.a)
 	ins.chains[level] = n
 	return n
 }

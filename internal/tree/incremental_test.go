@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"genas/internal/predicate"
@@ -336,4 +337,48 @@ func TestWithProfileStatsTracked(t *testing.T) {
 	if st.Height != s.N() {
 		t.Fatalf("Height=%d want %d", st.Height, s.N())
 	}
+}
+
+// TestReorderedReleasesWhatItReplaces: Build carves a tree from chunks, and a
+// chunk lives as long as anything in it. A whole reorder replaces every node
+// and bucket list and shares only the last level's edges and the profile sets,
+// so once the predecessor is dropped the heap must be back near one tree — one
+// arena for all levels kept the entire predecessor alive behind those edges.
+func TestReorderedReleasesWhatItReplaces(t *testing.T) {
+	s := incrSchema(t)
+	rng := rand.New(rand.NewSource(11))
+	profiles := make([]*predicate.Profile, 1500)
+	for i := range profiles {
+		x, y := rng.Float64()*9.5, float64(rng.Intn(18))
+		px, err := predicate.NewRange(0, x, x+0.1+rng.Float64()*0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		py, err := predicate.NewRange(1, y, y+float64(rng.Intn(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if profiles[i], err = predicate.New(s, predicate.ID(fmt.Sprintf("p%d", i)), px, py); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := heap()
+	tr, err := Build(s, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := heap() - base
+	tr, resorted, _ := tr.Reordered(saltedMass(3))
+	after := heap() - base
+	t.Logf("%d nodes: %d KB built, %d KB after a whole reorder", resorted, built>>10, after>>10)
+	if after > built*5/4 {
+		t.Errorf("a whole reorder of a %d KB tree leaves %d KB live: the predecessor is still held", built>>10, after>>10)
+	}
+	runtime.KeepAlive(tr)
 }

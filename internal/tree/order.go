@@ -55,11 +55,6 @@ func regionLo(region []Interval) float64 {
 	return lo
 }
 
-// applyNaturalOrder initializes every node with the natural ascending order.
-func (t *Tree) applyNaturalOrder() {
-	t.ApplyValueOrder(NaturalOrder())
-}
-
 // ApplyValueOrder recomputes every node's defined order: the lookup-table
 // positions over all buckets (including D₀ gaps, which non-matching events
 // would occupy — Example 2 ranks the zero-subdomain region x₀ alongside the
@@ -69,9 +64,10 @@ func (t *Tree) applyNaturalOrder() {
 // requires Build with a different order).
 func (t *Tree) ApplyValueOrder(vo ValueOrder) {
 	var sc orderScratch
+	a := arena{grow: true}
 	for _, level := range t.ensureMeta().levels {
 		for _, n := range level {
-			n.applyOrder(vo, t.strategy, &sc)
+			n.applyOrder(vo, t.strategy, &sc, &a)
 		}
 	}
 }
@@ -95,13 +91,13 @@ type orderEntry struct {
 }
 
 // applyOrder ranks the node's buckets and rebuilds scan/orderPos, or lays out
-// the probe tree that takes their place under SearchWeighted.
+// the probe tree that takes their place under SearchWeighted, in storage of a.
 //
 //genas:builder
-func (n *Node) applyOrder(vo ValueOrder, strategy Search, sc *orderScratch) {
+func (n *Node) applyOrder(vo ValueOrder, strategy Search, sc *orderScratch, a *arena) {
 	if strategy == SearchWeighted {
 		sc.weigh(n, vo)
-		n.scan, n.orderPos = sc.lay(make([]int, 0, n.nSubrange), 0, n.nSubrange), nil
+		n.scan, n.orderPos = sc.lay(a.reserve(n.nSubrange)[:0], 0, n.nSubrange), nil
 		return
 	}
 	entries, comp := sc.entries[:0], sc.comp[:0]
@@ -130,8 +126,8 @@ func (n *Node) applyOrder(vo ValueOrder, strategy Search, sc *orderScratch) {
 		return x.nat - y.nat
 	})
 
-	n.orderPos = make([]int, len(n.edges))
-	n.scan = n.scan[:0]
+	n.orderPos = a.reserve(len(n.edges))
+	n.scan = a.reserve(len(n.edges))[:0]
 	for pos, e := range entries {
 		if e.nat < len(n.buckets) {
 			n.buckets[e.nat].orderPos = pos + 1

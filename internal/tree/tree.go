@@ -20,7 +20,7 @@ package tree
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -221,10 +221,6 @@ type Tree struct {
 	attrOrder []int // attrOrder[level] = schema attribute index
 	root      *Node
 	strategy  Search
-	// cons holds canonical constraints per attribute and profile. Build
-	// fills it and keeps it: the incremental transforms (WithProfile)
-	// consult it for every profile riding through a split bucket.
-	cons [][]subrange.Constraint
 	// dead marks tombstoned profile indices: WithoutProfile does not touch
 	// the node graph, it only records the index here, and match translation
 	// skips dead indices. A coalescing rebuild clears the tombstones.
@@ -248,6 +244,7 @@ type Option func(*config)
 type config struct {
 	attrOrder []int
 	strategy  Search
+	vo        ValueOrder
 }
 
 // WithAttributeOrder builds the tree with the given attribute order:
@@ -261,12 +258,18 @@ func WithSearch(s Search) Option {
 	return func(c *config) { c.strategy = s }
 }
 
+// WithValueOrder lays every node out under vo as it is built (default
+// NaturalOrder), which saves the second pass of an ApplyValueOrder.
+func WithValueOrder(vo ValueOrder) Option {
+	return func(c *config) { c.vo = vo }
+}
+
 // Build constructs the profile tree for the given profiles.
 func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tree, error) {
 	if len(profiles) == 0 {
 		return nil, ErrNoProfiles
 	}
-	cfg := config{strategy: DefaultSearch}
+	cfg := config{strategy: DefaultSearch, vo: NaturalOrder()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -288,33 +291,35 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 		meta:      &graphMeta{levels: make([][]*Node, s.N())},
 	}
 
-	// Canonical intervals are cached per (profile, attribute): the builder
-	// consults them at every node of the shared automaton.
-	t.cons = make([][]subrange.Constraint, s.N())
-	for attr := 0; attr < s.N(); attr++ {
+	// Every interval endpoint is ranked once per attribute; the constraint
+	// table and its intervals, one block each, live only until then.
+	b := builder{t: t, vo: cfg.vo, ix: make([]*subrange.Index, s.N()), memo: make(map[uint64]state), a: make([]arena, s.N())}
+	for level := range b.a {
+		b.a[level].grow = true
+	}
+	cons := make([]subrange.Constraint, len(profiles))
+	var ivs []schema.Interval
+	for attr := range b.ix {
 		dom := s.At(attr).Domain
-		t.cons[attr] = make([]subrange.Constraint, len(profiles))
+		ivs = ivs[:0]
 		for pi, p := range profiles {
-			if !p.Constrains(attr) {
-				t.cons[attr][pi] = subrange.Constraint{Profile: pi, DontCare: true}
-				continue
-			}
-			t.cons[attr][pi] = subrange.Constraint{
-				Profile:   pi,
-				Intervals: p.Pred(attr).Intervals(dom),
+			cons[pi] = subrange.Constraint{Profile: pi, DontCare: !p.Constrains(attr)}
+			if !cons[pi].DontCare {
+				from := len(ivs)
+				ivs = p.Pred(attr).AppendIntervals(ivs, dom)
+				cons[pi].Intervals = ivs[from:]
 			}
 		}
+		b.ix[attr] = subrange.NewIndex(dom, cons)
 	}
 
 	all := make([]int, len(profiles))
 	for i := range profiles {
 		all[i] = i
 	}
-	memo := make(map[string]*Node)
-	t.root = t.build(all, 0, memo)
+	t.root = b.build(all, 0)
 	// The builder tracked the meta incrementally; consume the lazy fill.
 	t.meta.once.Do(func() {})
-	t.applyNaturalOrder()
 	return t, nil
 }
 
@@ -332,124 +337,148 @@ func isPermutation(order []int, n int) bool {
 	return true
 }
 
-// build returns the (possibly shared) node for the alive profile set at the
-// given level.
+// builder carries one Build: the rank index of every attribute, the sweep
+// that decomposes each state on it, the memo that keeps equivalent states
+// shared, and the arenas everything the tree retains is carved from.
+type builder struct {
+	t    *Tree
+	vo   ValueOrder
+	ix   []*subrange.Index // by schema attribute
+	sw   subrange.Sweep
+	memo map[uint64]state
+	// edges, bks and set assemble one node; it is committed to the arena
+	// before the build descends, so one set of buffers serves every level.
+	edges []Edge
+	bks   []bucket
+	set   []int
+	sc    orderScratch
+	// a holds one arena per level. Reordered and WithProfile replace a tree
+	// level by level, and a chunk lives as long as anything in it: were the
+	// levels interleaved, the last level's shared edges would pin every node
+	// and bucket a whole reorder had replaced.
+	a []arena
+}
+
+// state is a memoised alive set: the profile set stored by the first edge
+// that carried it into level (the whole corpus at the root), and the node
+// built for it — none yet while its parent is being assembled, and never for
+// a leaf's match set, whose level is the tree's height.
+type state struct {
+	level int
+	n     *Node
+	alive []int
+}
+
+// find probes the memo, keyed by a hash of level and alive set, for the state
+// of alive at level: a candidate is verified against the set it stores, and a
+// key taken by another state passes the probe on to the next one. It returns
+// the state, or failing that the free key to memoise it under.
+func (b *builder) find(alive []int, level int) (st state, h uint64, ok bool) {
+	h = uint64(level + 1)
+	for _, pi := range alive {
+		h = (h ^ uint64(pi)) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
+	}
+	for st, ok = b.memo[h]; ok; st, ok = b.memo[h] {
+		if st.level == level && slices.Equal(st.alive, alive) {
+			return st, h, true
+		}
+		h++
+	}
+	return state{}, h, false
+}
+
+// carry returns what an edge into level stores for the profile set it
+// carries: the memoised copy of the set — equal sets are stored once, in a's
+// storage — and the node already built for it, if there is one.
+func (b *builder) carry(set []int, level int, a *arena) ([]int, *Node) {
+	st, h, ok := b.find(set, level)
+	if !ok {
+		st = state{level: level, alive: a.intSlice(set)}
+		b.memo[h] = st
+	} else if st.n != nil {
+		b.t.meta.shared++
+	}
+	return st.alive, st.n
+}
+
+// build returns the node for the alive profile set at the given level: the
+// one built for it before, when two edges of one node carry one set and the
+// first one's descent got there, or else a new one.
 //
 //genas:builder
-func (t *Tree) build(alive []int, level int, memo map[string]*Node) *Node {
-	key := strconv.Itoa(level) + "|" + subrange.Key(alive)
-	if n, ok := memo[key]; ok {
+func (b *builder) build(alive []int, level int) *Node {
+	t := b.t
+	st, h, _ := b.find(alive, level)
+	if st.n != nil {
 		t.meta.shared++
-		return n
+		return st.n
 	}
-
 	attr := t.attrOrder[level]
 	dom := t.schema.At(attr).Domain
-	dec := subrange.DecomposeIndexed(dom, t.cons[attr], alive)
+	a := &b.a[level]
+	n := a.node()
+	*n = Node{Level: level, Attr: attr, discrete: dom.Kind() != schema.KindNumeric}
+	b.memo[h] = state{level, n, alive}
 
-	n := &Node{
-		Level:    level,
-		Attr:     attr,
-		discrete: dom.Kind() != schema.KindNumeric,
+	// One sweep yields the pieces in natural order: a covered piece is a
+	// subrange edge on which the don't-care profiles ride along, an uncovered
+	// one a gap.
+	b.sw.Reset(b.ix[attr], alive)
+	edges, bks := b.edges[:0], b.bks[:0]
+	for b.sw.Next() {
+		if len(b.sw.Active) == 0 {
+			bks = append(bks, bucket{iv: b.sw.Iv, edge: -1})
+			continue
+		}
+		e := Edge{Kind: EdgeSubrange, Iv: b.sw.Iv}
+		b.set = appendUnion(b.set[:0], b.sw.Active, b.sw.Star)
+		e.Profiles, e.Child = b.carry(b.set, level+1, a)
+		bks = append(bks, bucket{iv: b.sw.Iv, edge: len(edges)})
+		edges = append(edges, e)
 	}
-	last := level == t.schema.N()-1
-
-	// Subrange edges in natural order; don't-care profiles ride along.
-	for _, sr := range dec.Subranges {
-		profs := unionSorted(sr.Profiles, dec.Star)
-		e := Edge{Kind: EdgeSubrange, Iv: sr.Iv, Profiles: profs}
-		t.descend(&e, profs, level, last, memo)
-		n.edges = append(n.edges, e)
+	n.nSubrange = len(edges)
+	// The riders own the gaps: through the complement edge (*), or through the
+	// star edge of a pure don't-care node. Without riders a gap is D₀.
+	if len(b.sw.Star) > 0 && len(bks) > len(edges) {
+		e := Edge{Kind: EdgeComplement}
+		if len(edges) == 0 {
+			e.Kind, e.Iv = EdgeStar, dom.Interval()
+		}
+		e.Profiles, e.Child = b.carry(b.sw.Star, level+1, a)
+		for i := range bks {
+			if bks[i].edge < 0 {
+				bks[i].edge = len(edges)
+			}
+		}
+		edges = append(edges, e)
 	}
-	n.nSubrange = len(n.edges)
+	n.edges, n.buckets = a.edgeSlice(edges), a.bucketSlice(bks)
+	b.edges, b.bks = edges, bks
 
-	switch {
-	case len(dec.Subranges) == 0 && len(dec.Star) > 0:
-		// Pure don't-care node: single star edge over the whole domain.
-		e := Edge{Kind: EdgeStar, Iv: dom.Interval(), Profiles: dec.Star}
-		t.descend(&e, dec.Star, level, last, memo)
-		n.edges = append(n.edges, e)
-		n.buckets = []bucket{{iv: dom.Interval(), edge: len(n.edges) - 1}}
-	case len(dec.Star) > 0 && len(dec.Gaps) > 0:
-		// Complement edge (*) for the riders across every gap piece.
-		e := Edge{Kind: EdgeComplement, Profiles: dec.Star}
-		t.descend(&e, dec.Star, level, last, memo)
-		n.edges = append(n.edges, e)
-		n.buckets = mergeBuckets(dec, len(n.edges)-1)
-	default:
-		// Gaps (if any) are D₀: non-match regions.
-		n.buckets = mergeBuckets(dec, -1)
+	for i := range n.edges {
+		if e := &n.edges[i]; e.Child == nil && level < t.schema.N()-1 {
+			e.Child = b.build(e.Profiles, level+1)
+		}
 	}
-
+	n.applyOrder(b.vo, t.strategy, &b.sc, a)
 	t.meta.nodes++
 	t.meta.edges += len(n.edges)
 	t.meta.levels[level] = append(t.meta.levels[level], n)
-	memo[key] = n
 	return n
 }
 
-// descend fills the edge target: a child node, or nothing at the leaf level
-// (a leaf edge's Profiles already is its match set).
-//
-//genas:builder
-func (t *Tree) descend(e *Edge, alive []int, level int, last bool, memo map[string]*Node) {
-	if last {
-		return
-	}
-	e.Child = t.build(alive, level+1, memo)
-}
-
-// mergeBuckets builds the natural-order domain partition from the
-// decomposition. complementEdge is the edge index for gap pieces (−1 = D₀).
-//
-//genas:builder
-func mergeBuckets(dec subrange.Decomposition, complementEdge int) []bucket {
-	type piece struct {
-		iv   schema.Interval
-		edge int
-	}
-	pieces := make([]piece, 0, len(dec.Subranges)+len(dec.Gaps))
-	for i, sr := range dec.Subranges {
-		pieces = append(pieces, piece{iv: sr.Iv, edge: i})
-	}
-	for _, g := range dec.Gaps {
-		pieces = append(pieces, piece{iv: g, edge: complementEdge})
-	}
-	sort.Slice(pieces, func(i, j int) bool {
-		if pieces[i].iv.Lo != pieces[j].iv.Lo {
-			return pieces[i].iv.Lo < pieces[j].iv.Lo
-		}
-		// A point interval sorts before the open interval starting there.
-		return pieces[i].iv.Hi < pieces[j].iv.Hi
-	})
-	out := make([]bucket, len(pieces))
-	for i, p := range pieces {
-		out[i] = bucket{iv: p.iv, edge: p.edge}
-	}
-	return out
-}
-
-// unionSorted merges two sorted int slices without duplicates.
-func unionSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+// appendUnion appends the merge of two sorted, disjoint dense-index sets: an
+// edge's constraining profiles and the riders.
+func appendUnion(dst, x, y []int) []int {
+	for len(x) > 0 && len(y) > 0 {
+		if x[0] < y[0] {
+			dst, x = append(dst, x[0]), x[1:]
+		} else {
+			dst, y = append(dst, y[0]), y[1:]
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return append(append(dst, x...), y...)
 }
 
 // Root returns the root node.
