@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"genas/internal/core"
 	"genas/internal/dist"
@@ -776,17 +777,65 @@ func TestBuildAllocations(t *testing.T) {
 	}
 }
 
+// TestTreeRetainedBytes is the memory ceiling of the automaton under the
+// default search: an edge is an interval, a child and a leaf-set handle, and a
+// built tree retains its nodes, its edges with a probe-tree entry each and
+// every distinct leaf set once — no lookup table, no bucket per piece, no
+// profile set on an interior edge. Stats.Bytes is that storage, counted.
+func TestTreeRetainedBytes(t *testing.T) {
+	if sz := unsafe.Sizeof(tree.Edge{}); sz > 40 {
+		t.Errorf("a tree.Edge is %d bytes, want at most 40", sz)
+	}
+	s, corpus := rangeCorpus(t, 2000)
+	heap := func() int {
+		runtime.GC()
+		runtime.GC() // the second cycle empties the pools' victim caches
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int(m.HeapAlloc)
+	}
+	base := heap()
+	tr, err := tree.Build(s, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := heap() - base
+	st := tr.Stats()
+	sets, entries := make(map[*int]bool), 0
+	for _, n := range tr.Levels()[s.N()-1] {
+		for _, e := range n.Edges() {
+			if leaf := e.Leaf(); !sets[&leaf[0]] {
+				sets[&leaf[0]] = true
+				entries += len(leaf)
+			}
+		}
+	}
+	limit := (48*st.Edges + 96*st.Nodes + 8*entries) * 105 / 100
+	t.Logf("%d nodes, %d edges, %d entries in %d leaf sets: %d KB retained (limit %d KB), Stats.Bytes %d KB",
+		st.Nodes, st.Edges, entries, len(sets), retained>>10, limit>>10, st.Bytes>>10)
+	if retained > limit {
+		t.Errorf("tree.Build retains %d bytes, want at most %d", retained, limit)
+	}
+	if st.Bytes < retained*9/10 || st.Bytes > retained*11/10 {
+		t.Errorf("Stats.Bytes is %d, the heap retains %d: not within 10 %%", st.Bytes, retained)
+	}
+	runtime.KeepAlive(tr)
+}
+
 // buildScaleFull adds the third size of TestBuildScale.
-var buildScaleFull = flag.Bool("buildscale-full", false, "TestBuildScale also builds 1 000 structures (8 s, 1.3 GB allocated)")
+var buildScaleFull = flag.Bool("buildscale-full", false, "TestBuildScale also builds 1 000 structures (11 s, 0.9 GB allocated)")
 
 // TestBuildScale builds distinct structures of the shape that walled the batch
 // build at PR 9 (250 / 500 / 1 000 of them in 5 s, 25 s and 280 s then; the load
 // generator that drew it is gone, this is its rule): on the four-attribute
 // schema every attribute is constrained seven times in ten, by a range of
 // 5–15 % of its domain around a uniform centre, so riders multiply the states
-// level by level. 500 build in under 5 s (1.3 s measured, 11.2 s before the
-// rank sweep). 1 000 are 643 600 nodes and 5.0 M edges, 1.3 GB of automaton
-// that take 8 s to write: too much for every test run, so only on request.
+// level by level. 500 build in under 5 s (1.5 s measured, 11.2 s before the
+// rank sweep) into 71 MB of automaton, which the test logs from Stats().Bytes
+// beside what the build allocated. 1 000 are 643 600 nodes and 5.0 M edges:
+// 279 MB of automaton for 908 MB allocated — under the gigabyte since a node
+// stores its partition once — but 11 s of sweeping, memoising and laying out,
+// so still only on request.
 func TestBuildScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second builds")
@@ -819,13 +868,18 @@ func TestBuildScale(t *testing.T) {
 		sizes = append(sizes, 1000)
 	}
 	for _, n := range sizes {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		start := time.Now()
 		tr, err := tree.Build(s, corpus[:n])
 		if err != nil {
 			t.Fatal(err)
 		}
 		took := time.Since(start)
-		t.Logf("%d distinct structures: %d nodes, %d edges in %v", n, tr.Stats().Nodes, tr.Stats().Edges, took.Round(time.Millisecond))
+		runtime.ReadMemStats(&after)
+		st := tr.Stats()
+		t.Logf("%d distinct structures: %d nodes, %d edges, %d MB of automaton in %v, %d MB allocated",
+			n, st.Nodes, st.Edges, st.Bytes>>20, took.Round(time.Millisecond), (after.TotalAlloc-before.TotalAlloc)>>20)
 		if n == 500 && took > 5*time.Second {
 			t.Errorf("500 distinct structures took %v to build, want under 5 s", took)
 		}

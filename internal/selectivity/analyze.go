@@ -41,7 +41,8 @@ type Analysis struct {
 type ProfileCost struct {
 	// MatchProb is the probability an event matches the profile.
 	MatchProb float64
-	// CondOps is E[operations | event matches the profile].
+	// CondOps is E[operations | event matches the profile]; for a profile an
+	// incremental insert parked at a node, the operations until that node.
 	CondOps float64
 }
 
@@ -81,13 +82,16 @@ func (a Analysis) PerLevelOpsMatched(l int) float64 { return a.PerLevelMatch[l] 
 type nodeAcc struct {
 	w float64 // Σ over paths of reach probability
 	c float64 // Σ over paths of probability·(ops spent so far)
+	m float64 // the part of w that has passed a profile parked on the path
 }
 
 // Analyze computes the expected filter cost of the tree under the event
 // distributions (indexed by schema attribute). The cost model is exactly the
-// one the empirical matcher executes — both call Node.CostOf — so analytic
-// and simulated results agree by construction (see the equivalence property
-// test).
+// one the empirical matcher executes — Pieces.Cost runs the node searches of
+// Tree.Match — so analytic and simulated results agree by construction (see
+// the equivalence property test). Profiles an incremental insert parked at a
+// node (Node.Extra) match whatever reaches it, even where the walk dead-ends
+// below, as Tree.Match collects them.
 func Analyze(t *tree.Tree, edists []dist.Dist) Analysis {
 	res := Analysis{
 		PerLevelOps:   make([]float64, t.Schema().N()),
@@ -96,7 +100,6 @@ func Analyze(t *tree.Tree, edists []dist.Dist) Analysis {
 		PerProfile:    make([]ProfileCost, len(t.Profiles())),
 	}
 	acc := map[*tree.Node]*nodeAcc{t.Root(): {w: 1}}
-	strategy := t.Strategy()
 
 	profProb := make([]float64, len(t.Profiles()))
 	profOps := make([]float64, len(t.Profiles()))
@@ -107,23 +110,32 @@ func Analyze(t *tree.Tree, edists []dist.Dist) Analysis {
 			if !ok || a.w == 0 {
 				continue
 			}
+			if parked := n.Extra(); len(parked) > 0 {
+				a.m = a.w
+				res.ExpMatches += a.w * float64(len(parked))
+				for _, pi := range parked {
+					profProb[pi] += a.w
+					profOps[pi] += a.c
+				}
+			}
 			ed := edists[n.Attr]
-			for bi, b := range n.Buckets() {
-				p := ed.Mass(b.Iv)
+			for pc := t.Pieces(n); pc.Next(); {
+				p := ed.Mass(pc.Iv)
 				if p == 0 {
 					continue
 				}
-				_, ops := n.CostOf(bi, strategy)
+				_, ops := pc.Cost()
 				cost := float64(ops)
 				res.PerLevelOps[n.Level] += a.w * p * cost
-				if b.Edge < 0 {
+				if pc.Edge < 0 {
 					res.R0Ops += a.w * p * cost
 					res.PerLevelR0[n.Level] += a.w * p * cost
+					res.MatchProb += a.m * p
 					continue
 				}
 				res.MatchOps += a.w * p * cost
 				res.PerLevelMatch[n.Level] += a.w * p * cost
-				edge := n.Edges()[b.Edge]
+				edge := &n.Edges()[pc.Edge]
 				if edge.Child != nil {
 					ch, ok := acc[edge.Child]
 					if !ok {
@@ -132,6 +144,7 @@ func Analyze(t *tree.Tree, edists []dist.Dist) Analysis {
 					}
 					ch.w += a.w * p
 					ch.c += a.c*p + a.w*p*cost
+					ch.m += a.m * p
 					continue
 				}
 				// Leaf edge: notification point for every matched profile.

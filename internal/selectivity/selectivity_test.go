@@ -280,3 +280,52 @@ func TestDerivedMetrics(t *testing.T) {
 		t.Error("empty analysis metrics must be 0")
 	}
 }
+
+// TestAnalyzeCountsParkedProfiles: on a tree grown by WithProfile, where the
+// inserts park don't-care profiles at interior nodes, the analysis is exactly
+// what matching every event of the grid gives under the uniform distribution:
+// operations, match probability, matches per event and each profile's match
+// probability — the parked profiles' on the paths that dead-end below them too.
+func TestAnalyzeCountsParkedProfiles(t *testing.T) {
+	s := gridSchema(t, 3, 6)
+	profiles := randomEqProfiles(t, s, 24, newRand(31))
+	for _, strategy := range []tree.Search{tree.SearchLinear, tree.SearchWeighted} {
+		tr, err := tree.Build(s, profiles[:4], tree.WithSearch(strategy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range profiles[4:] {
+			tr, _ = tr.WithProfile(p, tree.NaturalOrder())
+		}
+		parked := 0
+		for _, level := range tr.Levels() {
+			for _, n := range level {
+				parked += len(n.Extra())
+			}
+		}
+		if parked == 0 {
+			t.Fatal("no insert parked a profile: the corpus does not exercise the case")
+		}
+		got := selectivity.Analyze(tr, uniformDists(s))
+
+		events, matchedEvents, matches, ops := 0, 0, 0, 0
+		perProfile := make([]int, len(profiles))
+		for v := 0; v < 7*7*7; v++ {
+			matched, o := tr.Match([]float64{float64(v % 7), float64(v / 7 % 7), float64(v / 49)})
+			events, ops, matches = events+1, ops+o, matches+len(matched)
+			if len(matched) > 0 {
+				matchedEvents++
+			}
+			for _, pi := range matched {
+				perProfile[pi]++
+			}
+		}
+		n := float64(events)
+		almost(t, strategy.String()+" TotalOps", got.TotalOps, float64(ops)/n, 1e-9)
+		almost(t, strategy.String()+" MatchProb", got.MatchProb, float64(matchedEvents)/n, 1e-9)
+		almost(t, strategy.String()+" ExpMatches", got.ExpMatches, float64(matches)/n, 1e-9)
+		for pi, c := range perProfile {
+			almost(t, fmt.Sprintf("%v profile %d MatchProb", strategy, pi), got.PerProfile[pi].MatchProb, float64(c)/n, 1e-9)
+		}
+	}
+}

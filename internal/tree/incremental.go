@@ -25,6 +25,7 @@
 package tree
 
 import (
+	"math"
 	"slices"
 	"sync"
 
@@ -36,7 +37,7 @@ import (
 // WithProfile returns a successor tree containing p in addition to the
 // receiver's profiles, plus p's dense index in the successor. The receiver
 // is unchanged and keeps working; untouched subtrees are shared between the
-// two. vo is the value order applied to new and re-bucketed nodes (reused
+// two. vo is the value order applied to new and re-partitioned nodes (reused
 // nodes keep the ordering they had).
 //
 // Callers must not ApplyValueOrder on either tree afterwards: shared nodes
@@ -115,7 +116,7 @@ func (ins *inserter) reset(nt *Tree, p *predicate.Profile, np int, vo ValueOrder
 	}
 	ins.t = nt
 	ins.np = np
-	ins.npSlice = ins.a.unionTail(nil, np)
+	ins.npLeaf = ins.a.leafSet(ins.a.unionTail(nil, np))
 	ins.vo = vo
 	if ins.memo == nil {
 		ins.memo = make(map[*Node]*Node, 256)
@@ -125,9 +126,7 @@ func (ins *inserter) reset(nt *Tree, p *predicate.Profile, np int, vo ValueOrder
 	if len(ins.chains) < n {
 		ins.chains = make([]*Node, n)
 		ins.parts = make([][]part, n)
-		ins.srcPos = make([][]int, n)
 		ins.edgeBuf = make([][]Edge, n)
-		ins.bksBuf = make([][]bucket, n)
 	} else {
 		ins.chains = ins.chains[:n]
 		for i := range ins.chains {
@@ -142,7 +141,7 @@ func (ins *inserter) reset(nt *Tree, p *predicate.Profile, np int, vo ValueOrder
 // insert.
 func (ins *inserter) release() {
 	ins.t = nil
-	ins.npSlice = nil
+	ins.npLeaf = nil
 	// Drop the chunk references: the successor tree owns them now.
 	ins.a = arena{}
 	clear(ins.memo)
@@ -167,12 +166,12 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 // one of attrs (none given: to every node). Unlike ApplyValueOrder it does not
 // mutate the receiver, and it costs what is reordered: nodes down to the
 // deepest level testing such an attribute are path-copied, those testing one
-// get fresh buckets and ordering state, and everything below — like every
-// profile and leaf slice — is shared, so readers of the old tree keep a
+// get a fresh layout, and everything below — like every profile and leaf
+// set — is shared, so readers of the old tree keep a
 // consistent defined order. It reports the nodes re-sorted and the nodes
 // copied only to re-point their children.
 func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copied int) {
-	r := reorderer{vo: vo, strategy: t.strategy, sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node), a: arena{grow: true}}
+	r := reorderer{s: t.schema, vo: vo, strategy: t.strategy, sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node), a: arena{grow: true}}
 	for _, a := range attrs {
 		r.sel[a] = true
 	}
@@ -193,6 +192,7 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 // reorderer carries one Reordered call: the selected attributes, the deepest
 // level testing one, and the memo that keeps shared states shared.
 type reorderer struct {
+	s                *schema.Schema
 	vo               ValueOrder
 	strategy         Search
 	sel              []bool
@@ -205,7 +205,7 @@ type reorderer struct {
 
 //genas:builder
 func (r *reorderer) clone(old *Node) *Node {
-	if old.Level > r.deepest {
+	if int(old.Level) > r.deepest {
 		return old
 	}
 	if n, ok := r.memo[old]; ok {
@@ -213,15 +213,14 @@ func (r *reorderer) clone(old *Node) *Node {
 	}
 	n := new(Node)
 	*n = *old
-	if old.Level < r.deepest {
+	if int(old.Level) < r.deepest {
 		n.edges = slices.Clone(old.edges)
 		for i := range n.edges {
 			n.edges[i].Child = r.clone(n.edges[i].Child)
 		}
 	}
 	if r.sel[old.Attr] {
-		n.buckets, n.scan = slices.Clone(old.buckets), nil
-		n.applyOrder(r.vo, r.strategy, &r.sc, &r.a)
+		n.applyOrder(r.s.At(int(old.Attr)).Domain, r.vo, r.strategy, &r.sc, &r.a)
 		r.resorted++
 	} else {
 		r.copied++
@@ -232,7 +231,7 @@ func (r *reorderer) clone(old *Node) *Node {
 
 // arena chunk-allocates the objects of one insert or one build. A corridor
 // transform creates hundreds of small, identically shaped objects (nodes,
-// edge lists, bucket lists, order tables), a build tens of thousands;
+// edge lists, layouts, match sets), a build tens of thousands;
 // allocating each individually made malloc fixed costs and the resulting GC
 // assist rate the dominant term of both. Chunks are pinned by the tree exactly
 // as long as individually allocated objects would be; the unused tail of the
@@ -240,8 +239,12 @@ func (r *reorderer) clone(old *Node) *Node {
 type arena struct {
 	nodes   slab[Node]
 	edges   slab[Edge]
+	ints    slab[int]   // match sets
+	sets    slab[[]int] // their handles
+	layouts slab[int32] // probe trees, scan orders, edge positions
+	// The scans' lookup tables; SearchWeighted takes nothing from these two.
+	tabs    slab[lookup]
 	buckets slab[bucket]
-	ints    slab[int]
 	// grow lets chunks grow with what the arena already holds (Build); an
 	// insert keeps them at their small fixed size.
 	grow bool
@@ -259,6 +262,7 @@ const (
 	edgeChunk   = 128
 	bucketChunk = 128
 	intChunk    = 256
+	setChunk    = 32
 	maxChunk    = 1 << 15
 )
 
@@ -277,8 +281,10 @@ func (s *slab[T]) take(n, d int, grow bool) []T {
 		if grow {
 			d = min(s.held/32, maxChunk)
 		}
-		d = max(n, d)
-		s.free, s.held = make([]T, d), s.held+d
+		// Grow rounds the chunk up to what its size class holds anyway.
+		s.free = slices.Grow([]T(nil), max(n, d))
+		s.free = s.free[:cap(s.free)]
+		s.held += len(s.free)
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
@@ -297,30 +303,39 @@ func (a *arena) edgeSlice(src []Edge) []Edge {
 	return out
 }
 
-// bucketSlice commits a scratch-built bucket list to arena storage.
+// table commits a scan's lookup table to arena storage: the scratch-built
+// bucket list and the edges' positions (already the arena's).
 //
 //genas:builder
-func (a *arena) bucketSlice(src []bucket) []bucket {
-	out := a.buckets.take(len(src), bucketChunk, a.grow)
+func (a *arena) table(bks []bucket, orderPos []int32, discrete bool) *lookup {
+	t := &a.tabs.take(1, nodeChunk, a.grow)[0]
+	*t = lookup{buckets: a.buckets.take(len(bks), bucketChunk, a.grow), orderPos: orderPos, discrete: discrete}
+	copy(t.buckets, bks)
+	return t
+}
+
+// layout returns n zeroed layout entries of arena storage.
+func (a *arena) layout(n int) []int32 { return a.layouts.take(n, intChunk, a.grow) }
+
+// intSlice commits a scratch-built int list to arena storage.
+func (a *arena) intSlice(src []int) []int {
+	out := a.ints.take(len(src), intChunk, a.grow)
 	copy(out, src)
 	return out
 }
 
-// reserve returns n zeroed ints of arena storage.
-func (a *arena) reserve(n int) []int { return a.ints.take(n, intChunk, a.grow) }
-
-// intSlice commits a scratch-built int list to arena storage.
-func (a *arena) intSlice(src []int) []int {
-	out := a.reserve(len(src))
-	copy(out, src)
-	return out
+// leafSet returns the handle under which leaf edges share the match set.
+func (a *arena) leafSet(set []int) *[]int {
+	h := &a.sets.take(1, setChunk, a.grow)[0]
+	*h = set
+	return h
 }
 
 // unionTail appends np to a sorted dense-index set in arena storage. np is
 // the largest index in the successor corpus by construction, so the union is
 // a copy plus one trailing element.
 func (a *arena) unionTail(src []int, np int) []int {
-	out := a.reserve(len(src) + 1)
+	out := a.ints.take(len(src)+1, intChunk, a.grow)
 	copy(out, src)
 	out[len(src)] = np
 	return out
@@ -336,10 +351,10 @@ type inserter struct {
 	// in ivs; both are scratch no successor tree refers to.
 	cons []subrange.Constraint
 	ivs  []schema.Interval
-	// npSlice is the one-profile set {np}, shared by every edge and leaf
-	// that carries only the new profile.
-	npSlice []int
-	vo      ValueOrder
+	// npLeaf is the one-profile match set {np}, shared by every leaf edge
+	// that only the new profile reaches.
+	npLeaf *[]int
+	vo     ValueOrder
 	// memo maps old nodes to their transformed counterparts (alive' =
 	// alive ∪ {np} is a function of the old state alone, so old-node
 	// identity is a sound key).
@@ -353,46 +368,32 @@ type inserter struct {
 	// extra set and shares the entire subtree instead of rewriting every
 	// leaf (−1 when np constrains nothing, i.e. it matches every event).
 	lastCons int
-	// scratch is the per-bucket split buffer, reused across buckets.
+	// scratch is the per-piece split buffer, reused across pieces.
 	scratch []splitPiece
-	// parts[level] and srcPos[level] are the split-result and source-order
-	// buffers of the constrain call active at that level. Recursion makes
-	// one shared buffer unsafe (a nested constrain at a deeper level would
-	// clobber the caller's), but at most one call is active per level, so
-	// indexing by level is.
-	parts  [][]part
-	srcPos [][]int
-	// edgeBuf[level]/bksBuf[level] are the scratch edge and bucket lists of
-	// the call active at that level, committed to the arena once complete.
+	// parts[level] is the split-result buffer of the constrain call active at
+	// that level. Recursion makes one shared buffer unsafe (a nested constrain
+	// at a deeper level would clobber the caller's), but at most one call is
+	// active per level, so indexing by level is.
+	parts [][]part
+	// edgeBuf[level] is the scratch edge list of the call active at that
+	// level, committed to the arena once complete.
 	edgeBuf [][]Edge
-	bksBuf  [][]bucket
-	// ord, posBuf and scanBuf are deriveOrder's scratch (no recursion
-	// inside it, so shared buffers are enough).
-	ord     []ordEntry
-	posBuf  []int
-	scanBuf []int
-	compBuf []int
-	sc      orderScratch // chain's applyOrder
+	// sc is the scratch of deriveOrder and of chain's applyOrder (no recursion
+	// between filling and committing it, so one is enough).
+	sc orderScratch
 	// a chunk-allocates every object the successor tree retains.
 	a arena
 }
 
-// part is one fragment of a bucket split against the new profile's
-// intervals during constrain: the region, whether it lies inside the
-// profile's intervals, the old edge behind it and the source bucket's
+// part is one fragment of a piece split against the new profile's intervals
+// during constrain: the region, whether it lies inside the profile's
+// intervals, the old edge behind it and, under a scan, the source piece's
 // defined-order position.
 type part struct {
 	iv      schema.Interval
 	in      bool
 	oldEdge int
 	srcPos  int
-}
-
-// ordEntry is one defined-order entry during deriveOrder.
-type ordEntry struct {
-	key  int // inherited source position
-	nat  int // natural tiebreak: bucket index, or len(buckets) for the complement group
-	edge int
 }
 
 // transform returns the successor node for an old node the new profile
@@ -404,7 +405,7 @@ func (ins *inserter) transform(old *Node) *Node {
 		return n
 	}
 	var n *Node
-	if old.Level > ins.lastCons {
+	if int(old.Level) > ins.lastCons {
 		// Every remaining level is don't-care for np: it matches every
 		// event that reaches this node. Park it in the extra set and share
 		// the whole subtree — the dominant cost of inserting a profile that
@@ -421,183 +422,148 @@ func (ins *inserter) transform(old *Node) *Node {
 	return n
 }
 
+// grown returns e's successor where the new profile joins it: at the leaf
+// level its match set with np, above that the transformed child. A nil e is a
+// D₀ gap, beyond which np continues alone.
+//
+//genas:builder
+func (ins *inserter) grown(e *Edge, iv schema.Interval, level int) Edge {
+	switch last := level == ins.t.schema.N()-1; {
+	case e == nil && last:
+		return Edge{Iv: iv, leaf: ins.npLeaf}
+	case e == nil:
+		return Edge{Iv: iv, Child: ins.chain(level + 1)}
+	case last:
+		return Edge{Iv: iv, leaf: ins.a.leafSet(ins.a.unionTail(*e.leaf, ins.np))}
+	}
+	return Edge{Iv: iv, Child: ins.transform(e.Child)}
+}
+
 // dontCare transforms a node whose attribute the new profile leaves
 // unconstrained: np rides every existing edge, and any formerly-D₀ gap
 // becomes np's complement region. When the old node had no D₀ gaps the
-// partition and ordering are structurally identical, so buckets, scan order
-// and position table are shared with the old node.
+// partition and ordering are structurally identical, so the layout is shared
+// with the old node; the probe tree over the subrange edges is in any case.
 //
 //genas:builder
 func (ins *inserter) dontCare(old *Node) *Node {
-	last := old.Level == ins.t.schema.N()-1
+	level := int(old.Level)
 	// extra (prior inserts' parked profiles) rides along unchanged: those
 	// profiles still match every event reaching the successor node.
 	n := ins.a.node()
-	*n = Node{Level: old.Level, Attr: old.Attr, discrete: old.discrete, nSubrange: old.nSubrange, extra: old.extra}
-	hasGap := false
-	for i := range old.buckets {
-		if old.buckets[i].edge < 0 {
-			hasGap = true
-			break
-		}
-	}
-	buf := ins.edgeBuf[old.Level][:0]
+	*n = *old
+	buf := ins.edgeBuf[level][:0]
 	for i := range old.edges {
-		oe := &old.edges[i]
-		ne := Edge{Kind: oe.Kind, Iv: oe.Iv}
-		if last {
-			ne.Profiles = ins.a.unionTail(oe.Profiles, ins.np)
-		} else {
-			// Interior profile sets are inherited analysis metadata (the
-			// match path reads only buckets, scan order and leaf sets);
-			// sharing them keeps the corridor transform O(cuts), not
-			// O(riders).
-			ne.Profiles = oe.Profiles
-			ne.Child = ins.transform(oe.Child)
-		}
-		buf = append(buf, ne)
+		buf = append(buf, ins.grown(&old.edges[i], old.edges[i].Iv, level))
 	}
-	if !hasGap {
-		ins.edgeBuf[old.Level] = buf
-		n.edges = ins.a.edgeSlice(buf)
-		n.buckets = old.buckets
-		n.scan = old.scan
-		n.orderPos = old.orderPos
-		return n
+	dom := ins.t.schema.At(int(old.Attr)).Domain
+	gap := false // a D₀ gap: it becomes np's complement region
+	for p := old.pieces(dom); p.gaps < 0 && !gap && p.Next(); {
+		gap = p.Edge < 0
 	}
-	ci := len(buf)
-	ce := Edge{Kind: EdgeComplement, Profiles: ins.npSlice}
-	if !last {
-		ce.Child = ins.chain(old.Level + 1)
+	if gap {
+		buf = append(buf, ins.grown(nil, dom.Interval(), level))
 	}
-	buf = append(buf, ce)
-	ins.edgeBuf[old.Level] = buf
+	ins.edgeBuf[level] = buf
 	n.edges = ins.a.edgeSlice(buf)
-	bks := ins.bksBuf[old.Level][:0]
-	srcPos := ins.srcPos[old.Level][:0]
-	for _, b := range old.buckets {
-		srcPos = append(srcPos, b.orderPos)
-		if b.edge < 0 {
-			b.edge = ci
+	if gap && old.tab != nil {
+		bks := append(ins.sc.bks[:0], old.tab.buckets...)
+		for i := range bks {
+			if bks[i].edge < 0 {
+				bks[i].edge = len(buf) - 1
+			}
 		}
-		bks = append(bks, b)
-	}
-	ins.bksBuf[old.Level] = bks
-	ins.srcPos[old.Level] = srcPos
-	n.buckets = ins.a.bucketSlice(bks)
-	if ins.t.strategy == SearchWeighted {
-		n.scan = old.scan // the subrange edges are the old ones, and so is their probe tree
-	} else {
-		ins.deriveOrder(n, srcPos)
+		ins.deriveOrder(n, bks, old.tab.discrete)
 	}
 	return n
 }
 
 // constrain transforms a node whose attribute the new profile constrains
-// with intervals ivs. Buckets overlapping np's region are split against it:
-// pieces inside become subrange edges carrying the old occupants plus np
-// (the child transformed), pieces outside keep the old edge, child and
-// profile set verbatim. Buckets disjoint from every interval — the common
-// case, found by a merged walk over the two sorted sequences — are copied
-// wholesale with only the edge index remapped; complement riders collapse
-// onto a single reused complement edge. np alone covers pieces cut out of
-// formerly-D₀ gaps, continuing into its single-profile chain.
+// with intervals ivs. Pieces overlapping np's region are split against it:
+// fragments inside become subrange edges carrying the old occupants plus np
+// (the child transformed), fragments outside keep the old edge and child
+// verbatim. Pieces disjoint from every interval — the common case, found by a
+// merged walk over the two sorted sequences — pass through whole; what is left
+// of the complement's pieces stays behind the one trailing edge. np alone
+// covers fragments cut out of formerly-D₀ gaps, continuing into its
+// single-profile chain.
 //
 //genas:builder
 func (ins *inserter) constrain(old *Node, ivs []schema.Interval) *Node {
-	last := old.Level == ins.t.schema.N()-1
+	level, ns := int(old.Level), int(old.nSubrange)
+	dom := ins.t.schema.At(int(old.Attr)).Domain
 	n := ins.a.node()
-	*n = Node{Level: old.Level, Attr: old.Attr, discrete: old.discrete, extra: old.extra}
+	*n = Node{Level: old.Level, Attr: old.Attr, extra: old.extra}
 
-	// Phase 1: split the overlapping buckets without recursing
+	// Phase 1: split the overlapping pieces without recursing
 	// (transform/chain reuse ins.scratch, so recursion must wait until the
-	// pieces are copied out into this level's parts buffer).
-	parts := ins.parts[old.Level][:0]
+	// fragments are copied out into this level's parts buffer).
+	parts := ins.parts[level][:0]
 	ivi := 0
-	for bi := range old.buckets {
-		b := &old.buckets[bi]
-		for ivi < len(ivs) && ivBefore(ivs[ivi], b.iv) {
+	p := old.pieces(dom)
+	for p.Next() {
+		pt := part{iv: p.Iv, oldEdge: p.Edge}
+		if old.tab != nil {
+			pt.srcPos = old.tab.buckets[p.k-1].orderPos
+		}
+		for ivi < len(ivs) && ivBefore(ivs[ivi], p.Iv) {
 			ivi++
 		}
-		if ivi >= len(ivs) || ivBefore(b.iv, ivs[ivi]) {
+		if ivi >= len(ivs) || ivBefore(p.Iv, ivs[ivi]) {
 			// Disjoint from every remaining interval: one out-part, no
-			// snapping needed (the bucket is already canonical).
-			parts = append(parts, part{iv: b.iv, in: false, oldEdge: b.edge, srcPos: b.orderPos})
+			// snapping needed (the piece is already canonical).
+			parts = append(parts, pt)
 			continue
 		}
-		ins.scratch = splitByIvs(b.iv, ivs[ivi:], old.discrete, ins.scratch[:0])
+		ins.scratch = splitByIvs(p.Iv, ivs[ivi:], p.unit == 1, ins.scratch[:0])
 		for _, pc := range ins.scratch {
-			parts = append(parts, part{iv: pc.iv, in: pc.in, oldEdge: b.edge, srcPos: b.orderPos})
+			pt.iv, pt.in = pc.iv, pc.in
+			parts = append(parts, pt)
 		}
 	}
-	ins.parts[old.Level] = parts
+	ins.parts[level] = parts
 
-	// Phase 2: assemble edges and buckets in natural order. pending marks
-	// bucket entries routed to the complement edge, which is appended after
-	// the (naturally ordered) subrange edges.
-	const pending = -2
-	bks := ins.bksBuf[old.Level][:0]
-	srcPos := ins.srcPos[old.Level][:0]
-	buf := ins.edgeBuf[old.Level][:0]
-	compEdge := -1 // old complement/star edge index behind the pending pieces
+	// Phase 2: assemble the subrange edges in natural order. The fragments
+	// left outside np on the old trailing edge's pieces stay its region.
+	buf := ins.edgeBuf[level][:0]
+	trailing := false
 	for _, pc := range parts {
-		if !pc.in {
-			switch {
-			case pc.oldEdge >= 0 && old.edges[pc.oldEdge].Kind == EdgeSubrange:
-				oe := &old.edges[pc.oldEdge]
-				bks = append(bks, bucket{iv: pc.iv, edge: len(buf)})
-				buf = append(buf, Edge{
-					Kind: EdgeSubrange, Iv: pc.iv,
-					Profiles: oe.Profiles, Child: oe.Child,
-				})
-			case pc.oldEdge >= 0:
-				compEdge = pc.oldEdge
-				bks = append(bks, bucket{iv: pc.iv, edge: pending})
-			default:
-				bks = append(bks, bucket{iv: pc.iv, edge: -1})
-			}
-			srcPos = append(srcPos, pc.srcPos)
-			continue
-		}
-		var ne Edge
-		if pc.oldEdge >= 0 {
+		switch {
+		case pc.in && pc.oldEdge >= 0:
+			buf = append(buf, ins.grown(&old.edges[pc.oldEdge], pc.iv, level))
+		case pc.in:
+			buf = append(buf, ins.grown(nil, pc.iv, level))
+		case pc.oldEdge >= ns:
+			trailing = true
+		case pc.oldEdge >= 0:
 			oe := &old.edges[pc.oldEdge]
-			ne = Edge{Kind: EdgeSubrange, Iv: pc.iv}
-			if last {
-				ne.Profiles = ins.a.unionTail(oe.Profiles, ins.np)
-			} else {
-				ne.Profiles = oe.Profiles // inherited metadata; see dontCare
-				ne.Child = ins.transform(oe.Child)
-			}
-		} else {
-			ne = Edge{Kind: EdgeSubrange, Iv: pc.iv, Profiles: ins.npSlice}
-			if !last {
-				ne.Child = ins.chain(old.Level + 1)
-			}
-		}
-		bks = append(bks, bucket{iv: pc.iv, edge: len(buf)})
-		srcPos = append(srcPos, pc.srcPos)
-		buf = append(buf, ne)
-	}
-	n.nSubrange = len(buf)
-	if compEdge >= 0 {
-		oe := &old.edges[compEdge]
-		ci := len(buf)
-		buf = append(buf, Edge{
-			Kind: EdgeComplement, Profiles: oe.Profiles, Child: oe.Child,
-		})
-		for i := range bks {
-			if bks[i].edge == pending {
-				bks[i].edge = ci
-			}
+			buf = append(buf, Edge{Iv: pc.iv, Child: oe.Child, leaf: oe.leaf})
 		}
 	}
-	ins.edgeBuf[old.Level] = buf
-	ins.bksBuf[old.Level] = bks
-	ins.srcPos[old.Level] = srcPos
+	n.nSubrange = int32(len(buf))
+	if trailing {
+		buf = append(buf, old.edges[ns])
+	}
+	ins.edgeBuf[level] = buf
 	n.edges = ins.a.edgeSlice(buf)
-	n.buckets = ins.a.bucketSlice(bks)
-	ins.deriveOrder(n, srcPos)
+
+	bks := ins.sc.bks[:0]
+	if old.tab != nil {
+		// The scans' table: the parts are the successor's pieces, and each
+		// inherits the defined-order position of the piece it was cut from.
+		ei := 0
+		for _, pc := range parts {
+			b := bucket{iv: pc.iv, edge: -1, orderPos: pc.srcPos}
+			switch {
+			case pc.in || (pc.oldEdge >= 0 && pc.oldEdge < ns):
+				b.edge, ei = ei, ei+1
+			case pc.oldEdge >= ns:
+				b.edge = int(n.nSubrange)
+			}
+			bks = append(bks, b)
+		}
+	}
+	ins.deriveOrder(n, bks, p.unit == 1)
 	return n
 }
 
@@ -606,10 +572,12 @@ func ivBefore(a, b schema.Interval) bool {
 	return a.Hi < b.Lo || (a.Hi == b.Lo && (a.HiOpen || b.LoOpen))
 }
 
-// deriveOrder rebuilds scan/orderPos of a successor node from the defined
-// order of the node it was split from: srcPos[i] is the position of the old
-// bucket that n.buckets[i] is a fragment of, and fragments inherit their
-// source's rank (natural tiebreak within one source). The relative order of
+// deriveOrder lays out a successor node: under SearchWeighted the
+// count-balanced probe tree, under a scan the lookup table bks with scan order
+// and edge positions derived from the defined order of the node it was split
+// from: bks[i].orderPos comes in as the position of the old bucket that
+// bks[i] is a fragment of, and fragments inherit their source's rank (natural
+// tiebreak within one source). The relative order of
 // surviving regions is exactly the parent's, so the configured value order
 // propagates through incremental inserts without re-scoring every corridor
 // node (which dominated the churn path). Fresh regions cut out of the new
@@ -617,67 +585,37 @@ func ivBefore(a, b schema.Interval) bool {
 // re-rank would put them; the coalescing rebuild restores the exact order.
 //
 //genas:builder
-func (ins *inserter) deriveOrder(n *Node, srcPos []int) {
+func (ins *inserter) deriveOrder(n *Node, bks []bucket, discrete bool) {
 	if ins.t.strategy == SearchWeighted {
-		ins.scanBuf = balanced(ins.scanBuf[:0], 0, n.nSubrange-1)
-		n.scan = ins.a.intSlice(ins.scanBuf)
+		n.scan = balanced(ins.a.layout(int(n.nSubrange))[:0], 0, int(n.nSubrange)-1)
 		return
 	}
-	entries := ins.ord[:0]
-	compBuckets := ins.compBuf[:0]
-	compEdge := -1
-	compKey := int(^uint(0) >> 1)
-	for bi := range n.buckets {
-		b := &n.buckets[bi]
-		if b.edge >= 0 && n.edges[b.edge].Kind != EdgeSubrange {
-			compBuckets = append(compBuckets, bi)
-			compEdge = b.edge
-			if srcPos[bi] < compKey {
-				compKey = srcPos[bi]
-			}
+	entries := ins.sc.entries[:0]
+	comp := orderEntry{score: math.Inf(1), nat: len(bks), edge: -1}
+	for bi, b := range bks {
+		if b.edge >= int(n.nSubrange) {
+			comp.score, comp.edge = min(comp.score, float64(b.orderPos)), b.edge
 			continue
 		}
-		entries = append(entries, ordEntry{key: srcPos[bi], nat: bi, edge: b.edge})
+		entries = append(entries, orderEntry{score: float64(b.orderPos), nat: bi, edge: b.edge})
 	}
-	if compEdge >= 0 {
-		entries = append(entries, ordEntry{key: compKey, nat: len(n.buckets), edge: compEdge})
+	if comp.edge >= 0 {
+		entries = append(entries, comp)
 	}
 	// Insertion sort: entries arrive in natural order, which is nearly
-	// sorted by (key, nat) already — under the natural value order exactly
+	// sorted by (score, nat) already — under the natural value order exactly
 	// sorted — so this beats the generic sort's closure dispatch.
 	for i := 1; i < len(entries); i++ {
 		e := entries[i]
 		j := i - 1
-		for j >= 0 && (entries[j].key > e.key || (entries[j].key == e.key && entries[j].nat > e.nat)) {
+		for j >= 0 && (entries[j].score > e.score || (entries[j].score == e.score && entries[j].nat > e.nat)) {
 			entries[j+1] = entries[j]
 			j--
 		}
 		entries[j+1] = e
 	}
-	pos := ins.posBuf[:0]
-	for range n.edges {
-		pos = append(pos, 0)
-	}
-	scan := ins.scanBuf[:0]
-	for p, e := range entries {
-		if e.nat < len(n.buckets) {
-			n.buckets[e.nat].orderPos = p + 1
-		} else {
-			for _, bi := range compBuckets {
-				n.buckets[bi].orderPos = p + 1
-			}
-		}
-		if e.edge >= 0 {
-			pos[e.edge] = p + 1
-			scan = append(scan, e.edge)
-		}
-	}
-	ins.posBuf = pos
-	ins.scanBuf = scan
-	ins.compBuf = compBuckets[:0]
-	ins.ord = entries[:0]
-	n.orderPos = ins.a.intSlice(pos)
-	n.scan = ins.a.intSlice(scan)
+	n.tabulate(bks, entries, discrete, &ins.a)
+	ins.sc.bks, ins.sc.entries = bks[:0], entries[:0]
 }
 
 // chain returns the single-profile node testing np's constraint at level,
@@ -688,40 +626,32 @@ func (ins *inserter) chain(level int) *Node {
 	if n := ins.chains[level]; n != nil {
 		return n
 	}
-	t := ins.t
-	attr := t.attrOrder[level]
-	dom := t.schema.At(attr).Domain
-	last := level == t.schema.N()-1
-	n := &Node{Level: level, Attr: attr, discrete: dom.Kind() != schema.KindNumeric}
-	if c := &ins.cons[attr]; c.DontCare {
-		e := Edge{Kind: EdgeStar, Iv: dom.Interval(), Profiles: ins.npSlice}
-		if !last {
-			e.Child = ins.chain(level + 1)
-		}
-		n.edges = []Edge{e}
-		n.buckets = []bucket{{iv: dom.Interval(), edge: 0}}
-	} else {
-		pieces := splitByIvs(dom.Interval(), c.Intervals, n.discrete, nil)
-		for _, pc := range pieces {
-			if !pc.in {
-				n.buckets = append(n.buckets, bucket{iv: pc.iv, edge: -1})
-				continue
-			}
-			e := Edge{Kind: EdgeSubrange, Iv: pc.iv, Profiles: ins.npSlice}
-			if !last {
-				e.Child = ins.chain(level + 1)
-			}
-			n.buckets = append(n.buckets, bucket{iv: pc.iv, edge: len(n.edges)})
-			n.edges = append(n.edges, e)
-		}
-		n.nSubrange = len(n.edges)
-	}
-	n.applyOrder(ins.vo, t.strategy, &ins.sc, &ins.a)
+	attr := ins.t.attrOrder[level]
+	dom := ins.t.schema.At(attr).Domain
+	n := ins.a.node()
+	*n = Node{Level: int16(level), Attr: int16(attr)}
 	ins.chains[level] = n
+	e := ins.grown(nil, dom.Interval(), level)
+	buf := ins.edgeBuf[level][:0]
+	if c := &ins.cons[attr]; c.DontCare {
+		buf = append(buf, e)
+	} else {
+		ins.scratch = splitByIvs(e.Iv, c.Intervals, dom.Kind() != schema.KindNumeric, ins.scratch[:0])
+		for _, pc := range ins.scratch {
+			if pc.in {
+				e.Iv = pc.iv
+				buf = append(buf, e)
+			}
+		}
+		n.nSubrange = int32(len(buf))
+	}
+	ins.edgeBuf[level] = buf
+	n.edges = ins.a.edgeSlice(buf)
+	n.applyOrder(dom, ins.vo, ins.t.strategy, &ins.sc, &ins.a)
 	return n
 }
 
-// splitPiece is one fragment of a bucket split against the new profile's
+// splitPiece is one fragment of a piece split against the new profile's
 // intervals: in marks fragments inside the profile's region.
 type splitPiece struct {
 	iv schema.Interval

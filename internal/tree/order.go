@@ -56,7 +56,7 @@ func regionLo(region []Interval) float64 {
 }
 
 // ApplyValueOrder recomputes every node's defined order: the lookup-table
-// positions over all buckets (including D₀ gaps, which non-matching events
+// positions over all pieces (including D₀ gaps, which non-matching events
 // would occupy — Example 2 ranks the zero-subdomain region x₀ alongside the
 // stored values) and the edge scan order — under SearchWeighted, the probe
 // tree for vo.Mass. Structure is untouched; this is
@@ -67,16 +67,18 @@ func (t *Tree) ApplyValueOrder(vo ValueOrder) {
 	a := arena{grow: true}
 	for _, level := range t.ensureMeta().levels {
 		for _, n := range level {
-			n.applyOrder(vo, t.strategy, &sc, &a)
+			n.applyOrder(t.schema.At(int(n.Attr)).Domain, vo, t.strategy, &sc, &a)
 		}
 	}
 }
 
 // orderScratch is applyOrder's working set, reused from node to node: the
-// defined-order entries (one per subrange or gap bucket, one for all the
-// complement pieces together) and the region handed to Rank and Mass; for the
-// probe tree, the prefix sums of the weights and an optimal subtree's tables.
+// lookup table under assembly, the defined-order entries (one per subrange or
+// gap bucket, one for all the complement pieces together) and the region handed
+// to Rank and Mass; for the probe tree, the prefix sums of the weights and an
+// optimal subtree's tables.
 type orderScratch struct {
+	bks       []bucket
 	entries   []orderEntry
 	comp      []Interval
 	one       [1]Interval
@@ -90,29 +92,31 @@ type orderEntry struct {
 	edge  int
 }
 
-// applyOrder ranks the node's buckets and rebuilds scan/orderPos, or lays out
-// the probe tree that takes their place under SearchWeighted, in storage of a.
+// applyOrder lays the node out in storage of a: under SearchWeighted the probe
+// tree alone, under the scans the lookup table — the pieces of the node's
+// partition of dom, ranked — with the scan order and the edges' positions.
 //
 //genas:builder
-func (n *Node) applyOrder(vo ValueOrder, strategy Search, sc *orderScratch, a *arena) {
+func (n *Node) applyOrder(dom schema.Domain, vo ValueOrder, strategy Search, sc *orderScratch, a *arena) {
 	if strategy == SearchWeighted {
-		sc.weigh(n, vo)
-		n.scan, n.orderPos = sc.lay(a.reserve(n.nSubrange)[:0], 0, n.nSubrange), nil
+		sc.weigh(n, dom, vo)
+		n.scan, n.tab = sc.lay(a.layout(int(n.nSubrange))[:0], 0, int(n.nSubrange)), nil
 		return
 	}
-	entries, comp := sc.entries[:0], sc.comp[:0]
+	bks, entries, comp := sc.bks[:0], sc.entries[:0], sc.comp[:0]
 	compEdge := -1
-	for bi, b := range n.buckets {
-		if b.edge >= 0 && n.edges[b.edge].Kind != EdgeSubrange {
-			comp = append(comp, b.iv)
-			compEdge = b.edge
+	for p := n.pieces(dom); p.Next(); {
+		bks = append(bks, bucket{iv: p.Iv, edge: p.Edge})
+		if p.Edge >= int(n.nSubrange) {
+			comp = append(comp, p.Iv)
+			compEdge = p.Edge
 			continue
 		}
-		sc.one[0] = b.iv
-		entries = append(entries, orderEntry{score: vo.Rank(n.Attr, sc.one[:]), nat: bi, edge: b.edge})
+		sc.one[0] = p.Iv
+		entries = append(entries, orderEntry{score: vo.Rank(int(n.Attr), sc.one[:]), nat: len(bks) - 1, edge: p.Edge})
 	}
 	if compEdge >= 0 {
-		entries = append(entries, orderEntry{score: vo.Rank(n.Attr, comp), nat: len(n.buckets), edge: compEdge})
+		entries = append(entries, orderEntry{score: vo.Rank(int(n.Attr), comp), nat: len(bks), edge: compEdge})
 	}
 	slices.SortFunc(entries, func(x, y orderEntry) int {
 		if x.score != y.score {
@@ -126,28 +130,35 @@ func (n *Node) applyOrder(vo ValueOrder, strategy Search, sc *orderScratch, a *a
 		return x.nat - y.nat
 	})
 
-	n.orderPos = a.reserve(len(n.edges))
-	n.scan = a.reserve(len(n.edges))[:0]
+	n.tabulate(bks, entries, dom.Kind() != schema.KindNumeric, a)
+	sc.bks, sc.entries, sc.comp = bks[:0], entries[:0], comp[:0]
+}
+
+// tabulate commits a scan's layout to storage of a: the lookup table bks, each
+// bucket at the position the sorted entries give it (the complement's entry
+// stands for all its buckets), the scan order and the edges' positions.
+//
+//genas:builder
+func (n *Node) tabulate(bks []bucket, entries []orderEntry, discrete bool, a *arena) {
+	orderPos := a.layout(len(n.edges))
+	n.scan = a.layout(len(n.edges))[:0]
 	for pos, e := range entries {
-		if e.nat < len(n.buckets) {
-			n.buckets[e.nat].orderPos = pos + 1
+		if e.nat < len(bks) {
+			bks[e.nat].orderPos = pos + 1
 		} else {
-			for bi := range n.buckets {
-				if n.buckets[bi].edge == compEdge {
-					n.buckets[bi].orderPos = pos + 1
+			for bi := range bks {
+				if bks[bi].edge == e.edge {
+					bks[bi].orderPos = pos + 1
 				}
 			}
 		}
 		if e.edge >= 0 {
-			n.orderPos[e.edge] = pos + 1
-			n.scan = append(n.scan, e.edge)
+			orderPos[e.edge] = int32(pos + 1)
+			n.scan = append(n.scan, int32(e.edge))
 		}
 	}
-	sc.entries, sc.comp = entries, comp
+	n.tab = a.table(bks, orderPos, discrete)
 }
 
 // ScanOrder returns the edge indices in scan order or probe-tree preorder (copy).
-func (n *Node) ScanOrder() []int { return append([]int(nil), n.scan...) }
-
-// OrderPositions returns the defined-order position of every edge (copy).
-func (n *Node) OrderPositions() []int { return append([]int(nil), n.orderPos...) }
+func (n *Node) ScanOrder() []int32 { return slices.Clone(n.scan) }

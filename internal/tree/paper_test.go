@@ -79,8 +79,8 @@ func TestPaperExample1(t *testing.T) {
 	}
 	wantIvs := []string{"[-30,-20]", "[30,35)", "[35,50]"}
 	for i, e := range edges {
-		if e.Kind != tree.EdgeSubrange {
-			t.Errorf("root edge %d kind = %v, want subrange", i, e.Kind)
+		if k := root.Kind(i); k != tree.EdgeSubrange {
+			t.Errorf("root edge %d kind = %v, want subrange", i, k)
 		}
 		if e.Iv.String() != wantIvs[i] {
 			t.Errorf("root edge %d = %s, want %s", i, e.Iv, wantIvs[i])

@@ -163,8 +163,8 @@ func TestQuickOrderPositionsArePermutation(t *testing.T) {
 		if !root.scanPositionsIncreasing() {
 			return false
 		}
-		seen := map[int]bool{}
-		for _, pos := range root.OrderPositions() {
+		seen := map[int32]bool{}
+		for _, pos := range root.tab.orderPos {
 			if pos < 1 || seen[pos] {
 				return false
 			}
@@ -177,16 +177,20 @@ func TestQuickOrderPositionsArePermutation(t *testing.T) {
 	}
 }
 
-// fingerprint renders every unique node of the tree: identity, children,
-// buckets with their lookup-table positions, scan order and position table.
+// fingerprint renders every unique node of the tree: identity, children, leaf
+// sets, scan order or probe tree and the scans' lookup table.
 func fingerprint(tr *Tree) string {
 	out := ""
 	for _, level := range tr.Levels() {
 		for _, n := range level {
-			out += fmt.Sprintf("%p %+v %v %v %v %v\n", n, n.buckets, n.scan, n.orderPos, n.extra, n.nSubrange)
-			for _, e := range n.edges {
-				out += fmt.Sprintf("  %v %v %v %p\n", e.Kind, e.Iv, e.Profiles, e.Child)
+			out += fmt.Sprintf("%p %v %v %v", n, n.scan, n.extra, n.nSubrange)
+			if n.tab != nil {
+				out += fmt.Sprintf(" %+v", *n.tab)
 			}
+			for _, e := range n.edges {
+				out += fmt.Sprintf("\n  %v %v %p", e.Iv, e.Leaf(), e.Child)
+			}
+			out += "\n"
 		}
 	}
 	return out
@@ -316,15 +320,19 @@ func sameEdges(t *testing.T, what string, weighted, linear *Tree) {
 	for level, nodes := range linear.Levels() {
 		for i, ln := range nodes {
 			wn := weighted.Levels()[level][i]
-			vals := []float64{ln.buckets[0].iv.Lo - 1, ln.buckets[len(ln.buckets)-1].iv.Hi + 1}
-			for _, b := range ln.buckets {
-				vals = append(vals, inside(b.iv))
+			dom := linear.schema.At(int(ln.Attr)).Domain
+			vals := []float64{dom.Lo() - 1, dom.Hi() + 1}
+			for p := wn.pieces(dom); p.Next(); {
+				vals = append(vals, inside(p.Iv))
+			}
+			if len(vals) != 2+len(ln.tab.buckets) {
+				t.Fatalf("%s: level %d node %d has %d pieces, its scan twin %d buckets", what, level, i, len(vals)-2, len(ln.tab.buckets))
 			}
 			for _, v := range vals {
 				want, _ := ln.step(v, SearchLinear)
 				if got, ops := wn.step(v, SearchWeighted); got != want || ops > len(wn.edges) {
 					t.Fatalf("%s: level %d node %d value %v: probe found edge %d in %d ops, scan %d\n%+v\n%v",
-						what, level, i, v, got, ops, want, wn.buckets, wn.scan)
+						what, level, i, v, got, ops, want, ln.tab.buckets, wn.scan)
 				}
 			}
 		}
@@ -379,11 +387,11 @@ func TestQuickWeightedFindsTheScansEdge(t *testing.T) {
 
 // layoutCost is the expected probes, times the weight, of the preorder probe
 // tree scan[pos:] over edges lo..hi under weigh's prefix sums.
-func layoutCost(scan []int, cum []float64, pos, lo, hi int) float64 {
+func layoutCost(scan []int32, cum []float64, pos, lo, hi int) float64 {
 	if lo > hi {
 		return 0
 	}
-	r := scan[pos]
+	r := int(scan[pos])
 	return cum[2*hi+3] - cum[2*lo] + layoutCost(scan, cum, pos+1, lo, r-1) + layoutCost(scan, cum, pos+1+r-lo, r+1, hi)
 }
 
@@ -424,14 +432,15 @@ func TestQuickWeightedLayoutIsOptimal(t *testing.T) {
 		var sc orderScratch
 		for _, nodes := range tr.Levels() {
 			for _, n := range nodes {
-				sc.weigh(n, vo)
-				got := layoutCost(n.scan, sc.cum, 0, 0, n.nSubrange-1)
-				if bin := layoutCost(balanced(nil, 0, n.nSubrange-1), sc.cum, 0, 0, n.nSubrange-1); got > bin+1e-12 {
+				sc.weigh(n, s.At(int(n.Attr)).Domain, vo)
+				ns := int(n.nSubrange)
+				got := layoutCost(n.scan, sc.cum, 0, 0, ns-1)
+				if bin := layoutCost(balanced(nil, 0, ns-1), sc.cum, 0, 0, ns-1); got > bin+1e-12 {
 					t.Errorf("seed %d: layout %v costs %g, binary search %g", seed, n.scan, got, bin)
 				}
 				if n.nSubrange <= 8 {
 					small++
-					if want := bruteCost(sc.cum, 0, n.nSubrange-1); math.Abs(got-want) > 1e-12 {
+					if want := bruteCost(sc.cum, 0, ns-1); math.Abs(got-want) > 1e-12 {
 						t.Errorf("seed %d: layout %v costs %g, the best tree %g", seed, n.scan, got, want)
 					}
 				}
@@ -474,7 +483,7 @@ func TestWeightedLayoutOfAWideNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := trees[0].Root().nSubrange; n <= maxOptimal {
+	if n := int(trees[0].Root().nSubrange); n <= maxOptimal {
 		t.Fatalf("root has %d subrange edges, want more than %d", n, maxOptimal)
 	}
 	sameEdges(t, "uniform", trees[0], trees[1])
@@ -518,11 +527,11 @@ func TestProbeOpsAreComparisons(t *testing.T) {
 	checked := 0
 	for _, nodes := range tr.Levels() {
 		for _, n := range nodes {
-			for _, b := range n.buckets {
-				v := inside(b.iv)
+			for p := tr.Pieces(n); p.Next(); {
+				v := inside(p.Iv)
 				edge, ops := n.step(v, DefaultSearch)
 				compared := 0
-				for k := 0; k < n.nSubrange; k++ {
+				for k := 0; k < int(n.nSubrange); k++ {
 					c := *n
 					c.edges = append([]Edge(nil), n.edges...)
 					c.edges[k].Iv = schema.Closed(v, v)
@@ -530,16 +539,17 @@ func TestProbeOpsAreComparisons(t *testing.T) {
 						compared++
 					}
 				}
-				if edge >= n.nSubrange {
+				if edge >= int(n.nSubrange) {
 					c := *n
-					c.buckets = []bucket{{iv: schema.Closed(v+1, v+2)}}
+					c.edges = append([]Edge(nil), n.edges...)
+					c.edges[edge].Iv = schema.Closed(v+1, v+2)
 					if got, _ := c.probe(v); got != -1 {
 						t.Fatalf("value %v: the trailing edge matched without a test of the domain", v)
 					}
 					compared++
 				}
 				if ops != compared {
-					t.Fatalf("node %+v layout %v value %v: %d ops reported, %d intervals compared", n.buckets, n.scan, v, ops, compared)
+					t.Fatalf("node %+v layout %v value %v: %d ops reported, %d intervals compared", n.edges, n.scan, v, ops, compared)
 				}
 				checked++
 			}

@@ -1,5 +1,7 @@
 package tree
 
+import "genas/internal/schema"
+
 // Operation counting convention (calibrated against the paper's Examples 2–5,
 // see EXPERIMENTS.md):
 //
@@ -17,13 +19,14 @@ package tree
 // bookkeeping and costs nothing, as in the paper's prototype — for the five
 // strategies of the reproduction; SearchWeighted runs what it counts (probe).
 
-// bucketOf returns the index of the bucket containing v (every domain value
-// is in exactly one bucket). Returns −1 for values outside the domain.
+// bucketOf returns the index of the lookup table's bucket containing v (every
+// domain value is in exactly one bucket). Returns −1 for values outside the
+// domain.
 func (n *Node) bucketOf(v float64) int {
-	lo, hi := 0, len(n.buckets)-1
+	lo, hi := 0, len(n.tab.buckets)-1
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		b := n.buckets[mid].iv
+		b := n.tab.buckets[mid].iv
 		switch {
 		case b.Contains(v):
 			return mid
@@ -47,8 +50,7 @@ func (n *Node) step(v float64, strategy Search) (edge, ops int) {
 		// Outside the domain: reject without touching the structure.
 		return -1, 0
 	}
-	target := n.buckets[bi]
-	return n.dispatch(target, strategy)
+	return n.dispatch(n.tab.buckets[bi], strategy)
 }
 
 // dispatch routes one located bucket through the configured strategy.
@@ -73,10 +75,10 @@ func (n *Node) stepLinear(target bucket, earlyStop bool) (int, int) {
 	ops := 0
 	for _, ei := range n.scan {
 		ops++
-		if ei == target.edge {
-			return ei, ops
+		if int(ei) == target.edge {
+			return target.edge, ops
 		}
-		if earlyStop && n.orderPos[ei] > target.orderPos {
+		if earlyStop && int(n.tab.orderPos[ei]) > target.orderPos {
 			// The examined edge already lies past the searched value in the
 			// defined order: the node cannot contain it.
 			return -1, ops
@@ -89,7 +91,7 @@ func (n *Node) stepLinear(target bucket, earlyStop bool) (int, int) {
 // edges; a miss falls through to the complement/star edge when present.
 func (n *Node) stepBinary(target bucket) (int, int) {
 	ops := 0
-	lo, hi := 0, n.nSubrange-1
+	lo, hi := 0, int(n.nSubrange)-1
 	for lo <= hi {
 		mid := (lo + hi) / 2
 		ops++
@@ -111,7 +113,7 @@ func (n *Node) stepBinary(target bucket) (int, int) {
 // missTail resolves a failed subrange search: the trailing complement or
 // star edge, if any, is tested for one more operation.
 func (n *Node) missTail(target bucket, ops int) (int, int) {
-	if n.nSubrange < len(n.edges) {
+	if int(n.nSubrange) < len(n.edges) {
 		ops++
 		ei := len(n.edges) - 1
 		if target.edge == ei {
@@ -135,7 +137,7 @@ func edgeBelowTarget(e *Edge, target bucket) bool {
 // layouts; paper §5 outlook).
 func (n *Node) stepInterpolation(target bucket) (int, int) {
 	ops := 0
-	lo, hi := 0, n.nSubrange-1
+	lo, hi := 0, int(n.nSubrange)-1
 	key := target.iv.Lo
 	for lo <= hi {
 		var mid int
@@ -172,7 +174,7 @@ func (n *Node) stepInterpolation(target bucket) (int, int) {
 // single probe. Continuous domains cannot hash raw values; the strategy
 // degrades to binary search there.
 func (n *Node) stepHash(target bucket) (int, int) {
-	if !n.discrete {
+	if !n.tab.discrete {
 		return n.stepBinary(target)
 	}
 	if target.edge >= 0 {
@@ -203,9 +205,9 @@ func (t *Tree) Match(vals []float64) (matched []int, ops int) {
 		e := &n.edges[ei]
 		if e.Child == nil {
 			if acc == nil {
-				return e.Profiles, ops
+				return *e.leaf, ops
 			}
-			return append(acc, e.Profiles...), ops
+			return append(acc, *e.leaf...), ops
 		}
 		n = e.Child
 	}
@@ -226,7 +228,7 @@ func (t *Tree) MatchAny(vals []float64) bool {
 		}
 		e := &n.edges[ei]
 		if e.Child == nil {
-			return t.anyLive(e.Profiles)
+			return t.anyLive(*e.leaf)
 		}
 		n = e.Child
 	}
@@ -265,38 +267,85 @@ func (t *Tree) MatchPath(vals []float64) (matched []int, ops int, perLevel []int
 		e := &n.edges[ei]
 		if e.Child == nil {
 			if acc == nil {
-				return e.Profiles, ops, perLevel
+				return e.Leaf(), ops, perLevel
 			}
-			return append(acc, e.Profiles...), ops, perLevel
+			return append(acc, e.Leaf()...), ops, perLevel
 		}
 		n = e.Child
 	}
 }
 
-// Bucket is the read-only view of one domain piece at a node, used by the
-// analytic evaluator (selectivity package) so that analytic and empirical
-// operation counts share one cost model.
-type Bucket struct {
+// Pieces walks a node's partition of its attribute's domain in natural order.
+// Only the subrange edges are stored; the pieces between them are derived from
+// their neighbours and the domain's bounds — closed and atom-aligned on a
+// discrete domain, open wherever the neighbour is closed on a numeric one — and
+// all belong to the node's trailing edge or, without one, to D₀.
+type Pieces struct {
 	Iv   Interval
 	Edge int // index into Node.Edges(), or −1 for a D₀ gap
+	n    *Node
+	dom  Interval
+	unit float64 // the atom of a discrete domain: 1, else 0
+	gaps int     // the gaps' edge
+	at   int     // the next step: 2i is the gap below edge i, 2i+1 the edge
+	k    int     // pieces yielded: the current one is bucket k−1 of the lookup table
+	// strategy is the search Cost runs (Tree.Pieces sets it).
+	strategy Search
 }
 
-// Buckets returns the node's natural-order domain partition.
-func (n *Node) Buckets() []Bucket {
-	out := make([]Bucket, len(n.buckets))
-	for i, b := range n.buckets {
-		out[i] = Bucket{Iv: b.iv, Edge: b.edge}
+// pieces starts a walk over the node's partition of dom, its attribute's domain.
+func (n *Node) pieces(dom schema.Domain) Pieces {
+	p := Pieces{n: n, dom: dom.Interval(), gaps: -1}
+	if dom.Kind() != schema.KindNumeric {
+		p.unit = 1
 	}
-	return out
+	if int(n.nSubrange) < len(n.edges) {
+		p.gaps = int(n.nSubrange)
+	}
+	return p
 }
 
-// CostOf returns the operations the given strategy spends on an event whose
-// value falls into bucket bi, without walking the tree. It shares the
-// search implementations with step, so analytic and empirical costs agree
-// by construction.
-func (n *Node) CostOf(bi int, strategy Search) (edge, ops int) {
-	if strategy == SearchWeighted {
-		return n.probe(inside(n.buckets[bi].iv))
+// Pieces walks n's partition for the analytic evaluator (selectivity package),
+// so that analytic and empirical operation counts share one cost model.
+func (t *Tree) Pieces(n *Node) Pieces {
+	p := n.pieces(t.schema.At(int(n.Attr)).Domain)
+	p.strategy = t.strategy
+	return p
+}
+
+// Next advances to the next piece and reports whether there is one.
+func (p *Pieces) Next() bool {
+	edges := p.n.edges[:p.n.nSubrange]
+	for ; p.at <= 2*len(edges); p.at++ {
+		i := p.at / 2
+		if p.at&1 == 1 {
+			p.Iv, p.Edge = edges[i].Iv, i
+		} else {
+			g := p.dom
+			if i > 0 {
+				g.Lo, g.LoOpen = edges[i-1].Iv.Hi+p.unit, p.unit == 0 && !edges[i-1].Iv.HiOpen
+			}
+			if i < len(edges) {
+				g.Hi, g.HiOpen = edges[i].Iv.Lo-p.unit, p.unit == 0 && !edges[i].Iv.LoOpen
+			}
+			if g.Empty() {
+				continue
+			}
+			p.Iv, p.Edge = g, p.gaps
+		}
+		p.at, p.k = p.at+1, p.k+1
+		return true
 	}
-	return n.dispatch(n.buckets[bi], strategy)
+	return false
+}
+
+// Cost returns the operations the tree's strategy spends on an event whose
+// value falls into the current piece, without walking the tree. It shares the
+// search implementations with step, so analytic and empirical costs agree by
+// construction.
+func (p *Pieces) Cost() (edge, ops int) {
+	if p.strategy == SearchWeighted {
+		return p.n.probe(inside(p.Iv))
+	}
+	return p.n.dispatch(p.n.tab.buckets[p.k-1], p.strategy)
 }

@@ -10,7 +10,10 @@
 // remainder of the domain; if no alive profile constrains the attribute the
 // node has the single don't-care edge "*". For an observed event there is a
 // single path to follow (edges are disjoint), ending in a leaf that lists the
-// matched profiles.
+// matched profiles. Those edges are all a node stores of its partition of the
+// domain, and the leaf sets all the tree stores of who is alive where: the
+// pieces between the edges are derived (Pieces), and the lookup table of the
+// paper's ordered scan exists only in trees built for a scan.
 //
 // Equivalent states are shared: two paths whose alive profile sets coincide
 // at the same level point to the same node, which keeps the automaton
@@ -20,10 +23,12 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -82,6 +87,7 @@ func (s Search) String() string {
 var (
 	ErrNoProfiles = errors.New("tree: no profiles")
 	ErrBadOrder   = errors.New("tree: attribute order is not a permutation")
+	ErrTooWide    = errors.New("tree: more attributes than a node's level counts")
 )
 
 // EdgeKind discriminates edge flavors.
@@ -97,7 +103,9 @@ const (
 	EdgeStar
 )
 
-// Edge is one labeled transition of the automaton.
+// Edge is one labeled transition of the automaton. Its kind is its place in
+// the node (Node.Kind): the subrange edges come first, in natural order, and a
+// complement or star edge trails them.
 //
 // Frozen: once the tree is published through the engine's epoch pointer,
 // match goroutines read edges lock-free; every mutation must happen in a
@@ -106,27 +114,30 @@ const (
 //
 //genas:frozen
 type Edge struct {
-	Kind EdgeKind
-	// Iv is the subrange of a EdgeSubrange edge (unused for the others).
+	// Iv is the subrange of a subrange edge. On the trailing edge it is the
+	// whole domain, of which that edge holds what the subranges leave.
 	Iv schema.Interval
-	// Profiles are the dense indices of profiles continuing through the
-	// edge (constraining profiles plus riders for subrange edges). On a leaf
-	// edge (Child == nil) this doubles as the match set — a separate Leaf
-	// field would hold the identical slice while widening every edge the
-	// churn path has to copy by a quarter.
-	Profiles []int
-	// Child is the next level's node; nil at the leaf level, where Profiles
-	// is the match set.
+	// Child is the next level's node; nil at the leaf level.
 	Child *Node
+	// leaf is the match set of a leaf-level edge: the dense indices of the
+	// profiles an event arriving here matches, stored once per distinct set.
+	// An interior edge carries no set — the profiles alive below it are the
+	// union of the leaf sets it leads to.
+	leaf *[]int
 }
 
-// Leaf returns the match set of a leaf-level edge.
-func (e *Edge) Leaf() []int { return e.Profiles }
+// Leaf returns the match set of a leaf-level edge (nil on an interior one).
+func (e *Edge) Leaf() []int {
+	if e.leaf == nil {
+		return nil
+	}
+	return *e.leaf
+}
 
-// bucket is one piece of the domain partition at a node, in natural order.
-// Buckets cover the entire domain: subrange edges, complement pieces (mapped
-// to the complement edge) and D₀ gaps (edge == -1). Frozen after
-// publication, like the nodes that hold them.
+// bucket is one entry of a scan's lookup table: a piece of the node's domain
+// partition, in natural order. Buckets cover the entire domain: subrange edges,
+// complement pieces (mapped to the complement edge) and D₀ gaps (edge == -1).
+// Frozen after publication, like the nodes that hold them.
 //
 //genas:frozen
 type bucket struct {
@@ -138,7 +149,21 @@ type bucket struct {
 	orderPos int
 }
 
-// Node is one automaton state.
+// lookup is the table the scan strategies consult (§4.2): the node's partition
+// stored piece by piece with its defined-order positions, and the position of
+// every edge. SearchWeighted probes the edges themselves and has no table.
+//
+//genas:frozen
+type lookup struct {
+	buckets  []bucket
+	orderPos []int32 // by edge
+	// discrete marks integer/categorical attribute domains, where hash
+	// search can index individual values.
+	discrete bool
+}
+
+// Node is one automaton state. Its edges are the only stored form of its
+// partition of the domain: the pieces between them are derived (Pieces).
 //
 // Frozen: published snapshots are read lock-free under the epoch/RCU
 // scheme; the incremental transforms clone instead of mutating. Writes are
@@ -146,33 +171,42 @@ type bucket struct {
 //
 //genas:frozen
 type Node struct {
-	// Level is the 0-based tree level; Attr the schema attribute tested.
-	Level int
-	Attr  int
 	edges []Edge
-	// buckets is the natural-order partition of the whole domain.
-	buckets []bucket
 	// scan lists edge indices in defined (scan) order; under SearchWeighted
 	// it is the probe tree over the subrange edges, in preorder.
-	scan []int
-	// orderPos[i] is the defined-order position of edges[i] (the scans only).
-	orderPos []int
-	// nSubrange counts the leading subrange edges (edges[:nSubrange] are in
-	// natural ascending order; a complement or star edge follows, if any).
-	nSubrange int
+	scan []int32
 	// extra lists profiles matched by every event reaching this node
 	// (incremental inserts place a profile here when all levels from this
 	// one down are don't-care for it, instead of rewriting every leaf of
 	// the subtree). Build never sets it; a coalescing rebuild folds the
 	// indices back into the leaf sets.
 	extra []int
-	// discrete marks integer/categorical attribute domains, where hash
-	// search can index individual values.
-	discrete bool
+	// tab is the scans' lookup table; nil under SearchWeighted.
+	tab *lookup
+	// Level is the 0-based tree level; Attr the schema attribute tested.
+	Level, Attr int16
+	// nSubrange counts the leading subrange edges (edges[:nSubrange] are in
+	// natural ascending order; a complement or star edge follows, if any).
+	nSubrange int32
 }
 
 // Edges exposes the node's edges (shared slice; callers must not mutate).
 func (n *Node) Edges() []Edge { return n.edges }
+
+// Extra exposes the profiles parked at the node by incremental inserts: every
+// event reaching it matches them (shared slice; callers must not mutate).
+func (n *Node) Extra() []int { return n.extra }
+
+// Kind returns the flavor of edge i.
+func (n *Node) Kind(i int) EdgeKind {
+	switch {
+	case i < int(n.nSubrange):
+		return EdgeSubrange
+	case n.nSubrange == 0:
+		return EdgeStar
+	}
+	return EdgeComplement
+}
 
 // graphMeta holds the per-level node lists and size statistics of one node
 // graph. It hangs off the Tree behind a pointer so that trees sharing a
@@ -282,6 +316,9 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 	if !isPermutation(cfg.attrOrder, s.N()) {
 		return nil, fmt.Errorf("%w: %v", ErrBadOrder, cfg.attrOrder)
 	}
+	if s.N() > math.MaxInt16 {
+		return nil, fmt.Errorf("%w: %d", ErrTooWide, s.N())
+	}
 
 	t := &Tree{
 		schema:    s,
@@ -293,7 +330,8 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 
 	// Every interval endpoint is ranked once per attribute; the constraint
 	// table and its intervals, one block each, live only until then.
-	b := builder{t: t, vo: cfg.vo, ix: make([]*subrange.Index, s.N()), memo: make(map[uint64]state), a: make([]arena, s.N())}
+	b := builder{t: t, vo: cfg.vo, ix: make([]*subrange.Index, s.N()), memo: make(map[uint64]state),
+		a: make([]arena, s.N()), pend: make([][][]int, s.N()), own: arena{grow: true}}
 	for level := range b.a {
 		b.a[level].grow = true
 	}
@@ -346,27 +384,33 @@ type builder struct {
 	ix   []*subrange.Index // by schema attribute
 	sw   subrange.Sweep
 	memo map[uint64]state
-	// edges, bks and set assemble one node; it is committed to the arena
-	// before the build descends, so one set of buffers serves every level.
+	// edges and set assemble one node; it is committed to the arena before
+	// the build descends, so one set of buffers serves every level.
 	edges []Edge
-	bks   []bucket
 	set   []int
 	sc    orderScratch
+	// pend[level] holds, for the node being built at level, the alive set each
+	// of its edges carries until the edge's child is built from it.
+	pend [][][]int
 	// a holds one arena per level. Reordered and WithProfile replace a tree
 	// level by level, and a chunk lives as long as anything in it: were the
 	// levels interleaved, the last level's shared edges would pin every node
-	// and bucket a whole reorder had replaced.
+	// a whole reorder had replaced.
 	a []arena
+	// own stores the alive sets of the interior states: the memo's keys, which
+	// no edge keeps, so they die with the build.
+	own arena
 }
 
-// state is a memoised alive set: the profile set stored by the first edge
-// that carried it into level (the whole corpus at the root), and the node
-// built for it — none yet while its parent is being assembled, and never for
-// a leaf's match set, whose level is the tree's height.
+// state is a memoised alive set: the set as the first edge carrying it into
+// level wrote it down (the whole corpus at the root), and what was made of
+// it — the node built for it, none yet while its parent is being assembled,
+// or, at the tree's height, the leaf match set the tree stores once.
 type state struct {
 	level int
 	n     *Node
 	alive []int
+	leaf  *[]int
 }
 
 // find probes the memo, keyed by a hash of level and alive set, for the state
@@ -388,18 +432,27 @@ func (b *builder) find(alive []int, level int) (st state, h uint64, ok bool) {
 	return state{}, h, false
 }
 
-// carry returns what an edge into level stores for the profile set it
-// carries: the memoised copy of the set — equal sets are stored once, in a's
-// storage — and the node already built for it, if there is one.
-func (b *builder) carry(set []int, level int, a *arena) ([]int, *Node) {
+// carry points e, an edge into level, at what the profile set it carries
+// leads to — the node already built for it, if there is one, or the leaf match
+// set in a's storage — and returns the memoised copy of the set.
+//
+//genas:builder
+func (b *builder) carry(set []int, level int, e *Edge, a *arena) []int {
 	st, h, ok := b.find(set, level)
 	if !ok {
-		st = state{level: level, alive: a.intSlice(set)}
+		st = state{level: level}
+		if level == b.t.schema.N() {
+			st.leaf = a.leafSet(a.intSlice(set))
+			st.alive = *st.leaf
+		} else {
+			st.alive = b.own.intSlice(set)
+		}
 		b.memo[h] = st
 	} else if st.n != nil {
 		b.t.meta.shared++
 	}
-	return st.alive, st.n
+	e.Child, e.leaf = st.n, st.leaf
+	return st.alive
 }
 
 // build returns the node for the alive profile set at the given level: the
@@ -418,50 +471,41 @@ func (b *builder) build(alive []int, level int) *Node {
 	dom := t.schema.At(attr).Domain
 	a := &b.a[level]
 	n := a.node()
-	*n = Node{Level: level, Attr: attr, discrete: dom.Kind() != schema.KindNumeric}
-	b.memo[h] = state{level, n, alive}
+	*n = Node{Level: int16(level), Attr: int16(attr)}
+	b.memo[h] = state{level: level, n: n, alive: alive}
 
 	// One sweep yields the pieces in natural order: a covered piece is a
 	// subrange edge on which the don't-care profiles ride along, an uncovered
-	// one a gap.
+	// one a gap, which no edge stores.
 	b.sw.Reset(b.ix[attr], alive)
-	edges, bks := b.edges[:0], b.bks[:0]
+	edges, pend, gaps := b.edges[:0], b.pend[level][:0], false
 	for b.sw.Next() {
 		if len(b.sw.Active) == 0 {
-			bks = append(bks, bucket{iv: b.sw.Iv, edge: -1})
+			gaps = true
 			continue
 		}
-		e := Edge{Kind: EdgeSubrange, Iv: b.sw.Iv}
+		e := Edge{Iv: b.sw.Iv}
 		b.set = appendUnion(b.set[:0], b.sw.Active, b.sw.Star)
-		e.Profiles, e.Child = b.carry(b.set, level+1, a)
-		bks = append(bks, bucket{iv: b.sw.Iv, edge: len(edges)})
+		pend = append(pend, b.carry(b.set, level+1, &e, a))
 		edges = append(edges, e)
 	}
-	n.nSubrange = len(edges)
+	n.nSubrange = int32(len(edges))
 	// The riders own the gaps: through the complement edge (*), or through the
 	// star edge of a pure don't-care node. Without riders a gap is D₀.
-	if len(b.sw.Star) > 0 && len(bks) > len(edges) {
-		e := Edge{Kind: EdgeComplement}
-		if len(edges) == 0 {
-			e.Kind, e.Iv = EdgeStar, dom.Interval()
-		}
-		e.Profiles, e.Child = b.carry(b.sw.Star, level+1, a)
-		for i := range bks {
-			if bks[i].edge < 0 {
-				bks[i].edge = len(edges)
-			}
-		}
+	if len(b.sw.Star) > 0 && gaps {
+		e := Edge{Iv: dom.Interval()}
+		pend = append(pend, b.carry(b.sw.Star, level+1, &e, a))
 		edges = append(edges, e)
 	}
-	n.edges, n.buckets = a.edgeSlice(edges), a.bucketSlice(bks)
-	b.edges, b.bks = edges, bks
+	n.edges = a.edgeSlice(edges)
+	b.edges, b.pend[level] = edges, pend
 
 	for i := range n.edges {
 		if e := &n.edges[i]; e.Child == nil && level < t.schema.N()-1 {
-			e.Child = b.build(e.Profiles, level+1)
+			e.Child = b.build(pend[i], level+1)
 		}
 	}
-	n.applyOrder(b.vo, t.strategy, &b.sc, a)
+	n.applyOrder(dom, b.vo, t.strategy, &b.sc, a)
 	t.meta.nodes++
 	t.meta.edges += len(n.edges)
 	t.meta.levels[level] = append(t.meta.levels[level], n)
@@ -528,18 +572,40 @@ type Stats struct {
 	Nodes, Edges, SharedHits int
 	Height                   int
 	ProfileCount             int
+	// Bytes is the storage the automaton retains: nodes, edges, layouts (probe
+	// trees or scan orders and lookup tables), parked profiles and each
+	// distinct leaf set. What successor nodes share is counted per node.
+	Bytes int
 }
 
 // Stats returns automaton size statistics.
 func (t *Tree) Stats() Stats {
 	m := t.ensureMeta()
-	return Stats{
+	st := Stats{
 		Nodes:        m.nodes,
 		Edges:        m.edges,
 		SharedHits:   m.shared,
 		Height:       t.schema.N(),
 		ProfileCount: len(t.profiles),
 	}
+	sets := make(map[*[]int]struct{})
+	for _, level := range m.levels {
+		for _, n := range level {
+			st.Bytes += int(unsafe.Sizeof(*n)) + len(n.edges)*int(unsafe.Sizeof(Edge{})) + 4*len(n.scan) + 8*len(n.extra)
+			if n.tab != nil {
+				st.Bytes += int(unsafe.Sizeof(*n.tab)) + len(n.tab.buckets)*int(unsafe.Sizeof(bucket{})) + 4*len(n.tab.orderPos)
+			}
+			for i := range n.edges {
+				if leaf := n.edges[i].leaf; leaf != nil {
+					sets[leaf] = struct{}{}
+				}
+			}
+		}
+	}
+	for leaf := range sets {
+		st.Bytes += int(unsafe.Sizeof(*leaf)) + 8*len(*leaf)
+	}
+	return st
 }
 
 // Dump renders the tree in a Fig. 1-like indented form for debugging and the
@@ -553,7 +619,7 @@ func (t *Tree) Dump() string {
 
 func (t *Tree) dumpNode(b *strings.Builder, n *Node, depth int, seen map[*Node]bool) {
 	indent := strings.Repeat("  ", depth)
-	name := t.schema.At(n.Attr).Name
+	name := t.schema.At(int(n.Attr)).Name
 	if seen[n] {
 		fmt.Fprintf(b, "%s%s <shared>\n", indent, name)
 		return
@@ -563,11 +629,11 @@ func (t *Tree) dumpNode(b *strings.Builder, n *Node, depth int, seen map[*Node]b
 	for i := range n.edges {
 		ei := i // the probe tree of SearchWeighted is no scan order: natural order
 		if t.strategy != SearchWeighted {
-			ei = n.scan[i]
+			ei = int(n.scan[i])
 		}
 		e := &n.edges[ei]
 		label := e.Iv.String()
-		switch e.Kind {
+		switch n.Kind(ei) {
 		case EdgeComplement:
 			label = "(*)"
 		case EdgeStar:

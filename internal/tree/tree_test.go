@@ -121,7 +121,7 @@ func TestSharedSubtreePointerEquality(t *testing.T) {
 	}
 	root := tr.Root()
 	edges := root.Edges()
-	if len(edges) != 1 || edges[0].Kind != EdgeStar {
+	if len(edges) != 1 || root.Kind(0) != EdgeStar {
 		t.Fatalf("expected single star edge, got %d edges", len(edges))
 	}
 	if len(tr.Levels()[1]) != 1 {
@@ -157,7 +157,7 @@ func TestScanPositionsIncreasing(t *testing.T) {
 					t.Fatalf("order %s: scan positions not increasing", vo.Name)
 				}
 				// Every edge appears exactly once in scan order.
-				seen := make(map[int]bool)
+				seen := make(map[int32]bool)
 				for _, ei := range n.ScanOrder() {
 					if seen[ei] {
 						t.Fatal("edge repeated in scan order")
@@ -199,21 +199,22 @@ func TestCostOfConsistentWithMatch(t *testing.T) {
 			Rank:       func(_ int, r []Interval) float64 { return float64(int64(r[0].Lo*13) % 7) },
 		})
 		root := tr.Root()
-		for bi, b := range root.Buckets() {
-			probe := b.Iv.Lo // integer-aligned closed buckets start on an atom
-			if b.Iv.LoOpen {
-				continue // gap pieces on continuous domains; none on grids
-			}
-			edge, want := root.CostOf(bi, strategy)
+		pieces := 0
+		for p := tr.Pieces(root); p.Next(); pieces++ {
+			probe := p.Iv.Lo // integer-aligned closed pieces start on an atom
+			edge, want := p.Cost()
 			matched, got := tr.Match([]float64{probe})
 			if got != want {
-				t.Fatalf("%v bucket %d (%s): Match ops %d != CostOf %d",
-					strategy, bi, b.Iv, got, want)
+				t.Fatalf("%v piece %d (%s): Match ops %d != Cost %d",
+					strategy, pieces, p.Iv, got, want)
 			}
-			if (edge >= 0) != (matched != nil) {
+			if edge != p.Edge || (edge >= 0) != (matched != nil) {
 				// edge >= 0 at the leaf level means a match set exists.
-				t.Fatalf("%v bucket %d: edge=%d but matched=%v", strategy, bi, edge, matched)
+				t.Fatalf("%v piece %d of edge %d: edge=%d but matched=%v", strategy, pieces, p.Edge, edge, matched)
 			}
+		}
+		if pieces < 25 {
+			t.Fatalf("%v: the root has %d pieces", strategy, pieces)
 		}
 	}
 }
@@ -298,6 +299,6 @@ func TestMatchPathLevels(t *testing.T) {
 // strictly increasing along the scan order.
 func (n *Node) scanPositionsIncreasing() bool {
 	return sort.SliceIsSorted(n.scan, func(i, j int) bool {
-		return n.orderPos[n.scan[i]] < n.orderPos[n.scan[j]]
+		return n.tab.orderPos[n.scan[i]] < n.tab.orderPos[n.scan[j]]
 	})
 }

@@ -3,6 +3,8 @@ package tree
 import (
 	"math"
 	"sort"
+
+	"genas/internal/schema"
 )
 
 // SearchWeighted searches a node through a binary search tree over its
@@ -23,13 +25,13 @@ const maxOptimal = 512
 // interval per probe — below, inside or above — and after a miss tests the
 // trailing complement or star edge, which holds what else the domain holds
 // (event.Validate admits domain values only, so its bounds decide). Each
-// comparison is one operation and nothing else runs: no bucket lookup.
+// comparison is one operation and nothing else runs: no table, no lookup.
 //
 //genas:hotpath
 func (n *Node) probe(v float64) (edge, ops int) {
-	pos, lo, hi := 0, 0, n.nSubrange-1
+	pos, lo, hi := 0, 0, int(n.nSubrange)-1
 	for lo <= hi {
-		r := n.scan[pos]
+		r := int(n.scan[pos])
 		ops++
 		switch iv := &n.edges[r].Iv; {
 		case iv.After(v):
@@ -40,13 +42,13 @@ func (n *Node) probe(v float64) (edge, ops int) {
 			return r, ops
 		}
 	}
-	if n.nSubrange == len(n.edges) {
+	if int(n.nSubrange) == len(n.edges) {
 		return -1, ops
 	}
-	if n.buckets[0].iv.After(v) || n.buckets[len(n.buckets)-1].iv.Before(v) {
+	if dom := &n.edges[n.nSubrange].Iv; dom.After(v) || dom.Before(v) {
 		return -1, ops + 1
 	}
-	return n.nSubrange, ops + 1
+	return int(n.nSubrange), ops + 1
 }
 
 // inside returns a value of the non-empty interval iv.
@@ -63,43 +65,34 @@ func inside(iv Interval) float64 {
 // balanced appends the count-balanced probe tree over edges lo..hi: the
 // midpoints of plain binary search. The incremental insert lays its cloned
 // nodes out this way and leaves the weights to the next Reordered or Build.
-func balanced(out []int, lo, hi int) []int {
+func balanced(out []int32, lo, hi int) []int32 {
 	if lo > hi {
 		return out
 	}
 	mid := (lo + hi) / 2
-	return balanced(balanced(append(out, mid), lo, mid-1), mid+1, hi)
+	return balanced(balanced(append(out, int32(mid)), lo, mid-1), mid+1, hi)
 }
 
 // weigh fills cum with the prefix sums of the node's weights in natural order,
 // gaps and edges alternating — q0, p1, q1, …, pn, qn — so keys i+1..j and the
-// gaps around them weigh cum[2j+1]−cum[2i]. A bucket weighs its share of the
+// gaps around them weigh cum[2j+1]−cum[2i]. A piece weighs its share of the
 // measure or, given vo.Mass, weightFloor of that plus its share of the mass.
-func (sc *orderScratch) weigh(n *Node, vo ValueOrder) {
-	unit := 0.0
-	if n.discrete {
-		unit = 1 // closed, atom-aligned pieces: the measure counts values
-	}
-	dom := Interval{Lo: n.buckets[0].iv.Lo, Hi: n.buckets[len(n.buckets)-1].iv.Hi}
+func (sc *orderScratch) weigh(n *Node, dom schema.Domain, vo ValueOrder) {
+	p := n.pieces(dom)
+	span := p.dom.Hi - p.dom.Lo + p.unit // closed, atom-aligned pieces: the measure counts values
 	total := 0.0
 	if vo.Mass != nil {
-		sc.one[0] = dom
-		total = vo.Mass(n.Attr, sc.one[:])
+		sc.one[0] = p.dom
+		total = vo.Mass(int(n.Attr), sc.one[:])
 	}
 	cum := append(sc.cum[:0], make([]float64, 2*n.nSubrange+2)...)
-	k := 0
-	for _, b := range n.buckets {
-		w := (b.iv.Hi - b.iv.Lo + unit) / (dom.Hi - dom.Lo + unit)
+	for p.Next() {
+		w := (p.Iv.Hi - p.Iv.Lo + p.unit) / span
 		if total > 0 {
-			sc.one[0] = b.iv
-			w = weightFloor*w + (1-weightFloor)*vo.Mass(n.Attr, sc.one[:])/total
+			sc.one[0] = p.Iv
+			w = weightFloor*w + (1-weightFloor)*vo.Mass(int(n.Attr), sc.one[:])/total
 		}
-		if b.edge >= 0 && b.edge < n.nSubrange {
-			k++
-			cum[2*k] = w
-		} else {
-			cum[2*k+1] += w
-		}
+		cum[p.at] = w // the walk's step after gap i is 2i+1, after edge i 2i+2
 	}
 	for t := 1; t < len(cum); t++ {
 		cum[t] += cum[t-1]
@@ -110,13 +103,13 @@ func (sc *orderScratch) weigh(n *Node, vo ValueOrder) {
 // lay appends the probe tree over keys i+1..j (edges i..j−1) in preorder: the
 // optimal one, below splits where the weight halves (Mehlhorn's bisection)
 // while the keys outnumber an optimal subtree's tables.
-func (sc *orderScratch) lay(out []int, i, j int) []int {
+func (sc *orderScratch) lay(out []int32, i, j int) []int32 {
 	if j-i <= maxOptimal {
 		return sc.optimal(out, i, j)
 	}
 	half := sc.cum[2*i] + sc.cum[2*j+1]
 	k := i + 1 + sort.Search(j-i-1, func(d int) bool { return sc.cum[2*(i+d)+1]+sc.cum[2*(i+d)+2] >= half })
-	return sc.lay(sc.lay(append(out, k-1), i, k-1), k, j)
+	return sc.lay(sc.lay(append(out, int32(k-1)), i, k-1), k, j)
 }
 
 // optimal is Knuth's algorithm K over keys i0+1..j0: cost(i,j), the weighted
@@ -124,7 +117,7 @@ func (sc *orderScratch) lay(out []int, i, j int) []int {
 // cost(i,k−1)+cost(k,j) over the roots k, and the best root lies between those
 // of (i,j−1) and (i+1,j), so the table is quadratic. A miss costs the probes
 // that led to it: an empty tree is free.
-func (sc *orderScratch) optimal(out []int, i0, j0 int) []int {
+func (sc *orderScratch) optimal(out []int32, i0, j0 int) []int32 {
 	m, sz := j0-i0, j0-i0+1
 	if cap(sc.cost) < sz*sz {
 		sc.cost, sc.root = make([]float64, sz*sz), make([]int32, sz*sz)
@@ -152,10 +145,10 @@ func (sc *orderScratch) optimal(out []int, i0, j0 int) []int {
 }
 
 // emit appends optimal's tree over its keys i+1..j in preorder.
-func (sc *orderScratch) emit(out []int, i, j, sz, off int) []int {
+func (sc *orderScratch) emit(out []int32, i, j, sz, off int) []int32 {
 	if i == j {
 		return out
 	}
 	k := int(sc.root[i*sz+j])
-	return sc.emit(sc.emit(append(out, off+k-1), i, k-1, sz, off), k, j, sz, off)
+	return sc.emit(sc.emit(append(out, int32(off+k-1)), i, k-1, sz, off), k, j, sz, off)
 }
