@@ -46,9 +46,8 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("genas", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr  = fs.String("addr", "localhost:7452", "daemon address")
-		wait  = fs.Duration("wait", 0, "after subscribing, listen for notifications this long (0 = forever)")
-		proto = fs.String("proto", "auto", "wire protocol: auto (negotiate), v1 (JSON lines) or v2 (require binary frames)")
+		addr = fs.String("addr", "localhost:7452", "daemon address")
+		wait = fs.Duration("wait", 0, "after subscribing, listen for notifications this long (0 = forever)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -64,20 +63,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var p wire.Proto
-	switch *proto {
-	case "auto":
-		p = wire.ProtoAuto
-	case "v1":
-		p = wire.ProtoV1
-	case "v2":
-		p = wire.ProtoV2
-	default:
-		logger.Printf("bad -proto %q (want auto, v1 or v2)", *proto)
-		return 2
-	}
-
-	c, err := wire.DialWith(*addr, wire.DialConfig{Timeout: rpcTimeout, Proto: p})
+	c, err := wire.DialWith(*addr, wire.DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		logger.Print(err)
 		return 1
@@ -184,7 +170,6 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if st.Node != "" {
 			fmt.Fprintf(stdout, "federation node: %s\npeers: %d\nforwarded: %d\nrejected at links: %d\n",
 				st.Node, st.Peers, st.Forwarded, st.Filtered)
-			fmt.Fprintf(stdout, "v2 peers: %d\n", st.ProtoV2Peers)
 		}
 		if st.BytesPerEventWire > 0 {
 			fmt.Fprintf(stdout, "wire bytes/event: %.1f\n", st.BytesPerEventWire)
@@ -474,8 +459,7 @@ func listen(c *wire.Client, d time.Duration, stdout io.Writer) int {
 			if !ok {
 				return 0
 			}
-			// EventMap resolves the payload for either protocol: v1 carries
-			// the attribute map, v2 a schema-order vector.
+			// EventMap names the schema-order vector's values.
 			ev := c.EventMap(n)
 			parts := make([]string, 0, len(ev))
 			for k, v := range ev {

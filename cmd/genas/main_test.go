@@ -67,7 +67,7 @@ func TestEnvelopeImportExportHelpers(t *testing.T) {
 	}()
 	defer func() { cancel(); srv.Close(); <-done }()
 
-	c, err := wire.DialWith(ln.Addr().String(), wire.DialConfig{Timeout: 5 * time.Second, Proto: wire.ProtoV1})
+	c, err := wire.DialWith(ln.Addr().String(), wire.DialConfig{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestEnvelopeImportExportHelpers(t *testing.T) {
 	// Import the same envelope on a second connection: ids collide with the
 	// first connection's subscription, so rewrite them first.
 	doc := strings.ReplaceAll(buf.String(), `"hot"`, `"hot2"`)
-	c2, err := wire.DialWith(ln.Addr().String(), wire.DialConfig{Timeout: 5 * time.Second, Proto: wire.ProtoV1})
+	c2, err := wire.DialWith(ln.Addr().String(), wire.DialConfig{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

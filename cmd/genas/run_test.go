@@ -111,7 +111,7 @@ func TestCLISubscribeAndListen(t *testing.T) {
 	pubDone := make(chan struct{})
 	go func() {
 		defer close(pubDone)
-		c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout, Proto: wire.ProtoV1})
+		c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout})
 		if err != nil {
 			return
 		}
@@ -146,7 +146,7 @@ func TestCLIProfilesExportImport(t *testing.T) {
 	// Subscribe on a throwaway connection that stays open via -wait 0? No:
 	// use the wire client directly so the subscription persists for the
 	// export.
-	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout, Proto: wire.ProtoV1})
+	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func TestFederationThreeDaemons(t *testing.T) {
 	addrC, _ := startProcess(t, append(base, "-node", "C", "-peer", addrB)...)
 
 	dial := func(addr string) *wire.Client {
-		c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout, Proto: wire.ProtoV1})
+		c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestFederationThreeDaemons(t *testing.T) {
 		var notified bool
 		select {
 		case n := <-cliC.Notifications():
-			if n.Profile != "hot" || n.Event["temperature"] != 41 {
+			if n.Profile != "hot" || cliC.EventMap(n)["temperature"] != 41 {
 				t.Fatalf("notification = %+v", n)
 			}
 			notified = true
@@ -215,117 +215,6 @@ func TestFederationThreeDaemons(t *testing.T) {
 	}
 }
 
-// TestFederationMixedProtocolChain is the mixed-version interop test: a
-// four-daemon chain A—B—C—D where C is pinned to the v1 JSON-line protocol
-// (an un-upgraded daemon). The A—B link negotiates binary v2 frames while
-// both links touching C fall back to v1, and the chain must still deliver
-// exactly the matching event set end to end — protocol generation is a
-// per-link concern, invisible to routing.
-func TestFederationMixedProtocolChain(t *testing.T) {
-	const (
-		rpcTimeout = 5 * time.Second
-		schemaSpec = "temperature=numeric[-30,50]; humidity=numeric[0,100]"
-	)
-	base := []string{"-addr", "127.0.0.1:0", "-schema", schemaSpec}
-	addrA, _ := startProcess(t, append(base, "-node", "A")...)
-	addrB, _ := startProcess(t, append(base, "-node", "B", "-peer", addrA)...)
-	addrC, _ := startProcess(t, append(base, "-node", "C", "-peer", addrB, "-proto", "v1")...)
-	addrD, _ := startProcess(t, append(base, "-node", "D", "-peer", addrC)...)
-
-	dial := func(addr string) *wire.Client {
-		c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = c.Close() })
-		return c
-	}
-	cliA, cliB, cliD := dial(addrA), dial(addrB), dial(addrD)
-
-	if err := cliD.Subscribe("hot", "profile(temperature >= 35)", 0, rpcTimeout); err != nil {
-		t.Fatal(err)
-	}
-
-	// Probe-publish at A until the route has propagated D→C→B→A and a
-	// notification crosses all three wire hops.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if _, err := cliA.Publish(map[string]float64{"temperature": 49, "humidity": 1}, rpcTimeout); err != nil {
-			t.Fatal(err)
-		}
-		var notified bool
-		select {
-		case n := <-cliD.Notifications():
-			if n.Profile != "hot" {
-				t.Fatalf("notification = %+v", n)
-			}
-			notified = true
-		case <-time.After(200 * time.Millisecond):
-		}
-		if notified {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("subscription at D never matched an event published at A across the mixed chain")
-		}
-	}
-	// Drain in-flight probe notifications so the oracle check below sees
-	// only its own events.
-	for drained := false; !drained; {
-		select {
-		case n := <-cliD.Notifications():
-			if n.Profile != "hot" {
-				t.Fatalf("unexpected notification %+v", n)
-			}
-		case <-time.After(300 * time.Millisecond):
-			drained = true
-		}
-	}
-
-	// The oracle set: of five events published at A, exactly the three with
-	// temperature >= 35 must reach D — no loss at a protocol boundary, no
-	// duplication, nothing extra.
-	events := []map[string]float64{
-		{"temperature": 36, "humidity": 20}, // match
-		{"temperature": 10, "humidity": 5},  // no
-		{"temperature": 35, "humidity": 60}, // match (boundary)
-		{"temperature": 34, "humidity": 70}, // no
-		{"temperature": 42, "humidity": 80}, // match
-	}
-	if _, err := cliA.PublishBatch(events, rpcTimeout); err != nil {
-		t.Fatal(err)
-	}
-	want := map[float64]bool{36: true, 35: true, 42: true}
-	got := map[float64]bool{}
-	for len(got) < len(want) {
-		select {
-		case n := <-cliD.Notifications():
-			temp := cliD.EventMap(n)["temperature"]
-			if !want[temp] || got[temp] {
-				t.Fatalf("unexpected or duplicate delivery %+v (got %v)", n, got)
-			}
-			got[temp] = true
-		case <-time.After(10 * time.Second):
-			t.Fatalf("delivery incomplete: got %v, want %v", got, want)
-		}
-	}
-	select {
-	case n := <-cliD.Notifications():
-		t.Fatalf("delivery beyond the oracle set: %+v", cliD.EventMap(n))
-	case <-time.After(300 * time.Millisecond):
-	}
-
-	// B sits on the protocol boundary: its link to A negotiated v2, its link
-	// from C stayed v1.
-	st, err := cliB.Stats(rpcTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Node != "B" || st.Peers != 2 || st.ProtoV2Peers != 1 {
-		t.Errorf("B stats = node %q peers %d v2-peers %d, want B/2/1", st.Node, st.Peers, st.ProtoV2Peers)
-	}
-}
-
 // TestFederationFlagValidation: -peer without -node is a configuration
 // error.
 func TestFederationFlagValidation(t *testing.T) {
@@ -347,7 +236,7 @@ func TestFederationFlagValidation(t *testing.T) {
 // normally and reports its node name in stats.
 func TestFederatedDaemonSingle(t *testing.T) {
 	addr, _, stop := startDaemon(t, "-node", "solo")
-	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second, Proto: wire.ProtoV1})
+	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

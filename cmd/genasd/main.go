@@ -1,5 +1,5 @@
 // Command genasd runs the GENAS event notification daemon: a TCP broker
-// speaking the JSON-line wire protocol. The attribute schema is defined at
+// speaking the wire protocol (one JSON hello line, then binary frames). The attribute schema is defined at
 // startup; profiles, events and quench queries arrive at runtime.
 //
 // Usage:
@@ -64,7 +64,6 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		search     = fs.String("search", tree.DefaultSearch.String(), "node search: weighted | linear | binary | interpolation | hash")
 		shards     = fs.Int("shards", 1, "engine/delivery shard count (0 = GOMAXPROCS, 1 = single tree)")
 		defaults   = fs.String("defaults", "", "fill-ins for omitted event attributes, e.g. 'radiation=1; humidity=0'")
-		proto      = fs.String("proto", "auto", "max wire protocol: auto | v1 | v2 (v1 pins every connection to JSON lines)")
 		node       = fs.String("node", "", "federation node name (required with -peer; enables broker peering)")
 		peer       = fs.String("peer", "", "comma-separated peer daemon addresses to dial, e.g. 'host1:7452,host2:7452'")
 		covering   = fs.Bool("covering", true, "count only uncovered routes per peer link (federation; link filters index only those either way)")
@@ -78,11 +77,6 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 	}
 
 	logger := log.New(stderr, "genasd: ", log.LstdFlags)
-	maxProto, err := parseProto(*proto)
-	if err != nil {
-		logger.Print(err)
-		return 2
-	}
 	if *schemaSpec == "" {
 		logger.Print("missing -schema")
 		return 2
@@ -139,7 +133,6 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 	// The wire server programs against the broker; the internal hook hands
 	// it over without the facade growing a public escape hatch.
 	srv := wire.NewServer(hook.BrokerOf(svc), logger)
-	srv.SetMaxProto(maxProto)
 	srv.SetDefaults(hook.DefaultsOf(svc))
 	defer srv.Close()
 
@@ -154,7 +147,6 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 			Node:     *node,
 			Covering: *covering,
 			Logger:   logger,
-			Proto:    maxProto,
 		})
 		if err != nil {
 			logger.Printf("federation: %v", err)
@@ -235,22 +227,6 @@ func logRestructures(ctx context.Context, a *adaptive.Adaptor, sch *genas.Schema
 				d.Seq, d.Seen, d.Duration, d.Resorted, d.Copied, drift.String())
 		}
 	}
-}
-
-// parseProto reads the -proto flag. "auto" and "v2" both let connections
-// negotiate up to the binary protocol (the server side of auto IS v2
-// support); "v1" pins the daemon — its listener and its outbound peer links —
-// to the JSON-line protocol.
-func parseProto(s string) (wire.Proto, error) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return wire.ProtoAuto, nil
-	case "v1":
-		return wire.ProtoV1, nil
-	case "v2":
-		return wire.ProtoV2, nil
-	}
-	return 0, fmt.Errorf("bad -proto %q (want auto, v1 or v2)", s)
 }
 
 // parseDefaults reads the -defaults spec: 'attr=value; attr=value'.

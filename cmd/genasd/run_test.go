@@ -65,7 +65,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		"-shards", "2", "-adaptive", "-goal", "user", "-window", "64",
 		"-measure", "event", "-attrs", "A2", "-search", "linear")
 
-	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second, Proto: wire.ProtoV1})
+	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 // it reordered for and what the restructure touched.
 func TestDaemonLogsRestructures(t *testing.T) {
 	addr, stderr, stop := startDaemon(t, "-adaptive", "-window", "64")
-	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second, Proto: wire.ProtoV1})
+	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDaemonLogsRestructures(t *testing.T) {
 // omitted from publish frames, everything else stays mandatory.
 func TestDaemonDefaults(t *testing.T) {
 	addr, _, stop := startDaemon(t, "-defaults", "humidity=0")
-	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second, Proto: wire.ProtoV1})
+	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDaemonDefaults(t *testing.T) {
 // TestDaemonShardsDefault covers -shards 0 (GOMAXPROCS) startup.
 func TestDaemonShardsDefault(t *testing.T) {
 	addr, stderr, stop := startDaemon(t, "-shards", "0")
-	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second, Proto: wire.ProtoV1})
+	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

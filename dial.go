@@ -7,40 +7,18 @@ import (
 	"genas/internal/wire"
 )
 
-// Protocol selects a wire protocol generation when dialing a daemon or
-// joining a federation.
+// Protocol names a wire protocol generation. There is one, V2: every
+// connection and peer link speaks it.
 type Protocol int
 
-// Protocol generations.
-const (
-	// Auto negotiates: binary v2 frames when the server supports them, the
-	// v1 JSON-line protocol otherwise. The default.
-	Auto Protocol = iota
-	// V1 pins the connection to the JSON-line protocol.
-	V1
-	// V2 requires the binary frame protocol: Dial fails instead of falling
-	// back. On JoinNetwork it behaves like Auto — each peer link negotiates
-	// independently, so a mixed-version federation keeps forwarding.
-	V2
-)
-
-func (p Protocol) wireProto() wire.Proto {
-	switch p {
-	case V1:
-		return wire.ProtoV1
-	case V2:
-		return wire.ProtoV2
-	default:
-		return wire.ProtoAuto
-	}
-}
+// V2 is the binary frame protocol.
+const V2 Protocol = 2
 
 // DialOption configures Dial and JoinNetwork.
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
 	timeout time.Duration
-	proto   Protocol
 	depth   int
 	svcOpts []Option
 }
@@ -52,14 +30,14 @@ func WithDialTimeout(d time.Duration) DialOption {
 	return func(c *dialConfig) { c.timeout = d }
 }
 
-// WithProtocol pins or negotiates the wire protocol generation (default
-// Auto).
+// WithProtocol selects nothing: V2 is the only protocol. It is kept so that
+// callers naming it still compile.
 func WithProtocol(p Protocol) DialOption {
-	return func(c *dialConfig) { c.proto = p }
+	return func(*dialConfig) {}
 }
 
-// WithPipelineDepth caps the in-flight v2 frames per batched publish
-// (default wire.DefaultPipelineDepth; v1 connections always serialize).
+// WithPipelineDepth caps the in-flight frames per batched publish (default
+// wire.DefaultPipelineDepth).
 func WithPipelineDepth(n int) DialOption {
 	return func(c *dialConfig) { c.depth = n }
 }
@@ -71,9 +49,8 @@ func WithServiceOptions(opts ...Option) DialOption {
 }
 
 // Client is a connection to a remote genasd daemon. It is safe for
-// concurrent use. On a negotiated v2 connection events travel as binary
-// schema-order vectors and batched publishes pipeline; on v1 the JSON-line
-// protocol is spoken unchanged.
+// concurrent use. Events travel as binary schema-order vectors and batched
+// publishes pipeline.
 type Client struct {
 	c       *wire.Client
 	timeout time.Duration
@@ -94,7 +71,7 @@ type RemoteNotification struct {
 }
 
 // RemoteStats is a remote daemon's counter snapshot (the wire twin of
-// Stats, plus federation and protocol counters).
+// Stats, plus federation and wire counters).
 type RemoteStats struct {
 	Subscriptions int
 	Published     uint64
@@ -111,31 +88,25 @@ type RemoteStats struct {
 	PosetDepth           int
 	ProfilesPerCanonical float64
 	// Federation counters (federated daemons only).
-	Node         string
-	Peers        int
-	Forwarded    uint64
-	Filtered     uint64
-	ProtoV2Peers int
+	Node      string
+	Peers     int
+	Forwarded uint64
+	Filtered  uint64
 	// Wire-level counters: mean received bytes per published event and
 	// request frames observed queued behind the one being served.
 	BytesPerEventWire float64
 	FramesPipelined   uint64
 }
 
-// Dial connects to a genasd daemon. By default the protocol is negotiated:
-// a v2-capable daemon upgrades the connection to binary frames, any other
-// daemon is spoken to in v1 JSON lines. Options pin the protocol, bound the
-// handshake and set the pipelining depth.
+// Dial connects to a genasd daemon: one hello line each way, then binary
+// frames. A daemon that does not speak protocol v2 fails the dial. Options
+// bound the handshake and set the pipelining depth.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
 	var cfg dialConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	wc, err := wire.DialWith(addr, wire.DialConfig{
-		Timeout:       cfg.timeout,
-		Proto:         cfg.proto.wireProto(),
-		PipelineDepth: cfg.depth,
-	})
+	wc, err := wire.DialWith(addr, wire.DialConfig{Timeout: cfg.timeout, PipelineDepth: cfg.depth})
 	if err != nil {
 		return nil, err
 	}
@@ -144,8 +115,8 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	return c, nil
 }
 
-// convertNotifications adapts the wire notification stream (maps on v1,
-// slot vectors on v2) to RemoteNotification values. A connection's daemon
+// convertNotifications adapts the wire notification stream (slot vectors)
+// to RemoteNotification values. A connection's daemon
 // numbers every event once, so consecutive notifications with one Seq are one
 // event's, and its map is built once.
 func (c *Client) convertNotifications() {
@@ -162,15 +133,6 @@ func (c *Client) convertNotifications() {
 		}
 	}
 	close(c.notifs)
-}
-
-// Protocol reports the connection's negotiated protocol generation (V1 or
-// V2).
-func (c *Client) Protocol() Protocol {
-	if c.c.Proto() >= wire.ProtoV2 {
-		return V2
-	}
-	return V1
 }
 
 // Notifications returns the inbound notification stream. The channel closes
@@ -197,18 +159,17 @@ func (c *Client) Publish(values map[string]float64) (int, error) {
 }
 
 // PublishValues posts one event as schema-order attribute values — the hot
-// path: on a v2 connection this is one small binary frame and no map is
-// built on either end.
+// path: one small binary frame, and no map is built on either end.
 func (c *Client) PublishValues(vals ...float64) (int, error) {
 	return c.c.PublishVals(vals, c.timeout)
 }
 
 // PublishBatch posts several events given as attribute maps and returns
-// per-event match counts. On a v2 connection, maps that all cover the schema
-// are sent as vectors, chunked into frames with up to the pipeline depth in
-// flight at once. Otherwise — a v1 connection, or an event that omits an
-// attribute and leans on server-side defaults — the batch travels as JSON,
-// one request at a time, split while it exceeds the request size cap. On
+// per-event match counts. Maps that all cover the schema are sent as
+// vectors, chunked into frames with up to the pipeline depth in flight at
+// once. Otherwise — an event omits an attribute and leans on server-side
+// defaults — the batch travels as JSON, one request at a time, split while
+// it exceeds the frame size cap. On
 // error the counts gathered so far are returned with it, as a lower bound on
 // what the daemon committed.
 func (c *Client) PublishBatch(events []map[string]float64) ([]int, error) {
@@ -244,7 +205,6 @@ func (c *Client) Stats() (RemoteStats, error) {
 		Peers:                p.Peers,
 		Forwarded:            p.Forwarded,
 		Filtered:             p.Filtered,
-		ProtoV2Peers:         p.ProtoV2Peers,
 		BytesPerEventWire:    p.BytesPerEventWire,
 		FramesPipelined:      p.FramesPipelined,
 	}, nil
@@ -258,9 +218,8 @@ func (c *Client) Close() error { return c.c.Close() }
 // be running with -node, and share the schema). The overlay must stay
 // acyclic, exactly like Network's topology. Initial dials are synchronous —
 // an unreachable peer fails fast — and dropped links reconnect in the
-// background with route replay. Peer links negotiate the wire protocol per
-// hop (WithProtocol(V1) pins them to JSON lines); WithServiceOptions
-// configures the local broker.
+// background with route replay. WithServiceOptions configures the local
+// broker.
 func JoinNetwork(sch *Schema, node string, peers []string, opts ...DialOption) (*Federation, error) {
 	var cfg dialConfig
 	for _, o := range opts {
@@ -274,7 +233,6 @@ func JoinNetwork(sch *Schema, node string, peers []string, opts ...DialOption) (
 		Node:        node,
 		Covering:    true,
 		DialTimeout: cfg.timeout,
-		Proto:       cfg.proto.wireProto(),
 	})
 	if err != nil {
 		svc.Close()

@@ -24,9 +24,6 @@ type FederationStats struct {
 	// Forwarded counts events this broker sent over a peer link; Filtered
 	// counts link crossings avoided by early rejection at its links.
 	Forwarded, Filtered uint64
-	// ProtoV2Peers counts peer links that negotiated the binary v2 wire
-	// protocol (the rest speak v1 JSON lines).
-	ProtoV2Peers int
 	// Local is the local broker's counter snapshot.
 	Local Stats
 }
@@ -100,12 +97,11 @@ func (f *Federation) PublishEvent(ev Event) (int, error) {
 func (f *Federation) Stats() FederationStats {
 	node, peers, forwarded, filtered := f.fed.Stats()
 	return FederationStats{
-		Node:         node,
-		Peers:        peers,
-		Forwarded:    forwarded,
-		Filtered:     filtered,
-		ProtoV2Peers: f.fed.ProtoV2Peers(),
-		Local:        f.svc.Stats(),
+		Node:      node,
+		Peers:     peers,
+		Forwarded: forwarded,
+		Filtered:  filtered,
+		Local:     f.svc.Stats(),
 	}
 }
 

@@ -58,7 +58,7 @@ func TestJoinNetwork(t *testing.T) {
 	const rpcTimeout = 5 * time.Second
 	sch := monitoringSchema(t)
 	addr := startFedDaemon(t, "daemon", sch)
-	remote, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout, Proto: wire.ProtoV1})
+	remote, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}

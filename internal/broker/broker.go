@@ -274,21 +274,9 @@ func (b *Broker) shardFor(id predicate.ID) *deliveryShard {
 	return b.shards[core.ShardOf(id, len(b.shards))]
 }
 
-// Subscribe registers a profile and returns its subscription. The profile ID
-// must be unique within the broker.
-func (b *Broker) Subscribe(p *predicate.Profile) (*Subscription, error) {
-	return b.SubscribeWith(p, SubOptions{})
-}
-
-// SubscribeBuffered is Subscribe with an explicit channel buffer size.
-func (b *Broker) SubscribeBuffered(p *predicate.Profile, buffer int) (*Subscription, error) {
-	if buffer <= 0 {
-		return nil, ErrBadBufferSize
-	}
-	return b.SubscribeWith(p, SubOptions{Buffer: buffer})
-}
-
-// SubscribeWith is Subscribe with explicit buffer and drop-policy options.
+// SubscribeWith registers a profile and returns its subscription, with the
+// buffer and drop policy of o (zero values: the broker's default buffer,
+// DropNewest). The profile ID must be unique within the broker.
 func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscription, error) {
 	if p == nil {
 		return nil, ErrNilProfile

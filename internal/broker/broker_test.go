@@ -38,7 +38,7 @@ func newBroker(t *testing.T, opts Options) *Broker {
 func TestPubSub(t *testing.T) {
 	b := newBroker(t, Options{})
 	s := b.Schema()
-	sub, err := b.Subscribe(predicate.MustParse(s, "hot", "profile(temperature >= 35)"))
+	sub, err := b.SubscribeWith(predicate.MustParse(s, "hot", "profile(temperature >= 35)"), SubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,16 +72,16 @@ func TestSubscribeErrors(t *testing.T) {
 	b := newBroker(t, Options{})
 	s := b.Schema()
 	p := predicate.MustParse(s, "p", "profile(temperature >= 0)")
-	if _, err := b.Subscribe(nil); !errors.Is(err, ErrNilProfile) {
+	if _, err := b.SubscribeWith(nil, SubOptions{}); !errors.Is(err, ErrNilProfile) {
 		t.Error("nil profile must error")
 	}
-	if _, err := b.SubscribeBuffered(p, 0); !errors.Is(err, ErrBadBufferSize) {
-		t.Error("zero buffer must error")
+	if _, err := b.SubscribeWith(p, SubOptions{Buffer: -1}); !errors.Is(err, ErrBadBufferSize) {
+		t.Error("negative buffer must error")
 	}
-	if _, err := b.Subscribe(p); err != nil {
+	if _, err := b.SubscribeWith(p, SubOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Subscribe(p); !errors.Is(err, ErrDuplicateSub) {
+	if _, err := b.SubscribeWith(p, SubOptions{}); !errors.Is(err, ErrDuplicateSub) {
 		t.Error("duplicate id must error")
 	}
 	if err := b.Unsubscribe("nope"); !errors.Is(err, ErrUnknownSub) {
@@ -92,7 +92,7 @@ func TestSubscribeErrors(t *testing.T) {
 func TestUnsubscribeClosesChannel(t *testing.T) {
 	b := newBroker(t, Options{})
 	s := b.Schema()
-	sub, err := b.Subscribe(predicate.MustParse(s, "p", "profile(temperature >= 0)"))
+	sub, err := b.SubscribeWith(predicate.MustParse(s, "p", "profile(temperature >= 0)"), SubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestUnsubscribeClosesChannel(t *testing.T) {
 func TestSlowSubscriberDrops(t *testing.T) {
 	b := newBroker(t, Options{})
 	s := b.Schema()
-	sub, err := b.SubscribeBuffered(predicate.MustParse(s, "p", "profile(temperature >= 0)"), 2)
+	sub, err := b.SubscribeWith(predicate.MustParse(s, "p", "profile(temperature >= 0)"), SubOptions{Buffer: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPublishValidation(t *testing.T) {
 func TestQuenched(t *testing.T) {
 	b := newBroker(t, Options{})
 	s := b.Schema()
-	if _, err := b.Subscribe(predicate.MustParse(s, "p", "profile(temperature >= 35)")); err != nil {
+	if _, err := b.SubscribeWith(predicate.MustParse(s, "p", "profile(temperature >= 35)"), SubOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if q := b.Quenched(0, schema.Closed(-30, 0)); !q {
@@ -167,7 +167,7 @@ func TestQuenched(t *testing.T) {
 func TestCloseRejectsOperations(t *testing.T) {
 	b := newBroker(t, Options{})
 	s := b.Schema()
-	sub, _ := b.Subscribe(predicate.MustParse(s, "p", "profile(temperature >= 0)"))
+	sub, _ := b.SubscribeWith(predicate.MustParse(s, "p", "profile(temperature >= 0)"), SubOptions{})
 	b.Close()
 	b.Close() // idempotent
 	if _, open := <-sub.C(); open {
@@ -176,7 +176,7 @@ func TestCloseRejectsOperations(t *testing.T) {
 	if _, err := b.Publish(event.MustNew(s, 10, 10)); !errors.Is(err, ErrClosed) {
 		t.Error("publish after close must error")
 	}
-	if _, err := b.Subscribe(predicate.MustParse(s, "q", "profile(temperature >= 0)")); !errors.Is(err, ErrClosed) {
+	if _, err := b.SubscribeWith(predicate.MustParse(s, "q", "profile(temperature >= 0)"), SubOptions{}); !errors.Is(err, ErrClosed) {
 		t.Error("subscribe after close must error")
 	}
 }
@@ -217,7 +217,7 @@ func TestConcurrentPubSub(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				id := fmt.Sprintf("s%d-%d", g, i)
 				p := predicate.MustParse(s, predicate.ID(id), "profile(temperature >= 10)")
-				sub, err := b.Subscribe(p)
+				sub, err := b.SubscribeWith(p, SubOptions{})
 				if err != nil {
 					t.Errorf("subscribe: %v", err)
 					return
@@ -258,7 +258,7 @@ func TestAdaptiveBrokerRestructures(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 40; i++ {
 		expr := fmt.Sprintf("profile(temperature >= %d)", 30+rng.Intn(20))
-		if _, err := b.Subscribe(predicate.MustParse(s, predicate.ID(fmt.Sprintf("p%d", i)), expr)); err != nil {
+		if _, err := b.SubscribeWith(predicate.MustParse(s, predicate.ID(fmt.Sprintf("p%d", i)), expr), SubOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,7 +295,7 @@ func clampTemp(v float64) float64 {
 func TestPerProfileCounters(t *testing.T) {
 	b := newBroker(t, Options{})
 	s := b.Schema()
-	if _, err := b.SubscribeBuffered(predicate.MustParse(s, "c1", "profile(temperature >= 0)"), 1); err != nil {
+	if _, err := b.SubscribeWith(predicate.MustParse(s, "c1", "profile(temperature >= 0)"), SubOptions{Buffer: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -366,7 +366,7 @@ func TestSubscribeGroupErrors(t *testing.T) {
 		t.Error("nil member must fail")
 	}
 	// Duplicate against an existing subscription rolls back atomically.
-	if _, err := b.Subscribe(predicate.MustParse(s, "taken", "profile(temperature >= 0)")); err != nil {
+	if _, err := b.SubscribeWith(predicate.MustParse(s, "taken", "profile(temperature >= 0)"), SubOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := b.SubscribeGroup(8,

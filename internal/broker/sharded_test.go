@@ -34,11 +34,11 @@ func TestShardedBrokerDelivery(t *testing.T) {
 		id := predicate.ID(fmt.Sprintf("s%d", i))
 		p1 := predicate.MustParse(s, id, expr)
 		p2 := predicate.MustParse(s, id, expr)
-		sub1, err := single.SubscribeBuffered(p1, 1024)
+		sub1, err := single.SubscribeWith(p1, SubOptions{Buffer: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub2, err := sharded.SubscribeBuffered(p2, 1024)
+		sub2, err := sharded.SubscribeWith(p2, SubOptions{Buffer: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,18 +121,18 @@ func TestPublishBatch(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				expr := fmt.Sprintf("profile(humidity >= %d)", i*5)
 				id := predicate.ID(fmt.Sprintf("h%d", i))
-				if _, err := b.SubscribeBuffered(predicate.MustParse(s, id, expr), 4096); err != nil {
+				if _, err := b.SubscribeWith(predicate.MustParse(s, id, expr), SubOptions{Buffer: 4096}); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := oracle.SubscribeBuffered(predicate.MustParse(s, id, expr), 4096); err != nil {
+				if _, err := oracle.SubscribeWith(predicate.MustParse(s, id, expr), SubOptions{Buffer: 4096}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			sub, err := b.SubscribeBuffered(predicate.MustParse(s, "all", "profile(temperature >= -30)"), 4096)
+			sub, err := b.SubscribeWith(predicate.MustParse(s, "all", "profile(temperature >= -30)"), SubOptions{Buffer: 4096})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := oracle.SubscribeBuffered(predicate.MustParse(s, "all", "profile(temperature >= -30)"), 4096); err != nil {
+			if _, err := oracle.SubscribeWith(predicate.MustParse(s, "all", "profile(temperature >= -30)"), SubOptions{Buffer: 4096}); err != nil {
 				t.Fatal(err)
 			}
 

@@ -44,7 +44,7 @@ func TestRaceStress(t *testing.T) {
 			stable := make([]*Subscription, stableSubs)
 			for i := range stable {
 				expr := fmt.Sprintf("profile(temperature >= %d)", i*6-30)
-				sub, err := b.SubscribeBuffered(predicate.MustParse(s, predicate.ID(fmt.Sprintf("stable%d", i)), expr), totalEvents)
+				sub, err := b.SubscribeWith(predicate.MustParse(s, predicate.ID(fmt.Sprintf("stable%d", i)), expr), SubOptions{Buffer: totalEvents})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,7 +108,7 @@ func TestRaceStress(t *testing.T) {
 					for i := 0; i < churnPerGorou; i++ {
 						id := predicate.ID(fmt.Sprintf("churn%d-%d", g, i))
 						expr := fmt.Sprintf("profile(humidity >= %d)", rng.Intn(100))
-						sub, err := b.SubscribeBuffered(predicate.MustParse(s, id, expr), 8)
+						sub, err := b.SubscribeWith(predicate.MustParse(s, id, expr), SubOptions{Buffer: 8})
 						if err != nil {
 							panic(err)
 						}

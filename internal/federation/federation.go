@@ -1,8 +1,8 @@
 // Package federation takes the Siena-style overlay of internal/routing over
 // the wire: multiple genasd processes form the same acyclic broker topology
 // the in-process Network models, speaking the wire protocol's peer messages
-// (hello, route_add/route_withdraw, forward) over TCP, each link in the codec
-// its two ends negotiated.
+// over TCP: one hello line each way, then route_add/route_withdraw and
+// forward frames.
 //
 // Each daemon keeps one peer link per neighbor and one routing.Table, the
 // same state machine the in-process overlay runs: per link it records the
@@ -10,18 +10,18 @@
 // over the uncovered ones, so an event crosses a TCP link only when that
 // link's engine matches it, and "unnecessary event information is rejected
 // as early as possible" (paper §5) at every hop. This package decides nothing
-// about routes: it is the transport (handshake, codec negotiation, per-link
-// outbox and writer, reconnect supervision) that feeds peer messages to the
-// table and sends the messages the table returns. An event is encoded once per
-// codec and copied into the outbox of every link that accepts it; a link's
-// writer sends whatever has gathered there in one write.
+// about routes: it is the transport (handshake, per-link outbox and writer,
+// reconnect supervision) that feeds peer messages to the table and sends the
+// messages the table returns. An event is encoded once and copied into the
+// outbox of every link that accepts it; a link's writer sends whatever has
+// gathered there in one write.
 //
 // Link lifecycle: the dialing side owns reconnection — when a link drops,
 // its routes are withdrawn from the remaining links, and on reconnect the
 // full route set (local profiles plus routes learned from other peers) is
 // replayed, so the overlay converges without a global coordinator. The
-// accepting side is handed peer connections by the wire server (first frame
-// hello) and simply tears the link down when the connection dies.
+// accepting side is handed peer connections by the wire server (a hello naming
+// a node) and simply tears the link down when the connection dies.
 package federation
 
 import (
@@ -70,12 +70,6 @@ type Options struct {
 	// RetryMin/RetryMax bound the reconnect backoff of dialed links
 	// (defaults 100ms and 3s).
 	RetryMin, RetryMax time.Duration
-	// Proto caps the protocol generation negotiated on peer links:
-	// wire.ProtoV1 pins every link to JSON lines, wire.ProtoAuto (zero) and
-	// wire.ProtoV2 negotiate binary frames per link (hello advertises it,
-	// the link speaks min of both ends — so a mixed-version chain keeps
-	// forwarding, each hop at the best protocol its ends share).
-	Proto wire.Proto
 	// Logger receives link lifecycle and protocol diagnostics (nil discards).
 	Logger *log.Logger
 }
@@ -84,14 +78,11 @@ type Options struct {
 // table deciding what crosses them. It implements wire.Overlay, so a
 // wire.Server mirrors local subscriptions and publishes into it.
 type Fed struct {
-	name     string
-	sch      *schema.Schema
-	brk      *broker.Broker
-	opts     Options
-	maxProto wire.Proto // cap for per-link protocol negotiation
-	lines    wire.Codec // what a link negotiated down to v1 speaks
-	frames   wire.Codec // what a link that negotiated v2 speaks
-	log      *log.Logger
+	name string
+	sch  *schema.Schema
+	brk  *broker.Broker
+	opts Options
+	log  *log.Logger
 
 	// mu guards links and serialises table, which always holds exactly the
 	// links of the map. The forward hot path only reads (match + non-blocking
@@ -115,11 +106,6 @@ type Fed struct {
 type peerLink struct {
 	name string
 	conn net.Conn
-	// proto is the link's negotiated protocol generation and codec the
-	// encoding that goes with it, both fixed by the hello exchange before the
-	// link attaches. Only codec is consulted once the link runs.
-	proto wire.Proto
-	codec wire.Codec
 	// The outbox: messages gather in buf until the writer swaps it for its
 	// spare and writes them all at once. forwards counts the event frames in
 	// buf; cut poisons the link, once (enqueueLocked). wake tells the writer
@@ -167,20 +153,13 @@ func New(brk *broker.Broker, opts Options) (*Fed, error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	maxProto := wire.ProtoV2
-	if opts.Proto == wire.ProtoV1 {
-		maxProto = wire.ProtoV1
-	}
 	return &Fed{
-		name:     opts.Node,
-		sch:      brk.Schema(),
-		brk:      brk,
-		opts:     opts,
-		maxProto: maxProto,
-		lines:    wire.LineCodec(brk.Schema()),
-		frames:   wire.FrameCodec(brk.Schema()),
-		log:      logger,
-		links:    make(map[string]*peerLink),
+		name:  opts.Node,
+		sch:   brk.Schema(),
+		brk:   brk,
+		opts:  opts,
+		log:   logger,
+		links: make(map[string]*peerLink),
 		// Link engines inherit the broker's measure configuration.
 		table: routing.NewTable(brk.Schema(), brk.Engine().Config(), opts.Covering),
 		done:  make(chan struct{}),
@@ -279,21 +258,16 @@ func (f *Fed) isClosed() bool {
 }
 
 // connect dials addr and performs the hello handshake, returning the link
-// and its buffered reader (positioned after the hello reply). The hello
-// advertises this daemon's protocol cap; the link speaks the minimum of the
-// two ends, so a pre-v2 acceptor (whose hello carries no proto) yields a
-// plain v1 link.
+// and its buffered reader (positioned after the hello reply). Both hellos
+// advertise protocol v2: an acceptor whose reply does not (a daemon from
+// before PR 10, or one pinned to v1) fails the dial.
 func (f *Fed) connect(addr string) (*peerLink, *bufio.Reader, error) {
 	conn, err := net.DialTimeout("tcp", addr, f.opts.DialTimeout)
 	if err != nil {
 		return nil, nil, fmt.Errorf("federation: dial %s: %w", addr, err)
 	}
 	l := f.newLink(conn)
-	hello := wire.Request{Op: wire.OpHello, Node: f.name, Schema: f.sch.String()}
-	if f.maxProto >= wire.ProtoV2 {
-		hello.Proto = int(wire.ProtoV2)
-	}
-	if err := f.writeFrame(conn, hello); err != nil {
+	if err := f.writeHello(conn); err != nil {
 		_ = conn.Close()
 		return nil, nil, err
 	}
@@ -309,7 +283,7 @@ func (f *Fed) connect(addr string) (*peerLink, *bufio.Reader, error) {
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	line = append([]byte(nil), line...)
-	// The acceptor reports handshake failures as an error response frame;
+	// The acceptor reports handshake failures as an error response line;
 	// responses carry a type field requests never have, so check that first.
 	if resp, rerr := wire.DecodeResponse(line); rerr == nil && resp.Type == wire.MsgError {
 		_ = conn.Close()
@@ -320,22 +294,16 @@ func (f *Fed) connect(addr string) (*peerLink, *bufio.Reader, error) {
 		_ = conn.Close()
 		return nil, nil, fmt.Errorf("federation: handshake with %s: unexpected frame %q", addr, line)
 	}
+	if reply.Proto < int(wire.ProtoV2) {
+		_ = conn.Close()
+		return nil, nil, fmt.Errorf("federation: peer %s does not speak protocol v2", addr)
+	}
 	if err := f.checkHello(reply); err != nil {
 		_ = conn.Close()
 		return nil, nil, err
 	}
 	l.name = reply.Node
-	l.proto, l.codec = f.negotiated(reply.Proto)
 	return l, rd, nil
-}
-
-// negotiated resolves a link's protocol and codec: the minimum of our cap
-// and the peer's advertised generation (absent = v1).
-func (f *Fed) negotiated(theirs int) (wire.Proto, wire.Codec) {
-	if f.maxProto >= wire.ProtoV2 && theirs >= int(wire.ProtoV2) {
-		return wire.ProtoV2, f.frames
-	}
-	return wire.ProtoV1, f.lines
 }
 
 // checkHello validates the peer's identity and schema.
@@ -353,7 +321,7 @@ func (f *Fed) checkHello(h wire.Request) error {
 }
 
 // HandlePeer implements wire.Overlay: it owns an accepted peer connection
-// whose first frame was hello. It replies, attaches the link (replaying
+// whose hello the server has read. It replies, attaches the link (replaying
 // routes toward the peer) and runs the link until the connection drops.
 func (f *Fed) HandlePeer(conn net.Conn, rd *bufio.Reader, hello wire.Request) {
 	if err := f.checkHello(hello); err != nil {
@@ -365,14 +333,7 @@ func (f *Fed) HandlePeer(conn net.Conn, rd *bufio.Reader, hello wire.Request) {
 	}
 	l := f.newLink(conn)
 	l.name = hello.Node
-	l.proto, l.codec = f.negotiated(hello.Proto)
-	reply := wire.Request{Op: wire.OpHello, Node: f.name, Schema: f.sch.String()}
-	if l.proto >= wire.ProtoV2 {
-		// Confirm the upgrade only to a peer that asked for it; a pre-v2
-		// dialer gets the hello it has always gotten.
-		reply.Proto = int(l.proto)
-	}
-	if err := f.writeFrame(conn, reply); err != nil {
+	if err := f.writeHello(conn); err != nil {
 		f.log.Printf("federation: hello reply to %s: %v", hello.Node, err)
 		return
 	}
@@ -412,20 +373,17 @@ func (f *Fed) attach(l *peerLink) error {
 	return nil
 }
 
-// runLink consumes peer messages in the link's codec until the connection
-// drops, then tears the link down (withdrawing its routes from the remaining
-// links). The read scratch is reused across messages — an inbound forward is
-// decoded, matched locally and re-forwarded without allocating on the miss
-// path. A message that does not decode but left the stream intact is logged
-// and skipped; any other read error ends the link.
+// runLink consumes peer frames until the connection drops, then tears the
+// link down (withdrawing its routes from the remaining links). The read
+// scratch is reused across frames — an inbound forward is decoded, matched
+// locally and re-forwarded without allocating on the miss path. A frame that
+// does not decode, or is not a peer frame, is logged and skipped; a framing
+// error ends the link.
 func (f *Fed) runLink(l *peerLink, rd *bufio.Reader) {
-	in := wire.NewInbound(rd)
+	var buf []byte
+	var vals []float64
 	for {
-		req, err := l.codec.ReadRequest(in)
-		if errors.Is(err, wire.ErrBadMessage) {
-			f.log.Printf("federation: bad frame from %s: %v", l.name, err)
-			continue
-		}
+		typ, payload, err := wire.ReadFrame(rd, &buf)
 		if err != nil {
 			if err == io.EOF {
 				err = nil
@@ -433,38 +391,52 @@ func (f *Fed) runLink(l *peerLink, rd *bufio.Reader) {
 			f.dropLink(l, err)
 			return
 		}
-		f.handleFrame(l, req)
+		if vals, err = f.handleFrame(l, typ, payload, vals); err != nil {
+			f.log.Printf("federation: frame 0x%02x from %s: %v", typ, l.name, err)
+		}
 	}
 }
 
-// handleFrame processes one peer message. A forward is validated like any
-// published event, delivered locally on the broker's value path (the vector
-// is copied only on match) and re-forwarded over the other matching links.
-func (f *Fed) handleFrame(l *peerLink, req wire.Request) {
-	switch req.Op {
-	case wire.OpRouteAdd:
-		p, err := predicate.Parse(f.sch, predicate.ID(req.ID), req.Profile)
+// handleFrame processes one peer frame; vals is the forward scratch, returned
+// for reuse. A forward is validated like any published event, delivered
+// locally on the broker's value path (the vector is copied only on match)
+// and re-forwarded over the other matching links.
+func (f *Fed) handleFrame(l *peerLink, typ byte, payload []byte, vals []float64) ([]float64, error) {
+	switch typ {
+	case wire.FrameRouteAdd:
+		id, expr, priority, err := wire.DecodeRouteAddFrame(payload)
 		if err != nil {
-			f.log.Printf("federation: route_add %q from %s: %v", req.ID, l.name, err)
-			return
+			return vals, err
 		}
-		p.Priority = req.Priority
-		f.routeChanged(l, routing.Msg{ID: p.ID, Profile: p})
-	case wire.OpRouteWithdraw:
-		f.routeChanged(l, routing.Msg{ID: predicate.ID(req.ID)})
-	case wire.OpForward:
-		vals, err := req.EventVals(f.sch, nil)
+		p, err := predicate.Parse(f.sch, predicate.ID(id), expr)
 		if err != nil {
-			f.log.Printf("federation: forward from %s: %v", l.name, err)
-			return
+			return vals, fmt.Errorf("route_add %q: %w", id, err)
+		}
+		p.Priority = priority
+		f.routeChanged(l, routing.Msg{ID: p.ID, Profile: p})
+	case wire.FrameRouteWithdraw:
+		id, err := wire.DecodeRouteWithdrawFrame(payload)
+		if err != nil {
+			return vals, err
+		}
+		f.routeChanged(l, routing.Msg{ID: predicate.ID(id)})
+	case wire.FrameForward:
+		vals, err := wire.DecodeForwardFrame(payload, vals)
+		if err == nil {
+			err = event.Validate(f.sch, vals)
+		}
+		if err != nil {
+			return vals, err
 		}
 		if _, err := f.brk.PublishValues(vals); err != nil && !errors.Is(err, broker.ErrClosed) {
 			f.log.Printf("federation: local delivery of forward from %s: %v", l.name, err)
 		}
 		f.forward(vals, l.name)
+		return vals, nil
 	default:
-		f.log.Printf("federation: unexpected op %q on peer link %s", req.Op, l.name)
+		return vals, errors.New("not a peer frame")
 	}
+	return vals, nil
 }
 
 // routeChanged hands a route announcement (m.Profile set) or withdrawal that
@@ -530,9 +502,8 @@ func (f *Fed) EventPublished(ev event.Event) { f.forward(ev.Vals, routing.Local)
 // matching is lock-free inside the link engines, an outbox has its own mutex
 // and closeOut runs only under the write lock, so concurrent publishers of a
 // federated broker never serialize on the overlay state and a link found here
-// cannot lose its writer mid-enqueue. Each wire encoding is produced at most
-// once per event per distinct link codec, into pooled scratch, and copied into
-// the outbox of every accepting link that speaks it.
+// cannot lose its writer mid-enqueue. The event is encoded once, into pooled
+// scratch, and copied into the outbox of every accepting link.
 func (f *Fed) forward(vals []float64, from string) {
 	var buf [8]string // keeps the usual fan-out off the heap
 	f.mu.RLock()
@@ -546,32 +517,22 @@ func (f *Fed) forward(vals []float64, from string) {
 	}
 	sc := fwdPool.Get().(*fwdScratch)
 	defer fwdPool.Put(sc)
-	sc.enc[0], sc.enc[1] = sc.enc[0][:0], sc.enc[1][:0]
-	req := wire.Request{Op: wire.OpForward, Vals: vals}
+	sc.enc = wire.AppendForwardFrame(sc.enc[:0], vals)
 	for _, name := range targets {
-		l := f.links[name]
-		enc := &sc.enc[l.proto-wire.ProtoV1]
-		if len(*enc) == 0 {
-			if *enc, err = l.codec.AppendRequest(*enc, req); err != nil {
-				f.log.Printf("federation: encode forward frame: %v", err)
-				return
-			}
-		}
-		f.enqueueLocked(l, *enc, true)
+		f.enqueueLocked(f.links[name], sc.enc, true)
 	}
 }
 
-// fwdScratch holds one event's encoding per link protocol (v1, v2), so a
-// fan-out encodes once per codec however many links share it; pooled, so
-// steady-state forwarding grows no buffer.
-type fwdScratch struct{ enc [2][]byte }
+// fwdScratch holds one event's encoding, however many links it goes out on;
+// pooled, so steady-state forwarding grows no buffer.
+type fwdScratch struct{ enc []byte }
 
 var fwdPool = sync.Pool{New: func() any { return new(fwdScratch) }}
 
-// writeFrame writes one frame directly on a connection — handshake only,
-// before the link's writer goroutine exists.
-func (f *Fed) writeFrame(conn net.Conn, req wire.Request) error {
-	b, err := wire.EncodeLine(req)
+// writeHello writes this daemon's hello line directly on a connection —
+// handshake only, before the link's writer goroutine exists.
+func (f *Fed) writeHello(conn net.Conn) error {
+	b, err := wire.EncodeLine(wire.Request{Op: wire.OpHello, Node: f.name, Schema: f.sch.String(), Proto: int(wire.ProtoV2)})
 	if err != nil {
 		return err
 	}
@@ -637,21 +598,17 @@ func (f *Fed) enqueueLocked(l *peerLink, b []byte, forward bool) {
 	}
 }
 
-// send executes the route messages the table returned: each is encoded in
-// its link's codec and queued, in order. Caller holds Fed.mu.
+// send executes the route messages the table returned: each is encoded and
+// queued on its link, in order. Caller holds Fed.mu.
 func (f *Fed) send(msgs []routing.Msg) {
 	for _, m := range msgs {
-		req := wire.Request{Op: wire.OpRouteWithdraw, ID: string(m.ID)}
+		var b []byte
 		if p := m.Profile; p != nil {
-			req = wire.Request{Op: wire.OpRouteAdd, ID: string(m.ID), Profile: p.Render(f.sch), Priority: p.Priority}
+			b = wire.AppendRouteAddFrame(nil, string(m.ID), p.Render(f.sch), p.Priority)
+		} else {
+			b = wire.AppendRouteWithdrawFrame(nil, string(m.ID))
 		}
-		l := f.links[m.To]
-		b, err := l.codec.AppendRequest(nil, req)
-		if err != nil {
-			f.log.Printf("federation: encode %s frame: %v", req.Op, err)
-			continue
-		}
-		f.enqueueLocked(l, b, false)
+		f.enqueueLocked(f.links[m.To], b, false)
 	}
 }
 
@@ -668,18 +625,12 @@ func (f *Fed) Stats() (node string, peers int, forwarded, filtered uint64) {
 	return f.name, len(f.links), forwarded, filtered
 }
 
-// ProtoV2Peers implements wire.Overlay: the number of live links speaking
-// binary frames.
+// ProtoV2Peers returns the number of live peer links, all of which speak
+// protocol v2. It is kept for the benchmark, which polls it.
 func (f *Fed) ProtoV2Peers() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	n := 0
-	for _, l := range f.links {
-		if l.proto >= wire.ProtoV2 {
-			n++
-		}
-	}
-	return n
+	return len(f.links)
 }
 
 // RouteCount returns the number of uncovered routes on the link to the named

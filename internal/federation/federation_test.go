@@ -3,6 +3,8 @@ package federation_test
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -41,13 +43,6 @@ const testSpec = "temperature=numeric[-30,50]; humidity=numeric[0,100]"
 // synchronously (they must already be up).
 func startDaemon(t *testing.T, node, spec string, peers ...string) *daemon {
 	t.Helper()
-	return startDaemonProto(t, node, spec, wire.ProtoAuto, peers...)
-}
-
-// startDaemonProto is startDaemon with a protocol cap: wire.ProtoV1 pins the
-// daemon's client connections and peer links to JSON lines.
-func startDaemonProto(t *testing.T, node, spec string, proto wire.Proto, peers ...string) *daemon {
-	t.Helper()
 	sch, err := schema.ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -61,13 +56,11 @@ func startDaemonProto(t *testing.T, node, spec string, proto wire.Proto, peers .
 		Covering: true,
 		RetryMin: 20 * time.Millisecond,
 		RetryMax: 200 * time.Millisecond,
-		Proto:    proto,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := wire.NewServer(brk, nil)
-	srv.SetMaxProto(proto)
 	srv.SetOverlay(fed)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -101,7 +94,7 @@ func startDaemonProto(t *testing.T, node, spec string, proto wire.Proto, peers .
 
 func dial(t *testing.T, addr string) *wire.Client {
 	t.Helper()
-	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout, Proto: wire.ProtoV1})
+	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +140,7 @@ func TestChainDelivery(t *testing.T) {
 	}
 	select {
 	case n := <-subC.Notifications():
-		if n.Profile != "hot" || n.Event["temperature"] != 41 {
+		if n.Profile != "hot" || subC.EventMap(n)["temperature"] != 41 {
 			t.Errorf("notification = %+v", n)
 		}
 	case <-time.After(5 * time.Second):
@@ -379,7 +372,7 @@ func TestHandshakeRejections(t *testing.T) {
 		t.Errorf("self-peer dial err = %v", err)
 	}
 
-	// A non-federated daemon rejects hello frames.
+	// A non-federated daemon rejects peer hellos.
 	sch, _ := schema.ParseSpec(testSpec)
 	brkP, err := broker.New(sch, broker.Options{})
 	if err != nil {
@@ -426,8 +419,9 @@ func TestHandshakeRejections(t *testing.T) {
 }
 
 // TestPeerFrameErrors: a peer link survives malformed frames — bad profile
-// expressions, invalid forwarded events, unknown ops and garbage lines are
-// logged and skipped, and subsequent valid frames still apply.
+// expressions, invalid forwarded events, payloads that do not decode and
+// frames that are not peer frames are logged and skipped, and subsequent
+// valid frames still apply.
 func TestPeerFrameErrors(t *testing.T) {
 	a := startDaemon(t, "A", testSpec)
 	if got := a.fed.Node(); got != "A" {
@@ -439,30 +433,24 @@ func TestPeerFrameErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	write := func(v any) {
+	write := func(b []byte) {
 		t.Helper()
-		b, err := wire.EncodeLine(v)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if _, err := conn.Write(b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Manual handshake as peer "Z".
-	write(wire.Request{Op: wire.OpHello, Node: "Z", Schema: a.brk.Schema().String()})
+	write(peerHello("Z", a.brk.Schema()))
 	waitFor(t, "link up", func() bool { return len(a.fed.Peers()) == 1 })
 
 	// Garbage of every kind...
-	if _, err := conn.Write([]byte("not json\n\n")); err != nil {
-		t.Fatal(err)
-	}
-	write(wire.Request{Op: wire.OpRouteAdd, ID: "bad", Profile: "profile(bogus >= 0)"})
-	write(wire.Request{Op: wire.OpForward, Event: map[string]float64{"temperature": 9999}})
-	write(wire.Request{Op: wire.OpRouteWithdraw, ID: "never-added"})
-	write(wire.Request{Op: wire.OpPing})
+	write(wire.AppendRouteAddFrame(nil, "bad", "profile(bogus >= 0)", 0))
+	write(wire.AppendForwardFrame(nil, []float64{9999}))
+	write(wire.AppendRouteWithdrawFrame(nil, "never-added"))
+	write([]byte{0, 0, 0, 3, wire.FrameForward, 1, 2}) // a payload that does not decode
+	write([]byte{0, 0, 0, 1, 0x7F})                    // not a peer frame
 	// ...must not kill the link: a valid route still lands.
-	write(wire.Request{Op: wire.OpRouteAdd, ID: "ok", Profile: "profile(temperature >= 35)", Priority: 1})
+	write(wire.AppendRouteAddFrame(nil, "ok", "profile(temperature >= 35)", 1))
 	waitFor(t, "valid route after garbage", func() bool { return a.fed.RouteCount("Z") == 1 })
 
 	// A valid forward still delivers to A's local broker.
@@ -470,7 +458,7 @@ func TestPeerFrameErrors(t *testing.T) {
 	if err := sub.Subscribe("hot", "profile(temperature >= 35)", 0, rpcTimeout); err != nil {
 		t.Fatal(err)
 	}
-	write(wire.Request{Op: wire.OpForward, Event: map[string]float64{"temperature": 41, "humidity": 10}})
+	write(wire.AppendForwardFrame(nil, []float64{41, 10}))
 	select {
 	case n := <-sub.Notifications():
 		if n.Profile != "hot" {
@@ -501,21 +489,13 @@ func TestDisplacedLinkWithdrawsStaleRoutes(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = conn.Close() })
-		line, err := wire.EncodeLine(wire.Request{Op: wire.OpHello, Node: "Z", Schema: b.brk.Schema().String()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(line); err != nil {
+		if _, err := conn.Write(peerHello("Z", b.brk.Schema())); err != nil {
 			t.Fatal(err)
 		}
 		return conn
 	}
 	old := connect()
-	line, err := wire.EncodeLine(wire.Request{Op: wire.OpRouteAdd, ID: "hot", Profile: "profile(temperature >= 35)"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := old.Write(line); err != nil {
+	if _, err := old.Write(wire.AppendRouteAddFrame(nil, "hot", "profile(temperature >= 35)", 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Z's route propagates through B to A.
@@ -535,7 +515,7 @@ func TestDisplacedLinkWithdrawsStaleRoutes(t *testing.T) {
 func TestFrameOnDisplacedLinkIsIgnored(t *testing.T) {
 	a := startDaemon(t, "A", testSpec)
 	b := startDaemon(t, "B", testSpec, a.addr)
-	hello := wire.Request{Op: wire.OpHello, Node: "Z", Schema: b.brk.Schema().String()}
+	hello := wire.Request{Op: wire.OpHello, Node: "Z", Schema: b.brk.Schema().String(), Proto: int(wire.ProtoV2)}
 	// link runs B's end of a peer link to Z: inbound frames are whatever is
 	// written to the returned pipe, outbound ones are discarded.
 	link := func() (*io.PipeWriter, <-chan struct{}) {
@@ -552,11 +532,7 @@ func TestFrameOnDisplacedLinkIsIgnored(t *testing.T) {
 	}
 	routeAdd := func(w io.Writer, id string) {
 		t.Helper()
-		line, err := wire.EncodeLine(wire.Request{Op: wire.OpRouteAdd, ID: id, Profile: "profile(temperature >= 35)"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(line); err != nil {
+		if _, err := w.Write(wire.AppendRouteAddFrame(nil, id, "profile(temperature >= 35)", 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -618,9 +594,9 @@ func TestCloseDuringTraffic(t *testing.T) {
 	}
 }
 
-// TestHelloAfterSubscribeRejected: a connection that already holds
-// subscriptions (and therefore concurrent notification writers) cannot turn
-// itself into a peer link.
+// TestHelloAfterSubscribeRejected: a client connection that already holds
+// subscriptions (and therefore a notification writer) cannot turn itself
+// into a peer link: a hello after the first line is refused.
 func TestHelloAfterSubscribeRejected(t *testing.T) {
 	a := startDaemon(t, "A", testSpec)
 	conn, err := net.Dial("tcp", a.addr)
@@ -628,44 +604,39 @@ func TestHelloAfterSubscribeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	write := func(v any) {
-		t.Helper()
-		b, err := wire.EncodeLine(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(b); err != nil {
-			t.Fatal(err)
-		}
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	rd := bufio.NewReader(conn)
+	hello, _ := wire.EncodeLine(wire.Request{Op: wire.OpHello, Proto: int(wire.ProtoV2)})
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
 	}
-	write(wire.Request{Op: wire.OpSubscribe, ID: "hot", Profile: "profile(temperature >= 35)"})
-	write(wire.Request{Op: wire.OpHello, Node: "Z", Schema: a.brk.Schema().String()})
-	sc := bufioScanner(conn)
+	if _, err := wire.ReadLine(rd); err != nil { // the schema
+		t.Fatal(err)
+	}
+	// Control frames, by hand: [u32 length][0x03][u32 cid][JSON request].
+	control := func(cid uint32, req wire.Request) []byte {
+		js, _ := json.Marshal(req)
+		b := binary.BigEndian.AppendUint32(nil, uint32(5+len(js)))
+		b = binary.BigEndian.AppendUint32(append(b, 0x03), cid)
+		return append(b, js...)
+	}
+	sub := control(1, wire.Request{Op: wire.OpSubscribe, ID: "hot", Profile: "profile(temperature >= 35)"})
+	peer := control(2, wire.Request{Op: wire.OpHello, Node: "Z", Schema: a.brk.Schema().String(), Proto: int(wire.ProtoV2)})
+	if _, err := conn.Write(append(sub, peer...)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
 	var sawReject bool
-	deadline := time.Now().Add(5 * time.Second)
-	_ = conn.SetReadDeadline(deadline)
-	for sc.Scan() {
-		resp, err := wire.DecodeResponse(sc.Bytes())
+	for !sawReject {
+		_, payload, err := wire.ReadFrame(rd, &buf)
 		if err != nil {
-			continue
+			t.Fatalf("hello after subscribe was not rejected: %v", err)
 		}
-		if resp.Type == wire.MsgError && strings.Contains(resp.Error, "first frame") {
-			sawReject = true
-			break
-		}
-	}
-	if !sawReject {
-		t.Fatal("hello after subscribe was not rejected")
+		sawReject = strings.Contains(string(payload), "first line")
 	}
 	if n := len(a.fed.Peers()); n != 0 {
 		t.Errorf("rejected hello still created %d peer links", n)
 	}
-}
-
-func bufioScanner(conn net.Conn) *bufio.Scanner {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	return sc
 }
 
 // TestLargeRouteReplay: a route set larger than the steady-state outbound
@@ -692,7 +663,7 @@ func TestLargeRouteReplay(t *testing.T) {
 		lo := float64(i) * 0.06
 		p := predicate.MustParse(sch, predicate.ID(fmt.Sprintf("r%d", i)),
 			fmt.Sprintf("profile(humidity in [%g,%g])", lo, lo+0.05))
-		if _, err := brkB.Subscribe(p); err != nil {
+		if _, err := brkB.SubscribeWith(p, broker.SubOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -710,29 +681,61 @@ func TestLargeRouteReplay(t *testing.T) {
 	}
 }
 
-// TestMissingNodeRejected: hello frames without a node name are refused.
+// peerHello is the hello line of a peer daemon named node.
+func peerHello(node string, sch *schema.Schema) []byte {
+	hello, _ := wire.EncodeLine(wire.Request{Op: wire.OpHello, Node: node, Schema: sch.String(), Proto: int(wire.ProtoV2)})
+	return hello
+}
+
+// answeringPeer accepts one connection on a fresh listener, reads its hello
+// and answers with reply, then holds the connection until the dialer leaves.
+func answeringPeer(t *testing.T, reply wire.Request) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		rd := bufio.NewReader(conn)
+		if _, err := wire.ReadLine(rd); err != nil {
+			return
+		}
+		line, _ := wire.EncodeLine(reply)
+		if _, err := conn.Write(line); err != nil {
+			return
+		}
+		_, _ = rd.ReadByte()
+	}()
+	return ln.Addr().String()
+}
+
+// TestMissingNodeRejected: a peer whose hello answer names no node is
+// refused.
 func TestMissingNodeRejected(t *testing.T) {
 	a := startDaemon(t, "A", testSpec)
-	conn, err := net.Dial("tcp", a.addr)
-	if err != nil {
-		t.Fatal(err)
+	addr := answeringPeer(t, wire.Request{Op: wire.OpHello, Schema: a.brk.Schema().String(), Proto: int(wire.ProtoV2)})
+	if err := a.fed.Dial(addr); err == nil || !strings.Contains(err.Error(), "missing node") {
+		t.Errorf("dial err = %v, want a missing-node error", err)
 	}
-	defer func() { _ = conn.Close() }()
-	line, err := wire.EncodeLine(wire.Request{Op: wire.OpHello, Schema: a.brk.Schema().String()})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestDialRefusesPreV2Peer: a peer whose hello answer does not advertise
+// protocol v2 — a daemon from before PR 10, or one pinned to v1 — fails
+// the dial with an error naming v2.
+func TestDialRefusesPreV2Peer(t *testing.T) {
+	a := startDaemon(t, "A", testSpec)
+	addr := answeringPeer(t, wire.Request{Op: wire.OpHello, Node: "old", Schema: a.brk.Schema().String()})
+	if err := a.fed.Dial(addr); err == nil || !strings.Contains(err.Error(), "v2") {
+		t.Errorf("dial err = %v, want an error naming protocol v2", err)
 	}
-	if _, err := conn.Write(line); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(buf[:n]), "missing node") {
-		t.Errorf("reply = %q, want a missing-node error", buf[:n])
+	if n := len(a.fed.Peers()); n != 0 {
+		t.Errorf("the refused peer left %d links", n)
 	}
 }
 
@@ -758,9 +761,8 @@ func rawPeer(t *testing.T, sch *schema.Schema) (addr string, conns <-chan net.Co
 			t.Errorf("raw peer: reading the hello: %v", err)
 			return
 		}
-		hello, _ := wire.EncodeLine(wire.Request{Op: wire.OpHello, Node: "raw", Schema: sch.String(), Proto: int(wire.ProtoV2)})
 		route := wire.AppendRouteAddFrame(nil, "all", "profile(temperature >= -30)", 0)
-		if _, err := conn.Write(append(hello, route...)); err != nil {
+		if _, err := conn.Write(append(peerHello("raw", sch), route...)); err != nil {
 			t.Errorf("raw peer: %v", err)
 			return
 		}
@@ -911,17 +913,17 @@ func TestSlowPeerIsCutOnce(t *testing.T) {
 	}
 }
 
-// TestMixedCodecFanOut: a daemon whose two links negotiated different codecs
-// — one neighbour pinned to JSON lines, one speaking frames — forwards one
-// event over both, encoded once for each, in order, and nothing is lost when
-// a burst gathers in the outboxes and leaves in a few writes.
+// TestMixedCodecFanOut: a daemon with two links — once one of each codec,
+// now both speaking frames — forwards one event over both, encoded once, in
+// order, and nothing is lost when a burst gathers in the outboxes and leaves
+// in a few writes. ProtoV2Peers, kept for the benchmark, counts every link.
 func TestMixedCodecFanOut(t *testing.T) {
-	a := startDaemonProto(t, "A", testSpec, wire.ProtoV1)
+	a := startDaemon(t, "A", testSpec)
 	b := startDaemon(t, "B", testSpec, a.addr)
 	c := startDaemon(t, "C", testSpec, b.addr)
 	waitFor(t, "B's links", func() bool { return len(b.fed.Peers()) == 2 && len(c.fed.Peers()) == 1 })
-	if n := b.fed.ProtoV2Peers(); n != 1 {
-		t.Fatalf("B speaks v2 on %d links, want exactly the one to C", n)
+	if n := b.fed.ProtoV2Peers(); n != 2 {
+		t.Fatalf("ProtoV2Peers = %d at B, want its 2 links", n)
 	}
 	subA, subC := dial(t, a.addr), dial(t, c.addr)
 	for id, sub := range map[string]*wire.Client{"hotA": subA, "hotC": subC} {
@@ -940,7 +942,7 @@ func TestMixedCodecFanOut(t *testing.T) {
 	if _, err := pub.PublishValsBatch(batch, rpcTimeout); err != nil {
 		t.Fatal(err)
 	}
-	for name, sub := range map[string]*wire.Client{"A (lines)": subA, "C (frames)": subC} {
+	for name, sub := range map[string]*wire.Client{"A": subA, "C": subC} {
 		for i := 0; i < events; i++ {
 			select {
 			case n := <-sub.Notifications():

@@ -56,9 +56,7 @@ var locksafeSeeds = map[string]string{
 	"(*genas/internal/broker.Broker).PublishValuesCtx":   "may stall on a Block-policy subscriber",
 	"(*genas/internal/broker.Broker).PublishBatch":       "may stall on a Block-policy subscriber",
 	"(*genas/internal/broker.Broker).PublishBatchCtx":    "may stall on a Block-policy subscriber",
-	"(*genas/internal/broker.Broker).Subscribe":          "takes broker registration locks",
 	"(*genas/internal/broker.Broker).SubscribeWith":      "takes broker registration locks",
-	"(*genas/internal/broker.Broker).SubscribeBuffered":  "takes broker registration locks",
 	"(*genas/internal/broker.Broker).SubscribeGroup":     "takes broker registration locks",
 	"(*genas/internal/broker.Broker).Unsubscribe":        "takes broker registration locks",
 	"(*genas/internal/broker.Broker).Close":              "waits out in-flight deliveries",

@@ -173,7 +173,7 @@ func (nw *Network) Subscribe(node string, p *predicate.Profile) (*broker.Subscri
 	if err != nil {
 		return nil, err
 	}
-	sub, err := n.local.Subscribe(p)
+	sub, err := n.local.SubscribeWith(p, broker.SubOptions{})
 	if err != nil {
 		return nil, err
 	}

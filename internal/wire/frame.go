@@ -1,6 +1,6 @@
-// Wire protocol v2: length-prefixed binary frames.
+// The wire protocol (v2): length-prefixed binary frames.
 //
-// A v2 frame is [u32 length][u8 type][payload], big-endian, where length
+// A frame is [u32 length][u8 type][payload], big-endian, where length
 // counts the type byte plus the payload and is capped at MaxFrame. Events
 // travel as fixed-width vectors of attribute values in schema slot order —
 // no attribute names on the wire — so one publish frame is a handful of
@@ -10,10 +10,9 @@
 // Only the hot paths have binary payloads: publish, publish_batch, their
 // acknowledgements, notifications and the three peer frames. Cold control
 // operations (subscribe, stats, schema, …) ride inside control frames that
-// carry the v1 JSON encoding verbatim, so the two codecs can never drift on
-// the long tail of the protocol.
+// carry their JSON encoding, the same JSON the hello line speaks.
 //
-// Client request and response frames start with a u32 correlation id: a v2
+// Client request and response frames start with a u32 correlation id: a
 // connection may have many requests in flight (pipelining), and the id pairs
 // each response with its request. Notifications and peer frames carry no id
 // — they are not responses.
@@ -29,13 +28,13 @@ import (
 	"math"
 )
 
-// MaxFrame caps one v2 frame (and one v1 line): length prefixes beyond it
+// MaxFrame caps one frame (and the hello line): length prefixes beyond it
 // are rejected with ErrFrameTooBig before any allocation happens.
 const MaxFrame = 1 << 20
 
-// Sentinel errors of the v2 framing layer.
+// Sentinel errors of the framing layer.
 var (
-	// ErrFrameTooBig reports a length prefix (or v1 line) over MaxFrame.
+	// ErrFrameTooBig reports a length prefix (or hello line) over MaxFrame.
 	ErrFrameTooBig = errors.New("wire: frame exceeds the size cap")
 	// ErrFrameTruncated reports a connection that closed mid-frame: inside
 	// the length prefix or before the announced payload arrived.
@@ -50,15 +49,15 @@ var (
 const (
 	framePublish      byte = 0x01 // cid, vector
 	framePublishBatch byte = 0x02 // cid, u32 count, count vectors
-	frameControl      byte = 0x03 // cid, v1 JSON request
+	frameControl      byte = 0x03 // cid, JSON request
 
 	frameOK        byte = 0x41 // cid, u32 matched
 	frameOKBatch   byte = 0x42 // cid, u32 count, count u32 matches
 	frameErr       byte = 0x43 // cid, str op, str message
-	frameNotify    byte = 0x44 // str profile, u64 seq, vector
-	frameControlRe byte = 0x45 // cid, v1 JSON response
-	// frameNotifyGroup replaces the k frameNotify of one event on a connection
-	// whose hello negotiated Grouped: the vector travels once.
+	frameControlRe byte = 0x45 // cid, JSON response
+	// frameNotifyGroup is the notification: one event's k matched ids on a
+	// connection, the vector once. 0x44 is retired: an old client reads it as
+	// a one-id notification, so it must not be reused.
 	frameNotifyGroup byte = 0x46 // u64 seq, vector, u32 k ≥ 1, k str profile
 
 	// FrameForward carries one event (vector payload) across a peer link.
@@ -69,7 +68,7 @@ const (
 	FrameRouteWithdraw byte = 0x83
 )
 
-// ReadFrame reads one v2 frame, reusing *buf as the payload buffer (grown as
+// ReadFrame reads one frame, reusing *buf as the payload buffer (grown as
 // needed and retained across calls — the pooled read path). The returned
 // payload aliases *buf and is valid until the next call. A clean EOF at a
 // frame boundary returns io.EOF; EOF inside a frame returns
@@ -102,11 +101,11 @@ func ReadFrame(rd *bufio.Reader, buf *[]byte) (typ byte, payload []byte, err err
 	return (*buf)[0], (*buf)[1:], nil
 }
 
-// ReadLine reads one v1 JSON line (without its terminator, tolerating CRLF),
-// accumulating across the reader's buffer up to MaxFrame. It replaces
-// bufio.Scanner so the same *bufio.Reader can switch to binary frames after
-// a negotiated upgrade without losing buffered bytes. A final unterminated
-// line is returned before io.EOF, matching Scanner semantics.
+// ReadLine reads one JSON line — the hello and its answer — without its
+// terminator (tolerating CRLF), accumulating across the reader's buffer up to
+// MaxFrame. The same *bufio.Reader then reads the frames that follow without
+// losing buffered bytes. A final unterminated line is returned before io.EOF,
+// matching bufio.Scanner.
 func ReadLine(rd *bufio.Reader) ([]byte, error) {
 	line, err := rd.ReadSlice('\n')
 	if err == nil {
@@ -291,14 +290,6 @@ func appendPublishBatchFrame(dst []byte, cid uint32, batch [][]float64) []byte {
 	return finishFrame(dst, mark)
 }
 
-func appendNotifyFrame(dst []byte, profile string, seq uint64, vals []float64) []byte {
-	dst, mark := beginFrame(dst, frameNotify)
-	dst = appendStr(dst, profile)
-	dst = appendU64(dst, seq)
-	dst = appendVec(dst, vals)
-	return finishFrame(dst, mark)
-}
-
 func appendNotifyGroupFrame(dst []byte, seq uint64, vals []float64, ids []string) []byte {
 	dst, mark := beginFrame(dst, frameNotifyGroup)
 	dst = appendU64(dst, seq)
@@ -335,8 +326,8 @@ func appendErrFrame(dst []byte, cid uint32, op Op, msg string) []byte {
 	return finishFrame(dst, mark)
 }
 
-// appendControlFrame wraps a v1 JSON encoding (request or response — typ
-// picks frameControl or frameControlRe) in a v2 frame.
+// appendControlFrame wraps a JSON encoding (request or response — typ picks
+// frameControl or frameControlRe) in a frame.
 func appendControlFrame(dst []byte, typ byte, cid uint32, js []byte) []byte {
 	dst, mark := beginFrame(dst, typ)
 	dst = appendU32(dst, cid)
@@ -346,9 +337,9 @@ func appendControlFrame(dst []byte, typ byte, cid uint32, js []byte) []byte {
 
 // --- peer frames -------------------------------------------------------
 //
-// Peer links reach these through a Codec like every other message; they are
-// exported because the benchmark's stack ladder times the forward pair on
-// its own.
+// Exported for federation's peer links, which read and write nothing else
+// after the hello, and for the benchmark's stack ladder, which times the
+// forward pair on its own.
 
 // AppendForwardFrame encodes one event crossing a peer link.
 func AppendForwardFrame(dst []byte, vals []float64) []byte {
@@ -397,20 +388,15 @@ func DecodeRouteWithdrawFrame(payload []byte) (string, error) {
 	return id, c.done()
 }
 
-// --- the frame codec --------------------------------------------------
+// --- requests and responses --------------------------------------------
+//
+// Publishes, their acknowledgements, errors, notifications and the peer frames
+// are binary; every other message rides its JSON encoding inside a control
+// frame. Framing errors are fatal: once the stream position is lost every
+// later byte is garbage.
 
-// frameCodec is protocol v2. Publishes, their acknowledgements, errors,
-// notifications and the peer frames are binary; every other message rides its
-// JSON encoding inside a control frame. Framing errors are fatal: once the
-// stream position is lost every later byte is garbage, so none of them wraps
-// ErrBadMessage.
-type frameCodec struct {
-	// grouped lets the server end write frameNotifyGroup: the connection's
-	// hello negotiated it. (The client end reads either spelling.)
-	grouped bool
-}
-
-func (frameCodec) readRequest(in *Inbound) (uint32, Request, error) {
+// readRequest reads the next request frame and its correlation id.
+func readRequest(in *inbound) (uint32, Request, error) {
 	typ, payload, err := ReadFrame(in.rd, &in.buf)
 	if err != nil {
 		return 0, Request{}, err
@@ -419,7 +405,8 @@ func (frameCodec) readRequest(in *Inbound) (uint32, Request, error) {
 	return decodeRequestFrame(typ, payload, in)
 }
 
-func (frameCodec) readResponse(in *Inbound) (uint32, Response, error) {
+// readResponse reads the next response frame. Notifications carry cid 0.
+func readResponse(in *inbound) (uint32, Response, error) {
 	typ, payload, err := ReadFrame(in.rd, &in.buf)
 	if err != nil {
 		return 0, Response{}, err
@@ -427,14 +414,11 @@ func (frameCodec) readResponse(in *Inbound) (uint32, Response, error) {
 	return decodeResponseFrame(typ, payload, in)
 }
 
-// eventSize is exact: a u32 count and one f64 per attribute.
-func (frameCodec) eventSize(sl *slots) int { return 8*len(sl.names) + 4 }
-
 // appendRequest encodes any request as one frame. A publish, forward or
 // publish_batch travels as vectors — the caller's, or its attribute maps
 // converted when they cover the schema exactly; maps that lean on server-side
-// defaults fall back to a control frame, preserving v1 semantics bit for bit.
-func (frameCodec) appendRequest(dst []byte, cid uint32, req Request, sl *slots) ([]byte, error) {
+// defaults travel as JSON in a control frame.
+func appendRequest(dst []byte, cid uint32, req Request, sl *slots) ([]byte, error) {
 	vals := req.Vals
 	if vals == nil {
 		vals, _ = sl.vectorOf(req.Event)
@@ -468,7 +452,7 @@ func (frameCodec) appendRequest(dst []byte, cid uint32, req Request, sl *slots) 
 // vector is decoded into in's scratch and valid until the next read; batch
 // vectors are carved out of one block allocated per frame, because
 // notifications retain them. Peer frames decode with cid 0 (they carry none).
-func decodeRequestFrame(typ byte, payload []byte, in *Inbound) (uint32, Request, error) {
+func decodeRequestFrame(typ byte, payload []byte, in *inbound) (uint32, Request, error) {
 	c := cur{b: payload}
 	switch typ {
 	case framePublish:
@@ -516,10 +500,9 @@ func decodeRequestFrame(typ byte, payload []byte, in *Inbound) (uint32, Request,
 }
 
 // appendResponse encodes any response: publish acknowledgements, errors and
-// notifications in binary, the rest as control frames. A notification that
-// stands for several ids is one grouped frame where the hello negotiated it,
-// else one frame per id.
-func (fc frameCodec) appendResponse(dst []byte, cid uint32, resp Response, sl *slots) ([]byte, error) {
+// notifications in binary, the rest as control frames. A notification is one
+// frame per event and connection, listing the ids the event matched there.
+func appendResponse(dst []byte, cid uint32, resp Response) ([]byte, error) {
 	switch {
 	case resp.Type == MsgOK && resp.Op == OpPublish && resp.MatchedEach == nil:
 		return appendOKFrame(dst, cid, resp.Matched), nil
@@ -527,23 +510,8 @@ func (fc frameCodec) appendResponse(dst []byte, cid uint32, resp Response, sl *s
 		return appendOKBatchFrame(dst, cid, resp.MatchedEach), nil
 	case resp.Type == MsgError:
 		return appendErrFrame(dst, cid, resp.Op, resp.Error), nil
-	case resp.Type == MsgNotification:
-		vals := resp.Vals
-		if vals == nil {
-			vals, _ = sl.vectorOf(resp.Event)
-		}
-		switch {
-		case vals == nil:
-		case resp.IDs == nil:
-			return appendNotifyFrame(dst, resp.Profile, resp.Seq, vals), nil
-		case fc.grouped:
-			return appendNotifyGroupFrame(dst, resp.Seq, vals, resp.IDs), nil
-		default:
-			for _, id := range resp.IDs {
-				dst = appendNotifyFrame(dst, id, resp.Seq, vals)
-			}
-			return dst, nil
-		}
+	case resp.Type == MsgNotification && len(resp.IDs) > 0:
+		return appendNotifyGroupFrame(dst, resp.Seq, resp.Vals, resp.IDs), nil
 	}
 	js, err := json.Marshal(resp)
 	if err != nil {
@@ -554,8 +522,8 @@ func (fc frameCodec) appendResponse(dst []byte, cid uint32, resp Response, sl *s
 
 // decodeResponseFrame is appendResponse's inverse. A notification's vector is
 // freshly allocated, once per frame: the consumer keeps it. Its ids are
-// interned (Inbound.id) and listed in in's scratch.
-func decodeResponseFrame(typ byte, payload []byte, in *Inbound) (uint32, Response, error) {
+// interned (inbound.id) and listed in in's scratch.
+func decodeResponseFrame(typ byte, payload []byte, in *inbound) (uint32, Response, error) {
 	c := cur{b: payload}
 	switch typ {
 	case frameOK:
@@ -580,10 +548,6 @@ func decodeResponseFrame(typ byte, payload []byte, in *Inbound) (uint32, Respons
 		op := Op(c.str())
 		msg := c.str()
 		return cid, Response{Type: MsgError, Op: op, Error: msg}, c.done()
-	case frameNotify:
-		profile := in.id(c.bytes())
-		seq := c.u64()
-		return 0, Response{Type: MsgNotification, Profile: profile, Seq: seq, Vals: c.vec(nil)}, c.done()
 	case frameNotifyGroup:
 		seq := c.u64()
 		vals := c.vec(nil)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,7 +28,7 @@ func TestReadFrameEdges(t *testing.T) {
 	if err != nil || typ != framePublish {
 		t.Fatalf("ReadFrame = %v type 0x%02x", err, typ)
 	}
-	cid, req, err := decodeRequestFrame(typ, payload, new(Inbound))
+	cid, req, err := decodeRequestFrame(typ, payload, &inbound{})
 	if vals := req.Vals; err != nil || cid != 7 || len(vals) != 2 || vals[0] != 1.5 || vals[1] != -2 {
 		t.Fatalf("decodeRequestFrame = %d %v %v", cid, vals, err)
 	}
@@ -69,8 +70,7 @@ func TestReadFrameEdges(t *testing.T) {
 	}
 }
 
-// TestReadLine pins the Scanner-compatible v1 line reader the upgrade path
-// depends on: terminator trimming (LF and CRLF), a final unterminated line
+// TestReadLine pins the Scanner-compatible line reader the hello depends on: terminator trimming (LF and CRLF), a final unterminated line
 // before EOF, lines spanning the reader's internal buffer, and the size cap.
 func TestReadLine(t *testing.T) {
 	rd := bufio.NewReaderSize(strings.NewReader("alpha\r\nbeta\ngamma"), 16)
@@ -119,19 +119,20 @@ func TestHotFrameRoundTrips(t *testing.T) {
 	}
 
 	t.Run("notify", func(t *testing.T) {
-		vals := []float64{math.Inf(1), -0.0, 42}
-		typ, payload := read(t, appendNotifyFrame(nil, "hot", 99, vals))
-		if typ != frameNotify {
-			t.Fatalf("type 0x%02x", typ)
-		}
-		_, resp, err := decodeResponseFrame(typ, payload, new(Inbound))
-		if err != nil || resp.Profile != "hot" || resp.Seq != 99 {
+		vals := []float64{math.Inf(1), math.Copysign(0, -1), 42}
+		typ, payload := read(t, appendNotifyGroupFrame(nil, 99, vals, []string{"hot"}))
+		_, resp, err := decodeResponseFrame(typ, payload, &inbound{})
+		if err != nil || !reflect.DeepEqual(resp.IDs, []string{"hot"}) || resp.Seq != 99 {
 			t.Fatalf("decode = %+v %v", resp, err)
 		}
 		for i, v := range vals {
 			if math.Float64bits(resp.Vals[i]) != math.Float64bits(v) {
 				t.Errorf("val[%d] = %v, want %v", i, resp.Vals[i], v)
 			}
+		}
+		// 0x44, the retired one-id spelling, is an unknown frame type.
+		if _, _, err := decodeResponseFrame(0x44, payload, &inbound{}); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("type 0x44 = %v, want ErrBadFrame", err)
 		}
 	})
 
@@ -142,7 +143,7 @@ func TestHotFrameRoundTrips(t *testing.T) {
 		if typ != frameNotifyGroup {
 			t.Fatalf("type 0x%02x", typ)
 		}
-		_, resp, err := decodeResponseFrame(typ, payload, new(Inbound))
+		_, resp, err := decodeResponseFrame(typ, payload, &inbound{})
 		if err != nil || resp.Type != MsgNotification || resp.Seq != 7 || resp.Profile != "" ||
 			!reflect.DeepEqual(resp.IDs, ids) || !reflect.DeepEqual(resp.Vals, vals) {
 			t.Fatalf("decode = %+v %v", resp, err)
@@ -155,7 +156,7 @@ func TestHotFrameRoundTrips(t *testing.T) {
 			"truncated id": append(appendU32(appendU32(head, 1), 9), "hot"...),
 			"trailing":     append(appendStr(appendU32(head, 1), "hot"), 0),
 		} {
-			if _, _, err := decodeResponseFrame(frameNotifyGroup, bad, new(Inbound)); !errors.Is(err, ErrBadFrame) {
+			if _, _, err := decodeResponseFrame(frameNotifyGroup, bad, &inbound{}); !errors.Is(err, ErrBadFrame) {
 				t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
 			}
 		}
@@ -163,7 +164,7 @@ func TestHotFrameRoundTrips(t *testing.T) {
 
 	t.Run("ok-batch", func(t *testing.T) {
 		typ, payload := read(t, appendOKBatchFrame(nil, 5, []int{0, 3, 1}))
-		cid, resp, err := decodeResponseFrame(typ, payload, new(Inbound))
+		cid, resp, err := decodeResponseFrame(typ, payload, &inbound{})
 		if err != nil || cid != 5 {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestHotFrameRoundTrips(t *testing.T) {
 
 	t.Run("err", func(t *testing.T) {
 		typ, payload := read(t, appendErrFrame(nil, 8, OpPublish, "out of domain"))
-		cid, resp, err := decodeResponseFrame(typ, payload, new(Inbound))
+		cid, resp, err := decodeResponseFrame(typ, payload, &inbound{})
 		if err != nil || cid != 8 || resp.Type != MsgError || resp.Op != OpPublish || resp.Error != "out of domain" {
 			t.Errorf("err frame = %d %+v %v", cid, resp, err)
 		}
@@ -210,7 +211,7 @@ func TestHotFrameRoundTrips(t *testing.T) {
 
 	// Malformed payloads fail with ErrBadFrame, never panic.
 	t.Run("malformed payloads", func(t *testing.T) {
-		in := new(Inbound)
+		in := &inbound{}
 		if _, _, err := decodeRequestFrame(framePublish, []byte{0, 0}, in); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("short publish = %v", err)
 		}
@@ -236,19 +237,18 @@ func TestHotFrameRoundTrips(t *testing.T) {
 		if _, _, err := decodeRequestFrame(0x7F, nil, in); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("unknown request type = %v", err)
 		}
-		if _, _, err := decodeResponseFrame(0x7F, nil, new(Inbound)); !errors.Is(err, ErrBadFrame) {
+		if _, _, err := decodeResponseFrame(0x7F, nil, &inbound{}); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("unknown response type = %v", err)
 		}
 	})
 }
 
-// crossCodecSlots is the schema both codec directions share in the
-// cross-codec property tests.
+// crossCodecSlots is the schema the JSON-meaning property tests share.
 var crossCodecSlots = newSlots([]string{"temperature", "humidity"})
 
-// named renders a decoded message's vectors the way the line codec would —
-// as attribute maps — so a frame-decoded message compares JSON-equal to its
-// v1 form. Vectors of the wrong arity have no named form and are left alone.
+// named renders a decoded message's vectors as attribute maps, so a
+// frame-decoded message compares JSON-equal to its JSON form. Vectors of the
+// wrong arity have no named form and are left alone.
 func named(sl *slots, vals []float64, batch [][]float64) (ev map[string]float64, evs []map[string]float64) {
 	if vals != nil {
 		ev, _ = sl.mapOf(vals)
@@ -277,10 +277,11 @@ func namedResponse(sl *slots, r Response) Response {
 	return r
 }
 
-// TestCrossCodecRequests is the v1↔v2 property test: every v1 request shape —
-// hot binary encodings, peer frames and the JSON control fallback — must
-// survive appendRequest → ReadFrame → decodeRequestFrame with identical
-// meaning (JSON equality) and, on client frames, an intact correlation id.
+// TestCrossCodecRequests is the JSON-meaning property test: every request
+// shape — hot binary encodings, peer frames and the JSON control fallback —
+// must survive appendRequest → ReadFrame → decodeRequestFrame with the meaning
+// of its JSON form (JSON equality) and, on client frames, an intact
+// correlation id.
 func TestCrossCodecRequests(t *testing.T) {
 	reqs := []Request{
 		{Op: OpPing},
@@ -310,7 +311,7 @@ func TestCrossCodecRequests(t *testing.T) {
 	peer := map[Op]bool{OpForward: true, OpRouteAdd: true, OpRouteWithdraw: true}
 	for _, req := range reqs {
 		t.Run(string(req.Op), func(t *testing.T) {
-			enc, err := frameCodec{}.appendRequest(nil, 42, req, crossCodecSlots)
+			enc, err := appendRequest(nil, 42, req, crossCodecSlots)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +320,7 @@ func TestCrossCodecRequests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cid, got, err := decodeRequestFrame(typ, payload, new(Inbound))
+			cid, got, err := decodeRequestFrame(typ, payload, &inbound{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,30 +335,30 @@ func TestCrossCodecRequests(t *testing.T) {
 			a, _ := json.Marshal(req)
 			b, _ := json.Marshal(got)
 			if !bytes.Equal(a, b) {
-				t.Errorf("request changed across codecs:\n v1: %s\n v2: %s", a, b)
+				t.Errorf("request changed in the frame:\n sent: %s\n read: %s", a, b)
 			}
 		})
 	}
 }
 
-// TestCrossCodecResponses is the response-direction property test.
+// TestCrossCodecResponses is the response-direction property test. A
+// notification's ids travel beside its JSON meaning and are compared apart.
 func TestCrossCodecResponses(t *testing.T) {
 	resps := []Response{
 		{Type: MsgOK, Op: OpPublish, Matched: 3},
 		{Type: MsgOK, Op: OpPublishBatch, Matched: 4, MatchedEach: []int{0, 3, 1}},
 		{Type: MsgError, Op: OpSubscribe, Error: "missing id"},
-		{Type: MsgNotification, Profile: "hot", Seq: 12,
-			Event: map[string]float64{"temperature": 41, "humidity": 10}},
+		{Type: MsgNotification, IDs: []string{"hot", "dry"}, Seq: 12, Vals: []float64{41, 10}},
 		{Type: MsgPong},
 		{Type: MsgOK, Op: OpQuench, Quenched: true},
-		{Type: MsgStats, Stats: &StatsPayload{Subscriptions: 2, Published: 9, ProtoV2Peers: 1}},
+		{Type: MsgStats, Stats: &StatsPayload{Subscriptions: 2, Published: 9, Peers: 1}},
 		{Type: MsgSchema, Attributes: []AttrPayload{{Name: "temperature", Kind: "numeric", Lo: -30, Hi: 50}}},
 		{Type: MsgOK, Op: OpProfiles, Profiles: []ProfilePayload{{ID: "hot", Expr: "profile(temperature >= 35)"}}},
 		{Type: MsgOK, Op: OpHello, Proto: 2},
 	}
 	for _, resp := range resps {
 		t.Run(string(resp.Type)+"/"+string(resp.Op), func(t *testing.T) {
-			enc, err := frameCodec{}.appendResponse(nil, 7, resp, crossCodecSlots)
+			enc, err := appendResponse(nil, 7, resp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,18 +367,17 @@ func TestCrossCodecResponses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cid, got, err := decodeResponseFrame(typ, payload, new(Inbound))
+			cid, got, err := decodeResponseFrame(typ, payload, &inbound{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = namedResponse(crossCodecSlots, got)
 			if resp.Type != MsgNotification && cid != 7 {
 				t.Errorf("cid = %d, want 7", cid)
 			}
-			a, _ := json.Marshal(resp)
-			b, _ := json.Marshal(got)
-			if !bytes.Equal(a, b) {
-				t.Errorf("response changed across codecs:\n v1: %s\n v2: %s", a, b)
+			a, _ := json.Marshal(namedResponse(crossCodecSlots, resp))
+			b, _ := json.Marshal(namedResponse(crossCodecSlots, got))
+			if !bytes.Equal(a, b) || !slices.Equal(resp.IDs, got.IDs) {
+				t.Errorf("response changed in the frame:\n sent: %s %q\n read: %s %q", a, resp.IDs, b, got.IDs)
 			}
 		})
 	}

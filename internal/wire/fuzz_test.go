@@ -60,14 +60,14 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFrame feeds arbitrary bytes through the v2 framing layer and both
-// frame decoders. Seeds are the v2 encodings of the v1 fuzz corpus (the
-// cross-codec bridge), plus structural junk. The decoders must never panic,
-// and any frame they accept must survive a re-encode/decode round trip with
-// identical meaning.
+// FuzzDecodeFrame feeds arbitrary bytes through the framing layer and both
+// frame decoders. Seeds are the frame encodings of the control-frame JSON
+// shapes, the response frames with the notification frame, and structural
+// junk. The decoders must never panic, and any frame they accept must survive
+// a re-encode/decode round trip with identical meaning.
 func FuzzDecodeFrame(f *testing.F) {
 	sl := newSlots([]string{"temperature", "humidity"})
-	v1Corpus := []string{
+	corpus := []string{
 		`{"op":"ping"}`,
 		`{"op":"subscribe","id":"hot","profile":"profile(temperature >= 35)","priority":2}`,
 		`{"op":"unsubscribe","id":"hot"}`,
@@ -81,12 +81,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		`{"op":"route_withdraw","id":"hot"}`,
 		`{"op":"forward","event":{"temperature":41,"humidity":10}}`,
 	}
-	for _, line := range v1Corpus {
+	for _, line := range corpus {
 		req, err := DecodeRequest([]byte(line))
 		if err != nil {
 			f.Fatalf("bad corpus line %q: %v", line, err)
 		}
-		enc, err := frameCodec{}.appendRequest(nil, 9, req, sl)
+		enc, err := appendRequest(nil, 9, req, sl)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -96,9 +96,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(appendOKFrame(nil, 1, 3))
 	f.Add(appendOKBatchFrame(nil, 2, []int{0, 1, 2}))
 	f.Add(appendErrFrame(nil, 3, OpPublish, "boom"))
-	f.Add(appendNotifyFrame(nil, "hot", 7, []float64{41, 10}))
-	// The grouped notification: well-formed, without ids, announcing more ids
+	// The notification: of one id, of two, without ids, announcing more ids
 	// than the payload holds, and with its last id cut short.
+	f.Add(appendNotifyGroupFrame(nil, 7, []float64{41, 10}, []string{"hot"}))
 	group := appendNotifyGroupFrame(nil, 7, []float64{41, 10}, []string{"hot", "dry"})
 	f.Add(group)
 	f.Add(appendNotifyGroupFrame(nil, 7, []float64{41, 10}, nil))
@@ -115,12 +115,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		in := new(Inbound)
+		in := &inbound{}
 		if cid, req, err := decodeRequestFrame(typ, payload, in); err == nil {
 			// Re-encoding reads the request's vectors, decoding it again
 			// overwrites the read scratch they alias: detach them first.
 			req.Vals = append([]float64(nil), req.Vals...)
-			enc, err := frameCodec{}.appendRequest(nil, cid, req, sl)
+			enc, err := appendRequest(nil, cid, req, sl)
 			if err != nil {
 				t.Fatalf("accepted request %+v does not re-encode: %v", req, err)
 			}
@@ -138,9 +138,8 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("request round trip drifted (cid %d→%d):\n  first  %s\n  second %s", cid, cid2, a, b)
 			}
 		}
-		fc := frameCodec{grouped: true}
 		if cid, resp, err := decodeResponseFrame(typ, payload, in); err == nil {
-			enc, err := fc.appendResponse(nil, cid, resp, sl)
+			enc, err := appendResponse(nil, cid, resp)
 			if err != nil {
 				t.Fatalf("accepted response %+v does not re-encode: %v", resp, err)
 			}
@@ -148,7 +147,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded response frame does not read: %v", err)
 			}
-			cid2, again, err := decodeResponseFrame(typ2, payload2, new(Inbound))
+			cid2, again, err := decodeResponseFrame(typ2, payload2, &inbound{})
 			if err != nil {
 				t.Fatalf("re-encoded response frame does not decode: %v", err)
 			}

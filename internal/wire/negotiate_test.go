@@ -1,57 +1,19 @@
 package wire
 
 import (
-	"context"
+	"bufio"
+	"io"
 	"net"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
-
-	"genas/internal/broker"
-	"genas/internal/schema"
 )
 
-// startServerProto is startServer with a protocol ceiling: ProtoV1 simulates
-// an old daemon that never learned the binary protocol.
-func startServerProto(t *testing.T, max Proto) string {
-	t.Helper()
-	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	brk, err := broker.New(sch, broker.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(brk, nil)
-	srv.SetMaxProto(max)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := srv.Serve(ctx, ln); err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	}()
-	t.Cleanup(func() {
-		cancel()
-		srv.Close()
-		wg.Wait()
-		brk.Close()
-	})
-	return ln.Addr().String()
-}
-
-// TestNegotiateV2EndToEnd upgrades a connection to binary frames and drives
-// the full surface over it: control operations ride control frames, publishes
-// travel as vectors, notifications come back as vectors, and the wire-level
-// counters become visible in stats.
+// TestNegotiateV2EndToEnd dials a server and drives the full surface over
+// frames: control operations ride control frames, publishes travel as
+// vectors, notifications come back as vectors, and the wire-level counters
+// become visible in stats.
 func TestNegotiateV2EndToEnd(t *testing.T) {
 	addr := startServer(t)
 
@@ -60,16 +22,13 @@ func TestNegotiateV2EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = subC.Close() }()
-	if subC.Proto() != ProtoV2 {
-		t.Fatalf("negotiated proto = %d, want v2", subC.Proto())
-	}
 	pubC, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = pubC.Close() }()
 
-	// Control-plane operations cross the codec boundary intact.
+	// Control-plane operations cross the frame boundary intact.
 	if err := subC.Ping(rpcTimeout); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +45,7 @@ func TestNegotiateV2EndToEnd(t *testing.T) {
 	if err != nil || matched != 1 {
 		t.Fatalf("PublishVals = %d %v", matched, err)
 	}
-	// The map-based publish also rides the vector frame on v2.
+	// The map-based publish also rides the vector frame.
 	matched, err = pubC.Publish(map[string]float64{"temperature": 45, "humidity": 20}, rpcTimeout)
 	if err != nil || matched != 1 {
 		t.Fatalf("Publish = %d %v", matched, err)
@@ -101,7 +60,7 @@ func TestNegotiateV2EndToEnd(t *testing.T) {
 			if n.Profile != "hot" || len(n.Vals) != 2 {
 				t.Fatalf("v2 notification = %+v", n)
 			}
-			// EventMap resolves the vector back through the negotiated slots.
+			// EventMap resolves the vector back through the hello's slots.
 			if m := subC.EventMap(n); m["temperature"] < 35 {
 				t.Errorf("notification event = %v", m)
 			}
@@ -128,77 +87,141 @@ func TestNegotiateV2EndToEnd(t *testing.T) {
 	if st.BytesPerEventWire <= 0 {
 		t.Errorf("BytesPerEventWire = %g, want > 0", st.BytesPerEventWire)
 	}
-	// Two f64 slots plus framing: a v2 publish is a few dozen bytes, far
-	// under the ~60-byte JSON rendering.
+	// Two f64 slots plus framing: a publish is a few dozen bytes, far under
+	// the ~60-byte JSON rendering.
 	if st.BytesPerEventWire > 40 {
 		t.Errorf("BytesPerEventWire = %g, want compact binary frames", st.BytesPerEventWire)
 	}
 }
 
-// TestNegotiateFallbackToV1 pins the downgrade path: an Auto client against a
-// v1-pinned server lands on JSON lines with full functionality, and a client
-// that requires v2 fails with a useful error instead of degrading silently.
-func TestNegotiateFallbackToV1(t *testing.T) {
-	addr := startServerProto(t, ProtoV1)
-
-	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	if c.Proto() != ProtoV1 {
-		t.Fatalf("proto after fallback = %d, want v1", c.Proto())
-	}
-	if err := c.Subscribe("hot", "profile(temperature >= 35)", 0, rpcTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if matched, err := c.Publish(map[string]float64{"temperature": 41, "humidity": 10}, rpcTimeout); err != nil || matched != 1 {
-		t.Fatalf("publish after fallback = %d %v", matched, err)
-	}
-	// The positional surface degrades to v1 maps transparently.
-	if matched, err := c.PublishVals([]float64{42, 10}, rpcTimeout); err != nil || matched != 1 {
-		t.Fatalf("PublishVals over v1 = %d %v", matched, err)
-	}
-	select {
-	case n := <-c.Notifications():
-		if n.Profile != "hot" || n.Event["temperature"] != 41 {
-			t.Fatalf("v1 notification = %+v", n)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no notification after fallback")
-	}
-
-	// A pinned-v2 client must refuse the old server.
-	if _, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV2}); err == nil {
-		t.Fatal("ProtoV2 against a v1 server must fail")
-	} else if !strings.Contains(err.Error(), "v2") {
-		t.Errorf("v2-refusal error %q does not name the protocol", err)
-	}
-}
-
-// TestV1ClientAgainstV2Server pins backward interop: a client pinned to the
-// line protocol keeps working unchanged against an upgraded daemon.
-func TestV1ClientAgainstV2Server(t *testing.T) {
+// TestPreV2SpeakersAreRefused: a first line that is not a hello advertising
+// protocol v2 — a v1 client's request, a hello without proto, a v1-era
+// daemon's peer hello — is answered with one JSON error line naming protocol
+// v2, and then the connection closes.
+func TestPreV2SpeakersAreRefused(t *testing.T) {
 	addr := startServer(t)
-	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	for _, tc := range []struct{ name, first string }{
+		{"v1 request", `{"op":"ping"}`},
+		{"client hello without proto", `{"op":"hello"}`},
+		{"peer hello without proto", `{"op":"hello","node":"A","schema":"schema(temperature:[-30,50])"}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = conn.Close() }()
+			if _, err := conn.Write([]byte(tc.first + "\n")); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(rpcTimeout))
+			rd := bufio.NewReader(conn)
+			line, err := ReadLine(rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := DecodeResponse(line)
+			if err != nil || resp.Type != MsgError || !strings.Contains(resp.Error, "v2") {
+				t.Fatalf("answer %q = %+v, %v; want an error naming protocol v2", line, resp, err)
+			}
+			if rest, err := io.ReadAll(rd); err != nil || len(rest) != 0 {
+				t.Errorf("after the error line: %q, %v; want EOF", rest, err)
+			}
+		})
+	}
+}
+
+// TestSilentConnectionIsDropped: a connection that never sends its hello is
+// closed once the hello deadline passes, and takes its goroutine with it.
+func TestSilentConnectionIsDropped(t *testing.T) {
+	// Registered before the server's cleanup, so it runs once the server is
+	// closed and no handler reads the variable any more.
+	saved := helloTimeout
+	t.Cleanup(func() { helloTimeout = saved })
+	helloTimeout = 100 * time.Millisecond
+	// The server runs two goroutines of its own: Serve and its context
+	// watcher.
+	before := runtime.NumGoroutine() + 2
+	addr := startServer(t)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	_ = conn.SetReadDeadline(time.Now().Add(rpcTimeout))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on a silent connection = %d, %v; want the server to close it", n, err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines left behind by the silent connection", n-before)
+	}
+}
+
+// ackAfterTwo is a scripted server that answers no request until two have
+// arrived: a client that waits for each acknowledgement before posting its
+// next request times out against it. Every publish_batch is acknowledged
+// with zero matches per event.
+func ackAfterTwo(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		in := &inbound{rd: bufio.NewReader(conn)}
+		if _, err := ReadLine(in.rd); err != nil {
+			return
+		}
+		if _, err := conn.Write(v2Confirmation()); err != nil {
+			return
+		}
+		var acks []byte
+		for read := 1; ; read++ {
+			cid, req, err := readRequest(in)
+			if err != nil {
+				return
+			}
+			acks = appendOKBatchFrame(acks, cid, make([]int, len(req.Batch)))
+			if read >= 2 {
+				if _, err := conn.Write(acks); err != nil {
+					return
+				}
+				acks = acks[:0]
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// requirePipelined publishes through a client of ackAfterTwo: the batch
+// completes only if the client posts a second request before it reads the
+// first acknowledgement, which is where pipelining is decided.
+func requirePipelined(t *testing.T, publish func(*Client) ([]int, error)) {
+	t.Helper()
+	c, err := DialWith(ackAfterTwo(t), DialConfig{Timeout: rpcTimeout, PipelineDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if c.Proto() != ProtoV1 {
-		t.Fatalf("pinned-v1 dial negotiated %d, want v1", c.Proto())
-	}
-	if err := c.Subscribe("hot", "profile(temperature >= 35)", 0, rpcTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if matched, err := c.Publish(map[string]float64{"temperature": 41, "humidity": 10}, rpcTimeout); err != nil || matched != 1 {
-		t.Fatalf("v1 publish = %d %v", matched, err)
+	if _, err := publish(c); err != nil {
+		t.Fatalf("against a server that answers once two requests are in: %v (the batch was not pipelined)", err)
 	}
 }
 
-// TestPipelinedBatch pushes a large batch through the pipelined v2 publish
-// path: per-event counts must align positionally, and the server must observe
-// pipelined frames (requests queued behind the one being served).
+// TestPipelinedBatch pushes a large batch through the pipelined publish path:
+// per-event counts must align positionally, and the client must have more
+// than one request in flight.
 func TestPipelinedBatch(t *testing.T) {
 	addr := startServer(t)
 	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, PipelineDepth: 8})
@@ -241,57 +264,43 @@ func TestPipelinedBatch(t *testing.T) {
 	if st.Published != n {
 		t.Errorf("published = %d, want %d", st.Published, n)
 	}
-	// The window writes many chunked frames back to back over loopback, so
-	// the server must have seen at least one frame queued behind another.
-	if st.FramesPipelined == 0 {
-		t.Error("FramesPipelined = 0 after a windowed batch")
-	}
+	requirePipelined(t, func(c *Client) ([]int, error) { return c.PublishValsBatch(batch, rpcTimeout) })
 }
 
-// TestV1BatchIsChunkedUnderTheRequestCap: a line-protocol batch that would
-// encode past maxRequest as one request is not refused but split, sized by
-// the line codec's per-event bound, into requests acknowledged one at a time
-// (a v1 window is one deep), and the counts still align positionally.
-func TestV1BatchIsChunkedUnderTheRequestCap(t *testing.T) {
-	addr := startServer(t)
-	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
-	if err != nil {
+// TestFramesPipelinedCounter pins the server's pipelining counter once,
+// deterministically: of two request frames that arrive in one write, the
+// first finds the second already buffered behind it.
+func TestFramesPipelinedCounter(t *testing.T) {
+	conn, rd := upgradeRaw(t, startServer(t))
+	defer func() { _ = conn.Close() }()
+	two := appendPublishFrame(appendPublishFrame(nil, 1, []float64{41, 10}), 2, []float64{5, 10})
+	if _, err := conn.Write(two); err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = c.Close() }()
-	if err := c.Subscribe("hot", "profile(temperature >= 0)", 0, rpcTimeout); err != nil {
-		t.Fatal(err)
-	}
-	// {"humidity":50.123456789,"temperature":-10.123456789} is 53 bytes.
-	const n = 24000
-	if n*53 <= maxRequest {
-		t.Fatalf("%d events fit one request; the batch no longer needs chunking", n)
-	}
-	batch := make([][]float64, n)
-	for i := range batch {
-		batch[i] = []float64{10.123456789 * float64(1-2*(i%2)), 50.123456789}
-	}
-	before := c.nextCid
-	counts, err := c.PublishValsBatch(batch, rpcTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sent := c.nextCid - before; sent < 2 {
-		t.Errorf("batch went out as %d request(s), want several", sent)
-	}
-	if len(counts) != n {
-		t.Fatalf("got %d counts for %d events", len(counts), n)
-	}
-	for i, cnt := range counts {
-		if want := 1 - i%2; cnt != want {
-			t.Fatalf("counts[%d] = %d, want %d", i, cnt, want)
+	var buf []byte
+	for i := 0; i < 2; i++ {
+		if typ, _, err := ReadFrame(rd, &buf); err != nil || typ != frameOK {
+			t.Fatalf("acknowledgement %d: type 0x%02x, %v", i, typ, err)
 		}
 	}
+	if _, err := conn.Write(appendControlFrame(nil, frameControl, 3, []byte(`{"op":"stats"}`))); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := ReadFrame(rd, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, resp, err := decodeResponseFrame(typ, payload, &inbound{})
+	if err != nil || resp.Stats == nil {
+		t.Fatalf("stats = %+v, %v", resp, err)
+	}
+	if resp.Stats.FramesPipelined != 1 {
+		t.Errorf("FramesPipelined = %d after two frames in one write, want 1", resp.Stats.FramesPipelined)
+	}
 }
 
-// TestHelloAfterUpgrade pins the one v2-specific semantic error: a second
-// client hello on an upgraded connection answers with an error frame and the
-// connection survives.
+// TestHelloAfterUpgrade: a second client hello, in a control frame, answers
+// with an error frame and the connection survives.
 func TestHelloAfterUpgrade(t *testing.T) {
 	addr := startServer(t)
 	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
@@ -307,11 +316,11 @@ func TestHelloAfterUpgrade(t *testing.T) {
 	}
 }
 
-// TestPublishBatchOfMaps pins what PublishBatch does with attribute maps on a
-// frame connection: maps that cover the schema become vectors and take the
-// chunked, pipelined path of PublishValsBatch (compact frames, several in
-// flight); a batch with a partial map cannot, travels as JSON and — this
-// server fills in no defaults — is refused without harming the connection.
+// TestPublishBatchOfMaps pins what PublishBatch does with attribute maps:
+// maps that cover the schema become vectors and take the chunked, pipelined
+// path of PublishValsBatch (compact frames, several in flight); a batch with
+// a partial map cannot, travels as JSON and — this server fills in no
+// defaults — is refused without harming the connection.
 func TestPublishBatchOfMaps(t *testing.T) {
 	addr := startServer(t)
 	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, PipelineDepth: 8})
@@ -351,12 +360,10 @@ func TestPublishBatchOfMaps(t *testing.T) {
 	if st.Published != n {
 		t.Errorf("published = %d, want %d", st.Published, n)
 	}
-	if st.FramesPipelined == 0 {
-		t.Error("FramesPipelined = 0: the map batch went out as one unpipelined request")
-	}
 	if st.BytesPerEventWire > 24 {
 		t.Errorf("BytesPerEventWire = %g: the map batch did not travel as vectors", st.BytesPerEventWire)
 	}
+	requirePipelined(t, func(c *Client) ([]int, error) { return c.PublishBatch(evs, rpcTimeout) })
 
 	evs[1] = map[string]float64{"temperature": 5}
 	if _, err := c.PublishBatch(evs[:4], rpcTimeout); err == nil {

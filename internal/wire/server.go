@@ -19,15 +19,15 @@ import (
 )
 
 // Overlay is the federation integration surface: when installed, the server
-// hands peer connections (first frame hello) over to it and mirrors local
+// hands peer connections (a hello naming a node) over to it and mirrors local
 // registration and publish activity into it, so profiles propagate to peer
 // daemons and events cross a TCP link only when that link's routing filter
 // matches.
 type Overlay interface {
-	// HandlePeer owns a connection whose first frame was a hello. It runs the
-	// peer link until the connection drops and must tolerate conn being
-	// closed concurrently by Server.Close. rd is the connection's buffered
-	// reader (already past the hello line).
+	// HandlePeer owns a connection whose hello named a node and advertised
+	// protocol v2. It runs the peer link until the connection drops and must
+	// tolerate conn being closed concurrently by Server.Close. rd is the
+	// connection's buffered reader (already past the hello line).
 	HandlePeer(conn net.Conn, rd *bufio.Reader, hello Request)
 	// ProfileAdded announces a locally subscribed profile to the overlay.
 	ProfileAdded(p *predicate.Profile)
@@ -41,8 +41,6 @@ type Overlay interface {
 	// Stats reports the overlay node name, live peer link count and the
 	// forwarded/early-rejected counters.
 	Stats() (node string, peers int, forwarded, filtered uint64)
-	// ProtoV2Peers counts live peer links that negotiated protocol v2.
-	ProtoV2Peers() int
 }
 
 // Server serves the wire protocol over TCP for one broker instance. Every
@@ -54,10 +52,6 @@ type Server struct {
 	overlay  Overlay
 	ln       net.Listener
 	log      *log.Logger
-	maxProto Proto
-	// lines and frames are the two codecs a connection can speak, bound to
-	// the broker's schema and shared by every connection.
-	lines, frames Codec
 
 	// Wire-level counters (stats frame): bytes and events received on
 	// publish/publish_batch frames, and frames observed queued behind the
@@ -77,11 +71,7 @@ func NewServer(brk *broker.Broker, logger *log.Logger) *Server {
 	if logger == nil {
 		logger = log.New(discard{}, "", 0)
 	}
-	return &Server{
-		brk: brk, log: logger, maxProto: ProtoV2,
-		lines: LineCodec(brk.Schema()), frames: FrameCodec(brk.Schema()),
-		conns: make(map[net.Conn]struct{}),
-	}
+	return &Server{brk: brk, log: logger, conns: make(map[net.Conn]struct{})}
 }
 
 // SetDefaults installs opt-in fill-ins for event attributes omitted from
@@ -89,21 +79,10 @@ func NewServer(brk *broker.Broker, logger *log.Logger) *Server {
 // attribute required). Call before Serve.
 func (s *Server) SetDefaults(d *event.Defaults) { s.defaults = d }
 
-// SetOverlay federates the server: hello frames are handed to o, and local
+// SetOverlay federates the server: peer hellos are handed to o, and local
 // subscribe/unsubscribe/publish activity is mirrored into it. Call before
 // Serve.
 func (s *Server) SetOverlay(o Overlay) { s.overlay = o }
-
-// SetMaxProto caps the protocol generation the server will negotiate
-// (ProtoV1 pins the daemon to JSON lines; ProtoAuto and ProtoV2 allow the
-// v2 upgrade). Call before Serve.
-func (s *Server) SetMaxProto(p Proto) {
-	if p == ProtoV1 {
-		s.maxProto = ProtoV1
-		return
-	}
-	s.maxProto = ProtoV2
-}
 
 type discard struct{}
 
@@ -214,22 +193,24 @@ func (s *Server) Close() {
 // closes and its subscriptions are torn down.
 const writeTimeout = 10 * time.Second
 
+// helloTimeout bounds the wait for a connection's hello line, so a client
+// that connects and never speaks does not hold its goroutine and socket until
+// Close. A variable only so that a test can shorten it.
+var helloTimeout = writeTimeout
+
 // notifyQueue is a connection's notification budget: how far the broker may
 // run ahead of the connection's forwarder before it drops the newest — one
 // buffer however many subscriptions the connection holds, sized like the burst
 // a client's Notifications() absorbs.
 const notifyQueue = 256
 
-// connState tracks one connection's subscriptions, negotiated codec and
-// synchronized writer. codec is read by the request loop and the forwarder;
-// it changes once, on the hello upgrade, which is refused once a forwarder
-// exists.
+// connState tracks one client connection's subscriptions and synchronized
+// writer.
 type connState struct {
-	conn  net.Conn
-	codec Codec
-	subs  map[string]*broker.Subscription
-	evs   []event.Event // publish_batch scratch, owned by the request loop
-	rbuf  []byte        // reply build buffer, owned by the request loop
+	conn net.Conn
+	subs map[string]*broker.Subscription
+	evs  []event.Event // publish_batch scratch, owned by the request loop
+	rbuf []byte        // reply build buffer, owned by the request loop
 	// queue is the one channel every subscription of the connection delivers
 	// into, created with the first of them; fwd closes when its forwarder —
 	// the only goroutine a connection starts — has exited.
@@ -240,7 +221,7 @@ type connState struct {
 
 // reply writes one reply, paired with its request's correlation id.
 func (cs *connState) reply(cid uint32, resp Response) error {
-	b, err := cs.codec.c.appendResponse(cs.rbuf[:0], cid, resp, cs.codec.sl)
+	b, err := appendResponse(cs.rbuf[:0], cid, resp)
 	if err != nil {
 		return err
 	}
@@ -267,8 +248,8 @@ func (cs *connState) send(b []byte) error {
 // notification and sends it together with whatever else is queued at that
 // moment (at most notifyQueue: nobody else receives from q, so those receives
 // cannot block) in one write: a burst costs one wake-up and one syscall.
-// Consecutive notifications of one event (one Seq) become one message listing
-// their ids, which each codec spells its own way — the only grouping there is.
+// Consecutive notifications of one event (one Seq) become one frame listing
+// their ids — the only grouping there is.
 func (cs *connState) forward(q <-chan broker.Notification, logger *log.Logger) {
 	defer close(cs.fwd)
 	var buf []byte
@@ -283,7 +264,7 @@ func (cs *connState) forward(q <-chan broker.Notification, logger *log.Logger) {
 			}
 			if rest == 0 || next.Event.Seq != n.Event.Seq {
 				resp := Response{Type: MsgNotification, Seq: n.Event.Seq, Vals: n.Event.Vals, IDs: ids}
-				b, err := cs.codec.c.appendResponse(buf, 0, resp, cs.codec.sl)
+				b, err := appendResponse(buf, 0, resp)
 				if err != nil {
 					logger.Printf("wire: connection %s: notification %d: %v", cs.conn.RemoteAddr(), resp.Seq, err)
 				} else {
@@ -302,12 +283,49 @@ func (cs *connState) forward(q <-chan broker.Notification, logger *log.Logger) {
 	}
 }
 
-// handle runs one connection's session: read a request in the connection's
-// codec, dispatch it, answer. The loop is the same for both protocols; a
-// hello only swaps the codec.
+// handle runs one connection. Its first line must be a hello advertising
+// protocol v2: a client's is answered with the schema and the session runs on
+// frames, a peer's is handed to the overlay. Anything else is answered with
+// one JSON error line, and the connection closes.
 func (s *Server) handle(conn net.Conn) {
 	defer s.untrack(conn)
-	cs := &connState{conn: conn, codec: s.lines, subs: make(map[string]*broker.Subscription)}
+	defer func() { _ = conn.Close() }()
+	rd := bufio.NewReaderSize(conn, 64*1024)
+	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
+	line, err := ReadLine(rd)
+	if err != nil {
+		if err != io.EOF {
+			s.log.Printf("wire: connection %s: %v", conn.RemoteAddr(), err)
+		}
+		return
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	hello, err := DecodeRequest(line)
+	switch {
+	case err != nil || hello.Op != OpHello || hello.Proto < int(ProtoV2):
+		s.refuse(conn, hello.Op, `protocol v2 required: the first line must be {"op":"hello","proto":2}`)
+	case hello.Node == "":
+		s.session(conn, rd)
+	case s.overlay == nil:
+		s.refuse(conn, hello.Op, "daemon is not federated")
+	default:
+		s.overlay.HandlePeer(conn, rd, hello)
+	}
+}
+
+// refuse answers a connection's first line with one JSON error line.
+func (s *Server) refuse(conn net.Conn, op Op, msg string) {
+	s.log.Printf("wire: connection %s refused: %s", conn.RemoteAddr(), msg)
+	b, _ := EncodeLine(Response{Type: MsgError, Op: op, Error: msg})
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	_, _ = conn.Write(b)
+}
+
+// session serves a client after its hello: confirm it with the schema, from
+// which the client builds its slot table, then read a request frame, dispatch
+// it and answer until the connection drops.
+func (s *Server) session(conn net.Conn, rd *bufio.Reader) {
+	cs := &connState{conn: conn, subs: make(map[string]*broker.Subscription)}
 	defer func() {
 		// Tear down this connection's subscriptions, then wait for its
 		// forwarder: the queue closes with its last reference, which ends it
@@ -321,35 +339,28 @@ func (s *Server) handle(conn net.Conn) {
 			cs.queue.Close()
 			<-cs.fwd
 		}
-		_ = conn.Close()
 	}()
 
-	in := NewInbound(bufio.NewReaderSize(conn, 64*1024))
+	confirm, _ := EncodeLine(Response{Type: MsgOK, Op: OpHello, Proto: int(ProtoV2), Attributes: schemaPayload(s.brk.Schema())})
+	if cs.send(confirm) != nil {
+		return
+	}
+	in := &inbound{rd: rd}
 	for {
-		cid, req, err := cs.codec.c.readRequest(in)
-		var resp Response
-		switch {
-		case errors.Is(err, ErrBadMessage):
-			// The stream is intact: report and read on.
-		case err != nil:
-			// The stream position is lost (or the peer is gone): the
+		cid, req, err := readRequest(in)
+		if err != nil {
+			// The stream position is lost (or the client is gone): the
 			// connection closes and the deferred teardown drops its
 			// subscriptions.
 			if err != io.EOF {
 				s.log.Printf("wire: connection %s: %v", conn.RemoteAddr(), err)
 			}
 			return
-		case req.Op == OpHello:
-			if s.hello(cs, in, cid, req) {
-				return
-			}
-			continue
-		default:
-			if in.rd.Buffered() > 0 {
-				s.framesPipelined.Add(1)
-			}
-			resp, err = s.dispatch(cs, in, req)
 		}
+		if in.rd.Buffered() > 0 {
+			s.framesPipelined.Add(1)
+		}
+		resp, err := s.dispatch(cs, in, req)
 		if err != nil {
 			resp = Response{Type: MsgError, Op: req.Op, Error: err.Error()}
 		}
@@ -359,50 +370,9 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// hello serves a hello request and reports whether the connection has left
-// the request loop. A client advertising v2 (peer hellos always carry a node
-// name) is confirmed with the schema, from which it builds its slot table,
-// and the connection's codec is swapped: every byte after the confirmation
-// line, in both directions, is a binary frame. A peer daemon's connection is
-// handed to the federation layer, which runs the link until it drops.
-func (s *Server) hello(cs *connState, in *Inbound, cid uint32, req Request) (over bool) {
-	upgrade := req.Node == "" && req.Proto >= int(ProtoV2)
-	var refusal string
-	switch {
-	case cs.codec != s.lines:
-		refusal = "connection already upgraded"
-	case upgrade && s.maxProto < ProtoV2:
-		refusal = "protocol v2 disabled"
-	case !upgrade && s.overlay == nil:
-		refusal = "daemon is not federated"
-	case cs.queue != nil:
-		// A connection that ever subscribed has a notification forwarder
-		// writing to it: it must neither straddle a codec switch nor share
-		// the conn with the federation's writer.
-		refusal = "hello must be the connection's first frame"
-	}
-	if refusal != "" {
-		return cs.reply(cid, Response{Type: MsgError, Op: req.Op, Error: refusal}) != nil
-	}
-	if upgrade {
-		confirm := Response{Type: MsgOK, Op: req.Op, Proto: int(ProtoV2), Grouped: req.Grouped, Attributes: schemaPayload(s.brk.Schema())}
-		if cs.reply(cid, confirm) != nil {
-			return true
-		}
-		cs.codec = Codec{frameCodec{grouped: req.Grouped}, s.frames.sl}
-		return false
-	}
-	if s.maxProto < ProtoV2 && req.Proto >= int(ProtoV2) {
-		// A v1-pinned daemon negotiates every peer link down to v1.
-		req.Proto = int(ProtoV1)
-	}
-	s.overlay.HandlePeer(cs.conn, in.rd, req)
-	return true
-}
-
 // schemaPayload renders the broker schema as wire attribute descriptors (the
-// schema response and the v2 hello confirmation share it: slot i on the wire
-// is attribute i in this list).
+// schema response and the hello's answer share it: slot i on the wire is
+// attribute i in this list).
 func schemaPayload(sch *schema.Schema) []AttrPayload {
 	attrs := make([]AttrPayload, sch.N())
 	for i := 0; i < sch.N(); i++ {
@@ -420,11 +390,14 @@ func schemaPayload(sch *schema.Schema) []AttrPayload {
 
 // dispatch executes one request and returns its reply; a returned error is
 // reported to the client and the connection lives on.
-func (s *Server) dispatch(cs *connState, in *Inbound, req Request) (Response, error) {
+func (s *Server) dispatch(cs *connState, in *inbound, req Request) (Response, error) {
 	sch := s.brk.Schema()
 	switch req.Op {
 	case OpPing:
 		return Response{Type: MsgPong, Op: req.Op}, nil
+
+	case OpHello:
+		return Response{}, errors.New("hello must be the connection's first line")
 
 	case OpSchema:
 		return Response{Type: MsgSchema, Op: req.Op, Attributes: schemaPayload(sch)}, nil
@@ -562,7 +535,6 @@ func (s *Server) dispatch(cs *connState, in *Inbound, req Request) (Response, er
 		payload.ProfilesPerCanonical = ag.Ratio()
 		if s.overlay != nil {
 			payload.Node, payload.Peers, payload.Forwarded, payload.Filtered = s.overlay.Stats()
-			payload.ProtoV2Peers = s.overlay.ProtoV2Peers()
 		}
 		if we := s.wireEvents.Load(); we > 0 {
 			payload.BytesPerEventWire = float64(s.wireBytes.Load()) / float64(we)

@@ -2,13 +2,14 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"flag"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,19 +17,13 @@ import (
 	"genas/internal/schema"
 )
 
-// sessionOutcome is what one scripted request came to, in a form that is the
-// same whichever codec carried it: failed or not, and the reply's meaning.
-type sessionOutcome struct {
-	step   string
-	failed bool
-	reply  string
-}
+var update = flag.Bool("update", false, "rewrite testdata/session.golden from the session script")
 
-// runSessionScript drives one fixed script through a fresh server over a
-// connection pinned to proto, and returns every step's outcome, the
-// notifications the connection received, and the goroutines left behind
-// once everything is closed.
-func runSessionScript(t *testing.T, proto Proto) (outcomes []sessionOutcome, notifs []string, leaked int) {
+// runSessionScript drives one fixed script through a fresh server and returns
+// a transcript — one line per step, the reply's JSON meaning or "error", then
+// one line per notification the connection received — and the goroutines left
+// behind once everything is closed.
+func runSessionScript(t *testing.T) (transcript string, leaked int) {
 	t.Helper()
 	before := runtime.NumGoroutine()
 
@@ -48,20 +43,13 @@ func runSessionScript(t *testing.T, proto Proto) (outcomes []sessionOutcome, not
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(context.Background(), ln) }()
 
-	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout, Proto: proto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Proto() != proto {
-		t.Fatalf("negotiated proto %d, want %d", c.Proto(), proto)
-	}
-	sl, err := c.slotTable(rpcTimeout)
+	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A bystander on a connection of its own, matching every scripted event:
 	// neither connection may ever be notified of the other's ids.
-	other, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout, Proto: proto})
+	other, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,20 +92,21 @@ func runSessionScript(t *testing.T, proto Proto) (outcomes []sessionOutcome, not
 		{"publish after unsubscribe", Request{Op: OpPublish, Vals: []float64{45, 20}}},
 		{"still alive", Request{Op: OpPing}},
 	}
+	var b strings.Builder
 	for _, st := range script {
 		resp, err := c.roundTrip(st.req, rpcTimeout)
-		out := sessionOutcome{step: st.step, failed: err != nil}
-		if err == nil {
-			if resp.Stats != nil {
-				// The two wire-level counters measure the encoding itself.
-				stats := *resp.Stats
-				stats.BytesPerEventWire, stats.FramesPipelined = 0, 0
-				resp.Stats = &stats
-			}
-			js, _ := json.Marshal(resp)
-			out.reply = string(js)
+		if err != nil {
+			fmt.Fprintf(&b, "%s\terror\n", st.step)
+			continue
 		}
-		outcomes = append(outcomes, out)
+		if resp.Stats != nil {
+			// The two wire-level counters measure the encoding itself.
+			stats := *resp.Stats
+			stats.BytesPerEventWire, stats.FramesPipelined = 0, 0
+			resp.Stats = &stats
+		}
+		js, _ := json.Marshal(resp)
+		fmt.Fprintf(&b, "%s\t%s\n", st.step, js)
 	}
 
 	// Five scripted events matched "hot" before the burst, which owes four
@@ -127,12 +116,12 @@ func runSessionScript(t *testing.T, proto Proto) (outcomes []sessionOutcome, not
 		select {
 		case n := <-c.Notifications():
 			if n.Profile != "hot" && n.Profile != "warm" {
-				t.Errorf("proto %d: notified of %q, which this connection never subscribed", proto, n.Profile)
+				t.Errorf("notified of %q, which this connection never subscribed", n.Profile)
 			}
-			js, _ := json.Marshal(namedResponse(sl, n))
-			notifs = append(notifs, string(js))
+			js, _ := json.Marshal(namedResponse(c.slots, n))
+			fmt.Fprintf(&b, "notification\t%s\n", js)
 		case <-time.After(2 * time.Second):
-			t.Fatalf("proto %d: notification %d never arrived", proto, i)
+			t.Fatalf("notification %d never arrived", i)
 		}
 	}
 	// The bystander saw each of the 12 accepted scripted events once, and only
@@ -141,15 +130,15 @@ func runSessionScript(t *testing.T, proto Proto) (outcomes []sessionOutcome, not
 		select {
 		case n := <-other.Notifications():
 			if n.Profile != "bystander" {
-				t.Errorf("proto %d: the bystander was notified of %q", proto, n.Profile)
+				t.Errorf("the bystander was notified of %q", n.Profile)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatalf("proto %d: bystander notification %d never arrived", proto, i)
+			t.Fatalf("bystander notification %d never arrived", i)
 		}
 	}
 	select {
 	case n := <-c.Notifications():
-		t.Errorf("proto %d: unexpected extra notification %+v", proto, n)
+		t.Errorf("unexpected extra notification %+v", n)
 	case <-time.After(50 * time.Millisecond):
 	}
 
@@ -164,108 +153,50 @@ func runSessionScript(t *testing.T, proto Proto) (outcomes []sessionOutcome, not
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	return outcomes, notifs, runtime.NumGoroutine() - before
+	return b.String(), runtime.NumGoroutine() - before
 }
 
-// TestSessionCrossCodec is the session-level twin of TestCrossCodecRequests/
-// Responses: one script, run through the server's single session loop once
-// per codec, must come to the same outcomes — every reply with the same
-// meaning, every failure a failure, the same notifications in the same order
-// — and leave no goroutine behind after Close.
-func TestSessionCrossCodec(t *testing.T) {
-	lineOut, lineNotifs, lineLeak := runSessionScript(t, ProtoV1)
-	frameOut, frameNotifs, frameLeak := runSessionScript(t, ProtoV2)
-
-	if lineLeak > 0 || frameLeak > 0 {
-		t.Errorf("goroutines left after Close: %d on lines, %d on frames", lineLeak, frameLeak)
+// TestSessionScript runs one script through the server's session loop and
+// must come to the transcript in testdata/session.golden — every reply with
+// the same meaning, every failure a failure, the same notifications in the
+// same order — and leave no goroutine behind after Close. The golden was
+// recorded from the retired v1 line protocol, so it is the reference for what
+// each request means; -update rewrites it.
+func TestSessionScript(t *testing.T) {
+	got, leaked := runSessionScript(t)
+	if leaked > 0 {
+		t.Errorf("%d goroutines left after Close", leaked)
 	}
-	if len(lineOut) != len(frameOut) {
-		t.Fatalf("%d outcomes on lines, %d on frames", len(lineOut), len(frameOut))
-	}
-	wantFailed := map[string]bool{
-		"unknown op": true, "bad arity": true, "bad arity in batch": true, "out of domain": true,
-		"out of domain map": true, "partial map": true, "second hello": true, "unsubscribe again": true,
-	}
-	for i, lo := range lineOut {
-		fo := frameOut[i]
-		if lo != fo {
-			t.Errorf("step %q differs across codecs:\n lines:  failed=%v %s\n frames: failed=%v %s",
-				lo.step, lo.failed, lo.reply, fo.failed, fo.reply)
-		}
-		if lo.failed != wantFailed[lo.step] {
-			t.Errorf("step %q: failed = %v, want %v", lo.step, lo.failed, wantFailed[lo.step])
+	const golden = "testdata/session.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(lineNotifs) != len(frameNotifs) {
-		t.Fatalf("%d notifications on lines, %d on frames", len(lineNotifs), len(frameNotifs))
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range lineNotifs {
-		if lineNotifs[i] != frameNotifs[i] {
-			t.Errorf("notification %d differs across codecs:\n lines:  %s\n frames: %s", i, lineNotifs[i], frameNotifs[i])
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Errorf("line %d differs from %s:\n got:  %s\n want: %s", i+1, golden, g, w)
 		}
 	}
 }
 
-// TestLateReplyIsNotHandedToTheNextRequest pins the line protocol's implicit
-// correlation: a reply that arrives after its request timed out belongs to
-// that request and is dropped, never handed to the request that follows. The
-// scripted server holds the subscribe's reply back until the publish has
-// arrived, then answers both in order.
-func TestLateReplyIsNotHandedToTheNextRequest(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ln.Close() }()
-	served := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			served <- err
-			return
-		}
-		defer func() { _ = conn.Close() }()
-		rd := bufio.NewReader(conn)
-		for _, wantOp := range []Op{OpSubscribe, OpPublish} {
-			line, err := ReadLine(rd)
-			if err != nil {
-				served <- err
-				return
-			}
-			if req, err := DecodeRequest(line); err != nil || req.Op != wantOp {
-				served <- errors.New("scripted server: unexpected request " + string(line))
-				return
-			}
-		}
-		_, err = conn.Write([]byte(`{"type":"ok","op":"subscribe","profile":"hot"}` + "\n" +
-			`{"type":"ok","op":"publish","matched":7}` + "\n"))
-		served <- err
-	}()
-
-	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	if err := c.Subscribe("hot", "profile(temperature >= 35)", 0, 50*time.Millisecond); err == nil {
-		t.Fatal("the subscribe was answered before the script allowed it")
-	}
-	matched, err := c.Publish(map[string]float64{"temperature": 41, "humidity": 10}, rpcTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if matched != 7 {
-		t.Errorf("publish got matched=%d: the subscribe's late reply, not its own (want 7)", matched)
-	}
-	if err := <-served; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLateReplyDoesNotReachAPooledWaiter is the same rule seen from the reply
-// slots, which requests now share through a pool: a waiter that gave up never
-// returns to the pool, so the reply that arrives late for it cannot surface in
-// a later request that drew the same slot. The scripted v2 server answers a
+// TestLateReplyDoesNotReachAPooledWaiter: a reply that arrives after its
+// request timed out belongs to that request and is dropped, never handed to
+// the request that follows. Requests share reply slots through a pool, and a
+// waiter that gave up never returns to it, so the late reply cannot surface in
+// a later request that drew the same slot. The scripted server answers a
 // ping at once (its waiter goes back to the pool), holds the subscribe's reply
 // back until the publish has arrived, then answers both.
 func TestLateReplyDoesNotReachAPooledWaiter(t *testing.T) {
@@ -287,33 +218,33 @@ func TestLateReplyDoesNotReachAPooledWaiter(t *testing.T) {
 			served <- err
 			return
 		}
-		if _, err := conn.Write(v2Confirmation(false)); err != nil {
+		if _, err := conn.Write(v2Confirmation()); err != nil {
 			served <- err
 			return
 		}
-		in := NewInbound(rd)
+		in := &inbound{rd: rd}
 		var cids []uint32
 		for _, wantOp := range []Op{OpPing, OpSubscribe, OpPublish} {
-			cid, req, err := frameCodec{}.readRequest(in)
+			cid, req, err := readRequest(in)
 			if err != nil || req.Op != wantOp {
 				served <- fmt.Errorf("scripted server: got %q (%v), want %q", req.Op, err, wantOp)
 				return
 			}
 			cids = append(cids, cid)
 			if wantOp == OpPing {
-				pong, _ := frameCodec{}.appendResponse(nil, cid, Response{Type: MsgPong, Op: OpPing}, nil)
+				pong, _ := appendResponse(nil, cid, Response{Type: MsgPong, Op: OpPing})
 				if _, err := conn.Write(pong); err != nil {
 					served <- err
 					return
 				}
 			}
 		}
-		late, _ := frameCodec{}.appendResponse(nil, cids[1], Response{Type: MsgOK, Op: OpSubscribe, Profile: "hot"}, nil)
+		late, _ := appendResponse(nil, cids[1], Response{Type: MsgOK, Op: OpSubscribe, Profile: "hot"})
 		_, err = conn.Write(appendOKFrame(late, cids[2], 7))
 		served <- err
 	}()
 
-	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout, Proto: ProtoV2})
+	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +286,15 @@ func TestRequestAfterConnectionLoss(t *testing.T) {
 	}
 	defer func() { _ = ln.Close() }()
 	go func() {
+		// Answer the hello, then hang up.
 		if conn, err := ln.Accept(); err == nil {
+			if _, err := ReadLine(bufio.NewReader(conn)); err == nil {
+				_, _ = conn.Write(v2Confirmation())
+			}
 			_ = conn.Close()
 		}
 	}()
-	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,41 +372,57 @@ func TestNeverReadingSubscriber(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(context.Background(), ln) }()
 
-	// call writes one request line and reads one reply line.
+	// open connects a pipe and exchanges the hellos.
+	open := func() (net.Conn, *bufio.Reader) {
+		t.Helper()
+		conn := ln.dial()
+		t.Cleanup(func() { _ = conn.Close() })
+		hello, _ := EncodeLine(Request{Op: OpHello, Proto: int(ProtoV2)})
+		_ = conn.SetDeadline(time.Now().Add(rpcTimeout))
+		if _, err := conn.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		rd := bufio.NewReader(conn)
+		if _, err := ReadLine(rd); err != nil {
+			t.Fatal(err)
+		}
+		return conn, rd
+	}
+	// call writes one request frame and reads one reply frame.
+	sl := newSlots([]string{"temperature", "humidity"})
 	call := func(conn net.Conn, rd *bufio.Reader, req Request) Response {
 		t.Helper()
-		line, err := EncodeLine(req)
+		b, err := appendRequest(nil, 1, req, sl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = conn.SetDeadline(time.Now().Add(rpcTimeout))
-		if _, err := conn.Write(line); err != nil {
+		if _, err := conn.Write(b); err != nil {
 			t.Fatal(err)
 		}
-		reply, err := ReadLine(rd)
+		var buf []byte
+		typ, payload, err := ReadFrame(rd, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := DecodeResponse(bytes.Clone(reply))
+		_, resp, err := decodeResponseFrame(typ, payload, &inbound{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return resp
 	}
 
-	stuck := ln.dial()
-	defer func() { _ = stuck.Close() }()
-	if resp := call(stuck, bufio.NewReader(stuck), Request{Op: OpSubscribe, ID: "all", Profile: "profile(temperature >= -30)"}); resp.Type != MsgOK {
+	stuck, srd := open()
+	if resp := call(stuck, srd, Request{Op: OpSubscribe, ID: "all", Profile: "profile(temperature >= -30)"}); resp.Type != MsgOK {
 		t.Fatalf("subscribe = %+v", resp)
 	}
 	// From here on the subscriber never reads again.
 
-	mute := ln.dial()
-	defer func() { _ = mute.Close() }()
-	if resp := call(mute, bufio.NewReader(mute), Request{Op: OpSubscribe, ID: "quiet", Profile: "profile(temperature >= 45)"}); resp.Type != MsgOK {
+	mute, mrd := open()
+	if resp := call(mute, mrd, Request{Op: OpSubscribe, ID: "quiet", Profile: "profile(temperature >= 45)"}); resp.Type != MsgOK {
 		t.Fatalf("subscribe = %+v", resp)
 	}
-	ping, err := EncodeLine(Request{Op: OpPing})
+	ping, err := appendRequest(nil, 2, Request{Op: OpPing}, sl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,9 +430,7 @@ func TestNeverReadingSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	healthy := ln.dial()
-	defer func() { _ = healthy.Close() }()
-	hrd := bufio.NewReader(healthy)
+	healthy, hrd := open()
 	if resp := call(healthy, hrd, Request{Op: OpPublish, Event: map[string]float64{"temperature": 20, "humidity": 50}}); resp.Matched != 1 {
 		t.Fatalf("publish = %+v", resp)
 	}

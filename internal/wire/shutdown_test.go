@@ -18,8 +18,8 @@ import (
 // TestCloseDuringNotificationFlood pins the shutdown contract: while
 // notifications stream to subscribers and publishers keep the broker busy,
 // Close must tear the server down without a panic, without interleaving a
-// notification inside a response frame (every received line decodes as a
-// complete frame) and without leaking the Serve goroutine. Run under -race;
+// notification inside a response frame (every received frame decodes) and
+// without leaking the Serve goroutine. Run under -race;
 // the schedule noise is the point.
 func TestCloseDuringNotificationFlood(t *testing.T) {
 	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
@@ -41,34 +41,31 @@ func TestCloseDuringNotificationFlood(t *testing.T) {
 
 	// The subscriber speaks raw TCP so the test sees exactly the bytes the
 	// server wrote: a torn or interleaved frame would fail to decode.
-	subConn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	subConn, subRd := upgradeRaw(t, ln.Addr().String())
 	defer func() { _ = subConn.Close() }()
-	subLine, err := EncodeLine(Request{Op: OpSubscribe, ID: "all", Profile: "profile(temperature >= -30)"})
+	sub, err := appendRequest(nil, 1, Request{Op: OpSubscribe, ID: "all", Profile: "profile(temperature >= -30)"}, newSlots([]string{"temperature", "humidity"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := subConn.Write(subLine); err != nil {
+	if _, err := subConn.Write(sub); err != nil {
 		t.Fatal(err)
 	}
 	var frames atomic.Uint64
 	readerDone := make(chan error, 1)
 	go func() {
-		sc := bufio.NewScanner(subConn)
-		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-		for sc.Scan() {
-			if len(sc.Bytes()) == 0 {
-				continue
+		var buf []byte
+		in := &inbound{}
+		for {
+			typ, payload, err := ReadFrame(subRd, &buf)
+			if err == nil {
+				_, _, err = decodeResponseFrame(typ, payload, in)
 			}
-			if _, err := DecodeResponse(sc.Bytes()); err != nil {
+			if err != nil {
 				readerDone <- err
 				return
 			}
 			frames.Add(1)
 		}
-		readerDone <- sc.Err()
 	}()
 
 	// Publishers flood; their request/response pairing intentionally races
@@ -81,7 +78,7 @@ func TestCloseDuringNotificationFlood(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: time.Second, Proto: ProtoV1})
+			c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: time.Second})
 			if err != nil {
 				return
 			}
@@ -121,14 +118,10 @@ func TestCloseDuringNotificationFlood(t *testing.T) {
 	}
 	select {
 	case err := <-readerDone:
-		// EOF/reset is the expected end; a decode error means a torn frame.
-		if err != nil && !errors.Is(err, io.EOF) {
-			var ne net.Error
-			if !errors.As(err, &ne) && !errors.Is(err, net.ErrClosed) {
-				if _, ok := err.(*net.OpError); !ok {
-					t.Errorf("subscriber stream corrupted: %v", err)
-				}
-			}
+		// EOF/reset (or a frame cut short by the close) is the expected end; a
+		// malformed frame means a torn or interleaved write.
+		if errors.Is(err, ErrBadFrame) || errors.Is(err, ErrFrameTooBig) {
+			t.Errorf("subscriber stream corrupted: %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("subscriber reader never finished")
@@ -160,7 +153,7 @@ func TestCloseWithoutContextCancel(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(context.Background(), ln) }()
 	// Make sure the server is actually accepting before closing it.
-	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: time.Second, Proto: ProtoV1})
+	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,24 +187,16 @@ func TestCloseWithoutContextCancel(t *testing.T) {
 	}
 }
 
-// upgradeRaw dials a raw TCP connection and performs the v2 hello upgrade by
+// upgradeRaw dials a raw TCP connection and performs the hello exchange by
 // hand, returning the connection positioned at the start of the binary
 // stream.
 func upgradeRaw(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
-	t.Helper()
-	conn, rd, _ := upgradeRawWith(t, addr, Request{Op: OpHello, Proto: int(ProtoV2)})
-	return conn, rd
-}
-
-// upgradeRawWith is upgradeRaw with the hello of the caller's choice; it also
-// returns the server's confirmation.
-func upgradeRawWith(t *testing.T, addr string, helloReq Request) (net.Conn, *bufio.Reader, Response) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, err := EncodeLine(helloReq)
+	hello, err := EncodeLine(Request{Op: OpHello, Proto: int(ProtoV2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +211,10 @@ func upgradeRawWith(t *testing.T, addr string, helloReq Request) (net.Conn, *buf
 	}
 	resp, err := DecodeResponse(line)
 	if err != nil || resp.Type != MsgOK || resp.Proto < int(ProtoV2) {
-		t.Fatalf("upgrade refused: %+v %v", resp, err)
+		t.Fatalf("hello refused: %+v %v", resp, err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	return conn, rd, resp
+	return conn, rd
 }
 
 // TestV2GarbageClosesConnection pins the v2 framing error policy: once the

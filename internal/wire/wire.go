@@ -1,11 +1,9 @@
 // Package wire defines the protocol spoken between the GENAS daemon
 // (cmd/genasd), its clients (cmd/genas) and its peers: Request and Response
-// messages, carried as one JSON object per line (v1, line.go) or as
-// length-prefixed binary frames (v2, frame.go). Which of the two is on a
-// connection is known only to its codec (codec.go); the server, client and
-// peer-link session loops are written once over that seam. The server
-// delivers per connection — one queue, one forwarder and one write per burst,
-// however many subscriptions the connection holds (server.go). The protocol
+// messages, carried as length-prefixed binary frames (frame.go) after one
+// JSON hello line in each direction. The server delivers per connection — one
+// queue, one forwarder and one write per burst, however many subscriptions the
+// connection holds (server.go). The protocol
 // carries the generic service's runtime definitions — profiles in the profile
 // language, events in the event notation — so "all events, attributes,
 // domains, and compare operators can be created and specified at runtime"
@@ -21,19 +19,14 @@ import (
 	"genas/internal/schema"
 )
 
-// Proto selects a wire protocol generation for a connection or peer link.
+// Proto names a wire protocol generation. There is one: DialConfig.Proto
+// selects nothing and is kept so that callers naming ProtoV2 still compile.
 type Proto int
 
-// Protocol generations. The zero value (ProtoAuto) negotiates: speak v2 when
-// both ends support it, fall back to v1 otherwise.
-const (
-	ProtoAuto Proto = 0
-	// ProtoV1 is the JSON-line protocol: one JSON object per line.
-	ProtoV1 Proto = 1
-	// ProtoV2 is the binary frame protocol (see frame.go): length-prefixed
-	// frames, schema-indexed event vectors, correlation-id pipelining.
-	ProtoV2 Proto = 2
-)
+// ProtoV2 is the binary frame protocol (see frame.go): length-prefixed
+// frames, schema-indexed event vectors, correlation-id pipelining. A hello
+// must advertise it.
+const ProtoV2 Proto = 2
 
 // Op enumerates request operations.
 type Op string
@@ -55,23 +48,25 @@ const (
 )
 
 // Peer (daemon-to-daemon) operations. A federated daemon identifies itself
-// with a hello frame as the first line of a connection; after the handshake
+// with a hello line that names its node; after the handshake
 // the link is a symmetric stream of peer frames in both directions (no
 // responses): route_add/route_withdraw propagate profiles toward potential
 // publishers, forward carries an event across the link once that link's
 // routing filter matched it — so "unnecessary event information is rejected
 // as early as possible" (paper §5) at every hop.
 const (
-	// OpHello opens a peer link: Node carries the sender's overlay node name,
-	// Schema its schema rendering (both daemons must agree). The acceptor
-	// answers with its own hello frame.
+	// OpHello is the first line of every connection and carries Proto. A
+	// client's hello names no node, and the server answers with the schema. A
+	// peer's opens a peer link: Node carries the sender's overlay node name,
+	// Schema its schema rendering (both daemons must agree), and the acceptor
+	// answers with its own hello.
 	OpHello Op = "hello"
 	// OpRouteAdd announces a profile subscribed in the sender's direction:
 	// ID, Profile (profile language) and Priority describe it.
 	OpRouteAdd Op = "route_add"
 	// OpRouteWithdraw retracts a previously announced route by ID.
 	OpRouteWithdraw Op = "route_withdraw"
-	// OpForward carries one event across the link (Event payload). It is
+	// OpForward carries one event across the link (a vector). It is
 	// fire-and-forget: the receiving daemon delivers locally and forwards on
 	// over its own matching links.
 	OpForward Op = "forward"
@@ -95,30 +90,24 @@ type Request struct {
 	Attr string  `json:"attr,omitempty"`
 	Lo   float64 `json:"lo,omitempty"`
 	Hi   float64 `json:"hi,omitempty"`
-	// Node is the sender's overlay node name (hello frames).
+	// Node is the sender's overlay node name (peer hellos).
 	Node string `json:"node,omitempty"`
 	// Schema is the sender's schema rendering, checked for equality during
-	// the peer handshake (hello frames).
+	// the peer handshake (peer hellos).
 	Schema string `json:"schema,omitempty"`
-	// Proto advertises the sender's maximum supported protocol generation in
-	// hello frames. Absent (0) means v1: pre-v2 peers never send it, so the
-	// negotiated protocol with them is min(2, 1) = 1 and nothing changes.
+	// Proto advertises the sender's protocol generation in a hello; a hello
+	// without proto ≥ 2 is refused.
 	Proto int `json:"proto,omitempty"`
-	// Grouped, in a client's hello, offers to take one notification frame per
-	// event (frameNotifyGroup) in place of one per matched id. The server sends
-	// that frame only after echoing the field: a party that ignores it changes nothing.
-	Grouped bool `json:"grouped,omitempty"`
 	// Vals and Batch carry a publish, forward or publish_batch payload as
-	// schema-order vectors. Never on the wire under these names: the frame
-	// codec writes and reads them in binary (a decoded vector aliases the
-	// connection's read scratch and is valid until the next read), the line
-	// codec renders them as Event and Events.
+	// schema-order vectors. Never on the wire under these names: frames carry
+	// them in binary (a decoded vector aliases the connection's read scratch
+	// and is valid until the next read).
 	Vals  []float64   `json:"-"`
 	Batch [][]float64 `json:"-"`
 }
 
-// EventVals resolves a publish or forward payload to a validated
-// schema-order vector: the vector the codec decoded when there is one, else
+// EventVals resolves a publish payload to a validated schema-order vector:
+// the vector the frame carried when there is one, else
 // the attribute map completed from d (nil: every attribute is mandatory).
 func (r *Request) EventVals(sch *schema.Schema, d *event.Defaults) ([]float64, error) {
 	if r.Vals != nil {
@@ -168,20 +157,14 @@ type Response struct {
 	Attributes []AttrPayload `json:"attributes,omitempty"`
 	// Profiles lists registered subscriptions for OpProfiles.
 	Profiles []ProfilePayload `json:"profiles,omitempty"`
-	// Proto confirms the negotiated protocol generation in a hello response
-	// (0 when absent, meaning v1).
+	// Proto confirms protocol v2 in the answer to a hello.
 	Proto int `json:"proto,omitempty"`
-	// Grouped echoes a hello's Grouped offer when the server accepts it.
-	Grouped bool `json:"grouped,omitempty"`
-	// IDs lists the matched subscriptions of a notification that stands for
-	// several (Profile is then unset): what the server hands every codec per
-	// event and connection, and what a grouped frame decodes to (valid until
-	// the next read). Never on the wire under this name.
+	// IDs lists the subscriptions of a connection one event matched (Profile
+	// is then unset): what a notification frame carries and decodes to (valid
+	// until the next read). Never on the wire under this name.
 	IDs []string `json:"-"`
-	// Vals is the notification payload as a schema-order vector: what the
-	// server hands every codec, and what a client receives from the frame
-	// codec. Never on the wire under this name — frames carry it in binary,
-	// the line codec renders it as Event.
+	// Vals is the notification payload as a schema-order vector. Never on the
+	// wire under this name: notification frames carry it in binary.
 	Vals []float64 `json:"-"`
 }
 
@@ -219,10 +202,8 @@ type StatsPayload struct {
 	// crossings avoided by early rejection at this daemon's links.
 	Forwarded uint64 `json:"forwarded,omitempty"`
 	Filtered  uint64 `json:"peer_filtered,omitempty"`
-	// ProtoV2Peers counts live peer links that negotiated protocol v2.
-	ProtoV2Peers int `json:"proto_v2_peers,omitempty"`
 	// BytesPerEventWire is the mean wire bytes per event received on
-	// publish/publish_batch frames (both protocols), measured at the server.
+	// publish/publish_batch frames, measured at the server.
 	BytesPerEventWire float64 `json:"bytes_per_event_wire,omitempty"`
 	// FramesPipelined counts request frames that were already buffered
 	// behind the one being served — depth>1 pipelining observed on the wire.
@@ -239,9 +220,8 @@ type AttrPayload struct {
 	Labels []string `json:"labels,omitempty"`
 }
 
-// ErrBadMessage reports a line that does not decode as a message. The stream
-// position is intact — the next line starts a new message — so a session
-// answers or logs it and reads on, where a framing error ends the connection.
+// ErrBadMessage reports JSON — a hello line or a control frame's payload —
+// that does not decode as a message.
 var ErrBadMessage = errors.New("wire: bad message")
 
 // EncodeLine marshals a message and appends '\n'.
@@ -253,7 +233,8 @@ func EncodeLine(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// DecodeRequest parses one request line.
+// DecodeRequest parses one JSON request: a hello line or a control frame's
+// payload.
 func DecodeRequest(line []byte) (Request, error) {
 	var r Request
 	if err := json.Unmarshal(line, &r); err != nil {
@@ -265,7 +246,8 @@ func DecodeRequest(line []byte) (Request, error) {
 	return r, nil
 }
 
-// DecodeResponse parses one response line.
+// DecodeResponse parses one JSON response: a hello's answer or a control
+// frame's payload.
 func DecodeResponse(line []byte) (Response, error) {
 	var r Response
 	if err := json.Unmarshal(line, &r); err != nil {

@@ -51,7 +51,7 @@ func startServer(t *testing.T) string {
 
 func TestPingAndSchema(t *testing.T) {
 	addr := startServer(t)
-	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +71,12 @@ func TestPingAndSchema(t *testing.T) {
 
 func TestSubscribePublishNotify(t *testing.T) {
 	addr := startServer(t)
-	subC, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	subC, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = subC.Close() }()
-	pubC, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	pubC, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSubscribePublishNotify(t *testing.T) {
 		if !ok {
 			t.Fatal("notification channel closed")
 		}
-		if n.Profile != "hot" || n.Event["temperature"] != 41 {
+		if n.Profile != "hot" || subC.EventMap(n)["temperature"] != 41 {
 			t.Errorf("notification = %+v", n)
 		}
 	case <-time.After(2 * time.Second):
@@ -120,7 +120,7 @@ func TestSubscribePublishNotify(t *testing.T) {
 
 func TestQuenchAndStats(t *testing.T) {
 	addr := startServer(t)
-	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestQuenchAndStats(t *testing.T) {
 
 func TestServerErrors(t *testing.T) {
 	addr := startServer(t)
-	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +187,8 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
-// TestMalformedInput: garbage lines produce error responses (or are
-// ignored), never a dead server.
+// TestMalformedInput: a first line of garbage is answered with an error line
+// and the connection closes; the server lives on.
 func TestMalformedInput(t *testing.T) {
 	addr := startServer(t)
 	raw, err := net.Dial("tcp", addr)
@@ -209,7 +209,7 @@ func TestMalformedInput(t *testing.T) {
 		t.Errorf("expected error responses, got %q", buf[:n])
 	}
 	// The server still accepts a healthy client afterwards.
-	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestMalformedInput(t *testing.T) {
 // from the filter.
 func TestDisconnectCleansSubscriptions(t *testing.T) {
 	addr := startServer(t)
-	short, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	short, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestDisconnectCleansSubscriptions(t *testing.T) {
 	}
 	_ = short.Close()
 
-	probe, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	probe, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestCodecErrors(t *testing.T) {
 
 func TestProfilesListing(t *testing.T) {
 	addr := startServer(t)
-	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, Proto: ProtoV1})
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
