@@ -2,14 +2,14 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"net"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"genas/internal/broker"
-	"genas/internal/schema"
 	"genas/internal/wire"
 )
 
@@ -41,33 +41,51 @@ func TestParseEventArg(t *testing.T) {
 	}
 }
 
+// Regenerate testdata/export.golden with:
+//
+//	go test ./cmd/genas -run TestExportGolden -update
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestExportGolden pins the export format byte for byte: a numeric and a
+// categorical attribute, and two profiles of which one has a priority.
+func TestExportGolden(t *testing.T) {
+	addr := startDaemon(t, "temperature=numeric[-30,50]; site=cat{north,south}", broker.Options{})
+	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Subscribe("hot", "profile(temperature >= 35)", 2, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Subscribe("south", "profile(site = south; temperature in [-10,20])", 0, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := exportEnvelope(c, &buf); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "export.golden")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("export drifted from the recorded format.\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
+	}
+}
+
 func TestEnvelopeImportExportHelpers(t *testing.T) {
 	// Round-trip through the wire against a local daemon.
-	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	brk, err := broker.New(sch, broker.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer brk.Close()
-	srv := wire.NewServer(brk, nil)
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ctx, ln)
-	}()
-	defer func() { cancel(); srv.Close(); <-done }()
-
-	c, err := wire.DialWith(ln.Addr().String(), wire.DialConfig{Timeout: 5 * time.Second})
+	addr := startTestDaemon(t, broker.Options{})
+	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +105,7 @@ func TestEnvelopeImportExportHelpers(t *testing.T) {
 	// Import the same envelope on a second connection: ids collide with the
 	// first connection's subscription, so rewrite them first.
 	doc := strings.ReplaceAll(buf.String(), `"hot"`, `"hot2"`)
-	c2, err := wire.DialWith(ln.Addr().String(), wire.DialConfig{Timeout: 5 * time.Second})
+	c2, err := wire.DialWith(addr, wire.DialConfig{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

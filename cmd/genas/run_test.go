@@ -16,7 +16,13 @@ import (
 // address.
 func startTestDaemon(t *testing.T, opts broker.Options) string {
 	t.Helper()
-	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
+	return startDaemon(t, "temperature=numeric[-30,50]; humidity=numeric[0,100]", opts)
+}
+
+// startDaemon is startTestDaemon over the schema spec.
+func startDaemon(t *testing.T, spec string, opts broker.Options) string {
+	t.Helper()
+	sch, err := schema.ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
