@@ -1,10 +1,11 @@
 package genas
 
-// One benchmark per table and figure of the paper's evaluation (§4.3), plus
-// the ablations called out in DESIGN.md §4. The figure benchmarks report the
-// paper's metric — average comparison operations per event — via
-// b.ReportMetric, so `go test -bench` regenerates the numbers EXPERIMENTS.md
-// records; cmd/reproduce prints the same data as full tables.
+// One benchmark per table and figure of the paper's evaluation (§4.3), the
+// §5 outlook sweeps and three ablations, plus the one multi-publisher
+// measurement. The figure benchmarks report the paper's metric — average
+// comparison operations per event — via b.ReportMetric; cmd/reproduce prints
+// the same data as full tables, pinned by its testdata goldens. Per-layer
+// timings are bench/'s ladder, not benchmarks here.
 
 import (
 	"flag"
@@ -20,11 +21,9 @@ import (
 	"genas/internal/dist"
 	"genas/internal/event"
 	"genas/internal/experiments"
-	"genas/internal/matchers"
 	"genas/internal/predicate"
 	"genas/internal/routing"
 	"genas/internal/schema"
-	"genas/internal/selectivity"
 	"genas/internal/tree"
 )
 
@@ -166,47 +165,7 @@ func BenchmarkTV4(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §4) ---------------------------------------------------
-
-// benchWorkload builds a shared matching workload: p equality profiles over
-// a peaked profile distribution, events from a peaked event distribution.
-func benchWorkload(p int) (*schema.Schema, []*predicate.Profile, []dist.Dist, [][]float64) {
-	s := experiments.Schema1D()
-	rng := rand.New(rand.NewSource(benchSeed))
-	pd := dist.New(dist.PeakLow(0.8), s.At(0).Domain)
-	ed := []dist.Dist{dist.New(dist.PeakLow(0.9), s.At(0).Domain)}
-	profiles := experiments.GenProfiles1D(s, p, pd, rng)
-	events := make([][]float64, 4096)
-	for i := range events {
-		events[i] = []float64{ed[0].Sample(rng)}
-	}
-	return s, profiles, ed, events
-}
-
-// BenchmarkAblationMatchers contrasts the tree filter against the naive and
-// counting baselines (§2's three algorithm families).
-func BenchmarkAblationMatchers(b *testing.B) {
-	s, profiles, ed, events := benchWorkload(2000)
-	tr, err := tree.Build(s, profiles, tree.WithValueOrder(selectivity.V1(ed)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	all := []matchers.Matcher{
-		matchers.Tree{T: tr},
-		matchers.NewCounting(s, profiles),
-		matchers.NewNaive(s, profiles),
-	}
-	for _, m := range all {
-		b.Run(m.Name(), func(b *testing.B) {
-			ops := 0
-			for i := 0; i < b.N; i++ {
-				_, o := m.Match(events[i%len(events)])
-				ops += o
-			}
-			b.ReportMetric(float64(ops)/float64(b.N), "ops/event")
-		})
-	}
-}
+// --- Ablations --------------------------------------------------------------------
 
 // BenchmarkAblationValueOrder contrasts the 8 orderings + binary on one
 // peaked workload (the paper's "8 different orderings plus binary search").
@@ -316,55 +275,6 @@ func BenchmarkAblationCovering(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchThroughput measures raw single-event matching latency of the
-// optimized tree (the end-to-end hot path without broker overhead).
-func BenchmarkMatchThroughput(b *testing.B) {
-	for _, p := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			s, profiles, ed, events := benchWorkload(p)
-			tr, err := tree.Build(s, profiles, tree.WithValueOrder(selectivity.V1(ed)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Match(events[i%len(events)])
-			}
-		})
-	}
-}
-
-// BenchmarkTreeBuild measures automaton construction cost (the expensive
-// half of restructuring).
-func BenchmarkTreeBuild(b *testing.B) {
-	for _, p := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			s, profiles, _, _ := benchWorkload(p)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tree.Build(s, profiles); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkReorder measures the cheap half of restructuring: re-laying every
-// probe tree under new weights without rebuilding.
-func BenchmarkReorder(b *testing.B) {
-	s, profiles, ed, _ := benchWorkload(2000)
-	tr, err := tree.Build(s, profiles)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vo := selectivity.V1(ed)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Reordered(vo)
-	}
-}
-
 // BenchmarkExtensionDontCare regenerates the don't-care-edge influence sweep
 // (paper §5 outlook).
 func BenchmarkExtensionDontCare(b *testing.B) {
@@ -460,116 +370,6 @@ func BenchmarkPublishParallel(b *testing.B) {
 			b.StopTimer()
 			st := svc.Stats()
 			b.ReportMetric(float64(st.Delivered+st.Dropped)/float64(st.Published), "notifs/event")
-		})
-	}
-}
-
-// BenchmarkPublishBatch measures the batched publish path against per-event
-// publishing on the same workload: one PublishBatch call amortizes sequence
-// assignment, adaptor bookkeeping and shard lock acquisition over the whole
-// slice and matches events concurrently.
-func BenchmarkPublishBatch(b *testing.B) {
-	for _, shards := range []int{1, runtime.GOMAXPROCS(0)} {
-		for _, batch := range []int{1, 64, 1024} {
-			name := fmt.Sprintf("shards=%d/batch=%d", shards, batch)
-			b.Run(name, func(b *testing.B) {
-				svc, events := publishWorkload(b, 2000, WithShards(shards))
-				defer svc.Close()
-				buf := make([]Event, batch)
-				b.ResetTimer()
-				for done := 0; done < b.N; {
-					n := batch
-					if done+n > b.N {
-						n = b.N - done
-					}
-					for i := 0; i < n; i++ {
-						buf[i] = events[(done+i)%len(events)]
-					}
-					if n == 1 {
-						if _, err := svc.PublishEvent(buf[0]); err != nil {
-							b.Fatal(err)
-						}
-					} else if _, err := svc.PublishBatch(buf[:n]); err != nil {
-						b.Fatal(err)
-					}
-					done += n
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPublishPath contrasts the three event-assembly paths of the v1
-// API on a hot publish loop: the v0-style map, positional PublishValues, and
-// the reusable EventBuilder. Run with -benchmem — the interesting number is
-// allocs/op. The "miss" variants publish events matching no profile (the
-// filter's common case, and the paper's premise): the builder path allocates
-// nothing, PublishValues pays only its variadic slice, the map path pays a
-// map plus a values slice per event. The "hit" variants match ~4 profiles
-// and additionally pay one event-values copy for delivery.
-func BenchmarkPublishPath(b *testing.B) {
-	mk := func(b *testing.B) *Service {
-		b.Helper()
-		sch := MustSchema(Attr("v", MustIntegerDomain(0, 999)))
-		svc, err := NewService(sch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(benchSeed))
-		for i := 0; i < 2000; i++ {
-			expr := fmt.Sprintf("profile(v = %d)", rng.Intn(500))
-			if _, err := svc.Subscribe(fmt.Sprintf("p%d", i), expr); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return svc
-	}
-	// miss: values in [500,999] match nothing; hit: values in [0,499] match
-	// ~4 profiles each.
-	val := func(i int, hit bool) float64 {
-		if hit {
-			return float64(i % 500)
-		}
-		return float64(500 + i%500)
-	}
-	for _, hit := range []bool{false, true} {
-		suffix := "/miss"
-		if hit {
-			suffix = "/hit"
-		}
-		b.Run("map"+suffix, func(b *testing.B) {
-			svc := mk(b)
-			defer svc.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := svc.Publish(map[string]float64{"v": val(i, hit)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("values"+suffix, func(b *testing.B) {
-			svc := mk(b)
-			defer svc.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := svc.PublishValues(val(i, hit)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("builder"+suffix, func(b *testing.B) {
-			svc := mk(b)
-			defer svc.Close()
-			eb := svc.NewEvent()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eb.Set("v", val(i, hit)).Publish(); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }
@@ -860,37 +660,5 @@ func TestBuildScale(t *testing.T) {
 		if n == 500 && took > 5*time.Second {
 			t.Errorf("500 distinct structures took %v to build, want under 5 s", took)
 		}
-	}
-}
-
-// BenchmarkMatchBatch measures parallel batch matching against the
-// sequential path on the same workload.
-func BenchmarkMatchBatch(b *testing.B) {
-	sch := MustSchema(Attr("v", MustIntegerDomain(0, 99)))
-	svc, err := NewService(sch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	rng := rand.New(rand.NewSource(benchSeed))
-	for i := 0; i < 500; i++ {
-		if _, err := svc.Subscribe(fmt.Sprintf("p%d", i), fmt.Sprintf("profile(v = %d)", rng.Intn(100))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	events := make([][]float64, 4096)
-	for i := range events {
-		events[i] = []float64{float64(rng.Intn(100))}
-	}
-	engine := svc.brk.Engine()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.MatchBatch(events, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(len(events)))
-		})
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"genas/internal/codec"
 	"genas/internal/wire"
 )
 
@@ -210,8 +209,8 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 0
 
 	case "export":
-		// Write the daemon's schema and profile corpus as a codec envelope
-		// to stdout.
+		// Write the daemon's schema and profile corpus as an envelope to
+		// stdout.
 		if err := exportEnvelope(c, stdout); err != nil {
 			logger.Print(err)
 			return 1
@@ -219,8 +218,8 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 0
 
 	case "import":
-		// Read a codec envelope from stdin and subscribe every profile on
-		// this connection (the subscriptions live as long as the process).
+		// Read an envelope from stdin and subscribe every profile on this
+		// connection (the subscriptions live as long as the process).
 		n, err := importEnvelope(c, stdin)
 		if err != nil {
 			logger.Print(err)
@@ -377,8 +376,35 @@ func streamPublish(c *wire.Client, stdin io.Reader, stdout io.Writer, logger *lo
 	}
 }
 
-// exportEnvelope writes the daemon's schema and profiles as a codec
-// envelope.
+// envelopeVersion is the version export writes and import accepts.
+const envelopeVersion = 1
+
+// envelope is the export document: a daemon's schema and its profile corpus.
+type envelope struct {
+	Version  int          `json:"version"`
+	Schema   []attrDoc    `json:"schema"`
+	Profiles []profileDoc `json:"profiles"`
+}
+
+// attrDoc is one schema attribute of an envelope.
+type attrDoc struct {
+	Name   string   `json:"name"`
+	Kind   string   `json:"kind"` // numeric | integer | categorical
+	Lo     float64  `json:"lo,omitempty"`
+	Hi     float64  `json:"hi,omitempty"`
+	Labels []string `json:"labels,omitempty"`
+}
+
+// profileDoc is one profile of an envelope, as its profile-language
+// expression: the text survives schema-compatible changes of the internal
+// predicate model.
+type profileDoc struct {
+	ID       string  `json:"id"`
+	Expr     string  `json:"expr"`
+	Priority float64 `json:"priority,omitempty"`
+}
+
+// exportEnvelope writes the daemon's schema and profiles as an envelope.
 func exportEnvelope(c *wire.Client, w io.Writer) error {
 	attrs, err := c.Schema(rpcTimeout)
 	if err != nil {
@@ -388,14 +414,14 @@ func exportEnvelope(c *wire.Client, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	env := codec.Envelope{Version: codec.Version}
+	env := envelope{Version: envelopeVersion}
 	for _, a := range attrs {
-		env.Schema = append(env.Schema, codec.AttrDoc{
+		env.Schema = append(env.Schema, attrDoc{
 			Name: a.Name, Kind: a.Kind, Lo: a.Lo, Hi: a.Hi, Labels: a.Labels,
 		})
 	}
 	for _, p := range profiles {
-		env.Profiles = append(env.Profiles, codec.ProfileDoc{
+		env.Profiles = append(env.Profiles, profileDoc{
 			ID: p.ID, Expr: p.Expr, Priority: p.Priority,
 		})
 	}
@@ -405,14 +431,14 @@ func exportEnvelope(c *wire.Client, w io.Writer) error {
 	return enc.Encode(env)
 }
 
-// importEnvelope subscribes every profile of a codec envelope on the
-// current connection and returns the count.
+// importEnvelope subscribes every profile of an envelope on the current
+// connection and returns the count.
 func importEnvelope(c *wire.Client, r io.Reader) (int, error) {
-	var env codec.Envelope
+	var env envelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return 0, fmt.Errorf("parse envelope: %w", err)
 	}
-	if env.Version != codec.Version {
+	if env.Version != envelopeVersion {
 		return 0, fmt.Errorf("unsupported envelope version %d", env.Version)
 	}
 	for i, p := range env.Profiles {

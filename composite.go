@@ -3,7 +3,6 @@ package genas
 import (
 	"fmt"
 
-	"genas/internal/broker"
 	"genas/internal/composite"
 )
 
@@ -38,7 +37,7 @@ var (
 // goroutine of one composite expression set.
 type CompositeMonitor struct {
 	out   chan CompositeEvent
-	group *broker.Group
+	group *Group
 }
 
 // MonitorComposite subscribes the primitive profiles (id → profile-language
@@ -46,10 +45,9 @@ type CompositeMonitor struct {
 // notifications. Detections arrive on C(); call Stop to tear the monitor
 // down. Expression Prim ids must reference keys of primitives.
 //
-// The primitives register as one broker group sharing an ordered delivery
-// channel, so the sequence operator observes notifications exactly in
-// publish order (concurrent publishers are ordered by whoever entered the
-// broker first).
+// The primitives register as one Group sharing an ordered delivery channel,
+// so the sequence operator observes notifications exactly in publish order
+// (concurrent publishers are ordered by whoever entered the broker first).
 func (s *Service) MonitorComposite(
 	primitives map[string]string,
 	exprs map[string]CompositeExpr,
@@ -74,7 +72,7 @@ func (s *Service) MonitorComposite(
 		}
 		profiles = append(profiles, p)
 	}
-	group, err := s.brk.SubscribeGroup(buffer, profiles...)
+	group, err := s.subscribeGroup(buffer, profiles)
 	if err != nil {
 		return nil, err
 	}

@@ -44,6 +44,7 @@ package genas
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"genas/internal/broker"
@@ -525,8 +526,31 @@ func (s *Service) Close() { s.brk.Close() }
 // output under `go test` by overriding it.
 var Now = time.Now
 
-// Group is a set of subscriptions sharing one ordered notification channel.
-type Group = broker.Group
+// Group is a set of subscriptions sharing one ordered notification channel:
+// all notifications triggered by one published event arrive contiguously and
+// in publish order, which composite event detection depends on.
+type Group struct {
+	brk  *broker.Broker
+	q    *broker.Queue
+	ids  []ProfileID
+	once sync.Once
+}
+
+// C returns the group's merged notification channel.
+func (g *Group) C() <-chan Notification { return g.q.C() }
+
+// IDs returns the member profile ids.
+func (g *Group) IDs() []ProfileID { return append([]ProfileID(nil), g.ids...) }
+
+// Close unsubscribes every member; the channel closes when the last member
+// is gone.
+func (g *Group) Close() {
+	g.once.Do(func() {
+		for _, id := range g.ids {
+			_ = g.brk.Unsubscribe(id)
+		}
+	})
+}
 
 // SubscribeGroup registers several profiles (id → profile-language
 // expression) that deliver over a single ordered channel: notifications of
@@ -541,5 +565,29 @@ func (s *Service) SubscribeGroup(buffer int, primitives map[string]string) (*Gro
 		}
 		profiles = append(profiles, p)
 	}
-	return s.brk.SubscribeGroup(buffer, profiles...)
+	return s.subscribeGroup(buffer, profiles)
+}
+
+// subscribeGroup registers the profiles as members of one broker queue whose
+// owner's reference spans only the registration, so the channel closes with
+// the last member. On a failing member it unsubscribes those registered
+// before it.
+func (s *Service) subscribeGroup(buffer int, profiles []*Profile) (*Group, error) {
+	q, err := s.brk.NewQueue(buffer)
+	if err != nil {
+		return nil, err
+	}
+	defer q.Close()
+	if len(profiles) == 0 {
+		return nil, fmt.Errorf("genas: a group needs at least one profile: %w", ErrBadProfile)
+	}
+	g := &Group{brk: s.brk, q: q}
+	for _, p := range profiles {
+		if _, err := q.Subscribe(p); err != nil {
+			g.Close()
+			return nil, err
+		}
+		g.ids = append(g.ids, p.ID)
+	}
+	return g, nil
 }

@@ -135,7 +135,8 @@ func (s *Subscription) ID() predicate.ID { return s.id }
 func (s *Subscription) Profile() *predicate.Profile { return s.profile }
 
 // C returns the notification channel. It is closed on Unsubscribe and on
-// broker shutdown (for group members: when the whole group is gone).
+// broker shutdown (for queue members: when the queue is closed and its last
+// member is gone).
 func (s *Subscription) C() <-chan Notification { return s.shared.ch }
 
 // Dropped returns how many notifications were discarded because the
@@ -294,8 +295,7 @@ func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscriptio
 
 // register is the one registration routine: it makes p a member of the
 // delivery channel sc — a fresh one (SubscribeWith) or one that other
-// subscriptions already deliver into (Queue.Subscribe, and through it
-// SubscribeGroup). Caller holds regMu, which also serializes it with every
+// subscriptions already deliver into (Queue.Subscribe). Caller holds regMu, which also serializes it with every
 // release of sc: a channel found open here cannot close before the member
 // holds its reference.
 func (b *Broker) register(p *predicate.Profile, sc *sharedChan, policy DropPolicy) (*Subscription, error) {
@@ -371,56 +371,6 @@ func (q *Queue) Close() {
 		defer q.b.regMu.Unlock()
 		q.shared.release()
 	})
-}
-
-// Group is a set of subscriptions delivering over one ordered channel: all
-// notifications triggered by one published event arrive contiguously and in
-// publish order, which composite event detection depends on.
-type Group struct {
-	b      *Broker
-	shared *sharedChan
-	ids    []predicate.ID
-	once   sync.Once
-}
-
-// C returns the group's merged notification channel.
-func (g *Group) C() <-chan Notification { return g.shared.ch }
-
-// IDs returns the member profile ids.
-func (g *Group) IDs() []predicate.ID { return append([]predicate.ID(nil), g.ids...) }
-
-// Close unsubscribes every member; the channel closes when the last member
-// is gone.
-func (g *Group) Close() {
-	g.once.Do(func() {
-		for _, id := range g.ids {
-			_ = g.b.Unsubscribe(id)
-		}
-	})
-}
-
-// SubscribeGroup registers several profiles that share one notification
-// channel: a queue whose owner's reference spans only the registration, so the
-// channel closes with the last member. Registration is atomic: on any failure
-// no profile remains subscribed.
-func (b *Broker) SubscribeGroup(buffer int, profiles ...*predicate.Profile) (*Group, error) {
-	q, err := b.NewQueue(buffer)
-	if err != nil {
-		return nil, err
-	}
-	defer q.Close()
-	if len(profiles) == 0 {
-		return nil, ErrNilProfile
-	}
-	g := &Group{b: b, shared: q.shared}
-	for _, p := range profiles {
-		if _, err := q.Subscribe(p); err != nil {
-			g.Close() // unsubscribes the members registered so far
-			return nil, err
-		}
-		g.ids = append(g.ids, p.ID)
-	}
-	return g, nil
 }
 
 // end marks the subscription closed and releases any Block-policy delivery

@@ -312,112 +312,6 @@ func TestPerProfileCounters(t *testing.T) {
 	}
 }
 
-func TestSubscribeGroup(t *testing.T) {
-	b := newBroker(t, Options{})
-	s := b.Schema()
-	g, err := b.SubscribeGroup(16,
-		predicate.MustParse(s, "g1", "profile(temperature >= 30)"),
-		predicate.MustParse(s, "g2", "profile(humidity >= 90)"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.IDs()) != 2 {
-		t.Fatalf("ids = %v", g.IDs())
-	}
-	// One event matching both members yields two ordered notifications on
-	// the same channel.
-	if _, err := b.Publish(event.MustNew(s, 40, 95)); err != nil {
-		t.Fatal(err)
-	}
-	got := map[predicate.ID]bool{}
-	for i := 0; i < 2; i++ {
-		select {
-		case n := <-g.C():
-			got[n.Profile] = true
-		case <-time.After(time.Second):
-			t.Fatal("missing group notification")
-		}
-	}
-	if !got["g1"] || !got["g2"] {
-		t.Errorf("notifications = %v", got)
-	}
-	// Close unsubscribes all members and closes the channel.
-	g.Close()
-	g.Close() // idempotent
-	if _, open := <-g.C(); open {
-		t.Error("group channel must close")
-	}
-	if b.Stats().Subscriptions != 0 {
-		t.Errorf("members leaked: %d", b.Stats().Subscriptions)
-	}
-}
-
-func TestSubscribeGroupErrors(t *testing.T) {
-	b := newBroker(t, Options{})
-	s := b.Schema()
-	if _, err := b.SubscribeGroup(0, predicate.MustParse(s, "x", "profile(temperature >= 0)")); !errors.Is(err, ErrBadBufferSize) {
-		t.Error("zero buffer must fail")
-	}
-	if _, err := b.SubscribeGroup(8); !errors.Is(err, ErrNilProfile) {
-		t.Error("empty group must fail")
-	}
-	if _, err := b.SubscribeGroup(8, nil); !errors.Is(err, ErrNilProfile) {
-		t.Error("nil member must fail")
-	}
-	// Duplicate against an existing subscription rolls back atomically.
-	if _, err := b.SubscribeWith(predicate.MustParse(s, "taken", "profile(temperature >= 0)"), SubOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := b.SubscribeGroup(8,
-		predicate.MustParse(s, "fresh", "profile(temperature >= 0)"),
-		predicate.MustParse(s, "taken", "profile(humidity >= 0)"),
-	)
-	if !errors.Is(err, ErrDuplicateSub) {
-		t.Fatalf("err = %v", err)
-	}
-	if b.Stats().Subscriptions != 1 {
-		t.Errorf("rollback leaked members: %d subs", b.Stats().Subscriptions)
-	}
-}
-
-// TestGroupOrderingPreserved: notifications of sequentially published
-// events arrive on the group channel in publish order — the property the
-// composite sequence operator needs.
-func TestGroupOrderingPreserved(t *testing.T) {
-	b := newBroker(t, Options{})
-	s := b.Schema()
-	g, err := b.SubscribeGroup(256,
-		predicate.MustParse(s, "low", "profile(temperature <= 0)"),
-		predicate.MustParse(s, "high", "profile(temperature >= 30)"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	for i := 0; i < 50; i++ {
-		temp := -10.0
-		if i%2 == 1 {
-			temp = 40
-		}
-		if _, err := b.Publish(event.MustNew(s, temp, 50)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var lastSeq uint64
-	for i := 0; i < 50; i++ {
-		select {
-		case n := <-g.C():
-			if n.Event.Seq <= lastSeq {
-				t.Fatalf("out of order: seq %d after %d", n.Event.Seq, lastSeq)
-			}
-			lastSeq = n.Event.Seq
-		case <-time.After(time.Second):
-			t.Fatalf("missing notification %d", i)
-		}
-	}
-}
-
 // TestQueueJoinAndLeave: a queue is one channel that subscriptions join and
 // leave one at a time. The owner's reference keeps it open between
 // subscriptions; it closes once the owner has closed it and the last member

@@ -206,22 +206,3 @@ func TestPublishBatch(t *testing.T) {
 		})
 	}
 }
-
-// TestSubscribeGroupDuplicateInSlice: a group containing the same profile id
-// twice must fail with ErrDuplicateSub, not panic during rollback.
-func TestSubscribeGroupDuplicateInSlice(t *testing.T) {
-	b := newBroker(t, Options{Shards: 3})
-	s := b.Schema()
-	p1 := predicate.MustParse(s, "dup", "profile(temperature >= 0)")
-	p2 := predicate.MustParse(s, "dup", "profile(humidity >= 0)")
-	if _, err := b.SubscribeGroup(4, p1, p2); err == nil {
-		t.Fatal("duplicate id within the group must fail")
-	}
-	if b.Stats().Subscriptions != 0 {
-		t.Errorf("failed group left subscriptions behind: %+v", b.Stats())
-	}
-	// The broker stays fully usable afterwards.
-	if _, err := b.SubscribeGroup(4, predicate.MustParse(s, "ok", "profile(temperature >= 0)")); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -61,14 +61,6 @@ func New(s *schema.Schema, vals ...float64) (Event, error) {
 	return e, nil
 }
 
-// FromMap builds a schema-validated event from attribute name → value.
-// Every schema attribute must be present: silently zero-filling an omitted
-// attribute would fabricate data. The service facade and the wire server
-// share this one validation path.
-func FromMap(s *schema.Schema, values map[string]float64) (Event, error) {
-	return FromMapWith(s, values, nil)
-}
-
 // Defaults is an explicit, opt-in fill-in for omitted event attributes: each
 // configured attribute gets the given value when a publisher leaves it out.
 // Attributes without a default remain mandatory. Construct once per service;
@@ -111,8 +103,11 @@ func (d *Defaults) Fill(vals []float64, seen []bool) (missing int) {
 	return missing
 }
 
-// FromMapWith is FromMap with optional defaults for omitted attributes
-// (nil d means every attribute is mandatory).
+// FromMapWith builds a schema-validated event from attribute name → value,
+// filling omitted attributes from d. Without a default (nil d: none) every
+// schema attribute must be present: silently zero-filling an omitted
+// attribute would fabricate data. The service facade and the wire server
+// share this one validation path.
 func FromMapWith(s *schema.Schema, values map[string]float64, d *Defaults) (Event, error) {
 	vals := make([]float64, s.N())
 	seen := make([]bool, s.N())

@@ -7,9 +7,9 @@ import (
 )
 
 // The tests in this file assert the qualitative claims of §4.3 — the
-// definition of a successful reproduction (DESIGN.md §2): who wins, where,
-// and by roughly what factor. Absolute values depend on the synthetic
-// distribution catalog and are recorded in EXPERIMENTS.md.
+// definition of a successful reproduction: who wins, where, and by roughly
+// what factor. Absolute values depend on the synthetic distribution catalog
+// and are pinned by cmd/reproduce's goldens (cmd/reproduce/testdata).
 
 const seed = 1
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"genas/internal/dist"
@@ -133,5 +134,169 @@ func TestUserCentricFavorsPriorityProfiles(t *testing.T) {
 	}
 	if eventCentric, userCentric := vipCost(v1), vipCost(v3); userCentric >= eventCentric {
 		t.Errorf("user-centric vip cost %.3f must beat event-centric %.3f", userCentric, eventCentric)
+	}
+}
+
+// randSchema builds a schema with 1–4 attributes of mixed kinds.
+func randSchema(rng *rand.Rand) *schema.Schema {
+	n := 1 + rng.Intn(4)
+	attrs := make([]schema.Attribute, n)
+	for i := range attrs {
+		var d schema.Domain
+		switch rng.Intn(3) {
+		case 0:
+			d, _ = schema.NewNumericDomain(0, 100)
+		case 1:
+			d, _ = schema.NewIntegerDomain(0, 20)
+		default:
+			d, _ = schema.NewCategoricalDomain("a", "b", "c", "d")
+		}
+		attrs[i] = schema.Attribute{Name: fmt.Sprintf("x%d", i), Domain: d}
+	}
+	return schema.MustNew(attrs...)
+}
+
+// randValue draws a value of attribute attr: uniform over the domain,
+// truncated onto the grid of a non-numeric one.
+func randValue(s *schema.Schema, attr int, rng *rand.Rand) float64 {
+	dom := s.At(attr).Domain
+	v := dom.Lo() + rng.Float64()*(dom.Hi()-dom.Lo())
+	if dom.Kind() != schema.KindNumeric {
+		v = float64(int(v))
+	}
+	return v
+}
+
+// randProfile draws a random profile over s with mixed operators.
+func randProfile(s *schema.Schema, id int, rng *rand.Rand) *predicate.Profile {
+	var preds []predicate.Predicate
+	for attr := 0; attr < s.N(); attr++ {
+		pick := func() float64 { return randValue(s, attr, rng) }
+		switch rng.Intn(7) {
+		case 0:
+			continue // don't-care
+		case 1:
+			pr, _ := predicate.NewComparison(attr, predicate.OpEq, pick())
+			preds = append(preds, pr)
+		case 2:
+			pr, _ := predicate.NewComparison(attr, predicate.OpLe, pick())
+			preds = append(preds, pr)
+		case 3:
+			pr, _ := predicate.NewComparison(attr, predicate.OpGe, pick())
+			preds = append(preds, pr)
+		case 4:
+			a, b := pick(), pick()
+			if a > b {
+				a, b = b, a
+			}
+			pr, _ := predicate.NewRange(attr, a, b)
+			preds = append(preds, pr)
+		case 5:
+			pr, _ := predicate.NewComparison(attr, predicate.OpNe, pick())
+			preds = append(preds, pr)
+		default:
+			vs := []float64{pick(), pick(), pick()}
+			pr, _ := predicate.NewIn(attr, vs...)
+			preds = append(preds, pr)
+		}
+	}
+	p, err := predicate.New(s, predicate.ID(fmt.Sprintf("p%d", id)), preds...)
+	if err != nil {
+		// All attributes fell on don't-care: force one equality.
+		pr, _ := predicate.NewComparison(0, predicate.OpEq, randValue(s, 0, rng))
+		p, _ = predicate.New(s, predicate.ID(fmt.Sprintf("p%d", id)), pr)
+	}
+	return p
+}
+
+func randEvent(s *schema.Schema, rng *rand.Rand) []float64 {
+	vals := make([]float64, s.N())
+	for i := range vals {
+		vals[i] = randValue(s, i, rng)
+	}
+	return vals
+}
+
+// bruteForce is the oracle: the ascending indices of the profiles whose
+// predicates vals satisfies.
+func bruteForce(profiles []*predicate.Profile, vals []float64) []int {
+	var matched []int
+	for i, p := range profiles {
+		if p.Matches(vals) {
+			matched = append(matched, i)
+		}
+	}
+	return matched
+}
+
+// TestMatcherEquivalence: the tree and the reproduction's five scans over it
+// return the brute-force match set on random workloads. This is the central
+// correctness property of the whole repository.
+func TestMatcherEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 60; trial++ {
+		s := randSchema(rng)
+		profiles := make([]*predicate.Profile, 1+rng.Intn(40))
+		for i := range profiles {
+			profiles[i] = randProfile(s, i, rng)
+		}
+		tr, err := tree.Build(s, profiles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := []string{"tree"}
+		matchers := []func([]float64) ([]int, int){tr.Match}
+		for _, search := range []Search{SearchLinear, SearchBinary, SearchLinearNoStop, SearchInterpolation, SearchHash} {
+			names = append(names, search.String())
+			matchers = append(matchers, NewScan(tr, search, Natural()).Match)
+		}
+		for ev := 0; ev < 120; ev++ {
+			vals := randEvent(s, rng)
+			want := bruteForce(profiles, vals)
+			for i, match := range matchers {
+				got, ops := match(vals)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d: %s disagrees on %v:\n got %v\nwant %v\nschema %s",
+						trial, names[i], vals, got, want, s)
+				}
+				if ops < 0 {
+					t.Fatalf("%s: negative ops", names[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMatcherEquivalenceUnderReordering: weighing the probe trees by any
+// distribution must never change the match result.
+func TestMatcherEquivalenceUnderReordering(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	s := randSchema(rng)
+	profiles := make([]*predicate.Profile, 25)
+	for i := range profiles {
+		profiles[i] = randProfile(s, i, rng)
+	}
+	tr, err := tree.Build(s, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	orders := []tree.ValueOrder{
+		tree.NaturalOrder(),
+		{Name: "high-first", Mass: func(_ int, r []tree.Interval) float64 { return r[0].Lo * r[0].Lo }},
+		{Name: "shuffle", Mass: func(_ int, r []tree.Interval) float64 {
+			return float64(1 + int64(r[0].Lo*7919)%97)
+		}},
+	}
+	for _, vo := range orders {
+		tr, _, _ := tr.Reordered(vo)
+		for ev := 0; ev < 300; ev++ {
+			vals := randEvent(s, rng)
+			want := bruteForce(profiles, vals)
+			got, _ := tr.Match(vals)
+			if !slices.Equal(got, want) {
+				t.Fatalf("order %s changed semantics on %v: got %v want %v", vo.Name, vals, got, want)
+			}
+		}
 	}
 }

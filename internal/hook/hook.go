@@ -1,7 +1,8 @@
 // Package hook bridges the sealed public facade to in-module integration
 // points. The v1 surface deliberately has no Service.Broker() escape hatch;
-// the wire server and the experiment harness still need the underlying
-// broker, so package genas installs narrow accessors here at init time.
+// the daemon (cmd/genasd), the federation example (examples/federation) and
+// the root package's tests still need the underlying broker to serve it over
+// the wire, so package genas installs narrow accessors here at init time.
 // The package is internal: external callers cannot reach it, which is the
 // point.
 package hook

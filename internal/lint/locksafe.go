@@ -57,7 +57,8 @@ var locksafeSeeds = map[string]string{
 	"(*genas/internal/broker.Broker).PublishBatch":       "may stall on a Block-policy subscriber",
 	"(*genas/internal/broker.Broker).PublishBatchCtx":    "may stall on a Block-policy subscriber",
 	"(*genas/internal/broker.Broker).SubscribeWith":      "takes broker registration locks",
-	"(*genas/internal/broker.Broker).SubscribeGroup":     "takes broker registration locks",
+	"(*genas/internal/broker.Queue).Subscribe":           "takes broker registration locks",
+	"(*genas/internal/broker.Queue).Close":               "takes broker registration locks",
 	"(*genas/internal/broker.Broker).Unsubscribe":        "takes broker registration locks",
 	"(*genas/internal/broker.Broker).Close":              "waits out in-flight deliveries",
 	"(*genas/internal/broker.Subscription).blockingSend": "blocks until buffer space frees",

@@ -64,6 +64,30 @@ func randomProfileExpr(rng *rand.Rand, grid int) string {
 	}
 }
 
+// CoveredByOther reports whether some other route strictly covers p. Ties
+// (mutual covering, i.e. equivalent profiles) keep the lexicographically
+// smallest id to avoid dropping both.
+//
+// Route pruning itself does not call this — the link engines' covering poset
+// maintains the uncovered set incrementally. It is the quadratic reference
+// oracle: the property tests check the poset's covering order against it pair
+// by pair.
+func CoveredByOther(s *schema.Schema, p *predicate.Profile, routes map[predicate.ID]*predicate.Profile) bool {
+	for id, q := range routes {
+		if id == p.ID {
+			continue
+		}
+		if !predicate.Covers(s, q, p) {
+			continue
+		}
+		if predicate.Covers(s, p, q) && p.ID < id {
+			continue // equivalent profiles: the smaller id survives
+		}
+		return true
+	}
+	return false
+}
+
 // endpointProbes builds a probe grid tailored to the given profiles: domain
 // edges plus every interval endpoint of any of them and its ±1 neighbors,
 // crossed over both attributes. Direct evaluation over this grid refutes

@@ -247,30 +247,6 @@ func (n *Node) send(msgs []Msg) {
 	}
 }
 
-// CoveredByOther reports whether some other route strictly covers p. Ties
-// (mutual covering, i.e. equivalent profiles) keep the lexicographically
-// smallest id to avoid dropping both.
-//
-// Route pruning itself no longer calls this — the link engines' covering
-// poset maintains the uncovered set incrementally. It survives as the
-// quadratic reference oracle: property tests check the poset's covering
-// order against it pair by pair.
-func CoveredByOther(s *schema.Schema, p *predicate.Profile, routes map[predicate.ID]*predicate.Profile) bool {
-	for id, q := range routes {
-		if id == p.ID {
-			continue
-		}
-		if !predicate.Covers(s, q, p) {
-			continue
-		}
-		if predicate.Covers(s, p, q) && p.ID < id {
-			continue // equivalent profiles: the smaller id survives
-		}
-		return true
-	}
-	return false
-}
-
 // Publish posts the event at the named node. It returns the total number of
 // local matches across all brokers the event reached.
 func (nw *Network) Publish(node string, ev event.Event) (int, error) {

@@ -183,7 +183,8 @@ func TestPaperExample3Selectivities(t *testing.T) {
 // dramatically. The paper reports 3.371 → 1.91; under the operation-counting
 // convention calibrated on Example 2 our model yields 3.16 → 1.57 (the
 // paper's per-level addends 0.568 and 0.702 are not internally consistent
-// with its own Examples 2 and 4 — see EXPERIMENTS.md). The first addends
+// with its own Examples 2 and 4, so this test pins our model's values). The
+// first addends
 // match the paper exactly: E(X1)=2.44 for the natural tree and E(X2)=0.85
 // for the reordered tree, as does E(X1|X2)=0.364.
 func TestPaperExample3Reordering(t *testing.T) {
