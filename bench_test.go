@@ -325,10 +325,9 @@ func publishWorkload(b *testing.B, p int, opts ...Option) (*Service, []Event) {
 
 // BenchmarkPublishParallel measures concurrent publish throughput on the
 // uniform-stream workload: GOMAXPROCS publishers against the single-shard
-// path and the GOMAXPROCS-way sharded path. The sharded engine removes the
-// broker-wide serialization points (one accounting mutex, one counters
-// mutex, one subscription lock), so at GOMAXPROCS ≥ 4 the sharded
-// configuration sustains multiples of the single-shard throughput. Setup
+// engine and the GOMAXPROCS-way sharded engine. Only the matcher differs:
+// both deliver through one subscription table and record on one operation
+// account. It is the repository's only multi-publisher measurement. Setup
 // verifies per-event match counts against the sequential single-tree oracle
 // before timing starts.
 func BenchmarkPublishParallel(b *testing.B) {

@@ -37,6 +37,7 @@ import (
 
 	"genas"
 	"genas/internal/adaptive"
+	"genas/internal/core"
 	"genas/internal/federation"
 	"genas/internal/hook"
 	"genas/internal/wire"
@@ -58,7 +59,7 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		window     = fs.Int("window", 1024, "events between drift checks, and the length of the history a check reads")
 		threshold  = fs.Float64("threshold", 0.1, "total-variation drift threshold")
 		attrs      = fs.String("attrs", "natural", "attribute ordering: natural | A1 | A2 | A3")
-		shards     = fs.Int("shards", 1, "engine/delivery shard count (0 = GOMAXPROCS, 1 = single tree)")
+		shards     = fs.Int("shards", 1, "matcher shard count (0 = GOMAXPROCS, 1 = single tree)")
 		defaults   = fs.String("defaults", "", "fill-ins for omitted event attributes, e.g. 'radiation=1; humidity=0'")
 		node       = fs.String("node", "", "federation node name (required with -peer; enables broker peering)")
 		peer       = fs.String("peer", "", "comma-separated peer daemon addresses to dial, e.g. 'host1:7452,host2:7452'")
@@ -116,7 +117,7 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		logger.Printf("listen: %v", err)
 		return 1
 	}
-	logger.Printf("listening on %s with schema %s (%d shards)", ln.Addr(), sch, hook.BrokerOf(svc).Shards())
+	logger.Printf("listening on %s with schema %s (%d shards)", ln.Addr(), sch, core.ResolveShards(*shards))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -186,13 +186,12 @@ func WithAttrOrdering(name string) Option {
 	}
 }
 
-// WithShards partitions the filter engine and the broker's delivery state
-// into n shards: profiles hash across n independent profile trees, each with
-// its own lock and selectivity state, and events are matched against all
-// shards with a merge step. The match set is identical to the single-tree
-// engine; sharding changes the concurrency layout — subscription churn and
-// adaptive restructuring lock one shard at a time instead of stopping the
-// world, and parallel publishers stop serializing on broker-wide state.
+// WithShards partitions the filter engine into n shards: profiles hash
+// across n independent profile trees, each with its own lock and
+// selectivity state, and every event is matched against all shards with a
+// merge step. The match set is identical to the single-tree engine;
+// subscription churn and adaptive restructuring lock one shard at a time.
+// Only the matcher is partitioned: delivery keeps one subscription table.
 // n ≤ 0 selects GOMAXPROCS; n == 1 keeps the classic single-tree engine.
 func WithShards(n int) Option {
 	return func(o *options) error {

@@ -63,10 +63,10 @@ func (p Policy) withDefaults() Policy {
 }
 
 // Engine is the filter surface the adaptor drives: both the single-tree
-// core.Engine and the sharded core.Sharded satisfy it. On a sharded engine
-// the drift check runs once over the aggregated event history and the
-// restructure fans out per shard, each shard locking independently — the
-// adaptation never stops the world.
+// core.Engine and the sharded core.Sharded satisfy it. The drift check runs
+// once over the whole event history, whatever the engine's partition; a
+// sharded engine restructures shard after shard, each under its own lock,
+// so the adaptation never stops matching.
 type Engine interface {
 	Schema() *schema.Schema
 	Config() core.Config

@@ -8,10 +8,10 @@
 // feeds the event history, and the filter tree restructures itself when the
 // observed distribution drifts.
 //
-// Delivery state (subscription maps and per-profile counters) is partitioned
-// with the same hash the sharded engine uses, so concurrent publishers
-// contend per shard instead of on one broker-wide lock, and subscription
-// churn on one shard never stalls delivery on the others.
+// Matching and delivery are separate stages. The engine may partition its
+// profiles (core.Sharded); delivery does not know how. It keeps one table of
+// subscriptions under one read-write lock, and every subscription counts its
+// own deliveries and drops.
 package broker
 
 import (
@@ -114,16 +114,16 @@ type Subscription struct {
 	// publishers promptly.
 	done chan struct{}
 	// sendMu fences Block-policy sends (read side) against the channel
-	// close (write side). Block sends happen outside the delivery shard's
+	// close (write side). Block sends happen outside the delivery table's
 	// lock — a publisher stalled on one slow Block subscriber must not hold
 	// a lock that registration operations or other deliveries need.
 	sendMu    sync.RWMutex
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 	closed    atomic.Bool
-	// foldedDelivered/foldedDropped mark how much of the tallies the shard's
+	// foldedDelivered/foldedDropped mark how much of the tallies the broker's
 	// retired store has absorbed; written only from the subscription's
-	// single Unsubscribe/Close invocation (see deliveryShard.retire).
+	// single Unsubscribe/Close invocation (see Broker.retire).
 	foldedDelivered uint64
 	foldedDropped   uint64
 }
@@ -148,11 +148,11 @@ func (s *Subscription) Delivered() uint64 { return s.delivered.Load() }
 
 // Options configure a Broker.
 type Options struct {
-	// Engine configuration (measures, search strategy, distributions).
+	// Engine configuration (attribute ordering, event distributions).
 	Engine core.Config
 	// Shards selects the engine partition width: 0 or 1 runs the classic
-	// single-tree engine, n > 1 runs an n-way sharded engine with delivery
-	// state partitioned the same way.
+	// single-tree engine, n > 1 runs an n-way sharded engine. Delivery
+	// state is one table either way.
 	Shards int
 	// Adaptive enables the adaptive filter component.
 	Adaptive bool
@@ -162,41 +162,6 @@ type Options struct {
 	DefaultBuffer int
 }
 
-// deliveryShard holds the subscriptions of one partition of the id space,
-// plus shard-level delivery aggregates and the per-profile counters retired
-// from subscriptions that have since ended.
-type deliveryShard struct {
-	mu   sync.RWMutex
-	subs map[predicate.ID]*Subscription
-	// delivered/dropped aggregate the shard's whole history (live and
-	// retired subscriptions), so Stats stays O(shards) instead of walking
-	// every subscription. Contention is per shard, which is the point.
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-	// retired accumulates the per-profile tallies of unsubscribed profiles
-	// (cold path only: the publish path never touches it).
-	retired *stats.Counters
-}
-
-// retire folds a dead subscription's per-profile tallies into the shard's
-// counter store (the shard aggregates already include them). Delta-aware: it
-// runs twice per subscription — once under the shard write lock when the
-// subscription leaves the map, and once after the Block-send fence
-// (retireChan), because a Block-policy delivery already parked in its select
-// may record its outcome after the first fold. Both calls come from the same
-// Unsubscribe/Close invocation (serialized by regMu), so the folded marks
-// need no locking of their own.
-func (d *deliveryShard) retire(sub *Subscription) {
-	if n := sub.delivered.Load(); n > sub.foldedDelivered {
-		d.retired.Add("delivered:"+string(sub.id), n-sub.foldedDelivered)
-		sub.foldedDelivered = n
-	}
-	if n := sub.dropped.Load(); n > sub.foldedDropped {
-		d.retired.Add("dropped:"+string(sub.id), n-sub.foldedDropped)
-		sub.foldedDropped = n
-	}
-}
-
 // Broker is the local ENS instance. It is safe for concurrent use.
 type Broker struct {
 	schema *schema.Schema
@@ -204,11 +169,21 @@ type Broker struct {
 	adapt  *adaptive.Adaptor
 
 	// regMu serializes registration state changes (subscribe, unsubscribe,
-	// close); the publish path only takes per-shard read locks.
+	// close); the publish path only takes mu's read side.
 	regMu  sync.Mutex
 	closed atomic.Bool
 
-	shards []*deliveryShard
+	// subs is the delivery table. It is written under regMu and mu's write
+	// side, so a holder of either may read it.
+	mu   sync.RWMutex
+	subs map[predicate.ID]*Subscription
+	// delivered/dropped aggregate the whole history (live and retired
+	// subscriptions), so Stats does not walk every subscription.
+	delivered atomic.Uint64
+	dropped   atomic.Uint64
+	// retired accumulates the per-profile tallies of unsubscribed profiles
+	// (cold path only: the publish path never touches it).
+	retired *stats.Counters
 
 	seq       atomic.Uint64
 	published atomic.Uint64
@@ -224,27 +199,18 @@ func New(s *schema.Schema, opts Options) (*Broker, error) {
 	if opts.DefaultBuffer < 0 {
 		return nil, ErrBadBufferSize
 	}
-	n := opts.Shards
-	if n < 1 {
-		n = 1
-	}
 	var filter core.Filter
-	if n > 1 {
-		filter = core.NewSharded(s, opts.Engine, n)
+	if opts.Shards > 1 {
+		filter = core.NewSharded(s, opts.Engine, opts.Shards)
 	} else {
 		filter = core.NewEngine(s, opts.Engine)
 	}
 	b := &Broker{
 		schema:        s,
 		filter:        filter,
-		shards:        make([]*deliveryShard, n),
+		subs:          make(map[predicate.ID]*Subscription),
+		retired:       stats.NewCounters(),
 		defaultBuffer: opts.DefaultBuffer,
-	}
-	for i := range b.shards {
-		b.shards[i] = &deliveryShard{
-			subs:    make(map[predicate.ID]*Subscription),
-			retired: stats.NewCounters(),
-		}
 	}
 	if opts.Adaptive {
 		a, err := adaptive.New(filter, opts.Policy)
@@ -263,17 +229,8 @@ func (b *Broker) Schema() *schema.Schema { return b.schema }
 // *core.Engine for single-shard brokers, a *core.Sharded otherwise.
 func (b *Broker) Engine() core.Filter { return b.filter }
 
-// Shards returns the delivery partition width.
-func (b *Broker) Shards() int { return len(b.shards) }
-
 // Adaptor returns the adaptive component (nil when disabled).
 func (b *Broker) Adaptor() *adaptive.Adaptor { return b.adapt }
-
-// shardFor returns the delivery shard owning id (aligned with the engine's
-// profile partition).
-func (b *Broker) shardFor(id predicate.ID) *deliveryShard {
-	return b.shards[core.ShardOf(id, len(b.shards))]
-}
 
 // SubscribeWith registers a profile and returns its subscription, with the
 // buffer and drop policy of o (zero values: the broker's default buffer,
@@ -302,24 +259,20 @@ func (b *Broker) register(p *predicate.Profile, sc *sharedChan, policy DropPolic
 	if b.closed.Load() || sc.closed.Load() {
 		return nil, ErrClosed
 	}
-	shard := b.shardFor(p.ID)
-	shard.mu.RLock()
-	_, dup := shard.subs[p.ID]
-	shard.mu.RUnlock()
-	if dup {
+	if _, dup := b.subs[p.ID]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateSub, p.ID)
 	}
 	sub := &Subscription{id: p.ID, profile: p, shared: sc, policy: policy, done: make(chan struct{})}
 	// Insert into the delivery map before the profile becomes matchable: the
 	// reverse order would let a concurrent Publish match the profile, miss
 	// it in the map and silently lose the notification.
-	shard.mu.Lock()
-	shard.subs[p.ID] = sub
-	shard.mu.Unlock()
+	b.mu.Lock()
+	b.subs[p.ID] = sub
+	b.mu.Unlock()
 	if err := b.filter.AddProfile(p); err != nil {
-		shard.mu.Lock()
-		delete(shard.subs, p.ID)
-		shard.mu.Unlock()
+		b.mu.Lock()
+		delete(b.subs, p.ID)
+		b.mu.Unlock()
 		return nil, err
 	}
 	sc.refs.Add(1)
@@ -381,28 +334,44 @@ func (s *Subscription) end() {
 	}
 }
 
+// retire folds a dead subscription's per-profile tallies into the broker's
+// counter store (the broker aggregates already include them). Delta-aware: it
+// runs twice per subscription — once under the write lock when the
+// subscription leaves the table, and once after the Block-send fence
+// (retireChan), because a Block-policy delivery already parked in its select
+// may record its outcome after the first fold. Both calls come from the same
+// Unsubscribe/Close invocation (serialized by regMu), so the folded marks
+// need no locking of their own.
+func (b *Broker) retire(sub *Subscription) {
+	if n := sub.delivered.Load(); n > sub.foldedDelivered {
+		b.retired.Add("delivered:"+string(sub.id), n-sub.foldedDelivered)
+		sub.foldedDelivered = n
+	}
+	if n := sub.dropped.Load(); n > sub.foldedDropped {
+		b.retired.Add("dropped:"+string(sub.id), n-sub.foldedDropped)
+		sub.foldedDropped = n
+	}
+}
+
 // retireChan closes the subscription's channel reference once no send can
 // touch it anymore, then folds any tallies a late Block-policy send recorded
 // after the first retire. Callers must have removed the subscription from
-// its delivery shard first (under the shard write lock, which waits out the
+// the delivery table first (under the write lock, which waits out the
 // non-blocking sends) and ended it (which releases Block-policy sends); the
 // sendMu write acquisition then only waits for those sends — which record
 // their per-subscription tallies under the read side — to finish.
-func (s *Subscription) retireChan(shard *deliveryShard) {
+func (b *Broker) retireChan(s *Subscription) {
 	s.sendMu.Lock()
 	s.shared.release()
 	s.sendMu.Unlock()
-	shard.retire(s)
+	b.retire(s)
 }
 
 // Unsubscribe removes a subscription and closes its channel.
 func (b *Broker) Unsubscribe(id predicate.ID) error {
 	b.regMu.Lock()
 	defer b.regMu.Unlock()
-	shard := b.shardFor(id)
-	shard.mu.RLock()
-	sub, ok := shard.subs[id]
-	shard.mu.RUnlock()
+	sub, ok := b.subs[id]
 	if !ok {
 		if b.closed.Load() {
 			return ErrClosed
@@ -413,15 +382,15 @@ func (b *Broker) Unsubscribe(id predicate.ID) error {
 	// registration changes, so the map cannot change between the lookup
 	// above and the removal below.
 	sub.end()
-	shard.mu.Lock()
-	delete(shard.subs, id)
-	shard.retire(sub)
-	shard.mu.Unlock()
-	// Close outside the shard lock: after the write section above no new
+	b.mu.Lock()
+	delete(b.subs, id)
+	b.retire(sub)
+	b.mu.Unlock()
+	// Close outside the table lock: after the write section above no new
 	// delivery can find the subscription, in-flight non-blocking sends
 	// completed before the write lock was granted, and in-flight Block
 	// sends are fenced by sendMu inside retireChan.
-	sub.retireChan(shard)
+	b.retireChan(sub)
 	return b.filter.RemoveProfile(id)
 }
 
@@ -529,9 +498,8 @@ func (b *Broker) publishOne(ev event.Event, owned bool, cancel <-chan struct{}) 
 // delivers the notifications in event order. It returns the per-event match
 // counts, positionally aligned with the input; the input slice itself is not
 // modified, so buffers may be reused across calls. The batch amortizes
-// sequence assignment, adaptor bookkeeping and per-shard lock acquisition
-// across the whole slice; events are matched concurrently by the engine's
-// batch path.
+// sequence assignment and adaptor bookkeeping across the whole slice; events
+// are matched concurrently by the engine's batch path.
 func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 	return b.publishBatch(evs, nil)
 }
@@ -563,133 +531,108 @@ func (b *Broker) publishBatch(evs []event.Event, cancel <-chan struct{}) ([]int,
 		return nil, err
 	}
 
-	// Stamp sequence numbers and times on a copy: like Publish, the batch
-	// path must not mutate caller-visible events (a reused buffer would
-	// otherwise keep its first call's timestamps forever).
-	now := time.Now()
-	batch := make([]event.Event, len(evs))
 	vals := make([][]float64, len(evs))
 	for i := range evs {
-		batch[i] = evs[i]
-		batch[i].Seq = base + uint64(i) + 1
-		if batch[i].Time.IsZero() {
-			batch[i].Time = now
-		}
-		vals[i] = batch[i].Vals
+		vals[i] = evs[i].Vals
 	}
-
 	if b.adapt != nil {
 		b.adapt.ObserveBatch(vals)
 	}
-
 	results, err := b.filter.MatchBatch(vals, 0)
 	if err != nil {
 		return nil, err
 	}
 	counts := make([]int, len(evs))
-	delivered := time.Now()
+	now := time.Now()
 	for i, r := range results {
 		counts[i] = len(r.IDs)
-		b.deliver(batch[i], r.IDs, delivered, cancel)
+		// Stamp the copy handed to deliver: like Publish, the batch path must
+		// not mutate caller-visible events (a reused buffer would otherwise
+		// keep its first call's timestamps forever).
+		ev := evs[i]
+		ev.Seq = base + uint64(i) + 1
+		if ev.Time.IsZero() {
+			ev.Time = now
+		}
+		b.deliver(ev, r.IDs, now, cancel)
 	}
 	return counts, nil
 }
 
-// blockedSend is one Block-policy delivery deferred to after the shard locks
-// are released.
-type blockedSend struct {
-	shard *deliveryShard
-	sub   *Subscription
-	n     Notification
-}
-
-// blockedBuf is the pooled collection buffer for Block-policy deliveries:
-// steady-state delivery to Block subscribers must not grow a fresh slice per
-// event. Buffers are cleared before pooling so retained capacity does not
-// pin events or subscriptions.
+// blockedBuf is the pooled collection buffer for Block-policy deliveries
+// deferred to after the table lock is released: steady-state delivery to
+// Block subscribers must not grow a fresh slice per event. Buffers are
+// cleared before pooling so retained capacity does not pin subscriptions.
 type blockedBuf struct {
-	sends []blockedSend
+	subs []*Subscription
 }
 
 var blockedPool = sync.Pool{New: func() any { return new(blockedBuf) }}
 
 // deliver pushes one event's notifications to the matched subscribers,
-// locking only the delivery shards the matched ids live on. Non-blocking
-// sends (DropNewest, DropOldest) happen under the shard read lock: channel
-// close waits for the shard write lock first, so such a send can never hit a
-// closing channel. Block-policy sends are collected and performed after all
-// shard locks are released — a publisher stalled on one slow Block
-// subscriber must not wedge registration operations or deliveries to other
-// subscribers — fenced against close by the subscription's sendMu. Matched
-// ids arrive grouped by shard (the sharded engine merges in shard order), so
-// the lock is held across each run of same-shard ids rather than per id.
-// cancel (possibly nil) aborts Block-policy sends.
+// taking the table's read lock once for the event. Non-blocking sends
+// (DropNewest, DropOldest) happen under it: channel close waits for the write
+// lock first, so such a send can never hit a closing channel. Block-policy
+// sends are collected and performed after the lock is released — a publisher
+// stalled on one slow Block subscriber must not wedge registration
+// operations or deliveries to other subscribers — fenced against close by
+// the subscription's sendMu. cancel (possibly nil) aborts Block-policy sends.
 //
 // The notification value is built once per event, before the loop, and only
 // its Profile field is stamped per matched id — after the liveness check, so
-// closed or vanished subscriptions cost nothing (they previously paid a full
-// event copy each).
+// closed or vanished subscriptions cost nothing.
 //
 //genas:hotpath
 func (b *Broker) deliver(ev event.Event, ids []predicate.ID, now time.Time, cancel <-chan struct{}) {
-	var shard *deliveryShard
 	var buf *blockedBuf // nil unless Block-policy subscribers matched
 	n := Notification{Event: ev, Delivered: now}
+	b.mu.RLock()
 	for _, id := range ids {
-		if next := b.shardFor(id); next != shard {
-			if shard != nil {
-				shard.mu.RUnlock()
-			}
-			shard = next
-			shard.mu.RLock()
-		}
-		sub, ok := shard.subs[id]
+		sub, ok := b.subs[id]
 		if !ok || sub.closed.Load() {
 			continue
 		}
-		n.Profile = id
 		if sub.policy == Block {
 			if buf == nil {
 				buf = blockedPool.Get().(*blockedBuf)
 			}
-			buf.sends = append(buf.sends, blockedSend{shard: shard, sub: sub, n: n})
+			buf.subs = append(buf.subs, sub)
 			continue
 		}
+		n.Profile = id
 		sent, evicted := sub.send(n)
 		if sent {
 			sub.delivered.Add(1)
-			shard.delivered.Add(1)
+			b.delivered.Add(1)
 		} else {
 			sub.dropped.Add(1)
-			shard.dropped.Add(1)
+			b.dropped.Add(1)
 		}
 		if evicted > 0 {
 			sub.dropped.Add(uint64(evicted))
-			shard.dropped.Add(uint64(evicted))
+			b.dropped.Add(uint64(evicted))
 		}
 	}
-	if shard != nil {
-		shard.mu.RUnlock()
-	}
+	b.mu.RUnlock()
 	if buf == nil {
 		return
 	}
-	for i := range buf.sends {
-		bs := &buf.sends[i]
-		if bs.sub.blockingSend(bs.n, cancel) {
-			bs.shard.delivered.Add(1)
+	for _, sub := range buf.subs {
+		n.Profile = sub.id
+		if sub.blockingSend(n, cancel) {
+			b.delivered.Add(1)
 		} else {
-			bs.shard.dropped.Add(1)
+			b.dropped.Add(1)
 		}
 	}
-	clear(buf.sends)
-	buf.sends = buf.sends[:0]
+	clear(buf.subs)
+	buf.subs = buf.subs[:0]
 	blockedPool.Put(buf)
 }
 
 // send places n on the subscription channel under its non-blocking drop
 // policy, reporting whether the notification reached the buffer and how many
-// older notifications were evicted to make room. Runs with the shard read
+// older notifications were evicted to make room. Runs with the table's read
 // lock held, so the channel cannot close mid-send.
 func (s *Subscription) send(n Notification) (sent bool, evicted int) {
 	if s.policy == DropOldest {
@@ -716,7 +659,7 @@ func (s *Subscription) send(n Notification) (sent bool, evicted int) {
 	}
 }
 
-// blockingSend performs one Block-policy delivery outside the shard locks:
+// blockingSend performs one Block-policy delivery outside the table lock:
 // it waits until buffer space frees, the subscription ends (done closes
 // before the channel does), or the publisher's cancel channel fires (nil
 // means no cancellation). sendMu (read side) fences the channel against
@@ -728,11 +671,11 @@ func (s *Subscription) blockingSend(n Notification, cancel <-chan struct{}) bool
 	defer s.sendMu.RUnlock()
 	if s.closed.Load() {
 		// The subscription may be fully retired already (its final fold can
-		// precede this read), so only the shard-wide drop aggregate counts
+		// precede this read), so only the broker-wide drop aggregate counts
 		// this outcome — the caller's else-branch handles it.
 		return false
 	}
-	//genas:allow locksafe sendMu is the close fence, not a shard lock: the blocking wait under its read side is this function's contract
+	//genas:allow locksafe sendMu is the close fence, not the table lock: the blocking wait under its read side is this function's contract
 	select {
 	case s.shared.ch <- n:
 		s.delivered.Add(1)
@@ -755,28 +698,18 @@ func (b *Broker) Quenched(attr int, iv schema.Interval) bool {
 		return false
 	}
 	dom := b.schema.At(attr).Domain
-	// Hold regMu so the multi-shard scan sees one consistent registration
-	// snapshot: without it, a profile migrating between scanned and
-	// unscanned shards (unsubscribe+resubscribe) could hide continuous
-	// coverage and yield a false "quenched". Quench queries are cold-path.
-	b.regMu.Lock()
-	defer b.regMu.Unlock()
-	for _, shard := range b.shards {
-		shard.mu.RLock()
-		for _, sub := range shard.subs {
-			p := sub.profile
-			if !p.Constrains(attr) {
-				shard.mu.RUnlock()
-				return false // a don't-care profile accepts any value here
-			}
-			for _, piv := range p.Pred(attr).Intervals(dom) {
-				if piv.Overlaps(iv) {
-					shard.mu.RUnlock()
-					return false
-				}
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for _, sub := range b.subs {
+		p := sub.profile
+		if !p.Constrains(attr) {
+			return false // a don't-care profile accepts any value here
+		}
+		for _, piv := range p.Pred(attr).Intervals(dom) {
+			if piv.Overlaps(iv) {
+				return false
 			}
 		}
-		shard.mu.RUnlock()
 	}
 	return true
 }
@@ -798,21 +731,15 @@ type Stats struct {
 
 // Stats returns the current counters.
 func (b *Broker) Stats() Stats {
-	var n int
-	var delivered, dropped uint64
-	for _, shard := range b.shards {
-		shard.mu.RLock()
-		n += len(shard.subs)
-		shard.mu.RUnlock()
-		delivered += shard.delivered.Load()
-		dropped += shard.dropped.Load()
-	}
+	b.mu.RLock()
+	n := len(b.subs)
+	b.mu.RUnlock()
 	acc := b.filter.Account()
 	return Stats{
 		Subscriptions: n,
 		Published:     b.published.Load(),
-		Delivered:     delivered,
-		Dropped:       dropped,
+		Delivered:     b.delivered.Load(),
+		Dropped:       b.dropped.Load(),
 		FilterEvents:  acc.Events,
 		FilterOps:     acc.Ops,
 		MeanOps:       acc.MeanOps,
@@ -826,24 +753,21 @@ func (b *Broker) Stats() Stats {
 // has counted at least one notification.
 func (b *Broker) Counters() []stats.Entry {
 	merged := stats.NewCounters()
-	for _, shard := range b.shards {
-		// Retired and live tallies are read under one read lock so that a
-		// concurrent Unsubscribe (which moves counts from live to retired
-		// under the write lock) can never make a profile vanish from the
-		// snapshot.
-		shard.mu.RLock()
-		for _, e := range shard.retired.Snapshot() {
-			merged.Add(e.Key, e.Count)
+	// Retired and live tallies are read under one read lock so that a
+	// concurrent Unsubscribe (which moves counts from live to retired under
+	// the write lock) can never make a profile vanish from the snapshot.
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for _, e := range b.retired.Snapshot() {
+		merged.Add(e.Key, e.Count)
+	}
+	for id, sub := range b.subs {
+		if n := sub.delivered.Load(); n > 0 {
+			merged.Add("delivered:"+string(id), n)
 		}
-		for id, sub := range shard.subs {
-			if n := sub.delivered.Load(); n > 0 {
-				merged.Add("delivered:"+string(id), n)
-			}
-			if n := sub.dropped.Load(); n > 0 {
-				merged.Add("dropped:"+string(id), n)
-			}
+		if n := sub.dropped.Load(); n > 0 {
+			merged.Add("dropped:"+string(id), n)
 		}
-		shard.mu.RUnlock()
 	}
 	return merged.Snapshot()
 }
@@ -856,26 +780,19 @@ func (b *Broker) Close() {
 	if !b.closed.CompareAndSwap(false, true) {
 		return
 	}
-	for _, shard := range b.shards {
-		// End every subscription first so blocked Block-policy publishers
-		// release; regMu (held) blocks new registrations meanwhile.
-		shard.mu.RLock()
-		ending := make([]*Subscription, 0, len(shard.subs))
-		for _, sub := range shard.subs {
-			ending = append(ending, sub)
-		}
-		shard.mu.RUnlock()
-		for _, sub := range ending {
-			sub.end()
-		}
-		shard.mu.Lock()
-		for id, sub := range shard.subs {
-			shard.retire(sub)
-			delete(shard.subs, id)
-		}
-		shard.mu.Unlock()
-		for _, sub := range ending {
-			sub.retireChan(shard)
-		}
+	// Ending a subscription releases its blocked Block-policy publishers,
+	// which wait outside the table lock; regMu (held) blocks new
+	// registrations meanwhile.
+	b.mu.Lock()
+	ending := make([]*Subscription, 0, len(b.subs))
+	for id, sub := range b.subs {
+		sub.end()
+		b.retire(sub)
+		delete(b.subs, id)
+		ending = append(ending, sub)
+	}
+	b.mu.Unlock()
+	for _, sub := range ending {
+		b.retireChan(sub)
 	}
 }

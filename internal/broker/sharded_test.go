@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"genas/internal/adaptive"
 	"genas/internal/core"
 	"genas/internal/event"
 	"genas/internal/predicate"
@@ -16,10 +17,7 @@ import (
 func TestShardedBrokerDelivery(t *testing.T) {
 	single := newBroker(t, Options{})
 	sharded := newBroker(t, Options{Shards: 4})
-	if sharded.Shards() != 4 {
-		t.Fatalf("Shards() = %d", sharded.Shards())
-	}
-	if _, ok := sharded.Engine().(*core.Sharded); !ok {
+	if sh, ok := sharded.Engine().(*core.Sharded); !ok || sh.ShardCount() != 4 {
 		t.Fatalf("sharded broker engine is %T", sharded.Engine())
 	}
 	if _, ok := single.Engine().(*core.Engine); !ok {
@@ -71,7 +69,7 @@ func TestShardedBrokerDelivery(t *testing.T) {
 		st1.Dropped != st2.Dropped || st1.FilterEvents != st2.FilterEvents {
 		t.Errorf("stats diverge: single %+v vs sharded %+v", st1, st2)
 	}
-	// Per-profile counters agree entry by entry after the shard merge.
+	// Per-profile counters agree entry by entry.
 	c1, c2 := single.Counters(), sharded.Counters()
 	if len(c1) != len(c2) {
 		t.Fatalf("counter entries: %d vs %d", len(c1), len(c2))
@@ -87,9 +85,34 @@ func TestShardedBrokerDelivery(t *testing.T) {
 			t.Errorf("sub %s: sharded saw %d, single %d", id, got, want)
 		}
 	}
-	// Quenching still sees all shards.
+	// Quenching sees every subscription.
 	if sharded.Quenched(0, s.At(0).Domain.Interval()) {
 		t.Error("subscribed region reported quenched")
+	}
+}
+
+// TestEmptyRestructureIsWidthBlind: an adaptive broker without
+// subscriptions records the same restructure errors at every shard width —
+// the engine's ErrNoProfiles, as a single-tree engine reports it.
+func TestEmptyRestructureIsWidthBlind(t *testing.T) {
+	errs := make(map[int][]string)
+	for _, shards := range []int{1, 2} {
+		b := newBroker(t, Options{Shards: shards, Adaptive: true, Policy: adaptive.Policy{Window: 64, Threshold: 0.01}})
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 1000; i++ {
+			if _, err := b.PublishValues([]float64{rng.Float64()*80 - 30, rng.Float64() * 100}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, d := range b.Adaptor().Decisions() {
+			errs[shards] = append(errs[shards], fmt.Sprint(d.Err))
+		}
+	}
+	if len(errs[1]) == 0 {
+		t.Fatal("no restructure recorded")
+	}
+	if fmt.Sprint(errs[1]) != fmt.Sprint(errs[2]) {
+		t.Errorf("restructure errors differ by width:\n1 shard:  %v\n2 shards: %v", errs[1], errs[2])
 	}
 }
 

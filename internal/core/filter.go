@@ -38,8 +38,8 @@ type Filter interface {
 	Reorder(attrs ...int) (resorted, copied int, err error)
 	// Config returns a copy of the current configuration.
 	Config() Config
-	// SetConfig replaces the measure/search configuration (applied on the
-	// next Rebuild or Reorder).
+	// SetConfig replaces the attribute ordering and event distributions
+	// (applied on the next Rebuild or Reorder).
 	SetConfig(cfg Config)
 	// SetEventDists replaces P_e (the adaptive component's entry point).
 	SetEventDists(ds []dist.Dist)

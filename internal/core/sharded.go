@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"genas/internal/dist"
 	"genas/internal/predicate"
@@ -23,23 +21,20 @@ import (
 //   - profile churn (subscribe/unsubscribe) publishes a successor snapshot
 //     on one shard, while matching proceeds lock-free on all N;
 //   - restructuring (Reorder/Rebuild) swaps one shard's snapshot at a time
-//     instead of stopping the world;
-//   - operation accounting stripes across per-shard accounts, so parallel
-//     publishers do not serialize on a single accounting mutex.
+//     instead of stopping the world.
 //
-// Stats totals are preserved: one published event is one accounted event
-// whose operation count is the sum over shards.
+// The partition stays inside this type: callers see one Filter, and one
+// published event is one accounted event whose operation count is the sum
+// over shards.
 type Sharded struct {
-	schema   *schema.Schema
-	shards   []*Engine
-	accounts []*stats.OpAccount
+	schema  *schema.Schema
+	shards  []*Engine
+	account stats.OpAccount
 }
 
-// ShardOf returns the shard index of a profile id under an n-way partition
-// (FNV-1a, inlined: the broker calls this once per delivered notification,
-// so it must not allocate). The broker uses the same function to align its
-// delivery state with the engine's partition.
-func ShardOf(id predicate.ID, n int) int {
+// shardOf returns the shard index of a profile id under an n-way partition
+// (FNV-1a, inlined: it runs on every churn operation and must not allocate).
+func shardOf(id predicate.ID, n int) int {
 	if n <= 1 {
 		return 0
 	}
@@ -71,14 +66,9 @@ func ResolveShards(n int) int {
 // GOMAXPROCS shards.
 func NewSharded(s *schema.Schema, cfg Config, n int) *Sharded {
 	n = ResolveShards(n)
-	sh := &Sharded{
-		schema:   s,
-		shards:   make([]*Engine, n),
-		accounts: make([]*stats.OpAccount, n),
-	}
+	sh := &Sharded{schema: s, shards: make([]*Engine, n)}
 	for i := range sh.shards {
 		sh.shards[i] = NewEngine(s, cfg)
-		sh.accounts[i] = &stats.OpAccount{}
 	}
 	return sh
 }
@@ -94,12 +84,12 @@ func (sh *Sharded) Shard(i int) *Engine { return sh.shards[i] }
 
 // AddProfile registers a profile on its home shard.
 func (sh *Sharded) AddProfile(p *predicate.Profile) error {
-	return sh.shards[ShardOf(p.ID, len(sh.shards))].AddProfile(p)
+	return sh.shards[shardOf(p.ID, len(sh.shards))].AddProfile(p)
 }
 
 // RemoveProfile unregisters a profile from its home shard.
 func (sh *Sharded) RemoveProfile(id predicate.ID) error {
-	return sh.shards[ShardOf(id, len(sh.shards))].RemoveProfile(id)
+	return sh.shards[shardOf(id, len(sh.shards))].RemoveProfile(id)
 }
 
 // ProfileCount returns the number of registered profiles across shards.
@@ -120,27 +110,6 @@ func (sh *Sharded) Profiles() []*predicate.Profile {
 	return out
 }
 
-// stripeHint is a per-P round-robin counter handed out by a sync.Pool: Get
-// normally returns the current P's cached object, so concurrent publishers
-// advance private counters instead of bouncing one shared cache line, and
-// identical events still spread across stripes (a value-derived stripe would
-// collapse onto one account for a hot repeated reading).
-type stripeHint struct{ n uint64 }
-
-var stripePool = sync.Pool{New: func() any { return new(stripeHint) }}
-
-// record stripes one event's accounting across the per-shard accounts. Any
-// spread works — the merge on Account restores exact totals — the only
-// requirement is that choosing a stripe stays off shared state on the hot
-// path.
-func (sh *Sharded) record(ops, matched int) {
-	h := stripePool.Get().(*stripeHint)
-	h.n++
-	idx := h.n % uint64(len(sh.accounts))
-	stripePool.Put(h)
-	sh.accounts[idx].Record(ops, matched)
-}
-
 // Match filters one event against every shard and merges the results in
 // shard order. The merged id set equals the single-tree match set; the
 // operation count is the sum over shards (each shard pays its own root
@@ -151,6 +120,12 @@ func (sh *Sharded) record(ops, matched int) {
 //
 //genas:hotpath
 func (sh *Sharded) Match(vals []float64) ([]predicate.ID, int, error) {
+	// One allocation per event whatever the shards append: growing from nil
+	// reallocates when the second shard appends, which measured 6.51 → 6.65
+	// allocs/event on churn-mixed (+2.1 %, past the benchmark's 2 % bound).
+	// The slice is paid on misses too, which is why one-shard brokers run
+	// Engine rather than a one-shard Sharded. TestShardedMatchAllocations
+	// pins it.
 	ids := make([]predicate.ID, 0, 8)
 	ops := 0
 	empties := 0
@@ -171,7 +146,7 @@ func (sh *Sharded) Match(vals []float64) ([]predicate.ID, int, error) {
 	if empties == len(sh.shards) {
 		return nil, 0, nil // an empty filter matches nothing
 	}
-	sh.record(ops, len(ids))
+	sh.account.Record(ops, len(ids))
 	return ids, ops, nil
 }
 
@@ -208,55 +183,47 @@ func (sh *Sharded) MatchBatch(events [][]float64, workers int) ([]BatchResult, e
 		}
 	})
 	for _, r := range results {
-		sh.record(r.Ops, len(r.IDs))
+		sh.account.Record(r.Ops, len(r.IDs))
 	}
 	return results, nil
 }
 
-// perShard runs f concurrently on every shard and returns the combined
-// error. Each shard locks independently, so a rebuild of shard i never
-// blocks matching on shard j.
-func (sh *Sharded) perShard(f func(e *Engine) error) error {
-	errs := make([]error, len(sh.shards))
-	var wg sync.WaitGroup
-	for i, e := range sh.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = f(e)
-		}()
+// eachShard runs f on every shard in turn, in the caller's goroutine. Each
+// shard swaps its own snapshot under its own lock, so matching never stops
+// during a restructure. An empty shard (f returns ErrNoProfiles) is skipped;
+// ErrNoProfiles is returned only when every shard is empty, as Engine
+// returns it for an empty corpus.
+func (sh *Sharded) eachShard(f func(e *Engine) error) error {
+	var errs []error
+	empty := 0
+	for _, e := range sh.shards {
+		if err := f(e); errors.Is(err, ErrNoProfiles) {
+			empty++
+		} else if err != nil {
+			errs = append(errs, err)
+		}
 	}
-	wg.Wait()
+	if empty == len(sh.shards) {
+		return ErrNoProfiles
+	}
 	return errors.Join(errs...)
 }
 
-// Rebuild reconstructs every non-empty shard's automaton concurrently. A
-// shard found empty (even one emptied concurrently, after any pre-check
-// could run) has nothing to build and does not fail the restructure.
+// Rebuild reconstructs every non-empty shard's automaton.
 func (sh *Sharded) Rebuild() error {
-	return sh.perShard(func(e *Engine) error {
-		if err := e.Rebuild(); err != nil && !errors.Is(err, ErrNoProfiles) {
-			return err
-		}
-		return nil
-	})
+	return sh.eachShard((*Engine).Rebuild)
 }
 
-// Reorder re-applies the value ordering on every non-empty shard
-// concurrently (the cheap half of restructuring), summing the shards' node
-// counts. Empty shards are skipped, not failed, like in Rebuild.
+// Reorder re-applies the value ordering on every non-empty shard (the cheap
+// half of restructuring), summing the shards' node counts.
 func (sh *Sharded) Reorder(attrs ...int) (resorted, copied int, err error) {
-	var rs, cp atomic.Int64
-	err = sh.perShard(func(e *Engine) error {
+	err = sh.eachShard(func(e *Engine) error {
 		r, c, err := e.Reorder(attrs...)
-		rs.Add(int64(r))
-		cp.Add(int64(c))
-		if errors.Is(err, ErrNoProfiles) {
-			return nil
-		}
+		resorted += r
+		copied += c
 		return err
 	})
-	return int(rs.Load()), int(cp.Load()), err
+	return resorted, copied, err
 }
 
 // Config returns a copy of the current configuration (identical across
@@ -294,16 +261,11 @@ func (sh *Sharded) AggStats() AggStats {
 	return out
 }
 
-// Account returns the merged operation accounting summary: totals are exact
-// sums, the confidence interval merges the striped Welford accumulators.
-func (sh *Sharded) Account() stats.Summary { return stats.MergeSummary(sh.accounts) }
+// Account returns the live operation accounting summary.
+func (sh *Sharded) Account() stats.Summary { return sh.account.Summary() }
 
-// ResetAccount clears operation accounting on every stripe.
-func (sh *Sharded) ResetAccount() {
-	for _, a := range sh.accounts {
-		a.Reset()
-	}
-}
+// ResetAccount clears operation accounting.
+func (sh *Sharded) ResetAccount() { sh.account.Reset() }
 
 // Analyze merges the analytic cost model across shards. Expected operations
 // add (every event visits every shard); the match probability combines as
@@ -311,17 +273,12 @@ func (sh *Sharded) ResetAccount() {
 // per indexed root (selectivity.Analysis), in shard order.
 func (sh *Sharded) Analyze() (selectivity.Analysis, error) {
 	var out selectivity.Analysis
-	nonEmpty := 0
 	missProb := 1.0
-	for _, e := range sh.shards {
+	err := sh.eachShard(func(e *Engine) error {
 		a, err := e.Analyze()
-		if errors.Is(err, ErrNoProfiles) {
-			continue // empty shards contribute nothing, as in Rebuild/Reorder
-		}
 		if err != nil {
-			return selectivity.Analysis{}, err
+			return err
 		}
-		nonEmpty++
 		out.MatchOps += a.MatchOps
 		out.R0Ops += a.R0Ops
 		out.TotalOps += a.TotalOps
@@ -331,9 +288,10 @@ func (sh *Sharded) Analyze() (selectivity.Analysis, error) {
 		out.PerLevelMatch = addLevels(out.PerLevelMatch, a.PerLevelMatch)
 		out.PerLevelR0 = addLevels(out.PerLevelR0, a.PerLevelR0)
 		out.PerProfile = append(out.PerProfile, a.PerProfile...)
-	}
-	if nonEmpty == 0 {
-		return selectivity.Analysis{}, ErrNoProfiles
+		return nil
+	})
+	if err != nil {
+		return selectivity.Analysis{}, err
 	}
 	out.MatchProb = 1 - missProb
 	return out, nil

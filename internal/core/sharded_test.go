@@ -62,18 +62,18 @@ func sortedIDs(ids []predicate.ID) []string {
 
 // TestShardOf: the partition is stable, in-range, and spreads ids.
 func TestShardOf(t *testing.T) {
-	if ShardOf("anything", 1) != 0 || ShardOf("anything", 0) != 0 {
+	if shardOf("anything", 1) != 0 || shardOf("anything", 0) != 0 {
 		t.Error("degenerate partitions must map to shard 0")
 	}
 	const n = 8
 	counts := make([]int, n)
 	for i := 0; i < 4096; i++ {
 		id := predicate.ID(fmt.Sprintf("sub-%d", i))
-		s1 := ShardOf(id, n)
+		s1 := shardOf(id, n)
 		if s1 < 0 || s1 >= n {
 			t.Fatalf("shard %d out of range", s1)
 		}
-		if s2 := ShardOf(id, n); s2 != s1 {
+		if s2 := shardOf(id, n); s2 != s1 {
 			t.Fatalf("unstable hash: %d vs %d", s1, s2)
 		}
 		counts[s1]++
@@ -173,9 +173,37 @@ func TestShardedMatchBatchMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestShardedMatchAllocations: an event matching on both shards of a
+// two-shard engine costs one allocation, the id slice Match preallocates.
+func TestShardedMatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled expansion scratch, which then allocates")
+	}
+	s := testSchema(t)
+	sharded := NewSharded(s, Config{}, 2)
+	var ids [2]predicate.ID
+	for i := 0; ids[0] == "" || ids[1] == ""; i++ {
+		id := predicate.ID(fmt.Sprintf("p%d", i))
+		if k := shardOf(id, 2); ids[k] == "" {
+			ids[k] = id
+		}
+	}
+	for _, id := range ids {
+		if err := sharded.AddProfile(predicate.MustParse(s, id, "profile(x >= 10)")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ev := []float64{50, 50}
+	if got, _, err := sharded.Match(ev); err != nil || len(got) != 2 {
+		t.Fatalf("Match = %v, %v; want both shards' ids", got, err)
+	}
+	if n := testing.AllocsPerRun(200, func() { _, _, _ = sharded.Match(ev) }); n > 1 {
+		t.Errorf("a match on both shards allocates %.1f objects, want 1", n)
+	}
+}
+
 // TestShardedStatsTotals: one published event is one accounted event whose
-// Events/Ops/Matches totals survive the striped-account merge, and Reset
-// clears every stripe.
+// Events/Ops/Matches totals match the oracle's, and Reset clears them.
 func TestShardedStatsTotals(t *testing.T) {
 	oracle, sharded, _ := shardedPair(t, 4, 80, 5)
 	rng := rand.New(rand.NewSource(9))

@@ -102,24 +102,6 @@ func (r *Running) Observe(x float64) {
 // N returns the sample count.
 func (r *Running) N() uint64 { return r.n }
 
-// Merge folds another accumulator into r as if every sample of o had been
-// observed by r (Chan et al. parallel moments). The sharded engine keeps one
-// accumulator per shard and merges them on Summary.
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	r.m2 += o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	r.mean += d * float64(o.n) / float64(n)
-	r.n = n
-}
-
 // Mean returns the running mean.
 func (r *Running) Mean() float64 { return r.mean }
 
@@ -225,35 +207,4 @@ func (a *OpAccount) Reset() {
 	defer a.mu.Unlock()
 	a.events, a.ops, a.matches = 0, 0, 0
 	a.running = Running{}
-}
-
-// MergeSummary aggregates several accounts into one Summary, as if every
-// event had been recorded on a single account. The sharded engine stripes
-// recording across accounts to keep the publish path uncontended and merges
-// here on demand.
-func MergeSummary(accs []*OpAccount) Summary {
-	var events, ops, matches uint64
-	var running Running
-	for _, a := range accs {
-		a.mu.Lock()
-		events += a.events
-		ops += a.ops
-		matches += a.matches
-		running.Merge(a.running)
-		a.mu.Unlock()
-	}
-	s := Summary{
-		Events:      events,
-		Ops:         ops,
-		Matches:     matches,
-		MeanOps:     running.Mean(),
-		HalfWidth95: running.HalfWidth95(),
-	}
-	if events > 0 {
-		s.MeanMatches = float64(matches) / float64(events)
-	}
-	if matches > 0 {
-		s.OpsPerNotify = float64(ops) / float64(matches)
-	}
-	return s
 }

@@ -151,70 +151,3 @@ func TestOpAccountConcurrent(t *testing.T) {
 		t.Errorf("summary = %+v", s)
 	}
 }
-
-// TestRunningMerge: merging striped accumulators reproduces the moments of a
-// single accumulator over the union of samples.
-func TestRunningMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var whole Running
-	parts := make([]Running, 4)
-	for i := 0; i < 2000; i++ {
-		x := rng.NormFloat64()*3 + 10
-		whole.Observe(x)
-		parts[i%len(parts)].Observe(x)
-	}
-	var merged Running
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-	if merged.N() != whole.N() {
-		t.Fatalf("N = %d, want %d", merged.N(), whole.N())
-	}
-	if math.Abs(merged.Mean()-whole.Mean()) > 1e-9 {
-		t.Errorf("mean = %v, want %v", merged.Mean(), whole.Mean())
-	}
-	if math.Abs(merged.Var()-whole.Var()) > 1e-6 {
-		t.Errorf("var = %v, want %v", merged.Var(), whole.Var())
-	}
-	// Merging into or from an empty accumulator is the identity.
-	var empty Running
-	empty.Merge(whole)
-	if empty.Mean() != whole.Mean() || empty.N() != whole.N() {
-		t.Error("merge into empty must copy")
-	}
-	before := whole
-	whole.Merge(Running{})
-	if whole != before {
-		t.Error("merging an empty accumulator must be a no-op")
-	}
-}
-
-// TestMergeSummary: per-stripe accounts merge into exact totals and a
-// consistent confidence interval.
-func TestMergeSummary(t *testing.T) {
-	accs := []*OpAccount{{}, {}, {}}
-	var oracle OpAccount
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 900; i++ {
-		ops, matched := rng.Intn(50)+1, rng.Intn(3)
-		accs[i%3].Record(ops, matched)
-		oracle.Record(ops, matched)
-	}
-	got, want := MergeSummary(accs), oracle.Summary()
-	if got.Events != want.Events || got.Ops != want.Ops || got.Matches != want.Matches {
-		t.Fatalf("totals: %+v vs %+v", got, want)
-	}
-	if math.Abs(got.MeanOps-want.MeanOps) > 1e-9 {
-		t.Errorf("mean ops %v vs %v", got.MeanOps, want.MeanOps)
-	}
-	if math.Abs(got.HalfWidth95-want.HalfWidth95) > 1e-9 {
-		t.Errorf("half width %v vs %v", got.HalfWidth95, want.HalfWidth95)
-	}
-	if math.Abs(got.MeanMatches-want.MeanMatches) > 1e-12 ||
-		math.Abs(got.OpsPerNotify-want.OpsPerNotify) > 1e-12 {
-		t.Errorf("rates: %+v vs %+v", got, want)
-	}
-	if s := MergeSummary(nil); s.Events != 0 || s.MeanOps != 0 {
-		t.Errorf("empty merge = %+v", s)
-	}
-}

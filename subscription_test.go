@@ -237,7 +237,7 @@ func TestPublishCtxDoneContext(t *testing.T) {
 
 // TestSubBlockingDoesNotWedgeRegistration: a publisher stalled on one slow
 // SubBlocking subscriber must not stall unrelated unsubscribes, subscribes,
-// or deliveries to other subscribers on the same delivery shard.
+// or deliveries to other subscribers.
 func TestSubBlockingDoesNotWedgeRegistration(t *testing.T) {
 	svc := alarmService(t)
 	other, err := svc.Subscribe("other", "profile(temperature >= 35)")
