@@ -397,21 +397,24 @@ func TestPublishPathAllocations(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("EventBuilder publish of a non-matching event allocates %.1f objects/event, want 0", allocs)
 	}
-	// A matching event pays exactly the delivery copies (event values slice
-	// + engine match buffer), still no map.
+	// A matching event pays exactly the values copy its notifications carry:
+	// the ids are matched into a pooled buffer.
 	allocs = testing.AllocsPerRun(1000, func() {
 		if _, err := eb.Set("v", 42).Publish(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 3 {
-		t.Errorf("EventBuilder publish of a matching event allocates %.1f objects/event, want <= 3", allocs)
+	// -race instruments allocation, so it keeps only the old ceiling.
+	if raceEnabled && allocs > 3 {
+		t.Errorf("EventBuilder publish of a matching event allocates %.1f objects/event under -race, want <= 3", allocs)
+	} else if !raceEnabled && allocs != 1 {
+		t.Errorf("EventBuilder publish of a matching event allocates %.1f objects/event, want 1", allocs)
 	}
 }
 
 // TestDeliveryPathAllocations pins the delivery path's allocation behavior on
 // an incrementally churned index: handler-driven subscribers receiving
-// matching events allocate only the fixed per-event delivery cost, and a
+// matching events cost one allocation per event, the values copy, and a
 // subscribe/unsubscribe pair folded into the publish loop stays under the
 // repository's one absolute churn ceiling, 100 allocations per event. That
 // ceiling holds the incremental-index property: subscription churn patches
@@ -459,8 +462,10 @@ func TestDeliveryPathAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8 {
-		t.Errorf("handler delivery on a churned index allocates %.1f objects/event, want <= 8", allocs)
+	if raceEnabled && allocs > 8 {
+		t.Errorf("handler delivery on a churned index allocates %.1f objects/event under -race, want <= 8", allocs)
+	} else if !raceEnabled && allocs != 1 {
+		t.Errorf("handler delivery on a churned index allocates %.1f objects/event, want 1 (the values copy)", allocs)
 	}
 
 	// Active churn folded into the publish loop: one subscribe/unsubscribe

@@ -85,11 +85,13 @@ func (po *Poset) Freeze() *Snapshot {
 
 // expandScratch is the pooled walk state for Expand: the list of accepted
 // nodes plus generation-stamped visit marks, so per-event expansion allocates
-// nothing but its result once the pool is warm.
+// nothing but its result once the pool is warm. acc is the tree's accumulator
+// for the parked profiles Match collects (tree.MatchAppend).
 type expandScratch struct {
 	nodes []int32
 	mark  []uint32
 	gen   uint32
+	acc   []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(expandScratch) }}
@@ -136,6 +138,31 @@ func (s *Snapshot) at(i int32) *SnapNode { return &s.chunks[i>>chunkShift][i&(ch
 //genas:hotpath
 func (s *Snapshot) Expand(vals []float64, matched []int, t2n []int32, t *tree.Tree, dst []predicate.ID) ([]predicate.ID, int) {
 	sc := scratchPool.Get().(*expandScratch)
+	dst, ops := s.expand(sc, vals, matched, t2n, t, dst)
+	scratchPool.Put(sc)
+	return dst, ops
+}
+
+// Match filters one event through t, the tree this snapshot was published
+// with, and expands the matched slots into dst as Expand does. The second
+// result is the tree's comparisons plus the expansion's descents. The tree
+// collects parked profiles into the pooled scratch the expansion walks on, so
+// the match allocates nothing beyond dst's growth once the pool is warm.
+//
+//genas:hotpath
+func (s *Snapshot) Match(vals []float64, t *tree.Tree, t2n []int32, dst []predicate.ID) ([]predicate.ID, int) {
+	sc := scratchPool.Get().(*expandScratch)
+	matched, acc, ops := t.MatchAppend(vals, sc.acc[:0])
+	dst, descents := s.expand(sc, vals, matched, t2n, t, dst)
+	sc.acc = acc
+	scratchPool.Put(sc)
+	return dst, ops + descents
+}
+
+// expand is Expand's walk on a scratch the caller took from the pool.
+//
+//genas:hotpath
+func (s *Snapshot) expand(sc *expandScratch, vals []float64, matched []int, t2n []int32, t *tree.Tree, dst []predicate.ID) ([]predicate.ID, int) {
 	sc.reset(s.Slots())
 	dead := t.HasDead()
 	for _, pi := range matched {
@@ -172,6 +199,5 @@ func (s *Snapshot) Expand(vals []float64, matched []int, t2n []int32, t *tree.Tr
 			dst = append(dst, sr.ID)
 		}
 	}
-	scratchPool.Put(sc)
 	return dst, ops
 }

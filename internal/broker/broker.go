@@ -478,20 +478,23 @@ func (b *Broker) publishOne(ev event.Event, owned bool, cancel <-chan struct{}) 
 	if b.adapt != nil {
 		b.adapt.Observe(ev.Vals)
 	}
-	ids, _, err := b.filter.Match(ev.Vals)
-	if err != nil || len(ids) == 0 {
-		return 0, err
+	buf := publishPool.Get().(*publishBuf)
+	ids, _, err := b.filter.MatchAppend(ev.Vals, buf.ids)
+	if err == nil && len(ids) > 0 {
+		now := time.Now()
+		if !owned {
+			ev.Vals = append([]float64(nil), ev.Vals...)
+		}
+		ev.Seq = base + 1
+		if ev.Time.IsZero() {
+			ev.Time = now
+		}
+		b.deliver(ev, ids, buf, now, cancel)
+		clear(ids)
 	}
-	now := time.Now()
-	if !owned {
-		ev.Vals = append([]float64(nil), ev.Vals...)
-	}
-	ev.Seq = base + 1
-	if ev.Time.IsZero() {
-		ev.Time = now
-	}
-	b.deliver(ev, ids, now, cancel)
-	return len(ids), nil
+	buf.ids = ids[:0] // nil after an error: the pool's next user regrows it
+	publishPool.Put(buf)
+	return len(ids), err
 }
 
 // PublishBatch filters a batch of events against one corpus snapshot and
@@ -544,6 +547,7 @@ func (b *Broker) publishBatch(evs []event.Event, cancel <-chan struct{}) ([]int,
 	}
 	counts := make([]int, len(evs))
 	now := time.Now()
+	buf := publishPool.Get().(*publishBuf)
 	for i, r := range results {
 		counts[i] = len(r.IDs)
 		// Stamp the copy handed to deliver: like Publish, the batch path must
@@ -554,20 +558,21 @@ func (b *Broker) publishBatch(evs []event.Event, cancel <-chan struct{}) ([]int,
 		if ev.Time.IsZero() {
 			ev.Time = now
 		}
-		b.deliver(ev, r.IDs, now, cancel)
+		b.deliver(ev, r.IDs, buf, now, cancel)
 	}
+	publishPool.Put(buf)
 	return counts, nil
 }
 
-// blockedBuf is the pooled collection buffer for Block-policy deliveries
-// deferred to after the table lock is released: steady-state delivery to
-// Block subscribers must not grow a fresh slice per event. Buffers are
-// cleared before pooling so retained capacity does not pin subscriptions.
-type blockedBuf struct {
+// publishBuf is the pooled per-publish scratch, cleared before pooling: the
+// ids publishOne matches into and the Block-policy subscribers deliver sends
+// to after releasing the table lock, so steady publishing grows no slices.
+type publishBuf struct {
+	ids  []predicate.ID
 	subs []*Subscription
 }
 
-var blockedPool = sync.Pool{New: func() any { return new(blockedBuf) }}
+var publishPool = sync.Pool{New: func() any { return new(publishBuf) }}
 
 // deliver pushes one event's notifications to the matched subscribers,
 // taking the table's read lock once for the event. Non-blocking sends
@@ -582,9 +587,11 @@ var blockedPool = sync.Pool{New: func() any { return new(blockedBuf) }}
 // its Profile field is stamped per matched id — after the liveness check, so
 // closed or vanished subscriptions cost nothing.
 //
+// ids is borrowed, not retained (notifications copy each id; Block sends use
+// sub.id), so publishOne recycles it on return; buf.subs is left empty.
+//
 //genas:hotpath
-func (b *Broker) deliver(ev event.Event, ids []predicate.ID, now time.Time, cancel <-chan struct{}) {
-	var buf *blockedBuf // nil unless Block-policy subscribers matched
+func (b *Broker) deliver(ev event.Event, ids []predicate.ID, buf *publishBuf, now time.Time, cancel <-chan struct{}) {
 	n := Notification{Event: ev, Delivered: now}
 	b.mu.RLock()
 	for _, id := range ids {
@@ -593,9 +600,6 @@ func (b *Broker) deliver(ev event.Event, ids []predicate.ID, now time.Time, canc
 			continue
 		}
 		if sub.policy == Block {
-			if buf == nil {
-				buf = blockedPool.Get().(*blockedBuf)
-			}
 			buf.subs = append(buf.subs, sub)
 			continue
 		}
@@ -614,9 +618,6 @@ func (b *Broker) deliver(ev event.Event, ids []predicate.ID, now time.Time, canc
 		}
 	}
 	b.mu.RUnlock()
-	if buf == nil {
-		return
-	}
 	for _, sub := range buf.subs {
 		n.Profile = sub.id
 		if sub.blockingSend(n, cancel) {
@@ -627,7 +628,6 @@ func (b *Broker) deliver(ev event.Event, ids []predicate.ID, now time.Time, canc
 	}
 	clear(buf.subs)
 	buf.subs = buf.subs[:0]
-	blockedPool.Put(buf)
 }
 
 // send places n on the subscription channel under its non-blocking drop

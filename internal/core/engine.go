@@ -113,13 +113,12 @@ type snapshot struct {
 // match filters one event through a built snapshot, appending the matched
 // subscription ids to dst: the tree matches canonical roots and the poset
 // image expands them into concrete ids, its descent evaluations charged to
-// the event like tree comparisons.
+// the event like tree comparisons. The tree's accumulator for parked profiles
+// is the expansion's pooled scratch.
 //
 //genas:hotpath
 func (s *snapshot) match(vals []float64, dst []predicate.ID) ([]predicate.ID, int) {
-	matched, ops := s.tree.Match(vals)
-	dst, descents := s.expand.Expand(vals, matched, s.t2n, s.tree, dst)
-	return dst, ops + descents
+	return s.expand.Match(vals, s.tree, s.t2n, dst)
 }
 
 // Engine is the distribution-based filter component. It is safe for
@@ -478,15 +477,29 @@ func (e *Engine) current() (*snapshot, error) {
 // Match filters one event, returning matched profile IDs and the operations
 // spent. The traversal is lock-free: it runs against the current immutable
 // snapshot, so concurrent profile churn cannot block or skew it. IDs are
-// resolved against the same snapshot that produced the match.
+// resolved against the same snapshot that produced the match. The slice is
+// fresh and the caller's.
 //
 //genas:hotpath
 func (e *Engine) Match(vals []float64) ([]predicate.ID, int, error) {
-	ids, ops, empty, err := e.matchIDs(vals, nil)
-	if err != nil || empty {
+	return e.MatchAppend(vals, nil)
+}
+
+// MatchAppend is Match appending the matched ids to dst, which the caller
+// owns: the engine keeps neither dst nor the returned slice, so a caller that
+// reuses one buffer across events allocates nothing per event once the buffer
+// is large enough. An empty engine returns dst as given, an error nil.
+//
+//genas:hotpath
+func (e *Engine) MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.ID, int, error) {
+	ids, ops, empty, err := e.matchIDs(vals, dst)
+	if err != nil {
 		return nil, 0, err
 	}
-	e.account.Record(ops, len(ids))
+	if empty {
+		return dst, 0, nil
+	}
+	e.account.Record(ops, len(ids)-len(dst))
 	return ids, ops, nil
 }
 

@@ -477,3 +477,28 @@ func TestMatchAllocatesOnce(t *testing.T) {
 		t.Errorf("Match allocated %.1f times per event, want exactly 1", allocs)
 	}
 }
+
+// TestMatchAppendAppends: MatchAppend keeps what dst held, appends this
+// event's ids after it, and accounts only those; an empty engine hands dst
+// back untouched.
+func TestMatchAppendAppends(t *testing.T) {
+	s := testSchema(t)
+	for _, f := range []Filter{NewEngine(s, Config{}), NewSharded(s, Config{}, 2)} {
+		dst := []predicate.ID{"held"}
+		if got, ops, err := f.MatchAppend([]float64{15, 5}, dst); err != nil || len(got) != 1 || got[0] != "held" || ops != 0 {
+			t.Fatalf("%T: empty filter MatchAppend = %v, %d, %v; want dst back", f, got, ops, err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := f.AddProfile(predicate.MustParse(s, predicate.ID(fmt.Sprintf("m%d", i)), "profile(x in [10,20])")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, _, err := f.MatchAppend([]float64{15, 5}, dst)
+		if err != nil || len(got) != 4 || got[0] != "held" {
+			t.Fatalf("%T: MatchAppend = %v, %v; want held then three ids", f, got, err)
+		}
+		if acc := f.Account(); acc.Events != 1 || acc.Matches != 3 {
+			t.Errorf("%T: accounted %+v, want 1 event with 3 matches", f, acc)
+		}
+	}
+}

@@ -26,7 +26,12 @@ type Filter interface {
 	// structure's first spelling.
 	Profiles() []*predicate.Profile
 	// Match filters one event, returning matched ids and operations spent.
+	// The slice is fresh and belongs to the caller.
 	Match(vals []float64) ([]predicate.ID, int, error)
+	// MatchAppend is Match appending the ids to dst. dst belongs to the
+	// caller before and after the call: the filter keeps neither it nor the
+	// returned slice, so one buffer can serve every event.
+	MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.ID, int, error)
 	// MatchBatch filters many events against one corpus snapshot; results
 	// align positionally with the input. workers ≤ 0 selects GOMAXPROCS.
 	MatchBatch(events [][]float64, workers int) ([]BatchResult, error)

@@ -120,15 +120,25 @@ func (sh *Sharded) Profiles() []*predicate.Profile {
 //
 //genas:hotpath
 func (sh *Sharded) Match(vals []float64) ([]predicate.ID, int, error) {
-	// One allocation per event whatever the shards append: growing from nil
-	// reallocates when the second shard appends, which measured 6.51 → 6.65
-	// allocs/event on churn-mixed (+2.1 %, past the benchmark's 2 % bound).
-	// The slice is paid on misses too, which is why one-shard brokers run
-	// Engine rather than a one-shard Sharded. TestShardedMatchAllocations
-	// pins it.
-	ids := make([]predicate.ID, 0, 8)
-	ops := 0
-	empties := 0
+	// Preallocated because growing from nil reallocates when the second shard
+	// appends; the slice is fresh and the caller's, nil when nothing matched
+	// as with Engine.Match. TestShardedMatchAllocations pins one allocation
+	// per event.
+	ids, ops, err := sh.MatchAppend(vals, make([]predicate.ID, 0, 8))
+	if len(ids) == 0 {
+		ids = nil
+	}
+	return ids, ops, err
+}
+
+// MatchAppend is Match appending every shard's ids to dst, which the caller
+// owns: the engine keeps neither dst nor the returned slice, so a reused
+// buffer that is large enough makes the match allocate nothing. An empty
+// filter returns dst as given, an error nil.
+//
+//genas:hotpath
+func (sh *Sharded) MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.ID, int, error) {
+	ids, ops, empties := dst, 0, 0
 	for _, e := range sh.shards {
 		var sops int
 		var empty bool
@@ -144,9 +154,9 @@ func (sh *Sharded) Match(vals []float64) ([]predicate.ID, int, error) {
 		ops += sops
 	}
 	if empties == len(sh.shards) {
-		return nil, 0, nil // an empty filter matches nothing
+		return dst, 0, nil // an empty filter matches nothing
 	}
-	sh.account.Record(ops, len(ids))
+	sh.account.Record(ops, len(ids)-len(dst))
 	return ids, ops, nil
 }
 

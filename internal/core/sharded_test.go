@@ -200,6 +200,14 @@ func TestShardedMatchAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { _, _, _ = sharded.Match(ev) }); n > 1 {
 		t.Errorf("a match on both shards allocates %.1f objects, want 1", n)
 	}
+	// The appending path into a warmed buffer allocates nothing, on a match
+	// and on a miss.
+	dst, _, _ := sharded.MatchAppend(ev, nil)
+	for _, vals := range [][]float64{ev, {0, 0}} {
+		if n := testing.AllocsPerRun(200, func() { dst, _, _ = sharded.MatchAppend(vals, dst[:0]) }); n != 0 {
+			t.Errorf("MatchAppend(%v) into a warmed buffer allocates %.1f objects, want 0", vals, n)
+		}
+	}
 }
 
 // TestShardedStatsTotals: one published event is one accounted event whose

@@ -373,3 +373,76 @@ func TestReorderedReleasesWhatItReplaces(t *testing.T) {
 	}
 	runtime.KeepAlive(tr)
 }
+
+// TestMatchAppendLeavesLeafSetsAlone: on a tree whose incremental inserts
+// parked profiles in extra sets, many matches through one recycled
+// accumulator return what Match returns and leave every leaf set as it was.
+// MatchAppend must never append into, or hand out as the accumulator, a leaf
+// set the tree owns.
+func TestMatchAppendLeavesLeafSetsAlone(t *testing.T) {
+	s := incrSchema(t)
+	rng := rand.New(rand.NewSource(29))
+	base := make([]*predicate.Profile, 20)
+	for i := range base {
+		base[i] = randomProfile(t, s, rng, i)
+	}
+	tr, err := Build(s, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(base); i < 80; i++ {
+		tr, _ = tr.WithProfile(randomProfile(t, s, rng, i), NaturalOrder())
+	}
+
+	leafSets := func() map[*[]int][]int {
+		out := make(map[*[]int][]int)
+		for _, level := range tr.Levels() {
+			for _, n := range level {
+				for i := range n.edges {
+					if leaf := n.edges[i].leaf; leaf != nil {
+						out[leaf] = slices.Clone(*leaf)
+					}
+				}
+			}
+		}
+		return out
+	}
+	parked := 0
+	for _, level := range tr.Levels() {
+		for _, n := range level {
+			parked += len(n.Extra())
+		}
+	}
+	if parked == 0 {
+		t.Fatal("no insert parked a profile in an extra set; the test would prove nothing")
+	}
+	before := leafSets()
+
+	var acc []int
+	collected := 0
+	for range 5000 {
+		probe := randomProbe(s, rng)
+		want, wantOps := tr.Match(probe)
+		var got []int
+		var ops int
+		got, acc, ops = tr.MatchAppend(probe, acc[:0])
+		if !slices.Equal(got, want) || ops != wantOps {
+			t.Fatalf("MatchAppend(%v) = %v, %d ops; Match = %v, %d ops", probe, got, ops, want, wantOps)
+		}
+		if len(acc) > 0 {
+			collected++
+		}
+	}
+	if collected == 0 {
+		t.Fatal("no probe reached a parked profile; the accumulator was never used")
+	}
+	after := leafSets()
+	if len(after) != len(before) {
+		t.Fatalf("leaf sets: %d before the matches, %d after", len(before), len(after))
+	}
+	for leaf, was := range before {
+		if !slices.Equal(after[leaf], was) {
+			t.Fatalf("a leaf set changed under MatchAppend: %v, was %v", after[leaf], was)
+		}
+	}
+}

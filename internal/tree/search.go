@@ -8,26 +8,42 @@ import "genas/internal/schema"
 // internals and must not be mutated. Profiles parked in node extra sets by
 // incremental inserts are collected along the path; they match even when the
 // walk later dead-ends in a D₀ gap (they are don't-care below their node).
+// Match collects them into a fresh slice; MatchAppend takes the caller's.
 func (t *Tree) Match(vals []float64) (matched []int, ops int) {
-	n := t.root
-	var acc []int // lazily allocated: only trees with incremental inserts carry extras
+	matched, _, ops = t.MatchAppend(vals, nil)
+	return matched, ops
+}
+
+// MatchAppend is Match with a caller-owned accumulator for the parked
+// profiles: when the path carries extras, they and then the leaf set are
+// appended to acc, and matched is the appended part. Otherwise matched is the
+// leaf set itself, owned by the tree and read-only, and acc is untouched. acc
+// comes back, possibly grown, for the caller to reuse; it never aliases a leaf
+// set, which MatchAppend neither appends into nor keeps.
+//
+//genas:hotpath
+func (t *Tree) MatchAppend(vals []float64, acc []int) (matched, grown []int, ops int) {
+	n, start := t.root, len(acc)
 	for {
 		if len(n.extra) > 0 {
 			acc = append(acc, n.extra...)
 		}
 		ei, stepOps := n.probe(vals[n.Attr])
 		ops += stepOps
-		if ei < 0 {
-			return acc, ops
-		}
-		e := &n.edges[ei]
-		if e.Child == nil {
-			if acc == nil {
-				return *e.leaf, ops
+		var leaf []int // a D₀ gap matches nothing below
+		if ei >= 0 {
+			e := &n.edges[ei]
+			if e.Child != nil {
+				n = e.Child
+				continue
 			}
-			return append(acc, *e.leaf...), ops
+			leaf = *e.leaf
 		}
-		n = e.Child
+		if len(acc) == start {
+			return leaf, acc, ops
+		}
+		acc = append(acc, leaf...)
+		return acc[start:], acc, ops
 	}
 }
 
