@@ -395,9 +395,6 @@ func (s *Service) PublishCtx(ctx context.Context, values map[string]float64) (in
 //
 //genas:hotpath
 func (s *Service) PublishValues(vals ...float64) (int, error) {
-	if err := event.Validate(s.sch, vals); err != nil {
-		return 0, err
-	}
 	return s.brk.PublishValues(vals)
 }
 
@@ -406,21 +403,19 @@ func (s *Service) PublishValues(vals ...float64) (int, error) {
 //
 //genas:hotpath
 func (s *Service) PublishValuesCtx(ctx context.Context, vals ...float64) (int, error) {
-	if err := event.Validate(s.sch, vals); err != nil {
-		return 0, err
-	}
 	return s.brk.PublishValuesCtx(ctx, vals)
 }
 
-// PublishEvent posts a prebuilt event.
+// PublishEvent posts a prebuilt event, refusing values outside the schema
+// (ErrArity, ErrOutOfDomain) as every publish path does.
 func (s *Service) PublishEvent(ev Event) (int, error) { return s.brk.Publish(ev) }
 
-// PublishBatch posts a slice of prebuilt events as one batch: the events are
-// filtered concurrently against a single corpus snapshot, sequence numbers
-// are assigned contiguously in slice order, and notifications are delivered
-// in event order. It returns the per-event match counts. Batching amortizes
-// lock acquisition and tree-root dispatch across the slice, so it is the
-// preferred ingestion path for high-rate publishers.
+// PublishBatch posts a slice of prebuilt events as one batch, as a run of
+// PublishEvent calls would: every event is validated before any is
+// published, then each is matched in order in the caller's goroutine,
+// sequence numbers are assigned contiguously in slice order, and
+// notifications are delivered in event order. It returns the per-event match
+// counts. Parallelism comes from concurrent publishers.
 func (s *Service) PublishBatch(evs []Event) ([]int, error) {
 	return s.brk.PublishBatch(evs)
 }

@@ -1,8 +1,12 @@
 package genas
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -62,6 +66,27 @@ func TestServicePublishValidation(t *testing.T) {
 	}
 	if _, err := svc.Publish(map[string]float64{"temperature": 40, "humidity": 95, "bogus": 1}); err == nil {
 		t.Error("unknown attribute must fail")
+	}
+	// Every entry point checks the domain, prebuilt events included, and a
+	// refused event is not published.
+	ok, bad := Event{Vals: []float64{20, 50, 2}}, Event{Vals: []float64{99, 50, 2}}
+	if _, err := svc.PublishEvent(bad); !errors.Is(err, ErrOutOfDomain) {
+		t.Errorf("PublishEvent out of domain: %v", err)
+	}
+	if _, err := svc.PublishBatch([]Event{ok, bad}); !errors.Is(err, ErrOutOfDomain) || !strings.Contains(err.Error(), "event 1") {
+		t.Errorf("PublishBatch out of domain: %v", err)
+	}
+	if _, err := svc.PublishBatchCtx(context.Background(), []Event{bad}); !errors.Is(err, ErrOutOfDomain) {
+		t.Errorf("PublishBatchCtx out of domain: %v", err)
+	}
+	if _, err := svc.PublishValues(math.NaN(), 50, 2); !errors.Is(err, ErrOutOfDomain) {
+		t.Errorf("PublishValues NaN: %v", err)
+	}
+	if _, err := svc.PublishValuesCtx(context.Background(), 20, 50, math.NaN()); !errors.Is(err, ErrOutOfDomain) {
+		t.Errorf("PublishValuesCtx NaN: %v", err)
+	}
+	if n := svc.Stats().Published; n != 0 {
+		t.Errorf("refused events published: Stats().Published = %d", n)
 	}
 }
 

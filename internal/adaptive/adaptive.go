@@ -152,8 +152,9 @@ func (a *Adaptor) Observe(vals []float64) bool {
 }
 
 // ObserveBatch feeds a whole batch into the history and runs at most one
-// drift check, amortizing the adaptor bookkeeping over the batch (the
-// batched publish path's entry point).
+// drift check, amortizing the adaptor bookkeeping over the batch. It stays
+// for the benchmark's adaptive rungs (a SURFACE symbol); no production path
+// calls it, as the broker observes a batch one event at a time.
 //
 //genas:hotpath
 func (a *Adaptor) ObserveBatch(events [][]float64) bool {

@@ -252,9 +252,9 @@ func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscriptio
 
 // register is the one registration routine: it makes p a member of the
 // delivery channel sc — a fresh one (SubscribeWith) or one that other
-// subscriptions already deliver into (Queue.Subscribe). Caller holds regMu, which also serializes it with every
-// release of sc: a channel found open here cannot close before the member
-// holds its reference.
+// subscriptions already deliver into (Queue.Subscribe). Caller holds regMu,
+// which also serializes it with every release of sc: a channel found open
+// here cannot close before the member holds its reference.
 func (b *Broker) register(p *predicate.Profile, sc *sharedChan, policy DropPolicy) (*Subscription, error) {
 	if b.closed.Load() || sc.closed.Load() {
 		return nil, ErrClosed
@@ -437,17 +437,8 @@ func (b *Broker) PublishValuesCtx(ctx context.Context, vals []float64) (int, err
 	return b.publishOne(event.Event{Vals: vals}, false, ctx.Done())
 }
 
-// arityErr reports event i of a batch (i < 0: a lone event) carrying got
-// values instead of one per schema attribute.
-func (b *Broker) arityErr(i, got int) error {
-	if i < 0 {
-		return fmt.Errorf("%w: got %d values for %d attributes", event.ErrArity, got, b.schema.N())
-	}
-	return fmt.Errorf("%w: event %d: got %d values for %d attributes", event.ErrArity, i, got, b.schema.N())
-}
-
-// admit is the prologue every publish entry point runs once its arity checks
-// passed: it refuses on a closed broker, counts n published events and
+// admit is the prologue every publish entry point runs once its events
+// validated: it refuses on a closed broker, counts n published events and
 // reserves their n consecutive sequence numbers, returning the one before
 // the first.
 //
@@ -460,49 +451,33 @@ func (b *Broker) admit(n int) (uint64, error) {
 	return b.seq.Add(uint64(n)) - uint64(n), nil
 }
 
-// publishOne is the single-event core behind Publish and PublishValues.
-// Nothing on the miss branch allocates. On a match the event is stamped (its
-// sequence number, and the time unless the caller set one) and delivered;
-// owned says the caller handed ev.Vals over — otherwise the caller keeps the
-// slice and the notifications carry a copy.
+// publishOne is the single-event entry behind Publish and PublishValues: it
+// validates ev, reserves one sequence number and runs the core on it. owned
+// says the caller handed ev.Vals over — otherwise the caller keeps the slice
+// and the notifications carry a copy.
 //
 //genas:hotpath
 func (b *Broker) publishOne(ev event.Event, owned bool, cancel <-chan struct{}) (int, error) {
-	if len(ev.Vals) != b.schema.N() {
-		return 0, b.arityErr(-1, len(ev.Vals))
+	if err := event.Validate(b.schema, ev.Vals); err != nil {
+		return 0, err
 	}
 	base, err := b.admit(1)
 	if err != nil {
 		return 0, err
 	}
-	if b.adapt != nil {
-		b.adapt.Observe(ev.Vals)
-	}
 	buf := publishPool.Get().(*publishBuf)
-	ids, _, err := b.filter.MatchAppend(ev.Vals, buf.ids)
-	if err == nil && len(ids) > 0 {
-		now := time.Now()
-		if !owned {
-			ev.Vals = append([]float64(nil), ev.Vals...)
-		}
-		ev.Seq = base + 1
-		if ev.Time.IsZero() {
-			ev.Time = now
-		}
-		b.deliver(ev, ids, buf, now, cancel)
-		clear(ids)
-	}
-	buf.ids = ids[:0] // nil after an error: the pool's next user regrows it
+	n, err := b.publish(ev, owned, base+1, buf, cancel)
 	publishPool.Put(buf)
-	return len(ids), err
+	return n, err
 }
 
-// PublishBatch filters a batch of events against one corpus snapshot and
-// delivers the notifications in event order. It returns the per-event match
-// counts, positionally aligned with the input; the input slice itself is not
-// modified, so buffers may be reused across calls. The batch amortizes
-// sequence assignment and adaptor bookkeeping across the whole slice; events
-// are matched concurrently by the engine's batch path.
+// PublishBatch publishes a batch of events in slice order, as a run of
+// Publish calls would: each event is matched in the caller's goroutine
+// against the corpus current at that moment, and the notifications are
+// delivered in event order. The events get contiguous sequence numbers. It
+// returns the per-event match counts, positionally aligned with the input;
+// the input slice itself is not modified, so buffers may be reused across
+// calls. A batch that fails validation publishes nothing.
 func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 	return b.publishBatch(evs, nil)
 }
@@ -518,55 +493,66 @@ func (b *Broker) PublishBatchCtx(ctx context.Context, evs []event.Event) ([]int,
 	return b.publishBatch(evs, ctx.Done())
 }
 
-// publishBatch stays apart from publishOne as far as the engine's MatchBatch
-// needs: all vectors go to the matcher in one call, against one snapshot.
+// publishBatch validates the whole batch, reserves its sequence numbers at
+// once and runs the core on each event in order with one pooled buffer, so
+// the returned counts are its only allocation. An event's notifications
+// share its Vals, as Publish's do.
 func (b *Broker) publishBatch(evs []event.Event, cancel <-chan struct{}) ([]int, error) {
 	if len(evs) == 0 {
 		return nil, nil
 	}
 	for i := range evs {
-		if len(evs[i].Vals) != b.schema.N() {
-			return nil, b.arityErr(i, len(evs[i].Vals))
+		if err := event.Validate(b.schema, evs[i].Vals); err != nil {
+			return nil, fmt.Errorf("event %d: %w", i, err)
 		}
 	}
 	base, err := b.admit(len(evs))
 	if err != nil {
 		return nil, err
 	}
-
-	vals := make([][]float64, len(evs))
-	for i := range evs {
-		vals[i] = evs[i].Vals
-	}
-	if b.adapt != nil {
-		b.adapt.ObserveBatch(vals)
-	}
-	results, err := b.filter.MatchBatch(vals, 0)
-	if err != nil {
-		return nil, err
-	}
 	counts := make([]int, len(evs))
-	now := time.Now()
 	buf := publishPool.Get().(*publishBuf)
-	for i, r := range results {
-		counts[i] = len(r.IDs)
-		// Stamp the copy handed to deliver: like Publish, the batch path must
-		// not mutate caller-visible events (a reused buffer would otherwise
-		// keep its first call's timestamps forever).
-		ev := evs[i]
-		ev.Seq = base + uint64(i) + 1
+	for i := range evs {
+		if counts[i], err = b.publish(evs[i], true, base+uint64(i)+1, buf, cancel); err != nil {
+			counts = nil
+			break
+		}
+	}
+	publishPool.Put(buf)
+	return counts, err
+}
+
+// publish is the one per-event core: it feeds the adaptor, matches ev into
+// buf.ids and, when a profile matched, stamps ev (sequence number seq, and
+// the time unless the caller set one) and delivers it. Nothing on the miss
+// branch allocates. ev is a copy, so the caller's event is never stamped.
+//
+//genas:hotpath
+func (b *Broker) publish(ev event.Event, owned bool, seq uint64, buf *publishBuf, cancel <-chan struct{}) (int, error) {
+	if b.adapt != nil {
+		b.adapt.Observe(ev.Vals)
+	}
+	ids, _, err := b.filter.MatchAppend(ev.Vals, buf.ids)
+	if err == nil && len(ids) > 0 {
+		now := time.Now()
+		if !owned {
+			ev.Vals = append([]float64(nil), ev.Vals...)
+		}
+		ev.Seq = seq
 		if ev.Time.IsZero() {
 			ev.Time = now
 		}
-		b.deliver(ev, r.IDs, buf, now, cancel)
+		b.deliver(ev, ids, buf, now, cancel)
+		clear(ids)
 	}
-	publishPool.Put(buf)
-	return counts, nil
+	buf.ids = ids[:0] // nil after an error: the pool's next user regrows it
+	return len(ids), err
 }
 
 // publishBuf is the pooled per-publish scratch, cleared before pooling: the
-// ids publishOne matches into and the Block-policy subscribers deliver sends
-// to after releasing the table lock, so steady publishing grows no slices.
+// ids publish matches into and the Block-policy subscribers deliver sends to
+// after releasing the table lock, so steady publishing grows no slices. A
+// batch takes one for all its events.
 type publishBuf struct {
 	ids  []predicate.ID
 	subs []*Subscription
@@ -588,7 +574,7 @@ var publishPool = sync.Pool{New: func() any { return new(publishBuf) }}
 // closed or vanished subscriptions cost nothing.
 //
 // ids is borrowed, not retained (notifications copy each id; Block sends use
-// sub.id), so publishOne recycles it on return; buf.subs is left empty.
+// sub.id), so publish recycles it for the next event; buf.subs is left empty.
 //
 //genas:hotpath
 func (b *Broker) deliver(ev event.Event, ids []predicate.ID, buf *publishBuf, now time.Time, cancel <-chan struct{}) {

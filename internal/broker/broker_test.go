@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -133,6 +134,21 @@ func TestPublishValidation(t *testing.T) {
 	b := newBroker(t, Options{})
 	if _, err := b.Publish(event.Event{Vals: []float64{1}}); !errors.Is(err, event.ErrArity) {
 		t.Error("wrong arity must error")
+	}
+	// The domain is checked on every entry point, and a batch is checked
+	// whole before any of it is published.
+	ok, bad := event.Event{Vals: []float64{20, 50}}, event.Event{Vals: []float64{20, 101}}
+	if _, err := b.Publish(bad); !errors.Is(err, schema.ErrValueOutOfDomain) {
+		t.Errorf("Publish out of domain: %v", err)
+	}
+	if _, err := b.PublishBatch([]event.Event{ok, bad}); !errors.Is(err, schema.ErrValueOutOfDomain) {
+		t.Errorf("PublishBatch out of domain: %v", err)
+	}
+	if _, err := b.PublishValues([]float64{math.NaN(), 50}); !errors.Is(err, schema.ErrValueOutOfDomain) {
+		t.Errorf("PublishValues NaN: %v", err)
+	}
+	if n := b.Stats().Published; n != 0 {
+		t.Errorf("refused events published: %d", n)
 	}
 }
 

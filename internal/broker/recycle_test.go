@@ -97,11 +97,81 @@ func TestPublishValuesAllocations(t *testing.T) {
 	}
 }
 
+// TestPublishBatchAllocations pins the batch path's allocations: a batch of 8
+// events allocates exactly one object, the counts slice it returns, whether
+// it matches nothing or reaches handler, Queue and Block-policy subscribers.
+// Its events share one pooled id buffer and keep their values (the caller
+// hands them over, as with Publish).
+func TestPublishBatchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers, which then allocate")
+	}
+	batch := func(vals ...float64) []event.Event {
+		evs := make([]event.Event, 8)
+		for i := range evs {
+			evs[i] = event.Event{Vals: vals}
+		}
+		return evs
+	}
+	hits, misses := batch(30, 10), batch(-25, 90)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			b := newBroker(t, Options{Shards: shards})
+			drain := func(c <-chan Notification) {
+				go func() {
+					for range c {
+					}
+				}()
+			}
+			q, err := b.NewQueue(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			drain(q.C())
+			for i := 0; i < 6; i++ {
+				p := predicate.MustParse(b.Schema(), predicate.ID(fmt.Sprintf("p%d", i)), fmt.Sprintf("profile(temperature >= %d; humidity <= 50)", 2*i))
+				switch i % 3 {
+				case 0:
+					sub, err := b.SubscribeWith(p, SubOptions{Buffer: 4})
+					if err != nil {
+						t.Fatal(err)
+					}
+					drain(sub.C())
+				case 1:
+					if _, err := q.Subscribe(p); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					sub, err := b.SubscribeWith(p, SubOptions{Buffer: 1, Policy: Block})
+					if err != nil {
+						t.Fatal(err)
+					}
+					drain(sub.C())
+				}
+			}
+			for _, evs := range [][]event.Event{hits, misses} {
+				if _, err := b.PublishBatch(evs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if counts, _ := b.PublishBatch(hits); counts[7] != 6 {
+				t.Fatalf("the matching batch's last event matched %d profiles, want 6", counts[7])
+			}
+			for name, evs := range map[string][]event.Event{"matches nothing": misses, "matches": hits} {
+				if n := testing.AllocsPerRun(100, func() { _, _ = b.PublishBatch(evs) }); n != 1 {
+					t.Errorf("a batch of 8 that %s allocates %.1f objects, want 1 (the counts)", name, n)
+				}
+			}
+		})
+	}
+}
+
 // TestRecycledIDsRaceStress races publishers, each matching into recycled id
-// buffers, against subscriptions leaving and re-joining under the same ids,
-// delivered to handler goroutines and to a Queue. Every event carries its own
-// number, and a logical clock brackets every publish, subscribe and
-// unsubscribe. For each Seq, the delivered profiles must be exactly the
+// buffers (a batch publisher reuses one across its events), against
+// subscriptions leaving and re-joining under the same ids, delivered to
+// handler goroutines and to a Queue. Every event carries its own number, and
+// a logical clock brackets every publish, subscribe and unsubscribe. For each Seq, the delivered profiles must be exactly the
 // brute-force Profile.Matches over the subscriptions live at that moment: a
 // subscription live for the whole publish must be notified if it matches,
 // one live at no point of it must not be, and the ones whose lifetime only
@@ -197,24 +267,42 @@ func TestRecycledIDsRaceStress(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(g)))
 					reused := make([]float64, s.N())
-					for i := 0; i < eventsPerPub; i++ {
-						vals := []float64{float64(rng.Intn(80) - 30), float64(rng.Intn(100)), float64(g*eventsPerPub + i)}
-						p := pub{vals: vals, t0: clock.Add(1)}
+					for i := 0; i < eventsPerPub; {
+						// A batch publisher sends up to four events a call,
+						// all matched into one pooled buffer.
+						n := 1
+						if g%3 == 2 {
+							n = min(4, eventsPerPub-i)
+						}
+						ps := make([]pub, n)
+						evs := make([]event.Event, n)
+						for j := range ps {
+							ps[j].vals = []float64{float64(rng.Intn(80) - 30), float64(rng.Intn(100)), float64(g*eventsPerPub + i + j)}
+							evs[j] = event.Event{Vals: slices.Clone(ps[j].vals)}
+						}
+						t0 := clock.Add(1)
 						var err error
-						if g%2 == 0 {
+						switch g % 3 {
+						case 0:
 							// The caller's buffer is reused at once: the
 							// notifications must carry their own copy.
-							copy(reused, vals)
+							copy(reused, ps[0].vals)
 							_, err = b.PublishValues(reused)
-						} else {
-							_, err = b.Publish(event.Event{Vals: slices.Clone(vals)})
+						case 1:
+							_, err = b.Publish(evs[0])
+						default:
+							_, err = b.PublishBatch(evs)
 						}
-						p.t1 = clock.Add(1)
+						t1 := clock.Add(1)
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						pubs[g] = append(pubs[g], p)
+						for _, p := range ps {
+							p.t0, p.t1 = t0, t1
+							pubs[g] = append(pubs[g], p)
+						}
+						i += n
 					}
 				}()
 			}

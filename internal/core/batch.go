@@ -8,7 +8,8 @@ import (
 	"genas/internal/predicate"
 )
 
-// BatchResult carries one event's match outcome inside a batch.
+// BatchResult carries one event's match outcome inside a MatchBatch result.
+// Like MatchBatch, it is kept only for the benchmark's SURFACE.
 type BatchResult struct {
 	// IDs holds the matched profile ids.
 	IDs []predicate.ID
@@ -28,6 +29,10 @@ const batchChunk = 64
 // The snapshot is loaded once and traversed lock-free: it is immutable, so
 // neither churn nor restructuring mid-batch affects the workers, and no
 // writer ever waits on an in-flight batch.
+//
+// MatchBatch is a benchmark SURFACE symbol (the core.batch_ns_per_event
+// rung) with no production caller: the broker publishes a batch one event
+// at a time through MatchAppend.
 func (e *Engine) MatchBatch(events [][]float64, workers int) ([]BatchResult, error) {
 	if len(events) == 0 {
 		return nil, nil
@@ -52,6 +57,7 @@ func (e *Engine) MatchBatch(events [][]float64, workers int) ([]BatchResult, err
 
 // runBatch fans fn(i) for i in [0,n) across workers with chunked work
 // stealing. workers ≤ 0 selects GOMAXPROCS; a single worker runs inline.
+// MatchBatch, a benchmark SURFACE symbol, is its only caller.
 func runBatch(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"genas/internal/dist"
 	"genas/internal/predicate"
 	"genas/internal/schema"
 	"genas/internal/selectivity"
@@ -10,8 +9,9 @@ import (
 
 // Filter is the matching surface the broker (and every component above it)
 // programs against: a profile corpus, a match path, restructuring entry
-// points and operation accounting. Two implementations exist — the
-// single-tree Engine and the N-way Sharded engine — so the choice of
+// points and operation accounting. It holds only what those callers reach
+// through it; both engines have more methods. Two implementations exist —
+// the single-tree Engine and the N-way Sharded engine — so the choice of
 // concurrency layout is a construction-time decision, not an API change.
 type Filter interface {
 	// Schema returns the attribute schema the filter matches against.
@@ -20,21 +20,14 @@ type Filter interface {
 	AddProfile(p *predicate.Profile) error
 	// RemoveProfile unregisters a profile by id.
 	RemoveProfile(id predicate.ID) error
-	// ProfileCount returns the number of registered profiles.
-	ProfileCount() int
 	// Profiles returns the registered profiles, each carrying its canonical
 	// structure's first spelling.
 	Profiles() []*predicate.Profile
-	// Match filters one event, returning matched ids and operations spent.
-	// The slice is fresh and belongs to the caller.
-	Match(vals []float64) ([]predicate.ID, int, error)
-	// MatchAppend is Match appending the ids to dst. dst belongs to the
-	// caller before and after the call: the filter keeps neither it nor the
+	// MatchAppend filters one event, appending the matched ids to dst and
+	// returning them with the operations spent. dst belongs to the caller
+	// before and after the call: the filter keeps neither it nor the
 	// returned slice, so one buffer can serve every event.
 	MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.ID, int, error)
-	// MatchBatch filters many events against one corpus snapshot; results
-	// align positionally with the input. workers ≤ 0 selects GOMAXPROCS.
-	MatchBatch(events [][]float64, workers int) ([]BatchResult, error)
 	// Rebuild reconstructs the automaton(s) with the current configuration.
 	Rebuild() error
 	// Reorder re-applies the value ordering without rebuilding structure, to
@@ -46,15 +39,11 @@ type Filter interface {
 	// SetConfig replaces the attribute ordering and event distributions
 	// (applied on the next Rebuild or Reorder).
 	SetConfig(cfg Config)
-	// SetEventDists replaces P_e (the adaptive component's entry point).
-	SetEventDists(ds []dist.Dist)
 	// AggStats reports the shape of the index: subscriptions, canonical
 	// nodes, indexed roots, covering depth.
 	AggStats() AggStats
 	// Account returns the live operation accounting summary.
 	Account() stats.Summary
-	// ResetAccount clears operation accounting.
-	ResetAccount()
 	// Analyze runs the analytic cost model (Eq. 2) under the filter's event
 	// distributions.
 	Analyze() (selectivity.Analysis, error)

@@ -115,8 +115,7 @@ func (sh *Sharded) Profiles() []*predicate.Profile {
 // operation count is the sum over shards (each shard pays its own root
 // dispatch). Shards are visited sequentially in the caller's goroutine —
 // per-shard matches are far cheaper than cross-goroutine handoff, so
-// parallelism comes from concurrent publishers (and from MatchBatch, which
-// fans events out across workers).
+// parallelism comes from concurrent publishers.
 //
 //genas:hotpath
 func (sh *Sharded) Match(vals []float64) ([]predicate.ID, int, error) {
@@ -158,44 +157,6 @@ func (sh *Sharded) MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.
 	}
 	sh.account.Record(ops, len(ids)-len(dst))
 	return ids, ops, nil
-}
-
-// MatchBatch filters many events against one immutable snapshot per shard.
-// The snapshots are collected once (resolving lazy rebuilds) and traversed
-// lock-free, so all events in the batch see a consistent corpus and neither
-// churn nor per-shard restructuring waits for in-flight batches. Events fan
-// out across workers; each worker matches its events against all shards and
-// merges inline.
-func (sh *Sharded) MatchBatch(events [][]float64, workers int) ([]BatchResult, error) {
-	if len(events) == 0 {
-		return nil, nil
-	}
-	snaps := make([]*snapshot, 0, len(sh.shards))
-	for _, e := range sh.shards {
-		s, err := e.current()
-		if err != nil {
-			return nil, err
-		}
-		if !s.empty {
-			snaps = append(snaps, s)
-		}
-	}
-	results := make([]BatchResult, len(events))
-	if len(snaps) == 0 {
-		return results, nil // an empty filter matches nothing and accounts nothing
-	}
-	runBatch(len(events), workers, func(i int) {
-		r := &results[i]
-		for _, s := range snaps {
-			var ops int
-			r.IDs, ops = s.match(events[i], r.IDs)
-			r.Ops += ops
-		}
-	})
-	for _, r := range results {
-		sh.account.Record(r.Ops, len(r.IDs))
-	}
-	return results, nil
 }
 
 // eachShard runs f on every shard in turn, in the caller's goroutine. Each

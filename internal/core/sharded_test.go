@@ -122,57 +122,6 @@ func TestShardedMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestShardedMatchBatchMatchesOracle: the batch path merges the same match
-// sets and accounts the same totals as per-event matching.
-func TestShardedMatchBatchMatchesOracle(t *testing.T) {
-	oracle, sharded, _ := shardedPair(t, 4, 90, 11)
-	rng := rand.New(rand.NewSource(3))
-	events := make([][]float64, 300)
-	for i := range events {
-		events[i] = []float64{float64(rng.Intn(100)), float64(rng.Intn(100))}
-	}
-	batch, err := sharded.MatchBatch(events, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(events) {
-		t.Fatalf("batch results = %d", len(batch))
-	}
-	for i, ev := range events {
-		want, _, err := oracle.Match(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, g := sortedIDs(want), sortedIDs(batch[i].IDs)
-		if fmt.Sprint(w) != fmt.Sprint(g) {
-			t.Fatalf("event %d: oracle %v vs batch %v", i, w, g)
-		}
-	}
-	// One accounted event per batch element, ops summed across shards.
-	acc := sharded.Account()
-	if acc.Events != uint64(len(events)) {
-		t.Errorf("accounted %d events for a %d-event batch", acc.Events, len(events))
-	}
-	if acc.Ops == 0 || acc.MeanOps <= 0 {
-		t.Errorf("accounting lost ops: %+v", acc)
-	}
-	// Empty input and all-empty shards behave like the single engine.
-	if out, err := sharded.MatchBatch(nil, 2); err != nil || out != nil {
-		t.Errorf("empty batch: %v %v", out, err)
-	}
-	empty := NewSharded(testSchema(t), Config{}, 3)
-	out, err := empty.MatchBatch(events[:2], 2)
-	if err != nil || len(out) != 2 || out[0].IDs != nil {
-		t.Errorf("empty sharded batch: %v %v", out, err)
-	}
-	if ids, ops, err := empty.Match(events[0]); err != nil || ids != nil || ops != 0 {
-		t.Errorf("empty sharded match: %v %d %v", ids, ops, err)
-	}
-	if empty.Account().Events != 0 {
-		t.Error("empty engine must not account events")
-	}
-}
-
 // TestShardedMatchAllocations: an event matching on both shards of a
 // two-shard engine costs one allocation, the id slice Match preallocates.
 func TestShardedMatchAllocations(t *testing.T) {
@@ -211,7 +160,8 @@ func TestShardedMatchAllocations(t *testing.T) {
 }
 
 // TestShardedStatsTotals: one published event is one accounted event whose
-// Events/Ops/Matches totals match the oracle's, and Reset clears them.
+// Events/Ops/Matches totals match the oracle's, Reset clears them, and an
+// all-empty engine matches nothing and accounts nothing.
 func TestShardedStatsTotals(t *testing.T) {
 	oracle, sharded, _ := shardedPair(t, 4, 80, 5)
 	rng := rand.New(rand.NewSource(9))
@@ -244,6 +194,13 @@ func TestShardedStatsTotals(t *testing.T) {
 	sharded.ResetAccount()
 	if got := sharded.Account(); got.Events != 0 || got.Ops != 0 {
 		t.Errorf("ResetAccount left %+v", got)
+	}
+	empty := NewSharded(testSchema(t), Config{}, 3)
+	if ids, ops, err := empty.Match([]float64{50, 50}); err != nil || ids != nil || ops != 0 {
+		t.Errorf("empty sharded match: %v %d %v", ids, ops, err)
+	}
+	if empty.Account().Events != 0 {
+		t.Error("empty engine must not account events")
 	}
 }
 

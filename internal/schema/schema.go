@@ -129,9 +129,10 @@ func (d Domain) Size() float64 {
 }
 
 // Contains reports whether x lies inside the domain. For integer domains x
-// must be integral; for categorical domains x must be a valid code.
+// must be integral; for categorical domains x must be a valid code. NaN lies
+// in no domain.
 func (d Domain) Contains(x float64) bool {
-	if x < d.lo || x > d.hi {
+	if !(x >= d.lo && x <= d.hi) {
 		return false
 	}
 	switch d.kind {

@@ -89,12 +89,14 @@ type discard struct{}
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // Serve accepts connections on ln until the context is canceled or Close is
-// called. It blocks; run it from the caller's goroutine of choice.
+// called, then closes ln and returns nil. It blocks; run it from the caller's
+// goroutine of choice. On a server already closed it closes ln at once.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return errors.New("wire: server closed")
+		_ = ln.Close()
+		return nil
 	}
 	s.ln = ln
 	// The watcher joins the WaitGroup under s.mu: Close sets closed under the

@@ -180,10 +180,39 @@ func TestCloseWithoutContextCancel(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return")
 	}
-	// Close is idempotent, and a closed server refuses to serve again.
+	srv.Close() // idempotent
+}
+
+// TestServeAfterClose: Serve on a server that is already closed does what a
+// Serve interrupted by Close does — it closes the listener and returns nil —
+// so a caller racing Close against its Serve goroutine sees no error.
+func TestServeAfterClose(t *testing.T) {
+	sch, err := schema.ParseSpec("x=numeric[0,1]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk, err := broker.New(sch, broker.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brk.Close()
+	srv := NewServer(brk, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
 	srv.Close()
-	if err := srv.Serve(context.Background(), ln); err == nil {
-		t.Error("Serve on a closed server must fail")
+	if err := srv.Serve(context.Background(), ln); err != nil {
+		t.Errorf("Serve after Close = %v, want nil", err)
+	}
+	// The deadline keeps a listener left open from hanging the test.
+	_ = ln.(*net.TCPListener).SetDeadline(time.Now().Add(time.Second))
+	if c, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		if c != nil {
+			_ = c.Close()
+		}
+		t.Errorf("Accept after Serve after Close = %v, want net.ErrClosed", err)
 	}
 }
 
