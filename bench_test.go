@@ -525,7 +525,8 @@ func rangeCorpus(tb testing.TB, n int) (*schema.Schema, []*predicate.Profile) {
 // list, profile set, decomposition and memo key was an object of its own), and
 // a coalescing rebuild — poset compaction, build, freeze — under twice that.
 // The benchmark's gate cannot see this count at --seconds 5, where no
-// repetition of churn-mixed holds a rebuild.
+// repetition of churn-mixed holds a rebuild. The race runtime allocates on its
+// own account, so under -race the test only builds and logs.
 func TestBuildAllocations(t *testing.T) {
 	s, corpus := rangeCorpus(t, 2000)
 	var nodes int
@@ -548,7 +549,7 @@ func TestBuildAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("%d nodes: tree.Build %.0f mallocs, Engine.Rebuild %.0f", nodes, build, rebuild)
-	if limit := float64(nodes) / 4; build > limit || rebuild > 2*limit {
+	if limit := float64(nodes) / 4; !raceEnabled && (build > limit || rebuild > 2*limit) {
 		t.Errorf("tree.Build makes %.0f mallocs and Engine.Rebuild %.0f for %d nodes, want at most %.0f and %.0f",
 			build, rebuild, nodes, limit, 2*limit)
 	}
@@ -604,19 +605,21 @@ func TestTreeRetainedBytes(t *testing.T) {
 }
 
 // buildScaleFull adds the third size of TestBuildScale.
-var buildScaleFull = flag.Bool("buildscale-full", false, "TestBuildScale also builds 1 000 structures (11 s, 0.9 GB allocated)")
+var buildScaleFull = flag.Bool("buildscale-full", false, "TestBuildScale also builds 1 000 structures (9 s, 0.8 GB allocated)")
 
 // TestBuildScale builds distinct structures of the shape that walled the batch
 // build at PR 9 (250 / 500 / 1 000 of them in 5 s, 25 s and 280 s then; the load
 // generator that drew it is gone, this is its rule): on the four-attribute
 // schema every attribute is constrained seven times in ten, by a range of
-// 5–15 % of its domain around a uniform centre, so riders multiply the states
-// level by level. 500 build in under 5 s (1.5 s measured, 11.2 s before the
-// rank sweep) into 71 MB of automaton, which the test logs from Stats().Bytes
-// beside what the build allocated. 1 000 are 643 600 nodes and 5.0 M edges:
-// 279 MB of automaton for 908 MB allocated — under the gigabyte since a node
-// stores its partition once — but 11 s of sweeping, memoising and laying out,
-// so still only on request.
+// 5–15 % of its domain around a uniform centre, so don't-cares multiply the
+// states level by level. Riders are parked once per node: 250 / 500 / 1 000
+// structures are 27 384 / 124 797 / 482 867 nodes (≈ 643 600 for 1 000 when
+// every rider rode each edge below it). 500 build in under 5 s (1.4 s
+// measured, 11.2 s before the rank sweep) into 56 MB of automaton, which the
+// test logs from Stats().Bytes beside what the build allocated. 1 000 are
+// 4.4 M edges: 231 MB of automaton for 784 MB allocated, but 9 s of sweeping,
+// memoising and laying out, so still only on request. The race runtime slows
+// the build several times over, so under -race the test only builds and logs.
 func TestBuildScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second builds")
@@ -661,7 +664,7 @@ func TestBuildScale(t *testing.T) {
 		st := tr.Stats()
 		t.Logf("%d distinct structures: %d nodes, %d edges, %d MB of automaton in %v, %d MB allocated",
 			n, st.Nodes, st.Edges, st.Bytes>>20, took.Round(time.Millisecond), (after.TotalAlloc-before.TotalAlloc)>>20)
-		if n == 500 && took > 5*time.Second {
+		if n == 500 && took > 5*time.Second && !raceEnabled {
 			t.Errorf("500 distinct structures took %v to build, want under 5 s", took)
 		}
 	}

@@ -41,8 +41,8 @@ type Analysis struct {
 type ProfileCost struct {
 	// MatchProb is the probability an event matches the profile.
 	MatchProb float64
-	// CondOps is E[operations | event matches the profile]; for a profile an
-	// incremental insert parked at a node, the operations until that node.
+	// CondOps is E[operations | event matches the profile]; for a profile
+	// parked at a node, the operations until that node.
 	CondOps float64
 }
 
@@ -95,8 +95,8 @@ func Probe(_ *tree.Node, p *tree.Pieces) (edge, ops int) { return p.Cost() }
 // the node search of Tree.Match, the analytic and simulated results agree by
 // construction (see the equivalence property test); the reproduction passes
 // the paper's scans instead. Profiles
-// an incremental insert parked at a node (Node.Extra) match whatever reaches
-// it, even where the walk dead-ends below, as Tree.Match collects them.
+// parked at a node (Node.Extra) match whatever reaches it, even where the
+// walk dead-ends below, as Tree.Match collects them.
 func Analyze(t *tree.Tree, edists []dist.Dist, cost func(n *tree.Node, p *tree.Pieces) (edge, ops int)) Analysis {
 	res := Analysis{
 		PerLevelOps:   make([]float64, t.Schema().N()),

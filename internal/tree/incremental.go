@@ -520,7 +520,8 @@ func ivBefore(a, b schema.Interval) bool {
 }
 
 // chain returns the single-profile node testing np's constraint at level,
-// shared by every edge through which np alone continues.
+// shared by every edge through which np alone continues. Below np's last
+// constrained level it is the node that parks np, as Build would.
 //
 //genas:builder
 func (ins *inserter) chain(level int) *Node {
@@ -532,6 +533,10 @@ func (ins *inserter) chain(level int) *Node {
 	n := ins.a.node()
 	*n = Node{Level: int16(level), Attr: int16(attr)}
 	ins.chains[level] = n
+	if level > ins.lastCons {
+		n.extra = *ins.npLeaf
+		return n
+	}
 	e := ins.grown(nil, dom.Interval(), level)
 	buf := ins.edgeBuf[level][:0]
 	if c := &ins.cons[attr]; c.DontCare {

@@ -1,6 +1,7 @@
 package tree_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,12 +64,7 @@ func TestPaperExample1(t *testing.T) {
 	if ops <= 0 {
 		t.Errorf("expected positive operation count, got %d", ops)
 	}
-	got := make([]string, 0, len(matched))
-	for _, pi := range matched {
-		got = append(got, string(profiles[pi].ID))
-	}
-	want := []string{"P2", "P5"}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+	if got, want := idSet(profiles, matched), "P2,P5"; got != want {
 		t.Fatalf("event (30,90,2): matched %v, want %v", got, want)
 	}
 
@@ -89,7 +85,14 @@ func TestPaperExample1(t *testing.T) {
 		}
 	}
 
-	// Leaf profile sets along the Fig. 1 paths.
+	// Fig. 1's (*) edge under [30,35) → [90,100] is the set {P2, P5} parked
+	// at the radiation node: they constrain no radiation.
+	rad := edges[1].Child.Edges()[len(edges[1].Child.Edges())-1].Child
+	if got := idSet(profiles, rad.Extra()); got != "P2,P5" {
+		t.Errorf("radiation node under [30,35) → [90,100] parks %v, want P2,P5:\n%s", got, tr.Dump())
+	}
+
+	// Match sets along the Fig. 1 paths.
 	checks := []struct {
 		vals []float64
 		want []string
@@ -106,14 +109,21 @@ func TestPaperExample1(t *testing.T) {
 	}
 	for _, c := range checks {
 		matched, _ := scan.Match(c.vals)
-		got := make([]string, 0, len(matched))
-		for _, pi := range matched {
-			got = append(got, string(profiles[pi].ID))
-		}
-		if strings.Join(got, ",") != strings.Join(c.want, ",") {
+		if got := idSet(profiles, matched); got != strings.Join(c.want, ",") {
 			t.Errorf("event %v: matched %v, want %v", c.vals, got, c.want)
 		}
 	}
+}
+
+// idSet renders a match as its profiles' ids, sorted: a walk lists parked
+// profiles first, so only the set is specified.
+func idSet(profiles []*predicate.Profile, matched []int) string {
+	ids := make([]string, len(matched))
+	for i, pi := range matched {
+		ids[i] = string(profiles[pi].ID)
+	}
+	slices.Sort(ids)
+	return strings.Join(ids, ",")
 }
 
 // TestPaperExample1Naive cross-checks the tree against direct predicate

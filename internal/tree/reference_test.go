@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -19,10 +20,12 @@ import (
 // kept as the oracle the builder is checked against, in the representation it
 // had then: a kind and a profile set on every edge and the partition stored
 // bucket by bucket at every node. It decomposes with subrange.Decompose, which
-// has its own oracle in that package.
+// has its own oracle in that package. It parks riders as Build does, or, with
+// parking off, carries them along every edge below as the paper's tree does.
 
 type refNode struct {
 	level, attr int
+	extra       []int // the parked riders
 	edges       []refEdge
 	buckets     []bucket
 }
@@ -43,11 +46,18 @@ type refEdge struct {
 
 // referenceBuild is the former Build, without its layout pass.
 func referenceBuild(s *schema.Schema, profiles []*predicate.Profile, attrOrder []int) *reference {
+	return newReference(s, profiles, attrOrder, true)
+}
+
+// newReference builds the reference automaton, parking riders or not.
+func newReference(s *schema.Schema, profiles []*predicate.Profile, attrOrder []int, park bool) *reference {
 	r := &reference{
 		s:         s,
 		attrOrder: attrOrder,
+		park:      park,
 		cons:      make([][]subrange.Constraint, s.N()),
 		memo:      make(map[string]*refNode),
+		laid:      make(map[*refNode]*Node),
 	}
 	for attr := 0; attr < s.N(); attr++ {
 		dom := s.At(attr).Domain
@@ -71,9 +81,11 @@ func referenceBuild(s *schema.Schema, profiles []*predicate.Profile, attrOrder [
 type reference struct {
 	s                    *schema.Schema
 	attrOrder            []int
+	park                 bool
 	cons                 [][]subrange.Constraint
 	memo                 map[string]*refNode
 	root                 *refNode
+	laid                 map[*refNode]*Node // the states as match lays them out
 	nodes, edges, shared int
 }
 
@@ -86,13 +98,17 @@ func (r *reference) build(alive []int, level int) *refNode {
 
 	attr := r.attrOrder[level]
 	dom := r.s.At(attr).Domain
-	cons := make([]subrange.Constraint, len(alive))
-	for i, pi := range alive {
-		cons[i] = r.cons[attr][pi]
+	n := &refNode{level: level, attr: attr}
+	var cons []subrange.Constraint
+	for _, pi := range alive {
+		if r.park && r.rides(pi, level) {
+			n.extra = append(n.extra, pi)
+			continue
+		}
+		cons = append(cons, r.cons[attr][pi])
 	}
 	dec := subrange.Decompose(dom, cons)
 
-	n := &refNode{level: level, attr: attr}
 	last := level == r.s.N()-1
 	descend := func(e *refEdge) {
 		if !last {
@@ -112,7 +128,7 @@ func (r *reference) build(alive []int, level int) *refNode {
 		descend(&refEdge{kind: EdgeStar, iv: dom.Interval(), profiles: dec.Star})
 		n.buckets = []bucket{{iv: dom.Interval(), edge: 0}}
 	case len(dec.Star) > 0 && len(dec.Gaps) > 0:
-		// Complement edge (*) for the riders across every gap piece.
+		// Complement edge (*) for the don't-care profiles across every gap piece.
 		descend(&refEdge{kind: EdgeComplement, iv: dom.Interval(), profiles: dec.Star})
 		n.buckets = mergeBuckets(dec, len(n.edges)-1)
 	default:
@@ -124,6 +140,16 @@ func (r *reference) build(alive []int, level int) *refNode {
 	r.edges += len(n.edges)
 	r.memo[key] = n
 	return n
+}
+
+// rides reports whether profile pi constrains no attribute from level down.
+func (r *reference) rides(pi, level int) bool {
+	for _, attr := range r.attrOrder[level:] {
+		if !r.cons[attr][pi].DontCare {
+			return false
+		}
+	}
+	return true
 }
 
 // reaching filters a profile set carried into level to the profiles that are
@@ -228,11 +254,11 @@ func layouts(tr *Tree) string {
 }
 
 // sameAutomaton walks a tree and the reference from their roots and fails where
-// they are not one automaton: a node's level and attribute, its edges in order
-// with kind and interval, the leaf sets, the profiles alive on every interior
-// edge — the union of the leaf sets below it, which is all the tree still holds
-// of them — the pieces derived from the edges against the reference's buckets,
-// and which paths share a node.
+// they are not one automaton: a node's level and attribute, its parked set, its
+// edges in order with kind and interval, the leaf sets, the profiles alive on
+// every interior edge — the union of the parked and leaf sets below it, which
+// is all the tree still holds of them — the pieces derived from the edges
+// against the reference's buckets, and which paths share a node.
 func sameAutomaton(t *testing.T, what string, got *Tree, want *reference) {
 	t.Helper()
 	toWant, toGot := map[*Node]*refNode{}, map[*refNode]*Node{}
@@ -247,11 +273,11 @@ func sameAutomaton(t *testing.T, what string, got *Tree, want *reference) {
 		}
 		toWant[g], toGot[w] = w, g
 		dom := got.schema.At(w.attr).Domain
-		if int(g.Level) != w.level || int(g.Attr) != w.attr || g.extra != nil || len(g.edges) != len(w.edges) ||
+		if int(g.Level) != w.level || int(g.Attr) != w.attr || !slices.Equal(g.extra, w.extra) || len(g.edges) != len(w.edges) ||
 			!reflect.DeepEqual(derivedBuckets(g, dom), w.buckets) {
 			t.Fatalf("%s: level %d node\n%+v\npieces %+v\nreference\n%+v", what, w.level, *g, derivedBuckets(g, dom), *w)
 		}
-		var union []int
+		union := g.extra
 		for i := range w.edges {
 			ge, we := &g.edges[i], &w.edges[i]
 			below := ge.Leaf()
@@ -307,6 +333,210 @@ func TestQuickBuildIsTheSameAutomaton(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestQuickParkingNeverCostsAComparison: over quickCorpus-style corpora whose
+// profiles leave each attribute unconstrained at rates from 0.2 to 0.8, under
+// every attribute order, uniform and salted weights:
+//   - Match lists the brute-force match set, no index twice;
+//   - a profile parked at a node constrains nothing from that level down, and
+//     no leaf set or parked set below the node lists it again;
+//   - no event spends more comparisons than on the reference automaton with
+//     parking off, which carries every rider along every edge below it.
+//
+// The events reach every piece of every state of that automaton. Where it has
+// a leaf-level complement or star edge, some event spends strictly fewer:
+// every profile a leaf-level state leaves unconstrained is a rider, so that
+// edge is one parking removes.
+func TestQuickParkingNeverCostsAComparison(t *testing.T) {
+	s := incrSchema(t)
+	orders := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	parked, fewer := 0, 0
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		dc := 0.2 + 0.2*float64(rng.Intn(4))
+		profiles := riderCorpus(t, s, rng, dc)
+		vo := NaturalOrder()
+		if rng.Intn(2) == 0 {
+			vo = saltedMass(rng.Float64() * 100)
+		}
+		for _, order := range orders {
+			what := fmt.Sprintf("seed %d dc %.1f order %v", seed, dc, order)
+			tr, err := Build(s, profiles, WithAttributeOrder(order), WithValueOrder(vo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			parked += parksOnce(t, what, tr)
+			off := newReference(s, profiles, order, false)
+			strict := false
+			for _, vals := range off.events() {
+				var want []int
+				for pi, p := range profiles {
+					if p.Matches(vals) {
+						want = append(want, pi)
+					}
+				}
+				got, ops := tr.Match(vals)
+				offGot, offOps := off.match(vals, vo)
+				if !slices.Equal(slices.Sorted(slices.Values(got)), want) || !slices.Equal(slices.Sorted(slices.Values(offGot)), want) {
+					t.Fatalf("%s: event %v matched %v, parking off %v, brute force %v", what, vals, got, offGot, want)
+				}
+				if ops > offOps {
+					t.Fatalf("%s: event %v spends %d comparisons, %d with parking off", what, vals, ops, offOps)
+				}
+				strict = strict || ops < offOps
+			}
+			if off.leafTrailing() && !strict {
+				t.Fatalf("%s: parking removes a leaf-level trailing edge, yet no event spends fewer comparisons", what)
+			}
+			if strict {
+				fewer++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+	if parked == 0 || fewer == 0 {
+		t.Errorf("%d profiles parked, %d builds saved a comparison: the corpora exercise nothing", parked, fewer)
+	}
+}
+
+// parksOnce fails where a profile parked at a node of tr constrains a level
+// from the node's down, or is listed again by a leaf set or a parked set below
+// the node. It returns the number of parked entries.
+func parksOnce(t *testing.T, what string, tr *Tree) int {
+	t.Helper()
+	below := map[*Node][]int{} // the parked and leaf sets below a node, its own parked set excluded
+	var under func(n *Node) []int
+	under = func(n *Node) []int {
+		if set, ok := below[n]; ok {
+			return set
+		}
+		var set []int
+		for i := range n.edges {
+			if c := n.edges[i].Child; c != nil {
+				set = unionSorted(set, unionSorted(c.extra, under(c)))
+			} else {
+				set = unionSorted(set, n.edges[i].Leaf())
+			}
+		}
+		below[n] = set
+		return set
+	}
+	parked := 0
+	for _, nodes := range tr.Levels() {
+		for _, n := range nodes {
+			for _, pi := range n.extra {
+				for _, attr := range tr.attrOrder[n.Level:] {
+					if tr.profiles[pi].Constrains(attr) {
+						t.Fatalf("%s: level %d parks %d, which constrains attribute %d", what, n.Level, pi, attr)
+					}
+				}
+				if _, found := slices.BinarySearch(under(n), pi); found {
+					t.Fatalf("%s: level %d parks %d, which a set below lists again", what, n.Level, pi)
+				}
+			}
+			parked += len(n.extra)
+		}
+	}
+	return parked
+}
+
+// riderCorpus is quickCorpus with each attribute left unconstrained at rate
+// dc and constrained by a range otherwise: the higher dc, the more profiles
+// ride below their last constrained level.
+func riderCorpus(t *testing.T, s *schema.Schema, rng *rand.Rand, dc float64) []*predicate.Profile {
+	profiles := quickCorpus(t, s, rng)
+	for _, p := range profiles {
+		for attr := range p.Preds {
+			switch {
+			case rng.Float64() < dc:
+				p.Preds[attr] = predicate.Predicate{}
+			case !p.Constrains(attr):
+				lo, hi := s.At(attr).Domain.Lo(), s.At(attr).Domain.Hi()
+				a := math.Floor(lo + rng.Float64()*(hi-lo))
+				pr, err := predicate.NewRange(attr, a, math.Floor(a+rng.Float64()*(hi-a)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Preds[attr] = pr
+			}
+		}
+	}
+	return profiles
+}
+
+// events returns, for every piece of every state, an event that reaches the
+// state and falls into the piece.
+func (r *reference) events() [][]float64 {
+	var out [][]float64
+	seen := map[*refNode]bool{}
+	var visit func(n *refNode, prefix []float64)
+	visit = func(n *refNode, prefix []float64) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		for _, b := range n.buckets {
+			vals := slices.Clone(prefix)
+			vals[n.attr] = inside(b.iv)
+			out = append(out, vals)
+			if b.edge >= 0 && n.edges[b.edge].child != nil {
+				visit(n.edges[b.edge].child, vals)
+			}
+		}
+	}
+	prefix := make([]float64, r.s.N())
+	for attr := range prefix {
+		prefix[attr] = r.s.At(attr).Domain.Lo()
+	}
+	visit(r.root, prefix)
+	return out
+}
+
+// match walks the reference as Match walks a tree, every state laid out under
+// vo as Build lays its nodes out, and returns the matched profiles and the
+// comparisons spent.
+func (r *reference) match(vals []float64, vo ValueOrder) (matched []int, ops int) {
+	for w := r.root; w != nil; {
+		matched = append(matched, w.extra...)
+		n, ok := r.laid[w]
+		if !ok {
+			n = &Node{Level: int16(w.level), Attr: int16(w.attr)}
+			for _, e := range w.edges {
+				if e.kind == EdgeSubrange {
+					n.nSubrange++
+				}
+				n.edges = append(n.edges, Edge{Iv: e.iv})
+			}
+			n.applyOrder(r.s.At(w.attr).Domain, vo, new(orderScratch), new(arena))
+			r.laid[w] = n
+		}
+		ei, k := n.probe(vals[w.attr])
+		ops += k
+		if ei < 0 {
+			break
+		}
+		e := &w.edges[ei]
+		if e.child == nil {
+			matched = append(matched, e.profiles...)
+		}
+		w = e.child
+	}
+	return matched, ops
+}
+
+// leafTrailing reports whether a leaf-level state has a complement or star
+// edge.
+func (r *reference) leafTrailing() bool {
+	for _, n := range r.memo {
+		if n.level == r.s.N()-1 && len(n.edges) > 0 && n.edges[len(n.edges)-1].kind != EdgeSubrange {
+			return true
+		}
+	}
+	return false
 }
 
 // quickCorpus draws up to 40 random profiles, one in four with a two-interval

@@ -5,10 +5,12 @@ import "genas/internal/schema"
 // Match filters one event (values indexed by schema attribute) through the
 // automaton. It returns the dense indices of all matched profiles and the
 // number of comparison operations spent. The returned slice may alias tree
-// internals and must not be mutated. Profiles parked in node extra sets by
-// incremental inserts are collected along the path; they match even when the
-// walk later dead-ends in a D₀ gap (they are don't-care below their node).
-// Match collects them into a fresh slice; MatchAppend takes the caller's.
+// internals and must not be mutated. Profiles parked at the nodes on the path
+// (Node.Extra) are collected as the walk passes them; they match even when the
+// walk later dead-ends in a D₀ gap (they are don't-care below their node). So
+// the parked profiles come first, and the order is otherwise unspecified; no
+// index is listed twice. Match collects them into a fresh slice; MatchAppend
+// takes the caller's.
 func (t *Tree) Match(vals []float64) (matched []int, ops int) {
 	matched, _, ops = t.MatchAppend(vals, nil)
 	return matched, ops

@@ -5,14 +5,18 @@
 // The tree has height n (one level per attribute). Each level corresponds to
 // one attribute after attribute reordering; edges at a node carry the
 // disjoint subranges referenced by the profiles still alive on that path.
-// Profiles that do not constrain the level's attribute ride along every edge
-// and additionally along the complement edge "(*)" covering the unreferenced
-// remainder of the domain; if no alive profile constrains the attribute the
-// node has the single don't-care edge "*". For an observed event there is a
-// single path to follow (edges are disjoint), ending in a leaf that lists the
-// matched profiles. Those edges are all a node stores of its partition of the
-// domain, and the leaf sets all the tree stores of who is alive where: the
-// pieces between the edges are derived (Pieces).
+// A profile that constrains no level from a node down — a rider — matches
+// every event reaching that node, so the node parks it (Node.Extra) and no
+// edge below carries it. Profiles that do not constrain the level's attribute
+// but constrain a deeper one ride along every edge and additionally along the
+// complement edge "(*)" covering the unreferenced remainder of the domain; if
+// no alive profile constrains the attribute the node has the single don't-care
+// edge "*". For an observed event there is a single path to follow (edges are
+// disjoint), collecting the parked profiles of every node it passes and ending
+// in a leaf that lists the other matched profiles. Those edges are all a node
+// stores of its partition of the domain, and the parked and leaf sets all the
+// tree stores of who is alive where: the pieces between the edges are derived
+// (Pieces). Build and the incremental insert (WithProfile) park alike.
 //
 // Equivalent states are shared: two paths whose alive profile sets coincide
 // at the same level point to the same node, which keeps the automaton
@@ -72,7 +76,7 @@ type Edge struct {
 	// leaf is the match set of a leaf-level edge: the dense indices of the
 	// profiles an event arriving here matches, stored once per distinct set.
 	// An interior edge carries no set — the profiles alive below it are the
-	// union of the leaf sets it leads to.
+	// union of the parked and leaf sets it leads to.
 	leaf *[]int
 }
 
@@ -97,11 +101,11 @@ type Node struct {
 	// layout is the probe tree over the subrange edges, in preorder
 	// (weighted.go).
 	layout []int32
-	// extra lists profiles matched by every event reaching this node
-	// (incremental inserts place a profile here when all levels from this
-	// one down are don't-care for it, instead of rewriting every leaf of
-	// the subtree). Build never sets it; a coalescing rebuild folds the
-	// indices back into the leaf sets.
+	// extra lists the profiles parked here, matched by every event reaching
+	// this node: those that constrain no level from this one down. Build and
+	// the incremental insert alike park a profile in the first node it reaches
+	// below its last constrained level, instead of carrying it into every leaf
+	// of the subtree.
 	extra []int
 	// Level is the 0-based tree level; Attr the schema attribute tested.
 	Level, Attr int16
@@ -113,8 +117,8 @@ type Node struct {
 // Edges exposes the node's edges (shared slice; callers must not mutate).
 func (n *Node) Edges() []Edge { return n.edges }
 
-// Extra exposes the profiles parked at the node by incremental inserts: every
-// event reaching it matches them (shared slice; callers must not mutate).
+// Extra exposes the profiles parked at the node: every event reaching it
+// matches them (shared slice; callers must not mutate).
 func (n *Node) Extra() []int { return n.extra }
 
 // Kind returns the flavor of edge i.
@@ -263,9 +267,15 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 		b.ix[attr] = subrange.NewIndex(dom, cons)
 	}
 
+	b.deepest = make([]int, len(profiles))
 	all := make([]int, len(profiles))
-	for i := range profiles {
-		all[i] = i
+	for i, p := range profiles {
+		all[i], b.deepest[i] = i, -1
+		for level, attr := range cfg.attrOrder {
+			if p.Constrains(attr) {
+				b.deepest[i] = level
+			}
+		}
 	}
 	t.root = b.build(all, 0)
 	// The builder tracked the meta incrementally; consume the lazy fill.
@@ -296,11 +306,15 @@ type builder struct {
 	ix   []*subrange.Index // by schema attribute
 	sw   subrange.Sweep
 	memo map[uint64]state
-	// edges and set assemble one node; it is committed to the arena before
-	// the build descends, so one set of buffers serves every level.
-	edges []Edge
-	set   []int
-	sc    orderScratch
+	// deepest[pi] is the deepest level profile pi constrains, −1 for none.
+	deepest []int
+	// edges and set assemble one node, rest and park split its alive set; all
+	// are spent before the build descends, so one set of buffers serves every
+	// level.
+	edges      []Edge
+	set        []int
+	rest, park []int
+	sc         orderScratch
 	// pend[level] holds, for the node being built at level, the alive set each
 	// of its edges carries until the edge's child is built from it.
 	pend [][][]int
@@ -386,10 +400,26 @@ func (b *builder) build(alive []int, level int) *Node {
 	*n = Node{Level: int16(level), Attr: int16(attr)}
 	b.memo[h] = state{level: level, n: n, alive: alive}
 
-	// One sweep yields the pieces in natural order: a covered piece is a
-	// subrange edge on which the don't-care profiles ride along, an uncovered
-	// one a gap, which no edge stores.
-	b.sw.Reset(b.ix[attr], alive)
+	// A rider, a profile that constrains no level from this one down, matches
+	// every event reaching the node: it is parked here once instead of riding
+	// every edge and every path below.
+	rest := alive
+	if slices.ContainsFunc(alive, func(pi int) bool { return b.deepest[pi] < level }) {
+		rest, b.park = b.rest[:0], b.park[:0]
+		for _, pi := range alive {
+			if b.deepest[pi] < level {
+				b.park = append(b.park, pi)
+			} else {
+				rest = append(rest, pi)
+			}
+		}
+		n.extra, b.rest = a.intSlice(b.park), rest
+	}
+
+	// One sweep over the rest yields the pieces in natural order: a covered
+	// piece is a subrange edge on which the don't-care profiles ride along, an
+	// uncovered one a gap, which no edge stores.
+	b.sw.Reset(b.ix[attr], rest)
 	edges, pend, gaps := b.edges[:0], b.pend[level][:0], false
 	for b.sw.Next() {
 		if len(b.sw.Active) == 0 {
@@ -402,8 +432,9 @@ func (b *builder) build(alive []int, level int) *Node {
 		edges = append(edges, e)
 	}
 	n.nSubrange = int32(len(edges))
-	// The riders own the gaps: through the complement edge (*), or through the
-	// star edge of a pure don't-care node. Without riders a gap is D₀.
+	// The don't-care profiles own the gaps: through the complement edge (*),
+	// or through the star edge of a pure don't-care node. Without them a gap is
+	// D₀.
 	if len(b.sw.Star) > 0 && gaps {
 		e := Edge{Iv: dom.Interval()}
 		pend = append(pend, b.carry(b.sw.Star, level+1, &e, a))
@@ -506,7 +537,7 @@ func (t *Tree) Stats() Stats {
 }
 
 // Dump renders the tree in a Fig. 1-like indented form for debugging and the
-// paper-example tests.
+// paper-example tests. A node's parked profiles follow its attribute's name.
 func (t *Tree) Dump() string {
 	var b strings.Builder
 	seen := make(map[*Node]bool)
@@ -522,7 +553,11 @@ func (t *Tree) dumpNode(b *strings.Builder, n *Node, depth int, seen map[*Node]b
 		return
 	}
 	seen[n] = true
-	fmt.Fprintf(b, "%s%s\n", indent, name)
+	if len(n.extra) > 0 {
+		fmt.Fprintf(b, "%s%s parked %s\n", indent, name, t.idSet(n.extra))
+	} else {
+		fmt.Fprintf(b, "%s%s\n", indent, name)
+	}
 	for i := range n.edges {
 		e := &n.edges[i]
 		label := e.Iv.String()
@@ -537,10 +572,15 @@ func (t *Tree) dumpNode(b *strings.Builder, n *Node, depth int, seen map[*Node]b
 			t.dumpNode(b, e.Child, depth+2, seen)
 			continue
 		}
-		ids := make([]string, len(e.Leaf()))
-		for i, pi := range e.Leaf() {
-			ids[i] = string(t.profiles[pi].ID)
-		}
-		fmt.Fprintf(b, "%s  %s -> {%s}\n", indent, label, strings.Join(ids, ","))
+		fmt.Fprintf(b, "%s  %s -> %s\n", indent, label, t.idSet(e.Leaf()))
 	}
+}
+
+// idSet renders a set of dense indices as their profiles' ids.
+func (t *Tree) idSet(ps []int) string {
+	ids := make([]string, len(ps))
+	for i, pi := range ps {
+		ids[i] = string(t.profiles[pi].ID)
+	}
+	return "{" + strings.Join(ids, ",") + "}"
 }

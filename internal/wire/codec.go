@@ -61,29 +61,41 @@ func (s *slots) vectorOf(m map[string]float64) ([]float64, bool) {
 		return nil, false
 	}
 	vec := make([]float64, len(s.names))
-	for name, v := range m {
-		i, ok := s.index[name]
-		if !ok {
-			return nil, false
-		}
-		vec[i] = v
+	if !s.fill(vec, m) {
+		return nil, false
 	}
 	return vec, true
 }
 
-// vectorsOf is vectorOf over a batch: all events convert, or none does.
+// vectorsOf is vectorOf over a batch: all events convert, or none does. The
+// vectors are carved out of one block, each capped so that no append through
+// one reaches the next.
 func (s *slots) vectorsOf(ms []map[string]float64) ([][]float64, bool) {
 	if len(ms) == 0 {
 		return nil, false
 	}
-	batch := make([][]float64, len(ms))
+	n := len(s.names)
+	block, batch := make([]float64, n*len(ms)), make([][]float64, len(ms))
 	for i, m := range ms {
-		var ok bool
-		if batch[i], ok = s.vectorOf(m); !ok {
+		batch[i] = block[i*n : (i+1)*n : (i+1)*n]
+		if len(m) != n || !s.fill(batch[i], m) {
 			return nil, false
 		}
 	}
 	return batch, true
+}
+
+// fill writes m into vec by slot; m names as many attributes as vec holds.
+// It fails on a name outside the schema.
+func (s *slots) fill(vec []float64, m map[string]float64) bool {
+	for name, v := range m {
+		i, ok := s.index[name]
+		if !ok {
+			return false
+		}
+		vec[i] = v
+	}
+	return true
 }
 
 // mapOf is vectorOf's inverse; it fails on a vector of the wrong arity.

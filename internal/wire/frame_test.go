@@ -383,6 +383,29 @@ func TestCrossCodecResponses(t *testing.T) {
 	}
 }
 
+// TestSlotsVectorsOfOneBlock: a batch of full maps converts into one block
+// of vectors, each capped at its own length, so a batch of 64 costs two
+// objects: the block and the slice of vectors.
+func TestSlotsVectorsOfOneBlock(t *testing.T) {
+	sl := newSlots([]string{"a", "b", "c", "d"})
+	ms := make([]map[string]float64, 64)
+	for i := range ms {
+		ms[i] = map[string]float64{"a": float64(i), "b": 1, "c": 2, "d": 3}
+	}
+	batch, ok := sl.vectorsOf(ms)
+	if !ok || len(batch) != len(ms) {
+		t.Fatalf("vectorsOf = %d vectors, %v", len(batch), ok)
+	}
+	for i, vec := range batch {
+		if !slices.Equal(vec, []float64{float64(i), 1, 2, 3}) || cap(vec) != len(vec) {
+			t.Fatalf("vector %d = %v, capacity %d", i, vec, cap(vec))
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { sl.vectorsOf(ms) }); n != 2 {
+		t.Errorf("converting 64 full maps allocates %v times, want 2 (the block and the batch)", n)
+	}
+}
+
 // TestSlotsVectorOf pins the strictness of the map→vector conversion: only
 // exact schema coverage may take the binary path.
 func TestSlotsVectorOf(t *testing.T) {
@@ -393,8 +416,11 @@ func TestSlotsVectorOf(t *testing.T) {
 	if _, ok := sl.vectorOf(map[string]float64{"a": 1}); ok {
 		t.Error("partial map must not vectorize")
 	}
-	if _, ok := sl.vectorOf(map[string]float64{"a": 1, "c": 2}); ok {
+	if vec, ok := sl.vectorOf(map[string]float64{"a": 1, "c": 2}); ok || vec != nil {
 		t.Error("unknown attribute must not vectorize")
+	}
+	if batch, ok := sl.vectorsOf([]map[string]float64{{"a": 1, "b": 2}, {"a": 1}}); ok || batch != nil {
+		t.Error("a batch with a partial map must not vectorize")
 	}
 	if m, err := sl.mapOf([]float64{1, 2}); err != nil || m["a"] != 1 || m["b"] != 2 {
 		t.Errorf("mapOf = %v %v", m, err)
