@@ -1,7 +1,7 @@
 package genas
 
 // One benchmark per table and figure of the paper's evaluation (§4.3), the
-// §5 outlook sweeps and three ablations, plus the one multi-publisher
+// §5 outlook sweeps and two ablations, plus the one multi-publisher
 // measurement. The figure benchmarks report the paper's metric — average
 // comparison operations per event — via b.ReportMetric; cmd/reproduce prints
 // the same data as full tables, pinned by its testdata goldens. Per-layer
@@ -19,10 +19,8 @@ import (
 
 	"genas/internal/core"
 	"genas/internal/dist"
-	"genas/internal/event"
 	"genas/internal/experiments"
 	"genas/internal/predicate"
-	"genas/internal/routing"
 	"genas/internal/schema"
 	"genas/internal/tree"
 )
@@ -218,61 +216,6 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 	}
 	b.Run("static", func(b *testing.B) { run(b, mk()) })
 	b.Run("adaptive", func(b *testing.B) { run(b, mk(WithAdaptivePolicy(512, 0.05, false))) })
-}
-
-// BenchmarkAblationCovering contrasts the overlay with and without
-// covering-based route pruning.
-func BenchmarkAblationCovering(b *testing.B) {
-	sch := MustSchema(Attr("price", MustNumericDomain(0, 1000)))
-	for _, covering := range []bool{false, true} {
-		name := "off"
-		if covering {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			nw := routing.NewNetwork(sch, routing.Options{Covering: covering})
-			defer nw.Close()
-			for _, n := range []string{"A", "B", "C"} {
-				if _, err := nw.AddNode(n); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := nw.Connect("A", "B"); err != nil {
-				b.Fatal(err)
-			}
-			if err := nw.Connect("B", "C"); err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(benchSeed))
-			// Nested ranges: heavy covering potential.
-			for i := 0; i < 100; i++ {
-				lo := float64(rng.Intn(400))
-				expr := fmt.Sprintf("profile(price >= %g)", lo)
-				p, err := predicate.Parse(sch, predicate.ID(fmt.Sprintf("r%d", i)), expr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := nw.Subscribe("C", p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			a, err := nw.Node("A")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(a.RouteCount("B")), "routes")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev, err := event.New(sch, float64(rng.Intn(1001)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := nw.Publish("A", ev); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkExtensionDontCare regenerates the don't-care-edge influence sweep

@@ -63,7 +63,6 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		defaults   = fs.String("defaults", "", "fill-ins for omitted event attributes, e.g. 'radiation=1; humidity=0'")
 		node       = fs.String("node", "", "federation node name (required with -peer; enables broker peering)")
 		peer       = fs.String("peer", "", "comma-separated peer daemon addresses to dial, e.g. 'host1:7452,host2:7452'")
-		covering   = fs.Bool("covering", true, "count only uncovered routes per peer link (federation; link filters index only those either way)")
 		_          = fs.Bool("aggregate", false, "no effect, accepted for old command lines: canonical subscription aggregation is the only index")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -136,9 +135,8 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 			return 2
 		}
 		fed, err = federation.New(hook.BrokerOf(svc), federation.Options{
-			Node:     *node,
-			Covering: *covering,
-			Logger:   logger,
+			Node:   *node,
+			Logger: logger,
 		})
 		if err != nil {
 			logger.Printf("federation: %v", err)

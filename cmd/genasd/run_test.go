@@ -164,6 +164,27 @@ func TestDaemonDefaults(t *testing.T) {
 	}
 }
 
+// TestDaemonAnnouncesDefaults: the hello's schema answer and the schema
+// reply carry the -defaults, which is how a client learns what it may omit.
+func TestDaemonAnnouncesDefaults(t *testing.T) {
+	addr, _, stop := startDaemon(t, "-defaults", "humidity=7")
+	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	attrs, err := c.Schema(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(attrs) != 2 || attrs[0].Default != nil || attrs[1].Default == nil || *attrs[1].Default != 7 {
+		t.Errorf("schema = %+v, want humidity's default 7 and none for temperature", attrs)
+	}
+	if code := stop(); code != 0 {
+		t.Errorf("exit = %d", code)
+	}
+}
+
 // TestDaemonShardsDefault covers -shards 0 (GOMAXPROCS) startup.
 func TestDaemonShardsDefault(t *testing.T) {
 	addr, stderr, stop := startDaemon(t, "-shards", "0")
@@ -183,9 +204,9 @@ func TestDaemonShardsDefault(t *testing.T) {
 	}
 }
 
-// TestDaemonBadFlags covers every configuration error exit. -measure and
-// -search are not flags: a command line naming them is refused like any
-// unknown flag.
+// TestDaemonBadFlags covers every configuration error exit. -measure,
+// -search and -covering are not flags: a command line naming them is refused
+// like any unknown flag.
 func TestDaemonBadFlags(t *testing.T) {
 	cases := []struct {
 		name string
@@ -202,6 +223,7 @@ func TestDaemonBadFlags(t *testing.T) {
 		{"bad defaults attr", []string{"-schema", "x=numeric[0,1]", "-defaults", "y=0"}, 2},
 		{"bad defaults domain", []string{"-schema", "x=numeric[0,1]", "-defaults", "x=7"}, 2},
 		{"bad flag", []string{"-no-such-flag"}, 2},
+		{"covering", []string{"-schema", "x=numeric[0,1]", "-covering=false"}, 2},
 		{"bad addr", []string{"-schema", "x=numeric[0,1]", "-addr", "256.0.0.1:bogus"}, 1},
 	}
 	for _, tc := range cases {

@@ -153,7 +153,10 @@ func (c *Client) Unsubscribe(id string) error {
 }
 
 // Publish posts an event given as attribute name → value and returns the
-// number of matched profiles.
+// number of matched profiles. The client turns the map into a schema-order
+// vector, filling what it omits from the defaults the daemon announced in
+// its hello; a name outside the schema (ErrUnknownAttribute) or an omitted
+// attribute without a default (ErrArity) fails before anything is sent.
 func (c *Client) Publish(values map[string]float64) (int, error) {
 	return c.c.Publish(values, c.timeout)
 }
@@ -165,13 +168,11 @@ func (c *Client) PublishValues(vals ...float64) (int, error) {
 }
 
 // PublishBatch posts several events given as attribute maps and returns
-// per-event match counts. Maps that all cover the schema are sent as
-// vectors, chunked into frames with up to the pipeline depth in flight at
-// once. Otherwise — an event omits an attribute and leans on server-side
-// defaults — the batch travels as JSON, one request at a time, split while
-// it exceeds the frame size cap. On
-// error the counts gathered so far are returned with it, as a lower bound on
-// what the daemon committed.
+// per-event match counts. The maps become vectors as in Publish — a map that
+// cannot fails the whole batch before anything is sent — and travel chunked
+// into frames with up to the pipeline depth in flight at once. On error the
+// counts gathered so far are returned with it, as a lower bound on what the
+// daemon committed.
 func (c *Client) PublishBatch(events []map[string]float64) ([]int, error) {
 	return c.c.PublishBatch(events, c.timeout)
 }

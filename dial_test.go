@@ -3,6 +3,7 @@ package genas
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net"
 	"reflect"
 	"strings"
@@ -15,14 +16,15 @@ import (
 )
 
 // startPlainDaemon boots an in-process genasd twin without federation.
-func startPlainDaemon(t *testing.T, sch *Schema) (addr string) {
+func startPlainDaemon(t *testing.T, sch *Schema, opts ...Option) (addr string) {
 	t.Helper()
-	svc, err := NewService(sch)
+	svc, err := NewService(sch, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
 	srv := wire.NewServer(hook.BrokerOf(svc), nil)
+	srv.SetDefaults(hook.DefaultsOf(svc))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +108,49 @@ func TestDialClient(t *testing.T) {
 	}
 	if err := c.Unsubscribe("hot"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDialConvertsMapsInTheClient: a map becomes a vector in the client,
+// completed from the defaults the daemon announced. A map the client cannot
+// complete fails before anything is sent, with the public sentinel.
+func TestDialConvertsMapsInTheClient(t *testing.T) {
+	sch := monitoringSchema(t)
+	addr := startPlainDaemon(t, sch, WithDefaults(map[string]float64{"radiation": 1}))
+	c, err := Dial(addr, WithDialTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Subscribe("calm", "profile(radiation <= 1)", 0); err != nil {
+		t.Fatal(err)
+	}
+	if matched, err := c.Publish(map[string]float64{"temperature": 20, "humidity": 50}); err != nil || matched != 1 {
+		t.Fatalf("Publish leaning on the radiation default = %d %v, want 1 match", matched, err)
+	}
+	counts, err := c.PublishBatch([]map[string]float64{
+		{"temperature": 20, "humidity": 50},
+		{"temperature": 20, "humidity": 50, "radiation": 50},
+	})
+	if err != nil || !reflect.DeepEqual(counts, []int{1, 0}) {
+		t.Fatalf("PublishBatch = %v %v, want [1 0]", counts, err)
+	}
+
+	if _, err := c.Publish(map[string]float64{"temperature": 20}); !errors.Is(err, ErrArity) {
+		t.Errorf("a map omitting humidity, which has no default = %v, want ErrArity", err)
+	}
+	if _, err := c.PublishBatch([]map[string]float64{{"temperature": 20, "humidity": 50}, {"humidity": 50}}); !errors.Is(err, ErrArity) {
+		t.Errorf("a batch with such a map = %v, want ErrArity", err)
+	}
+	if _, err := c.Publish(map[string]float64{"temperature": 20, "humidity": 50, "pressure": 1}); !errors.Is(err, ErrUnknownAttribute) {
+		t.Errorf("a map naming pressure = %v, want ErrUnknownAttribute", err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Published != 3 {
+		t.Errorf("published = %d, want 3: a refused map must not reach the daemon", st.Published)
 	}
 }
 

@@ -214,7 +214,7 @@ func TestServicePriority(t *testing.T) {
 
 func TestNetworkFacade(t *testing.T) {
 	sch := monitoringSchema(t)
-	nw := NewNetwork(sch, true)
+	nw := NewNetwork(sch)
 	defer nw.Close()
 	for _, n := range []string{"edge", "core"} {
 		if err := nw.AddNode(n); err != nil {
@@ -276,7 +276,7 @@ func TestNetworkConnectAfterSubscribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := NewNetwork(sch, true)
+	nw := NewNetwork(sch)
 	defer nw.Close()
 	for _, n := range []string{"edge", "core"} {
 		if err := nw.AddNode(n); err != nil {

@@ -473,7 +473,11 @@ func TestMatchAllocatesOnce(t *testing.T) {
 	if st := e.AggStats(); st.Roots != 1 || st.Nodes != 2 {
 		t.Fatalf("index shape %+v, want one root over one covered node", st)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { _, _, _ = e.Match(ev) }); allocs != 1 {
+	allocs := testing.AllocsPerRun(200, func() { _, _, _ = e.Match(ev) })
+	switch {
+	case raceEnabled:
+		t.Logf("Match allocated %.1f times per event; the race detector drops pooled expansion scratch, so the pin is off", allocs)
+	case allocs != 1:
 		t.Errorf("Match allocated %.1f times per event, want exactly 1", allocs)
 	}
 }

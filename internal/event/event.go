@@ -106,8 +106,9 @@ func (d *Defaults) Fill(vals []float64, seen []bool) (missing int) {
 // FromMapWith builds a schema-validated event from attribute name → value,
 // filling omitted attributes from d. Without a default (nil d: none) every
 // schema attribute must be present: silently zero-filling an omitted
-// attribute would fabricate data. The service facade and the wire server
-// share this one validation path.
+// attribute would fabricate data. The service facade publishes maps through
+// it; a wire client applies the same rule before its map leaves as a vector,
+// with the defaults the daemon announced.
 func FromMapWith(s *schema.Schema, values map[string]float64, d *Defaults) (Event, error) {
 	vals := make([]float64, s.N())
 	seen := make([]bool, s.N())

@@ -58,15 +58,12 @@ type Options struct {
 	// Node is this daemon's name in the overlay (required, unique among
 	// neighbors).
 	Node string
-	// Covering makes RouteCount and the routes counter report only the
-	// uncovered routes of a link (on by default in genasd). Every link's
-	// filter engine indexes just those whether or not it is set.
+	// Covering selects nothing: every link's filter engine indexes only its
+	// uncovered routes, and RouteCount reports those, whatever it says. The
+	// field is kept so that callers naming it still compile.
 	Covering bool
 	// DialTimeout bounds one connect+handshake attempt (default 5s).
 	DialTimeout time.Duration
-	// WriteTimeout bounds one frame write; a link that cannot absorb a frame
-	// within it is torn down (default 10s).
-	WriteTimeout time.Duration
 	// RetryMin/RetryMax bound the reconnect backoff of dialed links
 	// (defaults 100ms and 3s).
 	RetryMin, RetryMax time.Duration
@@ -130,6 +127,11 @@ func (l *peerLink) closeOut() { l.wakeOnce.Do(func() { close(l.wake) }) }
 // however large it is.
 const outQueueDepth = 1024
 
+// writeTimeout bounds one write to a peer link, as the wire server's bounds
+// one to a client: a link that cannot absorb its outbox within it is torn
+// down.
+const writeTimeout = 10 * time.Second
+
 // New creates the federation state for a broker. The returned Fed has no
 // links yet: install it on the wire server (accept side) and Dial/DialRetry
 // peers (dial side).
@@ -139,9 +141,6 @@ func New(brk *broker.Broker, opts Options) (*Fed, error) {
 	}
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.WriteTimeout <= 0 {
-		opts.WriteTimeout = 10 * time.Second
 	}
 	if opts.RetryMin <= 0 {
 		opts.RetryMin = 100 * time.Millisecond
@@ -161,7 +160,7 @@ func New(brk *broker.Broker, opts Options) (*Fed, error) {
 		log:   logger,
 		links: make(map[string]*peerLink),
 		// Link engines inherit the broker's measure configuration.
-		table: routing.NewTable(brk.Schema(), brk.Engine().Config(), opts.Covering),
+		table: routing.NewTable(brk.Schema(), brk.Engine().Config()),
 		done:  make(chan struct{}),
 	}, nil
 }
@@ -536,7 +535,7 @@ func (f *Fed) writeHello(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(f.opts.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := conn.Write(b); err != nil {
 		return err
 	}
@@ -561,7 +560,7 @@ func (f *Fed) writeLoop(l *peerLink) {
 		if len(b) == 0 || broken {
 			continue
 		}
-		_ = l.conn.SetWriteDeadline(time.Now().Add(f.opts.WriteTimeout))
+		_ = l.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := l.conn.Write(b); err != nil {
 			f.log.Printf("federation: write to %s: %v", l.name, err)
 			_ = l.conn.Close()

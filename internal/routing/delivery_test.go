@@ -96,7 +96,7 @@ func TestDeliverSurvivesPoisonedLink(t *testing.T) {
 // keep flowing end to end.
 func TestCoveringWithdrawRearmsRoutes(t *testing.T) {
 	s := testSchema(t)
-	nw := lineNetwork(t, true)
+	nw := lineNetwork(t)
 	if _, err := nw.Subscribe("D", predicate.MustParse(s, "broad", "profile(price >= 100)")); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestCoveringWithdrawRearmsRoutes(t *testing.T) {
 // equivalent on every link, and delivery must keep working end to end.
 func TestCoveringEquivalentTiebreakWithdraw(t *testing.T) {
 	s := testSchema(t)
-	nw := lineNetwork(t, true)
+	nw := lineNetwork(t)
 	if _, err := nw.Subscribe("D", predicate.MustParse(s, "e1", "profile(price >= 500)")); err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +193,8 @@ func TestRoutingRaceStress(t *testing.T) {
 	)
 	s := testSchema(t)
 	nodes := []string{"A", "B", "C", "D"}
+	// Options.Covering is kept for callers that name it and must change
+	// nothing: the run holds with the field set either way.
 	for _, covering := range []bool{false, true} {
 		t.Run(fmt.Sprintf("covering=%v", covering), func(t *testing.T) {
 			// Buffers sized so a stable subscriber can never drop: a drop
@@ -370,10 +372,21 @@ func TestConnectDuringChurn(t *testing.T) {
 			want      int
 		}{{"B", "A", stable + 10}, {"C", "B", stable + 10}, {"A", "B", 10}, {"B", "C", 10}} {
 			n, _ := nw.Node(c.node)
-			if rc := n.RouteCount(c.via); rc != c.want {
-				t.Fatalf("round %d: %s→%s holds %d routes, %d subscriptions live beyond it", round, c.node, c.via, rc, c.want)
+			if held := routesHeld(n, c.via); held != c.want {
+				t.Fatalf("round %d: %s→%s holds %d routes, %d subscriptions live beyond it", round, c.node, c.via, held, c.want)
 			}
 		}
 		nw.Close()
 	}
+}
+
+// routesHeld counts the routes n holds toward via, covered ones included
+// (RouteCount reports only the uncovered).
+func routesHeld(n *Node, via string) int {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if l := n.table.links[via]; l != nil {
+		return len(l.routes)
+	}
+	return 0
 }

@@ -27,14 +27,13 @@ import (
 // federation documents ids as unique overlay-wide, and the simulator keeps
 // to that.
 type sim struct {
-	t        testing.TB
-	s        *schema.Schema
-	covering bool
-	names    []string
-	tables   []*Table
-	locals   []map[predicate.ID]*predicate.Profile
-	edges    [][2]int // parent, child
-	alive    []bool   // per edge: the connection exists
+	t      testing.TB
+	s      *schema.Schema
+	names  []string
+	tables []*Table
+	locals []map[predicate.ID]*predicate.Profile
+	edges  [][2]int // parent, child
+	alive  []bool   // per edge: the connection exists
 	// queue holds, per directed pair, the messages sent and not yet applied.
 	queue  map[[2]int][]Msg
 	nextID int
@@ -47,11 +46,11 @@ type sim struct {
 
 // newSim builds the tree in which node i+1 hangs under parents[i], every
 // link up.
-func newSim(t testing.TB, covering bool, parents []int) *sim {
-	sm := &sim{t: t, s: testSchema(t), covering: covering, queue: make(map[[2]int][]Msg)}
+func newSim(t testing.TB, parents []int) *sim {
+	sm := &sim{t: t, s: testSchema(t), queue: make(map[[2]int][]Msg)}
 	for i := 0; i <= len(parents); i++ {
 		sm.names = append(sm.names, fmt.Sprintf("n%d", i))
-		sm.tables = append(sm.tables, NewTable(sm.s, core.Config{}, covering))
+		sm.tables = append(sm.tables, NewTable(sm.s, core.Config{}))
 		sm.locals = append(sm.locals, make(map[predicate.ID]*predicate.Profile))
 	}
 	for i, p := range parents {
@@ -164,7 +163,7 @@ func (sm *sim) step(k int) bool {
 		sm.post(to, tb.Announce(sm.names[from], m.Profile))
 		return true
 	}
-	if l := tb.links[sm.names[from]]; sm.covering && l != nil && l.routes[m.ID] != nil {
+	if l := tb.links[sm.names[from]]; l != nil && l.routes[m.ID] != nil {
 		for id, q := range l.routes {
 			if id != m.ID && predicate.Covers(sm.s, l.routes[m.ID], q) && !predicate.Covers(sm.s, q, l.routes[m.ID]) {
 				sm.coverWithdrawals++
@@ -337,7 +336,7 @@ func (sm *sim) settle() {
 				if !ok || r.Render(sm.s) != p.Render(sm.s) {
 					sm.t.Fatalf("n%d→n%d: route %s is %v, the subscription is %s", a, b, id, r, p.Render(sm.s))
 				}
-				if !sm.covering || !CoveredByOther(sm.s, p, want) {
+				if !CoveredByOther(sm.s, p, want) {
 					uncovered++
 				}
 			}
@@ -382,12 +381,13 @@ func runSchedule(t testing.TB, script []byte) *sim {
 		script = script[1:]
 		return int(b)
 	}
+	// head's low bit once chose covering, which every link now does.
 	head := next()
 	parents := make([]int, 2+head>>1%4)
 	for i := range parents {
 		parents[i] = next() % (i + 1)
 	}
-	sm := newSim(t, head&1 == 1, parents)
+	sm := newSim(t, parents)
 	n, edges := len(sm.names), len(sm.edges)
 	pick := func(node int) (predicate.ID, bool) {
 		ids := sm.sortedLocals(node)
@@ -440,10 +440,10 @@ func runSchedule(t testing.TB, script []byte) *sim {
 // not converge to the flat oracle.
 func FuzzOverlaySchedule(f *testing.F) {
 	f.Add([]byte{})
-	// Chain n0—n1—n2, covering: a coverer and a profile it covers at n2,
+	// Chain n0—n1—n2: a coverer and a profile it covers at n2,
 	// eight deliveries, the coverer withdrawn, one more delivery.
 	f.Add([]byte{1, 0, 1, 0, 2, 0, 0, 2, 1, 11, 0, 0, 0, 0, 0, 0, 0, 0, 4, 2, 0, 7, 0})
-	// Star of five around n0, covering: two subscriptions at n1 delivered,
+	// Star of five around n0: two subscriptions at n1 delivered,
 	// n0—n1 dies and only n1 notices, n1 drops a subscription and n2 gains
 	// one behind the dead link, the link comes back into n0's stale routes,
 	// and an event is published while the replays still travel.

@@ -39,10 +39,10 @@ var (
 
 // Options configure a Network.
 type Options struct {
-	// Covering makes RouteCount report only the uncovered (root) routes of a
-	// link. The link engines index just those either way: each route install
-	// is one incremental covering-poset insertion instead of an O(n²) rescan
-	// of the whole route set.
+	// Covering selects nothing: a link engine indexes only its uncovered
+	// routes, and RouteCount reports those, whatever it says. Each route
+	// install is one incremental covering-poset insertion. The field is kept
+	// so that callers naming it still compile.
 	Covering bool
 	// Engine configures every filter engine in the overlay (local and
 	// per-link).
@@ -103,7 +103,7 @@ func (nw *Network) AddNode(name string) (*Node, error) {
 	n := &Node{
 		name:  name,
 		local: b,
-		table: NewTable(nw.schema, nw.opts.Engine, nw.opts.Covering),
+		table: NewTable(nw.schema, nw.opts.Engine),
 		peers: make(map[string]*Node),
 	}
 	nw.nodes[name] = n

@@ -24,9 +24,9 @@ func testSchema(t testing.TB) *schema.Schema {
 }
 
 // lineNetwork builds A—B—C—D.
-func lineNetwork(t *testing.T, covering bool) *Network {
+func lineNetwork(t *testing.T) *Network {
 	t.Helper()
-	nw := NewNetwork(testSchema(t), Options{Covering: covering})
+	nw := NewNetwork(testSchema(t), Options{})
 	for _, n := range []string{"A", "B", "C", "D"} {
 		if _, err := nw.AddNode(n); err != nil {
 			t.Fatal(err)
@@ -42,7 +42,7 @@ func lineNetwork(t *testing.T, covering bool) *Network {
 }
 
 func TestTopologyErrors(t *testing.T) {
-	nw := lineNetwork(t, false)
+	nw := lineNetwork(t)
 	if _, err := nw.AddNode("A"); !errors.Is(err, ErrDuplicate) {
 		t.Error("duplicate node must fail")
 	}
@@ -66,7 +66,7 @@ func TestTopologyErrors(t *testing.T) {
 // TestCrossNetworkDelivery: a subscription at D receives events published at
 // A, three hops away.
 func TestCrossNetworkDelivery(t *testing.T) {
-	nw := lineNetwork(t, false)
+	nw := lineNetwork(t)
 	s := testSchema(t)
 	sub, err := nw.Subscribe("D", predicate.MustParse(s, "exp", "profile(price >= 500)"))
 	if err != nil {
@@ -95,7 +95,7 @@ func TestCrossNetworkDelivery(t *testing.T) {
 
 // TestEarlyRejection: events nobody wants never cross a link.
 func TestEarlyRejection(t *testing.T) {
-	nw := lineNetwork(t, false)
+	nw := lineNetwork(t)
 	s := testSchema(t)
 	if _, err := nw.Subscribe("D", predicate.MustParse(s, "exp", "profile(price >= 500)")); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestEarlyRejection(t *testing.T) {
 // TestLocalDeliveryDoesNotFlood: an event matching only a local profile at
 // the publishing node crosses no links.
 func TestLocalDeliveryDoesNotFlood(t *testing.T) {
-	nw := lineNetwork(t, false)
+	nw := lineNetwork(t)
 	s := testSchema(t)
 	sub, err := nw.Subscribe("A", predicate.MustParse(s, "local", "profile(price <= 100)"))
 	if err != nil {
@@ -140,7 +140,7 @@ func TestLocalDeliveryDoesNotFlood(t *testing.T) {
 
 // TestUnsubscribeWithdrawsRoutes: after unsubscribing, events stop flowing.
 func TestUnsubscribeWithdrawsRoutes(t *testing.T) {
-	nw := lineNetwork(t, false)
+	nw := lineNetwork(t)
 	s := testSchema(t)
 	if _, err := nw.Subscribe("D", predicate.MustParse(s, "exp", "profile(price >= 500)")); err != nil {
 		t.Fatal(err)
@@ -161,46 +161,39 @@ func TestUnsubscribeWithdrawsRoutes(t *testing.T) {
 	}
 }
 
-// TestCoveringPrunesRoutes: with covering on, a broad profile absorbs a
-// narrow one in the routing tables while delivery stays identical.
+// TestCoveringPrunesRoutes: a broad profile absorbs a narrow one in the
+// routing tables, and both are delivered.
 func TestCoveringPrunesRoutes(t *testing.T) {
 	s := testSchema(t)
-	for _, covering := range []bool{false, true} {
-		nw := lineNetwork(t, covering)
-		broad, err := nw.Subscribe("D", predicate.MustParse(s, "broad", "profile(price >= 100)"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		narrow, err := nw.Subscribe("D", predicate.MustParse(s, "narrow", "profile(price >= 500)"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, _ := nw.Node("A")
-		want := 2
-		if covering {
-			want = 1 // narrow is covered by broad
-		}
-		if rc := a.RouteCount("B"); rc != want {
-			t.Errorf("covering=%v: A→B routes = %d, want %d", covering, rc, want)
-		}
-		// Delivery is identical either way.
-		if _, err := nw.Publish("A", event.MustNew(s, 700, 10)); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []struct {
-			sub  *broker.Subscription
-			name string
-		}{{broad, "broad"}, {narrow, "narrow"}} {
-			select {
-			case n := <-c.sub.C():
-				if n.Profile != predicate.ID(c.name) {
-					t.Errorf("covering=%v: wrong notification %+v", covering, n)
-				}
-			case <-time.After(time.Second):
-				t.Fatalf("covering=%v: %s missed its notification", covering, c.name)
+	nw := lineNetwork(t)
+	broad, err := nw.Subscribe("D", predicate.MustParse(s, "broad", "profile(price >= 100)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := nw.Subscribe("D", predicate.MustParse(s, "narrow", "profile(price >= 500)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := nw.Node("A")
+	if rc := a.RouteCount("B"); rc != 1 {
+		t.Errorf("A→B routes = %d, want 1 (narrow is covered by broad)", rc)
+	}
+	// Both are delivered.
+	if _, err := nw.Publish("A", event.MustNew(s, 700, 10)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sub  *broker.Subscription
+		name string
+	}{{broad, "broad"}, {narrow, "narrow"}} {
+		select {
+		case n := <-c.sub.C():
+			if n.Profile != predicate.ID(c.name) {
+				t.Errorf("wrong notification %+v", n)
 			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s missed its notification", c.name)
 		}
-		nw.Close()
 	}
 }
 
@@ -208,7 +201,7 @@ func TestCoveringPrunesRoutes(t *testing.T) {
 // route, and removing the survivor re-promotes the other.
 func TestCoveringEquivalentProfiles(t *testing.T) {
 	s := testSchema(t)
-	nw := lineNetwork(t, true)
+	nw := lineNetwork(t)
 	if _, err := nw.Subscribe("D", predicate.MustParse(s, "e1", "profile(price >= 500)")); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +262,7 @@ func TestStarTopologyFanout(t *testing.T) {
 func TestRandomizedOverlayAgreesWithFlatBroker(t *testing.T) {
 	s := testSchema(t)
 	rng := rand.New(rand.NewSource(77))
-	nw := lineNetwork(t, true)
+	nw := lineNetwork(t)
 
 	nodes := []string{"A", "B", "C", "D"}
 	type reg struct {

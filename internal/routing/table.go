@@ -32,10 +32,9 @@ type Msg struct {
 // nothing weaker. In-process nodes (Network) send by calling the neighbour,
 // daemons (federation.Fed) by encoding onto the link's queue.
 type Table struct {
-	sch      *schema.Schema
-	cfg      core.Config
-	covering bool // RouteCount reports uncovered routes only
-	links    map[string]*link
+	sch   *schema.Schema
+	cfg   core.Config
+	links map[string]*link
 
 	forwarded atomic.Uint64 // link crossings Route accepted
 	filtered  atomic.Uint64 // link crossings avoided by early rejection
@@ -56,10 +55,9 @@ type link struct {
 }
 
 // NewTable creates an empty table. Every link engine is configured by cfg and
-// prunes covered routes from its index either way; covering selects what
-// RouteCount reports.
-func NewTable(s *schema.Schema, cfg core.Config, covering bool) *Table {
-	return &Table{sch: s, cfg: cfg, covering: covering, links: make(map[string]*link)}
+// prunes covered routes from its index.
+func NewTable(s *schema.Schema, cfg core.Config) *Table {
+	return &Table{sch: s, cfg: cfg, links: make(map[string]*link)}
 }
 
 // fanout appends one message about id for every link except from.
@@ -190,17 +188,14 @@ func (l *link) accepts(vals []float64) (bool, error) {
 }
 
 // RouteCount returns the number of routes toward the named link (0 when it is
-// not attached). With covering that is the link poset's root count: covered
-// routes stay registered but uncounted.
+// not attached): the link poset's root count, the routes its engine indexes.
+// Covered routes stay registered but uncounted.
 func (t *Table) RouteCount(name string) int {
 	l, ok := t.links[name]
 	if !ok {
 		return 0
 	}
-	if t.covering {
-		return l.engine.AggStats().Roots
-	}
-	return len(l.routes)
+	return l.engine.AggStats().Roots
 }
 
 // Counters returns how many link crossings Route accepted and how many it

@@ -17,7 +17,7 @@ import (
 type Client struct {
 	conn  net.Conn
 	depth int
-	// slots is the schema's slot layout, from the hello's answer.
+	// slots is the schema's slot layout and defaults, from the hello's answer.
 	slots *slots
 
 	// wmu serializes request writes; correlation ids are allocated under it.
@@ -53,8 +53,9 @@ const DefaultPipelineDepth = 32
 
 // DialWith connects to a GENAS daemon. It sends a hello advertising protocol
 // v2; the server answers with the schema, whose attribute order defines the
-// binary slot layout, and every byte after that answer is a frame. A server
-// that answers anything else fails the dial.
+// binary slot layout and whose defaults complete the events Publish and
+// PublishBatch are given, and every byte after that answer is a frame. A
+// server that answers anything else fails the dial.
 func DialWith(addr string, cfg DialConfig) (*Client, error) {
 	if cfg.PipelineDepth <= 0 {
 		cfg.PipelineDepth = DefaultPipelineDepth
@@ -186,7 +187,7 @@ func (c *Client) post(req Request, timeout time.Duration) (uint32, *waiter, erro
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	cid := c.nextCid + 1
-	b, err := appendRequest(c.wbuf[:0], cid, req, c.slots)
+	b, err := appendRequest(c.wbuf[:0], cid, req)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -277,23 +278,17 @@ func (c *Client) Unsubscribe(id string, timeout time.Duration) error {
 }
 
 // Publish posts an event given as attribute name → value; it returns the
-// number of matched profiles.
+// number of matched profiles. The map becomes a schema-order vector here,
+// with what it omits filled from the defaults the hello announced, and
+// travels as PublishVals does. A name outside the schema (wrapping
+// schema.ErrUnknownAttribute) or an omitted attribute without a default
+// (wrapping event.ErrArity) fails before anything is sent.
 func (c *Client) Publish(ev map[string]float64, timeout time.Duration) (int, error) {
-	resp, err := c.roundTrip(Request{Op: OpPublish, Event: ev}, timeout)
+	vals, err := c.slots.vectorOf(ev)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("wire: publish: %w", err)
 	}
-	return resp.Matched, nil
-}
-
-// attrSlots builds the slot table a schema response describes: slot i is
-// attribute i of the list.
-func attrSlots(attrs []AttrPayload) *slots {
-	names := make([]string, len(attrs))
-	for i, a := range attrs {
-		names[i] = a.Name
-	}
-	return newSlots(names)
+	return c.PublishVals(vals, timeout)
 }
 
 // PublishVals posts one event as a schema-order value vector; vals is
@@ -323,7 +318,7 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 	// Chunk so the window has depth requests to pipeline. An event encodes to
 	// a u32 count and one f64 per attribute.
 	per := max(8, (len(batch)+c.depth-1)/c.depth)
-	if maxPer := (MaxFrame - 64) / (8*len(c.slots.names) + 4); per > maxPer && maxPer > 0 {
+	if maxPer := (MaxFrame - 64) / (8*len(c.slots.attrs) + 4); per > maxPer && maxPer > 0 {
 		per = maxPer
 	}
 
@@ -375,31 +370,17 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 }
 
 // PublishBatch posts several events given as attribute maps and returns the
-// per-event match counts, positionally aligned with evs. When every map
-// covers the known schema exactly the batch becomes vectors and takes
-// PublishValsBatch's path (chunked, pipelined, same error contract).
-// Otherwise — an event leans on server-side defaults — it travels as one JSON
-// request, halved for as long as its encoding exceeds MaxFrame.
+// per-event match counts, positionally aligned with evs. The maps become one
+// block of vectors, completed from the announced defaults as in Publish, and
+// take PublishValsBatch's path (chunked, pipelined, same error contract). A
+// map that cannot convert fails the batch, naming its index, before anything
+// is sent.
 func (c *Client) PublishBatch(evs []map[string]float64, timeout time.Duration) ([]int, error) {
-	if len(evs) == 0 {
-		return nil, nil
-	}
-	if batch, ok := c.slots.vectorsOf(evs); ok {
-		return c.PublishValsBatch(batch, timeout)
-	}
-	resp, err := c.roundTrip(Request{Op: OpPublishBatch, Events: evs}, timeout)
-	if errors.Is(err, ErrFrameTooBig) && len(evs) > 1 {
-		counts, err := c.PublishBatch(evs[:len(evs)/2], timeout)
-		if err != nil {
-			return counts, err
-		}
-		rest, err := c.PublishBatch(evs[len(evs)/2:], timeout)
-		return append(counts, rest...), err
-	}
+	batch, err := c.slots.vectorsOf(evs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wire: publish_batch: %w", err)
 	}
-	return resp.MatchedEach, nil
+	return c.PublishValsBatch(batch, timeout)
 }
 
 // Quench asks whether the region [lo,hi] of attr is unsubscribed.

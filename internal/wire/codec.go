@@ -3,6 +3,9 @@ package wire
 import (
 	"bufio"
 	"fmt"
+
+	"genas/internal/event"
+	"genas/internal/schema"
 )
 
 // inbound is one connection's read half: the buffered stream plus the
@@ -38,74 +41,82 @@ func (in *inbound) id(b []byte) string {
 	return s
 }
 
-// slots maps attribute names to vector positions — the schema knowledge a
-// client learns from the hello's answer.
+// slots is the schema knowledge a client learns from the hello's answer:
+// slot i of a vector is attribute i of the answer, which also carries the
+// defaults.
 type slots struct {
-	names []string
-	index map[string]int
+	attrs []AttrPayload
+	index map[string]int // name → slot
 }
 
-func newSlots(names []string) *slots {
-	idx := make(map[string]int, len(names))
-	for i, n := range names {
-		idx[n] = i
+func attrSlots(attrs []AttrPayload) *slots {
+	idx := make(map[string]int, len(attrs))
+	for i, a := range attrs {
+		idx[a.Name] = i
 	}
-	return &slots{names: names, index: idx}
+	return &slots{attrs: attrs, index: idx}
 }
 
-// vectorOf converts an attribute map to a slot vector. It fails (second
-// return false) unless the map names exactly the schema's attributes — a
-// partial event relies on server-side defaults and must travel as JSON.
-func (s *slots) vectorOf(m map[string]float64) ([]float64, bool) {
-	if len(m) != len(s.names) {
-		return nil, false
+// vectorOf converts an attribute map to a slot vector, filling what it omits
+// from the defaults. A name outside the schema fails with
+// schema.ErrUnknownAttribute, an omitted attribute without a default with
+// event.ErrArity.
+func (s *slots) vectorOf(m map[string]float64) ([]float64, error) {
+	vec := make([]float64, len(s.attrs))
+	if err := s.fill(vec, m); err != nil {
+		return nil, err
 	}
-	vec := make([]float64, len(s.names))
-	if !s.fill(vec, m) {
-		return nil, false
-	}
-	return vec, true
+	return vec, nil
 }
 
-// vectorsOf is vectorOf over a batch: all events convert, or none does. The
-// vectors are carved out of one block, each capped so that no append through
-// one reaches the next.
-func (s *slots) vectorsOf(ms []map[string]float64) ([][]float64, bool) {
-	if len(ms) == 0 {
-		return nil, false
-	}
-	n := len(s.names)
+// vectorsOf is vectorOf over a batch: all events convert, or the first that
+// cannot names its index. The vectors are carved out of one block, each
+// capped so that no append through one reaches the next.
+func (s *slots) vectorsOf(ms []map[string]float64) ([][]float64, error) {
+	n := len(s.attrs)
 	block, batch := make([]float64, n*len(ms)), make([][]float64, len(ms))
 	for i, m := range ms {
 		batch[i] = block[i*n : (i+1)*n : (i+1)*n]
-		if len(m) != n || !s.fill(batch[i], m) {
-			return nil, false
+		if err := s.fill(batch[i], m); err != nil {
+			return nil, fmt.Errorf("event %d: %w", i, err)
 		}
 	}
-	return batch, true
+	return batch, nil
 }
 
-// fill writes m into vec by slot; m names as many attributes as vec holds.
-// It fails on a name outside the schema.
-func (s *slots) fill(vec []float64, m map[string]float64) bool {
+// fill writes m into the zeroed vec by slot and completes what m omits from
+// the defaults.
+func (s *slots) fill(vec []float64, m map[string]float64) error {
 	for name, v := range m {
 		i, ok := s.index[name]
 		if !ok {
-			return false
+			return fmt.Errorf("%w: %q", schema.ErrUnknownAttribute, name)
 		}
 		vec[i] = v
 	}
-	return true
+	if len(m) == len(vec) {
+		return nil // one known name per slot: nothing is omitted
+	}
+	for i, a := range s.attrs {
+		if _, ok := m[a.Name]; ok {
+			continue
+		}
+		if a.Default == nil {
+			return fmt.Errorf("%w: the event omits %s, which has no default", event.ErrArity, a.Name)
+		}
+		vec[i] = *a.Default
+	}
+	return nil
 }
 
 // mapOf is vectorOf's inverse; it fails on a vector of the wrong arity.
 func (s *slots) mapOf(vec []float64) (map[string]float64, error) {
-	if len(vec) != len(s.names) {
-		return nil, fmt.Errorf("wire: %d values for %d attributes", len(vec), len(s.names))
+	if len(vec) != len(s.attrs) {
+		return nil, fmt.Errorf("wire: %d values for %d attributes", len(vec), len(s.attrs))
 	}
 	m := make(map[string]float64, len(vec))
 	for i, v := range vec {
-		m[s.names[i]] = v
+		m[s.attrs[i].Name] = v
 	}
 	return m, nil
 }

@@ -8,14 +8,17 @@
 // byte loads per attribute into a reusable scratch slice.
 //
 // Only the hot paths have binary payloads: publish, publish_batch, their
-// acknowledgements, notifications and the three peer frames. Cold control
-// operations (subscribe, stats, schema, …) ride inside control frames that
-// carry their JSON encoding, the same JSON the hello line speaks.
+// acknowledgements, notifications and the three peer frames. An event takes
+// no other form: the client fills what a map omits from the defaults the
+// hello announced. Cold control operations (subscribe, stats, schema, …) ride
+// inside control frames that carry their JSON encoding, the same JSON the
+// hello line speaks.
 //
 // Client request and response frames start with a u32 correlation id: a
 // connection may have many requests in flight (pipelining), and the id pairs
-// each response with its request. Notifications and peer frames carry no id
-// — they are not responses.
+// each response with its request. Notifications carry no id — they are not
+// responses. Peer frames are no requests at all: they travel only on a peer
+// link, and a client connection that sends one has lost its framing.
 package wire
 
 import (
@@ -339,7 +342,11 @@ func appendControlFrame(dst []byte, typ byte, cid uint32, js []byte) []byte {
 //
 // Exported for federation's peer links, which read and write nothing else
 // after the hello, and for the benchmark's stack ladder, which times the
-// forward pair on its own.
+// forward pair on its own. Route frames propagate profiles toward potential
+// publishers; a forward carries an event across a link once that link's
+// routing filter matched it, so "unnecessary event information is rejected
+// as early as possible" (paper §5) at every hop. Peer frames carry no
+// correlation id: a link is fire-and-forget in both directions.
 
 // AppendForwardFrame encodes one event crossing a peer link.
 func AppendForwardFrame(dst []byte, vals []float64) []byte {
@@ -390,10 +397,10 @@ func DecodeRouteWithdrawFrame(payload []byte) (string, error) {
 
 // --- requests and responses --------------------------------------------
 //
-// Publishes, their acknowledgements, errors, notifications and the peer frames
-// are binary; every other message rides its JSON encoding inside a control
-// frame. Framing errors are fatal: once the stream position is lost every
-// later byte is garbage.
+// Publishes, their acknowledgements, errors and notifications are binary;
+// every other message rides its JSON encoding inside a control frame.
+// Framing errors are fatal: once the stream position is lost every later
+// byte is garbage.
 
 // readRequest reads the next request frame and its correlation id.
 func readRequest(in *inbound) (uint32, Request, error) {
@@ -414,32 +421,14 @@ func readResponse(in *inbound) (uint32, Response, error) {
 	return decodeResponseFrame(typ, payload, in)
 }
 
-// appendRequest encodes any request as one frame. A publish, forward or
-// publish_batch travels as vectors — the caller's, or its attribute maps
-// converted when they cover the schema exactly; maps that lean on server-side
-// defaults travel as JSON in a control frame.
-func appendRequest(dst []byte, cid uint32, req Request, sl *slots) ([]byte, error) {
-	vals := req.Vals
-	if vals == nil {
-		vals, _ = sl.vectorOf(req.Event)
-	}
+// appendRequest encodes any request as one frame: a publish or publish_batch
+// as its vectors, everything else as JSON in a control frame.
+func appendRequest(dst []byte, cid uint32, req Request) ([]byte, error) {
 	switch {
-	case req.Op == OpPublish && vals != nil:
-		return appendPublishFrame(dst, cid, vals), nil
-	case req.Op == OpForward && vals != nil:
-		return AppendForwardFrame(dst, vals), nil
-	case req.Op == OpPublishBatch:
-		batch := req.Batch
-		if batch == nil {
-			batch, _ = sl.vectorsOf(req.Events)
-		}
-		if batch != nil {
-			return appendPublishBatchFrame(dst, cid, batch), nil
-		}
-	case req.Op == OpRouteAdd:
-		return AppendRouteAddFrame(dst, req.ID, req.Profile, req.Priority), nil
-	case req.Op == OpRouteWithdraw:
-		return AppendRouteWithdrawFrame(dst, req.ID), nil
+	case req.Op == OpPublish && req.Vals != nil:
+		return appendPublishFrame(dst, cid, req.Vals), nil
+	case req.Op == OpPublishBatch && req.Batch != nil:
+		return appendPublishBatchFrame(dst, cid, req.Batch), nil
 	}
 	js, err := json.Marshal(req)
 	if err != nil {
@@ -448,10 +437,11 @@ func appendRequest(dst []byte, cid uint32, req Request, sl *slots) ([]byte, erro
 	return appendControlFrame(dst, frameControl, cid, js), nil
 }
 
-// decodeRequestFrame is appendRequest's inverse. A publish or forward
-// vector is decoded into in's scratch and valid until the next read; batch
-// vectors are carved out of one block allocated per frame, because
-// notifications retain them. Peer frames decode with cid 0 (they carry none).
+// decodeRequestFrame is appendRequest's inverse. A publish vector is decoded
+// into in's scratch and valid until the next read; batch vectors are carved
+// out of one block allocated per frame, because notifications retain them.
+// Neither is ever nil. Any other type byte, a peer frame's included, is a
+// framing error.
 func decodeRequestFrame(typ byte, payload []byte, in *inbound) (uint32, Request, error) {
 	c := cur{b: payload}
 	switch typ {
@@ -485,15 +475,6 @@ func decodeRequestFrame(typ byte, payload []byte, in *inbound) (uint32, Request,
 			return 0, Request{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
 		return cid, req, nil
-	case FrameForward:
-		in.vals = c.vec(in.vals[:0])
-		return 0, Request{Op: OpForward, Vals: in.vals}, c.done()
-	case FrameRouteAdd:
-		id, profile, priority, err := DecodeRouteAddFrame(payload)
-		return 0, Request{Op: OpRouteAdd, ID: id, Profile: profile, Priority: priority}, err
-	case FrameRouteWithdraw:
-		id, err := DecodeRouteWithdrawFrame(payload)
-		return 0, Request{Op: OpRouteWithdraw, ID: id}, err
 	default:
 		return 0, Request{}, fmt.Errorf("%w: unknown request frame type 0x%02x", ErrBadFrame, typ)
 	}

@@ -11,6 +11,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"genas/internal/event"
+	"genas/internal/schema"
 )
 
 func frameReader(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(b)) }
@@ -243,75 +246,94 @@ func TestHotFrameRoundTrips(t *testing.T) {
 	})
 }
 
+// newSlots is the slot table of a schema answer naming names, announcing no
+// defaults.
+func newSlots(names []string) *slots {
+	attrs := make([]AttrPayload, len(names))
+	for i, n := range names {
+		attrs[i].Name = n
+	}
+	return attrSlots(attrs)
+}
+
 // crossCodecSlots is the schema the JSON-meaning property tests share.
 var crossCodecSlots = newSlots([]string{"temperature", "humidity"})
 
-// named renders a decoded message's vectors as attribute maps, so a
-// frame-decoded message compares JSON-equal to its JSON form. Vectors of the
-// wrong arity have no named form and are left alone.
-func named(sl *slots, vals []float64, batch [][]float64) (ev map[string]float64, evs []map[string]float64) {
-	if vals != nil {
-		ev, _ = sl.mapOf(vals)
+// namedReq and namedResp are a message's JSON meaning with its vectors named
+// as attribute maps: the keys of Request and Response in their order, the
+// event keys where the retired map spelling had them. The embedded message's
+// fields of the same names are shadowed.
+type namedReq struct {
+	Op       Op                   `json:"op"`
+	ID       string               `json:"id,omitempty"`
+	Profile  string               `json:"profile,omitempty"`
+	Priority float64              `json:"priority,omitempty"`
+	Event    map[string]float64   `json:"event,omitempty"`
+	Events   []map[string]float64 `json:"events,omitempty"`
+	Request
+}
+
+type namedResp struct {
+	Type    MsgType            `json:"type"`
+	Op      Op                 `json:"op,omitempty"`
+	Error   string             `json:"error,omitempty"`
+	Profile string             `json:"profile,omitempty"`
+	Event   map[string]float64 `json:"event,omitempty"`
+	Response
+}
+
+// namedRequest names a request's vectors, so a frame-decoded request compares
+// JSON-equal to what was sent. Vectors of the wrong arity have no named form
+// and are left alone.
+func namedRequest(sl *slots, r Request) namedReq {
+	n := namedReq{Op: r.Op, ID: r.ID, Profile: r.Profile, Priority: r.Priority, Request: r}
+	if r.Vals != nil {
+		n.Event, _ = sl.mapOf(r.Vals)
 	}
-	for _, v := range batch {
+	for _, v := range r.Batch {
 		m, err := sl.mapOf(v)
 		if err != nil {
-			return ev, nil
+			n.Events = nil
+			break
 		}
-		evs = append(evs, m)
+		n.Events = append(n.Events, m)
 	}
-	return ev, evs
+	return n
 }
 
-func namedRequest(sl *slots, r Request) Request {
-	if ev, evs := named(sl, r.Vals, r.Batch); ev != nil || evs != nil {
-		r.Event, r.Events = ev, evs
+func namedResponse(sl *slots, r Response) namedResp {
+	n := namedResp{Type: r.Type, Op: r.Op, Error: r.Error, Profile: r.Profile, Response: r}
+	if r.Vals != nil {
+		n.Event, _ = sl.mapOf(r.Vals)
 	}
-	return r
-}
-
-func namedResponse(sl *slots, r Response) Response {
-	if ev, _ := named(sl, r.Vals, nil); ev != nil {
-		r.Event = ev
-	}
-	return r
+	return n
 }
 
 // TestCrossCodecRequests is the JSON-meaning property test: every request
-// shape — hot binary encodings, peer frames and the JSON control fallback —
-// must survive appendRequest → ReadFrame → decodeRequestFrame with the meaning
-// of its JSON form (JSON equality) and, on client frames, an intact
-// correlation id.
+// shape — the vector encodings and the JSON control frame — must survive
+// appendRequest → ReadFrame → decodeRequestFrame with the meaning of its JSON
+// form (JSON equality) and an intact correlation id. Peer frames are no
+// requests: the request decoder refuses each as a framing error.
 func TestCrossCodecRequests(t *testing.T) {
 	reqs := []Request{
 		{Op: OpPing},
 		{Op: OpSubscribe, ID: "hot", Profile: "profile(temperature >= 35)", Priority: 2},
 		{Op: OpUnsubscribe, ID: "hot"},
-		{Op: OpPublish, Event: map[string]float64{"temperature": 41, "humidity": 10}},
-		// Partial event: must fall back to a control frame (server defaults).
-		{Op: OpPublish, Event: map[string]float64{"temperature": 41}},
-		{Op: OpPublishBatch, Events: []map[string]float64{
-			{"temperature": 1, "humidity": 2},
-			{"temperature": 3, "humidity": 4},
-		}},
-		// One partial member degrades the whole batch to a control frame.
-		{Op: OpPublishBatch, Events: []map[string]float64{
-			{"temperature": 1, "humidity": 2},
-			{"humidity": 4},
-		}},
+		{Op: OpPublish, Vals: []float64{41, 10}},
+		{Op: OpPublishBatch, Batch: [][]float64{{1, 2}, {3, 4}}},
+		// Without vectors a publish is an older client's JSON spelling: it
+		// travels as a control frame, which the server answers with an error.
+		{Op: OpPublish},
+		{Op: OpPublishBatch},
 		{Op: OpQuench, Attr: "temperature", Lo: -30, Hi: 0},
 		{Op: OpStats},
 		{Op: OpSchema},
 		{Op: OpProfiles},
 		{Op: OpHello, Node: "A", Schema: "schema(temperature:[-30,50])", Proto: 2},
-		{Op: OpForward, Event: map[string]float64{"temperature": 41, "humidity": 10}},
-		{Op: OpRouteAdd, ID: "hot", Profile: "profile(temperature >= 35)", Priority: 1.5},
-		{Op: OpRouteWithdraw, ID: "hot"},
 	}
-	peer := map[Op]bool{OpForward: true, OpRouteAdd: true, OpRouteWithdraw: true}
 	for _, req := range reqs {
 		t.Run(string(req.Op), func(t *testing.T) {
-			enc, err := appendRequest(nil, 42, req, crossCodecSlots)
+			enc, err := appendRequest(nil, 42, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,18 +346,24 @@ func TestCrossCodecRequests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = namedRequest(crossCodecSlots, got)
-			if peer[req.Op] {
-				if cid != 0 {
-					t.Errorf("peer frame carried cid %d", cid)
-				}
-			} else if cid != 42 {
+			if cid != 42 {
 				t.Errorf("cid = %d, want 42", cid)
 			}
-			a, _ := json.Marshal(req)
-			b, _ := json.Marshal(got)
+			a, _ := json.Marshal(namedRequest(crossCodecSlots, req))
+			b, _ := json.Marshal(namedRequest(crossCodecSlots, got))
 			if !bytes.Equal(a, b) {
 				t.Errorf("request changed in the frame:\n sent: %s\n read: %s", a, b)
+			}
+		})
+	}
+	for name, enc := range map[string][]byte{
+		"forward":        AppendForwardFrame(nil, []float64{41, 10}),
+		"route_add":      AppendRouteAddFrame(nil, "hot", "profile(temperature >= 35)", 1.5),
+		"route_withdraw": AppendRouteWithdrawFrame(nil, "hot"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, _, err := decodeRequestFrame(enc[4], enc[5:], &inbound{}); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("a %s frame decodes as a request: %v, want ErrBadFrame", name, err)
 			}
 		})
 	}
@@ -392,9 +420,9 @@ func TestSlotsVectorsOfOneBlock(t *testing.T) {
 	for i := range ms {
 		ms[i] = map[string]float64{"a": float64(i), "b": 1, "c": 2, "d": 3}
 	}
-	batch, ok := sl.vectorsOf(ms)
-	if !ok || len(batch) != len(ms) {
-		t.Fatalf("vectorsOf = %d vectors, %v", len(batch), ok)
+	batch, err := sl.vectorsOf(ms)
+	if err != nil || len(batch) != len(ms) {
+		t.Fatalf("vectorsOf = %d vectors, %v", len(batch), err)
 	}
 	for i, vec := range batch {
 		if !slices.Equal(vec, []float64{float64(i), 1, 2, 3}) || cap(vec) != len(vec) {
@@ -406,22 +434,38 @@ func TestSlotsVectorsOfOneBlock(t *testing.T) {
 	}
 }
 
-// TestSlotsVectorOf pins the strictness of the map→vector conversion: only
-// exact schema coverage may take the binary path.
+// TestSlotsVectorOf pins the client's map→vector conversion: a full map
+// converts as it is, an omitted attribute takes the announced default, and
+// an unknown name or an omitted attribute without a default fails with the
+// sentinel the server used to answer with.
 func TestSlotsVectorOf(t *testing.T) {
 	sl := newSlots([]string{"a", "b"})
-	if vec, ok := sl.vectorOf(map[string]float64{"a": 1, "b": 2}); !ok || vec[0] != 1 || vec[1] != 2 {
-		t.Errorf("full map = %v %v", vec, ok)
+	if vec, err := sl.vectorOf(map[string]float64{"a": 1, "b": 2}); err != nil || !slices.Equal(vec, []float64{1, 2}) {
+		t.Errorf("full map = %v %v", vec, err)
 	}
-	if _, ok := sl.vectorOf(map[string]float64{"a": 1}); ok {
-		t.Error("partial map must not vectorize")
+	if vec, err := sl.vectorOf(map[string]float64{"a": 1}); !errors.Is(err, event.ErrArity) || vec != nil {
+		t.Errorf("partial map without a default = %v %v, want event.ErrArity", vec, err)
 	}
-	if vec, ok := sl.vectorOf(map[string]float64{"a": 1, "c": 2}); ok || vec != nil {
-		t.Error("unknown attribute must not vectorize")
+	if vec, err := sl.vectorOf(map[string]float64{"a": 1, "c": 2}); !errors.Is(err, schema.ErrUnknownAttribute) || vec != nil {
+		t.Errorf("unknown attribute = %v %v, want schema.ErrUnknownAttribute", vec, err)
 	}
-	if batch, ok := sl.vectorsOf([]map[string]float64{{"a": 1, "b": 2}, {"a": 1}}); ok || batch != nil {
-		t.Error("a batch with a partial map must not vectorize")
+	if batch, err := sl.vectorsOf([]map[string]float64{{"a": 1, "b": 2}, {"a": 1}}); !errors.Is(err, event.ErrArity) ||
+		!strings.Contains(err.Error(), "event 1") || batch != nil {
+		t.Errorf("batch with a partial map = %v %v, want event.ErrArity naming event 1", batch, err)
 	}
+
+	five := 5.0
+	sl = attrSlots([]AttrPayload{{Name: "a"}, {Name: "b", Default: &five}})
+	if vec, err := sl.vectorOf(map[string]float64{"a": 1}); err != nil || !slices.Equal(vec, []float64{1, 5}) {
+		t.Errorf("partial map with a default = %v %v, want [1 5]", vec, err)
+	}
+	if vec, err := sl.vectorOf(map[string]float64{"a": 1, "b": 2}); err != nil || !slices.Equal(vec, []float64{1, 2}) {
+		t.Errorf("a named value beats the default: %v %v", vec, err)
+	}
+	if _, err := sl.vectorOf(map[string]float64{"b": 2}); !errors.Is(err, event.ErrArity) {
+		t.Errorf("omitting the attribute without a default = %v, want event.ErrArity", err)
+	}
+
 	if m, err := sl.mapOf([]float64{1, 2}); err != nil || m["a"] != 1 || m["b"] != 2 {
 		t.Errorf("mapOf = %v %v", m, err)
 	}

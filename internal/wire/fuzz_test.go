@@ -4,30 +4,32 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"slices"
 	"testing"
 )
 
-// FuzzDecodeRequest feeds arbitrary lines — seeded with every request op
-// including the peer frames (hello, route_add, route_withdraw, forward) —
-// through the request decoder: it must never panic, and any line it accepts
-// must survive an encode/decode round trip unchanged.
+// FuzzDecodeRequest feeds arbitrary lines — seeded with every request op's
+// JSON, hellos included — through the request decoder: it must never panic,
+// and any line it accepts must survive an encode/decode round trip
+// unchanged.
 func FuzzDecodeRequest(f *testing.F) {
 	seeds := []string{
 		`{"op":"ping"}`,
 		`{"op":"subscribe","id":"hot","profile":"profile(temperature >= 35)","priority":2}`,
 		`{"op":"unsubscribe","id":"hot"}`,
-		`{"op":"publish","event":{"temperature":41,"humidity":10}}`,
-		`{"op":"publish_batch","events":[{"temperature":1},{"temperature":2}]}`,
+		// An older client's publishes: the server refuses them.
+		`{"op":"publish"}`,
+		`{"op":"publish_batch"}`,
 		`{"op":"quench","attr":"temperature","lo":-30,"hi":0}`,
+		`{"op":"quench","attr":"humidity","lo":0,"hi":100}`,
 		`{"op":"stats"}`,
 		`{"op":"schema"}`,
 		`{"op":"profiles"}`,
-		// Peer frames.
+		// Hellos: a client's, a peer's, one too old.
+		`{"op":"hello","proto":2}`,
+		`{"op":"hello","node":"A","schema":"schema(temperature:[-30,50])","proto":2}`,
 		`{"op":"hello","node":"A","schema":"schema(temperature:[-30,50])"}`,
-		`{"op":"route_add","id":"hot","profile":"profile(temperature >= 35)","priority":1.5}`,
-		`{"op":"route_withdraw","id":"hot"}`,
-		`{"op":"forward","event":{"temperature":41,"humidity":10}}`,
 		// Junk.
 		``,
 		`{}`,
@@ -61,7 +63,7 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 // FuzzDecodeFrame feeds arbitrary bytes through the framing layer and both
-// frame decoders. Seeds are the frame encodings of the control-frame JSON
+// frame decoders. Seeds are the publish frames, the control-frame JSON
 // shapes, the response frames with the notification frame, and structural
 // junk. The decoders must never panic, and any frame they accept must survive
 // a re-encode/decode round trip with identical meaning.
@@ -71,27 +73,30 @@ func FuzzDecodeFrame(f *testing.F) {
 		`{"op":"ping"}`,
 		`{"op":"subscribe","id":"hot","profile":"profile(temperature >= 35)","priority":2}`,
 		`{"op":"unsubscribe","id":"hot"}`,
-		`{"op":"publish","event":{"temperature":41,"humidity":10}}`,
-		`{"op":"publish","event":{"temperature":41}}`,
-		`{"op":"publish_batch","events":[{"temperature":1,"humidity":2},{"temperature":3,"humidity":4}]}`,
+		`{"op":"publish"}`,
 		`{"op":"quench","attr":"temperature","lo":-30,"hi":0}`,
 		`{"op":"stats"}`,
+		`{"op":"schema"}`,
+		`{"op":"profiles"}`,
 		`{"op":"hello","node":"A","schema":"schema(temperature:[-30,50])","proto":2}`,
-		`{"op":"route_add","id":"hot","profile":"profile(temperature >= 35)","priority":1.5}`,
-		`{"op":"route_withdraw","id":"hot"}`,
-		`{"op":"forward","event":{"temperature":41,"humidity":10}}`,
 	}
 	for _, line := range corpus {
 		req, err := DecodeRequest([]byte(line))
 		if err != nil {
 			f.Fatalf("bad corpus line %q: %v", line, err)
 		}
-		enc, err := appendRequest(nil, 9, req, sl)
+		enc, err := appendRequest(nil, 9, req)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(enc)
 	}
+	// The vector frames: a publish, one of the wrong arity, one carrying NaN,
+	// a batch.
+	f.Add(appendPublishFrame(nil, 9, []float64{41, 10}))
+	f.Add(appendPublishFrame(nil, 9, []float64{41}))
+	f.Add(appendPublishFrame(nil, 9, []float64{math.NaN(), 10}))
+	f.Add(appendPublishBatchFrame(nil, 9, [][]float64{{1, 2}, {3, 4}}))
 	// Response-direction seeds and structural junk.
 	f.Add(appendOKFrame(nil, 1, 3))
 	f.Add(appendOKBatchFrame(nil, 2, []int{0, 1, 2}))
@@ -119,8 +124,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		if cid, req, err := decodeRequestFrame(typ, payload, in); err == nil {
 			// Re-encoding reads the request's vectors, decoding it again
 			// overwrites the read scratch they alias: detach them first.
-			req.Vals = append([]float64(nil), req.Vals...)
-			enc, err := appendRequest(nil, cid, req, sl)
+			req.Vals = slices.Clone(req.Vals)
+			enc, err := appendRequest(nil, cid, req)
 			if err != nil {
 				t.Fatalf("accepted request %+v does not re-encode: %v", req, err)
 			}

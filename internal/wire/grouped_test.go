@@ -17,7 +17,6 @@ type rawClient struct {
 	t    *testing.T
 	conn net.Conn
 	rd   *bufio.Reader
-	sl   *slots
 	cid  uint32
 }
 
@@ -26,7 +25,7 @@ func rawDial(t *testing.T, addr string) *rawClient {
 	t.Helper()
 	conn, rd := upgradeRaw(t, addr)
 	t.Cleanup(func() { _ = conn.Close() })
-	return &rawClient{t: t, conn: conn, rd: rd, sl: newSlots([]string{"temperature", "humidity"})}
+	return &rawClient{t: t, conn: conn, rd: rd}
 }
 
 // read returns the next frame as type byte + payload.
@@ -42,7 +41,7 @@ func (rc *rawClient) read(wait time.Duration) ([]byte, error) {
 func (rc *rawClient) call(req Request) {
 	rc.t.Helper()
 	rc.cid++
-	b, err := appendRequest(nil, rc.cid, req, rc.sl)
+	b, err := appendRequest(nil, rc.cid, req)
 	if err != nil {
 		rc.t.Fatal(err)
 	}
@@ -113,10 +112,11 @@ func TestNotifySpellingsOnTheWire(t *testing.T) {
 }
 
 // v2Confirmation is the hello answer of a scripted server over the test
-// schema.
+// schema, announcing a default for humidity.
 func v2Confirmation() []byte {
+	fifty := 50.0
 	confirm, _ := EncodeLine(Response{Type: MsgOK, Op: OpHello, Proto: int(ProtoV2),
-		Attributes: []AttrPayload{{Name: "temperature", Kind: "numeric", Lo: -30, Hi: 50}, {Name: "humidity", Kind: "numeric", Hi: 100}}})
+		Attributes: []AttrPayload{{Name: "temperature", Kind: "numeric", Lo: -30, Hi: 50}, {Name: "humidity", Kind: "numeric", Hi: 100, Default: &fifty}}})
 	return confirm
 }
 

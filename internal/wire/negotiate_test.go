@@ -2,12 +2,15 @@ package wire
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"genas/internal/event"
 )
 
 // TestNegotiateV2EndToEnd dials a server and drives the full surface over
@@ -317,18 +320,19 @@ func TestHelloAfterUpgrade(t *testing.T) {
 }
 
 // TestPublishBatchOfMaps pins what PublishBatch does with attribute maps:
-// maps that cover the schema become vectors and take the chunked, pipelined
-// path of PublishValsBatch (compact frames, several in flight); a batch with
-// a partial map cannot, travels as JSON and — this server fills in no
-// defaults — is refused without harming the connection.
+// the client fills what a map omits from the defaults the hello announced,
+// and the batch travels as vectors on the chunked, pipelined path of
+// PublishValsBatch (compact frames, several in flight). A map that omits an
+// attribute without a default fails in the client: nothing is published and
+// the connection lives on.
 func TestPublishBatchOfMaps(t *testing.T) {
-	addr := startServer(t)
+	addr := startServerWith(t, map[string]float64{"humidity": 50})
 	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout, PipelineDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Subscribe("warm", "profile(temperature >= 0)", 0, rpcTimeout); err != nil {
+	if err := c.Subscribe("warm", "profile(temperature >= 0; humidity >= 50)", 0, rpcTimeout); err != nil {
 		t.Fatal(err)
 	}
 
@@ -339,7 +343,7 @@ func TestPublishBatchOfMaps(t *testing.T) {
 		if i%2 == 1 {
 			temp = -10
 		}
-		evs[i] = map[string]float64{"temperature": temp, "humidity": 50}
+		evs[i] = map[string]float64{"temperature": temp}
 	}
 	counts, err := c.PublishBatch(evs, rpcTimeout)
 	if err != nil {
@@ -350,7 +354,7 @@ func TestPublishBatchOfMaps(t *testing.T) {
 	}
 	for i, cnt := range counts {
 		if want := 1 - i%2; cnt != want {
-			t.Fatalf("counts[%d] = %d, want %d", i, cnt, want)
+			t.Fatalf("counts[%d] = %d, want %d: the humidity default was not filled in", i, cnt, want)
 		}
 	}
 	st, err := c.Stats(rpcTimeout)
@@ -365,11 +369,11 @@ func TestPublishBatchOfMaps(t *testing.T) {
 	}
 	requirePipelined(t, func(c *Client) ([]int, error) { return c.PublishBatch(evs, rpcTimeout) })
 
-	evs[1] = map[string]float64{"temperature": 5}
-	if _, err := c.PublishBatch(evs[:4], rpcTimeout); err == nil {
-		t.Error("a batch with a partial event must fail on a server without defaults")
+	evs[1] = map[string]float64{"humidity": 5}
+	if _, err := c.PublishBatch(evs[:4], rpcTimeout); !errors.Is(err, event.ErrArity) || !strings.Contains(err.Error(), "event 1") {
+		t.Errorf("a batch omitting temperature = %v, want event.ErrArity naming event 1", err)
 	}
-	if err := c.Ping(rpcTimeout); err != nil {
-		t.Fatalf("connection died after the refused batch: %v", err)
+	if st, err := c.Stats(rpcTimeout); err != nil || st.Published != n {
+		t.Errorf("after the refused batch: published %+v, %v; want %d", st, err, n)
 	}
 }

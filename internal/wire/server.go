@@ -74,9 +74,11 @@ func NewServer(brk *broker.Broker, logger *log.Logger) *Server {
 	return &Server{brk: brk, log: logger, conns: make(map[net.Conn]struct{})}
 }
 
-// SetDefaults installs opt-in fill-ins for event attributes omitted from
-// publish and publish_batch frames (nil restores the strict default: every
-// attribute required). Call before Serve.
+// SetDefaults installs opt-in fill-ins for event attributes a client's
+// publish omits (nil restores the strict default: every attribute required).
+// The server announces them in the hello's answer and the schema reply, and
+// the client fills them in: every event reaches the server as a full vector.
+// Call before Serve.
 func (s *Server) SetDefaults(d *event.Defaults) { s.defaults = d }
 
 // SetOverlay federates the server: peer hellos are handed to o, and local
@@ -189,8 +191,8 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// writeTimeout bounds one write to a client connection (federation's
-// WriteTimeout default). A client that stops reading cannot park its
+// writeTimeout bounds one write to a client connection, as federation's
+// bounds one to a peer link. A client that stops reading cannot park its
 // connection's writers forever: when the deadline expires the connection
 // closes and its subscriptions are torn down.
 const writeTimeout = 10 * time.Second
@@ -343,7 +345,7 @@ func (s *Server) session(conn net.Conn, rd *bufio.Reader) {
 		}
 	}()
 
-	confirm, _ := EncodeLine(Response{Type: MsgOK, Op: OpHello, Proto: int(ProtoV2), Attributes: schemaPayload(s.brk.Schema())})
+	confirm, _ := EncodeLine(Response{Type: MsgOK, Op: OpHello, Proto: int(ProtoV2), Attributes: s.schemaPayload()})
 	if cs.send(confirm) != nil {
 		return
 	}
@@ -372,12 +374,15 @@ func (s *Server) session(conn net.Conn, rd *bufio.Reader) {
 	}
 }
 
-// schemaPayload renders the broker schema as wire attribute descriptors (the
-// schema response and the hello's answer share it: slot i on the wire is
-// attribute i in this list).
-func schemaPayload(sch *schema.Schema) []AttrPayload {
+// schemaPayload renders the broker schema and the defaults as wire attribute
+// descriptors (the schema response and the hello's answer share it: slot i on
+// the wire is attribute i in this list).
+func (s *Server) schemaPayload() []AttrPayload {
+	sch := s.brk.Schema()
+	vals, filled := make([]float64, sch.N()), make([]bool, sch.N())
+	s.defaults.Fill(vals, filled)
 	attrs := make([]AttrPayload, sch.N())
-	for i := 0; i < sch.N(); i++ {
+	for i := range attrs {
 		a := sch.At(i)
 		attrs[i] = AttrPayload{
 			Name:   a.Name,
@@ -386,9 +391,16 @@ func schemaPayload(sch *schema.Schema) []AttrPayload {
 			Hi:     a.Domain.Hi(),
 			Labels: a.Domain.Labels(),
 		}
+		if filled[i] {
+			attrs[i].Default = &vals[i]
+		}
 	}
 	return attrs
 }
+
+// errVectorsOnly answers a publish that came as JSON, the spelling of
+// clients that predate the announced defaults.
+var errVectorsOnly = errors.New("events travel as vectors: publish and publish_batch take binary frames")
 
 // dispatch executes one request and returns its reply; a returned error is
 // reported to the client and the connection lives on.
@@ -402,7 +414,7 @@ func (s *Server) dispatch(cs *connState, in *inbound, req Request) (Response, er
 		return Response{}, errors.New("hello must be the connection's first line")
 
 	case OpSchema:
-		return Response{Type: MsgSchema, Op: req.Op, Attributes: schemaPayload(sch)}, nil
+		return Response{Type: MsgSchema, Op: req.Op, Attributes: s.schemaPayload()}, nil
 
 	case OpSubscribe:
 		if req.ID == "" {
@@ -445,44 +457,34 @@ func (s *Server) dispatch(cs *connState, in *inbound, req Request) (Response, er
 		return Response{Type: MsgOK, Op: req.Op, Profile: req.ID}, nil
 
 	case OpPublish:
+		if req.Vals == nil {
+			return Response{}, errVectorsOnly
+		}
 		s.wireBytes.Add(uint64(in.size))
 		s.wireEvents.Add(1)
 		// A decoded vector is the connection's read scratch; the broker
-		// copies it on match and the overlay encodes synchronously.
-		vals, err := req.EventVals(sch, s.defaults)
-		if err != nil {
-			return Response{}, err
-		}
-		matched, err := s.brk.PublishValues(vals)
+		// validates it and copies it on match, and the overlay encodes
+		// synchronously.
+		matched, err := s.brk.PublishValues(req.Vals)
 		if err != nil {
 			return Response{}, err
 		}
 		if s.overlay != nil {
-			s.overlay.EventPublished(event.Event{Vals: vals})
+			s.overlay.EventPublished(event.Event{Vals: req.Vals})
 		}
 		return Response{Type: MsgOK, Op: req.Op, Matched: matched}, nil
 
 	case OpPublishBatch:
-		n := max(len(req.Batch), len(req.Events))
-		s.wireBytes.Add(uint64(in.size))
-		s.wireEvents.Add(uint64(max(1, n)))
-		if n == 0 {
-			return Response{}, errors.New("publish_batch: no events")
+		if req.Batch == nil {
+			return Response{}, errVectorsOnly
 		}
+		s.wireBytes.Add(uint64(in.size))
+		s.wireEvents.Add(uint64(len(req.Batch)))
 		cs.evs = cs.evs[:0]
-		for i := 0; i < n; i++ {
-			one := Request{}
-			if req.Batch != nil {
-				one.Vals = req.Batch[i]
-			} else {
-				one.Event = req.Events[i]
-			}
-			vals, err := one.EventVals(sch, s.defaults)
-			if err != nil {
-				return Response{}, fmt.Errorf("event %d: %w", i, err)
-			}
+		for _, vals := range req.Batch {
 			cs.evs = append(cs.evs, event.Event{Vals: vals})
 		}
+		// The broker validates every event and names the one it refuses.
 		counts, err := s.brk.PublishBatch(cs.evs)
 		if err != nil {
 			return Response{}, err

@@ -1,0 +1,487 @@
+package wire
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"genas/internal/broker"
+	"genas/internal/schema"
+)
+
+// The vocabulary of FuzzSession. Every pool is small, so that a short input
+// reaches the interesting states: a duplicate subscription, an unsubscribe of
+// an id that left, an event that the live profiles split.
+var (
+	fuzzIDs = []string{"hot", "warm", "a", "b"}
+	// fuzzProfiles pairs each expression with a brute-force matcher; nil
+	// marks one that does not parse.
+	fuzzProfiles = []fuzzProfile{
+		{"profile(temperature >= 35)", func(v []float64) bool { return v[0] >= 35 }},
+		{"profile(temperature >= 20)", func(v []float64) bool { return v[0] >= 20 }},
+		{"profile(temperature >= -30)", func(v []float64) bool { return true }},
+		{"profile(humidity <= 20)", func(v []float64) bool { return v[1] <= 20 }},
+		{"profile(temperature <= -1; humidity >= 50)", func(v []float64) bool { return v[0] <= -1 && v[1] >= 50 }},
+		{"profile(bogus >= 0)", nil},
+	}
+	// fuzzEvents holds the script's vectors and their neighbours, then the
+	// refused: wrong arity, out of domain, NaN and infinity.
+	fuzzEvents = [][]float64{
+		{41, 10}, {45, 20}, {5, 20}, {36, 1}, {0, 2}, {50, 3}, {37, 4}, {1, 5},
+		{30, 1}, {40, 2}, {25, 3}, {-30, 100}, {-10, 90}, {20, 50}, {35, 20},
+		{1}, {2}, {}, {36, 1, 2}, {400, 10}, {10, -1}, {math.NaN(), 10}, {10, math.Inf(1)},
+	}
+	fuzzQuenches = []Request{
+		{Op: OpQuench, Attr: "temperature", Lo: -30, Hi: 0},
+		{Op: OpQuench, Attr: "temperature", Lo: 30, Hi: 50},
+		{Op: OpQuench, Attr: "humidity", Lo: 0, Hi: 100},
+		{Op: OpQuench, Attr: "nosuch", Lo: 0, Hi: 1},
+	}
+	// fuzzPeerFrames are the frames a client connection must not carry: the
+	// retired one-id notification and the three peer frames among them.
+	fuzzPeerFrames = [][]byte{
+		{0, 0, 0, 3, 0x7F, 'x', 'y'},
+		{0, 0, 0, 1, 0x44},
+		AppendForwardFrame(nil, []float64{41, 10}),
+		AppendRouteAddFrame(nil, "hot", "profile(temperature >= 35)", 0),
+		AppendRouteWithdrawFrame(nil, "hot"),
+	}
+)
+
+type fuzzProfile struct {
+	expr  string
+	match func(v []float64) bool
+}
+
+// Opcodes of the fuzzed byte language: one byte picks the op (modulo the
+// count), the bytes after it its arguments.
+const (
+	fuzzSubscribe   = iota // id + 4·profile
+	fuzzUnsubscribe        // id
+	fuzzPublish            // event
+	fuzzBatch              // k−1, then k events
+	fuzzPing
+	fuzzSchema
+	fuzzStats
+	fuzzQuench // region
+	fuzzProfilesOp
+	fuzzHello
+	fuzzUnknownOp
+	fuzzJSONPublish // bit 0: publish or publish_batch
+	fuzzBadType     // frame
+	fuzzTruncated   // where to cut
+	fuzzOps
+)
+
+const (
+	maxFuzzSteps  = 64
+	maxFuzzEvents = 60 // × 4 ids stays within the connection's 256 queued notifications
+)
+
+// fuzzStep is one request of a fuzzed session, or the raw bytes of the
+// framing error that ends it.
+type fuzzStep struct {
+	req Request
+	raw []byte
+}
+
+// decodeSession reads a session out of the fuzzer's bytes. Bytes past the end
+// read as zero; the session ends with the input, at a framing error, after
+// maxFuzzSteps requests, or before the publish that would pass
+// maxFuzzEvents.
+func decodeSession(data []byte) []fuzzStep {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	var steps []fuzzStep
+	events := 0
+	for len(data) > 0 && len(steps) < maxFuzzSteps {
+		var req Request
+		switch next() % fuzzOps {
+		case fuzzSubscribe:
+			a := next()
+			req = Request{Op: OpSubscribe, ID: fuzzIDs[a%len(fuzzIDs)], Profile: fuzzProfiles[a/len(fuzzIDs)%len(fuzzProfiles)].expr}
+		case fuzzUnsubscribe:
+			req = Request{Op: OpUnsubscribe, ID: fuzzIDs[next()%len(fuzzIDs)]}
+		case fuzzPublish:
+			req = Request{Op: OpPublish, Vals: fuzzEvents[next()%len(fuzzEvents)]}
+			events++
+		case fuzzBatch:
+			req = Request{Op: OpPublishBatch, Batch: make([][]float64, 1+next()%4)}
+			for i := range req.Batch {
+				req.Batch[i] = fuzzEvents[next()%len(fuzzEvents)]
+			}
+			events += len(req.Batch)
+		case fuzzPing:
+			req = Request{Op: OpPing}
+		case fuzzSchema:
+			req = Request{Op: OpSchema}
+		case fuzzStats:
+			req = Request{Op: OpStats}
+		case fuzzQuench:
+			req = fuzzQuenches[next()%len(fuzzQuenches)]
+		case fuzzProfilesOp:
+			req = Request{Op: OpProfiles}
+		case fuzzHello:
+			req = Request{Op: OpHello, Proto: int(ProtoV2)}
+		case fuzzUnknownOp:
+			req = Request{Op: "frobnicate"}
+		case fuzzJSONPublish:
+			req = Request{Op: []Op{OpPublish, OpPublishBatch}[next()%2]}
+		case fuzzBadType:
+			return append(steps, fuzzStep{raw: fuzzPeerFrames[next()%len(fuzzPeerFrames)]})
+		case fuzzTruncated:
+			full := appendPublishFrame(nil, 1, []float64{41, 10})
+			return append(steps, fuzzStep{raw: full[:1+next()%(len(full)-1)]})
+		}
+		if events > maxFuzzEvents {
+			break
+		}
+		steps = append(steps, fuzzStep{req: req})
+	}
+	return steps
+}
+
+// encodeSession is decodeSession's inverse for requests drawn from the pools.
+func encodeSession(t testing.TB, reqs []Request) []byte {
+	t.Helper()
+	find := func(what string, n int, eq func(int) bool) byte {
+		for i := 0; i < n; i++ {
+			if eq(i) {
+				return byte(i)
+			}
+		}
+		t.Fatalf("%s is not in FuzzSession's pools", what)
+		return 0
+	}
+	event := func(v []float64) byte {
+		return find(fmt.Sprint(v), len(fuzzEvents), func(i int) bool { return slices.Equal(fuzzEvents[i], v) })
+	}
+	id := func(s string) byte { return find(s, len(fuzzIDs), func(i int) bool { return fuzzIDs[i] == s }) }
+	var out []byte
+	for _, req := range reqs {
+		switch req.Op {
+		case OpSubscribe:
+			p := find(req.Profile, len(fuzzProfiles), func(i int) bool { return fuzzProfiles[i].expr == req.Profile })
+			out = append(out, fuzzSubscribe, id(req.ID)+byte(len(fuzzIDs))*p)
+		case OpUnsubscribe:
+			out = append(out, fuzzUnsubscribe, id(req.ID))
+		case OpPublish:
+			out = append(out, fuzzPublish, event(req.Vals))
+		case OpPublishBatch:
+			out = append(out, fuzzBatch, byte(len(req.Batch)-1))
+			for _, v := range req.Batch {
+				out = append(out, event(v))
+			}
+		case OpQuench:
+			out = append(out, fuzzQuench, find(req.Attr, len(fuzzQuenches), func(i int) bool {
+				q := fuzzQuenches[i]
+				return q.Attr == req.Attr && q.Lo == req.Lo && q.Hi == req.Hi
+			}))
+		case OpPing:
+			out = append(out, fuzzPing)
+		case OpSchema:
+			out = append(out, fuzzSchema)
+		case OpStats:
+			out = append(out, fuzzStats)
+		case OpProfiles:
+			out = append(out, fuzzProfilesOp)
+		case OpHello:
+			out = append(out, fuzzHello)
+		default:
+			out = append(out, fuzzUnknownOp)
+		}
+	}
+	return out
+}
+
+// scriptRequests is the session script as the client sends it: its maps
+// turned into vectors, and the step the client refuses left out.
+func scriptRequests() []Request {
+	sl := newSlots([]string{"temperature", "humidity"})
+	var reqs []Request
+	for _, st := range sessionScript {
+		if req, err := st.request(sl); err == nil {
+			reqs = append(reqs, req)
+		}
+	}
+	return reqs
+}
+
+// FuzzSession drives one raw connection to a fresh server through a fuzzed
+// sequence of request frames, written all at once (pipelined), and checks
+// the session against a model of it:
+//   - every request before a framing error gets exactly one reply, in order,
+//     under its correlation id, and the reply is the model's: a match count
+//     a brute-force count over the live subscriptions, an error where the
+//     model refuses;
+//   - every notification names only ids that were live when its event was
+//     published and whose profile matches the event, and every such id is
+//     named once;
+//   - a framing error closes the connection, and the broker is then left
+//     without subscriptions, as after a clean end;
+//   - no goroutine survives Close.
+func FuzzSession(f *testing.F) {
+	script := encodeSession(f, scriptRequests())
+	f.Add(script)
+	f.Add(append(slices.Clone(script), fuzzBadType, 2))   // then a forward frame
+	f.Add(append(slices.Clone(script), fuzzTruncated, 9)) // then a cut publish
+	f.Add([]byte{fuzzSubscribe, 2, fuzzSubscribe, 2, fuzzJSONPublish, 1, fuzzBatch, 3, 0, 22, 21, 11, fuzzProfilesOp, fuzzStats})
+	// Two subscriptions, split by an event, outlive a peer frame.
+	f.Add([]byte{fuzzSubscribe, 0, fuzzSubscribe, 1 + 4*3, fuzzPublish, 0, fuzzBadType, 3})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runFuzzSession(t, decodeSession(data))
+	})
+}
+
+// sessionModel is what the server should hold and owe after each reply.
+type sessionModel struct {
+	live map[string]int // id → index in fuzzProfiles
+	seq  uint64         // the last sequence number handed out
+	// owed holds, per accepted event, its vector and the ids to be notified.
+	owed map[uint64]*owedEvent
+}
+
+type owedEvent struct {
+	vals []float64
+	ids  map[string]bool // id → notified yet
+}
+
+func fuzzValid(v []float64) bool {
+	return len(v) == 2 && v[0] >= -30 && v[0] <= 50 && v[1] >= 0 && v[1] <= 100
+}
+
+// publish books an accepted event and returns how many subscriptions it
+// matched.
+func (m *sessionModel) publish(v []float64) int {
+	m.seq++
+	ev := &owedEvent{vals: v, ids: make(map[string]bool)}
+	for id, p := range m.live {
+		if fuzzProfiles[p].match(v) {
+			ev.ids[id] = false
+		}
+	}
+	m.owed[m.seq] = ev
+	return len(ev.ids)
+}
+
+// check applies req to the model and compares the server's reply with it.
+func (m *sessionModel) check(req Request, resp Response) error {
+	want := func(typ MsgType) error {
+		if resp.Type != typ || resp.Op != req.Op {
+			return fmt.Errorf("reply %+v, want type %s op %s", resp, typ, req.Op)
+		}
+		return nil
+	}
+	switch req.Op {
+	case OpSubscribe:
+		p := slices.IndexFunc(fuzzProfiles, func(q fuzzProfile) bool { return q.expr == req.Profile })
+		if _, dup := m.live[req.ID]; dup || fuzzProfiles[p].match == nil {
+			return want(MsgError)
+		}
+		m.live[req.ID] = p
+		return want(MsgOK)
+	case OpUnsubscribe:
+		if _, ok := m.live[req.ID]; !ok {
+			return want(MsgError)
+		}
+		delete(m.live, req.ID)
+		return want(MsgOK)
+	case OpPublish:
+		if req.Vals == nil || !fuzzValid(req.Vals) {
+			return want(MsgError)
+		}
+		if n := m.publish(req.Vals); resp.Matched != n {
+			return fmt.Errorf("publish %v matched %d, the live subscriptions %d", req.Vals, resp.Matched, n)
+		}
+		return want(MsgOK)
+	case OpPublishBatch:
+		if req.Batch == nil || slices.ContainsFunc(req.Batch, func(v []float64) bool { return !fuzzValid(v) }) {
+			return want(MsgError)
+		}
+		total := 0
+		for i, v := range req.Batch {
+			n := m.publish(v)
+			if i >= len(resp.MatchedEach) || resp.MatchedEach[i] != n {
+				return fmt.Errorf("batch event %d %v matched %v, the live subscriptions %d", i, v, resp.MatchedEach, n)
+			}
+			total += n
+		}
+		if resp.Matched != total || len(resp.MatchedEach) != len(req.Batch) {
+			return fmt.Errorf("batch reply %+v, want %d in all over %d events", resp, total, len(req.Batch))
+		}
+		return want(MsgOK)
+	case OpPing:
+		return want(MsgPong)
+	case OpSchema:
+		if len(resp.Attributes) != 2 {
+			return fmt.Errorf("schema %+v", resp.Attributes)
+		}
+		return want(MsgSchema)
+	case OpStats:
+		if resp.Stats == nil || resp.Stats.Subscriptions != len(m.live) || resp.Stats.Published != m.seq {
+			return fmt.Errorf("stats %+v, want %d subscriptions and %d published", resp.Stats, len(m.live), m.seq)
+		}
+		return want(MsgStats)
+	case OpQuench:
+		if req.Attr == "nosuch" {
+			return want(MsgError)
+		}
+		return want(MsgOK)
+	case OpProfiles:
+		var got []string
+		for _, p := range resp.Profiles {
+			got = append(got, p.ID)
+		}
+		var live []string
+		for id := range m.live {
+			live = append(live, id)
+		}
+		sort.Strings(got)
+		sort.Strings(live)
+		if !slices.Equal(got, live) {
+			return fmt.Errorf("profiles %v, live %v", got, live)
+		}
+		return want(MsgOK)
+	default: // a hello, an unknown op
+		return want(MsgError)
+	}
+}
+
+// notified books one notification frame against what its event owes.
+func (m *sessionModel) notified(resp Response) error {
+	ev := m.owed[resp.Seq]
+	if ev == nil {
+		return fmt.Errorf("notification of seq %d, which no accepted event has", resp.Seq)
+	}
+	if !slices.Equal(resp.Vals, ev.vals) {
+		return fmt.Errorf("seq %d notified as %v, published as %v", resp.Seq, resp.Vals, ev.vals)
+	}
+	for _, id := range resp.IDs {
+		done, owed := ev.ids[id]
+		if !owed || done {
+			return fmt.Errorf("seq %d %v names %q: owed %v, already named %v", resp.Seq, ev.vals, id, owed, done)
+		}
+		ev.ids[id] = true
+	}
+	return nil
+}
+
+func runFuzzSession(t *testing.T, steps []fuzzStep) {
+	before := runtime.NumGoroutine()
+	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk, err := broker.New(sch, broker.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(brk, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(context.Background(), ln) }()
+	defer func() {
+		srv.Close()
+		if err := <-serveDone; err != nil {
+			t.Errorf("Serve returned %v", err)
+		}
+		brk.Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine() - before; n > 0 {
+			t.Errorf("%d goroutines left after Close", n)
+		}
+	}()
+
+	conn, rd := upgradeRaw(t, ln.Addr().String())
+	defer func() { _ = conn.Close() }()
+	var out []byte
+	for i, st := range steps {
+		if st.raw != nil {
+			out = append(out, st.raw...)
+			continue
+		}
+		if out, err = appendRequest(out, uint32(i+1), st.req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		_, _ = conn.Write(out)
+		_ = conn.(*net.TCPConn).CloseWrite()
+	}()
+	defer func() { <-wrote }()
+
+	m := &sessionModel{live: make(map[string]int), owed: make(map[uint64]*owedEvent)}
+	in := &inbound{rd: rd}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// next reads frames up to the next reply, keeping the notifications on
+	// the way (an event's may overtake the reply that accepted it); at the end
+	// of the stream it returns io.EOF.
+	var notes []Response
+	next := func() (uint32, Response, error) {
+		for {
+			cid, resp, err := readResponse(in)
+			if err != nil || resp.Type != MsgNotification {
+				return cid, resp, err
+			}
+			resp.IDs = slices.Clone(resp.IDs) // the ids alias the read scratch
+			notes = append(notes, resp)
+		}
+	}
+	for i, st := range steps {
+		if st.raw != nil {
+			break
+		}
+		cid, resp, err := next()
+		if err != nil {
+			t.Fatalf("step %d %s: no reply: %v", i, st.req.Op, err)
+		}
+		if cid != uint32(i+1) {
+			t.Fatalf("step %d %s: reply under cid %d, want %d", i, st.req.Op, cid, i+1)
+		}
+		if err := m.check(st.req, resp); err != nil {
+			t.Fatalf("step %d %s: %v", i, st.req.Op, err)
+		}
+	}
+	// Whatever follows the last reply is notifications, then the close.
+	if cid, resp, err := next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the last reply: cid %d %+v, %v; want the connection closed", cid, resp, err)
+	}
+	if n := brk.Stats().Subscriptions; n != 0 {
+		t.Errorf("%d subscriptions outlive their connection", n)
+	}
+	for _, resp := range notes {
+		if err := m.notified(resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq, ev := range m.owed {
+		for id, done := range ev.ids {
+			if !done {
+				t.Errorf("seq %d %v never notified %q", seq, ev.vals, id)
+			}
+		}
+	}
+}

@@ -19,6 +19,64 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/session.golden from the session script")
 
+// sessionStep is one step of the session script: a request, or an event map
+// (ev, or evs for a batch) that the client's slots turn into req's vectors.
+type sessionStep struct {
+	step string
+	req  Request
+	ev   map[string]float64
+	evs  []map[string]float64
+}
+
+// sessionScript is the script TestSessionScript runs and FuzzSession starts
+// from.
+var sessionScript = []sessionStep{
+	{step: "ping", req: Request{Op: OpPing}},
+	{step: "schema", req: Request{Op: OpSchema}},
+	{step: "subscribe", req: Request{Op: OpSubscribe, ID: "hot", Profile: "profile(temperature >= 35)", Priority: 2}},
+	{step: "publish map", req: Request{Op: OpPublish}, ev: map[string]float64{"temperature": 41, "humidity": 10}},
+	{step: "publish vector", req: Request{Op: OpPublish, Vals: []float64{45, 20}}},
+	{step: "publish vector miss", req: Request{Op: OpPublish, Vals: []float64{5, 20}}},
+	{step: "batch", req: Request{Op: OpPublishBatch, Batch: [][]float64{{36, 1}, {0, 2}, {50, 3}}}},
+	{step: "batch of maps", req: Request{Op: OpPublishBatch}, evs: []map[string]float64{
+		{"temperature": 37, "humidity": 4}, {"temperature": 1, "humidity": 5}}},
+	{step: "quench cold", req: Request{Op: OpQuench, Attr: "temperature", Lo: -30, Hi: 0}},
+	{step: "quench hot", req: Request{Op: OpQuench, Attr: "temperature", Lo: 30, Hi: 50}},
+	{step: "stats", req: Request{Op: OpStats}},
+	{step: "profiles", req: Request{Op: OpProfiles}},
+	{step: "unknown op", req: Request{Op: "frobnicate"}},
+	{step: "bad arity", req: Request{Op: OpPublish, Vals: []float64{1}}},
+	{step: "bad arity in batch", req: Request{Op: OpPublishBatch, Batch: [][]float64{{36, 1}, {2}}}},
+	{step: "out of domain", req: Request{Op: OpPublish, Vals: []float64{400, 10}}},
+	{step: "out of domain map", req: Request{Op: OpPublish}, ev: map[string]float64{"temperature": 400, "humidity": 10}},
+	// Fails in the client: the server announced no default for humidity.
+	{step: "partial map", req: Request{Op: OpPublish}, ev: map[string]float64{"temperature": 40}},
+	{step: "second hello", req: Request{Op: OpHello}},
+	// Unsubscribe while queued: the burst's four notifications ("warm"
+	// thrice, "hot" once) are in the connection's queue when "warm" leaves.
+	// The queue is not purged: ids unsubscribed mid-burst are still delivered.
+	{step: "subscribe warm", req: Request{Op: OpSubscribe, ID: "warm", Profile: "profile(temperature >= 20)"}},
+	{step: "burst", req: Request{Op: OpPublishBatch, Batch: [][]float64{{30, 1}, {40, 2}, {25, 3}}}},
+	{step: "unsubscribe warm", req: Request{Op: OpUnsubscribe, ID: "warm"}},
+	{step: "unsubscribe", req: Request{Op: OpUnsubscribe, ID: "hot"}},
+	{step: "unsubscribe again", req: Request{Op: OpUnsubscribe, ID: "hot"}},
+	{step: "publish after unsubscribe", req: Request{Op: OpPublish, Vals: []float64{45, 20}}},
+	{step: "still alive", req: Request{Op: OpPing}},
+}
+
+// request resolves a step's maps through sl, as Client.Publish and
+// Client.PublishBatch do.
+func (st sessionStep) request(sl *slots) (req Request, err error) {
+	req = st.req
+	switch {
+	case st.ev != nil:
+		req.Vals, err = sl.vectorOf(st.ev)
+	case st.evs != nil:
+		req.Batch, err = sl.vectorsOf(st.evs)
+	}
+	return req, err
+}
+
 // runSessionScript drives one fixed script through a fresh server and returns
 // a transcript — one line per step, the reply's JSON meaning or "error", then
 // one line per notification the connection received — and the goroutines left
@@ -57,44 +115,13 @@ func runSessionScript(t *testing.T) (transcript string, leaked int) {
 		t.Fatal(err)
 	}
 
-	script := []struct {
-		step string
-		req  Request
-	}{
-		{"ping", Request{Op: OpPing}},
-		{"schema", Request{Op: OpSchema}},
-		{"subscribe", Request{Op: OpSubscribe, ID: "hot", Profile: "profile(temperature >= 35)", Priority: 2}},
-		{"publish map", Request{Op: OpPublish, Event: map[string]float64{"temperature": 41, "humidity": 10}}},
-		{"publish vector", Request{Op: OpPublish, Vals: []float64{45, 20}}},
-		{"publish vector miss", Request{Op: OpPublish, Vals: []float64{5, 20}}},
-		{"batch", Request{Op: OpPublishBatch, Batch: [][]float64{{36, 1}, {0, 2}, {50, 3}}}},
-		{"batch of maps", Request{Op: OpPublishBatch, Events: []map[string]float64{
-			{"temperature": 37, "humidity": 4}, {"temperature": 1, "humidity": 5}}}},
-		{"quench cold", Request{Op: OpQuench, Attr: "temperature", Lo: -30, Hi: 0}},
-		{"quench hot", Request{Op: OpQuench, Attr: "temperature", Lo: 30, Hi: 50}},
-		{"stats", Request{Op: OpStats}},
-		{"profiles", Request{Op: OpProfiles}},
-		{"unknown op", Request{Op: "frobnicate"}},
-		{"bad arity", Request{Op: OpPublish, Vals: []float64{1}}},
-		{"bad arity in batch", Request{Op: OpPublishBatch, Batch: [][]float64{{36, 1}, {2}}}},
-		{"out of domain", Request{Op: OpPublish, Vals: []float64{400, 10}}},
-		{"out of domain map", Request{Op: OpPublish, Event: map[string]float64{"temperature": 400, "humidity": 10}}},
-		{"partial map", Request{Op: OpPublish, Event: map[string]float64{"temperature": 40}}},
-		{"second hello", Request{Op: OpHello}},
-		// Unsubscribe while queued: the burst's four notifications ("warm"
-		// thrice, "hot" once) are in the connection's queue when "warm" leaves.
-		// The queue is not purged: ids unsubscribed mid-burst are still delivered.
-		{"subscribe warm", Request{Op: OpSubscribe, ID: "warm", Profile: "profile(temperature >= 20)"}},
-		{"burst", Request{Op: OpPublishBatch, Batch: [][]float64{{30, 1}, {40, 2}, {25, 3}}}},
-		{"unsubscribe warm", Request{Op: OpUnsubscribe, ID: "warm"}},
-		{"unsubscribe", Request{Op: OpUnsubscribe, ID: "hot"}},
-		{"unsubscribe again", Request{Op: OpUnsubscribe, ID: "hot"}},
-		{"publish after unsubscribe", Request{Op: OpPublish, Vals: []float64{45, 20}}},
-		{"still alive", Request{Op: OpPing}},
-	}
 	var b strings.Builder
-	for _, st := range script {
-		resp, err := c.roundTrip(st.req, rpcTimeout)
+	for _, st := range sessionScript {
+		req, err := st.request(c.slots)
+		var resp Response
+		if err == nil {
+			resp, err = c.roundTrip(req, rpcTimeout)
+		}
 		if err != nil {
 			fmt.Fprintf(&b, "%s\terror\n", st.step)
 			continue
@@ -389,10 +416,9 @@ func TestNeverReadingSubscriber(t *testing.T) {
 		return conn, rd
 	}
 	// call writes one request frame and reads one reply frame.
-	sl := newSlots([]string{"temperature", "humidity"})
 	call := func(conn net.Conn, rd *bufio.Reader, req Request) Response {
 		t.Helper()
-		b, err := appendRequest(nil, 1, req, sl)
+		b, err := appendRequest(nil, 1, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +448,7 @@ func TestNeverReadingSubscriber(t *testing.T) {
 	if resp := call(mute, mrd, Request{Op: OpSubscribe, ID: "quiet", Profile: "profile(temperature >= 45)"}); resp.Type != MsgOK {
 		t.Fatalf("subscribe = %+v", resp)
 	}
-	ping, err := appendRequest(nil, 2, Request{Op: OpPing}, sl)
+	ping, err := appendRequest(nil, 2, Request{Op: OpPing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +457,7 @@ func TestNeverReadingSubscriber(t *testing.T) {
 	}
 
 	healthy, hrd := open()
-	if resp := call(healthy, hrd, Request{Op: OpPublish, Event: map[string]float64{"temperature": 20, "humidity": 50}}); resp.Matched != 1 {
+	if resp := call(healthy, hrd, Request{Op: OpPublish, Vals: []float64{20, 50}}); resp.Matched != 1 {
 		t.Fatalf("publish = %+v", resp)
 	}
 

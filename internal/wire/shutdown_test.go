@@ -43,7 +43,7 @@ func TestCloseDuringNotificationFlood(t *testing.T) {
 	// server wrote: a torn or interleaved frame would fail to decode.
 	subConn, subRd := upgradeRaw(t, ln.Addr().String())
 	defer func() { _ = subConn.Close() }()
-	sub, err := appendRequest(nil, 1, Request{Op: OpSubscribe, ID: "all", Profile: "profile(temperature >= -30)"}, newSlots([]string{"temperature", "humidity"}))
+	sub, err := appendRequest(nil, 1, Request{Op: OpSubscribe, ID: "all", Profile: "profile(temperature >= -30)"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +316,17 @@ func TestV2GarbageClosesConnection(t *testing.T) {
 		}
 		if cw, ok := conn.(*net.TCPConn); ok {
 			_ = cw.CloseWrite()
+		}
+		expectClosed(t, conn, rd)
+	})
+
+	// A peer frame is no request: on a client connection it is a framing
+	// error like any unknown type.
+	t.Run("peer frame", func(t *testing.T) {
+		conn, rd := upgradeRaw(t, addr)
+		defer func() { _ = conn.Close() }()
+		if _, err := conn.Write(AppendForwardFrame(nil, []float64{41, 10})); err != nil {
+			t.Fatal(err)
 		}
 		expectClosed(t, conn, rd)
 	})

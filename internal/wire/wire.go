@@ -14,9 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-
-	"genas/internal/event"
-	"genas/internal/schema"
 )
 
 // Proto names a wire protocol generation. There is one: DialConfig.Proto
@@ -47,30 +44,13 @@ const (
 	OpPing         Op = "ping"
 )
 
-// Peer (daemon-to-daemon) operations. A federated daemon identifies itself
-// with a hello line that names its node; after the handshake
-// the link is a symmetric stream of peer frames in both directions (no
-// responses): route_add/route_withdraw propagate profiles toward potential
-// publishers, forward carries an event across the link once that link's
-// routing filter matched it — so "unnecessary event information is rejected
-// as early as possible" (paper §5) at every hop.
-const (
-	// OpHello is the first line of every connection and carries Proto. A
-	// client's hello names no node, and the server answers with the schema. A
-	// peer's opens a peer link: Node carries the sender's overlay node name,
-	// Schema its schema rendering (both daemons must agree), and the acceptor
-	// answers with its own hello.
-	OpHello Op = "hello"
-	// OpRouteAdd announces a profile subscribed in the sender's direction:
-	// ID, Profile (profile language) and Priority describe it.
-	OpRouteAdd Op = "route_add"
-	// OpRouteWithdraw retracts a previously announced route by ID.
-	OpRouteWithdraw Op = "route_withdraw"
-	// OpForward carries one event across the link (a vector). It is
-	// fire-and-forget: the receiving daemon delivers locally and forwards on
-	// over its own matching links.
-	OpForward Op = "forward"
-)
+// OpHello is the first line of every connection and carries Proto. A
+// client's hello names no node, and the server answers with the schema and
+// its defaults. A peer's opens a peer link: Node carries the sender's overlay
+// node name, Schema its schema rendering (both daemons must agree), and the
+// acceptor answers with its own hello. After a peer handshake the link is a
+// symmetric stream of peer frames (frame.go), never requests.
+const OpHello Op = "hello"
 
 // Request is one client→server message.
 type Request struct {
@@ -81,11 +61,6 @@ type Request struct {
 	Profile string `json:"profile,omitempty"`
 	// Priority weights the profile for user-centric optimization.
 	Priority float64 `json:"priority,omitempty"`
-	// Event carries publish payloads as attribute name → value.
-	Event map[string]float64 `json:"event,omitempty"`
-	// Events carries a publish_batch payload: one event per element, each as
-	// attribute name → value.
-	Events []map[string]float64 `json:"events,omitempty"`
 	// Attr/Lo/Hi describe a quench query region.
 	Attr string  `json:"attr,omitempty"`
 	Lo   float64 `json:"lo,omitempty"`
@@ -98,23 +73,13 @@ type Request struct {
 	// Proto advertises the sender's protocol generation in a hello; a hello
 	// without proto ≥ 2 is refused.
 	Proto int `json:"proto,omitempty"`
-	// Vals and Batch carry a publish, forward or publish_batch payload as
-	// schema-order vectors. Never on the wire under these names: frames carry
-	// them in binary (a decoded vector aliases the connection's read scratch
-	// and is valid until the next read).
+	// Vals and Batch carry a publish or publish_batch payload as schema-order
+	// vectors, the only form an event takes in a request. Never on the wire
+	// under these names: frames carry them in binary (a decoded vector
+	// aliases the connection's read scratch and is valid until the next
+	// read), so a publish that arrived as JSON has neither.
 	Vals  []float64   `json:"-"`
 	Batch [][]float64 `json:"-"`
-}
-
-// EventVals resolves a publish payload to a validated schema-order vector:
-// the vector the frame carried when there is one, else
-// the attribute map completed from d (nil: every attribute is mandatory).
-func (r *Request) EventVals(sch *schema.Schema, d *event.Defaults) ([]float64, error) {
-	if r.Vals != nil {
-		return r.Vals, event.Validate(sch, r.Vals)
-	}
-	ev, err := event.FromMapWith(sch, r.Event, d)
-	return ev.Vals, err
 }
 
 // MsgType enumerates server→client message types.
@@ -139,15 +104,13 @@ type Response struct {
 	Error string `json:"error,omitempty"`
 	// Profile identifies the matched subscription for notifications.
 	Profile string `json:"profile,omitempty"`
-	// Event is the notification payload (attribute name → value).
-	Event map[string]float64 `json:"event,omitempty"`
 	// Seq is the broker sequence number of the notified event.
 	Seq uint64 `json:"seq,omitempty"`
 	// Matched reports how many profiles a published event matched (for a
 	// batch: the sum over the frame).
 	Matched int `json:"matched,omitempty"`
 	// MatchedEach reports per-event match counts for publish_batch,
-	// positionally aligned with the request's Events.
+	// positionally aligned with the request's Batch.
 	MatchedEach []int `json:"matched_each,omitempty"`
 	// Quenched answers quench queries.
 	Quenched bool `json:"quenched,omitempty"`
@@ -218,6 +181,9 @@ type AttrPayload struct {
 	Hi   float64 `json:"hi"`
 	// Labels lists categorical values in code order.
 	Labels []string `json:"labels,omitempty"`
+	// Default is the value the daemon's clients fill in when a published
+	// event omits the attribute (nil: the attribute is mandatory).
+	Default *float64 `json:"default,omitempty"`
 }
 
 // ErrBadMessage reports JSON — a hello line or a control frame's payload —

@@ -9,13 +9,17 @@ import (
 	"time"
 
 	"genas/internal/broker"
+	"genas/internal/event"
 	"genas/internal/schema"
 )
 
 const rpcTimeout = 5 * time.Second
 
 // startServer spins a daemon on a loopback listener and returns its address.
-func startServer(t *testing.T) string {
+func startServer(t *testing.T) string { return startServerWith(t, nil) }
+
+// startServerWith is startServer with the given attribute defaults.
+func startServerWith(t *testing.T, defaults map[string]float64) string {
 	t.Helper()
 	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
 	if err != nil {
@@ -26,6 +30,13 @@ func startServer(t *testing.T) string {
 		t.Fatal(err)
 	}
 	srv := NewServer(brk, nil)
+	if defaults != nil {
+		d, err := event.NewDefaults(sch, defaults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetDefaults(d)
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -180,6 +191,12 @@ func TestServerErrors(t *testing.T) {
 	}
 	if _, err := c.Quench("nosuch", 0, 1, rpcTimeout); err == nil {
 		t.Error("unknown quench attribute must fail")
+	}
+	// An older client's publishes carry JSON maps: each gets one error reply.
+	for _, op := range []Op{OpPublish, OpPublishBatch} {
+		if _, err := c.roundTrip(Request{Op: op}, rpcTimeout); err == nil || !strings.Contains(err.Error(), "vectors") {
+			t.Errorf("a %s control frame = %v, want the error that events travel as vectors", op, err)
+		}
 	}
 	// The connection survives all errors.
 	if err := c.Ping(rpcTimeout); err != nil {

@@ -16,10 +16,9 @@ type NetworkStats = routing.Stats
 
 // NewNetwork creates a distributed broker overlay over the schema. Every
 // link filter indexes only the profiles no other profile of that link covers
-// (Siena-style optimization); with covering enabled the per-link route
-// counts report just those, too.
-func NewNetwork(sch *Schema, covering bool) *Network {
-	return &Network{nw: routing.NewNetwork(sch, routing.Options{Covering: covering})}
+// (Siena-style optimization).
+func NewNetwork(sch *Schema) *Network {
+	return &Network{nw: routing.NewNetwork(sch, routing.Options{})}
 }
 
 // AddNode adds a broker to the overlay.
