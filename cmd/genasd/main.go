@@ -63,7 +63,6 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		defaults   = fs.String("defaults", "", "fill-ins for omitted event attributes, e.g. 'radiation=1; humidity=0'")
 		node       = fs.String("node", "", "federation node name (required with -peer; enables broker peering)")
 		peer       = fs.String("peer", "", "comma-separated peer daemon addresses to dial, e.g. 'host1:7452,host2:7452'")
-		_          = fs.Bool("aggregate", false, "no effect, accepted for old command lines: canonical subscription aggregation is the only index")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -205,8 +205,8 @@ func TestDaemonShardsDefault(t *testing.T) {
 }
 
 // TestDaemonBadFlags covers every configuration error exit. -measure,
-// -search and -covering are not flags: a command line naming them is refused
-// like any unknown flag.
+// -search, -covering and -aggregate are not flags: a command line naming them
+// is refused like any unknown flag.
 func TestDaemonBadFlags(t *testing.T) {
 	cases := []struct {
 		name string
@@ -224,6 +224,7 @@ func TestDaemonBadFlags(t *testing.T) {
 		{"bad defaults domain", []string{"-schema", "x=numeric[0,1]", "-defaults", "x=7"}, 2},
 		{"bad flag", []string{"-no-such-flag"}, 2},
 		{"covering", []string{"-schema", "x=numeric[0,1]", "-covering=false"}, 2},
+		{"aggregate", []string{"-schema", "x=numeric[0,1]", "-aggregate"}, 2},
 		{"bad addr", []string{"-schema", "x=numeric[0,1]", "-addr", "256.0.0.1:bogus"}, 1},
 	}
 	for _, tc := range cases {

@@ -10,11 +10,14 @@
 // over the uncovered ones, so an event crosses a TCP link only when that
 // link's engine matches it, and "unnecessary event information is rejected
 // as early as possible" (paper §5) at every hop. This package decides nothing
-// about routes: it is the transport (handshake, per-link outbox and writer,
-// reconnect supervision) that feeds peer messages to the table and sends the
-// messages the table returns. An event is encoded once and copied into the
-// outbox of every link that accepts it; a link's writer sends whatever has
-// gathered there in one write.
+// about routes: it is the transport (handshake, reconnect supervision) that
+// feeds peer messages to the table and sends the messages the table returns.
+// A link sends through a wire.Outbox under the rule a client session's obeys:
+// a write that misses its deadline disconnects; while the writer is behind, a
+// forward that finds the budget full is dropped and counted (DroppedForwards);
+// the hello and route messages are never dropped. An event is encoded once
+// and copied into the outbox of every link that accepts it. A live link runs
+// two goroutines, its reader and its writer.
 //
 // Link lifecycle: the dialing side owns reconnection — when a link drops,
 // its routes are withdrawn from the remaining links, and on reconnect the
@@ -92,45 +95,30 @@ type Fed struct {
 	done   chan struct{} // closed by Close; wakes supervisor backoffs
 	wg     sync.WaitGroup
 
-	slowCuts atomic.Uint64 // links cut because their peer could not keep up
+	dropped atomic.Uint64 // forwards a link's outbox refused
 }
 
-// peerLink is one TCP link to a neighbor daemon. After the handshake every
-// outbound message goes through the outbox, drained by a single writer
-// goroutine: message order per link is preserved (route adds and withdrawals
-// must not reorder) while no caller ever blocks on peer TCP while holding
-// Fed.mu.
+// peerLink is one TCP link to a neighbor daemon. Its outbox keeps message
+// order (route adds and withdrawals must not reorder), and no caller blocks on
+// peer TCP while holding Fed.mu.
 type peerLink struct {
 	name string
 	conn net.Conn
-	// The outbox: messages gather in buf until the writer swaps it for its
-	// spare and writes them all at once. forwards counts the event frames in
-	// buf; cut poisons the link, once (enqueueLocked). wake tells the writer
-	// buf is not empty: enqueues happen only under Fed.mu (either side) and
-	// close(wake) under its write lock, which is what makes the pair race-free.
-	mu       sync.Mutex
-	buf      []byte
-	forwards int
-	cut      bool
-	wake     chan struct{}
-	wakeOnce sync.Once
+	out  *wire.Outbox
 }
 
-// closeOut ends the writer, exactly once (dropLink and Close can both reach
-// it).
-func (l *peerLink) closeOut() { l.wakeOnce.Do(func() { close(l.wake) }) }
+// close ends the link's connection and its writer, idempotently. The channel
+// it returns closes when the writer has exited.
+func (l *peerLink) close() <-chan struct{} {
+	_ = l.conn.Close()
+	return l.out.Close()
+}
 
-// outQueueDepth bounds the forward frames waiting in a link's outbox: deep
-// enough to absorb a burst, small enough that a wedged peer is detected by
-// overflow rather than unbounded memory. Route messages do not count: they are
-// bounded by the route tables they mirror, and a replay must arrive in full
-// however large it is.
-const outQueueDepth = 1024
-
-// writeTimeout bounds one write to a peer link, as the wire server's bounds
-// one to a client: a link that cannot absorb its outbox within it is torn
-// down.
-const writeTimeout = 10 * time.Second
+// forwardBudget bounds the forwards waiting in a link's outbox: deep enough to
+// absorb a burst, small enough that a wedged peer costs bounded memory until
+// its write deadline cuts it. Route messages, which a replay must deliver in
+// full, do not count.
+const forwardBudget = 1024
 
 // New creates the federation state for a broker. The returned Fed has no
 // links yet: install it on the wire server (accept side) and Dial/DialRetry
@@ -177,22 +165,10 @@ func (f *Fed) Dial(addr string) error {
 	if err != nil {
 		return err
 	}
-	if err := f.attach(l); err != nil {
-		_ = l.conn.Close()
-		return err
-	}
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if !f.spawn(func() { f.runLink(l, rd); f.supervise(addr) }) {
+		<-l.close() // Close closed it already
 		return ErrClosed
 	}
-	f.wg.Add(1)
-	f.mu.Unlock()
-	go func() {
-		defer f.wg.Done()
-		f.runLink(l, rd)
-		f.supervise(addr)
-	}()
 	return nil
 }
 
@@ -200,53 +176,45 @@ func (f *Fed) Dial(addr string) error {
 // until it succeeds, then keeps the link alive until Close. Initial
 // unavailability of the peer is not an error: route replay on connect makes
 // the overlay converge whenever the peer appears.
-func (f *Fed) DialRetry(addr string) {
+func (f *Fed) DialRetry(addr string) { f.spawn(func() { f.supervise(addr) }) }
+
+// spawn runs fn on a goroutine that Close joins, unless the federation is
+// closed already.
+func (f *Fed) spawn(fn func()) bool {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed {
-		f.mu.Unlock()
-		return
+		return false
 	}
 	f.wg.Add(1)
-	f.mu.Unlock()
 	go func() {
 		defer f.wg.Done()
-		f.supervise(addr)
+		fn()
 	}()
+	return true
 }
 
 // supervise dials addr with backoff, runs the link until it drops, and
 // repeats until the federation closes.
 func (f *Fed) supervise(addr string) {
 	backoff := f.opts.RetryMin
-	for {
+	for !f.isClosed() {
+		l, rd, err := f.connect(addr)
+		if err == nil {
+			backoff = f.opts.RetryMin
+			f.runLink(l, rd)
+			continue
+		}
 		if f.isClosed() {
 			return
 		}
-		l, rd, err := f.connect(addr)
-		if err == nil {
-			err = f.attach(l)
-			if err != nil {
-				_ = l.conn.Close()
-			}
+		f.log.Printf("federation: dial %s: %v (retrying in %v)", addr, err, backoff)
+		select {
+		case <-f.done:
+			return
+		case <-time.After(backoff):
 		}
-		if err != nil {
-			if f.isClosed() {
-				return
-			}
-			f.log.Printf("federation: dial %s: %v (retrying in %v)", addr, err, backoff)
-			select {
-			case <-f.done:
-				return
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			if backoff > f.opts.RetryMax {
-				backoff = f.opts.RetryMax
-			}
-			continue
-		}
-		backoff = f.opts.RetryMin
-		f.runLink(l, rd)
+		backoff = min(2*backoff, f.opts.RetryMax)
 	}
 }
 
@@ -256,53 +224,55 @@ func (f *Fed) isClosed() bool {
 	return f.closed
 }
 
-// connect dials addr and performs the hello handshake, returning the link
-// and its buffered reader (positioned after the hello reply). Both hellos
-// advertise protocol v2: an acceptor whose reply does not (a daemon from
-// before PR 10, or one pinned to v1) fails the dial.
+// connect dials addr, performs the hello handshake and attaches the link,
+// returning it and its buffered reader (positioned after the hello reply).
+// Both hellos advertise protocol v2: an acceptor whose reply does not (a
+// daemon from before PR 10, or one pinned to v1) fails the dial.
 func (f *Fed) connect(addr string) (*peerLink, *bufio.Reader, error) {
 	conn, err := net.DialTimeout("tcp", addr, f.opts.DialTimeout)
 	if err != nil {
 		return nil, nil, fmt.Errorf("federation: dial %s: %w", addr, err)
 	}
 	l := f.newLink(conn)
-	if err := f.writeHello(conn); err != nil {
-		_ = conn.Close()
+	rd := bufio.NewReaderSize(conn, 64*1024)
+	if l.name, err = f.handshake(conn, rd, addr); err == nil {
+		err = f.attach(l)
+	}
+	if err != nil {
+		<-l.close()
 		return nil, nil, err
 	}
-	rd := bufio.NewReaderSize(conn, 64*1024)
+	return l, rd, nil
+}
+
+// handshake reads the acceptor's answer to the hello and returns the node it
+// names.
+func (f *Fed) handshake(conn net.Conn, rd *bufio.Reader, addr string) (string, error) {
 	_ = conn.SetReadDeadline(time.Now().Add(f.opts.DialTimeout))
 	line, err := wire.ReadLine(rd)
 	if err != nil {
-		_ = conn.Close()
 		if err == io.EOF {
 			err = errors.New("connection closed during handshake")
 		}
-		return nil, nil, fmt.Errorf("federation: handshake with %s: %w", addr, err)
+		return "", fmt.Errorf("federation: handshake with %s: %w", addr, err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	line = append([]byte(nil), line...)
 	// The acceptor reports handshake failures as an error response line;
 	// responses carry a type field requests never have, so check that first.
 	if resp, rerr := wire.DecodeResponse(line); rerr == nil && resp.Type == wire.MsgError {
-		_ = conn.Close()
-		return nil, nil, fmt.Errorf("federation: peer %s rejected the link: %s", addr, resp.Error)
+		return "", fmt.Errorf("federation: peer %s rejected the link: %s", addr, resp.Error)
 	}
 	reply, err := wire.DecodeRequest(line)
 	if err != nil || reply.Op != wire.OpHello {
-		_ = conn.Close()
-		return nil, nil, fmt.Errorf("federation: handshake with %s: unexpected frame %q", addr, line)
+		return "", fmt.Errorf("federation: handshake with %s: unexpected frame %q", addr, line)
 	}
 	if reply.Proto < int(wire.ProtoV2) {
-		_ = conn.Close()
-		return nil, nil, fmt.Errorf("federation: peer %s does not speak protocol v2", addr)
+		return "", fmt.Errorf("federation: peer %s does not speak protocol v2", addr)
 	}
 	if err := f.checkHello(reply); err != nil {
-		_ = conn.Close()
-		return nil, nil, err
+		return "", err
 	}
-	l.name = reply.Node
-	return l, rd, nil
+	return reply.Node, nil
 }
 
 // checkHello validates the peer's identity and schema.
@@ -324,34 +294,32 @@ func (f *Fed) checkHello(h wire.Request) error {
 // routes toward the peer) and runs the link until the connection drops.
 func (f *Fed) HandlePeer(conn net.Conn, rd *bufio.Reader, hello wire.Request) {
 	if err := f.checkHello(hello); err != nil {
-		if b, encErr := wire.EncodeLine(wire.Response{Type: wire.MsgError, Op: wire.OpHello, Error: err.Error()}); encErr == nil {
-			_, _ = conn.Write(b)
-		}
-		f.log.Printf("federation: rejected peer %s: %v", conn.RemoteAddr(), err)
+		wire.Refuse(conn, wire.OpHello, err.Error(), f.log)
 		return
 	}
 	l := f.newLink(conn)
 	l.name = hello.Node
-	if err := f.writeHello(conn); err != nil {
-		f.log.Printf("federation: hello reply to %s: %v", hello.Node, err)
-		return
-	}
 	if err := f.attach(l); err != nil {
 		f.log.Printf("federation: attach %s: %v", hello.Node, err)
+		<-l.close()
 		return
 	}
 	f.runLink(l, rd)
 }
 
-// newLink allocates a link's state for a fresh connection.
+// newLink starts a link's writer on a fresh connection, with this daemon's
+// hello as its first message.
 func (f *Fed) newLink(conn net.Conn) *peerLink {
-	return &peerLink{conn: conn, wake: make(chan struct{}, 1)}
+	l := &peerLink{conn: conn, out: wire.NewOutbox(conn, forwardBudget, f.log)}
+	hello, _ := wire.EncodeLine(wire.Request{Op: wire.OpHello, Node: f.name, Schema: f.sch.String(), Proto: int(wire.ProtoV2)})
+	l.out.Send(hello)
+	return l
 }
 
-// attach registers a live link, starts its writer and sends the route replay
-// the table returns for it (see routing.Table.Attach). An existing link with
-// the same peer name is displaced: its reader will tear it down, and the
-// table withdraws its routes from the remaining links ahead of the replay.
+// attach registers a live link and sends the route replay the table returns
+// for it (see routing.Table.Attach). An existing link with the same peer name
+// is displaced: its reader will tear it down, and the table withdraws its
+// routes from the remaining links ahead of the replay.
 func (f *Fed) attach(l *peerLink) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -361,23 +329,20 @@ func (f *Fed) attach(l *peerLink) error {
 	if old, ok := f.links[l.name]; ok {
 		// A reconnect raced the old link's teardown. Closing the conn wakes
 		// its reader, whose dropLink is identity-guarded.
-		_ = old.conn.Close()
-		old.closeOut()
+		old.close()
 	}
 	f.links[l.name] = l
-	f.wg.Add(1)
-	go f.writeLoop(l)
 	f.log.Printf("federation: %s linked to peer %s (%s)", f.name, l.name, l.conn.RemoteAddr())
 	f.send(f.table.Attach(l.name, f.brk.Engine().Profiles()))
 	return nil
 }
 
 // runLink consumes peer frames until the connection drops, then tears the
-// link down (withdrawing its routes from the remaining links). The read
-// scratch is reused across frames — an inbound forward is decoded, matched
-// locally and re-forwarded without allocating on the miss path. A frame that
-// does not decode, or is not a peer frame, is logged and skipped; a framing
-// error ends the link.
+// link down (withdrawing its routes from the remaining links) and waits for
+// its writer. The read scratch is reused across frames — an inbound forward
+// is decoded, matched locally and re-forwarded without allocating on the miss
+// path. A frame that does not decode, or is not a peer frame, is logged and
+// skipped; a framing error ends the link.
 func (f *Fed) runLink(l *peerLink, rd *bufio.Reader) {
 	var buf []byte
 	var vals []float64
@@ -387,7 +352,7 @@ func (f *Fed) runLink(l *peerLink, rd *bufio.Reader) {
 			if err == io.EOF {
 				err = nil
 			}
-			f.dropLink(l, err)
+			<-f.dropLink(l, err)
 			return
 		}
 		if vals, err = f.handleFrame(l, typ, payload, vals); err != nil {
@@ -455,23 +420,23 @@ func (f *Fed) routeChanged(l *peerLink, m routing.Msg) {
 	}
 }
 
-// dropLink removes a dead link and withdraws its routes from the remaining
-// links. Identity-guarded: a link displaced by a reconnect does not tear
-// down its successor's routes.
-func (f *Fed) dropLink(l *peerLink, cause error) {
-	_ = l.conn.Close()
+// dropLink closes a dead link, removes it and withdraws its routes from the
+// remaining links, returning its writer's exit. Identity-guarded: a link
+// displaced by a reconnect does not tear down its successor's routes.
+func (f *Fed) dropLink(l *peerLink, cause error) <-chan struct{} {
+	done := l.close()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.links[l.name] != l {
-		return
+		return done
 	}
 	delete(f.links, l.name)
-	l.closeOut()
 	if cause == nil {
 		cause = errors.New("peer disconnected")
 	}
 	f.log.Printf("federation: link to %s down: %v", l.name, cause)
 	f.send(f.table.Detach(l.name))
+	return done
 }
 
 // ProfileAdded implements wire.Overlay: announce a local subscription to
@@ -498,11 +463,11 @@ func (f *Fed) EventPublished(ev event.Event) { f.forward(ev.Vals, routing.Local)
 
 // forward sends an event vector over every link the table accepts it for
 // (never the one it arrived on). The whole path takes only the read lock:
-// matching is lock-free inside the link engines, an outbox has its own mutex
-// and closeOut runs only under the write lock, so concurrent publishers of a
-// federated broker never serialize on the overlay state and a link found here
-// cannot lose its writer mid-enqueue. The event is encoded once, into pooled
-// scratch, and copied into the outbox of every accepting link.
+// matching is lock-free inside the link engines and an outbox has its own
+// mutex, so concurrent publishers of a federated broker never serialize on
+// the overlay state. The event is encoded once, into pooled scratch, and
+// copied into the outbox of every accepting link; one that refuses it counts
+// a dropped forward.
 func (f *Fed) forward(vals []float64, from string) {
 	var buf [8]string // keeps the usual fan-out off the heap
 	f.mu.RLock()
@@ -518,7 +483,9 @@ func (f *Fed) forward(vals []float64, from string) {
 	defer fwdPool.Put(sc)
 	sc.enc = wire.AppendForwardFrame(sc.enc[:0], vals)
 	for _, name := range targets {
-		f.enqueueLocked(f.links[name], sc.enc, true)
+		if !f.links[name].out.SendEvent(sc.enc) {
+			f.dropped.Add(1)
+		}
 	}
 }
 
@@ -527,75 +494,6 @@ func (f *Fed) forward(vals []float64, from string) {
 type fwdScratch struct{ enc []byte }
 
 var fwdPool = sync.Pool{New: func() any { return new(fwdScratch) }}
-
-// writeHello writes this daemon's hello line directly on a connection —
-// handshake only, before the link's writer goroutine exists.
-func (f *Fed) writeHello(conn net.Conn) error {
-	b, err := wire.EncodeLine(wire.Request{Op: wire.OpHello, Node: f.name, Schema: f.sch.String(), Proto: int(wire.ProtoV2)})
-	if err != nil {
-		return err
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if _, err := conn.Write(b); err != nil {
-		return err
-	}
-	return nil
-}
-
-// writeLoop is the link's single writer: woken when the outbox holds
-// something, it swaps the outbox for its spare buffer and writes everything
-// that gathered in one conn.Write, so enqueuers (who hold Fed.mu) never block
-// on peer TCP. A write failure closes the conn, which makes the link's reader
-// tear the link down; what is queued until then is dropped, not retried.
-func (f *Fed) writeLoop(l *peerLink) {
-	defer f.wg.Done()
-	var spare []byte
-	broken := false
-	for range l.wake {
-		l.mu.Lock()
-		b := l.buf
-		l.buf, l.forwards = spare[:0], 0
-		l.mu.Unlock()
-		spare = b
-		if len(b) == 0 || broken {
-			continue
-		}
-		_ = l.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if _, err := l.conn.Write(b); err != nil {
-			f.log.Printf("federation: write to %s: %v", l.name, err)
-			_ = l.conn.Close()
-			broken = true
-		}
-	}
-}
-
-// enqueueLocked copies one encoded message into the link's outbox and wakes
-// its writer; failures surface through the link's teardown/replay cycle. An
-// event frame (forward) counts against outQueueDepth: with that many waiting
-// the peer cannot keep up, and the link is poisoned rather than blocking the
-// broker — once: it stays in f.links until its reader has run dropLink, and
-// every enqueue until then finds the flag and leaves. Caller holds Fed.mu.
-func (f *Fed) enqueueLocked(l *peerLink, b []byte, forward bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	switch {
-	case l.cut:
-		return
-	case forward && l.forwards >= outQueueDepth:
-		l.cut = true
-		f.slowCuts.Add(1)
-		f.log.Printf("federation: peer %s cannot keep up (%d forwards queued); dropping the link", l.name, l.forwards)
-		_ = l.conn.Close()
-		return
-	case forward:
-		l.forwards++
-	}
-	l.buf = append(l.buf, b...)
-	select {
-	case l.wake <- struct{}{}:
-	default: // the writer has a wake-up pending
-	}
-}
 
 // send executes the route messages the table returned: each is encoded and
 // queued on its link, in order. Caller holds Fed.mu.
@@ -607,13 +505,13 @@ func (f *Fed) send(msgs []routing.Msg) {
 		} else {
 			b = wire.AppendRouteWithdrawFrame(nil, string(m.ID))
 		}
-		f.enqueueLocked(f.links[m.To], b, false)
+		f.links[m.To].out.Send(b)
 	}
 }
 
-// SlowCuts counts the links cut because their peer could not keep up with
-// the events forwarded to it.
-func (f *Fed) SlowCuts() uint64 { return f.slowCuts.Load() }
+// DroppedForwards counts the forwards a link's outbox refused: its writer was
+// behind with forwardBudget of them waiting, or the link was going down.
+func (f *Fed) DroppedForwards() uint64 { return f.dropped.Load() }
 
 // Stats implements wire.Overlay. forwarded counts the link crossings the
 // table accepted, filtered the ones it avoided.
@@ -626,11 +524,7 @@ func (f *Fed) Stats() (node string, peers int, forwarded, filtered uint64) {
 
 // ProtoV2Peers returns the number of live peer links, all of which speak
 // protocol v2. It is kept for the benchmark, which polls it.
-func (f *Fed) ProtoV2Peers() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.links)
-}
+func (f *Fed) ProtoV2Peers() int { return len(f.Peers()) }
 
 // RouteCount returns the number of uncovered routes on the link to the named
 // peer (0 when the link is down), the wire twin of Node.RouteCount.
@@ -661,11 +555,10 @@ func (f *Fed) Close() {
 	}
 	f.closed = true
 	close(f.done)
-	// Empty the map and the table so nothing enqueues to the closed queues:
+	// Empty the map and the table so nothing enqueues to the closed outboxes:
 	// late dropLink/forward callers find no live link and back off.
 	for name, l := range f.links {
-		_ = l.conn.Close()
-		l.closeOut()
+		l.close()
 		delete(f.links, name)
 		_ = f.table.Detach(name) // nobody is left to tell
 	}

@@ -643,7 +643,7 @@ func TestHelloAfterSubscribeRejected(t *testing.T) {
 // queue must replay in full on connect instead of overflowing the queue and
 // flapping the link forever.
 func TestLargeRouteReplay(t *testing.T) {
-	const routes = 1500 // > outQueueDepth
+	const routes = 1500 // > the forward budget, which route messages ignore
 	sch, err := schema.ParseSpec(testSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -814,7 +814,7 @@ func TestForwardDoesNotAllocate(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	hop(100)            // the outbox, its spare and the encoding scratch grow to size
-	const events = 1000 // under outQueueDepth: the writer need not keep up
+	const events = 1000 // under the forward budget: the writer need not keep up
 	if allocs := hop(events); allocs/events != 0 && !raceEnabled {
 		t.Errorf("forwarding %d accepted events over one v2 link allocated %d times", events, allocs)
 	}
@@ -846,11 +846,43 @@ func (l *syncLog) String() string {
 	return l.b.String()
 }
 
-// TestSlowPeerIsCutOnce: a peer that stops reading fills its link's outbox;
-// at outQueueDepth waiting forwards the link is cut — logged once and counted
-// once however many events are still offered to it before its reader has torn
-// it down — its routes are withdrawn and none of its goroutines stays behind.
-func TestSlowPeerIsCutOnce(t *testing.T) {
+// settledGoroutines returns the goroutine count once the goroutines of the
+// tests before have finished exiting: two samples 10 ms apart agree.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// slowConn is a peer link's end of a pipe whose other end never reads. It
+// turns whatever write deadline the link's writer sets into one slowDeadline
+// away, so the test sees the write deadline expire without waiting out the
+// real one.
+type slowConn struct{ net.Conn }
+
+const slowDeadline = 500 * time.Millisecond
+
+func (c slowConn) SetWriteDeadline(time.Time) error {
+	return c.Conn.SetWriteDeadline(time.Now().Add(slowDeadline))
+}
+
+// TestSlowPeerDropsForwards: a peer link follows the rule every connection
+// follows. A pipe has no buffer, so once the peer stops reading, the link's
+// writer blocks in its write and everything else gathers in the outbox. While
+// it is blocked, forwards beyond the budget are dropped and counted — logged
+// once, not once per frame — and the link stays up; route messages are never
+// dropped, so every one queued before the deadline is in the outbox. At the
+// write deadline the link is torn down, its routes are withdrawn and none of
+// its goroutines stays behind. While it lives, the link runs exactly two
+// goroutines: its reader and its writer.
+func TestSlowPeerDropsForwards(t *testing.T) {
 	sch, err := schema.ParseSpec(testSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -866,16 +898,14 @@ func TestSlowPeerIsCutOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fed.Close()
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 
-	// A pipe has no buffer: once the peer stops reading, the link's writer
-	// blocks in its first write and everything else gathers in the outbox.
 	ours, theirs := net.Pipe()
 	defer func() { _ = theirs.Close() }()
 	handled := make(chan struct{})
 	go func() {
 		defer close(handled)
-		fed.HandlePeer(ours, bufio.NewReader(ours), wire.Request{Op: wire.OpHello, Node: "mute", Schema: sch.String(), Proto: int(wire.ProtoV2)})
+		fed.HandlePeer(slowConn{ours}, bufio.NewReader(ours), wire.Request{Op: wire.OpHello, Node: "mute", Schema: sch.String(), Proto: int(wire.ProtoV2)})
 	}()
 	if _, err := wire.ReadLine(bufio.NewReader(theirs)); err != nil { // the hello reply
 		t.Fatal(err)
@@ -884,32 +914,64 @@ func TestSlowPeerIsCutOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the mute peer's route", func() bool { return fed.RouteCount("mute") == 1 })
+	if n := runtime.NumGoroutine() - before; n != 2 {
+		t.Errorf("a live peer link runs %d goroutines, want 2: its reader and its writer", n)
+	}
+	out := fed.OutboxOf("mute")
 	// From here on the peer never reads again.
 
+	// The first forward leaves the outbox for a write that never completes.
 	ev := event.Event{Vals: []float64{20, 50}}
-	for i := 0; i < 3000; i++ {
+	frame := len(wire.AppendForwardFrame(nil, ev.Vals))
+	fed.EventPublished(ev)
+	waitFor(t, "the writer to take the first forward", func() bool {
+		bytes, _ := out.Pending()
+		return bytes == 0
+	})
+	const events = 3000
+	for i := 1; i < events; i++ {
 		fed.EventPublished(ev)
 	}
+	// Local subscriptions announce routes toward the peer behind the full
+	// budget of forwards. Disjoint, so that none covers another.
+	routes := 0
+	for i := 0; i < 3; i++ {
+		p := predicate.MustParse(sch, predicate.ID(fmt.Sprint("local", i)), fmt.Sprintf("profile(humidity in [%d,%d])", 10*i, 10*i+5))
+		fed.ProfileAdded(p)
+		routes += len(wire.AppendRouteAddFrame(nil, string(p.ID), p.Render(sch), p.Priority))
+	}
+	bytes, waiting := out.Pending()
+	if waiting != federation.ForwardBudget || bytes != waiting*frame+routes {
+		t.Errorf("outbox holds %d bytes in %d forwards, want the budget's %d forwards of %d bytes and %d bytes of routes",
+			bytes, waiting, federation.ForwardBudget, frame, routes)
+	}
+	if d := fed.DroppedForwards(); d != events-1-federation.ForwardBudget {
+		t.Errorf("%d forwards dropped of %d offered with a budget of %d", d, events, federation.ForwardBudget)
+	}
+	if peers := fed.Peers(); len(peers) != 1 {
+		t.Errorf("dropping forwards cut the link: peers %v", peers)
+	}
+
 	select {
 	case <-handled:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the cut link's reader did not return")
+		t.Fatal("the link outlived its write deadline")
 	}
 	if peers := fed.Peers(); len(peers) != 0 || fed.RouteCount("mute") != 0 {
-		t.Errorf("after the cut: peers %v, %d routes toward the peer", peers, fed.RouteCount("mute"))
+		t.Errorf("after the deadline: peers %v, %d routes from the peer", peers, fed.RouteCount("mute"))
 	}
-	if n := strings.Count(logs.String(), "cannot keep up"); n != 1 || fed.SlowCuts() != 1 {
-		t.Errorf("%d \"cannot keep up\" log lines and %d counted cuts, want one of each:\n%s", n, fed.SlowCuts(), logs.String())
+	if n := strings.Count(logs.String(), "cannot keep up"); n != 1 {
+		t.Errorf("%d \"cannot keep up\" log lines, want one:\n%s", n, logs.String())
 	}
-	if n := strings.Count(logs.String(), "write to mute"); n > 1 {
-		t.Errorf("the cut link's writer logged %d failed writes, want at most the one in flight:\n%s", n, logs.String())
+	if !strings.Contains(logs.String(), "i/o timeout") {
+		t.Errorf("the link did not end at its write deadline:\n%s", logs.String())
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("%d goroutines left behind by the cut link", n-before)
+		t.Errorf("%d goroutines left behind by the torn-down link", n-before)
 	}
 }
 

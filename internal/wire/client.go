@@ -28,10 +28,9 @@ type Client struct {
 	pendMu  sync.Mutex
 	pending map[uint32]*waiter
 
-	mu     sync.Mutex
-	closed bool
-	notifs chan Response
-	done   chan struct{}
+	closeOnce sync.Once
+	notifs    chan Response
+	done      chan struct{}
 }
 
 // DialConfig parameterizes DialWith. The zero value dials with no timeout and
@@ -179,10 +178,10 @@ type waiter struct {
 // (Resetting a timer discards whatever it held: go.mod is past 1.23.)
 var waiters = sync.Pool{New: func() any { return &waiter{make(chan Response, 1), time.NewTimer(0)} }}
 
-// post encodes one request, registers its waiter and writes it. The id is
-// allocated, and the waiter registered, under the write lock, before the
-// bytes leave: replies cannot overtake their registration, and ids reach the
-// wire in order.
+// post encodes one request, registers its waiter and writes it under the
+// request's own write deadline. The id is allocated, and the waiter
+// registered, under the write lock, before the bytes leave: replies cannot
+// overtake their registration, and ids reach the wire in order.
 func (c *Client) post(req Request, timeout time.Duration) (uint32, *waiter, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -200,9 +199,11 @@ func (c *Client) post(req Request, timeout time.Duration) (uint32, *waiter, erro
 	c.pendMu.Lock()
 	c.pending[cid] = w
 	c.pendMu.Unlock()
+	var deadline time.Time // none: an earlier request's must not linger
 	if timeout > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(timeout))
+		deadline = time.Now().Add(timeout)
 	}
+	_ = c.conn.SetWriteDeadline(deadline)
 	//genas:allow locksafe wmu exists to serialize request writes on the shared conn; only pendMu, never held across a blocking call, nests under it
 	if _, err := c.conn.Write(b); err != nil {
 		c.deregister(cid)
@@ -422,16 +423,12 @@ func (c *Client) Schema(timeout time.Duration) ([]AttrPayload, error) {
 	return resp.Attributes, nil
 }
 
-// Close tears the connection down and waits for the reader to exit.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	err := c.conn.Close()
-	<-c.done
+// Close tears the connection down and waits for the reader to exit; a later
+// Close returns nil.
+func (c *Client) Close() (err error) {
+	c.closeOnce.Do(func() {
+		err = c.conn.Close()
+		<-c.done
+	})
 	return err
 }

@@ -22,7 +22,8 @@ import (
 // hands peer connections (a hello naming a node) over to it and mirrors local
 // registration and publish activity into it, so profiles propagate to peer
 // daemons and events cross a TCP link only when that link's routing filter
-// matches.
+// matches. A peer link sends through an Outbox like a client session's: every
+// connection, client or peer, runs one reader and one writer.
 type Overlay interface {
 	// HandlePeer owns a connection whose hello named a node and advertised
 	// protocol v2. It runs the peer link until the connection drops and must
@@ -69,7 +70,7 @@ type Server struct {
 // NewServer wraps a broker. logger may be nil to discard logs.
 func NewServer(brk *broker.Broker, logger *log.Logger) *Server {
 	if logger == nil {
-		logger = log.New(discard{}, "", 0)
+		logger = log.New(io.Discard, "", 0)
 	}
 	return &Server{brk: brk, log: logger, conns: make(map[net.Conn]struct{})}
 }
@@ -85,10 +86,6 @@ func (s *Server) SetDefaults(d *event.Defaults) { s.defaults = d }
 // subscribe/unsubscribe/publish activity is mirrored into it. Call before
 // Serve.
 func (s *Server) SetOverlay(o Overlay) { s.overlay = o }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // Serve accepts connections on ln until the context is canceled or Close is
 // called, then closes ln and returns nil. It blocks; run it from the caller's
@@ -191,100 +188,23 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// writeTimeout bounds one write to a client connection, as federation's
-// bounds one to a peer link. A client that stops reading cannot park its
-// connection's writers forever: when the deadline expires the connection
-// closes and its subscriptions are torn down.
-const writeTimeout = 10 * time.Second
-
 // helloTimeout bounds the wait for a connection's hello line, so a client
 // that connects and never speaks does not hold its goroutine and socket until
 // Close. A variable only so that a test can shorten it.
 var helloTimeout = writeTimeout
 
-// notifyQueue is a connection's notification budget: how far the broker may
-// run ahead of the connection's forwarder before it drops the newest — one
-// buffer however many subscriptions the connection holds, sized like the burst
-// a client's Notifications() absorbs.
+// notifyQueue is a session's notification budget: how far the broker may run
+// ahead of its writer before it drops the newest, however many subscriptions
+// the session holds; sized like the burst a client's Notifications() absorbs.
 const notifyQueue = 256
 
-// connState tracks one client connection's subscriptions and synchronized
-// writer.
+// connState is one client session's state, owned by its request loop. queue
+// is the one channel every subscription delivers into, created with the first.
 type connState struct {
-	conn net.Conn
-	subs map[string]*broker.Subscription
-	evs  []event.Event // publish_batch scratch, owned by the request loop
-	rbuf []byte        // reply build buffer, owned by the request loop
-	// queue is the one channel every subscription of the connection delivers
-	// into, created with the first of them; fwd closes when its forwarder —
-	// the only goroutine a connection starts — has exited.
+	out   *Outbox
+	subs  map[string]*broker.Subscription
+	evs   []event.Event // publish_batch scratch
 	queue *broker.Queue
-	fwd   chan struct{}
-	mu    sync.Mutex // serializes writes: replies and notification bursts
-}
-
-// reply writes one reply, paired with its request's correlation id.
-func (cs *connState) reply(cid uint32, resp Response) error {
-	b, err := appendResponse(cs.rbuf[:0], cid, resp)
-	if err != nil {
-		return err
-	}
-	cs.rbuf = b
-	return cs.send(b)
-}
-
-// send puts encoded messages on the wire. It holds the server's only write:
-// a failed or timed-out write closes the connection, which ends the request
-// loop and tears the subscriptions down.
-func (cs *connState) send(b []byte) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	_ = cs.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	//genas:allow locksafe cs.mu exists to serialize message writes on the shared conn; nothing else is ever taken under it
-	_, err := cs.conn.Write(b)
-	if err != nil {
-		_ = cs.conn.Close()
-	}
-	return err
-}
-
-// forward is the connection's one notification writer. It blocks for a
-// notification and sends it together with whatever else is queued at that
-// moment (at most notifyQueue: nobody else receives from q, so those receives
-// cannot block) in one write: a burst costs one wake-up and one syscall.
-// Consecutive notifications of one event (one Seq) become one frame listing
-// their ids — the only grouping there is.
-func (cs *connState) forward(q <-chan broker.Notification, logger *log.Logger) {
-	defer close(cs.fwd)
-	var buf []byte
-	var ids []string
-	for n := range q {
-		buf = buf[:0]
-		for rest := len(q); ; rest-- {
-			ids = append(ids, string(n.Profile))
-			next := n
-			if rest > 0 {
-				next = <-q
-			}
-			if rest == 0 || next.Event.Seq != n.Event.Seq {
-				resp := Response{Type: MsgNotification, Seq: n.Event.Seq, Vals: n.Event.Vals, IDs: ids}
-				b, err := appendResponse(buf, 0, resp)
-				if err != nil {
-					logger.Printf("wire: connection %s: notification %d: %v", cs.conn.RemoteAddr(), resp.Seq, err)
-				} else {
-					buf = b
-				}
-				ids = ids[:0]
-			}
-			if rest == 0 {
-				break
-			}
-			n = next
-		}
-		if cs.send(buf) != nil {
-			return
-		}
-	}
 }
 
 // handle runs one connection. Its first line must be a hello advertising
@@ -307,33 +227,35 @@ func (s *Server) handle(conn net.Conn) {
 	hello, err := DecodeRequest(line)
 	switch {
 	case err != nil || hello.Op != OpHello || hello.Proto < int(ProtoV2):
-		s.refuse(conn, hello.Op, `protocol v2 required: the first line must be {"op":"hello","proto":2}`)
+		Refuse(conn, hello.Op, `protocol v2 required: the first line must be {"op":"hello","proto":2}`, s.log)
 	case hello.Node == "":
 		s.session(conn, rd)
 	case s.overlay == nil:
-		s.refuse(conn, hello.Op, "daemon is not federated")
+		Refuse(conn, hello.Op, "daemon is not federated", s.log)
 	default:
 		s.overlay.HandlePeer(conn, rd, hello)
 	}
 }
 
-// refuse answers a connection's first line with one JSON error line.
-func (s *Server) refuse(conn net.Conn, op Op, msg string) {
-	s.log.Printf("wire: connection %s refused: %s", conn.RemoteAddr(), msg)
+// Refuse logs a refused connection and answers its first line with one JSON
+// error line, written (or failed) by an outbox of its own before it returns.
+func Refuse(conn net.Conn, op Op, msg string, logger *log.Logger) {
+	logger.Printf("wire: connection %s refused: %s", conn.RemoteAddr(), msg)
 	b, _ := EncodeLine(Response{Type: MsgError, Op: op, Error: msg})
-	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_, _ = conn.Write(b)
+	out := NewOutbox(conn, 0, logger)
+	out.Send(b)
+	<-out.Close()
 }
 
 // session serves a client after its hello: confirm it with the schema, from
 // which the client builds its slot table, then read a request frame, dispatch
-// it and answer until the connection drops.
+// it and answer until the connection drops. Every byte it sends goes through
+// the connection's outbox, whose writer is the session's one other goroutine.
 func (s *Server) session(conn net.Conn, rd *bufio.Reader) {
-	cs := &connState{conn: conn, subs: make(map[string]*broker.Subscription)}
+	cs := &connState{out: NewOutbox(conn, notifyQueue, s.log), subs: make(map[string]*broker.Subscription)}
 	defer func() {
-		// Tear down this connection's subscriptions, then wait for its
-		// forwarder: the queue closes with its last reference, which ends it
-		// once it has written what was still queued.
+		// Tear down the subscriptions, then wait for the writer: the queue
+		// closes with its last reference, and the writer drains it.
 		for id := range cs.subs {
 			if s.brk.Unsubscribe(predicate.ID(id)) == nil && s.overlay != nil {
 				s.overlay.ProfileRemoved(predicate.ID(id))
@@ -341,21 +263,18 @@ func (s *Server) session(conn net.Conn, rd *bufio.Reader) {
 		}
 		if cs.queue != nil {
 			cs.queue.Close()
-			<-cs.fwd
 		}
+		<-cs.out.Close()
 	}()
 
 	confirm, _ := EncodeLine(Response{Type: MsgOK, Op: OpHello, Proto: int(ProtoV2), Attributes: s.schemaPayload()})
-	if cs.send(confirm) != nil {
-		return
-	}
+	cs.out.Send(confirm)
 	in := &inbound{rd: rd}
 	for {
 		cid, req, err := readRequest(in)
 		if err != nil {
-			// The stream position is lost (or the client is gone): the
-			// connection closes and the deferred teardown drops its
-			// subscriptions.
+			// The stream position is lost, or the client is gone: the
+			// deferred teardown drops the subscriptions.
 			if err != io.EOF {
 				s.log.Printf("wire: connection %s: %v", conn.RemoteAddr(), err)
 			}
@@ -368,7 +287,7 @@ func (s *Server) session(conn net.Conn, rd *bufio.Reader) {
 		if err != nil {
 			resp = Response{Type: MsgError, Op: req.Op, Error: err.Error()}
 		}
-		if cs.reply(cid, resp) != nil {
+		if cs.out.reply(cid, resp) != nil {
 			return
 		}
 	}
@@ -426,12 +345,10 @@ func (s *Server) dispatch(cs *connState, in *inbound, req Request) (Response, er
 		}
 		p.Priority = req.Priority
 		if cs.queue == nil {
-			q, err := s.brk.NewQueue(notifyQueue)
-			if err != nil {
+			if cs.queue, err = s.brk.NewQueue(notifyQueue); err != nil {
 				return Response{}, err
 			}
-			cs.queue, cs.fwd = q, make(chan struct{})
-			go cs.forward(q.C(), s.log)
+			cs.out.notify(cs.queue.C())
 		}
 		sub, err := cs.queue.Subscribe(p)
 		if err != nil {

@@ -62,7 +62,8 @@ type fuzzProfile struct {
 }
 
 // Opcodes of the fuzzed byte language: one byte picks the op (modulo the
-// count), the bytes after it its arguments.
+// count) and the connection that sends it (the quotient's parity), the bytes
+// after it the op's arguments.
 const (
 	fuzzSubscribe   = iota // id + 4·profile
 	fuzzUnsubscribe        // id
@@ -83,14 +84,16 @@ const (
 
 const (
 	maxFuzzSteps  = 64
-	maxFuzzEvents = 60 // × 4 ids stays within the connection's 256 queued notifications
+	maxFuzzEvents = 60 // × 4 ids stays within a connection's 256 queued notifications
+	fuzzConns     = 2
 )
 
 // fuzzStep is one request of a fuzzed session, or the raw bytes of the
-// framing error that ends it.
+// framing error that ends it, and the connection that sends it.
 type fuzzStep struct {
-	req Request
-	raw []byte
+	conn int
+	req  Request
+	raw  []byte
 }
 
 // decodeSession reads a session out of the fuzzer's bytes. Bytes past the end
@@ -110,7 +113,9 @@ func decodeSession(data []byte) []fuzzStep {
 	events := 0
 	for len(data) > 0 && len(steps) < maxFuzzSteps {
 		var req Request
-		switch next() % fuzzOps {
+		op := next()
+		conn := op / fuzzOps % fuzzConns
+		switch op % fuzzOps {
 		case fuzzSubscribe:
 			a := next()
 			req = Request{Op: OpSubscribe, ID: fuzzIDs[a%len(fuzzIDs)], Profile: fuzzProfiles[a/len(fuzzIDs)%len(fuzzProfiles)].expr}
@@ -142,21 +147,21 @@ func decodeSession(data []byte) []fuzzStep {
 		case fuzzJSONPublish:
 			req = Request{Op: []Op{OpPublish, OpPublishBatch}[next()%2]}
 		case fuzzBadType:
-			return append(steps, fuzzStep{raw: fuzzPeerFrames[next()%len(fuzzPeerFrames)]})
+			return append(steps, fuzzStep{conn: conn, raw: fuzzPeerFrames[next()%len(fuzzPeerFrames)]})
 		case fuzzTruncated:
 			full := appendPublishFrame(nil, 1, []float64{41, 10})
-			return append(steps, fuzzStep{raw: full[:1+next()%(len(full)-1)]})
+			return append(steps, fuzzStep{conn: conn, raw: full[:1+next()%(len(full)-1)]})
 		}
 		if events > maxFuzzEvents {
 			break
 		}
-		steps = append(steps, fuzzStep{req: req})
+		steps = append(steps, fuzzStep{conn: conn, req: req})
 	}
 	return steps
 }
 
 // encodeSession is decodeSession's inverse for requests drawn from the pools.
-func encodeSession(t testing.TB, reqs []Request) []byte {
+func encodeSession(t testing.TB, steps []fuzzStep) []byte {
 	t.Helper()
 	find := func(what string, n int, eq func(int) bool) byte {
 		for i := 0; i < n; i++ {
@@ -172,76 +177,89 @@ func encodeSession(t testing.TB, reqs []Request) []byte {
 	}
 	id := func(s string) byte { return find(s, len(fuzzIDs), func(i int) bool { return fuzzIDs[i] == s }) }
 	var out []byte
-	for _, req := range reqs {
+	for _, st := range steps {
+		req, op := st.req, func(code byte) byte { return code + byte(st.conn*fuzzOps) }
 		switch req.Op {
 		case OpSubscribe:
 			p := find(req.Profile, len(fuzzProfiles), func(i int) bool { return fuzzProfiles[i].expr == req.Profile })
-			out = append(out, fuzzSubscribe, id(req.ID)+byte(len(fuzzIDs))*p)
+			out = append(out, op(fuzzSubscribe), id(req.ID)+byte(len(fuzzIDs))*p)
 		case OpUnsubscribe:
-			out = append(out, fuzzUnsubscribe, id(req.ID))
+			out = append(out, op(fuzzUnsubscribe), id(req.ID))
 		case OpPublish:
-			out = append(out, fuzzPublish, event(req.Vals))
+			out = append(out, op(fuzzPublish), event(req.Vals))
 		case OpPublishBatch:
-			out = append(out, fuzzBatch, byte(len(req.Batch)-1))
+			out = append(out, op(fuzzBatch), byte(len(req.Batch)-1))
 			for _, v := range req.Batch {
 				out = append(out, event(v))
 			}
 		case OpQuench:
-			out = append(out, fuzzQuench, find(req.Attr, len(fuzzQuenches), func(i int) bool {
+			out = append(out, op(fuzzQuench), find(req.Attr, len(fuzzQuenches), func(i int) bool {
 				q := fuzzQuenches[i]
 				return q.Attr == req.Attr && q.Lo == req.Lo && q.Hi == req.Hi
 			}))
 		case OpPing:
-			out = append(out, fuzzPing)
+			out = append(out, op(fuzzPing))
 		case OpSchema:
-			out = append(out, fuzzSchema)
+			out = append(out, op(fuzzSchema))
 		case OpStats:
-			out = append(out, fuzzStats)
+			out = append(out, op(fuzzStats))
 		case OpProfiles:
-			out = append(out, fuzzProfilesOp)
+			out = append(out, op(fuzzProfilesOp))
 		case OpHello:
-			out = append(out, fuzzHello)
+			out = append(out, op(fuzzHello))
 		default:
-			out = append(out, fuzzUnknownOp)
+			out = append(out, op(fuzzUnknownOp))
 		}
 	}
 	return out
 }
 
-// scriptRequests is the session script as the client sends it: its maps
-// turned into vectors, and the step the client refuses left out.
-func scriptRequests() []Request {
+// scriptSteps is the session script as the client sends it, on connection 0:
+// its maps turned into vectors, and the step the client refuses left out.
+func scriptSteps() []fuzzStep {
 	sl := newSlots([]string{"temperature", "humidity"})
-	var reqs []Request
+	var steps []fuzzStep
 	for _, st := range sessionScript {
 		if req, err := st.request(sl); err == nil {
-			reqs = append(reqs, req)
+			steps = append(steps, fuzzStep{req: req})
 		}
 	}
-	return reqs
+	return steps
 }
 
-// FuzzSession drives one raw connection to a fresh server through a fuzzed
-// sequence of request frames, written all at once (pipelined), and checks
-// the session against a model of it:
+// FuzzSession drives two raw connections to a fresh server through a fuzzed
+// sequence of request frames. Consecutive requests of one connection are
+// written at once (pipelined), and their replies read, before the other
+// connection speaks, so that one model orders both. It checks each
+// connection against that model:
 //   - every request before a framing error gets exactly one reply, in order,
-//     under its correlation id, and the reply is the model's: a match count
-//     a brute-force count over the live subscriptions, an error where the
-//     model refuses;
-//   - every notification names only ids that were live when its event was
-//     published and whose profile matches the event, and every such id is
-//     named once;
-//   - a framing error closes the connection, and the broker is then left
-//     without subscriptions, as after a clean end;
+//     under its correlation id, on the connection that sent it, and the reply
+//     is the model's: a match count a brute-force count over the live
+//     subscriptions of both connections, an error where the model refuses
+//     (an id live on either connection is taken; only its own connection may
+//     unsubscribe it);
+//   - every notification a connection receives names only ids that were live
+//     on that connection when its event was published and whose profile
+//     matches the event, and every such id is named once: replies and
+//     notifications share a connection's outbox, and none crosses to the
+//     other connection or tears a frame;
+//   - a framing error closes its connection, and once both have ended the
+//     broker is left without subscriptions;
 //   - no goroutine survives Close.
 func FuzzSession(f *testing.F) {
-	script := encodeSession(f, scriptRequests())
+	script := encodeSession(f, scriptSteps())
 	f.Add(script)
 	f.Add(append(slices.Clone(script), fuzzBadType, 2))   // then a forward frame
 	f.Add(append(slices.Clone(script), fuzzTruncated, 9)) // then a cut publish
+	// The script's bystander: a second connection subscribed to every event.
+	f.Add(append(encodeSession(f, []fuzzStep{{conn: 1, req: Request{Op: OpSubscribe, ID: "b", Profile: "profile(temperature >= -30)"}}}), script...))
 	f.Add([]byte{fuzzSubscribe, 2, fuzzSubscribe, 2, fuzzJSONPublish, 1, fuzzBatch, 3, 0, 22, 21, 11, fuzzProfilesOp, fuzzStats})
 	// Two subscriptions, split by an event, outlive a peer frame.
 	f.Add([]byte{fuzzSubscribe, 0, fuzzSubscribe, 1 + 4*3, fuzzPublish, 0, fuzzBadType, 3})
+	// Each connection claims an id; the other can neither take it nor
+	// unsubscribe it, and is notified of its own id only.
+	f.Add([]byte{fuzzSubscribe, 0, fuzzOps + fuzzSubscribe, 1 + 4*2, fuzzOps + fuzzSubscribe, 0, fuzzOps + fuzzUnsubscribe, 0,
+		fuzzPublish, 0, fuzzOps + fuzzBatch, 1, 1, 11, fuzzUnsubscribe, 1, fuzzOps + fuzzStats, fuzzProfilesOp, fuzzOps + fuzzTruncated, 3})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runFuzzSession(t, decodeSession(data))
@@ -250,15 +268,19 @@ func FuzzSession(f *testing.F) {
 
 // sessionModel is what the server should hold and owe after each reply.
 type sessionModel struct {
-	live map[string]int // id → index in fuzzProfiles
-	seq  uint64         // the last sequence number handed out
+	live map[string]liveSub
+	seq  uint64 // the last sequence number handed out
 	// owed holds, per accepted event, its vector and the ids to be notified.
 	owed map[uint64]*owedEvent
 }
 
+// liveSub is a live subscription: its connection and index in fuzzProfiles.
+type liveSub struct{ conn, profile int }
+
 type owedEvent struct {
 	vals []float64
-	ids  map[string]bool // id → notified yet
+	to   map[string]int  // id → the connection owed its notification
+	done map[string]bool // id → notified yet
 }
 
 func fuzzValid(v []float64) bool {
@@ -269,18 +291,19 @@ func fuzzValid(v []float64) bool {
 // matched.
 func (m *sessionModel) publish(v []float64) int {
 	m.seq++
-	ev := &owedEvent{vals: v, ids: make(map[string]bool)}
-	for id, p := range m.live {
-		if fuzzProfiles[p].match(v) {
-			ev.ids[id] = false
+	ev := &owedEvent{vals: v, to: make(map[string]int), done: make(map[string]bool)}
+	for id, s := range m.live {
+		if fuzzProfiles[s.profile].match(v) {
+			ev.to[id] = s.conn
 		}
 	}
 	m.owed[m.seq] = ev
-	return len(ev.ids)
+	return len(ev.to)
 }
 
-// check applies req to the model and compares the server's reply with it.
-func (m *sessionModel) check(req Request, resp Response) error {
+// check applies req, sent on connection conn, to the model and compares the
+// server's reply with it.
+func (m *sessionModel) check(conn int, req Request, resp Response) error {
 	want := func(typ MsgType) error {
 		if resp.Type != typ || resp.Op != req.Op {
 			return fmt.Errorf("reply %+v, want type %s op %s", resp, typ, req.Op)
@@ -293,10 +316,10 @@ func (m *sessionModel) check(req Request, resp Response) error {
 		if _, dup := m.live[req.ID]; dup || fuzzProfiles[p].match == nil {
 			return want(MsgError)
 		}
-		m.live[req.ID] = p
+		m.live[req.ID] = liveSub{conn, p}
 		return want(MsgOK)
 	case OpUnsubscribe:
-		if _, ok := m.live[req.ID]; !ok {
+		if s, ok := m.live[req.ID]; !ok || s.conn != conn {
 			return want(MsgError)
 		}
 		delete(m.live, req.ID)
@@ -362,8 +385,9 @@ func (m *sessionModel) check(req Request, resp Response) error {
 	}
 }
 
-// notified books one notification frame against what its event owes.
-func (m *sessionModel) notified(resp Response) error {
+// notified books one notification frame that connection conn received
+// against what its event owes that connection.
+func (m *sessionModel) notified(conn int, resp Response) error {
 	ev := m.owed[resp.Seq]
 	if ev == nil {
 		return fmt.Errorf("notification of seq %d, which no accepted event has", resp.Seq)
@@ -372,11 +396,12 @@ func (m *sessionModel) notified(resp Response) error {
 		return fmt.Errorf("seq %d notified as %v, published as %v", resp.Seq, resp.Vals, ev.vals)
 	}
 	for _, id := range resp.IDs {
-		done, owed := ev.ids[id]
-		if !owed || done {
-			return fmt.Errorf("seq %d %v names %q: owed %v, already named %v", resp.Seq, ev.vals, id, owed, done)
+		to, owed := ev.to[id]
+		if !owed || to != conn || ev.done[id] {
+			return fmt.Errorf("connection %d: seq %d %v names %q: owed %v (to connection %d), already named %v",
+				conn, resp.Seq, ev.vals, id, owed, to, ev.done[id])
 		}
-		ev.ids[id] = true
+		ev.done[id] = true
 	}
 	return nil
 }
@@ -413,74 +438,84 @@ func runFuzzSession(t *testing.T, steps []fuzzStep) {
 		}
 	}()
 
-	conn, rd := upgradeRaw(t, ln.Addr().String())
-	defer func() { _ = conn.Close() }()
-	var out []byte
-	for i, st := range steps {
-		if st.raw != nil {
-			out = append(out, st.raw...)
-			continue
-		}
-		if out, err = appendRequest(out, uint32(i+1), st.req); err != nil {
-			t.Fatal(err)
-		}
+	var conns [fuzzConns]net.Conn
+	var ins [fuzzConns]*inbound
+	for c := range conns {
+		conn, rd := upgradeRaw(t, ln.Addr().String())
+		defer func() { _ = conn.Close() }()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		conns[c], ins[c] = conn, &inbound{rd: rd}
 	}
-	wrote := make(chan struct{})
-	go func() {
-		defer close(wrote)
-		_, _ = conn.Write(out)
-		_ = conn.(*net.TCPConn).CloseWrite()
-	}()
-	defer func() { <-wrote }()
-
-	m := &sessionModel{live: make(map[string]int), owed: make(map[uint64]*owedEvent)}
-	in := &inbound{rd: rd}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	// next reads frames up to the next reply, keeping the notifications on
-	// the way (an event's may overtake the reply that accepted it); at the end
-	// of the stream it returns io.EOF.
-	var notes []Response
-	next := func() (uint32, Response, error) {
+	m := &sessionModel{live: make(map[string]liveSub), owed: make(map[uint64]*owedEvent)}
+	// next reads connection c's frames up to its next reply, keeping the
+	// notifications on the way (an event's may overtake the reply that
+	// accepted it); at the end of the stream it returns io.EOF.
+	var notes [fuzzConns][]Response
+	next := func(c int) (uint32, Response, error) {
 		for {
-			cid, resp, err := readResponse(in)
+			cid, resp, err := readResponse(ins[c])
 			if err != nil || resp.Type != MsgNotification {
 				return cid, resp, err
 			}
 			resp.IDs = slices.Clone(resp.IDs) // the ids alias the read scratch
-			notes = append(notes, resp)
+			notes[c] = append(notes[c], resp)
 		}
 	}
-	for i, st := range steps {
-		if st.raw != nil {
-			break
+	// Each run of one connection's steps goes out in one write; its replies
+	// come back before the next run, of the other connection, starts.
+	for lo := 0; lo < len(steps); {
+		c, hi := steps[lo].conn, lo
+		var out []byte
+		for ; hi < len(steps) && steps[hi].conn == c; hi++ {
+			if steps[hi].raw != nil {
+				out = append(out, steps[hi].raw...)
+				continue
+			}
+			if out, err = appendRequest(out, uint32(hi+1), steps[hi].req); err != nil {
+				t.Fatal(err)
+			}
 		}
-		cid, resp, err := next()
-		if err != nil {
-			t.Fatalf("step %d %s: no reply: %v", i, st.req.Op, err)
+		if _, err := conns[c].Write(out); err != nil {
+			t.Fatal(err)
 		}
-		if cid != uint32(i+1) {
-			t.Fatalf("step %d %s: reply under cid %d, want %d", i, st.req.Op, cid, i+1)
+		for i := lo; i < hi && steps[i].raw == nil; i++ {
+			st := steps[i]
+			cid, resp, err := next(c)
+			if err != nil {
+				t.Fatalf("step %d %s on connection %d: no reply: %v", i, st.req.Op, c, err)
+			}
+			if cid != uint32(i+1) {
+				t.Fatalf("step %d %s on connection %d: reply under cid %d, want %d", i, st.req.Op, c, cid, i+1)
+			}
+			if err := m.check(c, st.req, resp); err != nil {
+				t.Fatalf("step %d %s on connection %d: %v", i, st.req.Op, c, err)
+			}
 		}
-		if err := m.check(st.req, resp); err != nil {
-			t.Fatalf("step %d %s: %v", i, st.req.Op, err)
-		}
+		lo = hi
 	}
-	// Whatever follows the last reply is notifications, then the close.
-	if cid, resp, err := next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("after the last reply: cid %d %+v, %v; want the connection closed", cid, resp, err)
+	// Whatever follows a connection's last reply is notifications, then the
+	// close: the server's after a framing error, or the one that answers
+	// this side's.
+	for c, conn := range conns {
+		_ = conn.(*net.TCPConn).CloseWrite()
+		if cid, resp, err := next(c); !errors.Is(err, io.EOF) {
+			t.Fatalf("connection %d after the last reply: cid %d %+v, %v; want the connection closed", c, cid, resp, err)
+		}
 	}
 	if n := brk.Stats().Subscriptions; n != 0 {
-		t.Errorf("%d subscriptions outlive their connection", n)
+		t.Errorf("%d subscriptions outlive their connections", n)
 	}
-	for _, resp := range notes {
-		if err := m.notified(resp); err != nil {
-			t.Fatal(err)
+	for c := range notes {
+		for _, resp := range notes[c] {
+			if err := m.notified(c, resp); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for seq, ev := range m.owed {
-		for id, done := range ev.ids {
-			if !done {
-				t.Errorf("seq %d %v never notified %q", seq, ev.vals, id)
+		for id, c := range ev.to {
+			if !ev.done[id] {
+				t.Errorf("seq %d %v never notified %q to connection %d", seq, ev.vals, id, c)
 			}
 		}
 	}

@@ -336,6 +336,24 @@ func TestRequestAfterConnectionLoss(t *testing.T) {
 	}
 }
 
+// TestUntimedRequestAfterATimedOne: a request without a timeout sets no write
+// deadline, so it must not inherit the one a timed request set before it,
+// long expired by then.
+func TestUntimedRequestAfterATimedOne(t *testing.T) {
+	c, err := DialWith(startServer(t), DialConfig{Timeout: rpcTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Ping(50 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if err := c.Ping(0); err != nil {
+		t.Errorf("an untimed ping after a timed one: %v", err)
+	}
+}
+
 // pipeListener hands a server the server halves of net.Pipe connections.
 type pipeListener struct {
 	conns chan net.Conn

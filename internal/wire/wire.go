@@ -1,9 +1,10 @@
 // Package wire defines the protocol spoken between the GENAS daemon
 // (cmd/genasd), its clients (cmd/genas) and its peers: Request and Response
 // messages, carried as length-prefixed binary frames (frame.go) after one
-// JSON hello line in each direction. The server delivers per connection — one
-// queue, one forwarder and one write per burst, however many subscriptions the
-// connection holds (server.go). The protocol
+// JSON hello line in each direction. Every connection, client session or peer
+// link, sends through one Outbox (outbox.go): one writer, one write per burst
+// and one slow-consumer rule; a session's notifications wait in one queue
+// however many subscriptions it holds (server.go). The protocol
 // carries the generic service's runtime definitions — profiles in the profile
 // language, events in the event notation — so "all events, attributes,
 // domains, and compare operators can be created and specified at runtime"
