@@ -170,6 +170,9 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "federation node: %s\npeers: %d\nforwarded: %d\nrejected at links: %d\n",
 				st.Node, st.Peers, st.Forwarded, st.Filtered)
 		}
+		if st.DroppedForwards > 0 {
+			fmt.Fprintf(stdout, "forwards dropped: %d\n", st.DroppedForwards)
+		}
 		if st.BytesPerEventWire > 0 {
 			fmt.Fprintf(stdout, "wire bytes/event: %.1f\n", st.BytesPerEventWire)
 		}

@@ -49,7 +49,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // TestExportGolden pins the export format byte for byte: a numeric and a
 // categorical attribute, and two profiles of which one has a priority.
 func TestExportGolden(t *testing.T) {
-	addr := startDaemon(t, "temperature=numeric[-30,50]; site=cat{north,south}", broker.Options{})
+	addr := startDaemon(t, "temperature=numeric[-30,50]; site=cat{north,south}", broker.Options{}, nil)
 	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout})
 	if err != nil {
 		t.Fatal(err)

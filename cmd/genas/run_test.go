@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"net"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"genas/internal/broker"
+	"genas/internal/event"
+	"genas/internal/predicate"
 	"genas/internal/schema"
 	"genas/internal/wire"
 )
@@ -16,11 +19,12 @@ import (
 // address.
 func startTestDaemon(t *testing.T, opts broker.Options) string {
 	t.Helper()
-	return startDaemon(t, "temperature=numeric[-30,50]; humidity=numeric[0,100]", opts)
+	return startDaemon(t, "temperature=numeric[-30,50]; humidity=numeric[0,100]", opts, nil)
 }
 
-// startDaemon is startTestDaemon over the schema spec.
-func startDaemon(t *testing.T, spec string, opts broker.Options) string {
+// startDaemon is startTestDaemon over the schema spec, federated through
+// overlay when it is not nil.
+func startDaemon(t *testing.T, spec string, opts broker.Options, overlay wire.Overlay) string {
 	t.Helper()
 	sch, err := schema.ParseSpec(spec)
 	if err != nil {
@@ -31,6 +35,9 @@ func startDaemon(t *testing.T, spec string, opts broker.Options) string {
 		t.Fatal(err)
 	}
 	srv := wire.NewServer(brk, nil)
+	if overlay != nil {
+		srv.SetOverlay(overlay)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +63,36 @@ func cli(t *testing.T, stdin string, args ...string) (int, string, string) {
 	var out, errOut bytes.Buffer
 	code := run(args, strings.NewReader(stdin), &out, &errOut)
 	return code, out.String(), errOut.String()
+}
+
+// countingOverlay stands in for a federation node that only reports its
+// counters.
+type countingOverlay struct{}
+
+func (countingOverlay) HandlePeer(conn net.Conn, _ *bufio.Reader, _ wire.Request) { _ = conn.Close() }
+func (countingOverlay) ProfileAdded(*predicate.Profile)                           {}
+func (countingOverlay) ProfileRemoved(predicate.ID)                               {}
+func (countingOverlay) EventPublished(event.Event)                                {}
+func (countingOverlay) Stats() (string, int, uint64, uint64)                      { return "B", 2, 40, 9 }
+func (countingOverlay) DroppedForwards() uint64                                   { return 7 }
+
+// TestCLIStatsPrintsOverlayCounters: `genas stats` prints a federated
+// daemon's link counters, and the dropped forwards only when there are
+// some.
+func TestCLIStatsPrintsOverlayCounters(t *testing.T) {
+	spec := "temperature=numeric[-30,50]; humidity=numeric[0,100]"
+	code, out, errOut := cli(t, "", "-addr", startDaemon(t, spec, broker.Options{}, countingOverlay{}), "stats")
+	if code != 0 {
+		t.Fatalf("stats: %d %s", code, errOut)
+	}
+	for _, line := range []string{"federation node: B\n", "peers: 2\n", "forwarded: 40\n", "rejected at links: 9\n", "forwards dropped: 7\n"} {
+		if !strings.Contains(out, line) {
+			t.Errorf("stats output lacks %q:\n%s", line, out)
+		}
+	}
+	if _, out, _ := cli(t, "", "-addr", startTestDaemon(t, broker.Options{}), "stats"); strings.Contains(out, "forwards dropped") {
+		t.Errorf("a daemon that dropped nothing prints dropped forwards:\n%s", out)
+	}
 }
 
 func TestCLIPubSubStatsSchema(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"genas/internal/federation"
+	"genas/internal/stats"
 	"genas/internal/wire"
 )
 
@@ -70,33 +71,10 @@ type RemoteNotification struct {
 	Event map[string]float64
 }
 
-// RemoteStats is a remote daemon's counter snapshot (the wire twin of
-// Stats, plus federation and wire counters).
-type RemoteStats struct {
-	Subscriptions int
-	Published     uint64
-	Delivered     uint64
-	Dropped       uint64
-	FilterEvents  uint64
-	FilterOps     uint64
-	MeanOps       float64
-	Restructures  int
-	// Aggregation counters (Aggregated is true from every current daemon).
-	Aggregated           bool
-	CanonicalNodes       int
-	CanonicalRoots       int
-	PosetDepth           int
-	ProfilesPerCanonical float64
-	// Federation counters (federated daemons only).
-	Node      string
-	Peers     int
-	Forwarded uint64
-	Filtered  uint64
-	// Wire-level counters: mean received bytes per published event and
-	// request frames observed queued behind the one being served.
-	BytesPerEventWire float64
-	FramesPipelined   uint64
-}
+// RemoteStats is a remote daemon's counter snapshot: the record its broker
+// filled, completed by its wire server with the federation and wire
+// counters. It has the same fields as Stats.
+type RemoteStats stats.Record
 
 // Dial connects to a genasd daemon: one hello line each way, then binary
 // frames. A daemon that does not speak protocol v2 fails the dial. Options
@@ -188,27 +166,7 @@ func (c *Client) Stats() (RemoteStats, error) {
 	if err != nil {
 		return RemoteStats{}, err
 	}
-	return RemoteStats{
-		Subscriptions:        p.Subscriptions,
-		Published:            p.Published,
-		Delivered:            p.Delivered,
-		Dropped:              p.Dropped,
-		FilterEvents:         p.FilterEvents,
-		FilterOps:            p.FilterOps,
-		MeanOps:              p.MeanOps,
-		Restructures:         p.Restructures,
-		Aggregated:           p.Aggregated,
-		CanonicalNodes:       p.CanonicalNodes,
-		CanonicalRoots:       p.CanonicalRoots,
-		PosetDepth:           p.PosetDepth,
-		ProfilesPerCanonical: p.ProfilesPerCanonical,
-		Node:                 p.Node,
-		Peers:                p.Peers,
-		Forwarded:            p.Forwarded,
-		Filtered:             p.Filtered,
-		BytesPerEventWire:    p.BytesPerEventWire,
-		FramesPipelined:      p.FramesPipelined,
-	}, nil
+	return RemoteStats(*p), nil
 }
 
 // Close tears the connection down.

@@ -23,6 +23,13 @@ func startPlainDaemon(t *testing.T, sch *Schema, opts ...Option) (addr string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
+	return serveService(t, svc)
+}
+
+// serveService serves svc over the wire on a loopback listener, as genasd
+// does, until the test ends.
+func serveService(t *testing.T, svc *Service) (addr string) {
+	t.Helper()
 	srv := wire.NewServer(hook.BrokerOf(svc), nil)
 	srv.SetDefaults(hook.DefaultsOf(svc))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -108,6 +115,70 @@ func TestDialClient(t *testing.T) {
 	}
 	if err := c.Unsubscribe("hot"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStatsIsOneRecord: the daemon's stats reply is the record its broker
+// filled. After a fixed script — subscriptions, single and batched
+// publishes that drift enough to restructure, an unsubscribe — the client's
+// RemoteStats, converted to Stats, equals the service's own Stats in every
+// field the broker fills; only the wire server's fields differ, and they are
+// zero in process.
+func TestStatsIsOneRecord(t *testing.T) {
+	svc, err := NewService(monitoringSchema(t), WithAdaptivePolicy(64, 0.01, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	c, err := Dial(serveService(t, svc), WithDialTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	for id, expr := range map[string]string{
+		"hot":  "profile(temperature >= 35)",
+		"wet":  "profile(humidity >= 90)",
+		"warm": "profile(temperature >= 20; humidity >= 50)",
+	} {
+		if err := c.Subscribe(id, expr, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var batch []map[string]float64
+	for i := 0; i < 400; i++ {
+		// Temperatures climb from cold to hot: the window drifts.
+		batch = append(batch, map[string]float64{"temperature": float64(-30 + i/5), "humidity": float64(i % 101), "radiation": 1})
+	}
+	if _, err := c.PublishBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := c.PublishValues(45, float64(5*i), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Unsubscribe("wet"); err != nil {
+		t.Fatal(err)
+	}
+
+	rs, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := svc.Stats()
+	if want.Restructures == 0 || want.Delivered == 0 || want.Subscriptions != 2 || !want.Aggregated {
+		t.Fatalf("the script exercised too little: %+v", want)
+	}
+	if want.BytesPerEventWire != 0 || want.FramesPipelined != 0 || want.Node != "" {
+		t.Errorf("in-process stats carry wire fields: %+v", want)
+	}
+	got := Stats(rs)
+	if got.BytesPerEventWire <= 0 {
+		t.Errorf("the wire server did not fill its fields: %+v", got)
+	}
+	got.BytesPerEventWire, got.FramesPipelined = 0, 0
+	if got != want {
+		t.Errorf("remote stats\n%+v\nservice stats\n%+v", got, want)
 	}
 }
 

@@ -54,13 +54,14 @@ import (
 	"genas/internal/hook"
 	"genas/internal/predicate"
 	"genas/internal/schema"
+	"genas/internal/stats"
 )
 
 // Re-exported types: the public names of the service's data vocabulary.
 // These aliases are the supported v1 names; the packages they point into are
 // internal and not importable by callers. Behavioral types (Subscription,
 // Stats, Network) are concrete types of this package — see subscription.go,
-// network.go and the Stats struct below.
+// network.go and the Stats type below.
 type (
 	// Schema is the ordered attribute set of a service instance.
 	Schema = schema.Schema
@@ -446,53 +447,14 @@ func (s *Service) Quenched(attr string, lo, hi float64) (bool, error) {
 	return s.brk.Quenched(i, schema.Closed(lo, hi)), nil
 }
 
-// Stats is the service counter snapshot.
-type Stats struct {
-	// Subscriptions is the number of live subscriptions.
-	Subscriptions int
-	// Published counts posted events, Delivered notifications that reached a
-	// subscriber buffer, Dropped notifications discarded for slow consumers.
-	Published, Delivered, Dropped uint64
-	// FilterEvents and FilterOps carry the engine's operation accounting
-	// (the paper's comparisons-per-event metric); MeanOps is their ratio.
-	FilterEvents, FilterOps uint64
-	MeanOps                 float64
-	// Restructures counts adaptive tree restructures (0 without
-	// WithAdaptive).
-	Restructures int
-	// Aggregated is always true: canonical subscription aggregation is the
-	// service's only index. The field stays for callers that branch on it.
-	Aggregated bool
-	// CanonicalNodes is the number of distinct canonical predicates the
-	// subscriptions intern to; CanonicalRoots of those are uncovered and
-	// indexed by the automaton.
-	CanonicalNodes, CanonicalRoots int
-	// PosetDepth is the longest covering chain among canonical nodes.
-	PosetDepth int
-	// ProfilesPerCanonical is Subscriptions / CanonicalNodes (0 when empty):
-	// the structural sharing factor aggregation achieves.
-	ProfilesPerCanonical float64
-}
+// Stats is the service counter snapshot: the one stats record the broker
+// fills and the wire carries, so it has the same fields as RemoteStats.
+// In process, the federation and wire fields (Node through
+// FramesPipelined) stay zero. MeanOps is FilterOps / FilterEvents.
+type Stats stats.Record
 
 // Stats returns the current counters.
-func (s *Service) Stats() Stats {
-	bs := s.brk.Stats()
-	return Stats{
-		Subscriptions:        bs.Subscriptions,
-		Published:            bs.Published,
-		Delivered:            bs.Delivered,
-		Dropped:              bs.Dropped,
-		FilterEvents:         bs.FilterEvents,
-		FilterOps:            bs.FilterOps,
-		MeanOps:              bs.MeanOps,
-		Restructures:         s.Restructures(),
-		Aggregated:           true,
-		CanonicalNodes:       bs.Aggregation.Nodes,
-		CanonicalRoots:       bs.Aggregation.Roots,
-		PosetDepth:           bs.Aggregation.MaxDepth,
-		ProfilesPerCanonical: bs.Aggregation.Ratio(),
-	}
-}
+func (s *Service) Stats() Stats { return Stats(s.brk.Stats()) }
 
 // Restructures reports how many adaptive restructures have happened (0
 // without WithAdaptive).

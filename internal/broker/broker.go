@@ -11,7 +11,14 @@
 // Matching and delivery are separate stages. The engine may partition its
 // profiles (core.Sharded); delivery does not know how. It keeps one table of
 // subscriptions under one read-write lock, and every subscription counts its
-// own deliveries and drops.
+// own deliveries and drops while it lives.
+//
+// Counting adds no lock to the publish path: the engine books each match in
+// two atomics, a subscription its outcomes in two more, and the broker keeps
+// broker-wide totals beside them. Stats fills the broker's part of the one
+// stats record (stats.Record). Nothing keyed by a subscription id outlives
+// the subscription: after Unsubscribe its tallies survive only in the
+// broker-wide totals.
 package broker
 
 import (
@@ -101,8 +108,7 @@ type SubOptions struct {
 // dropping the newest, evicting the oldest, or blocking the publisher.
 // Delivery tallies live on the subscription itself (two uncontended atomics),
 // realizing the paper's per-profile statistic objects without putting a mutex
-// or a map on the publish path; the broker folds them into its counter store
-// when the subscription ends.
+// or a map on the publish path; they end with the subscription.
 type Subscription struct {
 	id      predicate.ID
 	profile *predicate.Profile
@@ -121,11 +127,6 @@ type Subscription struct {
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 	closed    atomic.Bool
-	// foldedDelivered/foldedDropped mark how much of the tallies the broker's
-	// retired store has absorbed; written only from the subscription's
-	// single Unsubscribe/Close invocation (see Broker.retire).
-	foldedDelivered uint64
-	foldedDropped   uint64
 }
 
 // ID returns the subscription id.
@@ -177,13 +178,10 @@ type Broker struct {
 	// side, so a holder of either may read it.
 	mu   sync.RWMutex
 	subs map[predicate.ID]*Subscription
-	// delivered/dropped aggregate the whole history (live and retired
+	// delivered/dropped aggregate the whole history (live and ended
 	// subscriptions), so Stats does not walk every subscription.
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
-	// retired accumulates the per-profile tallies of unsubscribed profiles
-	// (cold path only: the publish path never touches it).
-	retired *stats.Counters
 
 	seq       atomic.Uint64
 	published atomic.Uint64
@@ -209,7 +207,6 @@ func New(s *schema.Schema, opts Options) (*Broker, error) {
 		schema:        s,
 		filter:        filter,
 		subs:          make(map[predicate.ID]*Subscription),
-		retired:       stats.NewCounters(),
 		defaultBuffer: opts.DefaultBuffer,
 	}
 	if opts.Adaptive {
@@ -334,37 +331,15 @@ func (s *Subscription) end() {
 	}
 }
 
-// retire folds a dead subscription's per-profile tallies into the broker's
-// counter store (the broker aggregates already include them). Delta-aware: it
-// runs twice per subscription — once under the write lock when the
-// subscription leaves the table, and once after the Block-send fence
-// (retireChan), because a Block-policy delivery already parked in its select
-// may record its outcome after the first fold. Both calls come from the same
-// Unsubscribe/Close invocation (serialized by regMu), so the folded marks
-// need no locking of their own.
-func (b *Broker) retire(sub *Subscription) {
-	if n := sub.delivered.Load(); n > sub.foldedDelivered {
-		b.retired.Add("delivered:"+string(sub.id), n-sub.foldedDelivered)
-		sub.foldedDelivered = n
-	}
-	if n := sub.dropped.Load(); n > sub.foldedDropped {
-		b.retired.Add("dropped:"+string(sub.id), n-sub.foldedDropped)
-		sub.foldedDropped = n
-	}
-}
-
-// retireChan closes the subscription's channel reference once no send can
-// touch it anymore, then folds any tallies a late Block-policy send recorded
-// after the first retire. Callers must have removed the subscription from
-// the delivery table first (under the write lock, which waits out the
+// retireChan drops the subscription's channel reference once no send can
+// touch it anymore. Callers must have removed the subscription from the
+// delivery table first (under the write lock, which waits out the
 // non-blocking sends) and ended it (which releases Block-policy sends); the
-// sendMu write acquisition then only waits for those sends — which record
-// their per-subscription tallies under the read side — to finish.
-func (b *Broker) retireChan(s *Subscription) {
+// sendMu write acquisition then only waits for those sends to finish.
+func retireChan(s *Subscription) {
 	s.sendMu.Lock()
 	s.shared.release()
 	s.sendMu.Unlock()
-	b.retire(s)
 }
 
 // Unsubscribe removes a subscription and closes its channel.
@@ -384,13 +359,12 @@ func (b *Broker) Unsubscribe(id predicate.ID) error {
 	sub.end()
 	b.mu.Lock()
 	delete(b.subs, id)
-	b.retire(sub)
 	b.mu.Unlock()
 	// Close outside the table lock: after the write section above no new
 	// delivery can find the subscription, in-flight non-blocking sends
 	// completed before the write lock was granted, and in-flight Block
 	// sends are fenced by sendMu inside retireChan.
-	b.retireChan(sub)
+	retireChan(sub)
 	return b.filter.RemoveProfile(id)
 }
 
@@ -649,16 +623,14 @@ func (s *Subscription) send(n Notification) (sent bool, evicted int) {
 // it waits until buffer space frees, the subscription ends (done closes
 // before the channel does), or the publisher's cancel channel fires (nil
 // means no cancellation). sendMu (read side) fences the channel against
-// retireChan's close — if the closed re-check reads false, the close cannot
-// start until this send returns — and the per-subscription tallies are
-// recorded under the same fence, so retireChan's final fold observes them.
+// retireChan's close: if the closed re-check reads false, the close cannot
+// start until this send returns.
 func (s *Subscription) blockingSend(n Notification, cancel <-chan struct{}) bool {
 	s.sendMu.RLock()
 	defer s.sendMu.RUnlock()
 	if s.closed.Load() {
-		// The subscription may be fully retired already (its final fold can
-		// precede this read), so only the broker-wide drop aggregate counts
-		// this outcome — the caller's else-branch handles it.
+		// The subscription has ended: only the broker-wide drop total counts
+		// this outcome (the caller's else-branch).
 		return false
 	}
 	//genas:allow locksafe sendMu is the close fence, not the table lock: the blocking wait under its read side is this function's contract
@@ -700,62 +672,37 @@ func (b *Broker) Quenched(attr int, iv schema.Interval) bool {
 	return true
 }
 
-// Stats is a broker-level counter snapshot.
-type Stats struct {
-	Subscriptions int
-	Published     uint64
-	Delivered     uint64
-	Dropped       uint64
-	// Filter carries the engine's operation accounting.
-	FilterEvents uint64
-	FilterOps    uint64
-	MeanOps      float64
-	// Aggregation describes the shape of the engine's index: the canonical
-	// subscription poset.
-	Aggregation core.AggStats
-}
+// Stats is the one stats record (stats.Record); the broker fills its
+// broker and index fields.
+type Stats = stats.Record
 
-// Stats returns the current counters.
+// Stats returns the broker's counters: subscriptions, the publish and
+// delivery totals, the engine's operation account, the adaptor's
+// restructures and the shape of the canonical index.
 func (b *Broker) Stats() Stats {
 	b.mu.RLock()
 	n := len(b.subs)
 	b.mu.RUnlock()
 	acc := b.filter.Account()
-	return Stats{
-		Subscriptions: n,
-		Published:     b.published.Load(),
-		Delivered:     b.delivered.Load(),
-		Dropped:       b.dropped.Load(),
-		FilterEvents:  acc.Events,
-		FilterOps:     acc.Ops,
-		MeanOps:       acc.MeanOps,
-		Aggregation:   b.filter.AggStats(),
+	ag := b.filter.AggStats()
+	st := Stats{
+		Subscriptions:        n,
+		Published:            b.published.Load(),
+		Delivered:            b.delivered.Load(),
+		Dropped:              b.dropped.Load(),
+		FilterEvents:         acc.Events,
+		FilterOps:            acc.Ops,
+		MeanOps:              acc.MeanOps,
+		Aggregated:           true,
+		CanonicalNodes:       ag.Nodes,
+		CanonicalRoots:       ag.Roots,
+		PosetDepth:           ag.MaxDepth,
+		ProfilesPerCanonical: ag.Ratio(),
 	}
-}
-
-// Counters returns a merged snapshot of the per-profile delivery/drop
-// counters (the paper's statistic objects, §4.2): live subscription tallies
-// plus the counts retired from ended subscriptions. A key appears once it
-// has counted at least one notification.
-func (b *Broker) Counters() []stats.Entry {
-	merged := stats.NewCounters()
-	// Retired and live tallies are read under one read lock so that a
-	// concurrent Unsubscribe (which moves counts from live to retired under
-	// the write lock) can never make a profile vanish from the snapshot.
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for _, e := range b.retired.Snapshot() {
-		merged.Add(e.Key, e.Count)
+	if b.adapt != nil {
+		st.Restructures = b.adapt.Restructures()
 	}
-	for id, sub := range b.subs {
-		if n := sub.delivered.Load(); n > 0 {
-			merged.Add("delivered:"+string(id), n)
-		}
-		if n := sub.dropped.Load(); n > 0 {
-			merged.Add("dropped:"+string(id), n)
-		}
-	}
-	return merged.Snapshot()
+	return st
 }
 
 // Close shuts the broker down: all subscription channels are closed and
@@ -773,12 +720,11 @@ func (b *Broker) Close() {
 	ending := make([]*Subscription, 0, len(b.subs))
 	for id, sub := range b.subs {
 		sub.end()
-		b.retire(sub)
 		delete(b.subs, id)
 		ending = append(ending, sub)
 	}
 	b.mu.Unlock()
 	for _, sub := range ending {
-		b.retireChan(sub)
+		retireChan(sub)
 	}
 }

@@ -308,10 +308,13 @@ func clampTemp(v float64) float64 {
 	return v
 }
 
+// TestPerProfileCounters: a live subscription counts its own deliveries and
+// drops, and the broker-wide totals count the same.
 func TestPerProfileCounters(t *testing.T) {
 	b := newBroker(t, Options{})
 	s := b.Schema()
-	if _, err := b.SubscribeWith(predicate.MustParse(s, "c1", "profile(temperature >= 0)"), SubOptions{Buffer: 1}); err != nil {
+	sub, err := b.SubscribeWith(predicate.MustParse(s, "c1", "profile(temperature >= 0)"), SubOptions{Buffer: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -319,12 +322,11 @@ func TestPerProfileCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	counts := map[string]uint64{}
-	for _, e := range b.Counters() {
-		counts[e.Key] = e.Count
+	if sub.Delivered() != 1 || sub.Dropped() != 2 {
+		t.Errorf("subscription counted %d delivered, %d dropped; want 1 and 2", sub.Delivered(), sub.Dropped())
 	}
-	if counts["delivered:c1"] != 1 || counts["dropped:c1"] != 2 {
-		t.Errorf("counters = %v", counts)
+	if st := b.Stats(); st.Delivered != 1 || st.Dropped != 2 {
+		t.Errorf("broker counted %d delivered, %d dropped; want 1 and 2", st.Delivered, st.Dropped)
 	}
 }
 

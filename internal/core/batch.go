@@ -50,7 +50,7 @@ func (e *Engine) MatchBatch(events [][]float64, workers int) ([]BatchResult, err
 	})
 
 	for _, r := range results {
-		e.account.Record(r.Ops, len(r.IDs))
+		e.account.Record(r.Ops)
 	}
 	return results, nil
 }

@@ -499,7 +499,7 @@ func (e *Engine) MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.ID
 	if empty {
 		return dst, 0, nil
 	}
-	e.account.Record(ops, len(ids)-len(dst))
+	e.account.Record(ops)
 	return ids, ops, nil
 }
 
@@ -587,6 +587,3 @@ func (e *Engine) AggStats() AggStats {
 
 // Account returns the live operation accounting summary.
 func (e *Engine) Account() stats.Summary { return e.account.Summary() }
-
-// ResetAccount clears operation accounting.
-func (e *Engine) ResetAccount() { e.account.Reset() }

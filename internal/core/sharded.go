@@ -155,7 +155,7 @@ func (sh *Sharded) MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.
 	if empties == len(sh.shards) {
 		return dst, 0, nil // an empty filter matches nothing
 	}
-	sh.account.Record(ops, len(ids)-len(dst))
+	sh.account.Record(ops)
 	return ids, ops, nil
 }
 
@@ -234,9 +234,6 @@ func (sh *Sharded) AggStats() AggStats {
 
 // Account returns the live operation accounting summary.
 func (sh *Sharded) Account() stats.Summary { return sh.account.Summary() }
-
-// ResetAccount clears operation accounting.
-func (sh *Sharded) ResetAccount() { sh.account.Reset() }
 
 // Analyze merges the analytic cost model across shards. Expected operations
 // add (every event visits every shard); the match probability combines as

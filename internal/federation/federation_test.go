@@ -975,6 +975,50 @@ func TestSlowPeerDropsForwards(t *testing.T) {
 	}
 }
 
+// TestStatsReplyCountsDroppedForwards: the forwards a peer link's full
+// outbox refused reach the operator. A daemon's stats reply over the wire
+// carries exactly Fed.DroppedForwards, beside the link counters.
+func TestStatsReplyCountsDroppedForwards(t *testing.T) {
+	d := startDaemon(t, "A", testSpec)
+	sch := d.brk.Schema()
+	ours, theirs := net.Pipe()
+	defer func() { _ = theirs.Close() }()
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		d.fed.HandlePeer(slowConn{ours}, bufio.NewReader(ours), wire.Request{Op: wire.OpHello, Node: "mute", Schema: sch.String(), Proto: int(wire.ProtoV2)})
+	}()
+	if _, err := wire.ReadLine(bufio.NewReader(theirs)); err != nil { // the hello reply
+		t.Fatal(err)
+	}
+	if _, err := theirs.Write(wire.AppendRouteAddFrame(nil, "all", "profile(temperature >= -30)", 0)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the mute peer's route", func() bool { return d.fed.RouteCount("mute") == 1 })
+	// The peer never reads: past the budget, forwards drop.
+	ev := event.Event{Vals: []float64{20, 50}}
+	for i := 0; i < 2*federation.ForwardBudget; i++ {
+		d.fed.EventPublished(ev)
+	}
+	dropped := d.fed.DroppedForwards()
+	if dropped == 0 {
+		t.Fatal("no forward dropped")
+	}
+	st, err := dial(t, d.addr).Stats(rpcTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DroppedForwards != dropped || st.Node != "A" || st.Forwarded == 0 {
+		t.Errorf("stats reply: %d forwards dropped, node %q, %d forwarded; want %d dropped at node A",
+			st.DroppedForwards, st.Node, st.Forwarded, dropped)
+	}
+	select {
+	case <-handled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the link outlived its write deadline")
+	}
+}
+
 // TestMixedCodecFanOut: a daemon with two links — once one of each codec,
 // now both speaking frames — forwards one event over both, encoded once, in
 // order, and nothing is lost when a burst gathers in the outboxes and leaves

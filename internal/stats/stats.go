@@ -1,83 +1,68 @@
-// Package stats implements the statistics subsystem of the prototype
-// (paper §4.2): counters for events, attributes, operators and values, a
-// running-moments accumulator with the precision-based stopping rule used by
-// the test scenarios TV1/TV2 ("event tests until 95% precision for average
-// #operations is reached"), and operation accounting for matchers.
+// Package stats holds the counters of the service (paper §4.2): the one
+// stats record every layer reports in, the lock-free operation account of a
+// matcher, and the running-moments accumulator with the precision-based
+// stopping rule of the test scenarios TV1/TV2 ("event tests until 95%
+// precision for average #operations is reached").
+//
+// Record is the only counter snapshot type. The broker fills its broker and
+// index fields, the wire server adds the overlay and wire fields to the same
+// value before it sends it, and the root package's Stats and RemoteStats are
+// defined types over it: no layer copies counters field by field. Counters
+// live as long as what they count: a subscription's tallies end with it.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"sync/atomic"
 )
 
-// Counters tallies observations by string key. It backs the paper's
-// "statistic objects with counters for events, attributes, operators, and
-// values"; for tests the counters can be preloaded to simulate a
-// distribution without posting events. Counters is safe for concurrent use.
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]uint64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{m: make(map[string]uint64)}
-}
-
-// Inc adds one to key.
-func (c *Counters) Inc(key string) { c.Add(key, 1) }
-
-// Add adds delta to key.
-func (c *Counters) Add(key string, delta uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] += delta
-}
-
-// Set overwrites key (the "manipulate the counters in order to simulate a
-// distribution" hook).
-func (c *Counters) Set(key string, v uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = v
-}
-
-// Get returns the current count of key.
-func (c *Counters) Get(key string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[key]
-}
-
-// Total sums all counters.
-func (c *Counters) Total() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t uint64
-	for _, v := range c.m {
-		t += v
-	}
-	return t
-}
-
-// Snapshot returns a sorted copy of the counters.
-func (c *Counters) Snapshot() []Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Entry, 0, len(c.m))
-	for k, v := range c.m {
-		out = append(out, Entry{Key: k, Count: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// Entry is one counter in a snapshot.
-type Entry struct {
-	Key   string
-	Count uint64
+// Record is a counter snapshot of one daemon or service. Its JSON form is
+// the wire's stats reply. The broker fills Subscriptions through
+// ProfilesPerCanonical; the wire server fills the rest, which stays zero in
+// process.
+type Record struct {
+	// Subscriptions is the number of live subscriptions.
+	Subscriptions int `json:"subscriptions"`
+	// Published counts posted events, Delivered notifications that reached a
+	// subscriber buffer, Dropped notifications discarded for slow consumers.
+	Published uint64 `json:"published"`
+	Delivered uint64 `json:"delivered"`
+	Dropped   uint64 `json:"dropped"`
+	// FilterEvents and FilterOps are the engine's operation account (the
+	// paper's comparisons-per-event metric); MeanOps is FilterOps /
+	// FilterEvents.
+	FilterEvents uint64  `json:"filter_events"`
+	FilterOps    uint64  `json:"filter_ops"`
+	MeanOps      float64 `json:"mean_ops"`
+	// Restructures counts adaptive tree restructures (0 without the
+	// adaptor).
+	Restructures int `json:"restructures,omitempty"`
+	// Aggregated is always true: canonical subscription aggregation is the
+	// only index. CanonicalNodes counts the distinct canonical predicates the
+	// subscriptions intern to, CanonicalRoots the uncovered ones the
+	// automaton indexes, PosetDepth the longest covering chain, and
+	// ProfilesPerCanonical is Subscriptions / CanonicalNodes (0 when empty).
+	Aggregated           bool    `json:"aggregated,omitempty"`
+	CanonicalNodes       int     `json:"canonical_nodes,omitempty"`
+	CanonicalRoots       int     `json:"canonical_roots,omitempty"`
+	PosetDepth           int     `json:"poset_depth,omitempty"`
+	ProfilesPerCanonical float64 `json:"profiles_per_canonical,omitempty"`
+	// Node names the daemon in the overlay and Peers counts its live peer
+	// links (federated daemons only).
+	Node  string `json:"fed_node,omitempty"`
+	Peers int    `json:"peers,omitempty"`
+	// Forwarded counts events sent over peer links, Filtered the link
+	// crossings avoided by early rejection at this daemon's links, and
+	// DroppedForwards the forwards a full link outbox refused.
+	Forwarded       uint64 `json:"forwarded,omitempty"`
+	Filtered        uint64 `json:"peer_filtered,omitempty"`
+	DroppedForwards uint64 `json:"dropped_forwards,omitempty"`
+	// BytesPerEventWire is the mean wire bytes per event received on publish
+	// frames, and FramesPipelined counts request frames already buffered
+	// behind the one being served (pipelining depth > 1).
+	BytesPerEventWire float64 `json:"bytes_per_event_wire,omitempty"`
+	FramesPipelined   uint64  `json:"frames_pipelined,omitempty"`
 }
 
 // --- Running moments with precision stopping ---------------------------------
@@ -149,62 +134,36 @@ func (r *Running) String() string {
 
 // --- Operation accounting ------------------------------------------------------
 
-// OpAccount aggregates matcher operation counts across matches; it is safe
-// for concurrent use and cheap enough for the broker's publish path.
+// OpAccount sums a matcher's operation counts: two atomics, so concurrent
+// publishers never wait on each other to book a match.
 type OpAccount struct {
-	mu      sync.Mutex
-	events  uint64
-	ops     uint64
-	matches uint64
-	running Running
+	events atomic.Uint64
+	ops    atomic.Uint64
 }
 
-// Record logs one match call: the operations spent and the number of
-// profiles matched.
-func (a *OpAccount) Record(ops, matched int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.events++
-	a.ops += uint64(ops)
-	a.matches += uint64(matched)
-	a.running.Observe(float64(ops))
+// Record books one match call that spent ops operations.
+//
+//genas:hotpath
+func (a *OpAccount) Record(ops int) {
+	a.events.Add(1)
+	a.ops.Add(uint64(ops))
 }
 
-// Summary is a snapshot of the account.
+// Summary is a snapshot of the account. MeanOps is Ops / Events (0 before
+// the first event).
 type Summary struct {
-	Events       uint64
-	Ops          uint64
-	Matches      uint64
-	MeanOps      float64
-	HalfWidth95  float64
-	MeanMatches  float64
-	OpsPerNotify float64
+	Events  uint64
+	Ops     uint64
+	MeanOps float64
 }
 
-// Summary returns the current aggregate view.
+// Summary returns the current totals. The two loads are separate: taken
+// while matches run, they may be a few calls apart; once the matchers are
+// quiet they are exact.
 func (a *OpAccount) Summary() Summary {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := Summary{
-		Events:      a.events,
-		Ops:         a.ops,
-		Matches:     a.matches,
-		MeanOps:     a.running.Mean(),
-		HalfWidth95: a.running.HalfWidth95(),
-	}
-	if a.events > 0 {
-		s.MeanMatches = float64(a.matches) / float64(a.events)
-	}
-	if a.matches > 0 {
-		s.OpsPerNotify = float64(a.ops) / float64(a.matches)
+	s := Summary{Events: a.events.Load(), Ops: a.ops.Load()}
+	if s.Events > 0 {
+		s.MeanOps = float64(s.Ops) / float64(s.Events)
 	}
 	return s
-}
-
-// Reset clears the account.
-func (a *OpAccount) Reset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.events, a.ops, a.matches = 0, 0, 0
-	a.running = Running{}
 }

@@ -7,44 +7,6 @@ import (
 	"testing"
 )
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("events")
-	c.Add("events", 4)
-	c.Set("values:42", 17)
-	if c.Get("events") != 5 {
-		t.Errorf("events = %d", c.Get("events"))
-	}
-	if c.Get("missing") != 0 {
-		t.Error("missing key must read 0")
-	}
-	if c.Total() != 22 {
-		t.Errorf("total = %d", c.Total())
-	}
-	snap := c.Snapshot()
-	if len(snap) != 2 || snap[0].Key != "events" || snap[1].Key != "values:42" {
-		t.Errorf("snapshot = %v", snap)
-	}
-}
-
-func TestCountersConcurrent(t *testing.T) {
-	c := NewCounters()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Inc("k")
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Get("k") != 8000 {
-		t.Errorf("k = %d, want 8000", c.Get("k"))
-	}
-}
-
 func TestRunningMoments(t *testing.T) {
 	var r Running
 	if r.PreciseEnough(0.05, 1) {
@@ -111,25 +73,18 @@ func TestZeroMeanPrecision(t *testing.T) {
 
 func TestOpAccount(t *testing.T) {
 	var a OpAccount
-	a.Record(5, 2)
-	a.Record(7, 0)
-	a.Record(3, 1)
+	if s := a.Summary(); s != (Summary{}) {
+		t.Errorf("empty summary = %+v", s)
+	}
+	a.Record(5)
+	a.Record(7)
+	a.Record(3)
 	s := a.Summary()
-	if s.Events != 3 || s.Ops != 15 || s.Matches != 3 {
+	if s.Events != 3 || s.Ops != 15 {
 		t.Errorf("summary = %+v", s)
 	}
 	if math.Abs(s.MeanOps-5) > 1e-12 {
 		t.Errorf("mean ops = %g", s.MeanOps)
-	}
-	if math.Abs(s.MeanMatches-1) > 1e-12 {
-		t.Errorf("mean matches = %g", s.MeanMatches)
-	}
-	if math.Abs(s.OpsPerNotify-5) > 1e-12 {
-		t.Errorf("ops/notify = %g", s.OpsPerNotify)
-	}
-	a.Reset()
-	if a.Summary().Events != 0 {
-		t.Error("reset failed")
 	}
 }
 
@@ -141,7 +96,7 @@ func TestOpAccountConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				a.Record(2, 1)
+				a.Record(2)
 			}
 		}()
 	}

@@ -42,6 +42,8 @@ type Overlay interface {
 	// Stats reports the overlay node name, live peer link count and the
 	// forwarded/early-rejected counters.
 	Stats() (node string, peers int, forwarded, filtered uint64)
+	// DroppedForwards counts the forwards a peer link's full outbox refused.
+	DroppedForwards() uint64
 }
 
 // Server serves the wire protocol over TCP for one broker instance. Every
@@ -436,32 +438,15 @@ func (s *Server) dispatch(cs *connState, in *inbound, req Request) (Response, er
 
 	case OpStats:
 		st := s.brk.Stats()
-		payload := &StatsPayload{
-			Subscriptions: st.Subscriptions,
-			Published:     st.Published,
-			Delivered:     st.Delivered,
-			Dropped:       st.Dropped,
-			FilterEvents:  st.FilterEvents,
-			FilterOps:     st.FilterOps,
-			MeanOps:       st.MeanOps,
-		}
-		if a := s.brk.Adaptor(); a != nil {
-			payload.Restructures = a.Restructures()
-		}
-		ag := st.Aggregation
-		payload.Aggregated = true
-		payload.CanonicalNodes = ag.Nodes
-		payload.CanonicalRoots = ag.Roots
-		payload.PosetDepth = ag.MaxDepth
-		payload.ProfilesPerCanonical = ag.Ratio()
 		if s.overlay != nil {
-			payload.Node, payload.Peers, payload.Forwarded, payload.Filtered = s.overlay.Stats()
+			st.Node, st.Peers, st.Forwarded, st.Filtered = s.overlay.Stats()
+			st.DroppedForwards = s.overlay.DroppedForwards()
 		}
 		if we := s.wireEvents.Load(); we > 0 {
-			payload.BytesPerEventWire = float64(s.wireBytes.Load()) / float64(we)
+			st.BytesPerEventWire = float64(s.wireBytes.Load()) / float64(we)
 		}
-		payload.FramesPipelined = s.framesPipelined.Load()
-		return Response{Type: MsgStats, Op: req.Op, Stats: payload}, nil
+		st.FramesPipelined = s.framesPipelined.Load()
+		return Response{Type: MsgStats, Op: req.Op, Stats: &st}, nil
 
 	default:
 		return Response{}, fmt.Errorf("unknown op %q", req.Op)

@@ -15,6 +15,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"genas/internal/stats"
 )
 
 // Proto names a wire protocol generation. There is one: DialConfig.Proto
@@ -139,40 +141,9 @@ type ProfilePayload struct {
 	Priority float64 `json:"priority,omitempty"`
 }
 
-// StatsPayload mirrors broker.Stats on the wire, plus the federation link
-// counters when the daemon is peered.
-type StatsPayload struct {
-	Subscriptions int     `json:"subscriptions"`
-	Published     uint64  `json:"published"`
-	Delivered     uint64  `json:"delivered"`
-	Dropped       uint64  `json:"dropped"`
-	FilterEvents  uint64  `json:"filter_events"`
-	FilterOps     uint64  `json:"filter_ops"`
-	MeanOps       float64 `json:"mean_ops"`
-	Restructures  int     `json:"restructures,omitempty"`
-	// Aggregation counters (aggregated is always true): distinct canonical
-	// predicate nodes, uncovered roots the automaton indexes, the longest
-	// covering chain, and subscriptions-per-canonical-node.
-	Aggregated           bool    `json:"aggregated,omitempty"`
-	CanonicalNodes       int     `json:"canonical_nodes,omitempty"`
-	CanonicalRoots       int     `json:"canonical_roots,omitempty"`
-	PosetDepth           int     `json:"poset_depth,omitempty"`
-	ProfilesPerCanonical float64 `json:"profiles_per_canonical,omitempty"`
-	// Node names this daemon in the overlay (federated daemons only).
-	Node string `json:"fed_node,omitempty"`
-	// Peers counts live peer links.
-	Peers int `json:"peers,omitempty"`
-	// Forwarded counts events sent over peer links; Filtered counts link
-	// crossings avoided by early rejection at this daemon's links.
-	Forwarded uint64 `json:"forwarded,omitempty"`
-	Filtered  uint64 `json:"peer_filtered,omitempty"`
-	// BytesPerEventWire is the mean wire bytes per event received on
-	// publish/publish_batch frames, measured at the server.
-	BytesPerEventWire float64 `json:"bytes_per_event_wire,omitempty"`
-	// FramesPipelined counts request frames that were already buffered
-	// behind the one being served — depth>1 pipelining observed on the wire.
-	FramesPipelined uint64 `json:"frames_pipelined,omitempty"`
-}
+// StatsPayload is the stats reply: the one stats record, which the broker
+// fills and the server completes with the overlay and wire counters.
+type StatsPayload = stats.Record
 
 // AttrPayload describes one schema attribute on the wire.
 type AttrPayload struct {
