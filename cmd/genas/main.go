@@ -474,8 +474,14 @@ func parseEventArg(text string) (map[string]float64, error) {
 	return out, nil
 }
 
-// listen prints notifications until the timeout (0 = forever).
+// listen prints notifications until the timeout (0 = forever), then how many
+// the client dropped, if any.
 func listen(c *wire.Client, d time.Duration, stdout io.Writer) int {
+	defer func() {
+		if n := c.Dropped(); n > 0 {
+			fmt.Fprintf(stdout, "notifications dropped: %d\n", n)
+		}
+	}()
 	var timeout <-chan time.Time
 	if d > 0 {
 		t := time.NewTimer(d)
@@ -488,10 +494,8 @@ func listen(c *wire.Client, d time.Duration, stdout io.Writer) int {
 			if !ok {
 				return 0
 			}
-			// EventMap names the schema-order vector's values.
-			ev := c.EventMap(n)
-			parts := make([]string, 0, len(ev))
-			for k, v := range ev {
+			parts := make([]string, 0, len(n.Event))
+			for k, v := range n.Event {
 				parts = append(parts, fmt.Sprintf("%s=%g", k, v))
 			}
 			fmt.Fprintf(stdout, "notification #%d for %s: %s\n", n.Seq, n.Profile, strings.Join(parts, " "))

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"genas/internal/broker"
 	"genas/internal/event"
@@ -181,6 +183,41 @@ func TestCLISubscribeAndListen(t *testing.T) {
 	}
 	if !strings.Contains(out, "notification #1 for hot") {
 		t.Errorf("missing notification in %q", out)
+	}
+	if strings.Contains(out, "notifications dropped") {
+		t.Errorf("a listener that dropped nothing reports drops: %q", out)
+	}
+}
+
+// TestListenReportsDrops: a listener whose client dropped notifications says
+// how many when it stops listening.
+func TestListenReportsDrops(t *testing.T) {
+	addr := startTestDaemon(t, broker.Options{})
+	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Subscribe("hot", "profile(temperature >= 35)", 0, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([][]float64, 600) // more than Notifications() buffers
+	for i := range batch {
+		batch[i] = []float64{40, 50}
+	}
+	if _, err := c.PublishValsBatch(batch, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(rpcTimeout); c.Dropped() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	before := c.Dropped()
+	var out bytes.Buffer
+	listen(c, 50*time.Millisecond, &out)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	var n uint64
+	if _, err := fmt.Sscanf(lines[len(lines)-1], "notifications dropped: %d", &n); err != nil || before == 0 || n < before || n > c.Dropped() {
+		t.Errorf("after dropping %d to %d notifications the listener ends with %q (%v)", before, c.Dropped(), lines[len(lines)-1], err)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestFederationThreeDaemons(t *testing.T) {
 		var notified bool
 		select {
 		case n := <-cliC.Notifications():
-			if n.Profile != "hot" || cliC.EventMap(n)["temperature"] != 41 {
+			if n.Profile != "hot" || n.Event["temperature"] != 41 {
 				t.Fatalf("notification = %+v", n)
 			}
 			notified = true

@@ -55,21 +55,12 @@ func WithServiceOptions(opts ...Option) DialOption {
 type Client struct {
 	c       *wire.Client
 	timeout time.Duration
-	notifs  chan RemoteNotification
 }
 
-// RemoteNotification is one matched event delivered by a remote daemon.
-type RemoteNotification struct {
-	// Profile is the matched subscription's id.
-	Profile string
-	// Seq is the daemon's sequence number for the event.
-	Seq uint64
-	// Event is the payload as attribute name → value. The notifications one
-	// event caused on a connection share one map — the rule in-process
-	// subscribers live under, where every Notification of an event shares
-	// Event.Vals: read it, copy it before changing it.
-	Event map[string]float64
-}
+// RemoteNotification is one matched event delivered by a remote daemon:
+// Profile, Seq and the Event map, which the notifications of one event share
+// (read it, copy it before changing it).
+type RemoteNotification = wire.Notification
 
 // RemoteStats is a remote daemon's counter snapshot: the record its broker
 // filled, completed by its wire server with the federation and wire
@@ -88,34 +79,17 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{c: wc, timeout: cfg.timeout, notifs: make(chan RemoteNotification, 256)}
-	go c.convertNotifications()
-	return c, nil
+	return &Client{c: wc, timeout: cfg.timeout}, nil
 }
 
-// convertNotifications adapts the wire notification stream (slot vectors)
-// to RemoteNotification values. A connection's daemon
-// numbers every event once, so consecutive notifications with one Seq are one
-// event's, and its map is built once.
-func (c *Client) convertNotifications() {
-	var seq uint64
-	var ev map[string]float64
-	for resp := range c.c.Notifications() {
-		if ev == nil || resp.Seq != seq {
-			seq, ev = resp.Seq, c.c.EventMap(resp)
-		}
-		n := RemoteNotification{Profile: resp.Profile, Seq: resp.Seq, Event: ev}
-		select {
-		case c.notifs <- n:
-		default: // drop when the consumer lags; mirrors broker policy
-		}
-	}
-	close(c.notifs)
-}
+// Notifications returns the inbound notification stream, which buffers 256
+// notifications. The channel closes when the connection drops.
+func (c *Client) Notifications() <-chan RemoteNotification { return c.c.Notifications() }
 
-// Notifications returns the inbound notification stream. The channel closes
-// when the connection drops.
-func (c *Client) Notifications() <-chan RemoteNotification { return c.notifs }
+// Dropped returns how many notifications were discarded because
+// Notifications() was full when they arrived, as Subscription.Dropped counts
+// an in-process subscriber's.
+func (c *Client) Dropped() uint64 { return c.c.Dropped() }
 
 // Ping round-trips a ping.
 func (c *Client) Ping() error { return c.c.Ping(c.timeout) }

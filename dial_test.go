@@ -227,7 +227,8 @@ func TestDialConvertsMapsInTheClient(t *testing.T) {
 
 // TestRemoteNotificationsShareTheEvent: the notifications one event causes on
 // a connection carry one Event map between them, and the next event gets a
-// map of its own.
+// map of its own, which leaves the earlier one as it was: the maps do not
+// alias the reader's scratch. RemoteNotification keeps its three fields.
 func TestRemoteNotificationsShareTheEvent(t *testing.T) {
 	sch := monitoringSchema(t)
 	c, err := Dial(startPlainDaemon(t, sch), WithDialTimeout(5*time.Second))
@@ -262,6 +263,53 @@ func TestRemoteNotificationsShareTheEvent(t *testing.T) {
 	}
 	if got[2].Seq != got[3].Seq || !same(got[2].Event, got[3].Event) || same(got[1].Event, got[2].Event) || got[2].Event["temperature"] != 45 {
 		t.Errorf("second event's notifications %+v and %+v", got[2], got[3])
+	}
+	first := RemoteNotification{Profile: got[0].Profile, Seq: 1, Event: map[string]float64{"temperature": 40, "humidity": 10, "radiation": 3}}
+	for _, n := range got[:2] {
+		if first.Profile = n.Profile; !reflect.DeepEqual(n, first) {
+			t.Errorf("after the second event the first one's notification reads %+v, want %+v", n, first)
+		}
+	}
+}
+
+// TestClientCountsItsDrops: a client that does not read while its daemon
+// sends more notifications than Notifications() buffers loses the rest at one
+// point, and counts them there. Once drained, what it received plus Dropped()
+// is what the daemon delivered to its subscriptions, the only ones it holds.
+func TestClientCountsItsDrops(t *testing.T) {
+	sch := monitoringSchema(t)
+	svc, err := NewService(sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	c, err := Dial(serveService(t, svc), WithDialTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	for _, id := range []string{"warm", "hot"} {
+		if err := c.Subscribe(id, "profile(temperature >= 35)", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := make([]map[string]float64, 300) // 600 notifications
+	for i := range batch {
+		batch[i] = map[string]float64{"temperature": 40, "humidity": float64(i % 100), "radiation": 3}
+	}
+	if _, err := c.PublishBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	delivered := svc.Stats().Delivered
+	for deadline := time.Now().Add(5 * time.Second); uint64(len(c.Notifications()))+c.Dropped() < delivered && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	received := uint64(len(c.Notifications()))
+	for range received {
+		<-c.Notifications()
+	}
+	if received+c.Dropped() != delivered || c.Dropped() == 0 {
+		t.Errorf("received %d + dropped %d, the daemon delivered %d", received, c.Dropped(), delivered)
 	}
 }
 

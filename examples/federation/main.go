@@ -144,7 +144,7 @@ func run() error {
 		select {
 		case n := <-subC.Notifications():
 			fmt.Printf("C notified: %s matched temperature=%g two wire hops from the publisher\n",
-				n.Profile, subC.EventMap(n)["temperature"])
+				n.Profile, n.Event["temperature"])
 			done = true
 		case <-time.After(100 * time.Millisecond):
 		}
@@ -173,7 +173,7 @@ func run() error {
 	}
 	select {
 	case n := <-subB.Notifications():
-		fmt.Printf("B notified locally: %s matched humidity=%g\n", n.Profile, subB.EventMap(n)["humidity"])
+		fmt.Printf("B notified locally: %s matched humidity=%g\n", n.Profile, n.Event["humidity"])
 	case <-time.After(5 * time.Second):
 		return fmt.Errorf("B's local watcher starved")
 	}

@@ -140,7 +140,7 @@ func TestChainDelivery(t *testing.T) {
 	}
 	select {
 	case n := <-subC.Notifications():
-		if n.Profile != "hot" || subC.EventMap(n)["temperature"] != 41 {
+		if n.Profile != "hot" || n.Event["temperature"] != 41 {
 			t.Errorf("notification = %+v", n)
 		}
 	case <-time.After(5 * time.Second):
@@ -1052,7 +1052,7 @@ func TestMixedCodecFanOut(t *testing.T) {
 		for i := 0; i < events; i++ {
 			select {
 			case n := <-sub.Notifications():
-				if got := sub.EventMap(n)["humidity"]; got != float64(i%100) {
+				if got := n.Event["humidity"]; got != float64(i%100) {
 					t.Fatalf("%s: notification %d carries humidity %v: forwards left their order", name, i, got)
 				}
 			case <-time.After(rpcTimeout):

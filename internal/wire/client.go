@@ -4,33 +4,44 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Client speaks the wire protocol: one hello line each way, then frames.
-// Every request gets a correlation id and a waiter in the pending table; one
-// reader goroutine hands each reply to its id's waiter and notifications to
-// Notifications(). Client is safe for concurrent use, and concurrent requests
-// pipeline.
+// Client speaks the wire protocol: one hello line each way, then frames. It
+// runs the shape a server session runs: one reader and one Outbox writer.
+// Every request gets a correlation id and a waiter in the pending table and is
+// encoded into the outbox; the reader hands each reply to its id's waiter and
+// each notification to Notifications(), the client's one queue. Client is
+// safe for concurrent use, and concurrent requests pipeline.
 type Client struct {
 	conn  net.Conn
+	out   *Outbox
 	depth int
 	// slots is the schema's slot layout and defaults, from the hello's answer.
 	slots *slots
 
-	// wmu serializes request writes; correlation ids are allocated under it.
-	wmu     sync.Mutex
-	wbuf    []byte // reused message build buffer
-	nextCid uint32
-
+	nextCid atomic.Uint32
 	pendMu  sync.Mutex
 	pending map[uint32]*waiter
 
-	closeOnce sync.Once
-	notifs    chan Response
-	done      chan struct{}
+	notifs  chan Notification
+	dropped atomic.Uint64
+	done    chan struct{}
+}
+
+// Notification is one matched event delivered to a client: the matched
+// subscription's id, the daemon's sequence number for the event and the event
+// by attribute name. The notifications of one event share its map, as
+// in-process ones share Event.Vals: read it, copy it before changing it.
+type Notification struct {
+	Profile string
+	Seq     uint64
+	Event   map[string]float64
 }
 
 // DialConfig parameterizes DialWith. The zero value dials with no timeout and
@@ -69,16 +80,23 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
+	return newClient(conn, rd, attrs, cfg.PipelineDepth), nil
+}
+
+// newClient starts the reader and the writer of a connection past its hello.
+// A failed write surfaces as failed requests, so the writer logs nowhere.
+func newClient(conn net.Conn, rd *bufio.Reader, attrs []AttrPayload, depth int) *Client {
 	c := &Client{
 		conn:    conn,
-		depth:   cfg.PipelineDepth,
+		out:     NewOutbox(conn, 0, log.New(io.Discard, "", 0)),
+		depth:   depth,
 		slots:   attrSlots(attrs),
 		pending: make(map[uint32]*waiter),
-		notifs:  make(chan Response, 256), // a burst the consumer may lag by before notifications drop
+		notifs:  make(chan Notification, notifyQueue),
 		done:    make(chan struct{}),
 	}
 	go c.readLoop(&inbound{rd: rd})
-	return c, nil
+	return c
 }
 
 // handshake runs the hello exchange on a fresh connection: one line out, one
@@ -117,22 +135,33 @@ func handshake(conn net.Conn, rd *bufio.Reader, timeout time.Duration) ([]AttrPa
 // readLoop demultiplexes the inbound stream: notifications to
 // Notifications(), every reply to its correlation id's waiter. A reply whose
 // waiter gave up (timed out) finds no entry and is dropped — it is never
-// handed to another request.
+// handed to another request. A framing error closes the connection.
 func (c *Client) readLoop(in *inbound) {
 	defer close(c.done)
+	var seq uint64            // the event notified last
+	var ev map[string]float64 // and its map
 	for {
 		cid, resp, err := readResponse(in)
 		if err != nil {
 			break
 		}
 		if resp.Type == MsgNotification {
-			// One Response per matched id, all sharing the frame's vector.
-			ids := resp.IDs
-			resp.IDs = nil
-			for _, resp.Profile = range ids {
+			// One Notification per id, all sharing one map of the event. The
+			// daemon numbers each event once, and its writer may split an
+			// event's ids over two frames: a frame continuing the last one's
+			// event shares its map. A notification that finds the queue full
+			// is dropped and counted: the client's one drop point.
+			if resp.Seq != seq || !c.slots.holds(ev, resp.Vals) {
+				if ev, err = c.slots.mapOf(resp.Vals); err != nil {
+					break
+				}
+				seq = resp.Seq
+			}
+			for _, id := range resp.IDs {
 				select {
-				case c.notifs <- resp:
-				default: // drop when the consumer lags; mirrors broker policy
+				case c.notifs <- Notification{Profile: id, Seq: resp.Seq, Event: ev}:
+				default:
+					c.dropped.Add(1)
 				}
 			}
 			continue
@@ -145,7 +174,10 @@ func (c *Client) readLoop(in *inbound) {
 			w.ch <- resp // cap 1: never blocks
 		}
 	}
-	// Fail every in-flight request, then the notification stream.
+	// Close the outbox before failing the waiters: a request that found it
+	// open had registered its waiter already, so none is left behind.
+	_ = c.conn.Close()
+	c.out.Close()
 	c.pendMu.Lock()
 	for cid, w := range c.pending {
 		delete(c.pending, cid)
@@ -155,16 +187,13 @@ func (c *Client) readLoop(in *inbound) {
 	close(c.notifs)
 }
 
-// Notifications returns the inbound notification stream. The channel closes
-// when the connection drops. The payload arrives as Response.Vals, in schema
-// slot order; EventMap gives its named form.
-func (c *Client) Notifications() <-chan Response { return c.notifs }
+// Notifications returns the inbound notification stream, which buffers 256
+// notifications. The channel closes when the connection drops.
+func (c *Client) Notifications() <-chan Notification { return c.notifs }
 
-// EventMap returns a notification's payload as attribute name → value.
-func (c *Client) EventMap(resp Response) map[string]float64 {
-	m, _ := c.slots.mapOf(resp.Vals)
-	return m
-}
+// Dropped returns how many notifications were discarded because
+// Notifications() was full when they arrived.
+func (c *Client) Dropped() uint64 { return c.dropped.Load() }
 
 // waiter is one request's reply slot and timeout, pooled. It returns to the
 // pool only once its reply was received: a waiter that gave up is never
@@ -178,36 +207,36 @@ type waiter struct {
 // (Resetting a timer discards whatever it held: go.mod is past 1.23.)
 var waiters = sync.Pool{New: func() any { return &waiter{make(chan Response, 1), time.NewTimer(0)} }}
 
-// post encodes one request, registers its waiter and writes it under the
-// request's own write deadline. The id is allocated, and the waiter
-// registered, under the write lock, before the bytes leave: replies cannot
-// overtake their registration, and ids reach the wire in order.
+var (
+	errTimedOut   = errors.New("wire: request timed out")
+	errConnClosed = errors.New("wire: connection closed")
+)
+
+// post queues one request. While the outbox holds more than its backlog the
+// request first waits for the writer, for as long as timeout allows: one that
+// times out there was never sent. Then its id is allocated and its waiter
+// registered before the frame is encoded into the outbox, so no reply can
+// overtake its registration. The writer sends it under writeTimeout.
 func (c *Client) post(req Request, timeout time.Duration) (uint32, *waiter, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	cid := c.nextCid + 1
-	b, err := appendRequest(c.wbuf[:0], cid, req)
-	if err != nil {
-		return 0, nil, err
-	}
-	c.wbuf = b
-	if len(b) > MaxFrame {
-		return 0, nil, fmt.Errorf("%w: request encodes to %d bytes", ErrFrameTooBig, len(b))
-	}
-	c.nextCid = cid
 	w := waiters.Get().(*waiter)
+	var expired <-chan time.Time
+	if timeout > 0 {
+		w.timer.Reset(timeout)
+		expired = w.timer.C
+	}
+	room := c.out.makeRoom(expired)
+	w.timer.Stop()
+	if !room {
+		waiters.Put(w)
+		return 0, nil, errTimedOut
+	}
+	cid := c.nextCid.Add(1)
 	c.pendMu.Lock()
 	c.pending[cid] = w
 	c.pendMu.Unlock()
-	var deadline time.Time // none: an earlier request's must not linger
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	_ = c.conn.SetWriteDeadline(deadline)
-	//genas:allow locksafe wmu exists to serialize request writes on the shared conn; only pendMu, never held across a blocking call, nests under it
-	if _, err := c.conn.Write(b); err != nil {
-		c.deregister(cid)
-		return 0, nil, fmt.Errorf("wire: write: %w", err)
+	if err := c.out.request(cid, req); err != nil {
+		c.deregister(cid) // and never reuse the waiter: a stray reply may have reached it
+		return 0, nil, err
 	}
 	return cid, w, nil
 }
@@ -230,19 +259,13 @@ func (c *Client) await(cid uint32, w *waiter, timeout time.Duration) (Response, 
 	var ok bool
 	select {
 	case resp, ok = <-w.ch:
-	case <-c.done:
-		// The reader may have parked the response just before exiting.
-		select {
-		case resp, ok = <-w.ch:
-		default:
-		}
 	case <-timer:
 		c.deregister(cid)
-		return Response{}, errors.New("wire: request timed out")
+		return Response{}, errTimedOut
 	}
 	w.timer.Stop() // before the waiter can reach another request
 	if !ok {
-		return Response{}, errors.New("wire: connection closed")
+		return Response{}, errConnClosed
 	}
 	waiters.Put(w)
 	if resp.Type == MsgError {
@@ -423,12 +446,15 @@ func (c *Client) Schema(timeout time.Duration) ([]AttrPayload, error) {
 	return resp.Attributes, nil
 }
 
-// Close tears the connection down and waits for the reader to exit; a later
-// Close returns nil.
-func (c *Client) Close() (err error) {
-	c.closeOnce.Do(func() {
-		err = c.conn.Close()
-		<-c.done
-	})
+// Close tears the connection down and waits for the reader and the writer to
+// exit. Closing a connection already closed, by an earlier Close or by the
+// reader on a framing error, returns nil.
+func (c *Client) Close() error {
+	err := c.conn.Close()
+	<-c.done
+	<-c.out.Close()
+	if errors.Is(err, net.ErrClosed) {
+		return nil
+	}
 	return err
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"fmt"
+	"math"
 
 	"genas/internal/event"
 	"genas/internal/schema"
@@ -13,7 +14,7 @@ import (
 type inbound struct {
 	rd    *bufio.Reader
 	buf   []byte      // frame payload
-	vals  []float64   // publish vector
+	vals  []float64   // publish or notification vector
 	batch [][]float64 // publish_batch vectors (a fresh block per frame: notifications retain them)
 	ids   []string    // the ids of a notification
 	// size is the wire size of the message read last.
@@ -107,6 +108,19 @@ func (s *slots) fill(vec []float64, m map[string]float64) error {
 		vec[i] = *a.Default
 	}
 	return nil
+}
+
+// holds reports whether m is vec's map, bit for bit.
+func (s *slots) holds(m map[string]float64, vec []float64) bool {
+	if m == nil || len(vec) != len(s.attrs) {
+		return false
+	}
+	for i, v := range vec {
+		if math.Float64bits(m[s.attrs[i].Name]) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // mapOf is vectorOf's inverse; it fails on a vector of the wrong arity.

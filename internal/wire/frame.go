@@ -502,7 +502,7 @@ func appendResponse(dst []byte, cid uint32, resp Response) ([]byte, error) {
 }
 
 // decodeResponseFrame is appendResponse's inverse. A notification's vector is
-// freshly allocated, once per frame: the consumer keeps it. Its ids are
+// decoded into in's scratch and valid until the next read; its ids are
 // interned (inbound.id) and listed in in's scratch.
 func decodeResponseFrame(typ byte, payload []byte, in *inbound) (uint32, Response, error) {
 	c := cur{b: payload}
@@ -531,7 +531,7 @@ func decodeResponseFrame(typ byte, payload []byte, in *inbound) (uint32, Respons
 		return cid, Response{Type: MsgError, Op: op, Error: msg}, c.done()
 	case frameNotifyGroup:
 		seq := c.u64()
-		vals := c.vec(nil)
+		in.vals = c.vec(in.vals[:0])
 		k := c.u32()
 		if c.bad || k == 0 || uint64(k)*4 > uint64(len(c.b)) { // each id costs ≥ 4 bytes
 			return 0, Response{}, fmt.Errorf("%w: bad id count", ErrBadFrame)
@@ -540,7 +540,7 @@ func decodeResponseFrame(typ byte, payload []byte, in *inbound) (uint32, Respons
 		for i := uint32(0); i < k && !c.bad; i++ {
 			in.ids = append(in.ids, in.id(c.bytes()))
 		}
-		return 0, Response{Type: MsgNotification, Seq: seq, Vals: vals, IDs: in.ids}, c.done()
+		return 0, Response{Type: MsgNotification, Seq: seq, Vals: in.vals, IDs: in.ids}, c.done()
 	case frameControlRe:
 		cid := c.u32()
 		if c.bad {

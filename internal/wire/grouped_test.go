@@ -148,8 +148,8 @@ func stubV2Server(t *testing.T, stream []byte) string {
 }
 
 // TestClientTakesEitherSpelling: the client fans one notification frame out
-// into one Response per id, all sharing the one decoded vector. (The subtest
-// keeps its name from beside the retired per-id case.)
+// into one Notification per id, all sharing the one map of its vector. (The
+// subtest keeps its name from beside the retired per-id case.)
 func TestClientTakesEitherSpelling(t *testing.T) {
 	t.Run("echo, grouped frame", func(t *testing.T) {
 		vals := []float64{41, 10}
@@ -158,7 +158,7 @@ func TestClientTakesEitherSpelling(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = c.Close() }()
-		var got []Response
+		var got []Notification
 		for i := 0; i < 2; i++ {
 			select {
 			case n := <-c.Notifications():
@@ -167,13 +167,14 @@ func TestClientTakesEitherSpelling(t *testing.T) {
 				t.Fatalf("notification %d never arrived", i)
 			}
 		}
+		want := map[string]float64{"temperature": vals[0], "humidity": vals[1]}
 		for i, id := range []string{"a", "b"} {
-			if n := got[i]; n.Type != MsgNotification || n.Profile != id || n.IDs != nil || n.Seq != 7 || !reflect.DeepEqual(n.Vals, vals) {
+			if n := got[i]; n.Profile != id || n.Seq != 7 || !reflect.DeepEqual(n.Event, want) {
 				t.Errorf("notification %d = %+v", i, n)
 			}
 		}
-		if &got[0].Vals[0] != &got[1].Vals[0] {
-			t.Error("the two notifications of one frame do not share its vector")
+		if reflect.ValueOf(got[0].Event).Pointer() != reflect.ValueOf(got[1].Event).Pointer() {
+			t.Error("the two notifications of one frame do not share its map")
 		}
 	})
 }
@@ -212,8 +213,8 @@ func TestNotificationsOfOneEventArriveTogether(t *testing.T) {
 		for i := 0; i < k; i++ {
 			select {
 			case n := <-sub.Notifications():
-				if n.Seq != uint64(ev+1) || n.Vals[1] != float64(ev) {
-					t.Fatalf("event %d, notification %d: seq %d vals %v", ev, i, n.Seq, n.Vals)
+				if n.Seq != uint64(ev+1) || n.Event["humidity"] != float64(ev) {
+					t.Fatalf("event %d, notification %d: seq %d event %v", ev, i, n.Seq, n.Event)
 				}
 				seen[n.Profile] = true
 			case <-time.After(rpcTimeout):
@@ -336,9 +337,10 @@ func TestHelloRefusedOnceSubscribed(t *testing.T) {
 	}
 }
 
-// TestNotifyDecodeAllocations pins what a client pays per event however many
-// of its subscriptions the event matched: the vector, which the consumer
-// keeps, and nothing per id once the ids have been seen.
+// TestNotifyDecodeAllocations pins what decoding a notification frame costs
+// a client however many of its subscriptions the event matched: nothing. The
+// vector lands in the read scratch, and an id allocates only when first seen.
+// (The reader then builds the event's one map, which the consumer keeps.)
 func TestNotifyDecodeAllocations(t *testing.T) {
 	frame := appendNotifyGroupFrame(nil, 7, []float64{41, 10}, []string{"hot", "dry", "a third, longer subscription id"})
 	in := &inbound{}
@@ -348,8 +350,8 @@ func TestNotifyDecodeAllocations(t *testing.T) {
 		}
 	}
 	decode()
-	if n := testing.AllocsPerRun(100, decode); n != 1 {
-		t.Errorf("decoding a 3-id notification allocates %v times, want 1 (the vector)", n)
+	if n := testing.AllocsPerRun(100, decode); n != 0 {
+		t.Errorf("decoding a 3-id notification allocates %v times, want 0", n)
 	}
 }
 

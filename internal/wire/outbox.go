@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"log"
 	"net"
 	"sync"
@@ -13,20 +14,21 @@ import (
 // writeTimeout bounds every write to a connection: the module's one deadline.
 const writeTimeout = 10 * time.Second
 
-// Outbox is a connection's one outbound path, a client session's and a peer
-// link's alike: frames gather in one buffer, which a single writer goroutine
-// swaps out and sends in one conn.Write, outside every lock, under
+// Outbox is a connection's one outbound path, a client's, a client session's
+// and a peer link's alike: frames gather in one buffer, which a single writer
+// goroutine swaps out and sends in one conn.Write, outside every lock, under
 // writeTimeout. One rule governs it: a write that misses its deadline
 // disconnects; while the writer is behind, an event frame that finds the
-// budget full is dropped and counted; replies, the hello and route messages
-// are never dropped. A peer link's forwards wait in the buffer (SendEvent); a
-// session's notifications wait in its broker.Queue, which the writer drains.
+// budget full is dropped and counted; requests, replies, the hello and route
+// messages are never dropped. A peer link's forwards wait in the buffer
+// (SendEvent); a session's notifications wait in its broker.Queue, which the
+// writer drains.
 type Outbox struct {
 	conn   net.Conn
 	log    *log.Logger
 	budget int
 	wake   chan struct{} // cap 1: something is queued, or Close was called
-	room   chan struct{} // cap 1: the writer took the buffer; closed when it exits
+	room   chan struct{} // cap 1: the writer took the buffer
 	done   chan struct{} // closed when the writer exits
 
 	mu       sync.Mutex
@@ -72,22 +74,69 @@ func (o *Outbox) SendEvent(b []byte) bool {
 	return ok
 }
 
-// reply queues a session's reply, encoded in place. Past 64 KiB of replies it
-// waits for the writer to take them (or exit): a client that stops reading
-// stops being read.
+// backlog is how many queued bytes make a request or a reply wait for the
+// writer first: a peer that stops reading stops being read, and a client that
+// stops being read stops sending.
+const backlog = 64 << 10
+
+// makeRoom waits while more than backlog bytes are queued, until the writer
+// takes them or exits or timeout fires (a nil timeout never does), and
+// reports whether it did not time out.
+func (o *Outbox) makeRoom(timeout <-chan time.Time) bool {
+	for waited := false; ; waited = true {
+		o.mu.Lock()
+		full := len(o.buf) > backlog
+		o.mu.Unlock()
+		if !full {
+			if waited {
+				poke(o.room) // the writer wakes one waiter: pass the turn on
+			}
+			return true
+		}
+		select {
+		case <-o.room:
+		case <-o.done:
+			return true
+		case <-timeout:
+			return false
+		}
+	}
+}
+
+// reply queues a session's reply, encoded in place once there is room.
 func (o *Outbox) reply(cid uint32, resp Response) error {
+	o.makeRoom(nil)
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	b, err := appendResponse(o.buf, cid, resp)
 	if err == nil {
 		o.buf = b
 		poke(o.wake)
 	}
-	full := len(o.buf) > 64<<10
-	o.mu.Unlock()
-	if full {
-		<-o.room
-	}
 	return err
+}
+
+// request queues a client's request under cid, encoded in place; the caller
+// made room first. It fails once the outbox is closed, and leaves nothing
+// queued when the frame would exceed MaxFrame.
+func (o *Outbox) request(cid uint32, req Request) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed {
+		return errConnClosed
+	}
+	mark := len(o.buf)
+	b, err := appendRequest(o.buf, cid, req)
+	if err != nil {
+		return err
+	}
+	if n := len(b) - mark; n > MaxFrame {
+		o.buf = b[:mark]
+		return fmt.Errorf("%w: request encodes to %d bytes", ErrFrameTooBig, n)
+	}
+	o.buf = b
+	poke(o.wake)
+	return nil
 }
 
 // notify hands the writer the session's notification queue.
@@ -126,7 +175,6 @@ func poke(ch chan struct{}) {
 // run is the writer: it swaps the buffer out, adds notifications, writes.
 func (o *Outbox) run() {
 	defer close(o.done)
-	defer close(o.room)
 	var out []byte
 	var ids []string
 	var notes <-chan broker.Notification // nil until taken up, and once drained

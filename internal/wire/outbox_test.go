@@ -155,7 +155,7 @@ func TestOutboxFlushesBeforeClose(t *testing.T) {
 }
 
 // TestUnreadRepliesStopTheSession: a client that pipelines requests and never
-// reads a reply is not read without bound. Once replyBacklog bytes of replies
+// reads a reply is not read without bound. Once 64 KiB of replies
 // wait behind the writer's blocked write, the request loop stops reading, and
 // the client's writes stall (a pipe has no buffer) far short of what it
 // offered.

@@ -195,9 +195,10 @@ func (s *Server) Close() {
 // Close. A variable only so that a test can shorten it.
 var helloTimeout = writeTimeout
 
-// notifyQueue is a session's notification budget: how far the broker may run
-// ahead of its writer before it drops the newest, however many subscriptions
-// the session holds; sized like the burst a client's Notifications() absorbs.
+// notifyQueue is a connection's notification budget at either end, however
+// many subscriptions it holds: how far the broker may run ahead of a
+// session's writer, and a client's consumer behind its reader, before the
+// newest notification drops.
 const notifyQueue = 256
 
 // connState is one client session's state, owned by its request loop. queue

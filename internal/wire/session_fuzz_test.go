@@ -457,7 +457,8 @@ func runFuzzSession(t *testing.T, steps []fuzzStep) {
 			if err != nil || resp.Type != MsgNotification {
 				return cid, resp, err
 			}
-			resp.IDs = slices.Clone(resp.IDs) // the ids alias the read scratch
+			// The vector and the ids alias the read scratch.
+			resp.Vals, resp.IDs = slices.Clone(resp.Vals), slices.Clone(resp.IDs)
 			notes[c] = append(notes[c], resp)
 		}
 	}

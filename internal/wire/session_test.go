@@ -145,7 +145,7 @@ func runSessionScript(t *testing.T) (transcript string, leaked int) {
 			if n.Profile != "hot" && n.Profile != "warm" {
 				t.Errorf("notified of %q, which this connection never subscribed", n.Profile)
 			}
-			js, _ := json.Marshal(namedResponse(c.slots, n))
+			js, _ := json.Marshal(namedResp{Type: MsgNotification, Profile: n.Profile, Event: n.Event, Response: Response{Seq: n.Seq}})
 			fmt.Fprintf(&b, "notification\t%s\n", js)
 		case <-time.After(2 * time.Second):
 			t.Fatalf("notification %d never arrived", i)

@@ -1,10 +1,11 @@
 // Package wire defines the protocol spoken between the GENAS daemon
 // (cmd/genasd), its clients (cmd/genas) and its peers: Request and Response
 // messages, carried as length-prefixed binary frames (frame.go) after one
-// JSON hello line in each direction. Every connection, client session or peer
-// link, sends through one Outbox (outbox.go): one writer, one write per burst
-// and one slow-consumer rule; a session's notifications wait in one queue
-// however many subscriptions it holds (server.go). The protocol
+// JSON hello line in each direction. Every connection, at either end, runs one
+// reader and sends through one Outbox (outbox.go): one writer, one write per
+// burst and one slow-consumer rule; a connection's notifications wait in one
+// queue however many subscriptions it holds, a session's (server.go) and a
+// client's (client.go) alike. The protocol
 // carries the generic service's runtime definitions — profiles in the profile
 // language, events in the event notation — so "all events, attributes,
 // domains, and compare operators can be created and specified at runtime"
@@ -105,7 +106,7 @@ type Response struct {
 	Op Op `json:"op,omitempty"`
 	// Error carries the failure text for MsgError.
 	Error string `json:"error,omitempty"`
-	// Profile identifies the matched subscription for notifications.
+	// Profile echoes the subscription id of a subscribe or unsubscribe.
 	Profile string `json:"profile,omitempty"`
 	// Seq is the broker sequence number of the notified event.
 	Seq uint64 `json:"seq,omitempty"`
@@ -129,8 +130,9 @@ type Response struct {
 	// is then unset): what a notification frame carries and decodes to (valid
 	// until the next read). Never on the wire under this name.
 	IDs []string `json:"-"`
-	// Vals is the notification payload as a schema-order vector. Never on the
-	// wire under this name: notification frames carry it in binary.
+	// Vals is the notification payload as a schema-order vector (valid until
+	// the next read). Never on the wire under this name: notification frames
+	// carry it in binary.
 	Vals []float64 `json:"-"`
 }
 

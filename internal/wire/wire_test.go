@@ -108,7 +108,7 @@ func TestSubscribePublishNotify(t *testing.T) {
 		if !ok {
 			t.Fatal("notification channel closed")
 		}
-		if n.Profile != "hot" || subC.EventMap(n)["temperature"] != 41 {
+		if n.Profile != "hot" || n.Event["temperature"] != 41 {
 			t.Errorf("notification = %+v", n)
 		}
 	case <-time.After(2 * time.Second):
