@@ -77,8 +77,8 @@ func TestDriftTriggersRestructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	nat := core.NewEngine(s, core.Config{})
-	for _, p := range e.Profiles() {
-		if err := nat.AddProfile(p); err != nil {
+	for _, m := range e.Members() {
+		if err := nat.Add(m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,17 +8,19 @@
 // constraint) — share one canonical node. Nodes are ordered into a covering
 // poset (a Siena-style filter poset): a node hangs beneath another when every
 // event it accepts is also accepted above. The match automaton (the DFSA in
-// internal/tree) sees only the poset's roots; concrete subscription ids are
+// internal/tree) sees only the poset's roots; concrete subscriptions are
 // expanded through the poset at delivery time, descending an edge only when
-// the child's predicate still matches the event.
+// the child's predicate still matches the event. A match yields the members
+// themselves — whatever the caller registered, a broker's subscription or a
+// bare profile — so the poset is the caller's one subscription table.
 //
 // Match cost therefore grows with *distinct* predicate structure, not with
-// subscriber count, and per-subscription memory collapses to one SubRef —
-// the wall "Towards Scalable Subscription Aggregation and Real Time Event
+// subscriber count, and per-subscription memory collapses to one member (an
+// interface value) — the wall "Towards Scalable Subscription Aggregation and Real Time Event
 // Matching in a Large-Scale Content-Based Network" (PAPERS.md) attacks with
 // subscription merging.
 //
-// The poset has no locks of its own: the write side (Add, Intern, Remove,
+// The poset has no locks of its own: the write side (Join, Intern, Take,
 // Compact, Freeze) is guarded by the owning engine's writer mutex, and the
 // read side is the frozen Snapshot published through the engine's epoch/RCU
 // snapshot pointer.

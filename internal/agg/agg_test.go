@@ -78,8 +78,8 @@ func expandAll(t *testing.T, s *schema.Schema, po *Poset, vals []float64) []stri
 // direct evaluates every registered member profile directly.
 func direct(po *Poset, vals []float64) []string {
 	var out []string
-	for _, p := range po.Profiles() {
-		if p.Matches(vals) {
+	for _, m := range po.Members() {
+		if p := m.Profile(); p.Matches(vals) {
 			out = append(out, string(p.ID))
 		}
 	}
@@ -284,7 +284,7 @@ func TestBulkInternKeepsNoDirtyList(t *testing.T) {
 	s := testSchema(t)
 	po := NewPoset(s)
 	for i := 0; i < 1000; i++ {
-		po.Intern(parse(t, s, fmt.Sprintf("s%d", i), fmt.Sprintf("profile(x = %d)", i%10)))
+		po.Intern(Bare(parse(t, s, fmt.Sprintf("s%d", i), fmt.Sprintf("profile(x = %d)", i%10))))
 	}
 	po.Remove("s0")
 	if len(po.dirty) > 1 || cap(po.dirty) > 10 {
@@ -377,7 +377,7 @@ func TestHashCollisionsInternApart(t *testing.T) {
 	exprs := []string{"profile(x = 1)", "profile(x = 2)", "profile(x = 3)", "profile(x = 4)"}
 	for i, e := range exprs {
 		mustAdd(t, po, parse(t, s, fmt.Sprintf("p%d", i), e))
-		po.Intern(parse(t, s, fmt.Sprintf("twin%d", i), e))
+		po.Intern(Bare(parse(t, s, fmt.Sprintf("twin%d", i), e)))
 	}
 	if po.NodeCount() != len(exprs) || po.SubCount() != 2*len(exprs) || len(po.byForm) != 1 {
 		t.Fatalf("%d nodes, %d subscriptions in %d buckets, want %d, %d in 1", po.NodeCount(), po.SubCount(), len(po.byForm), len(exprs), 2*len(exprs))
@@ -488,7 +488,7 @@ func TestLinkYieldsTransitiveReduction(t *testing.T) {
 		bulk, inc := NewPoset(s), NewPoset(s)
 		for i := range exprs {
 			e := exprs[(i+rot)%len(exprs)]
-			bulk.Intern(parse(t, s, fmt.Sprintf("p%d", i), e))
+			bulk.Intern(Bare(parse(t, s, fmt.Sprintf("p%d", i), e)))
 			mustAdd(t, inc, parse(t, s, fmt.Sprintf("p%d", i), e))
 		}
 		if bulk.Stats() != inc.Stats() || bulk.Stats().Roots != 2 || bulk.Stats().MaxDepth != 5 {

@@ -7,14 +7,21 @@ import (
 	"genas/internal/schema"
 )
 
-// SubRef is one concrete subscription attached to a canonical node: the
-// subscriber's id plus the per-subscription priority applied at expansion
-// time. This is all the aggregation layer keeps per subscriber — the
-// predicate structure lives once, on the node.
-type SubRef struct {
-	ID       predicate.ID
-	Priority float64
+// Member is one concrete subscription attached to a canonical node, as the
+// caller registered it (a broker's subscription, a route): the predicate
+// structure lives once, on the node, and a match yields the members.
+type Member interface {
+	Profile() *predicate.Profile
 }
+
+// Bare makes a bare profile a member, for callers that keep nothing else per
+// subscription (route tables, the benchmark's ladder, tests). The member is
+// one pointer, so boxing it allocates nothing.
+func Bare(p *predicate.Profile) Member { return bare{p} }
+
+type bare struct{ p *predicate.Profile }
+
+func (b bare) Profile() *predicate.Profile { return b.p }
 
 // node is one canonical conjunction in the poset. A linked node with no
 // parents is a root: one of the structures the tree indexes.
@@ -30,7 +37,7 @@ type node struct {
 	// removal copies (COW) instead of truncating in place. subs and kids are
 	// written through Poset.setSubs, edge and dropKid only: those mark the
 	// node dirty, without which the next Snapshot keeps its old record.
-	subs    []SubRef
+	subs    []Member
 	kids    []*node
 	parents []*node
 	next    *node // intern-table chain: the next node whose form hashes alike
@@ -154,27 +161,24 @@ func (po *Poset) RootList() []NodeRef {
 	return out
 }
 
-// Profiles synthesizes the concrete member profiles in node order: each
-// member borrows its node's canonical predicate column, so listing the
-// corpus costs one small struct per subscription, not a deep copy.
-func (po *Poset) Profiles() []*predicate.Profile {
-	out := make([]*predicate.Profile, 0, po.subCnt)
+// Members returns the registered members in node order, each as it was
+// registered: its profile is its own, not the node's representative.
+func (po *Poset) Members() []Member {
+	out := make([]Member, 0, po.subCnt)
 	for _, n := range po.nodes {
-		if n == nil {
-			continue
-		}
-		for _, sr := range n.subs {
-			out = append(out, &predicate.Profile{ID: sr.ID, Preds: n.rep.Preds, Priority: sr.Priority})
+		if n != nil {
+			out = append(out, n.subs...)
 		}
 	}
 	return out
 }
 
-// attach registers p's subscription on its canonical node, creating the node
-// on an interning miss (reported by created): it is then in the tables but
-// not yet in the order. The caller has already rejected duplicates via Has;
-// p's predicate column is aliased, not copied.
-func (po *Poset) attach(p *predicate.Profile) (n *node, created bool) {
+// attach registers member m on its canonical node, creating the node on an
+// interning miss (reported by created): it is then in the tables but not yet
+// in the order. The caller has already rejected duplicates via Has; the
+// profile's predicate column is aliased, not copied.
+func (po *Poset) attach(m Member) (n *node, created bool) {
+	p := m.Profile()
 	po.form = formOf(po.sch, p, po.form[:0])
 	h := po.hash(po.form)
 	for n = po.byForm[h]; n != nil && !slices.Equal(n.form, po.form); {
@@ -193,7 +197,7 @@ func (po *Poset) attach(p *predicate.Profile) (n *node, created bool) {
 		po.keys = append(po.keys, keyOf(n.form))
 		po.live++
 	}
-	po.setSubs(n, append(n.subs, SubRef{ID: p.ID, Priority: p.Priority}))
+	po.setSubs(n, append(n.subs, m))
 	po.bySub[p.ID] = n
 	po.subCnt++
 	return n, created
@@ -208,7 +212,7 @@ func (po *Poset) touch(n *node) {
 }
 
 // setSubs replaces n's member list.
-func (po *Poset) setSubs(n *node, subs []SubRef) {
+func (po *Poset) setSubs(n *node, subs []Member) {
 	n.subs = subs
 	po.touch(n)
 }
@@ -233,20 +237,23 @@ func (po *Poset) unedge(pa, k *node) {
 	k.parents = dropNode(k.parents, pa)
 }
 
-// Intern registers profile p like Add but leaves a new structure out of the
+// Intern registers member m like Join but leaves a new structure out of the
 // order: the next reader of the order links every node in one pass. That is
 // the bulk-load path — placing nodes one by one while nothing reads the
 // order in between buys nothing.
-func (po *Poset) Intern(p *predicate.Profile) {
-	if _, created := po.attach(p); created {
+func (po *Poset) Intern(m Member) {
+	if _, created := po.attach(m); created {
 		po.unlinked = true
 	}
 }
 
-// Add registers profile p and places a new structure in the order at once.
-func (po *Poset) Add(p *predicate.Profile) Delta {
+// Add registers the bare profile p (see Join).
+func (po *Poset) Add(p *predicate.Profile) Delta { return po.Join(Bare(p)) }
+
+// Join registers member m and places a new structure in the order at once.
+func (po *Poset) Join(m Member) Delta {
 	po.ensureLinked()
-	n, created := po.attach(p)
+	n, created := po.attach(m)
 	if !created {
 		// Interning hit: the tree and the poset edges are untouched.
 		return Delta{}
@@ -333,22 +340,31 @@ func anyMarked(ns []*node, mark uint32) bool {
 
 // Remove unregisters subscription id. ok is false when id is unknown.
 func (po *Poset) Remove(id predicate.ID) (d Delta, ok bool) {
+	m, d := po.Take(id)
+	return d, m != nil
+}
+
+// Take unregisters subscription id and returns the member it registered, nil
+// when id is unknown.
+func (po *Poset) Take(id predicate.ID) (m Member, d Delta) {
 	n := po.bySub[id]
 	if n == nil {
-		return d, false
+		return nil, d
 	}
 	delete(po.bySub, id)
 	po.subCnt--
 	// COW: frozen snapshots alias the old backing array.
-	subs := make([]SubRef, 0, len(n.subs)-1)
-	for _, sr := range n.subs {
-		if sr.ID != id {
-			subs = append(subs, sr)
+	subs := make([]Member, 0, len(n.subs)-1)
+	for _, sm := range n.subs {
+		if sm.Profile().ID == id {
+			m = sm
+		} else {
+			subs = append(subs, sm)
 		}
 	}
 	po.setSubs(n, subs)
 	if len(subs) > 0 {
-		return d, true
+		return m, d
 	}
 	d.Nodes = -1
 
@@ -369,7 +385,7 @@ func (po *Poset) Remove(id predicate.ID) (d Delta, ok bool) {
 	po.live--
 	if po.unlinked {
 		// No order to mend: the pending Compact links what is left.
-		return d, true
+		return m, d
 	}
 
 	// Detach eagerly. Kids re-link to the node's parents; a kid left with
@@ -399,7 +415,7 @@ func (po *Poset) Remove(id predicate.ID) (d Delta, ok bool) {
 		}
 	}
 	n.kids, n.parents = nil, nil
-	return d, true
+	return m, d
 }
 
 // dropNode removes x from s in place.

@@ -39,7 +39,7 @@ type SnapNode struct {
 	// Subs aliases the write side's append-only member array: appends land
 	// past this snapshot's length and removals copy, so the header is
 	// stable.
-	Subs []SubRef
+	Subs []Member
 	// Kids holds the node indices hanging beneath this node (a copy — the
 	// write side re-links kid lists in place).
 	Kids []int32
@@ -125,44 +125,61 @@ func (s *Snapshot) at(i int32) *SnapNode { return &s.chunks[i>>chunkShift][i&(ch
 // Expand translates the tree's matched slots into concrete subscription
 // ids, appending to dst. matched holds dense indices into t (the canonical
 // tree this snapshot was published with); t2n maps each tree slot to its
-// poset node. From every live matched root the walk descends kid edges,
-// re-evaluating each child's representative against the event — covering
-// guarantees a child that fails can have no matching descendant — and marks
-// visited nodes so DAG diamonds and multi-root overlaps emit each
-// subscription once. The walk first lists the accepted nodes on its pooled
-// scratch, so dst grows at most once, to the exact total, however many
-// members and covered nodes a matched root brings. The second result counts
-// the predicate evaluations spent descending, which the engine folds into its
-// operation accounting.
+// poset node. The walk is Match's; Expand appends each member's id where
+// Match appends the member. The second result counts the predicate
+// evaluations spent descending, which the engine folds into its operation
+// accounting.
 //
 //genas:hotpath
 func (s *Snapshot) Expand(vals []float64, matched []int, t2n []int32, t *tree.Tree, dst []predicate.ID) ([]predicate.ID, int) {
 	sc := scratchPool.Get().(*expandScratch)
-	dst, ops := s.expand(sc, vals, matched, t2n, t, dst)
+	total, ops := s.walk(sc, vals, matched, t2n, t)
+	if need := len(dst) + total; need > cap(dst) {
+		dst = append(make([]predicate.ID, 0, need), dst...)
+	}
+	for _, ni := range sc.nodes {
+		for _, m := range s.at(ni).Subs {
+			dst = append(dst, m.Profile().ID)
+		}
+	}
 	scratchPool.Put(sc)
 	return dst, ops
 }
 
 // Match filters one event through t, the tree this snapshot was published
-// with, and expands the matched slots into dst as Expand does. The second
+// with, and appends the members of every accepted node to dst. The second
 // result is the tree's comparisons plus the expansion's descents. The tree
-// collects parked profiles into the pooled scratch the expansion walks on, so
-// the match allocates nothing beyond dst's growth once the pool is warm.
+// collects parked profiles into the pooled scratch the expansion walks on,
+// and dst grows at most once, to the exact total, so the match allocates
+// nothing beyond dst's growth once the pool is warm.
 //
 //genas:hotpath
-func (s *Snapshot) Match(vals []float64, t *tree.Tree, t2n []int32, dst []predicate.ID) ([]predicate.ID, int) {
+func (s *Snapshot) Match(vals []float64, t *tree.Tree, t2n []int32, dst []Member) ([]Member, int) {
 	sc := scratchPool.Get().(*expandScratch)
 	matched, acc, ops := t.MatchAppend(vals, sc.acc[:0])
-	dst, descents := s.expand(sc, vals, matched, t2n, t, dst)
+	total, descents := s.walk(sc, vals, matched, t2n, t)
+	if need := len(dst) + total; need > cap(dst) {
+		dst = append(make([]Member, 0, need), dst...)
+	}
+	for _, ni := range sc.nodes {
+		dst = append(dst, s.at(ni).Subs...)
+	}
 	sc.acc = acc
 	scratchPool.Put(sc)
 	return dst, ops + descents
 }
 
-// expand is Expand's walk on a scratch the caller took from the pool.
+// walk lists on sc.nodes the poset nodes the matched tree slots accept and
+// returns their member total and the descents spent. From every live matched
+// root it descends kid edges, re-evaluating each child's representative
+// against the event — covering guarantees a child that fails can have no
+// matching descendant — and marks visited nodes so DAG diamonds and
+// multi-root overlaps list each node once. Listing the nodes first lets the
+// caller grow its result once, however many members and covered nodes a
+// matched root brings.
 //
 //genas:hotpath
-func (s *Snapshot) expand(sc *expandScratch, vals []float64, matched []int, t2n []int32, t *tree.Tree, dst []predicate.ID) ([]predicate.ID, int) {
+func (s *Snapshot) walk(sc *expandScratch, vals []float64, matched []int, t2n []int32, t *tree.Tree) (total, ops int) {
 	sc.reset(s.Slots())
 	dead := t.HasDead()
 	for _, pi := range matched {
@@ -176,7 +193,6 @@ func (s *Snapshot) expand(sc *expandScratch, vals []float64, matched []int, t2n 
 		sc.mark[ni] = sc.gen
 		sc.nodes = append(sc.nodes, ni)
 	}
-	ops, total := 0, 0
 	for i := 0; i < len(sc.nodes); i++ {
 		n := s.at(sc.nodes[i])
 		total += len(n.Subs)
@@ -191,13 +207,5 @@ func (s *Snapshot) expand(sc *expandScratch, vals []float64, matched []int, t2n 
 			}
 		}
 	}
-	if need := len(dst) + total; need > cap(dst) {
-		dst = append(make([]predicate.ID, 0, need), dst...)
-	}
-	for _, ni := range sc.nodes {
-		for _, sr := range s.at(ni).Subs {
-			dst = append(dst, sr.ID)
-		}
-	}
-	return dst, ops
+	return total, ops
 }

@@ -9,9 +9,9 @@
 // observed distribution drifts.
 //
 // Matching and delivery are separate stages. The engine may partition its
-// profiles (core.Sharded); delivery does not know how. It keeps one table of
-// subscriptions under one read-write lock, and every subscription counts its
-// own deliveries and drops while it lives.
+// profiles (core.Sharded); delivery does not know how. A match yields the
+// subscriptions themselves, so the broker keeps no table of its own, and
+// every subscription counts its own deliveries and drops while it lives.
 //
 // Counting adds no lock to the publish path: the engine books each match in
 // two atomics, a subscription its outcomes in two more, and the broker keeps
@@ -110,7 +110,6 @@ type SubOptions struct {
 // realizing the paper's per-profile statistic objects without putting a mutex
 // or a map on the publish path; they end with the subscription.
 type Subscription struct {
-	id      predicate.ID
 	profile *predicate.Profile
 	shared  *sharedChan
 	policy  DropPolicy
@@ -120,9 +119,9 @@ type Subscription struct {
 	// publishers promptly.
 	done chan struct{}
 	// sendMu fences Block-policy sends (read side) against the channel
-	// close (write side). Block sends happen outside the delivery table's
-	// lock — a publisher stalled on one slow Block subscriber must not hold
-	// a lock that registration operations or other deliveries need.
+	// close (write side). Block sends happen outside the broker's send fence
+	// — a publisher stalled on one slow Block subscriber must not hold a
+	// lock that registration operations or other deliveries need.
 	sendMu    sync.RWMutex
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
@@ -130,7 +129,7 @@ type Subscription struct {
 }
 
 // ID returns the subscription id.
-func (s *Subscription) ID() predicate.ID { return s.id }
+func (s *Subscription) ID() predicate.ID { return s.profile.ID }
 
 // Profile returns the subscription's profile.
 func (s *Subscription) Profile() *predicate.Profile { return s.profile }
@@ -153,7 +152,7 @@ type Options struct {
 	Engine core.Config
 	// Shards selects the engine partition width: 0 or 1 runs the classic
 	// single-tree engine, n > 1 runs an n-way sharded engine. Delivery
-	// state is one table either way.
+	// reaches the subscriptions the engine matched either way.
 	Shards int
 	// Adaptive enables the adaptive filter component.
 	Adaptive bool
@@ -174,10 +173,10 @@ type Broker struct {
 	regMu  sync.Mutex
 	closed atomic.Bool
 
-	// subs is the delivery table. It is written under regMu and mu's write
-	// side, so a holder of either may read it.
-	mu   sync.RWMutex
-	subs map[predicate.ID]*Subscription
+	// mu is only the send/close fence: deliver checks closed and sends
+	// without blocking under its read side, a subscription ends under its
+	// write side.
+	mu sync.RWMutex
 	// delivered/dropped aggregate the whole history (live and ended
 	// subscriptions), so Stats does not walk every subscription.
 	delivered atomic.Uint64
@@ -206,7 +205,6 @@ func New(s *schema.Schema, opts Options) (*Broker, error) {
 	b := &Broker{
 		schema:        s,
 		filter:        filter,
-		subs:          make(map[predicate.ID]*Subscription),
 		defaultBuffer: opts.DefaultBuffer,
 	}
 	if opts.Adaptive {
@@ -223,8 +221,20 @@ func New(s *schema.Schema, opts Options) (*Broker, error) {
 func (b *Broker) Schema() *schema.Schema { return b.schema }
 
 // Engine exposes the underlying filter (experiments and diagnostics): a
-// *core.Engine for single-shard brokers, a *core.Sharded otherwise.
+// *core.Engine for single-shard brokers, a *core.Sharded otherwise. Its
+// members are the broker's subscriptions; add or remove none through it.
 func (b *Broker) Engine() core.Filter { return b.filter }
+
+// Profiles returns every subscription's own profile: its spelling, id and
+// priority as subscribed, in the engine's order.
+func (b *Broker) Profiles() []*predicate.Profile {
+	ms := b.filter.Members()
+	out := make([]*predicate.Profile, len(ms))
+	for i, m := range ms {
+		out[i] = m.Profile()
+	}
+	return out
+}
 
 // Adaptor returns the adaptive component (nil when disabled).
 func (b *Broker) Adaptor() *adaptive.Adaptor { return b.adapt }
@@ -249,28 +259,16 @@ func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscriptio
 
 // register is the one registration routine: it makes p a member of the
 // delivery channel sc — a fresh one (SubscribeWith) or one that other
-// subscriptions already deliver into (Queue.Subscribe). Caller holds regMu,
-// which also serializes it with every release of sc: a channel found open
-// here cannot close before the member holds its reference.
+// subscriptions already deliver into (Queue.Subscribe) — and of the engine.
+// Caller holds regMu, which also serializes it with every release of sc: a
+// channel found open here cannot close before the member holds its reference.
 func (b *Broker) register(p *predicate.Profile, sc *sharedChan, policy DropPolicy) (*Subscription, error) {
 	if b.closed.Load() || sc.closed.Load() {
 		return nil, ErrClosed
 	}
-	if _, dup := b.subs[p.ID]; dup {
+	sub := &Subscription{profile: p, shared: sc, policy: policy, done: make(chan struct{})}
+	if err := b.filter.Add(sub); err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateSub, p.ID)
-	}
-	sub := &Subscription{id: p.ID, profile: p, shared: sc, policy: policy, done: make(chan struct{})}
-	// Insert into the delivery map before the profile becomes matchable: the
-	// reverse order would let a concurrent Publish match the profile, miss
-	// it in the map and silently lose the notification.
-	b.mu.Lock()
-	b.subs[p.ID] = sub
-	b.mu.Unlock()
-	if err := b.filter.AddProfile(p); err != nil {
-		b.mu.Lock()
-		delete(b.subs, p.ID)
-		b.mu.Unlock()
-		return nil, err
 	}
 	sc.refs.Add(1)
 	return sub, nil
@@ -324,7 +322,7 @@ func (q *Queue) Close() {
 }
 
 // end marks the subscription closed and releases any Block-policy delivery
-// waiting on its full buffer. Idempotent.
+// waiting on its full buffer. Idempotent. Callers hold the broker's mu.
 func (s *Subscription) end() {
 	if s.closed.CompareAndSwap(false, true) {
 		close(s.done)
@@ -332,40 +330,37 @@ func (s *Subscription) end() {
 }
 
 // retireChan drops the subscription's channel reference once no send can
-// touch it anymore. Callers must have removed the subscription from the
-// delivery table first (under the write lock, which waits out the
-// non-blocking sends) and ended it (which releases Block-policy sends); the
-// sendMu write acquisition then only waits for those sends to finish.
+// touch it anymore. Callers must have ended the subscription first (under
+// mu's write side, which waits out the non-blocking sends, and releases
+// Block-policy sends); the sendMu write acquisition then only waits for
+// those sends to finish.
 func retireChan(s *Subscription) {
 	s.sendMu.Lock()
 	s.shared.release()
 	s.sendMu.Unlock()
 }
 
-// Unsubscribe removes a subscription and closes its channel.
+// Unsubscribe removes a subscription and closes its channel (ErrClosed after
+// Close, which has closed them all).
 func (b *Broker) Unsubscribe(id predicate.ID) error {
 	b.regMu.Lock()
 	defer b.regMu.Unlock()
-	sub, ok := b.subs[id]
-	if !ok {
-		if b.closed.Load() {
-			return ErrClosed
-		}
+	if b.closed.Load() {
+		return ErrClosed
+	}
+	m, err := b.filter.Remove(id)
+	if err != nil {
 		return fmt.Errorf("%w: %s", ErrUnknownSub, id)
 	}
-	// Release blocked publishers before anything else; regMu serializes all
-	// registration changes, so the map cannot change between the lookup
-	// above and the removal below.
-	sub.end()
+	sub := m.(*Subscription)
 	b.mu.Lock()
-	delete(b.subs, id)
+	sub.end()
 	b.mu.Unlock()
-	// Close outside the table lock: after the write section above no new
-	// delivery can find the subscription, in-flight non-blocking sends
-	// completed before the write lock was granted, and in-flight Block
-	// sends are fenced by sendMu inside retireChan.
+	// Close outside the fence: in-flight non-blocking sends completed before
+	// the write lock was granted, later ones see the subscription ended, and
+	// in-flight Block sends are fenced by sendMu inside retireChan.
 	retireChan(sub)
-	return b.filter.RemoveProfile(id)
+	return nil
 }
 
 // Publish filters the event and delivers notifications to every matched
@@ -439,7 +434,7 @@ func (b *Broker) publishOne(ev event.Event, owned bool, cancel <-chan struct{}) 
 	if err != nil {
 		return 0, err
 	}
-	buf := publishPool.Get().(*publishBuf)
+	buf := publishPool.Get().(*[]core.Member)
 	n, err := b.publish(ev, owned, base+1, buf, cancel)
 	publishPool.Put(buf)
 	return n, err
@@ -485,7 +480,7 @@ func (b *Broker) publishBatch(evs []event.Event, cancel <-chan struct{}) ([]int,
 		return nil, err
 	}
 	counts := make([]int, len(evs))
-	buf := publishPool.Get().(*publishBuf)
+	buf := publishPool.Get().(*[]core.Member)
 	for i := range evs {
 		if counts[i], err = b.publish(evs[i], true, base+uint64(i)+1, buf, cancel); err != nil {
 			counts = nil
@@ -497,17 +492,17 @@ func (b *Broker) publishBatch(evs []event.Event, cancel <-chan struct{}) ([]int,
 }
 
 // publish is the one per-event core: it feeds the adaptor, matches ev into
-// buf.ids and, when a profile matched, stamps ev (sequence number seq, and
-// the time unless the caller set one) and delivers it. Nothing on the miss
+// buf and, when a profile matched, stamps ev (sequence number seq, and the
+// time unless the caller set one) and delivers it. Nothing on the miss
 // branch allocates. ev is a copy, so the caller's event is never stamped.
 //
 //genas:hotpath
-func (b *Broker) publish(ev event.Event, owned bool, seq uint64, buf *publishBuf, cancel <-chan struct{}) (int, error) {
+func (b *Broker) publish(ev event.Event, owned bool, seq uint64, buf *[]core.Member, cancel <-chan struct{}) (int, error) {
 	if b.adapt != nil {
 		b.adapt.Observe(ev.Vals)
 	}
-	ids, _, err := b.filter.MatchAppend(ev.Vals, buf.ids)
-	if err == nil && len(ids) > 0 {
+	ms, _, err := b.filter.MatchAppend(ev.Vals, *buf)
+	if err == nil && len(ms) > 0 {
 		now := time.Now()
 		if !owned {
 			ev.Vals = append([]float64(nil), ev.Vals...)
@@ -516,54 +511,51 @@ func (b *Broker) publish(ev event.Event, owned bool, seq uint64, buf *publishBuf
 		if ev.Time.IsZero() {
 			ev.Time = now
 		}
-		b.deliver(ev, ids, buf, now, cancel)
-		clear(ids)
+		b.deliver(ev, ms, now, cancel)
+		clear(ms)
 	}
-	buf.ids = ids[:0] // nil after an error: the pool's next user regrows it
-	return len(ids), err
+	*buf = ms[:0] // nil after an error: the pool's next user regrows it
+	return len(ms), err
 }
 
-// publishBuf is the pooled per-publish scratch, cleared before pooling: the
-// ids publish matches into and the Block-policy subscribers deliver sends to
-// after releasing the table lock, so steady publishing grows no slices. A
+// publishPool holds the per-publish scratch the subscriptions are matched
+// into, cleared before pooling, so steady publishing grows no slices. A
 // batch takes one for all its events.
-type publishBuf struct {
-	ids  []predicate.ID
-	subs []*Subscription
-}
+var publishPool = sync.Pool{New: func() any { return new([]core.Member) }}
 
-var publishPool = sync.Pool{New: func() any { return new(publishBuf) }}
-
-// deliver pushes one event's notifications to the matched subscribers,
-// taking the table's read lock once for the event. Non-blocking sends
-// (DropNewest, DropOldest) happen under it: channel close waits for the write
-// lock first, so such a send can never hit a closing channel. Block-policy
-// sends are collected and performed after the lock is released — a publisher
-// stalled on one slow Block subscriber must not wedge registration
-// operations or deliveries to other subscribers — fenced against close by
-// the subscription's sendMu. cancel (possibly nil) aborts Block-policy sends.
+// deliver pushes one event's notifications to the matched subscriptions,
+// taking the send fence's read side once for the event. Non-blocking sends
+// (DropNewest, DropOldest) happen under it: a subscription ends under the
+// write side before its channel closes, so such a send can never hit a
+// closing channel. Block-policy sends are collected and performed after the
+// fence is released — a publisher stalled on one slow Block subscriber must
+// not wedge registration operations or deliveries to other subscribers —
+// fenced against close by the subscription's sendMu. cancel (possibly nil)
+// aborts Block-policy sends.
 //
 // The notification value is built once per event, before the loop, and only
-// its Profile field is stamped per matched id — after the liveness check, so
-// closed or vanished subscriptions cost nothing.
+// its Profile field is stamped per matched subscription — after the liveness
+// check, so ended subscriptions cost nothing: one that ended after the
+// match is skipped even when its id already names a new subscription.
 //
-// ids is borrowed, not retained (notifications copy each id; Block sends use
-// sub.id), so publish recycles it for the next event; buf.subs is left empty.
+// ms is borrowed, not retained: deliver collects the Block-policy
+// subscriptions at its front, and publish clears it for the next event.
 //
 //genas:hotpath
-func (b *Broker) deliver(ev event.Event, ids []predicate.ID, buf *publishBuf, now time.Time, cancel <-chan struct{}) {
+func (b *Broker) deliver(ev event.Event, ms []core.Member, now time.Time, cancel <-chan struct{}) {
 	n := Notification{Event: ev, Delivered: now}
+	block := ms[:0]
 	b.mu.RLock()
-	for _, id := range ids {
-		sub, ok := b.subs[id]
-		if !ok || sub.closed.Load() {
+	for _, m := range ms {
+		sub := m.(*Subscription)
+		if sub.closed.Load() {
 			continue
 		}
 		if sub.policy == Block {
-			buf.subs = append(buf.subs, sub)
+			block = append(block, m)
 			continue
 		}
-		n.Profile = id
+		n.Profile = sub.profile.ID
 		sent, evicted := sub.send(n)
 		if sent {
 			sub.delivered.Add(1)
@@ -578,22 +570,21 @@ func (b *Broker) deliver(ev event.Event, ids []predicate.ID, buf *publishBuf, no
 		}
 	}
 	b.mu.RUnlock()
-	for _, sub := range buf.subs {
-		n.Profile = sub.id
+	for _, m := range block {
+		sub := m.(*Subscription)
+		n.Profile = sub.profile.ID
 		if sub.blockingSend(n, cancel) {
 			b.delivered.Add(1)
 		} else {
 			b.dropped.Add(1)
 		}
 	}
-	clear(buf.subs)
-	buf.subs = buf.subs[:0]
 }
 
 // send places n on the subscription channel under its non-blocking drop
 // policy, reporting whether the notification reached the buffer and how many
-// older notifications were evicted to make room. Runs with the table's read
-// lock held, so the channel cannot close mid-send.
+// older notifications were evicted to make room. Runs with the send fence's
+// read side held, so the channel cannot close mid-send.
 func (s *Subscription) send(n Notification) (sent bool, evicted int) {
 	if s.policy == DropOldest {
 		for {
@@ -619,7 +610,7 @@ func (s *Subscription) send(n Notification) (sent bool, evicted int) {
 	}
 }
 
-// blockingSend performs one Block-policy delivery outside the table lock:
+// blockingSend performs one Block-policy delivery outside the send fence:
 // it waits until buffer space frees, the subscription ends (done closes
 // before the channel does), or the publisher's cancel channel fires (nil
 // means no cancellation). sendMu (read side) fences the channel against
@@ -656,10 +647,8 @@ func (b *Broker) Quenched(attr int, iv schema.Interval) bool {
 		return false
 	}
 	dom := b.schema.At(attr).Domain
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for _, sub := range b.subs {
-		p := sub.profile
+	for _, m := range b.filter.Members() {
+		p := m.Profile()
 		if !p.Constrains(attr) {
 			return false // a don't-care profile accepts any value here
 		}
@@ -680,13 +669,10 @@ type Stats = stats.Record
 // delivery totals, the engine's operation account, the adaptor's
 // restructures and the shape of the canonical index.
 func (b *Broker) Stats() Stats {
-	b.mu.RLock()
-	n := len(b.subs)
-	b.mu.RUnlock()
 	acc := b.filter.Account()
 	ag := b.filter.AggStats()
 	st := Stats{
-		Subscriptions:        n,
+		Subscriptions:        ag.Subscriptions,
 		Published:            b.published.Load(),
 		Delivered:            b.delivered.Load(),
 		Dropped:              b.dropped.Load(),
@@ -714,17 +700,16 @@ func (b *Broker) Close() {
 		return
 	}
 	// Ending a subscription releases its blocked Block-policy publishers,
-	// which wait outside the table lock; regMu (held) blocks new
-	// registrations meanwhile.
+	// which wait outside the send fence; regMu (held) blocks new
+	// registrations meanwhile. The engine keeps its members, which
+	// Unsubscribe refuses once closed.
+	ending := b.filter.Members()
 	b.mu.Lock()
-	ending := make([]*Subscription, 0, len(b.subs))
-	for id, sub := range b.subs {
-		sub.end()
-		delete(b.subs, id)
-		ending = append(ending, sub)
+	for _, m := range ending {
+		m.(*Subscription).end()
 	}
 	b.mu.Unlock()
-	for _, sub := range ending {
-		retireChan(sub)
+	for _, m := range ending {
+		retireChan(m.(*Subscription))
 	}
 }

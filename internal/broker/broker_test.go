@@ -180,10 +180,23 @@ func TestQuenched(t *testing.T) {
 	}
 }
 
+// TestCloseRejectsOperations: after Close every operation fails with
+// ErrClosed. The engine still holds its members after Close, but Close has
+// ended them and released their channels, so Unsubscribe of a live id or of
+// a queue member must refuse rather than release a channel a second time: a
+// subscription's channel holds no reference afterwards, and a queue's
+// channel stays open for its owner and closes once, when the owner leaves.
 func TestCloseRejectsOperations(t *testing.T) {
 	b := newBroker(t, Options{})
 	s := b.Schema()
 	sub, _ := b.SubscribeWith(predicate.MustParse(s, "p", "profile(temperature >= 0)"), SubOptions{})
+	q, err := b.NewQueue(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Subscribe(predicate.MustParse(s, "m", "profile(temperature >= 0)")); err != nil {
+		t.Fatal(err)
+	}
 	b.Close()
 	b.Close() // idempotent
 	if _, open := <-sub.C(); open {
@@ -194,6 +207,63 @@ func TestCloseRejectsOperations(t *testing.T) {
 	}
 	if _, err := b.SubscribeWith(predicate.MustParse(s, "q", "profile(temperature >= 0)"), SubOptions{}); !errors.Is(err, ErrClosed) {
 		t.Error("subscribe after close must error")
+	}
+	for _, id := range []predicate.ID{"p", "m"} {
+		if err := b.Unsubscribe(id); !errors.Is(err, ErrClosed) {
+			t.Errorf("unsubscribe %s after close = %v, want ErrClosed", id, err)
+		}
+	}
+	if n := sub.shared.refs.Load(); n != 0 {
+		t.Errorf("the subscription's channel holds %d references after close, want 0", n)
+	}
+	if n := q.shared.refs.Load(); n != 1 || q.shared.closed.Load() {
+		t.Fatalf("the queue holds %d references (closed %v) before its owner leaves, want 1 and open", n, q.shared.closed.Load())
+	}
+	q.Close()
+	q.Close() // idempotent
+	if _, open := <-q.C(); open || q.shared.refs.Load() != 0 {
+		t.Errorf("the queue's channel is open %v with %d references after its owner left, want closed with 0", open, q.shared.refs.Load())
+	}
+}
+
+// TestReusedIDGetsOnlyItsOwnMatches stages a publish racing a re-subscribe
+// of one id: the event [80] is matched while x subscribes x >= 50, then x
+// leaves and subscribes again as x <= 10, and only then is the match
+// delivered. The match yielded the old subscription, which has ended, so the
+// new one — another subscription under the same id — receives nothing.
+func TestReusedIDGetsOnlyItsOwnMatches(t *testing.T) {
+	dom, _ := schema.NewNumericDomain(0, 100)
+	s := schema.MustNew(schema.Attribute{Name: "x", Domain: dom})
+	for _, shards := range []int{1, 2} {
+		b, err := New(s, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		if _, err := b.SubscribeWith(predicate.MustParse(s, "x", "profile(x >= 50)"), SubOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		vals := []float64{80}
+		ms, _, err := b.filter.MatchAppend(vals, nil)
+		if err != nil || len(ms) != 1 {
+			t.Fatalf("shards=%d: the event matched %d subscriptions (%v), want 1", shards, len(ms), err)
+		}
+		if err := b.Unsubscribe("x"); err != nil {
+			t.Fatal(err)
+		}
+		sub, err := b.SubscribeWith(predicate.MustParse(s, "x", "profile(x <= 10)"), SubOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.deliver(event.Event{Vals: vals, Seq: 1}, ms, time.Now(), nil)
+		select {
+		case n := <-sub.C():
+			t.Errorf("shards=%d: new subscription x (x <= 10) received event %v matched under the old profile", shards, n.Event.Vals)
+		default:
+		}
+		if n := sub.Delivered(); n != 0 {
+			t.Errorf("shards=%d: new subscription x counts %d deliveries, want 0", shards, n)
+		}
 	}
 }
 
@@ -308,9 +378,9 @@ func clampTemp(v float64) float64 {
 	return v
 }
 
-// TestPerProfileCounters: a live subscription counts its own deliveries and
-// drops, and the broker-wide totals count the same.
-func TestPerProfileCounters(t *testing.T) {
+// TestPerSubscriptionCounters: a live subscription counts its own deliveries
+// and drops, and the broker-wide totals count the same.
+func TestPerSubscriptionCounters(t *testing.T) {
 	b := newBroker(t, Options{})
 	s := b.Schema()
 	sub, err := b.SubscribeWith(predicate.MustParse(s, "c1", "profile(temperature >= 0)"), SubOptions{Buffer: 1})

@@ -176,7 +176,11 @@ func TestPublishBatchAllocations(t *testing.T) {
 // subscription live for the whole publish must be notified if it matches,
 // one live at no point of it must not be, and the ones whose lifetime only
 // overlaps the publish may go either way. A buffer recycled while still in
-// use would deliver a profile under the wrong event. Run under -race.
+// use would deliver a profile under the wrong event. A handler channel
+// belongs to one incarnation of its id, so every notification on it must
+// carry that id and match that incarnation's own profile: a match of an
+// earlier incarnation delivered to a later one under the same id fails here.
+// Run under -race.
 func TestRecycledIDsRaceStress(t *testing.T) {
 	const (
 		publishers   = 4
@@ -205,10 +209,13 @@ func TestRecycledIDsRaceStress(t *testing.T) {
 		vals   []float64
 		t0, t1 int64
 	}
+	// note is one notification received; own is the profile of the one
+	// subscription whose channel received it, nil on the shared Queue.
 	type note struct {
 		seq  uint64
 		vals []float64
 		id   predicate.ID
+		own  *predicate.Profile
 	}
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -222,13 +229,13 @@ func TestRecycledIDsRaceStress(t *testing.T) {
 				notes  []note
 				drains sync.WaitGroup
 			)
-			handle := func(c <-chan Notification) {
+			handle := func(c <-chan Notification, own *predicate.Profile) {
 				drains.Add(1)
 				go func() {
 					defer drains.Done()
 					for n := range c {
 						mu.Lock()
-						notes = append(notes, note{n.Event.Seq, n.Event.Vals, n.Profile})
+						notes = append(notes, note{n.Event.Seq, n.Event.Vals, n.Profile, own})
 						mu.Unlock()
 					}
 				}()
@@ -237,7 +244,7 @@ func TestRecycledIDsRaceStress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			handle(q.C())
+			handle(q.C(), nil)
 
 			forever := life{u0: math.MaxInt64, u1: math.MaxInt64}
 			lives := make([][]life, churners+1)
@@ -249,7 +256,7 @@ func TestRecycledIDsRaceStress(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					handle(sub.C())
+					handle(sub.C(), l.p)
 				} else {
 					l.p = predicate.MustParse(s, predicate.ID(fmt.Sprintf("q%d", i)), fmt.Sprintf("profile(humidity <= %d; temperature >= %d)", 15*i, 5*i-30))
 					if _, err := q.Subscribe(l.p); err != nil {
@@ -326,7 +333,7 @@ func TestRecycledIDsRaceStress(t *testing.T) {
 						} else {
 							var sub *Subscription
 							if sub, err = b.SubscribeWith(l.p, SubOptions{Buffer: events}); err == nil {
-								handle(sub.C())
+								handle(sub.C(), l.p)
 							}
 						}
 						l.s1 = clock.Add(1)
@@ -377,6 +384,9 @@ func TestRecycledIDsRaceStress(t *testing.T) {
 			seqNum := make(map[uint64]int)
 			got := make(map[uint64]map[predicate.ID]bool)
 			for _, n := range notes {
+				if n.own != nil && (n.id != n.own.ID || !n.own.Matches(n.vals)) {
+					t.Fatalf("seq %d: the subscription %s %s received %v for %s, which its own profile does not match", n.seq, n.own.ID, n.own.Render(s), n.vals, n.id)
+				}
 				k := int(n.vals[2])
 				if !slices.Equal(n.vals, byNum[k].vals) {
 					t.Fatalf("seq %d: notified values %v, event %d published %v", n.seq, n.vals, k, byNum[k].vals)

@@ -25,8 +25,8 @@ func TestShardedBrokerDelivery(t *testing.T) {
 	}
 
 	s := single.Schema()
-	subsSingle := make(map[predicate.ID]*Subscription)
-	subsSharded := make(map[predicate.ID]*Subscription)
+	// pairs[i] holds subscription i on the single and the sharded broker.
+	pairs := make([][2]*Subscription, 0, 40)
 	for i := 0; i < 40; i++ {
 		expr := fmt.Sprintf("profile(temperature >= %d)", i-20)
 		id := predicate.ID(fmt.Sprintf("s%d", i))
@@ -40,8 +40,7 @@ func TestShardedBrokerDelivery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subsSingle[id] = sub1
-		subsSharded[id] = sub2
+		pairs = append(pairs, [2]*Subscription{sub1, sub2})
 	}
 
 	rng := rand.New(rand.NewSource(2))
@@ -71,8 +70,8 @@ func TestShardedBrokerDelivery(t *testing.T) {
 	}
 	// Every subscriber counted, and saw, the same notifications on both
 	// brokers.
-	for id, sub1 := range subsSingle {
-		sub2 := subsSharded[id]
+	for _, pair := range pairs {
+		id, sub1, sub2 := pair[0].ID(), pair[0], pair[1]
 		if sub1.Delivered() != sub2.Delivered() || sub1.Dropped() != sub2.Dropped() {
 			t.Errorf("sub %s: single counted %d/%d delivered/dropped, sharded %d/%d",
 				id, sub1.Delivered(), sub1.Dropped(), sub2.Delivered(), sub2.Dropped())

@@ -70,7 +70,7 @@ func aggScalePopulation(s *schema.Schema, rng *rand.Rand, distinct, n int) []*pr
 // poset must be several times smaller than the population (>= 5x; ~30x here).
 //
 // Memory: the automaton indexes only the poset's uncovered roots and every
-// further subscriber of a structure costs one SubRef, so resident heap per
+// further subscriber of a structure costs one member, so resident heap per
 // subscription must stay under 8 KiB. This population measures ~0.5 KiB; the
 // ceiling is not tighter because the root automaton, a cost fixed by the
 // templates and not the subscriber count, grows several-fold with one more

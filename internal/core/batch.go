@@ -46,7 +46,8 @@ func (e *Engine) MatchBatch(events [][]float64, workers int) ([]BatchResult, err
 		return results, nil
 	}
 	runBatch(len(events), workers, func(i int) {
-		results[i].IDs, results[i].Ops = snap.match(events[i], nil)
+		ms, ops := snap.match(events[i], nil)
+		results[i].IDs, results[i].Ops = idsOf(ms), ops
 	})
 
 	for _, r := range results {

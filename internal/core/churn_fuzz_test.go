@@ -10,7 +10,7 @@ import (
 )
 
 // The churn-sequence oracle harness: one engine (single-tree or sharded)
-// mutated only through incremental AddProfile/RemoveProfile, checked against
+// mutated only through incremental AddProfile/Remove, checked against
 // two independent oracles after every few operations:
 //
 //  1. direct evaluation — every live profile's Matches over a probe grid is
@@ -31,7 +31,7 @@ import (
 // *Engine and *Sharded.
 type churnFilter interface {
 	AddProfile(*predicate.Profile) error
-	RemoveProfile(predicate.ID) error
+	Remove(predicate.ID) (Member, error)
 	Match([]float64) ([]predicate.ID, int, error)
 	Rebuild() error
 	Reorder(attrs ...int) (resorted, copied int, err error)
@@ -193,8 +193,8 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 			pick, _ := take()
 			i := int(pick) % len(order)
 			id := order[i]
-			if err := filter.RemoveProfile(id); err != nil {
-				t.Fatalf("step %d: remove %s: %v", step, id, err)
+			if m, err := filter.Remove(id); err != nil || m.Profile() != live[id] {
+				t.Fatalf("step %d: remove %s: %v, %v", step, id, m, err)
 			}
 			delete(live, id)
 			order = append(order[:i], order[i+1:]...)
@@ -208,8 +208,8 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 			// Cap the live corpus so the from-scratch oracle stays cheap.
 			if len(order) >= 48 {
 				id := order[0]
-				if err := filter.RemoveProfile(id); err != nil {
-					t.Fatalf("step %d: evict %s: %v", step, id, err)
+				if m, err := filter.Remove(id); err != nil || m.Profile() != live[id] {
+					t.Fatalf("step %d: evict %s: %v, %v", step, id, m, err)
 				}
 				delete(live, id)
 				order = order[1:]

@@ -7,8 +7,9 @@
 // The corpus has one index: the covering poset of canonical structures
 // (internal/agg). Subscriptions intern onto canonical nodes, covered nodes
 // hang beneath their coverers, the automaton indexes the poset's roots, and
-// a match expands the roots it reached into subscription ids. Match cost
-// grows with distinct predicate structure, not with subscriber count.
+// a match expands the roots it reached into the subscriptions themselves
+// (the members the caller registered). Match cost grows with distinct
+// predicate structure, not with subscriber count.
 //
 // The engine "evaluates first those event-values and attributes that have
 // the highest selectivity": attributes with high selectivity move to the top
@@ -111,13 +112,13 @@ type snapshot struct {
 }
 
 // match filters one event through a built snapshot, appending the matched
-// subscription ids to dst: the tree matches canonical roots and the poset
-// image expands them into concrete ids, its descent evaluations charged to
-// the event like tree comparisons. The tree's accumulator for parked profiles
-// is the expansion's pooled scratch.
+// members to dst: the tree matches canonical roots and the poset image
+// expands them into concrete members, its descent evaluations charged to the
+// event like tree comparisons. The tree's accumulator for parked profiles is
+// the expansion's pooled scratch.
 //
 //genas:hotpath
-func (s *snapshot) match(vals []float64, dst []predicate.ID) ([]predicate.ID, int) {
+func (s *snapshot) match(vals []float64, dst []Member) ([]Member, int) {
 	return s.expand.Match(vals, s.tree, s.t2n, dst)
 }
 
@@ -134,7 +135,7 @@ type Engine struct {
 	account stats.OpAccount
 
 	// agg is the index: the covering poset holds every subscription — one
-	// SubRef on its canonical node — and the automaton indexes the poset's
+	// member on its canonical node — and the automaton indexes the poset's
 	// roots only. t2n is the write side of snapshot.t2n; nodeTree maps a
 	// poset node index back to its tree slot (-1: not indexed) for
 	// demotions. Both are valid only while snap.tree != nil.
@@ -181,43 +182,52 @@ func NewEngine(s *schema.Schema, cfg Config) *Engine {
 // Schema returns the engine's schema.
 func (e *Engine) Schema() *schema.Schema { return e.schema }
 
-// AddProfile registers a profile: the subscription joins its canonical node
-// in the poset. While no automaton is live the node is only interned — the
-// lazy build on the next match links the poset in one pass. Otherwise the
-// automaton changes only when a new structure enters as a root (indexed) or
-// demotes existing roots beneath it (tombstoned — they stay reachable
-// through the new root's expansion edges), in a successor snapshot sharing
-// the untouched node graph.
-func (e *Engine) AddProfile(p *predicate.Profile) error {
+// AddProfile registers the bare profile p (see Add).
+func (e *Engine) AddProfile(p *predicate.Profile) error { return e.Add(agg.Bare(p)) }
+
+// Add registers a member under its profile's id: the subscription joins its
+// canonical node in the poset. While no automaton is live the node is only
+// interned — the lazy build on the next match links the poset in one pass.
+// Otherwise the automaton changes only when a new structure enters as a root
+// (indexed) or demotes existing roots beneath it (tombstoned — they stay
+// reachable through the new root's expansion edges), in a successor snapshot
+// sharing the untouched node graph.
+func (e *Engine) Add(m Member) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.agg.Has(p.ID) {
-		return fmt.Errorf("%w: %s", ErrDuplicateProfile, p.ID)
+	if id := m.Profile().ID; e.agg.Has(id) {
+		return fmt.Errorf("%w: %s", ErrDuplicateProfile, id)
 	}
 	snap := e.snap.Load()
 	if snap.tree != nil {
-		e.patchLocked(snap, e.agg.Add(p))
+		e.patchLocked(snap, e.agg.Join(m))
 		return nil
 	}
-	e.agg.Intern(p)
+	e.agg.Intern(m)
 	if snap.empty {
 		e.snap.Store(&snapshot{})
 	}
 	return nil
 }
 
-// RemoveProfile unregisters a profile by id. Dropping a member usually
-// leaves the automaton untouched; when a canonical node loses its last
-// member it detaches eagerly — its tree slot is tombstoned if it was a root
-// (O(1); the next coalescing rebuild compacts tombstones), and formerly
-// covered nodes promoted by the detach are indexed, so a covered
-// subscription resurfaces the moment its last coverer leaves.
+// RemoveProfile unregisters a profile by id (see Remove).
 func (e *Engine) RemoveProfile(id predicate.ID) error {
+	_, err := e.Remove(id)
+	return err
+}
+
+// Remove unregisters the member registered under id and returns it. Dropping
+// a member usually leaves the automaton untouched; when a canonical node
+// loses its last member it detaches eagerly — its tree slot is tombstoned if
+// it was a root (O(1); the next coalescing rebuild compacts tombstones), and
+// formerly covered nodes promoted by the detach are indexed, so a covered
+// subscription resurfaces the moment its last coverer leaves.
+func (e *Engine) Remove(id predicate.ID) (Member, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	d, ok := e.agg.Remove(id)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownProfile, id)
+	m, d := e.agg.Take(id)
+	if m == nil {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownProfile, id)
 	}
 	if e.agg.SubCount() == 0 {
 		e.resetLocked()
@@ -225,7 +235,7 @@ func (e *Engine) RemoveProfile(id predicate.ID) error {
 		e.patchLocked(snap, d)
 	}
 	// Otherwise the snapshot is stale already; the next build reads the poset.
-	return nil
+	return m, nil
 }
 
 // patchLocked applies one churn op's root-set change to the live automaton
@@ -280,24 +290,13 @@ func (e *Engine) resetLocked() {
 	e.edits = 0
 }
 
-// ProfileCount returns the number of registered profiles (concrete
-// subscriptions, not canonical nodes).
-func (e *Engine) ProfileCount() int {
+// Members returns the registered members in node order, each as its
+// subscriber registered it: its own spelling, id and priority, not the
+// canonical node's representative (the structure's first spelling).
+func (e *Engine) Members() []Member {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.agg.SubCount()
-}
-
-// Profiles returns the registered profiles. The originals are not retained
-// — one SubRef per subscriber is the memory the index costs — so each entry
-// is synthesized from its canonical node: the id and priority are the
-// subscriber's, the predicate column is the node's representative (an
-// equivalent constraint, spelled the way the structure's first subscriber
-// spelled it).
-func (e *Engine) Profiles() []*predicate.Profile {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.agg.Profiles()
+	return e.agg.Members()
 }
 
 // eventDists returns P_e, defaulting to uniform per attribute.
@@ -482,17 +481,47 @@ func (e *Engine) current() (*snapshot, error) {
 //
 //genas:hotpath
 func (e *Engine) Match(vals []float64) ([]predicate.ID, int, error) {
-	return e.MatchAppend(vals, nil)
+	return matchIDs(e, vals)
 }
 
-// MatchAppend is Match appending the matched ids to dst, which the caller
-// owns: the engine keeps neither dst nor the returned slice, so a caller that
-// reuses one buffer across events allocates nothing per event once the buffer
-// is large enough. An empty engine returns dst as given, an error nil.
+var memberPool = sync.Pool{New: func() any { return new([]Member) }}
+
+// matchIDs is the id-returning Match of either engine: f matches into pooled
+// scratch (memberPool), and the ids are copied out into one fresh slice, nil
+// when nothing matched.
 //
 //genas:hotpath
-func (e *Engine) MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.ID, int, error) {
-	ids, ops, empty, err := e.matchIDs(vals, dst)
+func matchIDs(f Filter, vals []float64) ([]predicate.ID, int, error) {
+	buf := memberPool.Get().(*[]Member)
+	ms, ops, err := f.MatchAppend(vals, (*buf)[:0])
+	ids := idsOf(ms)
+	clear(ms)
+	*buf = ms[:0]
+	memberPool.Put(buf)
+	return ids, ops, err
+}
+
+// idsOf returns the members' ids in one fresh slice, nil for none.
+func idsOf(ms []Member) []predicate.ID {
+	if len(ms) == 0 {
+		return nil
+	}
+	ids := make([]predicate.ID, len(ms))
+	for i, m := range ms {
+		ids[i] = m.Profile().ID
+	}
+	return ids
+}
+
+// MatchAppend is Match appending the matched members to dst, which the
+// caller owns: the engine keeps neither dst nor the returned slice, so a
+// caller that reuses one buffer across events allocates nothing per event
+// once the buffer is large enough. An empty engine returns dst as given, an
+// error nil.
+//
+//genas:hotpath
+func (e *Engine) MatchAppend(vals []float64, dst []Member) ([]Member, int, error) {
+	ms, ops, empty, err := e.matchInto(vals, dst)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -500,7 +529,7 @@ func (e *Engine) MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.ID
 		return dst, 0, nil
 	}
 	e.account.Record(ops)
-	return ids, ops, nil
+	return ms, ops, nil
 }
 
 // MatchAny reports whether the event matches at least one registered
@@ -518,14 +547,13 @@ func (e *Engine) MatchAny(vals []float64) (bool, error) {
 	return snap.tree.MatchAny(vals), nil
 }
 
-// matchIDs is Match without operation accounting, appending matched ids to
-// dst: the sharded engine merges per-shard results into one buffer and
-// accounts once per event at the top level. empty reports that the engine
-// holds no profiles (which matches nothing and does not count as a filtered
-// event).
+// matchInto is MatchAppend without operation accounting: the sharded engine
+// merges per-shard results into one buffer and accounts once per event at
+// the top level. empty reports that the engine holds no profiles (which
+// matches nothing and does not count as a filtered event).
 //
 //genas:hotpath
-func (e *Engine) matchIDs(vals []float64, dst []predicate.ID) (ids []predicate.ID, ops int, empty bool, err error) {
+func (e *Engine) matchInto(vals []float64, dst []Member) (ms []Member, ops int, empty bool, err error) {
 	snap, err := e.current()
 	if err != nil {
 		return dst, 0, false, err
@@ -533,8 +561,8 @@ func (e *Engine) matchIDs(vals []float64, dst []predicate.ID) (ids []predicate.I
 	if snap.empty {
 		return dst, 0, true, nil
 	}
-	ids, ops = snap.match(vals, dst)
-	return ids, ops, false, nil
+	ms, ops = snap.match(vals, dst)
+	return ms, ops, false, nil
 }
 
 // Tree exposes the current automaton (nil until first built). A stale
@@ -572,6 +600,9 @@ func (e *Engine) Analyze() (selectivity.Analysis, error) {
 	e.mu.Unlock()
 	return selectivity.Analyze(t, ed, selectivity.Probe), nil
 }
+
+// Member is one registered subscription (agg.Member).
+type Member = agg.Member
 
 // AggStats summarizes the shape of the index: subscriptions, canonical nodes,
 // the roots the automaton indexes and the longest covering chain (for a

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"genas/internal/agg"
 	"genas/internal/dist"
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -68,8 +69,8 @@ func TestEngineLifecycle(t *testing.T) {
 	if len(ids) != 1 || ids[0] != "p2" {
 		t.Errorf("after remove: %v", ids)
 	}
-	if e.ProfileCount() != 1 {
-		t.Errorf("count = %d", e.ProfileCount())
+	if e.AggStats().Subscriptions != 1 {
+		t.Errorf("count = %d", e.AggStats().Subscriptions)
 	}
 }
 
@@ -479,26 +480,61 @@ func TestMatchAllocatesOnce(t *testing.T) {
 }
 
 // TestMatchAppendAppends: MatchAppend keeps what dst held, appends this
-// event's ids after it, and accounts the event with the operations it
+// event's members after it, and accounts the event with the operations it
 // spent; an empty engine hands dst back untouched and accounts nothing.
 func TestMatchAppendAppends(t *testing.T) {
 	s := testSchema(t)
 	for _, f := range []Filter{NewEngine(s, Config{}), NewSharded(s, Config{}, 2)} {
-		dst := []predicate.ID{"held"}
-		if got, ops, err := f.MatchAppend([]float64{15, 5}, dst); err != nil || len(got) != 1 || got[0] != "held" || ops != 0 {
+		dst := []Member{agg.Bare(&predicate.Profile{ID: "held"})}
+		if got, ops, err := f.MatchAppend([]float64{15, 5}, dst); err != nil || len(got) != 1 || got[0] != dst[0] || ops != 0 {
 			t.Fatalf("%T: empty filter MatchAppend = %v, %d, %v; want dst back", f, got, ops, err)
 		}
 		for i := 0; i < 3; i++ {
-			if err := f.AddProfile(predicate.MustParse(s, predicate.ID(fmt.Sprintf("m%d", i)), "profile(x in [10,20])")); err != nil {
+			if err := f.Add(agg.Bare(predicate.MustParse(s, predicate.ID(fmt.Sprintf("m%d", i)), "profile(x in [10,20])"))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		got, ops, err := f.MatchAppend([]float64{15, 5}, dst)
-		if err != nil || len(got) != 4 || got[0] != "held" {
-			t.Fatalf("%T: MatchAppend = %v, %v; want held then three ids", f, got, err)
+		if err != nil || len(got) != 4 || got[0] != dst[0] {
+			t.Fatalf("%T: MatchAppend = %v, %v; want held then three members", f, got, err)
 		}
 		if acc := f.Account(); acc.Events != 1 || acc.Ops != uint64(ops) || ops == 0 {
 			t.Errorf("%T: accounted %+v, want 1 event with %d ops", f, acc, ops)
+		}
+	}
+}
+
+// TestMembersKeepTheirOwnProfiles: over the domain [0,50], x in [0,50] and
+// x <= 50 are one structure and share one canonical node, yet the listing
+// returns each subscriber's own profile — its spelling and its priority —
+// not the structure's first spelling.
+func TestMembersKeepTheirOwnProfiles(t *testing.T) {
+	dom, _ := schema.NewIntegerDomain(0, 50)
+	s := schema.MustNew(schema.Attribute{Name: "x", Domain: dom})
+	for _, f := range []Filter{NewEngine(s, Config{}), NewSharded(s, Config{}, 2)} {
+		a := predicate.MustParse(s, "a", "profile(x in [0,50])")
+		b := predicate.MustParse(s, "b", "profile(x <= 50)")
+		a.Priority, b.Priority = 2, 5
+		for _, p := range []*predicate.Profile{a, b} {
+			if err := f.Add(agg.Bare(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e, ok := f.(*Engine); ok && e.AggStats().Nodes != 1 {
+			t.Fatalf("the two spellings make %d canonical nodes, want 1", e.AggStats().Nodes)
+		}
+		listed := make(map[predicate.ID]*predicate.Profile)
+		for _, m := range f.Members() {
+			listed[m.Profile().ID] = m.Profile()
+		}
+		for _, want := range []struct {
+			p    *predicate.Profile
+			expr string
+		}{{a, "profile(x in [0,50])"}, {b, "profile(x <= 50)"}} {
+			got := listed[want.p.ID]
+			if got == nil || got.Render(s) != want.expr || got.Priority != want.p.Priority {
+				t.Errorf("%T lists %s as %v, want %s with priority %g", f, want.p.ID, got, want.expr, want.p.Priority)
+			}
 		}
 	}
 }

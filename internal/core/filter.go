@@ -8,26 +8,28 @@ import (
 )
 
 // Filter is the matching surface the broker (and every component above it)
-// programs against: a profile corpus, a match path, restructuring entry
+// programs against: a subscription table, a match path, restructuring entry
 // points and operation accounting. It holds only what those callers reach
 // through it; both engines have more methods. Two implementations exist —
 // the single-tree Engine and the N-way Sharded engine — so the choice of
 // concurrency layout is a construction-time decision, not an API change.
+// A match yields the members the caller added, so the caller needs no table
+// of its own to find the subscriber behind a match.
 type Filter interface {
 	// Schema returns the attribute schema the filter matches against.
 	Schema() *schema.Schema
-	// AddProfile registers a profile (rebuilt lazily on the next match).
-	AddProfile(p *predicate.Profile) error
-	// RemoveProfile unregisters a profile by id.
-	RemoveProfile(id predicate.ID) error
-	// Profiles returns the registered profiles, each carrying its canonical
-	// structure's first spelling.
-	Profiles() []*predicate.Profile
-	// MatchAppend filters one event, appending the matched ids to dst and
-	// returning them with the operations spent. dst belongs to the caller
-	// before and after the call: the filter keeps neither it nor the
+	// Add registers a member under its profile's id (rebuilt lazily on the
+	// next match). It fails only on a duplicate id (ErrDuplicateProfile).
+	Add(m Member) error
+	// Remove unregisters the member registered under id and returns it.
+	Remove(id predicate.ID) (Member, error)
+	// Members returns the registered members, each as it was registered.
+	Members() []Member
+	// MatchAppend filters one event, appending the matched members to dst
+	// and returning them with the operations spent. dst belongs to the
+	// caller before and after the call: the filter keeps neither it nor the
 	// returned slice, so one buffer can serve every event.
-	MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.ID, int, error)
+	MatchAppend(vals []float64, dst []Member) ([]Member, int, error)
 	// Rebuild reconstructs the automaton(s) with the current configuration.
 	Rebuild() error
 	// Reorder re-applies the value ordering without rebuilding structure, to

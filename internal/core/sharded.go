@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 
+	"genas/internal/agg"
 	"genas/internal/dist"
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -82,30 +83,25 @@ func (sh *Sharded) ShardCount() int { return len(sh.shards) }
 // Shard exposes one shard engine (diagnostics and tests).
 func (sh *Sharded) Shard(i int) *Engine { return sh.shards[i] }
 
-// AddProfile registers a profile on its home shard.
-func (sh *Sharded) AddProfile(p *predicate.Profile) error {
-	return sh.shards[shardOf(p.ID, len(sh.shards))].AddProfile(p)
+// AddProfile registers the bare profile p on its home shard (see Add).
+func (sh *Sharded) AddProfile(p *predicate.Profile) error { return sh.Add(agg.Bare(p)) }
+
+// Add registers a member on the home shard of its profile's id.
+func (sh *Sharded) Add(m Member) error {
+	return sh.shards[shardOf(m.Profile().ID, len(sh.shards))].Add(m)
 }
 
-// RemoveProfile unregisters a profile from its home shard.
-func (sh *Sharded) RemoveProfile(id predicate.ID) error {
-	return sh.shards[shardOf(id, len(sh.shards))].RemoveProfile(id)
+// Remove unregisters the member registered under id from its home shard and
+// returns it.
+func (sh *Sharded) Remove(id predicate.ID) (Member, error) {
+	return sh.shards[shardOf(id, len(sh.shards))].Remove(id)
 }
 
-// ProfileCount returns the number of registered profiles across shards.
-func (sh *Sharded) ProfileCount() int {
-	n := 0
+// Members returns the registered members in shard order.
+func (sh *Sharded) Members() []Member {
+	var out []Member
 	for _, e := range sh.shards {
-		n += e.ProfileCount()
-	}
-	return n
-}
-
-// Profiles returns a copy of the registered profiles in shard order.
-func (sh *Sharded) Profiles() []*predicate.Profile {
-	var out []*predicate.Profile
-	for _, e := range sh.shards {
-		out = append(out, e.Profiles()...)
+		out = append(out, e.Members()...)
 	}
 	return out
 }
@@ -119,30 +115,25 @@ func (sh *Sharded) Profiles() []*predicate.Profile {
 //
 //genas:hotpath
 func (sh *Sharded) Match(vals []float64) ([]predicate.ID, int, error) {
-	// Preallocated because growing from nil reallocates when the second shard
-	// appends; the slice is fresh and the caller's, nil when nothing matched
-	// as with Engine.Match. TestShardedMatchAllocations pins one allocation
-	// per event.
-	ids, ops, err := sh.MatchAppend(vals, make([]predicate.ID, 0, 8))
-	if len(ids) == 0 {
-		ids = nil
-	}
-	return ids, ops, err
+	// The shards append into pooled scratch, so the id slice, fresh and the
+	// caller's, nil when nothing matched as with Engine.Match, is the one
+	// allocation per event TestShardedMatchAllocations pins.
+	return matchIDs(sh, vals)
 }
 
-// MatchAppend is Match appending every shard's ids to dst, which the caller
-// owns: the engine keeps neither dst nor the returned slice, so a reused
-// buffer that is large enough makes the match allocate nothing. An empty
-// filter returns dst as given, an error nil.
+// MatchAppend is Match appending every shard's members to dst, which the
+// caller owns: the engine keeps neither dst nor the returned slice, so a
+// reused buffer that is large enough makes the match allocate nothing. An
+// empty filter returns dst as given, an error nil.
 //
 //genas:hotpath
-func (sh *Sharded) MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.ID, int, error) {
-	ids, ops, empties := dst, 0, 0
+func (sh *Sharded) MatchAppend(vals []float64, dst []Member) ([]Member, int, error) {
+	ms, ops, empties := dst, 0, 0
 	for _, e := range sh.shards {
 		var sops int
 		var empty bool
 		var err error
-		ids, sops, empty, err = e.matchIDs(vals, ids)
+		ms, sops, empty, err = e.matchInto(vals, ms)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -156,7 +147,7 @@ func (sh *Sharded) MatchAppend(vals []float64, dst []predicate.ID) ([]predicate.
 		return dst, 0, nil // an empty filter matches nothing
 	}
 	sh.account.Record(ops)
-	return ids, ops, nil
+	return ms, ops, nil
 }
 
 // eachShard runs f on every shard in turn, in the caller's goroutine. Each

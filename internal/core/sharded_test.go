@@ -94,8 +94,8 @@ func TestShardedMatchesOracle(t *testing.T) {
 			if got := sharded.ShardCount(); got != n {
 				t.Fatalf("ShardCount = %d", got)
 			}
-			if oracle.ProfileCount() != sharded.ProfileCount() {
-				t.Fatalf("profile counts differ: %d vs %d", oracle.ProfileCount(), sharded.ProfileCount())
+			if oracle.AggStats().Subscriptions != sharded.AggStats().Subscriptions {
+				t.Fatalf("profile counts differ: %d vs %d", oracle.AggStats().Subscriptions, sharded.AggStats().Subscriptions)
 			}
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 500; i++ {
@@ -201,20 +201,20 @@ func TestShardedProfileChurn(t *testing.T) {
 		if err := oracle.RemoveProfile(id); err != nil {
 			t.Fatal(err)
 		}
-		if err := sharded.RemoveProfile(id); err != nil {
+		if _, err := sharded.Remove(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if sharded.ProfileCount() != oracle.ProfileCount() {
+	if sharded.AggStats().Subscriptions != oracle.AggStats().Subscriptions {
 		t.Fatalf("profile counts differ after churn")
 	}
-	if got := len(sharded.Profiles()); got != sharded.ProfileCount() {
-		t.Fatalf("Profiles() returned %d of %d", got, sharded.ProfileCount())
+	if got := len(sharded.Members()); got != sharded.AggStats().Subscriptions {
+		t.Fatalf("Members() returned %d of %d", got, sharded.AggStats().Subscriptions)
 	}
-	if err := sharded.RemoveProfile("p0"); err == nil {
+	if _, err := sharded.Remove("p0"); err == nil {
 		t.Error("double remove must fail")
 	}
-	if err := sharded.AddProfile(sharded.Profiles()[0]); err == nil {
+	if err := sharded.Add(sharded.Members()[0]); err == nil {
 		t.Error("duplicate add must fail")
 	}
 	rng := rand.New(rand.NewSource(23))
@@ -279,7 +279,7 @@ func TestShardedAnalyze(t *testing.T) {
 	var wantOps, wantMatches float64
 	for i := 0; i < sharded.ShardCount(); i++ {
 		e := sharded.Shard(i)
-		if e.ProfileCount() == 0 {
+		if e.AggStats().Subscriptions == 0 {
 			continue
 		}
 		sa, err := e.Analyze()
@@ -298,8 +298,8 @@ func TestShardedAnalyze(t *testing.T) {
 	if a.MatchProb <= 0 || a.MatchProb > 1 {
 		t.Errorf("MatchProb = %v", a.MatchProb)
 	}
-	if roots := sharded.AggStats().Roots; len(a.PerProfile) != roots || roots >= sharded.ProfileCount() {
-		t.Errorf("PerProfile = %d entries for %d indexed roots of %d profiles", len(a.PerProfile), roots, sharded.ProfileCount())
+	if roots := sharded.AggStats().Roots; len(a.PerProfile) != roots || roots >= sharded.AggStats().Subscriptions {
+		t.Errorf("PerProfile = %d entries for %d indexed roots of %d profiles", len(a.PerProfile), roots, sharded.AggStats().Subscriptions)
 	}
 	if len(a.PerLevelOps) != s.N() {
 		t.Errorf("PerLevelOps = %d entries for %d attributes", len(a.PerLevelOps), s.N())

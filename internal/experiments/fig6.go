@@ -22,9 +22,9 @@ var TA1Widths = []float64{0.45, 0.10, 0.80, 0.28, 0.62}
 // TA2Widths gives lightly varying coverage (A1 ≈ 0.60…0.45).
 var TA2Widths = []float64{0.48, 0.40, 0.55, 0.44, 0.52}
 
-// Fig6ProfileCount keeps the five-attribute trees tractable: range profiles
+// Fig6Profiles keeps the five-attribute trees tractable: range profiles
 // over five attributes multiply subranges per level.
-const Fig6ProfileCount = 60
+const Fig6Profiles = 60
 
 // fig6EventDists are the three event distributions of the experiment.
 var fig6EventDists = []string{"equal", "gauss", "relgauss-low"}
@@ -41,7 +41,7 @@ var fig6Orderings = []string{"natur.", "asc.", "desc."}
 func Fig6(widths []float64, title string, seed int64) (Table, error) {
 	s := SchemaND(len(widths))
 	rng := rand.New(rand.NewSource(seed))
-	profiles := GenProfilesND(s, Fig6ProfileCount, widths, rng)
+	profiles := GenProfilesND(s, Fig6Profiles, widths, rng)
 	if len(profiles) == 0 {
 		return Table{}, fmt.Errorf("experiments: no profiles generated")
 	}

@@ -333,7 +333,7 @@ func (f *Fed) attach(l *peerLink) error {
 	}
 	f.links[l.name] = l
 	f.log.Printf("federation: %s linked to peer %s (%s)", f.name, l.name, l.conn.RemoteAddr())
-	f.send(f.table.Attach(l.name, f.brk.Engine().Profiles()))
+	f.send(f.table.Attach(l.name, f.brk.Profiles()))
 	return nil
 }
 

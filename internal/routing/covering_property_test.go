@@ -297,7 +297,7 @@ func TestPosetBulkEqualsIncremental(t *testing.T) {
 		add := func() {
 			serial++
 			p := predicate.MustParse(s, predicate.ID(fmt.Sprintf("s%d", serial)), randomProfileExpr(rng, 5))
-			bulk.Intern(p)
+			bulk.Intern(agg.Bare(p))
 			inc.Add(p)
 			live = append(live, p)
 		}
@@ -362,7 +362,7 @@ func FuzzPosetLink(f *testing.F) {
 				expr := randomProfileExpr(rand.New(rand.NewSource(int64(arg))), 4)
 				p := predicate.MustParse(s, predicate.ID(fmt.Sprintf("s%d", i/2)), expr)
 				if op == 0 {
-					po.Intern(p)
+					po.Intern(agg.Bare(p))
 				} else {
 					po.Add(p)
 				}

@@ -213,7 +213,7 @@ func (n *Node) attach(peer *Node) []Msg {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.peers[peer.name] = peer
-	return n.table.Attach(peer.name, n.local.Engine().Profiles())
+	return n.table.Attach(peer.name, n.local.Profiles())
 }
 
 // peer returns the neighbour behind the named link, nil when there is none.

@@ -315,8 +315,8 @@ func TestWithProfileStatsTracked(t *testing.T) {
 		tr, _ = tr.WithProfile(randomProfile(t, s, rng, i), NaturalOrder())
 	}
 	st := tr.Stats()
-	if st.ProfileCount != 10 {
-		t.Fatalf("ProfileCount=%d want 10", st.ProfileCount)
+	if st.Profiles != 10 {
+		t.Fatalf("Profiles=%d want 10", st.Profiles)
 	}
 	n := 0
 	for _, level := range tr.Levels() {

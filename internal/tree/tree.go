@@ -502,7 +502,7 @@ func (t *Tree) Levels() [][]*Node { return t.ensureMeta().levels }
 type Stats struct {
 	Nodes, Edges, SharedHits int
 	Height                   int
-	ProfileCount             int
+	Profiles                 int
 	// Bytes is the storage the automaton retains: nodes, edges, probe trees,
 	// parked profiles and each distinct leaf set. What successor nodes share
 	// is counted per node.
@@ -513,11 +513,11 @@ type Stats struct {
 func (t *Tree) Stats() Stats {
 	m := t.ensureMeta()
 	st := Stats{
-		Nodes:        m.nodes,
-		Edges:        m.edges,
-		SharedHits:   m.shared,
-		Height:       t.schema.N(),
-		ProfileCount: len(t.profiles),
+		Nodes:      m.nodes,
+		Edges:      m.edges,
+		SharedHits: m.shared,
+		Height:     t.schema.N(),
+		Profiles:   len(t.profiles),
 	}
 	sets := make(map[*[]int]struct{})
 	for _, level := range m.levels {

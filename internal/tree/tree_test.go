@@ -102,7 +102,7 @@ func TestStateSharing(t *testing.T) {
 	if st2.Nodes > 16 {
 		t.Errorf("don't-care corpus built %d nodes, expected small shared automaton", st2.Nodes)
 	}
-	if st2.Height != 3 || st2.ProfileCount != 3 {
+	if st2.Height != 3 || st2.Profiles != 3 {
 		t.Errorf("stats = %+v", st2)
 	}
 }

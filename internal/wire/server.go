@@ -428,7 +428,7 @@ func (s *Server) dispatch(cs *connState, in *inbound, req Request) (Response, er
 
 	case OpProfiles:
 		var payload []ProfilePayload
-		for _, p := range s.brk.Engine().Profiles() {
+		for _, p := range s.brk.Profiles() {
 			payload = append(payload, ProfilePayload{
 				ID:       string(p.ID),
 				Expr:     p.Render(sch),

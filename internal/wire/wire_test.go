@@ -325,3 +325,38 @@ func TestProfilesListing(t *testing.T) {
 		}
 	}
 }
+
+// TestProfilesListEachOwnSpelling: temperature in [-30,50] and
+// temperature <= 50 are one structure over the schema's domain, and the
+// listing shows each subscriber's own spelling and priority, not the first
+// subscriber's.
+func TestProfilesListEachOwnSpelling(t *testing.T) {
+	addr := startServer(t)
+	c, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Subscribe("a", "profile(temperature in [-30,50])", 2, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Subscribe("b", "profile(temperature <= 50)", 5, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	profiles, err := c.Profiles(rpcTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]ProfilePayload{
+		"a": {ID: "a", Expr: "profile(temperature in [-30,50])", Priority: 2},
+		"b": {ID: "b", Expr: "profile(temperature <= 50)", Priority: 5},
+	}
+	if len(profiles) != len(want) {
+		t.Fatalf("profiles = %+v, want %+v", profiles, want)
+	}
+	for _, p := range profiles {
+		if p != want[p.ID] {
+			t.Errorf("listed %+v, want %+v", p, want[p.ID])
+		}
+	}
+}
