@@ -548,7 +548,7 @@ func TestTreeRetainedBytes(t *testing.T) {
 }
 
 // buildScaleFull adds the third size of TestBuildScale.
-var buildScaleFull = flag.Bool("buildscale-full", false, "TestBuildScale also builds 1 000 structures (9 s, 0.8 GB allocated)")
+var buildScaleFull = flag.Bool("buildscale-full", false, "TestBuildScale also builds 1 000 structures (5 s on two cores, 11 s on one; 0.9 GB allocated)")
 
 // TestBuildScale builds distinct structures of the shape that walled the batch
 // build at PR 9 (250 / 500 / 1 000 of them in 5 s, 25 s and 280 s then; the load
@@ -557,12 +557,14 @@ var buildScaleFull = flag.Bool("buildscale-full", false, "TestBuildScale also bu
 // 5–15 % of its domain around a uniform centre, so don't-cares multiply the
 // states level by level. Riders are parked once per node: 250 / 500 / 1 000
 // structures are 27 384 / 124 797 / 482 867 nodes (≈ 643 600 for 1 000 when
-// every rider rode each edge below it). 500 build in under 5 s (1.4 s
-// measured, 11.2 s before the rank sweep) into 56 MB of automaton, which the
-// test logs from Stats().Bytes beside what the build allocated. 1 000 are
-// 4.4 M edges: 231 MB of automaton for 784 MB allocated, but 9 s of sweeping,
-// memoising and laying out, so still only on request. The race runtime slows
-// the build several times over, so under -race the test only builds and logs.
+// every rider rode each edge below it). Two workers (GOMAXPROCS=2) build 250
+// in 0.12 s (0.25 s on one worker) and 500 in under 5 s (0.8–0.95 s measured,
+// 1.6 s on one worker, 11.2 s before the rank sweep) into 56 MB of automaton,
+// which the test logs from Stats().Bytes beside what the build allocated.
+// 1 000 are 4.4 M edges: 231 MB of automaton for 940 MB allocated (785 MB on
+// one worker) and 4.5–5.5 s of sweeping, memoising and laying out (11.3 s on
+// one worker), so still only on request. The race runtime slows the build several
+// times over, so under -race the test only builds and logs.
 func TestBuildScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second builds")

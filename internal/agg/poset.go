@@ -3,6 +3,7 @@ package agg
 import (
 	"slices"
 
+	"genas/internal/par"
 	"genas/internal/predicate"
 	"genas/internal/schema"
 )
@@ -264,17 +265,18 @@ func (po *Poset) Join(m Member) Delta {
 }
 
 // link places n into the order among the nodes before it in the table, all
-// linked already: Add's newest node, or each node in turn under Compact. One
-// scan over the keys finds every node covering n and every node n covers;
-// n's parents are the minimal coverers and its kids the maximal covered
-// nodes. A coverer is minimal when none of its kids covers n, a covered node
-// maximal when n covers none of its parents, because covering is transitive
-// along poset edges. An edge from a coverer of n straight to a kid of n is
-// dropped — n now sits between the two — so the edges stay the transitive
-// reduction of the order.
-func (po *Poset) link(n *node) (d Delta) {
+// linked already: Join's newest node.
+func (po *Poset) link(n *node) Delta {
+	po.above, po.below = po.covering(n, po.above[:0], po.below[:0])
+	return po.place(n, po.above, po.below)
+}
+
+// covering appends to above every node before n in the table that covers n,
+// and to below every one n covers, in table order: one scan over the keys,
+// reading a form only for the pairs the keys leave. It writes nothing, so
+// Compact runs it for many nodes at once.
+func (po *Poset) covering(n *node, above, below []*node) ([]*node, []*node) {
 	key := po.keys[n.idx] // a copy: the scan keeps it in registers
-	above, below := po.above[:0], po.below[:0]
 	for j := range po.keys[:n.idx] {
 		switch o := &po.keys[j]; {
 		case o.attr == key.attr && (o.lo-key.lo)*(key.hi-o.hi) < 0:
@@ -289,8 +291,17 @@ func (po *Poset) link(n *node) (d Delta) {
 			below = append(below, po.nodes[j])
 		}
 	}
-	po.above, po.below = above, below
+	return above, below
+}
 
+// place links n between the nodes covering it and those it covers (covering's
+// lists): its parents are the minimal coverers and its kids the maximal
+// covered nodes. A coverer is minimal when none of its kids covers n, a
+// covered node maximal when n covers none of its parents, because covering is
+// transitive along poset edges. An edge from a coverer of n straight to a kid
+// of n is dropped — n now sits between the two — so the edges stay the
+// transitive reduction of the order.
+func (po *Poset) place(n *node, above, below []*node) (d Delta) {
 	po.gen++
 	covers := po.gen
 	for _, a := range above {
@@ -448,11 +459,29 @@ func (po *Poset) Compact() {
 	po.unlinked = false
 	// Every record moved: the next Snapshot shares nothing with the last.
 	po.img, po.dirty = nil, po.dirty[:0]
-	for _, n := range po.nodes {
-		po.touch(n)
-		po.link(n)
+	// Keys and forms hold still while the order is rebuilt, so the scans of a
+	// batch of nodes run at once; placing them stays in table order.
+	found := make([]struct{ above, below []*node }, min(live, compactBatch))
+	for from := 0; from < live; from += len(found) {
+		batch := po.nodes[from:min(from+len(found), live)]
+		par.For(par.Workers(len(batch), scanGrain), len(batch), scanGrain, func(_, i int) {
+			f := &found[i]
+			f.above, f.below = po.covering(batch[i], f.above[:0], f.below[:0])
+		})
+		for i, n := range batch {
+			po.touch(n)
+			po.place(n, found[i].above, found[i].below)
+		}
 	}
 }
+
+// Compact scans the nodes of a batch at once, claimed scanGrain at a time, so
+// a poset of at most scanGrain nodes is linked inline. A batch bounds the
+// covering lists held at once.
+const (
+	compactBatch = 1024
+	scanGrain    = 64
+)
 
 func (po *Poset) ensureLinked() {
 	if po.unlinked {

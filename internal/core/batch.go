@@ -1,10 +1,7 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
+	"genas/internal/par"
 	"genas/internal/predicate"
 )
 
@@ -24,7 +21,8 @@ const batchChunk = 64
 // MatchBatch filters many events concurrently against one automaton
 // snapshot. All events in the batch see the same profile corpus even if
 // subscriptions change mid-flight, and results are positionally aligned
-// with the input. workers ≤ 0 selects GOMAXPROCS.
+// with the input. The events are spread over at most GOMAXPROCS goroutines
+// (par.For), and over at most workers when workers > 0.
 //
 // The snapshot is loaded once and traversed lock-free: it is immutable, so
 // neither churn nor restructuring mid-batch affects the workers, and no
@@ -45,7 +43,11 @@ func (e *Engine) MatchBatch(events [][]float64, workers int) ([]BatchResult, err
 	if snap.empty {
 		return results, nil
 	}
-	runBatch(len(events), workers, func(i int) {
+	w := par.Workers(len(events), batchChunk)
+	if workers > 0 {
+		w = min(w, workers)
+	}
+	par.For(w, len(events), batchChunk, func(_, i int) {
 		ms, ops := snap.match(events[i], nil)
 		results[i].IDs, results[i].Ops = idsOf(ms), ops
 	})
@@ -54,44 +56,4 @@ func (e *Engine) MatchBatch(events [][]float64, workers int) ([]BatchResult, err
 		e.account.Record(r.Ops)
 	}
 	return results, nil
-}
-
-// runBatch fans fn(i) for i in [0,n) across workers with chunked work
-// stealing. workers ≤ 0 selects GOMAXPROCS; a single worker runs inline.
-// MatchBatch, a benchmark SURFACE symbol, is its only caller.
-func runBatch(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > (n+batchChunk-1)/batchChunk {
-		workers = (n + batchChunk - 1) / batchChunk
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(batchChunk)) - batchChunk
-				if lo >= n {
-					return
-				}
-				hi := lo + batchChunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -59,9 +59,10 @@ func MustParse(s *schema.Schema, id ID, text string) *Profile {
 	return p
 }
 
-// splitTop splits on sep outside of bracket pairs.
+// splitTop splits on sep outside of bracket pairs. The parts take one
+// allocation: every sep, bracketed or not, reserves room for one.
 func splitTop(s string, sep rune) []string {
-	var parts []string
+	parts := make([]string, 0, strings.Count(s, string(sep))+1)
 	depth := 0
 	start := 0
 	for i, r := range s {

@@ -165,7 +165,7 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 // of the old tree keep consistent probe trees. It reports the nodes re-laid
 // and the nodes copied only to re-point their children.
 func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copied int) {
-	r := reorderer{s: t.schema, vo: vo, sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node), a: arena{grow: true}}
+	r := reorderer{sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node), a: arena{grow: true}}
 	for _, a := range attrs {
 		r.sel[a] = true
 	}
@@ -180,20 +180,20 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 	c := *t
 	c.root = r.clone(t.root)
 	c.meta = &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
-	return &c, r.resorted, r.copied
+	layOut(t.schema, vo, r.relay)
+	return &c, len(r.relay), r.copied
 }
 
 // reorderer carries one Reordered call: the selected attributes, the deepest
-// level testing one, and the memo that keeps shared states shared.
+// level testing one, the memo that keeps shared states shared, and the copies
+// to re-lay, their layout storage taken from a.
 type reorderer struct {
-	s                *schema.Schema
-	vo               ValueOrder
-	sel              []bool
-	deepest          int
-	memo             map[*Node]*Node
-	sc               orderScratch
-	a                arena
-	resorted, copied int
+	sel     []bool
+	deepest int
+	memo    map[*Node]*Node
+	a       arena
+	relay   []*Node
+	copied  int
 }
 
 //genas:builder
@@ -213,8 +213,8 @@ func (r *reorderer) clone(old *Node) *Node {
 		}
 	}
 	if r.sel[old.Attr] {
-		n.applyOrder(r.s.At(int(old.Attr)).Domain, r.vo, &r.sc, &r.a)
-		r.resorted++
+		n.layout = r.a.layout(int(n.nSubrange))
+		r.relay = append(r.relay, n)
 	} else {
 		r.copied++
 	}
@@ -553,7 +553,8 @@ func (ins *inserter) chain(level int) *Node {
 	}
 	ins.edgeBuf[level] = buf
 	n.edges = ins.a.edgeSlice(buf)
-	n.applyOrder(dom, ins.vo, &ins.sc, &ins.a)
+	n.layout = ins.a.layout(int(n.nSubrange))
+	n.applyOrder(dom, ins.vo, &ins.sc)
 	return n
 }
 

@@ -1,6 +1,9 @@
 package tree
 
-import "genas/internal/schema"
+import (
+	"genas/internal/par"
+	"genas/internal/schema"
+)
 
 // Interval aliases schema.Interval so the regions of a node's partition read
 // naturally in the ordering and analytics APIs.
@@ -33,11 +36,34 @@ type orderScratch struct {
 	root      []int32
 }
 
-// applyOrder lays the node out in storage of a: the probe tree over its
-// subrange edges under the weights of vo on dom.
+// applyOrder lays the node out: the probe tree over its subrange edges under
+// the weights of vo on dom, written into the storage of n.layout, which holds
+// an entry per subrange edge.
 //
 //genas:builder
-func (n *Node) applyOrder(dom schema.Domain, vo ValueOrder, sc *orderScratch, a *arena) {
+func (n *Node) applyOrder(dom schema.Domain, vo ValueOrder, sc *orderScratch) {
 	sc.weigh(n, dom, vo)
-	n.layout = sc.lay(a.layout(int(n.nSubrange))[:0], 0, int(n.nSubrange))
+	n.layout = sc.lay(n.layout[:0], 0, int(n.nSubrange))
 }
+
+// layOut lays out every node of levels under vo, their layout storage sized:
+// one parallel pass, a scratch per worker, inline for at most layGrain nodes.
+func layOut(s *schema.Schema, vo ValueOrder, levels ...[]*Node) {
+	total := 0
+	for _, ns := range levels {
+		total += len(ns)
+	}
+	w := par.Workers(total, layGrain)
+	sc := make([]orderScratch, w)
+	par.For(w, total, layGrain, func(w, i int) {
+		l := 0
+		for ; i >= len(levels[l]); l++ {
+			i -= len(levels[l])
+		}
+		n := levels[l][i]
+		n.applyOrder(s.At(int(n.Attr)).Domain, vo, &sc[w])
+	})
+}
+
+// layGrain is the nodes a layOut worker claims at a time.
+const layGrain = 64

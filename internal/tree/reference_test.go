@@ -511,7 +511,8 @@ func (r *reference) match(vals []float64, vo ValueOrder) (matched []int, ops int
 				}
 				n.edges = append(n.edges, Edge{Iv: e.iv})
 			}
-			n.applyOrder(r.s.At(w.attr).Domain, vo, new(orderScratch), new(arena))
+			n.layout = make([]int32, n.nSubrange)
+			n.applyOrder(r.s.At(w.attr).Domain, vo, new(orderScratch))
 			r.laid[w] = n
 		}
 		ei, k := n.probe(vals[w.attr])

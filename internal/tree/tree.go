@@ -32,6 +32,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"genas/internal/par"
 	"genas/internal/predicate"
 	"genas/internal/schema"
 	"genas/internal/subrange"
@@ -244,18 +245,17 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 		meta:      &graphMeta{levels: make([][]*Node, s.N())},
 	}
 
-	// Every interval endpoint is ranked once per attribute; the constraint
-	// table and its intervals, one block each, live only until then.
-	b := builder{t: t, vo: cfg.vo, ix: make([]*subrange.Index, s.N()), memo: make(map[uint64]state),
-		a: make([]arena, s.N()), pend: make([][][]int, s.N()), own: arena{grow: true}}
+	// Every interval endpoint is ranked once per attribute, the attributes at
+	// once; a constraint table and its intervals live only until then.
+	b := builder{t: t, ix: make([]*subrange.Index, s.N()), memo: make(map[uint64]state),
+		a: make([]arena, s.N()), own: arena{grow: true}}
 	for level := range b.a {
 		b.a[level].grow = true
 	}
-	cons := make([]subrange.Constraint, len(profiles))
-	var ivs []schema.Interval
-	for attr := range b.ix {
+	par.For(par.Workers(s.N()*len(profiles), rankGrain), s.N(), 1, func(_, attr int) {
 		dom := s.At(attr).Domain
-		ivs = ivs[:0]
+		cons := make([]subrange.Constraint, len(profiles))
+		var ivs []schema.Interval
 		for pi, p := range profiles {
 			cons[pi] = subrange.Constraint{Profile: pi, DontCare: !p.Constrains(attr)}
 			if !cons[pi].DontCare {
@@ -265,7 +265,7 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 			}
 		}
 		b.ix[attr] = subrange.NewIndex(dom, cons)
-	}
+	})
 
 	b.deepest = make([]int, len(profiles))
 	all := make([]int, len(profiles))
@@ -277,7 +277,8 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 			}
 		}
 	}
-	t.root = b.build(all, 0)
+	t.root = b.build(all)
+	layOut(s, cfg.vo, t.meta.levels...)
 	// The builder tracked the meta incrementally; consume the lazy fill.
 	t.meta.once.Do(func() {})
 	return t, nil
@@ -297,27 +298,19 @@ func isPermutation(order []int, n int) bool {
 	return true
 }
 
-// builder carries one Build: the rank index of every attribute, the sweep
-// that decomposes each state on it, the memo that keeps equivalent states
-// shared, and the arenas everything the tree retains is carved from.
+// builder carries one Build: the rank index of every attribute, the memo
+// that keeps equivalent states shared, and the arenas everything the tree
+// retains is carved from.
 type builder struct {
 	t    *Tree
-	vo   ValueOrder
 	ix   []*subrange.Index // by schema attribute
-	sw   subrange.Sweep
 	memo map[uint64]state
 	// deepest[pi] is the deepest level profile pi constrains, −1 for none.
 	deepest []int
-	// edges and set assemble one node, rest and park split its alive set; all
-	// are spent before the build descends, so one set of buffers serves every
-	// level.
-	edges      []Edge
-	set        []int
-	rest, park []int
-	sc         orderScratch
-	// pend[level] holds, for the node being built at level, the alive set each
-	// of its edges carries until the edge's child is built from it.
-	pend [][][]int
+	// sw holds one sweeper per worker of the current batch; edges assembles
+	// one node's edges in the commit.
+	sw    []sweeper
+	edges []Edge
 	// a holds one arena per level. Reordered and WithProfile replace a tree
 	// level by level, and a chunk lives as long as anything in it: were the
 	// levels interleaved, the last level's shared edges would pin every node
@@ -328,10 +321,19 @@ type builder struct {
 	own arena
 }
 
+// Build's parallel stages run inline below these sizes: the profiles times
+// the attributes to rank, and the weight of a frontier batch to sweep, where
+// a state of a alive profiles weighs a², the most its edges can carry. A
+// batch ends once it weighs batchWeight, which bounds the sweepers' buffers.
+const (
+	rankGrain   = 4096
+	sweepGrain  = 1 << 13
+	batchWeight = 1 << 18
+)
+
 // state is a memoised alive set: the set as the first edge carrying it into
-// level wrote it down (the whole corpus at the root), and what was made of
-// it — the node built for it, none yet while its parent is being assembled,
-// or, at the tree's height, the leaf match set the tree stores once.
+// level wrote it down, and what was made of it — the node built for it or, at
+// the tree's height, the leaf match set the tree stores once.
 type state struct {
 	level int
 	n     *Node
@@ -339,120 +341,173 @@ type state struct {
 	leaf  *[]int
 }
 
-// find probes the memo, keyed by a hash of level and alive set, for the state
-// of alive at level: a candidate is verified against the set it stores, and a
-// key taken by another state passes the probe on to the next one. It returns
-// the state, or failing that the free key to memoise it under.
-func (b *builder) find(alive []int, level int) (st state, h uint64, ok bool) {
-	h = uint64(level + 1)
-	for _, pi := range alive {
-		h = (h ^ uint64(pi)) * 0x9E3779B97F4A7C15
-		h ^= h >> 29
-	}
-	for st, ok = b.memo[h]; ok; st, ok = b.memo[h] {
-		if st.level == level && slices.Equal(st.alive, alive) {
-			return st, h, true
-		}
-		h++
-	}
-	return state{}, h, false
+// pending is a frontier state: its node, allocated but not yet assembled, and
+// its alive profile set.
+type pending struct {
+	n     *Node
+	alive []int
 }
 
-// carry points e, an edge into level, at what the profile set it carries
-// leads to — the node already built for it, if there is one, or the leaf match
-// set in a's storage — and returns the memoised copy of the set.
+// build assembles the automaton level by level from the root, whose alive set
+// is all. Workers sweep a batch of the frontier into their own buffers, then
+// one commit takes the batch in frontier order: it interns each child set in
+// the memo, allocates the nodes of the new states — the next frontier, in the
+// order a depth-first build would reach them — and copies the edges and sets
+// into the level's arena. So sharing, the level lists and the arenas are
+// those of a build that descends one state at a time.
 //
 //genas:builder
-func (b *builder) carry(set []int, level int, e *Edge, a *arena) []int {
-	st, h, ok := b.find(set, level)
-	if !ok {
-		st = state{level: level}
-		if level == b.t.schema.N() {
-			st.leaf = a.leafSet(a.intSlice(set))
-			st.alive = *st.leaf
-		} else {
-			st.alive = b.own.intSlice(set)
+func (b *builder) build(all []int) *Node {
+	root := b.a[0].node()
+	*root = Node{Attr: int16(b.t.attrOrder[0])}
+	front, next := []pending{{root, all}}, []pending(nil)
+	var res []swept
+	for level := range b.a {
+		for from := 0; from < len(front); {
+			to, weight := from, 0
+			for ; to < len(front) && weight < batchWeight; to++ {
+				weight += len(front[to].alive) * len(front[to].alive)
+			}
+			batch, w := front[from:to], par.Workers(weight, sweepGrain)
+			for len(b.sw) < w {
+				b.sw = append(b.sw, sweeper{})
+			}
+			for i := range b.sw[:w] {
+				b.sw[i].ints, b.sw[i].cuts = b.sw[i].ints[:0], b.sw[i].cuts[:0]
+			}
+			res = slices.Grow(res[:0], len(batch))[:len(batch)]
+			par.For(w, len(batch), 1, func(w, i int) { res[i] = b.sw[w].sweep(b, batch[i].alive, level, w) })
+			for i, p := range batch {
+				next = b.commit(p.n, level, res[i], next)
+			}
+			from = to
 		}
-		b.memo[h] = st
-	} else if st.n != nil {
-		b.t.meta.shared++
+		front, next = next, front[:0]
 	}
-	e.Child, e.leaf = st.n, st.leaf
-	return st.alive
+	return root
 }
 
-// build returns the node for the alive profile set at the given level: the
-// one built for it before, when two edges of one node carry one set and the
-// first one's descent got there, or else a new one.
-//
-//genas:builder
-func (b *builder) build(alive []int, level int) *Node {
-	t := b.t
-	st, h, _ := b.find(alive, level)
-	if st.n != nil {
-		t.meta.shared++
-		return st.n
-	}
-	attr := t.attrOrder[level]
-	dom := t.schema.At(attr).Domain
-	a := &b.a[level]
-	n := a.node()
-	*n = Node{Level: int16(level), Attr: int16(attr)}
-	b.memo[h] = state{level: level, n: n, alive: alive}
+// sweeper is one worker's scratch: it decomposes the states it claims and
+// keeps, back to back, what the commit copies out.
+type sweeper struct {
+	sw   subrange.Sweep
+	rest []int
+	ints []int // parked profiles and edge sets
+	cuts []cut
+}
 
-	// A rider, a profile that constrains no level from this one down, matches
-	// every event reaching the node: it is parked here once instead of riding
-	// every edge and every path below.
+// cut is one edge a sweep found: its interval, and its profile set in the
+// sweeper's ints with the set's memo hash.
+type cut struct {
+	iv     schema.Interval
+	h      uint64
+	lo, hi int
+}
+
+// swept locates one state's sweep: the sweeper, its parked profiles in the
+// sweeper's ints, its edges in the cuts, and how many lead the subrange edges.
+type swept struct {
+	w, park, parked, from, to, nSubrange int
+}
+
+// sweep decomposes the state of alive at level. A rider, a profile that
+// constrains no level from this one down, matches every event reaching the
+// node: it is parked there once instead of riding every edge and every path
+// below. One sweep over the rest yields the pieces in natural order: a covered
+// piece is a subrange edge on which the don't-care profiles ride along, an
+// uncovered one a gap, which no edge stores. The don't-care profiles own the
+// gaps: through the complement edge (*), or through the star edge of a pure
+// don't-care node. Without them a gap is D₀.
+func (sw *sweeper) sweep(b *builder, alive []int, level, w int) swept {
+	r := swept{w: w, park: len(sw.ints)}
 	rest := alive
 	if slices.ContainsFunc(alive, func(pi int) bool { return b.deepest[pi] < level }) {
-		rest, b.park = b.rest[:0], b.park[:0]
+		rest = sw.rest[:0]
 		for _, pi := range alive {
 			if b.deepest[pi] < level {
-				b.park = append(b.park, pi)
+				sw.ints = append(sw.ints, pi)
 			} else {
 				rest = append(rest, pi)
 			}
 		}
-		n.extra, b.rest = a.intSlice(b.park), rest
+		sw.rest = rest
 	}
+	r.parked, r.from = len(sw.ints), len(sw.cuts)
 
-	// One sweep over the rest yields the pieces in natural order: a covered
-	// piece is a subrange edge on which the don't-care profiles ride along, an
-	// uncovered one a gap, which no edge stores.
-	b.sw.Reset(b.ix[attr], rest)
-	edges, pend, gaps := b.edges[:0], b.pend[level][:0], false
-	for b.sw.Next() {
-		if len(b.sw.Active) == 0 {
+	attr := b.t.attrOrder[level]
+	sw.sw.Reset(b.ix[attr], rest)
+	gaps := false
+	for sw.sw.Next() {
+		if len(sw.sw.Active) == 0 {
 			gaps = true
 			continue
 		}
-		e := Edge{Iv: b.sw.Iv}
-		b.set = appendUnion(b.set[:0], b.sw.Active, b.sw.Star)
-		pend = append(pend, b.carry(b.set, level+1, &e, a))
-		edges = append(edges, e)
+		sw.cut(sw.sw.Iv, level+1, sw.sw.Active, sw.sw.Star)
 	}
-	n.nSubrange = int32(len(edges))
-	// The don't-care profiles own the gaps: through the complement edge (*),
-	// or through the star edge of a pure don't-care node. Without them a gap is
-	// D₀.
-	if len(b.sw.Star) > 0 && gaps {
-		e := Edge{Iv: dom.Interval()}
-		pend = append(pend, b.carry(b.sw.Star, level+1, &e, a))
-		edges = append(edges, e)
+	r.nSubrange = len(sw.cuts) - r.from
+	if len(sw.sw.Star) > 0 && gaps {
+		sw.cut(b.t.schema.At(attr).Domain.Interval(), level+1, sw.sw.Star, nil)
 	}
-	n.edges = a.edgeSlice(edges)
-	b.edges, b.pend[level] = edges, pend
+	r.to = len(sw.cuts)
+	return r
+}
 
-	for i := range n.edges {
-		if e := &n.edges[i]; e.Child == nil && level < t.schema.N()-1 {
-			e.Child = b.build(pend[i], level+1)
-		}
+// cut records the edge over iv carrying the union of x and y into level, and
+// the set's memo key: a hash of level and set.
+func (sw *sweeper) cut(iv schema.Interval, level int, x, y []int) {
+	lo, h := len(sw.ints), uint64(level+1)
+	sw.ints = appendUnion(sw.ints, x, y)
+	for _, pi := range sw.ints[lo:] {
+		h = (h ^ uint64(pi)) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
 	}
-	n.applyOrder(dom, b.vo, &b.sc, a)
+	sw.cuts = append(sw.cuts, cut{iv: iv, h: h, lo: lo, hi: len(sw.ints)})
+}
+
+// commit assembles n, the state at level, from its sweep r in the level's
+// arena: its parked profiles, and an edge per cut pointing at what the cut's
+// set leads to. A set seen before at the next level leads to its state; a new
+// one is memoised — at the tree's height as a leaf match set the tree stores
+// once, above it as a new node, appended to the next frontier. n's probe tree
+// gets its storage, which layOut fills.
+//
+//genas:builder
+func (b *builder) commit(n *Node, level int, r swept, next []pending) []pending {
+	sw, a, t := &b.sw[r.w], &b.a[level], b.t
+	if r.parked > r.park {
+		n.extra = a.intSlice(sw.ints[r.park:r.parked])
+	}
+	edges := b.edges[:0]
+	for _, c := range sw.cuts[r.from:r.to] {
+		set, h, child := sw.ints[c.lo:c.hi], c.h, level+1
+		st, ok := b.memo[h]
+		for ; ok && (st.level != child || !slices.Equal(st.alive, set)); st, ok = b.memo[h] {
+			h++ // a key taken by another state passes the probe on
+		}
+		switch {
+		case ok && st.n != nil:
+			t.meta.shared++
+		case ok:
+		case child == t.schema.N():
+			st.level, st.leaf = child, a.leafSet(a.intSlice(set))
+			st.alive = *st.leaf
+			b.memo[h] = st
+		default:
+			st = state{level: child, n: b.a[child].node(), alive: b.own.intSlice(set)}
+			*st.n = Node{Level: int16(child), Attr: int16(t.attrOrder[child])}
+			b.memo[h] = st
+			next = append(next, pending{st.n, st.alive})
+		}
+		edges = append(edges, Edge{Iv: c.iv, Child: st.n, leaf: st.leaf})
+	}
+	n.nSubrange = int32(r.nSubrange)
+	n.edges = a.edgeSlice(edges)
+	n.layout = a.layout(r.nSubrange)
+	b.edges = edges
 	t.meta.nodes++
 	t.meta.edges += len(n.edges)
 	t.meta.levels[level] = append(t.meta.levels[level], n)
-	return n
+	return next
 }
 
 // appendUnion appends the merge of two sorted, disjoint dense-index sets: an
