@@ -10,6 +10,7 @@ package genas
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -316,9 +317,37 @@ func BenchmarkPublishParallel(b *testing.B) {
 	}
 }
 
-// TestPublishPathAllocations pins the acceptance criterion: the builder and
-// Values paths perform zero map allocations per published event, and the
-// builder path allocates nothing at all for non-matching events.
+// mallocs returns how many heap objects n calls of f allocate in total: the
+// fewest of three rounds after one warm-up call, because Mallocs also counts
+// what goroutines an earlier test left winding down allocate meanwhile.
+// testing.AllocsPerRun truncates its mean to a whole number, which would hide
+// an amortized cost below one object per call.
+func mallocs(n int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// blockAllocs is the amortized ceiling on the values copies of n matched
+// events of arity values each: the broker carves them from 128-value blocks,
+// and 2 more cover a publish scratch the collector took from the pool.
+func blockAllocs(n, arity int) uint64 { return uint64((n*arity+127)/128 + 2) }
+
+// TestPublishPathAllocations pins what every in-process publish entry point
+// allocates: nothing for an event that matches no profile, and for matching
+// events only their share of the broker's values blocks. No map, event value
+// or caller-side copy is built per event; PublishBatch adds its one counts
+// slice per batch.
 func TestPublishPathAllocations(t *testing.T) {
 	sch := MustSchema(Attr("v", MustIntegerDomain(0, 999)))
 	svc, err := NewService(sch)
@@ -331,33 +360,65 @@ func TestPublishPathAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eb := svc.NewEvent()
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := eb.Set("v", 999).Publish(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("EventBuilder publish of a non-matching event allocates %.1f objects/event, want 0", allocs)
+	eb, vals, m := svc.NewEvent(), []float64{0}, map[string]float64{"v": 0}
+	evs := make([]Event, 8)
+	for i := range evs {
+		evs[i].Vals = []float64{0}
 	}
-	// A matching event pays exactly the values copy its notifications carry:
-	// the ids are matched into a pooled buffer.
-	allocs = testing.AllocsPerRun(1000, func() {
-		if _, err := eb.Set("v", 42).Publish(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// -race instruments allocation, so it keeps only the old ceiling.
-	if raceEnabled && allocs > 3 {
-		t.Errorf("EventBuilder publish of a matching event allocates %.1f objects/event under -race, want <= 3", allocs)
-	} else if !raceEnabled && allocs != 1 {
-		t.Errorf("EventBuilder publish of a matching event allocates %.1f objects/event, want 1", allocs)
+	cases := []struct {
+		name    string
+		perCall int // events one call publishes
+		publish func(v float64) (int, error)
+	}{
+		{"PublishValues", 1, func(v float64) (int, error) { vals[0] = v; return svc.PublishValues(vals...) }},
+		{"Publish(map)", 1, func(v float64) (int, error) { m["v"] = v; return svc.Publish(m) }},
+		{"PublishEvent", 1, func(v float64) (int, error) { vals[0] = v; return svc.PublishEvent(Event{Vals: vals}) }},
+		{"EventBuilder", 1, func(v float64) (int, error) { return eb.Set("v", v).Publish() }},
+		{"EventBuilder.At", 1, func(v float64) (int, error) { return eb.Set("v", v).At(time.Unix(7, 0)).Publish() }},
+		{"PublishBatch", len(evs), func(v float64) (int, error) {
+			for i := range evs {
+				evs[i].Vals[0] = v
+			}
+			counts, err := svc.PublishBatch(evs)
+			return counts[0], err
+		}},
+	}
+	const events = 4096
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			calls := events / c.perCall
+			perBatch := uint64(0)
+			if c.perCall > 1 {
+				perBatch = uint64(calls) // the counts
+			}
+			for v, want := range map[float64]int{999: 0, 42: 1} {
+				if n, err := c.publish(v); err != nil || n != want {
+					t.Fatalf("publish(v=%g) = %d, %v; want %d matches", v, n, err, want)
+				}
+			}
+			miss := mallocs(calls, func() { _, _ = c.publish(999) })
+			hit := mallocs(calls, func() { _, _ = c.publish(42) })
+			// -race instruments allocation and drops pooled buffers, so it
+			// keeps only a loose ceiling.
+			if raceEnabled {
+				if limit := perBatch + 3*events; miss > limit || hit > limit {
+					t.Errorf("%d events allocate %d objects missing, %d matching under -race, want <= %d", events, miss, hit, limit)
+				}
+				return
+			}
+			if miss != perBatch {
+				t.Errorf("%d non-matching events allocate %d objects, want %d", events, miss, perBatch)
+			}
+			if limit := perBatch + blockAllocs(events, 1); hit > limit {
+				t.Errorf("%d matching events allocate %d objects, want <= %d (their values blocks)", events, hit, limit)
+			}
+		})
 	}
 }
 
 // TestDeliveryPathAllocations pins the delivery path's allocation behavior on
 // an incrementally churned index: handler-driven subscribers receiving
-// matching events cost one allocation per event, the values copy, and a
+// matching events cost only the events' share of the values blocks, and a
 // subscribe/unsubscribe pair folded into the publish loop stays under the
 // repository's one absolute churn ceiling, 100 allocations per event. That
 // ceiling holds the incremental-index property: subscription churn patches
@@ -400,22 +461,23 @@ func TestDeliveryPathAllocations(t *testing.T) {
 	}
 
 	eb := svc.NewEvent()
-	allocs := testing.AllocsPerRun(1000, func() {
+	const events = 4096
+	allocs := mallocs(events, func() {
 		if _, err := eb.Set("v", 42).Publish(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if raceEnabled && allocs > 8 {
-		t.Errorf("handler delivery on a churned index allocates %.1f objects/event under -race, want <= 8", allocs)
-	} else if !raceEnabled && allocs != 1 {
-		t.Errorf("handler delivery on a churned index allocates %.1f objects/event, want 1 (the values copy)", allocs)
+	if raceEnabled && allocs > 8*events {
+		t.Errorf("handler delivery on a churned index allocates %d objects per %d events under -race, want <= %d", allocs, events, 8*events)
+	} else if limit := blockAllocs(events, 1); !raceEnabled && allocs > limit {
+		t.Errorf("handler delivery on a churned index allocates %d objects per %d events, want <= %d (the values blocks)", allocs, events, limit)
 	}
 
 	// Active churn folded into the publish loop: one subscribe/unsubscribe
 	// pair per published event. A per-operation rebuild would blow the
 	// 100 allocs/event ceiling by orders of magnitude.
 	churn := 0
-	allocs = testing.AllocsPerRun(1000, func() {
+	perOp := testing.AllocsPerRun(1000, func() {
 		churn++
 		id := fmt.Sprintf("x%d", churn)
 		if _, err := svc.Subscribe(id, fmt.Sprintf("profile(v = %d)", 500+churn%400)); err != nil {
@@ -428,8 +490,8 @@ func TestDeliveryPathAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 100 {
-		t.Errorf("publish+churn allocates %.1f objects/op, want <= 100 (per-op rebuilds would be thousands)", allocs)
+	if perOp > 100 {
+		t.Errorf("publish+churn allocates %.1f objects/op, want <= 100 (per-op rebuilds would be thousands)", perOp)
 	}
 
 	// The handlers really ran: every measured publish matched all four.

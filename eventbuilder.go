@@ -109,9 +109,7 @@ func (b *EventBuilder) Values(vals ...float64) *EventBuilder {
 	return b
 }
 
-// At sets the event occurrence time (default: publish time). Timestamped
-// events take the copying publish path, since the delivered event must
-// outlive the builder's buffer.
+// At sets the event occurrence time (default: publish time).
 func (b *EventBuilder) At(t time.Time) *EventBuilder {
 	b.at = t
 	return b
@@ -166,8 +164,8 @@ func (b *EventBuilder) Event() (Event, error) {
 }
 
 // Publish posts the assembled event to the bound service and resets the
-// builder. Untimestamped events take the zero-allocation path: the buffer is
-// only read during matching and copied only when a profile matched.
+// builder. The buffer is only read during matching, so a steady publisher
+// allocates nothing for events that match no profile.
 func (b *EventBuilder) Publish() (int, error) {
 	return b.publish(nil)
 }
@@ -181,9 +179,8 @@ func (b *EventBuilder) PublishCtx(ctx context.Context) (int, error) {
 	return b.publish(ctx)
 }
 
-// publish is the shared Publish/PublishCtx body. Untimestamped events hand
-// the builder's buffer straight to the broker's values path; timestamped
-// ones copy (the delivered event must outlive the buffer).
+// publish is the shared Publish/PublishCtx body. Either way the broker only
+// reads the builder's buffer, and copies it when a profile matched.
 //
 //genas:hotpath
 func (b *EventBuilder) publish(ctx context.Context) (int, error) {
@@ -195,13 +192,7 @@ func (b *EventBuilder) publish(ctx context.Context) (int, error) {
 	if err := b.finalize(); err != nil {
 		return 0, err
 	}
-	if b.at.IsZero() {
-		if ctx != nil {
-			return b.svc.brk.PublishValuesCtx(ctx, b.vals)
-		}
-		return b.svc.brk.PublishValues(b.vals)
-	}
-	ev := event.Event{Vals: append([]float64(nil), b.vals...), Time: b.at}
+	ev := event.Event{Vals: b.vals, Time: b.at}
 	if ctx != nil {
 		return b.svc.brk.PublishCtx(ctx, ev)
 	}

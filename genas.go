@@ -245,6 +245,7 @@ type Service struct {
 	sch      *schema.Schema
 	brk      *broker.Broker
 	defaults *event.Defaults
+	builders sync.Pool // *EventBuilder: Publish(map) fills one per event
 }
 
 // The wire server and the experiment harness live inside this module and
@@ -288,6 +289,7 @@ func NewService(sch *Schema, opts ...Option) (*Service, error) {
 		return nil, err
 	}
 	svc := &Service{sch: sch, brk: b}
+	svc.builders.New = func() any { return svc.NewEvent() }
 	if o.defaultVals != nil {
 		d, err := event.NewDefaults(sch, o.defaultVals)
 		if err != nil {
@@ -367,25 +369,30 @@ func (s *Service) Event(values map[string]float64) (Event, error) {
 }
 
 // Publish posts an event given as attribute name → value and returns the
-// number of matched profiles. The map is convenient but allocates; use
-// PublishValues or an EventBuilder (Service.NewEvent) on hot paths.
+// number of matched profiles. The values are filled into a pooled vector and
+// copied only when a profile matched, so the caller may reuse its map; a
+// name lookup per attribute is the map's cost over PublishValues.
 func (s *Service) Publish(values map[string]float64) (int, error) {
-	ev, err := s.Event(values)
-	if err != nil {
-		return 0, err
-	}
-	return s.brk.Publish(ev)
+	return s.publishMap(nil, values)
 }
 
 // PublishCtx is Publish with a cancellation context: it refuses to start on
 // a done context, and delivery blocked on a SubBlocking subscriber aborts
 // (counting a drop) when the context is canceled.
 func (s *Service) PublishCtx(ctx context.Context, values map[string]float64) (int, error) {
-	ev, err := s.Event(values)
-	if err != nil {
-		return 0, err
+	return s.publishMap(ctx, values)
+}
+
+// publishMap sets values on a pooled builder, which applies the defaults,
+// validates and publishes as Service.Event and PublishEvent would: a bad map
+// is refused before a done context.
+func (s *Service) publishMap(ctx context.Context, values map[string]float64) (int, error) {
+	eb := s.builders.Get().(*EventBuilder)
+	defer s.builders.Put(eb)
+	for name, v := range values {
+		eb.Set(name, v)
 	}
-	return s.brk.PublishCtx(ctx, ev)
+	return eb.publish(ctx)
 }
 
 // PublishValues posts one event given positionally in schema order — the
@@ -408,7 +415,8 @@ func (s *Service) PublishValuesCtx(ctx context.Context, vals ...float64) (int, e
 }
 
 // PublishEvent posts a prebuilt event, refusing values outside the schema
-// (ErrArity, ErrOutOfDomain) as every publish path does.
+// (ErrArity, ErrOutOfDomain) as every publish path does. The service keeps
+// no reference to ev.Vals, so the caller may reuse the slice.
 func (s *Service) PublishEvent(ev Event) (int, error) { return s.brk.Publish(ev) }
 
 // PublishBatch posts a slice of prebuilt events as one batch, as a run of
@@ -416,7 +424,8 @@ func (s *Service) PublishEvent(ev Event) (int, error) { return s.brk.Publish(ev)
 // published, then each is matched in order in the caller's goroutine,
 // sequence numbers are assigned contiguously in slice order, and
 // notifications are delivered in event order. It returns the per-event match
-// counts. Parallelism comes from concurrent publishers.
+// counts. Parallelism comes from concurrent publishers. The service keeps no
+// reference to evs or their Vals, so the caller may reuse them.
 func (s *Service) PublishBatch(evs []Event) ([]int, error) {
 	return s.brk.PublishBatch(evs)
 }

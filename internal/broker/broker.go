@@ -367,10 +367,10 @@ func (b *Broker) Unsubscribe(id predicate.ID) error {
 // subscriber. It returns the number of matched profiles. Subscribers with the
 // default DropNewest policy never block the publish path: over-full buffers
 // drop (counted per subscription and broker-wide); Block-policy subscribers
-// apply backpressure. The broker keeps ev.Vals: the caller hands the slice
-// over.
+// apply backpressure. The broker keeps no reference to ev.Vals, so the
+// caller may reuse the slice: notifications carry the broker's own copy.
 func (b *Broker) Publish(ev event.Event) (int, error) {
-	return b.publishOne(ev, true, nil)
+	return b.publishOne(ev, nil)
 }
 
 // PublishCtx is Publish with a cancellation context: it refuses to start on a
@@ -380,19 +380,16 @@ func (b *Broker) PublishCtx(ctx context.Context, ev event.Event) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return b.publishOne(ev, true, ctx.Done())
+	return b.publishOne(ev, ctx.Done())
 }
 
-// PublishValues filters one positionally-encoded event without building an
-// event value up front: vals is only read during matching, and an event (with
-// its own copy of the values) is materialized only when at least one profile
-// matched. The caller may reuse the slice immediately after the call, so a
-// steady-state publisher allocates nothing for the non-matching events — the
-// overwhelming majority under the paper's workloads.
+// PublishValues is Publish of an untimestamped event: vals is only read
+// during matching, an event is materialized only when at least one profile
+// matched, and the caller may reuse the slice immediately after the call.
 //
 //genas:hotpath
 func (b *Broker) PublishValues(vals []float64) (int, error) {
-	return b.publishOne(event.Event{Vals: vals}, false, nil)
+	return b.publishOne(event.Event{Vals: vals}, nil)
 }
 
 // PublishValuesCtx is PublishValues with a cancellation context (see
@@ -403,7 +400,7 @@ func (b *Broker) PublishValuesCtx(ctx context.Context, vals []float64) (int, err
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return b.publishOne(event.Event{Vals: vals}, false, ctx.Done())
+	return b.publishOne(event.Event{Vals: vals}, ctx.Done())
 }
 
 // admit is the prologue every publish entry point runs once its events
@@ -421,12 +418,10 @@ func (b *Broker) admit(n int) (uint64, error) {
 }
 
 // publishOne is the single-event entry behind Publish and PublishValues: it
-// validates ev, reserves one sequence number and runs the core on it. owned
-// says the caller handed ev.Vals over — otherwise the caller keeps the slice
-// and the notifications carry a copy.
+// validates ev, reserves one sequence number and runs the core on it.
 //
 //genas:hotpath
-func (b *Broker) publishOne(ev event.Event, owned bool, cancel <-chan struct{}) (int, error) {
+func (b *Broker) publishOne(ev event.Event, cancel <-chan struct{}) (int, error) {
 	if err := event.Validate(b.schema, ev.Vals); err != nil {
 		return 0, err
 	}
@@ -434,9 +429,9 @@ func (b *Broker) publishOne(ev event.Event, owned bool, cancel <-chan struct{}) 
 	if err != nil {
 		return 0, err
 	}
-	buf := publishPool.Get().(*[]core.Member)
-	n, err := b.publish(ev, owned, base+1, buf, cancel)
-	publishPool.Put(buf)
+	sc := publishPool.Get().(*publishScratch)
+	n, err := b.publish(ev, base+1, sc, cancel)
+	publishPool.Put(sc)
 	return n, err
 }
 
@@ -444,9 +439,9 @@ func (b *Broker) publishOne(ev event.Event, owned bool, cancel <-chan struct{}) 
 // Publish calls would: each event is matched in the caller's goroutine
 // against the corpus current at that moment, and the notifications are
 // delivered in event order. The events get contiguous sequence numbers. It
-// returns the per-event match counts, positionally aligned with the input;
-// the input slice itself is not modified, so buffers may be reused across
-// calls. A batch that fails validation publishes nothing.
+// returns the per-event match counts, positionally aligned with the input.
+// The broker keeps no reference to evs or their Vals, so the caller may
+// reuse them after the call. A batch that fails validation publishes nothing.
 func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 	return b.publishBatch(evs, nil)
 }
@@ -463,9 +458,8 @@ func (b *Broker) PublishBatchCtx(ctx context.Context, evs []event.Event) ([]int,
 }
 
 // publishBatch validates the whole batch, reserves its sequence numbers at
-// once and runs the core on each event in order with one pooled buffer, so
-// the returned counts are its only allocation. An event's notifications
-// share its Vals, as Publish's do.
+// once and runs the core on each event in order with one pooled scratch, so
+// the returned counts are its only allocation besides the values blocks.
 func (b *Broker) publishBatch(evs []event.Event, cancel <-chan struct{}) ([]int, error) {
 	if len(evs) == 0 {
 		return nil, nil
@@ -480,33 +474,32 @@ func (b *Broker) publishBatch(evs []event.Event, cancel <-chan struct{}) ([]int,
 		return nil, err
 	}
 	counts := make([]int, len(evs))
-	buf := publishPool.Get().(*[]core.Member)
+	sc := publishPool.Get().(*publishScratch)
 	for i := range evs {
-		if counts[i], err = b.publish(evs[i], true, base+uint64(i)+1, buf, cancel); err != nil {
+		if counts[i], err = b.publish(evs[i], base+uint64(i)+1, sc, cancel); err != nil {
 			counts = nil
 			break
 		}
 	}
-	publishPool.Put(buf)
+	publishPool.Put(sc)
 	return counts, err
 }
 
 // publish is the one per-event core: it feeds the adaptor, matches ev into
-// buf and, when a profile matched, stamps ev (sequence number seq, and the
-// time unless the caller set one) and delivers it. Nothing on the miss
-// branch allocates. ev is a copy, so the caller's event is never stamped.
+// sc and, when a profile matched, carves ev's values from sc's block, stamps
+// ev (sequence number seq, and the time unless the caller set one) and
+// delivers it. Nothing on the miss branch allocates. ev is a copy, so the
+// caller's event is never stamped and its Vals are never retained.
 //
 //genas:hotpath
-func (b *Broker) publish(ev event.Event, owned bool, seq uint64, buf *[]core.Member, cancel <-chan struct{}) (int, error) {
+func (b *Broker) publish(ev event.Event, seq uint64, sc *publishScratch, cancel <-chan struct{}) (int, error) {
 	if b.adapt != nil {
 		b.adapt.Observe(ev.Vals)
 	}
-	ms, _, err := b.filter.MatchAppend(ev.Vals, *buf)
+	ms, _, err := b.filter.MatchAppend(ev.Vals, sc.ms)
 	if err == nil && len(ms) > 0 {
 		now := time.Now()
-		if !owned {
-			ev.Vals = append([]float64(nil), ev.Vals...)
-		}
+		ev.Vals = sc.carve(ev.Vals)
 		ev.Seq = seq
 		if ev.Time.IsZero() {
 			ev.Time = now
@@ -514,14 +507,38 @@ func (b *Broker) publish(ev event.Event, owned bool, seq uint64, buf *[]core.Mem
 		b.deliver(ev, ms, now, cancel)
 		clear(ms)
 	}
-	*buf = ms[:0] // nil after an error: the pool's next user regrows it
+	sc.ms = ms[:0] // nil after an error: the pool's next user regrows it
 	return len(ms), err
 }
 
-// publishPool holds the per-publish scratch the subscriptions are matched
-// into, cleared before pooling, so steady publishing grows no slices. A
-// batch takes one for all its events.
-var publishPool = sync.Pool{New: func() any { return new([]core.Member) }}
+// publishScratch is one publisher's scratch: the subscriptions an event
+// matches into, cleared after each event, and the block the matched events'
+// values are carved from. sync.Pool hands a scratch to one publisher at a
+// time, and a batch takes one for all its events.
+type publishScratch struct {
+	ms    []core.Member
+	block []float64
+}
+
+var publishPool = sync.Pool{New: func() any { return new(publishScratch) }}
+
+// blockVals is the size of a values block (1 KiB): a notification a
+// subscriber retains pins its block.
+const blockVals = 128
+
+// carve copies vals into the block and returns the copy capped at its own
+// length, so no append through it reaches the next event's. A carved range is
+// never written again: a block too full for vals is replaced, not reused.
+//
+//genas:hotpath
+func (sc *publishScratch) carve(vals []float64) []float64 {
+	if cap(sc.block)-len(sc.block) < len(vals) {
+		sc.block = make([]float64, 0, max(blockVals, len(vals)))
+	}
+	lo := len(sc.block)
+	sc.block = append(sc.block, vals...)
+	return sc.block[lo:len(sc.block):len(sc.block)]
+}
 
 // deliver pushes one event's notifications to the matched subscriptions,
 // taking the send fence's read side once for the event. Non-blocking sends

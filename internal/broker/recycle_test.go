@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,12 +16,38 @@ import (
 	"genas/internal/schema"
 )
 
+// mallocs returns how many heap objects n calls of f allocate in total: the
+// fewest of three rounds after one warm-up call, because Mallocs also counts
+// what goroutines an earlier test left winding down allocate meanwhile.
+// testing.AllocsPerRun truncates its mean to a whole number, which would hide
+// an amortized cost below one object per call.
+func mallocs(n int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// blockAllocs is the amortized ceiling on the values copies of n matched
+// events of arity values each: one block per blockVals values, and 2 more for
+// a scratch the collector took from the pool.
+func blockAllocs(n, arity int) uint64 { return uint64((n*arity+blockVals-1)/blockVals + 2) }
+
 // TestPublishValuesAllocations pins the publish path's allocations: a miss
-// allocates nothing and a match exactly one object, the values copy
-// PublishValues promises its notifications. The ids are matched into a pooled
-// buffer, the tree's accumulator and the expansion's walk state are pooled,
-// so neither the engine's layout, nor profiles parked on the path by
-// incremental inserts, nor a Block-policy subscriber adds to it.
+// allocates nothing, and matches only their share of the values blocks their
+// notifications carry. The ids are matched into a pooled buffer, the tree's
+// accumulator and the expansion's walk state are pooled, so neither the
+// engine's layout, nor profiles parked on the path by incremental inserts,
+// nor a Block-policy subscriber adds to it.
 func TestPublishValuesAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers, which then allocate")
@@ -87,21 +114,21 @@ func TestPublishValuesAllocations(t *testing.T) {
 			if n, _ := b.PublishValues(hit); n == 0 {
 				t.Fatal("the matching event matched nothing")
 			}
-			if n := testing.AllocsPerRun(200, func() { _, _ = b.PublishValues(miss) }); n != 0 {
-				t.Errorf("a miss allocates %.1f objects, want 0", n)
+			const events = 4096
+			if n := mallocs(events, func() { _, _ = b.PublishValues(miss) }); n != 0 {
+				t.Errorf("%d misses allocate %d objects, want 0", events, n)
 			}
-			if n := testing.AllocsPerRun(200, func() { _, _ = b.PublishValues(hit) }); n != 1 {
-				t.Errorf("a match allocates %.1f objects, want 1 (the values copy)", n)
+			if n, limit := mallocs(events, func() { _, _ = b.PublishValues(hit) }), blockAllocs(events, len(hit)); n > limit {
+				t.Errorf("%d matches allocate %d objects, want <= %d (the values blocks)", events, n, limit)
 			}
 		})
 	}
 }
 
 // TestPublishBatchAllocations pins the batch path's allocations: a batch of 8
-// events allocates exactly one object, the counts slice it returns, whether
-// it matches nothing or reaches handler, Queue and Block-policy subscribers.
-// Its events share one pooled id buffer and keep their values (the caller
-// hands them over, as with Publish).
+// events allocates its counts slice and, when its events match handler, Queue
+// and Block-policy subscribers, only their share of the values blocks. Its
+// events share one pooled scratch.
 func TestPublishBatchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers, which then allocate")
@@ -158,10 +185,12 @@ func TestPublishBatchAllocations(t *testing.T) {
 			if counts, _ := b.PublishBatch(hits); counts[7] != 6 {
 				t.Fatalf("the matching batch's last event matched %d profiles, want 6", counts[7])
 			}
-			for name, evs := range map[string][]event.Event{"matches nothing": misses, "matches": hits} {
-				if n := testing.AllocsPerRun(100, func() { _, _ = b.PublishBatch(evs) }); n != 1 {
-					t.Errorf("a batch of 8 that %s allocates %.1f objects, want 1 (the counts)", name, n)
-				}
+			const batches = 512 // 4 096 events
+			if n := mallocs(batches, func() { _, _ = b.PublishBatch(misses) }); n != batches {
+				t.Errorf("%d batches of 8 that match nothing allocate %d objects, want %d (the counts)", batches, n, batches)
+			}
+			if n, limit := mallocs(batches, func() { _, _ = b.PublishBatch(hits) }), batches+blockAllocs(8*batches, 2); n > limit {
+				t.Errorf("%d matching batches of 8 allocate %d objects, want <= %d (the counts and values blocks)", batches, n, limit)
 			}
 		})
 	}

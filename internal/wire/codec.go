@@ -15,7 +15,8 @@ type inbound struct {
 	rd    *bufio.Reader
 	buf   []byte      // frame payload
 	vals  []float64   // publish or notification vector
-	batch [][]float64 // publish_batch vectors (a fresh block per frame: notifications retain them)
+	batch [][]float64 // publish_batch vectors, carved from block
+	block []float64   // publish_batch values, reused from frame to frame: the broker copies what it keeps
 	ids   []string    // the ids of a notification
 	// size is the wire size of the message read last.
 	size int

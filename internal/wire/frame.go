@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // MaxFrame caps one frame (and the hello line): length prefixes beyond it
@@ -438,10 +439,9 @@ func appendRequest(dst []byte, cid uint32, req Request) ([]byte, error) {
 }
 
 // decodeRequestFrame is appendRequest's inverse. A publish vector is decoded
-// into in's scratch and valid until the next read; batch vectors are carved
-// out of one block allocated per frame, because notifications retain them.
-// Neither is ever nil. Any other type byte, a peer frame's included, is a
-// framing error.
+// into in's scratch, and batch vectors are carved out of in's block, each
+// capped at its own length; all are valid until the next read, and none is
+// ever nil. Any other type byte, a peer frame's included, is a framing error.
 func decodeRequestFrame(typ byte, payload []byte, in *inbound) (uint32, Request, error) {
 	c := cur{b: payload}
 	switch typ {
@@ -456,13 +456,13 @@ func decodeRequestFrame(typ byte, payload []byte, in *inbound) (uint32, Request,
 			return 0, Request{}, fmt.Errorf("%w: bad batch count", ErrBadFrame)
 		}
 		// A well-formed frame holds exactly this many values, so the block
-		// never regrows; each vector is capped so no append can reach the next.
-		block := make([]float64, 0, (len(c.b)-4*int(n))/8)
+		// never regrows while vectors are carved from it.
+		in.block = slices.Grow(in.block[:0], (len(c.b)-4*int(n))/8)
 		in.batch = in.batch[:0]
 		for i := uint32(0); i < n && !c.bad; i++ {
-			lo := len(block)
-			block = c.vec(block)
-			in.batch = append(in.batch, block[lo:len(block):len(block)])
+			lo := len(in.block)
+			in.block = c.vec(in.block)
+			in.batch = append(in.batch, in.block[lo:len(in.block):len(in.block)])
 		}
 		return cid, Request{Op: OpPublishBatch, Batch: in.batch}, c.done()
 	case frameControl:

@@ -3,12 +3,16 @@ package wire
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"genas/internal/predicate"
 )
 
 // rawClient drives a hand-upgraded connection: requests go out as frames,
@@ -355,9 +359,81 @@ func TestNotifyDecodeAllocations(t *testing.T) {
 	}
 }
 
+// mallocs returns how many heap objects n calls of f allocate in total: the
+// fewest of three rounds after one warm-up call, because Mallocs also counts
+// what goroutines an earlier test left winding down allocate meanwhile.
+// testing.AllocsPerRun truncates its mean to a whole number, which would hide
+// an amortized cost below one object per call.
+func mallocs(n int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// TestBatchBlockReuseKeepsDeliveredValues: a connection decodes every
+// publish_batch frame into the same block, so the values its notifications
+// carry must be the broker's own. Two frames in a row of the same shape, the
+// second matching nothing: after the second reply, an in-process Queue that
+// has read nothing yet and the wire subscriber both hold the first frame's
+// values.
+func TestBatchBlockReuseKeepsDeliveredValues(t *testing.T) {
+	addr, brk := startBrokerServer(t, nil)
+	q, err := brk.NewQueue(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if _, err := q.Subscribe(predicate.MustParse(brk.Schema(), "local", "profile(temperature >= 35)")); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = sub.Close() }()
+	if err := sub.Subscribe("hot", "profile(temperature >= 35)", 0, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	pub, err := DialWith(addr, DialConfig{Timeout: rpcTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = pub.Close() }()
+	first := [][]float64{{41, 10}, {42, 11}}
+	for _, batch := range [][][]float64{first, {{-20, 90}, {-21, 91}}} {
+		if _, err := pub.PublishValsBatch(batch, rpcTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range first {
+		if n := <-q.C(); !reflect.DeepEqual(n.Event.Vals, want) {
+			t.Errorf("queued notification %d carries %v, want %v", i, n.Event.Vals, want)
+		}
+		select {
+		case n := <-sub.Notifications():
+			if got := []float64{n.Event["temperature"], n.Event["humidity"]}; !reflect.DeepEqual(got, want) {
+				t.Errorf("wire notification %d carries %v, want %v", i, got, want)
+			}
+		case <-time.After(rpcTimeout):
+			t.Fatalf("wire notification %d never arrived", i)
+		}
+	}
+}
+
 // TestBatchVectorsShareOneBlock: the vectors of a publish_batch frame are
-// carved out of one allocation, each capped at its own length so that no
-// append through one can reach the next, which notifications may retain.
+// carved out of one block the connection reuses from frame to frame (the
+// broker copies what its notifications keep), each capped at its own length
+// so that no append through one can reach the next.
 func TestBatchVectorsShareOneBlock(t *testing.T) {
 	frame := appendPublishBatchFrame(nil, 3, [][]float64{{1, 2}, {3, 4}, {5, 6}})
 	in := &inbound{}
@@ -378,11 +454,12 @@ func TestBatchVectorsShareOneBlock(t *testing.T) {
 	if batch[1][0] != 3 {
 		t.Error("an append through one vector reached its neighbour")
 	}
-	if n := testing.AllocsPerRun(100, func() { decode() }); n != 1 {
-		t.Errorf("decoding a 3-event batch allocates %v times, want 1 (the block)", n)
+	first := &batch[0][0]
+	const frames = 4096
+	if n := mallocs(frames, func() { decode() }); n != 0 {
+		t.Errorf("decoding %d 3-event batches allocates %d times, want 0", frames, n)
 	}
-	retained := batch[0] // as a notification would
-	if batch = decode(); &batch[0][0] == &retained[0] || retained[0] != 1 {
-		t.Error("two frames decoded into the same block: retained vectors would be overwritten")
+	if batch = decode(); &batch[0][0] != first {
+		t.Error("a second frame was decoded into a fresh block")
 	}
 }

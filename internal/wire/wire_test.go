@@ -21,6 +21,13 @@ func startServer(t *testing.T) string { return startServerWith(t, nil) }
 // startServerWith is startServer with the given attribute defaults.
 func startServerWith(t *testing.T, defaults map[string]float64) string {
 	t.Helper()
+	addr, _ := startBrokerServer(t, defaults)
+	return addr
+}
+
+// startBrokerServer is startServerWith that also returns the daemon's broker.
+func startBrokerServer(t *testing.T, defaults map[string]float64) (string, *broker.Broker) {
+	t.Helper()
 	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +64,7 @@ func startServerWith(t *testing.T, defaults map[string]float64) string {
 		wg.Wait()
 		brk.Close()
 	})
-	return ln.Addr().String()
+	return ln.Addr().String(), brk
 }
 
 func TestPingAndSchema(t *testing.T) {
