@@ -1,6 +1,6 @@
-// Incremental maintenance of the profile tree: insert one profile by
-// transforming only the automaton states the profile can reach (the
-// "corridor"), remove one profile by tombstoning its dense index, and
+// Incremental maintenance of the profile tree: insert one profile by merging
+// its one-profile automaton into the automaton states the profile can reach
+// (the "corridor"), remove one profile by tombstoning its dense index, and
 // re-apply a value order by cloning the nodes it re-lays so concurrent readers
 // of the original tree never observe a half-laid node.
 //
@@ -9,18 +9,22 @@
 // lets the engine publish trees through an atomic snapshot pointer and keep
 // the match path lock-free — a reader traversing the old tree races nothing.
 //
-// Correctness of the insert transform rests on one observation: the new
-// profile only refines the domain partition at each node (its intervals add
-// cuts, never remove them), so every new piece either lies inside the new
-// profile's region — where the profile joins the edge and the child is
-// transformed — or outside it, where the old edge and the old child are
-// reused verbatim. Shared states stay shared because the transform is
-// memoized by old-node identity: alive' = alive ∪ {np} is a function of the
-// old state alone. The successor is generally not the canonical tree Build
-// would produce (adjacent pieces with equal profile sets are not re-merged);
-// the engine coalesces with a full rebuild once accumulated edits pass its
-// threshold. Match sets are identical either way, which the oracle
-// equivalence tests pin.
+// An insert is the union of two automata over one level order: the tree and
+// the chain, the new profile alone with one node per level. A merged node's
+// partition is the overlay of its two nodes', and each piece leads to the
+// merge of what it leads to on either side, or to one side's node or match set
+// as it is where the other has nothing. Correctness rests on one observation:
+// the new profile only refines the domain partition at each node (its
+// intervals add cuts, never remove them), so every new piece either lies
+// inside the new profile's region — where the profile joins the edge and the
+// child is merged — or outside it, where the old edge and the old child are
+// reused verbatim. Shared states stay shared because the merge is memoized by
+// old-node identity: a tree node meets only the chain's node of its level, so
+// alive' = alive ∪ {np} is a function of the old state alone. The successor is
+// generally not the canonical tree Build would produce (adjacent pieces with
+// equal profile sets are not re-merged); the engine coalesces with a full
+// rebuild once accumulated edits pass its threshold. Match sets are identical
+// either way, which the oracle equivalence tests pin.
 
 package tree
 
@@ -36,8 +40,10 @@ import (
 // WithProfile returns a successor tree containing p in addition to the
 // receiver's profiles, plus p's dense index in the successor. The receiver
 // is unchanged and keeps working; untouched subtrees are shared between the
-// two. vo weighs the single-profile nodes the insert creates; the nodes it
-// splits get count-balanced probe trees, and reused nodes keep theirs.
+// two. The successor is the merge of the receiver with p's one-profile
+// automaton, memoized by the receiver's nodes. vo weighs the automaton's nodes,
+// shared where p alone continues; the nodes p's intervals split get
+// count-balanced probe trees, and the nodes p rides through keep theirs.
 func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 	np := len(t.profiles)
 	nt := &Tree{
@@ -57,89 +63,39 @@ func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 		nt.deadCount = t.deadCount
 	}
 
-	ins := inserterPool.Get().(*inserter)
-	defer inserterPool.Put(ins)
-	if !ins.reset(nt, p, np, vo) {
+	m := mergerPool.Get().(*merger)
+	defer mergerPool.Put(m)
+	m.t, m.np = nt, np
+	if n := nt.schema.N(); len(m.edges) < n {
+		m.edges = make([][]Edge, n)
+	}
+	if chain := m.chain(p, vo); chain == nil {
 		// The profile is unsatisfiable on some attribute: it can never
 		// match, so the automaton is unchanged and the whole node graph is
 		// shared. The index still exists (it appears in no leaf).
 		nt.root = t.root
 		nt.meta = t.meta
-		return nt, np
+	} else {
+		nt.root = m.merge(t.root, chain)
+		nt.meta = &graphMeta{} // filled lazily on the first Levels/Stats call
 	}
-	nt.root = ins.transform(t.root)
-	nt.meta = &graphMeta{} // filled lazily on the first Levels/Stats call
-	ins.release()
+	m.release()
 	return nt, np
 }
 
-// inserterPool recycles the memo map and scratch buffers across inserts:
+// mergerPool recycles the memo map and scratch buffers across inserts:
 // steady churn then allocates almost nothing beyond the arena chunks the
 // successor tree keeps.
-var inserterPool = sync.Pool{New: func() any { return new(inserter) }}
-
-// reset prepares a (possibly recycled) inserter for one WithProfile call: p's
-// canonical constraint on every attribute, exactly as Build computes it, and
-// the deepest level it constrains. It reports whether p is satisfiable.
-func (ins *inserter) reset(nt *Tree, p *predicate.Profile, np int, vo ValueOrder) bool {
-	n := nt.schema.N()
-	ins.cons, ins.ivs, ins.lastCons = ins.cons[:0], ins.ivs[:0], -1
-	for attr := 0; attr < n; attr++ {
-		c := subrange.Constraint{Profile: np, DontCare: !p.Constrains(attr)}
-		if !c.DontCare {
-			dom := nt.schema.At(attr).Domain
-			from := len(ins.ivs)
-			ins.ivs = p.Pred(attr).AppendIntervals(ins.ivs, dom)
-			c.Intervals = ins.ivs[from:]
-			sat := false
-			for _, iv := range c.Intervals {
-				if _, ok := subrange.Snap(iv, dom.Kind() != schema.KindNumeric); ok {
-					sat = true
-					break
-				}
-			}
-			if !sat {
-				return false
-			}
-		}
-		ins.cons = append(ins.cons, c)
-	}
-	for level, attr := range nt.attrOrder {
-		if !ins.cons[attr].DontCare {
-			ins.lastCons = level
-		}
-	}
-	ins.t = nt
-	ins.np = np
-	ins.npLeaf = ins.a.leafSet(ins.a.unionTail(nil, np))
-	ins.vo = vo
-	if ins.memo == nil {
-		ins.memo = make(map[*Node]*Node, 256)
-	} else {
-		clear(ins.memo)
-	}
-	if len(ins.chains) < n {
-		ins.chains = make([]*Node, n)
-		ins.parts = make([][]part, n)
-		ins.edgeBuf = make([][]Edge, n)
-	} else {
-		ins.chains = ins.chains[:n]
-		for i := range ins.chains {
-			ins.chains[i] = nil
-		}
-	}
-	return true
-}
+var mergerPool = sync.Pool{New: func() any { return &merger{memo: make(map[*Node]*Node, 256)} }}
 
 // release drops the references the successor tree now owns (the arena and
-// the transform state); scratch buffers keep their capacity for the next
+// the merge state); scratch buffers keep their capacity for the next
 // insert.
-func (ins *inserter) release() {
-	ins.t = nil
-	ins.npLeaf = nil
+func (m *merger) release() {
+	m.t = nil
 	// Drop the chunk references: the successor tree owns them now.
-	ins.a = arena{}
-	clear(ins.memo)
+	m.a = arena{}
+	clear(m.memo)
 }
 
 // WithoutProfile returns a successor tree with dense index pi tombstoned.
@@ -223,7 +179,7 @@ func (r *reorderer) clone(old *Node) *Node {
 }
 
 // arena chunk-allocates the objects of one insert or one build. A corridor
-// transform creates hundreds of small, identically shaped objects (nodes,
+// merge creates hundreds of small, identically shaped objects (nodes,
 // edge lists, layouts, match sets), a build tens of thousands;
 // allocating each individually made malloc fixed costs and the resulting GC
 // assist rate the dominant term of both. Chunks are pinned by the tree exactly
@@ -319,289 +275,191 @@ func (a *arena) unionTail(src []int, np int) []int {
 	return out
 }
 
-// inserter carries one WithProfile transform: the successor tree under
-// construction, the new profile's dense index, and the memo tables that keep
+// merger carries one WithProfile merge: the successor tree under
+// construction, the new profile's dense index, and the memo that keeps
 // shared states shared.
-type inserter struct {
+type merger struct {
 	t  *Tree
 	np int
-	// cons is np's canonical constraint per schema attribute, its intervals
-	// in ivs; both are scratch no successor tree refers to.
-	cons []subrange.Constraint
-	ivs  []schema.Interval
-	// npLeaf is the one-profile match set {np}, shared by every leaf edge
-	// that only the new profile reaches.
-	npLeaf *[]int
-	vo     ValueOrder
-	// memo maps old nodes to their transformed counterparts (alive' =
-	// alive ∪ {np} is a function of the old state alone, so old-node
-	// identity is a sound key).
+	// memo maps old nodes to their merges with the chain node of their level
+	// (alive' = alive ∪ {np} is a function of the old state alone, so
+	// old-node identity is a sound key).
 	memo map[*Node]*Node
-	// chains[level] is the single-profile node testing np's constraint at
-	// that level, reached where np alone covers a formerly-unreferenced
-	// region.
-	chains []*Node
-	// lastCons is the deepest level whose attribute np constrains: below it
-	// np is don't-care everywhere, so transform parks np in the node's
-	// extra set and shares the entire subtree instead of rewriting every
-	// leaf (−1 when np constrains nothing, i.e. it matches every event).
-	lastCons int
-	// scratch is the per-piece split buffer, reused across pieces.
-	scratch []splitPiece
-	// parts[level] is the split-result buffer of the constrain call active at
-	// that level. Recursion makes one shared buffer unsafe (a nested constrain
-	// at a deeper level would clobber the caller's), but at most one call is
-	// active per level, so indexing by level is.
-	parts [][]part
-	// edgeBuf[level] is the scratch edge list of the call active at that
-	// level, committed to the arena once complete.
-	edgeBuf [][]Edge
-	// sc is the scratch of chain's applyOrder (no recursion between filling
-	// and committing it, so one is enough).
+	// ivs is the scratch of the chain's intervals on one attribute.
+	ivs []schema.Interval
+	// edges[level] is the scratch edge list of the node under construction
+	// at that level, committed to the arena once complete. Recursion makes
+	// one shared buffer unsafe (a nested merge at a deeper level would
+	// clobber the caller's), but at most one node is under construction per
+	// level, so indexing by level is.
+	edges [][]Edge
+	// sc is the scratch of the chain's applyOrder.
 	sc orderScratch
 	// a chunk-allocates every object the successor tree retains.
 	a arena
 }
 
-// part is one fragment of a piece split against the new profile's intervals
-// during constrain: the region, whether it lies inside the profile's
-// intervals, and the old edge behind it.
-type part struct {
-	iv      schema.Interval
-	in      bool
-	oldEdge int
-}
-
-// transform returns the successor node for an old node the new profile
-// reaches.
+// chain builds the new profile's one-profile automaton in the successor's
+// arena and returns its root, or nil when the profile is unsatisfiable on
+// some attribute. Below the deepest level the profile constrains, the chain
+// ends in the node that parks it, as Build would: every event reaching that
+// node matches it. Above, each level has one node, laid out under vo, whose
+// edges are the profile's intervals on the level's attribute — snapped to the
+// canonical piece form, touching ones joined, so that a merged partition stays
+// as coarse as a fresh decomposition's — or the star edge where the profile
+// leaves the attribute free. Every edge leads to the next level's node, or at
+// the leaf level carries the match set {np}.
 //
 //genas:builder
-func (ins *inserter) transform(old *Node) *Node {
-	if n, ok := ins.memo[old]; ok {
+func (m *merger) chain(p *predicate.Profile, vo ValueOrder) *Node {
+	t, last := m.t, -1
+	for level, attr := range t.attrOrder {
+		if p.Constrains(attr) {
+			last = level
+		}
+	}
+	var next *Node
+	var leaf *[]int
+	if last+1 < t.schema.N() {
+		next = m.a.node()
+		*next = Node{Level: int16(last + 1), Attr: int16(t.attrOrder[last+1]), extra: m.a.unionTail(nil, m.np)}
+	} else {
+		leaf = m.a.leafSet(m.a.unionTail(nil, m.np))
+	}
+	for level := last; level >= 0; level-- {
+		attr := t.attrOrder[level]
+		dom := t.schema.At(attr).Domain
+		n := m.a.node()
+		*n = Node{Level: int16(level), Attr: int16(attr)}
+		buf := m.edges[level][:0]
+		if !p.Constrains(attr) {
+			buf = append(buf, Edge{Iv: dom.Interval(), Child: next, leaf: leaf})
+		} else {
+			discrete := dom.Kind() != schema.KindNumeric
+			m.ivs = p.Pred(attr).AppendIntervals(m.ivs[:0], dom)
+			for _, iv := range m.ivs {
+				iv, ok := subrange.Snap(iv, discrete)
+				switch k := len(buf); {
+				case !ok:
+				case k > 0 && piecesTouch(buf[k-1].Iv, iv, discrete):
+					buf[k-1].Iv.Hi, buf[k-1].Iv.HiOpen = iv.Hi, iv.HiOpen
+				default:
+					buf = append(buf, Edge{Iv: iv, Child: next, leaf: leaf})
+				}
+			}
+			if len(buf) == 0 {
+				return nil
+			}
+			n.nSubrange = int32(len(buf))
+		}
+		m.edges[level] = buf
+		n.edges = m.a.edgeSlice(buf)
+		n.layout = m.a.layout(int(n.nSubrange))
+		n.applyOrder(dom, vo, &m.sc)
+		next, leaf = n, nil
+	}
+	return next
+}
+
+// merge returns the merge of old, a node of the receiver tree, with b, the
+// chain's node of its level.
+//
+//genas:builder
+func (m *merger) merge(old, b *Node) *Node {
+	if n, ok := m.memo[old]; ok {
 		return n
 	}
-	var n *Node
-	if int(old.Level) > ins.lastCons {
-		// Every remaining level is don't-care for np: it matches every
-		// event that reaches this node. Park it in the extra set and share
-		// the whole subtree — the dominant cost of inserting a profile that
-		// constrains only early attributes collapses to one node copy.
-		n = ins.a.node()
-		*n = *old
-		n.extra = ins.a.unionTail(old.extra, ins.np)
-	} else if c := &ins.cons[old.Attr]; c.DontCare {
-		n = ins.dontCare(old)
-	} else {
-		n = ins.constrain(old, c.Intervals)
-	}
-	ins.memo[old] = n
-	return n
-}
-
-// grown returns e's successor where the new profile joins it: at the leaf
-// level its match set with np, above that the transformed child. A nil e is a
-// D₀ gap, beyond which np continues alone.
-//
-//genas:builder
-func (ins *inserter) grown(e *Edge, iv schema.Interval, level int) Edge {
-	switch last := level == ins.t.schema.N()-1; {
-	case e == nil && last:
-		return Edge{Iv: iv, leaf: ins.npLeaf}
-	case e == nil:
-		return Edge{Iv: iv, Child: ins.chain(level + 1)}
-	case last:
-		return Edge{Iv: iv, leaf: ins.a.leafSet(ins.a.unionTail(*e.leaf, ins.np))}
-	}
-	return Edge{Iv: iv, Child: ins.transform(e.Child)}
-}
-
-// dontCare transforms a node whose attribute the new profile leaves
-// unconstrained: np rides every existing edge, and any formerly-D₀ gap
-// becomes np's complement region. The subrange edges are the old node's, so
-// is the probe tree over them.
-//
-//genas:builder
-func (ins *inserter) dontCare(old *Node) *Node {
-	level := int(old.Level)
-	// extra (prior inserts' parked profiles) rides along unchanged: those
-	// profiles still match every event reaching the successor node.
-	n := ins.a.node()
+	n := m.a.node()
 	*n = *old
-	buf := ins.edgeBuf[level][:0]
-	for i := range old.edges {
-		buf = append(buf, ins.grown(&old.edges[i], old.edges[i].Iv, level))
+	if len(b.extra) > 0 {
+		// b parks the profile: every remaining level is don't-care for it,
+		// so it matches every event that reaches this node. Park it in the
+		// extra set and share the whole subtree — the dominant cost of
+		// inserting a profile that constrains only early attributes
+		// collapses to one node copy.
+		n.extra = m.a.unionTail(old.extra, m.np)
+	} else {
+		m.overlay(n, old, b)
 	}
-	dom := ins.t.schema.At(int(old.Attr)).Domain
-	gap := false // a D₀ gap: it becomes np's complement region
-	for p := old.pieces(dom); p.gaps < 0 && !gap && p.Next(); {
-		gap = p.Edge < 0
-	}
-	if gap {
-		buf = append(buf, ins.grown(nil, dom.Interval(), level))
-	}
-	ins.edgeBuf[level] = buf
-	n.edges = ins.a.edgeSlice(buf)
+	m.memo[old] = n
 	return n
 }
 
-// constrain transforms a node whose attribute the new profile constrains
-// with intervals ivs. Pieces overlapping np's region are split against it:
-// fragments inside become subrange edges carrying the old occupants plus np
-// (the child transformed), fragments outside keep the old edge and child
-// verbatim. Pieces disjoint from every interval — the common case, found by a
-// merged walk over the two sorted sequences — pass through whole; what is left
-// of the complement's pieces stays behind the one trailing edge. np alone
-// covers fragments cut out of formerly-D₀ gaps, continuing into its
-// single-profile chain. The successor's probe tree is count-balanced: the
-// weights wait for the next Reordered or the coalescing rebuild.
+// overlay lays n out as the overlay of old's and b's partitions, walked in
+// natural order piece against piece. A piece that is a subrange edge on either
+// side becomes a subrange edge of n; pieces that are gaps on both sides go to
+// n's one trailing edge, the merge of the two sides' gap owners — a node's
+// gaps have one owner, so these pieces always agree — and stay D₀ where
+// neither side owns its gaps. old's parked profiles ride along unchanged:
+// they still match every event reaching n. Where b splits the domain, n's
+// probe tree is count-balanced, the weights waiting for the next Reordered or
+// the coalescing rebuild; where b is a star node, n has old's subrange edges
+// and keeps old's probe tree over them.
 //
 //genas:builder
-func (ins *inserter) constrain(old *Node, ivs []schema.Interval) *Node {
-	level, ns := int(old.Level), int(old.nSubrange)
-	dom := ins.t.schema.At(int(old.Attr)).Domain
-	n := ins.a.node()
-	*n = Node{Level: old.Level, Attr: old.Attr, extra: old.extra}
-
-	// Phase 1: split the overlapping pieces without recursing
-	// (transform/chain reuse ins.scratch, so recursion must wait until the
-	// fragments are copied out into this level's parts buffer).
-	parts := ins.parts[level][:0]
-	ivi := 0
-	p := old.pieces(dom)
-	for p.Next() {
-		pt := part{iv: p.Iv, oldEdge: p.Edge}
-		for ivi < len(ivs) && ivBefore(ivs[ivi], p.Iv) {
-			ivi++
+func (m *merger) overlay(n, old, b *Node) {
+	level := int(old.Level)
+	dom := m.t.schema.At(int(old.Attr)).Domain
+	buf := m.edges[level][:0]
+	gaps := false // some piece is a gap on both sides
+	pa, pb := old.pieces(dom), b.pieces(dom)
+	for more := pa.Next() && pb.Next(); more; {
+		if pa.Edge >= 0 && pa.Edge < int(old.nSubrange) || pb.Edge >= 0 && pb.Edge < int(b.nSubrange) {
+			buf = append(buf, m.edge(pa.Iv.Intersect(pb.Iv), edgeAt(old, pa.Edge), edgeAt(b, pb.Edge)))
+		} else {
+			gaps = true
 		}
-		if ivi >= len(ivs) || ivBefore(p.Iv, ivs[ivi]) {
-			// Disjoint from every remaining interval: one out-part, no
-			// snapping needed (the piece is already canonical).
-			parts = append(parts, pt)
-			continue
-		}
-		ins.scratch = splitByIvs(p.Iv, ivs[ivi:], p.unit == 1, ins.scratch[:0])
-		for _, pc := range ins.scratch {
-			pt.iv, pt.in = pc.iv, pc.in
-			parts = append(parts, pt)
-		}
-	}
-	ins.parts[level] = parts
-
-	// Phase 2: assemble the subrange edges in natural order. The fragments
-	// left outside np on the old trailing edge's pieces stay its region.
-	buf := ins.edgeBuf[level][:0]
-	trailing := false
-	for _, pc := range parts {
 		switch {
-		case pc.in && pc.oldEdge >= 0:
-			buf = append(buf, ins.grown(&old.edges[pc.oldEdge], pc.iv, level))
-		case pc.in:
-			buf = append(buf, ins.grown(nil, pc.iv, level))
-		case pc.oldEdge >= ns:
-			trailing = true
-		case pc.oldEdge >= 0:
-			oe := &old.edges[pc.oldEdge]
-			buf = append(buf, Edge{Iv: pc.iv, Child: oe.Child, leaf: oe.leaf})
+		case endsBelow(pa.Iv, pb.Iv):
+			more = pa.Next()
+		case endsBelow(pb.Iv, pa.Iv):
+			more = pb.Next()
+		default:
+			more = pa.Next() && pb.Next()
 		}
 	}
 	n.nSubrange = int32(len(buf))
-	if trailing {
-		buf = append(buf, old.edges[ns])
+	if ga, gb := edgeAt(old, int(old.nSubrange)), edgeAt(b, int(b.nSubrange)); gaps && (ga != nil || gb != nil) {
+		buf = append(buf, m.edge(dom.Interval(), ga, gb))
 	}
-	ins.edgeBuf[level] = buf
-	n.edges = ins.a.edgeSlice(buf)
-	n.layout = balanced(ins.a.layout(int(n.nSubrange))[:0], 0, int(n.nSubrange)-1)
-	return n
+	m.edges[level] = buf
+	n.edges = m.a.edgeSlice(buf)
+	if b.nSubrange > 0 {
+		n.layout = balanced(m.a.layout(int(n.nSubrange))[:0], 0, int(n.nSubrange)-1)
+	}
 }
 
-// ivBefore reports a entirely below b on the natural axis.
-func ivBefore(a, b schema.Interval) bool {
-	return a.Hi < b.Lo || (a.Hi == b.Lo && (a.HiOpen || b.LoOpen))
-}
-
-// chain returns the single-profile node testing np's constraint at level,
-// shared by every edge through which np alone continues. Below np's last
-// constrained level it is the node that parks np, as Build would.
+// edge returns the merged edge over iv of old's edge ea and the chain's edge
+// eb, either nil where its side has nothing there. Where both have one, it
+// carries at the leaf level the union of their match sets, a fresh set per
+// edge, and above it the merge of their children; otherwise it shares one
+// side's child or match set as it is.
 //
 //genas:builder
-func (ins *inserter) chain(level int) *Node {
-	if n := ins.chains[level]; n != nil {
-		return n
+func (m *merger) edge(iv schema.Interval, ea, eb *Edge) Edge {
+	switch {
+	case ea == nil:
+		return Edge{Iv: iv, Child: eb.Child, leaf: eb.leaf}
+	case eb == nil:
+		return Edge{Iv: iv, Child: ea.Child, leaf: ea.leaf}
+	case ea.Child == nil:
+		// The chain's match set is {np}, the largest index in the successor.
+		return Edge{Iv: iv, leaf: m.a.leafSet(m.a.unionTail(*ea.leaf, m.np))}
 	}
-	attr := ins.t.attrOrder[level]
-	dom := ins.t.schema.At(attr).Domain
-	n := ins.a.node()
-	*n = Node{Level: int16(level), Attr: int16(attr)}
-	ins.chains[level] = n
-	if level > ins.lastCons {
-		n.extra = *ins.npLeaf
-		return n
-	}
-	e := ins.grown(nil, dom.Interval(), level)
-	buf := ins.edgeBuf[level][:0]
-	if c := &ins.cons[attr]; c.DontCare {
-		buf = append(buf, e)
-	} else {
-		ins.scratch = splitByIvs(e.Iv, c.Intervals, dom.Kind() != schema.KindNumeric, ins.scratch[:0])
-		for _, pc := range ins.scratch {
-			if pc.in {
-				e.Iv = pc.iv
-				buf = append(buf, e)
-			}
-		}
-		n.nSubrange = int32(len(buf))
-	}
-	ins.edgeBuf[level] = buf
-	n.edges = ins.a.edgeSlice(buf)
-	n.layout = ins.a.layout(int(n.nSubrange))
-	n.applyOrder(dom, ins.vo, &ins.sc)
-	return n
+	return Edge{Iv: iv, Child: m.merge(ea.Child, eb.Child)}
 }
 
-// splitPiece is one fragment of a piece split against the new profile's
-// intervals: in marks fragments inside the profile's region.
-type splitPiece struct {
-	iv schema.Interval
-	in bool
+// edgeAt returns n's edge i, or nil for −1 (a D₀ gap) and past the last.
+func edgeAt(n *Node, i int) *Edge {
+	if i < 0 || i >= len(n.edges) {
+		return nil
+	}
+	return &n.edges[i]
 }
 
-// splitByIvs partitions b into natural-order fragments inside/outside the
-// sorted disjoint interval set ivs, appending to out. Fragments are snapped
-// to the canonical piece form (closed atom-aligned on discrete domains) and
-// empty fragments are dropped; adjacent same-disposition fragments — which
-// arise when snapping drops an atom-free splinter — are re-merged so the
-// successor partition stays as coarse as a fresh decomposition's.
-func splitByIvs(b schema.Interval, ivs []schema.Interval, discrete bool, out []splitPiece) []splitPiece {
-	base := len(out)
-	push := func(iv schema.Interval, in bool) {
-		snapped, ok := subrange.Snap(iv, discrete)
-		if !ok {
-			return
-		}
-		if n := len(out); n > base && out[n-1].in == in && piecesTouch(out[n-1].iv, snapped, discrete) {
-			out[n-1].iv = schema.Interval{
-				Lo: out[n-1].iv.Lo, LoOpen: out[n-1].iv.LoOpen,
-				Hi: snapped.Hi, HiOpen: snapped.HiOpen,
-			}
-			return
-		}
-		out = append(out, splitPiece{iv: snapped, in: in})
-	}
-	cur := b
-	for _, c := range ivs {
-		if cur.Empty() {
-			break
-		}
-		inter := cur.Intersect(c)
-		if inter.Empty() {
-			continue
-		}
-		push(schema.Interval{Lo: cur.Lo, LoOpen: cur.LoOpen, Hi: inter.Lo, HiOpen: !inter.LoOpen}, false)
-		push(inter, true)
-		cur = schema.Interval{Lo: inter.Hi, LoOpen: !inter.HiOpen, Hi: cur.Hi, HiOpen: cur.HiOpen}
-	}
-	push(cur, false)
-	return out
+// endsBelow reports whether a ends below b's end on the natural axis.
+func endsBelow(a, b schema.Interval) bool {
+	return a.Hi < b.Hi || (a.Hi == b.Hi && a.HiOpen && !b.HiOpen)
 }
 
 // piecesTouch reports whether b directly continues a with no domain value

@@ -623,6 +623,11 @@ func partitions(t *testing.T, what string, tr *Tree) {
 	}
 }
 
+// ivBefore reports a entirely below b on the natural axis.
+func ivBefore(a, b schema.Interval) bool {
+	return a.Hi < b.Lo || (a.Hi == b.Lo && (a.HiOpen || b.LoOpen))
+}
+
 // TestQuickPiecesAreThePartition: the pieces derived from a node's edges are
 // the buckets the reference builder stores — after Build and after Reordered,
 // which keeps the automaton — and the partition its edges induce on every node
