@@ -27,8 +27,9 @@
 package agg
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -62,13 +63,14 @@ const loOpen, hiOpen = 1, 2
 // emptySpan's bounds: contained in every interval, containing none.
 var emptyLo, emptyHi = math.Inf(1), math.Inf(-1)
 
-// formOf appends p's canonical form to dst.
-func formOf(s *schema.Schema, p *predicate.Profile, dst []span) []span {
+// formOf appends p's canonical form to dst, collecting each attribute's
+// intervals in the scratch ivs, and returns both for reuse.
+func formOf(s *schema.Schema, p *predicate.Profile, dst []span, ivs []schema.Interval) ([]span, []schema.Interval) {
 	for attr := 0; attr < s.N(); attr++ {
 		if !p.Constrains(attr) {
 			continue
 		}
-		ivs := mergeIntervals(p.Pred(attr).Intervals(s.At(attr).Domain))
+		ivs = mergeIntervals(p.Pred(attr).AppendIntervals(ivs[:0], s.At(attr).Domain))
 		if len(ivs) == 0 {
 			dst = append(dst, span{attr: int32(attr), lo: emptyLo, hi: emptyHi})
 		}
@@ -83,7 +85,7 @@ func formOf(s *schema.Schema, p *predicate.Profile, dst []span) []span {
 			dst = append(dst, sp)
 		}
 	}
-	return dst
+	return dst, ivs
 }
 
 // mergeIntervals normalizes an interval union: sorted by lower bound and
@@ -96,11 +98,16 @@ func mergeIntervals(ivs []schema.Interval) []schema.Interval {
 	if len(ivs) < 2 {
 		return ivs
 	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Lo != ivs[j].Lo {
-			return ivs[i].Lo < ivs[j].Lo
+	slices.SortFunc(ivs, func(a, b schema.Interval) int {
+		switch {
+		case a.Lo != b.Lo:
+			return cmp.Compare(a.Lo, b.Lo)
+		case a.LoOpen == b.LoOpen:
+			return 0
+		case a.LoOpen:
+			return 1 // closed lower bound first
 		}
-		return !ivs[i].LoOpen && ivs[j].LoOpen // closed lower bound first
+		return -1
 	})
 	out := ivs[:1]
 	for _, iv := range ivs[1:] {

@@ -123,8 +123,9 @@ type Poset struct {
 	img   [][]SnapNode
 	dirty []int32
 
-	form         []span  // attach's scratch
-	above, below []*node // link's scratch
+	form         []span            // attach's scratch
+	ivs          []schema.Interval // formOf's scratch
+	above, below []*node           // link's scratch
 }
 
 // NewPoset creates an empty poset over schema s.
@@ -180,7 +181,7 @@ func (po *Poset) Members() []Member {
 // profile's predicate column is aliased, not copied.
 func (po *Poset) attach(m Member) (n *node, created bool) {
 	p := m.Profile()
-	po.form = formOf(po.sch, p, po.form[:0])
+	po.form, po.ivs = formOf(po.sch, p, po.form[:0], po.ivs)
 	h := po.hash(po.form)
 	for n = po.byForm[h]; n != nil && !slices.Equal(n.form, po.form); {
 		n = n.next

@@ -45,12 +45,19 @@ type SnapNode struct {
 	Kids []int32
 }
 
-// Freeze builds the frozen snapshot image of the current poset state: the
+// Freeze returns Image as a pointer.
+func (po *Poset) Freeze() *Snapshot {
+	s := po.Image()
+	return &s
+}
+
+// Image builds the frozen snapshot image of the current poset state: the
 // last image with the records of the nodes touched since written afresh, each
-// into a private copy of its chunk.
+// into a private copy of its chunk. A caller that publishes the image inside
+// a record of its own embeds the value, so a churn op publishes one object.
 //
 //genas:builder
-func (po *Poset) Freeze() *Snapshot {
+func (po *Poset) Image() Snapshot {
 	po.ensureLinked()
 	chunks := make([][]SnapNode, (len(po.nodes)+chunkSize-1)>>chunkShift)
 	copy(chunks, po.img)
@@ -80,7 +87,7 @@ func (po *Poset) Freeze() *Snapshot {
 		}
 	}
 	po.img, po.dirty = chunks, po.dirty[:0]
-	return &Snapshot{chunks: chunks}
+	return Snapshot{chunks: chunks}
 }
 
 // expandScratch is the pooled walk state for Expand: the list of accepted

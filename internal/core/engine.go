@@ -102,12 +102,13 @@ type snapshot struct {
 	// tree is the automaton over the poset's roots.
 	tree  *tree.Tree
 	empty bool
-	// expand is the frozen poset image matched roots are expanded through,
+	// expand is the frozen poset image matched roots are expanded through
+	// (a value, so that publishing the snapshot is one object),
 	// and t2n maps each tree slot (dense index) to its poset node. t2n is
 	// append-only across successor snapshots — writes land past every
 	// predecessor's length — so snapshots share its backing array like the
 	// tree shares nodes.
-	expand *agg.Snapshot
+	expand agg.Snapshot
 	t2n    []int32
 }
 
@@ -278,7 +279,7 @@ func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
 		}
 		e.nodeTree[r.Idx] = int32(ti)
 	}
-	e.snap.Store(&snapshot{tree: t, expand: e.agg.Freeze(), t2n: e.t2n})
+	e.snap.Store(&snapshot{tree: t, expand: e.agg.Image(), t2n: e.t2n})
 }
 
 // resetLocked publishes the empty state. Going empty is the natural point
@@ -395,7 +396,7 @@ func (e *Engine) rebuildLocked() (err error) {
 	e.t2n = t2n
 	e.nodeTree = nodeTree
 	e.edits = 0
-	e.snap.Store(&snapshot{tree: t, expand: e.agg.Freeze(), t2n: t2n})
+	e.snap.Store(&snapshot{tree: t, expand: e.agg.Image(), t2n: t2n})
 	return nil
 }
 

@@ -22,7 +22,10 @@ import (
 // ErrSyntax reports a malformed profile expression.
 var ErrSyntax = errors.New("predicate: syntax error")
 
-// Parse parses one profile-language expression against schema s.
+// Parse parses one profile-language expression against schema s. It cuts
+// the expression in place and fills the profile's predicate table as it
+// reads, so a profile costs its Profile, its table and each point set's
+// operands.
 func Parse(s *schema.Schema, id ID, text string) (*Profile, error) {
 	body := strings.TrimSpace(text)
 	if strings.HasPrefix(body, "profile(") {
@@ -34,20 +37,24 @@ func Parse(s *schema.Schema, id ID, text string) (*Profile, error) {
 	if strings.TrimSpace(body) == "" {
 		return nil, fmt.Errorf("%w: empty profile body", ErrSyntax)
 	}
-	parts := splitTop(body, ';')
-	preds := make([]Predicate, 0, len(parts))
-	for _, part := range parts {
-		part = strings.TrimSpace(part)
-		if part == "" {
+	p := &Profile{ID: id, Preds: make([]Predicate, s.N())}
+	n, specified := 0, 0
+	var bad error // New's verdict, which a syntax error further on overrides
+	for more := true; more; {
+		var part string
+		part, body, more = cutTop(body, ';')
+		if part = strings.TrimSpace(part); part == "" {
 			continue
 		}
 		pr, err := parsePredicate(s, part)
 		if err != nil {
 			return nil, err
 		}
-		preds = append(preds, pr)
+		if n++; bad == nil {
+			bad = p.add(pr, &specified)
+		}
 	}
-	return New(s, id, preds...)
+	return p.finish(n, specified, bad)
 }
 
 // MustParse is Parse that panics on error, for tests and examples.
@@ -59,27 +66,23 @@ func MustParse(s *schema.Schema, id ID, text string) *Profile {
 	return p
 }
 
-// splitTop splits on sep outside of bracket pairs. The parts take one
-// allocation: every sep, bracketed or not, reserves room for one.
-func splitTop(s string, sep rune) []string {
-	parts := make([]string, 0, strings.Count(s, string(sep))+1)
+// cutTop slices s around its first sep outside bracket pairs; found is false,
+// and before all of s, when it has none.
+func cutTop(s string, sep byte) (before, after string, found bool) {
 	depth := 0
-	start := 0
-	for i, r := range s {
-		switch r {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
 		case '[', '{', '(':
 			depth++
 		case ']', '}', ')':
 			depth--
 		case sep:
 			if depth == 0 {
-				parts = append(parts, s[start:i])
-				start = i + len(string(sep))
+				return s[:i], s[i+1:], true
 			}
 		}
 	}
-	parts = append(parts, s[start:])
-	return parts
+	return s, "", false
 }
 
 func parsePredicate(s *schema.Schema, text string) (Predicate, error) {
@@ -126,31 +129,32 @@ func parsePredicate(s *schema.Schema, text string) (Predicate, error) {
 	case "in":
 		switch {
 		case strings.HasPrefix(operand, "[") && strings.HasSuffix(operand, "]"):
-			inner := operand[1 : len(operand)-1]
-			lohi := splitTop(inner, ',')
-			if len(lohi) != 2 {
+			loText, hiText, ok := cutTop(operand[1:len(operand)-1], ',')
+			if _, _, more := cutTop(hiText, ','); !ok || more {
 				return Predicate{}, fmt.Errorf("%w: range needs two bounds in %q", ErrSyntax, text)
 			}
-			lo, err := parseValue(dom, strings.TrimSpace(lohi[0]))
+			lo, err := parseValue(dom, strings.TrimSpace(loText))
 			if err != nil {
 				return Predicate{}, err
 			}
-			hi, err := parseValue(dom, strings.TrimSpace(lohi[1]))
+			hi, err := parseValue(dom, strings.TrimSpace(hiText))
 			if err != nil {
 				return Predicate{}, err
 			}
 			return NewRange(attr, lo, hi)
 		case strings.HasPrefix(operand, "{") && strings.HasSuffix(operand, "}"):
 			inner := operand[1 : len(operand)-1]
-			var vs []float64
-			for _, tok := range splitTop(inner, ',') {
+			vs := make([]float64, 0, strings.Count(inner, ",")+1)
+			for more := true; more; {
+				var tok string
+				tok, inner, more = cutTop(inner, ',')
 				v, err := parseValue(dom, strings.TrimSpace(tok))
 				if err != nil {
 					return Predicate{}, err
 				}
 				vs = append(vs, v)
 			}
-			return NewIn(attr, vs...)
+			return ownIn(attr, vs)
 		default:
 			return Predicate{}, fmt.Errorf("%w: 'in' needs [lo,hi] or {v,…} in %q", ErrSyntax, text)
 		}

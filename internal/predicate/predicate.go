@@ -10,6 +10,7 @@ package predicate
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,13 +106,16 @@ func NewRange(attr int, lo, hi float64) (Predicate, error) {
 
 // NewIn builds the set containment predicate attr ∈ {vs…}.
 func NewIn(attr int, vs ...float64) (Predicate, error) {
+	return ownIn(attr, slices.Clone(vs))
+}
+
+// ownIn is NewIn taking vs over: it sorts the set in place.
+func ownIn(attr int, vs []float64) (Predicate, error) {
 	if len(vs) == 0 {
 		return Predicate{}, fmt.Errorf("%w: empty set", ErrBadPredicate)
 	}
-	set := make([]float64, len(vs))
-	copy(set, vs)
-	sort.Float64s(set)
-	return Predicate{Attr: attr, Op: OpIn, Set: set}, nil
+	slices.Sort(vs)
+	return Predicate{Attr: attr, Op: OpIn, Set: vs}, nil
 }
 
 // NewAny builds the don't-care predicate for attr.
@@ -225,24 +229,41 @@ type Profile struct {
 // predicates on the same attribute are rejected (conjunction within one
 // attribute should be expressed as a range).
 func New(s *schema.Schema, id ID, preds ...Predicate) (*Profile, error) {
-	if len(preds) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrEmptyProfile, id)
-	}
 	p := &Profile{ID: id, Preds: make([]Predicate, s.N())}
 	specified := 0
 	for _, pr := range preds {
-		if pr.Attr < 0 || pr.Attr >= s.N() {
-			return nil, fmt.Errorf("%w: attribute index %d out of range", ErrBadPredicate, pr.Attr)
-		}
-		if p.Preds[pr.Attr].Op != 0 {
-			return nil, fmt.Errorf("%w: duplicate predicate on attribute %d", ErrBadPredicate, pr.Attr)
-		}
-		p.Preds[pr.Attr] = pr
-		if pr.Op != OpAny {
-			specified++
+		if err := p.add(pr, &specified); err != nil {
+			return p.finish(len(preds), specified, err)
 		}
 	}
-	if specified == 0 {
+	return p.finish(len(preds), specified, nil)
+}
+
+// add places pr in p's predicate table, counting it in *specified unless it
+// is a don't-care.
+func (p *Profile) add(pr Predicate, specified *int) error {
+	if pr.Attr < 0 || pr.Attr >= len(p.Preds) {
+		return fmt.Errorf("%w: attribute index %d out of range", ErrBadPredicate, pr.Attr)
+	}
+	if p.Preds[pr.Attr].Op != 0 {
+		return fmt.Errorf("%w: duplicate predicate on attribute %d", ErrBadPredicate, pr.Attr)
+	}
+	p.Preds[pr.Attr] = pr
+	if pr.Op != OpAny {
+		*specified++
+	}
+	return nil
+}
+
+// finish returns New's verdict on p, assembled from n predicates of which
+// specified are not don't-cares and add rejected the first with bad.
+func (p *Profile) finish(n, specified int, bad error) (*Profile, error) {
+	switch {
+	case n == 0:
+		return nil, fmt.Errorf("%w: %s", ErrEmptyProfile, p.ID)
+	case bad != nil:
+		return nil, bad
+	case specified == 0:
 		return nil, fmt.Errorf("%w: all predicates are don't-care", ErrEmptyProfile)
 	}
 	return p, nil

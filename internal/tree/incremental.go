@@ -31,6 +31,7 @@ package tree
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -44,28 +45,36 @@ import (
 // automaton, memoized by the receiver's nodes. vo weighs the automaton's nodes,
 // shared where p alone continues; the nodes p's intervals split get
 // count-balanced probe trees, and the nodes p rides through keep theirs.
+//
+// A successor of the newest tree of its line carves from the line's arena
+// and appends to the line's profile array; a successor of any other tree —
+// a second successor of one tree, or the first of a Build — starts a line of
+// its own.
 func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 	np := len(t.profiles)
 	nt := &Tree{
 		schema:    t.schema,
 		attrOrder: t.attrOrder,
+		deadCount: t.deadCount,
 	}
-	// Extending by append may share the receiver's backing array: the write
-	// lands at index np, past every predecessor's length, and predecessors
-	// never read beyond their own length. The aliasing is safe as long as
-	// successors are derived linearly (always from the newest tree), which
-	// the engine's writer mutex guarantees; two siblings derived from one
-	// parent would clobber each other's slot and are not supported.
-	nt.profiles = append(t.profiles, p)
-	if t.deadCount > 0 {
-		nt.dead = make([]bool, np+1)
-		copy(nt.dead, t.dead)
-		nt.deadCount = t.deadCount
+	profiles, dead := t.profiles, t.dead
+	if !t.handOver(nt) {
+		// t heads no line: past its length the arrays may be another tree's.
+		nt.line = &lineage{a: arena{line: true}}
+		nt.line.head.Store(nt)
+		profiles, dead = slices.Clip(profiles), slices.Clip(dead)
+	}
+	// The head owns the arrays past its length: the writes land at index
+	// np, past every predecessor's length, and predecessors never read
+	// beyond their own.
+	nt.profiles = append(profiles, p)
+	if dead != nil {
+		nt.dead = append(dead, false)
 	}
 
 	m := mergerPool.Get().(*merger)
 	defer mergerPool.Put(m)
-	m.t, m.np = nt, np
+	m.t, m.np, m.a = nt, np, &nt.line.a
 	if n := nt.schema.N(); len(m.edges) < n {
 		m.edges = make([][]Edge, n)
 	}
@@ -83,18 +92,40 @@ func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 	return nt, np
 }
 
+// lineage is what a line of successor trees hands down: the arena their
+// inserts carve from, and the tails of the profile and tombstone arrays past
+// the newest tree's length. Only the line's head, its newest tree, carves
+// from the arena or appends to the arrays; every successor takes the line
+// over from its head. The engine derives successors linearly under its
+// writer mutex, so one line lives from one coalescing Build to the next.
+type lineage struct {
+	head atomic.Pointer[Tree]
+	a    arena
+}
+
+// handOver makes nt the head of t's line when t heads it, and reports
+// whether it did; otherwise nt has no line. A tree that is not its line's
+// head has a successor already, so a second successor of one tree never
+// writes into storage its sibling owns.
+func (t *Tree) handOver(nt *Tree) bool {
+	if l := t.line; l != nil && l.head.CompareAndSwap(t, nt) {
+		nt.line = l
+		return true
+	}
+	nt.line = nil
+	return false
+}
+
 // mergerPool recycles the memo map and scratch buffers across inserts:
-// steady churn then allocates almost nothing beyond the arena chunks the
-// successor tree keeps.
+// steady churn then allocates almost nothing beyond the successor's Tree and
+// graph meta.
 var mergerPool = sync.Pool{New: func() any { return &merger{memo: make(map[*Node]*Node, 256)} }}
 
-// release drops the references the successor tree now owns (the arena and
-// the merge state); scratch buffers keep their capacity for the next
-// insert.
+// release drops the references the successor tree now owns (its line's
+// arena and the merge state); scratch buffers keep their capacity for the
+// next insert.
 func (m *merger) release() {
-	m.t = nil
-	// Drop the chunk references: the successor tree owns them now.
-	m.a = arena{}
+	m.t, m.a = nil, nil
 	clear(m.memo)
 }
 
@@ -104,7 +135,9 @@ func (m *merger) release() {
 // it via Dead.
 func (t *Tree) WithoutProfile(pi int) *Tree {
 	nt := *t
-	nt.dead = make([]bool, len(t.profiles))
+	t.handOver(&nt)
+	// The copy keeps the room the line's inserts have grown the array to.
+	nt.dead = make([]bool, len(t.profiles), max(len(t.profiles), cap(t.dead)))
 	copy(nt.dead, t.dead)
 	if !nt.dead[pi] {
 		nt.dead[pi] = true
@@ -121,7 +154,7 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 // of the old tree keep consistent probe trees. It reports the nodes re-laid
 // and the nodes copied only to re-point their children.
 func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copied int) {
-	r := reorderer{sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node), a: arena{grow: true}}
+	r := reorderer{sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node)}
 	for _, a := range attrs {
 		r.sel[a] = true
 	}
@@ -134,6 +167,7 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 		}
 	}
 	c := *t
+	t.handOver(&c)
 	c.root = r.clone(t.root)
 	c.meta = &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
 	layOut(t.schema, vo, r.relay)
@@ -178,31 +212,34 @@ func (r *reorderer) clone(old *Node) *Node {
 	return n
 }
 
-// arena chunk-allocates the objects of one insert or one build. A corridor
-// merge creates hundreds of small, identically shaped objects (nodes,
-// edge lists, layouts, match sets), a build tens of thousands;
+// arena chunk-allocates the objects of one build or one line of inserts. A
+// corridor merge creates hundreds of small, identically shaped objects
+// (nodes, edge lists, layouts, match sets), a build tens of thousands;
 // allocating each individually made malloc fixed costs and the resulting GC
-// assist rate the dominant term of both. Chunks are pinned by the tree exactly
-// as long as individually allocated objects would be; the unused tail of the
-// last chunk of each kind is the only overhead.
+// assist rate the dominant term of both. A chunk lives as long as anything in
+// it; the unused tail of the last chunk of each kind is the only overhead.
 type arena struct {
 	nodes   slab[Node]
 	edges   slab[Edge]
 	ints    slab[int]   // match sets
 	sets    slab[[]int] // their handles
 	layouts slab[int32] // probe trees
-	// grow lets chunks grow with what the arena already holds (Build); an
-	// insert keeps them at their small fixed size.
-	grow bool
+	// line marks the arena a line of inserts carves from, whose chunks start
+	// at the fixed sizes below; a build's start from nothing.
+	line bool
 }
 
-// Chunk sizes are deliberately small: a corridor fills dozens of chunks
-// whatever their size, so the only real overhead is the partially used last
-// chunk of each kind — small chunks bound that waste at a few KB while the
-// malloc fixed cost stays amortized. A growing arena instead asks for a
-// thirty-second of what it holds, up to maxChunk elements: a tree of a dozen nodes
-// pays for no chunk, the tail of a large one stays a percent or two, and the chunk
-// count is logarithmic up to maxChunk.
+// Chunks grow with what the arena has handed out. A build's chunk is a
+// thirty-second of what its slab holds, up to maxChunk elements: a tree of a
+// dozen nodes pays for no chunk, the tail of a large one stays a percent or
+// two, and the chunk count is logarithmic up to maxChunk. A line's chunk is
+// an eighth, and at least the fixed size of its kind: one insert copies
+// dozens of nodes and thousands of edges, so a young line's chunks each hold
+// a part of an insert and an old line's each hold many inserts, and an
+// insert mallocs a chunk once in several. A chunk lives while any copy in it
+// does, so one that holds many inserts can pin copies later inserts
+// superseded until the next coalescing Build starts a fresh arena and lets
+// the line go.
 const (
 	nodeChunk = 64
 	edgeChunk = 128
@@ -217,17 +254,18 @@ type slab[T any] struct {
 	held int // elements in all chunks so far
 }
 
-// take returns n fresh elements, refilling with a chunk of d, or of what the
-// slab's growth asks for, when fewer are left.
+// take returns n fresh elements, refilling when fewer are left with a chunk
+// of what the slab's growth asks for: on a line, at least d.
 //
 //genas:builder
-func (s *slab[T]) take(n, d int, grow bool) []T {
+func (s *slab[T]) take(n, d int, line bool) []T {
 	if len(s.free) < n {
-		if grow {
-			d = min(s.held/32, maxChunk)
+		grown := min(s.held/32, maxChunk)
+		if line {
+			grown = max(d, min(s.held/8, maxChunk))
 		}
 		// Grow rounds the chunk up to what its size class holds anyway.
-		s.free = slices.Grow([]T(nil), max(n, d))
+		s.free = slices.Grow([]T(nil), max(n, grown))
 		s.free = s.free[:cap(s.free)]
 		s.held += len(s.free)
 	}
@@ -237,30 +275,30 @@ func (s *slab[T]) take(n, d int, grow bool) []T {
 }
 
 //genas:builder
-func (a *arena) node() *Node { return &a.nodes.take(1, nodeChunk, a.grow)[0] }
+func (a *arena) node() *Node { return &a.nodes.take(1, nodeChunk, a.line)[0] }
 
 // edgeSlice commits a scratch-built edge list to arena storage.
 //
 //genas:builder
 func (a *arena) edgeSlice(src []Edge) []Edge {
-	out := a.edges.take(len(src), edgeChunk, a.grow)
+	out := a.edges.take(len(src), edgeChunk, a.line)
 	copy(out, src)
 	return out
 }
 
 // layout returns n zeroed layout entries of arena storage.
-func (a *arena) layout(n int) []int32 { return a.layouts.take(n, intChunk, a.grow) }
+func (a *arena) layout(n int) []int32 { return a.layouts.take(n, intChunk, a.line) }
 
 // intSlice commits a scratch-built int list to arena storage.
 func (a *arena) intSlice(src []int) []int {
-	out := a.ints.take(len(src), intChunk, a.grow)
+	out := a.ints.take(len(src), intChunk, a.line)
 	copy(out, src)
 	return out
 }
 
 // leafSet returns the handle under which leaf edges share the match set.
 func (a *arena) leafSet(set []int) *[]int {
-	h := &a.sets.take(1, setChunk, a.grow)[0]
+	h := &a.sets.take(1, setChunk, a.line)[0]
 	*h = set
 	return h
 }
@@ -269,7 +307,7 @@ func (a *arena) leafSet(set []int) *[]int {
 // the largest index in the successor corpus by construction, so the union is
 // a copy plus one trailing element.
 func (a *arena) unionTail(src []int, np int) []int {
-	out := a.ints.take(len(src)+1, intChunk, a.grow)
+	out := a.ints.take(len(src)+1, intChunk, a.line)
 	copy(out, src)
 	out[len(src)] = np
 	return out
@@ -295,8 +333,9 @@ type merger struct {
 	edges [][]Edge
 	// sc is the scratch of the chain's applyOrder.
 	sc orderScratch
-	// a chunk-allocates every object the successor tree retains.
-	a arena
+	// a is the successor's line's arena, which every object the successor
+	// retains is carved from.
+	a *arena
 }
 
 // chain builds the new profile's one-profile automaton in the successor's

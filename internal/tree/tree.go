@@ -186,6 +186,9 @@ type Tree struct {
 	deadCount int
 
 	meta *graphMeta
+	// line is the line of inserts this tree belongs to: nil on a Build,
+	// whose first successor starts a line with a fresh arena.
+	line *lineage
 }
 
 // ensureMeta returns the graph meta, computing it on first use. Safe under
@@ -247,11 +250,7 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 
 	// Every interval endpoint is ranked once per attribute, the attributes at
 	// once; a constraint table and its intervals live only until then.
-	b := builder{t: t, ix: make([]*subrange.Index, s.N()), memo: make(map[uint64]state),
-		a: make([]arena, s.N()), own: arena{grow: true}}
-	for level := range b.a {
-		b.a[level].grow = true
-	}
+	b := builder{t: t, ix: make([]*subrange.Index, s.N()), memo: make(map[uint64]state), a: make([]arena, s.N())}
 	par.For(par.Workers(s.N()*len(profiles), rankGrain), s.N(), 1, func(_, attr int) {
 		dom := s.At(attr).Domain
 		cons := make([]subrange.Constraint, len(profiles))
