@@ -447,7 +447,7 @@ func TestDeliveryPathAllocations(t *testing.T) {
 		}
 	}
 	// Churn the corpus so the measured tree is the incrementally grown one
-	// (tombstones, patched-in subtrees), not a pristine build.
+	// (patched-in and taken-out subtrees), not a pristine build.
 	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("c%d", i)
 		if _, err := svc.Subscribe(id, fmt.Sprintf("profile(v = %d)", 400+i)); err != nil {

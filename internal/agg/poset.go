@@ -67,8 +67,8 @@ type Delta struct {
 	Joined []NodeRef
 	// Left lists the nodes that stopped being roots: roots demoted beneath a
 	// wider new structure (they remain reachable through its expansion
-	// edges), or a root that lost its last member. The engine tombstones
-	// their tree slots.
+	// edges), or a root that lost its last member. The engine removes
+	// their tree slots from the automaton.
 	Left []int32
 }
 

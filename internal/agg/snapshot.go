@@ -140,7 +140,7 @@ func (s *Snapshot) at(i int32) *SnapNode { return &s.chunks[i>>chunkShift][i&(ch
 //genas:hotpath
 func (s *Snapshot) Expand(vals []float64, matched []int, t2n []int32, t *tree.Tree, dst []predicate.ID) ([]predicate.ID, int) {
 	sc := scratchPool.Get().(*expandScratch)
-	total, ops := s.walk(sc, vals, matched, t2n, t)
+	total, ops := s.walk(sc, vals, matched, t2n)
 	if need := len(dst) + total; need > cap(dst) {
 		dst = append(make([]predicate.ID, 0, need), dst...)
 	}
@@ -164,7 +164,7 @@ func (s *Snapshot) Expand(vals []float64, matched []int, t2n []int32, t *tree.Tr
 func (s *Snapshot) Match(vals []float64, t *tree.Tree, t2n []int32, dst []Member) ([]Member, int) {
 	sc := scratchPool.Get().(*expandScratch)
 	matched, acc, ops := t.MatchAppend(vals, sc.acc[:0])
-	total, descents := s.walk(sc, vals, matched, t2n, t)
+	total, descents := s.walk(sc, vals, matched, t2n)
 	if need := len(dst) + total; need > cap(dst) {
 		dst = append(make([]Member, 0, need), dst...)
 	}
@@ -177,8 +177,8 @@ func (s *Snapshot) Match(vals []float64, t *tree.Tree, t2n []int32, dst []Member
 }
 
 // walk lists on sc.nodes the poset nodes the matched tree slots accept and
-// returns their member total and the descents spent. From every live matched
-// root it descends kid edges, re-evaluating each child's representative
+// returns their member total and the descents spent. From every matched root
+// it descends kid edges, re-evaluating each child's representative
 // against the event — covering guarantees a child that fails can have no
 // matching descendant — and marks visited nodes so DAG diamonds and
 // multi-root overlaps list each node once. Listing the nodes first lets the
@@ -186,13 +186,9 @@ func (s *Snapshot) Match(vals []float64, t *tree.Tree, t2n []int32, dst []Member
 // matched root brings.
 //
 //genas:hotpath
-func (s *Snapshot) walk(sc *expandScratch, vals []float64, matched []int, t2n []int32, t *tree.Tree) (total, ops int) {
+func (s *Snapshot) walk(sc *expandScratch, vals []float64, matched []int, t2n []int32) (total, ops int) {
 	sc.reset(s.Slots())
-	dead := t.HasDead()
 	for _, pi := range matched {
-		if dead && t.Dead(pi) {
-			continue
-		}
 		ni := t2n[pi]
 		if sc.mark[ni] == sc.gen {
 			continue

@@ -22,7 +22,7 @@ import (
 //
 // The byte stream drives the op mix (subscribe, unsubscribe, restructure),
 // the profile shapes and the interleaved probes, so the fuzzer explores
-// interleavings (insert-over-tombstone, remove-of-just-inserted, demotion on
+// interleavings (insert-after-removal, remove-of-just-inserted, demotion on
 // a wider add, unsubscribe of a poset-internal coverer, promotion of orphaned
 // kids, coalesce mid-sequence, reorder of a fragmented successor tree) that
 // the handwritten tests cannot enumerate.
@@ -262,8 +262,8 @@ func FuzzChurnSequence(f *testing.F) {
 
 // TestChurnSequenceOracle runs long deterministic churn scripts through both
 // the single-tree and the sharded engine — long enough to cross the
-// coalescing threshold mid-sequence, so incremental growth, tombstone
-// compaction and the coalesced rebuild all get oracle-checked in one run.
+// coalescing threshold mid-sequence, so incremental inserts, removals and
+// the coalesced rebuild all get oracle-checked in one run.
 func TestChurnSequenceOracle(t *testing.T) {
 	s := testSchema(t)
 	script := func(seed byte, n int) []byte {

@@ -70,8 +70,9 @@ const (
 	// the image's chunk table and the dirty chunk's copy, and the snapshot.
 	addJoinAllocs = 4.0
 	// A structure's last subscriber leaving: the delta naming it, the
-	// tombstone successor and its tombstones, the image's chunk table and the
-	// dirty chunk's copy, and the snapshot.
+	// successor tree and its graph meta, the image's chunk table and the
+	// dirty chunk's copy, and the snapshot; the line's arena chunks add a
+	// fraction of one.
 	removeAllocs = 6.0
 	// The Profile, its predicate table and the severity set's operands.
 	parseAllocs = 3.0

@@ -144,12 +144,12 @@ type Engine struct {
 	t2n      []int32
 	nodeTree []int32
 	// edits counts the index edits since the last full rebuild: a root
-	// indexed, a slot tombstoned, or a structure created or emptied beneath
-	// a coverer (the automaton is untouched, but the poset's node table grew
+	// indexed or removed, or a structure created or emptied beneath a
+	// coverer (the automaton is untouched, but the poset's node table grew
 	// or gained a hole). Once it reaches coalesceThreshold the churn op that
 	// spent the budget rebuilds, restoring the canonical structure and
-	// clearing tombstones and holes. A subscriber joining or leaving an
-	// existing structure changes neither and is not an edit.
+	// clearing the holes. A subscriber joining or leaving an existing
+	// structure changes neither and is not an edit.
 	edits int
 	// vo is the weights the live tree was laid out for, reused by
 	// incremental inserts.
@@ -161,10 +161,10 @@ type Engine struct {
 // rebuild constantly, floored so small ones don't rebuild on every edit.
 func (e *Engine) coalesceThreshold() int {
 	// Two edits per canonical node before paying a full rebuild: successor
-	// trees fragment slowly (each insert adds at most a few cuts per level)
-	// and tombstones only cost a bitmap test at translation, so rebuilding
-	// once per index-sized batch of edits trades a small match-path drift
-	// for keeping the rebuild entirely off the steady churn path. The
+	// trees drift slowly (an edit balances the probe trees it re-cuts, and
+	// distinct nodes may hold equal states), so rebuilding once per
+	// index-sized batch of edits trades a small match-path drift for
+	// keeping the rebuild entirely off the steady churn path. The
 	// automaton's size driver is the canonical node count, not the
 	// subscriber count, so the budget scales with that.
 	return max(2*e.agg.NodeCount(), 128)
@@ -190,9 +190,9 @@ func (e *Engine) AddProfile(p *predicate.Profile) error { return e.Add(agg.Bare(
 // canonical node in the poset. While no automaton is live the node is only
 // interned — the lazy build on the next match links the poset in one pass.
 // Otherwise the automaton changes only when a new structure enters as a root
-// (indexed) or demotes existing roots beneath it (tombstoned — they stay
-// reachable through the new root's expansion edges), in a successor snapshot
-// sharing the untouched node graph.
+// (indexed) or demotes existing roots beneath it (removed from the automaton
+// — they stay reachable through the new root's expansion edges), in a
+// successor snapshot sharing the untouched node graph.
 func (e *Engine) Add(m Member) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -219,10 +219,10 @@ func (e *Engine) RemoveProfile(id predicate.ID) error {
 
 // Remove unregisters the member registered under id and returns it. Dropping
 // a member usually leaves the automaton untouched; when a canonical node
-// loses its last member it detaches eagerly — its tree slot is tombstoned if
-// it was a root (O(1); the next coalescing rebuild compacts tombstones), and
-// formerly covered nodes promoted by the detach are indexed, so a covered
-// subscription resurfaces the moment its last coverer leaves.
+// loses its last member it detaches eagerly — its tree slot is removed from
+// the automaton if it was a root, and formerly covered nodes promoted by the
+// detach are indexed, so a covered subscription resurfaces the moment its
+// last coverer leaves.
 func (e *Engine) Remove(id predicate.ID) (Member, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -534,10 +534,10 @@ func (e *Engine) MatchAppend(vals []float64, dst []Member) ([]Member, int, error
 }
 
 // MatchAny reports whether the event matches at least one registered
-// profile — what a link filter asks — without building the id list: a tree
-// slot is live exactly while its canonical node has a subscriber, so the first
-// live matched root answers, tombstones and the empty state handled as Match
-// handles them. The probe is not counted in the operation accounting.
+// profile — what a link filter asks — without building the id list: the
+// automaton holds a slot exactly while its canonical node has a subscriber,
+// so the first matched root answers, and the empty state is handled as Match
+// handles it. The probe is not counted in the operation accounting.
 //
 //genas:hotpath
 func (e *Engine) MatchAny(vals []float64) (bool, error) {
@@ -580,8 +580,8 @@ func (e *Engine) Tree() *tree.Tree {
 }
 
 // Analyze runs the analytic cost model (Eq. 2) under the engine's event
-// distributions. The model is defined over the live corpus, so a tombstoned
-// or stale automaton is coalesced first.
+// distributions. The model is defined over the canonical automaton, so an
+// edited or stale one is coalesced first.
 func (e *Engine) Analyze() (selectivity.Analysis, error) {
 	e.mu.Lock()
 	snap := e.snap.Load()
@@ -589,7 +589,7 @@ func (e *Engine) Analyze() (selectivity.Analysis, error) {
 		e.mu.Unlock()
 		return selectivity.Analysis{}, ErrNoProfiles
 	}
-	if snap.tree == nil || snap.tree.HasDead() || e.edits > 0 {
+	if snap.tree == nil || e.edits > 0 {
 		if err := e.rebuildLocked(); err != nil {
 			e.mu.Unlock()
 			return selectivity.Analysis{}, err

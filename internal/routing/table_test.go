@@ -331,7 +331,7 @@ func TestNetworkAndTableChainCountAlike(t *testing.T) {
 // TestRouteDoesNotAllocate pins the link filter's yes/no probe: deciding
 // which links an event crosses builds no id list, whether a link accepts the
 // event or rejects it, and also on a patched automaton (incremental inserts
-// park profiles in extra sets, tombstones need the liveness test).
+// park profiles in extra sets, removals rejoin the pieces they leave).
 func TestRouteDoesNotAllocate(t *testing.T) {
 	s := testSchema(t)
 	tb := starTable(t)

@@ -1,6 +1,6 @@
 // Incremental maintenance of the profile tree: insert one profile by merging
 // its one-profile automaton into the automaton states the profile can reach
-// (the "corridor"), remove one profile by tombstoning its dense index, and
+// (the "corridor"), remove one by running the same merge backwards, and
 // re-apply a value order by cloning the nodes it re-lays so concurrent readers
 // of the original tree never observe a half-laid node.
 //
@@ -20,11 +20,15 @@
 // child is merged — or outside it, where the old edge and the old child are
 // reused verbatim. Shared states stay shared because the merge is memoized by
 // old-node identity: a tree node meets only the chain's node of its level, so
-// alive' = alive ∪ {np} is a function of the old state alone. The successor is
-// generally not the canonical tree Build would produce (adjacent pieces with
-// equal profile sets are not re-merged); the engine coalesces with a full
-// rebuild once accumulated edits pass its threshold. Match sets are identical
-// either way, which the oracle equivalence tests pin.
+// alive' = alive ∪ {np} is a function of the old state alone.
+//
+// A removal walks the same corridor with the profile's chain and takes it out
+// of the sets in its region (alive' = alive ∖ {np}); each copied node then
+// rejoins the pieces whose states became equal. Successors are generally not
+// the canonical tree Build would produce (distinct nodes may hold equal
+// states); the engine coalesces with a full rebuild once accumulated edits
+// pass its threshold. Match sets are identical either way, which the oracle
+// equivalence tests pin.
 
 package tree
 
@@ -45,59 +49,70 @@ import (
 // automaton, memoized by the receiver's nodes. vo weighs the automaton's nodes,
 // shared where p alone continues; the nodes p's intervals split get
 // count-balanced probe trees, and the nodes p rides through keep theirs.
-//
-// A successor of the newest tree of its line carves from the line's arena
-// and appends to the line's profile array; a successor of any other tree —
-// a second successor of one tree, or the first of a Build — starts a line of
-// its own.
 func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 	np := len(t.profiles)
-	nt := &Tree{
-		schema:    t.schema,
-		attrOrder: t.attrOrder,
-		deadCount: t.deadCount,
-	}
-	profiles, dead := t.profiles, t.dead
+	return t.edit(p, np, vo, false), np
+}
+
+// WithoutProfile returns a successor tree without dense index pi: the merge
+// of WithProfile run backwards, which takes pi out of every parked and leaf
+// set along its paths and rejoins the pieces it leaves with equal states. A
+// node whose subrange count changed gets a count-balanced probe tree; every
+// other keeps its own. Removing an index no set holds changes no match set.
+// The index stays taken: Profiles still lists pi's profile, which no set
+// lists any more.
+func (t *Tree) WithoutProfile(pi int) *Tree {
+	return t.edit(t.profiles[pi], pi, NaturalOrder(), true)
+}
+
+// edit derives the successor that adds p at index pi, or with drop set takes
+// it out. A successor of the newest tree of its line carves from the line's
+// arena and appends to the line's profile array; a successor of any other
+// tree — a second successor of one tree, or the first of a Build — starts a
+// line of its own.
+func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tree {
+	nt := &Tree{schema: t.schema, attrOrder: t.attrOrder, profiles: t.profiles}
 	if !t.handOver(nt) {
-		// t heads no line: past its length the arrays may be another tree's.
+		// t heads no line: past its length the array may be another tree's.
 		nt.line = &lineage{a: arena{line: true}}
 		nt.line.head.Store(nt)
-		profiles, dead = slices.Clip(profiles), slices.Clip(dead)
+		nt.profiles = slices.Clip(nt.profiles)
 	}
-	// The head owns the arrays past its length: the writes land at index
-	// np, past every predecessor's length, and predecessors never read
-	// beyond their own.
-	nt.profiles = append(profiles, p)
-	if dead != nil {
-		nt.dead = append(dead, false)
+	if !drop { // the head owns the array past every predecessor's length
+		nt.profiles = append(nt.profiles, p)
 	}
 
 	m := mergerPool.Get().(*merger)
 	defer mergerPool.Put(m)
-	m.t, m.np, m.a = nt, np, &nt.line.a
+	m.t, m.np, m.a, m.drop = nt, pi, &nt.line.a, drop
 	if n := nt.schema.N(); len(m.edges) < n {
 		m.edges = make([][]Edge, n)
 	}
-	if chain := m.chain(p, vo); chain == nil {
-		// The profile is unsatisfiable on some attribute: it can never
-		// match, so the automaton is unchanged and the whole node graph is
-		// shared. The index still exists (it appears in no leaf).
-		nt.root = t.root
-		nt.meta = t.meta
-	} else {
-		nt.root = m.merge(t.root, chain)
-		nt.meta = &graphMeta{} // filled lazily on the first Levels/Stats call
+	// An unsatisfiable profile can never match: the automaton is unchanged
+	// and the whole node graph is shared. Its index still exists (it appears
+	// in no set).
+	nt.root, nt.meta = t.root, t.meta
+	if chain := m.chain(p, vo); chain != nil {
+		if nt.root = m.merge(t.root, chain); nt.root == nil {
+			nt.root = &Node{Attr: int16(t.attrOrder[0])} // the last profile left
+		}
+		if nt.root != t.root {
+			nt.meta = &graphMeta{} // filled lazily on the first Levels/Stats call
+		}
 	}
-	m.release()
-	return nt, np
+	// The successor owns its line's arena and the merge state now; scratch
+	// buffers keep their capacity for the next edit.
+	m.t, m.a = nil, nil
+	clear(m.memo)
+	return nt
 }
 
 // lineage is what a line of successor trees hands down: the arena their
-// inserts carve from, and the tails of the profile and tombstone arrays past
-// the newest tree's length. Only the line's head, its newest tree, carves
-// from the arena or appends to the arrays; every successor takes the line
-// over from its head. The engine derives successors linearly under its
-// writer mutex, so one line lives from one coalescing Build to the next.
+// edits carve from, and the tail of the profile array past the newest tree's
+// length. Only the line's head, its newest tree, carves from the arena or
+// appends to the array; every successor takes the line over from its head.
+// The engine derives successors linearly under its writer mutex, so one line
+// lives from one coalescing Build to the next.
 type lineage struct {
 	head atomic.Pointer[Tree]
 	a    arena
@@ -116,35 +131,10 @@ func (t *Tree) handOver(nt *Tree) bool {
 	return false
 }
 
-// mergerPool recycles the memo map and scratch buffers across inserts:
-// steady churn then allocates almost nothing beyond the successor's Tree and
-// graph meta.
+// mergerPool recycles the memo map and scratch buffers across edits: steady
+// churn then allocates almost nothing beyond the successor's Tree and graph
+// meta.
 var mergerPool = sync.Pool{New: func() any { return &merger{memo: make(map[*Node]*Node, 256)} }}
-
-// release drops the references the successor tree now owns (its line's
-// arena and the merge state); scratch buffers keep their capacity for the
-// next insert.
-func (m *merger) release() {
-	m.t, m.a = nil, nil
-	clear(m.memo)
-}
-
-// WithoutProfile returns a successor tree with dense index pi tombstoned.
-// The node graph is shared whole: the dead profile keeps occupying its leaf
-// sets and subranges until a coalescing rebuild, and match translation skips
-// it via Dead.
-func (t *Tree) WithoutProfile(pi int) *Tree {
-	nt := *t
-	t.handOver(&nt)
-	// The copy keeps the room the line's inserts have grown the array to.
-	nt.dead = make([]bool, len(t.profiles), max(len(t.profiles), cap(t.dead)))
-	copy(nt.dead, t.dead)
-	if !nt.dead[pi] {
-		nt.dead[pi] = true
-		nt.deadCount = t.deadCount + 1
-	}
-	return &nt
-}
 
 // Reordered returns a successor tree with vo applied to the nodes that test
 // one of attrs (none given: to every node). It does not mutate the receiver,
@@ -303,25 +293,17 @@ func (a *arena) leafSet(set []int) *[]int {
 	return h
 }
 
-// unionTail appends np to a sorted dense-index set in arena storage. np is
-// the largest index in the successor corpus by construction, so the union is
-// a copy plus one trailing element.
-func (a *arena) unionTail(src []int, np int) []int {
-	out := a.ints.take(len(src)+1, intChunk, a.line)
-	copy(out, src)
-	out[len(src)] = np
-	return out
-}
-
-// merger carries one WithProfile merge: the successor tree under
-// construction, the new profile's dense index, and the memo that keeps
+// merger carries one edit: the successor tree under construction, the
+// profile's dense index, whether the edit drops it, and the memo that keeps
 // shared states shared.
 type merger struct {
-	t  *Tree
-	np int
-	// memo maps old nodes to their merges with the chain node of their level
-	// (alive' = alive ∪ {np} is a function of the old state alone, so
-	// old-node identity is a sound key).
+	t    *Tree
+	np   int
+	drop bool
+	// memo maps old nodes to their merges with the chain node of their level,
+	// nil where a drop leaves the state empty (alive' = alive ∪ {np}, or
+	// alive ∖ {np}, is a function of the old state alone, so old-node
+	// identity is a sound key).
 	memo map[*Node]*Node
 	// ivs is the scratch of the chain's intervals on one attribute.
 	ivs []schema.Interval
@@ -359,11 +341,13 @@ func (m *merger) chain(p *predicate.Profile, vo ValueOrder) *Node {
 	}
 	var next *Node
 	var leaf *[]int
+	one := m.a.ints.take(1, intChunk, m.a.line) // the chain's match set {np}
+	one[0] = m.np
 	if last+1 < t.schema.N() {
 		next = m.a.node()
-		*next = Node{Level: int16(last + 1), Attr: int16(t.attrOrder[last+1]), extra: m.a.unionTail(nil, m.np)}
+		*next = Node{Level: int16(last + 1), Attr: int16(t.attrOrder[last+1]), extra: one}
 	} else {
-		leaf = m.a.leafSet(m.a.unionTail(nil, m.np))
+		leaf = m.a.leafSet(one)
 	}
 	for level := last; level >= 0; level-- {
 		attr := t.attrOrder[level]
@@ -401,50 +385,90 @@ func (m *merger) chain(p *predicate.Profile, vo ValueOrder) *Node {
 }
 
 // merge returns the merge of old, a node of the receiver tree, with b, the
-// chain's node of its level.
+// chain's node of its level: in drop mode old itself where it does not hold
+// the profile, nil where the profile was all it held.
 //
 //genas:builder
 func (m *merger) merge(old, b *Node) *Node {
 	if n, ok := m.memo[old]; ok {
 		return n
 	}
-	n := m.a.node()
-	*n = *old
+	n := *old
 	if len(b.extra) > 0 {
 		// b parks the profile: every remaining level is don't-care for it,
-		// so it matches every event that reaches this node. Park it in the
-		// extra set and share the whole subtree — the dominant cost of
-		// inserting a profile that constrains only early attributes
-		// collapses to one node copy.
-		n.extra = m.a.unionTail(old.extra, m.np)
+		// so it matches every event that reaches this node. It is parked in
+		// (or taken from) the extra set and the whole subtree is shared —
+		// the dominant cost of editing a profile that constrains only early
+		// attributes collapses to one node copy.
+		n.extra = m.set(old.extra)
 	} else {
-		m.overlay(n, old, b)
+		m.overlay(&n, old, b)
 	}
-	m.memo[old] = n
-	return n
+	var out *Node
+	switch {
+	case m.drop && len(n.extra) == 0 && len(n.edges) == 0:
+	case m.drop && len(n.extra) == len(old.extra) && n.nSubrange == old.nSubrange && slices.Equal(n.edges, old.edges):
+		out = old
+	default:
+		out = m.a.node()
+		*out = n
+		if len(b.extra) == 0 {
+			out.edges = m.a.edgeSlice(n.edges)
+			if m.drop && n.nSubrange != old.nSubrange || !m.drop && b.nSubrange > 0 {
+				out.layout = balanced(m.a.layout(int(n.nSubrange))[:0], 0, int(n.nSubrange)-1)
+			}
+		}
+	}
+	m.memo[old] = out
+	return out
 }
 
-// overlay lays n out as the overlay of old's and b's partitions, walked in
-// natural order piece against piece. A piece that is a subrange edge on either
-// side becomes a subrange edge of n; pieces that are gaps on both sides go to
-// n's one trailing edge, the merge of the two sides' gap owners — a node's
-// gaps have one owner, so these pieces always agree — and stay D₀ where
-// neither side owns its gaps. old's parked profiles ride along unchanged:
-// they still match every event reaching n. Where b splits the domain, n's
-// probe tree is count-balanced, the weights waiting for the next Reordered or
-// the coalescing rebuild; where b is a star node, n has old's subrange edges
-// and keeps old's probe tree over them.
+// overlay lays n's edges out, in the level's scratch, as the overlay of old's
+// and b's partitions, walked in natural order piece against piece. A piece
+// that is a subrange edge on either side becomes a subrange edge of n; pieces
+// that are gaps on both sides go to n's one trailing edge, the merge of the
+// two sides' gap owners — a node's gaps have one owner, so these pieces always
+// agree — and stay D₀ where neither side owns its gaps. old's parked profiles
+// ride along unchanged: they still match every event reaching n. Where b splits
+// the domain an insert's n gets a count-balanced probe tree, the weights
+// waiting for the next Reordered or the coalescing rebuild; where b is a star
+// node, n has old's subrange edges and keeps old's probe tree over them.
+//
+// In drop mode the pieces rejoin as they come: one whose state emptied, or
+// that now leads where the trailing edge leads, becomes a gap, and one that
+// continues the last edge into an equal state extends it. States compare by
+// pointer, and structurally where the drop made either side afresh.
 //
 //genas:builder
 func (m *merger) overlay(n, old, b *Node) {
 	level := int(old.Level)
 	dom := m.t.schema.At(int(old.Attr)).Domain
+	discrete := dom.Kind() != schema.KindNumeric
 	buf := m.edges[level][:0]
-	gaps := false // some piece is a gap on both sides
+	gaps := false // some piece is a gap on both sides, or a drop made it one
+	ga, gb := edgeAt(old, int(old.nSubrange)), edgeAt(b, int(b.nSubrange))
+	var tr Edge // drop mode: the trailing edge, made first to fold pieces into
+	trFresh, lastFresh := false, false
+	if m.drop && ga != nil {
+		tr = m.edge(dom.Interval(), ga, gb)
+		trFresh = tr != *ga
+	}
 	pa, pb := old.pieces(dom), b.pieces(dom)
 	for more := pa.Next() && pb.Next(); more; {
-		if pa.Edge >= 0 && pa.Edge < int(old.nSubrange) || pb.Edge >= 0 && pb.Edge < int(b.nSubrange) {
-			buf = append(buf, m.edge(pa.Iv.Intersect(pb.Iv), edgeAt(old, pa.Edge), edgeAt(b, pb.Edge)))
+		if ea := edgeAt(old, pa.Edge); pa.Edge >= 0 && pa.Edge < int(old.nSubrange) || pb.Edge >= 0 && pb.Edge < int(b.nSubrange) {
+			e := m.edge(pa.Iv.Intersect(pb.Iv), ea, edgeAt(b, pb.Edge))
+			fresh, k := ea != nil && (e.Child != ea.Child || e.leaf != ea.leaf), len(buf)
+			switch {
+			case !m.drop:
+				buf = append(buf, e)
+			case e.Child == nil && e.leaf == nil || sameState(e, tr, fresh || trFresh):
+				gaps = true
+			case k > 0 && piecesTouch(buf[k-1].Iv, e.Iv, discrete) && sameState(buf[k-1], e, fresh || lastFresh):
+				buf[k-1].Iv.Hi, buf[k-1].Iv.HiOpen = e.Iv.Hi, e.Iv.HiOpen
+				lastFresh = lastFresh || fresh
+			default:
+				buf, lastFresh = append(buf, e), fresh
+			}
 		} else {
 			gaps = true
 		}
@@ -458,34 +482,85 @@ func (m *merger) overlay(n, old, b *Node) {
 		}
 	}
 	n.nSubrange = int32(len(buf))
-	if ga, gb := edgeAt(old, int(old.nSubrange)), edgeAt(b, int(b.nSubrange)); gaps && (ga != nil || gb != nil) {
+	switch {
+	case m.drop && gaps && (tr.Child != nil || tr.leaf != nil):
+		buf = append(buf, tr)
+	case !m.drop && gaps && (ga != nil || gb != nil):
 		buf = append(buf, m.edge(dom.Interval(), ga, gb))
 	}
 	m.edges[level] = buf
-	n.edges = m.a.edgeSlice(buf)
-	if b.nSubrange > 0 {
-		n.layout = balanced(m.a.layout(int(n.nSubrange))[:0], 0, int(n.nSubrange)-1)
-	}
+	n.edges = buf
 }
 
 // edge returns the merged edge over iv of old's edge ea and the chain's edge
 // eb, either nil where its side has nothing there. Where both have one, it
-// carries at the leaf level the union of their match sets, a fresh set per
-// edge, and above it the merge of their children; otherwise it shares one
-// side's child or match set as it is.
+// carries at the leaf level the edited match set, and above it the merge of
+// their children; otherwise an insert shares one side's child or match set
+// as it is, and a drop keeps old's or, where old has nothing, nothing.
 //
 //genas:builder
 func (m *merger) edge(iv schema.Interval, ea, eb *Edge) Edge {
 	switch {
+	case ea == nil && m.drop:
+		return Edge{Iv: iv}
 	case ea == nil:
 		return Edge{Iv: iv, Child: eb.Child, leaf: eb.leaf}
 	case eb == nil:
 		return Edge{Iv: iv, Child: ea.Child, leaf: ea.leaf}
 	case ea.Child == nil:
-		// The chain's match set is {np}, the largest index in the successor.
-		return Edge{Iv: iv, leaf: m.a.leafSet(m.a.unionTail(*ea.leaf, m.np))}
+		switch s := m.set(*ea.leaf); len(s) {
+		case len(*ea.leaf):
+			return Edge{Iv: iv, leaf: ea.leaf}
+		case 0:
+			return Edge{Iv: iv}
+		default:
+			return Edge{Iv: iv, leaf: m.a.leafSet(s)}
+		}
 	}
 	return Edge{Iv: iv, Child: m.merge(ea.Child, eb.Child)}
+}
+
+// set returns the sorted dense-index set s, in arena storage, with the
+// profile added — its index is the successor's largest, so the union is a
+// copy plus one trailing element — or in drop mode taken out: s itself where
+// s does not hold it.
+func (m *merger) set(s []int) []int {
+	if !m.drop {
+		out := m.a.ints.take(len(s)+1, intChunk, m.a.line)
+		out[copy(out, s)] = m.np
+		return out
+	}
+	i, ok := slices.BinarySearch(s, m.np)
+	if !ok {
+		return s
+	}
+	out := m.a.ints.take(len(s)-1, intChunk, m.a.line)
+	copy(out[copy(out, s[:i]):], s[i+1:])
+	return out
+}
+
+// sameState reports whether edges a and b lead to the same state: the same
+// node or match set or, when deep, equal ones, compared down to the first
+// shared pointer.
+func sameState(a, b Edge, deep bool) bool {
+	switch {
+	case a.Child == b.Child && a.leaf == b.leaf:
+		return true
+	case !deep || a.Child == nil && a.leaf == nil || b.Child == nil && b.leaf == nil:
+		return false
+	case a.Child == nil:
+		return slices.Equal(*a.leaf, *b.leaf)
+	}
+	x, y := a.Child, b.Child
+	if x.nSubrange != y.nSubrange || len(x.edges) != len(y.edges) || !slices.Equal(x.extra, y.extra) {
+		return false
+	}
+	for i := range x.edges {
+		if x.edges[i].Iv != y.edges[i].Iv || !sameState(x.edges[i], y.edges[i], true) {
+			return false
+		}
+	}
+	return true
 }
 
 // edgeAt returns n's edge i, or nil for −1 (a D₀ gap) and past the last.

@@ -116,15 +116,12 @@ func randomProbe(s *schema.Schema, rng *rand.Rand) []float64 {
 	return vals
 }
 
-// liveMatchSet collects the live matched profile IDs of a tree for a probe.
+// liveMatchSet collects the matched profile IDs of a tree for a probe.
 func liveMatchSet(tr *Tree, vals []float64) map[predicate.ID]bool {
 	matched, _ := tr.Match(vals)
 	out := make(map[predicate.ID]bool, len(matched))
 	profs := tr.Profiles()
 	for _, pi := range matched {
-		if tr.Dead(pi) {
-			continue
-		}
 		out[profs[pi].ID] = true
 	}
 	return out
@@ -196,8 +193,9 @@ func TestWithProfileOracle(t *testing.T) {
 	}
 }
 
-// TestWithoutProfileOracle interleaves insertions and tombstone removals and
-// checks the live match sets against direct evaluation of the live corpus.
+// TestWithoutProfileOracle interleaves insertions and removals and checks the
+// match sets against direct evaluation of the live corpus, and that no set of
+// the tree lists a removed index.
 func TestWithoutProfileOracle(t *testing.T) {
 	s := incrSchema(t)
 	for seed := int64(20); seed < 26; seed++ {
@@ -206,6 +204,7 @@ func TestWithoutProfileOracle(t *testing.T) {
 
 		live := make(map[predicate.ID]*predicate.Profile)
 		denseOf := make(map[predicate.ID]int)
+		removed := make(map[int]bool)
 		var inc *Tree
 		next := 0
 		for step := 0; step < 40; step++ {
@@ -221,6 +220,7 @@ func TestWithoutProfileOracle(t *testing.T) {
 					k--
 				}
 				inc = inc.WithoutProfile(denseOf[victim])
+				removed[denseOf[victim]] = true
 				delete(live, victim)
 				delete(denseOf, victim)
 			} else {
@@ -240,9 +240,7 @@ func TestWithoutProfileOracle(t *testing.T) {
 				}
 				live[p.ID] = p
 			}
-			if inc.LiveCount() != len(live) {
-				t.Fatalf("seed %d step %d: LiveCount=%d want %d", seed, step, inc.LiveCount(), len(live))
-			}
+			noneRemoved(t, fmt.Sprintf("seed %d step %d", seed, step), inc, removed)
 			for probe := 0; probe < 20; probe++ {
 				vals := randomProbe(s, rng)
 				got := liveMatchSet(inc, vals)
@@ -262,6 +260,34 @@ func TestWithoutProfileOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWithoutProfileIsIdempotent: removing an index no set holds — one
+// removed already, or an unsatisfiable profile's — leaves every match set as
+// it was, on random trees over random attribute orders.
+func TestWithoutProfileIsIdempotent(t *testing.T) {
+	s := incrSchema(t)
+	grid := probeGrid(s)
+	unsat := predicate.MustParse(s, "unsat", "profile(int in [2.1,2.4])")
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		corpus := make([]*predicate.Profile, 2+rng.Intn(12))
+		for i := range corpus {
+			corpus[i] = randomProfile(t, s, rng, i)
+		}
+		tr, err := Build(s, corpus, WithAttributeOrder(rng.Perm(s.N())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 4 {
+			tr, _ = tr.WithProfile(randomProfile(t, s, rng, len(corpus)+i), NaturalOrder())
+		}
+		pi := rng.Intn(len(tr.Profiles()))
+		once := tr.WithoutProfile(pi)
+		withUnsat, ui := once.WithProfile(unsat, NaturalOrder())
+		sameMatches(t, fmt.Sprintf("seed %d: a second removal of %d", seed, pi), grid, once, once.WithoutProfile(pi))
+		sameMatches(t, fmt.Sprintf("seed %d: an unsatisfiable profile's removal", seed), grid, once, withUnsat.WithoutProfile(ui))
 	}
 }
 

@@ -11,20 +11,19 @@ import (
 	"genas/internal/schema"
 )
 
-// withProfileAllocs is what an insert into TestWithProfileAllocations' tree
-// mallocs on a 2-core x86-64 machine: the successor Tree and its graph meta,
-// and a fraction of one of its line's arena chunks; the pin allows 5 % over
-// it.
-const withProfileAllocs = 2.0
+// withProfileAllocs and withoutProfileAllocs are what an insert into
+// TestWithProfileAllocations' tree, and a removal from
+// TestWithoutProfileAllocations', malloc on a 2-core x86-64 machine: the
+// successor Tree and its graph meta, and a fraction of one of its line's
+// arena chunks; the pins allow 5 % over them.
+const (
+	withProfileAllocs    = 2.0
+	withoutProfileAllocs = 2.0
+)
 
-// TestWithProfileAllocations pins the mallocs of one insert: a tree of 600
-// profiles, each with a range on two numeric attributes and half with a range
-// on an integer one, takes 100 inserts to warm the merger's pool, then 300
-// measured ones. An insert carves what the successor keeps from its line's
-// arena, whose chunks grow with the line, and reuses the pooled memo and
-// scratch, so it mallocs the successor itself and a chunk once in several
-// inserts.
-func TestWithProfileAllocations(t *testing.T) {
+// allocCorpus is the allocation pins' corpus: 1 000 profiles, each with a
+// range on two numeric attributes and half with a range on an integer one.
+func allocCorpus(t *testing.T) (*schema.Schema, []*predicate.Profile) {
 	x, err := schema.NewNumericDomain(0, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -62,35 +61,70 @@ func TestWithProfileAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return s, corpus
+}
+
+// pinEditAllocs measures edit's mallocs after 99 warm-up calls, over 300
+// more (and one more warm-up), and holds them to pin.
+func pinEditAllocs(t *testing.T, what string, pin float64, edit func(), tr func() *Tree) {
+	t.Helper()
+	for range 99 {
+		edit()
+	}
+	allocs := testing.AllocsPerRun(300, edit)
+	limit := pin * 1.05
+	if raceEnabled {
+		// The race detector drops a share of the mergers put back in the
+		// pool, whose memo and scratch are then made afresh (13 mallocs
+		// per insert on the corpus): a loose bound still catches an edit
+		// that allocates per node, of which it copies dozens.
+		limit *= 16
+	}
+	t.Logf("%.1f mallocs per %s (limit %.1f); the successor has %d nodes", allocs, what, limit, tr().Stats().Nodes)
+	if allocs > limit {
+		t.Errorf("an %s mallocs %.1f times, want at most %.1f", what, allocs, limit)
+	}
+}
+
+// TestWithProfileAllocations pins the mallocs of one insert: a tree of 600
+// profiles of allocCorpus takes 100 inserts to warm the merger's pool, then
+// 300 measured ones. An insert carves what the successor keeps from its
+// line's arena, whose chunks grow with the line, and reuses the pooled memo
+// and scratch, so it mallocs the successor itself and a chunk once in several
+// inserts.
+func TestWithProfileAllocations(t *testing.T) {
+	s, corpus := allocCorpus(t)
 	tr, err := Build(s, corpus[:600])
 	if err != nil {
 		t.Fatal(err)
 	}
 	next := 600
-	insert := func() {
+	pinEditAllocs(t, "insert", withProfileAllocs, func() {
 		tr, _ = tr.WithProfile(corpus[next], NaturalOrder())
 		next++
+	}, func() *Tree { return tr })
+}
+
+// TestWithoutProfileAllocations pins the mallocs of one removal: a tree of
+// all of allocCorpus loses 100 profiles to warm the merger's pool, then 300
+// measured ones. A removal copies its corridor into the line's arena, as an
+// insert does, so it mallocs the successor itself and a chunk once in
+// several removals.
+func TestWithoutProfileAllocations(t *testing.T) {
+	s, corpus := allocCorpus(t)
+	tr, err := Build(s, corpus)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for range 99 {
-		insert()
-	}
-	allocs := testing.AllocsPerRun(300, insert) // and one more warm-up insert
-	limit := withProfileAllocs * 1.05
-	if raceEnabled {
-		// The race detector drops a share of the mergers put back in the
-		// pool, whose memo and scratch are then made afresh (13 mallocs
-		// per insert on the corpus): a loose bound still catches an insert
-		// that allocates per node, of which it copies dozens.
-		limit *= 16
-	}
-	t.Logf("%.1f mallocs per insert (limit %.1f); the successor has %d nodes", allocs, limit, tr.Stats().Nodes)
-	if allocs > limit {
-		t.Errorf("an insert mallocs %.1f times, want at most %.1f", allocs, limit)
-	}
+	next := 0
+	pinEditAllocs(t, "removal", withoutProfileAllocs, func() {
+		tr = tr.WithoutProfile(next)
+		next++
+	}, func() *Tree { return tr })
 }
 
 // TestWithProfileSiblings derives two successors from one tree, by insert
-// and by tombstone, and extends each line further: a tree that is not its
+// and by removal, and extends each line further: a tree that is not its
 // line's head starts a line of its own, so no successor writes into storage
 // its sibling reads. Every tree is held to brute force and to a Build of its
 // live profiles on the probe grid, and its nodes to their partitions.
@@ -121,12 +155,15 @@ func TestWithProfileSiblings(t *testing.T) {
 	dead := base.WithoutProfile(2)               // nor does it here
 	c, _ := dead.WithProfile(pc, NaturalOrder())
 	trees := map[string]*Tree{"base": base, "a": a, "b": b, "dead": dead, "c": c}
+	removed := map[string]map[int]bool{"base": {}, "a": {}, "b": {}, "dead": {2: true}, "c": {2: true}}
 	for _, name := range []string{"a", "b", "c"} {
 		for range 4 {
 			trees[name], _ = trees[name].WithProfile(profile(), NaturalOrder())
 		}
 		trees[name] = trees[name].WithoutProfile(np - 1)
+		removed[name][np-1] = true
 		trees[name+"'"], _ = trees[name].WithProfile(profile(), NaturalOrder())
+		removed[name+"'"] = removed[name]
 	}
 	for name, want := range map[string]*predicate.Profile{"a": pa, "b": pb, "c": pc} {
 		if got := trees[name].Profiles()[np]; got != want {
@@ -137,18 +174,45 @@ func TestWithProfileSiblings(t *testing.T) {
 		t.Fatal("the first successor does not take its tree's line over, or a sibling shares it")
 	}
 	for name, tr := range trees {
-		var live []*predicate.Profile
-		for pi, p := range tr.Profiles() {
-			if !tr.Dead(pi) {
-				live = append(live, p)
-			}
-		}
-		oracle, err := Build(s, live)
+		live, profiles := liveIndices(tr, removed[name])
+		oracle, err := Build(s, profiles)
 		if err != nil {
 			t.Fatal(err)
 		}
 		partitions(t, name, tr)
-		matchesOnGrid(t, name, grid, tr, oracle)
+		noneRemoved(t, name, tr, removed[name])
+		matchesOnGrid(t, name, grid, tr, live, oracle)
+	}
+}
+
+// liveIndices returns tr's indices but those removed, in order, and their
+// profiles.
+func liveIndices(tr *Tree, removed map[int]bool) (live []int, profiles []*predicate.Profile) {
+	for pi, p := range tr.Profiles() {
+		if !removed[pi] {
+			live, profiles = append(live, pi), append(profiles, p)
+		}
+	}
+	return live, profiles
+}
+
+// noneRemoved fails where a parked or leaf set of tr lists a removed index.
+func noneRemoved(t *testing.T, what string, tr *Tree, removed map[int]bool) {
+	t.Helper()
+	for level, nodes := range tr.Levels() {
+		for _, n := range nodes {
+			sets := [][]int{n.Extra()}
+			for i := range n.Edges() {
+				sets = append(sets, n.Edges()[i].Leaf())
+			}
+			for _, set := range sets {
+				for _, pi := range set {
+					if removed[pi] {
+						t.Fatalf("%s: a set at level %d lists removed index %d: %v", what, level, pi, set)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -354,7 +418,8 @@ func TestWithProfileShapes(t *testing.T) {
 			}
 			tc.check(t, was, tr)
 			partitions(t, tc.name, tr)
-			matchesOnGrid(t, tc.name, probeGrid(s), tr, nil)
+			live, _ := liveIndices(tr, nil)
+			matchesOnGrid(t, tc.name, probeGrid(s), tr, live, nil)
 		})
 	}
 }
@@ -383,26 +448,17 @@ func probeGrid(s *schema.Schema) [][]float64 {
 	return events
 }
 
-// matchesOnGrid fails where tr's live match set of an event of grid is not the
-// brute-force one, lists a profile twice or, given oracle (a tree built from
-// tr's live profiles alone, in index order), is not the oracle's.
-func matchesOnGrid(t *testing.T, what string, grid [][]float64, tr, oracle *Tree) {
+// matchesOnGrid fails where tr's match set of an event of grid is not the
+// brute-force one over its live indices, lists a profile twice or, given
+// oracle (a tree built from the live profiles alone, in index order), is not
+// the oracle's.
+func matchesOnGrid(t *testing.T, what string, grid [][]float64, tr *Tree, live []int, oracle *Tree) {
 	t.Helper()
-	var live []int // tr's index of the oracle's ith profile
-	for pi := range tr.Profiles() {
-		if !tr.Dead(pi) {
-			live = append(live, pi)
-		}
-	}
 	var got, want, built []int
 	for _, vals := range grid {
 		got, want, built = got[:0], want[:0], built[:0]
 		matched, _ := tr.Match(vals)
-		for _, pi := range matched {
-			if !tr.Dead(pi) {
-				got = append(got, pi)
-			}
-		}
+		got = append(got, matched...)
 		slices.Sort(got)
 		for _, pi := range live {
 			if tr.Profiles()[pi].Matches(vals) {
@@ -426,18 +482,21 @@ func matchesOnGrid(t *testing.T, what string, grid [][]float64, tr, oracle *Tree
 	}
 }
 
-// FuzzWithProfile runs a byte script of inserts and tombstones over
+// FuzzWithProfile runs a byte script of inserts and removals over
 // incrSchema and holds the tree to brute force and to a Build of its live
-// profiles on the probe grid after every step, and its nodes to the partition
-// their edges induce. The script's first bytes pick the attribute order, the
-// weights and how many profiles the first Build takes; then each step either
-// tombstones a live profile or inserts one drawn over the numeric, integer and
-// categorical domains: don't-care, range, comparison, point set, != and
-// atom-free constraints, with endpoints on half-steps of the domain, so that
-// inserts snap, split open numeric ends and join touching atoms.
+// profiles on the probe grid after every step, its nodes to the partition
+// their edges induce and its sets to the live indices. The script's first
+// bytes pick the attribute order, the weights and how many profiles the first
+// Build takes; then each step either removes a live profile or inserts one
+// drawn over the numeric, integer and categorical domains: don't-care, range,
+// comparison, point set, != and atom-free constraints, with endpoints on
+// half-steps of the domain, so that inserts snap, split open numeric ends and
+// join touching atoms. A removal of the profile the step before inserted must
+// give back the match sets of the tree before that insert.
 func FuzzWithProfile(f *testing.F) {
 	for seed := range int64(4) {
-		f.Add(quickScript(rand.New(rand.NewSource(seed))))
+		f.Add(quickScript(rand.New(rand.NewSource(seed)), false))
+		f.Add(quickScript(rand.New(rand.NewSource(seed)), true))
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		s := incrSchema(t)
@@ -457,52 +516,73 @@ func FuzzWithProfile(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		removed := make(map[int]bool)
+		var before *Tree // the tree before the last step, when it inserted
 		for step := 0; step < 50 && len(r) > 0; step++ {
 			what := fmt.Sprintf("order %v step %d", order, step)
-			if op := r.next(); op%4 == 0 && tr.LiveCount() > 0 {
-				live := make([]int, 0, tr.LiveCount())
-				for pi := range tr.Profiles() {
-					if !tr.Dead(pi) {
-						live = append(live, pi)
-					}
+			live, _ := liveIndices(tr, removed)
+			if op := r.next(); op%4 == 0 && len(live) > 0 {
+				pi := live[int(r.next())%len(live)]
+				tr, removed[pi] = tr.WithoutProfile(pi), true
+				noneRemoved(t, what, tr, removed)
+				if before != nil && pi == len(before.Profiles()) {
+					sameMatches(t, what+": an insert and its removal", grid, before, tr)
 				}
-				tr = tr.WithoutProfile(live[int(r.next())%len(live)])
+				before = nil
 			} else {
 				var np int
 				p := r.profile(s, len(tr.Profiles()))
+				before = tr
 				if tr, np = tr.WithProfile(p, vo); np != len(tr.Profiles())-1 || tr.Profiles()[np] != p {
 					t.Fatalf("%s: the insert has index %d of %d", what, np, len(tr.Profiles()))
 				}
 			}
-			var live []*predicate.Profile
-			for pi, p := range tr.Profiles() {
-				if !tr.Dead(pi) {
-					live = append(live, p)
-				}
-			}
+			live, profiles := liveIndices(tr, removed)
 			var oracle *Tree
 			if len(live) > 0 {
-				if oracle, err = Build(s, live, WithAttributeOrder(order)); err != nil {
+				if oracle, err = Build(s, profiles, WithAttributeOrder(order)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			partitions(t, what, tr)
-			matchesOnGrid(t, what, grid, tr, oracle)
+			matchesOnGrid(t, what, grid, tr, live, oracle)
 		}
 	})
 }
 
+// sameMatches fails where tr does not match what was matches on the grid.
+func sameMatches(t *testing.T, what string, grid [][]float64, was, tr *Tree) {
+	t.Helper()
+	var got, want []int
+	for _, vals := range grid {
+		m, _ := tr.Match(vals)
+		got = append(got[:0], m...)
+		m, _ = was.Match(vals)
+		want = append(want[:0], m...)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %v matches %v, the tree before %v", what, vals, got, want)
+		}
+	}
+}
+
 // quickScript writes a FuzzWithProfile script shaped like quickCorpus: up to
 // 40 random profiles, one in four with a != on some attribute, here with a
-// tombstone before one insert in four.
-func quickScript(rng *rand.Rand) []byte {
+// removal before one insert in four. With roundTrips, every other insert is
+// followed by the removal of the profile it inserted, and the random removals
+// leave a profile live.
+func quickScript(rng *rand.Rand, roundTrips bool) []byte {
 	script := []byte{byte(rng.Intn(6)), byte(rng.Intn(256)), 0}
+	live := 1
 	for i, n := 0, 1+rng.Intn(40); i < n; i++ {
-		if i > 0 && rng.Intn(4) == 0 {
+		if i > 0 && rng.Intn(4) == 0 && (!roundTrips || live > 1) {
 			script = append(script, 0, byte(rng.Intn(256)))
+			live--
 		}
 		if i > 0 {
 			script = append(script, 1)
+			live++
 		}
 		ne := rng.Intn(12)
 		for attr := range 3 {
@@ -523,6 +603,10 @@ func quickScript(rng *rand.Rand) []byte {
 			case 5, 6:
 				script = append(script, byte(rng.Intn(256)))
 			}
+		}
+		if roundTrips && i > 0 && rng.Intn(2) == 0 {
+			script = append(script, 0, byte(live-1)) // the live list's last: this insert
+			live--
 		}
 	}
 	return script

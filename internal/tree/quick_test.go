@@ -324,7 +324,8 @@ func sameEdges(t *testing.T, what string, tr *Tree) {
 
 // TestQuickWeightedFindsTheScansEdge: for random corpora the probe returns
 // the edge the paper's scan returns, in every piece of every node and outside
-// the domain, after Build, WithProfile, WithoutProfile and Reordered.
+// the domain, after Build, WithProfile, WithoutProfile and Reordered, and
+// the removals leave the live profiles' match sets.
 func TestQuickWeightedFindsTheScansEdge(t *testing.T) {
 	s := incrSchema(t)
 	check := func(seed int64) bool {
@@ -344,8 +345,22 @@ func TestQuickWeightedFindsTheScansEdge(t *testing.T) {
 			tr, _ = tr.WithProfile(randomProfile(t, s, rng, 100+step), vo)
 			sameEdges(t, "WithProfile", tr)
 		}
-		tr = tr.WithoutProfile(rng.Intn(len(profiles)))
-		sameEdges(t, "WithoutProfile", tr)
+		removed := make(map[int]bool)
+		for range 2 { // possibly one index twice
+			pi := rng.Intn(len(profiles))
+			tr, removed[pi] = tr.WithoutProfile(pi), true
+			sameEdges(t, "WithoutProfile", tr)
+			for range 50 {
+				vals := randomProbe(s, rng)
+				got := liveMatchSet(tr, vals)
+				for pi, p := range tr.Profiles() {
+					if got[p.ID] != (!removed[pi] && p.Matches(vals)) {
+						t.Errorf("seed %d: after removing %v, %s matches %v at %v", seed, removed, p.ID, got[p.ID], vals)
+						return false
+					}
+				}
+			}
+		}
 		tr, _, _ = tr.Reordered(saltedMass(rng.Float64()*100), rng.Intn(s.N()))
 		sameEdges(t, "Reordered", tr)
 		return !t.Failed()

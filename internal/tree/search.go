@@ -49,38 +49,23 @@ func (t *Tree) MatchAppend(vals []float64, acc []int) (matched, grown []int, ops
 	}
 }
 
-// MatchAny reports whether the event matches at least one live (not
-// tombstoned) profile: Match's walk, stopping at the first hit instead of
-// collecting, so it never allocates.
+// MatchAny reports whether the event matches at least one profile: Match's
+// walk, stopping at the first hit instead of collecting, so it never
+// allocates.
 func (t *Tree) MatchAny(vals []float64) bool {
 	n := t.root
 	for {
-		if t.anyLive(n.extra) {
+		if len(n.extra) > 0 {
 			return true
 		}
 		ei, _ := n.probe(vals[n.Attr])
 		if ei < 0 {
 			return false
 		}
-		e := &n.edges[ei]
-		if e.Child == nil {
-			return t.anyLive(*e.leaf)
-		}
-		n = e.Child
-	}
-}
-
-// anyLive reports whether ps holds a profile index that is not tombstoned.
-func (t *Tree) anyLive(ps []int) bool {
-	if t.deadCount == 0 {
-		return len(ps) > 0
-	}
-	for _, pi := range ps {
-		if !t.Dead(pi) {
-			return true
+		if n = n.edges[ei].Child; n == nil {
+			return true // a leaf set is never empty
 		}
 	}
-	return false
 }
 
 // Pieces walks a node's partition of its attribute's domain in natural order.

@@ -135,9 +135,10 @@ func (n *Node) Kind(i int) EdgeKind {
 
 // graphMeta holds the per-level node lists and size statistics of one node
 // graph. It hangs off the Tree behind a pointer so that trees sharing a
-// graph (WithoutProfile tombstone successors) share the meta, and so that
-// incremental successors (WithProfile) can defer the full-graph walk until
-// Levels or Stats is actually consulted — the churn path never pays it.
+// graph (the successor of an edit that changed no node) share the meta, and
+// so that incremental successors (WithProfile, WithoutProfile) can defer the
+// full-graph walk until Levels or Stats is actually consulted — the churn
+// path never pays it.
 type graphMeta struct {
 	once   sync.Once
 	levels [][]*Node // unique (shared) nodes per level
@@ -179,11 +180,6 @@ type Tree struct {
 	profiles  []*predicate.Profile
 	attrOrder []int // attrOrder[level] = schema attribute index
 	root      *Node
-	// dead marks tombstoned profile indices: WithoutProfile does not touch
-	// the node graph, it only records the index here, and match translation
-	// skips dead indices. A coalescing rebuild clears the tombstones.
-	dead      []bool
-	deadCount int
 
 	meta *graphMeta
 	// line is the line of inserts this tree belongs to: nil on a Build,
@@ -529,21 +525,9 @@ func (t *Tree) Root() *Node { return t.root }
 func (t *Tree) Schema() *schema.Schema { return t.schema }
 
 // Profiles returns the dense-indexed profile slice (shared; do not mutate).
-// Trees produced by WithoutProfile keep removed profiles in place as
-// tombstones — check Dead before translating a matched index.
+// An index WithoutProfile removed keeps its profile here, and no parked or
+// leaf set lists it: every index a match returns is live.
 func (t *Tree) Profiles() []*predicate.Profile { return t.profiles }
-
-// Dead reports whether dense index pi is tombstoned (removed via
-// WithoutProfile without a rebuild). Matched indices for dead profiles must
-// be skipped during translation.
-func (t *Tree) Dead(pi int) bool { return pi < len(t.dead) && t.dead[pi] }
-
-// HasDead reports whether any tombstones exist, so the hot translation loop
-// can skip the per-index check in the common tombstone-free case.
-func (t *Tree) HasDead() bool { return t.deadCount > 0 }
-
-// LiveCount returns the number of non-tombstoned profiles.
-func (t *Tree) LiveCount() int { return len(t.profiles) - t.deadCount }
 
 // AttrOrder returns a copy of the attribute order.
 func (t *Tree) AttrOrder() []int { return append([]int(nil), t.attrOrder...) }
