@@ -151,9 +151,6 @@ type Engine struct {
 	// clearing the holes. A subscriber joining or leaving an existing
 	// structure changes neither and is not an edit.
 	edits int
-	// vo is the weights the live tree was laid out for, reused by
-	// incremental inserts.
-	vo tree.ValueOrder
 }
 
 // coalesceThreshold returns the edit budget before the next churn operation
@@ -161,12 +158,13 @@ type Engine struct {
 // rebuild constantly, floored so small ones don't rebuild on every edit.
 func (e *Engine) coalesceThreshold() int {
 	// Two edits per canonical node before paying a full rebuild: successor
-	// trees drift slowly (an edit balances the probe trees it re-cuts, and
-	// distinct nodes may hold equal states), so rebuilding once per
-	// index-sized batch of edits trades a small match-path drift for
-	// keeping the rebuild entirely off the steady churn path. The
-	// automaton's size driver is the canonical node count, not the
-	// subscriber count, so the budget scales with that.
+	// trees drift slowly (an edit re-lays, under the tree's weights, the
+	// subtree of each probe tree that its changed keys fall in, but distinct
+	// nodes may hold equal states), so rebuilding once per index-sized batch
+	// of edits trades a small match-path drift for keeping the rebuild
+	// entirely off the steady churn path. The automaton's size follows the
+	// canonical node count, not the subscriber count, so the budget scales
+	// with that.
 	return max(2*e.agg.NodeCount(), 128)
 }
 
@@ -268,7 +266,7 @@ func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
 	}
 	for _, r := range d.Joined {
 		var ti int
-		t, ti = t.WithProfile(r.Rep, e.vo)
+		t, ti = t.WithProfile(r.Rep, t.ValueOrder())
 		if ti != len(e.t2n) {
 			e.snap.Store(&snapshot{}) // defensive: slot table out of step
 			return
@@ -387,12 +385,10 @@ func (e *Engine) rebuildLocked() (err error) {
 	if err != nil {
 		return err
 	}
-	vo := e.valueOrder()
-	t, err := tree.Build(e.schema, corpus, tree.WithAttributeOrder(order), tree.WithValueOrder(vo))
+	t, err := tree.Build(e.schema, corpus, tree.WithAttributeOrder(order), tree.WithValueOrder(e.valueOrder()))
 	if err != nil {
 		return err
 	}
-	e.vo = vo
 	e.t2n = t2n
 	e.nodeTree = nodeTree
 	e.edits = 0
@@ -414,8 +410,7 @@ func (e *Engine) Reorder(attrs ...int) (resorted, copied int, err error) {
 	if snap.tree == nil {
 		return 0, 0, e.rebuildLocked()
 	}
-	e.vo = e.valueOrder()
-	t, resorted, copied := snap.tree.Reordered(e.vo, attrs...)
+	t, resorted, copied := snap.tree.Reordered(e.valueOrder(), attrs...)
 	e.snap.Store(&snapshot{tree: t, expand: snap.expand, t2n: snap.t2n})
 	return resorted, copied, nil
 }

@@ -24,16 +24,25 @@
 //
 // A removal walks the same corridor with the profile's chain and takes it out
 // of the sets in its region (alive' = alive ∖ {np}); each copied node then
-// rejoins the pieces whose states became equal. Successors are generally not
-// the canonical tree Build would produce (distinct nodes may hold equal
-// states); the engine coalesces with a full rebuild once accumulated edits
-// pass its threshold. Match sets are identical either way, which the oracle
-// equivalence tests pin.
+// rejoins the pieces whose states became equal.
+//
+// An edit walks and lays out only what it changes in a node it copies. Where
+// the chain's node has subrange edges only, the profile's region is a span of
+// the domain: old's edges below and above it are copied in bulk, and only the
+// pieces across it are walked. The copy's probe tree is old's, in which only
+// the smallest subtree covering the keys the edit changed is laid out afresh
+// under the tree's weights, so an edited automaton probes about as cheaply as
+// the one Build lays out. Successors are generally not the canonical tree
+// Build would produce (distinct nodes may hold equal states); the engine
+// coalesces with a full rebuild once accumulated edits pass its threshold.
+// Match sets are identical either way, which the oracle equivalence tests
+// pin.
 
 package tree
 
 import (
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -46,9 +55,10 @@ import (
 // receiver's profiles, plus p's dense index in the successor. The receiver
 // is unchanged and keeps working; untouched subtrees are shared between the
 // two. The successor is the merge of the receiver with p's one-profile
-// automaton, memoized by the receiver's nodes. vo weighs the automaton's nodes,
-// shared where p alone continues; the nodes p's intervals split get
-// count-balanced probe trees, and the nodes p rides through keep theirs.
+// automaton, memoized by the receiver's nodes. It records vo and lays out
+// under it the nodes p alone continues and, in each node p's intervals
+// re-cut, the smallest subtree of the probe tree covering the changed keys;
+// the nodes p rides through keep their probe trees.
 func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 	np := len(t.profiles)
 	return t.edit(p, np, vo, false), np
@@ -56,22 +66,24 @@ func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 
 // WithoutProfile returns a successor tree without dense index pi: the merge
 // of WithProfile run backwards, which takes pi out of every parked and leaf
-// set along its paths and rejoins the pieces it leaves with equal states. A
-// node whose subrange count changed gets a count-balanced probe tree; every
-// other keeps its own. Removing an index no set holds changes no match set.
+// set along its paths and rejoins the pieces it leaves with equal states. In
+// a node whose subrange edges changed, the smallest subtree of the probe tree
+// covering the changed keys is laid out afresh under the weights the receiver
+// records; every other node keeps its probe tree. Removing an index no set
+// holds changes no match set.
 // The index stays taken: Profiles still lists pi's profile, which no set
 // lists any more.
 func (t *Tree) WithoutProfile(pi int) *Tree {
-	return t.edit(t.profiles[pi], pi, NaturalOrder(), true)
+	return t.edit(t.profiles[pi], pi, t.vo, true)
 }
 
 // edit derives the successor that adds p at index pi, or with drop set takes
-// it out. A successor of the newest tree of its line carves from the line's
-// arena and appends to the line's profile array; a successor of any other
-// tree — a second successor of one tree, or the first of a Build — starts a
-// line of its own.
+// it out, laying out what it re-cuts under vo. A successor of the newest tree
+// of its line carves from the line's arena and appends to the line's profile
+// array; a successor of any other tree — a second successor of one tree, or
+// the first of a Build — starts a line of its own.
 func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tree {
-	nt := &Tree{schema: t.schema, attrOrder: t.attrOrder, profiles: t.profiles}
+	nt := &Tree{schema: t.schema, attrOrder: t.attrOrder, profiles: t.profiles, vo: vo}
 	if !t.handOver(nt) {
 		// t heads no line: past its length the array may be another tree's.
 		nt.line = &lineage{a: arena{line: true}}
@@ -84,7 +96,7 @@ func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tre
 
 	m := mergerPool.Get().(*merger)
 	defer mergerPool.Put(m)
-	m.t, m.np, m.a, m.drop = nt, pi, &nt.line.a, drop
+	m.t, m.np, m.a, m.drop, m.vo = nt, pi, &nt.line.a, drop, vo
 	if n := nt.schema.N(); len(m.edges) < n {
 		m.edges = make([][]Edge, n)
 	}
@@ -102,7 +114,7 @@ func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tre
 	}
 	// The successor owns its line's arena and the merge state now; scratch
 	// buffers keep their capacity for the next edit.
-	m.t, m.a = nil, nil
+	m.t, m.a, m.vo = nil, nil, ValueOrder{}
 	clear(m.memo)
 	return nt
 }
@@ -157,6 +169,7 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 		}
 	}
 	c := *t
+	c.vo = vo
 	t.handOver(&c)
 	c.root = r.clone(t.root)
 	c.meta = &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
@@ -294,12 +307,13 @@ func (a *arena) leafSet(set []int) *[]int {
 }
 
 // merger carries one edit: the successor tree under construction, the
-// profile's dense index, whether the edit drops it, and the memo that keeps
-// shared states shared.
+// profile's dense index, whether the edit drops it, the weights it lays out
+// under, and the memo that keeps shared states shared.
 type merger struct {
 	t    *Tree
 	np   int
 	drop bool
+	vo   ValueOrder
 	// memo maps old nodes to their merges with the chain node of their level,
 	// nil where a drop leaves the state empty (alive' = alive ∪ {np}, or
 	// alive ∖ {np}, is a function of the old state alone, so old-node
@@ -313,7 +327,7 @@ type merger struct {
 	// clobber the caller's), but at most one node is under construction per
 	// level, so indexing by level is.
 	edges [][]Edge
-	// sc is the scratch of the chain's applyOrder.
+	// sc is the scratch of the layouts: the chain's and the re-laid subtrees'.
 	sc orderScratch
 	// a is the successor's line's arena, which every object the successor
 	// retains is carved from.
@@ -386,7 +400,9 @@ func (m *merger) chain(p *predicate.Profile, vo ValueOrder) *Node {
 
 // merge returns the merge of old, a node of the receiver tree, with b, the
 // chain's node of its level: in drop mode old itself where it does not hold
-// the profile, nil where the profile was all it held.
+// the profile, nil where the profile was all it held. A merged node keeps
+// old's probe tree where its subrange edges are old's, and otherwise gets
+// old's with the changed part re-laid (relay).
 //
 //genas:builder
 func (m *merger) merge(old, b *Node) *Node {
@@ -414,9 +430,7 @@ func (m *merger) merge(old, b *Node) *Node {
 		*out = n
 		if len(b.extra) == 0 {
 			out.edges = m.a.edgeSlice(n.edges)
-			if m.drop && n.nSubrange != old.nSubrange || !m.drop && b.nSubrange > 0 {
-				out.layout = balanced(m.a.layout(int(n.nSubrange))[:0], 0, int(n.nSubrange)-1)
-			}
+			out.layout = m.relay(old, out)
 		}
 	}
 	m.memo[old] = out
@@ -429,15 +443,21 @@ func (m *merger) merge(old, b *Node) *Node {
 // that are gaps on both sides go to n's one trailing edge, the merge of the
 // two sides' gap owners — a node's gaps have one owner, so these pieces always
 // agree — and stay D₀ where neither side owns its gaps. old's parked profiles
-// ride along unchanged: they still match every event reaching n. Where b splits
-// the domain an insert's n gets a count-balanced probe tree, the weights
-// waiting for the next Reordered or the coalescing rebuild; where b is a star
-// node, n has old's subrange edges and keeps old's probe tree over them.
+// ride along unchanged: they still match every event reaching n.
+//
+// Where b has subrange edges only, its region is the span from its first edge
+// to its last, and b is a gap on either side of it: old's edges entirely
+// below the region are n's as they are, copied in one append, and so are
+// those entirely above it once the walk has passed it. Where b is a star node
+// every piece is walked.
 //
 // In drop mode the pieces rejoin as they come: one whose state emptied, or
 // that now leads where the trailing edge leads, becomes a gap, and one that
 // continues the last edge into an equal state extends it. States compare by
-// pointer, and structurally where the drop made either side afresh.
+// pointer, and structurally where the drop made either side afresh. Old
+// edges never rejoin one another by pointer, but a fresh edge may rejoin the
+// old ones after it, so past the region the walk goes on while the last edge
+// is fresh.
 //
 //genas:builder
 func (m *merger) overlay(n, old, b *Node) {
@@ -445,7 +465,6 @@ func (m *merger) overlay(n, old, b *Node) {
 	dom := m.t.schema.At(int(old.Attr)).Domain
 	discrete := dom.Kind() != schema.KindNumeric
 	buf := m.edges[level][:0]
-	gaps := false // some piece is a gap on both sides, or a drop made it one
 	ga, gb := edgeAt(old, int(old.nSubrange)), edgeAt(b, int(b.nSubrange))
 	var tr Edge // drop mode: the trailing edge, made first to fold pieces into
 	trFresh, lastFresh := false, false
@@ -453,24 +472,38 @@ func (m *merger) overlay(n, old, b *Node) {
 		tr = m.edge(dom.Interval(), ga, gb)
 		trFresh = tr != *ga
 	}
+	olds := old.edges[:old.nSubrange]
 	pa, pb := old.pieces(dom), b.pieces(dom)
-	for more := pa.Next() && pb.Next(); more; {
-		if ea := edgeAt(old, pa.Edge); pa.Edge >= 0 && pa.Edge < int(old.nSubrange) || pb.Edge >= 0 && pb.Edge < int(b.nSubrange) {
+	above := len(olds) // the first old edge entirely above b's region
+	if b.nSubrange > 0 {
+		lo, hi := b.edges[0].Iv, b.edges[b.nSubrange-1].Iv
+		below := sort.Search(len(olds), func(i int) bool { return !ivBefore(olds[i].Iv, lo) })
+		above = below + sort.Search(len(olds)-below, func(i int) bool { return ivBefore(hi, olds[below+i].Iv) })
+		buf = append(buf, olds[:below]...)
+		pa.at = 2 * below // the gap below the first edge the walk takes
+	}
+	more := pa.Next() && pb.Next()
+	if more && pb.Edge < 0 && ivBefore(pb.Iv, pa.Iv) { // b's gap below its region ends where the walk starts
+		more = pb.Next()
+	}
+	for more {
+		if pa.Edge >= above && pa.Edge < len(olds) && !lastFresh {
+			buf = append(buf, olds[pa.Edge:]...)
+			break
+		}
+		if ea := edgeAt(old, pa.Edge); pa.Edge >= 0 && pa.Edge < len(olds) || pb.Edge >= 0 && pb.Edge < int(b.nSubrange) {
 			e := m.edge(pa.Iv.Intersect(pb.Iv), ea, edgeAt(b, pb.Edge))
 			fresh, k := ea != nil && (e.Child != ea.Child || e.leaf != ea.leaf), len(buf)
 			switch {
 			case !m.drop:
 				buf = append(buf, e)
 			case e.Child == nil && e.leaf == nil || sameState(e, tr, fresh || trFresh):
-				gaps = true
 			case k > 0 && piecesTouch(buf[k-1].Iv, e.Iv, discrete) && sameState(buf[k-1], e, fresh || lastFresh):
 				buf[k-1].Iv.Hi, buf[k-1].Iv.HiOpen = e.Iv.Hi, e.Iv.HiOpen
 				lastFresh = lastFresh || fresh
 			default:
 				buf, lastFresh = append(buf, e), fresh
 			}
-		} else {
-			gaps = true
 		}
 		switch {
 		case endsBelow(pa.Iv, pb.Iv):
@@ -481,15 +514,69 @@ func (m *merger) overlay(n, old, b *Node) {
 			more = pa.Next() && pb.Next()
 		}
 	}
+	// A piece no subrange edge holds — a gap on both sides, or one a drop
+	// made — leaves a hole, which the trailing edge takes.
 	n.nSubrange = int32(len(buf))
 	switch {
-	case m.drop && gaps && (tr.Child != nil || tr.leaf != nil):
+	case m.drop && (tr.Child != nil || tr.leaf != nil) && !tiles(buf, dom.Interval(), discrete):
 		buf = append(buf, tr)
-	case !m.drop && gaps && (ga != nil || gb != nil):
+	case !m.drop && (ga != nil || gb != nil) && !tiles(buf, dom.Interval(), discrete):
 		buf = append(buf, m.edge(dom.Interval(), ga, gb))
 	}
 	m.edges[level] = buf
 	n.edges = buf
+}
+
+// relay returns the probe tree of n, old's merge: old's own where their
+// subrange edges are the same, else old's with the smallest subtree covering
+// the changed keys laid out afresh under the edit's weights — found by
+// walking down from the root, the empty slot between two old keys where the
+// edit only adds keys — and every key above it shifted by the change in
+// count. Only the re-laid keys and the gaps around them are weighed.
+//
+//genas:builder
+func (m *merger) relay(old, n *Node) []int32 {
+	oe, ne := old.edges[:old.nSubrange], n.edges[:n.nSubrange]
+	same, p, s := min(len(oe), len(ne)), 0, 0 // the common prefix and suffix
+	for p < same && oe[p].Iv == ne[p].Iv {
+		p++
+	}
+	for s < same-p && oe[len(oe)-1-s].Iv == ne[len(ne)-1-s].Iv {
+		s++
+	}
+	if len(oe) == len(ne) && p+s == len(oe) {
+		return old.layout
+	}
+	last := len(oe) - 1 - s // the last changed old key, p−1 where none is
+	pos, lo, hi := 0, 0, len(oe)-1
+	for lo <= hi {
+		r := int(old.layout[pos])
+		if last < r {
+			pos, hi = pos+1, r-1
+		} else if p > r {
+			pos, lo = pos+1+r-lo, r+1
+		} else {
+			break
+		}
+	}
+	d := len(ne) - len(oe)
+	out := shifted(m.a.layout(len(ne))[:0], old.layout[:pos], hi, d)
+	if lo <= hi+d {
+		m.sc.weigh(n, m.t.schema.At(int(n.Attr)).Domain, m.vo, lo, hi+d)
+		out = m.sc.lay(out, lo, hi+d+1)
+	}
+	return shifted(out, old.layout[pos+hi-lo+1:], hi, d)
+}
+
+// shifted appends keys, those above hi moved by d.
+func shifted(out, keys []int32, hi, d int) []int32 {
+	for _, k := range keys {
+		if int(k) > hi {
+			k += int32(d)
+		}
+		out = append(out, k)
+	}
+	return out
 }
 
 // edge returns the merged edge over iv of old's edge ea and the chain's edge
@@ -563,12 +650,31 @@ func sameState(a, b Edge, deep bool) bool {
 	return true
 }
 
+// tiles reports whether edges, in natural order, cover dom without a hole.
+func tiles(edges []Edge, dom schema.Interval, discrete bool) bool {
+	if len(edges) == 0 || edges[0].Iv.Lo != dom.Lo || edges[0].Iv.LoOpen {
+		return false
+	}
+	for i := 1; i < len(edges); i++ {
+		if !piecesTouch(edges[i-1].Iv, edges[i].Iv, discrete) {
+			return false
+		}
+	}
+	last := edges[len(edges)-1].Iv
+	return last.Hi == dom.Hi && !last.HiOpen
+}
+
 // edgeAt returns n's edge i, or nil for −1 (a D₀ gap) and past the last.
 func edgeAt(n *Node, i int) *Edge {
 	if i < 0 || i >= len(n.edges) {
 		return nil
 	}
 	return &n.edges[i]
+}
+
+// ivBefore reports whether a lies entirely below b on the natural axis.
+func ivBefore(a, b schema.Interval) bool {
+	return a.Hi < b.Lo || (a.Hi == b.Lo && (a.HiOpen || b.LoOpen))
 }
 
 // endsBelow reports whether a ends below b's end on the natural axis.

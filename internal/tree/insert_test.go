@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"genas/internal/predicate"
@@ -216,22 +217,24 @@ func noneRemoved(t *testing.T, what string, tr *Tree, removed map[int]bool) {
 	}
 }
 
-// withProfileCopies bounds what TestWithProfileCopies' inserts copy on
-// average: nodes, edges, and the root's fan-out, which every insert copies.
-// A 2-core x86-64 machine measures 51.0 nodes, 1 623 edges and a root
-// fan-out of 303; the bounds allow a quarter over them.
+// withProfileCopies bounds what TestWithProfileCopies' inserts copy and
+// weigh on average: nodes, edges, the root's fan-out, which every insert
+// copies, and the pieces weighed to lay out the chain and the re-laid
+// subtrees — keys and the gaps around them. A 2-core x86-64 machine measures
+// 51.0 nodes, 1 623 edges, a root fan-out of 303 and 329 pieces; the bounds
+// allow a quarter over them. Re-laying each copied node whole weighs 1 098.
 const (
-	copiedNodes  = 51.0 * 1.25
-	copiedEdges  = 1623 * 1.25
-	copiedFanOut = 303 * 1.25
+	copiedNodes   = 51.0 * 1.25
+	copiedEdges   = 1623 * 1.25
+	copiedFanOut  = 303 * 1.25
+	weighedPieces = 329 * 1.25
 )
 
-// TestWithProfileCopies counts what an insert copies on a corpus shaped like
-// the churn-mixed benchmark workload's: a temperature and a humidity range in
-// every profile, a floor range in half of them and a severity subset in 0.4.
-// A tree of 1 000 such profiles takes 200 inserts; each copies the nodes its
-// profile's corridor reaches, every edge of each, and the chain's nodes.
-func TestWithProfileCopies(t *testing.T) {
+// churnCorpus returns the schema of a corpus shaped like the churn-mixed
+// benchmark workload's, and its profile i: a temperature and a humidity range
+// in every profile, a floor range in half of them and a severity subset in
+// 0.4, drawn from one seeded source in the order asked.
+func churnCorpus(t *testing.T) (*schema.Schema, func(i int) *predicate.Profile) {
 	temp, err := schema.NewNumericDomain(-30, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +258,7 @@ func TestWithProfileCopies(t *testing.T) {
 		schema.Attribute{Name: "severity", Domain: sev},
 	)
 	rng := rand.New(rand.NewSource(1))
-	profile := func(i int) *predicate.Profile {
+	return s, func(i int) *predicate.Profile {
 		p := &predicate.Profile{ID: predicate.ID(fmt.Sprintf("p%d", i)), Preds: make([]predicate.Predicate, s.N())}
 		tLo, hLo := -30+0.5*float64(rng.Intn(150)), float64(rng.Intn(94))
 		p.Preds[0], err = predicate.NewRange(0, tLo, tLo+2+0.5*float64(rng.Intn(7)))
@@ -279,16 +282,30 @@ func TestWithProfileCopies(t *testing.T) {
 		}
 		return p
 	}
+}
+
+// TestWithProfileCopies counts what an insert copies and weighs on
+// churnCorpus: a tree of 1 000 profiles takes 200 inserts; each copies the
+// nodes its profile's corridor reaches, every edge of each, and the chain's
+// nodes, and weighs only the pieces of the probe subtrees it re-lays. The
+// weights count their calls: one per node laid out, and one per piece.
+func TestWithProfileCopies(t *testing.T) {
+	s, profile := churnCorpus(t)
+	var weighed atomic.Int64 // Build weighs on several workers
+	vo := ValueOrder{Name: "counted", Mass: func(_ int, region []Interval) float64 {
+		weighed.Add(1)
+		return region[0].Hi - region[0].Lo + 1
+	}}
 	corpus := make([]*predicate.Profile, 1000)
 	for i := range corpus {
 		corpus[i] = profile(i)
 	}
-	tr, err := Build(s, corpus)
+	tr, err := Build(s, corpus, WithValueOrder(vo))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const inserts = 200
-	var nodes, edges, fanOut int
+	var nodes, edges, fanOut, pieces int
 	for i := range inserts {
 		was := make(map[*Node]bool, tr.Stats().Nodes)
 		for _, level := range tr.Levels() {
@@ -296,7 +313,9 @@ func TestWithProfileCopies(t *testing.T) {
 				was[n] = true
 			}
 		}
-		tr, _ = tr.WithProfile(profile(len(corpus)+i), NaturalOrder())
+		weighed.Store(0)
+		tr, _ = tr.WithProfile(profile(len(corpus)+i), vo)
+		pieces += int(weighed.Load())
 		for _, level := range tr.Levels() {
 			for _, n := range level {
 				if !was[n] {
@@ -307,12 +326,76 @@ func TestWithProfileCopies(t *testing.T) {
 		}
 		fanOut += len(tr.Root().Edges())
 	}
-	perNode, perEdge, perFan := float64(nodes)/inserts, float64(edges)/inserts, float64(fanOut)/inserts
-	t.Logf("an insert copies %.1f nodes and %.0f edges, a root fan-out of %.0f, into a tree of %d nodes",
-		perNode, perEdge, perFan, tr.Stats().Nodes)
+	perNode, perEdge, perFan, perPiece := float64(nodes)/inserts, float64(edges)/inserts, float64(fanOut)/inserts, float64(pieces)/inserts
+	t.Logf("an insert copies %.1f nodes and %.0f edges, a root fan-out of %.0f, into a tree of %d nodes, and weighs %.0f pieces",
+		perNode, perEdge, perFan, tr.Stats().Nodes, perPiece)
 	if perNode > copiedNodes || perEdge > copiedEdges || perFan > copiedFanOut {
 		t.Errorf("an insert copies %.1f nodes, %.0f edges, a fan-out of %.0f; want at most %.1f, %.0f, %.0f",
 			perNode, perEdge, perFan, copiedNodes, copiedEdges, copiedFanOut)
+	}
+	if perPiece > weighedPieces {
+		t.Errorf("an insert weighs %.0f pieces, want at most %.0f: it re-lays more than the probe subtrees it changed", perPiece, weighedPieces)
+	}
+}
+
+// TestEditedTreeProbesLikeAFreshOne: a tree of 1 000 churnCorpus profiles
+// that takes 4 000 inserts, each followed by the removal of a random live
+// profile, probes a fixed sample of events in as many comparisons, within
+// 1 %, as a Build of the live profiles under the same weights — the uniform
+// ones and saltedMass. An edit lays out only what it re-cuts, under the
+// weights the tree was laid out for.
+func TestEditedTreeProbesLikeAFreshOne(t *testing.T) {
+	pairs := 4000
+	if raceEnabled { // an edit runs about ten times slower
+		pairs = 500
+	}
+	salted := saltedMass(3)
+	salted.Name = "salted"
+	for _, vo := range []ValueOrder{NaturalOrder(), salted} {
+		s, profile := churnCorpus(t)
+		live := make([]*predicate.Profile, 1000)
+		dense := make([]int, len(live))
+		for i := range live {
+			live[i], dense[i] = profile(i), i
+		}
+		tr, err := Build(s, live, WithValueOrder(vo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(2))
+		for i := range pairs {
+			p := profile(len(live) + i)
+			var pi int
+			tr, pi = tr.WithProfile(p, vo)
+			k := rng.Intn(len(live))
+			tr = tr.WithoutProfile(dense[k])
+			live[k], dense[k] = p, pi
+		}
+		fresh, err := Build(s, live, WithValueOrder(vo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var edited, built int
+		for range 20000 {
+			vals := make([]float64, s.N())
+			for attr := range vals {
+				dom := s.At(attr).Domain
+				vals[attr] = dom.Lo() + rng.Float64()*(dom.Hi()-dom.Lo())
+				if dom.Kind() != schema.KindNumeric {
+					vals[attr] = float64(rng.Intn(int(dom.Hi()-dom.Lo()) + 1))
+				}
+			}
+			_, ops := tr.Match(vals)
+			edited += ops
+			_, ops = fresh.Match(vals)
+			built += ops
+		}
+		ratio := float64(edited) / float64(built)
+		t.Logf("%s: %d edits probe in %.3f comparisons per event, a fresh Build in %.3f (%+.2f %%)",
+			vo.Name, 2*pairs, float64(edited)/20000, float64(built)/20000, 100*(ratio-1))
+		if ratio < 0.99 || ratio > 1.01 {
+			t.Errorf("%s: the edited tree probes in %+.2f %% of a fresh Build's comparisons, want within 1 %%", vo.Name, 100*(ratio-1))
+		}
 	}
 }
 

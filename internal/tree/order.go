@@ -42,7 +42,7 @@ type orderScratch struct {
 //
 //genas:builder
 func (n *Node) applyOrder(dom schema.Domain, vo ValueOrder, sc *orderScratch) {
-	sc.weigh(n, dom, vo)
+	sc.weigh(n, dom, vo, 0, int(n.nSubrange)-1)
 	n.layout = sc.lay(n.layout[:0], 0, int(n.nSubrange))
 }
 

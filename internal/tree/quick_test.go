@@ -392,6 +392,17 @@ func bruteCost(cum []float64, lo, hi int) float64 {
 	return cum[2*hi+3] - cum[2*lo] + best
 }
 
+// balanced appends the count-balanced probe tree over edges lo..hi: the
+// midpoints of plain binary search, which a weighted layout never costs more
+// than.
+func balanced(out []int32, lo, hi int) []int32 {
+	if lo > hi {
+		return out
+	}
+	mid := (lo + hi) / 2
+	return balanced(balanced(append(out, int32(mid)), lo, mid-1), mid+1, hi)
+}
+
 // TestQuickWeightedLayoutIsOptimal: under the weights it was laid out for, a
 // node's probe tree never costs more than plain binary search's, and on nodes
 // of at most 8 subrange edges it costs the minimum over all search trees.
@@ -416,7 +427,7 @@ func TestQuickWeightedLayoutIsOptimal(t *testing.T) {
 		var sc orderScratch
 		for _, nodes := range tr.Levels() {
 			for _, n := range nodes {
-				sc.weigh(n, s.At(int(n.Attr)).Domain, vo)
+				sc.weigh(n, s.At(int(n.Attr)).Domain, vo, 0, int(n.nSubrange)-1)
 				ns := int(n.nSubrange)
 				got := layoutCost(n.layout, sc.cum, 0, 0, ns-1)
 				if bin := layoutCost(balanced(nil, 0, ns-1), sc.cum, 0, 0, ns-1); got > bin+1e-12 {

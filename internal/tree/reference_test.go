@@ -563,7 +563,8 @@ func quickCorpus(t *testing.T, s *schema.Schema, rng *rand.Rand) []*predicate.Pr
 // bound without a hole or an overlap, every subrange edge once and in order,
 // one gap at most between two edges, and for a value of every piece (every
 // atom, on a discrete domain) the owner a search through the edges finds —
-// which the node's probe must find too.
+// which the node's probe must find too, down a probe tree that is a search
+// tree over exactly the subrange edges.
 func partitions(t *testing.T, what string, tr *Tree) {
 	t.Helper()
 	for level, nodes := range tr.Levels() {
@@ -573,7 +574,10 @@ func partitions(t *testing.T, what string, tr *Tree) {
 			pieces := derivedBuckets(n, dom)
 			fail := func(why string) {
 				t.Helper()
-				t.Fatalf("%s: level %d %s\nedges %+v\npieces %+v", what, level, why, n.edges, pieces)
+				t.Fatalf("%s: level %d %s\nedges %+v\npieces %+v\nlayout %v", what, level, why, n.edges, pieces, n.layout)
+			}
+			if !n.layoutIsSearchTree() {
+				fail("the probe tree is not a search tree over the subrange edges")
 			}
 			trailing := -1
 			if int(n.nSubrange) < len(n.edges) {
@@ -621,11 +625,6 @@ func partitions(t *testing.T, what string, tr *Tree) {
 			}
 		}
 	}
-}
-
-// ivBefore reports a entirely below b on the natural axis.
-func ivBefore(a, b schema.Interval) bool {
-	return a.Hi < b.Lo || (a.Hi == b.Lo && (a.HiOpen || b.LoOpen))
 }
 
 // TestQuickPiecesAreThePartition: the pieces derived from a node's edges are

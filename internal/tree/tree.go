@@ -180,6 +180,10 @@ type Tree struct {
 	profiles  []*predicate.Profile
 	attrOrder []int // attrOrder[level] = schema attribute index
 	root      *Node
+	// vo is the weights the probe trees were laid out for: Build's and
+	// Reordered's, handed down by edits, which lay out what they re-cut
+	// under it.
+	vo ValueOrder
 
 	meta *graphMeta
 	// line is the line of inserts this tree belongs to: nil on a Build,
@@ -241,6 +245,7 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 		schema:    s,
 		profiles:  profiles,
 		attrOrder: cfg.attrOrder,
+		vo:        cfg.vo,
 		meta:      &graphMeta{levels: make([][]*Node, s.N())},
 	}
 
@@ -528,6 +533,9 @@ func (t *Tree) Schema() *schema.Schema { return t.schema }
 // An index WithoutProfile removed keeps its profile here, and no parked or
 // leaf set lists it: every index a match returns is live.
 func (t *Tree) Profiles() []*predicate.Profile { return t.profiles }
+
+// ValueOrder returns the weights the tree's probe trees were laid out for.
+func (t *Tree) ValueOrder() ValueOrder { return t.vo }
 
 // AttrOrder returns a copy of the attribute order.
 func (t *Tree) AttrOrder() []int { return append([]int(nil), t.attrOrder...) }

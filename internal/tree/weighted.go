@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"genas/internal/schema"
@@ -62,22 +63,13 @@ func inside(iv Interval) float64 {
 	return iv.Lo + (iv.Hi-iv.Lo)/2
 }
 
-// balanced appends the count-balanced probe tree over edges lo..hi: the
-// midpoints of plain binary search. The incremental insert lays the nodes it
-// splits out this way and leaves the weights to the next Reordered or Build.
-func balanced(out []int32, lo, hi int) []int32 {
-	if lo > hi {
-		return out
-	}
-	mid := (lo + hi) / 2
-	return balanced(balanced(append(out, int32(mid)), lo, mid-1), mid+1, hi)
-}
-
-// weigh fills cum with the prefix sums of the node's weights in natural order,
-// gaps and edges alternating — q0, p1, q1, …, pn, qn — so keys i+1..j and the
-// gaps around them weigh cum[2j+1]−cum[2i]. A piece weighs its share of the
-// measure or, given vo.Mass, weightFloor of that plus its share of the mass.
-func (sc *orderScratch) weigh(n *Node, dom schema.Domain, vo ValueOrder) {
+// weigh fills cum with the prefix sums of the weights of the node's edges
+// lo..hi and the gaps around them in natural order, gaps and edges alternating
+// — q_lo, p_lo+1, …, p_hi+1, q_hi+1 — at their places in the whole node's
+// sums, so keys i+1..j and the gaps around them weigh cum[2j+1]−cum[2i] for
+// lo ≤ i < j ≤ hi+1. A piece weighs its share of the measure or, given
+// vo.Mass, weightFloor of that plus its share of the mass.
+func (sc *orderScratch) weigh(n *Node, dom schema.Domain, vo ValueOrder, lo, hi int) {
 	p := n.pieces(dom)
 	span := p.dom.Hi - p.dom.Lo + p.unit // closed, atom-aligned pieces: the measure counts values
 	total := 0.0
@@ -85,8 +77,10 @@ func (sc *orderScratch) weigh(n *Node, dom schema.Domain, vo ValueOrder) {
 		sc.one[0] = p.dom
 		total = vo.Mass(int(n.Attr), sc.one[:])
 	}
-	cum := append(sc.cum[:0], make([]float64, 2*n.nSubrange+2)...)
-	for p.Next() {
+	end := 2*hi + 3 // the step after gap hi+1
+	cum := slices.Grow(sc.cum[:0], end+1)[:end+1]
+	clear(cum[2*lo:])
+	for p.at = 2 * lo; p.Next() && p.at <= end; {
 		w := (p.Iv.Hi - p.Iv.Lo + p.unit) / span
 		if total > 0 {
 			sc.one[0] = p.Iv
@@ -94,7 +88,7 @@ func (sc *orderScratch) weigh(n *Node, dom schema.Domain, vo ValueOrder) {
 		}
 		cum[p.at] = w // the walk's step after gap i is 2i+1, after edge i 2i+2
 	}
-	for t := 1; t < len(cum); t++ {
+	for t := 2*lo + 1; t <= end; t++ {
 		cum[t] += cum[t-1]
 	}
 	sc.cum = cum
@@ -119,8 +113,9 @@ func (sc *orderScratch) lay(out []int32, i, j int) []int32 {
 // that led to it: an empty tree is free.
 func (sc *orderScratch) optimal(out []int32, i0, j0 int) []int32 {
 	m, sz := j0-i0, j0-i0+1
-	if cap(sc.cost) < sz*sz {
-		sc.cost, sc.root = make([]float64, sz*sz), make([]int32, sz*sz)
+	if cap(sc.cost) < sz*sz { // doubling: a pooled scratch stops growing
+		c := max(sz*sz, 2*cap(sc.cost))
+		sc.cost, sc.root = make([]float64, c), make([]int32, c)
 	}
 	cost, root, cum := sc.cost[:sz*sz], sc.root[:sz*sz], sc.cum[2*i0:]
 	cost[m*sz+m] = 0
