@@ -59,7 +59,7 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		window     = fs.Int("window", 1024, "events between drift checks, and the length of the history a check reads")
 		threshold  = fs.Float64("threshold", 0.1, "total-variation drift threshold")
 		attrs      = fs.String("attrs", "natural", "attribute ordering: natural | A1 | A2 | A3")
-		shards     = fs.Int("shards", 1, "matcher shard count (0 = GOMAXPROCS, 1 = single tree)")
+		shards     = fs.Int("shards", 1, "automata per engine, each over a share of the poset roots (0 = GOMAXPROCS, 1 = one automaton)")
 		defaults   = fs.String("defaults", "", "fill-ins for omitted event attributes, e.g. 'radiation=1; humidity=0'")
 		node       = fs.String("node", "", "federation node name (required with -peer; enables broker peering)")
 		peer       = fs.String("peer", "", "comma-separated peer daemon addresses to dial, e.g. 'host1:7452,host2:7452'")

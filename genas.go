@@ -187,13 +187,12 @@ func WithAttrOrdering(name string) Option {
 	}
 }
 
-// WithShards partitions the filter engine into n shards: profiles hash
-// across n independent profile trees, each with its own lock and
-// selectivity state, and every event is matched against all shards with a
-// merge step. The match set is identical to the single-tree engine;
-// subscription churn and adaptive restructuring lock one shard at a time.
-// Only the matcher is partitioned: delivery keeps one subscription table.
-// n ≤ 0 selects GOMAXPROCS; n == 1 keeps the classic single-tree engine.
+// WithShards sets the automata per engine: the engine's one covering poset
+// splits its roots over n automata by node index, and every event walks all
+// of them into one expansion. The match set is the one-automaton engine's;
+// a churn op edits only the automata its roots fall in, under the
+// engine's one writer lock. n ≤ 0 selects GOMAXPROCS; n == 1 keeps one
+// automaton.
 func WithShards(n int) Option {
 	return func(o *options) error {
 		o.broker.Shards = core.ResolveShards(n)

@@ -62,11 +62,11 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Engine is the filter surface the adaptor drives: both the single-tree
-// core.Engine and the sharded core.Sharded satisfy it. The drift check runs
-// once over the whole event history, whatever the engine's partition; a
-// sharded engine restructures shard after shard, each under its own lock,
-// so the adaptation never stops matching.
+// Engine is the filter surface the adaptor drives: core.Engine satisfies it,
+// and tests fake it. The drift check runs once over the whole event history,
+// however many automata the engine splits its roots over; the engine
+// re-lays them all under its one writer lock and publishes them in one
+// snapshot, so the adaptation never stops matching.
 type Engine interface {
 	Schema() *schema.Schema
 	Config() core.Config
@@ -107,9 +107,9 @@ type Adaptor struct {
 
 	// mu serializes the drift check and the restructure it may trigger —
 	// window rotation, SetConfig and Rebuild/Reorder — so two overlapping
-	// boundaries cannot interleave their SetConfig fan-outs and leave a
-	// sharded engine's shards ordered for different windows. It guards
-	// applied, appliedN and ring.
+	// boundaries cannot interleave their SetConfig and restructure calls
+	// and leave the engine ordered for another window than applied. It
+	// guards applied, appliedN and ring.
 	mu       sync.Mutex
 	applied  []dist.Dist // per attribute, what the engine is ordered for
 	appliedN []float64   // and the sample size behind it (0: the exact prior)

@@ -90,36 +90,35 @@ func (po *Poset) Image() Snapshot {
 	return Snapshot{chunks: chunks}
 }
 
-// expandScratch is the pooled walk state for Expand: the list of accepted
-// nodes plus generation-stamped visit marks, so per-event expansion allocates
-// nothing but its result once the pool is warm. acc is the tree's accumulator
-// for the parked profiles Match collects (tree.MatchAppend).
-type expandScratch struct {
+// Walk is one pooled expansion walk over an image: the accepted nodes, their
+// generation-stamped visit marks, the automata's accumulator for parked
+// profiles (tree.MatchAppend) and the operations spent.
+type Walk struct {
+	s     *Snapshot
 	nodes []int32
 	mark  []uint32
 	gen   uint32
 	acc   []int
+	ops   int
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(expandScratch) }}
+var walkPool = sync.Pool{New: func() any { return new(Walk) }}
 
-// reset prepares the scratch for a snapshot of n nodes: grows the mark
-// array when needed and advances the generation, clearing marks only on
+// reset prepares the walk for a snapshot of n nodes: grows the mark array
+// when needed and advances the generation, clearing marks only on
 // wraparound. Kept out of the hot function so its allocations stay off the
 // steady-state path.
-func (sc *expandScratch) reset(n int) {
-	if len(sc.mark) < n {
-		sc.mark = make([]uint32, n)
-		sc.gen = 0
+func (w *Walk) reset(n int) {
+	if len(w.mark) < n {
+		w.mark = make([]uint32, n)
+		w.gen = 0
 	}
-	sc.gen++
-	if sc.gen == 0 {
-		for i := range sc.mark {
-			sc.mark[i] = 0
-		}
-		sc.gen = 1
+	w.gen++
+	if w.gen == 0 {
+		clear(w.mark)
+		w.gen = 1
 	}
-	sc.nodes = sc.nodes[:0]
+	w.nodes, w.ops = w.nodes[:0], 0
 }
 
 // Slots returns the length of the node table the image mirrors, holes
@@ -129,86 +128,107 @@ func (s *Snapshot) Slots() int { return len(s.chunks) << chunkShift }
 // at returns the record of poset node i.
 func (s *Snapshot) at(i int32) *SnapNode { return &s.chunks[i>>chunkShift][i&(chunkSize-1)] }
 
-// Expand translates the tree's matched slots into concrete subscription
-// ids, appending to dst. matched holds dense indices into t (the canonical
-// tree this snapshot was published with); t2n maps each tree slot to its
-// poset node. The walk is Match's; Expand appends each member's id where
-// Match appends the member. The second result counts the predicate
-// evaluations spent descending, which the engine folds into its operation
-// accounting.
+// Expand is a walk seeded with matched, slots of t that t2n maps to poset
+// nodes, appending each accepted member's id to dst where Collect appends the
+// member. The second result counts the descents.
 //
 //genas:hotpath
 func (s *Snapshot) Expand(vals []float64, matched []int, t2n []int32, t *tree.Tree, dst []predicate.ID) ([]predicate.ID, int) {
-	sc := scratchPool.Get().(*expandScratch)
-	total, ops := s.walk(sc, vals, matched, t2n)
-	if need := len(dst) + total; need > cap(dst) {
+	w := s.Walk()
+	w.seed(matched, t2n)
+	if need := len(dst) + w.descend(vals); need > cap(dst) {
 		dst = append(make([]predicate.ID, 0, need), dst...)
 	}
-	for _, ni := range sc.nodes {
+	for _, ni := range w.nodes {
 		for _, m := range s.at(ni).Subs {
 			dst = append(dst, m.Profile().ID)
 		}
 	}
-	scratchPool.Put(sc)
-	return dst, ops
+	return dst, w.end()
 }
 
-// Match filters one event through t, the tree this snapshot was published
-// with, and appends the members of every accepted node to dst. The second
-// result is the tree's comparisons plus the expansion's descents. The tree
-// collects parked profiles into the pooled scratch the expansion walks on,
-// and dst grows at most once, to the exact total, so the match allocates
-// nothing beyond dst's growth once the pool is warm.
+// Walk starts one expansion walk over the image. Each automaton over some
+// of the poset's roots seeds it with the roots it matched, and Collect
+// descends from all of them at once.
 //
 //genas:hotpath
-func (s *Snapshot) Match(vals []float64, t *tree.Tree, t2n []int32, dst []Member) ([]Member, int) {
-	sc := scratchPool.Get().(*expandScratch)
-	matched, acc, ops := t.MatchAppend(vals, sc.acc[:0])
-	total, descents := s.walk(sc, vals, matched, t2n)
-	if need := len(dst) + total; need > cap(dst) {
+func (s *Snapshot) Walk() *Walk {
+	w := walkPool.Get().(*Walk)
+	w.s = s
+	w.reset(s.Slots())
+	return w
+}
+
+// Seed filters one event through t, an automaton over roots of the walk's
+// image whose slots t2n maps to poset nodes, and marks the roots it reached.
+// The tree collects parked profiles into the walk's pooled accumulator.
+//
+//genas:hotpath
+func (w *Walk) Seed(vals []float64, t *tree.Tree, t2n []int32) {
+	matched, acc, ops := t.MatchAppend(vals, w.acc[:0])
+	w.acc, w.ops = acc, w.ops+ops
+	w.seed(matched, t2n)
+}
+
+// Collect ends the walk: it descends from every seeded root and appends the
+// members of every accepted node to dst. The second result is the automata's
+// comparisons plus the descents. dst grows at most once, to the exact total,
+// so a match allocates nothing beyond dst's growth once the pool is warm.
+//
+//genas:hotpath
+func (w *Walk) Collect(vals []float64, dst []Member) ([]Member, int) {
+	if need := len(dst) + w.descend(vals); need > cap(dst) {
 		dst = append(make([]Member, 0, need), dst...)
 	}
-	for _, ni := range sc.nodes {
-		dst = append(dst, s.at(ni).Subs...)
+	for _, ni := range w.nodes {
+		dst = append(dst, w.s.at(ni).Subs...)
 	}
-	sc.acc = acc
-	scratchPool.Put(sc)
-	return dst, ops + descents
+	return dst, w.end()
 }
 
-// walk lists on sc.nodes the poset nodes the matched tree slots accept and
-// returns their member total and the descents spent. From every matched root
-// it descends kid edges, re-evaluating each child's representative
-// against the event — covering guarantees a child that fails can have no
-// matching descendant — and marks visited nodes so DAG diamonds and
-// multi-root overlaps list each node once. Listing the nodes first lets the
-// caller grow its result once, however many members and covered nodes a
-// matched root brings.
+// end returns the walk to its pool, keeping no image, and its operations.
+func (w *Walk) end() (ops int) {
+	ops, w.s = w.ops, nil
+	walkPool.Put(w)
+	return ops
+}
+
+// seed lists the poset nodes of the matched tree slots on w.nodes, each once.
 //
 //genas:hotpath
-func (s *Snapshot) walk(sc *expandScratch, vals []float64, matched []int, t2n []int32) (total, ops int) {
-	sc.reset(s.Slots())
+func (w *Walk) seed(matched []int, t2n []int32) {
 	for _, pi := range matched {
-		ni := t2n[pi]
-		if sc.mark[ni] == sc.gen {
-			continue
+		if ni := t2n[pi]; w.mark[ni] != w.gen {
+			w.mark[ni] = w.gen
+			w.nodes = append(w.nodes, ni)
 		}
-		sc.mark[ni] = sc.gen
-		sc.nodes = append(sc.nodes, ni)
 	}
-	for i := 0; i < len(sc.nodes); i++ {
-		n := s.at(sc.nodes[i])
+}
+
+// descend lists on w.nodes the poset nodes the seeded roots accept, adds the
+// descents to w.ops and returns the accepted nodes' member total, so that the
+// caller grows its result once. It re-evaluates each child's representative
+// against the event — covering guarantees a child that fails can have no
+// matching descendant — and marks visited nodes so DAG diamonds and
+// multi-root overlaps list each node once.
+//
+//genas:hotpath
+func (w *Walk) descend(vals []float64) (total int) {
+	s, descents := w.s, 0
+	for i := 0; i < len(w.nodes); i++ {
+		n := s.at(w.nodes[i])
 		total += len(n.Subs)
 		for _, ki := range n.Kids {
-			if sc.mark[ki] == sc.gen {
+			if w.mark[ki] == w.gen {
 				continue
 			}
-			sc.mark[ki] = sc.gen
-			ops++
+			w.mark[ki] = w.gen
+			descents++
 			if s.at(ki).Prof.Matches(vals) {
-				sc.nodes = append(sc.nodes, ki)
+				w.nodes = append(w.nodes, ki)
 			}
 		}
 	}
-	return total, ops
+	w.ops += descents
+	return total
 }

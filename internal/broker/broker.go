@@ -8,10 +8,11 @@
 // feeds the event history, and the filter tree restructures itself when the
 // observed distribution drifts.
 //
-// Matching and delivery are separate stages. The engine may partition its
-// profiles (core.Sharded); delivery does not know how. A match yields the
-// subscriptions themselves, so the broker keeps no table of its own, and
-// every subscription counts its own deliveries and drops while it lives.
+// Matching and delivery are separate stages. The engine may split its poset
+// roots over several automata (Options.Shards); delivery does not know it.
+// A match yields the subscriptions themselves, so the broker keeps no table
+// of its own, and every subscription counts its own deliveries and drops
+// while it lives.
 //
 // Counting adds no lock to the publish path: the engine books each match in
 // two atomics, a subscription its outcomes in two more, and the broker keeps
@@ -150,9 +151,9 @@ func (s *Subscription) Delivered() uint64 { return s.delivered.Load() }
 type Options struct {
 	// Engine configuration (attribute ordering, event distributions).
 	Engine core.Config
-	// Shards selects the engine partition width: 0 or 1 runs the classic
-	// single-tree engine, n > 1 runs an n-way sharded engine. Delivery
-	// reaches the subscriptions the engine matched either way.
+	// Shards selects the automata per engine: 0 or 1 indexes every poset
+	// root in one automaton, n > 1 splits the roots over n by node index
+	// (core.NewSharded). There is one poset and one writer lock either way.
 	Shards int
 	// Adaptive enables the adaptive filter component.
 	Adaptive bool
@@ -165,7 +166,7 @@ type Options struct {
 // Broker is the local ENS instance. It is safe for concurrent use.
 type Broker struct {
 	schema *schema.Schema
-	filter core.Filter
+	engine *core.Engine
 	adapt  *adaptive.Adaptor
 
 	// regMu serializes registration state changes (subscribe, unsubscribe,
@@ -196,19 +197,13 @@ func New(s *schema.Schema, opts Options) (*Broker, error) {
 	if opts.DefaultBuffer < 0 {
 		return nil, ErrBadBufferSize
 	}
-	var filter core.Filter
-	if opts.Shards > 1 {
-		filter = core.NewSharded(s, opts.Engine, opts.Shards)
-	} else {
-		filter = core.NewEngine(s, opts.Engine)
-	}
 	b := &Broker{
 		schema:        s,
-		filter:        filter,
+		engine:        core.NewSharded(s, opts.Engine, max(opts.Shards, 1)),
 		defaultBuffer: opts.DefaultBuffer,
 	}
 	if opts.Adaptive {
-		a, err := adaptive.New(filter, opts.Policy)
+		a, err := adaptive.New(b.engine, opts.Policy)
 		if err != nil {
 			return nil, err
 		}
@@ -220,15 +215,15 @@ func New(s *schema.Schema, opts Options) (*Broker, error) {
 // Schema returns the broker's schema.
 func (b *Broker) Schema() *schema.Schema { return b.schema }
 
-// Engine exposes the underlying filter (experiments and diagnostics): a
-// *core.Engine for single-shard brokers, a *core.Sharded otherwise. Its
-// members are the broker's subscriptions; add or remove none through it.
-func (b *Broker) Engine() core.Filter { return b.filter }
+// Engine exposes the underlying filter engine (experiments and
+// diagnostics). Its members are the broker's subscriptions; add or remove
+// none through it.
+func (b *Broker) Engine() *core.Engine { return b.engine }
 
 // Profiles returns every subscription's own profile: its spelling, id and
 // priority as subscribed, in the engine's order.
 func (b *Broker) Profiles() []*predicate.Profile {
-	ms := b.filter.Members()
+	ms := b.engine.Members()
 	out := make([]*predicate.Profile, len(ms))
 	for i, m := range ms {
 		out[i] = m.Profile()
@@ -267,7 +262,7 @@ func (b *Broker) register(p *predicate.Profile, sc *sharedChan, policy DropPolic
 		return nil, ErrClosed
 	}
 	sub := &Subscription{profile: p, shared: sc, policy: policy, done: make(chan struct{})}
-	if err := b.filter.Add(sub); err != nil {
+	if err := b.engine.Add(sub); err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateSub, p.ID)
 	}
 	sc.refs.Add(1)
@@ -348,7 +343,7 @@ func (b *Broker) Unsubscribe(id predicate.ID) error {
 	if b.closed.Load() {
 		return ErrClosed
 	}
-	m, err := b.filter.Remove(id)
+	m, err := b.engine.Remove(id)
 	if err != nil {
 		return fmt.Errorf("%w: %s", ErrUnknownSub, id)
 	}
@@ -496,7 +491,7 @@ func (b *Broker) publish(ev event.Event, seq uint64, sc *publishScratch, cancel 
 	if b.adapt != nil {
 		b.adapt.Observe(ev.Vals)
 	}
-	ms, _, err := b.filter.MatchAppend(ev.Vals, sc.ms)
+	ms, _, err := b.engine.MatchAppend(ev.Vals, sc.ms)
 	if err == nil && len(ms) > 0 {
 		now := time.Now()
 		ev.Vals = sc.carve(ev.Vals)
@@ -664,7 +659,7 @@ func (b *Broker) Quenched(attr int, iv schema.Interval) bool {
 		return false
 	}
 	dom := b.schema.At(attr).Domain
-	for _, m := range b.filter.Members() {
+	for _, m := range b.engine.Members() {
 		p := m.Profile()
 		if !p.Constrains(attr) {
 			return false // a don't-care profile accepts any value here
@@ -686,8 +681,8 @@ type Stats = stats.Record
 // delivery totals, the engine's operation account, the adaptor's
 // restructures and the shape of the canonical index.
 func (b *Broker) Stats() Stats {
-	acc := b.filter.Account()
-	ag := b.filter.AggStats()
+	acc := b.engine.Account()
+	ag := b.engine.AggStats()
 	st := Stats{
 		Subscriptions:        ag.Subscriptions,
 		Published:            b.published.Load(),
@@ -720,7 +715,7 @@ func (b *Broker) Close() {
 	// which wait outside the send fence; regMu (held) blocks new
 	// registrations meanwhile. The engine keeps its members, which
 	// Unsubscribe refuses once closed.
-	ending := b.filter.Members()
+	ending := b.engine.Members()
 	b.mu.Lock()
 	for _, m := range ending {
 		m.(*Subscription).end()

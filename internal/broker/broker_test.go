@@ -244,7 +244,7 @@ func TestReusedIDGetsOnlyItsOwnMatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		vals := []float64{80}
-		ms, _, err := b.filter.MatchAppend(vals, nil)
+		ms, _, err := b.engine.MatchAppend(vals, nil)
 		if err != nil || len(ms) != 1 {
 			t.Fatalf("shards=%d: the event matched %d subscriptions (%v), want 1", shards, len(ms), err)
 		}

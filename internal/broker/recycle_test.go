@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"genas/internal/core"
 	"genas/internal/event"
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -73,7 +72,7 @@ func TestPublishValuesAllocations(t *testing.T) {
 				}
 			}
 			parked := 0
-			for _, level := range b.Engine().(*core.Engine).Tree().Levels() {
+			for _, level := range b.Engine().Tree().Levels() {
 				for _, n := range level {
 					parked += len(n.Extra())
 				}

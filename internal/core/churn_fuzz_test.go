@@ -9,7 +9,7 @@ import (
 	"genas/internal/schema"
 )
 
-// The churn-sequence oracle harness: one engine (single-tree or sharded)
+// The churn-sequence oracle harness: one engine (one automaton or several)
 // mutated only through incremental AddProfile/Remove, checked against
 // two independent oracles after every few operations:
 //
@@ -26,16 +26,6 @@ import (
 // a wider add, unsubscribe of a poset-internal coverer, promotion of orphaned
 // kids, coalesce mid-sequence, reorder of a fragmented successor tree) that
 // the handwritten tests cannot enumerate.
-
-// churnFilter is the surface the harness exercises: satisfied by both
-// *Engine and *Sharded.
-type churnFilter interface {
-	AddProfile(*predicate.Profile) error
-	Remove(predicate.ID) (Member, error)
-	Match([]float64) ([]predicate.ID, int, error)
-	Rebuild() error
-	Reorder(attrs ...int) (resorted, copied int, err error)
-}
 
 // churnProbes is the event grid every oracle check sweeps: domain edges,
 // interval endpoints the generator can produce, and interior points.
@@ -89,8 +79,9 @@ func churnExpr(kx, ky, v byte) string {
 }
 
 // runChurnSequence feeds the byte stream as a churn script into filter and
-// verifies both oracles every checkEvery operations (and once at the end).
-func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data []byte, checkEvery int) {
+// verifies both oracles, and that every root sits in automaton idx mod n,
+// every checkEvery operations (and once at the end).
+func runChurnSequence(t *testing.T, s *schema.Schema, filter *Engine, data []byte, checkEvery int) {
 	t.Helper()
 	probes := churnProbes()
 	live := make(map[predicate.ID]*predicate.Profile)
@@ -111,12 +102,9 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 		}
 		// Engine's batch path resolves its own snapshot, so it answers to the
 		// same ground truth as Match.
-		var batch []BatchResult
-		if e, ok := filter.(*Engine); ok {
-			var err error
-			if batch, err = e.MatchBatch(probes, 2); err != nil {
-				t.Fatalf("step %d: match batch: %v", step, err)
-			}
+		batch, err := filter.MatchBatch(probes, 2)
+		if err != nil {
+			t.Fatalf("step %d: match batch: %v", step, err)
 		}
 		for i, probe := range probes {
 			got, _, err := filter.Match(probe)
@@ -140,21 +128,18 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 			if g != w {
 				t.Fatalf("step %d: probe %v: incremental engine matched {%s}, direct evaluation says {%s}", step, probe, g, w)
 			}
-			if batch != nil {
-				if b := strings.Join(sortedIDs(batch[i].IDs), ","); b != w {
-					t.Fatalf("step %d: probe %v: incremental engine batch-matched {%s}, direct evaluation says {%s}", step, probe, b, w)
-				}
+			if b := strings.Join(sortedIDs(batch[i].IDs), ","); b != w {
+				t.Fatalf("step %d: probe %v: incremental engine batch-matched {%s}, direct evaluation says {%s}", step, probe, b, w)
 			}
 			if o != w {
 				t.Fatalf("step %d: probe %v: from-scratch engine matched {%s}, direct evaluation says {%s}", step, probe, o, w)
 			}
 			// The yes/no probe of the link filters answers to the same truth.
-			if e, ok := filter.(*Engine); ok {
-				if hit, err := e.MatchAny(probe); err != nil || hit != (len(want) > 0) {
-					t.Fatalf("step %d: probe %v: MatchAny = %v, %v; direct evaluation matched {%s}", step, probe, hit, err, w)
-				}
+			if hit, err := filter.MatchAny(probe); err != nil || hit != (len(want) > 0) {
+				t.Fatalf("step %d: probe %v: MatchAny = %v, %v; direct evaluation matched {%s}", step, probe, hit, err, w)
 			}
 		}
+		checkShares(t, filter)
 	}
 
 	take := func() (byte, bool) {
@@ -234,9 +219,11 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter churnFilter, data [
 }
 
 // FuzzChurnSequence fuzzes interleaved subscribe/unsubscribe/restructure
-// sequences through the incremental engine and checks every few steps that
-// its match sets equal both direct profile evaluation and a from-scratch
-// rebuild of the same corpus.
+// sequences through the incremental engine, with one automaton and with
+// three, and checks every few steps that its match sets equal both direct
+// profile evaluation and a from-scratch rebuild of the same corpus. At three
+// automata a share can start without a root, so that its first root takes
+// the one-profile build.
 func FuzzChurnSequence(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 40, 0, 7, 2, 80, 2, 0, 7})
 	f.Add([]byte{1, 1, 1, 10, 1, 2, 2, 20, 1, 3, 3, 30, 2, 1, 15})
@@ -257,11 +244,12 @@ func FuzzChurnSequence(f *testing.F) {
 			schema.Attribute{Name: "y", Domain: b},
 		)
 		runChurnSequence(t, s, NewEngine(s, Config{}), data, 8)
+		runChurnSequence(t, s, NewSharded(s, Config{}, 3), data, 8)
 	})
 }
 
-// TestChurnSequenceOracle runs long deterministic churn scripts through both
-// the single-tree and the sharded engine — long enough to cross the
+// TestChurnSequenceOracle runs long deterministic churn scripts through an
+// engine of one automaton and one of three — long enough to cross the
 // coalescing threshold mid-sequence, so incremental inserts, removals and
 // the coalesced rebuild all get oracle-checked in one run.
 func TestChurnSequenceOracle(t *testing.T) {
@@ -280,10 +268,10 @@ func TestChurnSequenceOracle(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		filter func() churnFilter
+		filter func() *Engine
 	}{
-		{"engine", func() churnFilter { return NewEngine(s, Config{}) }},
-		{"sharded", func() churnFilter { return NewSharded(s, Config{}, 3) }},
+		{"engine", func() *Engine { return NewEngine(s, Config{}) }},
+		{"sharded", func() *Engine { return NewSharded(s, Config{}, 3) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := byte(1); seed <= 3; seed++ {

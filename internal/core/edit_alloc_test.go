@@ -57,7 +57,7 @@ func editProfile(rng *rand.Rand) string {
 	return b.String()
 }
 
-// Edit pins: what one edit of TestEditAllocations' engine mallocs on a
+// Edit pins: what one edit of TestEditAllocations' engines mallocs on a
 // 2-core x86-64 machine. An engine edit may take 10 % more, at least one
 // malloc, for the tables' amortized growth; Parse takes exactly its three.
 const (
@@ -79,11 +79,12 @@ const (
 )
 
 // TestEditAllocations pins the mallocs of an index edit on an engine of
-// 1 000 churn-mixed-shaped structures: Add of a new structure, Add of a
-// subscriber to an existing one, Remove of a structure's last subscriber,
-// and Parse of the profile text a subscribe reads. An edit allocates what
-// the index keeps, in a few pieces: the tree's inserts carve from their
-// line's arena, and the poset canonicalizes in its own scratch.
+// 1 000 churn-mixed-shaped structures, with one automaton and with two: Add
+// of a new structure, Add of a subscriber to an existing one, Remove of a
+// structure's last subscriber, and Parse of the profile text a subscribe
+// reads. An edit allocates what the index keeps, in a few pieces: the tree's
+// inserts carve from their line's arena, the poset canonicalizes in its own
+// scratch, and the snapshot is one object however many automata it holds.
 func TestEditAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled merge scratch, which then allocates")
@@ -102,66 +103,68 @@ func TestEditAllocations(t *testing.T) {
 	for i, text := range texts {
 		profiles[i] = predicate.MustParse(s, predicate.ID(fmt.Sprintf("p%d", i)), text)
 	}
-	e := NewEngine(s, Config{})
-	for _, p := range profiles[:1000] {
-		if err := e.AddProfile(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := e.Match([]float64{10, 50, 5, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if th := e.coalesceThreshold(); th < 1000 {
-		t.Fatalf("the edit budget is %d: the edits would pay a coalescing rebuild", th)
-	}
-	joiners := make([]*predicate.Profile, 301)
-	for i := range joiners {
-		p := *profiles[i]
-		p.ID = predicate.ID(fmt.Sprintf("j%d", i))
-		joiners[i] = &p
-	}
-	next, joins := 1000, 0
-	addNew := func() {
-		if err := e.AddProfile(profiles[next]); err != nil {
-			t.Fatal(err)
-		}
-		next++
-	}
-	addJoin := func() {
-		if err := e.AddProfile(joiners[joins]); err != nil {
-			t.Fatal(err)
-		}
-		joins++
-	}
-	for range 50 {
-		addNew()
-	}
-	removed := 1000
-	remove := func() {
-		if _, err := e.Remove(profiles[removed].ID); err != nil {
-			t.Fatal(err)
-		}
-		removed++
-	}
 	const text = "profile(temperature in [12.5,16]; humidity in [40,45]; floor in [3,14]; severity in {low, high})"
 	parse := func() { _, _ = predicate.Parse(s, "q", text) }
-	for _, c := range []struct {
-		what string
-		f    func()
-		pin  float64
-	}{
-		{"Engine.Add of a new structure", addNew, addNewAllocs},
-		{"Engine.Add to an existing structure", addJoin, addJoinAllocs},
-		{"Engine.Remove of a structure's last subscriber", remove, removeAllocs},
-		{"predicate.Parse", parse, parseAllocs},
-	} {
-		got, limit := testing.AllocsPerRun(300, c.f), c.pin
-		if c.pin != parseAllocs {
-			limit = max(c.pin*1.1, c.pin+1)
+	for _, n := range []int{1, 2} {
+		e := NewSharded(s, Config{}, n)
+		for _, p := range profiles[:1000] {
+			if err := e.AddProfile(p); err != nil {
+				t.Fatal(err)
+			}
 		}
-		t.Logf("%s: %.0f mallocs (pin %.0f, limit %.1f)", c.what, got, c.pin, limit)
-		if got > limit {
-			t.Errorf("%s mallocs %.0f times, want at most %.1f", c.what, got, limit)
+		if _, _, err := e.Match([]float64{10, 50, 5, 0}); err != nil {
+			t.Fatal(err)
+		}
+		if th := e.coalesceThreshold(); th < 1000 {
+			t.Fatalf("the edit budget is %d: the edits would pay a coalescing rebuild", th)
+		}
+		joiners := make([]*predicate.Profile, 301)
+		for i := range joiners {
+			p := *profiles[i]
+			p.ID = predicate.ID(fmt.Sprintf("j%d", i))
+			joiners[i] = &p
+		}
+		next, joins := 1000, 0
+		addNew := func() {
+			if err := e.AddProfile(profiles[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		addJoin := func() {
+			if err := e.AddProfile(joiners[joins]); err != nil {
+				t.Fatal(err)
+			}
+			joins++
+		}
+		for range 50 {
+			addNew()
+		}
+		removed := 1000
+		remove := func() {
+			if _, err := e.Remove(profiles[removed].ID); err != nil {
+				t.Fatal(err)
+			}
+			removed++
+		}
+		for _, c := range []struct {
+			what string
+			f    func()
+			pin  float64
+		}{
+			{"Engine.Add of a new structure", addNew, addNewAllocs},
+			{"Engine.Add to an existing structure", addJoin, addJoinAllocs},
+			{"Engine.Remove of a structure's last subscriber", remove, removeAllocs},
+			{"predicate.Parse", parse, parseAllocs},
+		} {
+			got, limit := testing.AllocsPerRun(300, c.f), c.pin
+			if c.pin != parseAllocs {
+				limit = max(c.pin*1.1, c.pin+1)
+			}
+			t.Logf("%d automata: %s: %.0f mallocs (pin %.0f, limit %.1f)", n, c.what, got, c.pin, limit)
+			if got > limit {
+				t.Errorf("%d automata: %s mallocs %.0f times, want at most %.1f", n, c.what, got, limit)
+			}
 		}
 	}
 }

@@ -6,10 +6,12 @@
 //
 // The corpus has one index: the covering poset of canonical structures
 // (internal/agg). Subscriptions intern onto canonical nodes, covered nodes
-// hang beneath their coverers, the automaton indexes the poset's roots, and
-// a match expands the roots it reached into the subscriptions themselves
-// (the members the caller registered). Match cost grows with distinct
-// predicate structure, not with subscriber count.
+// hang beneath their coverers, the automata index the poset's roots, and a
+// match expands the roots it reached into the subscriptions themselves (the
+// members the caller registered). Match cost grows with distinct predicate
+// structure, not with subscriber count. An engine may split its roots over n
+// automata (NewSharded) to keep each one small; it still has one poset, one
+// writer lock and one published snapshot.
 //
 // The engine "evaluates first those event-values and attributes that have
 // the highest selectivity": attributes with high selectivity move to the top
@@ -20,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -94,33 +97,57 @@ var (
 // tree is ever mutated. Three states exist:
 //
 //   - empty: no profiles are registered; matching is a lock-free no-op.
-//   - stale (tree == nil, empty == false): profiles exist but the automaton
-//     must be (re)built — the next reader builds it lazily under e.mu, so
+//   - stale (parts == nil, empty == false): profiles exist but the automata
+//     must be (re)built — the next reader builds them lazily under e.mu, so
 //     bulk registration before the first publish stays cheap.
-//   - built (tree != nil): ready to traverse.
+//   - built (parts != nil): ready to traverse.
+//
+// A built snapshot is the first of the n elements of one slice, parts, and
+// element i holds automaton i: the tree over the poset roots whose node
+// index is i mod n (nil while that share has no root) and t2n, which maps
+// each of its slots to its poset node. The header fields live on the first
+// element only, so a churn op publishes one object for any n. Each t2n is
+// append-only across successor snapshots — writes land past every
+// predecessor's length — so snapshots share its backing array like the tree
+// shares nodes.
 type snapshot struct {
-	// tree is the automaton over the poset's roots.
-	tree  *tree.Tree
+	tree *tree.Tree
+	t2n  []int32
+
+	parts []snapshot
 	empty bool
-	// expand is the frozen poset image matched roots are expanded through
-	// (a value, so that publishing the snapshot is one object),
-	// and t2n maps each tree slot (dense index) to its poset node. t2n is
-	// append-only across successor snapshots — writes land past every
-	// predecessor's length — so snapshots share its backing array like the
-	// tree shares nodes.
+	// expand is the frozen poset image matched roots are expanded through.
 	expand agg.Snapshot
-	t2n    []int32
+}
+
+// successor returns a built snapshot over expand holding old's automata, for
+// the caller to edit before publishing: nil old gives n without a root.
+func (e *Engine) successor(old *snapshot, expand agg.Snapshot) *snapshot {
+	parts := make([]snapshot, e.n)
+	if old != nil {
+		for i, p := range old.parts {
+			parts[i].tree, parts[i].t2n = p.tree, p.t2n
+		}
+	}
+	parts[0].parts, parts[0].expand = parts, expand
+	return &parts[0]
 }
 
 // match filters one event through a built snapshot, appending the matched
-// members to dst: the tree matches canonical roots and the poset image
-// expands them into concrete members, its descent evaluations charged to the
-// event like tree comparisons. The tree's accumulator for parked profiles is
-// the expansion's pooled scratch.
+// members to dst: every automaton seeds one expansion walk over the poset
+// image with the roots it matched, and the walk expands them into concrete
+// members, its descent evaluations charged to the event like tree
+// comparisons.
 //
 //genas:hotpath
 func (s *snapshot) match(vals []float64, dst []Member) ([]Member, int) {
-	return s.expand.Match(vals, s.tree, s.t2n, dst)
+	w := s.expand.Walk()
+	for i := range s.parts {
+		if p := &s.parts[i]; p.tree != nil {
+			w.Seed(vals, p.tree, p.t2n)
+		}
+	}
+	return w.Collect(vals, dst)
 }
 
 // Engine is the distribution-based filter component. It is safe for
@@ -134,18 +161,20 @@ type Engine struct {
 	schema  *schema.Schema
 	cfg     Config
 	account stats.OpAccount
+	n       int // automata per snapshot
 
 	// agg is the index: the covering poset holds every subscription — one
-	// member on its canonical node — and the automaton indexes the poset's
-	// roots only. t2n is the write side of snapshot.t2n; nodeTree maps a
-	// poset node index back to its tree slot (-1: not indexed) for
-	// demotions. Both are valid only while snap.tree != nil.
+	// member on its canonical node — and the automata index the poset's
+	// roots only. nodeTree maps a poset node index back to its slot in
+	// automaton idx mod n (-1: not indexed) for demotions; order is the
+	// attribute order of the last rebuild, which a share's first root is
+	// built under. Both are valid only while the snapshot is built.
 	agg      *agg.Poset
-	t2n      []int32
 	nodeTree []int32
+	order    []int
 	// edits counts the index edits since the last full rebuild: a root
 	// indexed or removed, or a structure created or emptied beneath a
-	// coverer (the automaton is untouched, but the poset's node table grew
+	// coverer (the automata are untouched, but the poset's node table grew
 	// or gained a hole). Once it reaches coalesceThreshold the churn op that
 	// spent the budget rebuilds, restoring the canonical structure and
 	// clearing the holes. A subscriber joining or leaving an existing
@@ -162,18 +191,40 @@ func (e *Engine) coalesceThreshold() int {
 	// subtree of each probe tree that its changed keys fall in, but distinct
 	// nodes may hold equal states), so rebuilding once per index-sized batch
 	// of edits trades a small match-path drift for keeping the rebuild
-	// entirely off the steady churn path. The automaton's size follows the
+	// entirely off the steady churn path. The automata's size follows the
 	// canonical node count, not the subscriber count, so the budget scales
 	// with that.
 	return max(2*e.agg.NodeCount(), 128)
 }
 
-// NewEngine creates an engine over schema s.
-func NewEngine(s *schema.Schema, cfg Config) *Engine {
+// NewEngine creates an engine over schema s with one automaton.
+func NewEngine(s *schema.Schema, cfg Config) *Engine { return NewSharded(s, cfg, 1) }
+
+// Sharded is the engine of NewSharded: there is one engine type.
+type Sharded = Engine
+
+// ResolveShards normalizes a user-facing shard count: n ≤ 0 selects
+// GOMAXPROCS, anything else passes through. Every layer that accepts
+// "0 = pick for me" (the genas facade, the genasd flag) resolves through
+// this one function; broker.Options keeps 0 as its zero value (one
+// automaton).
+func ResolveShards(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
+}
+
+// NewSharded creates an engine over schema s whose roots split over n
+// automata (n ≤ 0 selects GOMAXPROCS): automaton i indexes the poset roots
+// whose node index is i mod n, and every match walks them all into one
+// expansion. The match set is the one-automaton engine's; the automata are
+// smaller, and an edit touches only the automata its roots fall in.
+func NewSharded(s *schema.Schema, cfg Config, n int) *Engine {
 	if cfg.AttrOrdering == 0 {
 		cfg.AttrOrdering = AttrNatural
 	}
-	e := &Engine{schema: s, cfg: cfg, agg: agg.NewPoset(s)}
+	e := &Engine{schema: s, cfg: cfg, n: ResolveShards(n), agg: agg.NewPoset(s)}
 	e.snap.Store(&snapshot{empty: true})
 	return e
 }
@@ -187,10 +238,10 @@ func (e *Engine) AddProfile(p *predicate.Profile) error { return e.Add(agg.Bare(
 // Add registers a member under its profile's id: the subscription joins its
 // canonical node in the poset. While no automaton is live the node is only
 // interned — the lazy build on the next match links the poset in one pass.
-// Otherwise the automaton changes only when a new structure enters as a root
-// (indexed) or demotes existing roots beneath it (removed from the automaton
-// — they stay reachable through the new root's expansion edges), in a
-// successor snapshot sharing the untouched node graph.
+// Otherwise the automata change only when a new structure enters as a root
+// (indexed) or demotes existing roots beneath it (removed from their
+// automata — they stay reachable through the new root's expansion edges), in
+// a successor snapshot sharing the untouched node graph.
 func (e *Engine) Add(m Member) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -198,7 +249,7 @@ func (e *Engine) Add(m Member) error {
 		return fmt.Errorf("%w: %s", ErrDuplicateProfile, id)
 	}
 	snap := e.snap.Load()
-	if snap.tree != nil {
+	if snap.parts != nil {
 		e.patchLocked(snap, e.agg.Join(m))
 		return nil
 	}
@@ -216,9 +267,9 @@ func (e *Engine) RemoveProfile(id predicate.ID) error {
 }
 
 // Remove unregisters the member registered under id and returns it. Dropping
-// a member usually leaves the automaton untouched; when a canonical node
+// a member usually leaves the automata untouched; when a canonical node
 // loses its last member it detaches eagerly — its tree slot is removed from
-// the automaton if it was a root, and formerly covered nodes promoted by the
+// its automaton if it was a root, and formerly covered nodes promoted by the
 // detach are indexed, so a covered subscription resurfaces the moment its
 // last coverer leaves.
 func (e *Engine) Remove(id predicate.ID) (Member, error) {
@@ -230,17 +281,19 @@ func (e *Engine) Remove(id predicate.ID) (Member, error) {
 	}
 	if e.agg.SubCount() == 0 {
 		e.resetLocked()
-	} else if snap := e.snap.Load(); snap.tree != nil {
+	} else if snap := e.snap.Load(); snap.parts != nil {
 		e.patchLocked(snap, d)
 	}
 	// Otherwise the snapshot is stale already; the next build reads the poset.
 	return m, nil
 }
 
-// patchLocked applies one churn op's root-set change to the live automaton
-// and publishes the successor. Every churn op republishes the frozen
-// expansion image, even when the tree is untouched, so in-flight matches
-// keep expanding against the state they matched under.
+// patchLocked applies one churn op's root-set change to the live automata
+// and publishes the successor. A root leaves and joins automaton idx mod n;
+// a share's first root gets a one-profile automaton under the last
+// rebuild's attribute order. Every churn op republishes the frozen expansion
+// image, even when no tree is touched, so in-flight matches keep expanding
+// against the state they matched under.
 func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
 	if n := len(d.Left) + len(d.Joined); n > 0 {
 		e.edits += n
@@ -255,29 +308,36 @@ func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
 		_ = e.rebuildLocked()
 		return
 	}
-	t := snap.tree
+	next := e.successor(snap, e.agg.Image())
 	for _, ni := range d.Left {
-		if int(ni) >= len(e.nodeTree) || e.nodeTree[ni] < 0 {
+		p := &next.parts[int(ni)%e.n]
+		if int(ni) >= len(e.nodeTree) || e.nodeTree[ni] < 0 || p.tree == nil {
 			e.snap.Store(&snapshot{}) // defensive: force a lazy rebuild
 			return
 		}
-		t = t.WithoutProfile(int(e.nodeTree[ni]))
+		p.tree = p.tree.WithoutProfile(int(e.nodeTree[ni]))
 		e.nodeTree[ni] = -1
 	}
 	for _, r := range d.Joined {
-		var ti int
-		t, ti = t.WithProfile(r.Rep, t.ValueOrder())
-		if ti != len(e.t2n) {
+		p, ti := &next.parts[int(r.Idx)%e.n], 0
+		if p.tree == nil {
+			t, err := tree.Build(e.schema, []*predicate.Profile{r.Rep}, tree.WithAttributeOrder(e.order), tree.WithValueOrder(e.valueOrder()))
+			if err != nil {
+				e.snap.Store(&snapshot{})
+				return
+			}
+			p.tree, p.t2n = t, nil
+		} else if p.tree, ti = p.tree.WithProfile(r.Rep, p.tree.ValueOrder()); ti != len(p.t2n) {
 			e.snap.Store(&snapshot{}) // defensive: slot table out of step
 			return
 		}
-		e.t2n = append(e.t2n, r.Idx)
+		p.t2n = append(p.t2n, r.Idx)
 		for int(r.Idx) >= len(e.nodeTree) {
 			e.nodeTree = append(e.nodeTree, -1)
 		}
 		e.nodeTree[r.Idx] = int32(ti)
 	}
-	e.snap.Store(&snapshot{tree: t, expand: e.agg.Image(), t2n: e.t2n})
+	e.snap.Store(next)
 }
 
 // resetLocked publishes the empty state. Going empty is the natural point
@@ -285,7 +345,7 @@ func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
 func (e *Engine) resetLocked() {
 	e.snap.Store(&snapshot{empty: true})
 	e.agg = agg.NewPoset(e.schema)
-	e.t2n, e.nodeTree = nil, nil
+	e.nodeTree = nil
 	e.edits = 0
 }
 
@@ -320,8 +380,8 @@ func (e *Engine) valueOrder() tree.ValueOrder {
 }
 
 // attrOrder computes the configured attribute order over roots, the corpus
-// the automaton indexes. (A covered structure references no region and
-// leaves no attribute unspecified that its coverer does not, so the A1/A2
+// the automata index. (A covered structure references no region and leaves
+// no attribute unspecified that its coverer does not, so the A1/A2
 // statistics of the roots are those of every subscription.)
 func (e *Engine) attrOrder(roots []*predicate.Profile) ([]int, error) {
 	switch e.cfg.AttrOrdering {
@@ -343,7 +403,7 @@ func (e *Engine) attrOrder(roots []*predicate.Profile) ([]int, error) {
 	}
 }
 
-// Rebuild reconstructs the automaton with the current configuration. It is
+// Rebuild reconstructs the automata with the current configuration. It is
 // the expensive half of restructuring; Reorder is the cheap half.
 func (e *Engine) Rebuild() error {
 	e.mu.Lock()
@@ -353,11 +413,11 @@ func (e *Engine) Rebuild() error {
 
 // rebuildLocked builds a fresh index from the poset and publishes it: the
 // poset compacts (linking what was only interned, clearing churn holes and
-// redundant edges), the automaton is rebuilt over the canonical roots only,
-// and the slot↔node tables are derived fresh. Compacting renumbers the
-// nodes, which orphans the slot tables a live snapshot was patched through,
-// so a failed build leaves the engine stale, never patchable. Callers hold
-// e.mu.
+// redundant edges), the roots split by node index over the automata, each
+// is built under the attribute order computed over all roots, and the
+// slot↔node tables are derived fresh. Compacting renumbers the nodes, which
+// orphans the slot tables a live snapshot was patched through, so a failed
+// build leaves the engine stale, never patchable. Callers hold e.mu.
 func (e *Engine) rebuildLocked() (err error) {
 	if e.agg.SubCount() == 0 {
 		e.resetLocked()
@@ -371,56 +431,69 @@ func (e *Engine) rebuildLocked() (err error) {
 	e.agg.Compact()
 	roots := e.agg.RootList()
 	corpus := make([]*predicate.Profile, len(roots))
-	t2n := make([]int32, len(roots))
-	nodeTree := make([]int32, e.agg.NodeCount())
-	for i := range nodeTree {
-		nodeTree[i] = -1
-	}
+	size := make([]int, e.n)
 	for i, r := range roots {
 		corpus[i] = r.Rep
-		t2n[i] = r.Idx
-		nodeTree[r.Idx] = int32(i)
+		size[int(r.Idx)%e.n]++
 	}
 	order, err := e.attrOrder(corpus)
 	if err != nil {
 		return err
 	}
-	t, err := tree.Build(e.schema, corpus, tree.WithAttributeOrder(order), tree.WithValueOrder(e.valueOrder()))
-	if err != nil {
-		return err
+	next := e.successor(nil, e.agg.Image())
+	shares := make([][]*predicate.Profile, e.n)
+	for i := range shares {
+		shares[i] = make([]*predicate.Profile, 0, size[i])
+		next.parts[i].t2n = make([]int32, 0, size[i])
 	}
-	e.t2n = t2n
-	e.nodeTree = nodeTree
-	e.edits = 0
-	e.snap.Store(&snapshot{tree: t, expand: e.agg.Image(), t2n: t2n})
+	nodeTree := make([]int32, e.agg.NodeCount())
+	for i := range nodeTree {
+		nodeTree[i] = -1
+	}
+	for _, r := range roots {
+		i := int(r.Idx) % e.n
+		nodeTree[r.Idx] = int32(len(shares[i]))
+		shares[i] = append(shares[i], r.Rep)
+		next.parts[i].t2n = append(next.parts[i].t2n, r.Idx)
+	}
+	vo := e.valueOrder()
+	for i, share := range shares {
+		if len(share) == 0 {
+			continue
+		}
+		if next.parts[i].tree, err = tree.Build(e.schema, share, tree.WithAttributeOrder(order), tree.WithValueOrder(vo)); err != nil {
+			return err
+		}
+	}
+	e.nodeTree, e.order, e.edits = nodeTree, order, 0
+	e.snap.Store(next)
 	return nil
 }
 
 // Reorder re-lays the probe trees of the existing structure under the current
 // distributions (cheap restructuring after a distribution update) at the
 // nodes testing one of attrs — none given: at every node — and reports how
-// many nodes it re-laid and how many it only path-copied; the rest of the
-// automaton is shared with the predecessor. The reordered automaton is
-// published as a successor snapshot; in-flight matches finish on the old
-// layout.
+// many nodes it re-laid and how many it only path-copied, summed over the
+// automata; the rest of each automaton is shared with the predecessor. The
+// reordered automata are published as a successor snapshot; in-flight
+// matches finish on the old layout.
 func (e *Engine) Reorder(attrs ...int) (resorted, copied int, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	snap := e.snap.Load()
-	if snap.tree == nil {
+	if snap.parts == nil {
 		return 0, 0, e.rebuildLocked()
 	}
-	t, resorted, copied := snap.tree.Reordered(e.valueOrder(), attrs...)
-	e.snap.Store(&snapshot{tree: t, expand: snap.expand, t2n: snap.t2n})
+	next, vo := e.successor(snap, snap.expand), e.valueOrder()
+	for i := range next.parts {
+		if p := &next.parts[i]; p.tree != nil {
+			var r, c int
+			p.tree, r, c = p.tree.Reordered(vo, attrs...)
+			resorted, copied = resorted+r, copied+c
+		}
+	}
+	e.snap.Store(next)
 	return resorted, copied, nil
-}
-
-// SetEventDists replaces P_e (the adaptive component's entry point) without
-// restructuring; call Reorder or Rebuild to apply it.
-func (e *Engine) SetEventDists(ds []dist.Dist) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cfg.EventDists = ds
 }
 
 // Config returns a copy of the current configuration.
@@ -430,11 +503,11 @@ func (e *Engine) Config() Config {
 	return e.cfg
 }
 
-// SetConfig replaces the configuration. A built automaton stays published
-// while its structure still holds — the distributions only weigh values inside
-// nodes, which the next Reorder re-applies — and is invalidated, for the next
-// match to rebuild, when the attribute ordering changed or is derived from the
-// distributions (A2, A3).
+// SetConfig replaces the configuration. Built automata stay published while
+// their structure still holds — the distributions only weigh values inside
+// nodes, which the next Reorder re-applies — and are invalidated, for the
+// next match to rebuild, when the attribute ordering changed or is derived
+// from the distributions (A2, A3).
 func (e *Engine) SetConfig(cfg Config) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -452,15 +525,15 @@ func (e *Engine) SetConfig(cfg Config) {
 // current returns the engine's snapshot with a pending lazy build resolved:
 // built or empty, never stale. The stale case (re)builds the index under the
 // writer mutex, unless a concurrent writer already did. Matching needs the
-// whole snapshot, not just the tree: the expansion image and slot table
-// published alongside it must come from the same build.
+// whole snapshot, not just the trees: the expansion image published
+// alongside them must come from the same build.
 func (e *Engine) current() (*snapshot, error) {
-	if snap := e.snap.Load(); snap.empty || snap.tree != nil {
+	if snap := e.snap.Load(); snap.empty || snap.parts != nil {
 		return snap, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if snap := e.snap.Load(); snap.empty || snap.tree != nil {
+	if snap := e.snap.Load(); snap.empty || snap.parts != nil {
 		return snap, nil
 	}
 	if err := e.rebuildLocked(); err != nil {
@@ -469,27 +542,19 @@ func (e *Engine) current() (*snapshot, error) {
 	return e.snap.Load(), nil
 }
 
+var memberPool = sync.Pool{New: func() any { return new([]Member) }}
+
 // Match filters one event, returning matched profile IDs and the operations
 // spent. The traversal is lock-free: it runs against the current immutable
 // snapshot, so concurrent profile churn cannot block or skew it. IDs are
-// resolved against the same snapshot that produced the match. The slice is
-// fresh and the caller's.
+// resolved against the same snapshot that produced the match. The members
+// are matched into pooled scratch (memberPool), and the ids are copied out
+// into one fresh slice, the caller's, nil when nothing matched.
 //
 //genas:hotpath
 func (e *Engine) Match(vals []float64) ([]predicate.ID, int, error) {
-	return matchIDs(e, vals)
-}
-
-var memberPool = sync.Pool{New: func() any { return new([]Member) }}
-
-// matchIDs is the id-returning Match of either engine: f matches into pooled
-// scratch (memberPool), and the ids are copied out into one fresh slice, nil
-// when nothing matched.
-//
-//genas:hotpath
-func matchIDs(f Filter, vals []float64) ([]predicate.ID, int, error) {
 	buf := memberPool.Get().(*[]Member)
-	ms, ops, err := f.MatchAppend(vals, (*buf)[:0])
+	ms, ops, err := e.MatchAppend(vals, (*buf)[:0])
 	ids := idsOf(ms)
 	clear(ms)
 	*buf = ms[:0]
@@ -513,24 +578,25 @@ func idsOf(ms []Member) []predicate.ID {
 // caller owns: the engine keeps neither dst nor the returned slice, so a
 // caller that reuses one buffer across events allocates nothing per event
 // once the buffer is large enough. An empty engine returns dst as given, an
-// error nil.
+// error nil, and accounts no event.
 //
 //genas:hotpath
 func (e *Engine) MatchAppend(vals []float64, dst []Member) ([]Member, int, error) {
-	ms, ops, empty, err := e.matchInto(vals, dst)
+	snap, err := e.current()
 	if err != nil {
 		return nil, 0, err
 	}
-	if empty {
+	if snap.empty {
 		return dst, 0, nil
 	}
+	ms, ops := snap.match(vals, dst)
 	e.account.Record(ops)
 	return ms, ops, nil
 }
 
 // MatchAny reports whether the event matches at least one registered
 // profile — what a link filter asks — without building the id list: the
-// automaton holds a slot exactly while its canonical node has a subscriber,
+// automata hold a slot exactly while its canonical node has a subscriber,
 // so the first matched root answers, and the empty state is handled as Match
 // handles it. The probe is not counted in the operation accounting.
 //
@@ -540,32 +606,20 @@ func (e *Engine) MatchAny(vals []float64) (bool, error) {
 	if err != nil || snap.empty {
 		return false, err
 	}
-	return snap.tree.MatchAny(vals), nil
+	for i := range snap.parts {
+		if t := snap.parts[i].tree; t != nil && t.MatchAny(vals) {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
-// matchInto is MatchAppend without operation accounting: the sharded engine
-// merges per-shard results into one buffer and accounts once per event at
-// the top level. empty reports that the engine holds no profiles (which
-// matches nothing and does not count as a filtered event).
-//
-//genas:hotpath
-func (e *Engine) matchInto(vals []float64, dst []Member) (ms []Member, ops int, empty bool, err error) {
-	snap, err := e.current()
-	if err != nil {
-		return dst, 0, false, err
-	}
-	if snap.empty {
-		return dst, 0, true, nil
-	}
-	ms, ops = snap.match(vals, dst)
-	return ms, ops, false, nil
-}
-
-// Tree exposes the current automaton (nil until first built). A stale
-// snapshot (pending lazy rebuild) is resolved first, so the returned tree
-// reflects the current corpus and configuration; it may be superseded by
-// the time the caller inspects it. It indexes the poset's roots: its
-// profiles are canonical representatives, not subscriptions.
+// Tree exposes automaton 0, the whole index of a one-automaton engine (nil
+// until first built, or while share 0 has no root). A stale snapshot
+// (pending lazy rebuild) is resolved first, so the returned tree reflects
+// the current corpus and configuration; it may be superseded by the time the
+// caller inspects it. It indexes poset roots: its profiles are canonical
+// representatives, not subscriptions.
 func (e *Engine) Tree() *tree.Tree {
 	snap, err := e.current()
 	if err != nil {
@@ -575,8 +629,11 @@ func (e *Engine) Tree() *tree.Tree {
 }
 
 // Analyze runs the analytic cost model (Eq. 2) under the engine's event
-// distributions. The model is defined over the canonical automaton, so an
-// edited or stale one is coalesced first.
+// distributions. The model is defined over canonical automata, so edited or
+// stale ones are coalesced first. Over several automata the expected
+// operations add (every event walks every automaton), the match probability
+// combines as 1−Π(1−pᵢ), and PerProfile holds one entry per indexed root, in
+// automaton order.
 func (e *Engine) Analyze() (selectivity.Analysis, error) {
 	e.mu.Lock()
 	snap := e.snap.Load()
@@ -584,25 +641,56 @@ func (e *Engine) Analyze() (selectivity.Analysis, error) {
 		e.mu.Unlock()
 		return selectivity.Analysis{}, ErrNoProfiles
 	}
-	if snap.tree == nil || e.edits > 0 {
+	if snap.parts == nil || e.edits > 0 {
 		if err := e.rebuildLocked(); err != nil {
 			e.mu.Unlock()
 			return selectivity.Analysis{}, err
 		}
 		snap = e.snap.Load()
 	}
-	t := snap.tree
 	ed := e.eventDists()
 	e.mu.Unlock()
-	return selectivity.Analyze(t, ed, selectivity.Probe), nil
+	var out selectivity.Analysis
+	miss, first := 1.0, true
+	for _, p := range snap.parts {
+		if p.tree == nil {
+			continue
+		}
+		a := selectivity.Analyze(p.tree, ed, selectivity.Probe)
+		miss *= 1 - a.MatchProb
+		if first {
+			out, first = a, false
+			continue
+		}
+		out.MatchOps += a.MatchOps
+		out.R0Ops += a.R0Ops
+		out.TotalOps += a.TotalOps
+		out.ExpMatches += a.ExpMatches
+		out.MatchProb = 1 - miss
+		out.PerLevelOps = addLevels(out.PerLevelOps, a.PerLevelOps)
+		out.PerLevelMatch = addLevels(out.PerLevelMatch, a.PerLevelMatch)
+		out.PerLevelR0 = addLevels(out.PerLevelR0, a.PerLevelR0)
+		out.PerProfile = append(out.PerProfile, a.PerProfile...)
+	}
+	return out, nil
+}
+
+// addLevels element-wise adds b into a, growing a as needed.
+func addLevels(a, b []float64) []float64 {
+	if len(b) > len(a) {
+		a = append(a, make([]float64, len(b)-len(a))...)
+	}
+	for i, v := range b {
+		a[i] += v
+	}
+	return a
 }
 
 // Member is one registered subscription (agg.Member).
 type Member = agg.Member
 
 // AggStats summarizes the shape of the index: subscriptions, canonical nodes,
-// the roots the automaton indexes and the longest covering chain (for a
-// sharded filter the counts add and the depth is the worst shard's).
+// the roots the automata index and the longest covering chain.
 type AggStats = agg.Stats
 
 // AggStats reports the shape of the index.

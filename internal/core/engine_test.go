@@ -108,7 +108,7 @@ func TestEngineMeasuresChangeOrder(t *testing.T) {
 		}
 	}
 	aUniform := selectivity.Analyze(e.Tree(), eds, selectivity.Probe)
-	e.SetEventDists(eds)
+	e.SetConfig(Config{EventDists: eds})
 	if _, _, err := e.Reorder(); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestEngineAttrOrderings(t *testing.T) {
 	}
 }
 
-// TestEngineReorderKeepsSemantics: Reorder after SetEventDists changes costs
+// TestEngineReorderKeepsSemantics: Reorder after new event distributions changes costs
 // but never match results.
 func TestEngineReorderKeepsSemantics(t *testing.T) {
 	s := testSchema(t)
@@ -172,10 +172,10 @@ func TestEngineReorderKeepsSemantics(t *testing.T) {
 		ids, _, _ := e.Match(vals)
 		before = append(before, result{vals, ids})
 	}
-	e.SetEventDists([]dist.Dist{
+	e.SetConfig(Config{EventDists: []dist.Dist{
 		dist.New(dist.PeakLow(0.9), s.At(0).Domain),
 		dist.New(dist.PeakHigh(0.9), s.At(1).Domain),
-	})
+	}})
 	if _, _, err := e.Reorder(); err != nil {
 		t.Fatal(err)
 	}
@@ -483,10 +483,10 @@ func TestMatchAllocatesOnce(t *testing.T) {
 // spent; an empty engine hands dst back untouched and accounts nothing.
 func TestMatchAppendAppends(t *testing.T) {
 	s := testSchema(t)
-	for _, f := range []Filter{NewEngine(s, Config{}), NewSharded(s, Config{}, 2)} {
+	for _, f := range []*Engine{NewEngine(s, Config{}), NewSharded(s, Config{}, 2)} {
 		dst := []Member{agg.Bare(&predicate.Profile{ID: "held"})}
 		if got, ops, err := f.MatchAppend([]float64{15, 5}, dst); err != nil || len(got) != 1 || got[0] != dst[0] || ops != 0 {
-			t.Fatalf("%T: empty filter MatchAppend = %v, %d, %v; want dst back", f, got, ops, err)
+			t.Fatalf("%d automata: empty engine MatchAppend = %v, %d, %v; want dst back", f.n, got, ops, err)
 		}
 		for i := 0; i < 3; i++ {
 			if err := f.Add(agg.Bare(predicate.MustParse(s, predicate.ID(fmt.Sprintf("m%d", i)), "profile(x in [10,20])"))); err != nil {
@@ -495,10 +495,10 @@ func TestMatchAppendAppends(t *testing.T) {
 		}
 		got, ops, err := f.MatchAppend([]float64{15, 5}, dst)
 		if err != nil || len(got) != 4 || got[0] != dst[0] {
-			t.Fatalf("%T: MatchAppend = %v, %v; want held then three members", f, got, err)
+			t.Fatalf("%d automata: MatchAppend = %v, %v; want held then three members", f.n, got, err)
 		}
 		if acc := f.Account(); acc.Events != 1 || acc.Ops != uint64(ops) || ops == 0 {
-			t.Errorf("%T: accounted %+v, want 1 event with %d ops", f, acc, ops)
+			t.Errorf("%d automata: accounted %+v, want 1 event with %d ops", f.n, acc, ops)
 		}
 	}
 }
@@ -510,7 +510,7 @@ func TestMatchAppendAppends(t *testing.T) {
 func TestMembersKeepTheirOwnProfiles(t *testing.T) {
 	dom, _ := schema.NewIntegerDomain(0, 50)
 	s := schema.MustNew(schema.Attribute{Name: "x", Domain: dom})
-	for _, f := range []Filter{NewEngine(s, Config{}), NewSharded(s, Config{}, 2)} {
+	for _, f := range []*Engine{NewEngine(s, Config{}), NewSharded(s, Config{}, 2)} {
 		a := predicate.MustParse(s, "a", "profile(x in [0,50])")
 		b := predicate.MustParse(s, "b", "profile(x <= 50)")
 		a.Priority, b.Priority = 2, 5
@@ -519,8 +519,8 @@ func TestMembersKeepTheirOwnProfiles(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if e, ok := f.(*Engine); ok && e.AggStats().Nodes != 1 {
-			t.Fatalf("the two spellings make %d canonical nodes, want 1", e.AggStats().Nodes)
+		if n := f.AggStats().Nodes; n != 1 {
+			t.Fatalf("the two spellings make %d canonical nodes, want 1", n)
 		}
 		listed := make(map[predicate.ID]*predicate.Profile)
 		for _, m := range f.Members() {
@@ -532,7 +532,7 @@ func TestMembersKeepTheirOwnProfiles(t *testing.T) {
 		}{{a, "profile(x in [0,50])"}, {b, "profile(x <= 50)"}} {
 			got := listed[want.p.ID]
 			if got == nil || got.Render(s) != want.expr || got.Priority != want.p.Priority {
-				t.Errorf("%T lists %s as %v, want %s with priority %g", f, want.p.ID, got, want.expr, want.p.Priority)
+				t.Errorf("%d automata list %s as %v, want %s with priority %g", f.n, want.p.ID, got, want.expr, want.p.Priority)
 			}
 		}
 	}

@@ -49,7 +49,7 @@ func TestParallelRebuildIsIdentical(t *testing.T) {
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "%+v %+v\n%s", e.AggStats(), e.Tree().Stats(), e.Tree().Dump())
-		e.SetEventDists([]dist.Dist{dist.New(skew, s.At(0).Domain), dist.New(skew, s.At(1).Domain)})
+		e.SetConfig(Config{EventDists: []dist.Dist{dist.New(skew, s.At(0).Domain), dist.New(skew, s.At(1).Domain)}})
 		resorted, copied, err := e.Reorder()
 		if err != nil {
 			t.Fatal(err)

@@ -7,9 +7,11 @@ import (
 	"sort"
 	"testing"
 
+	"genas/internal/agg"
 	"genas/internal/dist"
 	"genas/internal/predicate"
 	"genas/internal/schema"
+	"genas/internal/selectivity"
 )
 
 // uniformDists returns a uniform P_e per schema attribute.
@@ -60,28 +62,75 @@ func sortedIDs(ids []predicate.ID) []string {
 	return out
 }
 
-// TestShardOf: the partition is stable, in-range, and spreads ids.
-func TestShardOf(t *testing.T) {
-	if shardOf("anything", 1) != 0 || shardOf("anything", 0) != 0 {
-		t.Error("degenerate partitions must map to shard 0")
+// checkShares fails the test unless every poset root sits in automaton idx
+// mod n at the slot the engine's table names, and nothing else is indexed.
+// An engine that is not built indexes nothing and passes.
+func checkShares(t *testing.T, e *Engine) {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	snap := e.snap.Load()
+	if snap.parts == nil {
+		return
 	}
-	const n = 8
-	counts := make([]int, n)
-	for i := 0; i < 4096; i++ {
-		id := predicate.ID(fmt.Sprintf("sub-%d", i))
-		s1 := shardOf(id, n)
-		if s1 < 0 || s1 >= n {
-			t.Fatalf("shard %d out of range", s1)
-		}
-		if s2 := shardOf(id, n); s2 != s1 {
-			t.Fatalf("unstable hash: %d vs %d", s1, s2)
-		}
-		counts[s1]++
+	if len(snap.parts) != e.n {
+		t.Fatalf("%d automata published, want %d", len(snap.parts), e.n)
 	}
-	for i, c := range counts {
-		if c < 4096/n/2 || c > 4096*2/n {
-			t.Errorf("shard %d holds %d of 4096 ids: partition badly skewed", i, c)
+	roots := e.agg.RootList()
+	for _, r := range roots {
+		p := &snap.parts[int(r.Idx)%e.n]
+		if int(r.Idx) >= len(e.nodeTree) || e.nodeTree[r.Idx] < 0 || p.tree == nil {
+			t.Fatalf("root %d is in no automaton", r.Idx)
 		}
+		if slot := e.nodeTree[r.Idx]; int(slot) >= len(p.t2n) || p.t2n[slot] != r.Idx {
+			t.Fatalf("root %d: slot %d of automaton %d does not map back to it", r.Idx, slot, int(r.Idx)%e.n)
+		}
+	}
+	indexed := 0
+	for _, slot := range e.nodeTree {
+		if slot >= 0 {
+			indexed++
+		}
+	}
+	if indexed != len(roots) {
+		t.Fatalf("%d nodes indexed for %d roots", indexed, len(roots))
+	}
+}
+
+// TestShardsShareOnePoset: the automata of one engine split one poset's
+// roots. A structure subscribed under two ids is one node, and a profile
+// covered by another is no root, whatever the ids. The ids are chosen so
+// that an FNV-1a id hash mod 2 splits both pairs: p0 and p2 one way, p1 and
+// p3 the other, which would make x >= 10 a node twice and y >= 60 a root.
+func TestShardsShareOnePoset(t *testing.T) {
+	s := testSchema(t)
+	e := NewSharded(s, Config{}, 2)
+	add := func(id, expr string) {
+		t.Helper()
+		if err := e.AddProfile(predicate.MustParse(s, predicate.ID(id), expr)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add("p0", "profile(x >= 10)")
+	if _, _, err := e.Match([]float64{50, 50}); err != nil {
+		t.Fatal(err)
+	}
+	add("p1", "profile(x >= 10)")
+	if n := e.AggStats().Nodes; n != 1 {
+		t.Fatalf("one structure under two ids makes %d nodes, want 1", n)
+	}
+	add("p2", "profile(y >= 50)")
+	add("p3", "profile(y >= 60)")
+	if st := e.AggStats(); st.Nodes != 3 || st.Roots != 2 {
+		t.Fatalf("index shape %+v, want 3 nodes under 2 roots", st)
+	}
+	if r := e.agg.RelationOf("p2", "p3"); r != agg.Covers {
+		t.Fatalf("p2 %v p3, want covers", r)
+	}
+	checkShares(t, e)
+	got, _, err := e.Match([]float64{50, 70})
+	if err != nil || fmt.Sprint(sortedIDs(got)) != "[p0 p1 p2 p3]" {
+		t.Fatalf("Match = %v, %v; want all four", got, err)
 	}
 }
 
@@ -91,8 +140,8 @@ func TestShardedMatchesOracle(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 16} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			oracle, sharded, _ := shardedPair(t, n, 120, 42)
-			if got := sharded.ShardCount(); got != n {
-				t.Fatalf("ShardCount = %d", got)
+			if sharded.n != n {
+				t.Fatalf("%d automata, want %d", sharded.n, n)
 			}
 			if oracle.AggStats().Subscriptions != sharded.AggStats().Subscriptions {
 				t.Fatalf("profile counts differ: %d vs %d", oracle.AggStats().Subscriptions, sharded.AggStats().Subscriptions)
@@ -122,32 +171,29 @@ func TestShardedMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestShardedMatchAllocations: an event matching on both shards of a
-// two-shard engine costs one allocation, the id slice Match preallocates.
+// TestShardedMatchAllocations: an event matching in both automata of a
+// two-automaton engine costs one allocation, the id slice Match
+// preallocates. The two structures are nodes 0 and 1, one per automaton.
 func TestShardedMatchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled expansion scratch, which then allocates")
 	}
 	s := testSchema(t)
 	sharded := NewSharded(s, Config{}, 2)
-	var ids [2]predicate.ID
-	for i := 0; ids[0] == "" || ids[1] == ""; i++ {
-		id := predicate.ID(fmt.Sprintf("p%d", i))
-		if k := shardOf(id, 2); ids[k] == "" {
-			ids[k] = id
-		}
-	}
-	for _, id := range ids {
-		if err := sharded.AddProfile(predicate.MustParse(s, id, "profile(x >= 10)")); err != nil {
+	for i, expr := range []string{"profile(x >= 10)", "profile(y >= 10)"} {
+		if err := sharded.AddProfile(predicate.MustParse(s, predicate.ID(fmt.Sprintf("p%d", i)), expr)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ev := []float64{50, 50}
 	if got, _, err := sharded.Match(ev); err != nil || len(got) != 2 {
-		t.Fatalf("Match = %v, %v; want both shards' ids", got, err)
+		t.Fatalf("Match = %v, %v; want both automata's ids", got, err)
+	}
+	if snap := sharded.snap.Load(); snap.parts[0].tree == nil || snap.parts[1].tree == nil {
+		t.Fatal("the two structures share one automaton")
 	}
 	if n := testing.AllocsPerRun(200, func() { _, _, _ = sharded.Match(ev) }); n > 1 {
-		t.Errorf("a match on both shards allocates %.1f objects, want 1", n)
+		t.Errorf("a match in both automata allocates %.1f objects, want 1", n)
 	}
 	// The appending path into a warmed buffer allocates nothing, on a match
 	// and on a miss.
@@ -191,8 +237,8 @@ func TestShardedStatsTotals(t *testing.T) {
 	}
 }
 
-// TestShardedProfileChurn: removing profiles dirties only the home shard and
-// the merged view stays consistent with the oracle.
+// TestShardedProfileChurn: removing profiles keeps every root in its
+// automaton and the match set consistent with the oracle.
 func TestShardedProfileChurn(t *testing.T) {
 	oracle, sharded, _ := shardedPair(t, 4, 60, 21)
 	// Remove a third of the profiles from both engines.
@@ -217,6 +263,7 @@ func TestShardedProfileChurn(t *testing.T) {
 	if err := sharded.Add(sharded.Members()[0]); err == nil {
 		t.Error("duplicate add must fail")
 	}
+	checkShares(t, sharded)
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 200; i++ {
 		ev := []float64{float64(rng.Intn(100)), float64(rng.Intn(100))}
@@ -228,21 +275,16 @@ func TestShardedProfileChurn(t *testing.T) {
 	}
 }
 
-// TestShardedRestructure: SetConfig/SetEventDists/Reorder/Rebuild fan out
-// per shard and the match set is invariant under restructuring.
+// TestShardedRestructure: SetConfig, Reorder and Rebuild reach every
+// automaton and the match set is invariant under restructuring.
 func TestShardedRestructure(t *testing.T) {
 	oracle, sharded, s := shardedPair(t, 3, 70, 31)
 	eds := uniformDists(s)
-	cfg := sharded.Config()
-	cfg.AttrOrdering = AttrA2
-	sharded.SetConfig(cfg)
-	sharded.SetEventDists(eds)
+	sharded.SetConfig(Config{AttrOrdering: AttrA2, EventDists: eds})
 	if err := sharded.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sharded.Config(); got.AttrOrdering != AttrA2 {
-		t.Fatalf("config did not fan out: %+v", got)
-	}
+	checkShares(t, sharded)
 	if _, _, err := sharded.Reorder(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,21 +297,21 @@ func TestShardedRestructure(t *testing.T) {
 			t.Fatalf("restructured match differs on %v", ev)
 		}
 	}
-	// Rebuild/Reorder on an engine with empty shards must not fail.
+	// Rebuild/Reorder on an engine with automata without roots must not fail.
 	small := NewSharded(s, Config{}, 8)
 	if err := small.AddProfile(predicate.MustParse(s, "only", "profile(x = 1)")); err != nil {
 		t.Fatal(err)
 	}
 	if err := small.Rebuild(); err != nil {
-		t.Fatalf("rebuild with empty shards: %v", err)
+		t.Fatalf("rebuild with automata without roots: %v", err)
 	}
 	if _, _, err := small.Reorder(); err != nil {
-		t.Fatalf("reorder with empty shards: %v", err)
+		t.Fatalf("reorder with automata without roots: %v", err)
 	}
 }
 
-// TestShardedAnalyze: the merged cost model sums expected operations across
-// shards and combines match probabilities.
+// TestShardedAnalyze: the cost model of several automata sums their
+// expected operations and combines their match probabilities.
 func TestShardedAnalyze(t *testing.T) {
 	_, sharded, s := shardedPair(t, 3, 45, 17)
 	a, err := sharded.Analyze()
@@ -277,17 +319,15 @@ func TestShardedAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wantOps, wantMatches float64
-	for i := 0; i < sharded.ShardCount(); i++ {
-		e := sharded.Shard(i)
-		if e.AggStats().Subscriptions == 0 {
+	miss := 1.0
+	for _, p := range sharded.snap.Load().parts {
+		if p.tree == nil {
 			continue
 		}
-		sa, err := e.Analyze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantOps += sa.TotalOps
-		wantMatches += sa.ExpMatches
+		pa := selectivity.Analyze(p.tree, uniformDists(s), selectivity.Probe)
+		wantOps += pa.TotalOps
+		wantMatches += pa.ExpMatches
+		miss *= 1 - pa.MatchProb
 	}
 	if math.Abs(a.TotalOps-wantOps) > 1e-9 {
 		t.Errorf("TotalOps = %v, want %v", a.TotalOps, wantOps)
@@ -295,8 +335,8 @@ func TestShardedAnalyze(t *testing.T) {
 	if math.Abs(a.ExpMatches-wantMatches) > 1e-9 {
 		t.Errorf("ExpMatches = %v, want %v", a.ExpMatches, wantMatches)
 	}
-	if a.MatchProb <= 0 || a.MatchProb > 1 {
-		t.Errorf("MatchProb = %v", a.MatchProb)
+	if math.Abs(a.MatchProb-(1-miss)) > 1e-12 || a.MatchProb <= 0 || a.MatchProb > 1 {
+		t.Errorf("MatchProb = %v, want %v", a.MatchProb, 1-miss)
 	}
 	if roots := sharded.AggStats().Roots; len(a.PerProfile) != roots || roots >= sharded.AggStats().Subscriptions {
 		t.Errorf("PerProfile = %d entries for %d indexed roots of %d profiles", len(a.PerProfile), roots, sharded.AggStats().Subscriptions)
