@@ -80,8 +80,9 @@ func churnExpr(kx, ky, v byte) string {
 
 // runChurnSequence feeds the byte stream as a churn script into filter and
 // verifies both oracles, and that every root sits in automaton idx mod n,
-// every checkEvery operations (and once at the end).
-func runChurnSequence(t *testing.T, s *schema.Schema, filter *Engine, data []byte, checkEvery int) {
+// every checkEvery operations, right after each coalescing rebuild, and once
+// at the end. It returns how many coalescing rebuilds the script crossed.
+func runChurnSequence(t *testing.T, s *schema.Schema, filter *Engine, data []byte, checkEvery int) (coalesced int) {
 	t.Helper()
 	probes := churnProbes()
 	live := make(map[predicate.ID]*predicate.Profile)
@@ -158,6 +159,7 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter *Engine, data []byt
 			break
 		}
 		step++
+		edits := filter.edits
 		switch {
 		case op%8 == 7 && len(order) > 0:
 			// Occasionally restructure explicitly: Reorder on a possibly
@@ -211,11 +213,18 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter *Engine, data []byt
 			live[id] = p
 			order = append(order, id)
 		}
-		if step%checkEvery == 0 {
+		// A subscribe or unsubscribe that clears a spent edit budget ran the
+		// coalescing rebuild (an explicit restructure clears it too, and
+		// the budget is already 0 whenever the corpus is empty).
+		if op%8 != 7 && edits > 0 && filter.edits == 0 {
+			coalesced++
+			verify(step)
+		} else if step%checkEvery == 0 {
 			verify(step)
 		}
 	}
 	verify(step)
+	return coalesced
 }
 
 // FuzzChurnSequence fuzzes interleaved subscribe/unsubscribe/restructure
@@ -249,20 +258,24 @@ func FuzzChurnSequence(f *testing.F) {
 }
 
 // TestChurnSequenceOracle runs long deterministic churn scripts through an
-// engine of one automaton and one of three — long enough to cross the
-// coalescing threshold mid-sequence, so incremental inserts, removals and
-// the coalesced rebuild all get oracle-checked in one run.
+// engine of one automaton and one of three, so incremental inserts, removals,
+// explicit restructures and the coalesced rebuild all get oracle-checked.
 func TestChurnSequenceOracle(t *testing.T) {
 	s := testSchema(t)
-	script := func(seed byte, n int) []byte {
+	// script is a deterministic, seed-sensitive byte stream (xorshift).
+	// Without restructures no byte is 7 mod 8, so no op is an explicit
+	// Rebuild or Reorder and the edit budget only fills.
+	script := func(seed byte, n int, restructures bool) []byte {
 		data := make([]byte, n)
 		x := uint32(seed) + 1
 		for i := range data {
-			// xorshift: a deterministic, seed-sensitive byte stream.
 			x ^= x << 13
 			x ^= x >> 17
 			x ^= x << 5
 			data[i] = byte(x >> 8)
+			if !restructures && data[i]%8 == 7 {
+				data[i]--
+			}
 		}
 		return data
 	}
@@ -275,9 +288,12 @@ func TestChurnSequenceOracle(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := byte(1); seed <= 3; seed++ {
-				// ~600 bytes ≈ 200+ operations: enough edits to trigger the
-				// engine's coalescing rebuild along the way.
-				runChurnSequence(t, s, tc.filter(), script(seed, 600), 25)
+				runChurnSequence(t, s, tc.filter(), script(seed, 600, true), 25)
+			}
+			// At most 48 live profiles keep the budget at its 128-edit
+			// floor; ~400 restructure-free ops spend it mid-sequence.
+			if runChurnSequence(t, s, tc.filter(), script(1, 1200, false), 25) == 0 {
+				t.Error("the restructure-free script never crossed the coalescing threshold")
 			}
 		})
 	}

@@ -49,54 +49,26 @@ func runGoLife(pass *Pass) {
 	}
 	decls := declaredFuncs(pass)
 
-	// Phase 1: per-function summaries.
-	sums := make(map[*types.Func]*goSummary, len(decls))
+	// A function leaks when it has an unbounded loop with neither wait nor
+	// join witness, or (lacking its own witnesses) calls a function that
+	// leaks.
+	leaks := make(map[*types.Func]string)
+	callees := make(map[*types.Func][]*types.Func, len(decls))
 	for fn, fd := range decls {
-		sums[fn] = summarizeBody(pass, fd.Body)
+		s := summarizeBody(pass, fd.Body)
+		if s.waits || s.joins {
+			continue
+		}
+		if s.unbounded {
+			leaks[fn] = "contains an unbounded loop with no exit, channel wait, or join"
+		}
+		callees[fn] = s.callees
 	}
+	calleeLeak := calleeFixpoint(pass, goLeakFact, leaks, callees, func(_ string, had bool, callee *types.Func, _ string) (string, bool) {
+		return "calls " + callee.Name() + ", which may run forever", !had
+	})
 
-	// Phase 2: leak fixpoint. A function leaks when it has an unbounded
-	// loop with neither wait nor join witness, or (lacking its own
-	// witnesses) calls a function that leaks.
-	leak := make(map[*types.Func]string, len(decls))
-	for fn, s := range sums {
-		if s.unbounded && !s.waits && !s.joins {
-			leak[fn] = "contains an unbounded loop with no exit, channel wait, or join"
-		}
-	}
-	calleeLeak := func(fn *types.Func) (string, bool) {
-		if _, local := sums[fn]; local {
-			why, ok := leak[fn]
-			return why, ok
-		}
-		if fact, ok := pass.Shared[goLeakFact(funcFullName(fn))]; ok {
-			return fact.(string), true
-		}
-		return "", false
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, s := range sums {
-			if _, done := leak[fn]; done || s.waits || s.joins {
-				continue
-			}
-			for _, callee := range s.callees {
-				if callee == fn {
-					continue
-				}
-				if _, leaks := calleeLeak(callee); leaks {
-					leak[fn] = "calls " + callee.Name() + ", which may run forever"
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	for fn, why := range leak {
-		pass.Shared[goLeakFact(funcFullName(fn))] = why
-	}
-
-	// Phase 3: judge every go statement.
+	// Judge every go statement.
 	for _, fd := range decls {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -17,16 +18,14 @@ import (
 //
 // Locks are identified at type granularity — "pkg.Type.field" for a mutex
 // field, "pkg.var" for a package-level mutex — so two instances of the
-// same field unify: ordering must hold per type, not per object. Held sets
-// are tracked in source order per function (locksafe's machinery: deferred
-// unlocks pin the lock for the rest of the body, function literals and go
-// statements run elsewhere and are skipped, single-assignment local
-// closures are inlined). Each function's transitive acquisition set is
-// propagated through a package-local fixpoint and published as a fact, so
-// a call made under a held lock contributes edges to every lock the callee
-// (transitively, cross-package) acquires. Self-edges are skipped: locking
-// two instances of one type in sequence needs an instance order, which is
-// beyond a type-granular analysis.
+// same field unify: ordering must hold per type, not per object. What is
+// held where is walkHeld's definition, shared with locksafe; a local
+// mutex has no identity and takes no part. Each function's transitive
+// acquisition set is propagated through the callee fixpoint and published
+// as a fact, so a call made under a held lock contributes edges to every
+// lock the callee (transitively, cross-package) acquires. Self-edges are
+// skipped: locking two instances of one type in sequence needs an
+// instance order, which is beyond a type-granular analysis.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "the cross-package mutex-acquisition graph must stay acyclic",
@@ -44,98 +43,35 @@ const (
 	lockReportedKey = "reported:"
 )
 
-// lockEvent is one ordered occurrence inside a function body: a direct
-// acquisition of a lock, or a call whose callee's acquisitions happen
-// under the current held set.
-type lockEvent struct {
-	pos    token.Pos
-	held   []string    // locks held when the event happens, sorted
-	lock   string      // non-empty for a direct acquisition
-	callee *types.Func // non-nil for a static call
-}
-
 func runLockOrder(pass *Pass) {
 	decls := declaredFuncs(pass)
 
 	// Deterministic function order: the graph's first-writer-wins edge
 	// positions and cycle-report sites must not depend on map iteration.
-	type fnDecl struct {
-		fn *types.Func
-		fd *ast.FuncDecl
-	}
-	ordered := make([]fnDecl, 0, len(decls))
+	ordered := make([]*ast.FuncDecl, 0, len(decls))
+	acqs := make(map[*types.Func][]string, len(decls))
+	callees := make(map[*types.Func][]*types.Func, len(decls))
 	for fn, fd := range decls {
-		ordered = append(ordered, fnDecl{fn, fd})
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].fd.Pos() < ordered[j].fd.Pos() })
-
-	// Phase 1: per-function event streams and direct acquisition sets.
-	events := make(map[*types.Func][]lockEvent, len(decls))
-	direct := make(map[*types.Func]map[string]bool, len(decls))
-	for _, d := range ordered {
-		evs := scanLockEvents(pass, d.fd.Body)
-		events[d.fn] = evs
-		set := make(map[string]bool)
-		for _, ev := range evs {
-			if ev.lock != "" {
-				set[ev.lock] = true
+		ordered = append(ordered, fd)
+		walkHeld(pass, fd.Body, func(l heldLock, _ heldSet) {
+			if l.id != "" {
+				acqs[fn] = union(acqs[fn], []string{l.id})
 			}
-		}
-		direct[d.fn] = set
-	}
-
-	// Phase 2: package-local fixpoint over transitive acquisition sets,
-	// seeding callees outside the package from their published facts.
-	trans := make(map[*types.Func]map[string]bool, len(decls))
-	for fn, set := range direct {
-		t := make(map[string]bool, len(set))
-		for l := range set {
-			t[l] = true
-		}
-		trans[fn] = t
-	}
-	calleeAcqs := func(fn *types.Func) []string {
-		if t, local := trans[fn]; local {
-			out := make([]string, 0, len(t))
-			for l := range t {
-				out = append(out, l)
+		}, func(n ast.Node, _ heldSet) bool {
+			if callee := staticCall(pass, n); callee != nil {
+				callees[fn] = append(callees[fn], callee)
 			}
-			sort.Strings(out)
-			return out
-		}
-		if fact, ok := pass.Shared[lockAcqFact(funcFullName(fn))]; ok {
-			return fact.([]string)
-		}
-		return nil
+			return true
+		})
 	}
-	for changed := true; changed; {
-		changed = false
-		for fn, evs := range events {
-			for _, ev := range evs {
-				if ev.callee == nil {
-					continue
-				}
-				for _, l := range calleeAcqs(ev.callee) {
-					if !trans[fn][l] {
-						trans[fn][l] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	for _, d := range ordered {
-		set := trans[d.fn]
-		out := make([]string, 0, len(set))
-		for l := range set {
-			out = append(out, l)
-		}
-		sort.Strings(out)
-		pass.Shared[lockAcqFact(funcFullName(d.fn))] = out
-	}
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Pos() < ordered[j].Pos() })
+	acquires := calleeFixpoint(pass, lockAcqFact, acqs, callees, func(cur []string, _ bool, _ *types.Func, v []string) ([]string, bool) {
+		next := union(cur, v)
+		return next, len(next) > len(cur)
+	})
 
-	// Phase 3: replay the event streams against the shared graph, adding
-	// held→acquired edges and reporting the edge that closes a cycle.
+	// Re-walk against the shared graph, adding held→acquired edges and
+	// reporting the edge that closes a cycle.
 	graph, _ := pass.Shared[lockGraphKey].(map[string]map[string]string)
 	if graph == nil {
 		graph = make(map[string]map[string]string)
@@ -146,42 +82,56 @@ func runLockOrder(pass *Pass) {
 		reported = make(map[string]bool)
 		pass.Shared[lockReportedKey] = reported
 	}
-	addEdge := func(from, to string, pos token.Pos) {
-		if from == to {
-			return
-		}
-		if graph[from] == nil {
-			graph[from] = make(map[string]string)
-		}
-		if _, seen := graph[from][to]; seen {
-			return // the cycle check ran when this edge first appeared
-		}
-		graph[from][to] = pass.Fset.Position(pos).String()
-		if path := lockPath(graph, to, from); path != nil && !reported[from+"→"+to] {
-			reported[from+"→"+to] = true
-			full := append(path, to)
-			pass.Reportf(pos, "lock order cycle: %s acquired while %s is held, but the reverse order exists: %s",
-				to, from, strings.Join(full, " -> "))
-		}
-	}
-	for _, d := range ordered {
-		for _, ev := range events[d.fn] {
-			if ev.lock != "" {
-				for _, h := range ev.held {
-					addEdge(h, ev.lock, ev.pos)
-				}
+	addEdges := func(held heldSet, to string, pos token.Pos) {
+		for _, from := range held.ids() {
+			if from == to {
 				continue
 			}
-			if len(ev.held) == 0 {
-				continue
+			if graph[from] == nil {
+				graph[from] = make(map[string]string)
 			}
-			for _, acq := range calleeAcqs(ev.callee) {
-				for _, h := range ev.held {
-					addEdge(h, acq, ev.pos)
-				}
+			if _, seen := graph[from][to]; seen {
+				continue // the cycle check ran when this edge first appeared
+			}
+			graph[from][to] = pass.Fset.Position(pos).String()
+			if path := lockPath(graph, to, from); path != nil && !reported[from+"→"+to] {
+				reported[from+"→"+to] = true
+				full := append(path, to)
+				pass.Reportf(pos, "lock order cycle: %s acquired while %s is held, but the reverse order exists: %s",
+					to, from, strings.Join(full, " -> "))
 			}
 		}
 	}
+	for _, fd := range ordered {
+		walkHeld(pass, fd.Body, func(l heldLock, held heldSet) {
+			if l.id != "" {
+				addEdges(held, l.id, l.pos)
+			}
+		}, func(n ast.Node, held heldSet) bool {
+			if callee := staticCall(pass, n); callee != nil && len(held) > 0 {
+				taken, _ := acquires(callee)
+				for _, acq := range taken {
+					addEdges(held, acq, n.Pos())
+				}
+			}
+			return true
+		})
+	}
+}
+
+// staticCall returns the function a call node invokes statically, or nil.
+func staticCall(pass *Pass, n ast.Node) *types.Func {
+	if call, ok := n.(*ast.CallExpr); ok {
+		return staticCallee(pass.Info, call)
+	}
+	return nil
+}
+
+// union returns the sorted, distinct union of two sets of lock identities.
+func union(a, b []string) []string {
+	out := append(slices.Clone(a), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // lockPath returns the node sequence of a path from→…→to through the
@@ -211,125 +161,6 @@ func lockPath(graph map[string]map[string]string, from, to string) []string {
 		return nil
 	}
 	return dfs(from, []string{from})
-}
-
-// scanLockEvents walks a function body in source order, tracking held
-// locks by type-granular identity, and returns the acquisition and call
-// events with their held-set snapshots.
-func scanLockEvents(pass *Pass, body *ast.BlockStmt) []lockEvent {
-	info := pass.Info
-	held := make(map[string]bool)
-	var events []lockEvent
-
-	snapshot := func() []string {
-		out := make([]string, 0, len(held))
-		for l := range held {
-			out = append(out, l)
-		}
-		sort.Strings(out)
-		return out
-	}
-
-	localClosures := collectLocalClosures(info, body)
-	deferredUnlocks := make(map[*ast.CallExpr]bool)
-	inlining := make(map[*ast.FuncLit]bool)
-
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.GoStmt:
-			return false
-		case *ast.DeferStmt:
-			if id, op, ok := lockOrderCall(pass, n.Call); ok && (op == "Unlock" || op == "RUnlock") && id != "" {
-				deferredUnlocks[n.Call] = true
-			}
-			return true
-		case *ast.CallExpr:
-			if id, op, ok := lockOrderCall(pass, n); ok {
-				if id == "" {
-					return false // local or unidentifiable lock: invisible
-				}
-				switch op {
-				case "Lock", "RLock":
-					events = append(events, lockEvent{pos: n.Pos(), held: snapshot(), lock: id})
-					held[id] = true
-				case "Unlock", "RUnlock":
-					if !deferredUnlocks[n] {
-						delete(held, id)
-					}
-				}
-				return false
-			}
-			if fn := staticCallee(info, n); fn != nil {
-				events = append(events, lockEvent{pos: n.Pos(), held: snapshot(), callee: fn})
-				return true
-			}
-			if lit := closureFor(info, localClosures, n); lit != nil && !inlining[lit] {
-				inlining[lit] = true
-				ast.Inspect(lit.Body, walk)
-				inlining[lit] = false
-				return false
-			}
-			return true
-		}
-		return true
-	}
-	ast.Inspect(body, walk)
-	return events
-}
-
-// lockOrderCall recognizes a Lock/Unlock/RLock/RUnlock call on a mutex and
-// resolves the lock's type-granular identity: "pkg.Type.field" for a
-// struct field (whatever the instance expression), "pkg.var" for a
-// package-level mutex, "" for locals and shapes the analysis cannot name.
-func lockOrderCall(pass *Pass, call *ast.CallExpr) (id, op string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	op = sel.Sel.Name
-	switch op {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	tv, found := pass.Info.Types[sel.X]
-	if !found || !isMutex(tv.Type) {
-		return "", "", false
-	}
-	return lockIdentity(pass, sel.X), op, true
-}
-
-// lockIdentity names the mutex expression at type granularity.
-func lockIdentity(pass *Pass, expr ast.Expr) string {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.SelectorExpr:
-		// A field selection: identity is owner-type.field.
-		if selection, ok := pass.Info.Selections[e]; ok {
-			if named := namedOf(selection.Recv()); named != nil {
-				obj := named.Obj()
-				if obj.Pkg() != nil {
-					return obj.Pkg().Name() + "." + obj.Name() + "." + e.Sel.Name
-				}
-			}
-			return ""
-		}
-		// Package-qualified: a package-level mutex var in another package.
-		if v, ok := pass.Info.Uses[e.Sel].(*types.Var); ok && v.Pkg() != nil {
-			return v.Pkg().Name() + "." + v.Name()
-		}
-		return ""
-	case *ast.Ident:
-		if v, ok := pass.Info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Name() + "." + v.Name()
-		}
-		return "" // local mutex: cannot participate in a cross-function cycle by name
-	case *ast.StarExpr:
-		return lockIdentity(pass, e.X)
-	}
-	return ""
 }
 
 // namedOf unwraps pointers to the named type underneath, or nil.

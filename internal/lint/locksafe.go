@@ -18,10 +18,11 @@ import (
 //
 // The analysis is intra-procedural per function with package-local
 // transitive summaries: a lock acquired in a callee (the Engine.acquire
-// pattern) is not visible to its caller, and lock state is tracked in
-// source order, not over the control-flow graph — both are accepted
+// pattern) is not visible to its caller, and what is held is walkHeld's
+// source-order tracking, not a control-flow graph — both are accepted
 // limitations, tuned so that the real tree's idioms need no suppressions
-// beyond genuinely intentional blocking.
+// beyond genuinely intentional blocking. Under several held locks the
+// diagnostic names the one acquired first.
 var LockSafe = &Analyzer{
 	Name: "locksafe",
 	Doc:  "no blocking work (channel ops, I/O, callbacks) under a mutex held in the same function",
@@ -68,207 +69,103 @@ var locksafeSeeds = map[string]string{
 	"(*genas/internal/federation.Fed).Dial":              "network dial + handshake",
 }
 
-// lockOp is one potentially-blocking operation found in a function body.
-type lockOp struct {
-	pos  token.Pos
-	what string
-}
+// blockFact keys a function's blocking reason in Pass.Shared:
+// "blocks:<fullname>" -> reason string (present only for blocking funcs).
+// Callee lists hold same-package functions only, so the summaries stay
+// package-local.
+func blockFact(full string) string { return "blocks:" + full }
 
 // runLockSafe analyzes one package: build per-function blocking summaries,
 // propagate them through the package-local call graph, then re-walk every
 // function tracking held locks and report blocking operations under them.
 func runLockSafe(pass *Pass) {
 	decls := declaredFuncs(pass)
-
-	// Phase 1: direct blocking ops + package-local call sites per function.
-	type funcFacts struct {
-		direct []lockOp
-		calls  map[*types.Func][]token.Pos
-	}
-	facts := make(map[*types.Func]*funcFacts, len(decls))
+	direct := make(map[*types.Func]string, len(decls))
+	callees := make(map[*types.Func][]*types.Func, len(decls))
 	for fn, fd := range decls {
-		ff := &funcFacts{calls: make(map[*types.Func][]token.Pos)}
-		scanBlockingOps(pass, fd.Body, func(op lockOp, _ map[string]token.Pos) {
-			ff.direct = append(ff.direct, op)
-		}, func(callee *types.Func, pos token.Pos, _ map[string]token.Pos) {
-			ff.calls[callee] = append(ff.calls[callee], pos)
+		scanBlockingOps(pass, fd.Body, func(_ token.Pos, what string, _ heldSet) {
+			if _, ok := direct[fn]; !ok {
+				direct[fn] = what
+			}
+		}, func(callee *types.Func, _ token.Pos, _ heldSet) {
+			callees[fn] = append(callees[fn], callee)
 		})
-		facts[fn] = ff
 	}
-
-	// Phase 2: fixpoint — a function blocks if it has a direct blocking op
-	// or calls a same-package function that blocks.
-	reason := make(map[*types.Func]string, len(decls))
-	for fn, ff := range facts {
-		if len(ff.direct) > 0 {
-			reason[fn] = ff.direct[0].what
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, ff := range facts {
-			if _, done := reason[fn]; done {
-				continue
-			}
-			for callee := range ff.calls {
-				if why, ok := reason[callee]; ok {
-					reason[fn] = "calls " + callee.Name() + ", which may block (" + why + ")"
-					changed = true
-					break
-				}
-			}
-		}
-	}
-
-	// Phase 3: report blocking ops and blocking calls under held locks.
+	blocking := calleeFixpoint(pass, blockFact, direct, callees, func(_ string, had bool, callee *types.Func, why string) (string, bool) {
+		return "calls " + callee.Name() + ", which may block (" + why + ")", !had
+	})
 	for _, fd := range decls {
-		scanBlockingOps(pass, fd.Body, func(op lockOp, held map[string]token.Pos) {
-			if lock, ok := anyHeld(held); ok {
-				pass.Reportf(op.pos, "%s while %s is held", op.what, lock)
+		scanBlockingOps(pass, fd.Body, func(pos token.Pos, what string, held heldSet) {
+			if lock, ok := held.first(); ok {
+				pass.Reportf(pos, "%s while %s is held", what, lock.text)
 			}
-		}, func(callee *types.Func, pos token.Pos, held map[string]token.Pos) {
-			why, blocks := reason[callee]
-			if !blocks {
-				return
-			}
-			if lock, ok := anyHeld(held); ok {
-				pass.Reportf(pos, "call to %s (%s) while %s is held", callee.Name(), why, lock)
+		}, func(callee *types.Func, pos token.Pos, held heldSet) {
+			why, blocks := blocking(callee)
+			if lock, ok := held.first(); ok && blocks {
+				pass.Reportf(pos, "call to %s (%s) while %s is held", callee.Name(), why, lock.text)
 			}
 		})
 	}
 }
 
-func anyHeld(held map[string]token.Pos) (string, bool) {
-	for lock := range held {
-		return lock, true
-	}
-	return "", false
-}
-
-// scanBlockingOps walks a function body in source order, tracking the set
-// of mutexes locked (and not yet unlocked) in this function, and invokes
-// onOp for every potentially-blocking operation and onCall for every
-// static call to a package-local function, both with the lock set held at
-// that point. Function literals and go statements are not descended into:
-// their bodies run on other goroutines or at another time.
+// scanBlockingOps walks a function body under walkHeld's held set and
+// invokes onOp for every potentially-blocking operation and onCall for
+// every static call to a package-local function.
 func scanBlockingOps(pass *Pass, body *ast.BlockStmt,
-	onOp func(lockOp, map[string]token.Pos),
-	onCall func(*types.Func, token.Pos, map[string]token.Pos)) {
+	onOp func(pos token.Pos, what string, held heldSet),
+	onCall func(callee *types.Func, pos token.Pos, held heldSet)) {
 
 	info := pass.Info
-	held := make(map[string]token.Pos)
-
 	// Comm statements of select clauses are handled at the select level:
 	// a select with a default case never blocks, one without is reported
 	// as a single operation.
 	exemptComm := make(map[ast.Node]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		for _, clause := range sel.Body.List {
-			cc := clause.(*ast.CommClause)
-			if cc.Comm != nil {
-				exemptComm[cc.Comm] = true
+		if sel, ok := n.(*ast.SelectStmt); ok {
+			for _, clause := range sel.Body.List {
+				if cc := clause.(*ast.CommClause); cc.Comm != nil {
+					exemptComm[cc.Comm] = true
+				}
 			}
 		}
 		return true
 	})
 
-	// Local closures: `f := func() {...}` followed by `f()` is a static
-	// call in disguise — scan the literal's body at the call instead of
-	// flagging a dynamic call (the broker's rollback idiom).
-	localClosures := collectLocalClosures(info, body)
-
-	deferredUnlocks := make(map[*ast.CallExpr]bool)
-
-	// Guard against recursive closures: a literal already being inlined is
-	// not entered again.
-	inlining := make(map[*ast.FuncLit]bool)
-
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
+	walkHeld(pass, body, nil, func(n ast.Node, held heldSet) bool {
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.GoStmt:
-			return false
-		case *ast.DeferStmt:
-			// A deferred unlock releases at return: the lock stays held
-			// for the rest of the body, so keep it in the set and skip
-			// the unlock bookkeeping. Other deferred calls are treated
-			// at their syntactic position (conservative).
-			if _, op, ok := mutexCall(info, n.Call); ok && (op == "Unlock" || op == "RUnlock") {
-				deferredUnlocks[n.Call] = true
-			}
-			return true
 		case *ast.SelectStmt:
 			if !selectHasDefault(n) {
-				onOp(lockOp{pos: n.Pos(), what: "select with no default case (blocks)"}, held)
+				onOp(n.Pos(), "select with no default case (blocks)", held)
 			}
-			return true
 		case *ast.SendStmt:
 			if !exemptComm[n] {
-				onOp(lockOp{pos: n.Arrow, what: "channel send"}, held)
+				onOp(n.Arrow, "channel send", held)
 			}
-			// Operand expressions may still contain calls.
-			walkExprs(n.Chan, walk)
-			walkExprs(n.Value, walk)
-			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW && !receiveExempt(exemptComm, n) {
-				onOp(lockOp{pos: n.OpPos, what: "channel receive"}, held)
+				onOp(n.OpPos, "channel receive", held)
 			}
-			return true
 		case *ast.RangeStmt:
 			if tv, ok := info.Types[n.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					onOp(lockOp{pos: n.For, what: "range over channel (blocking receive)"}, held)
+					onOp(n.For, "range over channel (blocking receive)", held)
 				}
 			}
-			return true
 		case *ast.CallExpr:
-			if lock, op, ok := mutexCall(info, n); ok {
-				switch op {
-				case "Lock", "RLock":
-					held[lock] = n.Pos()
-				case "Unlock", "RUnlock":
-					if !deferredUnlocks[n] {
-						delete(held, lock)
-					}
-				}
-				return false
-			}
+			// A call to a local closure arrives here only when walkHeld
+			// declined to inline it (recursion): a dynamic call.
 			if fn := staticCallee(info, n); fn != nil {
 				if why, seeded := locksafeSeeds[funcFullName(fn)]; seeded {
-					onOp(lockOp{pos: n.Pos(), what: "call to " + fn.Name() + " (" + why + ")"}, held)
+					onOp(n.Pos(), "call to "+fn.Name()+" ("+why+")", held)
 				} else if fn.Pkg() == pass.Pkg {
 					onCall(fn, n.Pos(), held)
 				}
-				return true
+			} else if isDynamicCall(info, n) {
+				onOp(n.Pos(), "call through function value (possible user callback)", held)
 			}
-			if lit := closureFor(info, localClosures, n); lit != nil && !inlining[lit] {
-				// Inline the closure body under the current lock state.
-				inlining[lit] = true
-				ast.Inspect(lit.Body, walk)
-				inlining[lit] = false
-				return false
-			}
-			if isDynamicCall(info, n) {
-				onOp(lockOp{pos: n.Pos(), what: "call through function value (possible user callback)"}, held)
-			}
-			return true
 		}
 		return true
-	}
-	ast.Inspect(body, walk)
-}
-
-func walkExprs(e ast.Expr, walk func(ast.Node) bool) {
-	if e != nil {
-		ast.Inspect(e, walk)
-	}
+	})
 }
 
 // receiveExempt reports whether a receive expression is the comm operation
@@ -296,27 +193,6 @@ func receiveExempt(exempt map[ast.Node]bool, recv *ast.UnaryExpr) bool {
 	return false
 }
 
-// mutexCall recognizes x.Lock()/x.Unlock()/x.RLock()/x.RUnlock() on a
-// sync.Mutex or sync.RWMutex, returning the lock's identity and the
-// operation name.
-func mutexCall(info *types.Info, call *ast.CallExpr) (lock, op string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	op = sel.Sel.Name
-	switch op {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	tv, found := info.Types[sel.X]
-	if !found || !isMutex(tv.Type) {
-		return "", "", false
-	}
-	return exprString(sel.X), op, true
-}
-
 func selectHasDefault(sel *ast.SelectStmt) bool {
 	for _, clause := range sel.Body.List {
 		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
@@ -324,55 +200,4 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// collectLocalClosures maps local variables assigned exactly one function
-// literal (and never reassigned) to that literal.
-func collectLocalClosures(info *types.Info, body *ast.BlockStmt) map[*types.Var]*ast.FuncLit {
-	assigned := make(map[*types.Var]int)
-	lits := make(map[*types.Var]*ast.FuncLit)
-	record := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := lhs.(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj, ok := info.Defs[id].(*types.Var)
-		if !ok {
-			if obj, ok = info.Uses[id].(*types.Var); !ok {
-				return
-			}
-		}
-		assigned[obj]++
-		if lit, ok := ast.Unparen(rhs).(*ast.FuncLit); ok {
-			lits[obj] = lit
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
-			for i := range as.Lhs {
-				record(as.Lhs[i], as.Rhs[i])
-			}
-		}
-		return true
-	})
-	for obj, n := range assigned {
-		if n != 1 {
-			delete(lits, obj)
-		}
-	}
-	return lits
-}
-
-// closureFor resolves a call through a local single-assignment closure
-// variable to its function literal.
-func closureFor(info *types.Info, closures map[*types.Var]*ast.FuncLit, call *ast.CallExpr) *ast.FuncLit {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj, ok := info.Uses[id].(*types.Var)
-	if !ok {
-		return nil
-	}
-	return closures[obj]
 }
