@@ -26,6 +26,8 @@ import (
 	"strings"
 	"time"
 
+	"genas/internal/event"
+	"genas/internal/schema"
 	"genas/internal/wire"
 )
 
@@ -98,16 +100,16 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if len(args) == 2 && args[1] == "-" {
 			return streamPublish(c, stdin, stdout, logger)
 		}
-		for _, a := range args[1:] {
+		events := make([]map[string]float64, len(args)-1)
+		for i, a := range args[1:] {
 			if a == "-" {
 				logger.Print("'-' (read events from stdin) must be the only pub operand")
 				return 2
 			}
-		}
-		events, err := collectEvents(args[1:])
-		if err != nil {
-			logger.Print(err)
-			return 2
+			if events[i], err = event.Scan(c.HelloSchema(), a); err != nil {
+				logger.Print(err)
+				return 2
+			}
 		}
 		if len(events) == 1 {
 			matched, err := c.Publish(events[0], rpcTimeout)
@@ -118,12 +120,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "matched %d profile(s)\n", matched)
 			return 0
 		}
-		fb := &frameBatcher{c: c}
-		for _, ev := range events {
-			if err := fb.add(ev); err != nil {
-				return fb.fail(logger, err)
-			}
-		}
+		fb := &frameBatcher{c: c, chunk: events}
 		if err := fb.flush(); err != nil {
 			return fb.fail(logger, err)
 		}
@@ -182,18 +179,23 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 0
 
 	case "schema":
-		attrs, err := c.Schema(rpcTimeout)
-		if err != nil {
-			logger.Print(err)
-			return 1
-		}
-		for _, a := range attrs {
-			if len(a.Labels) > 0 {
-				fmt.Fprintf(stdout, "%s: cat{%s}\n", a.Name, strings.Join(a.Labels, ","))
-				continue
+		// One spec line, as genasd -schema and schema.ParseSpec read it.
+		sch := c.HelloSchema()
+		for i := range sch.N() {
+			a := sch.At(i)
+			if i > 0 {
+				fmt.Fprint(stdout, "; ")
 			}
-			fmt.Fprintf(stdout, "%s: %s[%g,%g]\n", a.Name, a.Kind, a.Lo, a.Hi)
+			switch d := a.Domain; d.Kind() {
+			case schema.KindCategorical:
+				fmt.Fprintf(stdout, "%s=cat{%s}", a.Name, strings.Join(d.Labels(), ","))
+			case schema.KindInteger:
+				fmt.Fprintf(stdout, "%s=int[%g,%g]", a.Name, d.Lo(), d.Hi())
+			default:
+				fmt.Fprintf(stdout, "%s=numeric[%g,%g]", a.Name, d.Lo(), d.Hi())
+			}
 		}
+		fmt.Fprintln(stdout)
 		return 0
 
 	case "profiles":
@@ -237,23 +239,8 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 }
 
-// collectEvents parses the pub operands into event payloads: each argument
-// is one event.
-func collectEvents(args []string) ([]map[string]float64, error) {
-	events := make([]map[string]float64, len(args))
-	for i, arg := range args {
-		ev, err := parseEventArg(arg)
-		if err != nil {
-			return nil, err
-		}
-		events[i] = ev
-	}
-	return events, nil
-}
-
-// frameBatcher accumulates events and flushes a publish_batch every
-// flushEvery events, so both pub modes (argv operands and stdin streaming)
-// share one batching policy.
+// frameBatcher accumulates events and publishes them as a batch: the pub
+// operands at once, a stdin stream every flushEvery events.
 type frameBatcher struct {
 	c         *wire.Client
 	chunk     []map[string]float64
@@ -360,7 +347,7 @@ func streamPublish(c *wire.Client, stdin io.Reader, stdout io.Writer, logger *lo
 			if line == "" {
 				continue
 			}
-			ev, err := parseEventArg(line)
+			ev, err := event.Scan(c.HelloSchema(), line)
 			if err != nil {
 				logger.Printf("line %d: %v", lineNo, err)
 				if fb.published > 0 {
@@ -452,31 +439,10 @@ func importEnvelope(c *wire.Client, r io.Reader) (int, error) {
 	return len(env.Profiles), nil
 }
 
-// parseEventArg reads "attr=value; attr=value".
-func parseEventArg(text string) (map[string]float64, error) {
-	text = strings.TrimPrefix(strings.TrimSuffix(strings.TrimSpace(text), ")"), "event(")
-	out := make(map[string]float64)
-	for _, part := range strings.Split(text, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		eq := strings.IndexByte(part, '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("missing '=' in %q", part)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(part[eq+1:]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value in %q", part)
-		}
-		out[strings.TrimSpace(part[:eq])] = v
-	}
-	return out, nil
-}
-
-// listen prints notifications until the timeout (0 = forever), then how many
-// the client dropped, if any.
+// listen prints notifications until the timeout (0 = forever), each event in
+// the notation pub reads, then how many the client dropped, if any.
 func listen(c *wire.Client, d time.Duration, stdout io.Writer) int {
+	sch := c.HelloSchema()
 	defer func() {
 		if n := c.Dropped(); n > 0 {
 			fmt.Fprintf(stdout, "notifications dropped: %d\n", n)
@@ -494,11 +460,9 @@ func listen(c *wire.Client, d time.Duration, stdout io.Writer) int {
 			if !ok {
 				return 0
 			}
-			parts := make([]string, 0, len(n.Event))
-			for k, v := range n.Event {
-				parts = append(parts, fmt.Sprintf("%s=%g", k, v))
-			}
-			fmt.Fprintf(stdout, "notification #%d for %s: %s\n", n.Seq, n.Profile, strings.Join(parts, " "))
+			ev := event.Event{Vals: make([]float64, sch.N())}
+			_ = event.Complete(sch, ev.Vals, n.Event, nil) // a notification names every attribute
+			fmt.Fprintf(stdout, "notification #%d for %s: %s\n", n.Seq, n.Profile, ev.Render(sch))
 		case <-timeout:
 			return 0
 		}

@@ -10,11 +10,19 @@ import (
 	"time"
 
 	"genas/internal/broker"
+	"genas/internal/event"
+	"genas/internal/schema"
 	"genas/internal/wire"
 )
 
+// TestParseEventArg pins the notation of a `genas pub` operand, read as the
+// command reads it: through event.Scan over the schema the daemon announced.
 func TestParseEventArg(t *testing.T) {
-	ev, err := parseEventArg("temperature=40; humidity=90.5")
+	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := event.Scan(sch, "temperature=40; humidity=90.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +30,7 @@ func TestParseEventArg(t *testing.T) {
 		t.Errorf("parsed = %v", ev)
 	}
 	// The paper's event() notation is accepted too.
-	ev, err = parseEventArg("event(temperature=30; humidity=90)")
+	ev, err = event.Scan(sch, "event(temperature=30; humidity=90)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,12 +38,12 @@ func TestParseEventArg(t *testing.T) {
 		t.Errorf("parsed = %v", ev)
 	}
 	for _, bad := range []string{"temperature", "temperature=hot"} {
-		if _, err := parseEventArg(bad); err == nil {
-			t.Errorf("parseEventArg(%q) must fail", bad)
+		if _, err := event.Scan(sch, bad); err == nil {
+			t.Errorf("event.Scan(%q) must fail", bad)
 		}
 	}
 	// Empty segments are tolerated.
-	ev, err = parseEventArg("a=1;;b=2;")
+	ev, err = event.Scan(sch, "temperature=1;;humidity=2;")
 	if err != nil || len(ev) != 2 {
 		t.Errorf("parsed = %v, err %v", ev, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -140,12 +141,87 @@ func TestCLIPubSubStatsSchema(t *testing.T) {
 
 	// Schema and quench.
 	code, out, _ = cli(t, "", "-addr", addr, "schema")
-	if code != 0 || !strings.Contains(out, "temperature: numeric[-30,50]") {
+	if code != 0 || !strings.Contains(out, "temperature=numeric[-30,50]") {
 		t.Errorf("schema: %d %q", code, out)
 	}
 	code, out, _ = cli(t, "", "-addr", addr, "quench", "temperature", "0", "10")
 	if code != 0 || !strings.Contains(out, "quenched=true") {
 		t.Errorf("quench: %d %q", code, out)
+	}
+}
+
+// labelSpec is a daemon schema of numeric, integer and categorical
+// attributes.
+const labelSpec = "temperature=numeric[-30,50]; floor=int[0,12]; severity=cat{low,high}"
+
+// TestCLISchemaReadsBack: `genas schema` prints the spec line genasd -schema
+// reads, which parses back into the daemon's schema.
+func TestCLISchemaReadsBack(t *testing.T) {
+	code, out, errOut := cli(t, "", "-addr", startDaemon(t, labelSpec, broker.Options{}, nil), "schema")
+	if code != 0 {
+		t.Fatalf("schema: %d %s", code, errOut)
+	}
+	back, err := schema.ParseSpec(out)
+	if err != nil {
+		t.Fatalf("schema printed %q, which does not parse: %v", out, err)
+	}
+	if want, _ := schema.ParseSpec(labelSpec); !reflect.DeepEqual(back, want) {
+		t.Errorf("schema printed %q, which parses to %s; want %s", out, back, want)
+	}
+}
+
+// TestCLIPublishesLabels: pub takes a label on a categorical attribute, as
+// an operand and on a stdin line.
+func TestCLIPublishesLabels(t *testing.T) {
+	addr := startDaemon(t, labelSpec, broker.Options{}, nil)
+	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Subscribe("severe", "profile(severity = high)", 0, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := cli(t, "", "-addr", addr, "pub", "temperature=40; floor=3; severity=high")
+	if code != 0 || !strings.Contains(out, "matched 1 profile(s)") {
+		t.Errorf("pub with a label: %d %q %s", code, out, errOut)
+	}
+	code, out, errOut = cli(t, "temperature=40; floor=3; severity=high\ntemperature=40; floor=3; severity=low\n", "-addr", addr, "pub", "-")
+	if code != 0 || !strings.Contains(out, "published 2 events, matched 1 profile(s) total") {
+		t.Errorf("stdin pub with labels: %d %q %s", code, out, errOut)
+	}
+}
+
+// TestListenRendersInSchemaOrder: every notification prints its event in
+// schema order, a categorical value by label, in the notation pub reads.
+func TestListenRendersInSchemaOrder(t *testing.T) {
+	addr := startDaemon(t, labelSpec, broker.Options{}, nil)
+	c, err := wire.DialWith(addr, wire.DialConfig{Timeout: rpcTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Subscribe("hot", "profile(temperature >= 35)", 0, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]map[string]float64, 20)
+	for i := range evs {
+		evs[i] = map[string]float64{"temperature": 40, "floor": 3, "severity": 1}
+	}
+	if _, err := c.PublishBatch(evs, rpcTimeout); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	listen(c, 200*time.Millisecond, &out)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != len(evs) {
+		t.Fatalf("%d notifications printed, want %d:\n%s", len(lines), len(evs), out.String())
+	}
+	for i, line := range lines {
+		want := fmt.Sprintf("notification #%d for hot: event(temperature=40; floor=3; severity=high)", i+1)
+		if line != want {
+			t.Errorf("line %d = %q, want %q", i, line, want)
+		}
 	}
 }
 
@@ -201,15 +277,18 @@ func TestListenReportsDrops(t *testing.T) {
 	if err := c.Subscribe("hot", "profile(temperature >= 35)", 0, rpcTimeout); err != nil {
 		t.Fatal(err)
 	}
-	batch := make([][]float64, 600) // more than Notifications() buffers
+	// Rounds smaller than the session's 256-entry queue, with pauses for its
+	// writer to drain, so the server drops none and the client's unread
+	// channel is what overflows.
+	batch := make([][]float64, 100)
 	for i := range batch {
 		batch[i] = []float64{40, 50}
 	}
-	if _, err := c.PublishValsBatch(batch, rpcTimeout); err != nil {
-		t.Fatal(err)
-	}
 	for deadline := time.Now().Add(rpcTimeout); c.Dropped() == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
+		if _, err := c.PublishValsBatch(batch, rpcTimeout); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	before := c.Dropped()
 	var out bytes.Buffer

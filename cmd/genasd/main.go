@@ -30,7 +30,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -38,6 +37,7 @@ import (
 	"genas"
 	"genas/internal/adaptive"
 	"genas/internal/core"
+	"genas/internal/event"
 	"genas/internal/federation"
 	"genas/internal/hook"
 	"genas/internal/wire"
@@ -60,7 +60,7 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		threshold  = fs.Float64("threshold", 0.1, "total-variation drift threshold")
 		attrs      = fs.String("attrs", "natural", "attribute ordering: natural | A1 | A2 | A3")
 		shards     = fs.Int("shards", 1, "automata per engine, each over a share of the poset roots (0 = GOMAXPROCS, 1 = one automaton)")
-		defaults   = fs.String("defaults", "", "fill-ins for omitted event attributes, e.g. 'radiation=1; humidity=0'")
+		defaults   = fs.String("defaults", "", "fill-ins for omitted event attributes, e.g. 'radiation=1; state=ok'")
 		node       = fs.String("node", "", "federation node name (required with -peer; enables broker peering)")
 		peer       = fs.String("peer", "", "comma-separated peer daemon addresses to dial, e.g. 'host1:7452,host2:7452'")
 	)
@@ -94,7 +94,7 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		opts = append(opts, genas.WithAdaptivePolicy(*window, *threshold, false))
 	}
 	if *defaults != "" {
-		byAttr, err := parseDefaults(*defaults)
+		byAttr, err := event.Scan(sch, *defaults)
 		if err != nil {
 			logger.Printf("bad -defaults: %v", err)
 			return 2
@@ -216,25 +216,4 @@ func logRestructures(ctx context.Context, a *adaptive.Adaptor, sch *genas.Schema
 				d.Seq, d.Seen, d.Duration, d.Resorted, d.Copied, drift.String())
 		}
 	}
-}
-
-// parseDefaults reads the -defaults spec: 'attr=value; attr=value'.
-func parseDefaults(spec string) (map[string]float64, error) {
-	out := make(map[string]float64)
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		eq := strings.IndexByte(part, '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("missing '=' in %q", part)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(part[eq+1:]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value in %q", part)
-		}
-		out[strings.TrimSpace(part[:eq])] = v
-	}
-	return out, nil
 }

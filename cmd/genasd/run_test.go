@@ -164,6 +164,27 @@ func TestDaemonDefaults(t *testing.T) {
 	}
 }
 
+// TestDaemonDefaultsTakeLabels: a -defaults value may name a label of a
+// categorical attribute, and a publish that omits the attribute matches a
+// profile on that label.
+func TestDaemonDefaultsTakeLabels(t *testing.T) {
+	addr, _, stop := startDaemon(t, "-schema", "temperature=numeric[-30,50]; severity=cat{low,high}", "-defaults", "severity=low")
+	c, err := wire.DialWith(addr.String(), wire.DialConfig{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if err := c.Subscribe("calm", "profile(severity = low)", 0, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if matched, err := c.Publish(map[string]float64{"temperature": 40}, 5*time.Second); err != nil || matched != 1 {
+		t.Errorf("publish omitting severity = %d, %v; want the default low to match", matched, err)
+	}
+	if code := stop(); code != 0 {
+		t.Errorf("exit = %d", code)
+	}
+}
+
 // TestDaemonAnnouncesDefaults: the hello's schema answer and the schema
 // reply carry the -defaults, which is how a client learns what it may omit.
 func TestDaemonAnnouncesDefaults(t *testing.T) {

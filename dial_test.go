@@ -293,12 +293,18 @@ func TestClientCountsItsDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	batch := make([]map[string]float64, 300) // 600 notifications
+	// Rounds smaller than the session's 256-entry queue, with pauses for its
+	// writer to drain, so the daemon delivers them all and the client's
+	// unread channel is what overflows.
+	batch := make([]map[string]float64, 50) // 100 notifications a round
 	for i := range batch {
-		batch[i] = map[string]float64{"temperature": 40, "humidity": float64(i % 100), "radiation": 3}
+		batch[i] = map[string]float64{"temperature": 40, "humidity": float64(i), "radiation": 3}
 	}
-	if _, err := c.PublishBatch(batch); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); c.Dropped() == 0 && time.Now().Before(deadline); {
+		if _, err := c.PublishBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	delivered := svc.Stats().Delivered
 	for deadline := time.Now().Add(5 * time.Second); uint64(len(c.Notifications()))+c.Dropped() < delivered && time.Now().Before(deadline); {

@@ -2,6 +2,7 @@ package genas
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -116,6 +117,11 @@ func TestWithDefaults(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v, %v", n.Event.Vals, err)
 	}
 
+	// Parsed path: same fallback.
+	if ev, err := svc.ParseEvent("event(temperature=40; radiation=3)"); err != nil || !slices.Equal(ev.Vals, []float64{40, 0, 3}) {
+		t.Fatalf("parsed defaults: %v, %v", ev.Vals, err)
+	}
+
 	// Builder path: same fallback.
 	if matched, err := svc.NewEvent().Set("temperature", 41).Publish(); err != nil || matched != 1 {
 		t.Fatalf("builder defaults: matched=%d err=%v", matched, err)
@@ -130,6 +136,9 @@ func TestWithDefaults(t *testing.T) {
 	strict := alarmService(t)
 	if _, err := strict.Publish(map[string]float64{"temperature": 40}); err == nil {
 		t.Error("omission without defaults must fail")
+	}
+	if _, err := strict.ParseEvent("event(temperature=40)"); !errors.Is(err, ErrArity) {
+		t.Errorf("parsing an omission without defaults = %v, want ErrArity", err)
 	}
 
 	// Defaults are validated against the domain at construction.

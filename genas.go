@@ -436,8 +436,10 @@ func (s *Service) PublishBatchCtx(ctx context.Context, evs []Event) ([]int, erro
 	return s.brk.PublishBatchCtx(ctx, evs)
 }
 
-// ParseEvent reads the paper's event notation ("event(temperature=30; …)").
-func (s *Service) ParseEvent(text string) (Event, error) { return event.Parse(s.sch, text) }
+// ParseEvent reads the paper's event notation ("event(temperature=30; …)"),
+// a categorical value by label or code. An attribute WithDefaults covers may
+// be omitted, as in Publish.
+func (s *Service) ParseEvent(text string) (Event, error) { return event.Parse(s.sch, text, s.defaults) }
 
 // ParseProfile reads the profile language without subscribing.
 func (s *Service) ParseProfile(id, text string) (*Profile, error) {

@@ -103,27 +103,48 @@ func (d *Defaults) Fill(vals []float64, seen []bool) (missing int) {
 	return missing
 }
 
-// FromMapWith builds a schema-validated event from attribute name → value,
-// filling omitted attributes from d. Without a default (nil d: none) every
-// schema attribute must be present: silently zero-filling an omitted
-// attribute would fabricate data. The service facade publishes maps through
-// it; a wire client applies the same rule before its map leaves as a vector,
-// with the defaults the daemon announced.
-func FromMapWith(s *schema.Schema, values map[string]float64, d *Defaults) (Event, error) {
-	vals := make([]float64, s.N())
-	seen := make([]bool, s.N())
-	for name, v := range values {
+// Complete writes the partial event m (attribute name → value) into vals,
+// one slot per schema attribute, and fills what m omits from d (nil: no
+// defaults): silently zero-filling an omitted attribute would fabricate
+// data. A name outside the schema fails with schema.ErrUnknownAttribute, an
+// omitted attribute without a default with ErrArity. It makes one lookup per
+// name, allocates only to fail and checks no domain. The service facade and
+// the wire client complete maps through it.
+func Complete(s *schema.Schema, vals []float64, m map[string]float64, d *Defaults) error {
+	for name, v := range m {
 		i, err := s.Index(name)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		vals[i] = v
-		seen[i] = true
 	}
-	if missing := d.Fill(vals, seen); missing > 0 {
-		return Event{}, fmt.Errorf("%w: event specifies %d of %d attributes", ErrArity, s.N()-missing, s.N())
+	if len(m) == len(vals) {
+		return nil // one known name per slot: nothing is omitted
 	}
-	return New(s, vals...)
+	for i := range vals {
+		name := s.At(i).Name
+		if _, ok := m[name]; ok {
+			continue
+		}
+		if d == nil || !d.has[i] {
+			return fmt.Errorf("%w: the event omits %s, which has no default", ErrArity, name)
+		}
+		vals[i] = d.vals[i]
+	}
+	return nil
+}
+
+// FromMapWith builds a schema-validated event from attribute name → value,
+// completed from d as Complete does.
+func FromMapWith(s *schema.Schema, values map[string]float64, d *Defaults) (Event, error) {
+	vals := make([]float64, s.N())
+	if err := Complete(s, vals, values, d); err != nil {
+		return Event{}, err
+	}
+	if err := Validate(s, vals); err != nil {
+		return Event{}, err
+	}
+	return Event{Vals: vals}, nil
 }
 
 // MustNew is New that panics on error, for tests and examples.
@@ -167,60 +188,52 @@ func (e Event) Render(s *schema.Schema) string {
 	return b.String()
 }
 
-// Parse reads the paper's event notation: "event(temperature=30; humidity=90;
-// radiation=2)". Attributes may appear in any order; all must be present.
-func Parse(s *schema.Schema, text string) (Event, error) {
+// Scan walks the paper's event notation, "event(temperature=30; humidity=90;
+// state=alarm)" or its body alone, into a partial event: attribute name →
+// value, in any order, each name at most once. A value is a number, or a
+// label of the named categorical attribute. Names are resolved when the event
+// is completed (Complete), so an omitted or unknown attribute passes here.
+func Scan(s *schema.Schema, text string) (map[string]float64, error) {
 	body := strings.TrimSpace(text)
 	if strings.HasPrefix(body, "event(") {
 		if !strings.HasSuffix(body, ")") {
-			return Event{}, fmt.Errorf("%w: missing closing parenthesis in %q", ErrSyntax, text)
+			return nil, fmt.Errorf("%w: missing closing parenthesis in %q", ErrSyntax, text)
 		}
 		body = body[len("event(") : len(body)-1]
 	}
-	vals := make([]float64, s.N())
-	seen := make([]bool, s.N())
+	m := make(map[string]float64)
 	for _, part := range strings.Split(body, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
+		if part = strings.TrimSpace(part); part == "" {
 			continue
 		}
-		eq := strings.IndexByte(part, '=')
-		if eq < 0 {
-			return Event{}, fmt.Errorf("%w: missing '=' in %q", ErrSyntax, part)
-		}
-		name := strings.TrimSpace(part[:eq])
-		valTok := strings.TrimSpace(part[eq+1:])
-		i, err := s.Index(name)
-		if err != nil {
-			return Event{}, err
-		}
-		if seen[i] {
-			return Event{}, fmt.Errorf("%w: duplicate attribute %q", ErrSyntax, name)
-		}
-		dom := s.At(i).Domain
-		var v float64
-		if dom.Kind() == schema.KindCategorical {
-			if c, ok := dom.Code(valTok); ok {
-				v = float64(c)
-			} else if f, err := strconv.ParseFloat(valTok, 64); err == nil {
-				v = f
-			} else {
-				return Event{}, fmt.Errorf("%w: unknown label %q for %s", ErrSyntax, valTok, name)
-			}
-		} else {
-			f, err := strconv.ParseFloat(valTok, 64)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad number %q for %s", ErrSyntax, valTok, name)
-			}
-			v = f
-		}
-		vals[i] = v
-		seen[i] = true
-	}
-	for i, ok := range seen {
+		name, tok, ok := strings.Cut(part, "=")
 		if !ok {
-			return Event{}, fmt.Errorf("%w: attribute %q missing", ErrSyntax, s.At(i).Name)
+			return nil, fmt.Errorf("%w: missing '=' in %q", ErrSyntax, part)
 		}
+		name, tok = strings.TrimSpace(name), strings.TrimSpace(tok)
+		if _, dup := m[name]; dup {
+			return nil, fmt.Errorf("%w: duplicate attribute %q", ErrSyntax, name)
+		}
+		v, err := strconv.ParseFloat(tok, 64)
+		if i, unknown := s.Index(name); unknown == nil {
+			if c, isLabel := s.At(i).Domain.Code(tok); isLabel {
+				v, err = float64(c), nil
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %q is neither a number nor a label of %s", ErrSyntax, tok, name)
+		}
+		m[name] = v
 	}
-	return New(s, vals...)
+	return m, nil
+}
+
+// Parse reads the event notation (Scan) and completes and validates the
+// event, filling omitted attributes from d (nil: all must be present).
+func Parse(s *schema.Schema, text string, d *Defaults) (Event, error) {
+	m, err := Scan(s, text)
+	if err != nil {
+		return Event{}, err
+	}
+	return FromMapWith(s, m, d)
 }

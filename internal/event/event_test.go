@@ -2,6 +2,8 @@ package event
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,7 +56,7 @@ func TestRenderAndParseRoundTrip(t *testing.T) {
 	if !strings.Contains(text, "temperature=30") || !strings.Contains(text, "state=alarm") {
 		t.Errorf("render = %q", text)
 	}
-	back, err := Parse(s, text)
+	back, err := Parse(s, text, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestRenderAndParseRoundTrip(t *testing.T) {
 
 func TestParsePaperNotation(t *testing.T) {
 	s := testSchema(t)
-	ev, err := Parse(s, "event(temperature=30; humidity = 90; state=ok)")
+	ev, err := Parse(s, "event(temperature=30; humidity = 90; state=ok)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestParsePaperNotation(t *testing.T) {
 		t.Errorf("parsed %v", ev.Vals)
 	}
 	// Attribute order in the text must not matter.
-	ev2, err := Parse(s, "humidity=90; state=ok; temperature=30")
+	ev2, err := Parse(s, "humidity=90; state=ok; temperature=30", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +97,96 @@ func TestParseErrors(t *testing.T) {
 		"event(nosuch=1; humidity=90; state=ok)",              // unknown attr
 		"event(temperature 30; humidity=90; state=ok)",        // missing '='
 	} {
-		if _, err := Parse(s, bad); err == nil {
+		if _, err := Parse(s, bad, nil); err == nil {
 			t.Errorf("Parse(%q) must fail", bad)
 		}
+	}
+}
+
+// TestScan is the walk of the notation every reader shares: `genas pub`
+// operands and stdin lines, `genasd -defaults` and Parse. It reads a partial
+// event by name, a label on a categorical attribute as its code.
+func TestScan(t *testing.T) {
+	s := testSchema(t)
+	for text, want := range map[string]map[string]float64{
+		"temperature=40; humidity=90.5":      {"temperature": 40, "humidity": 90.5},
+		"event(temperature=30; humidity=90)": {"temperature": 30, "humidity": 90},
+		"temperature=1;;humidity=2;":         {"temperature": 1, "humidity": 2}, // empty segments
+		"state=alarm":                        {"state": 1},
+		"state=0; temperature = -3":          {"state": 0, "temperature": -3},
+		"pressure=1":                         {"pressure": 1}, // unknown: Complete refuses it
+		"  ":                                 {},
+	} {
+		got, err := Scan(s, text)
+		if err != nil || !maps.Equal(got, want) {
+			t.Errorf("Scan(%q) = %v, %v; want %v", text, got, err, want)
+		}
+	}
+	for _, bad := range []string{
+		"temperature",                    // missing '='
+		"temperature=hot",                // not a number, and no label
+		"humidity=low",                   // a label of no attribute here
+		"pressure=high",                  // an unknown name takes numbers only
+		"state=exploding",                // not a label of state
+		"temperature=1; temperature=2",   // duplicate
+		"event(temperature=30",           // unbalanced
+		"temperature=30; state=alarm; =", // a value without a name is not a number
+	} {
+		if m, err := Scan(s, bad); !errors.Is(err, ErrSyntax) {
+			t.Errorf("Scan(%q) = %v, %v; want ErrSyntax", bad, m, err)
+		}
+	}
+}
+
+// TestComplete pins the completion of a partial event: a full map converts
+// as it is, an omitted attribute takes its default, a named value beats the
+// default, and an unknown name or an omitted attribute without a default
+// fails with its sentinel.
+func TestComplete(t *testing.T) {
+	s := testSchema(t)
+	d, err := NewDefaults(s, map[string]float64{"state": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		m    map[string]float64
+		d    *Defaults
+		want []float64
+		err  error
+	}{
+		{map[string]float64{"temperature": 1, "humidity": 2, "state": 0}, nil, []float64{1, 2, 0}, nil},
+		{map[string]float64{"temperature": 1, "humidity": 2}, nil, nil, ErrArity},
+		{map[string]float64{"temperature": 1, "humidity": 2}, d, []float64{1, 2, 1}, nil},
+		{map[string]float64{"temperature": 1, "humidity": 2, "state": 0}, d, []float64{1, 2, 0}, nil},
+		{map[string]float64{"temperature": 1, "state": 0}, d, nil, ErrArity},
+		{map[string]float64{"temperature": 1, "humidity": 2, "pressure": 3}, d, nil, schema.ErrUnknownAttribute},
+	} {
+		vals := make([]float64, s.N())
+		err := Complete(s, vals, tc.m, tc.d)
+		if !errors.Is(err, tc.err) || (err == nil && !slices.Equal(vals, tc.want)) {
+			t.Errorf("Complete(%v, defaults %v) = %v, %v; want %v, %v", tc.m, tc.d != nil, vals, err, tc.want, tc.err)
+		}
+	}
+	full := map[string]float64{"temperature": 1, "humidity": 2, "state": 0}
+	vals := make([]float64, s.N())
+	if n := testing.AllocsPerRun(100, func() { _ = Complete(s, vals, full, d) }); n != 0 {
+		t.Errorf("completing a map allocates %v times, want 0", n)
+	}
+}
+
+// TestParseFillsDefaults: Parse completes a partial event from the defaults
+// and still refuses an omission they do not cover.
+func TestParseFillsDefaults(t *testing.T) {
+	s := testSchema(t)
+	d, err := NewDefaults(s, map[string]float64{"state": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := Parse(s, "temperature=30; humidity=90", d)
+	if err != nil || !slices.Equal(ev.Vals, []float64{30, 90, 1}) {
+		t.Errorf("Parse with a default = %v, %v", ev.Vals, err)
+	}
+	if _, err := Parse(s, "temperature=30; state=ok", d); !errors.Is(err, ErrArity) {
+		t.Errorf("omitting humidity = %v, want ErrArity", err)
 	}
 }

@@ -37,7 +37,7 @@ func FuzzParseEvent(f *testing.F) {
 		schema.Attribute{Name: "severity", Domain: sev},
 	)
 	f.Fuzz(func(t *testing.T, text string) {
-		ev, err := Parse(s, text)
+		ev, err := Parse(s, text, nil)
 		if err != nil {
 			return
 		}
@@ -47,7 +47,7 @@ func FuzzParseEvent(f *testing.F) {
 			}
 		}
 		rendered := ev.Render(s)
-		if _, err := Parse(s, rendered); err != nil {
+		if _, err := Parse(s, rendered, nil); err != nil {
 			t.Fatalf("round trip failed: Parse(%q) ok, but rendering %q does not re-parse: %v",
 				text, rendered, err)
 		}

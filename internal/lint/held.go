@@ -54,8 +54,10 @@ func (h heldSet) ids() []string {
 //   - a call to a local variable assigned one function literal, exactly
 //     once, is inlined: the literal's body is walked at the call, under the
 //     locks held there, unless that literal is already being inlined;
-//   - other function literals and go statements are not entered: their
-//     bodies run at another time or on another goroutine.
+//   - an immediately invoked function literal, func() { … }(), is walked
+//     in place, under the locks held at its call;
+//   - other function literals, go statements and deferred literals are not
+//     entered: their bodies run at another time or on another goroutine.
 //
 // onLock, if not nil, sees each acquisition with the locks held just
 // before it; visit sees every other node entered, as ast.Inspect's f does,
@@ -65,16 +67,20 @@ func walkHeld(pass *Pass, body *ast.BlockStmt, onLock func(heldLock, heldSet), v
 	closures := collectLocalClosures(pass.Info, body)
 	deferred := make(map[*ast.CallExpr]bool)
 	inlining := make(map[*ast.FuncLit]bool)
+	invoked := make(map[*ast.FuncLit]bool)
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
+		case *ast.FuncLit:
+			return invoked[n]
+		case *ast.GoStmt:
 			return false
 		case *ast.DeferStmt:
-			if _, acquire, ok := lockCall(pass, n.Call); ok && !acquire {
-				deferred[n.Call] = true
-			}
+			deferred[n.Call] = true
 		case *ast.CallExpr:
+			if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok && !deferred[n] {
+				invoked[lit] = true
+			}
 			if l, acquire, ok := lockCall(pass, n); ok {
 				if acquire {
 					if onLock != nil {

@@ -65,3 +65,28 @@ func TwoShards(s1, s2 *A) {
 	s2.Mu.Lock()
 	s2.Mu.Unlock()
 }
+
+// C and D are lock owners whose inversion hides in an immediately invoked
+// function literal, which runs in place under its caller's locks.
+type C struct{ Mu sync.Mutex }
+
+// D is the other side of the inversion.
+type D struct{ Mu sync.Mutex }
+
+// CD records the C→D direction inside the literal.
+func CD(c *C, d *D) {
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
+	func() {
+		d.Mu.Lock()
+		d.Mu.Unlock()
+	}()
+}
+
+// DC inverts it.
+func DC(c *C, d *D) {
+	d.Mu.Lock()
+	defer d.Mu.Unlock()
+	c.Mu.Lock() // want "lock order cycle"
+	c.Mu.Unlock()
+}

@@ -130,6 +130,25 @@ func (b *broker) localClosureUnderLock(n int) {
 	send()
 }
 
+// invokedLiteralUnderLock: an immediately invoked function literal runs in
+// place, under the locks held at its call.
+func (b *broker) invokedLiteralUnderLock(n int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	func() {
+		b.ch <- n // want "channel send while b.mu is held"
+	}()
+}
+
+// deferredLiteralUnderLock is quiet: a deferred literal is not entered.
+func (b *broker) deferredLiteralUnderLock(n int) {
+	b.mu.Lock()
+	defer func() {
+		b.ch <- n
+	}()
+	b.mu.Unlock()
+}
+
 // allowedSend carries a documented suppression: quiet.
 func (b *broker) allowedSend(n int) {
 	b.mu.Lock()

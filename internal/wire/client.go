@@ -10,6 +10,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"genas/internal/event"
+	"genas/internal/schema"
 )
 
 // Client speaks the wire protocol: one hello line each way, then frames. It
@@ -22,8 +25,9 @@ type Client struct {
 	conn  net.Conn
 	out   *Outbox
 	depth int
-	// slots is the schema's slot layout and defaults, from the hello's answer.
-	slots *slots
+	// sch and defaults are the daemon's, rebuilt from the hello's answer.
+	sch      *schema.Schema
+	defaults *event.Defaults
 
 	nextCid atomic.Uint32
 	pendMu  sync.Mutex
@@ -65,7 +69,8 @@ const DefaultPipelineDepth = 32
 // v2; the server answers with the schema, whose attribute order defines the
 // binary slot layout and whose defaults complete the events Publish and
 // PublishBatch are given, and every byte after that answer is a frame. A
-// server that answers anything else fails the dial.
+// server that answers anything else, or attributes that form no valid schema,
+// fails the dial.
 func DialWith(addr string, cfg DialConfig) (*Client, error) {
 	if cfg.PipelineDepth <= 0 {
 		cfg.PipelineDepth = DefaultPipelineDepth
@@ -75,61 +80,63 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	rd := bufio.NewReaderSize(conn, 64*1024)
-	attrs, err := handshake(conn, rd, cfg.Timeout)
+	sch, d, err := handshake(conn, rd, cfg.Timeout)
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	return newClient(conn, rd, attrs, cfg.PipelineDepth), nil
+	return newClient(conn, rd, sch, d, cfg.PipelineDepth), nil
 }
 
 // newClient starts the reader and the writer of a connection past its hello.
 // A failed write surfaces as failed requests, so the writer logs nowhere.
-func newClient(conn net.Conn, rd *bufio.Reader, attrs []AttrPayload, depth int) *Client {
+func newClient(conn net.Conn, rd *bufio.Reader, sch *schema.Schema, d *event.Defaults, depth int) *Client {
 	c := &Client{
-		conn:    conn,
-		out:     NewOutbox(conn, 0, log.New(io.Discard, "", 0)),
-		depth:   depth,
-		slots:   attrSlots(attrs),
-		pending: make(map[uint32]*waiter),
-		notifs:  make(chan Notification, notifyQueue),
-		done:    make(chan struct{}),
+		conn:     conn,
+		out:      NewOutbox(conn, 0, log.New(io.Discard, "", 0)),
+		depth:    depth,
+		sch:      sch,
+		defaults: d,
+		pending:  make(map[uint32]*waiter),
+		notifs:   make(chan Notification, notifyQueue),
+		done:     make(chan struct{}),
 	}
 	go c.readLoop(&inbound{rd: rd})
 	return c
 }
 
 // handshake runs the hello exchange on a fresh connection: one line out, one
-// line back, which must confirm v2 and carry the schema.
-func handshake(conn net.Conn, rd *bufio.Reader, timeout time.Duration) ([]AttrPayload, error) {
+// line back, which must confirm v2 and carry a valid schema.
+func handshake(conn net.Conn, rd *bufio.Reader, timeout time.Duration) (*schema.Schema, *event.Defaults, error) {
 	if timeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(timeout))
 		defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	}
 	line, err := EncodeLine(Request{Op: OpHello, Proto: int(ProtoV2)})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, err := conn.Write(line); err != nil {
-		return nil, fmt.Errorf("hello: %w", err)
+		return nil, nil, fmt.Errorf("hello: %w", err)
 	}
 	if line, err = ReadLine(rd); err != nil {
-		return nil, fmt.Errorf("hello: %w", err)
+		return nil, nil, fmt.Errorf("hello: %w", err)
 	}
 	resp, err := DecodeResponse(line)
 	if err != nil {
-		return nil, fmt.Errorf("hello: %w", err)
+		return nil, nil, fmt.Errorf("hello: %w", err)
 	}
 	if resp.Type != MsgOK || resp.Proto < int(ProtoV2) {
 		if resp.Error != "" {
-			return nil, fmt.Errorf("hello: server declined protocol v2: %s", resp.Error)
+			return nil, nil, fmt.Errorf("hello: server declined protocol v2: %s", resp.Error)
 		}
-		return nil, errors.New("hello: server declined protocol v2")
+		return nil, nil, errors.New("hello: server declined protocol v2")
 	}
-	if len(resp.Attributes) == 0 {
-		return nil, errors.New("hello: the answer carries no schema")
+	sch, d, err := helloSchema(resp.Attributes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("hello: %w", err)
 	}
-	return resp.Attributes, nil
+	return sch, d, nil
 }
 
 // readLoop demultiplexes the inbound stream: notifications to
@@ -151,8 +158,8 @@ func (c *Client) readLoop(in *inbound) {
 			// event's ids over two frames: a frame continuing the last one's
 			// event shares its map. A notification that finds the queue full
 			// is dropped and counted: the client's one drop point.
-			if resp.Seq != seq || !c.slots.holds(ev, resp.Vals) {
-				if ev, err = c.slots.mapOf(resp.Vals); err != nil {
+			if resp.Seq != seq || !holds(c.sch, ev, resp.Vals) {
+				if ev, err = mapOf(c.sch, resp.Vals); err != nil {
 					break
 				}
 				seq = resp.Seq
@@ -194,6 +201,11 @@ func (c *Client) Notifications() <-chan Notification { return c.notifs }
 // Dropped returns how many notifications were discarded because
 // Notifications() was full when they arrived.
 func (c *Client) Dropped() uint64 { return c.dropped.Load() }
+
+// HelloSchema returns the daemon's schema as the hello's answer announced
+// it: the attributes a published map may name and a notification's map
+// names, in slot order.
+func (c *Client) HelloSchema() *schema.Schema { return c.sch }
 
 // waiter is one request's reply slot and timeout, pooled. It returns to the
 // pool only once its reply was received: a waiter that gave up is never
@@ -303,13 +315,14 @@ func (c *Client) Unsubscribe(id string, timeout time.Duration) error {
 
 // Publish posts an event given as attribute name → value; it returns the
 // number of matched profiles. The map becomes a schema-order vector here,
-// with what it omits filled from the defaults the hello announced, and
+// completed from the defaults the hello announced (event.Complete), and
 // travels as PublishVals does. A name outside the schema (wrapping
 // schema.ErrUnknownAttribute) or an omitted attribute without a default
-// (wrapping event.ErrArity) fails before anything is sent.
+// (wrapping event.ErrArity) fails before anything is sent; the server checks
+// the domains.
 func (c *Client) Publish(ev map[string]float64, timeout time.Duration) (int, error) {
-	vals, err := c.slots.vectorOf(ev)
-	if err != nil {
+	vals := make([]float64, c.sch.N())
+	if err := event.Complete(c.sch, vals, ev, c.defaults); err != nil {
 		return 0, fmt.Errorf("wire: publish: %w", err)
 	}
 	return c.PublishVals(vals, timeout)
@@ -342,7 +355,7 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 	// Chunk so the window has depth requests to pipeline. An event encodes to
 	// a u32 count and one f64 per attribute.
 	per := max(8, (len(batch)+c.depth-1)/c.depth)
-	if maxPer := (MaxFrame - 64) / (8*len(c.slots.attrs) + 4); per > maxPer && maxPer > 0 {
+	if maxPer := (MaxFrame - 64) / (8*c.sch.N() + 4); per > maxPer && maxPer > 0 {
 		per = maxPer
 	}
 
@@ -400,9 +413,13 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 // map that cannot convert fails the batch, naming its index, before anything
 // is sent.
 func (c *Client) PublishBatch(evs []map[string]float64, timeout time.Duration) ([]int, error) {
-	batch, err := c.slots.vectorsOf(evs)
-	if err != nil {
-		return nil, fmt.Errorf("wire: publish_batch: %w", err)
+	n := c.sch.N()
+	block, batch := make([]float64, n*len(evs)), make([][]float64, len(evs))
+	for i, ev := range evs {
+		batch[i] = block[i*n : (i+1)*n]
+		if err := event.Complete(c.sch, batch[i], ev, c.defaults); err != nil {
+			return nil, fmt.Errorf("wire: publish_batch: event %d: %w", i, err)
+		}
 	}
 	return c.PublishValsBatch(batch, timeout)
 }

@@ -7,12 +7,17 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
+
+	"genas/internal/broker"
+	"genas/internal/event"
+	"genas/internal/schema"
 )
 
 // TestTimedOutWriteLeavesWholeFrames: a request that times out behind a
@@ -28,7 +33,8 @@ func TestTimedOutWriteLeavesWholeFrames(t *testing.T) {
 	}
 	defer func() { _ = ln.Close() }()
 	confirm, _ := EncodeLine(Response{Type: MsgOK, Op: OpHello, Proto: int(ProtoV2),
-		Attributes: []AttrPayload{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}}})
+		Attributes: []AttrPayload{{Name: "a", Kind: "numeric", Hi: 10}, {Name: "b", Kind: "numeric", Hi: 10},
+			{Name: "c", Kind: "numeric", Hi: 10}, {Name: "d", Kind: "numeric", Hi: 10}}})
 	served := make(chan error, 1)
 	go func() {
 		conn, err := ln.Accept()
@@ -88,8 +94,8 @@ func TestTimedOutWriteLeavesWholeFrames(t *testing.T) {
 	}
 }
 
-// clientFuzzAttrs is the schema FuzzClientReader's client learns.
-var clientFuzzAttrs = []AttrPayload{{Name: "temperature"}, {Name: "humidity"}}
+// clientFuzzSchema is the schema FuzzClientReader's client learns.
+var clientFuzzSchema = numericSchema("temperature", "humidity")
 
 // FuzzClientReader feeds fuzzed response streams to a Client's reader over a
 // pipe, behind four pending pings (cids 1–4). Whatever the bytes, the reader
@@ -137,13 +143,12 @@ func FuzzClientReader(f *testing.F) {
 			cid  uint32
 			resp Response
 		}
-		sl := attrSlots(clientFuzzAttrs)
 		var want []frame
 		ref := &inbound{rd: bufio.NewReader(bytes.NewReader(stream))}
 		for {
 			cid, resp, err := readResponse(ref)
 			if err == nil && resp.Type == MsgNotification {
-				_, err = sl.mapOf(resp.Vals)
+				_, err = mapOf(clientFuzzSchema, resp.Vals)
 				resp.Vals, resp.IDs = slices.Clone(resp.Vals), slices.Clone(resp.IDs)
 			}
 			if err != nil {
@@ -154,7 +159,7 @@ func FuzzClientReader(f *testing.F) {
 
 		before := runtime.NumGoroutine()
 		ours, theirs := net.Pipe()
-		c := newClient(ours, bufio.NewReader(ours), clientFuzzAttrs, 1)
+		c := newClient(ours, bufio.NewReader(ours), clientFuzzSchema, nil, 1)
 		drained := make(chan struct{})
 		go func() {
 			_, _ = io.Copy(io.Discard, theirs) // the pings
@@ -211,7 +216,7 @@ func FuzzClientReader(f *testing.F) {
 				events++
 			}
 			last = f
-			ev, _ := sl.mapOf(f.Vals)
+			ev, _ := mapOf(clientFuzzSchema, f.Vals)
 			for _, id := range f.IDs {
 				owed = append(owed, Notification{Profile: id, Seq: f.Seq, Event: ev})
 				eventOf = append(eventOf, events)
@@ -268,3 +273,134 @@ func sameNotification(a, b Notification) bool {
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestHelloSchemaRoundTrips is the hello's property test: over random
+// schemas of numeric, integer and categorical attributes, with and without
+// defaults, the schema and the defaults a client rebuilds from the hello's
+// answer equal the server's.
+func TestHelloSchemaRoundTrips(t *testing.T) {
+	rng := rand.New(rand.NewPCG(45, 1))
+	for round := range 200 {
+		attrs := make([]schema.Attribute, 1+rng.IntN(5))
+		defaults := map[string]float64{}
+		for i := range attrs {
+			var dom schema.Domain
+			var def float64
+			switch rng.IntN(3) {
+			case 0:
+				lo := rng.NormFloat64() * 100
+				dom, _ = schema.NewNumericDomain(lo, lo+1e-3+rng.Float64()*100)
+				def = lo + rng.Float64()*1e-3
+			case 1:
+				lo := rng.IntN(100) - 50
+				dom, _ = schema.NewIntegerDomain(lo, lo+1+rng.IntN(100))
+				def = float64(lo + 1)
+			default:
+				labels := make([]string, 2+rng.IntN(4))
+				for j := range labels {
+					labels[j] = fmt.Sprintf("l%d.%d", i, j)
+				}
+				dom, _ = schema.NewCategoricalDomain(labels...)
+				def = float64(rng.IntN(len(labels)))
+			}
+			attrs[i] = schema.Attribute{Name: fmt.Sprintf("a%d", i), Domain: dom}
+			if round%2 == 1 && rng.IntN(2) == 0 {
+				defaults[attrs[i].Name] = def
+			}
+		}
+		sch := schema.MustNew(attrs...)
+		brk, err := broker.New(sch, broker.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(brk, nil)
+		if round%2 == 1 {
+			d, err := event.NewDefaults(sch, defaults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.SetDefaults(d)
+		}
+		line, _ := EncodeLine(Response{Type: MsgOK, Op: OpHello, Proto: int(ProtoV2), Attributes: srv.schemaPayload()})
+		brk.Close()
+		answer, err := DecodeResponse(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSch, gotDefaults, err := helloSchema(answer.Attributes)
+		if err != nil {
+			t.Fatalf("round %d: %s: %v", round, line, err)
+		}
+		if !reflect.DeepEqual(gotSch, sch) {
+			t.Fatalf("round %d: rebuilt %s from %s, want %s", round, gotSch, line, sch)
+		}
+		wantVals, wantHas := make([]float64, sch.N()), make([]bool, sch.N())
+		gotVals, gotHas := make([]float64, sch.N()), make([]bool, sch.N())
+		srv.defaults.Fill(wantVals, wantHas)
+		gotDefaults.Fill(gotVals, gotHas)
+		if !slices.Equal(gotVals, wantVals) || !slices.Equal(gotHas, wantHas) {
+			t.Fatalf("round %d: rebuilt defaults %v %v from %s, want %v %v", round, gotVals, gotHas, line, wantVals, wantHas)
+		}
+	}
+}
+
+// TestDialRefusesInvalidSchema: a hello whose attributes form no valid schema
+// fails the dial.
+func TestDialRefusesInvalidSchema(t *testing.T) {
+	seven := 7.0
+	for name, attrs := range map[string][]AttrPayload{
+		"empty kind":          {{Name: "a", Hi: 1}},
+		"unknown kind":        {{Name: "a", Kind: "complex", Hi: 1}},
+		"lo above hi":         {{Name: "a", Kind: "numeric", Lo: 2, Hi: 1}},
+		"integer lo above hi": {{Name: "a", Kind: "integer", Lo: 2, Hi: 1}},
+		"one label":           {{Name: "a", Kind: "categorical", Hi: 0, Labels: []string{"x"}}},
+		"fractional integer":  {{Name: "a", Kind: "integer", Lo: 0.5, Hi: 3}},
+		"labels beyond hi":    {{Name: "a", Kind: "categorical", Hi: 1, Labels: []string{"x", "y", "z"}}},
+		"duplicate name":      {{Name: "a", Kind: "numeric", Hi: 1}, {Name: "a", Kind: "numeric", Hi: 1}},
+		"no attributes":       nil,
+		"default off domain":  {{Name: "a", Kind: "numeric", Hi: 1, Default: &seven}},
+	} {
+		answer, _ := EncodeLine(Response{Type: MsgOK, Op: OpHello, Proto: int(ProtoV2), Attributes: attrs})
+		if c, err := DialWith(stubServer(t, answer), DialConfig{Timeout: rpcTimeout}); err == nil {
+			_ = c.Close()
+			t.Errorf("%s: the dial succeeded", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestClientCompletionAllocations pins what completing maps costs a client
+// over sending the same vectors on the same connection: one object per
+// Publish(map), its vector, and two per PublishBatch(maps), the block of
+// vectors and their headers.
+func TestClientCompletionAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins do not hold under -race")
+	}
+	c, err := DialWith(startServerWith(t, map[string]float64{"humidity": 50}), DialConfig{Timeout: rpcTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	m, vals := map[string]float64{"temperature": 5}, []float64{5, 50}
+	ms, batch := make([]map[string]float64, 64), make([][]float64, 64)
+	for i := range ms {
+		ms[i], batch[i] = m, vals
+	}
+	must := func(_ any, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 500
+	perCall := func(f, base func()) float64 {
+		return math.Round((float64(mallocs(n, f)) - float64(mallocs(n, base))) / n)
+	}
+	if got := perCall(func() { must(c.Publish(m, rpcTimeout)) }, func() { must(c.PublishVals(vals, rpcTimeout)) }); got != 1 {
+		t.Errorf("Publish(map) allocates %v objects more than PublishVals, want 1 (the vector)", got)
+	}
+	if got := perCall(func() { must(c.PublishBatch(ms, rpcTimeout)) }, func() { must(c.PublishValsBatch(batch, rpcTimeout)) }); got != 2 {
+		t.Errorf("PublishBatch(64 maps) allocates %v objects more than PublishValsBatch, want 2 (the block and the headers)", got)
+	}
+}

@@ -43,95 +43,68 @@ func (in *inbound) id(b []byte) string {
 	return s
 }
 
-// slots is the schema knowledge a client learns from the hello's answer:
-// slot i of a vector is attribute i of the answer, which also carries the
-// defaults.
-type slots struct {
-	attrs []AttrPayload
-	index map[string]int // name → slot
-}
-
-func attrSlots(attrs []AttrPayload) *slots {
-	idx := make(map[string]int, len(attrs))
+// helloSchema rebuilds the daemon's schema and defaults from the attributes
+// of the hello's answer, as schemaPayload's inverse: slot i of a vector is
+// attribute i. Attributes that form no valid schema (an unknown kind, lo ≥ hi,
+// bounds or labels that disagree with the kind, a repeated name, a default
+// outside its domain) fail.
+func helloSchema(attrs []AttrPayload) (*schema.Schema, *event.Defaults, error) {
+	as := make([]schema.Attribute, len(attrs))
+	defaults := make(map[string]float64)
 	for i, a := range attrs {
-		idx[a.Name] = i
-	}
-	return &slots{attrs: attrs, index: idx}
-}
-
-// vectorOf converts an attribute map to a slot vector, filling what it omits
-// from the defaults. A name outside the schema fails with
-// schema.ErrUnknownAttribute, an omitted attribute without a default with
-// event.ErrArity.
-func (s *slots) vectorOf(m map[string]float64) ([]float64, error) {
-	vec := make([]float64, len(s.attrs))
-	if err := s.fill(vec, m); err != nil {
-		return nil, err
-	}
-	return vec, nil
-}
-
-// vectorsOf is vectorOf over a batch: all events convert, or the first that
-// cannot names its index. The vectors are carved out of one block, each
-// capped so that no append through one reaches the next.
-func (s *slots) vectorsOf(ms []map[string]float64) ([][]float64, error) {
-	n := len(s.attrs)
-	block, batch := make([]float64, n*len(ms)), make([][]float64, len(ms))
-	for i, m := range ms {
-		batch[i] = block[i*n : (i+1)*n : (i+1)*n]
-		if err := s.fill(batch[i], m); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
+		var dom schema.Domain
+		var err error
+		switch a.Kind {
+		case schema.KindNumeric.String():
+			dom, err = schema.NewNumericDomain(a.Lo, a.Hi)
+		case schema.KindInteger.String():
+			dom, err = schema.NewIntegerDomain(int(a.Lo), int(a.Hi))
+		case schema.KindCategorical.String():
+			dom, err = schema.NewCategoricalDomain(a.Labels...)
+		default:
+			err = fmt.Errorf("%w: kind %q", schema.ErrBadDomain, a.Kind)
+		}
+		if err == nil && (dom.Lo() != a.Lo || dom.Hi() != a.Hi) {
+			err = fmt.Errorf("%w: %s for bounds [%g,%g]", schema.ErrBadDomain, dom, a.Lo, a.Hi)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("attribute %q: %w", a.Name, err)
+		}
+		as[i] = schema.Attribute{Name: a.Name, Domain: dom}
+		if a.Default != nil {
+			defaults[a.Name] = *a.Default
 		}
 	}
-	return batch, nil
-}
-
-// fill writes m into the zeroed vec by slot and completes what m omits from
-// the defaults.
-func (s *slots) fill(vec []float64, m map[string]float64) error {
-	for name, v := range m {
-		i, ok := s.index[name]
-		if !ok {
-			return fmt.Errorf("%w: %q", schema.ErrUnknownAttribute, name)
-		}
-		vec[i] = v
+	sch, err := schema.New(as...)
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(m) == len(vec) {
-		return nil // one known name per slot: nothing is omitted
-	}
-	for i, a := range s.attrs {
-		if _, ok := m[a.Name]; ok {
-			continue
-		}
-		if a.Default == nil {
-			return fmt.Errorf("%w: the event omits %s, which has no default", event.ErrArity, a.Name)
-		}
-		vec[i] = *a.Default
-	}
-	return nil
+	d, err := event.NewDefaults(sch, defaults)
+	return sch, d, err
 }
 
 // holds reports whether m is vec's map, bit for bit.
-func (s *slots) holds(m map[string]float64, vec []float64) bool {
-	if m == nil || len(vec) != len(s.attrs) {
+func holds(s *schema.Schema, m map[string]float64, vec []float64) bool {
+	if m == nil || len(vec) != s.N() {
 		return false
 	}
 	for i, v := range vec {
-		if math.Float64bits(m[s.attrs[i].Name]) != math.Float64bits(v) {
+		if math.Float64bits(m[s.At(i).Name]) != math.Float64bits(v) {
 			return false
 		}
 	}
 	return true
 }
 
-// mapOf is vectorOf's inverse; it fails on a vector of the wrong arity.
-func (s *slots) mapOf(vec []float64) (map[string]float64, error) {
-	if len(vec) != len(s.attrs) {
-		return nil, fmt.Errorf("wire: %d values for %d attributes", len(vec), len(s.attrs))
+// mapOf names vec's slots by attribute; it fails on a vector of the wrong
+// arity.
+func mapOf(s *schema.Schema, vec []float64) (map[string]float64, error) {
+	if len(vec) != s.N() {
+		return nil, fmt.Errorf("wire: %d values for %d attributes", len(vec), s.N())
 	}
 	m := make(map[string]float64, len(vec))
 	for i, v := range vec {
-		m[s.attrs[i].Name] = v
+		m[s.At(i).Name] = v
 	}
 	return m, nil
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"genas/internal/event"
 	"genas/internal/schema"
 )
 
@@ -246,18 +245,18 @@ func TestHotFrameRoundTrips(t *testing.T) {
 	})
 }
 
-// newSlots is the slot table of a schema answer naming names, announcing no
-// defaults.
-func newSlots(names []string) *slots {
-	attrs := make([]AttrPayload, len(names))
+// numericSchema is a schema of numeric attributes naming names.
+func numericSchema(names ...string) *schema.Schema {
+	attrs := make([]schema.Attribute, len(names))
 	for i, n := range names {
-		attrs[i].Name = n
+		dom, _ := schema.NewNumericDomain(-1000, 1000)
+		attrs[i] = schema.Attribute{Name: n, Domain: dom}
 	}
-	return attrSlots(attrs)
+	return schema.MustNew(attrs...)
 }
 
-// crossCodecSlots is the schema the JSON-meaning property tests share.
-var crossCodecSlots = newSlots([]string{"temperature", "humidity"})
+// crossCodecSchema is the schema the JSON-meaning property tests share.
+var crossCodecSchema = numericSchema("temperature", "humidity")
 
 // namedReq and namedResp are a message's JSON meaning with its vectors named
 // as attribute maps: the keys of Request and Response in their order, the
@@ -285,13 +284,13 @@ type namedResp struct {
 // namedRequest names a request's vectors, so a frame-decoded request compares
 // JSON-equal to what was sent. Vectors of the wrong arity have no named form
 // and are left alone.
-func namedRequest(sl *slots, r Request) namedReq {
+func namedRequest(sch *schema.Schema, r Request) namedReq {
 	n := namedReq{Op: r.Op, ID: r.ID, Profile: r.Profile, Priority: r.Priority, Request: r}
 	if r.Vals != nil {
-		n.Event, _ = sl.mapOf(r.Vals)
+		n.Event, _ = mapOf(sch, r.Vals)
 	}
 	for _, v := range r.Batch {
-		m, err := sl.mapOf(v)
+		m, err := mapOf(sch, v)
 		if err != nil {
 			n.Events = nil
 			break
@@ -301,10 +300,10 @@ func namedRequest(sl *slots, r Request) namedReq {
 	return n
 }
 
-func namedResponse(sl *slots, r Response) namedResp {
+func namedResponse(sch *schema.Schema, r Response) namedResp {
 	n := namedResp{Type: r.Type, Op: r.Op, Error: r.Error, Profile: r.Profile, Response: r}
 	if r.Vals != nil {
-		n.Event, _ = sl.mapOf(r.Vals)
+		n.Event, _ = mapOf(sch, r.Vals)
 	}
 	return n
 }
@@ -349,8 +348,8 @@ func TestCrossCodecRequests(t *testing.T) {
 			if cid != 42 {
 				t.Errorf("cid = %d, want 42", cid)
 			}
-			a, _ := json.Marshal(namedRequest(crossCodecSlots, req))
-			b, _ := json.Marshal(namedRequest(crossCodecSlots, got))
+			a, _ := json.Marshal(namedRequest(crossCodecSchema, req))
+			b, _ := json.Marshal(namedRequest(crossCodecSchema, got))
 			if !bytes.Equal(a, b) {
 				t.Errorf("request changed in the frame:\n sent: %s\n read: %s", a, b)
 			}
@@ -402,74 +401,11 @@ func TestCrossCodecResponses(t *testing.T) {
 			if resp.Type != MsgNotification && cid != 7 {
 				t.Errorf("cid = %d, want 7", cid)
 			}
-			a, _ := json.Marshal(namedResponse(crossCodecSlots, resp))
-			b, _ := json.Marshal(namedResponse(crossCodecSlots, got))
+			a, _ := json.Marshal(namedResponse(crossCodecSchema, resp))
+			b, _ := json.Marshal(namedResponse(crossCodecSchema, got))
 			if !bytes.Equal(a, b) || !slices.Equal(resp.IDs, got.IDs) {
 				t.Errorf("response changed in the frame:\n sent: %s %q\n read: %s %q", a, resp.IDs, b, got.IDs)
 			}
 		})
-	}
-}
-
-// TestSlotsVectorsOfOneBlock: a batch of full maps converts into one block
-// of vectors, each capped at its own length, so a batch of 64 costs two
-// objects: the block and the slice of vectors.
-func TestSlotsVectorsOfOneBlock(t *testing.T) {
-	sl := newSlots([]string{"a", "b", "c", "d"})
-	ms := make([]map[string]float64, 64)
-	for i := range ms {
-		ms[i] = map[string]float64{"a": float64(i), "b": 1, "c": 2, "d": 3}
-	}
-	batch, err := sl.vectorsOf(ms)
-	if err != nil || len(batch) != len(ms) {
-		t.Fatalf("vectorsOf = %d vectors, %v", len(batch), err)
-	}
-	for i, vec := range batch {
-		if !slices.Equal(vec, []float64{float64(i), 1, 2, 3}) || cap(vec) != len(vec) {
-			t.Fatalf("vector %d = %v, capacity %d", i, vec, cap(vec))
-		}
-	}
-	if n := testing.AllocsPerRun(100, func() { sl.vectorsOf(ms) }); n != 2 {
-		t.Errorf("converting 64 full maps allocates %v times, want 2 (the block and the batch)", n)
-	}
-}
-
-// TestSlotsVectorOf pins the client's map→vector conversion: a full map
-// converts as it is, an omitted attribute takes the announced default, and
-// an unknown name or an omitted attribute without a default fails with the
-// sentinel the server used to answer with.
-func TestSlotsVectorOf(t *testing.T) {
-	sl := newSlots([]string{"a", "b"})
-	if vec, err := sl.vectorOf(map[string]float64{"a": 1, "b": 2}); err != nil || !slices.Equal(vec, []float64{1, 2}) {
-		t.Errorf("full map = %v %v", vec, err)
-	}
-	if vec, err := sl.vectorOf(map[string]float64{"a": 1}); !errors.Is(err, event.ErrArity) || vec != nil {
-		t.Errorf("partial map without a default = %v %v, want event.ErrArity", vec, err)
-	}
-	if vec, err := sl.vectorOf(map[string]float64{"a": 1, "c": 2}); !errors.Is(err, schema.ErrUnknownAttribute) || vec != nil {
-		t.Errorf("unknown attribute = %v %v, want schema.ErrUnknownAttribute", vec, err)
-	}
-	if batch, err := sl.vectorsOf([]map[string]float64{{"a": 1, "b": 2}, {"a": 1}}); !errors.Is(err, event.ErrArity) ||
-		!strings.Contains(err.Error(), "event 1") || batch != nil {
-		t.Errorf("batch with a partial map = %v %v, want event.ErrArity naming event 1", batch, err)
-	}
-
-	five := 5.0
-	sl = attrSlots([]AttrPayload{{Name: "a"}, {Name: "b", Default: &five}})
-	if vec, err := sl.vectorOf(map[string]float64{"a": 1}); err != nil || !slices.Equal(vec, []float64{1, 5}) {
-		t.Errorf("partial map with a default = %v %v, want [1 5]", vec, err)
-	}
-	if vec, err := sl.vectorOf(map[string]float64{"a": 1, "b": 2}); err != nil || !slices.Equal(vec, []float64{1, 2}) {
-		t.Errorf("a named value beats the default: %v %v", vec, err)
-	}
-	if _, err := sl.vectorOf(map[string]float64{"b": 2}); !errors.Is(err, event.ErrArity) {
-		t.Errorf("omitting the attribute without a default = %v, want event.ErrArity", err)
-	}
-
-	if m, err := sl.mapOf([]float64{1, 2}); err != nil || m["a"] != 1 || m["b"] != 2 {
-		t.Errorf("mapOf = %v %v", m, err)
-	}
-	if _, err := sl.mapOf([]float64{1}); err == nil {
-		t.Error("a vector of the wrong arity must not be named")
 	}
 }

@@ -68,7 +68,7 @@ func FuzzDecodeRequest(f *testing.F) {
 // junk. The decoders must never panic, and any frame they accept must survive
 // a re-encode/decode round trip with identical meaning.
 func FuzzDecodeFrame(f *testing.F) {
-	sl := newSlots([]string{"temperature", "humidity"})
+	sch := numericSchema("temperature", "humidity")
 	corpus := []string{
 		`{"op":"ping"}`,
 		`{"op":"subscribe","id":"hot","profile":"profile(temperature >= 35)","priority":2}`,
@@ -137,8 +137,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded request frame does not decode: %v", err)
 			}
-			a, _ := json.Marshal(namedRequest(sl, req))
-			b, _ := json.Marshal(namedRequest(sl, again))
+			a, _ := json.Marshal(namedRequest(sch, req))
+			b, _ := json.Marshal(namedRequest(sch, again))
 			if !bytes.Equal(a, b) || cid2 != cid {
 				t.Fatalf("request round trip drifted (cid %d→%d):\n  first  %s\n  second %s", cid, cid2, a, b)
 			}
@@ -156,8 +156,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded response frame does not decode: %v", err)
 			}
-			a, _ := json.Marshal(namedResponse(sl, resp))
-			b, _ := json.Marshal(namedResponse(sl, again))
+			a, _ := json.Marshal(namedResponse(sch, resp))
+			b, _ := json.Marshal(namedResponse(sch, again))
 			if !bytes.Equal(a, b) || cid2 != cid || !slices.Equal(resp.IDs, again.IDs) {
 				t.Fatalf("response round trip drifted (cid %d→%d):\n  first  %s\n  second %s", cid, cid2, a, b)
 			}

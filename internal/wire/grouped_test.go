@@ -124,9 +124,9 @@ func v2Confirmation() []byte {
 	return confirm
 }
 
-// stubV2Server accepts one connection, confirms its hello and then writes
-// stream.
-func stubV2Server(t *testing.T, stream []byte) string {
+// stubServer accepts one connection and answers its hello with answer: a
+// hello line, then a stream of frames.
+func stubServer(t *testing.T, answer []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -143,7 +143,7 @@ func stubV2Server(t *testing.T, stream []byte) string {
 		if _, err := ReadLine(rd); err != nil {
 			return
 		}
-		if _, err := conn.Write(append(v2Confirmation(), stream...)); err != nil {
+		if _, err := conn.Write(answer); err != nil {
 			return
 		}
 		_, _ = rd.ReadByte() // hold the connection until the client leaves
@@ -157,7 +157,7 @@ func stubV2Server(t *testing.T, stream []byte) string {
 func TestClientTakesEitherSpelling(t *testing.T) {
 	t.Run("echo, grouped frame", func(t *testing.T) {
 		vals := []float64{41, 10}
-		c, err := DialWith(stubV2Server(t, appendNotifyGroupFrame(nil, 7, vals, []string{"a", "b"})), DialConfig{Timeout: rpcTimeout})
+		c, err := DialWith(stubServer(t, appendNotifyGroupFrame(v2Confirmation(), 7, vals, []string{"a", "b"})), DialConfig{Timeout: rpcTimeout})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -217,10 +217,10 @@ func encodeSession(t testing.TB, steps []fuzzStep) []byte {
 // scriptSteps is the session script as the client sends it, on connection 0:
 // its maps turned into vectors, and the step the client refuses left out.
 func scriptSteps() []fuzzStep {
-	sl := newSlots([]string{"temperature", "humidity"})
+	sch := numericSchema("temperature", "humidity")
 	var steps []fuzzStep
 	for _, st := range sessionScript {
-		if req, err := st.request(sl); err == nil {
+		if req, err := st.request(sch, nil); err == nil {
 			steps = append(steps, fuzzStep{req: req})
 		}
 	}

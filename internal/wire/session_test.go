@@ -14,13 +14,14 @@ import (
 	"time"
 
 	"genas/internal/broker"
+	"genas/internal/event"
 	"genas/internal/schema"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/session.golden from the session script")
 
 // sessionStep is one step of the session script: a request, or an event map
-// (ev, or evs for a batch) that the client's slots turn into req's vectors.
+// (ev, or evs for a batch) that the client completes into req's vectors.
 type sessionStep struct {
 	step string
 	req  Request
@@ -64,15 +65,24 @@ var sessionScript = []sessionStep{
 	{step: "still alive", req: Request{Op: OpPing}},
 }
 
-// request resolves a step's maps through sl, as Client.Publish and
+// request completes a step's maps against sch and d, as Client.Publish and
 // Client.PublishBatch do.
-func (st sessionStep) request(sl *slots) (req Request, err error) {
+func (st sessionStep) request(sch *schema.Schema, d *event.Defaults) (req Request, err error) {
 	req = st.req
+	complete := func(m map[string]float64) ([]float64, error) {
+		vals := make([]float64, sch.N())
+		return vals, event.Complete(sch, vals, m, d)
+	}
 	switch {
 	case st.ev != nil:
-		req.Vals, err = sl.vectorOf(st.ev)
+		req.Vals, err = complete(st.ev)
 	case st.evs != nil:
-		req.Batch, err = sl.vectorsOf(st.evs)
+		req.Batch = make([][]float64, len(st.evs))
+		for i, m := range st.evs {
+			if req.Batch[i], err = complete(m); err != nil {
+				break
+			}
+		}
 	}
 	return req, err
 }
@@ -117,7 +127,7 @@ func runSessionScript(t *testing.T) (transcript string, leaked int) {
 
 	var b strings.Builder
 	for _, st := range sessionScript {
-		req, err := st.request(c.slots)
+		req, err := st.request(c.sch, c.defaults)
 		var resp Response
 		if err == nil {
 			resp, err = c.roundTrip(req, rpcTimeout)
