@@ -527,11 +527,13 @@ func rangeCorpus(tb testing.TB, n int) (*schema.Schema, []*predicate.Profile) {
 // TestBuildAllocations is the allocation ceiling of the batch build: the
 // automaton is carved from arena chunks, so tree.Build makes fewer than one
 // malloc per four nodes (it made 60 per node when every node, edge list, bucket
-// list, profile set, decomposition and memo key was an object of its own), and
-// a coalescing rebuild — poset compaction, build, freeze — under twice that.
-// The benchmark's gate cannot see this count at --seconds 5, where no
-// repetition of churn-mixed holds a rebuild. The race runtime allocates on its
-// own account, so under -race the test only builds and logs.
+// list, profile set, decomposition and memo key was an object of its own), a
+// full rebuild — poset compaction, build, freeze — under twice that, and the
+// copy that replaces a worn line of edited trees, into a fresh line's
+// chunks, under the build's. The benchmark's gate cannot see these counts:
+// set-up builds once, and no churn op rebuilds or copies at --seconds 5. The
+// race runtime allocates on its own account, so under -race the test only
+// builds and logs.
 func TestBuildAllocations(t *testing.T) {
 	s, corpus := rangeCorpus(t, 2000)
 	var nodes int
@@ -553,10 +555,20 @@ func TestBuildAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%d nodes: tree.Build %.0f mallocs, Engine.Rebuild %.0f", nodes, build, rebuild)
-	if limit := float64(nodes) / 4; !raceEnabled && (build > limit || rebuild > 2*limit) {
-		t.Errorf("tree.Build makes %.0f mallocs and Engine.Rebuild %.0f for %d nodes, want at most %.0f and %.0f",
-			build, rebuild, nodes, limit, 2*limit)
+	edited, err := tree.Build(s, corpus[:1900])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range corpus[1900:] {
+		edited, _ = edited.WithProfile(p, tree.NaturalOrder())
+		edited = edited.WithoutProfile(i)
+	}
+	copied := testing.AllocsPerRun(3, func() { edited.Copied() })
+	t.Logf("%d nodes: tree.Build %.0f mallocs, Engine.Rebuild %.0f; a line copy of %d nodes %.0f",
+		nodes, build, rebuild, edited.Stats().Nodes, copied)
+	if limit := float64(nodes) / 4; !raceEnabled && (build > limit || rebuild > 2*limit || copied > limit) {
+		t.Errorf("tree.Build makes %.0f mallocs, Engine.Rebuild %.0f and a line copy %.0f for %d nodes, want at most %.0f, %.0f and %.0f",
+			build, rebuild, copied, nodes, limit, 2*limit, limit)
 	}
 }
 

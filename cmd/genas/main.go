@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"genas/internal/event"
-	"genas/internal/schema"
 	"genas/internal/wire"
 )
 
@@ -180,22 +179,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	case "schema":
 		// One spec line, as genasd -schema and schema.ParseSpec read it.
-		sch := c.HelloSchema()
-		for i := range sch.N() {
-			a := sch.At(i)
-			if i > 0 {
-				fmt.Fprint(stdout, "; ")
-			}
-			switch d := a.Domain; d.Kind() {
-			case schema.KindCategorical:
-				fmt.Fprintf(stdout, "%s=cat{%s}", a.Name, strings.Join(d.Labels(), ","))
-			case schema.KindInteger:
-				fmt.Fprintf(stdout, "%s=int[%g,%g]", a.Name, d.Lo(), d.Hi())
-			default:
-				fmt.Fprintf(stdout, "%s=numeric[%g,%g]", a.Name, d.Lo(), d.Hi())
-			}
-		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, c.HelloSchema().Spec())
 		return 0
 
 	case "profiles":

@@ -115,7 +115,7 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 		logger.Printf("listen: %v", err)
 		return 1
 	}
-	logger.Printf("listening on %s with schema %s (%d shards)", ln.Addr(), sch, core.ResolveShards(*shards))
+	logger.Printf("listening on %s with schema %s (%d shards)", ln.Addr(), sch.Spec(), core.ResolveShards(*shards))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

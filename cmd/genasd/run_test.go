@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"genas/internal/schema"
 	"genas/internal/wire"
 )
 
@@ -56,6 +57,31 @@ func (w *lockedWriter) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.buf.Write(p)
+}
+
+// TestDaemonLogsItsSchemaAsASpec: the start-up line names the schema in the
+// spelling -schema reads, so that the line can be pasted back.
+func TestDaemonLogsItsSchemaAsASpec(t *testing.T) {
+	const spec = "temperature=numeric[-30.5,50]; floor=int[0,12]; state=cat{ok,warn,alarm}"
+	_, stderr, stop := startDaemon(t, "-schema", spec)
+	if code := stop(); code != 0 {
+		t.Fatalf("daemon exited with %d: %s", code, stderr)
+	}
+	_, line, ok := strings.Cut(stderr.String(), " with schema ")
+	if line, _, _ = strings.Cut(line, " ("); !ok {
+		t.Fatalf("no start-up line names the schema: %s", stderr)
+	}
+	got, err := schema.ParseSpec(line)
+	if err != nil {
+		t.Fatalf("-schema cannot read the logged schema %q: %v", line, err)
+	}
+	want, err := schema.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("the daemon logs %q, which reads back as %s; it was started with %s", line, got, want)
+	}
 }
 
 // TestDaemonEndToEnd boots the daemon (sharded, adaptive) and exercises the

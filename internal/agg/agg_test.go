@@ -295,34 +295,48 @@ func TestBulkInternKeepsNoDirtyList(t *testing.T) {
 	}
 }
 
-// TestDeltaReportsNodeTableChange: only a created or an emptied structure
-// changes the node table, whether or not it is a root.
-func TestDeltaReportsNodeTableChange(t *testing.T) {
+// TestFreedIndexIsReused: a removed structure frees its index, and the next
+// new structure takes it over, so the node table never grows past the peak
+// live node count. A reused index is not the newest, so placing its node
+// scans the whole table: here it lands between two nodes placed after it
+// (the direct edge between them goes), and the order stays the transitive
+// reduction.
+func TestFreedIndexIsReused(t *testing.T) {
 	s := testSchema(t)
 	po := NewPoset(s)
-	steps := []struct {
-		add, remove string
-		expr        string
-		nodes       int
-	}{
-		{add: "wide", expr: "profile(x in [0,90])", nodes: 1},
-		{add: "twin", expr: "profile(x <= 90)", nodes: 0},
-		{add: "in", expr: "profile(x in [5,60])", nodes: 1},
-		{remove: "twin", nodes: 0},
-		{remove: "in", nodes: -1},
-		{remove: "wide", nodes: -1},
+	mustAdd(t, po, parse(t, s, "narrow", "profile(x in [0,10])"))
+	mustAdd(t, po, parse(t, s, "wide", "profile(x in [0,90])"))
+	mustAdd(t, po, parse(t, s, "inner", "profile(x in [20,30])"))
+	freed := po.bySub["narrow"].idx
+	if d, _ := po.Remove("narrow"); len(d.Left) != 0 || len(d.Joined) != 0 {
+		t.Fatalf("removing a covered structure changed the roots: %+v", d)
 	}
-	for _, st := range steps {
-		var d Delta
-		if st.add != "" {
-			d = mustAdd(t, po, parse(t, s, st.add, st.expr))
-		} else {
-			d, _ = po.Remove(predicate.ID(st.remove))
-		}
-		if d.Nodes != st.nodes {
-			t.Fatalf("%+v: Delta.Nodes = %d", st, d.Nodes)
+	d := mustAdd(t, po, parse(t, s, "mid", "profile(x in [15,40])"))
+	if n := po.bySub["mid"]; n.idx != freed || len(po.nodes) != 3 || len(d.Left) != 0 || len(d.Joined) != 0 {
+		t.Fatalf("the new structure took index %d of a %d-node table (freed %d), delta %+v", n.idx, len(po.nodes), freed, d)
+	}
+	checkReduction(t, po)
+	if got := po.RelationOf("wide", "mid"); got != Covers {
+		t.Fatalf("wide is %v mid", got)
+	}
+	if got := po.RelationOf("mid", "inner"); got != Covers {
+		t.Fatalf("mid is %v inner", got)
+	}
+	for _, pr := range [][]float64{{25, 0}, {35, 0}, {5, 0}, {95, 0}} {
+		if got, want := strings.Join(expandAll(t, s, po, pr), ","), strings.Join(direct(po, pr), ","); got != want {
+			t.Fatalf("probe %v: expand %q != direct evaluation %q", pr, got, want)
 		}
 	}
+	// Churn of distinct structures keeps the table at its peak.
+	for i := range 100 {
+		id := predicate.ID(fmt.Sprintf("c%d", i))
+		mustAdd(t, po, parse(t, s, string(id), fmt.Sprintf("profile(y = %d)", i)))
+		po.Remove(id)
+	}
+	if len(po.nodes) != 4 || len(po.keys) != 4 {
+		t.Fatalf("100 pairs grew the table to %d nodes, %d keys; the peak live count is 4", len(po.nodes), len(po.keys))
+	}
+	checkReduction(t, po)
 }
 
 func TestStatsShape(t *testing.T) {

@@ -53,14 +53,9 @@ type NodeRef struct {
 
 // Delta is what one Add or Remove changed, in the terms the engine applies to
 // its automaton. Most calls change nothing: a subscriber joining or leaving
-// an existing structure. A structure entering or leaving beneath a coverer
-// changes the node table but leaves both lists empty.
+// an existing structure, or a structure entering or leaving beneath a
+// coverer.
 type Delta struct {
-	// Nodes is the change in the canonical node count: +1 when Add created a
-	// structure, -1 when Remove emptied one. An emptied node leaves a hole in
-	// the node table that only Compact reclaims, so the engine charges these
-	// to the budget that buys its next rebuild.
-	Nodes int
 	// Joined lists the nodes that became roots: a new uncovered structure,
 	// or the formerly-covered nodes promoted when their last coverer
 	// detached. The engine indexes their representatives.
@@ -99,11 +94,12 @@ func (s Stats) Ratio() float64 {
 // serializes on its mutex, except the frozen Snapshot handed to readers.
 type Poset struct {
 	sch *schema.Schema
-	// nodes is append-only between Compact calls; removed nodes leave nil
-	// holes so published snapshots' indices stay stable. keys is aligned
-	// with it.
+	// nodes holds every node at its index. A removed node leaves a nil hole
+	// and its index on free, which the next new node takes over, so the table
+	// never grows past the peak live node count. keys is aligned with it.
 	nodes []*node
 	keys  []linkKey
+	free  []int32
 	// byForm interns nodes by the hash of their form; hash is hashForm
 	// except in the test that forces collisions.
 	byForm map[uint64]*node
@@ -176,9 +172,10 @@ func (po *Poset) Members() []Member {
 }
 
 // attach registers member m on its canonical node, creating the node on an
-// interning miss (reported by created): it is then in the tables but not yet
-// in the order. The caller has already rejected duplicates via Has; the
-// profile's predicate column is aliased, not copied.
+// interning miss (reported by created), at the index the last removal freed
+// if there is one: it is then in the tables but not yet in the order. The
+// caller has already rejected duplicates via Has; the profile's predicate
+// column is aliased, not copied.
 func (po *Poset) attach(m Member) (n *node, created bool) {
 	p := m.Profile()
 	po.form, po.ivs = formOf(po.sch, p, po.form[:0], po.ivs)
@@ -195,8 +192,13 @@ func (po *Poset) attach(m Member) (n *node, created bool) {
 			next: po.byForm[h],
 		}
 		po.byForm[h] = n
-		po.nodes = append(po.nodes, n)
-		po.keys = append(po.keys, keyOf(n.form))
+		if k := len(po.free); k > 0 {
+			n.idx, po.free = po.free[k-1], po.free[:k-1]
+			po.nodes[n.idx], po.keys[n.idx] = n, keyOf(n.form)
+		} else {
+			po.nodes = append(po.nodes, n)
+			po.keys = append(po.keys, keyOf(n.form))
+		}
 		po.live++
 	}
 	po.setSubs(n, append(n.subs, m))
@@ -260,32 +262,26 @@ func (po *Poset) Join(m Member) Delta {
 		// Interning hit: the tree and the poset edges are untouched.
 		return Delta{}
 	}
-	d := po.link(n)
-	d.Nodes = 1
-	return d
-}
-
-// link places n into the order among the nodes before it in the table, all
-// linked already: Join's newest node.
-func (po *Poset) link(n *node) Delta {
-	po.above, po.below = po.covering(n, po.above[:0], po.below[:0])
+	po.above, po.below = po.covering(n, len(po.keys), po.above[:0], po.below[:0])
 	return po.place(n, po.above, po.below)
 }
 
-// covering appends to above every node before n in the table that covers n,
-// and to below every one n covers, in table order: one scan over the keys,
-// reading a form only for the pairs the keys leave. It writes nothing, so
-// Compact runs it for many nodes at once.
-func (po *Poset) covering(n *node, above, below []*node) ([]*node, []*node) {
+// covering appends to above every node among the first upto of the table,
+// n aside, that covers n, and to below every one n covers, in table order:
+// one scan over the keys, reading a form only for the pairs the keys leave.
+// Join scans the whole table, since a reused index is not the newest;
+// Compact scans the nodes it placed before n. It writes nothing, so Compact
+// runs it for many nodes at once.
+func (po *Poset) covering(n *node, upto int, above, below []*node) ([]*node, []*node) {
 	key := po.keys[n.idx] // a copy: the scan keeps it in registers
-	for j := range po.keys[:n.idx] {
+	for j := range po.keys[:upto] {
 		switch o := &po.keys[j]; {
 		case o.attr == key.attr && (o.lo-key.lo)*(key.hi-o.hi) < 0:
 			// Both start at one attribute and neither hull there holds the
 			// other: the common case, settled by one predictable branch
 			// (an empty hull makes the product infinite or NaN, never
 			// negative, and falls through to the exact tests).
-		case o.attr < 0:
+		case o.attr < 0 || j == int(n.idx):
 		case mayCover(o, &key) && coversForm(po.nodes[j].form, n.form):
 			above = append(above, po.nodes[j])
 		case mayCover(&key, o) && coversForm(n.form, po.nodes[j].form):
@@ -378,9 +374,8 @@ func (po *Poset) Take(id predicate.ID) (m Member, d Delta) {
 	if len(subs) > 0 {
 		return m, d
 	}
-	d.Nodes = -1
 
-	// Last member gone: the node leaves the tables.
+	// Last member gone: the node leaves the tables, and its index is free.
 	h := po.hash(n.form)
 	if head := po.byForm[h]; head != n {
 		for head.next != n {
@@ -394,6 +389,7 @@ func (po *Poset) Take(id predicate.ID) (m Member, d Delta) {
 	}
 	po.nodes[n.idx] = nil
 	po.keys[n.idx].attr = -1
+	po.free = append(po.free, n.idx)
 	po.live--
 	if po.unlinked {
 		// No order to mend: the pending Compact links what is left.
@@ -440,10 +436,11 @@ func dropNode(s []*node, x *node) []*node {
 }
 
 // Compact rebuilds the order over the live nodes in one pass, dropping the
-// nil holes churn leaves behind and the redundant transitive edges removal
-// tolerates. Members and reps survive; indices are reassigned. The engine
-// calls this from its coalescing rebuild, right before re-indexing the roots;
-// it is also how nodes interned without linking enter the order.
+// holes no new node has taken over yet and the redundant transitive edges
+// removal tolerates. Members and reps survive; indices are reassigned and
+// the free list empties. The engine calls this from a full rebuild, right
+// before re-indexing the roots, never on a churn op; it is also how nodes
+// interned without linking enter the order.
 func (po *Poset) Compact() {
 	live := 0
 	for i, n := range po.nodes {
@@ -455,7 +452,7 @@ func (po *Poset) Compact() {
 		live++
 	}
 	clear(po.nodes[live:])
-	po.nodes, po.keys = po.nodes[:live], po.keys[:live]
+	po.nodes, po.keys, po.free = po.nodes[:live], po.keys[:live], po.free[:0]
 	po.roots = 0
 	po.unlinked = false
 	// Every record moved: the next Snapshot shares nothing with the last.
@@ -467,7 +464,7 @@ func (po *Poset) Compact() {
 		batch := po.nodes[from:min(from+len(found), live)]
 		par.For(par.Workers(len(batch), scanGrain), len(batch), scanGrain, func(_, i int) {
 			f := &found[i]
-			f.above, f.below = po.covering(batch[i], f.above[:0], f.below[:0])
+			f.above, f.below = po.covering(batch[i], from+i, f.above[:0], f.below[:0])
 		})
 		for i, n := range batch {
 			po.touch(n)

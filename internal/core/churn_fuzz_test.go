@@ -24,8 +24,9 @@ import (
 // the profile shapes and the interleaved probes, so the fuzzer explores
 // interleavings (insert-after-removal, remove-of-just-inserted, demotion on
 // a wider add, unsubscribe of a poset-internal coverer, promotion of orphaned
-// kids, coalesce mid-sequence, reorder of a fragmented successor tree) that
-// the handwritten tests cannot enumerate.
+// kids, a line copy mid-sequence, a new structure on a freed node index,
+// reorder of a fragmented successor tree) that the handwritten tests cannot
+// enumerate.
 
 // churnProbes is the event grid every oracle check sweeps: domain edges,
 // interval endpoints the generator can produce, and interior points.
@@ -80,9 +81,10 @@ func churnExpr(kx, ky, v byte) string {
 
 // runChurnSequence feeds the byte stream as a churn script into filter and
 // verifies both oracles, and that every root sits in automaton idx mod n,
-// every checkEvery operations, right after each coalescing rebuild, and once
-// at the end. It returns how many coalescing rebuilds the script crossed.
-func runChurnSequence(t *testing.T, s *schema.Schema, filter *Engine, data []byte, checkEvery int) (coalesced int) {
+// every checkEvery operations, right after each line copy, and once at the
+// end. It returns how many line copies the script crossed, and how many
+// times a root turned up on a node index another structure had held.
+func runChurnSequence(t *testing.T, s *schema.Schema, filter *Engine, data []byte, checkEvery int) (copies, reused int) {
 	t.Helper()
 	probes := churnProbes()
 	live := make(map[predicate.ID]*predicate.Profile)
@@ -152,6 +154,9 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter *Engine, data []byt
 		return b, true
 	}
 
+	// reps remembers the structure each root index held, while the poset is
+	// linked and no restructure renumbered it.
+	reps := make(map[int32]*predicate.Profile)
 	step := 0
 	for {
 		op, ok := take()
@@ -159,7 +164,7 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter *Engine, data []byt
 			break
 		}
 		step++
-		edits := filter.edits
+		copied := filter.copies
 		switch {
 		case op%8 == 7 && len(order) > 0:
 			// Occasionally restructure explicitly: Reorder on a possibly
@@ -173,6 +178,7 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter *Engine, data []byt
 			} else {
 				err = filter.Rebuild()
 			}
+			clear(reps)
 			if err != nil {
 				t.Fatalf("step %d: restructure: %v", step, err)
 			}
@@ -213,18 +219,23 @@ func runChurnSequence(t *testing.T, s *schema.Schema, filter *Engine, data []byt
 			live[id] = p
 			order = append(order, id)
 		}
-		// A subscribe or unsubscribe that clears a spent edit budget ran the
-		// coalescing rebuild (an explicit restructure clears it too, and
-		// the budget is already 0 whenever the corpus is empty).
-		if op%8 != 7 && edits > 0 && filter.edits == 0 {
-			coalesced++
+		if filter.snap.Load().parts != nil {
+			for _, r := range filter.agg.RootList() {
+				if was, ok := reps[r.Idx]; ok && was != r.Rep {
+					reused++
+				}
+				reps[r.Idx] = r.Rep
+			}
+		}
+		if filter.copies != copied {
+			copies++
 			verify(step)
 		} else if step%checkEvery == 0 {
 			verify(step)
 		}
 	}
 	verify(step)
-	return coalesced
+	return copies, reused
 }
 
 // FuzzChurnSequence fuzzes interleaved subscribe/unsubscribe/restructure
@@ -259,12 +270,13 @@ func FuzzChurnSequence(f *testing.F) {
 
 // TestChurnSequenceOracle runs long deterministic churn scripts through an
 // engine of one automaton and one of three, so incremental inserts, removals,
-// explicit restructures and the coalesced rebuild all get oracle-checked.
+// explicit restructures, line copies and reused node indices all get
+// oracle-checked.
 func TestChurnSequenceOracle(t *testing.T) {
 	s := testSchema(t)
 	// script is a deterministic, seed-sensitive byte stream (xorshift).
 	// Without restructures no byte is 7 mod 8, so no op is an explicit
-	// Rebuild or Reorder and the edit budget only fills.
+	// Rebuild or Reorder: nothing but churn touches the index.
 	script := func(seed byte, n int, restructures bool) []byte {
 		data := make([]byte, n)
 		x := uint32(seed) + 1
@@ -290,10 +302,12 @@ func TestChurnSequenceOracle(t *testing.T) {
 			for seed := byte(1); seed <= 3; seed++ {
 				runChurnSequence(t, s, tc.filter(), script(seed, 600, true), 25)
 			}
-			// At most 48 live profiles keep the budget at its 128-edit
-			// floor; ~400 restructure-free ops spend it mid-sequence.
-			if runChurnSequence(t, s, tc.filter(), script(1, 1200, false), 25) == 0 {
-				t.Error("the restructure-free script never crossed the coalescing threshold")
+			// At most 48 live profiles come and go: the lines wear and
+			// freed node indices are taken over mid-sequence.
+			copies, reused := runChurnSequence(t, s, tc.filter(), script(1, 1200, false), 25)
+			t.Logf("the restructure-free script crossed %d line copies and %d reused node indices", copies, reused)
+			if copies == 0 || reused == 0 {
+				t.Errorf("the restructure-free script crossed %d line copies and %d reused node indices, want both", copies, reused)
 			}
 		})
 	}

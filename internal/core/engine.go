@@ -13,6 +13,12 @@
 // automata (NewSharded) to keep each one small; it still has one poset, one
 // writer lock and one published snapshot.
 //
+// The automata are built once, on the first match, and churn edits them in
+// place: no subscribe or unsubscribe rebuilds. The index stays proportional
+// to the live structures by its own bounds: the poset reuses the node index
+// a removed structure frees, and an automaton whose line of edits is worn is
+// swapped for its copy into a fresh line (tree.Tree.Worn, Copied).
+//
 // The engine "evaluates first those event-values and attributes that have
 // the highest selectivity": attributes with high selectivity move to the top
 // levels of the tree and, inside every node, the values events hit most sit
@@ -23,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -109,7 +116,8 @@ var (
 // element only, so a churn op publishes one object for any n. Each t2n is
 // append-only across successor snapshots — writes land past every
 // predecessor's length — so snapshots share its backing array like the tree
-// shares nodes.
+// shares nodes, until a line copy renumbers the automaton's slots and derives
+// a fresh one.
 type snapshot struct {
 	tree *tree.Tree
 	t2n  []int32
@@ -172,29 +180,8 @@ type Engine struct {
 	agg      *agg.Poset
 	nodeTree []int32
 	order    []int
-	// edits counts the index edits since the last full rebuild: a root
-	// indexed or removed, or a structure created or emptied beneath a
-	// coverer (the automata are untouched, but the poset's node table grew
-	// or gained a hole). Once it reaches coalesceThreshold the churn op that
-	// spent the budget rebuilds, restoring the canonical structure and
-	// clearing the holes. A subscriber joining or leaving an existing
-	// structure changes neither and is not an edit.
-	edits int
-}
-
-// coalesceThreshold returns the edit budget before the next churn operation
-// pays a full rebuild: proportional to the index so large engines don't
-// rebuild constantly, floored so small ones don't rebuild on every edit.
-func (e *Engine) coalesceThreshold() int {
-	// Two edits per canonical node before paying a full rebuild: successor
-	// trees drift slowly (an edit re-lays, under the tree's weights, the
-	// subtree of each probe tree that its changed keys fall in, but distinct
-	// nodes may hold equal states), so rebuilding once per index-sized batch
-	// of edits trades a small match-path drift for keeping the rebuild
-	// entirely off the steady churn path. The automata's size follows the
-	// canonical node count, not the subscriber count, so the budget scales
-	// with that.
-	return max(2*e.agg.NodeCount(), 128)
+	// copies counts the worn automata churn swapped for their copies.
+	copies int
 }
 
 // NewEngine creates an engine over schema s with one automaton.
@@ -291,23 +278,11 @@ func (e *Engine) Remove(id predicate.ID) (Member, error) {
 // patchLocked applies one churn op's root-set change to the live automata
 // and publishes the successor. A root leaves and joins automaton idx mod n;
 // a share's first root gets a one-profile automaton under the last
-// rebuild's attribute order. Every churn op republishes the frozen expansion
-// image, even when no tree is touched, so in-flight matches keep expanding
-// against the state they matched under.
+// rebuild's attribute order. An automaton whose line is worn is swapped for
+// its copy, and its slot tables re-derived. Every churn op republishes the
+// frozen expansion image, even when no tree is touched, so in-flight matches
+// keep expanding against the state they matched under. No churn op rebuilds.
 func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
-	if n := len(d.Left) + len(d.Joined); n > 0 {
-		e.edits += n
-	} else if d.Nodes != 0 {
-		e.edits++
-	}
-	if e.edits >= e.coalesceThreshold() {
-		// Build errors (e.g. an A3 ordering failure) must not fail the
-		// churn operation — the poset update already happened — so the
-		// error surfaces on the next match, from the stale snapshot a
-		// failed rebuild leaves.
-		_ = e.rebuildLocked()
-		return
-	}
 	next := e.successor(snap, e.agg.Image())
 	for _, ni := range d.Left {
 		p := &next.parts[int(ni)%e.n]
@@ -337,16 +312,36 @@ func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
 		}
 		e.nodeTree[r.Idx] = int32(ti)
 	}
+	for i := range next.parts {
+		if p := &next.parts[i]; p.tree != nil && p.tree.Worn() {
+			t, old := p.tree.Copied()
+			t2n := make([]int32, len(old))
+			for j, o := range old {
+				t2n[j] = p.t2n[o]
+			}
+			p.tree = t
+			e.slots(p, t2n)
+			e.copies++
+		}
+	}
 	e.snap.Store(next)
 }
 
+// slots makes t2n automaton p's slot table, its slot j indexing poset node
+// t2n[j], and points those nodes' nodeTree entries back at their slots.
+func (e *Engine) slots(p *snapshot, t2n []int32) {
+	p.t2n = t2n
+	for j, ni := range t2n {
+		e.nodeTree[ni] = int32(j)
+	}
+}
+
 // resetLocked publishes the empty state. Going empty is the natural point
-// to drop the holes and edge fragments churn left in the poset.
+// to drop the edge fragments churn left in the poset.
 func (e *Engine) resetLocked() {
 	e.snap.Store(&snapshot{empty: true})
 	e.agg = agg.NewPoset(e.schema)
 	e.nodeTree = nil
-	e.edits = 0
 }
 
 // Members returns the registered members in node order, each as its
@@ -412,12 +407,14 @@ func (e *Engine) Rebuild() error {
 }
 
 // rebuildLocked builds a fresh index from the poset and publishes it: the
-// poset compacts (linking what was only interned, clearing churn holes and
+// poset compacts (linking what was only interned, clearing free indices and
 // redundant edges), the roots split by node index over the automata, each
 // is built under the attribute order computed over all roots, and the
 // slot↔node tables are derived fresh. Compacting renumbers the nodes, which
 // orphans the slot tables a live snapshot was patched through, so a failed
-// build leaves the engine stale, never patchable. Callers hold e.mu.
+// build leaves the engine stale, never patchable. The lazy first build,
+// SetConfig's invalidation, Rebuild and Analyze come here; no churn op does.
+// Callers hold e.mu.
 func (e *Engine) rebuildLocked() (err error) {
 	if e.agg.SubCount() == 0 {
 		e.resetLocked()
@@ -431,31 +428,18 @@ func (e *Engine) rebuildLocked() (err error) {
 	e.agg.Compact()
 	roots := e.agg.RootList()
 	corpus := make([]*predicate.Profile, len(roots))
-	size := make([]int, e.n)
+	shares, t2n := make([][]*predicate.Profile, e.n), make([][]int32, e.n)
 	for i, r := range roots {
 		corpus[i] = r.Rep
-		size[int(r.Idx)%e.n]++
+		s := int(r.Idx) % e.n
+		shares[s], t2n[s] = append(shares[s], r.Rep), append(t2n[s], r.Idx)
 	}
 	order, err := e.attrOrder(corpus)
 	if err != nil {
 		return err
 	}
 	next := e.successor(nil, e.agg.Image())
-	shares := make([][]*predicate.Profile, e.n)
-	for i := range shares {
-		shares[i] = make([]*predicate.Profile, 0, size[i])
-		next.parts[i].t2n = make([]int32, 0, size[i])
-	}
-	nodeTree := make([]int32, e.agg.NodeCount())
-	for i := range nodeTree {
-		nodeTree[i] = -1
-	}
-	for _, r := range roots {
-		i := int(r.Idx) % e.n
-		nodeTree[r.Idx] = int32(len(shares[i]))
-		shares[i] = append(shares[i], r.Rep)
-		next.parts[i].t2n = append(next.parts[i].t2n, r.Idx)
-	}
+	e.nodeTree = slices.Repeat([]int32{-1}, e.agg.NodeCount())
 	vo := e.valueOrder()
 	for i, share := range shares {
 		if len(share) == 0 {
@@ -464,8 +448,9 @@ func (e *Engine) rebuildLocked() (err error) {
 		if next.parts[i].tree, err = tree.Build(e.schema, share, tree.WithAttributeOrder(order), tree.WithValueOrder(vo)); err != nil {
 			return err
 		}
+		e.slots(&next.parts[i], t2n[i])
 	}
-	e.nodeTree, e.order, e.edits = nodeTree, order, 0
+	e.order = order
 	e.snap.Store(next)
 	return nil
 }
@@ -629,8 +614,9 @@ func (e *Engine) Tree() *tree.Tree {
 }
 
 // Analyze runs the analytic cost model (Eq. 2) under the engine's event
-// distributions. The model is defined over canonical automata, so edited or
-// stale ones are coalesced first. Over several automata the expected
+// distributions. The model is defined over canonical automata, so Analyze
+// rebuilds them first: edited automata match the same sets, but may hold
+// equal states in distinct nodes. Over several automata the expected
 // operations add (every event walks every automaton), the match probability
 // combines as 1−Π(1−pᵢ), and PerProfile holds one entry per indexed root, in
 // automaton order.
@@ -641,13 +627,11 @@ func (e *Engine) Analyze() (selectivity.Analysis, error) {
 		e.mu.Unlock()
 		return selectivity.Analysis{}, ErrNoProfiles
 	}
-	if snap.parts == nil || e.edits > 0 {
-		if err := e.rebuildLocked(); err != nil {
-			e.mu.Unlock()
-			return selectivity.Analysis{}, err
-		}
-		snap = e.snap.Load()
+	if err := e.rebuildLocked(); err != nil {
+		e.mu.Unlock()
+		return selectivity.Analysis{}, err
 	}
+	snap = e.snap.Load()
 	ed := e.eventDists()
 	e.mu.Unlock()
 	var out selectivity.Analysis

@@ -333,6 +333,9 @@ func TestPosetBulkEqualsIncremental(t *testing.T) {
 func FuzzPosetLink(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 3, 0, 1, 4, 1, 5, 2, 0})
 	f.Add([]byte{1, 9, 1, 9, 1, 10, 2, 1, 0, 9, 3, 0, 2, 0, 2, 0})
+	// Three structures, the first removed, then a fourth that takes over
+	// the index it freed, checked before and after.
+	f.Add([]byte{1, 1, 1, 2, 1, 3, 4, 0, 2, 0, 1, 4, 4, 0, 1, 5, 4, 0})
 	seq := make([]byte, 0, 128)
 	for i := 0; i < 64; i++ {
 		seq = append(seq, byte(i*7%5), byte(i*37))

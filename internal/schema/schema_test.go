@@ -3,6 +3,7 @@ package schema
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -221,6 +222,51 @@ func TestParseSpec(t *testing.T) {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) must fail", bad)
 		}
+	}
+}
+
+// TestSpecRoundTrips: Spec renders a schema as the line ParseSpec reads back
+// into the same schema, over numeric bounds that print long, integer and
+// categorical attributes.
+func TestSpecRoundTrips(t *testing.T) {
+	temp, err := NewNumericDomain(-30.25, 1.0/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := NewNumericDomain(-1e-7, 2.5e21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor, err := NewIntegerDomain(-2, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := NewCategoricalDomain("ok", "warn", "alarm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := MustNew(
+		Attribute{Name: "temperature", Domain: temp},
+		Attribute{Name: "flow", Domain: big},
+		Attribute{Name: "floor", Domain: floor},
+		Attribute{Name: "state", Domain: state},
+	)
+	spec := s.Spec()
+	back, err := ParseSpec(spec)
+	if err != nil {
+		t.Fatalf("ParseSpec(%q): %v", spec, err)
+	}
+	if back.String() != s.String() {
+		t.Fatalf("%q reads back as %s, want %s", spec, back, s)
+	}
+	for i := range s.N() {
+		a, b := s.At(i).Domain, back.At(i).Domain
+		if a.Kind() != b.Kind() || a.Lo() != b.Lo() || a.Hi() != b.Hi() || !slices.Equal(a.Labels(), b.Labels()) {
+			t.Fatalf("attribute %d: %q reads back as %v, want %v", i, spec, b, a)
+		}
+	}
+	if again := back.Spec(); again != spec {
+		t.Fatalf("the spec renders as %q, then as %q", spec, again)
 	}
 }
 

@@ -35,6 +35,28 @@ func ParseSpec(spec string) (*Schema, error) {
 	return New(attrs...)
 }
 
+// Spec renders s as the one specification line ParseSpec reads back into
+// the same schema: the daemon logs it, and `genas schema` prints it. Bounds
+// print in the shortest form that parses back to the same float. (String is
+// the diagnostic spelling, which peers exchange in their hellos.)
+func (s *Schema) Spec() string {
+	var b strings.Builder
+	for i, a := range s.attrs {
+		if i > 0 {
+			b.WriteString("; ")
+		}
+		switch d := a.Domain; d.Kind() {
+		case KindCategorical:
+			fmt.Fprintf(&b, "%s=cat{%s}", a.Name, strings.Join(d.Labels(), ","))
+		case KindInteger:
+			fmt.Fprintf(&b, "%s=int[%g,%g]", a.Name, d.Lo(), d.Hi())
+		default:
+			fmt.Fprintf(&b, "%s=numeric[%g,%g]", a.Name, d.Lo(), d.Hi())
+		}
+	}
+	return b.String()
+}
+
 func parseDomainSpec(spec string) (Domain, error) {
 	switch {
 	case strings.HasPrefix(spec, "numeric[") && strings.HasSuffix(spec, "]"):

@@ -33,10 +33,11 @@
 // the smallest subtree covering the keys the edit changed is laid out afresh
 // under the tree's weights, so an edited automaton probes about as cheaply as
 // the one Build lays out. Successors are generally not the canonical tree
-// Build would produce (distinct nodes may hold equal states); the engine
-// coalesces with a full rebuild once accumulated edits pass its threshold.
-// Match sets are identical either way, which the oracle equivalence tests
-// pin.
+// Build would produce (distinct nodes may hold equal states), but their match
+// sets are identical, which the oracle equivalence tests pin, and their graph
+// stays within a small factor of a Build's, so nothing rebuilds them. What a
+// line of edits accumulates, the copies its chunks pin and the removed dense
+// indices, goes when the line is Worn and its head Copied.
 
 package tree
 
@@ -45,6 +46,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -83,14 +85,17 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 // array; a successor of any other tree — a second successor of one tree, or
 // the first of a Build — starts a line of its own.
 func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tree {
-	nt := &Tree{schema: t.schema, attrOrder: t.attrOrder, profiles: t.profiles, vo: vo}
+	nt := &Tree{schema: t.schema, attrOrder: t.attrOrder, profiles: t.profiles, gone: t.gone, vo: vo}
 	if !t.handOver(nt) {
-		// t heads no line: past its length the array may be another tree's.
-		nt.line = &lineage{a: arena{line: true}}
+		// t heads no line: past their lengths the arrays may be another tree's.
+		nt.line = &lineage{a: arena{line: true}, base: t.Stats().Bytes}
 		nt.line.head.Store(nt)
-		nt.profiles = slices.Clip(nt.profiles)
+		nt.profiles, nt.gone = slices.Clip(nt.profiles), slices.Clip(nt.gone)
 	}
-	if !drop { // the head owns the array past every predecessor's length
+	// The head owns the arrays past every predecessor's length.
+	if drop {
+		nt.gone = append(nt.gone, pi)
+	} else {
 		nt.profiles = append(nt.profiles, p)
 	}
 
@@ -113,21 +118,60 @@ func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tre
 		}
 	}
 	// The successor owns its line's arena and the merge state now; scratch
-	// buffers keep their capacity for the next edit.
+	// buffers keep their capacity for the next edit, but no edge, which would
+	// keep its line's chunks alive past the line's copy.
 	m.t, m.a, m.vo = nil, nil, ValueOrder{}
 	clear(m.memo)
+	for _, buf := range m.edges {
+		clear(buf[:cap(buf)])
+	}
 	return nt
 }
 
 // lineage is what a line of successor trees hands down: the arena their
-// edits carve from, and the tail of the profile array past the newest tree's
-// length. Only the line's head, its newest tree, carves from the arena or
-// appends to the array; every successor takes the line over from its head.
-// The engine derives successors linearly under its writer mutex, so one line
-// lives from one coalescing Build to the next.
+// edits carve from, the tails of the profile and gone arrays past the newest
+// tree's lengths, and base, the bytes of the tree the line started from.
+// Only the line's head, its newest tree, carves from the arena or appends to
+// the arrays; every successor takes the line over from its head.
 type lineage struct {
 	head atomic.Pointer[Tree]
 	a    arena
+	base int
+}
+
+// lineFactor bounds a line's arena at that many times the bytes the line
+// started from: a churn-mixed-shaped tree then copies itself once in some
+// 1 100 edits, each copy taking about half a Build's time.
+const lineFactor = 16
+
+// Worn reports, in O(1), whether t heads a line due for a copy: its arena
+// holds lineFactor times the bytes it started from, or more than half of t's
+// dense indices are gone.
+func (t *Tree) Worn() bool {
+	return t.line != nil && (t.line.a.bytes() > lineFactor*t.line.base || 2*len(t.gone) > len(t.profiles))
+}
+
+// Copied returns t copied into a fresh line, and old, t's dense index of
+// each of the copy's: every node t reaches with its probe tree as laid out,
+// the live indices renumbered in order. The copy shares no chunk with t's
+// line, and probes in t's comparisons.
+func (t *Tree) Copied() (nt *Tree, old []int) {
+	c := copier{deepest: len(t.attrOrder), memo: make(map[*Node]*Node), renum: make([]int, len(t.profiles)), sets: make(map[*[]int]*[]int)}
+	for _, pi := range t.gone {
+		c.renum[pi] = -1
+	}
+	nt = &Tree{schema: t.schema, attrOrder: t.attrOrder, vo: t.vo, meta: &graphMeta{}, line: &lineage{a: arena{line: true}}}
+	for pi, p := range t.profiles {
+		if c.renum[pi] >= 0 {
+			c.renum[pi] = len(old)
+			old, nt.profiles = append(old, pi), append(nt.profiles, p)
+		}
+	}
+	c.a = &nt.line.a
+	nt.root = c.clone(t.root)
+	nt.line.base = c.a.bytes()
+	nt.line.head.Store(nt)
+	return nt, old
 }
 
 // handOver makes nt the head of t's line when t heads it, and reports
@@ -156,7 +200,7 @@ var mergerPool = sync.Pool{New: func() any { return &merger{memo: make(map[*Node
 // of the old tree keep consistent probe trees. It reports the nodes re-laid
 // and the nodes copied only to re-point their children.
 func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copied int) {
-	r := reorderer{sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node)}
+	r := copier{sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node), a: &arena{}}
 	for _, a := range attrs {
 		r.sel[a] = true
 	}
@@ -177,42 +221,70 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 	return &c, len(r.relay), r.copied
 }
 
-// reorderer carries one Reordered call: the selected attributes, the deepest
-// level testing one, the memo that keeps shared states shared, and the copies
-// to re-lay, their layout storage taken from a.
-type reorderer struct {
-	sel     []bool
+// copier is one walk copying a tree's nodes down to level deepest into a,
+// each state once. Reordered's re-lays the nodes testing a selected attribute
+// and counts the rest; Copied's keeps every probe tree and renumbers every
+// set through renum, each distinct leaf set once.
+type copier struct {
 	deepest int
 	memo    map[*Node]*Node
-	a       arena
+	a       *arena
+	sel     []bool
 	relay   []*Node
 	copied  int
+	renum   []int
+	sets    map[*[]int]*[]int
 }
 
 //genas:builder
-func (r *reorderer) clone(old *Node) *Node {
-	if int(old.Level) > r.deepest {
+func (c *copier) clone(old *Node) *Node {
+	if int(old.Level) > c.deepest {
 		return old
 	}
-	if n, ok := r.memo[old]; ok {
+	if n, ok := c.memo[old]; ok {
 		return n
 	}
-	n := new(Node)
+	n := c.a.node()
 	*n = *old
-	if int(old.Level) < r.deepest {
-		n.edges = slices.Clone(old.edges)
+	if int(old.Level) < c.deepest {
+		n.edges = c.a.edgeSlice(old.edges)
 		for i := range n.edges {
-			n.edges[i].Child = r.clone(n.edges[i].Child)
+			switch e := &n.edges[i]; {
+			case e.Child != nil:
+				e.Child = c.clone(e.Child)
+			case e.leaf != nil:
+				if c.sets[e.leaf] == nil {
+					c.sets[e.leaf] = c.a.leafSet(c.renumbered(*e.leaf))
+				}
+				e.leaf = c.sets[e.leaf]
+			}
 		}
 	}
-	if r.sel[old.Attr] {
-		n.layout = r.a.layout(int(n.nSubrange))
-		r.relay = append(r.relay, n)
-	} else {
-		r.copied++
+	switch {
+	case c.renum != nil:
+		n.layout = c.a.layout(len(old.layout))
+		copy(n.layout, old.layout)
+		if len(old.extra) > 0 {
+			n.extra = c.renumbered(old.extra)
+		}
+	case c.sel[old.Attr]:
+		n.layout = c.a.layout(int(n.nSubrange))
+		c.relay = append(c.relay, n)
+	default:
+		c.copied++
 	}
-	r.memo[old] = n
+	c.memo[old] = n
 	return n
+}
+
+// renumbered returns set s renumbered, in arena storage (and sorted: the
+// renumbering keeps the live indices' order).
+func (c *copier) renumbered(s []int) []int {
+	out := c.a.ints.take(len(s), intChunk, c.a.line)
+	for i, pi := range s {
+		out[i] = c.renum[pi]
+	}
+	return out
 }
 
 // arena chunk-allocates the objects of one build or one line of inserts. A
@@ -241,8 +313,8 @@ type arena struct {
 // a part of an insert and an old line's each hold many inserts, and an
 // insert mallocs a chunk once in several. A chunk lives while any copy in it
 // does, so one that holds many inserts can pin copies later inserts
-// superseded until the next coalescing Build starts a fresh arena and lets
-// the line go.
+// superseded, until the line is worn and its head's copy into a fresh line
+// lets the old one go.
 const (
 	nodeChunk = 64
 	edgeChunk = 128
@@ -275,6 +347,11 @@ func (s *slab[T]) take(n, d int, line bool) []T {
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
+}
+
+// bytes returns the bytes the arena's chunks hold.
+func (a *arena) bytes() int {
+	return a.nodes.held*int(unsafe.Sizeof(Node{})) + a.edges.held*int(unsafe.Sizeof(Edge{})) + 8*a.ints.held + 24*a.sets.held + 4*a.layouts.held
 }
 
 //genas:builder

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -339,13 +340,16 @@ func TestWithProfileCopies(t *testing.T) {
 }
 
 // TestEditedTreeProbesLikeAFreshOne: a tree of 1 000 churnCorpus profiles
-// that takes 4 000 inserts, each followed by the removal of a random live
-// profile, probes a fixed sample of events in as many comparisons, within
+// that takes 8 000 inserts, each followed by the removal of a random live
+// profile, and is swapped for its copy whenever its line is worn, as the
+// engine does, probes a fixed sample of events in as many comparisons, within
 // 1 %, as a Build of the live profiles under the same weights — the uniform
-// ones and saltedMass. An edit lays out only what it re-cuts, under the
-// weights the tree was laid out for.
+// ones and saltedMass — and keeps at most 2.5 times the Build's bytes. An
+// edit lays out only what it re-cuts, under the weights the tree was laid out
+// for, and a copy keeps every layout; nothing rebuilds the tree, so this is
+// what keeps a never-rebuilt automaton from growing without bound.
 func TestEditedTreeProbesLikeAFreshOne(t *testing.T) {
-	pairs := 4000
+	pairs := 8000
 	if raceEnabled { // an edit runs about ten times slower
 		pairs = 500
 	}
@@ -363,6 +367,7 @@ func TestEditedTreeProbesLikeAFreshOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(2))
+		copies := 0
 		for i := range pairs {
 			p := profile(len(live) + i)
 			var pi int
@@ -370,6 +375,14 @@ func TestEditedTreeProbesLikeAFreshOne(t *testing.T) {
 			k := rng.Intn(len(live))
 			tr = tr.WithoutProfile(dense[k])
 			live[k], dense[k] = p, pi
+			if tr.Worn() {
+				c, old := tr.Copied()
+				for k, pi := range dense {
+					dense[k], _ = slices.BinarySearch(old, pi)
+				}
+				tr = c
+				copies++
+			}
 		}
 		fresh, err := Build(s, live, WithValueOrder(vo))
 		if err != nil {
@@ -377,26 +390,129 @@ func TestEditedTreeProbesLikeAFreshOne(t *testing.T) {
 		}
 		var edited, built int
 		for range 20000 {
-			vals := make([]float64, s.N())
-			for attr := range vals {
-				dom := s.At(attr).Domain
-				vals[attr] = dom.Lo() + rng.Float64()*(dom.Hi()-dom.Lo())
-				if dom.Kind() != schema.KindNumeric {
-					vals[attr] = float64(rng.Intn(int(dom.Hi()-dom.Lo()) + 1))
-				}
-			}
+			vals := randomEvent(s, rng)
 			_, ops := tr.Match(vals)
 			edited += ops
 			_, ops = fresh.Match(vals)
 			built += ops
 		}
 		ratio := float64(edited) / float64(built)
-		t.Logf("%s: %d edits probe in %.3f comparisons per event, a fresh Build in %.3f (%+.2f %%)",
-			vo.Name, 2*pairs, float64(edited)/20000, float64(built)/20000, 100*(ratio-1))
+		es, fs := tr.Stats(), fresh.Stats()
+		t.Logf("%s: %d edits and %d line copies probe in %.3f comparisons per event, a fresh Build in %.3f (%+.2f %%); %d nodes in %d KB against %d in %d KB",
+			vo.Name, 2*pairs, copies, float64(edited)/20000, float64(built)/20000, 100*(ratio-1), es.Nodes, es.Bytes>>10, fs.Nodes, fs.Bytes>>10)
 		if ratio < 0.99 || ratio > 1.01 {
 			t.Errorf("%s: the edited tree probes in %+.2f %% of a fresh Build's comparisons, want within 1 %%", vo.Name, 100*(ratio-1))
 		}
+		if es.Bytes > fs.Bytes*5/2 {
+			t.Errorf("%s: the edited tree keeps %d KB, a fresh Build %d KB: more than 2.5 times", vo.Name, es.Bytes>>10, fs.Bytes>>10)
+		}
+		if copies == 0 && !raceEnabled {
+			t.Errorf("%s: %d edits crossed no line copy", vo.Name, 2*pairs)
+		}
 	}
+}
+
+// randomEvent draws an event uniformly over s's domains.
+func randomEvent(s *schema.Schema, rng *rand.Rand) []float64 {
+	vals := make([]float64, s.N())
+	for attr := range vals {
+		dom := s.At(attr).Domain
+		vals[attr] = dom.Lo() + rng.Float64()*(dom.Hi()-dom.Lo())
+		if dom.Kind() != schema.KindNumeric {
+			vals[attr] = float64(rng.Intn(int(dom.Hi()-dom.Lo()) + 1))
+		}
+	}
+	return vals
+}
+
+// TestLineStaysWithinItsBound: a tree of 1 000 churnCorpus profiles takes
+// 3 000 insert/removal pairs, swapped for its copy whenever it is worn. The
+// line a copy starts from holds the copy's own bytes, and after every edit
+// the line's arena holds at most lineFactor times those bytes plus that
+// edit's and one largest chunk of each kind, and its profile array at most
+// twice the live profiles. Each copy probes a sample of events in the
+// comparisons of the tree it copies, matching the same profiles.
+func TestLineStaysWithinItsBound(t *testing.T) {
+	pairs := 3000
+	if raceEnabled {
+		pairs = 300
+	}
+	s, profile := churnCorpus(t)
+	live := make([]*predicate.Profile, 1000)
+	dense := make([]int, len(live))
+	for i := range live {
+		live[i], dense[i] = profile(i), i
+	}
+	tr, err := Build(s, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	grid := make([][]float64, 2000)
+	for i := range grid {
+		grid[i] = randomEvent(s, rng)
+	}
+	const chunk = maxChunk * int(unsafe.Sizeof(Node{})+unsafe.Sizeof(Edge{})+8+24+4)
+	copies, peak := 0, 0.0
+	check := func() {
+		t.Helper()
+		if tr.Worn() {
+			c, old := tr.Copied()
+			copies++
+			for _, vals := range grid {
+				wm, wops := tr.Match(vals)
+				cm, cops := c.Match(vals)
+				wm = slices.Clone(wm) // a match may hand out a leaf set of the tree
+				for i := range wm {
+					wm[i], _ = slices.BinarySearch(old, wm[i])
+				}
+				if !slices.Equal(wm, cm) || wops != cops {
+					t.Fatalf("copy %d: probe %v matches %v in %d comparisons, the tree it copies %v in %d", copies, vals, cm, cops, wm, wops)
+				}
+			}
+			for k, pi := range dense {
+				dense[k], _ = slices.BinarySearch(old, pi)
+			}
+			tr = c
+			if st := tr.Stats().Bytes; tr.line.base < st*9/10 || tr.line.base > st*11/10 {
+				t.Fatalf("copy %d: the line starts from %d bytes, the copy keeps %d", copies, tr.line.base, st)
+			}
+		}
+		l := tr.line
+		held := l.a.bytes()
+		peak = max(peak, float64(held)/float64(l.base))
+		if held > lineFactor*l.base+chunk {
+			t.Fatalf("after %d copies the line holds %d KB, started from %d KB", copies, held>>10, l.base>>10)
+		}
+		if len(tr.profiles) > 2*len(dense) {
+			t.Fatalf("the profile array lists %d indices for %d live profiles", len(tr.profiles), len(dense))
+		}
+	}
+	for i := range pairs {
+		p := profile(len(live) + i)
+		var pi int
+		tr, pi = tr.WithProfile(p, NaturalOrder())
+		dense = append(dense, pi) // a copy renumbers it
+		check()
+		k, last := rng.Intn(len(live)), len(live)
+		tr = tr.WithoutProfile(dense[k])
+		live[k], dense[k], dense = p, dense[last], dense[:last]
+		check()
+	}
+	t.Logf("%d edits crossed %d line copies; a line held at most %.1f times the bytes it started from (bound %d plus a chunk)", 2*pairs, copies, peak, lineFactor)
+	if copies == 0 && !raceEnabled {
+		t.Errorf("%d edits crossed no line copy", 2*pairs)
+	}
+	removed := make(map[int]bool)
+	for pi := range tr.Profiles() {
+		removed[pi] = !slices.Contains(dense, pi)
+	}
+	liveIdx, liveProfiles := liveIndices(tr, removed)
+	oracle, err := Build(s, liveProfiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesOnGrid(t, "the edited tree", grid, tr, liveIdx, oracle)
 }
 
 // TestWithProfileShapes pins what an insert makes and what it shares, on

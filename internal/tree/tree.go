@@ -185,9 +185,15 @@ type Tree struct {
 	// under it.
 	vo ValueOrder
 
+	// gone lists the dense indices WithoutProfile took out since the profile
+	// array started, in a Build or a Copied: the array's indices no set
+	// holds any more. Like profiles, it is shared along a line, whose head
+	// owns the tail.
+	gone []int
+
 	meta *graphMeta
-	// line is the line of inserts this tree belongs to: nil on a Build,
-	// whose first successor starts a line with a fresh arena.
+	// line is the line of edits this tree belongs to: nil on a Build, whose
+	// first successor starts a line with a fresh arena.
 	line *lineage
 }
 
