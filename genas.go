@@ -476,7 +476,9 @@ func (s *Service) Restructures() int {
 }
 
 // ExpectedOpsPerEvent evaluates the analytic cost model (Eq. 2 of the
-// paper) under the service's current event distribution estimate.
+// paper) under the service's current event distribution estimate, over the
+// automata events walk now: it predicts what the matcher pays per event and
+// changes nothing.
 func (s *Service) ExpectedOpsPerEvent() (float64, error) {
 	a, err := s.brk.Engine().Analyze()
 	if err != nil {

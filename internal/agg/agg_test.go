@@ -2,6 +2,7 @@ package agg
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -222,10 +223,11 @@ func TestSnapshotSurvivesLaterChurn(t *testing.T) {
 	}
 	snap := po.Freeze()
 	// Churn after the freeze: a third member on a's node, then b removed
-	// entirely, then the whole poset compacted.
+	// entirely, then a bulk load that renumbers every node once linked.
 	mustAdd(t, po, parse(t, s, "c", "profile(x <= 50)"))
 	po.Remove("b")
-	po.Compact()
+	po.Intern(Bare(parse(t, s, "d", "profile(y = 1)")))
+	po.RootList()
 	// The frozen snapshot must still expand exactly its freeze-time state.
 	matched, _ := tr.Match([]float64{15, 0})
 	ids, _ := snap.Expand([]float64{15, 0}, matched, t2n, tr, nil)
@@ -253,18 +255,23 @@ func TestCompactPreservesSemantics(t *testing.T) {
 	for i, e := range exprs {
 		mustAdd(t, po, parse(t, s, fmt.Sprintf("p%d", i), e))
 	}
-	// Punch holes, then compact.
+	// Punch holes: the removals keep the order exact. Then a bulk load
+	// compacts the table on its first read.
 	po.Remove("p1")
 	po.Remove("p5")
+	checkReduction(t, po)
 	probes := [][]float64{{20, 20}, {0, 0}, {30, 30}, {55, 90}, {90, 99}}
 	var before []string
 	for _, pr := range probes {
 		before = append(before, strings.Join(expandAll(t, s, po, pr), ","))
 	}
-	po.Compact()
+	po.Intern(Bare(parse(t, s, "p1", exprs[1])))
+	po.Remove("p1")
+	po.RootList()
 	if got := len(po.nodes); got != po.NodeCount() {
 		t.Fatalf("Compact left holes: len(nodes)=%d live=%d", got, po.NodeCount())
 	}
+	checkReduction(t, po)
 	for i, pr := range probes {
 		after := strings.Join(expandAll(t, s, po, pr), ",")
 		if after != before[i] {
@@ -484,7 +491,7 @@ func checkComplete(t *testing.T, po *Poset) {
 // whichever order they arrived, and one-by-one Adds both leave exactly the
 // transitive reduction — including when a later node lands between an earlier
 // pair (the direct edge goes) or above earlier roots (they are demoted). After
-// removals the order must still be complete, and exact again once compacted.
+// removals the order must still be exact.
 func TestLinkYieldsTransitiveReduction(t *testing.T) {
 	s := testSchema(t)
 	exprs := []string{
@@ -512,8 +519,51 @@ func TestLinkYieldsTransitiveReduction(t *testing.T) {
 		checkReduction(t, inc)
 		inc.Remove("p2")
 		inc.Remove("p5")
-		checkComplete(t, inc)
-		inc.Compact()
 		checkReduction(t, inc)
+	}
+}
+
+// TestRemovalKeepsReduction: a seeded script of Joins and Takes over nested
+// ranges leaves the order exactly the transitive reduction after every
+// operation. It opens with the case a careless re-link gets wrong: a removed
+// middle node whose kid keeps another parent below the removed node's parent,
+// so hanging the kid beneath that parent would add an edge the other path
+// implies.
+func TestRemovalKeepsReduction(t *testing.T) {
+	s := testSchema(t)
+	po := NewPoset(s)
+	for _, p := range [][2]string{
+		{"top", "profile(x in [0,90])"},
+		{"mid", "profile(x in [10,40])"},
+		{"other", "profile(x in [20,60])"},
+		{"kid", "profile(x in [20,30])"},
+	} {
+		mustAdd(t, po, parse(t, s, p[0], p[1]))
+	}
+	po.Remove("mid")
+	checkReduction(t, po)
+	if top, kid := po.bySub["top"], po.bySub["kid"]; slices.Contains(top.kids, kid) {
+		t.Fatal("removing mid hung kid beneath top, which reaches it through other")
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	var live []predicate.ID
+	for op := range 600 {
+		if len(live) > 0 && rng.Intn(5) < 2 {
+			k := rng.Intn(len(live))
+			po.Remove(live[k])
+			live = slices.Delete(live, k, k+1)
+		} else {
+			var preds []string
+			for _, a := range []string{"x", "y"} {
+				if lo := 10 * rng.Intn(9); rng.Intn(3) > 0 || len(preds) == 0 {
+					preds = append(preds, fmt.Sprintf("%s in [%d,%d]", a, lo, lo+10*(1+rng.Intn((99-lo)/10))))
+				}
+			}
+			id := predicate.ID(fmt.Sprintf("s%d", op))
+			mustAdd(t, po, parse(t, s, string(id), "profile("+strings.Join(preds, "; ")+")"))
+			live = append(live, id)
+		}
+		checkReduction(t, po)
 	}
 }

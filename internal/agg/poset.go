@@ -353,7 +353,9 @@ func (po *Poset) Remove(id predicate.ID) (d Delta, ok bool) {
 }
 
 // Take unregisters subscription id and returns the member it registered, nil
-// when id is unknown.
+// when id is unknown. A node that loses its last member leaves the order,
+// which stays the transitive reduction of the covering order: each of its
+// kids hangs beneath each of its parents that no other path leads from.
 func (po *Poset) Take(id predicate.ID) (m Member, d Delta) {
 	n := po.bySub[id]
 	if n == nil {
@@ -399,10 +401,7 @@ func (po *Poset) Take(id predicate.ID) (m Member, d Delta) {
 	// Detach eagerly. Kids re-link to the node's parents; a kid left with
 	// no parents is promoted to root, so a covered subscription resurfaces
 	// in the index the moment its coverer unsubscribes (federation's
-	// re-announce semantics depend on this). A kid may keep another path
-	// from such a parent, so removal can leave a redundant transitive edge:
-	// expansion visits a node once whatever the number of edges into it, and
-	// the next Compact drops them.
+	// re-announce semantics depend on this).
 	if len(n.parents) == 0 {
 		po.roots--
 		d.Left = []int32{n.idx}
@@ -412,8 +411,9 @@ func (po *Poset) Take(id predicate.ID) (m Member, d Delta) {
 	}
 	for _, k := range n.kids {
 		k.parents = dropNode(k.parents, n)
+		kept := k.parents
 		for _, pa := range n.parents {
-			if !slices.Contains(k.parents, pa) {
+			if !coversAny(pa, kept) {
 				po.edge(pa, k)
 			}
 		}
@@ -426,6 +426,20 @@ func (po *Poset) Take(id predicate.ID) (m Member, d Delta) {
 	return m, d
 }
 
+// coversAny reports whether pa covers one of qs. Take re-links a kid under a
+// parent of the node it removes only where this is false: the edges are the
+// reduction of a complete order, so a parent covering another of the kid's
+// parents reaches the kid through it already, and no node but the removed one
+// can lie between a parent and the kid otherwise.
+func coversAny(pa *node, qs []*node) bool {
+	for _, q := range qs {
+		if coversForm(pa.form, q.form) {
+			return true
+		}
+	}
+	return false
+}
+
 // dropNode removes x from s in place.
 func dropNode(s []*node, x *node) []*node {
 	if i := slices.Index(s, x); i >= 0 {
@@ -435,12 +449,11 @@ func dropNode(s []*node, x *node) []*node {
 	return s
 }
 
-// Compact rebuilds the order over the live nodes in one pass, dropping the
-// holes no new node has taken over yet and the redundant transitive edges
-// removal tolerates. Members and reps survive; indices are reassigned and
-// the free list empties. The engine calls this from a full rebuild, right
-// before re-indexing the roots, never on a churn op; it is also how nodes
-// interned without linking enter the order.
+// Compact links a bulk load: it rebuilds the order over the live nodes in
+// one pass, dropping the holes no new node has taken over yet. Members and
+// reps survive; indices are reassigned and the free list empties. The first
+// reader of the order after an Intern calls it (ensureLinked); Join and
+// Take keep the order exact themselves, so nothing else needs it.
 func (po *Poset) Compact() {
 	live := 0
 	for i, n := range po.nodes {

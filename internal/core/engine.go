@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,13 +46,11 @@ type AttrOrdering int
 
 // Attribute orderings. AttrNatural keeps schema order; AttrA1/AttrA2/AttrA3
 // apply the corresponding selectivity measure descending (most selective at
-// the root); the Asc variants are the paper's worst-case controls.
+// the root).
 const (
 	AttrNatural AttrOrdering = iota + 1
 	AttrA1
-	AttrA1Asc
 	AttrA2
-	AttrA2Asc
 	AttrA3
 )
 
@@ -64,12 +61,8 @@ func (a AttrOrdering) String() string {
 		return "natural"
 	case AttrA1:
 		return "A1-desc"
-	case AttrA1Asc:
-		return "A1-asc"
 	case AttrA2:
 		return "A2-desc"
-	case AttrA2Asc:
-		return "A2-asc"
 	case AttrA3:
 		return "A3"
 	default:
@@ -111,13 +104,13 @@ var (
 //
 // A built snapshot is the first of the n elements of one slice, parts, and
 // element i holds automaton i: the tree over the poset roots whose node
-// index is i mod n (nil while that share has no root) and t2n, which maps
-// each of its slots to its poset node. The header fields live on the first
-// element only, so a churn op publishes one object for any n. Each t2n is
-// append-only across successor snapshots — writes land past every
-// predecessor's length — so snapshots share its backing array like the tree
-// shares nodes, until a line copy renumbers the automaton's slots and derives
-// a fresh one.
+// index is i mod n (the automaton that matches nothing while that share has
+// no root) and t2n, which maps each of its slots to its poset node. The
+// header fields live on the first element only, so a churn op publishes one
+// object for any n. Each t2n is append-only across successor snapshots —
+// writes land past every predecessor's length — so snapshots share its
+// backing array like the tree shares nodes, until a line copy renumbers the
+// automaton's slots and derives a fresh one.
 type snapshot struct {
 	tree *tree.Tree
 	t2n  []int32
@@ -129,7 +122,7 @@ type snapshot struct {
 }
 
 // successor returns a built snapshot over expand holding old's automata, for
-// the caller to edit before publishing: nil old gives n without a root.
+// the caller to edit before publishing: nil old gives n without automata.
 func (e *Engine) successor(old *snapshot, expand agg.Snapshot) *snapshot {
 	parts := make([]snapshot, e.n)
 	if old != nil {
@@ -151,9 +144,7 @@ func (e *Engine) successor(old *snapshot, expand agg.Snapshot) *snapshot {
 func (s *snapshot) match(vals []float64, dst []Member) ([]Member, int) {
 	w := s.expand.Walk()
 	for i := range s.parts {
-		if p := &s.parts[i]; p.tree != nil {
-			w.Seed(vals, p.tree, p.t2n)
-		}
+		w.Seed(vals, s.parts[i].tree, s.parts[i].t2n)
 	}
 	return w.Collect(vals, dst)
 }
@@ -174,12 +165,10 @@ type Engine struct {
 	// agg is the index: the covering poset holds every subscription — one
 	// member on its canonical node — and the automata index the poset's
 	// roots only. nodeTree maps a poset node index back to its slot in
-	// automaton idx mod n (-1: not indexed) for demotions; order is the
-	// attribute order of the last rebuild, which a share's first root is
-	// built under. Both are valid only while the snapshot is built.
+	// automaton idx mod n (-1: not indexed) for demotions; it is valid only
+	// while the snapshot is built.
 	agg      *agg.Poset
 	nodeTree []int32
-	order    []int
 	// copies counts the worn automata churn swapped for their copies.
 	copies int
 }
@@ -276,9 +265,8 @@ func (e *Engine) Remove(id predicate.ID) (Member, error) {
 }
 
 // patchLocked applies one churn op's root-set change to the live automata
-// and publishes the successor. A root leaves and joins automaton idx mod n;
-// a share's first root gets a one-profile automaton under the last
-// rebuild's attribute order. An automaton whose line is worn is swapped for
+// and publishes the successor. A root leaves and joins automaton idx mod n,
+// which every share holds. An automaton whose line is worn is swapped for
 // its copy, and its slot tables re-derived. Every churn op republishes the
 // frozen expansion image, even when no tree is touched, so in-flight matches
 // keep expanding against the state they matched under. No churn op rebuilds.
@@ -286,7 +274,7 @@ func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
 	next := e.successor(snap, e.agg.Image())
 	for _, ni := range d.Left {
 		p := &next.parts[int(ni)%e.n]
-		if int(ni) >= len(e.nodeTree) || e.nodeTree[ni] < 0 || p.tree == nil {
+		if int(ni) >= len(e.nodeTree) || e.nodeTree[ni] < 0 {
 			e.snap.Store(&snapshot{}) // defensive: force a lazy rebuild
 			return
 		}
@@ -295,25 +283,15 @@ func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
 	}
 	for _, r := range d.Joined {
 		p, ti := &next.parts[int(r.Idx)%e.n], 0
-		if p.tree == nil {
-			t, err := tree.Build(e.schema, []*predicate.Profile{r.Rep}, tree.WithAttributeOrder(e.order), tree.WithValueOrder(e.valueOrder()))
-			if err != nil {
-				e.snap.Store(&snapshot{})
-				return
-			}
-			p.tree, p.t2n = t, nil
-		} else if p.tree, ti = p.tree.WithProfile(r.Rep, p.tree.ValueOrder()); ti != len(p.t2n) {
+		if p.tree, ti = p.tree.WithProfile(r.Rep, p.tree.ValueOrder()); ti != len(p.t2n) {
 			e.snap.Store(&snapshot{}) // defensive: slot table out of step
 			return
 		}
 		p.t2n = append(p.t2n, r.Idx)
-		for int(r.Idx) >= len(e.nodeTree) {
-			e.nodeTree = append(e.nodeTree, -1)
-		}
-		e.nodeTree[r.Idx] = int32(ti)
+		e.point(r.Idx, ti)
 	}
 	for i := range next.parts {
-		if p := &next.parts[i]; p.tree != nil && p.tree.Worn() {
+		if p := &next.parts[i]; p.tree.Worn() {
 			t, old := p.tree.Copied()
 			t2n := make([]int32, len(old))
 			for j, o := range old {
@@ -332,12 +310,21 @@ func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
 func (e *Engine) slots(p *snapshot, t2n []int32) {
 	p.t2n = t2n
 	for j, ni := range t2n {
-		e.nodeTree[ni] = int32(j)
+		e.point(ni, j)
 	}
 }
 
-// resetLocked publishes the empty state. Going empty is the natural point
-// to drop the edge fragments churn left in the poset.
+// point records node ni at slot of its automaton, growing nodeTree over the
+// poset's table as far as ni.
+func (e *Engine) point(ni int32, slot int) {
+	for int(ni) >= len(e.nodeTree) {
+		e.nodeTree = append(e.nodeTree, -1)
+	}
+	e.nodeTree[ni] = int32(slot)
+}
+
+// resetLocked publishes the empty state. Going empty drops the poset's
+// table, the holes removals left included.
 func (e *Engine) resetLocked() {
 	e.snap.Store(&snapshot{empty: true})
 	e.agg = agg.NewPoset(e.schema)
@@ -380,12 +367,12 @@ func (e *Engine) valueOrder() tree.ValueOrder {
 // statistics of the roots are those of every subscription.)
 func (e *Engine) attrOrder(roots []*predicate.Profile) ([]int, error) {
 	switch e.cfg.AttrOrdering {
-	case AttrA1, AttrA1Asc:
+	case AttrA1:
 		st := selectivity.AttributeStats(e.schema, roots, nil)
-		return selectivity.OrderAttributes(st, selectivity.MeasureA1, e.cfg.AttrOrdering == AttrA1), nil
-	case AttrA2, AttrA2Asc:
+		return selectivity.OrderAttributes(st, selectivity.MeasureA1, true), nil
+	case AttrA2:
 		st := selectivity.AttributeStats(e.schema, roots, e.eventDists())
-		return selectivity.OrderAttributes(st, selectivity.MeasureA2, e.cfg.AttrOrdering == AttrA2), nil
+		return selectivity.OrderAttributes(st, selectivity.MeasureA2, true), nil
 	case AttrA3:
 		order, _, err := selectivity.OrderAttributesA3(e.schema, roots, e.eventDists(), e.valueOrder())
 		return order, err
@@ -407,14 +394,13 @@ func (e *Engine) Rebuild() error {
 }
 
 // rebuildLocked builds a fresh index from the poset and publishes it: the
-// poset compacts (linking what was only interned, clearing free indices and
-// redundant edges), the roots split by node index over the automata, each
-// is built under the attribute order computed over all roots, and the
-// slot↔node tables are derived fresh. Compacting renumbers the nodes, which
-// orphans the slot tables a live snapshot was patched through, so a failed
-// build leaves the engine stale, never patchable. The lazy first build,
-// SetConfig's invalidation, Rebuild and Analyze come here; no churn op does.
-// Callers hold e.mu.
+// roots split by node index over the automata, each share — an empty one
+// too — is built under the attribute order computed over all roots, and the
+// slot↔node tables are derived fresh. Reading the roots links a bulk load,
+// which renumbers the nodes and orphans the slot tables a live snapshot was
+// patched through, so a failed build leaves the engine stale, never
+// patchable. The lazy first build, SetConfig's invalidation and Rebuild come
+// here; no churn op or read does. Callers hold e.mu.
 func (e *Engine) rebuildLocked() (err error) {
 	if e.agg.SubCount() == 0 {
 		e.resetLocked()
@@ -425,7 +411,6 @@ func (e *Engine) rebuildLocked() (err error) {
 			e.snap.Store(&snapshot{})
 		}
 	}()
-	e.agg.Compact()
 	roots := e.agg.RootList()
 	corpus := make([]*predicate.Profile, len(roots))
 	shares, t2n := make([][]*predicate.Profile, e.n), make([][]int32, e.n)
@@ -439,18 +424,14 @@ func (e *Engine) rebuildLocked() (err error) {
 		return err
 	}
 	next := e.successor(nil, e.agg.Image())
-	e.nodeTree = slices.Repeat([]int32{-1}, e.agg.NodeCount())
+	e.nodeTree = e.nodeTree[:0]
 	vo := e.valueOrder()
 	for i, share := range shares {
-		if len(share) == 0 {
-			continue
-		}
 		if next.parts[i].tree, err = tree.Build(e.schema, share, tree.WithAttributeOrder(order), tree.WithValueOrder(vo)); err != nil {
 			return err
 		}
 		e.slots(&next.parts[i], t2n[i])
 	}
-	e.order = order
 	e.snap.Store(next)
 	return nil
 }
@@ -471,11 +452,9 @@ func (e *Engine) Reorder(attrs ...int) (resorted, copied int, err error) {
 	}
 	next, vo := e.successor(snap, snap.expand), e.valueOrder()
 	for i := range next.parts {
-		if p := &next.parts[i]; p.tree != nil {
-			var r, c int
-			p.tree, r, c = p.tree.Reordered(vo, attrs...)
-			resorted, copied = resorted+r, copied+c
-		}
+		var r, c int
+		next.parts[i].tree, r, c = next.parts[i].tree.Reordered(vo, attrs...)
+		resorted, copied = resorted+r, copied+c
 	}
 	e.snap.Store(next)
 	return resorted, copied, nil
@@ -499,8 +478,7 @@ func (e *Engine) SetConfig(cfg Config) {
 	if cfg.AttrOrdering == 0 {
 		cfg.AttrOrdering = e.cfg.AttrOrdering
 	}
-	structural := cfg.AttrOrdering != e.cfg.AttrOrdering ||
-		cfg.AttrOrdering == AttrA2 || cfg.AttrOrdering == AttrA2Asc || cfg.AttrOrdering == AttrA3
+	structural := cfg.AttrOrdering != e.cfg.AttrOrdering || cfg.AttrOrdering == AttrA2 || cfg.AttrOrdering == AttrA3
 	e.cfg = cfg
 	if snap := e.snap.Load(); structural && !snap.empty {
 		e.snap.Store(&snapshot{})
@@ -592,7 +570,7 @@ func (e *Engine) MatchAny(vals []float64) (bool, error) {
 		return false, err
 	}
 	for i := range snap.parts {
-		if t := snap.parts[i].tree; t != nil && t.MatchAny(vals) {
+		if snap.parts[i].tree.MatchAny(vals) {
 			return true, nil
 		}
 	}
@@ -600,11 +578,11 @@ func (e *Engine) MatchAny(vals []float64) (bool, error) {
 }
 
 // Tree exposes automaton 0, the whole index of a one-automaton engine (nil
-// until first built, or while share 0 has no root). A stale snapshot
-// (pending lazy rebuild) is resolved first, so the returned tree reflects
-// the current corpus and configuration; it may be superseded by the time the
-// caller inspects it. It indexes poset roots: its profiles are canonical
-// representatives, not subscriptions.
+// while no profile is registered). A stale snapshot (pending lazy rebuild)
+// is resolved first, so the returned tree reflects the current corpus and
+// configuration; it may be superseded by the time the caller inspects it. It
+// indexes poset roots: its profiles are canonical representatives, not
+// subscriptions, and a slot whose root left is listed but matches nothing.
 func (e *Engine) Tree() *tree.Tree {
 	snap, err := e.current()
 	if err != nil {
@@ -614,32 +592,26 @@ func (e *Engine) Tree() *tree.Tree {
 }
 
 // Analyze runs the analytic cost model (Eq. 2) under the engine's event
-// distributions. The model is defined over canonical automata, so Analyze
-// rebuilds them first: edited automata match the same sets, but may hold
-// equal states in distinct nodes. Over several automata the expected
-// operations add (every event walks every automaton), the match probability
-// combines as 1−Π(1−pᵢ), and PerProfile holds one entry per indexed root, in
-// automaton order.
+// distributions over the automata as published — edited ones as they are, so
+// the model predicts what events pay — after resolving a pending lazy build;
+// it changes nothing. Over several automata the expected operations add
+// (every event walks every automaton), the match probability combines as
+// 1−Π(1−pᵢ), and PerProfile holds one entry per automaton slot, in automaton
+// order; a slot whose root left reads zero.
 func (e *Engine) Analyze() (selectivity.Analysis, error) {
-	e.mu.Lock()
-	snap := e.snap.Load()
-	if snap.empty {
-		e.mu.Unlock()
-		return selectivity.Analysis{}, ErrNoProfiles
-	}
-	if err := e.rebuildLocked(); err != nil {
-		e.mu.Unlock()
+	snap, err := e.current()
+	if err != nil {
 		return selectivity.Analysis{}, err
 	}
-	snap = e.snap.Load()
+	if snap.empty {
+		return selectivity.Analysis{}, ErrNoProfiles
+	}
+	e.mu.Lock()
 	ed := e.eventDists()
 	e.mu.Unlock()
 	var out selectivity.Analysis
 	miss, first := 1.0, true
 	for _, p := range snap.parts {
-		if p.tree == nil {
-			continue
-		}
 		a := selectivity.Analyze(p.tree, ed, selectivity.Probe)
 		miss *= 1 - a.MatchProb
 		if first {

@@ -11,12 +11,12 @@ import (
 	"genas/internal/predicate"
 )
 
-// TestParallelRebuildIsIdentical: an engine's rebuild — Compact, Build — its
-// Reorder and MatchBatch give the same answers whatever the worker count. At
-// GOMAXPROCS 1, 2 and 8, 3 000 subscriptions of nested ranges rebuild into the
-// same poset and automaton, re-lay under a skewed P_e into the same probe
-// trees, and match a batch of events into the same ids at the same
-// comparison counts.
+// TestParallelRebuildIsIdentical: an engine's rebuild — linking the bulk
+// load, Build — its Reorder and MatchBatch give the same answers whatever the
+// worker count. At GOMAXPROCS 1, 2 and 8, 3 000 subscriptions of nested
+// ranges rebuild into the same poset and automaton, re-lay under a skewed P_e
+// into the same probe trees, and match a batch of events into the same ids at
+// the same comparison counts.
 func TestParallelRebuildIsIdentical(t *testing.T) {
 	s := testSchema(t)
 	rng := rand.New(rand.NewSource(9))

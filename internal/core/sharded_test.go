@@ -62,9 +62,10 @@ func sortedIDs(ids []predicate.ID) []string {
 	return out
 }
 
-// checkShares fails the test unless every poset root sits in automaton idx
-// mod n at the slot the engine's table names, and nothing else is indexed.
-// An engine that is not built indexes nothing and passes.
+// checkShares fails the test unless every share holds an automaton, every
+// poset root sits in automaton idx mod n at the slot the engine's table
+// names, and nothing else is indexed. An engine that is not built indexes
+// nothing and passes.
 func checkShares(t *testing.T, e *Engine) {
 	t.Helper()
 	e.mu.Lock()
@@ -76,10 +77,15 @@ func checkShares(t *testing.T, e *Engine) {
 	if len(snap.parts) != e.n {
 		t.Fatalf("%d automata published, want %d", len(snap.parts), e.n)
 	}
+	for i, p := range snap.parts {
+		if p.tree == nil {
+			t.Fatalf("share %d holds no automaton", i)
+		}
+	}
 	roots := e.agg.RootList()
 	for _, r := range roots {
 		p := &snap.parts[int(r.Idx)%e.n]
-		if int(r.Idx) >= len(e.nodeTree) || e.nodeTree[r.Idx] < 0 || p.tree == nil {
+		if int(r.Idx) >= len(e.nodeTree) || e.nodeTree[r.Idx] < 0 {
 			t.Fatalf("root %d is in no automaton", r.Idx)
 		}
 		if slot := e.nodeTree[r.Idx]; int(slot) >= len(p.t2n) || p.t2n[slot] != r.Idx {
@@ -189,7 +195,7 @@ func TestShardedMatchAllocations(t *testing.T) {
 	if got, _, err := sharded.Match(ev); err != nil || len(got) != 2 {
 		t.Fatalf("Match = %v, %v; want both automata's ids", got, err)
 	}
-	if snap := sharded.snap.Load(); snap.parts[0].tree == nil || snap.parts[1].tree == nil {
+	if snap := sharded.snap.Load(); len(snap.parts[0].t2n) != 1 || len(snap.parts[1].t2n) != 1 {
 		t.Fatal("the two structures share one automaton")
 	}
 	if n := testing.AllocsPerRun(200, func() { _, _, _ = sharded.Match(ev) }); n > 1 {
@@ -321,9 +327,6 @@ func TestShardedAnalyze(t *testing.T) {
 	var wantOps, wantMatches float64
 	miss := 1.0
 	for _, p := range sharded.snap.Load().parts {
-		if p.tree == nil {
-			continue
-		}
 		pa := selectivity.Analyze(p.tree, uniformDists(s), selectivity.Probe)
 		wantOps += pa.TotalOps
 		wantMatches += pa.ExpMatches
@@ -346,5 +349,74 @@ func TestShardedAnalyze(t *testing.T) {
 	}
 	if _, err := NewSharded(s, Config{}, 2).Analyze(); err == nil {
 		t.Error("analyze of empty sharded engine must fail")
+	}
+}
+
+// TestAnalyzeModelsThePublishedAutomata: after churn that rebuilt nothing,
+// Analyze models the edited automata as they are published, without
+// replacing them, and predicts what matching pays: its TotalOps is the mean
+// comparisons of Match over events drawn from EventDists. PerProfile holds
+// one entry per automaton slot, and a slot whose root left reads zero. The
+// structures are distinct points, which cover one another nowhere, so the
+// expansion adds no descents to the automata's comparisons.
+func TestAnalyzeModelsThePublishedAutomata(t *testing.T) {
+	s := testSchema(t)
+	eds := []dist.Dist{dist.New(dist.Gauss(), s.At(0).Domain), dist.New(dist.PeakLow(0.9), s.At(1).Domain)}
+	e := NewSharded(s, Config{EventDists: eds}, 3)
+	rng := rand.New(rand.NewSource(5))
+	point := func(i int) *predicate.Profile {
+		expr := fmt.Sprintf("profile(x = %d; y = %d)", rng.Intn(100), i)
+		return predicate.MustParse(s, predicate.ID(fmt.Sprintf("p%d", i)), expr)
+	}
+	for i := range 60 {
+		if err := e.AddProfile(point(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := e.Match([]float64{50, 50}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 30 {
+		if err := e.RemoveProfile(predicate.ID(fmt.Sprintf("p%d", 2*i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddProfile(point(60 + i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := e.snap.Load()
+	a, err := e.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.snap.Load() != snap {
+		t.Fatal("Analyze replaced the published automata")
+	}
+	slots, zero := 0, 0
+	for _, p := range snap.parts {
+		slots += len(p.t2n)
+	}
+	for _, pc := range a.PerProfile {
+		if pc.MatchProb == 0 {
+			zero++
+		}
+	}
+	if len(a.PerProfile) != slots || zero < slots-60 {
+		t.Fatalf("PerProfile has %d entries, %d of them zero, for %d slots over 60 live roots", len(a.PerProfile), zero, slots)
+	}
+	const n = 40000
+	total, vals := 0, make([]float64, s.N())
+	for range n {
+		for i := range vals {
+			vals[i] = eds[i].Sample(rng)
+		}
+		_, ops, err := e.Match(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += ops
+	}
+	if got := float64(total) / n; !schema.AlmostEqual(got, a.TotalOps, 0.05) {
+		t.Fatalf("Match pays %.3f comparisons per event, Analyze predicts %.3f", got, a.TotalOps)
 	}
 }

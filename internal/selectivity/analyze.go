@@ -30,8 +30,9 @@ type Analysis struct {
 	PerLevelMatch []float64
 	PerLevelR0    []float64
 	// PerProfile is indexed by the tree's dense profile index. For an
-	// engine's tree that is one entry per indexed root — a canonical
-	// structure no other covers — not one per subscription.
+	// engine's tree that is one entry per slot — a canonical structure no
+	// other covers, or one whose root has left, which reads zero — not one
+	// per subscription.
 	PerProfile []ProfileCost
 }
 

@@ -737,11 +737,9 @@ func FuzzWithProfile(f *testing.F) {
 				}
 			}
 			live, profiles := liveIndices(tr, removed)
-			var oracle *Tree
-			if len(live) > 0 {
-				if oracle, err = Build(s, profiles, WithAttributeOrder(order)); err != nil {
-					t.Fatal(err)
-				}
+			oracle, err := Build(s, profiles, WithAttributeOrder(order))
+			if err != nil {
+				t.Fatal(err)
 			}
 			partitions(t, what, tr)
 			matchesOnGrid(t, what, grid, tr, live, oracle)

@@ -40,9 +40,8 @@ import (
 
 // Errors returned by tree construction.
 var (
-	ErrNoProfiles = errors.New("tree: no profiles")
-	ErrBadOrder   = errors.New("tree: attribute order is not a permutation")
-	ErrTooWide    = errors.New("tree: more attributes than a node's level counts")
+	ErrBadOrder = errors.New("tree: attribute order is not a permutation")
+	ErrTooWide  = errors.New("tree: more attributes than a node's level counts")
 )
 
 // EdgeKind discriminates edge flavors.
@@ -225,11 +224,10 @@ func WithValueOrder(vo ValueOrder) Option {
 	return func(c *config) { c.vo = vo }
 }
 
-// Build constructs the profile tree for the given profiles.
+// Build constructs the profile tree for the given profiles. Of no profiles
+// it builds the automaton that matches nothing: a root without edges, which
+// is also what WithoutProfile of a tree's last profile leaves.
 func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tree, error) {
-	if len(profiles) == 0 {
-		return nil, ErrNoProfiles
-	}
 	cfg := config{vo: NaturalOrder()}
 	for _, o := range opts {
 		o(&cfg)

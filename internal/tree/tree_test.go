@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"genas/internal/predicate"
@@ -48,9 +49,6 @@ func eqProfiles(t *testing.T, s *schema.Schema, values ...[]int) []*predicate.Pr
 
 func TestBuildErrors(t *testing.T) {
 	s := gridSchema(t, 2, 9)
-	if _, err := Build(s, nil); err != ErrNoProfiles {
-		t.Errorf("empty build error = %v", err)
-	}
 	p := eqProfiles(t, s, []int{1, 2})
 	if _, err := Build(s, p, WithAttributeOrder([]int{0, 0})); err == nil {
 		t.Error("non-permutation order must fail")
@@ -64,6 +62,44 @@ func TestBuildErrors(t *testing.T) {
 }
 
 // TestStateSharing: profiles identical on later attributes share subtrees.
+// TestBuildOfNothing: a Build of no profiles is the automaton that matches
+// nothing for free, the one WithoutProfile of a tree's last profile leaves,
+// and an insert into it matches like a one-profile Build, in the same
+// comparisons.
+func TestBuildOfNothing(t *testing.T) {
+	s := incrSchema(t)
+	order := []int{2, 0, 1}
+	empty, err := Build(s, nil, WithAttributeOrder(order))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := predicate.MustParse(s, "p", "profile(num in [2,4]; cat in {b, c})")
+	one, err := Build(s, []*predicate.Profile{p}, WithAttributeOrder(order))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, np := empty.WithProfile(p, NaturalOrder())
+	if np != 0 {
+		t.Fatalf("the insert into nothing has index %d", np)
+	}
+	if st := empty.Stats(); st.Nodes != 1 || st.Edges != 0 || st.Profiles != 0 {
+		t.Fatalf("a Build of nothing has %+v", st)
+	}
+	if left := one.WithoutProfile(0); left.Dump() != empty.Dump() || left.Stats().Edges != 0 {
+		t.Fatalf("removing the last profile leaves\n%s\na Build of nothing is\n%s", left.Dump(), empty.Dump())
+	}
+	for _, vals := range probeGrid(s) {
+		if m, ops := empty.Match(vals); len(m) != 0 || ops != 0 || empty.MatchAny(vals) {
+			t.Fatalf("event %v: a Build of nothing matches %v in %d comparisons", vals, m, ops)
+		}
+		got, gotOps := grown.Match(vals)
+		want, wantOps := one.Match(vals)
+		if !slices.Equal(got, want) || gotOps != wantOps {
+			t.Fatalf("event %v: the insert into nothing matches %v in %d comparisons, a one-profile Build %v in %d", vals, got, gotOps, want, wantOps)
+		}
+	}
+}
+
 func TestStateSharing(t *testing.T) {
 	s := gridSchema(t, 3, 9)
 	// Four profiles with distinct first values but identical continuation:
