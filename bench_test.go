@@ -572,18 +572,20 @@ func TestBuildAllocations(t *testing.T) {
 	}
 }
 
-// TestTreeRetainedBytes is the memory ceiling of the automaton: an edge is an
-// interval, a child and a leaf-set handle, a node its edges, probe tree and
-// parked profiles, and a built tree retains its nodes, its edges with a
-// probe-tree entry each and every distinct leaf set once — no bucket per
-// piece, no profile set on an interior edge. Stats.Bytes is that storage,
-// counted.
+// TestTreeRetainedBytes is the memory ceiling of the automaton: a node is a
+// 24-byte record and an edge a 24-byte record — an interval and one int32
+// target — in pointer-free slabs, and a built tree retains its node records,
+// its edge records with a 4-byte probe-tree entry each, and every distinct
+// leaf set once, an 8-byte table entry and 4 bytes per dense index — no
+// bucket per piece, no profile set on an interior edge. Stats.Bytes is that
+// storage, counted.
 func TestTreeRetainedBytes(t *testing.T) {
-	if sz := unsafe.Sizeof(tree.Edge{}); sz > 40 {
-		t.Errorf("a tree.Edge is %d bytes, want at most 40", sz)
+	nodeRec, edgeRec := int(unsafe.Sizeof(tree.Node{})), int(unsafe.Sizeof(tree.Edge{}))
+	if nodeRec != 24 {
+		t.Errorf("a tree.Node record is %d bytes, want 24", nodeRec)
 	}
-	if sz := unsafe.Sizeof(tree.Node{}); sz > 80 {
-		t.Errorf("a tree.Node is %d bytes, want at most 80", sz)
+	if edgeRec != 24 {
+		t.Errorf("a tree.Edge record is %d bytes, want 24", edgeRec)
 	}
 	s, corpus := rangeCorpus(t, 2000)
 	heap := func() int {
@@ -600,16 +602,17 @@ func TestTreeRetainedBytes(t *testing.T) {
 	}
 	retained := heap() - base
 	st := tr.Stats()
-	sets, entries := make(map[*int]bool), 0
-	for _, n := range tr.Levels()[s.N()-1] {
-		for _, e := range n.Edges() {
-			if leaf := e.Leaf(); !sets[&leaf[0]] {
-				sets[&leaf[0]] = true
-				entries += len(leaf)
+	last := s.N() - 1
+	sets, entries := make(map[int32]bool), 0
+	for _, id := range tr.Levels()[last] {
+		for _, e := range tr.Node(last, id).Edges() {
+			if !sets[e.To] {
+				sets[e.To] = true
+				entries += len(tr.Leaf(e.To))
 			}
 		}
 	}
-	limit := (48*st.Edges + 88*st.Nodes + 8*entries) * 105 / 100
+	limit := ((edgeRec+4)*st.Edges + nodeRec*st.Nodes + 8*len(sets) + 4*entries) * 105 / 100
 	t.Logf("%d nodes, %d edges, %d entries in %d leaf sets: %d KB retained (limit %d KB), Stats.Bytes %d KB",
 		st.Nodes, st.Edges, entries, len(sets), retained>>10, limit>>10, st.Bytes>>10)
 	if retained > limit {

@@ -94,7 +94,7 @@ func TestInterningSharesOneNode(t *testing.T) {
 	// Three spellings of the same constraint: x ∈ [0,50] over domain [0,99].
 	mustAdd(t, po, parse(t, s, "a", "profile(x in [0,50])"))
 	mustAdd(t, po, parse(t, s, "b", "profile(x <= 50)"))
-	if got := po.NodeCount(); got != 1 {
+	if got := po.Stats().Nodes; got != 1 {
 		t.Fatalf("x<=50 should intern onto the x in [0,50] node, have %d nodes", got)
 	}
 	// y >= 0 constrains y nominally (whole domain), so c is a distinct,
@@ -102,8 +102,8 @@ func TestInterningSharesOneNode(t *testing.T) {
 	if d := mustAdd(t, po, parse(t, s, "c", "profile(x <= 50; y >= 0)")); len(d.Joined)+len(d.Left) != 0 {
 		t.Fatalf("a covered structure must leave the root set alone, got %+v", d)
 	}
-	if got := po.NodeCount(); got != 2 {
-		t.Fatalf("NodeCount = %d, want 2", got)
+	if got := po.Stats().Nodes; got != 2 {
+		t.Fatalf("Stats().Nodes = %d, want 2", got)
 	}
 	if got := po.SubCount(); got != 3 {
 		t.Fatalf("SubCount = %d, want 3", got)
@@ -161,7 +161,7 @@ func TestRemoveInternalCovererRelinksAndPromotes(t *testing.T) {
 	}
 	// Remove the internal coverer b: c must re-link beneath a, no promotion.
 	res, ok := po.Remove("b")
-	if !ok || po.NodeCount() != 3 || len(res.Left) != 0 || len(res.Joined) != 0 {
+	if !ok || po.Stats().Nodes != 3 || len(res.Left) != 0 || len(res.Joined) != 0 {
 		t.Fatalf("Remove(b) = %+v ok=%v, want a detached non-root, no promotions", res, ok)
 	}
 	if rel := po.RelationOf("a", "c"); rel != Covers {
@@ -172,7 +172,7 @@ func TestRemoveInternalCovererRelinksAndPromotes(t *testing.T) {
 	}
 	// Remove the root a: both c and d lose their last parent and re-arm.
 	res, ok = po.Remove("a")
-	if !ok || po.NodeCount() != 2 || len(res.Left) != 1 {
+	if !ok || po.Stats().Nodes != 2 || len(res.Left) != 1 {
 		t.Fatalf("Remove(a) = %+v ok=%v, want a detached root", res, ok)
 	}
 	if len(res.Joined) != 2 {
@@ -198,8 +198,8 @@ func TestRemoveMemberKeepsNode(t *testing.T) {
 	if !ok || len(res.Left) != 0 {
 		t.Fatalf("Remove(a) = %+v ok=%v, want member drop without detach", res, ok)
 	}
-	if got := po.NodeCount(); got != 1 {
-		t.Fatalf("NodeCount = %d, want 1", got)
+	if got := po.Stats().Nodes; got != 1 {
+		t.Fatalf("Stats().Nodes = %d, want 1", got)
 	}
 	if got, want := expandAll(t, s, po, []float64{5, 0}), "b"; strings.Join(got, ",") != want {
 		t.Fatalf("expand(5) = %v, want %s", got, want)
@@ -268,8 +268,8 @@ func TestCompactPreservesSemantics(t *testing.T) {
 	po.Intern(Bare(parse(t, s, "p1", exprs[1])))
 	po.Remove("p1")
 	po.RootList()
-	if got := len(po.nodes); got != po.NodeCount() {
-		t.Fatalf("Compact left holes: len(nodes)=%d live=%d", got, po.NodeCount())
+	if got := len(po.nodes); got != po.Stats().Nodes {
+		t.Fatalf("Compact left holes: len(nodes)=%d live=%d", got, po.Stats().Nodes)
 	}
 	checkReduction(t, po)
 	for i, pr := range probes {
@@ -400,8 +400,8 @@ func TestHashCollisionsInternApart(t *testing.T) {
 		mustAdd(t, po, parse(t, s, fmt.Sprintf("p%d", i), e))
 		po.Intern(Bare(parse(t, s, fmt.Sprintf("twin%d", i), e)))
 	}
-	if po.NodeCount() != len(exprs) || po.SubCount() != 2*len(exprs) || len(po.byForm) != 1 {
-		t.Fatalf("%d nodes, %d subscriptions in %d buckets, want %d, %d in 1", po.NodeCount(), po.SubCount(), len(po.byForm), len(exprs), 2*len(exprs))
+	if po.Stats().Nodes != len(exprs) || po.SubCount() != 2*len(exprs) || len(po.byForm) != 1 {
+		t.Fatalf("%d nodes, %d subscriptions in %d buckets, want %d, %d in 1", po.Stats().Nodes, po.SubCount(), len(po.byForm), len(exprs), 2*len(exprs))
 	}
 	for i := range exprs {
 		if rel := po.RelationOf(predicate.ID(fmt.Sprintf("p%d", i)), predicate.ID(fmt.Sprintf("twin%d", i))); rel != Equal {
@@ -416,8 +416,8 @@ func TestHashCollisionsInternApart(t *testing.T) {
 				t.Fatalf("remove %s: unknown", id)
 			}
 		}
-		if want := len(exprs) - step - 1; po.NodeCount() != want {
-			t.Fatalf("after removing structure %d: %d nodes, want %d", i, po.NodeCount(), want)
+		if want := len(exprs) - step - 1; po.Stats().Nodes != want {
+			t.Fatalf("after removing structure %d: %d nodes, want %d", i, po.Stats().Nodes, want)
 		}
 		for j := range exprs {
 			got := strings.Join(expandAll(t, s, po, []float64{float64(j + 1), 0}), ",")

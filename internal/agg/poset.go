@@ -143,9 +143,6 @@ func (po *Poset) Has(id predicate.ID) bool {
 // SubCount returns the concrete subscription count.
 func (po *Poset) SubCount() int { return po.subCnt }
 
-// NodeCount returns the live canonical node count.
-func (po *Poset) NodeCount() int { return po.live }
-
 // RootList returns the current roots in node order — the corpus the engine's
 // tree indexes on a full rebuild.
 func (po *Poset) RootList() []NodeRef {

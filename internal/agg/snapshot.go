@@ -98,7 +98,7 @@ type Walk struct {
 	nodes []int32
 	mark  []uint32
 	gen   uint32
-	acc   []int
+	acc   []int32
 	ops   int
 }
 
@@ -133,7 +133,7 @@ func (s *Snapshot) at(i int32) *SnapNode { return &s.chunks[i>>chunkShift][i&(ch
 // member. The second result counts the descents.
 //
 //genas:hotpath
-func (s *Snapshot) Expand(vals []float64, matched []int, t2n []int32, t *tree.Tree, dst []predicate.ID) ([]predicate.ID, int) {
+func (s *Snapshot) Expand(vals []float64, matched []int32, t2n []int32, t *tree.Tree, dst []predicate.ID) ([]predicate.ID, int) {
 	w := s.Walk()
 	w.seed(matched, t2n)
 	if need := len(dst) + w.descend(vals); need > cap(dst) {
@@ -196,7 +196,7 @@ func (w *Walk) end() (ops int) {
 // seed lists the poset nodes of the matched tree slots on w.nodes, each once.
 //
 //genas:hotpath
-func (w *Walk) seed(matched []int, t2n []int32) {
+func (w *Walk) seed(matched []int32, t2n []int32) {
 	for _, pi := range matched {
 		if ni := t2n[pi]; w.mark[ni] != w.gen {
 			w.mark[ni] = w.gen

@@ -72,9 +72,10 @@ func TestPublishValuesAllocations(t *testing.T) {
 				}
 			}
 			parked := 0
-			for _, level := range b.Engine().Tree().Levels() {
-				for _, n := range level {
-					parked += len(n.Extra())
+			tr := b.Engine().Tree()
+			for l, level := range tr.Levels() {
+				for _, id := range level {
+					parked += len(tr.Node(l, id).Extra())
 				}
 			}
 			if parked == 0 {

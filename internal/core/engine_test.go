@@ -382,7 +382,7 @@ func TestChurnNeverRebuilds(t *testing.T) {
 	if _, _, err := e.Match([]float64{10, 50, 5, 0}); err != nil {
 		t.Fatal(err)
 	}
-	peak := e.agg.NodeCount()
+	peak := e.agg.Stats().Nodes
 	for i := range edits {
 		if rng.Intn(2) == 0 || len(live) < 900 {
 			p := profile()
@@ -398,7 +398,7 @@ func TestChurnNeverRebuilds(t *testing.T) {
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-		peak = max(peak, e.agg.NodeCount())
+		peak = max(peak, e.agg.Stats().Nodes)
 		snap := e.snap.Load()
 		if snap.parts == nil {
 			t.Fatalf("edit %d rebuilt the index", i)
@@ -516,7 +516,7 @@ func TestCoveredChurnStaysBounded(t *testing.T) {
 		}
 		// At most 2 live nodes: one chunk of 64 slots.
 		if slots := e.snap.Load().expand.Slots(); slots > 64 || len(e.nodeTree) > 2 {
-			t.Fatalf("pair %d: the published image spans %d node slots and the slot map %d for %d live nodes", i, slots, len(e.nodeTree), e.agg.NodeCount())
+			t.Fatalf("pair %d: the published image spans %d node slots and the slot map %d for %d live nodes", i, slots, len(e.nodeTree), e.agg.Stats().Nodes)
 		}
 	}
 	if e.Tree() != built {

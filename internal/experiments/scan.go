@@ -186,17 +186,18 @@ type Scan struct {
 	t      *tree.Tree
 	search Search
 	order  ScanOrder
-	nodes  map[*tree.Node]*scanNode
+	// nodes[l][id] is node id of level l laid out, once asked for.
+	nodes [][]*scanNode
 }
 
 // NewScan models search over t's nodes, their defined order ranked by order.
 func NewScan(t *tree.Tree, search Search, order ScanOrder) *Scan {
-	return &Scan{t: t, search: search, order: order, nodes: make(map[*tree.Node]*scanNode)}
+	return &Scan{t: t, search: search, order: order, nodes: make([][]*scanNode, t.Schema().N())}
 }
 
 // Cost returns the edge the search takes, and the operations it spends, on an
 // event whose value falls into piece p of node n.
-func (m *Scan) Cost(n *tree.Node, p *tree.Pieces) (edge, ops int) {
+func (m *Scan) Cost(n tree.View, p *tree.Pieces) (edge, ops int) {
 	return m.node(n).step(inside(p.Iv), m.search)
 }
 
@@ -204,7 +205,7 @@ func (m *Scan) Cost(n *tree.Node, p *tree.Pieces) (edge, ops int) {
 // at every node it finds the piece the value falls into and charges what the
 // search spends there. It returns the matched dense indices, parked profiles
 // included, and the operations.
-func (m *Scan) Match(vals []float64) (matched []int, ops int) {
+func (m *Scan) Match(vals []float64) (matched []int32, ops int) {
 	n := m.t.Root()
 	for {
 		matched = append(matched, n.Extra()...)
@@ -213,11 +214,11 @@ func (m *Scan) Match(vals []float64) (matched []int, ops int) {
 		if ei < 0 {
 			return matched, ops
 		}
-		e := &n.Edges()[ei]
-		if e.Child == nil {
-			return append(matched, e.Leaf()...), ops
+		to := n.Edges()[ei].To
+		if int(n.Level)+1 == len(m.nodes) {
+			return append(matched, m.t.Leaf(to)...), ops
 		}
-		n = e.Child
+		n = m.t.Node(int(n.Level)+1, to)
 	}
 }
 
@@ -256,8 +257,13 @@ type orderEntry struct {
 }
 
 // node lays n out for the scans, once.
-func (m *Scan) node(n *tree.Node) *scanNode {
-	if l, ok := m.nodes[n]; ok {
+func (m *Scan) node(n tree.View) *scanNode {
+	level := m.nodes[n.Level]
+	if level == nil {
+		level = make([]*scanNode, m.t.Slots(int(n.Level)))
+		m.nodes[n.Level] = level
+	}
+	if l := level[n.ID]; l != nil {
 		return l
 	}
 	attr := int(n.Attr)
@@ -307,7 +313,7 @@ func (m *Scan) node(n *tree.Node) *scanNode {
 			l.scan = append(l.scan, int32(e.edge))
 		}
 	}
-	m.nodes[n] = l
+	level[n.ID] = l
 	return l
 }
 
@@ -418,8 +424,9 @@ func (l *scanNode) missTail(target bucket, ops int) (int, int) {
 // edgeBelowTarget reports whether subrange edge e lies entirely below the
 // target bucket on the natural axis.
 func edgeBelowTarget(e *tree.Edge, target bucket) bool {
-	return e.Iv.Hi < target.iv.Lo ||
-		(e.Iv.Hi == target.iv.Lo && (e.Iv.HiOpen || target.iv.LoOpen))
+	iv := e.Iv()
+	return iv.Hi < target.iv.Lo ||
+		(iv.Hi == target.iv.Lo && (iv.HiOpen || target.iv.LoOpen))
 }
 
 // stepInterpolation performs interpolation search over the naturally
@@ -432,7 +439,7 @@ func (l *scanNode) stepInterpolation(target bucket) (int, int) {
 	key := target.iv.Lo
 	for lo <= hi {
 		var mid int
-		loKey, hiKey := l.edges[lo].Iv.Lo, l.edges[hi].Iv.Lo
+		loKey, hiKey := l.edges[lo].Lo, l.edges[hi].Lo
 		switch {
 		case hiKey <= loKey || key <= loKey:
 			mid = lo

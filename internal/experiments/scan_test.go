@@ -231,8 +231,12 @@ func bruteForce(profiles []*predicate.Profile, vals []float64) []int {
 
 // sameSet reports whether a match lists exactly the ascending indices of want,
 // each once, in any order: a walk collects parked profiles first.
-func sameSet(got, want []int) bool {
-	return slices.Equal(slices.Sorted(slices.Values(got)), want)
+func sameSet(got []int32, want []int) bool {
+	ints := make([]int, len(got))
+	for i, pi := range got {
+		ints[i] = int(pi)
+	}
+	return slices.Equal(slices.Sorted(slices.Values(ints)), want)
 }
 
 // TestMatcherEquivalence: the tree and the reproduction's five scans over it
@@ -251,7 +255,7 @@ func TestMatcherEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		names := []string{"tree"}
-		matchers := []func([]float64) ([]int, int){tr.Match}
+		matchers := []func([]float64) ([]int32, int){tr.Match}
 		for _, search := range []Search{SearchLinear, SearchBinary, SearchLinearNoStop, SearchInterpolation, SearchHash} {
 			names = append(names, search.String())
 			matchers = append(matchers, NewScan(tr, search, Natural()).Match)

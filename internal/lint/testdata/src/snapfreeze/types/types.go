@@ -21,6 +21,33 @@ type Edge struct {
 	Child    *Node
 }
 
+// Rec is a pointer-free record kept in a Slab, as internal/tree keeps its
+// node and edge records.
+//
+//genas:frozen
+type Rec struct {
+	Lo, Hi float64
+	To     int32
+}
+
+// Slab holds records in chunks addressed by index: Pages[i] is a chunk's
+// records from index i·size on. It is no frozen type itself; its records are.
+type Slab struct {
+	Pages [][]Rec
+}
+
+// Carve is a designated construction site for records: writing a fresh
+// chunk's records is legal here.
+//
+//genas:builder
+func Carve(s *Slab, n int) []Rec {
+	chunk := make([]Rec, n)
+	s.Pages = append(s.Pages, chunk)
+	chunk[0].To = 1
+	copy(chunk[1:], chunk[:1])
+	return chunk
+}
+
 // NewNode is a designated construction site: writes are legal here.
 //
 //genas:builder

@@ -45,6 +45,29 @@ func Bump(n *types.Node) {
 	n.Attr++ // want "write to frozen type types.Node"
 }
 
+// SlabWrite writes a published record in its slab's page in place.
+func SlabWrite(s *types.Slab) {
+	s.Pages[0][1].To = 3 // want "write to frozen type types.Rec"
+}
+
+// SlabRun writes through a run of records sliced out of a page.
+func SlabRun(s *types.Slab) {
+	run := s.Pages[0][2:4]
+	run[0] = types.Rec{} // want "write to frozen type types.Rec"
+}
+
+// SlabCopy overwrites a page's records via the copy builtin.
+func SlabCopy(s *types.Slab, src []types.Rec) {
+	copy(s.Pages[0], src) // want "copy writes into frozen type types.Rec"
+}
+
+// SlabRead reads records and re-slices pages: legal.
+func SlabRead(s *types.Slab) int32 {
+	run := s.Pages[0][1:3]
+	s.Pages = s.Pages[:1]
+	return run[0].To + s.Pages[0][0].To
+}
+
 // Rebind only rebinds the local variable: not a mutation.
 func Rebind(n *types.Node) *types.Node {
 	n = types.NewNode(1)

@@ -24,8 +24,15 @@ func Workers(n, grain int) int {
 // goroutines, the caller's included, each claiming grain consecutive
 // iterations at a time until none are left; w, in [0, workers), names the
 // goroutine, so fn may keep scratch per worker. For returns when every call
-// has returned. One worker, or a single grain, runs the loop inline, in order.
+// has returned. One worker, or a single grain, runs the loop inline, in order,
+// with no counter or goroutine set up.
 func For(workers, n, grain int, fn func(w, i int)) {
+	if workers <= 1 || n <= grain {
+		for i := range n {
+			fn(0, i)
+		}
+		return
+	}
 	workers = min(workers, (n+grain-1)/grain)
 	var next atomic.Int64
 	run := func(w int) {

@@ -42,3 +42,15 @@ func TestForCallsEveryIterationOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestInlineForAllocatesNothing: a loop For runs inline, on one worker or in
+// a single grain, sets up no counter, closure or WaitGroup on the heap.
+func TestInlineForAllocatesNothing(t *testing.T) {
+	sum := 0
+	fn := func(_, i int) { sum += i }
+	for _, c := range []struct{ workers, n, grain int }{{1, 1000, 1}, {4, 64, 64}} {
+		if a := testing.AllocsPerRun(10, func() { For(c.workers, c.n, c.grain, fn) }); a != 0 {
+			t.Errorf("For(%d, %d, %d) made %.0f mallocs, want 0", c.workers, c.n, c.grain, a)
+		}
+	}
+}

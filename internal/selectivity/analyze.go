@@ -88,7 +88,7 @@ type nodeAcc struct {
 
 // Probe is the per-piece cost of the tree's own node search, for Analyze:
 // Pieces.Cost runs the probe of Tree.Match.
-func Probe(_ *tree.Node, p *tree.Pieces) (edge, ops int) { return p.Cost() }
+func Probe(_ tree.View, p *tree.Pieces) (edge, ops int) { return p.Cost() }
 
 // Analyze computes the expected filter cost of the tree under the event
 // distributions (indexed by schema attribute), charging every piece p of every
@@ -96,26 +96,33 @@ func Probe(_ *tree.Node, p *tree.Pieces) (edge, ops int) { return p.Cost() }
 // the node search of Tree.Match, the analytic and simulated results agree by
 // construction (see the equivalence property test); the reproduction passes
 // the paper's scans instead. Profiles
-// parked at a node (Node.Extra) match whatever reaches it, even where the
+// parked at a node (View.Extra) match whatever reaches it, even where the
 // walk dead-ends below, as Tree.Match collects them.
-func Analyze(t *tree.Tree, edists []dist.Dist, cost func(n *tree.Node, p *tree.Pieces) (edge, ops int)) Analysis {
+func Analyze(t *tree.Tree, edists []dist.Dist, cost func(n tree.View, p *tree.Pieces) (edge, ops int)) Analysis {
+	height := t.Schema().N()
 	res := Analysis{
-		PerLevelOps:   make([]float64, t.Schema().N()),
-		PerLevelMatch: make([]float64, t.Schema().N()),
-		PerLevelR0:    make([]float64, t.Schema().N()),
+		PerLevelOps:   make([]float64, height),
+		PerLevelMatch: make([]float64, height),
+		PerLevelR0:    make([]float64, height),
 		PerProfile:    make([]ProfileCost, len(t.Profiles())),
 	}
-	acc := map[*tree.Node]*nodeAcc{t.Root(): {w: 1}}
+	// acc[l][id] accumulates node id of level l.
+	acc := make([][]nodeAcc, height)
+	for l := range acc {
+		acc[l] = make([]nodeAcc, t.Slots(l))
+	}
+	acc[0][t.Root().ID].w = 1
 
 	profProb := make([]float64, len(t.Profiles()))
 	profOps := make([]float64, len(t.Profiles()))
 
-	for _, level := range t.Levels() {
-		for _, n := range level {
-			a, ok := acc[n]
-			if !ok || a.w == 0 {
+	for l, level := range t.Levels() {
+		for _, id := range level {
+			a := &acc[l][id]
+			if a.w == 0 {
 				continue
 			}
+			n := t.Node(l, id)
 			if parked := n.Extra(); len(parked) > 0 {
 				a.m = a.w
 				res.ExpMatches += a.w * float64(len(parked))
@@ -132,32 +139,29 @@ func Analyze(t *tree.Tree, edists []dist.Dist, cost func(n *tree.Node, p *tree.P
 				}
 				_, ops := cost(n, &pc)
 				cost := float64(ops)
-				res.PerLevelOps[n.Level] += a.w * p * cost
+				res.PerLevelOps[l] += a.w * p * cost
 				if pc.Edge < 0 {
 					res.R0Ops += a.w * p * cost
-					res.PerLevelR0[n.Level] += a.w * p * cost
+					res.PerLevelR0[l] += a.w * p * cost
 					res.MatchProb += a.m * p
 					continue
 				}
 				res.MatchOps += a.w * p * cost
-				res.PerLevelMatch[n.Level] += a.w * p * cost
-				edge := &n.Edges()[pc.Edge]
-				if edge.Child != nil {
-					ch, ok := acc[edge.Child]
-					if !ok {
-						ch = &nodeAcc{}
-						acc[edge.Child] = ch
-					}
+				res.PerLevelMatch[l] += a.w * p * cost
+				to := n.Edges()[pc.Edge].To
+				if l+1 < height {
+					ch := &acc[l+1][to]
 					ch.w += a.w * p
 					ch.c += a.c*p + a.w*p*cost
 					ch.m += a.m * p
 					continue
 				}
 				// Leaf edge: notification point for every matched profile.
+				leaf := t.Leaf(to)
 				res.MatchProb += a.w * p
-				res.ExpMatches += a.w * p * float64(len(edge.Leaf()))
+				res.ExpMatches += a.w * p * float64(len(leaf))
 				pathOps := a.c*p + a.w*p*cost
-				for _, pi := range edge.Leaf() {
+				for _, pi := range leaf {
 					profProb[pi] += a.w * p
 					profOps[pi] += pathOps
 				}

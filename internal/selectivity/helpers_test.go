@@ -14,8 +14,8 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // searchModel is one node search as Analyze charges it and as events meet it.
 type searchModel struct {
 	name  string
-	cost  func(*tree.Node, *tree.Pieces) (edge, ops int)
-	match func([]float64) ([]int, int)
+	cost  func(tree.View, *tree.Pieces) (edge, ops int)
+	match func([]float64) ([]int32, int)
 }
 
 // searchModels returns the five scans of the reproduction over tr, their

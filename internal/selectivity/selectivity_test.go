@@ -297,9 +297,9 @@ func TestAnalyzeCountsParkedProfiles(t *testing.T) {
 		tr, _ = tr.WithProfile(p, tree.NaturalOrder())
 	}
 	parked := 0
-	for _, level := range tr.Levels() {
-		for _, n := range level {
-			parked += len(n.Extra())
+	for l, level := range tr.Levels() {
+		for _, id := range level {
+			parked += len(tr.Node(l, id).Extra())
 		}
 	}
 	if parked == 0 {

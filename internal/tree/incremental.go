@@ -1,7 +1,7 @@
 // Incremental maintenance of the profile tree: insert one profile by merging
 // its one-profile automaton into the automaton states the profile can reach
 // (the "corridor"), remove one by running the same merge backwards, and
-// re-apply a value order by cloning the nodes it re-lays so concurrent readers
+// re-apply a value order by copying the levels it re-lays so concurrent readers
 // of the original tree never observe a half-laid node.
 //
 // All three operations are persistent: the receiver tree is never mutated,
@@ -36,7 +36,7 @@
 // Build would produce (distinct nodes may hold equal states), but their match
 // sets are identical, which the oracle equivalence tests pin, and their graph
 // stays within a small factor of a Build's, so nothing rebuilds them. What a
-// line of edits accumulates, the copies its chunks pin and the removed dense
+// line of edits accumulates, the copies its chunks hold and the removed dense
 // indices, goes when the line is Worn and its head Copied.
 
 package tree
@@ -46,7 +46,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -81,14 +80,20 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 
 // edit derives the successor that adds p at index pi, or with drop set takes
 // it out, laying out what it re-cuts under vo. A successor of the newest tree
-// of its line carves from the line's arena and appends to the line's profile
+// of its line carves from the line's chunks and appends to the line's profile
 // array; a successor of any other tree — a second successor of one tree, or
 // the first of a Build — starts a line of its own.
+//
+//genas:builder
 func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tree {
-	nt := &Tree{schema: t.schema, attrOrder: t.attrOrder, profiles: t.profiles, gone: t.gone, vo: vo}
-	if !t.handOver(nt) {
-		// t heads no line: past their lengths the arrays may be another tree's.
-		nt.line = &lineage{a: arena{line: true}, base: t.Stats().Bytes}
+	nt := &Tree{schema: t.schema, attrOrder: t.attrOrder, profiles: t.profiles, gone: t.gone, vo: vo,
+		root: t.root, lv: t.lv, leaves: t.leaves, meta: t.meta}
+	fresh := !t.handOver(nt)
+	if fresh {
+		// t heads no line: past their lengths the arrays may be another
+		// tree's, and so may the page entries past what t reaches.
+		nt.lv, nt.leaves = t.reached()
+		nt.line = &lineage{tails: newTails(nt), base: t.Stats().Bytes}
 		nt.line.head.Store(nt)
 		nt.profiles, nt.gone = slices.Clip(nt.profiles), slices.Clip(nt.gone)
 	}
@@ -101,77 +106,110 @@ func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tre
 
 	m := mergerPool.Get().(*merger)
 	defer mergerPool.Put(m)
-	m.t, m.np, m.a, m.drop, m.vo = nt, pi, &nt.line.a, drop, vo
-	if n := nt.schema.N(); len(m.edges) < n {
-		m.edges = make([][]Edge, n)
-	}
+	m.start(t, nt, int32(pi), vo, drop)
+	m.c.owned = fresh // a new line's levels are a copy of its own
 	// An unsatisfiable profile can never match: the automaton is unchanged
 	// and the whole node graph is shared. Its index still exists (it appears
 	// in no set).
-	nt.root, nt.meta = t.root, t.meta
-	if chain := m.chain(p, vo); chain != nil {
-		if nt.root = m.merge(t.root, chain); nt.root == nil {
-			nt.root = &Node{Attr: int16(t.attrOrder[0])} // the last profile left
+	if chain, ok := m.chain(p, vo); ok {
+		if nt.root = m.merge(0, t.root, chain); nt.root == none {
+			// The last profile left: the root without edges.
+			var r *Node
+			nt.root, r = m.c.node(0)
+			*r = Node{attr: int16(t.attrOrder[0])}
 		}
 		if nt.root != t.root {
 			nt.meta = &graphMeta{} // filled lazily on the first Levels/Stats call
 		}
 	}
-	// The successor owns its line's arena and the merge state now; scratch
-	// buffers keep their capacity for the next edit, but no edge, which would
-	// keep its line's chunks alive past the line's copy.
-	m.t, m.a, m.vo = nil, nil, ValueOrder{}
-	clear(m.memo)
-	for _, buf := range m.edges {
-		clear(buf[:cap(buf)])
-	}
+	m.end()
 	return nt
 }
 
-// lineage is what a line of successor trees hands down: the arena their
-// edits carve from, the tails of the profile and gone arrays past the newest
-// tree's lengths, and base, the bytes of the tree the line started from.
-// Only the line's head, its newest tree, carves from the arena or appends to
-// the arrays; every successor takes the line over from its head.
+// lineage is what a line of successor trees hands down: the tails their
+// edits carve at, the tails of the profile and gone arrays past the newest
+// tree's lengths, held, the bytes of the line's chunks, and base, the bytes
+// of the tree the line started from. Only the line's head, its newest tree,
+// carves or appends to the arrays; every successor takes the line over from
+// its head.
 type lineage struct {
-	head atomic.Pointer[Tree]
-	a    arena
-	base int
+	head  atomic.Pointer[Tree]
+	tails lineTails
+	held  int
+	base  int
 }
 
-// lineFactor bounds a line's arena at that many times the bytes the line
+// lineFactor bounds a line's chunks at that many times the bytes the line
 // started from: a churn-mixed-shaped tree then copies itself once in some
 // 1 100 edits, each copy taking about half a Build's time.
 const lineFactor = 16
 
-// Worn reports, in O(1), whether t heads a line due for a copy: its arena
-// holds lineFactor times the bytes it started from, or more than half of t's
+// Worn reports, in O(1), whether t heads a line due for a copy: its chunks
+// hold lineFactor times the bytes it started from, or more than half of t's
 // dense indices are gone.
 func (t *Tree) Worn() bool {
-	return t.line != nil && (t.line.a.bytes() > lineFactor*t.line.base || 2*len(t.gone) > len(t.profiles))
+	return t.line != nil && (t.line.held > lineFactor*t.line.base || 2*len(t.gone) > len(t.profiles))
 }
 
 // Copied returns t copied into a fresh line, and old, t's dense index of
 // each of the copy's: every node t reaches with its probe tree as laid out,
-// the live indices renumbered in order. The copy shares no chunk with t's
-// line, and probes in t's comparisons.
+// the live indices renumbered in order — a copying collection of t's slabs
+// into one exact chunk per slab. The copy shares no storage with t, and
+// probes in t's comparisons.
 func (t *Tree) Copied() (nt *Tree, old []int) {
-	c := copier{deepest: len(t.attrOrder), memo: make(map[*Node]*Node), renum: make([]int, len(t.profiles)), sets: make(map[*[]int]*[]int)}
+	c := newCopier(t, len(t.lv))
+	c.renum = make([]int32, len(t.profiles))
 	for _, pi := range t.gone {
 		c.renum[pi] = -1
 	}
-	nt = &Tree{schema: t.schema, attrOrder: t.attrOrder, vo: t.vo, meta: &graphMeta{}, line: &lineage{a: arena{line: true}}}
+	nt = &Tree{schema: t.schema, attrOrder: t.attrOrder, vo: t.vo, meta: &graphMeta{}, line: &lineage{}}
 	for pi, p := range t.profiles {
 		if c.renum[pi] >= 0 {
-			c.renum[pi] = len(old)
+			c.renum[pi] = int32(len(old))
 			old, nt.profiles = append(old, pi), append(nt.profiles, p)
 		}
 	}
-	c.a = &nt.line.a
-	nt.root = c.clone(t.root)
-	nt.line.base = c.a.bytes()
+	nt.root = c.clone(0, t.root)
+	nt.lv = c.sealed(nil)
+	nt.leaves = leafStore{sets: c.leafSets.slab(), ints: c.leafInts.slab()}
+	nt.line.tails = newTails(nt)
+	nt.line.base = c.bytes()
 	nt.line.head.Store(nt)
 	return nt, old
+}
+
+// reached returns t's levels and leaf store with every page table cut to the
+// pages t's nodes reach: a line that starts from t copies those entries, which
+// t's publication ordered before it, and none that another line's head may be
+// writing past them.
+func (t *Tree) reached() ([]level, leafStore) {
+	pages := func(n int32) int { return int(n+pageSize-1) >> pageShift }
+	lv, last := make([]level, len(t.lv)), len(t.lv)-1
+	var sets, leafInts int32
+	for l, ids := range t.Levels() {
+		var nodes, edges, ints int32
+		s := &t.lv[l]
+		for _, id := range ids {
+			r := s.nodes.at(id)
+			nodes = max(nodes, id+1)
+			e := r.edgeRun(s)
+			if len(e) > 0 {
+				edges = max(edges, r.edges+int32(len(e)))
+			}
+			for i := 0; l == last && i < len(e); i++ {
+				sp := t.leaves.sets.at(e[i].To)
+				sets, leafInts = max(sets, e[i].To+1), max(leafInts, sp.off+sp.n)
+			}
+			if r.nSub > 0 {
+				ints = max(ints, r.layout+r.nSub)
+			}
+			if r.nParked > 0 {
+				ints = max(ints, r.parked+r.nParked)
+			}
+		}
+		lv[l] = level{nodes: s.nodes.cut(pages(nodes)), edges: s.edges.cut(pages(edges)), ints: s.ints.cut(pages(ints))}
+	}
+	return lv, leafStore{sets: t.leaves.sets.cut(pages(sets)), ints: t.leaves.ints.cut(pages(leafInts))}
 }
 
 // handOver makes nt the head of t's line when t heads it, and reports
@@ -187,232 +225,273 @@ func (t *Tree) handOver(nt *Tree) bool {
 	return false
 }
 
-// mergerPool recycles the memo map and scratch buffers across edits: steady
-// churn then allocates almost nothing beyond the successor's Tree and graph
-// meta.
-var mergerPool = sync.Pool{New: func() any { return &merger{memo: make(map[*Node]*Node, 256)} }}
-
 // Reordered returns a successor tree with vo applied to the nodes that test
 // one of attrs (none given: to every node). It does not mutate the receiver,
-// and it costs what is reordered: nodes down to the deepest level testing such
-// an attribute are path-copied, those testing one get a fresh layout, and
-// everything below — like every profile and leaf set — is shared, so readers
-// of the old tree keep consistent probe trees. It reports the nodes re-laid
-// and the nodes copied only to re-point their children.
+// and it costs what is reordered: the levels down to the deepest one testing
+// such an attribute are copied into fresh slabs, the nodes testing one with a
+// fresh layout, and everything below — like every leaf set — is shared, so
+// readers of the old tree keep consistent probe trees and the levels it
+// replaces go with it. It reports the nodes re-laid and the nodes copied only
+// to re-point their children.
 func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copied int) {
-	r := copier{sel: make([]bool, len(t.attrOrder)), memo: make(map[*Node]*Node), a: &arena{}}
+	sel, deepest := make([]bool, len(t.attrOrder)), 0
 	for _, a := range attrs {
-		r.sel[a] = true
+		sel[a] = true
 	}
 	for level, a := range t.attrOrder {
 		if len(attrs) == 0 {
-			r.sel[a] = true
+			sel[a] = true
 		}
-		if r.sel[a] {
-			r.deepest = level
+		if sel[a] {
+			deepest = level
 		}
 	}
-	c := *t
-	c.vo = vo
-	t.handOver(&c)
-	c.root = r.clone(t.root)
-	c.meta = &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
-	layOut(t.schema, vo, r.relay)
-	return &c, len(r.relay), r.copied
+	c := newCopier(t, deepest)
+	c.sel = sel
+	n := 0
+	for l, bl := range c.lv {
+		if sel[t.attrOrder[l]] {
+			n += bl.size[0]
+		}
+	}
+	c.relay = make([]nodeAt, 0, n)
+	r := *t
+	r.vo = vo
+	t.handOver(&r)
+	r.root = c.clone(0, t.root)
+	r.lv = c.sealed(t.lv)
+	r.meta = &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
+	if r.line != nil {
+		for l := range c.lv {
+			r.line.tails.levels[l].reset(&r.lv[l])
+		}
+	}
+	r.layOut(vo, c.relay)
+	return &r, len(c.relay), c.copied
 }
 
-// copier is one walk copying a tree's nodes down to level deepest into a,
-// each state once. Reordered's re-lays the nodes testing a selected attribute
-// and counts the rest; Copied's keeps every probe tree and renumbers every
-// set through renum, each distinct leaf set once.
+// copier is one copying walk of a tree's levels down to deepest into fresh
+// records, each state once. Reordered's re-lays the nodes testing a selected
+// attribute and counts the rest; Copied's keeps every probe tree, copies the
+// leaf sets and renumbers every set through renum, each distinct leaf set
+// once.
 type copier struct {
+	t       *Tree
 	deepest int
-	memo    map[*Node]*Node
-	a       *arena
-	sel     []bool
-	relay   []*Node
-	copied  int
-	renum   []int
-	sets    map[*[]int]*[]int
+	// lv holds each copied level's records and memo; sets[id] is the copy of
+	// leaf-set entry id as a level's memo holds a node's.
+	lv     []built
+	sel    []bool
+	relay  []nodeAt
+	copied int
+	renum  []int32
+	sets   []int32
+	// leafSets and leafInts are Copied's leaf store.
+	leafSets growing[span]
+	leafInts growing[int32]
 }
 
+// newCopier starts a copy of t's levels down to deepest — past the leaf
+// level, the leaf sets too — sized by a first walk over what it will copy,
+// so that each level's records take one allocation each.
+func newCopier(t *Tree, deepest int) copier {
+	n := min(deepest+1, len(t.lv))
+	c := copier{t: t, deepest: deepest, lv: make([]built, n)}
+	slots := 0
+	for l := range c.lv {
+		slots += t.Slots(l)
+	}
+	memo := make([]int32, slots)
+	for l := range c.lv {
+		c.lv[l].memo, memo = memo[:t.Slots(l):t.Slots(l)], memo[t.Slots(l):]
+	}
+	if deepest >= len(t.lv) {
+		c.sets = make([]int32, t.leaves.sets.slots())
+	}
+	var leaves [2]int
+	c.count(0, t.root, &leaves)
+	for l := range c.lv {
+		bl := &c.lv[l]
+		bl.nodes.cur, bl.edges.cur, bl.ints.cur = make([]Node, 0, bl.size[0]), make([]Edge, 0, bl.size[1]), make([]int32, 0, bl.size[2])
+	}
+	c.leafSets.cur, c.leafInts.cur = make([]span, 0, leaves[0]), make([]int32, 0, leaves[1])
+	return c
+}
+
+// count is the sizing walk: it marks in the memo what the copy will hold,
+// and counts it in each level's size and, past the leaf level, in leaves:
+// the leaf sets and their entries.
+func (c *copier) count(l int, id int32, leaves *[2]int) {
+	if l > c.deepest || c.lv[l].memo[id] != 0 {
+		return
+	}
+	c.lv[l].memo[id] = -1
+	o, x := c.t.Node(l, id), &c.lv[l].size
+	x[0], x[1], x[2] = x[0]+1, x[1]+len(o.edges), x[2]+len(o.layout)+len(o.extra)
+	if l == c.deepest {
+		return
+	}
+	for i := range o.edges {
+		switch to := o.edges[i].To; {
+		case l+1 < len(c.t.lv):
+			c.count(l+1, to, leaves)
+		case c.sets[to] == 0:
+			c.sets[to] = -1
+			leaves[0], leaves[1] = leaves[0]+1, leaves[1]+len(c.t.Leaf(to))
+		}
+	}
+}
+
+// clone returns the copy of node id of level l, making it on first sight:
+// its id is its place in a depth-first walk.
+//
 //genas:builder
-func (c *copier) clone(old *Node) *Node {
-	if int(old.Level) > c.deepest {
-		return old
+func (c *copier) clone(l int, id int32) int32 {
+	if l > c.deepest {
+		return id
 	}
-	if n, ok := c.memo[old]; ok {
-		return n
+	bl := &c.lv[l]
+	if v := bl.memo[id]; v > 0 {
+		return v - 1
 	}
-	n := c.a.node()
-	*n = *old
-	if int(old.Level) < c.deepest {
-		n.edges = c.a.edgeSlice(old.edges)
-		for i := range n.edges {
-			switch e := &n.edges[i]; {
-			case e.Child != nil:
-				e.Child = c.clone(e.Child)
-			case e.leaf != nil:
-				if c.sets[e.leaf] == nil {
-					c.sets[e.leaf] = c.a.leafSet(c.renumbered(*e.leaf))
-				}
-				e.leaf = c.sets[e.leaf]
+	o, rec := c.t.Node(l, id), *c.t.lv[l].nodes.at(id)
+	nid, out := bl.nodes.take(1)
+	bl.memo[id] = nid + 1
+	var edges []Edge
+	rec.edges, edges = bl.edges.take(len(o.edges))
+	copy(edges, o.edges)
+	if l < c.deepest {
+		// The walk below takes from deeper levels only.
+		for i := range edges {
+			if e := &edges[i]; l+1 < len(c.t.lv) {
+				e.To = c.clone(l+1, e.To)
+			} else {
+				e.To = c.leaf(e.To)
 			}
 		}
 	}
+	var ints []int32
+	rec.parked, ints = bl.ints.take(len(o.extra))
+	c.renumber(ints, o.extra)
+	rec.layout, ints = bl.ints.take(len(o.layout))
 	switch {
-	case c.renum != nil:
-		n.layout = c.a.layout(len(old.layout))
-		copy(n.layout, old.layout)
-		if len(old.extra) > 0 {
-			n.extra = c.renumbered(old.extra)
+	case c.renum != nil || !c.sel[o.Attr]:
+		copy(ints, o.layout)
+		if c.renum == nil {
+			c.copied++
 		}
-	case c.sel[old.Attr]:
-		n.layout = c.a.layout(int(n.nSubrange))
-		c.relay = append(c.relay, n)
 	default:
-		c.copied++
+		c.relay = append(c.relay, nodeAt{l, nid})
 	}
-	c.memo[old] = n
-	return n
+	out[0] = rec
+	return nid
 }
 
-// renumbered returns set s renumbered, in arena storage (and sorted: the
-// renumbering keeps the live indices' order).
-func (c *copier) renumbered(s []int) []int {
-	out := c.a.ints.take(len(s), intChunk, c.a.line)
+// leaf returns the copy of leaf-set entry id, renumbered.
+func (c *copier) leaf(id int32) int32 {
+	if v := c.sets[id]; v > 0 {
+		return v - 1
+	}
+	set := c.t.Leaf(id)
+	off, ints := c.leafInts.take(len(set))
+	c.renumber(ints, set)
+	i, sp := c.leafSets.take(1)
+	sp[0] = span{off, int32(len(set))}
+	c.sets[id] = i + 1
+	return i
+}
+
+// renumber copies set s into dst renumbered (and sorted: the renumbering
+// keeps the live indices' order), or as it is without a renumbering.
+func (c *copier) renumber(dst, s []int32) {
+	if c.renum == nil {
+		copy(dst, s)
+		return
+	}
 	for i, pi := range s {
-		out[i] = c.renum[pi]
+		dst[i] = c.renum[pi]
 	}
-	return out
 }
 
-// arena chunk-allocates the objects of one build or one line of inserts. A
-// corridor merge creates hundreds of small, identically shaped objects
-// (nodes, edge lists, layouts, match sets), a build tens of thousands;
-// allocating each individually made malloc fixed costs and the resulting GC
-// assist rate the dominant term of both. A chunk lives as long as anything in
-// it; the unused tail of the last chunk of each kind is the only overhead.
-type arena struct {
-	nodes   slab[Node]
-	edges   slab[Edge]
-	ints    slab[int]   // match sets
-	sets    slab[[]int] // their handles
-	layouts slab[int32] // probe trees
-	// line marks the arena a line of inserts carves from, whose chunks start
-	// at the fixed sizes below; a build's start from nothing.
-	line bool
-}
-
-// Chunks grow with what the arena has handed out. A build's chunk is a
-// thirty-second of what its slab holds, up to maxChunk elements: a tree of a
-// dozen nodes pays for no chunk, the tail of a large one stays a percent or
-// two, and the chunk count is logarithmic up to maxChunk. A line's chunk is
-// an eighth, and at least the fixed size of its kind: one insert copies
-// dozens of nodes and thousands of edges, so a young line's chunks each hold
-// a part of an insert and an old line's each hold many inserts, and an
-// insert mallocs a chunk once in several. A chunk lives while any copy in it
-// does, so one that holds many inserts can pin copies later inserts
-// superseded, until the line is worn and its head's copy into a fresh line
-// lets the old one go.
-const (
-	nodeChunk = 64
-	edgeChunk = 128
-	intChunk  = 256
-	setChunk  = 32
-	maxChunk  = 1 << 15
-)
-
-// slab hands out runs of one chunked element type.
-type slab[T any] struct {
-	free []T // the unused tail of the current chunk
-	held int // elements in all chunks so far
-}
-
-// take returns n fresh elements, refilling when fewer are left with a chunk
-// of what the slab's growth asks for: on a line, at least d.
-//
-//genas:builder
-func (s *slab[T]) take(n, d int, line bool) []T {
-	if len(s.free) < n {
-		grown := min(s.held/32, maxChunk)
-		if line {
-			grown = max(d, min(s.held/8, maxChunk))
-		}
-		// Grow rounds the chunk up to what its size class holds anyway.
-		s.free = slices.Grow([]T(nil), max(n, grown))
-		s.free = s.free[:cap(s.free)]
-		s.held += len(s.free)
+// sealed returns the levels of the copy: those it made, sealed, and below
+// them the ones of rest.
+func (c *copier) sealed(rest []level) []level {
+	lv := make([]level, max(len(rest), len(c.lv)))
+	copy(lv, rest)
+	for l := range c.lv {
+		lv[l] = c.lv[l].level()
 	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
+	return lv
 }
 
-// bytes returns the bytes the arena's chunks hold.
-func (a *arena) bytes() int {
-	return a.nodes.held*int(unsafe.Sizeof(Node{})) + a.edges.held*int(unsafe.Sizeof(Edge{})) + 8*a.ints.held + 24*a.sets.held + 4*a.layouts.held
+// bytes returns the bytes of the records the copy made.
+func (c *copier) bytes() int {
+	b := spanBytes*len(c.leafSets.cur) + 4*len(c.leafInts.cur)
+	for _, bl := range c.lv {
+		b += nodeBytes*len(bl.nodes.cur) + edgeBytes*len(bl.edges.cur) + 4*len(bl.ints.cur)
+	}
+	return b
 }
 
-//genas:builder
-func (a *arena) node() *Node { return &a.nodes.take(1, nodeChunk, a.line)[0] }
+// mergerPool recycles the memo and scratch buffers across edits: steady
+// churn then allocates almost nothing beyond the successor's Tree and graph
+// meta.
+var mergerPool = sync.Pool{New: func() any { return &merger{} }}
 
-// edgeSlice commits a scratch-built edge list to arena storage.
-//
-//genas:builder
-func (a *arena) edgeSlice(src []Edge) []Edge {
-	out := a.edges.take(len(src), edgeChunk, a.line)
-	copy(out, src)
-	return out
-}
-
-// layout returns n zeroed layout entries of arena storage.
-func (a *arena) layout(n int) []int32 { return a.layouts.take(n, intChunk, a.line) }
-
-// intSlice commits a scratch-built int list to arena storage.
-func (a *arena) intSlice(src []int) []int {
-	out := a.ints.take(len(src), intChunk, a.line)
-	copy(out, src)
-	return out
-}
-
-// leafSet returns the handle under which leaf edges share the match set.
-func (a *arena) leafSet(set []int) *[]int {
-	h := &a.sets.take(1, setChunk, a.line)[0]
-	*h = set
-	return h
-}
-
-// merger carries one edit: the successor tree under construction, the
-// profile's dense index, whether the edit drops it, the weights it lays out
-// under, and the memo that keeps shared states shared.
+// merger carries one edit: the successor tree under construction and the
+// carver writing its records, the profile's dense index, whether the edit
+// drops it, the weights it lays out under, and the memo that keeps shared
+// states shared.
 type merger struct {
-	t    *Tree
-	np   int
+	c    carver
+	np   int32
 	drop bool
 	vo   ValueOrder
-	// memo maps old nodes to their merges with the chain node of their level,
-	// nil where a drop leaves the state empty (alive' = alive ∪ {np}, or
-	// alive ∖ {np}, is a function of the old state alone, so old-node
-	// identity is a sound key).
-	memo map[*Node]*Node
-	// ivs is the scratch of the chain's intervals on one attribute.
+	// memo[l][id] is the merge of node id of level l with the chain node of
+	// its level plus two, none+2 where a drop leaves the state empty, 0
+	// before it is made (alive' = alive ∪ {np}, or alive ∖ {np}, is a
+	// function of the old state alone, so old-node identity is a sound key).
+	// touched lists the entries one edit set.
+	memo    [][]int32
+	touched []nodeAt
+	// ivs is the scratch of the chain's intervals on one attribute, set that
+	// of one edited parked or leaf set.
 	ivs []schema.Interval
+	set []int32
 	// edges[level] is the scratch edge list of the node under construction
-	// at that level, committed to the arena once complete. Recursion makes
+	// at that level, committed to the line once complete. Recursion makes
 	// one shared buffer unsafe (a nested merge at a deeper level would
 	// clobber the caller's), but at most one node is under construction per
 	// level, so indexing by level is.
 	edges [][]Edge
 	// sc is the scratch of the layouts: the chain's and the re-laid subtrees'.
 	sc orderScratch
-	// a is the successor's line's arena, which every object the successor
-	// retains is carved from.
-	a *arena
+}
+
+// start readies the merger for the edit of t into nt.
+func (m *merger) start(t, nt *Tree, np int32, vo ValueOrder, drop bool) {
+	m.c, m.np, m.vo, m.drop = carver{t: nt}, np, vo, drop
+	if n := len(t.lv); len(m.edges) < n {
+		m.edges, m.memo = make([][]Edge, n), make([][]int32, n)
+	}
+	for l := range t.lv {
+		if s := t.Slots(l); len(m.memo[l]) < s {
+			m.memo[l] = make([]int32, 2*s) // headroom for the line's growth
+		}
+	}
+}
+
+// end lets go of the successor and clears the memo entries the edit set;
+// the scratch buffers keep their capacity for the next edit.
+func (m *merger) end() {
+	for _, k := range m.touched {
+		m.memo[k.l][k.id] = 0
+	}
+	m.c, m.vo, m.touched = carver{}, ValueOrder{}, m.touched[:0]
 }
 
 // chain builds the new profile's one-profile automaton in the successor's
-// arena and returns its root, or nil when the profile is unsatisfiable on
+// line and returns its root, or false when the profile is unsatisfiable on
 // some attribute. Below the deepest level the profile constrains, the chain
 // ends in the node that parks it, as Build would: every event reaching that
 // node matches it. Above, each level has one node, laid out under vo, whose
@@ -420,34 +499,33 @@ type merger struct {
 // canonical piece form, touching ones joined, so that a merged partition stays
 // as coarse as a fresh decomposition's — or the star edge where the profile
 // leaves the attribute free. Every edge leads to the next level's node, or at
-// the leaf level carries the match set {np}.
+// the leaf level to the match set {np}.
 //
 //genas:builder
-func (m *merger) chain(p *predicate.Profile, vo ValueOrder) *Node {
-	t, last := m.t, -1
+func (m *merger) chain(p *predicate.Profile, vo ValueOrder) (int32, bool) {
+	t, last := m.c.t, -1
 	for level, attr := range t.attrOrder {
 		if p.Constrains(attr) {
 			last = level
 		}
 	}
-	var next *Node
-	var leaf *[]int
-	one := m.a.ints.take(1, intChunk, m.a.line) // the chain's match set {np}
-	one[0] = m.np
-	if last+1 < t.schema.N() {
-		next = m.a.node()
-		*next = Node{Level: int16(last + 1), Attr: int16(t.attrOrder[last+1]), extra: one}
+	m.set = append(m.set[:0], m.np)
+	var next int32
+	if l := last + 1; l < len(t.lv) {
+		off, one := m.c.ints(l, 1)
+		copy(one, m.set)
+		var n *Node
+		next, n = m.c.node(l)
+		*n = Node{attr: int16(t.attrOrder[l]), parked: off, nParked: 1}
 	} else {
-		leaf = m.a.leafSet(one)
+		next = m.c.leaf(m.set)
 	}
 	for level := last; level >= 0; level-- {
 		attr := t.attrOrder[level]
 		dom := t.schema.At(attr).Domain
-		n := m.a.node()
-		*n = Node{Level: int16(level), Attr: int16(attr)}
-		buf := m.edges[level][:0]
+		buf, nSub := m.edges[level][:0], 0
 		if !p.Constrains(attr) {
-			buf = append(buf, Edge{Iv: dom.Interval(), Child: next, leaf: leaf})
+			buf = append(buf, edgeOver(dom.Interval(), next))
 		} else {
 			discrete := dom.Kind() != schema.KindNumeric
 			m.ivs = p.Pred(attr).AppendIntervals(m.ivs[:0], dom)
@@ -455,107 +533,121 @@ func (m *merger) chain(p *predicate.Profile, vo ValueOrder) *Node {
 				iv, ok := subrange.Snap(iv, discrete)
 				switch k := len(buf); {
 				case !ok:
-				case k > 0 && piecesTouch(buf[k-1].Iv, iv, discrete):
-					buf[k-1].Iv.Hi, buf[k-1].Iv.HiOpen = iv.Hi, iv.HiOpen
+				case k > 0 && piecesTouch(buf[k-1].Iv(), iv, discrete):
+					buf[k-1].setHi(iv)
 				default:
-					buf = append(buf, Edge{Iv: iv, Child: next, leaf: leaf})
+					buf = append(buf, edgeOver(iv, next))
 				}
 			}
 			if len(buf) == 0 {
-				return nil
+				return 0, false
 			}
-			n.nSubrange = int32(len(buf))
+			nSub = len(buf)
 		}
 		m.edges[level] = buf
-		n.edges = m.a.edgeSlice(buf)
-		n.layout = m.a.layout(int(n.nSubrange))
-		n.applyOrder(dom, vo, &m.sc)
-		next, leaf = n, nil
+		rec := Node{attr: int16(attr), nSub: int32(nSub), trail: nSub < len(buf), edges: m.c.edges(level, buf)}
+		var layout []int32
+		rec.layout, layout = m.c.ints(level, nSub)
+		v := View{Attr: rec.attr, edges: buf, layout: layout, nSubrange: rec.nSub}
+		v.applyOrder(dom, vo, &m.sc)
+		var n *Node
+		next, n = m.c.node(level)
+		*n = rec
 	}
-	return next
+	return next, true
 }
 
-// merge returns the merge of old, a node of the receiver tree, with b, the
-// chain's node of its level: in drop mode old itself where it does not hold
-// the profile, nil where the profile was all it held. A merged node keeps
-// old's probe tree where its subrange edges are old's, and otherwise gets
-// old's with the changed part re-laid (relay).
+// merge returns the merge of node old of level l, a node of the receiver
+// tree, with b, the chain's node of its level: in drop mode old itself where
+// it does not hold the profile, none where the profile was all it held. A
+// merged node keeps old's probe tree where its subrange edges are old's, and
+// otherwise gets old's with the changed part re-laid (relay).
 //
 //genas:builder
-func (m *merger) merge(old, b *Node) *Node {
-	if n, ok := m.memo[old]; ok {
-		return n
+func (m *merger) merge(l int, old, b int32) int32 {
+	if v := m.memo[l][old]; v != 0 {
+		return v - 2
 	}
-	n := *old
-	if len(b.extra) > 0 {
+	t := m.c.t
+	o, c := t.Node(l, old), t.Node(l, b)
+	rec, buf, parked := *t.lv[l].nodes.at(old), o.edges, false
+	if len(c.extra) > 0 {
 		// b parks the profile: every remaining level is don't-care for it,
 		// so it matches every event that reaches this node. It is parked in
-		// (or taken from) the extra set and the whole subtree is shared —
+		// (or taken from) the parked set and the whole subtree is shared —
 		// the dominant cost of editing a profile that constrains only early
 		// attributes collapses to one node copy.
-		n.extra = m.set(old.extra)
-	} else {
-		m.overlay(&n, old, b)
-	}
-	var out *Node
-	switch {
-	case m.drop && len(n.extra) == 0 && len(n.edges) == 0:
-	case m.drop && len(n.extra) == len(old.extra) && n.nSubrange == old.nSubrange && slices.Equal(n.edges, old.edges):
-		out = old
-	default:
-		out = m.a.node()
-		*out = n
-		if len(b.extra) == 0 {
-			out.edges = m.a.edgeSlice(n.edges)
-			out.layout = m.relay(old, out)
+		var set []int32
+		if set, parked = m.edited(o.extra); parked {
+			var run []int32
+			rec.parked, run = m.c.ints(l, len(set))
+			rec.nParked = int32(copy(run, set))
 		}
+	} else {
+		buf, rec.nSub = m.overlay(l, &o, &c)
+		rec.trail = int(rec.nSub) < len(buf)
 	}
-	m.memo[old] = out
+	out := old
+	switch {
+	case m.drop && rec.nParked == 0 && len(buf) == 0:
+		out = none
+	case m.drop && !parked && rec.nSub == o.nSubrange && slices.Equal(buf, o.edges):
+	default:
+		if len(c.extra) == 0 {
+			rec.edges = m.c.edges(l, buf)
+			rec.layout = m.relay(l, &o, &View{Attr: o.Attr, edges: buf, nSubrange: rec.nSub}, rec.layout)
+		}
+		var n *Node
+		out, n = m.c.node(l)
+		*n = rec
+	}
+	m.memo[l][old] = out + 2
+	m.touched = append(m.touched, nodeAt{l, old})
 	return out
 }
 
-// overlay lays n's edges out, in the level's scratch, as the overlay of old's
-// and b's partitions, walked in natural order piece against piece. A piece
-// that is a subrange edge on either side becomes a subrange edge of n; pieces
-// that are gaps on both sides go to n's one trailing edge, the merge of the
-// two sides' gap owners — a node's gaps have one owner, so these pieces always
-// agree — and stay D₀ where neither side owns its gaps. old's parked profiles
-// ride along unchanged: they still match every event reaching n.
+// overlay lays out, in the level's scratch, the edges of the merge of old and
+// b as the overlay of their partitions, walked in natural order piece
+// against piece, and returns them and how many lead the subrange edges. A
+// piece that is a subrange edge on either side becomes a subrange edge of the
+// merge; pieces that are gaps on both sides go to its one trailing edge, the
+// merge of the two sides' gap owners — a node's gaps have one owner, so these
+// pieces always agree — and stay D₀ where neither side owns its gaps. old's
+// parked profiles ride along unchanged: they still match every event
+// reaching the merge.
 //
 // Where b has subrange edges only, its region is the span from its first edge
 // to its last, and b is a gap on either side of it: old's edges entirely
-// below the region are n's as they are, copied in one append, and so are
-// those entirely above it once the walk has passed it. Where b is a star node
-// every piece is walked.
+// below the region are the merge's as they are, copied in one append, and so
+// are those entirely above it once the walk has passed it. Where b is a star
+// node every piece is walked.
 //
 // In drop mode the pieces rejoin as they come: one whose state emptied, or
 // that now leads where the trailing edge leads, becomes a gap, and one that
 // continues the last edge into an equal state extends it. States compare by
-// pointer, and structurally where the drop made either side afresh. Old
-// edges never rejoin one another by pointer, but a fresh edge may rejoin the
-// old ones after it, so past the region the walk goes on while the last edge
-// is fresh.
+// index, and structurally where the drop made either side afresh. Old edges
+// never rejoin one another by index, but a fresh edge may rejoin the old ones
+// after it, so past the region the walk goes on while the last edge is fresh.
 //
 //genas:builder
-func (m *merger) overlay(n, old, b *Node) {
-	level := int(old.Level)
-	dom := m.t.schema.At(int(old.Attr)).Domain
+func (m *merger) overlay(l int, old, b *View) ([]Edge, int32) {
+	dom := m.c.t.schema.At(int(old.Attr)).Domain
 	discrete := dom.Kind() != schema.KindNumeric
-	buf := m.edges[level][:0]
+	buf := m.edges[l][:0]
 	ga, gb := edgeAt(old, int(old.nSubrange)), edgeAt(b, int(b.nSubrange))
-	var tr Edge // drop mode: the trailing edge, made first to fold pieces into
+	tr := Edge{To: none} // drop mode: the trailing edge, made first to fold pieces into
 	trFresh, lastFresh := false, false
 	if m.drop && ga != nil {
-		tr = m.edge(dom.Interval(), ga, gb)
+		tr = m.edge(l, dom.Interval(), ga, gb)
 		trFresh = tr != *ga
 	}
 	olds := old.edges[:old.nSubrange]
 	pa, pb := old.pieces(dom), b.pieces(dom)
 	above := len(olds) // the first old edge entirely above b's region
 	if b.nSubrange > 0 {
-		lo, hi := b.edges[0].Iv, b.edges[b.nSubrange-1].Iv
-		below := sort.Search(len(olds), func(i int) bool { return !ivBefore(olds[i].Iv, lo) })
-		above = below + sort.Search(len(olds)-below, func(i int) bool { return ivBefore(hi, olds[below+i].Iv) })
+		lo, hi := b.edges[0].Iv(), b.edges[b.nSubrange-1].Iv()
+		below := sort.Search(len(olds), func(i int) bool { return !ivBefore(olds[i].Iv(), lo) })
+		above = below + sort.Search(len(olds)-below, func(i int) bool { return ivBefore(hi, olds[below+i].Iv()) })
 		buf = append(buf, olds[:below]...)
 		pa.at = 2 * below // the gap below the first edge the walk takes
 	}
@@ -569,14 +661,14 @@ func (m *merger) overlay(n, old, b *Node) {
 			break
 		}
 		if ea := edgeAt(old, pa.Edge); pa.Edge >= 0 && pa.Edge < len(olds) || pb.Edge >= 0 && pb.Edge < int(b.nSubrange) {
-			e := m.edge(pa.Iv.Intersect(pb.Iv), ea, edgeAt(b, pb.Edge))
-			fresh, k := ea != nil && (e.Child != ea.Child || e.leaf != ea.leaf), len(buf)
+			e := m.edge(l, pa.Iv.Intersect(pb.Iv), ea, edgeAt(b, pb.Edge))
+			fresh, k := ea != nil && e.To != ea.To, len(buf)
 			switch {
 			case !m.drop:
 				buf = append(buf, e)
-			case e.Child == nil && e.leaf == nil || sameState(e, tr, fresh || trFresh):
-			case k > 0 && piecesTouch(buf[k-1].Iv, e.Iv, discrete) && sameState(buf[k-1], e, fresh || lastFresh):
-				buf[k-1].Iv.Hi, buf[k-1].Iv.HiOpen = e.Iv.Hi, e.Iv.HiOpen
+			case e.To == none || m.sameState(l, e, tr, fresh || trFresh):
+			case k > 0 && piecesTouch(buf[k-1].Iv(), e.Iv(), discrete) && m.sameState(l, buf[k-1], e, fresh || lastFresh):
+				buf[k-1].setHi(e.Iv())
 				lastFresh = lastFresh || fresh
 			default:
 				buf, lastFresh = append(buf, e), fresh
@@ -593,36 +685,37 @@ func (m *merger) overlay(n, old, b *Node) {
 	}
 	// A piece no subrange edge holds — a gap on both sides, or one a drop
 	// made — leaves a hole, which the trailing edge takes.
-	n.nSubrange = int32(len(buf))
+	nSub := int32(len(buf))
 	switch {
-	case m.drop && (tr.Child != nil || tr.leaf != nil) && !tiles(buf, dom.Interval(), discrete):
+	case m.drop && tr.To != none && !tiles(buf, dom.Interval(), discrete):
 		buf = append(buf, tr)
 	case !m.drop && (ga != nil || gb != nil) && !tiles(buf, dom.Interval(), discrete):
-		buf = append(buf, m.edge(dom.Interval(), ga, gb))
+		buf = append(buf, m.edge(l, dom.Interval(), ga, gb))
 	}
-	m.edges[level] = buf
-	n.edges = buf
+	m.edges[l] = buf
+	return buf, nSub
 }
 
-// relay returns the probe tree of n, old's merge: old's own where their
-// subrange edges are the same, else old's with the smallest subtree covering
-// the changed keys laid out afresh under the edit's weights — found by
-// walking down from the root, the empty slot between two old keys where the
-// edit only adds keys — and every key above it shifted by the change in
-// count. Only the re-laid keys and the gaps around them are weighed.
+// relay returns the probe tree of n, old's merge at level l: old's own,
+// which starts at layout, where their subrange edges are the same, else old's
+// with the smallest subtree covering the changed keys laid out afresh under
+// the edit's weights — found by walking down from the root, the empty slot
+// between two old keys where the edit only adds keys — and every key above it
+// shifted by the change in count. Only the re-laid keys and the gaps around
+// them are weighed.
 //
 //genas:builder
-func (m *merger) relay(old, n *Node) []int32 {
+func (m *merger) relay(l int, old, n *View, layout int32) int32 {
 	oe, ne := old.edges[:old.nSubrange], n.edges[:n.nSubrange]
 	same, p, s := min(len(oe), len(ne)), 0, 0 // the common prefix and suffix
-	for p < same && oe[p].Iv == ne[p].Iv {
+	for p < same && sameIv(&oe[p], &ne[p]) {
 		p++
 	}
-	for s < same-p && oe[len(oe)-1-s].Iv == ne[len(ne)-1-s].Iv {
+	for s < same-p && sameIv(&oe[len(oe)-1-s], &ne[len(ne)-1-s]) {
 		s++
 	}
 	if len(oe) == len(ne) && p+s == len(oe) {
-		return old.layout
+		return layout
 	}
 	last := len(oe) - 1 - s // the last changed old key, p−1 where none is
 	pos, lo, hi := 0, 0, len(oe)-1
@@ -637,12 +730,14 @@ func (m *merger) relay(old, n *Node) []int32 {
 		}
 	}
 	d := len(ne) - len(oe)
-	out := shifted(m.a.layout(len(ne))[:0], old.layout[:pos], hi, d)
+	off, out := m.c.ints(l, len(ne))
+	out = shifted(out[:0], old.layout[:pos], hi, d)
 	if lo <= hi+d {
-		m.sc.weigh(n, m.t.schema.At(int(n.Attr)).Domain, m.vo, lo, hi+d)
+		m.sc.weigh(n, m.c.t.schema.At(int(n.Attr)).Domain, m.vo, lo, hi+d)
 		out = m.sc.lay(out, lo, hi+d+1)
 	}
-	return shifted(out, old.layout[pos+hi-lo+1:], hi, d)
+	shifted(out, old.layout[pos+hi-lo+1:], hi, d)
+	return off
 }
 
 // shifted appends keys, those above hi moved by d.
@@ -657,92 +752,95 @@ func shifted(out, keys []int32, hi, d int) []int32 {
 }
 
 // edge returns the merged edge over iv of old's edge ea and the chain's edge
-// eb, either nil where its side has nothing there. Where both have one, it
-// carries at the leaf level the edited match set, and above it the merge of
-// their children; otherwise an insert shares one side's child or match set
-// as it is, and a drop keeps old's or, where old has nothing, nothing.
+// eb at level l, either nil where its side has nothing there. Where both have
+// one, it carries at the leaf level the edited match set, and above it the
+// merge of their targets; otherwise an insert shares one side's target as it
+// is, and a drop keeps old's or, where old has nothing, nothing.
 //
 //genas:builder
-func (m *merger) edge(iv schema.Interval, ea, eb *Edge) Edge {
+func (m *merger) edge(l int, iv Interval, ea, eb *Edge) Edge {
 	switch {
 	case ea == nil && m.drop:
-		return Edge{Iv: iv}
+		return edgeOver(iv, none)
 	case ea == nil:
-		return Edge{Iv: iv, Child: eb.Child, leaf: eb.leaf}
+		return edgeOver(iv, eb.To)
 	case eb == nil:
-		return Edge{Iv: iv, Child: ea.Child, leaf: ea.leaf}
-	case ea.Child == nil:
-		switch s := m.set(*ea.leaf); len(s) {
-		case len(*ea.leaf):
-			return Edge{Iv: iv, leaf: ea.leaf}
-		case 0:
-			return Edge{Iv: iv}
+		return edgeOver(iv, ea.To)
+	case l+1 == len(m.c.t.lv):
+		switch s, changed := m.edited(m.c.t.Leaf(ea.To)); {
+		case !changed:
+			return edgeOver(iv, ea.To)
+		case len(s) == 0:
+			return edgeOver(iv, none)
 		default:
-			return Edge{Iv: iv, leaf: m.a.leafSet(s)}
+			return edgeOver(iv, m.c.leaf(s))
 		}
 	}
-	return Edge{Iv: iv, Child: m.merge(ea.Child, eb.Child)}
+	return edgeOver(iv, m.merge(l+1, ea.To, eb.To))
 }
 
-// set returns the sorted dense-index set s, in arena storage, with the
-// profile added — its index is the successor's largest, so the union is a
-// copy plus one trailing element — or in drop mode taken out: s itself where
-// s does not hold it.
-func (m *merger) set(s []int) []int {
+// edited returns the sorted dense-index set s, in the merger's scratch, with
+// the profile added — its index is the successor's largest, so the union is
+// a copy plus one trailing element — or in drop mode taken out, and whether
+// it changed: s itself where a drop finds no profile to take.
+func (m *merger) edited(s []int32) ([]int32, bool) {
 	if !m.drop {
-		out := m.a.ints.take(len(s)+1, intChunk, m.a.line)
-		out[copy(out, s)] = m.np
-		return out
+		m.set = append(append(m.set[:0], s...), m.np)
+		return m.set, true
 	}
 	i, ok := slices.BinarySearch(s, m.np)
 	if !ok {
-		return s
+		return s, false
 	}
-	out := m.a.ints.take(len(s)-1, intChunk, m.a.line)
-	copy(out[copy(out, s[:i]):], s[i+1:])
-	return out
+	m.set = append(append(m.set[:0], s[:i]...), s[i+1:]...)
+	return m.set, true
 }
 
-// sameState reports whether edges a and b lead to the same state: the same
-// node or match set or, when deep, equal ones, compared down to the first
-// shared pointer.
-func sameState(a, b Edge, deep bool) bool {
+// sameState reports whether edges a and b of level l lead to the same state:
+// the same node or match set or, when deep, equal ones, compared down to the
+// first shared index.
+func (m *merger) sameState(l int, a, b Edge, deep bool) bool {
 	switch {
-	case a.Child == b.Child && a.leaf == b.leaf:
+	case a.To == b.To:
 		return true
-	case !deep || a.Child == nil && a.leaf == nil || b.Child == nil && b.leaf == nil:
+	case !deep || a.To == none || b.To == none:
 		return false
-	case a.Child == nil:
-		return slices.Equal(*a.leaf, *b.leaf)
 	}
-	x, y := a.Child, b.Child
+	t := m.c.t
+	if l+1 == len(t.lv) {
+		return slices.Equal(t.Leaf(a.To), t.Leaf(b.To))
+	}
+	x, y := t.Node(l+1, a.To), t.Node(l+1, b.To)
 	if x.nSubrange != y.nSubrange || len(x.edges) != len(y.edges) || !slices.Equal(x.extra, y.extra) {
 		return false
 	}
 	for i := range x.edges {
-		if x.edges[i].Iv != y.edges[i].Iv || !sameState(x.edges[i], y.edges[i], true) {
+		if !sameIv(&x.edges[i], &y.edges[i]) || !m.sameState(l+1, x.edges[i], y.edges[i], true) {
 			return false
 		}
 	}
 	return true
 }
 
+// sameIv reports whether two edges have the same interval.
+func sameIv(a, b *Edge) bool { return a.Lo == b.Lo && a.Hi == b.Hi && a.open == b.open }
+
 // tiles reports whether edges, in natural order, cover dom without a hole.
 func tiles(edges []Edge, dom schema.Interval, discrete bool) bool {
-	if len(edges) == 0 || edges[0].Iv.Lo != dom.Lo || edges[0].Iv.LoOpen {
+	if len(edges) == 0 || edges[0].Lo != dom.Lo || edges[0].open&openLo != 0 {
 		return false
 	}
 	for i := 1; i < len(edges); i++ {
-		if !piecesTouch(edges[i-1].Iv, edges[i].Iv, discrete) {
+		if !piecesTouch(edges[i-1].Iv(), edges[i].Iv(), discrete) {
 			return false
 		}
 	}
-	last := edges[len(edges)-1].Iv
-	return last.Hi == dom.Hi && !last.HiOpen
+	last := &edges[len(edges)-1]
+	return last.Hi == dom.Hi && last.open&openHi == 0
 }
 
 // edgeAt returns n's edge i, or nil for −1 (a D₀ gap) and past the last.
-func edgeAt(n *Node, i int) *Edge {
+func edgeAt(n *View, i int) *Edge {
 	if i < 0 || i >= len(n.edges) {
 		return nil
 	}

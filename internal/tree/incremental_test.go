@@ -420,13 +420,13 @@ func TestMatchAppendLeavesLeafSetsAlone(t *testing.T) {
 		tr, _ = tr.WithProfile(randomProfile(t, s, rng, i), NaturalOrder())
 	}
 
-	leafSets := func() map[*[]int][]int {
-		out := make(map[*[]int][]int)
-		for _, level := range tr.Levels() {
+	leafSets := func() map[int32][]int32 {
+		out := make(map[int32][]int32)
+		for _, level := range views(tr) {
 			for _, n := range level {
 				for i := range n.edges {
-					if leaf := n.edges[i].leaf; leaf != nil {
-						out[leaf] = slices.Clone(*leaf)
+					if leaf := tr.leafOf(n, i); leaf != nil {
+						out[n.edges[i].To] = slices.Clone(leaf)
 					}
 				}
 			}
@@ -434,7 +434,7 @@ func TestMatchAppendLeavesLeafSetsAlone(t *testing.T) {
 		return out
 	}
 	parked := 0
-	for _, level := range tr.Levels() {
+	for _, level := range views(tr) {
 		for _, n := range level {
 			parked += len(n.Extra())
 		}
@@ -444,15 +444,15 @@ func TestMatchAppendLeavesLeafSetsAlone(t *testing.T) {
 	}
 	before := leafSets()
 
-	var acc []int
+	var acc []int32
 	collected := 0
 	for range 5000 {
 		probe := randomProbe(s, rng)
 		want, wantOps := tr.Match(probe)
-		var got []int
+		var got []int32
 		var ops int
 		got, acc, ops = tr.MatchAppend(probe, acc[:0])
-		if !slices.Equal(got, want) || ops != wantOps {
+		if !slices.Equal(want, got) || ops != wantOps {
 			t.Fatalf("MatchAppend(%v) = %v, %d ops; Match = %v, %d ops", probe, got, ops, want, wantOps)
 		}
 		if len(acc) > 0 {

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -201,15 +200,15 @@ func liveIndices(tr *Tree, removed map[int]bool) (live []int, profiles []*predic
 // noneRemoved fails where a parked or leaf set of tr lists a removed index.
 func noneRemoved(t *testing.T, what string, tr *Tree, removed map[int]bool) {
 	t.Helper()
-	for level, nodes := range tr.Levels() {
+	for level, nodes := range views(tr) {
 		for _, n := range nodes {
-			sets := [][]int{n.Extra()}
+			sets := [][]int32{n.Extra()}
 			for i := range n.Edges() {
-				sets = append(sets, n.Edges()[i].Leaf())
+				sets = append(sets, tr.leafOf(n, i))
 			}
 			for _, set := range sets {
 				for _, pi := range set {
-					if removed[pi] {
+					if removed[int(pi)] {
 						t.Fatalf("%s: a set at level %d lists removed index %d: %v", what, level, pi, set)
 					}
 				}
@@ -308,18 +307,18 @@ func TestWithProfileCopies(t *testing.T) {
 	const inserts = 200
 	var nodes, edges, fanOut, pieces int
 	for i := range inserts {
-		was := make(map[*Node]bool, tr.Stats().Nodes)
-		for _, level := range tr.Levels() {
+		was := make(map[nodeAt]bool, tr.Stats().Nodes)
+		for _, level := range views(tr) {
 			for _, n := range level {
-				was[n] = true
+				was[n.at()] = true
 			}
 		}
 		weighed.Store(0)
 		tr, _ = tr.WithProfile(profile(len(corpus)+i), vo)
 		pieces += int(weighed.Load())
-		for _, level := range tr.Levels() {
+		for _, level := range views(tr) {
 			for _, n := range level {
-				if !was[n] {
+				if !was[n.at()] {
 					nodes++
 					edges += len(n.Edges())
 				}
@@ -452,7 +451,9 @@ func TestLineStaysWithinItsBound(t *testing.T) {
 	for i := range grid {
 		grid[i] = randomEvent(s, rng)
 	}
-	const chunk = maxChunk * int(unsafe.Sizeof(Node{})+unsafe.Sizeof(Edge{})+8+24+4)
+	// One largest chunk of each kind: nodes, edges, ints and leaf-set
+	// entries.
+	const chunk = 4 * maxChunk
 	copies, peak := 0, 0.0
 	check := func() {
 		t.Helper()
@@ -464,7 +465,8 @@ func TestLineStaysWithinItsBound(t *testing.T) {
 				cm, cops := c.Match(vals)
 				wm = slices.Clone(wm) // a match may hand out a leaf set of the tree
 				for i := range wm {
-					wm[i], _ = slices.BinarySearch(old, wm[i])
+					k, _ := slices.BinarySearch(old, int(wm[i]))
+					wm[i] = int32(k)
 				}
 				if !slices.Equal(wm, cm) || wops != cops {
 					t.Fatalf("copy %d: probe %v matches %v in %d comparisons, the tree it copies %v in %d", copies, vals, cm, cops, wm, wops)
@@ -479,7 +481,7 @@ func TestLineStaysWithinItsBound(t *testing.T) {
 			}
 		}
 		l := tr.line
-		held := l.a.bytes()
+		held := l.held
 		peak = max(peak, float64(held)/float64(l.base))
 		if held > lineFactor*l.base+chunk {
 			t.Fatalf("after %d copies the line holds %d KB, started from %d KB", copies, held>>10, l.base>>10)
@@ -533,7 +535,7 @@ func TestWithProfileShapes(t *testing.T) {
 		name: "a profile that constrains nothing parks at the root",
 		base: []string{"num in [2,4]; int <= 7", "cat in {b, c}"},
 		check: func(t *testing.T, was, tr *Tree) {
-			if r := tr.Root(); !slices.Equal(r.Extra(), []int{2}) || &r.Edges()[0] != &was.Root().Edges()[0] {
+			if r := tr.Root(); !slices.Equal(r.Extra(), []int32{2}) || &r.Edges()[0] != &was.Root().Edges()[0] {
 				t.Fatalf("the root parks %v, its edges shared: %v", r.Extra(), &r.Edges()[0] == &was.Root().Edges()[0])
 			}
 			if got, want := tr.Stats().Nodes, was.Stats().Nodes; got != want {
@@ -545,7 +547,7 @@ func TestWithProfileShapes(t *testing.T) {
 		base: []string{"num in [2,4]; int <= 7", "cat in {b, c}"},
 		add:  "num >= 3; int in [2.1,2.4]",
 		check: func(t *testing.T, was, tr *Tree) {
-			if tr.Root() != was.Root() || tr.meta != was.meta {
+			if tr.root != was.root || tr.meta != was.meta {
 				t.Fatal("the successor has a graph of its own")
 			}
 		},
@@ -556,7 +558,7 @@ func TestWithProfileShapes(t *testing.T) {
 		add:   "cat in {a, b}; int >= 10",
 		check: func(t *testing.T, was, tr *Tree) {
 			r := tr.Root()
-			if len(r.Edges()) != 2 || r.Edges()[0].Iv != schema.Closed(0, 1) || r.Edges()[1] != was.Root().Edges()[0] {
+			if len(r.Edges()) != 2 || r.Edges()[0].Iv() != schema.Closed(0, 1) || r.Edges()[1] != was.Root().Edges()[0] {
 				t.Fatalf("root edges %+v, want the chain's [0,1] beside the old [3,4]", r.Edges())
 			}
 		},
@@ -571,11 +573,11 @@ func TestWithProfileShapes(t *testing.T) {
 				t.Fatalf("root edges %+v, want the subranges %v", r.Edges(), want)
 			}
 			for i, iv := range want {
-				if r.Edges()[i].Iv != iv {
-					t.Fatalf("root edge %d is %v, want %v", i, r.Edges()[i].Iv, iv)
+				if r.Edges()[i].Iv() != iv {
+					t.Fatalf("root edge %d is %v, want %v", i, r.Edges()[i].Iv(), iv)
 				}
 			}
-			if r.Edges()[1].Child != r.Edges()[2].Child || r.Edges()[0].Child == r.Edges()[1].Child {
+			if r.Edges()[1].To != r.Edges()[2].To || r.Edges()[0].To == r.Edges()[1].To {
 				t.Fatal("the two chain edges do not share the chain's next node")
 			}
 		},
@@ -589,7 +591,7 @@ func TestWithProfileShapes(t *testing.T) {
 				t.Fatalf("the base root is not a star node: %+v", was.Root().Edges())
 			}
 			if len(r.Edges()) != 2 || r.Kind(0) != EdgeSubrange || r.Kind(1) != EdgeComplement ||
-				r.Edges()[0].Iv != schema.Closed(3, 6) || r.Edges()[1] != star {
+				r.Edges()[0].Iv() != schema.Closed(3, 6) || r.Edges()[1] != star {
 				t.Fatalf("root edges %+v, want [3,6] and the old star edge as the complement", r.Edges())
 			}
 		},
@@ -657,7 +659,7 @@ func matchesOnGrid(t *testing.T, what string, grid [][]float64, tr *Tree, live [
 	for _, vals := range grid {
 		got, want, built = got[:0], want[:0], built[:0]
 		matched, _ := tr.Match(vals)
-		got = append(got, matched...)
+		got = append(got, ints(matched)...)
 		slices.Sort(got)
 		for _, pi := range live {
 			if tr.Profiles()[pi].Matches(vals) {
@@ -753,9 +755,9 @@ func sameMatches(t *testing.T, what string, grid [][]float64, was, tr *Tree) {
 	var got, want []int
 	for _, vals := range grid {
 		m, _ := tr.Match(vals)
-		got = append(got[:0], m...)
+		got = append(got[:0], ints(m)...)
 		m, _ = was.Match(vals)
-		want = append(want[:0], m...)
+		want = append(want[:0], ints(m)...)
 		slices.Sort(got)
 		slices.Sort(want)
 		if !slices.Equal(got, want) {
@@ -861,4 +863,153 @@ func (r *byteScript) profile(s *schema.Schema, i int) *predicate.Profile {
 		p.Preds[attr] = pr
 	}
 	return p
+}
+
+// TestSuccessorsLeavePredecessorsAlone: no successor writes into storage a
+// predecessor reads. A tree of 300 churnCorpus profiles takes 2 000 edits —
+// inserts and removals, a Reordered of random attributes every 50th, a
+// sibling insert into an older tree every 97th, and a copy whenever the line
+// is worn — and every tree published on the way keeps the match sets and
+// comparison counts it gave on a fixed event grid when it was published.
+func TestSuccessorsLeavePredecessorsAlone(t *testing.T) {
+	s, profile := churnCorpus(t)
+	rng := rand.New(rand.NewSource(11))
+	grid := make([][]float64, 150)
+	for i := range grid {
+		grid[i] = randomEvent(s, rng)
+	}
+	type published struct {
+		tr  *Tree
+		ms  [][]int32
+		ops []int
+	}
+	var pub []published
+	publish := func(tr *Tree) {
+		p := published{tr: tr, ms: make([][]int32, len(grid)), ops: make([]int, len(grid))}
+		for i, vals := range grid {
+			m, ops := tr.Match(vals)
+			p.ms[i], p.ops[i] = slices.Clone(m), ops
+		}
+		pub = append(pub, p)
+	}
+	corpus := make([]*predicate.Profile, 300)
+	live := make([]int, len(corpus))
+	for i := range corpus {
+		corpus[i], live[i] = profile(i), i
+	}
+	tr, err := Build(s, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish(tr)
+	next, copies, reorders, siblings := len(corpus), 0, 0, 0
+	for edit := range 2000 {
+		switch {
+		case edit%97 == 96:
+			sib, _ := pub[rng.Intn(len(pub))].tr.WithProfile(profile(next), NaturalOrder())
+			next++
+			siblings++
+			publish(sib)
+			continue
+		case edit%50 == 49:
+			var attrs []int
+			for a := range s.N() {
+				if rng.Intn(2) == 0 {
+					attrs = append(attrs, a)
+				}
+			}
+			tr, _, _ = tr.Reordered(saltedMass(rng.Float64()*100), attrs...)
+			reorders++
+		case len(live) < 200 || rng.Intn(2) == 0:
+			var pi int
+			tr, pi = tr.WithProfile(profile(next), tr.ValueOrder())
+			next++
+			live = append(live, pi)
+		default:
+			k := rng.Intn(len(live))
+			tr = tr.WithoutProfile(live[k])
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		if tr.Worn() {
+			var old []int
+			tr, old = tr.Copied()
+			for k, pi := range live {
+				live[k], _ = slices.BinarySearch(old, pi)
+			}
+			copies++
+		}
+		publish(tr)
+	}
+	t.Logf("%d trees published across %d line copies, %d reorders and %d siblings", len(pub), copies, reorders, siblings)
+	if copies == 0 {
+		t.Error("no edit wore a line: the copies are untested")
+	}
+	for k, p := range pub {
+		for i, vals := range grid {
+			if ms, ops := p.tr.Match(vals); !slices.Equal(ms, p.ms[i]) || ops != p.ops[i] {
+				t.Fatalf("tree %d: probe %v now matches %v in %d comparisons, %v in %d when published", k, vals, ms, ops, p.ms[i], p.ops[i])
+			}
+		}
+	}
+}
+
+// TestSiblingsEditConcurrently: a line's head takes edits on one goroutine
+// while another derives a successor from each older tree of the line, whose
+// new lines copy the page tables they extend. A copy holds the entries the
+// older tree reaches and none the head is writing past them, so the race
+// detector finds nothing, and each sibling matches as brute force says.
+func TestSiblingsEditConcurrently(t *testing.T) {
+	s, profile := churnCorpus(t)
+	corpus := make([]*predicate.Profile, 200)
+	for i := range corpus {
+		corpus[i] = profile(i)
+	}
+	tr, err := Build(s, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := []*Tree{tr}
+	for i := range 40 {
+		tr, _ = tr.WithProfile(profile(len(corpus)+i), NaturalOrder())
+		line = append(line, tr)
+	}
+	rng := rand.New(rand.NewSource(3))
+	grid := make([][]float64, 100)
+	for i := range grid {
+		grid[i] = randomEvent(s, rng)
+	}
+	// churnCorpus draws from one source: both goroutines' profiles are drawn
+	// before they start.
+	heads, sibs := make([]*predicate.Profile, 200), make([]*predicate.Profile, len(line)-1)
+	for i := range heads {
+		heads[i] = profile(1000 + i)
+	}
+	for i := range sibs {
+		sibs[i] = profile(2000 + i)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		head := tr
+		for _, p := range heads {
+			head, _ = head.WithProfile(p, NaturalOrder())
+		}
+	}()
+	for k, old := range line[:len(line)-1] {
+		sib, pi := old.WithProfile(sibs[k], NaturalOrder())
+		for _, vals := range grid {
+			got, _ := sib.Match(vals)
+			var want []int32
+			for i, p := range sib.Profiles() {
+				if p.Matches(vals) {
+					want = append(want, int32(i))
+				}
+			}
+			if got = slices.Sorted(slices.Values(got)); !slices.Equal(got, want) {
+				t.Fatalf("sibling %d (index %d): probe %v matches %v, brute force %v", k, pi, vals, got, want)
+			}
+		}
+	}
+	<-done
 }

@@ -41,27 +41,20 @@ type orderScratch struct {
 // an entry per subrange edge.
 //
 //genas:builder
-func (n *Node) applyOrder(dom schema.Domain, vo ValueOrder, sc *orderScratch) {
+func (n *View) applyOrder(dom schema.Domain, vo ValueOrder, sc *orderScratch) {
 	sc.weigh(n, dom, vo, 0, int(n.nSubrange)-1)
 	n.layout = sc.lay(n.layout[:0], 0, int(n.nSubrange))
 }
 
-// layOut lays out every node of levels under vo, their layout storage sized:
-// one parallel pass, a scratch per worker, inline for at most layGrain nodes.
-func layOut(s *schema.Schema, vo ValueOrder, levels ...[]*Node) {
-	total := 0
-	for _, ns := range levels {
-		total += len(ns)
-	}
-	w := par.Workers(total, layGrain)
+// layOut lays out the nodes of t listed under vo, their layout storage
+// sized: one parallel pass, a scratch per worker, inline for at most
+// layGrain nodes.
+func (t *Tree) layOut(vo ValueOrder, nodes []nodeAt) {
+	w := par.Workers(len(nodes), layGrain)
 	sc := make([]orderScratch, w)
-	par.For(w, total, layGrain, func(w, i int) {
-		l := 0
-		for ; i >= len(levels[l]); l++ {
-			i -= len(levels[l])
-		}
-		n := levels[l][i]
-		n.applyOrder(s.At(int(n.Attr)).Domain, vo, &sc[w])
+	par.For(w, len(nodes), layGrain, func(w, i int) {
+		n := t.Node(nodes[i].l, nodes[i].id)
+		n.applyOrder(t.schema.At(int(n.Attr)).Domain, vo, &sc[w])
 	})
 }
 

@@ -80,14 +80,15 @@ func TestPaperExample1(t *testing.T) {
 		if k := root.Kind(i); k != tree.EdgeSubrange {
 			t.Errorf("root edge %d kind = %v, want subrange", i, k)
 		}
-		if e.Iv.String() != wantIvs[i] {
-			t.Errorf("root edge %d = %s, want %s", i, e.Iv, wantIvs[i])
+		if e.Iv().String() != wantIvs[i] {
+			t.Errorf("root edge %d = %s, want %s", i, e.Iv(), wantIvs[i])
 		}
 	}
 
 	// Fig. 1's (*) edge under [30,35) → [90,100] is the set {P2, P5} parked
 	// at the radiation node: they constrain no radiation.
-	rad := edges[1].Child.Edges()[len(edges[1].Child.Edges())-1].Child
+	hum := tr.Node(1, edges[1].To)
+	rad := tr.Node(2, hum.Edges()[len(hum.Edges())-1].To)
 	if got := idSet(profiles, rad.Extra()); got != "P2,P5" {
 		t.Errorf("radiation node under [30,35) → [90,100] parks %v, want P2,P5:\n%s", got, tr.Dump())
 	}
@@ -117,7 +118,7 @@ func TestPaperExample1(t *testing.T) {
 
 // idSet renders a match as its profiles' ids, sorted: a walk lists parked
 // profiles first, so only the set is specified.
-func idSet(profiles []*predicate.Profile, matched []int) string {
+func idSet[I int | int32](profiles []*predicate.Profile, matched []I) string {
 	ids := make([]string, len(matched))
 	for i, pi := range matched {
 		ids[i] = string(profiles[pi].ID)

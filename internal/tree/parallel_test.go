@@ -23,26 +23,31 @@ func render(tr *Tree) string {
 			b = binary.AppendVarint(b, int64(x))
 		}
 	}
-	at := make(map[*Node]int)
-	for l, ns := range tr.Levels() {
+	at := make(map[nodeAt]int)
+	for l, ns := range views(tr) {
 		for i, n := range ns {
-			at[n] = l<<32 | i
+			at[n.at()] = l<<32 | i
 		}
 	}
-	for _, ns := range tr.Levels() {
+	for _, ns := range views(tr) {
 		for _, n := range ns {
 			ints(int(n.Attr), int(n.nSubrange), len(n.layout), len(n.extra), len(n.edges))
 			for _, x := range n.layout {
 				ints(int(x))
 			}
-			ints(n.extra...)
-			for _, e := range n.edges {
-				iv := e.Iv
+			for _, x := range n.extra {
+				ints(int(x))
+			}
+			for i, e := range n.edges {
+				iv := e.Iv()
 				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(iv.Lo))
 				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(iv.Hi))
-				child, ok := at[e.Child]
-				ints(btoi(iv.LoOpen), btoi(iv.HiOpen), btoi(ok), child, len(e.Leaf()))
-				ints(e.Leaf()...)
+				child, ok := at[nodeAt{int(n.Level) + 1, e.To}]
+				leaf := tr.leafOf(n, i)
+				ints(btoi(iv.LoOpen), btoi(iv.HiOpen), btoi(ok), child, len(leaf))
+				for _, x := range leaf {
+					ints(int(x))
+				}
 			}
 		}
 	}

@@ -101,7 +101,7 @@ func TestQuickTreeEquivalence(t *testing.T) {
 			}
 			got := make(map[int]bool, len(matched))
 			for _, pi := range matched {
-				got[pi] = true
+				got[int(pi)] = true
 			}
 			for pi, p := range profiles {
 				if p.Matches(vals) != got[pi] {
@@ -159,11 +159,11 @@ func TestQuickOrderPositionsArePermutation(t *testing.T) {
 // sets and probe tree.
 func fingerprint(tr *Tree) string {
 	out := ""
-	for _, level := range tr.Levels() {
+	for _, level := range views(tr) {
 		for _, n := range level {
-			out += fmt.Sprintf("%p %v %v %v", n, n.layout, n.extra, n.nSubrange)
-			for _, e := range n.edges {
-				out += fmt.Sprintf("\n  %v %v %p", e.Iv, e.Leaf(), e.Child)
+			out += fmt.Sprintf("%p %v %v %v", tr.rec(n), n.layout, n.extra, n.nSubrange)
+			for i, e := range n.edges {
+				out += fmt.Sprintf("\n  %v %v %d", e.Iv(), tr.leafOf(n, i), e.To)
 			}
 			out += "\n"
 		}
@@ -240,19 +240,19 @@ func TestQuickPartialReorder(t *testing.T) {
 			}
 		}
 		wantResorted, wantCopied := 0, 0
-		for level, nodes := range old.Levels() {
-			successors := part.Levels()[level]
+		for level, nodes := range views(old) {
+			successors := views(part)[level]
 			if len(successors) != len(nodes) {
 				t.Errorf("seed %d: level %d has %d nodes, had %d", seed, level, len(successors), len(nodes))
 				return false
 			}
 			was := make(map[*Node]bool, len(nodes))
 			for _, n := range nodes {
-				was[n] = true
+				was[old.rec(n)] = true
 			}
 			for _, n := range successors {
-				if was[n] != (level > deepest) {
-					t.Errorf("seed %d drifted %v: level %d node shared = %v, deepest drifted level %d", seed, drifted, level, was[n], deepest)
+				if shared := was[part.rec(n)]; shared != (level > deepest) {
+					t.Errorf("seed %d drifted %v: level %d node shared = %v, deepest drifted level %d", seed, drifted, level, shared, deepest)
 					return false
 				}
 			}
@@ -286,9 +286,9 @@ func saltedMass(salt float64) ValueOrder {
 // scanEdge is the oracle the probe is held to: the paper's scan over a node's
 // edges in natural order — the subrange edge holding v, else the trailing
 // complement or star edge while v lies in the domain, else none.
-func scanEdge(n *Node, dom schema.Domain, v float64) int {
+func scanEdge(n View, dom schema.Domain, v float64) int {
 	for i := range n.edges[:n.nSubrange] {
-		if n.edges[i].Iv.Contains(v) {
+		if n.edges[i].Iv().Contains(v) {
 			return i
 		}
 	}
@@ -304,7 +304,7 @@ func scanEdge(n *Node, dom schema.Domain, v float64) int {
 // than the node has.
 func sameEdges(t *testing.T, what string, tr *Tree) {
 	t.Helper()
-	for level, nodes := range tr.Levels() {
+	for level, nodes := range views(tr) {
 		for i, n := range nodes {
 			dom := tr.schema.At(int(n.Attr)).Domain
 			vals := []float64{dom.Lo() - 1, dom.Hi() + 1}
@@ -425,9 +425,9 @@ func TestQuickWeightedLayoutIsOptimal(t *testing.T) {
 			return false
 		}
 		var sc orderScratch
-		for _, nodes := range tr.Levels() {
+		for _, nodes := range views(tr) {
 			for _, n := range nodes {
-				sc.weigh(n, s.At(int(n.Attr)).Domain, vo, 0, int(n.nSubrange)-1)
+				sc.weigh(&n, s.At(int(n.Attr)).Domain, vo, 0, int(n.nSubrange)-1)
 				ns := int(n.nSubrange)
 				got := layoutCost(n.layout, sc.cum, 0, 0, ns-1)
 				if bin := layoutCost(balanced(nil, 0, ns-1), sc.cum, 0, 0, ns-1); got > bin+1e-12 {
@@ -514,24 +514,24 @@ func TestProbeOpsAreComparisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked := 0
-	for _, nodes := range tr.Levels() {
+	for _, nodes := range views(tr) {
 		for _, n := range nodes {
 			for p := tr.Pieces(n); p.Next(); {
 				v := inside(p.Iv)
 				edge, ops := n.probe(v)
 				compared := 0
 				for k := 0; k < int(n.nSubrange); k++ {
-					c := *n
+					c := n
 					c.edges = append([]Edge(nil), n.edges...)
-					c.edges[k].Iv = schema.Closed(v, v)
+					c.edges[k] = edgeOver(schema.Closed(v, v), c.edges[k].To)
 					if got, _ := c.probe(v); got == k {
 						compared++
 					}
 				}
 				if edge >= int(n.nSubrange) {
-					c := *n
+					c := n
 					c.edges = append([]Edge(nil), n.edges...)
-					c.edges[edge].Iv = schema.Closed(v+1, v+2)
+					c.edges[edge] = edgeOver(schema.Closed(v+1, v+2), c.edges[edge].To)
 					if got, _ := c.probe(v); got != -1 {
 						t.Fatalf("value %v: the trailing edge matched without a test of the domain", v)
 					}

@@ -57,7 +57,7 @@ func newReference(s *schema.Schema, profiles []*predicate.Profile, attrOrder []i
 		park:      park,
 		cons:      make([][]subrange.Constraint, s.N()),
 		memo:      make(map[string]*refNode),
-		laid:      make(map[*refNode]*Node),
+		laid:      make(map[*refNode]*View),
 	}
 	for attr := 0; attr < s.N(); attr++ {
 		dom := s.At(attr).Domain
@@ -85,7 +85,7 @@ type reference struct {
 	cons                 [][]subrange.Constraint
 	memo                 map[string]*refNode
 	root                 *refNode
-	laid                 map[*refNode]*Node // the states as match lays them out
+	laid                 map[*refNode]*View // the states as match lays them out
 	nodes, edges, shared int
 }
 
@@ -226,7 +226,7 @@ func unionSorted(a, b []int) []int {
 
 // derivedBuckets collects a node's pieces as the walk derives them from its
 // edges: what the reference stores.
-func derivedBuckets(n *Node, dom schema.Domain) []bucket {
+func derivedBuckets(n View, dom schema.Domain) []bucket {
 	var out []bucket
 	for p := n.pieces(dom); p.Next(); {
 		out = append(out, bucket{iv: p.Iv, edge: p.Edge})
@@ -237,19 +237,21 @@ func derivedBuckets(n *Node, dom schema.Domain) []bucket {
 // layouts renders the probe tree applyOrder gave every node, in the order a
 // walk from the root first reaches them.
 func layouts(tr *Tree) string {
-	out, seen := "", map[*Node]bool{}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n == nil || seen[n] {
+	out, seen := "", map[nodeAt]bool{}
+	var walk func(n View)
+	walk = func(n View) {
+		if seen[n.at()] {
 			return
 		}
-		seen[n] = true
+		seen[n.at()] = true
 		out += fmt.Sprintln(n.layout)
 		for i := range n.edges {
-			walk(n.edges[i].Child)
+			if c, ok := tr.child(n, i); ok {
+				walk(c)
+			}
 		}
 	}
-	walk(tr.root)
+	walk(tr.Root())
 	return out
 }
 
@@ -261,38 +263,41 @@ func layouts(tr *Tree) string {
 // against the reference's buckets, and which paths share a node.
 func sameAutomaton(t *testing.T, what string, got *Tree, want *reference) {
 	t.Helper()
-	toWant, toGot := map[*Node]*refNode{}, map[*refNode]*Node{}
-	alive := map[*Node][]int{}
-	var walk func(g *Node, w *refNode) []int
-	walk = func(g *Node, w *refNode) []int {
-		if toWant[g] != nil || toGot[w] != nil {
-			if toWant[g] != w || toGot[w] != g {
+	toWant, toGot := map[nodeAt]*refNode{}, map[*refNode]nodeAt{}
+	alive := map[nodeAt][]int{}
+	var walk func(g View, w *refNode) []int
+	walk = func(g View, w *refNode) []int {
+		at := g.at()
+		if _, ok := toGot[w]; ok || toWant[at] != nil {
+			if toWant[at] != w || toGot[w] != at {
 				t.Fatalf("%s: level %d shares its states differently", what, w.level)
 			}
-			return alive[g]
+			return alive[at]
 		}
-		toWant[g], toGot[w] = w, g
+		toWant[at], toGot[w] = w, at
 		dom := got.schema.At(w.attr).Domain
-		if int(g.Level) != w.level || int(g.Attr) != w.attr || !slices.Equal(g.extra, w.extra) || len(g.edges) != len(w.edges) ||
+		extra := ints(g.extra)
+		if int(g.Level) != w.level || int(g.Attr) != w.attr || !slices.Equal(extra, w.extra) || len(g.edges) != len(w.edges) ||
 			!reflect.DeepEqual(derivedBuckets(g, dom), w.buckets) {
-			t.Fatalf("%s: level %d node\n%+v\npieces %+v\nreference\n%+v", what, w.level, *g, derivedBuckets(g, dom), *w)
+			t.Fatalf("%s: level %d node\n%+v\npieces %+v\nreference\n%+v", what, w.level, g, derivedBuckets(g, dom), *w)
 		}
-		union := g.extra
+		union := extra
 		for i := range w.edges {
 			ge, we := &g.edges[i], &w.edges[i]
-			below := ge.Leaf()
-			if we.child != nil && ge.Child != nil {
-				below = walk(ge.Child, we.child)
+			below := ints(got.leafOf(g, i))
+			c, interior := got.child(g, i)
+			if we.child != nil && interior {
+				below = walk(c, we.child)
 			}
-			if g.Kind(i) != we.kind || ge.Iv != we.iv || !slices.Equal(below, want.reaching(we.profiles, w.level+1)) || (ge.Child == nil) != (we.child == nil) {
+			if g.Kind(i) != we.kind || ge.Iv() != we.iv || !slices.Equal(below, want.reaching(we.profiles, w.level+1)) || !interior != (we.child == nil) {
 				t.Fatalf("%s: level %d edge %d is %v %+v over %v, reference %+v", what, w.level, i, g.Kind(i), *ge, below, *we)
 			}
 			union = unionSorted(union, below)
 		}
-		alive[g] = union
+		alive[at] = union
 		return union
 	}
-	walk(got.root, want.root)
+	walk(got.Root(), want.root)
 	st := got.Stats()
 	if st.Nodes != want.nodes || st.Edges != want.edges || st.SharedHits != want.shared {
 		t.Fatalf("%s: stats %+v, reference %d nodes, %d edges, %d shared", what, st, want.nodes, want.edges, want.shared)
@@ -378,7 +383,7 @@ func TestQuickParkingNeverCostsAComparison(t *testing.T) {
 				}
 				got, ops := tr.Match(vals)
 				offGot, offOps := off.match(vals, vo)
-				if !slices.Equal(slices.Sorted(slices.Values(got)), want) || !slices.Equal(slices.Sorted(slices.Values(offGot)), want) {
+				if !slices.Equal(slices.Sorted(slices.Values(ints(got))), want) || !slices.Equal(slices.Sorted(slices.Values(offGot)), want) {
 					t.Fatalf("%s: event %v matched %v, parking off %v, brute force %v", what, vals, got, offGot, want)
 				}
 				if ops > offOps {
@@ -408,27 +413,27 @@ func TestQuickParkingNeverCostsAComparison(t *testing.T) {
 // the node. It returns the number of parked entries.
 func parksOnce(t *testing.T, what string, tr *Tree) int {
 	t.Helper()
-	below := map[*Node][]int{} // the parked and leaf sets below a node, its own parked set excluded
-	var under func(n *Node) []int
-	under = func(n *Node) []int {
-		if set, ok := below[n]; ok {
+	below := map[nodeAt][]int{} // the parked and leaf sets below a node, its own parked set excluded
+	var under func(n View) []int
+	under = func(n View) []int {
+		if set, ok := below[n.at()]; ok {
 			return set
 		}
 		var set []int
 		for i := range n.edges {
-			if c := n.edges[i].Child; c != nil {
-				set = unionSorted(set, unionSorted(c.extra, under(c)))
+			if c, ok := tr.child(n, i); ok {
+				set = unionSorted(set, unionSorted(ints(c.extra), under(c)))
 			} else {
-				set = unionSorted(set, n.edges[i].Leaf())
+				set = unionSorted(set, ints(tr.leafOf(n, i)))
 			}
 		}
-		below[n] = set
+		below[n.at()] = set
 		return set
 	}
 	parked := 0
-	for _, nodes := range tr.Levels() {
+	for _, nodes := range views(tr) {
 		for _, n := range nodes {
-			for _, pi := range n.extra {
+			for _, pi := range ints(n.extra) {
 				for _, attr := range tr.attrOrder[n.Level:] {
 					if tr.profiles[pi].Constrains(attr) {
 						t.Fatalf("%s: level %d parks %d, which constrains attribute %d", what, n.Level, pi, attr)
@@ -504,12 +509,12 @@ func (r *reference) match(vals []float64, vo ValueOrder) (matched []int, ops int
 		matched = append(matched, w.extra...)
 		n, ok := r.laid[w]
 		if !ok {
-			n = &Node{Level: int16(w.level), Attr: int16(w.attr)}
+			n = &View{Level: int16(w.level), Attr: int16(w.attr)}
 			for _, e := range w.edges {
 				if e.kind == EdgeSubrange {
 					n.nSubrange++
 				}
-				n.edges = append(n.edges, Edge{Iv: e.iv})
+				n.edges = append(n.edges, edgeOver(e.iv, 0))
 			}
 			n.layout = make([]int32, n.nSubrange)
 			n.applyOrder(r.s.At(w.attr).Domain, vo, new(orderScratch))
@@ -567,7 +572,7 @@ func quickCorpus(t *testing.T, s *schema.Schema, rng *rand.Rand) []*predicate.Pr
 // tree over exactly the subrange edges.
 func partitions(t *testing.T, what string, tr *Tree) {
 	t.Helper()
-	for level, nodes := range tr.Levels() {
+	for level, nodes := range views(tr) {
 		for _, n := range nodes {
 			dom := tr.schema.At(int(n.Attr)).Domain
 			discrete := dom.Kind() != schema.KindNumeric
@@ -597,7 +602,7 @@ func partitions(t *testing.T, what string, tr *Tree) {
 					fail(fmt.Sprintf("pieces %d and %d are one", i-1, i))
 				}
 				if b.edge >= 0 && b.edge < int(n.nSubrange) {
-					if b.edge != edge || b.iv != n.edges[edge].Iv {
+					if b.edge != edge || b.iv != n.edges[edge].Iv() {
 						fail(fmt.Sprintf("piece %d is not subrange edge %d", i, edge))
 					}
 					edge++
@@ -611,7 +616,7 @@ func partitions(t *testing.T, what string, tr *Tree) {
 				for _, v := range vals {
 					owner := trailing
 					for ei := range n.edges[:n.nSubrange] {
-						if n.edges[ei].Iv.Contains(v) {
+						if n.edges[ei].Iv().Contains(v) {
 							owner = ei
 						}
 					}

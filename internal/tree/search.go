@@ -6,12 +6,12 @@ import "genas/internal/schema"
 // automaton. It returns the dense indices of all matched profiles and the
 // number of comparison operations spent. The returned slice may alias tree
 // internals and must not be mutated. Profiles parked at the nodes on the path
-// (Node.Extra) are collected as the walk passes them; they match even when the
+// (View.Extra) are collected as the walk passes them; they match even when the
 // walk later dead-ends in a D₀ gap (they are don't-care below their node). So
 // the parked profiles come first, and the order is otherwise unspecified; no
 // index is listed twice. Match collects them into a fresh slice; MatchAppend
 // takes the caller's.
-func (t *Tree) Match(vals []float64) (matched []int, ops int) {
+func (t *Tree) Match(vals []float64) (matched []int32, ops int) {
 	matched, _, ops = t.MatchAppend(vals, nil)
 	return matched, ops
 }
@@ -24,22 +24,25 @@ func (t *Tree) Match(vals []float64) (matched []int, ops int) {
 // set, which MatchAppend neither appends into nor keeps.
 //
 //genas:hotpath
-func (t *Tree) MatchAppend(vals []float64, acc []int) (matched, grown []int, ops int) {
-	n, start := t.root, len(acc)
-	for {
-		if len(n.extra) > 0 {
-			acc = append(acc, n.extra...)
+func (t *Tree) MatchAppend(vals []float64, acc []int32) (matched, grown []int32, ops int) {
+	id, start, last := t.root, len(acc), len(t.lv)-1
+	for l := 0; ; l++ {
+		s := &t.lv[l]
+		n := s.nodes.at(id)
+		if n.nParked > 0 {
+			acc = append(acc, s.ints.run(n.parked, int(n.nParked))...)
 		}
-		ei, stepOps := n.probe(vals[n.Attr])
+		edges := n.edgeRun(s)
+		ei, stepOps := probe(edges, s.ints.run(n.layout, int(n.nSub)), vals[n.attr])
 		ops += stepOps
-		var leaf []int // a D₀ gap matches nothing below
+		var leaf []int32 // a D₀ gap matches nothing below
 		if ei >= 0 {
-			e := &n.edges[ei]
-			if e.Child != nil {
-				n = e.Child
+			to := edges[ei].To
+			if l < last {
+				id = to
 				continue
 			}
-			leaf = *e.leaf
+			leaf = t.Leaf(to)
 		}
 		if len(acc) == start {
 			return leaf, acc, ops
@@ -53,19 +56,79 @@ func (t *Tree) MatchAppend(vals []float64, acc []int) (matched, grown []int, ops
 // walk, stopping at the first hit instead of collecting, so it never
 // allocates.
 func (t *Tree) MatchAny(vals []float64) bool {
-	n := t.root
-	for {
-		if len(n.extra) > 0 {
+	id, last := t.root, len(t.lv)-1
+	for l := 0; ; l++ {
+		s := &t.lv[l]
+		n := s.nodes.at(id)
+		if n.nParked > 0 {
 			return true
 		}
-		ei, _ := n.probe(vals[n.Attr])
+		edges := n.edgeRun(s)
+		ei, _ := probe(edges, s.ints.run(n.layout, int(n.nSub)), vals[n.attr])
 		if ei < 0 {
 			return false
 		}
-		if n = n.edges[ei].Child; n == nil {
+		if l == last {
 			return true // a leaf set is never empty
 		}
+		id = edges[ei].To
 	}
+}
+
+// edgeRun returns the node's edges in its level s.
+func (n *Node) edgeRun(s *level) []Edge {
+	ne := int(n.nSub)
+	if n.trail {
+		ne++
+	}
+	return s.edges.run(n.edges, ne)
+}
+
+// probe is the node search of a node whose edges are edges, the first
+// len(layout) of them subrange edges laid out as layout says. It compares v
+// with one edge's interval per probe — below, inside or above — and after a
+// miss tests the trailing complement or star edge, which holds what else the
+// domain holds (event.Validate admits domain values only, so its bounds
+// decide). Each comparison is one operation and nothing else runs: no table,
+// no lookup.
+//
+//genas:hotpath
+func probe(edges []Edge, layout []int32, v float64) (edge, ops int) {
+	nSub := len(layout)
+	pos, lo, hi := 0, 0, nSub-1
+	for lo <= hi {
+		r := int(layout[pos])
+		ops++
+		switch e := &edges[r]; {
+		case e.after(v):
+			pos, hi = pos+1, r-1
+		case e.before(v):
+			pos, lo = pos+1+r-lo, r+1
+		default:
+			return r, ops
+		}
+	}
+	if nSub == len(edges) {
+		return -1, ops
+	}
+	if dom := &edges[nSub]; dom.after(v) || dom.before(v) {
+		return -1, ops + 1
+	}
+	return nSub, ops + 1
+}
+
+// probe is the node search of the view.
+func (n *View) probe(v float64) (edge, ops int) { return probe(n.edges, n.layout, v) }
+
+// inside returns a value of the non-empty interval iv.
+func inside(iv Interval) float64 {
+	switch {
+	case !iv.LoOpen:
+		return iv.Lo
+	case !iv.HiOpen:
+		return iv.Hi
+	}
+	return iv.Lo + (iv.Hi-iv.Lo)/2
 }
 
 // Pieces walks a node's partition of its attribute's domain in natural order.
@@ -75,8 +138,8 @@ func (t *Tree) MatchAny(vals []float64) bool {
 // all belong to the node's trailing edge or, without one, to D₀.
 type Pieces struct {
 	Iv   Interval
-	Edge int // index into Node.Edges(), or −1 for a D₀ gap
-	n    *Node
+	Edge int // index into View.Edges(), or −1 for a D₀ gap
+	n    View
 	dom  Interval
 	unit float64 // the atom of a discrete domain: 1, else 0
 	gaps int     // the gaps' edge
@@ -84,8 +147,8 @@ type Pieces struct {
 }
 
 // pieces starts a walk over the node's partition of dom, its attribute's domain.
-func (n *Node) pieces(dom schema.Domain) Pieces {
-	p := Pieces{n: n, dom: dom.Interval(), gaps: -1}
+func (n *View) pieces(dom schema.Domain) Pieces {
+	p := Pieces{n: *n, dom: dom.Interval(), gaps: -1}
 	if dom.Kind() != schema.KindNumeric {
 		p.unit = 1
 	}
@@ -97,9 +160,12 @@ func (n *Node) pieces(dom schema.Domain) Pieces {
 
 // Pieces walks n's partition for the analytic evaluator (selectivity package),
 // so that analytic and empirical operation counts share one cost model.
-func (t *Tree) Pieces(n *Node) Pieces {
+func (t *Tree) Pieces(n View) Pieces {
 	return n.pieces(t.schema.At(int(n.Attr)).Domain)
 }
+
+// Node returns the node whose partition p walks.
+func (p *Pieces) Node() View { return p.n }
 
 // Next advances to the next piece and reports whether there is one.
 func (p *Pieces) Next() bool {
@@ -107,14 +173,14 @@ func (p *Pieces) Next() bool {
 	for ; p.at <= 2*len(edges); p.at++ {
 		i := p.at / 2
 		if p.at&1 == 1 {
-			p.Iv, p.Edge = edges[i].Iv, i
+			p.Iv, p.Edge = edges[i].Iv(), i
 		} else {
 			g := p.dom
 			if i > 0 {
-				g.Lo, g.LoOpen = edges[i-1].Iv.Hi+p.unit, p.unit == 0 && !edges[i-1].Iv.HiOpen
+				g.Lo, g.LoOpen = edges[i-1].Hi+p.unit, p.unit == 0 && edges[i-1].open&openHi == 0
 			}
 			if i < len(edges) {
-				g.Hi, g.HiOpen = edges[i].Iv.Lo-p.unit, p.unit == 0 && !edges[i].Iv.LoOpen
+				g.Hi, g.HiOpen = edges[i].Lo-p.unit, p.unit == 0 && edges[i].open&openLo == 0
 			}
 			if g.Empty() {
 				continue

@@ -6,7 +6,7 @@
 // one attribute after attribute reordering; edges at a node carry the
 // disjoint subranges referenced by the profiles still alive on that path.
 // A profile that constrains no level from a node down — a rider — matches
-// every event reaching that node, so the node parks it (Node.Extra) and no
+// every event reaching that node, so the node parks it (View.Extra) and no
 // edge below carries it. Profiles that do not constrain the level's attribute
 // but constrain a deeper one ride along every edge and additionally along the
 // complement edge "(*)" covering the unreferenced remainder of the domain; if
@@ -21,6 +21,12 @@
 // Equivalent states are shared: two paths whose alive profile sets coincide
 // at the same level point to the same node, which keeps the automaton
 // polynomial in practice even for tens of thousands of profiles.
+//
+// The automaton holds no pointers (slab.go): each level keeps its 24-byte
+// node records, its 24-byte edge records and the int32 runs of its probe
+// trees and parked sets in slabs, and a node is its index in its level's
+// node slab. An edge leads to the next level's node by index or, at the leaf
+// level, to an entry of the leaf-set table.
 package tree
 
 import (
@@ -30,7 +36,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"unsafe"
 
 	"genas/internal/par"
 	"genas/internal/predicate"
@@ -57,9 +62,10 @@ const (
 	EdgeStar
 )
 
-// Edge is one labeled transition of the automaton. Its kind is its place in
-// the node (Node.Kind): the subrange edges come first, in natural order, and a
-// complement or star edge trails them.
+// Edge is one labeled transition of the automaton: a 24-byte record in its
+// level's edge slab. Its kind is its place in the node (View.Kind): the
+// subrange edges come first, in natural order, and a complement or star edge
+// trails them.
 //
 // Frozen: once the tree is published through the engine's epoch pointer,
 // match goroutines read edges lock-free; every mutation must happen in a
@@ -68,61 +74,116 @@ const (
 //
 //genas:frozen
 type Edge struct {
-	// Iv is the subrange of a subrange edge. On the trailing edge it is the
-	// whole domain, of which that edge holds what the subranges leave.
-	Iv schema.Interval
-	// Child is the next level's node; nil at the leaf level.
-	Child *Node
-	// leaf is the match set of a leaf-level edge: the dense indices of the
-	// profiles an event arriving here matches, stored once per distinct set.
-	// An interior edge carries no set — the profiles alive below it are the
-	// union of the parked and leaf sets it leads to.
-	leaf *[]int
+	// Lo and Hi bound the edge's interval (Iv): a subrange edge's subrange,
+	// or on the trailing edge the whole domain, of which that edge holds what
+	// the subranges leave.
+	Lo, Hi float64
+	// To is what the edge leads to: at an interior level the next level's
+	// node, at the leaf level the entry of the leaf-set table (Tree.Leaf)
+	// holding the dense indices of the profiles an event arriving here
+	// matches, stored once per distinct set. An interior edge carries no set
+	// — the profiles alive below it are the union of the parked and leaf sets
+	// it leads to.
+	To   int32
+	open uint8 // openLo | openHi
 }
 
-// Leaf returns the match set of a leaf-level edge (nil on an interior one).
-func (e *Edge) Leaf() []int {
-	if e.leaf == nil {
-		return nil
+// The open bits of an edge's interval.
+const (
+	openLo = 1 << iota
+	openHi
+)
+
+// none is the target of an edge that leads nowhere: only a removal's scratch
+// holds one, for a piece whose state it emptied.
+const none = -1
+
+// edgeOver returns the edge over iv leading to to.
+//
+//genas:builder
+func edgeOver(iv Interval, to int32) Edge {
+	e := Edge{Lo: iv.Lo, Hi: iv.Hi, To: to}
+	if iv.LoOpen {
+		e.open |= openLo
 	}
-	return *e.leaf
+	if iv.HiOpen {
+		e.open |= openHi
+	}
+	return e
 }
 
-// Node is one automaton state. Its edges are the only stored form of its
-// partition of the domain: the pieces between them are derived (Pieces).
+// Iv returns the edge's interval.
+func (e *Edge) Iv() Interval {
+	return Interval{Lo: e.Lo, Hi: e.Hi, LoOpen: e.open&openLo != 0, HiOpen: e.open&openHi != 0}
+}
+
+// setHi moves the edge's upper bound to iv's.
+//
+//genas:builder
+func (e *Edge) setHi(iv Interval) {
+	e.Hi, e.open = iv.Hi, e.open&^openHi
+	if iv.HiOpen {
+		e.open |= openHi
+	}
+}
+
+// after reports whether the edge lies entirely above v, before entirely below.
+func (e *Edge) after(v float64) bool  { return e.Lo > v || e.Lo == v && e.open&openLo != 0 }
+func (e *Edge) before(v float64) bool { return e.Hi < v || e.Hi == v && e.open&openHi != 0 }
+
+// Node is one automaton state: a 24-byte record in its level's node slab,
+// locating its runs in the level's other slabs. Its edges are the only stored
+// form of its partition of the domain: the pieces between them are derived
+// (Pieces).
 //
 // Frozen: published snapshots are read lock-free under the epoch/RCU
-// scheme; the incremental transforms clone instead of mutating. Writes are
+// scheme; the incremental transforms copy instead of mutating. Writes are
 // restricted to //genas:builder functions.
 //
 //genas:frozen
 type Node struct {
-	edges []Edge
-	// layout is the probe tree over the subrange edges, in preorder
-	// (weighted.go).
-	layout []int32
-	// extra lists the profiles parked here, matched by every event reaching
-	// this node: those that constrain no level from this one down. Build and
-	// the incremental insert alike park a profile in the first node it reaches
-	// below its last constrained level, instead of carrying it into every leaf
-	// of the subtree.
-	extra []int
-	// Level is the 0-based tree level; Attr the schema attribute tested.
-	Level, Attr int16
-	// nSubrange counts the leading subrange edges (edges[:nSubrange] are in
-	// natural ascending order; a complement or star edge follows, if any).
-	nSubrange int32
+	// edges is the node's first edge in the level's edge slab, nSub of them
+	// subrange edges in natural ascending order, a complement or star edge
+	// following them where trail is set.
+	edges int32
+	// layout is the first entry of the probe tree over the subrange edges, in
+	// preorder (weighted.go), in the level's int slab: nSub entries.
+	layout int32
+	// parked is the first of the nParked profiles parked here in the level's
+	// int slab, matched by every event reaching this node: those that
+	// constrain no level from this one down. Build and the incremental insert
+	// alike park a profile in the first node it reaches below its last
+	// constrained level, instead of carrying it into every leaf of the
+	// subtree.
+	parked, nParked int32
+	nSub            int32
+	// attr is the schema attribute tested.
+	attr  int16
+	trail bool
 }
 
-// Edges exposes the node's edges (shared slice; callers must not mutate).
-func (n *Node) Edges() []Edge { return n.edges }
+// View is one node read out of its tree's slabs: where it is, what it tests,
+// and its runs, which are the tree's storage (callers must not mutate them).
+type View struct {
+	// Level is the 0-based tree level, ID the node's index in the level's
+	// node slab; Attr the schema attribute tested.
+	Level, Attr int16
+	ID          int32
+	edges       []Edge
+	layout      []int32
+	extra       []int32
+	nSubrange   int32
+}
+
+// Edges exposes the node's edges.
+func (n View) Edges() []Edge { return n.edges }
 
 // Extra exposes the profiles parked at the node: every event reaching it
-// matches them (shared slice; callers must not mutate).
-func (n *Node) Extra() []int { return n.extra }
+// matches them.
+func (n View) Extra() []int32 { return n.extra }
 
 // Kind returns the flavor of edge i.
-func (n *Node) Kind(i int) EdgeKind {
+func (n View) Kind(i int) EdgeKind {
 	switch {
 	case i < int(n.nSubrange):
 		return EdgeSubrange
@@ -132,42 +193,70 @@ func (n *Node) Kind(i int) EdgeKind {
 	return EdgeComplement
 }
 
+// nodeAt names a node by level and id.
+type nodeAt struct {
+	l  int
+	id int32
+}
+
+// Node returns node id of level l, read out of the level's slabs.
+func (t *Tree) Node(l int, id int32) View {
+	s := &t.lv[l]
+	r := s.nodes.at(id)
+	return View{
+		Level: int16(l), Attr: r.attr, ID: id, nSubrange: r.nSub,
+		edges:  r.edgeRun(s),
+		layout: s.ints.run(r.layout, int(r.nSub)),
+		extra:  s.ints.run(r.parked, int(r.nParked)),
+	}
+}
+
+// Leaf returns the match set of a leaf-level edge's table entry.
+func (t *Tree) Leaf(id int32) []int32 {
+	sp := t.leaves.sets.at(id)
+	return t.leaves.ints.run(sp.off, int(sp.n))
+}
+
+// Slots bounds the node ids of level l: a table indexed by node id needs this
+// many entries.
+func (t *Tree) Slots(l int) int { return t.lv[l].nodes.slots() }
+
 // graphMeta holds the per-level node lists and size statistics of one node
-// graph. It hangs off the Tree behind a pointer so that trees sharing a
-// graph (the successor of an edit that changed no node) share the meta, and
-// so that incremental successors (WithProfile, WithoutProfile) can defer the
-// full-graph walk until Levels or Stats is actually consulted — the churn
-// path never pays it.
+// graph, computed by walking it on first use. It hangs off the Tree behind a
+// pointer so that trees sharing a graph (the successor of an edit that
+// changed no node) share the meta; the churn path never pays the walk.
 type graphMeta struct {
 	once   sync.Once
-	levels [][]*Node // unique (shared) nodes per level
+	levels [][]int32 // unique (shared) nodes per level
 	nodes  int
 	edges  int
 	shared int // extra references to shared nodes (memoization hits)
 }
 
-// fill computes the meta by walking the node graph (lazy counterpart of the
-// builder's incremental bookkeeping).
-func (m *graphMeta) fill(root *Node, height int) {
-	m.levels = make([][]*Node, height)
-	m.nodes, m.edges, m.shared = 0, 0, 0
-	seen := make(map[*Node]bool, 64)
-	stack := make([]*Node, 0, 64)
-	stack = append(stack, root)
+// fill computes the meta by walking t's node graph depth first.
+func (m *graphMeta) fill(t *Tree) {
+	height := len(t.lv)
+	m.levels = make([][]int32, height)
+	seen := make([][]bool, height)
+	for l := range seen {
+		seen[l] = make([]bool, t.Slots(l))
+	}
+	stack := []nodeAt{{0, t.root}}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[n] {
+		if seen[n.l][n.id] {
 			m.shared++
 			continue
 		}
-		seen[n] = true
+		seen[n.l][n.id] = true
+		v := t.Node(n.l, n.id)
 		m.nodes++
-		m.edges += len(n.edges)
-		m.levels[n.Level] = append(m.levels[n.Level], n)
-		for i := range n.edges {
-			if c := n.edges[i].Child; c != nil {
-				stack = append(stack, c)
+		m.edges += len(v.edges)
+		m.levels[n.l] = append(m.levels[n.l], n.id)
+		if n.l+1 < height {
+			for i := range v.edges {
+				stack = append(stack, nodeAt{n.l + 1, v.edges[i].To})
 			}
 		}
 	}
@@ -178,7 +267,10 @@ type Tree struct {
 	schema    *schema.Schema
 	profiles  []*predicate.Profile
 	attrOrder []int // attrOrder[level] = schema attribute index
-	root      *Node
+	root      int32
+	// lv is the storage of each level, leaves that of the match sets.
+	lv     []level
+	leaves leafStore
 	// vo is the weights the probe trees were laid out for: Build's and
 	// Reordered's, handed down by edits, which lay out what they re-cut
 	// under it.
@@ -192,7 +284,7 @@ type Tree struct {
 
 	meta *graphMeta
 	// line is the line of edits this tree belongs to: nil on a Build, whose
-	// first successor starts a line with a fresh arena.
+	// first successor starts a line.
 	line *lineage
 }
 
@@ -200,7 +292,7 @@ type Tree struct {
 // concurrent readers of a published tree (sync.Once).
 func (t *Tree) ensureMeta() *graphMeta {
 	m := t.meta
-	m.once.Do(func() { m.fill(t.root, t.schema.N()) })
+	m.once.Do(func() { m.fill(t) })
 	return m
 }
 
@@ -250,12 +342,12 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 		profiles:  profiles,
 		attrOrder: cfg.attrOrder,
 		vo:        cfg.vo,
-		meta:      &graphMeta{levels: make([][]*Node, s.N())},
+		meta:      &graphMeta{},
 	}
 
 	// Every interval endpoint is ranked once per attribute, the attributes at
 	// once; a constraint table and its intervals live only until then.
-	b := builder{t: t, ix: make([]*subrange.Index, s.N()), memo: make(map[uint64]state), a: make([]arena, s.N())}
+	b := builder{t: t, ix: make([]*subrange.Index, s.N()), memo: make(map[uint64]state), lv: make([]built, s.N())}
 	par.For(par.Workers(s.N()*len(profiles), rankGrain), s.N(), 1, func(_, attr int) {
 		dom := s.At(attr).Domain
 		cons := make([]subrange.Constraint, len(profiles))
@@ -281,10 +373,19 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 			}
 		}
 	}
-	t.root = b.build(all)
-	layOut(s, cfg.vo, t.meta.levels...)
-	// The builder tracked the meta incrementally; consume the lazy fill.
-	t.meta.once.Do(func() {})
+	b.build(all)
+	t.lv = make([]level, s.N())
+	for l, bl := range b.lv {
+		t.lv[l] = bl.level()
+	}
+	t.leaves = leafStore{sets: b.sets.slab(), ints: b.leafInts.slab()}
+	var laid []nodeAt
+	for l, bl := range b.lv {
+		for i := range bl.nodes.cur {
+			laid = append(laid, nodeAt{l, int32(i)})
+		}
+	}
+	t.layOut(cfg.vo, laid)
 	return t, nil
 }
 
@@ -303,8 +404,8 @@ func isPermutation(order []int, n int) bool {
 }
 
 // builder carries one Build: the rank index of every attribute, the memo
-// that keeps equivalent states shared, and the arenas everything the tree
-// retains is carved from.
+// that keeps equivalent states shared, and the records of every level as
+// they are assembled, which the tree's slabs are sealed from.
 type builder struct {
 	t    *Tree
 	ix   []*subrange.Index // by schema attribute
@@ -315,14 +416,33 @@ type builder struct {
 	// one node's edges in the commit.
 	sw    []sweeper
 	edges []Edge
-	// a holds one arena per level. Reordered and WithProfile replace a tree
-	// level by level, and a chunk lives as long as anything in it: were the
-	// levels interleaved, the last level's shared edges would pin every node
-	// a whole reorder had replaced.
-	a []arena
-	// own stores the alive sets of the interior states: the memo's keys, which
-	// no edge keeps, so they die with the build.
-	own arena
+	// lv holds each level's records, sets and leafInts the match sets.
+	lv       []built
+	sets     growing[span]
+	leafInts growing[int32]
+	// own stores the alive sets of the states: the memo's keys, which no
+	// record keeps, so they die with the build.
+	own []int
+}
+
+// built is one level's records as the builder or a copier appends them: in
+// a Build node i is the level's i-th state in frontier order. A copier keeps
+// its memo of the level beside them — memo[id] is the copy of node id plus
+// one, −1 once the sizing walk counted it, 0 before — and size, the count of
+// the nodes, edges and ints it will append.
+type built struct {
+	nodes growing[Node]
+	edges growing[Edge]
+	ints  growing[int32]
+	memo  []int32
+	size  [3]int
+}
+
+// level returns the level's slabs.
+//
+//genas:builder
+func (b *built) level() level {
+	return level{nodes: b.nodes.slab(), edges: b.edges.slab(), ints: b.ints.slab()}
 }
 
 // Build's parallel stages run inline below these sizes: the profiles times
@@ -336,41 +456,33 @@ const (
 )
 
 // state is a memoised alive set: the set as the first edge carrying it into
-// level wrote it down, and what was made of it — the node built for it or, at
-// the tree's height, the leaf match set the tree stores once.
+// level wrote it down, and what was made of it — the next level's node or, at
+// the tree's height, the entry of the match set the tree stores once.
 type state struct {
 	level int
-	n     *Node
-	alive []int
-	leaf  *[]int
-}
-
-// pending is a frontier state: its node, allocated but not yet assembled, and
-// its alive profile set.
-type pending struct {
-	n     *Node
+	to    int32
 	alive []int
 }
 
 // build assembles the automaton level by level from the root, whose alive set
 // is all. Workers sweep a batch of the frontier into their own buffers, then
 // one commit takes the batch in frontier order: it interns each child set in
-// the memo, allocates the nodes of the new states — the next frontier, in the
-// order a depth-first build would reach them — and copies the edges and sets
-// into the level's arena. So sharing, the level lists and the arenas are
-// those of a build that descends one state at a time.
+// the memo, numbers the nodes of the new states — the next frontier, in the
+// order a depth-first build would reach them — and appends the records to
+// their level. So sharing and the node numbering are those of a build that
+// descends one state at a time.
 //
 //genas:builder
-func (b *builder) build(all []int) *Node {
-	root := b.a[0].node()
-	*root = Node{Attr: int16(b.t.attrOrder[0])}
-	front, next := []pending{{root, all}}, []pending(nil)
+func (b *builder) build(all []int) {
+	front, next := [][]int{all}, [][]int(nil)
 	var res []swept
-	for level := range b.a {
+	for level := range b.lv {
+		bl := &b.lv[level]
+		bl.nodes.cur = make([]Node, 0, len(front)) // a node per frontier state
 		for from := 0; from < len(front); {
 			to, weight := from, 0
 			for ; to < len(front) && weight < batchWeight; to++ {
-				weight += len(front[to].alive) * len(front[to].alive)
+				weight += len(front[to]) * len(front[to])
 			}
 			batch, w := front[from:to], par.Workers(weight, sweepGrain)
 			for len(b.sw) < w {
@@ -380,15 +492,14 @@ func (b *builder) build(all []int) *Node {
 				b.sw[i].ints, b.sw[i].cuts = b.sw[i].ints[:0], b.sw[i].cuts[:0]
 			}
 			res = slices.Grow(res[:0], len(batch))[:len(batch)]
-			par.For(w, len(batch), 1, func(w, i int) { res[i] = b.sw[w].sweep(b, batch[i].alive, level, w) })
-			for i, p := range batch {
-				next = b.commit(p.n, level, res[i], next)
+			par.For(w, len(batch), 1, func(w, i int) { res[i] = b.sw[w].sweep(b, batch[i], level, w) })
+			for i := range batch {
+				next = b.commit(level, res[i], next)
 			}
 			from = to
 		}
 		front, next = next, front[:0]
 	}
-	return root
 }
 
 // sweeper is one worker's scratch: it decomposes the states it claims and
@@ -468,18 +579,21 @@ func (sw *sweeper) cut(iv schema.Interval, level int, x, y []int) {
 	sw.cuts = append(sw.cuts, cut{iv: iv, h: h, lo: lo, hi: len(sw.ints)})
 }
 
-// commit assembles n, the state at level, from its sweep r in the level's
-// arena: its parked profiles, and an edge per cut pointing at what the cut's
-// set leads to. A set seen before at the next level leads to its state; a new
-// one is memoised — at the tree's height as a leaf match set the tree stores
-// once, above it as a new node, appended to the next frontier. n's probe tree
-// gets its storage, which layOut fills.
+// commit appends the level's next node, the state its sweep r describes: its
+// parked profiles, and an edge per cut leading to what the cut's set leads
+// to. A set seen before at the next level leads to its state; a new one is
+// memoised — at the tree's height as a match set the tree stores once, above
+// it as the next level's next node, appended to the next frontier. The
+// node's probe tree gets its storage, which layOut fills.
 //
 //genas:builder
-func (b *builder) commit(n *Node, level int, r swept, next []pending) []pending {
-	sw, a, t := &b.sw[r.w], &b.a[level], b.t
+func (b *builder) commit(level int, r swept, next [][]int) [][]int {
+	sw, bl, t := &b.sw[r.w], &b.lv[level], b.t
+	n := Node{attr: int16(t.attrOrder[level]), nSub: int32(r.nSubrange), trail: r.to-r.from > r.nSubrange}
 	if r.parked > r.park {
-		n.extra = a.intSlice(sw.ints[r.park:r.parked])
+		var run []int32
+		n.parked, run = bl.ints.take(r.parked - r.park)
+		n.nParked = int32(copyInt32(run, sw.ints[r.park:r.parked]))
 	}
 	edges := b.edges[:0]
 	for _, c := range sw.cuts[r.from:r.to] {
@@ -489,29 +603,48 @@ func (b *builder) commit(n *Node, level int, r swept, next []pending) []pending 
 			h++ // a key taken by another state passes the probe on
 		}
 		switch {
-		case ok && st.n != nil:
-			t.meta.shared++
 		case ok:
 		case child == t.schema.N():
-			st.level, st.leaf = child, a.leafSet(a.intSlice(set))
-			st.alive = *st.leaf
+			off, run := b.leafInts.take(len(set))
+			copyInt32(run, set)
+			var sp []span
+			st = state{level: child, alive: b.keep(set)}
+			st.to, sp = b.sets.take(1)
+			sp[0] = span{off, int32(len(set))}
 			b.memo[h] = st
 		default:
-			st = state{level: child, n: b.a[child].node(), alive: b.own.intSlice(set)}
-			*st.n = Node{Level: int16(child), Attr: int16(t.attrOrder[child])}
+			st = state{level: child, to: int32(len(next)), alive: b.keep(set)}
 			b.memo[h] = st
-			next = append(next, pending{st.n, st.alive})
+			next = append(next, st.alive)
 		}
-		edges = append(edges, Edge{Iv: c.iv, Child: st.n, leaf: st.leaf})
+		edges = append(edges, edgeOver(c.iv, st.to))
 	}
-	n.nSubrange = int32(r.nSubrange)
-	n.edges = a.edgeSlice(edges)
-	n.layout = a.layout(r.nSubrange)
+	var run []Edge
+	n.edges, run = bl.edges.take(len(edges))
+	copy(run, edges)
+	n.layout, _ = bl.ints.take(r.nSubrange)
+	_, rec := bl.nodes.take(1)
+	rec[0] = n
 	b.edges = edges
-	t.meta.nodes++
-	t.meta.edges += len(n.edges)
-	t.meta.levels[level] = append(t.meta.levels[level], n)
 	return next
+}
+
+// keep copies an alive set into the builder's own storage.
+func (b *builder) keep(set []int) []int {
+	if cap(b.own)-len(b.own) < len(set) {
+		b.own = make([]int, 0, max(len(set), 2*cap(b.own), 1024))
+	}
+	b.own = append(b.own, set...)
+	return b.own[len(b.own)-len(set) : len(b.own) : len(b.own)]
+}
+
+// copyInt32 copies a set of dense indices into dst as the tree stores them
+// and returns their count.
+func copyInt32(dst []int32, set []int) int {
+	for i, pi := range set {
+		dst[i] = int32(pi)
+	}
+	return len(set)
 }
 
 // appendUnion appends the merge of two sorted, disjoint dense-index sets: an
@@ -528,7 +661,7 @@ func appendUnion(dst, x, y []int) []int {
 }
 
 // Root returns the root node.
-func (t *Tree) Root() *Node { return t.root }
+func (t *Tree) Root() View { return t.Node(0, t.root) }
 
 // Schema returns the tree's schema.
 func (t *Tree) Schema() *schema.Schema { return t.schema }
@@ -544,18 +677,18 @@ func (t *Tree) ValueOrder() ValueOrder { return t.vo }
 // AttrOrder returns a copy of the attribute order.
 func (t *Tree) AttrOrder() []int { return append([]int(nil), t.attrOrder...) }
 
-// Levels returns the unique nodes per level (shared slices; do not mutate).
-// On incremental successor trees the lists are computed lazily on first use.
-func (t *Tree) Levels() [][]*Node { return t.ensureMeta().levels }
+// Levels returns the ids of the reachable nodes per level (shared slices; do
+// not mutate), computed on first use.
+func (t *Tree) Levels() [][]int32 { return t.ensureMeta().levels }
 
 // Stats summarizes the automaton size.
 type Stats struct {
 	Nodes, Edges, SharedHits int
 	Height                   int
 	Profiles                 int
-	// Bytes is the storage the automaton retains: nodes, edges, probe trees,
-	// parked profiles and each distinct leaf set. What successor nodes share
-	// is counted per node.
+	// Bytes is the storage the automaton retains: node records, edge
+	// records, probe trees, parked profiles and each distinct leaf set with
+	// its table entry. What successor nodes share is counted per node.
 	Bytes int
 }
 
@@ -569,19 +702,25 @@ func (t *Tree) Stats() Stats {
 		Height:     t.schema.N(),
 		Profiles:   len(t.profiles),
 	}
-	sets := make(map[*[]int]struct{})
-	for _, level := range m.levels {
-		for _, n := range level {
-			st.Bytes += int(unsafe.Sizeof(*n)) + len(n.edges)*int(unsafe.Sizeof(Edge{})) + 4*len(n.layout) + 8*len(n.extra)
+	last := len(t.lv) - 1
+	var sets []bool
+	if last >= 0 {
+		sets = make([]bool, t.leaves.sets.slots())
+	}
+	for l, ids := range m.levels {
+		for _, id := range ids {
+			n := t.Node(l, id)
+			st.Bytes += nodeBytes + len(n.edges)*edgeBytes + 4*len(n.layout) + 4*len(n.extra)
+			if l < last {
+				continue
+			}
 			for i := range n.edges {
-				if leaf := n.edges[i].leaf; leaf != nil {
-					sets[leaf] = struct{}{}
+				if to := n.edges[i].To; !sets[to] {
+					sets[to] = true
+					st.Bytes += spanBytes + 4*len(t.Leaf(to))
 				}
 			}
 		}
-	}
-	for leaf := range sets {
-		st.Bytes += int(unsafe.Sizeof(*leaf)) + 8*len(*leaf)
 	}
 	return st
 }
@@ -590,19 +729,22 @@ func (t *Tree) Stats() Stats {
 // paper-example tests. A node's parked profiles follow its attribute's name.
 func (t *Tree) Dump() string {
 	var b strings.Builder
-	seen := make(map[*Node]bool)
-	t.dumpNode(&b, t.root, 0, seen)
+	seen := make([][]bool, len(t.lv))
+	for l := range seen {
+		seen[l] = make([]bool, t.Slots(l))
+	}
+	t.dumpNode(&b, t.Root(), 0, seen)
 	return b.String()
 }
 
-func (t *Tree) dumpNode(b *strings.Builder, n *Node, depth int, seen map[*Node]bool) {
+func (t *Tree) dumpNode(b *strings.Builder, n View, depth int, seen [][]bool) {
 	indent := strings.Repeat("  ", depth)
 	name := t.schema.At(int(n.Attr)).Name
-	if seen[n] {
+	if seen[n.Level][n.ID] {
 		fmt.Fprintf(b, "%s%s <shared>\n", indent, name)
 		return
 	}
-	seen[n] = true
+	seen[n.Level][n.ID] = true
 	if len(n.extra) > 0 {
 		fmt.Fprintf(b, "%s%s parked %s\n", indent, name, t.idSet(n.extra))
 	} else {
@@ -610,24 +752,24 @@ func (t *Tree) dumpNode(b *strings.Builder, n *Node, depth int, seen map[*Node]b
 	}
 	for i := range n.edges {
 		e := &n.edges[i]
-		label := e.Iv.String()
+		label := e.Iv().String()
 		switch n.Kind(i) {
 		case EdgeComplement:
 			label = "(*)"
 		case EdgeStar:
 			label = "*"
 		}
-		if e.Child != nil {
+		if int(n.Level)+1 < len(t.lv) {
 			fmt.Fprintf(b, "%s  %s ->\n", indent, label)
-			t.dumpNode(b, e.Child, depth+2, seen)
+			t.dumpNode(b, t.Node(int(n.Level)+1, e.To), depth+2, seen)
 			continue
 		}
-		fmt.Fprintf(b, "%s  %s -> %s\n", indent, label, t.idSet(e.Leaf()))
+		fmt.Fprintf(b, "%s  %s -> %s\n", indent, label, t.idSet(t.Leaf(e.To)))
 	}
 }
 
 // idSet renders a set of dense indices as their profiles' ids.
-func (t *Tree) idSet(ps []int) string {
+func (t *Tree) idSet(ps []int32) string {
 	ids := make([]string, len(ps))
 	for i, pi := range ps {
 		ids[i] = string(t.profiles[pi].ID)

@@ -186,7 +186,7 @@ func TestScanPositionsIncreasing(t *testing.T) {
 	for _, vo := range []ValueOrder{NaturalOrder(), saltedMass(31)} {
 		re, _, _ := tr.Reordered(vo)
 		for _, got := range []*Tree{tr, re} {
-			for _, level := range got.Levels() {
+			for _, level := range views(got) {
 				for _, n := range level {
 					if !n.layoutIsSearchTree() {
 						t.Fatalf("weights %s: layout %v over %d subrange edges", vo.Name, n.layout, n.nSubrange)
@@ -282,7 +282,7 @@ func index(s, sub string) int {
 
 // layoutIsSearchTree reports whether the node's layout is the preorder of a
 // binary search tree over exactly its subrange edges.
-func (n *Node) layoutIsSearchTree() bool {
+func (n *View) layoutIsSearchTree() bool {
 	var walk func(pos, lo, hi int) (next int, ok bool)
 	walk = func(pos, lo, hi int) (int, bool) {
 		if lo > hi {
@@ -303,4 +303,47 @@ func (n *Node) layoutIsSearchTree() bool {
 	}
 	end, ok := walk(0, 0, int(n.nSubrange)-1)
 	return ok && end == len(n.layout)
+}
+
+// views returns t's reachable nodes per level, in the order Levels lists them.
+func views(t *Tree) [][]View {
+	out := make([][]View, len(t.lv))
+	for l, ids := range t.Levels() {
+		for _, id := range ids {
+			out[l] = append(out[l], t.Node(l, id))
+		}
+	}
+	return out
+}
+
+// child returns the node n's edge i leads to, and false at the leaf level.
+func (t *Tree) child(n View, i int) (View, bool) {
+	if int(n.Level)+1 == len(t.lv) {
+		return View{}, false
+	}
+	return t.Node(int(n.Level)+1, n.edges[i].To), true
+}
+
+// leafOf returns the match set of n's edge i, nil above the leaf level.
+func (t *Tree) leafOf(n View, i int) []int32 {
+	if int(n.Level)+1 < len(t.lv) {
+		return nil
+	}
+	return t.Leaf(n.edges[i].To)
+}
+
+// at names node n by level and id, a key for maps over nodes.
+func (n View) at() nodeAt { return nodeAt{int(n.Level), n.ID} }
+
+// rec returns node n's record: two trees share a node where they share its
+// record.
+func (t *Tree) rec(n View) *Node { return t.lv[n.Level].nodes.at(n.ID) }
+
+// ints returns a set of dense indices as ints.
+func ints(s []int32) []int {
+	out := make([]int, len(s))
+	for i, pi := range s {
+		out[i] = int(pi)
+	}
+	return out
 }

@@ -11,8 +11,8 @@ import (
 // A node is searched through a binary search tree over its subrange edges
 // whose pivots balance event mass instead of edge count: the tree of least
 // expected probes under the node's weights — the edges and the gaps between
-// them, Knuth's p and q (Optimum binary search trees, 1971). Node.layout holds
-// it in preorder: a root r, the r−lo edges below it, the rest.
+// them, Knuth's p and q (Optimum binary search trees, 1971). A node's layout run
+// holds it in preorder: a root r, the r−lo edges below it, the rest.
 
 // weightFloor is the share of a node's weight spread over the domain measure
 // whatever P_e says: P_e may be one window's histogram, and the floor keeps a
@@ -22,54 +22,13 @@ const weightFloor = 0.1
 // maxOptimal bounds the keys of one optimal subtree: its tables are quadratic.
 const maxOptimal = 512
 
-// probe is the node search. It compares v with one edge's
-// interval per probe — below, inside or above — and after a miss tests the
-// trailing complement or star edge, which holds what else the domain holds
-// (event.Validate admits domain values only, so its bounds decide). Each
-// comparison is one operation and nothing else runs: no table, no lookup.
-//
-//genas:hotpath
-func (n *Node) probe(v float64) (edge, ops int) {
-	pos, lo, hi := 0, 0, int(n.nSubrange)-1
-	for lo <= hi {
-		r := int(n.layout[pos])
-		ops++
-		switch iv := &n.edges[r].Iv; {
-		case iv.After(v):
-			pos, hi = pos+1, r-1
-		case iv.Before(v):
-			pos, lo = pos+1+r-lo, r+1
-		default:
-			return r, ops
-		}
-	}
-	if int(n.nSubrange) == len(n.edges) {
-		return -1, ops
-	}
-	if dom := &n.edges[n.nSubrange].Iv; dom.After(v) || dom.Before(v) {
-		return -1, ops + 1
-	}
-	return int(n.nSubrange), ops + 1
-}
-
-// inside returns a value of the non-empty interval iv.
-func inside(iv Interval) float64 {
-	switch {
-	case !iv.LoOpen:
-		return iv.Lo
-	case !iv.HiOpen:
-		return iv.Hi
-	}
-	return iv.Lo + (iv.Hi-iv.Lo)/2
-}
-
 // weigh fills cum with the prefix sums of the weights of the node's edges
 // lo..hi and the gaps around them in natural order, gaps and edges alternating
 // — q_lo, p_lo+1, …, p_hi+1, q_hi+1 — at their places in the whole node's
 // sums, so keys i+1..j and the gaps around them weigh cum[2j+1]−cum[2i] for
 // lo ≤ i < j ≤ hi+1. A piece weighs its share of the measure or, given
 // vo.Mass, weightFloor of that plus its share of the mass.
-func (sc *orderScratch) weigh(n *Node, dom schema.Domain, vo ValueOrder, lo, hi int) {
+func (sc *orderScratch) weigh(n *View, dom schema.Domain, vo ValueOrder, lo, hi int) {
 	p := n.pieces(dom)
 	span := p.dom.Hi - p.dom.Lo + p.unit // closed, atom-aligned pieces: the measure counts values
 	total := 0.0
