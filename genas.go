@@ -327,33 +327,34 @@ func (s *Service) SubscribeProfile(p *Profile, opts ...SubOption) (*Subscription
 // subscribeWith is the shared registration path behind Service and
 // Federation subscriptions. stop overrides the unsubscribe hook (nil keeps
 // the plain broker unsubscribe); Federation uses it to withdraw the route
-// from its peers.
+// from its peers. The options apply to the subscription's own record, and
+// nothing starts before the broker took the subscription.
 func (s *Service) subscribeWith(p *Profile, opts []SubOption, stop func(predicate.ID) error) (*Subscription, error) {
-	var o subOptions
+	sub := &Subscription{brk: s.brk, stop: stop}
 	for _, opt := range opts {
-		if err := opt(&o); err != nil {
+		if err := opt(&sub.o); err != nil {
 			return nil, err
 		}
 	}
-	if o.priority != 0 {
+	if sub.o.priority != 0 {
 		// Register a copy rather than mutating the caller's profile: the
 		// same *Profile may be shared with (or already live in) another
 		// service, which reports and forwards the priority it registered.
 		// The predicate slice is immutable after construction, so a shallow
 		// copy suffices.
 		clone := *p
-		clone.Priority = o.priority
+		clone.Priority = sub.o.priority
 		p = &clone
 	}
-	sub, err := s.brk.SubscribeWith(p, o.broker)
+	bs, err := s.brk.SubscribeWith(p, sub.o.broker)
 	if err != nil {
 		return nil, err
 	}
-	if stop == nil {
-		stop = s.brk.Unsubscribe
+	sub.sub = bs
+	if sub.o.handler != nil {
+		go handle(bs.C(), sub.o.handler)
 	}
-	id := p.ID
-	return newSubscription(sub, func() error { return stop(id) }, &o), nil
+	return sub, nil
 }
 
 // Unsubscribe removes a subscription.

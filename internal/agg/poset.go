@@ -32,8 +32,9 @@ type node struct {
 	form []span
 	// rep is the canonical representative profile the tree indexes (for
 	// roots) and the expansion walk evaluates (for inner nodes). It has no
-	// id; its predicate column is shared with the first member.
-	rep *predicate.Profile
+	// id; its predicate column is shared with the first member. It lives in
+	// the node, so a new structure is one allocation.
+	rep predicate.Profile
 	// subs is append-only: frozen snapshots alias the backing array, so
 	// removal copies (COW) instead of truncating in place. subs and kids are
 	// written through Poset.setSubs, edge and dropKid only: those mark the
@@ -54,7 +55,9 @@ type NodeRef struct {
 // Delta is what one Add or Remove changed, in the terms the engine applies to
 // its automaton. Most calls change nothing: a subscriber joining or leaving
 // an existing structure, or a structure entering or leaving beneath a
-// coverer.
+// coverer. The Delta of Add or Remove is the caller's to keep; that of Join
+// or Take lives in the poset's scratch and is valid until the next call that
+// changes the poset.
 type Delta struct {
 	// Joined lists the nodes that became roots: a new uncovered structure,
 	// or the formerly-covered nodes promoted when their last coverer
@@ -122,6 +125,8 @@ type Poset struct {
 	form         []span            // attach's scratch
 	ivs          []schema.Interval // formOf's scratch
 	above, below []*node           // link's scratch
+	joined       []NodeRef         // the Join and Take deltas' scratch
+	left         []int32
 }
 
 // NewPoset creates an empty poset over schema s.
@@ -150,7 +155,7 @@ func (po *Poset) RootList() []NodeRef {
 	out := make([]NodeRef, 0, po.roots)
 	for _, n := range po.nodes {
 		if n != nil && len(n.parents) == 0 {
-			out = append(out, NodeRef{Idx: n.idx, Rep: n.rep})
+			out = append(out, NodeRef{Idx: n.idx, Rep: &n.rep})
 		}
 	}
 	return out
@@ -185,7 +190,7 @@ func (po *Poset) attach(m Member) (n *node, created bool) {
 		n = &node{
 			idx:  int32(len(po.nodes)),
 			form: slices.Clone(po.form),
-			rep:  &predicate.Profile{Preds: p.Preds},
+			rep:  predicate.Profile{Preds: p.Preds},
 			next: po.byForm[h],
 		}
 		po.byForm[h] = n
@@ -248,10 +253,13 @@ func (po *Poset) Intern(m Member) {
 	}
 }
 
-// Add registers the bare profile p (see Join).
-func (po *Poset) Add(p *predicate.Profile) Delta { return po.Join(Bare(p)) }
+// Add registers the bare profile p (see Join) and returns a Delta the caller
+// may keep.
+func (po *Poset) Add(p *predicate.Profile) Delta { return po.Join(Bare(p)).clone() }
 
 // Join registers member m and places a new structure in the order at once.
+// The Delta is the poset's scratch: it is valid until the next call that
+// changes the poset.
 func (po *Poset) Join(m Member) Delta {
 	po.ensureLinked()
 	n, created := po.attach(m)
@@ -261,6 +269,11 @@ func (po *Poset) Join(m Member) Delta {
 	}
 	po.above, po.below = po.covering(n, len(po.keys), po.above[:0], po.below[:0])
 	return po.place(n, po.above, po.below)
+}
+
+// clone copies a scratch Delta into one its holder owns.
+func (d Delta) clone() Delta {
+	return Delta{Joined: slices.Clone(d.Joined), Left: slices.Clone(d.Left)}
 }
 
 // covering appends to above every node among the first upto of the table,
@@ -294,8 +307,10 @@ func (po *Poset) covering(n *node, upto int, above, below []*node) ([]*node, []*
 // covered node maximal when n covers none of its parents, because covering is
 // transitive along poset edges. An edge from a coverer of n straight to a kid
 // of n is dropped — n now sits between the two — so the edges stay the
-// transitive reduction of the order.
-func (po *Poset) place(n *node, above, below []*node) (d Delta) {
+// transitive reduction of the order. The Delta is written into the poset's
+// scratch.
+func (po *Poset) place(n *node, above, below []*node) Delta {
+	d := Delta{Joined: po.joined[:0], Left: po.left[:0]}
 	po.gen++
 	covers := po.gen
 	for _, a := range above {
@@ -308,7 +323,7 @@ func (po *Poset) place(n *node, above, below []*node) (d Delta) {
 	}
 	if len(n.parents) == 0 {
 		po.roots++
-		d.Joined = []NodeRef{{Idx: n.idx, Rep: n.rep}}
+		d.Joined = append(d.Joined, NodeRef{Idx: n.idx, Rep: &n.rep})
 	}
 
 	po.gen++
@@ -330,6 +345,7 @@ func (po *Poset) place(n *node, above, below []*node) (d Delta) {
 		}
 		po.edge(n, b)
 	}
+	po.joined, po.left = d.Joined, d.Left
 	return d
 }
 
@@ -343,16 +359,19 @@ func anyMarked(ns []*node, mark uint32) bool {
 	return false
 }
 
-// Remove unregisters subscription id. ok is false when id is unknown.
+// Remove unregisters subscription id and returns a Delta the caller may keep.
+// ok is false when id is unknown.
 func (po *Poset) Remove(id predicate.ID) (d Delta, ok bool) {
 	m, d := po.Take(id)
-	return d, m != nil
+	return d.clone(), m != nil
 }
 
 // Take unregisters subscription id and returns the member it registered, nil
 // when id is unknown. A node that loses its last member leaves the order,
 // which stays the transitive reduction of the covering order: each of its
-// kids hangs beneath each of its parents that no other path leads from.
+// kids hangs beneath each of its parents that no other path leads from. The
+// Delta is the poset's scratch, valid until the next call that changes the
+// poset.
 func (po *Poset) Take(id predicate.ID) (m Member, d Delta) {
 	n := po.bySub[id]
 	if n == nil {
@@ -386,12 +405,16 @@ func (po *Poset) Take(id predicate.ID) (m Member, d Delta) {
 	} else {
 		delete(po.byForm, h)
 	}
+	// An automaton may keep the representative, and with it the node, until
+	// its line is copied; the node's links are cut so that it keeps no other.
+	n.next = nil
 	po.nodes[n.idx] = nil
 	po.keys[n.idx].attr = -1
 	po.free = append(po.free, n.idx)
 	po.live--
 	if po.unlinked {
 		// No order to mend: the pending Compact links what is left.
+		n.kids, n.parents = nil, nil
 		return m, d
 	}
 
@@ -399,9 +422,10 @@ func (po *Poset) Take(id predicate.ID) (m Member, d Delta) {
 	// no parents is promoted to root, so a covered subscription resurfaces
 	// in the index the moment its coverer unsubscribes (federation's
 	// re-announce semantics depend on this).
+	d = Delta{Joined: po.joined[:0], Left: po.left[:0]}
 	if len(n.parents) == 0 {
 		po.roots--
-		d.Left = []int32{n.idx}
+		d.Left = append(d.Left, n.idx)
 	}
 	for _, pa := range n.parents {
 		po.dropKid(pa, n)
@@ -416,10 +440,11 @@ func (po *Poset) Take(id predicate.ID) (m Member, d Delta) {
 		}
 		if len(k.parents) == 0 {
 			po.roots++
-			d.Joined = append(d.Joined, NodeRef{Idx: k.idx, Rep: k.rep})
+			d.Joined = append(d.Joined, NodeRef{Idx: k.idx, Rep: &k.rep})
 		}
 	}
 	n.kids, n.parents = nil, nil
+	po.joined, po.left = d.Joined, d.Left
 	return m, d
 }
 

@@ -78,7 +78,7 @@ func (po *Poset) Image() Snapshot {
 			*rec = SnapNode{}
 			continue
 		}
-		*rec = SnapNode{Prof: n.rep, Subs: n.subs}
+		*rec = SnapNode{Prof: &n.rep, Subs: n.subs}
 		if len(n.kids) > 0 {
 			rec.Kids = make([]int32, len(n.kids))
 			for j, k := range n.kids {

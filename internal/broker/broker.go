@@ -60,9 +60,9 @@ type Notification struct {
 	Delivered time.Time
 }
 
-// sharedChan is a delivery channel possibly shared by several subscriptions
-// (a Queue). The channel closes when the last reference is released: every
-// member holds one, and so does a queue's owner until it closes the queue.
+// sharedChan is a Queue's delivery channel, shared by its members. The
+// channel closes when the last reference is released: every member holds
+// one, and so does the queue's owner until it closes the queue.
 type sharedChan struct {
 	ch     chan Notification
 	refs   atomic.Int32
@@ -78,8 +78,9 @@ func (sc *sharedChan) release() {
 }
 
 // DropPolicy selects what happens to a notification when the subscriber's
-// buffer is full.
-type DropPolicy int
+// buffer is full. It is a byte, so that it packs beside a subscription's
+// flag.
+type DropPolicy uint8
 
 // Drop policies.
 const (
@@ -112,8 +113,11 @@ type SubOptions struct {
 // or a map on the publish path; they end with the subscription.
 type Subscription struct {
 	profile *predicate.Profile
-	shared  *sharedChan
-	policy  DropPolicy
+	// ch is the delivery channel. A queue member's is its queue's, and
+	// shared is the queue's share of it; a private subscription's is its
+	// own, which it closes itself (shared is nil).
+	ch     chan Notification
+	shared *sharedChan
 	// done closes when the subscription ends (end()), before the channel
 	// itself closes: a Block-policy delivery blocked on a full buffer
 	// watches it, so ending the subscription always releases its blocked
@@ -127,6 +131,7 @@ type Subscription struct {
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 	closed    atomic.Bool
+	policy    DropPolicy
 }
 
 // ID returns the subscription id.
@@ -138,7 +143,7 @@ func (s *Subscription) Profile() *predicate.Profile { return s.profile }
 // C returns the notification channel. It is closed on Unsubscribe and on
 // broker shutdown (for queue members: when the queue is closed and its last
 // member is gone).
-func (s *Subscription) C() <-chan Notification { return s.shared.ch }
+func (s *Subscription) C() <-chan Notification { return s.ch }
 
 // Dropped returns how many notifications were discarded because the
 // subscriber was slow (including DropOldest evictions).
@@ -249,23 +254,25 @@ func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscriptio
 	}
 	b.regMu.Lock()
 	defer b.regMu.Unlock()
-	return b.register(p, &sharedChan{ch: make(chan Notification, o.Buffer)}, o.Policy)
+	return b.register(&Subscription{profile: p, ch: make(chan Notification, o.Buffer), policy: o.Policy})
 }
 
-// register is the one registration routine: it makes p a member of the
-// delivery channel sc — a fresh one (SubscribeWith) or one that other
-// subscriptions already deliver into (Queue.Subscribe) — and of the engine.
-// Caller holds regMu, which also serializes it with every release of sc: a
-// channel found open here cannot close before the member holds its reference.
-func (b *Broker) register(p *predicate.Profile, sc *sharedChan, policy DropPolicy) (*Subscription, error) {
-	if b.closed.Load() || sc.closed.Load() {
+// register is the one registration routine: it makes sub, which delivers
+// into its own channel (SubscribeWith) or into its queue's (Queue.Subscribe),
+// a member of the engine. Caller holds regMu, which also serializes it with
+// every release of the queue's share: a share found open here cannot close
+// before the member holds its reference.
+func (b *Broker) register(sub *Subscription) (*Subscription, error) {
+	if b.closed.Load() || sub.shared != nil && sub.shared.closed.Load() {
 		return nil, ErrClosed
 	}
-	sub := &Subscription{profile: p, shared: sc, policy: policy, done: make(chan struct{})}
+	sub.done = make(chan struct{})
 	if err := b.engine.Add(sub); err != nil {
-		return nil, fmt.Errorf("%w: %s", ErrDuplicateSub, p.ID)
+		return nil, fmt.Errorf("%w: %s", ErrDuplicateSub, sub.profile.ID)
 	}
-	sc.refs.Add(1)
+	if sub.shared != nil {
+		sub.shared.refs.Add(1)
+	}
 	return sub, nil
 }
 
@@ -303,7 +310,7 @@ func (q *Queue) Subscribe(p *predicate.Profile) (*Subscription, error) {
 	}
 	q.b.regMu.Lock()
 	defer q.b.regMu.Unlock()
-	return q.b.register(p, q.shared, DropNewest)
+	return q.b.register(&Subscription{profile: p, ch: q.shared.ch, shared: q.shared, policy: DropNewest})
 }
 
 // Close drops the owner's reference: members stay subscribed until they are
@@ -324,14 +331,20 @@ func (s *Subscription) end() {
 	}
 }
 
-// retireChan drops the subscription's channel reference once no send can
-// touch it anymore. Callers must have ended the subscription first (under
-// mu's write side, which waits out the non-blocking sends, and releases
-// Block-policy sends); the sendMu write acquisition then only waits for
-// those sends to finish.
+// retireChan closes the subscription's channel, or drops its reference to
+// its queue's, once no send can touch it anymore. Callers must have ended
+// the subscription first (under mu's write side, which waits out the
+// non-blocking sends, and releases Block-policy sends); the sendMu write
+// acquisition then only waits for those sends to finish. A subscription is
+// retired once: by Unsubscribe, which removed it from the engine, or by
+// Close.
 func retireChan(s *Subscription) {
 	s.sendMu.Lock()
-	s.shared.release()
+	if s.shared != nil {
+		s.shared.release()
+	} else {
+		close(s.ch)
+	}
 	s.sendMu.Unlock()
 }
 
@@ -601,12 +614,12 @@ func (s *Subscription) send(n Notification) (sent bool, evicted int) {
 	if s.policy == DropOldest {
 		for {
 			select {
-			case s.shared.ch <- n:
+			case s.ch <- n:
 				return true, evicted
 			default:
 			}
 			select {
-			case <-s.shared.ch:
+			case <-s.ch:
 				evicted++
 			default:
 				// A consumer drained the buffer between the two selects;
@@ -615,7 +628,7 @@ func (s *Subscription) send(n Notification) (sent bool, evicted int) {
 		}
 	}
 	select {
-	case s.shared.ch <- n: // DropNewest
+	case s.ch <- n: // DropNewest
 		return true, 0
 	default:
 		return false, 0
@@ -638,7 +651,7 @@ func (s *Subscription) blockingSend(n Notification, cancel <-chan struct{}) bool
 	}
 	//genas:allow locksafe sendMu is the close fence, not the table lock: the blocking wait under its read side is this function's contract
 	select {
-	case s.shared.ch <- n:
+	case s.ch <- n:
 		s.delivered.Add(1)
 		return true
 	case <-s.done:

@@ -61,19 +61,20 @@ func editProfile(rng *rand.Rand) string {
 // 2-core x86-64 machine. An engine edit may take 10 % more, at least one
 // malloc, for the tables' amortized growth; Parse takes exactly its three.
 const (
-	// A new structure: its poset node, form, representative and member list,
-	// the delta naming it, the successor tree and its graph meta, the image's
-	// chunk table and the dirty chunk's copy, and the snapshot; the line's
-	// arena chunks add a fraction of one.
-	addNewAllocs = 10.0
+	// A new structure: its poset node with its representative, the node's
+	// form and member list, the successor tree with its graph meta, the
+	// image's chunk table and the dirty chunk's copy, and the snapshot; the
+	// line's arena chunks add a fraction of one. The delta naming the node
+	// is the poset's scratch.
+	addNewAllocs = 7.0
 	// A subscriber joining an existing structure: the node's member list,
 	// the image's chunk table and the dirty chunk's copy, and the snapshot.
 	addJoinAllocs = 4.0
-	// A structure's last subscriber leaving: the delta naming it, the
-	// successor tree and its graph meta, the image's chunk table and the
-	// dirty chunk's copy, and the snapshot; the line's arena chunks add a
-	// fraction of one.
-	removeAllocs = 6.0
+	// A structure's last subscriber leaving: the successor tree with its
+	// graph meta, the image's chunk table and the dirty chunk's copy, and
+	// the snapshot; the line's arena chunks add a fraction of one. The delta
+	// naming the node is the poset's scratch.
+	removeAllocs = 4.0
 	// The Profile, its predicate table and the severity set's operands.
 	parseAllocs = 3.0
 )

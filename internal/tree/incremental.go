@@ -86,8 +86,9 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 //
 //genas:builder
 func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tree {
-	nt := &Tree{schema: t.schema, attrOrder: t.attrOrder, profiles: t.profiles, gone: t.gone, vo: vo,
-		root: t.root, lv: t.lv, leaves: t.leaves, meta: t.meta}
+	s := &edited{t: Tree{schema: t.schema, attrOrder: t.attrOrder, profiles: t.profiles, gone: t.gone, vo: vo,
+		root: t.root, lv: t.lv, leaves: t.leaves, meta: t.meta}}
+	nt := &s.t
 	fresh := !t.handOver(nt)
 	if fresh {
 		// t heads no line: past their lengths the arrays may be another
@@ -119,11 +120,20 @@ func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tre
 			*r = Node{attr: int16(t.attrOrder[0])}
 		}
 		if nt.root != t.root {
-			nt.meta = &graphMeta{} // filled lazily on the first Levels/Stats call
+			nt.meta = &s.meta // filled lazily on the first Levels/Stats call
 		}
 	}
 	m.end()
 	return nt
+}
+
+// edited is an edit's successor and the graph meta it gets when the edit
+// changed a node, in one allocation. A successor whose graph is its
+// predecessor's shares the predecessor's meta instead, and keeps that
+// predecessor's record alive with it.
+type edited struct {
+	t    Tree
+	meta graphMeta
 }
 
 // lineage is what a line of successor trees hands down: the tails their

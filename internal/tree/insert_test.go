@@ -15,11 +15,11 @@ import (
 // withProfileAllocs and withoutProfileAllocs are what an insert into
 // TestWithProfileAllocations' tree, and a removal from
 // TestWithoutProfileAllocations', malloc on a 2-core x86-64 machine: the
-// successor Tree and its graph meta, and a fraction of one of its line's
-// arena chunks; the pins allow 5 % over them.
+// successor Tree with its graph meta, one allocation, and a fraction of one
+// of its line's arena chunks; the pins allow 5 % over them.
 const (
-	withProfileAllocs    = 2.0
-	withoutProfileAllocs = 2.0
+	withProfileAllocs    = 1.0
+	withoutProfileAllocs = 1.0
 )
 
 // allocCorpus is the allocation pins' corpus: 1 000 profiles, each with a

@@ -41,8 +41,7 @@ func (n *Network) Subscribe(node string, p *Profile) (*Subscription, error) {
 	if err != nil {
 		return nil, err
 	}
-	id := p.ID
-	return newSubscription(sub, func() error { return n.nw.Unsubscribe(node, id) }, nil), nil
+	return &Subscription{sub: sub, stop: func(id ProfileID) error { return n.nw.Unsubscribe(node, id) }}, nil
 }
 
 // Unsubscribe removes a profile from the named broker and withdraws its

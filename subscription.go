@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"genas/internal/broker"
+	"genas/internal/predicate"
 )
 
 // errHandlerMode reports channel access on a handler-driven subscription.
@@ -83,26 +84,29 @@ func SubBlocking() SubOption {
 // Subscription is one live registration. Notifications arrive on C (or via
 // Next), unless the subscription was created with SubHandler, in which case
 // the callback receives them. Close unsubscribes.
+//
+// The record holds the options it was subscribed with, so that applying them
+// allocates nothing of its own.
 type Subscription struct {
-	sub     *broker.Subscription
-	stop    func() error
-	handled bool
+	sub *broker.Subscription
+	brk *broker.Broker
+	// stop withdraws the subscription where more than its broker must let
+	// go of it (a federation's routes, an overlay's); nil means
+	// brk.Unsubscribe.
+	stop func(predicate.ID) error
+	o    subOptions
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-func newSubscription(sub *broker.Subscription, stop func() error, o *subOptions) *Subscription {
-	s := &Subscription{sub: sub, stop: stop}
-	if o != nil && o.handler != nil {
-		s.handled = true
-		go func(fn func(Notification)) {
-			for n := range sub.C() {
-				fn(n)
-			}
-		}(o.handler)
+// handle is a SubHandler subscription's delivery goroutine: it calls fn for
+// each notification on c until c closes. It holds the channel and the
+// handler, not the Subscription, which a caller that only handles may drop.
+func handle(c <-chan Notification, fn func(Notification)) {
+	for n := range c {
+		fn(n)
 	}
-	return s
 }
 
 // ID returns the subscription id.
@@ -115,7 +119,7 @@ func (s *Subscription) Profile() *Profile { return s.sub.Profile() }
 // (Close, Unsubscribe, or service shutdown). Nil for handler-driven
 // subscriptions.
 func (s *Subscription) C() <-chan Notification {
-	if s.handled {
+	if s.o.handler != nil {
 		return nil
 	}
 	return s.sub.C()
@@ -124,7 +128,7 @@ func (s *Subscription) C() <-chan Notification {
 // Next blocks until the next notification, the context's cancellation, or
 // the end of the subscription (reported as ErrClosed).
 func (s *Subscription) Next(ctx context.Context) (Notification, error) {
-	if s.handled {
+	if s.o.handler != nil {
 		//genas:allow senterr API misuse (mixing handler mode with Next), not a matchable runtime condition
 		return Notification{}, errHandlerMode
 	}
@@ -150,6 +154,12 @@ func (s *Subscription) Dropped() uint64 { return s.sub.Dropped() }
 // Close unsubscribes. Idempotent; the notification channel closes and a
 // pending handler goroutine drains out.
 func (s *Subscription) Close() error {
-	s.closeOnce.Do(func() { s.closeErr = s.stop() })
+	s.closeOnce.Do(func() {
+		if id := s.sub.ID(); s.stop != nil {
+			s.closeErr = s.stop(id)
+		} else {
+			s.closeErr = s.brk.Unsubscribe(id)
+		}
+	})
 	return s.closeErr
 }
