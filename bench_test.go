@@ -524,16 +524,23 @@ func rangeCorpus(tb testing.TB, n int) (*schema.Schema, []*predicate.Profile) {
 	return s, out
 }
 
+// lineCopyAllocs is what the line copy of TestBuildAllocations mallocs on a
+// 2-core x86-64 machine, whatever the tree's height: the Tree, its graph meta
+// and its line; the renumbering, the copy's profile array and its table of
+// old indices; the memos of nodes and leaf sets; and per slab (nodes, edges,
+// ints, match-set table) one exact chunk and its page table.
+const lineCopyAllocs = 16
+
 // TestBuildAllocations is the allocation ceiling of the batch build: the
 // automaton is carved from arena chunks, so tree.Build makes fewer than one
 // malloc per four nodes (it made 60 per node when every node, edge list, bucket
 // list, profile set, decomposition and memo key was an object of its own), a
 // full rebuild — poset compaction, build, freeze — under twice that, and the
-// copy that replaces a worn line of edited trees, into a fresh line's
-// chunks, under the build's. The benchmark's gate cannot see these counts:
-// set-up builds once, and no churn op rebuilds or copies at --seconds 5. The
-// race runtime allocates on its own account, so under -race the test only
-// builds and logs.
+// copy that replaces a worn line of edited trees places one exact chunk per
+// slab, so it is pinned at lineCopyAllocs. The benchmark's gate cannot see
+// these counts: set-up builds once, and no churn op rebuilds or copies at
+// --seconds 5. The race runtime allocates on its own account, so under -race
+// the test only builds and logs.
 func TestBuildAllocations(t *testing.T) {
 	s, corpus := rangeCorpus(t, 2000)
 	var nodes int
@@ -566,9 +573,9 @@ func TestBuildAllocations(t *testing.T) {
 	copied := testing.AllocsPerRun(3, func() { edited.Copied() })
 	t.Logf("%d nodes: tree.Build %.0f mallocs, Engine.Rebuild %.0f; a line copy of %d nodes %.0f",
 		nodes, build, rebuild, edited.Stats().Nodes, copied)
-	if limit := float64(nodes) / 4; !raceEnabled && (build > limit || rebuild > 2*limit || copied > limit) {
-		t.Errorf("tree.Build makes %.0f mallocs, Engine.Rebuild %.0f and a line copy %.0f for %d nodes, want at most %.0f, %.0f and %.0f",
-			build, rebuild, copied, nodes, limit, 2*limit, limit)
+	if limit := float64(nodes) / 4; !raceEnabled && (build > limit || rebuild > 2*limit || copied > lineCopyAllocs) {
+		t.Errorf("tree.Build makes %.0f mallocs, Engine.Rebuild %.0f and a line copy %.0f for %d nodes, want at most %.0f, %.0f and %d",
+			build, rebuild, copied, nodes, limit, 2*limit, lineCopyAllocs)
 	}
 }
 

@@ -291,18 +291,25 @@ func (e *Engine) patchLocked(snap *snapshot, d agg.Delta) {
 		e.point(r.Idx, ti)
 	}
 	for i := range next.parts {
-		if p := &next.parts[i]; p.tree.Worn() {
-			t, old := p.tree.Copied()
-			t2n := make([]int32, len(old))
-			for j, o := range old {
-				t2n[j] = p.t2n[o]
-			}
-			p.tree = t
-			e.slots(p, t2n)
-			e.copies++
-		}
+		e.renew(&next.parts[i])
 	}
 	e.snap.Store(next)
+}
+
+// renew swaps automaton p for its copy into a fresh line when its line is
+// worn, and re-derives its slot table.
+func (e *Engine) renew(p *snapshot) {
+	if !p.tree.Worn() {
+		return
+	}
+	t, old := p.tree.Copied()
+	t2n := make([]int32, len(old))
+	for j, o := range old {
+		t2n[j] = p.t2n[o]
+	}
+	p.tree = t
+	e.slots(p, t2n)
+	e.copies++
 }
 
 // slots makes t2n automaton p's slot table, its slot j indexing poset node
@@ -440,7 +447,9 @@ func (e *Engine) rebuildLocked() (err error) {
 // distributions (cheap restructuring after a distribution update) at the
 // nodes testing one of attrs — none given: at every node — and reports how
 // many nodes it re-laid and how many it only path-copied, summed over the
-// automata; the rest of each automaton is shared with the predecessor. The
+// automata; the rest of each automaton is shared with the predecessor. A
+// reorder above the last level adds its copies to the automaton's line, so an
+// automaton whose line it wore is swapped for its copy, as churn does. The
 // reordered automata are published as a successor snapshot; in-flight
 // matches finish on the old layout.
 func (e *Engine) Reorder(attrs ...int) (resorted, copied int, err error) {
@@ -455,6 +464,7 @@ func (e *Engine) Reorder(attrs ...int) (resorted, copied int, err error) {
 		var r, c int
 		next.parts[i].tree, r, c = next.parts[i].tree.Reordered(vo, attrs...)
 		resorted, copied = resorted+r, copied+c
+		e.renew(&next.parts[i])
 	}
 	e.snap.Store(next)
 	return resorted, copied, nil

@@ -425,6 +425,87 @@ func TestChurnNeverRebuilds(t *testing.T) {
 	checkShares(t, e)
 }
 
+// TestReorderOnlyCopiesWornLines: an engine that only reorders never churns,
+// yet a reorder above the last level adds its copies to an automaton's line
+// as an edit does, so Reorder swaps an automaton whose line it wore for its
+// copy. 2 000 reorders of 1 000 churn-mixed-shaped structures on two
+// automata, each of one attribute tested above the last level: after each,
+// no automaton's line holds more than lineFactor times the bytes it started
+// from (none is Worn), and after each copy the engine matches a sample of
+// events as the profiles do.
+func TestReorderOnlyCopiesWornLines(t *testing.T) {
+	reorders := 2000
+	if raceEnabled { // a reorder runs about ten times slower
+		reorders = 200
+	}
+	s := editSchema(t)
+	rng := rand.New(rand.NewSource(5))
+	e := NewSharded(s, Config{}, 2)
+	seen := make(map[string]bool)
+	var profiles []*predicate.Profile
+	for len(profiles) < 1000 {
+		text := editProfile(rng)
+		if seen[text] {
+			continue
+		}
+		seen[text] = true
+		p := predicate.MustParse(s, predicate.ID(fmt.Sprintf("p%d", len(profiles))), text)
+		if err := e.AddProfile(p); err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, p)
+	}
+	events := make([][]float64, 200)
+	for i := range events {
+		events[i] = make([]float64, s.N())
+		for attr := range events[i] {
+			dom := s.At(attr).Domain
+			events[i][attr] = dom.Lo() + rng.Float64()*(dom.Hi()-dom.Lo())
+			if dom.Kind() != schema.KindNumeric {
+				events[i][attr] = dom.Lo() + float64(rng.Intn(int(dom.Hi()-dom.Lo())+1))
+			}
+		}
+	}
+	if _, _, err := e.Match(events[0]); err != nil {
+		t.Fatal(err)
+	}
+	order := e.snap.Load().parts[0].tree.AttrOrder()
+	for i := range reorders {
+		copies := e.copies
+		if _, _, err := e.Reorder(order[rng.Intn(len(order)-1)]); err != nil {
+			t.Fatal(err)
+		}
+		for j, p := range e.snap.Load().parts {
+			if p.tree.Worn() {
+				t.Fatalf("reorder %d left automaton %d worn: its line outgrew lineFactor times the bytes it started from", i, j)
+			}
+		}
+		if e.copies == copies {
+			continue
+		}
+		for _, vals := range events {
+			got, _, err := e.Match(vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []predicate.ID
+			for _, p := range profiles {
+				if p.Matches(vals) {
+					want = append(want, p.ID)
+				}
+			}
+			if g, w := sortedIDs(got), sortedIDs(want); !slices.Equal(g, w) {
+				t.Fatalf("reorder %d, after a line copy: event %v matches %v, the profiles %v", i, vals, g, w)
+			}
+		}
+	}
+	t.Logf("%d reorders crossed %d line copies", reorders, e.copies)
+	if e.copies == 0 && !raceEnabled {
+		t.Errorf("%d reorders crossed no line copy", reorders)
+	}
+	checkShares(t, e)
+}
+
 // TestPatchRecoversFromDesync: a churn op that finds the engine's slot
 // tables out of step with the poset publishes the stale state instead of
 // editing an automaton blind, and the next match rebuilds to the match set

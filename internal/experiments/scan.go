@@ -186,13 +186,13 @@ type Scan struct {
 	t      *tree.Tree
 	search Search
 	order  ScanOrder
-	// nodes[l][id] is node id of level l laid out, once asked for.
-	nodes [][]*scanNode
+	// nodes[id] is node id laid out, once asked for.
+	nodes []*scanNode
 }
 
 // NewScan models search over t's nodes, their defined order ranked by order.
 func NewScan(t *tree.Tree, search Search, order ScanOrder) *Scan {
-	return &Scan{t: t, search: search, order: order, nodes: make([][]*scanNode, t.Schema().N())}
+	return &Scan{t: t, search: search, order: order, nodes: make([]*scanNode, t.Slots())}
 }
 
 // Cost returns the edge the search takes, and the operations it spends, on an
@@ -215,7 +215,7 @@ func (m *Scan) Match(vals []float64) (matched []int32, ops int) {
 			return matched, ops
 		}
 		to := n.Edges()[ei].To
-		if int(n.Level)+1 == len(m.nodes) {
+		if int(n.Level)+1 == m.t.Schema().N() {
 			return append(matched, m.t.Leaf(to)...), ops
 		}
 		n = m.t.Node(int(n.Level)+1, to)
@@ -258,12 +258,7 @@ type orderEntry struct {
 
 // node lays n out for the scans, once.
 func (m *Scan) node(n tree.View) *scanNode {
-	level := m.nodes[n.Level]
-	if level == nil {
-		level = make([]*scanNode, m.t.Slots(int(n.Level)))
-		m.nodes[n.Level] = level
-	}
-	if l := level[n.ID]; l != nil {
+	if l := m.nodes[n.ID]; l != nil {
 		return l
 	}
 	attr := int(n.Attr)
@@ -313,7 +308,7 @@ func (m *Scan) node(n tree.View) *scanNode {
 			l.scan = append(l.scan, int32(e.edge))
 		}
 	}
-	level[n.ID] = l
+	m.nodes[n.ID] = l
 	return l
 }
 

@@ -106,19 +106,16 @@ func Analyze(t *tree.Tree, edists []dist.Dist, cost func(n tree.View, p *tree.Pi
 		PerLevelR0:    make([]float64, height),
 		PerProfile:    make([]ProfileCost, len(t.Profiles())),
 	}
-	// acc[l][id] accumulates node id of level l.
-	acc := make([][]nodeAcc, height)
-	for l := range acc {
-		acc[l] = make([]nodeAcc, t.Slots(l))
-	}
-	acc[0][t.Root().ID].w = 1
+	// acc[id] accumulates node id.
+	acc := make([]nodeAcc, t.Slots())
+	acc[t.Root().ID].w = 1
 
 	profProb := make([]float64, len(t.Profiles()))
 	profOps := make([]float64, len(t.Profiles()))
 
 	for l, level := range t.Levels() {
 		for _, id := range level {
-			a := &acc[l][id]
+			a := &acc[id]
 			if a.w == 0 {
 				continue
 			}
@@ -150,7 +147,7 @@ func Analyze(t *tree.Tree, edists []dist.Dist, cost func(n tree.View, p *tree.Pi
 				res.PerLevelMatch[l] += a.w * p * cost
 				to := n.Edges()[pc.Edge].To
 				if l+1 < height {
-					ch := &acc[l+1][to]
+					ch := &acc[to]
 					ch.w += a.w * p
 					ch.c += a.c*p + a.w*p*cost
 					ch.m += a.m * p

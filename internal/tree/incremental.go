@@ -36,8 +36,9 @@
 // Build would produce (distinct nodes may hold equal states), but their match
 // sets are identical, which the oracle equivalence tests pin, and their graph
 // stays within a small factor of a Build's, so nothing rebuilds them. What a
-// line of edits accumulates, the copies its chunks hold and the removed dense
-// indices, goes when the line is Worn and its head Copied.
+// line of edits and partial reorders accumulates, the copies its chunks hold
+// and the removed dense indices, goes when the line is Worn and its head
+// Copied.
 
 package tree
 
@@ -79,25 +80,15 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 }
 
 // edit derives the successor that adds p at index pi, or with drop set takes
-// it out, laying out what it re-cuts under vo. A successor of the newest tree
-// of its line carves from the line's chunks and appends to the line's profile
-// array; a successor of any other tree — a second successor of one tree, or
-// the first of a Build — starts a line of its own.
+// it out, laying out what it re-cuts under vo, in t's line or, where t heads
+// none, a line of its own (extend).
 //
 //genas:builder
 func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tree {
-	s := &edited{t: Tree{schema: t.schema, attrOrder: t.attrOrder, profiles: t.profiles, gone: t.gone, vo: vo,
-		root: t.root, lv: t.lv, leaves: t.leaves, meta: t.meta}}
+	s := &edited{t: *t}
 	nt := &s.t
-	fresh := !t.handOver(nt)
-	if fresh {
-		// t heads no line: past their lengths the arrays may be another
-		// tree's, and so may the page entries past what t reaches.
-		nt.lv, nt.leaves = t.reached()
-		nt.line = &lineage{tails: newTails(nt), base: t.Stats().Bytes}
-		nt.line.head.Store(nt)
-		nt.profiles, nt.gone = slices.Clip(nt.profiles), slices.Clip(nt.gone)
-	}
+	nt.vo = vo
+	t.extend(nt)
 	// The head owns the arrays past every predecessor's length.
 	if drop {
 		nt.gone = append(nt.gone, pi)
@@ -108,7 +99,6 @@ func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tre
 	m := mergerPool.Get().(*merger)
 	defer mergerPool.Put(m)
 	m.start(t, nt, int32(pi), vo, drop)
-	m.c.owned = fresh // a new line's levels are a copy of its own
 	// An unsatisfiable profile can never match: the automaton is unchanged
 	// and the whole node graph is shared. Its index still exists (it appears
 	// in no set).
@@ -116,7 +106,7 @@ func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tre
 		if nt.root = m.merge(0, t.root, chain); nt.root == none {
 			// The last profile left: the root without edges.
 			var r *Node
-			nt.root, r = m.c.node(0)
+			nt.root, r = nt.newNode()
 			*r = Node{attr: int16(t.attrOrder[0])}
 		}
 		if nt.root != t.root {
@@ -138,13 +128,13 @@ type edited struct {
 
 // lineage is what a line of successor trees hands down: the tails their
 // edits carve at, the tails of the profile and gone arrays past the newest
-// tree's lengths, held, the bytes of the line's chunks, and base, the bytes
-// of the tree the line started from. Only the line's head, its newest tree,
-// carves or appends to the arrays; every successor takes the line over from
-// its head.
+// tree's lengths, held, the bytes of the chunks its successors placed, and
+// base, the bytes of the tree the line started from. Only the line's head,
+// its newest tree, carves or appends to the arrays; every successor takes the
+// line over from its head.
 type lineage struct {
 	head  atomic.Pointer[Tree]
-	tails lineTails
+	tails tails
 	held  int
 	base  int
 }
@@ -158,7 +148,22 @@ const lineFactor = 16
 // hold lineFactor times the bytes it started from, or more than half of t's
 // dense indices are gone.
 func (t *Tree) Worn() bool {
-	return t.line != nil && (t.line.held > lineFactor*t.line.base || 2*len(t.gone) > len(t.profiles))
+	return t.line.held > lineFactor*t.line.base || 2*len(t.gone) > len(t.profiles)
+}
+
+// extend makes nt, a successor of t, the head of t's line when t heads it.
+// Otherwise t has a successor already, and nt starts a line of its own, so a
+// second successor of one tree never writes into storage its sibling owns:
+// past their lengths the arrays may be the sibling's, and so may the page
+// entries past what t reaches.
+func (t *Tree) extend(nt *Tree) {
+	if t.line.head.CompareAndSwap(t, nt) {
+		return
+	}
+	nt.st = t.reached()
+	nt.line = &lineage{tails: tailsPast(&nt.st), base: t.Stats().Bytes}
+	nt.line.head.Store(nt)
+	nt.profiles, nt.gone = slices.Clip(nt.profiles), slices.Clip(nt.gone)
 }
 
 // Copied returns t copied into a fresh line, and old, t's dense index of
@@ -167,38 +172,34 @@ func (t *Tree) Worn() bool {
 // into one exact chunk per slab. The copy shares no storage with t, and
 // probes in t's comparisons.
 func (t *Tree) Copied() (nt *Tree, old []int) {
-	c := newCopier(t, len(t.lv))
-	c.renum = make([]int32, len(t.profiles))
+	renum, live := make([]int32, len(t.profiles)), len(t.profiles)
 	for _, pi := range t.gone {
-		c.renum[pi] = -1
+		if renum[pi] == 0 { // an index removed twice is gone once
+			live--
+		}
+		renum[pi] = -1
 	}
-	nt = &Tree{schema: t.schema, attrOrder: t.attrOrder, vo: t.vo, meta: &graphMeta{}, line: &lineage{}}
+	nt = &Tree{schema: t.schema, attrOrder: t.attrOrder, vo: t.vo, meta: &graphMeta{}, profiles: make([]*predicate.Profile, 0, live)}
+	old = make([]int, 0, live)
 	for pi, p := range t.profiles {
-		if c.renum[pi] >= 0 {
-			c.renum[pi] = int32(len(old))
+		if renum[pi] >= 0 {
+			renum[pi] = int32(len(old))
 			old, nt.profiles = append(old, pi), append(nt.profiles, p)
 		}
 	}
-	nt.root = c.clone(0, t.root)
-	nt.lv = c.sealed(nil)
-	nt.leaves = leafStore{sets: c.leafSets.slab(), ints: c.leafInts.slab()}
-	nt.line.tails = newTails(nt)
-	nt.line.base = c.bytes()
-	nt.line.head.Store(nt)
+	c := copier{t: t, nt: nt, renum: renum}
+	c.fresh()
 	return nt, old
 }
 
-// reached returns t's levels and leaf store with every page table cut to the
-// pages t's nodes reach: a line that starts from t copies those entries, which
-// t's publication ordered before it, and none that another line's head may be
+// reached returns t's store with every page table cut to the pages t's nodes
+// reach: a line that starts from t copies those entries, which t's
+// publication ordered before it, and none that another line's head may be
 // writing past them.
-func (t *Tree) reached() ([]level, leafStore) {
-	pages := func(n int32) int { return int(n+pageSize-1) >> pageShift }
-	lv, last := make([]level, len(t.lv)), len(t.lv)-1
-	var sets, leafInts int32
+func (t *Tree) reached() store {
+	var nodes, edges, ints, sets int32
+	s, last := &t.st, len(t.attrOrder)-1
 	for l, ids := range t.Levels() {
-		var nodes, edges, ints int32
-		s := &t.lv[l]
 		for _, id := range ids {
 			r := s.nodes.at(id)
 			nodes = max(nodes, id+1)
@@ -207,8 +208,8 @@ func (t *Tree) reached() ([]level, leafStore) {
 				edges = max(edges, r.edges+int32(len(e)))
 			}
 			for i := 0; l == last && i < len(e); i++ {
-				sp := t.leaves.sets.at(e[i].To)
-				sets, leafInts = max(sets, e[i].To+1), max(leafInts, sp.off+sp.n)
+				sp := s.sets.at(e[i].To)
+				sets, ints = max(sets, e[i].To+1), max(ints, sp.off+sp.n)
 			}
 			if r.nSub > 0 {
 				ints = max(ints, r.layout+r.nSub)
@@ -217,32 +218,21 @@ func (t *Tree) reached() ([]level, leafStore) {
 				ints = max(ints, r.parked+r.nParked)
 			}
 		}
-		lv[l] = level{nodes: s.nodes.cut(pages(nodes)), edges: s.edges.cut(pages(edges)), ints: s.ints.cut(pages(ints))}
 	}
-	return lv, leafStore{sets: t.leaves.sets.cut(pages(sets)), ints: t.leaves.ints.cut(pages(leafInts))}
-}
-
-// handOver makes nt the head of t's line when t heads it, and reports
-// whether it did; otherwise nt has no line. A tree that is not its line's
-// head has a successor already, so a second successor of one tree never
-// writes into storage its sibling owns.
-func (t *Tree) handOver(nt *Tree) bool {
-	if l := t.line; l != nil && l.head.CompareAndSwap(t, nt) {
-		nt.line = l
-		return true
-	}
-	nt.line = nil
-	return false
+	pages := func(n int32) int { return int(n+pageSize-1) >> pageShift }
+	return store{nodes: s.nodes.cut(pages(nodes)), edges: s.edges.cut(pages(edges)), ints: s.ints.cut(pages(ints)), sets: s.sets.cut(pages(sets))}
 }
 
 // Reordered returns a successor tree with vo applied to the nodes that test
 // one of attrs (none given: to every node). It does not mutate the receiver,
 // and it costs what is reordered: the levels down to the deepest one testing
-// such an attribute are copied into fresh slabs, the nodes testing one with a
-// fresh layout, and everything below — like every leaf set — is shared, so
-// readers of the old tree keep consistent probe trees and the levels it
-// replaces go with it. It reports the nodes re-laid and the nodes copied only
-// to re-point their children.
+// such an attribute are copied, the nodes testing one with a fresh layout,
+// and everything below is shared, so readers of the old tree keep consistent
+// probe trees. A reorder above the last level carves its copies into t's
+// line, as an edit does; one that reaches the last level copies every node
+// and leaf set into a fresh line, as Copied does without renumbering, so
+// that the tree it replaces goes once dropped. It reports the nodes re-laid
+// and the nodes copied only to re-point their children.
 func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copied int) {
 	sel, deepest := make([]bool, len(t.attrOrder)), 0
 	for _, a := range attrs {
@@ -256,98 +246,77 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 			deepest = level
 		}
 	}
-	c := newCopier(t, deepest)
-	c.sel = sel
-	n := 0
-	for l, bl := range c.lv {
-		if sel[t.attrOrder[l]] {
-			n += bl.size[0]
-		}
-	}
-	c.relay = make([]nodeAt, 0, n)
 	r := *t
-	r.vo = vo
-	t.handOver(&r)
-	r.root = c.clone(0, t.root)
-	r.lv = c.sealed(t.lv)
-	r.meta = &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
-	if r.line != nil {
-		for l := range c.lv {
-			r.line.tails.levels[l].reset(&r.lv[l])
-		}
+	r.vo, r.meta = vo, &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
+	c := copier{t: t, nt: &r, deepest: deepest, sel: sel}
+	if deepest == len(t.attrOrder)-1 {
+		r.profiles, r.gone = slices.Clip(r.profiles), slices.Clip(r.gone)
+		c.fresh()
+	} else {
+		t.extend(&r)
+		c.memo = make([]int32, r.line.tails.nodes.free) // t's node ids lie below the line's tail
+		r.root = c.clone(0, t.root)
 	}
 	r.layOut(vo, c.relay)
 	return &r, len(c.relay), c.copied
 }
 
-// copier is one copying walk of a tree's levels down to deepest into fresh
-// records, each state once. Reordered's re-lays the nodes testing a selected
-// attribute and counts the rest; Copied's keeps every probe tree, copies the
-// leaf sets and renumbers every set through renum, each distinct leaf set
-// once.
+// copier is one copying walk of a tree's levels down to deepest into the
+// copy's line, each state once: past the last level, the leaf sets too.
+// Reordered's re-lays the nodes testing a selected attribute and counts the
+// rest; Copied's keeps every probe tree and renumbers every set through
+// renum.
 type copier struct {
-	t       *Tree
+	t, nt   *Tree
 	deepest int
-	// lv holds each copied level's records and memo; sets[id] is the copy of
-	// leaf-set entry id as a level's memo holds a node's.
-	lv     []built
-	sel    []bool
-	relay  []nodeAt
-	copied int
-	renum  []int32
-	sets   []int32
-	// leafSets and leafInts are Copied's leaf store.
-	leafSets growing[span]
-	leafInts growing[int32]
+	// memo[id] is the copy of node id plus one, −1 once the sizing walk
+	// counted it, 0 before; sets[id] is the copy of leaf-set entry id alike.
+	memo, sets []int32
+	sel        []bool
+	relay      []nodeAt
+	copied     int
+	renum      []int32
 }
 
-// newCopier starts a copy of t's levels down to deepest — past the leaf
-// level, the leaf sets too — sized by a first walk over what it will copy,
-// so that each level's records take one allocation each.
-func newCopier(t *Tree, deepest int) copier {
-	n := min(deepest+1, len(t.lv))
-	c := copier{t: t, deepest: deepest, lv: make([]built, n)}
-	slots := 0
-	for l := range c.lv {
-		slots += t.Slots(l)
+// fresh copies every node and leaf set of t into a fresh line of nt: one
+// exact chunk per slab, sized by a first walk, then sealed.
+func (c *copier) fresh() {
+	nt := c.nt
+	c.deepest = len(c.t.attrOrder)
+	nt.line = &lineage{}
+	nt.line.head.Store(nt)
+	nt.st = store{}
+	c.memo, c.sets = make([]int32, c.t.Slots()), make([]int32, c.t.st.sets.slots())
+	var n [4]int
+	c.count(0, c.t.root, &n)
+	l, lt := nt.line, &nt.line.tails
+	place(l, &nt.st.nodes, &lt.nodes, make([]Node, n[0]))
+	place(l, &nt.st.edges, &lt.edges, make([]Edge, n[1]))
+	place(l, &nt.st.ints, &lt.ints, make([]int32, n[2]))
+	place(l, &nt.st.sets, &lt.sets, make([]span, n[3]))
+	if c.sel != nil {
+		c.relay = make([]nodeAt, 0, n[0])
 	}
-	memo := make([]int32, slots)
-	for l := range c.lv {
-		c.lv[l].memo, memo = memo[:t.Slots(l):t.Slots(l)], memo[t.Slots(l):]
-	}
-	if deepest >= len(t.lv) {
-		c.sets = make([]int32, t.leaves.sets.slots())
-	}
-	var leaves [2]int
-	c.count(0, t.root, &leaves)
-	for l := range c.lv {
-		bl := &c.lv[l]
-		bl.nodes.cur, bl.edges.cur, bl.ints.cur = make([]Node, 0, bl.size[0]), make([]Edge, 0, bl.size[1]), make([]int32, 0, bl.size[2])
-	}
-	c.leafSets.cur, c.leafInts.cur = make([]span, 0, leaves[0]), make([]int32, 0, leaves[1])
-	return c
+	nt.root = c.clone(0, c.t.root)
+	nt.seal()
 }
 
 // count is the sizing walk: it marks in the memo what the copy will hold,
-// and counts it in each level's size and, past the leaf level, in leaves:
-// the leaf sets and their entries.
-func (c *copier) count(l int, id int32, leaves *[2]int) {
-	if l > c.deepest || c.lv[l].memo[id] != 0 {
+// and counts its nodes, edges, ints and leaf-set entries in n.
+func (c *copier) count(l int, id int32, n *[4]int) {
+	if c.memo[id] != 0 {
 		return
 	}
-	c.lv[l].memo[id] = -1
-	o, x := c.t.Node(l, id), &c.lv[l].size
-	x[0], x[1], x[2] = x[0]+1, x[1]+len(o.edges), x[2]+len(o.layout)+len(o.extra)
-	if l == c.deepest {
-		return
-	}
+	c.memo[id] = -1
+	o := c.t.Node(l, id)
+	n[0], n[1], n[2] = n[0]+1, n[1]+len(o.edges), n[2]+len(o.layout)+len(o.extra)
 	for i := range o.edges {
 		switch to := o.edges[i].To; {
-		case l+1 < len(c.t.lv):
-			c.count(l+1, to, leaves)
+		case l+1 < len(c.t.attrOrder):
+			c.count(l+1, to, n)
 		case c.sets[to] == 0:
 			c.sets[to] = -1
-			leaves[0], leaves[1] = leaves[0]+1, leaves[1]+len(c.t.Leaf(to))
+			n[2], n[3] = n[2]+len(c.t.Leaf(to)), n[3]+1
 		}
 	}
 }
@@ -360,30 +329,26 @@ func (c *copier) clone(l int, id int32) int32 {
 	if l > c.deepest {
 		return id
 	}
-	bl := &c.lv[l]
-	if v := bl.memo[id]; v > 0 {
+	if v := c.memo[id]; v > 0 {
 		return v - 1
 	}
-	o, rec := c.t.Node(l, id), *c.t.lv[l].nodes.at(id)
-	nid, out := bl.nodes.take(1)
-	bl.memo[id] = nid + 1
-	var edges []Edge
-	rec.edges, edges = bl.edges.take(len(o.edges))
-	copy(edges, o.edges)
-	if l < c.deepest {
-		// The walk below takes from deeper levels only.
-		for i := range edges {
-			if e := &edges[i]; l+1 < len(c.t.lv) {
-				e.To = c.clone(l+1, e.To)
-			} else {
-				e.To = c.leaf(e.To)
-			}
+	nt, o, rec := c.nt, c.t.Node(l, id), *c.t.st.nodes.at(id)
+	nid, out := nt.newNode()
+	c.memo[id] = nid + 1
+	rec.edges = nt.newEdges(o.edges)
+	for i := 0; l < c.deepest && i < len(o.edges); i++ {
+		// The copy's edge, by index: the walk below carves further records.
+		e := nt.st.edges.at(rec.edges + int32(i))
+		if l+1 < len(c.t.attrOrder) {
+			e.To = c.clone(l+1, e.To)
+		} else {
+			e.To = c.leaf(e.To)
 		}
 	}
 	var ints []int32
-	rec.parked, ints = bl.ints.take(len(o.extra))
+	rec.parked, ints = nt.newInts(len(o.extra))
 	c.renumber(ints, o.extra)
-	rec.layout, ints = bl.ints.take(len(o.layout))
+	rec.layout, ints = nt.newInts(len(o.layout))
 	switch {
 	case c.renum != nil || !c.sel[o.Attr]:
 		copy(ints, o.layout)
@@ -393,7 +358,7 @@ func (c *copier) clone(l int, id int32) int32 {
 	default:
 		c.relay = append(c.relay, nodeAt{l, nid})
 	}
-	out[0] = rec
+	*out = rec
 	return nid
 }
 
@@ -403,10 +368,8 @@ func (c *copier) leaf(id int32) int32 {
 		return v - 1
 	}
 	set := c.t.Leaf(id)
-	off, ints := c.leafInts.take(len(set))
-	c.renumber(ints, set)
-	i, sp := c.leafSets.take(1)
-	sp[0] = span{off, int32(len(set))}
+	i, run := c.nt.newLeaf(len(set))
+	c.renumber(run, set)
 	c.sets[id] = i + 1
 	return i
 }
@@ -423,47 +386,27 @@ func (c *copier) renumber(dst, s []int32) {
 	}
 }
 
-// sealed returns the levels of the copy: those it made, sealed, and below
-// them the ones of rest.
-func (c *copier) sealed(rest []level) []level {
-	lv := make([]level, max(len(rest), len(c.lv)))
-	copy(lv, rest)
-	for l := range c.lv {
-		lv[l] = c.lv[l].level()
-	}
-	return lv
-}
-
-// bytes returns the bytes of the records the copy made.
-func (c *copier) bytes() int {
-	b := spanBytes*len(c.leafSets.cur) + 4*len(c.leafInts.cur)
-	for _, bl := range c.lv {
-		b += nodeBytes*len(bl.nodes.cur) + edgeBytes*len(bl.edges.cur) + 4*len(bl.ints.cur)
-	}
-	return b
-}
-
 // mergerPool recycles the memo and scratch buffers across edits: steady
 // churn then allocates almost nothing beyond the successor's Tree and graph
 // meta.
 var mergerPool = sync.Pool{New: func() any { return &merger{} }}
 
-// merger carries one edit: the successor tree under construction and the
-// carver writing its records, the profile's dense index, whether the edit
+// merger carries one edit: the successor tree under construction, whose line
+// it carves its records from, the profile's dense index, whether the edit
 // drops it, the weights it lays out under, and the memo that keeps shared
 // states shared.
 type merger struct {
-	c    carver
+	t    *Tree
 	np   int32
 	drop bool
 	vo   ValueOrder
-	// memo[l][id] is the merge of node id of level l with the chain node of
-	// its level plus two, none+2 where a drop leaves the state empty, 0
-	// before it is made (alive' = alive ∪ {np}, or alive ∖ {np}, is a
-	// function of the old state alone, so old-node identity is a sound key).
-	// touched lists the entries one edit set.
-	memo    [][]int32
-	touched []nodeAt
+	// memo[id] is the merge of node id with the chain node of its level plus
+	// two, none+2 where a drop leaves the state empty, 0 before it is made
+	// (alive' = alive ∪ {np}, or alive ∖ {np}, is a function of the old state
+	// alone, so old-node identity is a sound key). touched lists the entries
+	// one edit set.
+	memo    []int32
+	touched []int32
 	// ivs is the scratch of the chain's intervals on one attribute, set that
 	// of one edited parked or leaf set.
 	ivs []schema.Interval
@@ -480,24 +423,22 @@ type merger struct {
 
 // start readies the merger for the edit of t into nt.
 func (m *merger) start(t, nt *Tree, np int32, vo ValueOrder, drop bool) {
-	m.c, m.np, m.vo, m.drop = carver{t: nt}, np, vo, drop
-	if n := len(t.lv); len(m.edges) < n {
-		m.edges, m.memo = make([][]Edge, n), make([][]int32, n)
+	m.t, m.np, m.vo, m.drop = nt, np, vo, drop
+	if n := len(t.attrOrder); len(m.edges) < n {
+		m.edges = make([][]Edge, n)
 	}
-	for l := range t.lv {
-		if s := t.Slots(l); len(m.memo[l]) < s {
-			m.memo[l] = make([]int32, 2*s) // headroom for the line's growth
-		}
+	if s := t.Slots(); len(m.memo) < s {
+		m.memo = make([]int32, 2*s) // headroom for the line's growth
 	}
 }
 
 // end lets go of the successor and clears the memo entries the edit set;
 // the scratch buffers keep their capacity for the next edit.
 func (m *merger) end() {
-	for _, k := range m.touched {
-		m.memo[k.l][k.id] = 0
+	for _, id := range m.touched {
+		m.memo[id] = 0
 	}
-	m.c, m.vo, m.touched = carver{}, ValueOrder{}, m.touched[:0]
+	m.t, m.vo, m.touched = nil, ValueOrder{}, m.touched[:0]
 }
 
 // chain builds the new profile's one-profile automaton in the successor's
@@ -513,22 +454,23 @@ func (m *merger) end() {
 //
 //genas:builder
 func (m *merger) chain(p *predicate.Profile, vo ValueOrder) (int32, bool) {
-	t, last := m.c.t, -1
+	t, last := m.t, -1
 	for level, attr := range t.attrOrder {
 		if p.Constrains(attr) {
 			last = level
 		}
 	}
-	m.set = append(m.set[:0], m.np)
 	var next int32
-	if l := last + 1; l < len(t.lv) {
-		off, one := m.c.ints(l, 1)
-		copy(one, m.set)
+	if l := last + 1; l < len(t.attrOrder) {
+		off, one := t.newInts(1)
+		one[0] = m.np
 		var n *Node
-		next, n = m.c.node(l)
+		next, n = t.newNode()
 		*n = Node{attr: int16(t.attrOrder[l]), parked: off, nParked: 1}
 	} else {
-		next = m.c.leaf(m.set)
+		var one []int32
+		next, one = t.newLeaf(1)
+		one[0] = m.np
 	}
 	for level := last; level >= 0; level-- {
 		attr := t.attrOrder[level]
@@ -555,13 +497,13 @@ func (m *merger) chain(p *predicate.Profile, vo ValueOrder) (int32, bool) {
 			nSub = len(buf)
 		}
 		m.edges[level] = buf
-		rec := Node{attr: int16(attr), nSub: int32(nSub), trail: nSub < len(buf), edges: m.c.edges(level, buf)}
+		rec := Node{attr: int16(attr), nSub: int32(nSub), trail: nSub < len(buf), edges: t.newEdges(buf)}
 		var layout []int32
-		rec.layout, layout = m.c.ints(level, nSub)
+		rec.layout, layout = t.newInts(nSub)
 		v := View{Attr: rec.attr, edges: buf, layout: layout, nSubrange: rec.nSub}
 		v.applyOrder(dom, vo, &m.sc)
 		var n *Node
-		next, n = m.c.node(level)
+		next, n = t.newNode()
 		*n = rec
 	}
 	return next, true
@@ -575,12 +517,12 @@ func (m *merger) chain(p *predicate.Profile, vo ValueOrder) (int32, bool) {
 //
 //genas:builder
 func (m *merger) merge(l int, old, b int32) int32 {
-	if v := m.memo[l][old]; v != 0 {
+	if v := m.memo[old]; v != 0 {
 		return v - 2
 	}
-	t := m.c.t
+	t := m.t
 	o, c := t.Node(l, old), t.Node(l, b)
-	rec, buf, parked := *t.lv[l].nodes.at(old), o.edges, false
+	rec, buf, parked := *t.st.nodes.at(old), o.edges, false
 	if len(c.extra) > 0 {
 		// b parks the profile: every remaining level is don't-care for it,
 		// so it matches every event that reaches this node. It is parked in
@@ -590,7 +532,7 @@ func (m *merger) merge(l int, old, b int32) int32 {
 		var set []int32
 		if set, parked = m.edited(o.extra); parked {
 			var run []int32
-			rec.parked, run = m.c.ints(l, len(set))
+			rec.parked, run = t.newInts(len(set))
 			rec.nParked = int32(copy(run, set))
 		}
 	} else {
@@ -604,15 +546,15 @@ func (m *merger) merge(l int, old, b int32) int32 {
 	case m.drop && !parked && rec.nSub == o.nSubrange && slices.Equal(buf, o.edges):
 	default:
 		if len(c.extra) == 0 {
-			rec.edges = m.c.edges(l, buf)
-			rec.layout = m.relay(l, &o, &View{Attr: o.Attr, edges: buf, nSubrange: rec.nSub}, rec.layout)
+			rec.edges = t.newEdges(buf)
+			rec.layout = m.relay(&o, &View{Attr: o.Attr, edges: buf, nSubrange: rec.nSub}, rec.layout)
 		}
 		var n *Node
-		out, n = m.c.node(l)
+		out, n = t.newNode()
 		*n = rec
 	}
-	m.memo[l][old] = out + 2
-	m.touched = append(m.touched, nodeAt{l, old})
+	m.memo[old] = out + 2
+	m.touched = append(m.touched, old)
 	return out
 }
 
@@ -641,7 +583,7 @@ func (m *merger) merge(l int, old, b int32) int32 {
 //
 //genas:builder
 func (m *merger) overlay(l int, old, b *View) ([]Edge, int32) {
-	dom := m.c.t.schema.At(int(old.Attr)).Domain
+	dom := m.t.schema.At(int(old.Attr)).Domain
 	discrete := dom.Kind() != schema.KindNumeric
 	buf := m.edges[l][:0]
 	ga, gb := edgeAt(old, int(old.nSubrange)), edgeAt(b, int(b.nSubrange))
@@ -706,7 +648,7 @@ func (m *merger) overlay(l int, old, b *View) ([]Edge, int32) {
 	return buf, nSub
 }
 
-// relay returns the probe tree of n, old's merge at level l: old's own,
+// relay returns the probe tree of n, old's merge: old's own,
 // which starts at layout, where their subrange edges are the same, else old's
 // with the smallest subtree covering the changed keys laid out afresh under
 // the edit's weights — found by walking down from the root, the empty slot
@@ -715,7 +657,7 @@ func (m *merger) overlay(l int, old, b *View) ([]Edge, int32) {
 // them are weighed.
 //
 //genas:builder
-func (m *merger) relay(l int, old, n *View, layout int32) int32 {
+func (m *merger) relay(old, n *View, layout int32) int32 {
 	oe, ne := old.edges[:old.nSubrange], n.edges[:n.nSubrange]
 	same, p, s := min(len(oe), len(ne)), 0, 0 // the common prefix and suffix
 	for p < same && sameIv(&oe[p], &ne[p]) {
@@ -740,10 +682,10 @@ func (m *merger) relay(l int, old, n *View, layout int32) int32 {
 		}
 	}
 	d := len(ne) - len(oe)
-	off, out := m.c.ints(l, len(ne))
+	off, out := m.t.newInts(len(ne))
 	out = shifted(out[:0], old.layout[:pos], hi, d)
 	if lo <= hi+d {
-		m.sc.weigh(n, m.c.t.schema.At(int(n.Attr)).Domain, m.vo, lo, hi+d)
+		m.sc.weigh(n, m.t.schema.At(int(n.Attr)).Domain, m.vo, lo, hi+d)
 		out = m.sc.lay(out, lo, hi+d+1)
 	}
 	shifted(out, old.layout[pos+hi-lo+1:], hi, d)
@@ -776,14 +718,16 @@ func (m *merger) edge(l int, iv Interval, ea, eb *Edge) Edge {
 		return edgeOver(iv, eb.To)
 	case eb == nil:
 		return edgeOver(iv, ea.To)
-	case l+1 == len(m.c.t.lv):
-		switch s, changed := m.edited(m.c.t.Leaf(ea.To)); {
+	case l+1 == len(m.t.attrOrder):
+		switch s, changed := m.edited(m.t.Leaf(ea.To)); {
 		case !changed:
 			return edgeOver(iv, ea.To)
 		case len(s) == 0:
 			return edgeOver(iv, none)
 		default:
-			return edgeOver(iv, m.c.leaf(s))
+			to, run := m.t.newLeaf(len(s))
+			copy(run, s)
+			return edgeOver(iv, to)
 		}
 	}
 	return edgeOver(iv, m.merge(l+1, ea.To, eb.To))
@@ -816,8 +760,8 @@ func (m *merger) sameState(l int, a, b Edge, deep bool) bool {
 	case !deep || a.To == none || b.To == none:
 		return false
 	}
-	t := m.c.t
-	if l+1 == len(t.lv) {
+	t := m.t
+	if l+1 == len(t.attrOrder) {
 		return slices.Equal(t.Leaf(a.To), t.Leaf(b.To))
 	}
 	x, y := t.Node(l+1, a.To), t.Node(l+1, b.To)

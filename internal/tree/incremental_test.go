@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"genas/internal/predicate"
 	"genas/internal/schema"
@@ -357,10 +358,10 @@ func TestWithProfileStatsTracked(t *testing.T) {
 }
 
 // TestReorderedReleasesWhatItReplaces: Build carves a tree from chunks, and a
-// chunk lives as long as anything in it. A whole reorder replaces every node
-// and bucket list and shares only the last level's edges and the profile sets,
-// so once the predecessor is dropped the heap must be back near one tree — one
-// arena for all levels kept the entire predecessor alive behind those edges.
+// chunk lives as long as anything in it. A whole reorder copies every node
+// and leaf set into a fresh line, so once the predecessor is dropped the heap
+// must be back near one tree: a reorder that carved into the predecessor's
+// line, or shared its leaf sets, would keep its chunks alive.
 func TestReorderedReleasesWhatItReplaces(t *testing.T) {
 	s := incrSchema(t)
 	rng := rand.New(rand.NewSource(11))
@@ -398,6 +399,101 @@ func TestReorderedReleasesWhatItReplaces(t *testing.T) {
 		t.Errorf("a whole reorder of a %d KB tree leaves %d KB live: the predecessor is still held", built>>10, after>>10)
 	}
 	runtime.KeepAlive(tr)
+}
+
+// TestReorderedLines: a reorder above the last level carves its copies into
+// its predecessor's line, as an edit does: the line holds more bytes after
+// it, the levels it copies are fresh nodes, and the levels below are the
+// predecessor's, shared by id. A reorder that reaches the last level starts a
+// line of its own, whose slabs share no chunk with the predecessor's. Both
+// match as the predecessor does.
+func TestReorderedLines(t *testing.T) {
+	s, profile := churnCorpus(t)
+	corpus := make([]*predicate.Profile, 300)
+	for i := range corpus {
+		corpus[i] = profile(i)
+	}
+	tr, err := Build(s, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 20 {
+		tr, _ = tr.WithProfile(profile(len(corpus)+i), NaturalOrder())
+	}
+	held := tr.line.held
+	part, resorted, _ := tr.Reordered(saltedMass(3), tr.attrOrder[1])
+	if part.line != tr.line || part.line.held <= held {
+		t.Errorf("a reorder of level 1 did not carve into its predecessor's line (same line %v, %d bytes held, %d before)",
+			part.line == tr.line, part.line.held, held)
+	}
+	was := tr.Levels()
+	for l, ids := range part.Levels() {
+		for _, id := range ids {
+			switch shared := slices.Contains(was[l], id); {
+			case l <= 1 && shared:
+				t.Fatalf("level %d: the reorder kept node %d, which it copies", l, id)
+			case l > 1 && (!shared || part.st.nodes.at(id) != tr.st.nodes.at(id)):
+				t.Fatalf("level %d: node %d is not the predecessor's", l, id)
+			}
+		}
+		if l > 1 && len(ids) != len(was[l]) {
+			t.Fatalf("level %d: %d nodes, the predecessor's %d", l, len(ids), len(was[l]))
+		}
+	}
+	if sharedPages(&part.st, &tr.st) == 0 {
+		t.Error("a partial reorder shares no page with its predecessor")
+	}
+	whole, _, _ := tr.Reordered(saltedMass(5))
+	if whole.line == tr.line {
+		t.Error("a whole reorder carved into its predecessor's line")
+	}
+	if shared := sharedPages(&whole.st, &tr.st); shared > 0 {
+		t.Errorf("a whole reorder shares %d pages with its predecessor", shared)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for range 500 {
+		vals := randomEvent(s, rng)
+		want, _ := tr.Match(vals)
+		for name, r := range map[string]*Tree{"partial": part, "whole": whole} {
+			if got, _ := r.Match(vals); !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))) {
+				t.Fatalf("%s reorder: %v matches %v, the predecessor %v", name, vals, got, want)
+			}
+		}
+	}
+	t.Logf("the partial reorder re-laid %d nodes and carved %d KB into the line", resorted, (part.line.held-held)>>10)
+}
+
+// sharedPages counts the pages of a's slabs whose memory overlaps a page of
+// b's.
+func sharedPages(a, b *store) int {
+	var spans [2][][2]uintptr
+	for i, st := range []*store{a, b} {
+		spans[i] = pageSpans(spans[i], &st.nodes)
+		spans[i] = pageSpans(spans[i], &st.edges)
+		spans[i] = pageSpans(spans[i], &st.ints)
+		spans[i] = pageSpans(spans[i], &st.sets)
+	}
+	n := 0
+	for _, x := range spans[0] {
+		for _, y := range spans[1] {
+			if x[0] < y[1] && y[0] < x[1] {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// pageSpans appends the memory of each page of s as a [start, end) span.
+func pageSpans[T any](out [][2]uintptr, s *slab[T]) [][2]uintptr {
+	for _, p := range s.pages {
+		if len(p) > 0 {
+			lo := uintptr(unsafe.Pointer(&p[0]))
+			out = append(out, [2]uintptr{lo, lo + uintptr(len(p))*unsafe.Sizeof(p[0])})
+		}
+	}
+	return out
 }
 
 // TestMatchAppendLeavesLeafSetsAlone: on a tree whose incremental inserts

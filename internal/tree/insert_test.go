@@ -955,8 +955,9 @@ func TestSuccessorsLeavePredecessorsAlone(t *testing.T) {
 }
 
 // TestSiblingsEditConcurrently: a line's head takes edits on one goroutine
-// while another derives a successor from each older tree of the line, whose
-// new lines copy the page tables they extend. A copy holds the entries the
+// while another derives from each older tree of the line an insert and a
+// partial reorder, which carves into a line as an edit does. Each sibling's
+// new line copies the page tables it extends: a copy holds the entries the
 // older tree reaches and none the head is writing past them, so the race
 // detector finds nothing, and each sibling matches as brute force says.
 func TestSiblingsEditConcurrently(t *testing.T) {
@@ -997,17 +998,20 @@ func TestSiblingsEditConcurrently(t *testing.T) {
 		}
 	}()
 	for k, old := range line[:len(line)-1] {
-		sib, pi := old.WithProfile(sibs[k], NaturalOrder())
-		for _, vals := range grid {
-			got, _ := sib.Match(vals)
-			var want []int32
-			for i, p := range sib.Profiles() {
-				if p.Matches(vals) {
-					want = append(want, int32(i))
+		sib, _ := old.WithProfile(sibs[k], NaturalOrder())
+		re, _, _ := old.Reordered(saltedMass(float64(k)), old.attrOrder[k%(s.N()-1)])
+		for name, sib := range map[string]*Tree{"insert": sib, "reorder": re} {
+			for _, vals := range grid {
+				got, _ := sib.Match(vals)
+				var want []int32
+				for i, p := range sib.Profiles() {
+					if p.Matches(vals) {
+						want = append(want, int32(i))
+					}
 				}
-			}
-			if got = slices.Sorted(slices.Values(got)); !slices.Equal(got, want) {
-				t.Fatalf("sibling %d (index %d): probe %v matches %v, brute force %v", k, pi, vals, got, want)
+				if got = slices.Sorted(slices.Values(got)); !slices.Equal(got, want) {
+					t.Fatalf("sibling %s of tree %d: probe %v matches %v, brute force %v", name, k, vals, got, want)
+				}
 			}
 		}
 	}

@@ -25,9 +25,8 @@ func (t *Tree) Match(vals []float64) (matched []int32, ops int) {
 //
 //genas:hotpath
 func (t *Tree) MatchAppend(vals []float64, acc []int32) (matched, grown []int32, ops int) {
-	id, start, last := t.root, len(acc), len(t.lv)-1
+	s, id, start, last := &t.st, t.root, len(acc), len(t.attrOrder)-1
 	for l := 0; ; l++ {
-		s := &t.lv[l]
 		n := s.nodes.at(id)
 		if n.nParked > 0 {
 			acc = append(acc, s.ints.run(n.parked, int(n.nParked))...)
@@ -56,9 +55,8 @@ func (t *Tree) MatchAppend(vals []float64, acc []int32) (matched, grown []int32,
 // walk, stopping at the first hit instead of collecting, so it never
 // allocates.
 func (t *Tree) MatchAny(vals []float64) bool {
-	id, last := t.root, len(t.lv)-1
+	s, id, last := &t.st, t.root, len(t.attrOrder)-1
 	for l := 0; ; l++ {
-		s := &t.lv[l]
 		n := s.nodes.at(id)
 		if n.nParked > 0 {
 			return true
@@ -75,8 +73,8 @@ func (t *Tree) MatchAny(vals []float64) bool {
 	}
 }
 
-// edgeRun returns the node's edges in its level s.
-func (n *Node) edgeRun(s *level) []Edge {
+// edgeRun returns the node's edges in the store s.
+func (n *Node) edgeRun(s *store) []Edge {
 	ne := int(n.nSub)
 	if n.trail {
 		ne++

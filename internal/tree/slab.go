@@ -5,20 +5,23 @@ import (
 	"unsafe"
 )
 
-// A tree keeps no pointers: every level stores its node records, their edges
-// and the int32 runs of their probe trees and parked sets in three slabs, the
-// leaf level its match sets in two more, and a record names another by its
-// index in the slab that holds it. The garbage collector never scans the
-// automaton, and a record costs its bytes and no header.
+// A tree keeps no pointers: it stores its records in four slabs, one per
+// kind — the node records, their edges, the int32 runs of the probe trees,
+// parked sets and match sets, and the match-set table — and a record names
+// another by its index in the slab that holds it. A slab is one index space
+// across the levels. The garbage collector never scans the automaton, and a
+// record costs its bytes and no header.
 //
 // A slab is chunks of records. A chunk starts on a page boundary of the
 // index space, and pages[i] is the chunk holding index i·pageSize, sliced
 // from that index to the chunk's end: a record is one lookup, and a run of
-// records, which never spans chunks, one slice. A Build's level is a few
-// chunks (growing), a Copied or Reordered level one chunk of exactly what it
-// holds. A line of edits carves further pages, each region on the next free
-// one, and hands its index space down: a successor reads its predecessor's
-// records by the same indices, and writes only past them.
+// records, which never spans chunks, one slice. Every record is carved from a
+// line (carve): a Build starts one and seals it, its newest chunks clipped to
+// what they hold; a Copied, or a Reordered that reaches the last level,
+// places one exact chunk per slab in a fresh line (place); and edits and
+// partial reorders carve further chunks into their predecessor's line. A
+// successor reads its predecessor's records by the same indices, and writes
+// only past them.
 type slab[T any] struct {
 	pages [][]T
 }
@@ -47,83 +50,12 @@ func (s *slab[T]) cut(n int) slab[T] { return slab[T]{pages: s.pages[:n:n]} }
 // entries.
 func (s *slab[T]) slots() int { return len(s.pages) << pageShift }
 
-// growing is a slab under construction by a Build or a copy: records taken
-// in runs, in chunks. The first chunk grows in place up to firstChunk
-// records, so that a small build is one chunk of what it holds; each later
-// one starts on the next page of the index space and holds firstChunk
-// records or a sixteenth of what came before, and is never copied but to
-// clip it once done with.
-type growing[T any] struct {
-	pages [][]T
-	cur   []T   // the newest chunk, up to its last record taken
-	base  int32 // the index of cur[0]
-	held  int   // the records of the chunks before cur
-}
-
-const firstChunk = 1 << 12
-
-// take returns the index of n fresh records, and the records.
-//
-//genas:builder
-func (g *growing[T]) take(n int) (int32, []T) {
-	if cap(g.cur)-len(g.cur) < n {
-		if g.held == 0 && len(g.cur)+n <= firstChunk || len(g.cur) == 0 {
-			g.cur = slices.Grow(g.cur, n)
-		} else {
-			g.held += len(g.cur)
-			g.pages = appendPages(g.pages, clipped(g.cur))
-			g.base = int32(len(g.pages) << pageShift)
-			g.cur = slices.Grow([]T(nil), max(n, g.held/16, firstChunk))
-		}
-	}
-	i := g.base + int32(len(g.cur))
-	g.cur = g.cur[:len(g.cur)+n]
-	return i, g.cur[len(g.cur)-n:]
-}
-
-// slab returns the records taken as a slab.
-//
-//genas:builder
-func (g *growing[T]) slab() slab[T] {
-	return slab[T]{pages: clipped(appendPages(g.pages, clipped(g.cur)))}
-}
-
-// clipped returns a chunk or a page table done with, copied to its length
-// where its capacity would waste more than a 128th of it.
-func clipped[T any](chunk []T) []T {
-	if cap(chunk)-len(chunk) > len(chunk)/128 {
-		return slices.Clone(chunk)
-	}
-	return chunk
-}
-
-// appendPages appends the page entries of chunk, which starts on a page.
-func appendPages[T any](pages [][]T, chunk []T) [][]T {
-	k := (len(chunk) + pageSize - 1) >> pageShift
-	pages = slices.Grow(pages, k)
-	for j := range k {
-		pages = append(pages, chunk[j<<pageShift:])
-	}
-	return pages
-}
-
-// level is the storage of one tree level: its node records, their edges, and
-// the runs of their probe trees and parked sets. A Build or a copy gives each
-// level chunks of its own: Reordered replaces a tree level by level, and a
-// chunk lives as long as anything in it, so a chunk shared with the levels
-// below would keep what a reorder replaced. (A line's chunks are shared, and
-// bounded with the line.)
-type level struct {
+// store is a tree's records, a slab per kind.
+type store struct {
 	nodes slab[Node]
 	edges slab[Edge]
 	ints  slab[int32]
-}
-
-// leafStore is the storage of the match sets: a table entry per distinct set,
-// which the leaf-level edges point to, and the sets' dense indices.
-type leafStore struct {
-	sets slab[span]
-	ints slab[int32]
+	sets  slab[span]
 }
 
 // span locates one run of a slab.
@@ -136,72 +68,39 @@ const (
 	spanBytes = int(unsafe.Sizeof(span{}))
 )
 
-// A line carves its records from chunks it shares among its levels, one
-// chunk run per record kind (a pool), and hands each level's slab whole pages
-// of them: a region of pages contiguous both in memory and in the slab's
-// index space, of which the level's tail carves runs. So a line mallocs about
-// as often as it would with one slab per kind, and a level's slab still maps
-// every page to one contiguous region.
-//
-// tail is where a line carves one slab: the free run of its newest region,
-// and the records its regions hold.
+// tail is where a line carves one slab: its newest chunk, which starts at
+// start and is free from free to end, and the records the line's chunks of
+// the kind hold.
 type tail struct {
-	free, end int32
-	held      int
+	start, free, end int32
+	held             int
 }
 
-// pool is the unassigned rest of a line's newest chunk of one kind, in whole
-// pages, and the records its chunks hold.
-type pool[T any] struct {
-	free []T
-	held int
+// tails are a line's tails, one per slab.
+type tails struct{ nodes, edges, ints, sets tail }
+
+// past returns the tail of a slab whose carving starts past every page s
+// holds: a line carves fresh chunks only, and grows a copy of every page
+// table it extends.
+func past[T any](s *slab[T]) tail {
+	i := int32(len(s.pages) << pageShift)
+	return tail{start: i, free: i, end: i}
 }
 
-// lineTails are a line's tails, a level's three and the leaf store's two, and
-// its pools.
-type lineTails struct {
-	levels     []levelTails
-	sets, ints tail
-	nodes      pool[Node]
-	edges      pool[Edge]
-	int32s     pool[int32]
-	spans      pool[span]
+// tailsPast starts a line's tails past every page of st.
+func tailsPast(st *store) tails {
+	return tails{nodes: past(&st.nodes), edges: past(&st.edges), ints: past(&st.ints), sets: past(&st.sets)}
 }
 
-type levelTails struct{ nodes, edges, ints tail }
-
-// newTails starts a line's tails past every page t's slabs hold: the line
-// carves fresh regions only, and grows a copy of every page table it extends.
-func newTails(t *Tree) lineTails {
-	past := func(pages int) tail {
-		i := int32(pages << pageShift)
-		return tail{free: i, end: i}
-	}
-	lt := lineTails{levels: make([]levelTails, len(t.lv)), sets: past(len(t.leaves.sets.pages)), ints: past(len(t.leaves.ints.pages))}
-	for i := range t.lv {
-		lt.levels[i].reset(&t.lv[i])
-	}
-	return lt
-}
-
-// reset points a level's tails past its slabs' pages, keeping what the line
-// holds.
-func (lt *levelTails) reset(l *level) {
-	lt.nodes.free = int32(len(l.nodes.pages) << pageShift)
-	lt.edges.free = int32(len(l.edges.pages) << pageShift)
-	lt.ints.free = int32(len(l.ints.pages) << pageShift)
-	lt.nodes.end, lt.edges.end, lt.ints.end = lt.nodes.free, lt.edges.free, lt.ints.free
-}
-
-// A level's regions grow with what its slab holds, an eighth of it, in whole
-// pages. The line's chunks grow with what its pool holds: an eighth of it,
-// at least the fixed count of its kind, up to maxChunk bytes. One insert
-// copies dozens of nodes and thousands of edges, so a young line's chunks
-// each hold a part of an insert and an old line's each hold many inserts, and
-// an insert mallocs a chunk once in several. A chunk lives while its line's
-// newest tree does, so one that holds many inserts keeps copies later inserts
-// superseded, until the line is worn and its head's copy into a fresh line
-// lets the old one go.
+// A line's chunks of a kind grow with what its chunks of the kind hold: an
+// eighth of it, at least the fixed count of its kind, up to maxChunk bytes.
+// One insert copies dozens of nodes and thousands of edges, so a young line's
+// chunks each hold a part of an insert and an old line's each hold many
+// inserts, and an insert mallocs a chunk once in several. A chunk lives while
+// its line's newest tree does, so one that holds many inserts keeps copies
+// later inserts superseded, until the line is worn and its head's copy into a
+// fresh line lets the old one go. A Build carves alike, and its seal clips
+// each newest chunk to what it holds.
 const (
 	nodeChunk = 8 * pageSize
 	edgeChunk = 8 * pageSize
@@ -210,102 +109,105 @@ const (
 	maxChunk  = 1 << 20
 )
 
-// carve hands out n fresh records of the slab pick finds in c's tree, at the
-// line's tail tl, refilling it with a region of whole pages from the line's
-// pool p, which a chunk of at least d records refills in turn once it has
-// not the pages n needs left. A page table the region outgrows is replaced by
-// a copy four times its size in the successor's own levels, so no tree that
-// shares the old table sees a write.
+// carve hands out n fresh records of slab s at the line's tail tl, placing a
+// fresh chunk of at least d records once the newest has not n left.
 //
 //genas:builder
-func carve[T any](c *carver, l int, pick func(*Tree, int) *slab[T], tl *tail, p *pool[T], n, d int) (int32, []T) {
+func carve[T any](l *lineage, s *slab[T], tl *tail, n, d int) (int32, []T) {
 	if int(tl.end-tl.free) < n {
-		need := (n + pageSize - 1) &^ (pageSize - 1)
-		if len(p.free) < need {
-			var rec T
-			size := int(unsafe.Sizeof(rec))
-			chunk := slices.Grow([]T(nil), max(need, d, min(p.held/8, maxChunk/size))) // Grow rounds the chunk up to its size class
-			p.free = chunk[: cap(chunk)&^(pageSize-1) : cap(chunk)&^(pageSize-1)]
-			p.held += len(p.free)
-			c.t.line.held += len(p.free) * size
-		}
-		// The region is an eighth of what the slab holds, or what the chunk
-		// has left, if less.
-		want := min(max(need, (tl.held/8)&^(pageSize-1)), len(p.free))
-		region := p.free[:want:want]
-		p.free = p.free[want:]
-		p0, k := int(tl.end+pageSize-1)>>pageShift, want>>pageShift
-		s := pick(c.t, l)
-		if p0+k > len(s.pages) {
-			c.own()
-			s = pick(c.t, l)
-			grown := make([][]T, max(4*len(s.pages), p0+k))
-			copy(grown, s.pages)
-			s.pages = grown
-		}
-		for j := range k {
-			s.pages[p0+j] = region[j<<pageShift:]
-		}
-		tl.free, tl.end = int32(p0<<pageShift), int32((p0+k)<<pageShift)
-		tl.held += want
+		var rec T
+		chunk := slices.Grow([]T(nil), max(n, d, min(tl.held/8, maxChunk/int(unsafe.Sizeof(rec)))))
+		place(l, s, tl, chunk[:cap(chunk)]) // Grow rounds the chunk up to its size class
 	}
 	i := tl.free
 	tl.free += int32(n)
-	return i, pick(c.t, l).run(i, n)
+	return i, s.run(i, n)
 }
 
-// carver writes a successor's new records into its line: the tree under
-// construction, and whether its levels are its own yet — a successor shares
-// its predecessor's until a page table must grow.
-type carver struct {
-	t     *Tree
-	owned bool
-}
-
+// place makes chunk the newest of slab s, on the first page past the tail
+// tl. A page table the chunk outgrows is replaced by a copy four times its
+// size in the successor's own store, so no tree that shares the old table
+// sees a write.
+//
 //genas:builder
-func (c *carver) own() {
-	if !c.owned {
-		c.t.lv, c.owned = slices.Clone(c.t.lv), true
+func place[T any](l *lineage, s *slab[T], tl *tail, chunk []T) {
+	p0, k := int(tl.end+pageSize-1)>>pageShift, (len(chunk)+pageSize-1)>>pageShift
+	if p0+k > len(s.pages) {
+		grown := make([][]T, max(4*len(s.pages), p0+k))
+		copy(grown, s.pages)
+		s.pages = grown
 	}
+	for j := range k {
+		s.pages[p0+j] = chunk[j<<pageShift:]
+	}
+	tl.start = int32(p0 << pageShift)
+	tl.free, tl.end = tl.start, tl.start+int32(len(chunk))
+	tl.held += len(chunk)
+	l.held += len(chunk) * int(unsafe.Sizeof(chunk[0]))
 }
 
-func pickNodes(t *Tree, l int) *slab[Node]   { return &t.lv[l].nodes }
-func pickEdges(t *Tree, l int) *slab[Edge]   { return &t.lv[l].edges }
-func pickInts(t *Tree, l int) *slab[int32]   { return &t.lv[l].ints }
-func pickSets(t *Tree, _ int) *slab[span]    { return &t.leaves.sets }
-func pickLeaves(t *Tree, _ int) *slab[int32] { return &t.leaves.ints }
+// clip ends a slab's carving by a Build or a copy: it clips the newest chunk
+// and the page table to what they hold, restarts the tail past them, and
+// returns the bytes carved.
+//
+//genas:builder
+func clip[T any](s *slab[T], tl *tail) int {
+	var rec T
+	carved := (tl.held - int(tl.end-tl.free)) * int(unsafe.Sizeof(rec))
+	if p0 := int(tl.start >> pageShift); tl.free > tl.start {
+		chunk := clipped(s.pages[p0][:tl.free-tl.start])
+		for j := 0; j<<pageShift < len(chunk); j++ {
+			s.pages[p0+j] = chunk[j<<pageShift:]
+		}
+	}
+	s.pages = clipped(s.pages[:(tl.free+pageSize-1)>>pageShift])
+	*tl = past(s)
+	return carved
+}
 
-// node carves one node record at level l.
-func (c *carver) node(l int) (int32, *Node) {
-	lt := &c.t.line.tails
-	i, r := carve(c, l, pickNodes, &lt.levels[l].nodes, &lt.nodes, 1, nodeChunk)
+// clipped returns a chunk or a page table done with, copied to its length
+// where its capacity would waste more than a 128th of it.
+func clipped[T any](chunk []T) []T {
+	if cap(chunk)-len(chunk) > len(chunk)/128 {
+		return slices.Clone(chunk)
+	}
+	return chunk
+}
+
+// seal ends a Build or a copy into t's fresh line: each slab clipped, and the
+// line's base the bytes carved.
+func (t *Tree) seal() {
+	l := t.line
+	l.base = clip(&t.st.nodes, &l.tails.nodes) + clip(&t.st.edges, &l.tails.edges) +
+		clip(&t.st.ints, &l.tails.ints) + clip(&t.st.sets, &l.tails.sets)
+	l.held = 0
+}
+
+// newNode carves one node record.
+func (t *Tree) newNode() (int32, *Node) {
+	i, r := carve(t.line, &t.st.nodes, &t.line.tails.nodes, 1, nodeChunk)
 	return i, &r[0]
 }
 
-// edges commits a scratch-built edge list at level l.
+// newEdges carves a copy of an edge list.
 //
 //genas:builder
-func (c *carver) edges(l int, src []Edge) int32 {
-	lt := &c.t.line.tails
-	i, r := carve(c, l, pickEdges, &lt.levels[l].edges, &lt.edges, len(src), edgeChunk)
+func (t *Tree) newEdges(src []Edge) int32 {
+	i, r := carve(t.line, &t.st.edges, &t.line.tails.edges, len(src), edgeChunk)
 	copy(r, src)
 	return i
 }
 
-// ints carves n int32s at level l: a probe tree or a parked set.
-func (c *carver) ints(l, n int) (int32, []int32) {
-	lt := &c.t.line.tails
-	return carve(c, l, pickInts, &lt.levels[l].ints, &lt.int32s, n, intChunk)
+// newInts carves n int32s: a probe tree, a parked set or a match set.
+func (t *Tree) newInts(n int) (int32, []int32) {
+	return carve(t.line, &t.st.ints, &t.line.tails.ints, n, intChunk)
 }
 
-// leaf commits a match set to the leaf store and returns its table entry.
-//
-//genas:builder
-func (c *carver) leaf(set []int32) int32 {
-	lt := &c.t.line.tails
-	off, r := carve(c, 0, pickLeaves, &lt.ints, &lt.int32s, len(set), intChunk)
-	copy(r, set)
-	i, e := carve(c, 0, pickSets, &lt.sets, &lt.spans, 1, setChunk)
-	e[0] = span{off, int32(len(set))}
-	return i
+// newLeaf carves a match set of n dense indices with its table entry, and
+// returns the entry and the set's run.
+func (t *Tree) newLeaf(n int) (int32, []int32) {
+	off, run := t.newInts(n)
+	i, e := carve(t.line, &t.st.sets, &t.line.tails.sets, 1, setChunk)
+	e[0] = span{off, int32(n)}
+	return i, run
 }

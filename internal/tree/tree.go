@@ -22,11 +22,12 @@
 // at the same level point to the same node, which keeps the automaton
 // polynomial in practice even for tens of thousands of profiles.
 //
-// The automaton holds no pointers (slab.go): each level keeps its 24-byte
-// node records, its 24-byte edge records and the int32 runs of its probe
-// trees and parked sets in slabs, and a node is its index in its level's
-// node slab. An edge leads to the next level's node by index or, at the leaf
-// level, to an entry of the leaf-set table.
+// The automaton holds no pointers (slab.go): a tree keeps its 24-byte node
+// records, its 24-byte edge records, the int32 runs of its probe trees,
+// parked sets and match sets, and the match-set table in four slabs, each
+// one index space across the levels, and a node is its index in the node
+// slab. An edge leads to the next level's node by index or, at the leaf
+// level, to an entry of the match-set table.
 package tree
 
 import (
@@ -62,8 +63,8 @@ const (
 	EdgeStar
 )
 
-// Edge is one labeled transition of the automaton: a 24-byte record in its
-// level's edge slab. Its kind is its place in the node (View.Kind): the
+// Edge is one labeled transition of the automaton: a 24-byte record in the
+// tree's edge slab. Its kind is its place in the node (View.Kind): the
 // subrange edges come first, in natural order, and a complement or star edge
 // trails them.
 //
@@ -131,8 +132,8 @@ func (e *Edge) setHi(iv Interval) {
 func (e *Edge) after(v float64) bool  { return e.Lo > v || e.Lo == v && e.open&openLo != 0 }
 func (e *Edge) before(v float64) bool { return e.Hi < v || e.Hi == v && e.open&openHi != 0 }
 
-// Node is one automaton state: a 24-byte record in its level's node slab,
-// locating its runs in the level's other slabs. Its edges are the only stored
+// Node is one automaton state: a 24-byte record in the tree's node slab,
+// locating its runs in the other slabs. Its edges are the only stored
 // form of its partition of the domain: the pieces between them are derived
 // (Pieces).
 //
@@ -142,15 +143,15 @@ func (e *Edge) before(v float64) bool { return e.Hi < v || e.Hi == v && e.open&o
 //
 //genas:frozen
 type Node struct {
-	// edges is the node's first edge in the level's edge slab, nSub of them
+	// edges is the node's first edge in the edge slab, nSub of them
 	// subrange edges in natural ascending order, a complement or star edge
 	// following them where trail is set.
 	edges int32
 	// layout is the first entry of the probe tree over the subrange edges, in
-	// preorder (weighted.go), in the level's int slab: nSub entries.
+	// preorder (weighted.go), in the int slab: nSub entries.
 	layout int32
-	// parked is the first of the nParked profiles parked here in the level's
-	// int slab, matched by every event reaching this node: those that
+	// parked is the first of the nParked profiles parked here in the int
+	// slab, matched by every event reaching this node: those that
 	// constrain no level from this one down. Build and the incremental insert
 	// alike park a profile in the first node it reaches below its last
 	// constrained level, instead of carrying it into every leaf of the
@@ -165,8 +166,8 @@ type Node struct {
 // View is one node read out of its tree's slabs: where it is, what it tests,
 // and its runs, which are the tree's storage (callers must not mutate them).
 type View struct {
-	// Level is the 0-based tree level, ID the node's index in the level's
-	// node slab; Attr the schema attribute tested.
+	// Level is the 0-based tree level, ID the node's index in the node slab;
+	// Attr the schema attribute tested.
 	Level, Attr int16
 	ID          int32
 	edges       []Edge
@@ -199,9 +200,9 @@ type nodeAt struct {
 	id int32
 }
 
-// Node returns node id of level l, read out of the level's slabs.
+// Node returns node id, which level l holds, read out of the tree's slabs.
 func (t *Tree) Node(l int, id int32) View {
-	s := &t.lv[l]
+	s := &t.st
 	r := s.nodes.at(id)
 	return View{
 		Level: int16(l), Attr: r.attr, ID: id, nSubrange: r.nSub,
@@ -213,13 +214,13 @@ func (t *Tree) Node(l int, id int32) View {
 
 // Leaf returns the match set of a leaf-level edge's table entry.
 func (t *Tree) Leaf(id int32) []int32 {
-	sp := t.leaves.sets.at(id)
-	return t.leaves.ints.run(sp.off, int(sp.n))
+	sp := t.st.sets.at(id)
+	return t.st.ints.run(sp.off, int(sp.n))
 }
 
-// Slots bounds the node ids of level l: a table indexed by node id needs this
-// many entries.
-func (t *Tree) Slots(l int) int { return t.lv[l].nodes.slots() }
+// Slots bounds the node ids: a table indexed by node id needs this many
+// entries.
+func (t *Tree) Slots() int { return t.st.nodes.slots() }
 
 // graphMeta holds the per-level node lists and size statistics of one node
 // graph, computed by walking it on first use. It hangs off the Tree behind a
@@ -235,21 +236,18 @@ type graphMeta struct {
 
 // fill computes the meta by walking t's node graph depth first.
 func (m *graphMeta) fill(t *Tree) {
-	height := len(t.lv)
+	height := len(t.attrOrder)
 	m.levels = make([][]int32, height)
-	seen := make([][]bool, height)
-	for l := range seen {
-		seen[l] = make([]bool, t.Slots(l))
-	}
+	seen := make([]bool, t.Slots())
 	stack := []nodeAt{{0, t.root}}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[n.l][n.id] {
+		if seen[n.id] {
 			m.shared++
 			continue
 		}
-		seen[n.l][n.id] = true
+		seen[n.id] = true
 		v := t.Node(n.l, n.id)
 		m.nodes++
 		m.edges += len(v.edges)
@@ -268,9 +266,8 @@ type Tree struct {
 	profiles  []*predicate.Profile
 	attrOrder []int // attrOrder[level] = schema attribute index
 	root      int32
-	// lv is the storage of each level, leaves that of the match sets.
-	lv     []level
-	leaves leafStore
+	// st holds the records of every level.
+	st store
 	// vo is the weights the probe trees were laid out for: Build's and
 	// Reordered's, handed down by edits, which lay out what they re-cut
 	// under it.
@@ -283,8 +280,8 @@ type Tree struct {
 	gone []int
 
 	meta *graphMeta
-	// line is the line of edits this tree belongs to: nil on a Build, whose
-	// first successor starts a line.
+	// line is the line of edits this tree belongs to: a Build or a Copied
+	// starts one.
 	line *lineage
 }
 
@@ -337,17 +334,21 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 		return nil, fmt.Errorf("%w: %d", ErrTooWide, s.N())
 	}
 
+	// The tree heads a line of its own, whose head appends to the profile
+	// array: the caller's array is never written.
 	t := &Tree{
 		schema:    s,
-		profiles:  profiles,
+		profiles:  slices.Clip(profiles),
 		attrOrder: cfg.attrOrder,
 		vo:        cfg.vo,
 		meta:      &graphMeta{},
+		line:      &lineage{},
 	}
+	t.line.head.Store(t)
 
 	// Every interval endpoint is ranked once per attribute, the attributes at
 	// once; a constraint table and its intervals live only until then.
-	b := builder{t: t, ix: make([]*subrange.Index, s.N()), memo: make(map[uint64]state), lv: make([]built, s.N())}
+	b := builder{t: t, ix: make([]*subrange.Index, s.N()), memo: make(map[uint64]state)}
 	par.For(par.Workers(s.N()*len(profiles), rankGrain), s.N(), 1, func(_, attr int) {
 		dom := s.At(attr).Domain
 		cons := make([]subrange.Constraint, len(profiles))
@@ -374,18 +375,8 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 		}
 	}
 	b.build(all)
-	t.lv = make([]level, s.N())
-	for l, bl := range b.lv {
-		t.lv[l] = bl.level()
-	}
-	t.leaves = leafStore{sets: b.sets.slab(), ints: b.leafInts.slab()}
-	var laid []nodeAt
-	for l, bl := range b.lv {
-		for i := range bl.nodes.cur {
-			laid = append(laid, nodeAt{l, int32(i)})
-		}
-	}
-	t.layOut(cfg.vo, laid)
+	t.layOut(cfg.vo, b.laid)
+	t.seal()
 	return t, nil
 }
 
@@ -404,8 +395,8 @@ func isPermutation(order []int, n int) bool {
 }
 
 // builder carries one Build: the rank index of every attribute, the memo
-// that keeps equivalent states shared, and the records of every level as
-// they are assembled, which the tree's slabs are sealed from.
+// that keeps equivalent states shared, and every node carved with its level,
+// which layOut lays out.
 type builder struct {
 	t    *Tree
 	ix   []*subrange.Index // by schema attribute
@@ -416,33 +407,10 @@ type builder struct {
 	// one node's edges in the commit.
 	sw    []sweeper
 	edges []Edge
-	// lv holds each level's records, sets and leafInts the match sets.
-	lv       []built
-	sets     growing[span]
-	leafInts growing[int32]
+	laid  []nodeAt
 	// own stores the alive sets of the states: the memo's keys, which no
 	// record keeps, so they die with the build.
 	own []int
-}
-
-// built is one level's records as the builder or a copier appends them: in
-// a Build node i is the level's i-th state in frontier order. A copier keeps
-// its memo of the level beside them — memo[id] is the copy of node id plus
-// one, −1 once the sizing walk counted it, 0 before — and size, the count of
-// the nodes, edges and ints it will append.
-type built struct {
-	nodes growing[Node]
-	edges growing[Edge]
-	ints  growing[int32]
-	memo  []int32
-	size  [3]int
-}
-
-// level returns the level's slabs.
-//
-//genas:builder
-func (b *built) level() level {
-	return level{nodes: b.nodes.slab(), edges: b.edges.slab(), ints: b.ints.slab()}
 }
 
 // Build's parallel stages run inline below these sizes: the profiles times
@@ -456,8 +424,9 @@ const (
 )
 
 // state is a memoised alive set: the set as the first edge carrying it into
-// level wrote it down, and what was made of it — the next level's node or, at
-// the tree's height, the entry of the match set the tree stores once.
+// level wrote it down, and what was made of it — the level's node, carved
+// when the set is first found, or, at the tree's height, the entry of the
+// match set the tree stores once.
 type state struct {
 	level int
 	to    int32
@@ -467,22 +436,23 @@ type state struct {
 // build assembles the automaton level by level from the root, whose alive set
 // is all. Workers sweep a batch of the frontier into their own buffers, then
 // one commit takes the batch in frontier order: it interns each child set in
-// the memo, numbers the nodes of the new states — the next frontier, in the
-// order a depth-first build would reach them — and appends the records to
-// their level. So sharing and the node numbering are those of a build that
+// the memo, carves the nodes of the new states — the next frontier, in the
+// order a depth-first build would reach them — and writes the committed
+// node's record. So sharing and the node numbering are those of a build that
 // descends one state at a time.
 //
 //genas:builder
 func (b *builder) build(all []int) {
-	front, next := [][]int{all}, [][]int(nil)
+	root := state{alive: all}
+	root.to, _ = b.t.newNode()
+	b.t.root, b.laid = root.to, []nodeAt{{0, root.to}}
+	front, next := []state{root}, []state(nil)
 	var res []swept
-	for level := range b.lv {
-		bl := &b.lv[level]
-		bl.nodes.cur = make([]Node, 0, len(front)) // a node per frontier state
+	for level := range b.t.attrOrder {
 		for from := 0; from < len(front); {
 			to, weight := from, 0
 			for ; to < len(front) && weight < batchWeight; to++ {
-				weight += len(front[to]) * len(front[to])
+				weight += len(front[to].alive) * len(front[to].alive)
 			}
 			batch, w := front[from:to], par.Workers(weight, sweepGrain)
 			for len(b.sw) < w {
@@ -492,9 +462,9 @@ func (b *builder) build(all []int) {
 				b.sw[i].ints, b.sw[i].cuts = b.sw[i].ints[:0], b.sw[i].cuts[:0]
 			}
 			res = slices.Grow(res[:0], len(batch))[:len(batch)]
-			par.For(w, len(batch), 1, func(w, i int) { res[i] = b.sw[w].sweep(b, batch[i], level, w) })
+			par.For(w, len(batch), 1, func(w, i int) { res[i] = b.sw[w].sweep(b, batch[i].alive, level, w) })
 			for i := range batch {
-				next = b.commit(level, res[i], next)
+				next = b.commit(level, batch[i].to, res[i], next)
 			}
 			from = to
 		}
@@ -579,20 +549,20 @@ func (sw *sweeper) cut(iv schema.Interval, level int, x, y []int) {
 	sw.cuts = append(sw.cuts, cut{iv: iv, h: h, lo: lo, hi: len(sw.ints)})
 }
 
-// commit appends the level's next node, the state its sweep r describes: its
+// commit writes node id of the level, the state its sweep r describes: its
 // parked profiles, and an edge per cut leading to what the cut's set leads
 // to. A set seen before at the next level leads to its state; a new one is
 // memoised — at the tree's height as a match set the tree stores once, above
-// it as the next level's next node, appended to the next frontier. The
-// node's probe tree gets its storage, which layOut fills.
+// it as a node of the next level, carved now and appended to the next
+// frontier. The node's probe tree gets its storage, which layOut fills.
 //
 //genas:builder
-func (b *builder) commit(level int, r swept, next [][]int) [][]int {
-	sw, bl, t := &b.sw[r.w], &b.lv[level], b.t
+func (b *builder) commit(level int, id int32, r swept, next []state) []state {
+	sw, t := &b.sw[r.w], b.t
 	n := Node{attr: int16(t.attrOrder[level]), nSub: int32(r.nSubrange), trail: r.to-r.from > r.nSubrange}
 	if r.parked > r.park {
 		var run []int32
-		n.parked, run = bl.ints.take(r.parked - r.park)
+		n.parked, run = t.newInts(r.parked - r.park)
 		n.nParked = int32(copyInt32(run, sw.ints[r.park:r.parked]))
 	}
 	edges := b.edges[:0]
@@ -605,26 +575,23 @@ func (b *builder) commit(level int, r swept, next [][]int) [][]int {
 		switch {
 		case ok:
 		case child == t.schema.N():
-			off, run := b.leafInts.take(len(set))
-			copyInt32(run, set)
-			var sp []span
+			var run []int32
 			st = state{level: child, alive: b.keep(set)}
-			st.to, sp = b.sets.take(1)
-			sp[0] = span{off, int32(len(set))}
+			st.to, run = t.newLeaf(len(set))
+			copyInt32(run, set)
 			b.memo[h] = st
 		default:
-			st = state{level: child, to: int32(len(next)), alive: b.keep(set)}
+			st = state{level: child, alive: b.keep(set)}
+			st.to, _ = t.newNode()
 			b.memo[h] = st
-			next = append(next, st.alive)
+			b.laid = append(b.laid, nodeAt{child, st.to})
+			next = append(next, st)
 		}
 		edges = append(edges, edgeOver(c.iv, st.to))
 	}
-	var run []Edge
-	n.edges, run = bl.edges.take(len(edges))
-	copy(run, edges)
-	n.layout, _ = bl.ints.take(r.nSubrange)
-	_, rec := bl.nodes.take(1)
-	rec[0] = n
+	n.edges = t.newEdges(edges)
+	n.layout, _ = t.newInts(r.nSubrange)
+	*t.st.nodes.at(id) = n
 	b.edges = edges
 	return next
 }
@@ -702,11 +669,7 @@ func (t *Tree) Stats() Stats {
 		Height:     t.schema.N(),
 		Profiles:   len(t.profiles),
 	}
-	last := len(t.lv) - 1
-	var sets []bool
-	if last >= 0 {
-		sets = make([]bool, t.leaves.sets.slots())
-	}
+	last, sets := len(t.attrOrder)-1, make([]bool, t.st.sets.slots())
 	for l, ids := range m.levels {
 		for _, id := range ids {
 			n := t.Node(l, id)
@@ -729,22 +692,18 @@ func (t *Tree) Stats() Stats {
 // paper-example tests. A node's parked profiles follow its attribute's name.
 func (t *Tree) Dump() string {
 	var b strings.Builder
-	seen := make([][]bool, len(t.lv))
-	for l := range seen {
-		seen[l] = make([]bool, t.Slots(l))
-	}
-	t.dumpNode(&b, t.Root(), 0, seen)
+	t.dumpNode(&b, t.Root(), 0, make([]bool, t.Slots()))
 	return b.String()
 }
 
-func (t *Tree) dumpNode(b *strings.Builder, n View, depth int, seen [][]bool) {
+func (t *Tree) dumpNode(b *strings.Builder, n View, depth int, seen []bool) {
 	indent := strings.Repeat("  ", depth)
 	name := t.schema.At(int(n.Attr)).Name
-	if seen[n.Level][n.ID] {
+	if seen[n.ID] {
 		fmt.Fprintf(b, "%s%s <shared>\n", indent, name)
 		return
 	}
-	seen[n.Level][n.ID] = true
+	seen[n.ID] = true
 	if len(n.extra) > 0 {
 		fmt.Fprintf(b, "%s%s parked %s\n", indent, name, t.idSet(n.extra))
 	} else {
@@ -759,7 +718,7 @@ func (t *Tree) dumpNode(b *strings.Builder, n View, depth int, seen [][]bool) {
 		case EdgeStar:
 			label = "*"
 		}
-		if int(n.Level)+1 < len(t.lv) {
+		if int(n.Level)+1 < len(t.attrOrder) {
 			fmt.Fprintf(b, "%s  %s ->\n", indent, label)
 			t.dumpNode(b, t.Node(int(n.Level)+1, e.To), depth+2, seen)
 			continue

@@ -307,7 +307,7 @@ func (n *View) layoutIsSearchTree() bool {
 
 // views returns t's reachable nodes per level, in the order Levels lists them.
 func views(t *Tree) [][]View {
-	out := make([][]View, len(t.lv))
+	out := make([][]View, len(t.attrOrder))
 	for l, ids := range t.Levels() {
 		for _, id := range ids {
 			out[l] = append(out[l], t.Node(l, id))
@@ -318,7 +318,7 @@ func views(t *Tree) [][]View {
 
 // child returns the node n's edge i leads to, and false at the leaf level.
 func (t *Tree) child(n View, i int) (View, bool) {
-	if int(n.Level)+1 == len(t.lv) {
+	if int(n.Level)+1 == len(t.attrOrder) {
 		return View{}, false
 	}
 	return t.Node(int(n.Level)+1, n.edges[i].To), true
@@ -326,7 +326,7 @@ func (t *Tree) child(n View, i int) (View, bool) {
 
 // leafOf returns the match set of n's edge i, nil above the leaf level.
 func (t *Tree) leafOf(n View, i int) []int32 {
-	if int(n.Level)+1 < len(t.lv) {
+	if int(n.Level)+1 < len(t.attrOrder) {
 		return nil
 	}
 	return t.Leaf(n.edges[i].To)
@@ -337,7 +337,7 @@ func (n View) at() nodeAt { return nodeAt{int(n.Level), n.ID} }
 
 // rec returns node n's record: two trees share a node where they share its
 // record.
-func (t *Tree) rec(n View) *Node { return t.lv[n.Level].nodes.at(n.ID) }
+func (t *Tree) rec(n View) *Node { return t.st.nodes.at(n.ID) }
 
 // ints returns a set of dense indices as ints.
 func ints(s []int32) []int {
