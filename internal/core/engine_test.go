@@ -93,32 +93,50 @@ func TestEngineAccount(t *testing.T) {
 }
 
 // TestEngineMeasuresChangeOrder: switching from uniform weights to a peaked
-// P_e (Measure V1) lowers the analytic cost under that distribution.
+// P_e (Measure V1) lowers the analytic cost under that distribution where the
+// weights lay a probe tree out: on a corpus whose nodes stay narrower than the
+// width from which a node is searched by interpolation. On a wider corpus the
+// interpolation search, which no weights change, costs no more than the
+// weighted probe tree did after the switch (1.749 operations per event).
 func TestEngineMeasuresChangeOrder(t *testing.T) {
 	s := testSchema(t)
 	eds := []dist.Dist{
 		dist.New(dist.PeakHigh(0.95), s.At(0).Domain),
 		dist.New(dist.UniformShape{}, s.At(1).Domain),
 	}
-	e := NewEngine(s, Config{})
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 40; i++ {
-		expr := fmt.Sprintf("profile(x = %d)", rng.Intn(100))
-		if err := e.AddProfile(predicate.MustParse(s, predicate.ID(fmt.Sprintf("p%d", i)), expr)); err != nil {
+	measure := func(profiles int) (uniform, v1 float64, rootEdges int) {
+		e := NewEngine(s, Config{})
+		rng := rand.New(rand.NewSource(2))
+		for i := 0; i < profiles; i++ {
+			expr := fmt.Sprintf("profile(x = %d)", rng.Intn(100))
+			if err := e.AddProfile(predicate.MustParse(s, predicate.ID(fmt.Sprintf("p%d", i)), expr)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		aUniform := selectivity.Analyze(e.Tree(), eds, selectivity.Probe)
+		e.SetConfig(Config{EventDists: eds})
+		if _, _, err := e.Reorder(); err != nil {
 			t.Fatal(err)
 		}
+		aV1, err := e.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return aUniform.TotalOps, aV1.TotalOps, len(e.Tree().Root().Edges())
 	}
-	aUniform := selectivity.Analyze(e.Tree(), eds, selectivity.Probe)
-	e.SetConfig(Config{EventDists: eds})
-	if _, _, err := e.Reorder(); err != nil {
-		t.Fatal(err)
+	const wideV1 = 1.749 // the 40-profile corpus's V1 cost under weighted probe trees alone
+	uniform, v1, edges := measure(40)
+	t.Logf("40 profiles, %d root edges: V1 %.3f, uniform weights %.3f", edges, v1, uniform)
+	if v1 > wideV1 || v1 > uniform {
+		t.Errorf("40 profiles: V1 %.3f, uniform weights %.3f: want at most %.3f and no more than uniform", v1, uniform, wideV1)
 	}
-	aV1, err := e.Analyze()
-	if err != nil {
-		t.Fatal(err)
+	uniform, v1, edges = measure(10)
+	t.Logf("10 profiles, %d root edges: V1 %.3f, uniform weights %.3f", edges, v1, uniform)
+	if edges >= 16 {
+		t.Fatalf("10 profiles: the root has %d edges, want a narrow node", edges)
 	}
-	if aV1.TotalOps >= aUniform.TotalOps {
-		t.Errorf("V1 %.3f must beat uniform weights %.3f on peaked events", aV1.TotalOps, aUniform.TotalOps)
+	if v1 >= uniform {
+		t.Errorf("10 profiles: V1 %.3f must beat uniform weights %.3f on peaked events", v1, uniform)
 	}
 }
 

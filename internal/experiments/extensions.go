@@ -149,8 +149,9 @@ func OperatorSweep(seed int64) (Table, error) {
 // SearchSweep contrasts all five node searches of the reproduction
 // analytically on one workload grid — the head-to-head the paper's outlook
 // calls for ("binary-, interpolation-, or hash-based search within
-// attribute-values") — and, on the same trees, the probe tree every service
-// searches with, weighted by the same P_e.
+// attribute-values") — and, on the same trees, the node search every service
+// runs: interpolation on a wide node, a probe tree weighted by the same P_e
+// on a narrow one.
 func SearchSweep(seed int64) (Table, error) {
 	combos := []combo{
 		{"equal", "equal"}, {"gauss", "equal"}, {"95% low", "equal"},
@@ -165,7 +166,7 @@ func SearchSweep(seed int64) (Table, error) {
 	for i, search := range searches {
 		t.Series[i].Label = search.String()
 	}
-	t.Series[len(searches)].Label = "weighted"
+	t.Series[len(searches)].Label = "production"
 	s := Schema1D()
 	for ci, c := range combos {
 		t.Columns = append(t.Columns, c.String())
@@ -188,8 +189,8 @@ func SearchSweep(seed int64) (Table, error) {
 			sc := NewScan(tr, search, V1(eds, true))
 			t.Series[i].Values = append(t.Series[i].Values, selectivity.Analyze(tr, eds, sc.Cost).TotalOps)
 		}
-		weighted := &t.Series[len(searches)]
-		weighted.Values = append(weighted.Values, selectivity.Analyze(tr, eds, selectivity.Probe).TotalOps)
+		production := &t.Series[len(searches)]
+		production.Values = append(production.Values, selectivity.Analyze(tr, eds, selectivity.Probe).TotalOps)
 	}
 	return t, nil
 }

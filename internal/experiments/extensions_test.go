@@ -67,7 +67,7 @@ func TestSearchSweep(t *testing.T) {
 	binary := find(t, tab, "binary")
 	nostop := find(t, tab, "linear-nostop")
 	linear := find(t, tab, "linear")
-	weighted := find(t, tab, "weighted")
+	production := find(t, tab, "production")
 
 	for i := range hash {
 		// Idealized hashing answers any discrete-domain lookup in one
@@ -80,9 +80,11 @@ func TestSearchSweep(t *testing.T) {
 			t.Errorf("early stop made linear worse at %s: %.2f > %.2f",
 				tab.Columns[i], linear[i], nostop[i])
 		}
-		// The probe tree balanced by P_e never loses to plain binary search.
-		if weighted[i] > binary[i]+1e-9 {
-			t.Errorf("the weighted probe costs %.3f at %s, binary search %.3f", weighted[i], tab.Columns[i], binary[i])
+		// The production search — interpolation on a wide node, the probe
+		// tree balanced by P_e on a narrow one — never loses to plain binary
+		// search.
+		if production[i] > binary[i]+1e-9 {
+			t.Errorf("the production search costs %.3f at %s, binary search %.3f", production[i], tab.Columns[i], binary[i])
 		}
 	}
 	// Interpolation beats binary when profile values are uniformly spread

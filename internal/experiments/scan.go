@@ -266,17 +266,25 @@ func (m *Scan) node(n tree.View) *scanNode {
 	for l.nSub < len(l.edges) && n.Kind(l.nSub) == tree.EdgeSubrange {
 		l.nSub++
 	}
+	for p := m.t.Pieces(n); p.Next(); {
+		// A wide node's walk yields its pieces in parts: a part that
+		// continues the last bucket's edge continues the bucket.
+		if k := len(l.buckets) - 1; k >= 0 && l.buckets[k].edge == p.Edge {
+			l.buckets[k].iv.Hi, l.buckets[k].iv.HiOpen = p.Iv.Hi, p.Iv.HiOpen
+			continue
+		}
+		l.buckets = append(l.buckets, bucket{iv: p.Iv, edge: p.Edge})
+	}
 	var entries []orderEntry
 	var comp []tree.Interval
 	compEdge := -1
-	for p := m.t.Pieces(n); p.Next(); {
-		l.buckets = append(l.buckets, bucket{iv: p.Iv, edge: p.Edge})
-		if p.Edge >= l.nSub {
-			comp = append(comp, p.Iv)
-			compEdge = p.Edge
+	for bi, b := range l.buckets {
+		if b.edge >= l.nSub {
+			comp = append(comp, b.iv)
+			compEdge = b.edge
 			continue
 		}
-		entries = append(entries, orderEntry{score: m.order.Rank(attr, []tree.Interval{p.Iv}), nat: len(l.buckets) - 1, edge: p.Edge})
+		entries = append(entries, orderEntry{score: m.order.Rank(attr, []tree.Interval{b.iv}), nat: bi, edge: b.edge})
 	}
 	if compEdge >= 0 {
 		entries = append(entries, orderEntry{score: m.order.Rank(attr, comp), nat: len(l.buckets), edge: compEdge})

@@ -29,16 +29,16 @@
 // An edit walks and lays out only what it changes in a node it copies. Where
 // the chain's node has subrange edges only, the profile's region is a span of
 // the domain: old's edges below and above it are copied in bulk, and only the
-// pieces across it are walked. The copy's probe tree is old's, in which only
-// the smallest subtree covering the keys the edit changed is laid out afresh
-// under the tree's weights, so an edited automaton probes about as cheaply as
-// the one Build lays out. Successors are generally not the canonical tree
-// Build would produce (distinct nodes may hold equal states), but their match
-// sets are identical, which the oracle equivalence tests pin, and their graph
-// stays within a small factor of a Build's, so nothing rebuilds them. What a
-// line of edits and partial reorders accumulates, the copies its chunks hold
-// and the removed dense indices, goes when the line is Worn and its head
-// Copied.
+// pieces across it are walked. A wide copy (interpMin) has no probe tree to
+// lay out; a narrow one keeps old's where its subrange edges are old's, and is
+// otherwise laid out afresh under the tree's weights — fewer than interpMin
+// keys — so an edited automaton probes as cheaply as the one Build lays out.
+// Successors are generally not the canonical tree Build would produce
+// (distinct nodes may hold equal states), but their match sets are identical,
+// which the oracle equivalence tests pin, and their graph stays within a
+// small factor of a Build's, so nothing rebuilds them. What a line of edits
+// and partial reorders accumulates, the copies its chunks hold and the
+// removed dense indices, goes when the line is Worn and its head Copied.
 
 package tree
 
@@ -58,8 +58,7 @@ import (
 // is unchanged and keeps working; untouched subtrees are shared between the
 // two. The successor is the merge of the receiver with p's one-profile
 // automaton, memoized by the receiver's nodes. It records vo and lays out
-// under it the nodes p alone continues and, in each node p's intervals
-// re-cut, the smallest subtree of the probe tree covering the changed keys;
+// under it the narrow nodes p alone continues and those p's intervals re-cut;
 // the nodes p rides through keep their probe trees.
 func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 	np := len(t.profiles)
@@ -68,11 +67,10 @@ func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 
 // WithoutProfile returns a successor tree without dense index pi: the merge
 // of WithProfile run backwards, which takes pi out of every parked and leaf
-// set along its paths and rejoins the pieces it leaves with equal states. In
-// a node whose subrange edges changed, the smallest subtree of the probe tree
-// covering the changed keys is laid out afresh under the weights the receiver
-// records; every other node keeps its probe tree. Removing an index no set
-// holds changes no match set.
+// set along its paths and rejoins the pieces it leaves with equal states. A
+// narrow node whose subrange edges changed is laid out afresh under the
+// weights the receiver records; every other node keeps its probe tree.
+// Removing an index no set holds changes no match set.
 // The index stays taken: Profiles still lists pi's profile, which no set
 // lists any more.
 func (t *Tree) WithoutProfile(pi int) *Tree {
@@ -211,8 +209,8 @@ func (t *Tree) reached() store {
 				sp := s.sets.at(e[i].To)
 				sets, ints = max(sets, e[i].To+1), max(ints, sp.off+sp.n)
 			}
-			if r.nSub > 0 {
-				ints = max(ints, r.layout+r.nSub)
+			if k := int32(layoutLen(r.nSub)); k > 0 {
+				ints = max(ints, r.layout+k)
 			}
 			if r.nParked > 0 {
 				ints = max(ints, r.parked+r.nParked)
@@ -226,9 +224,9 @@ func (t *Tree) reached() store {
 // Reordered returns a successor tree with vo applied to the nodes that test
 // one of attrs (none given: to every node). It does not mutate the receiver,
 // and it costs what is reordered: the levels down to the deepest one testing
-// such an attribute are copied, the nodes testing one with a fresh layout,
-// and everything below is shared, so readers of the old tree keep consistent
-// probe trees. A reorder above the last level carves its copies into t's
+// such an attribute are copied, the narrow nodes testing one with a fresh
+// layout (a wide node has none), and everything below is shared, so readers
+// of the old tree keep consistent probe trees. A reorder above the last level carves its copies into t's
 // line, as an edit does; one that reaches the last level copies every node
 // and leaf set into a fresh line, as Copied does without renumbering, so
 // that the tree it replaces goes once dropped. It reports the nodes re-laid
@@ -417,7 +415,7 @@ type merger struct {
 	// clobber the caller's), but at most one node is under construction per
 	// level, so indexing by level is.
 	edges [][]Edge
-	// sc is the scratch of the layouts: the chain's and the re-laid subtrees'.
+	// sc is the scratch of the layouts: the chain's and the re-laid nodes'.
 	sc orderScratch
 }
 
@@ -499,7 +497,7 @@ func (m *merger) chain(p *predicate.Profile, vo ValueOrder) (int32, bool) {
 		m.edges[level] = buf
 		rec := Node{attr: int16(attr), nSub: int32(nSub), trail: nSub < len(buf), edges: t.newEdges(buf)}
 		var layout []int32
-		rec.layout, layout = t.newInts(nSub)
+		rec.layout, layout = t.newInts(layoutLen(int32(nSub)))
 		v := View{Attr: rec.attr, edges: buf, layout: layout, nSubrange: rec.nSub}
 		v.applyOrder(dom, vo, &m.sc)
 		var n *Node
@@ -513,7 +511,7 @@ func (m *merger) chain(p *predicate.Profile, vo ValueOrder) (int32, bool) {
 // tree, with b, the chain's node of its level: in drop mode old itself where
 // it does not hold the profile, none where the profile was all it held. A
 // merged node keeps old's probe tree where its subrange edges are old's, and
-// otherwise gets old's with the changed part re-laid (relay).
+// is otherwise laid out afresh, where narrow (relay).
 //
 //genas:builder
 func (m *merger) merge(l int, old, b int32) int32 {
@@ -648,59 +646,24 @@ func (m *merger) overlay(l int, old, b *View) ([]Edge, int32) {
 	return buf, nSub
 }
 
-// relay returns the probe tree of n, old's merge: old's own,
-// which starts at layout, where their subrange edges are the same, else old's
-// with the smallest subtree covering the changed keys laid out afresh under
-// the edit's weights — found by walking down from the root, the empty slot
-// between two old keys where the edit only adds keys — and every key above it
-// shifted by the change in count. Only the re-laid keys and the gaps around
-// them are weighed.
+// relay returns the probe tree of n, old's merge: none where n is wide, old's
+// own, which starts at layout, where their subrange edges are the same, and
+// otherwise one laid out afresh under the edit's weights, which weighs n's
+// pieces — fewer than 2·interpMin.
 //
 //genas:builder
 func (m *merger) relay(old, n *View, layout int32) int32 {
-	oe, ne := old.edges[:old.nSubrange], n.edges[:n.nSubrange]
-	same, p, s := min(len(oe), len(ne)), 0, 0 // the common prefix and suffix
-	for p < same && sameIv(&oe[p], &ne[p]) {
-		p++
-	}
-	for s < same-p && sameIv(&oe[len(oe)-1-s], &ne[len(ne)-1-s]) {
-		s++
-	}
-	if len(oe) == len(ne) && p+s == len(oe) {
+	ne := n.edges[:n.nSubrange]
+	switch {
+	case len(ne) >= interpMin:
+		return 0
+	case slices.EqualFunc(old.edges[:old.nSubrange], ne, func(a, b Edge) bool { return sameIv(&a, &b) }):
 		return layout
 	}
-	last := len(oe) - 1 - s // the last changed old key, p−1 where none is
-	pos, lo, hi := 0, 0, len(oe)-1
-	for lo <= hi {
-		r := int(old.layout[pos])
-		if last < r {
-			pos, hi = pos+1, r-1
-		} else if p > r {
-			pos, lo = pos+1+r-lo, r+1
-		} else {
-			break
-		}
-	}
-	d := len(ne) - len(oe)
-	off, out := m.t.newInts(len(ne))
-	out = shifted(out[:0], old.layout[:pos], hi, d)
-	if lo <= hi+d {
-		m.sc.weigh(n, m.t.schema.At(int(n.Attr)).Domain, m.vo, lo, hi+d)
-		out = m.sc.lay(out, lo, hi+d+1)
-	}
-	shifted(out, old.layout[pos+hi-lo+1:], hi, d)
+	var off int32
+	off, n.layout = m.t.newInts(len(ne))
+	n.applyOrder(m.t.schema.At(int(n.Attr)).Domain, m.vo, &m.sc)
 	return off
-}
-
-// shifted appends keys, those above hi moved by d.
-func shifted(out, keys []int32, hi, d int) []int32 {
-	for _, k := range keys {
-		if int(k) > hi {
-			k += int32(d)
-		}
-		out = append(out, k)
-	}
-	return out
 }
 
 // edge returns the merged edge over iv of old's edge ea and the chain's edge

@@ -220,9 +220,11 @@ func noneRemoved(t *testing.T, what string, tr *Tree, removed map[int]bool) {
 // withProfileCopies bounds what TestWithProfileCopies' inserts copy and
 // weigh on average: nodes, edges, the root's fan-out, which every insert
 // copies, and the pieces weighed to lay out the chain and the re-laid
-// subtrees — keys and the gaps around them. A 2-core x86-64 machine measures
-// 51.0 nodes, 1 623 edges, a root fan-out of 303 and 329 pieces; the bounds
-// allow a quarter over them. Re-laying each copied node whole weighs 1 098.
+// subtrees — keys and the gaps around them. A 2-core x86-64 machine measured
+// 51.0 nodes, 1 623 edges, a root fan-out of 303 and 329 pieces, re-laying
+// the smallest changed probe subtree; the bounds allow a quarter over them.
+// Since a wide node has no probe tree and a narrow one is re-laid whole, an
+// insert weighs 110 pieces.
 const (
 	copiedNodes   = 51.0 * 1.25
 	copiedEdges   = 1623 * 1.25
@@ -234,7 +236,7 @@ const (
 // benchmark workload's, and its profile i: a temperature and a humidity range
 // in every profile, a floor range in half of them and a severity subset in
 // 0.4, drawn from one seeded source in the order asked.
-func churnCorpus(t *testing.T) (*schema.Schema, func(i int) *predicate.Profile) {
+func churnCorpus(t testing.TB) (*schema.Schema, func(i int) *predicate.Profile) {
 	temp, err := schema.NewNumericDomain(-30, 50)
 	if err != nil {
 		t.Fatal(err)

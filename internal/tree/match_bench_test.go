@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"genas/internal/predicate"
@@ -45,4 +46,30 @@ func BenchmarkMatchAnySmallTree(b *testing.B) {
 		t.MatchAny(ev)
 	}
 	b.ReportMetric(float64(t.Stats().Nodes), "nodes")
+}
+
+// BenchmarkProbeWideNode times MatchAny on a churn-mixed-shaped automaton of
+// 1 000 churnCorpus profiles, whose temperature root has some 300 subrange
+// edges, over uniform events: a walk the wide root's search dominates.
+func BenchmarkProbeWideNode(b *testing.B) {
+	s, profile := churnCorpus(b)
+	corpus := make([]*predicate.Profile, 1000)
+	for i := range corpus {
+		corpus[i] = profile(i)
+	}
+	t, err := Build(s, corpus)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	events := make([][]float64, 4096)
+	for i := range events {
+		events[i] = randomEvent(s, rng)
+	}
+	i := 0
+	for b.Loop() {
+		t.MatchAny(events[i&(len(events)-1)])
+		i++
+	}
+	b.ReportMetric(float64(len(t.Root().Edges())), "root-edges")
 }

@@ -28,8 +28,8 @@ type ValueOrder struct {
 func NaturalOrder() ValueOrder { return ValueOrder{Name: "natural"} }
 
 // orderScratch is applyOrder's working set, reused from node to node: the
-// region handed to Mass, the prefix sums of the weights and an optimal
-// subtree's tables.
+// region handed to Mass, the prefix sums of the weights and the optimal
+// tree's tables.
 type orderScratch struct {
 	one       [1]Interval
 	cum, cost []float64
@@ -38,12 +38,15 @@ type orderScratch struct {
 
 // applyOrder lays the node out: the probe tree over its subrange edges under
 // the weights of vo on dom, written into the storage of n.layout, which holds
-// an entry per subrange edge.
+// an entry per subrange edge. A wide node has none to lay out.
 //
 //genas:builder
 func (n *View) applyOrder(dom schema.Domain, vo ValueOrder, sc *orderScratch) {
-	sc.weigh(n, dom, vo, 0, int(n.nSubrange)-1)
-	n.layout = sc.lay(n.layout[:0], 0, int(n.nSubrange))
+	if n.nSubrange >= interpMin {
+		return
+	}
+	sc.weigh(n, dom, vo)
+	n.layout = sc.lay(n.layout[:0], int(n.nSubrange))
 }
 
 // layOut lays out the nodes of t listed under vo, their layout storage

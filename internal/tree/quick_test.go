@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -404,8 +405,10 @@ func balanced(out []int32, lo, hi int) []int32 {
 }
 
 // TestQuickWeightedLayoutIsOptimal: under the weights it was laid out for, a
-// node's probe tree never costs more than plain binary search's, and on nodes
-// of at most 8 subrange edges it costs the minimum over all search trees.
+// narrow node's probe tree never costs more than plain binary search's, and
+// on nodes of at most 8 subrange edges it costs the minimum over all search
+// trees. A wide node has no probe tree, and its interpolation search takes at
+// most 2·bits.Len(n) probes on any value.
 func TestQuickWeightedLayoutIsOptimal(t *testing.T) {
 	s := incrSchema(t)
 	small := 0
@@ -427,7 +430,18 @@ func TestQuickWeightedLayoutIsOptimal(t *testing.T) {
 		var sc orderScratch
 		for _, nodes := range views(tr) {
 			for _, n := range nodes {
-				sc.weigh(&n, s.At(int(n.Attr)).Domain, vo, 0, int(n.nSubrange)-1)
+				if n.nSubrange >= interpMin {
+					if len(n.layout) != 0 {
+						t.Errorf("seed %d: a node of %d subrange edges holds a probe tree of %d", seed, n.nSubrange, len(n.layout))
+					}
+					for p := tr.Pieces(n); p.Next(); {
+						if _, ops := p.Cost(); ops > 2*bits.Len(uint(n.nSubrange))+1 {
+							t.Errorf("seed %d: piece %v of a node of %d subrange edges takes %d probes", seed, p.Iv, n.nSubrange, ops)
+						}
+					}
+					continue
+				}
+				sc.weigh(&n, s.At(int(n.Attr)).Domain, vo)
 				ns := int(n.nSubrange)
 				got := layoutCost(n.layout, sc.cum, 0, 0, ns-1)
 				if bin := layoutCost(balanced(nil, 0, ns-1), sc.cum, 0, 0, ns-1); got > bin+1e-12 {
@@ -451,17 +465,19 @@ func TestQuickWeightedLayoutIsOptimal(t *testing.T) {
 	}
 }
 
-// TestWeightedLayoutOfAWideNode: a node with more subrange edges than one
-// optimal table holds is split by weight first; the probe still finds every
-// edge, in no more probes than the skew of the weights explains.
+// TestWeightedLayoutOfAWideNode: a node of more than 512 subrange edges,
+// which no weights lay out, is searched by interpolation under uniform and
+// under skewed weights alike: the probe finds every edge, and takes at most
+// 2·bits.Len(n) probes on any piece.
 func TestWeightedLayoutOfAWideNode(t *testing.T) {
-	d, err := schema.NewIntegerDomain(0, 4*maxOptimal)
+	const wide = 512
+	d, err := schema.NewIntegerDomain(0, 4*wide)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := schema.MustNew(schema.Attribute{Name: "x", Domain: d})
 	var profiles []*predicate.Profile
-	for v := 0; v < 4*maxOptimal; v += 3 {
+	for v := 0; v < 4*wide; v += 3 {
 		pr, err := predicate.NewComparison(0, predicate.OpEq, float64(v))
 		if err != nil {
 			t.Fatal(err)
@@ -476,32 +492,104 @@ func TestWeightedLayoutOfAWideNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := int(tr.Root().nSubrange); n <= maxOptimal {
-		t.Fatalf("root has %d subrange edges, want more than %d", n, maxOptimal)
+	n := int(tr.Root().nSubrange)
+	if n <= wide {
+		t.Fatalf("root has %d subrange edges, want more than %d", n, wide)
 	}
 	sameEdges(t, "uniform", tr)
 	// 90 % of the mass on the lowest hundredth of the domain.
 	hot := NaturalOrder()
 	hot.Mass = func(_ int, region []Interval) float64 {
-		if region[0].Hi < 0.04*maxOptimal {
+		if region[0].Hi < 0.04*wide {
 			return 90 * (region[0].Hi - region[0].Lo + 1)
 		}
 		return (region[0].Hi - region[0].Lo + 1) / 10
 	}
 	re, _, _ := tr.Reordered(hot)
 	sameEdges(t, "skewed", re)
-	_, cold := tr.Match([]float64{3})
-	_, warm := re.Match([]float64{3})
-	if warm >= cold {
-		t.Errorf("a value in the hot hundredth takes %d probes, %d under uniform weights", warm, cold)
+	budget := 2 * bits.Len(uint(n))
+	for _, tr := range []*Tree{tr, re} {
+		root := tr.Root()
+		if len(root.layout) != 0 {
+			t.Fatalf("a node of %d subrange edges holds a probe tree of %d", n, len(root.layout))
+		}
+		for p := tr.Pieces(root); p.Next(); {
+			if _, ops := p.Cost(); ops > budget {
+				t.Fatalf("piece %v takes %d probes, want at most %d", p.Iv, ops, budget)
+			}
+		}
 	}
 }
 
+// TestWideNodeWorstCase: on a node of 300 subrange edges whose bounds grow
+// geometrically, where every interpolation guess lands far from the edge it
+// seeks, the probe still finds every edge, and no value takes more than
+// 2·bits.Len(n) probes, plus one for a trailing edge.
+func TestWideNodeWorstCase(t *testing.T) {
+	const edges, ratio = 300, 1.1
+	d, err := schema.NewNumericDomain(0, math.Pow(ratio, edges+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := schema.MustNew(schema.Attribute{Name: "x", Domain: d}, schema.Attribute{Name: "y", Domain: d})
+	var profiles []*predicate.Profile
+	for i := range edges {
+		lo := math.Pow(ratio, float64(i+1))
+		pr, err := predicate.NewRange(0, lo, lo*1.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := predicate.New(s, predicate.ID(fmt.Sprintf("p%d", i)), pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, p)
+	}
+	// A profile on y alone gives the root a complement edge to test last.
+	pr, err := predicate.NewRange(1, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := predicate.New(s, "y", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Build(s, append(profiles, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tr.Root()
+	n := int(root.nSubrange)
+	if n != edges || n == len(root.edges) {
+		t.Fatalf("root has %d subrange edges of %d, want %d and a trailing edge", n, len(root.edges), edges)
+	}
+	budget, most := 2*bits.Len(uint(n))+1, 0
+	for p := tr.Pieces(root); p.Next(); {
+		edge, ops := p.Cost()
+		if edge != scanEdge(root, d, inside(p.Iv)) {
+			t.Fatalf("piece %v: the probe finds edge %d, the scan %d", p.Iv, edge, scanEdge(root, d, inside(p.Iv)))
+		}
+		if ops > budget {
+			t.Fatalf("piece %v takes %d probes, want at most %d", p.Iv, ops, budget)
+		}
+		most = max(most, ops)
+	}
+	for i := range n {
+		if edge, _ := root.probe(inside(root.edges[i].Iv())); edge != i {
+			t.Fatalf("edge %d: the probe finds edge %d", i, edge)
+		}
+	}
+	t.Logf("%d subrange edges: at most %d probes, budget %d", n, most, budget)
+}
+
 // TestProbeOpsAreComparisons: the operations the probe reports are the
-// interval comparisons it executes. An edge was compared with the value
-// exactly when replacing its interval by the point {v} makes the probe stop
-// there, and the trailing edge was tested exactly when moving the domain's
-// bounds off v turns its match into a miss.
+// interval comparisons it executes, on narrow and on wide nodes. An edge was
+// compared with the value exactly when widening its interval to take in v
+// makes the probe stop there: the widening moves only a bound that lies
+// beyond v, which no guess of the interpolation reads differently (v ≤ a
+// still, or v ≥ b), so the probes up to that edge stay as they were. The
+// trailing edge was tested exactly when moving the domain's bounds off v
+// turns its match into a miss.
 func TestProbeOpsAreComparisons(t *testing.T) {
 	s := incrSchema(t)
 	rng := rand.New(rand.NewSource(9))
@@ -513,7 +601,7 @@ func TestProbeOpsAreComparisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	checked, wide := 0, 0
 	for _, nodes := range views(tr) {
 		for _, n := range nodes {
 			for p := tr.Pieces(n); p.Next(); {
@@ -523,7 +611,14 @@ func TestProbeOpsAreComparisons(t *testing.T) {
 				for k := 0; k < int(n.nSubrange); k++ {
 					c := n
 					c.edges = append([]Edge(nil), n.edges...)
-					c.edges[k] = edgeOver(schema.Closed(v, v), c.edges[k].To)
+					iv := c.edges[k].Iv()
+					if iv.After(v) {
+						iv.Lo, iv.LoOpen = v, false
+					}
+					if iv.Before(v) {
+						iv.Hi, iv.HiOpen = v, false
+					}
+					c.edges[k] = edgeOver(iv, c.edges[k].To)
 					if got, _ := c.probe(v); got == k {
 						compared++
 					}
@@ -541,10 +636,13 @@ func TestProbeOpsAreComparisons(t *testing.T) {
 					t.Fatalf("node %+v layout %v value %v: %d ops reported, %d intervals compared", n.edges, n.layout, v, ops, compared)
 				}
 				checked++
+				if n.nSubrange >= interpMin {
+					wide++
+				}
 			}
 		}
 	}
-	if checked < 100 {
-		t.Errorf("only %d buckets checked", checked)
+	if checked < 100 || wide == 0 || wide == checked {
+		t.Errorf("%d buckets checked, %d of them on wide nodes: want at least 100, on narrow and on wide nodes", checked, wide)
 	}
 }

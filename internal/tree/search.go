@@ -1,6 +1,11 @@
 package tree
 
-import "genas/internal/schema"
+import (
+	"math"
+	"math/bits"
+
+	"genas/internal/schema"
+)
 
 // Match filters one event (values indexed by schema attribute) through the
 // automaton. It returns the dense indices of all matched profiles and the
@@ -32,7 +37,7 @@ func (t *Tree) MatchAppend(vals []float64, acc []int32) (matched, grown []int32,
 			acc = append(acc, s.ints.run(n.parked, int(n.nParked))...)
 		}
 		edges := n.edgeRun(s)
-		ei, stepOps := probe(edges, s.ints.run(n.layout, int(n.nSub)), vals[n.attr])
+		ei, stepOps := probe(edges, s.ints.run(n.layout, layoutLen(n.nSub)), int(n.nSub), vals[n.attr])
 		ops += stepOps
 		var leaf []int32 // a D₀ gap matches nothing below
 		if ei >= 0 {
@@ -62,7 +67,7 @@ func (t *Tree) MatchAny(vals []float64) bool {
 			return true
 		}
 		edges := n.edgeRun(s)
-		ei, _ := probe(edges, s.ints.run(n.layout, int(n.nSub)), vals[n.attr])
+		ei, _ := probe(edges, s.ints.run(n.layout, layoutLen(n.nSub)), int(n.nSub), vals[n.attr])
 		if ei < 0 {
 			return false
 		}
@@ -82,28 +87,59 @@ func (n *Node) edgeRun(s *store) []Edge {
 	return s.edges.run(n.edges, ne)
 }
 
-// probe is the node search of a node whose edges are edges, the first
-// len(layout) of them subrange edges laid out as layout says. It compares v
-// with one edge's interval per probe — below, inside or above — and after a
-// miss tests the trailing complement or star edge, which holds what else the
+// interpMin is the subrange edges from which a node is wide: searched by
+// interpolation, with no probe tree to lay out, weigh or re-lay.
+const interpMin = 16
+
+// layoutLen returns the length of the probe tree of a node of nSub subrange
+// edges: an entry per edge, none on a wide node.
+func layoutLen(nSub int32) int {
+	if nSub >= interpMin {
+		return 0
+	}
+	return int(nSub)
+}
+
+// probe is the node search of a node whose edges are edges, the first nSub
+// of them subrange edges in natural order: down layout, its probe tree, on a
+// narrow node, and on a wide one, whose layout is empty, by interpolation
+// (guess) for bits.Len(nSub) probes, then by bisection. It compares v with
+// one edge's interval per probe — below, inside or above — and after a miss
+// tests the trailing complement or star edge, which holds what else the
 // domain holds (event.Validate admits domain values only, so its bounds
-// decide). Each comparison is one operation and nothing else runs: no table,
-// no lookup.
+// decide). Each comparison is one operation; nothing else counts.
 //
 //genas:hotpath
-func probe(edges []Edge, layout []int32, v float64) (edge, ops int) {
-	nSub := len(layout)
-	pos, lo, hi := 0, 0, nSub-1
-	for lo <= hi {
-		r := int(layout[pos])
-		ops++
-		switch e := &edges[r]; {
-		case e.after(v):
-			pos, hi = pos+1, r-1
-		case e.before(v):
-			pos, lo = pos+1+r-lo, r+1
-		default:
-			return r, ops
+func probe(edges []Edge, layout []int32, nSub int, v float64) (edge, ops int) {
+	lo, hi := 0, nSub-1
+	if nSub < interpMin {
+		for pos := 0; lo <= hi; {
+			r := int(layout[pos])
+			ops++
+			switch e := &edges[r]; {
+			case e.after(v):
+				pos, hi = pos+1, r-1
+			case e.before(v):
+				pos, lo = pos+1+r-lo, r+1
+			default:
+				return r, ops
+			}
+		}
+	} else {
+		for steps := bits.Len(uint(nSub)); lo <= hi; steps-- {
+			r := (lo + hi) / 2
+			if steps > 0 {
+				r = guess(edges, lo, hi, v)
+			}
+			ops++
+			switch e := &edges[r]; {
+			case e.after(v):
+				hi = r - 1
+			case e.before(v):
+				lo = r + 1
+			default:
+				return r, ops
+			}
 		}
 	}
 	if nSub == len(edges) {
@@ -115,8 +151,22 @@ func probe(edges []Edge, layout []int32, v float64) (edge, ops int) {
 	return nSub, ops + 1
 }
 
+// guess returns the edge of lo..hi where interpolation puts v: lo where v ≤ a,
+// edge lo's lower bound, hi where v ≥ b, edge hi's upper one, else lo +
+// ⌊(hi−lo+1)·(v−a)/(b−a)⌋, at most hi. It never falls as v rises.
+func guess(edges []Edge, lo, hi int, v float64) int {
+	a, b := edges[lo].Lo, edges[hi].Hi
+	switch {
+	case v <= a:
+		return lo
+	case v >= b:
+		return hi
+	}
+	return lo + min(int(float64(hi-lo+1)*(v-a)/(b-a)), hi-lo)
+}
+
 // probe is the node search of the view.
-func (n *View) probe(v float64) (edge, ops int) { return probe(n.edges, n.layout, v) }
+func (n *View) probe(v float64) (edge, ops int) { return probe(n.edges, n.layout, int(n.nSubrange), v) }
 
 // inside returns a value of the non-empty interval iv.
 func inside(iv Interval) float64 {
@@ -133,7 +183,10 @@ func inside(iv Interval) float64 {
 // Only the subrange edges are stored; the pieces between them are derived from
 // their neighbours and the domain's bounds — closed and atom-aligned on a
 // discrete domain, open wherever the neighbour is closed on a numeric one — and
-// all belong to the node's trailing edge or, without one, to D₀.
+// all belong to the node's trailing edge or, without one, to D₀. On a wide
+// node Tree.Pieces yields each piece in parts, cut where one of the
+// interpolation's guesses moves on, so that the search takes the same probes
+// on every value of a part.
 type Pieces struct {
 	Iv   Interval
 	Edge int // index into View.Edges(), or −1 for a D₀ gap
@@ -142,6 +195,9 @@ type Pieces struct {
 	unit float64 // the atom of a discrete domain: 1, else 0
 	gaps int     // the gaps' edge
 	at   int     // the next step: 2i is the gap below edge i, 2i+1 the edge
+	// A walk in parts yields whole, the piece, from rest, where left is set.
+	parts, left bool
+	whole, rest Interval
 }
 
 // pieces starts a walk over the node's partition of dom, its attribute's domain.
@@ -157,16 +213,24 @@ func (n *View) pieces(dom schema.Domain) Pieces {
 }
 
 // Pieces walks n's partition for the analytic evaluator (selectivity package),
-// so that analytic and empirical operation counts share one cost model.
+// so that analytic and empirical operation counts share one cost model: on a
+// wide node, in parts of one cost each.
 func (t *Tree) Pieces(n View) Pieces {
-	return n.pieces(t.schema.At(int(n.Attr)).Domain)
+	p := n.pieces(t.schema.At(int(n.Attr)).Domain)
+	p.parts = n.nSubrange >= interpMin
+	return p
 }
 
 // Node returns the node whose partition p walks.
 func (p *Pieces) Node() View { return p.n }
 
-// Next advances to the next piece and reports whether there is one.
+// Next advances to the next piece, or part of one, and reports whether there
+// is one.
 func (p *Pieces) Next() bool {
+	if p.left {
+		p.Iv = p.carve()
+		return true
+	}
 	edges := p.n.edges[:p.n.nSubrange]
 	for ; p.at <= 2*len(edges); p.at++ {
 		i := p.at / 2
@@ -186,9 +250,65 @@ func (p *Pieces) Next() bool {
 			p.Iv, p.Edge = g, p.gaps
 		}
 		p.at++
+		if p.parts {
+			p.whole, p.rest = p.Iv, p.Iv
+			p.Iv = p.carve()
+		}
 		return true
 	}
 	return false
+}
+
+// carve cuts the next part off the rest of a wide node's piece: from the
+// rest's low end to the first value on which one of the search's guesses
+// moves on. Every probe compares a value of the piece with the same outcome,
+// so the search's ranges, and with them its guesses, hold over the part.
+func (p *Pieces) carve() Interval {
+	edges, at := p.n.edges, inside(p.whole)
+	v, next := p.rest.Lo, math.Inf(1)
+	if p.rest.LoOpen {
+		v = math.Nextafter(v, next)
+	}
+	for lo, hi, steps := 0, int(p.n.nSubrange)-1, bits.Len(uint(p.n.nSubrange)); steps > 0 && lo <= hi; steps-- {
+		r := guess(edges, lo, hi, v)
+		if a, b := edges[lo].Lo, edges[hi].Hi; r < hi {
+			// The least value guessed above r, an atom on a discrete domain.
+			u := a + float64(r-lo+1)*(b-a)/float64(hi-lo+1)
+			if p.unit > 0 {
+				u = math.Ceil(u)
+			}
+			for guess(edges, lo, hi, u) <= r {
+				u = p.step(u, 1)
+			}
+			for guess(edges, lo, hi, p.step(u, -1)) > r {
+				u = p.step(u, -1)
+			}
+			next = min(next, u)
+		}
+		switch e := &edges[r]; {
+		case e.after(at):
+			hi = r - 1
+		case e.before(at):
+			lo = r + 1
+		default:
+			lo = hi + 1
+		}
+	}
+	part := p.rest
+	if p.left = next < part.Hi || next == part.Hi && !part.HiOpen; p.left {
+		part.Hi, part.HiOpen = next-p.unit, p.unit == 0
+		p.rest.Lo, p.rest.LoOpen = next, false
+	}
+	return part
+}
+
+// step returns the value next to u above it (dir 1) or below it (−1): the
+// next atom on a discrete domain, else the next float.
+func (p *Pieces) step(u, dir float64) float64 {
+	if p.unit > 0 {
+		return u + dir
+	}
+	return math.Nextafter(u, dir*math.Inf(1))
 }
 
 // Cost returns the edge the node's probe takes, and the comparisons it spends,

@@ -148,7 +148,8 @@ type Node struct {
 	// following them where trail is set.
 	edges int32
 	// layout is the first entry of the probe tree over the subrange edges, in
-	// preorder (weighted.go), in the int slab: nSub entries.
+	// preorder (weighted.go), in the int slab: nSub entries, none on a wide
+	// node (interpMin), which has no probe tree.
 	layout int32
 	// parked is the first of the nParked profiles parked here in the int
 	// slab, matched by every event reaching this node: those that
@@ -207,7 +208,7 @@ func (t *Tree) Node(l int, id int32) View {
 	return View{
 		Level: int16(l), Attr: r.attr, ID: id, nSubrange: r.nSub,
 		edges:  r.edgeRun(s),
-		layout: s.ints.run(r.layout, int(r.nSub)),
+		layout: s.ints.run(r.layout, layoutLen(r.nSub)),
 		extra:  s.ints.run(r.parked, int(r.nParked)),
 	}
 }
@@ -554,7 +555,7 @@ func (sw *sweeper) cut(iv schema.Interval, level int, x, y []int) {
 // to. A set seen before at the next level leads to its state; a new one is
 // memoised — at the tree's height as a match set the tree stores once, above
 // it as a node of the next level, carved now and appended to the next
-// frontier. The node's probe tree gets its storage, which layOut fills.
+// frontier. A narrow node's probe tree gets its storage, which layOut fills.
 //
 //genas:builder
 func (b *builder) commit(level int, id int32, r swept, next []state) []state {
@@ -590,7 +591,7 @@ func (b *builder) commit(level int, id int32, r swept, next []state) []state {
 		edges = append(edges, edgeOver(c.iv, st.to))
 	}
 	n.edges = t.newEdges(edges)
-	n.layout, _ = t.newInts(r.nSubrange)
+	n.layout, _ = t.newInts(layoutLen(int32(r.nSubrange)))
 	*t.st.nodes.at(id) = n
 	b.edges = edges
 	return next

@@ -281,8 +281,12 @@ func index(s, sub string) int {
 }
 
 // layoutIsSearchTree reports whether the node's layout is the preorder of a
-// binary search tree over exactly its subrange edges.
+// binary search tree over exactly its subrange edges or, on a wide node
+// (interpMin), which has no probe tree, empty.
 func (n *View) layoutIsSearchTree() bool {
+	if n.nSubrange >= interpMin {
+		return len(n.layout) == 0
+	}
 	var walk func(pos, lo, hi int) (next int, ok bool)
 	walk = func(pos, lo, hi int) (int, bool) {
 		if lo > hi {

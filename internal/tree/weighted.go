@@ -3,32 +3,28 @@ package tree
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"genas/internal/schema"
 )
 
-// A node is searched through a binary search tree over its subrange edges
-// whose pivots balance event mass instead of edge count: the tree of least
-// expected probes under the node's weights — the edges and the gaps between
-// them, Knuth's p and q (Optimum binary search trees, 1971). A node's layout run
-// holds it in preorder: a root r, the r−lo edges below it, the rest.
+// A narrow node is searched through a binary search tree over its subrange
+// edges whose pivots balance event mass instead of edge count: the tree of
+// least expected probes under the node's weights — the edges and the gaps
+// between them, Knuth's p and q (Optimum binary search trees, 1971). A node's
+// layout run holds it in preorder: a root r, the r−lo edges below it, the
+// rest. A wide node (interpMin) has none.
 
 // weightFloor is the share of a node's weight spread over the domain measure
 // whatever P_e says: P_e may be one window's histogram, and the floor keeps a
 // region that window missed from sinking as deep as the edge count allows.
 const weightFloor = 0.1
 
-// maxOptimal bounds the keys of one optimal subtree: its tables are quadratic.
-const maxOptimal = 512
-
-// weigh fills cum with the prefix sums of the weights of the node's edges
-// lo..hi and the gaps around them in natural order, gaps and edges alternating
-// — q_lo, p_lo+1, …, p_hi+1, q_hi+1 — at their places in the whole node's
-// sums, so keys i+1..j and the gaps around them weigh cum[2j+1]−cum[2i] for
-// lo ≤ i < j ≤ hi+1. A piece weighs its share of the measure or, given
+// weigh fills cum with the prefix sums of the weights of the node's edges and
+// the gaps around them in natural order, gaps and edges alternating — q_0,
+// p_1, …, p_n, q_n — so keys i+1..j and the gaps around them weigh
+// cum[2j+1]−cum[2i]. A piece weighs its share of the measure or, given
 // vo.Mass, weightFloor of that plus its share of the mass.
-func (sc *orderScratch) weigh(n *View, dom schema.Domain, vo ValueOrder, lo, hi int) {
+func (sc *orderScratch) weigh(n *View, dom schema.Domain, vo ValueOrder) {
 	p := n.pieces(dom)
 	span := p.dom.Hi - p.dom.Lo + p.unit // closed, atom-aligned pieces: the measure counts values
 	total := 0.0
@@ -36,10 +32,10 @@ func (sc *orderScratch) weigh(n *View, dom schema.Domain, vo ValueOrder, lo, hi 
 		sc.one[0] = p.dom
 		total = vo.Mass(int(n.Attr), sc.one[:])
 	}
-	end := 2*hi + 3 // the step after gap hi+1
+	end := 2*int(n.nSubrange) + 1 // the step after the last gap
 	cum := slices.Grow(sc.cum[:0], end+1)[:end+1]
-	clear(cum[2*lo:])
-	for p.at = 2 * lo; p.Next() && p.at <= end; {
+	clear(cum)
+	for p.Next() {
 		w := (p.Iv.Hi - p.Iv.Lo + p.unit) / span
 		if total > 0 {
 			sc.one[0] = p.Iv
@@ -47,36 +43,25 @@ func (sc *orderScratch) weigh(n *View, dom schema.Domain, vo ValueOrder, lo, hi 
 		}
 		cum[p.at] = w // the walk's step after gap i is 2i+1, after edge i 2i+2
 	}
-	for t := 2*lo + 1; t <= end; t++ {
+	for t := 1; t <= end; t++ {
 		cum[t] += cum[t-1]
 	}
 	sc.cum = cum
 }
 
-// lay appends the probe tree over keys i+1..j (edges i..j−1) in preorder: the
-// optimal one, below splits where the weight halves (Mehlhorn's bisection)
-// while the keys outnumber an optimal subtree's tables.
-func (sc *orderScratch) lay(out []int32, i, j int) []int32 {
-	if j-i <= maxOptimal {
-		return sc.optimal(out, i, j)
-	}
-	half := sc.cum[2*i] + sc.cum[2*j+1]
-	k := i + 1 + sort.Search(j-i-1, func(d int) bool { return sc.cum[2*(i+d)+1]+sc.cum[2*(i+d)+2] >= half })
-	return sc.lay(sc.lay(append(out, int32(k-1)), i, k-1), k, j)
-}
-
-// optimal is Knuth's algorithm K over keys i0+1..j0: cost(i,j), the weighted
-// probes of the best tree over keys i+1..j, is their weight plus the least
+// lay appends the probe tree over the m keys weigh weighed in preorder, the
+// optimal one, by Knuth's algorithm K: cost(i,j), the weighted probes of the
+// best tree over keys i+1..j, is their weight plus the least
 // cost(i,k−1)+cost(k,j) over the roots k, and the best root lies between those
 // of (i,j−1) and (i+1,j), so the table is quadratic. A miss costs the probes
 // that led to it: an empty tree is free.
-func (sc *orderScratch) optimal(out []int32, i0, j0 int) []int32 {
-	m, sz := j0-i0, j0-i0+1
+func (sc *orderScratch) lay(out []int32, m int) []int32 {
+	sz := m + 1
 	if cap(sc.cost) < sz*sz { // doubling: a pooled scratch stops growing
 		c := max(sz*sz, 2*cap(sc.cost))
 		sc.cost, sc.root = make([]float64, c), make([]int32, c)
 	}
-	cost, root, cum := sc.cost[:sz*sz], sc.root[:sz*sz], sc.cum[2*i0:]
+	cost, root, cum := sc.cost[:sz*sz], sc.root[:sz*sz], sc.cum
 	cost[m*sz+m] = 0
 	for i := m - 1; i >= 0; i-- { // row i needs the rows below it and its own lower columns
 		ci, ri, below := cost[i*sz:(i+1)*sz], root[i*sz:(i+1)*sz], root[(i+1)*sz:]
@@ -95,14 +80,14 @@ func (sc *orderScratch) optimal(out []int32, i0, j0 int) []int32 {
 			ci[j], ri[j] = best+cum[2*j+1]-cum[2*i], int32(at)
 		}
 	}
-	return sc.emit(out, 0, m, sz, i0)
+	return sc.emit(out, 0, m, sz)
 }
 
-// emit appends optimal's tree over its keys i+1..j in preorder.
-func (sc *orderScratch) emit(out []int32, i, j, sz, off int) []int32 {
+// emit appends lay's tree over its keys i+1..j in preorder.
+func (sc *orderScratch) emit(out []int32, i, j, sz int) []int32 {
 	if i == j {
 		return out
 	}
 	k := int(sc.root[i*sz+j])
-	return sc.emit(sc.emit(append(out, int32(off+k-1)), i, k-1, sz, off), k, j, sz, off)
+	return sc.emit(sc.emit(append(out, int32(k-1)), i, k-1, sz), k, j, sz)
 }
