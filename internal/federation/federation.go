@@ -234,7 +234,7 @@ func (f *Fed) connect(addr string) (*peerLink, *bufio.Reader, error) {
 		return nil, nil, fmt.Errorf("federation: dial %s: %w", addr, err)
 	}
 	l := f.newLink(conn)
-	rd := bufio.NewReaderSize(conn, 64*1024)
+	rd := bufio.NewReader(conn)
 	if l.name, err = f.handshake(conn, rd, addr); err == nil {
 		err = f.attach(l)
 	}

@@ -60,7 +60,9 @@ type Record struct {
 	DroppedForwards uint64 `json:"dropped_forwards,omitempty"`
 	// BytesPerEventWire is the mean wire bytes per event received on publish
 	// frames, and FramesPipelined counts request frames already buffered
-	// behind the one being served (pipelining depth > 1).
+	// behind the one being served (pipelining depth > 1). The buffer is the
+	// session's 4 KiB reader, which reading a longer frame can leave empty:
+	// a frame queued behind one of more than 4 KiB may go uncounted.
 	BytesPerEventWire float64 `json:"bytes_per_event_wire,omitempty"`
 	FramesPipelined   uint64  `json:"frames_pipelined,omitempty"`
 }

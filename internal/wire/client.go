@@ -79,7 +79,7 @@ func DialWith(addr string, cfg DialConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	rd := bufio.NewReaderSize(conn, 64*1024)
+	rd := bufio.NewReader(conn)
 	sch, d, err := handshake(conn, rd, cfg.Timeout)
 	if err != nil {
 		_ = conn.Close()

@@ -217,7 +217,11 @@ type connState struct {
 func (s *Server) handle(conn net.Conn) {
 	defer s.untrack(conn)
 	defer func() { _ = conn.Close() }()
-	rd := bufio.NewReaderSize(conn, 64*1024)
+	// The standard 4 KiB reader is enough at any frame size: ReadFrame reads a
+	// frame longer than the reader's buffer straight into the connection's
+	// payload buffer, and ReadLine accumulates a longer hello across it. A
+	// larger buffer would buy fewer read calls at 64 KiB a connection.
+	rd := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	line, err := ReadLine(rd)
 	if err != nil {

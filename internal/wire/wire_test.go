@@ -28,7 +28,13 @@ func startServerWith(t *testing.T, defaults map[string]float64) string {
 // startBrokerServer is startServerWith that also returns the daemon's broker.
 func startBrokerServer(t *testing.T, defaults map[string]float64) (string, *broker.Broker) {
 	t.Helper()
-	sch, err := schema.ParseSpec("temperature=numeric[-30,50]; humidity=numeric[0,100]")
+	return startSpecServer(t, "temperature=numeric[-30,50]; humidity=numeric[0,100]", defaults)
+}
+
+// startSpecServer is startBrokerServer over the schema spec names.
+func startSpecServer(t *testing.T, spec string, defaults map[string]float64) (string, *broker.Broker) {
+	t.Helper()
+	sch, err := schema.ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
