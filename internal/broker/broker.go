@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -451,7 +452,13 @@ func (b *Broker) publishOne(ev event.Event, cancel <-chan struct{}) (int, error)
 // The broker keeps no reference to evs or their Vals, so the caller may
 // reuse them after the call. A batch that fails validation publishes nothing.
 func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
-	return b.publishBatch(evs, nil)
+	return b.publishBatch(nil, evs, nil)
+}
+
+// PublishBatchAppend is PublishBatch appending the counts to dst, which a
+// failed batch returns as it was.
+func (b *Broker) PublishBatchAppend(dst []int, evs []event.Event) ([]int, error) {
+	return b.publishBatch(dst, evs, nil)
 }
 
 // PublishBatchCtx is PublishBatch with a cancellation context: it refuses to
@@ -462,30 +469,30 @@ func (b *Broker) PublishBatchCtx(ctx context.Context, evs []event.Event) ([]int,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return b.publishBatch(evs, ctx.Done())
+	return b.publishBatch(nil, evs, ctx.Done())
 }
 
 // publishBatch validates the whole batch, reserves its sequence numbers at
 // once and runs the core on each event in order with one pooled scratch, so
-// the returned counts are its only allocation besides the values blocks.
-func (b *Broker) publishBatch(evs []event.Event, cancel <-chan struct{}) ([]int, error) {
+// growing dst by the counts is its only allocation besides the values blocks.
+func (b *Broker) publishBatch(dst []int, evs []event.Event, cancel <-chan struct{}) ([]int, error) {
 	if len(evs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	for i := range evs {
 		if err := event.Validate(b.schema, evs[i].Vals); err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, err)
+			return dst, fmt.Errorf("event %d: %w", i, err)
 		}
 	}
 	base, err := b.admit(len(evs))
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	counts := make([]int, len(evs))
+	counts := slices.Grow(dst, len(evs))[:len(dst)+len(evs)]
 	sc := publishPool.Get().(*publishScratch)
 	for i := range evs {
-		if counts[i], err = b.publish(evs[i], base+uint64(i)+1, sc, cancel); err != nil {
-			counts = nil
+		if counts[len(dst)+i], err = b.publish(evs[i], base+uint64(i)+1, sc, cancel); err != nil {
+			counts = dst
 			break
 		}
 	}

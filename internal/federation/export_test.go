@@ -14,3 +14,15 @@ func (f *Fed) OutboxOf(peer string) *wire.Outbox {
 	}
 	return nil
 }
+
+// ForwardScratch hands each forward payload to handleFrame on a link from
+// peer, threading the scratch through as runLink does, and returns the
+// scratch runLink would keep.
+func (f *Fed) ForwardScratch(peer string, payloads ...[]byte) []float64 {
+	l := &peerLink{name: peer}
+	var vals []float64
+	for _, p := range payloads {
+		vals, _ = f.handleFrame(l, wire.FrameForward, p, vals)
+	}
+	return vals
+}

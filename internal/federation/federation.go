@@ -364,7 +364,8 @@ func (f *Fed) runLink(l *peerLink, rd *bufio.Reader) {
 // handleFrame processes one peer frame; vals is the forward scratch, returned
 // for reuse. A forward is validated like any published event, delivered
 // locally on the broker's value path (the vector is copied only on match)
-// and re-forwarded over the other matching links.
+// and re-forwarded over the other matching links. A refused forward returns
+// vals as it came, so an oversized vector does not stay as the scratch.
 func (f *Fed) handleFrame(l *peerLink, typ byte, payload []byte, vals []float64) ([]float64, error) {
 	switch typ {
 	case wire.FrameRouteAdd:
@@ -385,18 +386,18 @@ func (f *Fed) handleFrame(l *peerLink, typ byte, payload []byte, vals []float64)
 		}
 		f.routeChanged(l, routing.Msg{ID: predicate.ID(id)})
 	case wire.FrameForward:
-		vals, err := wire.DecodeForwardFrame(payload, vals)
+		ev, err := wire.DecodeForwardFrame(payload, vals)
 		if err == nil {
-			err = event.Validate(f.sch, vals)
+			err = event.Validate(f.sch, ev)
 		}
 		if err != nil {
 			return vals, err
 		}
-		if _, err := f.brk.PublishValues(vals); err != nil && !errors.Is(err, broker.ErrClosed) {
+		if _, err := f.brk.PublishValues(ev); err != nil && !errors.Is(err, broker.ErrClosed) {
 			f.log.Printf("federation: local delivery of forward from %s: %v", l.name, err)
 		}
-		f.forward(vals, l.name)
-		return vals, nil
+		f.forward(ev, l.name)
+		return ev, nil
 	default:
 		return vals, errors.New("not a peer frame")
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"genas/internal/wire"
 )
 
 // liveHeap returns the bytes the heap holds after two collections (the
@@ -84,5 +86,19 @@ func TestPeerConnectionHeldBytes(t *testing.T) {
 	t.Logf("an A–B link pair holds %d bytes of heap", held)
 	if held > 32<<10 {
 		t.Errorf("an A–B link pair holds %d bytes of heap, want at most %d", held, 32<<10)
+	}
+}
+
+// TestRefusedForwardLeavesTheScratch: a forward the link refuses, here one of
+// 100 000 values over a two-attribute schema, does not become the decode
+// scratch a link keeps for its life; the valid forward after it decodes into
+// a scratch of its own size.
+func TestRefusedForwardLeavesTheScratch(t *testing.T) {
+	a := startDaemon(t, "A", testSpec)
+	payload := func(vals []float64) []byte { return wire.AppendForwardFrame(nil, vals)[5:] } // past length and type
+	kept := a.fed.ForwardScratch("Z", payload(make([]float64, 100_000)), payload([]float64{41, 10}))
+	const bound = 64 // values
+	if len(kept) != 2 || cap(kept) > bound {
+		t.Errorf("after a refused 100 000-value forward and a valid one the link keeps a scratch of %d values (cap %d), want 2 (cap at most %d)", len(kept), cap(kept), bound)
 	}
 }

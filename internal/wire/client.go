@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,6 +179,10 @@ func (c *Client) readLoop(in *inbound) {
 		delete(c.pending, cid)
 		c.pendMu.Unlock()
 		if w != nil {
+			if resp.MatchedEach != nil { // the read scratch: move it into w
+				w.counts = append(w.counts[:0], resp.MatchedEach...)
+				resp.MatchedEach = w.counts
+			}
 			w.ch <- resp // cap 1: never blocks
 		}
 	}
@@ -207,17 +212,25 @@ func (c *Client) Dropped() uint64 { return c.dropped.Load() }
 // names, in slot order.
 func (c *Client) HelloSchema() *schema.Schema { return c.sch }
 
-// waiter is one request's reply slot and timeout, pooled. It returns to the
-// pool only once its reply was received: a waiter that gave up is never
-// reused, so a reader that had already claimed it parks the late reply where
-// no other request will find it.
+// waiter is one request's reply slot, timeout and batch counts, pooled. It
+// returns to the pool only once its reply was received and read: a waiter
+// that gave up is never reused, so a reader that had already claimed it parks
+// the late reply where no other request will find it.
 type waiter struct {
-	ch    chan Response
-	timer *time.Timer
+	ch     chan Response
+	timer  *time.Timer
+	counts []int
 }
 
 // (Resetting a timer discards whatever it held: go.mod is past 1.23.)
-var waiters = sync.Pool{New: func() any { return &waiter{make(chan Response, 1), time.NewTimer(0)} }}
+var waiters = sync.Pool{New: func() any { return &waiter{ch: make(chan Response, 1), timer: time.NewTimer(0)} }}
+
+// release pools w after its reply was read, unless err says none came.
+func release(w *waiter, err error) {
+	if err != errTimedOut && err != errConnClosed {
+		waiters.Put(w)
+	}
+}
 
 var (
 	errTimedOut   = errors.New("wire: request timed out")
@@ -260,7 +273,7 @@ func (c *Client) deregister(cid uint32) {
 }
 
 // await blocks until cid's response arrives, the connection drops, or the
-// timeout fires.
+// timeout fires; the caller then releases w, where MatchedEach lives.
 func (c *Client) await(cid uint32, w *waiter, timeout time.Duration) (Response, error) {
 	var timer <-chan time.Time
 	if timeout > 0 {
@@ -279,7 +292,6 @@ func (c *Client) await(cid uint32, w *waiter, timeout time.Duration) (Response, 
 	if !ok {
 		return Response{}, errConnClosed
 	}
-	waiters.Put(w)
 	if resp.Type == MsgError {
 		return resp, fmt.Errorf("wire: server: %s", resp.Error)
 	}
@@ -292,7 +304,9 @@ func (c *Client) roundTrip(req Request, timeout time.Duration) (Response, error)
 	if err != nil {
 		return Response{}, err
 	}
-	return c.await(cid, w, timeout)
+	resp, err := c.await(cid, w, timeout)
+	release(w, err)
+	return resp, err
 }
 
 // Ping round-trips a ping.
@@ -340,15 +354,38 @@ func (c *Client) PublishVals(vals []float64, timeout time.Duration) (int, error)
 }
 
 // PublishValsBatch posts a batch of schema-order value vectors and returns
-// per-event match counts. The batch is chunked into frames, each under
-// MaxFrame, and up to the connection's pipeline depth of them are in flight
-// at once — later chunks are on the wire while earlier acknowledgements are
-// still outstanding. On error the counts gathered so far accompany
-// it as a lower bound on what was committed: the chunk that errored may
-// itself have been processed by the server (e.g. a response timeout after a
-// successful write), so callers must not treat the count as exact when
+// per-event match counts, its only allocation. The batch is chunked into
+// frames, each under MaxFrame, and up to the connection's pipeline depth of
+// them are in flight at once — later chunks are on the wire while earlier
+// acknowledgements are still outstanding. On error the counts gathered so far
+// accompany it as a lower bound on what was committed: the chunk that errored
+// may itself have been processed by the server (e.g. a response timeout after
+// a successful write), so callers must not treat the count as exact when
 // deciding to retry.
 func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]int, error) {
+	sc := batches.Get().(*batchScratch)
+	defer batches.Put(sc)
+	return c.publishValsBatch(batch, timeout, sc)
+}
+
+// batchScratch is a batched publish's pooled bookkeeping: the window of frames
+// in flight, and PublishBatch's vectors, which post encodes before it returns.
+type batchScratch struct {
+	window []inflight
+	block  []float64
+	batch  [][]float64
+}
+
+// inflight is a posted frame: its id, its waiter and its event count.
+type inflight struct {
+	cid uint32
+	w   *waiter
+	n   int
+}
+
+var batches = sync.Pool{New: func() any { return new(batchScratch) }}
+
+func (c *Client) publishValsBatch(batch [][]float64, timeout time.Duration, sc *batchScratch) ([]int, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
@@ -358,30 +395,27 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 	if maxPer := (MaxFrame - 64) / (8*c.sch.N() + 4); per > maxPer && maxPer > 0 {
 		per = maxPer
 	}
-
-	type inflight struct {
-		cid uint32
-		w   *waiter
-		n   int
-	}
-	var window []inflight
+	// A ring: frame k waits in window[k%size] from its post to its collection.
+	size := min(c.depth, (len(batch)+per-1)/per)
+	sc.window = slices.Grow(sc.window[:0], size)[:size]
+	window, sent, got := sc.window, 0, 0
 	counts := make([]int, 0, len(batch))
 	collect := func() error {
-		w := window[0]
-		window = window[1:]
-		resp, err := c.await(w.cid, w.w, timeout)
-		if err != nil {
-			return err
+		f := window[got%size]
+		got++
+		resp, err := c.await(f.cid, f.w, timeout)
+		if err == nil && len(resp.MatchedEach) != f.n {
+			err = fmt.Errorf("wire: batch ack counts %d events, sent %d", len(resp.MatchedEach), f.n)
 		}
-		if len(resp.MatchedEach) != w.n {
-			return fmt.Errorf("wire: batch ack counts %d events, sent %d", len(resp.MatchedEach), w.n)
+		if err == nil {
+			counts = append(counts, resp.MatchedEach...)
 		}
-		counts = append(counts, resp.MatchedEach...)
-		return nil
+		release(f.w, err)
+		return err
 	}
 	fail := func(err error) ([]int, error) {
-		for _, w := range window {
-			c.deregister(w.cid)
+		for ; got < sent; got++ {
+			c.deregister(window[got%size].cid)
 		}
 		return counts, err
 	}
@@ -391,14 +425,14 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 		if err != nil {
 			return fail(err)
 		}
-		window = append(window, inflight{cid, w, hi - lo})
-		if len(window) >= c.depth {
+		window[sent%size] = inflight{cid, w, hi - lo}
+		if sent++; sent-got >= c.depth {
 			if err := collect(); err != nil {
 				return fail(err)
 			}
 		}
 	}
-	for len(window) > 0 {
+	for got < sent {
 		if err := collect(); err != nil {
 			return fail(err)
 		}
@@ -407,21 +441,24 @@ func (c *Client) PublishValsBatch(batch [][]float64, timeout time.Duration) ([]i
 }
 
 // PublishBatch posts several events given as attribute maps and returns the
-// per-event match counts, positionally aligned with evs. The maps become one
-// block of vectors, completed from the announced defaults as in Publish, and
-// take PublishValsBatch's path (chunked, pipelined, same error contract). A
-// map that cannot convert fails the batch, naming its index, before anything
-// is sent.
+// per-event match counts, positionally aligned with evs, its only
+// allocation. The maps become one block of vectors, completed from the
+// announced defaults as in Publish, and take PublishValsBatch's path
+// (chunked, pipelined, same error contract). A map that cannot convert fails
+// the batch, naming its index, before anything is sent.
 func (c *Client) PublishBatch(evs []map[string]float64, timeout time.Duration) ([]int, error) {
+	sc := batches.Get().(*batchScratch)
+	defer batches.Put(sc)
 	n := c.sch.N()
-	block, batch := make([]float64, n*len(evs)), make([][]float64, len(evs))
+	sc.block = slices.Grow(sc.block[:0], n*len(evs))[:n*len(evs)]
+	sc.batch = slices.Grow(sc.batch[:0], len(evs))[:len(evs)]
 	for i, ev := range evs {
-		batch[i] = block[i*n : (i+1)*n]
-		if err := event.Complete(c.sch, batch[i], ev, c.defaults); err != nil {
+		sc.batch[i] = sc.block[i*n : (i+1)*n]
+		if err := event.Complete(c.sch, sc.batch[i], ev, c.defaults); err != nil {
 			return nil, fmt.Errorf("wire: publish_batch: event %d: %w", i, err)
 		}
 	}
-	return c.PublishValsBatch(batch, timeout)
+	return c.publishValsBatch(sc.batch, timeout, sc)
 }
 
 // Quench asks whether the region [lo,hi] of attr is unsubscribed.

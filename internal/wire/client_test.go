@@ -372,8 +372,8 @@ func TestDialRefusesInvalidSchema(t *testing.T) {
 
 // TestClientCompletionAllocations pins what completing maps costs a client
 // over sending the same vectors on the same connection: one object per
-// Publish(map), its vector, and two per PublishBatch(maps), the block of
-// vectors and their headers.
+// Publish(map), its vector, and none per PublishBatch(maps), whose vectors
+// are pooled scratch.
 func TestClientCompletionAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins do not hold under -race")
@@ -400,7 +400,7 @@ func TestClientCompletionAllocations(t *testing.T) {
 	if got := perCall(func() { must(c.Publish(m, rpcTimeout)) }, func() { must(c.PublishVals(vals, rpcTimeout)) }); got != 1 {
 		t.Errorf("Publish(map) allocates %v objects more than PublishVals, want 1 (the vector)", got)
 	}
-	if got := perCall(func() { must(c.PublishBatch(ms, rpcTimeout)) }, func() { must(c.PublishValsBatch(batch, rpcTimeout)) }); got != 2 {
-		t.Errorf("PublishBatch(64 maps) allocates %v objects more than PublishValsBatch, want 2 (the block and the headers)", got)
+	if got := perCall(func() { must(c.PublishBatch(ms, rpcTimeout)) }, func() { must(c.PublishValsBatch(batch, rpcTimeout)) }); got != 0 {
+		t.Errorf("PublishBatch(64 maps) allocates %v objects more than PublishValsBatch, want 0", got)
 	}
 }

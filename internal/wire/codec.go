@@ -12,12 +12,13 @@ import (
 // inbound is one connection's read half: the buffered stream plus the
 // scratch frames decode into, reused from message to message.
 type inbound struct {
-	rd    *bufio.Reader
-	buf   []byte      // frame payload
-	vals  []float64   // publish or notification vector
-	batch [][]float64 // publish_batch vectors, carved from block
-	block []float64   // publish_batch values, reused from frame to frame: the broker copies what it keeps
-	ids   []string    // the ids of a notification
+	rd     *bufio.Reader
+	buf    []byte      // frame payload
+	vals   []float64   // publish or notification vector
+	batch  [][]float64 // publish_batch vectors, carved from block
+	block  []float64   // publish_batch values, reused from frame to frame: the broker copies what it keeps
+	ids    []string    // the ids of a notification
+	counts []int       // a publish_batch acknowledgement's counts
 	// size is the wire size of the message read last.
 	size int
 	// interned holds the id strings of the notifications read so far (a

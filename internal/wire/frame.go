@@ -501,9 +501,9 @@ func appendResponse(dst []byte, cid uint32, resp Response) ([]byte, error) {
 	return appendControlFrame(dst, frameControlRe, cid, js), nil
 }
 
-// decodeResponseFrame is appendResponse's inverse. A notification's vector is
-// decoded into in's scratch and valid until the next read; its ids are
-// interned (inbound.id) and listed in in's scratch.
+// decodeResponseFrame is appendResponse's inverse. A notification's vector and
+// ids (interned: inbound.id) and a batch acknowledgement's counts are decoded
+// into in's scratch and valid until the next read.
 func decodeResponseFrame(typ byte, payload []byte, in *inbound) (uint32, Response, error) {
 	c := cur{b: payload}
 	switch typ {
@@ -517,13 +517,16 @@ func decodeResponseFrame(typ byte, payload []byte, in *inbound) (uint32, Respons
 		if c.bad || uint64(n)*4 > uint64(len(c.b)) {
 			return 0, Response{}, fmt.Errorf("%w: bad batch count", ErrBadFrame)
 		}
-		counts := make([]int, n)
-		total := 0
-		for i := range counts {
-			counts[i] = int(c.u32())
-			total += counts[i]
+		if in.counts == nil { // MatchedEach is never nil, even for no events
+			in.counts = make([]int, 0, n)
 		}
-		return cid, Response{Type: MsgOK, Op: OpPublishBatch, Matched: total, MatchedEach: counts}, c.done()
+		in.counts = slices.Grow(in.counts[:0], int(n))[:n]
+		total := 0
+		for i := range in.counts {
+			in.counts[i] = int(c.u32())
+			total += in.counts[i]
+		}
+		return cid, Response{Type: MsgOK, Op: OpPublishBatch, Matched: total, MatchedEach: in.counts}, c.done()
 	case frameErr:
 		cid := c.u32()
 		op := Op(c.str())

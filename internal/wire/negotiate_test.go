@@ -162,11 +162,12 @@ func TestSilentConnectionIsDropped(t *testing.T) {
 	}
 }
 
-// ackAfterTwo is a scripted server that answers no request until two have
-// arrived: a client that waits for each acknowledgement before posting its
-// next request times out against it. Every publish_batch is acknowledged
-// with zero matches per event.
-func ackAfterTwo(t *testing.T) string {
+// holdAcks is a scripted server that answers each request at once, except
+// the publish_batch frames from..from+n-1 (counted from 0 on the
+// connection), whose acknowledgements wait until all n have arrived and
+// release (unless nil) is closed. Batch frame k is acknowledged with k+1
+// matches per event, any other request with a pong.
+func holdAcks(t *testing.T, from, n int, release <-chan struct{}) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -186,30 +187,46 @@ func ackAfterTwo(t *testing.T) string {
 		if _, err := conn.Write(v2Confirmation()); err != nil {
 			return
 		}
-		var acks []byte
-		for read := 1; ; read++ {
+		var held []byte
+		for k := 0; ; {
 			cid, req, err := readRequest(in)
 			if err != nil {
 				return
 			}
-			acks = appendOKBatchFrame(acks, cid, make([]int, len(req.Batch)))
-			if read >= 2 {
-				if _, err := conn.Write(acks); err != nil {
-					return
+			var ack []byte
+			if req.Op == OpPublishBatch {
+				counts := make([]int, len(req.Batch))
+				for i := range counts {
+					counts[i] = k + 1
 				}
-				acks = acks[:0]
+				ack = appendOKBatchFrame(nil, cid, counts)
+				if k++; k > from && k <= from+n {
+					if held = append(held, ack...); k < from+n {
+						continue
+					}
+					if release != nil {
+						<-release
+					}
+					ack = held
+				}
+			} else {
+				ack, _ = appendResponse(nil, cid, Response{Type: MsgPong, Op: req.Op})
+			}
+			if _, err := conn.Write(ack); err != nil {
+				return
 			}
 		}
 	}()
 	return ln.Addr().String()
 }
 
-// requirePipelined publishes through a client of ackAfterTwo: the batch
-// completes only if the client posts a second request before it reads the
-// first acknowledgement, which is where pipelining is decided.
+// requirePipelined publishes through a client of a server that answers no
+// request until two have arrived: the batch completes only if the client
+// posts a second request before it reads the first acknowledgement, which is
+// where pipelining is decided.
 func requirePipelined(t *testing.T, publish func(*Client) ([]int, error)) {
 	t.Helper()
-	c, err := DialWith(ackAfterTwo(t), DialConfig{Timeout: rpcTimeout, PipelineDepth: 8})
+	c, err := DialWith(holdAcks(t, 0, 2, nil), DialConfig{Timeout: rpcTimeout, PipelineDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

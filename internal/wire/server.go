@@ -204,10 +204,11 @@ const notifyQueue = 256
 // connState is one client session's state, owned by its request loop. queue
 // is the one channel every subscription delivers into, created with the first.
 type connState struct {
-	out   *Outbox
-	subs  map[string]*broker.Subscription
-	evs   []event.Event // publish_batch scratch
-	queue *broker.Queue
+	out    *Outbox
+	subs   map[string]*broker.Subscription
+	evs    []event.Event // publish_batch scratch
+	counts []int         // and its counts, free again once the reply is encoded
+	queue  *broker.Queue
 }
 
 // handle runs one connection. Its first line must be a hello advertising
@@ -409,18 +410,18 @@ func (s *Server) dispatch(cs *connState, in *inbound, req Request) (Response, er
 			cs.evs = append(cs.evs, event.Event{Vals: vals})
 		}
 		// The broker validates every event and names the one it refuses.
-		counts, err := s.brk.PublishBatch(cs.evs)
-		if err != nil {
+		var err error
+		if cs.counts, err = s.brk.PublishBatchAppend(cs.counts[:0], cs.evs); err != nil {
 			return Response{}, err
 		}
 		total := 0
-		for i, c := range counts {
+		for i, c := range cs.counts {
 			total += c
 			if s.overlay != nil {
 				s.overlay.EventPublished(cs.evs[i])
 			}
 		}
-		return Response{Type: MsgOK, Op: req.Op, Matched: total, MatchedEach: counts}, nil
+		return Response{Type: MsgOK, Op: req.Op, Matched: total, MatchedEach: cs.counts}, nil
 
 	case OpQuench:
 		i, err := sch.Index(req.Attr)

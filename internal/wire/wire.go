@@ -114,7 +114,8 @@ type Response struct {
 	// batch: the sum over the frame).
 	Matched int `json:"matched,omitempty"`
 	// MatchedEach reports per-event match counts for publish_batch,
-	// positionally aligned with the request's Batch.
+	// positionally aligned with the request's Batch. A client's lives in the
+	// request's waiter, valid until the waiter is released.
 	MatchedEach []int `json:"matched_each,omitempty"`
 	// Quenched answers quench queries.
 	Quenched bool `json:"quenched,omitempty"`
