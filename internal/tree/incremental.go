@@ -4,10 +4,12 @@
 // re-apply a value order by copying the levels it re-lays so concurrent readers
 // of the original tree never observe a half-laid node.
 //
-// All three operations are persistent: the receiver tree is never mutated,
-// the successor shares every node the change does not touch. That is what
-// lets the engine publish trees through an atomic snapshot pointer and keep
-// the match path lock-free — a reader traversing the old tree races nothing.
+// All three operations are persistent: the receiver tree is never mutated.
+// The successor of a tree that heads its line shares every node the change
+// does not touch; a second successor of one tree is a copy in a line of its
+// own, so that a line has one writer. That is what lets the engine publish
+// trees through an atomic snapshot pointer and keep the match path lock-free
+// — a reader traversing the old tree races nothing.
 //
 // An insert is the union of two automata over one level order: the tree and
 // the chain, the new profile alone with one node per level. A merged node's
@@ -79,7 +81,7 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 
 // edit derives the successor that adds p at index pi, or with drop set takes
 // it out, laying out what it re-cuts under vo, in t's line or, where t heads
-// none, a line of its own (extend).
+// none, in a copy of t (extend).
 //
 //genas:builder
 func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tree {
@@ -96,18 +98,19 @@ func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tre
 
 	m := mergerPool.Get().(*merger)
 	defer mergerPool.Put(m)
-	m.start(t, nt, int32(pi), vo, drop)
+	m.start(nt, int32(pi), vo, drop)
 	// An unsatisfiable profile can never match: the automaton is unchanged
 	// and the whole node graph is shared. Its index still exists (it appears
 	// in no set).
 	if chain, ok := m.chain(p, vo); ok {
-		if nt.root = m.merge(0, t.root, chain); nt.root == none {
+		root := nt.root
+		if nt.root = m.merge(0, root, chain); nt.root == none {
 			// The last profile left: the root without edges.
 			var r *Node
 			nt.root, r = nt.newNode()
 			*r = Node{attr: int16(t.attrOrder[0])}
 		}
-		if nt.root != t.root {
+		if nt.root != root {
 			nt.meta = &s.meta // filled lazily on the first Levels/Stats call
 		}
 	}
@@ -128,8 +131,8 @@ type edited struct {
 // edits carve at, the tails of the profile and gone arrays past the newest
 // tree's lengths, held, the bytes of the chunks its successors placed, and
 // base, the bytes of the tree the line started from. Only the line's head,
-// its newest tree, carves or appends to the arrays; every successor takes the
-// line over from its head.
+// its newest tree, carves or appends to the arrays; its successor takes the
+// line over, and a successor of any other tree is a copy (extend).
 type lineage struct {
 	head  atomic.Pointer[Tree]
 	tails tails
@@ -149,19 +152,14 @@ func (t *Tree) Worn() bool {
 	return t.line.held > lineFactor*t.line.base || 2*len(t.gone) > len(t.profiles)
 }
 
-// extend makes nt, a successor of t, the head of t's line when t heads it.
-// Otherwise t has a successor already, and nt starts a line of its own, so a
-// second successor of one tree never writes into storage its sibling owns:
-// past their lengths the arrays may be the sibling's, and so may the page
-// entries past what t reaches.
+// extend makes nt, a successor of t, the head of t's line when t heads it:
+// nt then shares t's records and carves past them. Otherwise t has a
+// successor already, which writes the line, and nt becomes a copy of t in a
+// line of its own, so a line has one writer.
 func (t *Tree) extend(nt *Tree) {
-	if t.line.head.CompareAndSwap(t, nt) {
-		return
+	if !t.line.head.CompareAndSwap(t, nt) {
+		(&copier{t: t, nt: nt}).fresh()
 	}
-	nt.st = t.reached()
-	nt.line = &lineage{tails: tailsPast(&nt.st), base: t.Stats().Bytes}
-	nt.line.head.Store(nt)
-	nt.profiles, nt.gone = slices.Clip(nt.profiles), slices.Clip(nt.gone)
 }
 
 // Copied returns t copied into a fresh line, and old, t's dense index of
@@ -177,7 +175,7 @@ func (t *Tree) Copied() (nt *Tree, old []int) {
 		}
 		renum[pi] = -1
 	}
-	nt = &Tree{schema: t.schema, attrOrder: t.attrOrder, vo: t.vo, meta: &graphMeta{}, profiles: make([]*predicate.Profile, 0, live)}
+	nt = &Tree{schema: t.schema, attrOrder: t.attrOrder, vo: t.vo, profiles: make([]*predicate.Profile, 0, live)}
 	old = make([]int, 0, live)
 	for pi, p := range t.profiles {
 		if renum[pi] >= 0 {
@@ -190,47 +188,18 @@ func (t *Tree) Copied() (nt *Tree, old []int) {
 	return nt, old
 }
 
-// reached returns t's store with every page table cut to the pages t's nodes
-// reach: a line that starts from t copies those entries, which t's
-// publication ordered before it, and none that another line's head may be
-// writing past them.
-func (t *Tree) reached() store {
-	var nodes, edges, ints, sets int32
-	s, last := &t.st, len(t.attrOrder)-1
-	for l, ids := range t.Levels() {
-		for _, id := range ids {
-			r := s.nodes.at(id)
-			nodes = max(nodes, id+1)
-			e := r.edgeRun(s)
-			if len(e) > 0 {
-				edges = max(edges, r.edges+int32(len(e)))
-			}
-			for i := 0; l == last && i < len(e); i++ {
-				sp := s.sets.at(e[i].To)
-				sets, ints = max(sets, e[i].To+1), max(ints, sp.off+sp.n)
-			}
-			if k := int32(layoutLen(r.nSub)); k > 0 {
-				ints = max(ints, r.layout+k)
-			}
-			if r.nParked > 0 {
-				ints = max(ints, r.parked+r.nParked)
-			}
-		}
-	}
-	pages := func(n int32) int { return int(n+pageSize-1) >> pageShift }
-	return store{nodes: s.nodes.cut(pages(nodes)), edges: s.edges.cut(pages(edges)), ints: s.ints.cut(pages(ints)), sets: s.sets.cut(pages(sets))}
-}
-
 // Reordered returns a successor tree with vo applied to the nodes that test
 // one of attrs (none given: to every node). It does not mutate the receiver,
 // and it costs what is reordered: the levels down to the deepest one testing
 // such an attribute are copied, the narrow nodes testing one with a fresh
 // layout (a wide node has none), and everything below is shared, so readers
-// of the old tree keep consistent probe trees. A reorder above the last level carves its copies into t's
-// line, as an edit does; one that reaches the last level copies every node
-// and leaf set into a fresh line, as Copied does without renumbering, so
-// that the tree it replaces goes once dropped. It reports the nodes re-laid
-// and the nodes copied only to re-point their children.
+// of the old tree keep consistent probe trees. A reorder above the last
+// level of a tree that heads its line carves its copies into that line, as
+// an edit does. One that reaches the last level, or of a tree that heads no
+// line, copies every node and leaf set into a fresh line, as Copied does
+// without renumbering, so that the tree it replaces goes once dropped. It
+// reports the nodes re-laid and the nodes copied only to re-point their
+// children.
 func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copied int) {
 	sel, deepest := make([]bool, len(t.attrOrder)), 0
 	for _, a := range attrs {
@@ -245,15 +214,14 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 		}
 	}
 	r := *t
-	r.vo, r.meta = vo, &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
+	r.vo = vo
 	c := copier{t: t, nt: &r, deepest: deepest, sel: sel}
-	if deepest == len(t.attrOrder)-1 {
-		r.profiles, r.gone = slices.Clip(r.profiles), slices.Clip(r.gone)
-		c.fresh()
-	} else {
-		t.extend(&r)
-		c.memo = make([]int32, r.line.tails.nodes.free) // t's node ids lie below the line's tail
+	if deepest < len(t.attrOrder)-1 && t.line.head.CompareAndSwap(t, &r) {
+		r.meta = &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
+		c.memo = make([]int32, t.Slots())
 		r.root = c.clone(0, t.root)
+	} else {
+		c.fresh()
 	}
 	r.layOut(vo, c.relay)
 	return &r, len(c.relay), c.copied
@@ -262,8 +230,8 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 // copier is one copying walk of a tree's levels down to deepest into the
 // copy's line, each state once: past the last level, the leaf sets too.
 // Reordered's re-lays the nodes testing a selected attribute and counts the
-// rest; Copied's keeps every probe tree and renumbers every set through
-// renum.
+// rest; Copied's and extend's keep every probe tree, and Copied's renumbers
+// every set through renum.
 type copier struct {
 	t, nt   *Tree
 	deepest int
@@ -277,10 +245,14 @@ type copier struct {
 }
 
 // fresh copies every node and leaf set of t into a fresh line of nt: one
-// exact chunk per slab, sized by a first walk, then sealed.
+// exact chunk per slab, sized by a first walk, then sealed. nt gets a graph
+// meta of its own, and its profile arrays clipped, so that its appends copy
+// them.
 func (c *copier) fresh() {
 	nt := c.nt
 	c.deepest = len(c.t.attrOrder)
+	nt.meta = &graphMeta{}
+	nt.profiles, nt.gone = slices.Clip(nt.profiles), slices.Clip(nt.gone)
 	nt.line = &lineage{}
 	nt.line.head.Store(nt)
 	nt.st = store{}
@@ -348,11 +320,9 @@ func (c *copier) clone(l int, id int32) int32 {
 	c.renumber(ints, o.extra)
 	rec.layout, ints = nt.newInts(len(o.layout))
 	switch {
-	case c.renum != nil || !c.sel[o.Attr]:
+	case c.sel == nil || !c.sel[o.Attr]:
 		copy(ints, o.layout)
-		if c.renum == nil {
-			c.copied++
-		}
+		c.copied++
 	default:
 		c.relay = append(c.relay, nodeAt{l, nid})
 	}
@@ -419,13 +389,14 @@ type merger struct {
 	sc orderScratch
 }
 
-// start readies the merger for the edit of t into nt.
-func (m *merger) start(t, nt *Tree, np int32, vo ValueOrder, drop bool) {
+// start readies the merger for the edit into nt, whose nodes before the
+// edit lie below its slots.
+func (m *merger) start(nt *Tree, np int32, vo ValueOrder, drop bool) {
 	m.t, m.np, m.vo, m.drop = nt, np, vo, drop
-	if n := len(t.attrOrder); len(m.edges) < n {
+	if n := len(nt.attrOrder); len(m.edges) < n {
 		m.edges = make([][]Edge, n)
 	}
-	if s := t.Slots(); len(m.memo) < s {
+	if s := nt.Slots(); len(m.memo) < s {
 		m.memo = make([]int32, 2*s) // headroom for the line's growth
 	}
 }

@@ -430,9 +430,11 @@ func randomEvent(s *schema.Schema, rng *rand.Rand) []float64 {
 // 3 000 insert/removal pairs, swapped for its copy whenever it is worn. The
 // line a copy starts from holds the copy's own bytes, and after every edit
 // the line's arena holds at most lineFactor times those bytes plus that
-// edit's and one largest chunk of each kind, and its profile array at most
-// twice the live profiles. Each copy probes a sample of events in the
-// comparisons of the tree it copies, matching the same profiles.
+// edit's and one largest chunk of each kind, its profile array at most
+// twice the live profiles, and each slab spans its line's tail end rounded
+// up to a page: a page table grows in capacity, not in length. Each copy
+// probes a sample of events in the comparisons of the tree it copies,
+// matching the same profiles.
 func TestLineStaysWithinItsBound(t *testing.T) {
 	pairs := 3000
 	if raceEnabled {
@@ -491,6 +493,13 @@ func TestLineStaysWithinItsBound(t *testing.T) {
 		if len(tr.profiles) > 2*len(dense) {
 			t.Fatalf("the profile array lists %d indices for %d live profiles", len(tr.profiles), len(dense))
 		}
+		lt := &l.tails
+		for _, sl := range [][2]int{{tr.st.nodes.slots(), int(lt.nodes.end)}, {tr.st.edges.slots(), int(lt.edges.end)},
+			{tr.st.ints.slots(), int(lt.ints.end)}, {tr.st.sets.slots(), int(lt.sets.end)}} {
+			if sl[0] != (sl[1]+pageSize-1)&^(pageSize-1) {
+				t.Fatalf("after %d copies a slab spans %d slots, its line's tail ends at %d", copies, sl[0], sl[1])
+			}
+		}
 	}
 	for i := range pairs {
 		p := profile(len(live) + i)
@@ -503,7 +512,8 @@ func TestLineStaysWithinItsBound(t *testing.T) {
 		live[k], dense[k], dense = p, dense[last], dense[:last]
 		check()
 	}
-	t.Logf("%d edits crossed %d line copies; a line held at most %.1f times the bytes it started from (bound %d plus a chunk)", 2*pairs, copies, peak, lineFactor)
+	t.Logf("%d edits crossed %d line copies; a line held at most %.1f times the bytes it started from (bound %d plus a chunk); %d node slots for %d nodes",
+		2*pairs, copies, peak, lineFactor, tr.Slots(), tr.Stats().Nodes)
 	if copies == 0 && !raceEnabled {
 		t.Errorf("%d edits crossed no line copy", 2*pairs)
 	}
@@ -958,10 +968,10 @@ func TestSuccessorsLeavePredecessorsAlone(t *testing.T) {
 
 // TestSiblingsEditConcurrently: a line's head takes edits on one goroutine
 // while another derives from each older tree of the line an insert and a
-// partial reorder, which carves into a line as an edit does. Each sibling's
-// new line copies the page tables it extends: a copy holds the entries the
-// older tree reaches and none the head is writing past them, so the race
-// detector finds nothing, and each sibling matches as brute force says.
+// partial reorder, which carves into a line as an edit does. Each sibling is
+// a copy of the older tree that heads a line of its own and shares no page
+// with the line it left, so the race detector finds nothing, and each
+// sibling, and the sibling's own successor, matches as brute force says.
 func TestSiblingsEditConcurrently(t *testing.T) {
 	s, profile := churnCorpus(t)
 	corpus := make([]*predicate.Profile, 200)
@@ -1003,11 +1013,23 @@ func TestSiblingsEditConcurrently(t *testing.T) {
 		sib, _ := old.WithProfile(sibs[k], NaturalOrder())
 		re, _, _ := old.Reordered(saltedMass(float64(k)), old.attrOrder[k%(s.N()-1)])
 		for name, sib := range map[string]*Tree{"insert": sib, "reorder": re} {
+			if sib.line == old.line || sib.line.head.Load() != sib {
+				t.Fatalf("sibling %s of tree %d does not head a line of its own", name, k)
+			}
+			if n := sharedPages(&sib.st, &old.st); n > 0 {
+				t.Fatalf("sibling %s of tree %d shares %d pages with the line it left", name, k, n)
+			}
+		}
+		next := sib.WithoutProfile(k)
+		if next.line != sib.line {
+			t.Fatalf("the successor of sibling %d does not take its line over", k)
+		}
+		for name, sib := range map[string]*Tree{"insert": sib, "reorder": re, "insert's successor": next} {
 			for _, vals := range grid {
 				got, _ := sib.Match(vals)
 				var want []int32
 				for i, p := range sib.Profiles() {
-					if p.Matches(vals) {
+					if p.Matches(vals) && !slices.Contains(sib.gone, i) {
 						want = append(want, int32(i))
 					}
 				}

@@ -160,7 +160,8 @@ func TestParallelBuildIsIdentical(t *testing.T) {
 // either. At GOMAXPROCS 1, 2 and 8 re-laying the match-drift-shaped tree under
 // new weights — every node, or only those testing one attribute — gives the
 // same successor, probe trees included, and the same counts, and leaves the
-// original as it was.
+// original as it was. Each run reorders a copy of its own, which heads its
+// line: a second reorder of one tree would be a copy into a fresh line.
 func TestParallelReorderedIsIdentical(t *testing.T) {
 	s, corpus := driftCorpus(t, 4000)
 	tr, err := Build(s, corpus)
@@ -170,7 +171,8 @@ func TestParallelReorderedIsIdentical(t *testing.T) {
 	before := render(tr)
 	for _, attrs := range [][]int{nil, {1}} {
 		atProcs(t, fmt.Sprintf("attributes %v", attrs), func() string {
-			re, resorted, copied := tr.Reordered(saltedMass(5), attrs...)
+			head, _ := tr.Copied()
+			re, resorted, copied := head.Reordered(saltedMass(5), attrs...)
 			return fmt.Sprintf("%d re-laid, %d copied\n%s", resorted, copied, render(re))
 		})
 	}

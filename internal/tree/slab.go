@@ -17,11 +17,12 @@ import (
 // from that index to the chunk's end: a record is one lookup, and a run of
 // records, which never spans chunks, one slice. Every record is carved from a
 // line (carve): a Build starts one and seals it, its newest chunks clipped to
-// what they hold; a Copied, or a Reordered that reaches the last level,
-// places one exact chunk per slab in a fresh line (place); and edits and
-// partial reorders carve further chunks into their predecessor's line. A
-// successor reads its predecessor's records by the same indices, and writes
-// only past them.
+// what they hold; a Copied, a Reordered that reaches the last level, and an
+// edit or partial reorder of a tree that heads no line place one exact chunk
+// per slab in a fresh line (place); and the head's edits and partial reorders
+// carve further chunks into its line. A line has one writer, its head: a
+// successor reads its predecessor's records and pages by the same indices,
+// and writes only past them.
 type slab[T any] struct {
 	pages [][]T
 }
@@ -42,9 +43,6 @@ func (s *slab[T]) run(i int32, n int) []T {
 	o := int(i & (pageSize - 1))
 	return s.pages[i>>pageShift][o : o+n : o+n]
 }
-
-// cut returns the slab's first n pages, its page table's capacity cut there.
-func (s *slab[T]) cut(n int) slab[T] { return slab[T]{pages: s.pages[:n:n]} }
 
 // slots bounds the slab's indices: a table indexed by record needs this many
 // entries.
@@ -79,19 +77,6 @@ type tail struct {
 // tails are a line's tails, one per slab.
 type tails struct{ nodes, edges, ints, sets tail }
 
-// past returns the tail of a slab whose carving starts past every page s
-// holds: a line carves fresh chunks only, and grows a copy of every page
-// table it extends.
-func past[T any](s *slab[T]) tail {
-	i := int32(len(s.pages) << pageShift)
-	return tail{start: i, free: i, end: i}
-}
-
-// tailsPast starts a line's tails past every page of st.
-func tailsPast(st *store) tails {
-	return tails{nodes: past(&st.nodes), edges: past(&st.edges), ints: past(&st.ints), sets: past(&st.sets)}
-}
-
 // A line's chunks of a kind grow with what its chunks of the kind hold: an
 // eighth of it, at least the fixed count of its kind, up to maxChunk bytes.
 // One insert copies dozens of nodes and thousands of edges, so a young line's
@@ -125,18 +110,17 @@ func carve[T any](l *lineage, s *slab[T], tl *tail, n, d int) (int32, []T) {
 }
 
 // place makes chunk the newest of slab s, on the first page past the tail
-// tl. A page table the chunk outgrows is replaced by a copy four times its
-// size in the successor's own store, so no tree that shares the old table
-// sees a write.
+// tl, which ends the pages s holds. The page table grows in length by the
+// chunk's pages only, and in capacity, where the chunk outgrows it, fourfold
+// into a copy: the head alone writes past the pages a predecessor holds.
 //
 //genas:builder
 func place[T any](l *lineage, s *slab[T], tl *tail, chunk []T) {
-	p0, k := int(tl.end+pageSize-1)>>pageShift, (len(chunk)+pageSize-1)>>pageShift
-	if p0+k > len(s.pages) {
-		grown := make([][]T, max(4*len(s.pages), p0+k))
-		copy(grown, s.pages)
-		s.pages = grown
+	p0, k := len(s.pages), (len(chunk)+pageSize-1)>>pageShift
+	if p0+k > cap(s.pages) {
+		s.pages = append(make([][]T, 0, max(4*cap(s.pages), p0+k)), s.pages...)
 	}
+	s.pages = s.pages[:p0+k]
 	for j := range k {
 		s.pages[p0+j] = chunk[j<<pageShift:]
 	}
@@ -147,8 +131,8 @@ func place[T any](l *lineage, s *slab[T], tl *tail, chunk []T) {
 }
 
 // clip ends a slab's carving by a Build or a copy: it clips the newest chunk
-// and the page table to what they hold, restarts the tail past them, and
-// returns the bytes carved.
+// and the page table to what they hold, restarts the tail past them, where
+// the line places its next chunk, and returns the bytes carved.
 //
 //genas:builder
 func clip[T any](s *slab[T], tl *tail) int {
@@ -161,7 +145,8 @@ func clip[T any](s *slab[T], tl *tail) int {
 		}
 	}
 	s.pages = clipped(s.pages[:(tl.free+pageSize-1)>>pageShift])
-	*tl = past(s)
+	end := int32(len(s.pages) << pageShift)
+	*tl = tail{start: end, free: end, end: end}
 	return carved
 }
 

@@ -99,7 +99,16 @@ func ReadFrame(rd *bufio.Reader, buf *[]byte) (typ byte, payload []byte, err err
 		*buf = make([]byte, n)
 	}
 	*buf = (*buf)[:n]
-	if _, err := io.ReadFull(rd, *buf); err != nil {
+	// A frame longer than the reader's buffer is read straight into *buf but
+	// for its last rd.Size()-1 bytes, which go through the buffer: the read
+	// that fills it takes in what follows the frame too, so Buffered sees a
+	// frame sent behind this one.
+	direct := max(0, int(n)-(rd.Size()-1))
+	_, err = io.ReadFull(rd, (*buf)[:direct])
+	if err == nil {
+		_, err = io.ReadFull(rd, (*buf)[direct:])
+	}
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: connection closed inside a %d-byte frame", ErrFrameTruncated, n)
 	}
 	return (*buf)[0], (*buf)[1:], nil

@@ -286,33 +286,48 @@ func TestPipelinedBatch(t *testing.T) {
 
 // TestFramesPipelinedCounter pins the server's pipelining counter once,
 // deterministically: of two request frames that arrive in one write, the
-// first finds the second already buffered behind it.
+// first finds the second already buffered behind it, also where the first
+// is longer than the server's 4 KiB reader.
 func TestFramesPipelinedCounter(t *testing.T) {
-	conn, rd := upgradeRaw(t, startServer(t))
-	defer func() { _ = conn.Close() }()
-	two := appendPublishFrame(appendPublishFrame(nil, 1, []float64{41, 10}), 2, []float64{5, 10})
-	if _, err := conn.Write(two); err != nil {
-		t.Fatal(err)
+	long := make([][]float64, 750) // 1 500 values, some 12 KB
+	for i := range long {
+		long[i] = []float64{41, 10}
 	}
-	var buf []byte
-	for i := 0; i < 2; i++ {
-		if typ, _, err := ReadFrame(rd, &buf); err != nil || typ != frameOK {
-			t.Fatalf("acknowledgement %d: type 0x%02x, %v", i, typ, err)
-		}
-	}
-	if _, err := conn.Write(appendControlFrame(nil, frameControl, 3, []byte(`{"op":"stats"}`))); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := ReadFrame(rd, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, resp, err := decodeResponseFrame(typ, payload, &inbound{})
-	if err != nil || resp.Stats == nil {
-		t.Fatalf("stats = %+v, %v", resp, err)
-	}
-	if resp.Stats.FramesPipelined != 1 {
-		t.Errorf("FramesPipelined = %d after two frames in one write, want 1", resp.Stats.FramesPipelined)
+	for _, tc := range []struct {
+		name  string
+		first []byte
+		reply byte
+	}{
+		{"two short frames", appendPublishFrame(nil, 1, []float64{41, 10}), frameOK},
+		{"a long frame, then a short one", appendPublishBatchFrame(nil, 1, long), frameOKBatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, rd := upgradeRaw(t, startServer(t))
+			defer func() { _ = conn.Close() }()
+			if _, err := conn.Write(appendPublishFrame(tc.first, 2, []float64{5, 10})); err != nil {
+				t.Fatal(err)
+			}
+			var buf []byte
+			for i, want := range []byte{tc.reply, frameOK} {
+				if typ, _, err := ReadFrame(rd, &buf); err != nil || typ != want {
+					t.Fatalf("acknowledgement %d: type 0x%02x, %v", i, typ, err)
+				}
+			}
+			if _, err := conn.Write(appendControlFrame(nil, frameControl, 3, []byte(`{"op":"stats"}`))); err != nil {
+				t.Fatal(err)
+			}
+			typ, payload, err := ReadFrame(rd, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, resp, err := decodeResponseFrame(typ, payload, &inbound{})
+			if err != nil || resp.Stats == nil {
+				t.Fatalf("stats = %+v, %v", resp, err)
+			}
+			if resp.Stats.FramesPipelined != 1 {
+				t.Errorf("FramesPipelined = %d after two frames in one write, want 1", resp.Stats.FramesPipelined)
+			}
+		})
 	}
 }
 

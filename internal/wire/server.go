@@ -220,8 +220,10 @@ func (s *Server) handle(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	// The standard 4 KiB reader is enough at any frame size: ReadFrame reads a
 	// frame longer than the reader's buffer straight into the connection's
-	// payload buffer, and ReadLine accumulates a longer hello across it. A
-	// larger buffer would buy fewer read calls at 64 KiB a connection.
+	// payload buffer but for its last 4 KiB less a byte, which it reads
+	// through the reader so that a frame behind it is buffered, and ReadLine
+	// accumulates a longer hello across it. A larger buffer would buy fewer
+	// read calls at 64 KiB a connection.
 	rd := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	line, err := ReadLine(rd)
