@@ -525,11 +525,11 @@ func rangeCorpus(tb testing.TB, n int) (*schema.Schema, []*predicate.Profile) {
 }
 
 // lineCopyAllocs is what the line copy of TestBuildAllocations mallocs on a
-// 2-core x86-64 machine, whatever the tree's height: the Tree, its graph meta
-// and its line; the renumbering, the copy's profile array and its table of
-// old indices; the memos of nodes and leaf sets; and per slab (nodes, edges,
-// ints, match-set table) one exact chunk and its page table.
-const lineCopyAllocs = 16
+// 2-core x86-64 machine, whatever the tree's height: the Tree and its line;
+// the renumbering, the copy's profile array and its table of old indices;
+// the memos of nodes and leaf sets; and per slab (nodes, edges, ints,
+// match-set table) one exact chunk and its page table.
+const lineCopyAllocs = 15
 
 // TestBuildAllocations is the allocation ceiling of the batch build: the
 // automaton is carved from arena chunks, so tree.Build makes fewer than one

@@ -16,6 +16,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -133,27 +134,24 @@ func run() error {
 	}
 	defer func() { _ = pub.Close() }()
 
-	// The hot route has to propagate C→B→A before a publish at A is
-	// forwarded; publish until the notification crosses both wire hops.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := pub.Publish(map[string]float64{"temperature": 41, "humidity": 10}, rpcTimeout); err != nil {
-			return err
-		}
-		var done bool
-		select {
-		case n := <-subC.Notifications():
-			fmt.Printf("C notified: %s matched temperature=%g two wire hops from the publisher\n",
-				n.Profile, n.Event["temperature"])
-			done = true
-		case <-time.After(100 * time.Millisecond):
-		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("subscription at C never matched the publish at A")
-		}
+	// Both routes have to reach A before a publish there is forwarded: hot
+	// propagates C→B→A, humid B→A. Until then A's link filter rejects what
+	// B or C wants.
+	if err := await(func() bool { return a.fed.RouteCount("B") == 2 && b.fed.RouteCount("C") == 1 },
+		"the routes never reached A"); err != nil {
+		return err
+	}
+
+	// An event for the subscriber at C crosses both wire hops.
+	if _, err := pub.Publish(map[string]float64{"temperature": 41, "humidity": 10}, rpcTimeout); err != nil {
+		return err
+	}
+	select {
+	case n := <-subC.Notifications():
+		fmt.Printf("C notified: %s matched temperature=%g two wire hops from the publisher\n",
+			n.Profile, n.Event["temperature"])
+	case <-time.After(rpcTimeout):
+		return fmt.Errorf("subscription at C never matched the publish at A")
 	}
 
 	// This event interests only B's local watcher: it crosses A→B, then B's
@@ -161,42 +159,43 @@ func run() error {
 	if _, err := pub.Publish(map[string]float64{"temperature": 5, "humidity": 90}, rpcTimeout); err != nil {
 		return err
 	}
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		if _, _, _, filtered := b.fed.Stats(); filtered >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("B never early-rejected the humid event")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 	select {
 	case n := <-subB.Notifications():
 		fmt.Printf("B notified locally: %s matched humidity=%g\n", n.Profile, n.Event["humidity"])
-	case <-time.After(5 * time.Second):
+	case <-time.After(rpcTimeout):
 		return fmt.Errorf("B's local watcher starved")
+	}
+	if err := await(func() bool { _, _, _, filtered := b.fed.Stats(); return filtered == 1 },
+		"B never early-rejected the humid event"); err != nil {
+		return err
 	}
 
 	// And an event nobody wants anywhere dies at A's own link.
 	if _, err := pub.Publish(map[string]float64{"temperature": -20, "humidity": 10}, rpcTimeout); err != nil {
 		return err
 	}
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		if _, _, _, filtered := a.fed.Stats(); filtered >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("A never early-rejected the cold event")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := await(func() bool { _, _, _, filtered := a.fed.Stats(); return filtered == 1 },
+		"A never early-rejected the cold event"); err != nil {
+		return err
 	}
 
 	_, _, fwdA, filtA := a.fed.Stats()
 	_, _, fwdB, filtB := b.fed.Stats()
+	if fwdA != 2 || filtA != 1 || fwdB != 1 || filtB != 1 {
+		return fmt.Errorf("A forwarded %d and rejected %d, B forwarded %d and rejected %d; want 2, 1, 1 and 1", fwdA, filtA, fwdB, filtB)
+	}
 	fmt.Printf("A: %d events crossed its wire, %d rejected before crossing\n", fwdA, filtA)
 	fmt.Printf("B (middle hop): %d forwarded on, %d rejected at the link to C\n", fwdB, filtB)
 	fmt.Println("the middle hop's filtered counter proves early rejection: wire crossings happen only where a downstream profile matches")
+	return nil
+}
+
+// await polls cond until it holds, or fails with msg after 10 s.
+func await(cond func() bool, msg string) error {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			return errors.New(msg)
+		}
+	}
 	return nil
 }

@@ -85,8 +85,8 @@ func (t *Tree) WithoutProfile(pi int) *Tree {
 //
 //genas:builder
 func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tree {
-	s := &edited{t: *t}
-	nt := &s.t
+	r := *t
+	nt := &r
 	nt.vo = vo
 	t.extend(nt)
 	// The head owns the arrays past every predecessor's length.
@@ -103,28 +103,15 @@ func (t *Tree) edit(p *predicate.Profile, pi int, vo ValueOrder, drop bool) *Tre
 	// and the whole node graph is shared. Its index still exists (it appears
 	// in no set).
 	if chain, ok := m.chain(p, vo); ok {
-		root := nt.root
-		if nt.root = m.merge(0, root, chain); nt.root == none {
+		if nt.root = m.merge(0, nt.root, chain); nt.root == none {
 			// The last profile left: the root without edges.
 			var r *Node
 			nt.root, r = nt.newNode()
 			*r = Node{attr: int16(t.attrOrder[0])}
 		}
-		if nt.root != root {
-			nt.meta = &s.meta // filled lazily on the first Levels/Stats call
-		}
 	}
 	m.end()
 	return nt
-}
-
-// edited is an edit's successor and the graph meta it gets when the edit
-// changed a node, in one allocation. A successor whose graph is its
-// predecessor's shares the predecessor's meta instead, and keeps that
-// predecessor's record alive with it.
-type edited struct {
-	t    Tree
-	meta graphMeta
 }
 
 // lineage is what a line of successor trees hands down: the tails their
@@ -168,24 +155,34 @@ func (t *Tree) extend(nt *Tree) {
 // into one exact chunk per slab. The copy shares no storage with t, and
 // probes in t's comparisons.
 func (t *Tree) Copied() (nt *Tree, old []int) {
-	renum, live := make([]int32, len(t.profiles)), len(t.profiles)
-	for _, pi := range t.gone {
-		if renum[pi] == 0 { // an index removed twice is gone once
-			live--
-		}
-		renum[pi] = -1
-	}
+	renum, live := t.renumbered()
 	nt = &Tree{schema: t.schema, attrOrder: t.attrOrder, vo: t.vo, profiles: make([]*predicate.Profile, 0, live)}
 	old = make([]int, 0, live)
 	for pi, p := range t.profiles {
 		if renum[pi] >= 0 {
-			renum[pi] = int32(len(old))
 			old, nt.profiles = append(old, pi), append(nt.profiles, p)
 		}
 	}
 	c := copier{t: t, nt: nt, renum: renum}
 	c.fresh()
 	return nt, old
+}
+
+// renumbered returns each of t's dense indices' place among the live ones,
+// −1 for one WithoutProfile took out, and how many are live: an index
+// removed twice is gone once.
+func (t *Tree) renumbered() (renum []int32, live int) {
+	renum = make([]int32, len(t.profiles))
+	for _, pi := range t.gone {
+		renum[pi] = -1
+	}
+	for pi := range renum {
+		if renum[pi] == 0 {
+			renum[pi] = int32(live)
+			live++
+		}
+	}
+	return renum, live
 }
 
 // Reordered returns a successor tree with vo applied to the nodes that test
@@ -217,7 +214,6 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 	r.vo = vo
 	c := copier{t: t, nt: &r, deepest: deepest, sel: sel}
 	if deepest < len(t.attrOrder)-1 && t.line.head.CompareAndSwap(t, &r) {
-		r.meta = &graphMeta{} // same graph shape, but fresh nodes: recompute lazily
 		c.memo = make([]int32, t.Slots())
 		r.root = c.clone(0, t.root)
 	} else {
@@ -236,7 +232,7 @@ type copier struct {
 	t, nt   *Tree
 	deepest int
 	// memo[id] is the copy of node id plus one, −1 once the sizing walk
-	// counted it, 0 before; sets[id] is the copy of leaf-set entry id alike.
+	// visited it, 0 before; sets[id] is the copy of leaf-set entry id alike.
 	memo, sets []int32
 	sel        []bool
 	relay      []nodeAt
@@ -245,50 +241,28 @@ type copier struct {
 }
 
 // fresh copies every node and leaf set of t into a fresh line of nt: one
-// exact chunk per slab, sized by a first walk, then sealed. nt gets a graph
-// meta of its own, and its profile arrays clipped, so that its appends copy
-// them.
+// exact chunk per slab, sized by a first walk (Tree.walk) that marks the
+// memos, then sealed. nt gets its profile arrays clipped, so that its
+// appends copy them.
 func (c *copier) fresh() {
 	nt := c.nt
 	c.deepest = len(c.t.attrOrder)
-	nt.meta = &graphMeta{}
 	nt.profiles, nt.gone = slices.Clip(nt.profiles), slices.Clip(nt.gone)
 	nt.line = &lineage{}
 	nt.line.head.Store(nt)
 	nt.st = store{}
 	c.memo, c.sets = make([]int32, c.t.Slots()), make([]int32, c.t.st.sets.slots())
-	var n [4]int
-	c.count(0, c.t.root, &n)
+	n := c.t.walk(c.memo, c.sets, nil)
 	l, lt := nt.line, &nt.line.tails
-	place(l, &nt.st.nodes, &lt.nodes, make([]Node, n[0]))
-	place(l, &nt.st.edges, &lt.edges, make([]Edge, n[1]))
-	place(l, &nt.st.ints, &lt.ints, make([]int32, n[2]))
-	place(l, &nt.st.sets, &lt.sets, make([]span, n[3]))
+	place(l, &nt.st.nodes, &lt.nodes, make([]Node, n.nodes))
+	place(l, &nt.st.edges, &lt.edges, make([]Edge, n.edges))
+	place(l, &nt.st.ints, &lt.ints, make([]int32, n.ints))
+	place(l, &nt.st.sets, &lt.sets, make([]span, n.sets))
 	if c.sel != nil {
-		c.relay = make([]nodeAt, 0, n[0])
+		c.relay = make([]nodeAt, 0, n.nodes)
 	}
 	nt.root = c.clone(0, c.t.root)
 	nt.seal()
-}
-
-// count is the sizing walk: it marks in the memo what the copy will hold,
-// and counts its nodes, edges, ints and leaf-set entries in n.
-func (c *copier) count(l int, id int32, n *[4]int) {
-	if c.memo[id] != 0 {
-		return
-	}
-	c.memo[id] = -1
-	o := c.t.Node(l, id)
-	n[0], n[1], n[2] = n[0]+1, n[1]+len(o.edges), n[2]+len(o.layout)+len(o.extra)
-	for i := range o.edges {
-		switch to := o.edges[i].To; {
-		case l+1 < len(c.t.attrOrder):
-			c.count(l+1, to, n)
-		case c.sets[to] == 0:
-			c.sets[to] = -1
-			n[2], n[3] = n[2]+len(c.t.Leaf(to)), n[3]+1
-		}
-	}
 }
 
 // clone returns the copy of node id of level l, making it on first sight:
@@ -355,8 +329,7 @@ func (c *copier) renumber(dst, s []int32) {
 }
 
 // mergerPool recycles the memo and scratch buffers across edits: steady
-// churn then allocates almost nothing beyond the successor's Tree and graph
-// meta.
+// churn then allocates almost nothing beyond the successor's Tree.
 var mergerPool = sync.Pool{New: func() any { return &merger{} }}
 
 // merger carries one edit: the successor tree under construction, whose line

@@ -15,8 +15,8 @@ import (
 // withProfileAllocs and withoutProfileAllocs are what an insert into
 // TestWithProfileAllocations' tree, and a removal from
 // TestWithoutProfileAllocations', malloc on a 2-core x86-64 machine: the
-// successor Tree with its graph meta, one allocation, and a fraction of one
-// of its line's arena chunks; the pins allow 5 % over them.
+// successor Tree, one allocation, and a fraction of one of its line's arena
+// chunks; the pins allow 5 % over them.
 const (
 	withProfileAllocs    = 1.0
 	withoutProfileAllocs = 1.0
@@ -428,11 +428,12 @@ func randomEvent(s *schema.Schema, rng *rand.Rand) []float64 {
 
 // TestLineStaysWithinItsBound: a tree of 1 000 churnCorpus profiles takes
 // 3 000 insert/removal pairs, swapped for its copy whenever it is worn. The
-// line a copy starts from holds the copy's own bytes, and after every edit
-// the line's arena holds at most lineFactor times those bytes plus that
-// edit's and one largest chunk of each kind, its profile array at most
-// twice the live profiles, and each slab spans its line's tail end rounded
-// up to a page: a page table grows in capacity, not in length. Each copy
+// line a copy starts from holds exactly the copy's Stats().Bytes: one walk
+// sizes both. After every edit the line's arena holds at most lineFactor
+// times those bytes plus that edit's and one largest chunk of each kind,
+// its profile array at most twice the live profiles, and each slab spans its
+// line's tail end rounded up to a page: a page table grows in capacity, not
+// in length. Each copy
 // probes a sample of events in the comparisons of the tree it copies,
 // matching the same profiles.
 func TestLineStaysWithinItsBound(t *testing.T) {
@@ -480,7 +481,7 @@ func TestLineStaysWithinItsBound(t *testing.T) {
 				dense[k], _ = slices.BinarySearch(old, pi)
 			}
 			tr = c
-			if st := tr.Stats().Bytes; tr.line.base < st*9/10 || tr.line.base > st*11/10 {
+			if st := tr.Stats().Bytes; tr.line.base != st {
 				t.Fatalf("copy %d: the line starts from %d bytes, the copy keeps %d", copies, tr.line.base, st)
 			}
 		}
@@ -559,7 +560,7 @@ func TestWithProfileShapes(t *testing.T) {
 		base: []string{"num in [2,4]; int <= 7", "cat in {b, c}"},
 		add:  "num >= 3; int in [2.1,2.4]",
 		check: func(t *testing.T, was, tr *Tree) {
-			if tr.root != was.root || tr.meta != was.meta {
+			if tr.root != was.root {
 				t.Fatal("the successor has a graph of its own")
 			}
 		},
@@ -972,6 +973,8 @@ func TestSuccessorsLeavePredecessorsAlone(t *testing.T) {
 // a copy of the older tree that heads a line of its own and shares no page
 // with the line it left, so the race detector finds nothing, and each
 // sibling, and the sibling's own successor, matches as brute force says.
+// Each older tree's Stats and Levels, walked meanwhile, read what they read
+// before the head started.
 func TestSiblingsEditConcurrently(t *testing.T) {
 	s, profile := churnCorpus(t)
 	corpus := make([]*predicate.Profile, 200)
@@ -1001,6 +1004,10 @@ func TestSiblingsEditConcurrently(t *testing.T) {
 	for i := range sibs {
 		sibs[i] = profile(2000 + i)
 	}
+	before := make([]Stats, len(line))
+	for k, old := range line {
+		before[k] = old.Stats()
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -1010,6 +1017,14 @@ func TestSiblingsEditConcurrently(t *testing.T) {
 		}
 	}()
 	for k, old := range line[:len(line)-1] {
+		// The walk reads old's line while the head carves past it.
+		st, ids := old.Stats(), 0
+		for _, level := range old.Levels() {
+			ids += len(level)
+		}
+		if st != before[k] || ids != st.Nodes {
+			t.Fatalf("tree %d reads %+v with %d ids in its levels while the head edits, %+v before", k, st, ids, before[k])
+		}
 		sib, _ := old.WithProfile(sibs[k], NaturalOrder())
 		re, _, _ := old.Reordered(saltedMass(float64(k)), old.attrOrder[k%(s.N()-1)])
 		for name, sib := range map[string]*Tree{"insert": sib, "reorder": re} {

@@ -36,7 +36,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"genas/internal/par"
 	"genas/internal/predicate"
@@ -223,40 +222,40 @@ func (t *Tree) Leaf(id int32) []int32 {
 // entries.
 func (t *Tree) Slots() int { return t.st.nodes.slots() }
 
-// graphMeta holds the per-level node lists and size statistics of one node
-// graph, computed by walking it on first use. It hangs off the Tree behind a
-// pointer so that trees sharing a graph (the successor of an edit that
-// changed no node) share the meta; the churn path never pays the walk.
-type graphMeta struct {
-	once   sync.Once
-	levels [][]int32 // unique (shared) nodes per level
-	nodes  int
-	edges  int
-	shared int // extra references to shared nodes (memoization hits)
+// size is what a walk of a tree found: its nodes, edges, int32s (probe
+// trees, parked and leaf sets) and leaf-set entries, each once, and the
+// repeated references to a node already visited (memoization hits).
+type size struct{ nodes, edges, ints, sets, shared int }
+
+// walk visits depth first, first edge first, every node t reaches and every
+// leaf set, each once, marking what it visits −1 in seen, indexed by node id,
+// and in sets, by leaf-set entry: 0 is unvisited. It returns what it found
+// and, where levels is not nil, appends each level's ids to levels[level] in
+// first-reach order.
+func (t *Tree) walk(seen, sets []int32, levels [][]int32) (n size) {
+	n.visit(t, 0, t.root, seen, sets, levels)
+	return n
 }
 
-// fill computes the meta by walking t's node graph depth first.
-func (m *graphMeta) fill(t *Tree) {
-	height := len(t.attrOrder)
-	m.levels = make([][]int32, height)
-	seen := make([]bool, t.Slots())
-	stack := []nodeAt{{0, t.root}}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n.id] {
-			m.shared++
-			continue
-		}
-		seen[n.id] = true
-		v := t.Node(n.l, n.id)
-		m.nodes++
-		m.edges += len(v.edges)
-		m.levels[n.l] = append(m.levels[n.l], n.id)
-		if n.l+1 < height {
-			for i := range v.edges {
-				stack = append(stack, nodeAt{n.l + 1, v.edges[i].To})
-			}
+// visit is walk from node id of level l on, adding to n.
+func (n *size) visit(t *Tree, l int, id int32, seen, sets []int32, levels [][]int32) {
+	if seen[id] != 0 {
+		n.shared++
+		return
+	}
+	seen[id] = -1
+	if levels != nil {
+		levels[l] = append(levels[l], id)
+	}
+	o := t.Node(l, id)
+	n.nodes, n.edges, n.ints = n.nodes+1, n.edges+len(o.edges), n.ints+len(o.layout)+len(o.extra)
+	for i := range o.edges {
+		switch to := o.edges[i].To; {
+		case l+1 < len(t.attrOrder):
+			n.visit(t, l+1, to, seen, sets, levels)
+		case sets[to] == 0:
+			sets[to] = -1
+			n.ints, n.sets = n.ints+len(t.Leaf(to)), n.sets+1
 		}
 	}
 }
@@ -280,18 +279,9 @@ type Tree struct {
 	// owns the tail.
 	gone []int
 
-	meta *graphMeta
 	// line is the line of edits this tree belongs to: a Build or a Copied
 	// starts one.
 	line *lineage
-}
-
-// ensureMeta returns the graph meta, computing it on first use. Safe under
-// concurrent readers of a published tree (sync.Once).
-func (t *Tree) ensureMeta() *graphMeta {
-	m := t.meta
-	m.once.Do(func() { m.fill(t) })
-	return m
 }
 
 // Option configures tree construction.
@@ -342,7 +332,6 @@ func Build(s *schema.Schema, profiles []*predicate.Profile, opts ...Option) (*Tr
 		profiles:  slices.Clip(profiles),
 		attrOrder: cfg.attrOrder,
 		vo:        cfg.vo,
-		meta:      &graphMeta{},
 		line:      &lineage{},
 	}
 	t.line.head.Store(t)
@@ -645,48 +634,41 @@ func (t *Tree) ValueOrder() ValueOrder { return t.vo }
 // AttrOrder returns a copy of the attribute order.
 func (t *Tree) AttrOrder() []int { return append([]int(nil), t.attrOrder...) }
 
-// Levels returns the ids of the reachable nodes per level (shared slices; do
-// not mutate), computed on first use.
-func (t *Tree) Levels() [][]int32 { return t.ensureMeta().levels }
+// Levels returns the ids of the reachable nodes per level, each level's in
+// the order a depth-first walk, first edge first, reaches them: a fresh list
+// per call.
+func (t *Tree) Levels() [][]int32 {
+	levels := make([][]int32, len(t.attrOrder))
+	t.walk(make([]int32, t.Slots()), make([]int32, t.st.sets.slots()), levels)
+	return levels
+}
 
 // Stats summarizes the automaton size.
 type Stats struct {
 	Nodes, Edges, SharedHits int
 	Height                   int
-	Profiles                 int
+	// Profiles counts the profiles the tree holds: the dense indices
+	// WithoutProfile took out do not count.
+	Profiles int
 	// Bytes is the storage the automaton retains: node records, edge
 	// records, probe trees, parked profiles and each distinct leaf set with
 	// its table entry. What successor nodes share is counted per node.
 	Bytes int
 }
 
-// Stats returns automaton size statistics.
+// Stats returns automaton size statistics, walking the automaton on every
+// call.
 func (t *Tree) Stats() Stats {
-	m := t.ensureMeta()
-	st := Stats{
-		Nodes:      m.nodes,
-		Edges:      m.edges,
-		SharedHits: m.shared,
+	n := t.walk(make([]int32, t.Slots()), make([]int32, t.st.sets.slots()), nil)
+	_, live := t.renumbered()
+	return Stats{
+		Nodes:      n.nodes,
+		Edges:      n.edges,
+		SharedHits: n.shared,
 		Height:     t.schema.N(),
-		Profiles:   len(t.profiles),
+		Profiles:   live,
+		Bytes:      n.nodes*nodeBytes + n.edges*edgeBytes + 4*n.ints + n.sets*spanBytes,
 	}
-	last, sets := len(t.attrOrder)-1, make([]bool, t.st.sets.slots())
-	for l, ids := range m.levels {
-		for _, id := range ids {
-			n := t.Node(l, id)
-			st.Bytes += nodeBytes + len(n.edges)*edgeBytes + 4*len(n.layout) + 4*len(n.extra)
-			if l < last {
-				continue
-			}
-			for i := range n.edges {
-				if to := n.edges[i].To; !sets[to] {
-					sets[to] = true
-					st.Bytes += spanBytes + 4*len(t.Leaf(to))
-				}
-			}
-		}
-	}
-	return st
 }
 
 // Dump renders the tree in a Fig. 1-like indented form for debugging and the

@@ -61,7 +61,6 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-// TestStateSharing: profiles identical on later attributes share subtrees.
 // TestBuildOfNothing: a Build of no profiles is the automaton that matches
 // nothing for free, the one WithoutProfile of a tree's last profile leaves,
 // and an insert into it matches like a one-profile Build, in the same
@@ -100,6 +99,27 @@ func TestBuildOfNothing(t *testing.T) {
 	}
 }
 
+// TestStatsCountsLiveProfiles: Stats.Profiles counts the profiles a tree
+// holds, not the dense indices it has handed out, and an index removed twice
+// is gone once; a Copied keeps as many.
+func TestStatsCountsLiveProfiles(t *testing.T) {
+	s, corpus := allocCorpus(t)
+	tr, err := Build(s, corpus[:10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pi := range []int{2, 5, 8, 5} {
+		tr = tr.WithoutProfile(pi)
+	}
+	if got := tr.Stats().Profiles; got != 7 {
+		t.Errorf("10 profiles less 3 removed, one of them twice: Stats().Profiles = %d, want 7", got)
+	}
+	if c, old := tr.Copied(); len(old) != 7 || c.Stats().Profiles != 7 {
+		t.Errorf("the copy keeps %d profiles, its Stats().Profiles = %d, want 7", len(old), c.Stats().Profiles)
+	}
+}
+
+// TestStateSharing: profiles identical on later attributes share subtrees.
 func TestStateSharing(t *testing.T) {
 	s := gridSchema(t, 3, 9)
 	// Four profiles with distinct first values but identical continuation:
