@@ -445,13 +445,14 @@ func (e *Engine) rebuildLocked() (err error) {
 
 // Reorder re-lays the probe trees of the existing structure under the current
 // distributions (cheap restructuring after a distribution update) at the
-// nodes testing one of attrs — none given: at every node — and reports how
-// many nodes it re-laid and how many it only path-copied, summed over the
-// automata; the rest of each automaton is shared with the predecessor. A
-// reorder above the last level adds its copies to the automaton's line, so an
-// automaton whose line it wore is swapped for its copy, as churn does. The
-// reordered automata are published as a successor snapshot; in-flight
-// matches finish on the old layout.
+// narrow nodes testing one of attrs — none given: at every narrow node; a
+// wide node's directory reads no weights — and reports how many nodes it
+// re-laid and how many it only path-copied, summed over the automata; the
+// rest of each automaton is shared with the predecessor. A reorder above the
+// last level adds its copies to the automaton's line, so an automaton whose
+// line it wore is swapped for its copy, as churn does. The reordered
+// automata are published as a successor snapshot, and nothing is published
+// where no automaton changed; in-flight matches finish on the old layout.
 func (e *Engine) Reorder(attrs ...int) (resorted, copied int, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -459,14 +460,17 @@ func (e *Engine) Reorder(attrs ...int) (resorted, copied int, err error) {
 	if snap.parts == nil {
 		return 0, 0, e.rebuildLocked()
 	}
-	next, vo := e.successor(snap, snap.expand), e.valueOrder()
+	next, vo, changed := e.successor(snap, snap.expand), e.valueOrder(), false
 	for i := range next.parts {
 		var r, c int
 		next.parts[i].tree, r, c = next.parts[i].tree.Reordered(vo, attrs...)
 		resorted, copied = resorted+r, copied+c
 		e.renew(&next.parts[i])
+		changed = changed || next.parts[i].tree != snap.parts[i].tree
 	}
-	e.snap.Store(next)
+	if changed {
+		e.snap.Store(next)
+	}
 	return resorted, copied, nil
 }
 

@@ -57,7 +57,9 @@ func TestSetConfigKeepsStructure(t *testing.T) {
 // TestQuickEnginePartialReorder: after the event distributions of a random
 // set of attributes changed, Reorder over that set leaves a single engine and
 // a sharded one matching every probe with the ids and the operation count of
-// an engine that reordered every node, and re-sorts no more nodes than it.
+// an engine that reordered every node, and re-sorts no more nodes than it:
+// both re-lay narrow nodes only, the partial one those testing one of its
+// attributes.
 func TestQuickEnginePartialReorder(t *testing.T) {
 	shapes := []dist.Shape{dist.PeakHigh(0.9), dist.PeakLow(0.8), dist.Gauss(), dist.UniformShape{}}
 	check := func(seed int64, pick uint8) bool {
@@ -99,7 +101,7 @@ func TestQuickEnginePartialReorder(t *testing.T) {
 				return false
 			}
 		}
-		if len(attrs) < s.N() && partNodes >= wholeNodes || shardNodes == 0 {
+		if partNodes > wholeNodes || shardNodes == 0 {
 			t.Errorf("seed %d attrs %v: re-sorted %d nodes, %d across shards, whole reorder %d", seed, attrs, partNodes, shardNodes, wholeNodes)
 			return false
 		}
@@ -120,5 +122,30 @@ func TestQuickEnginePartialReorder(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReorderOfWideNodesPublishesNothing: a reorder of an attribute that
+// only wide nodes test re-lays and copies nothing — a directory reads no
+// weights — so the engine publishes no successor; one of an attribute that
+// narrow nodes test publishes one.
+func TestReorderOfWideNodesPublishesNothing(t *testing.T) {
+	s := testSchema(t)
+	e := NewEngine(s, Config{})
+	for i := 0; i < 40; i++ {
+		p := predicate.MustParse(s, predicate.ID(fmt.Sprintf("p%d", i)), fmt.Sprintf("profile(x = %d)", 2*i))
+		if err := e.AddProfile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if root := e.Tree().Root(); len(root.Edges()) < 40 {
+		t.Fatalf("the root has %d edges, want a wide node of 40", len(root.Edges()))
+	}
+	before := e.snap.Load()
+	if resorted, copied, err := e.Reorder(0); err != nil || resorted+copied != 0 || e.snap.Load() != before {
+		t.Fatalf("a reorder of the wide root re-laid %d, copied %d (%v) and published anew: %v", resorted, copied, err, e.snap.Load() != before)
+	}
+	if resorted, _, err := e.Reorder(1); err != nil || resorted == 0 || e.snap.Load() == before {
+		t.Fatalf("a reorder of the level below re-laid %d (%v) and published anew: %v", resorted, err, e.snap.Load() != before)
 	}
 }

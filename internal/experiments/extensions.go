@@ -150,8 +150,9 @@ func OperatorSweep(seed int64) (Table, error) {
 // analytically on one workload grid — the head-to-head the paper's outlook
 // calls for ("binary-, interpolation-, or hash-based search within
 // attribute-values") — and, on the same trees, the node search every service
-// runs: interpolation on a wide node, a probe tree weighted by the same P_e
-// on a narrow one.
+// runs: a bucket directory on a wide node, the hash outlook made to work on
+// continuous domains, with its read charged one operation, and a probe tree
+// weighted by the same P_e on a narrow one.
 func SearchSweep(seed int64) (Table, error) {
 	combos := []combo{
 		{"equal", "equal"}, {"gauss", "equal"}, {"95% low", "equal"},

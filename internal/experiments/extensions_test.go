@@ -80,9 +80,9 @@ func TestSearchSweep(t *testing.T) {
 			t.Errorf("early stop made linear worse at %s: %.2f > %.2f",
 				tab.Columns[i], linear[i], nostop[i])
 		}
-		// The production search — interpolation on a wide node, the probe
-		// tree balanced by P_e on a narrow one — never loses to plain binary
-		// search.
+		// The production search — a bucket directory on a wide node, the
+		// probe tree balanced by P_e on a narrow one — never loses to plain
+		// binary search.
 		if production[i] > binary[i]+1e-9 {
 			t.Errorf("the production search costs %.3f at %s, binary search %.3f", production[i], tab.Columns[i], binary[i])
 		}

@@ -31,10 +31,11 @@
 // An edit walks and lays out only what it changes in a node it copies. Where
 // the chain's node has subrange edges only, the profile's region is a span of
 // the domain: old's edges below and above it are copied in bulk, and only the
-// pieces across it are walked. A wide copy (interpMin) has no probe tree to
-// lay out; a narrow one keeps old's where its subrange edges are old's, and is
-// otherwise laid out afresh under the tree's weights — fewer than interpMin
-// keys — so an edited automaton probes as cheaply as the one Build lays out.
+// pieces across it are walked. A copy keeps old's layout where its subrange
+// edges are old's, and is otherwise laid out afresh: a wide one (interpMin)
+// gets its directory over the edges it copied, a narrow one a probe tree
+// under the tree's weights — fewer than interpMin keys — so an edited
+// automaton probes as cheaply as the one Build lays out.
 // Successors are generally not the canonical tree Build would produce
 // (distinct nodes may hold equal states), but their match sets are identical,
 // which the oracle equivalence tests pin, and their graph stays within a
@@ -60,8 +61,8 @@ import (
 // is unchanged and keeps working; untouched subtrees are shared between the
 // two. The successor is the merge of the receiver with p's one-profile
 // automaton, memoized by the receiver's nodes. It records vo and lays out
-// under it the narrow nodes p alone continues and those p's intervals re-cut;
-// the nodes p rides through keep their probe trees.
+// under it the nodes p alone continues and those p's intervals re-cut; the
+// nodes p rides through keep their layouts.
 func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 	np := len(t.profiles)
 	return t.edit(p, np, vo, false), np
@@ -71,7 +72,7 @@ func (t *Tree) WithProfile(p *predicate.Profile, vo ValueOrder) (*Tree, int) {
 // of WithProfile run backwards, which takes pi out of every parked and leaf
 // set along its paths and rejoins the pieces it leaves with equal states. A
 // narrow node whose subrange edges changed is laid out afresh under the
-// weights the receiver records; every other node keeps its probe tree.
+// weights the receiver records; every other node keeps its layout.
 // Removing an index no set holds changes no match set.
 // The index stays taken: Profiles still lists pi's profile, which no set
 // lists any more.
@@ -150,7 +151,7 @@ func (t *Tree) extend(nt *Tree) {
 }
 
 // Copied returns t copied into a fresh line, and old, t's dense index of
-// each of the copy's: every node t reaches with its probe tree as laid out,
+// each of the copy's: every node t reaches with its layout as laid out,
 // the live indices renumbered in order — a copying collection of t's slabs
 // into one exact chunk per slab. The copy shares no storage with t, and
 // probes in t's comparisons.
@@ -185,20 +186,21 @@ func (t *Tree) renumbered() (renum []int32, live int) {
 	return renum, live
 }
 
-// Reordered returns a successor tree with vo applied to the nodes that test
-// one of attrs (none given: to every node). It does not mutate the receiver,
-// and it costs what is reordered: the levels down to the deepest one testing
-// such an attribute are copied, the narrow nodes testing one with a fresh
-// layout (a wide node has none), and everything below is shared, so readers
-// of the old tree keep consistent probe trees. A reorder above the last
-// level of a tree that heads its line carves its copies into that line, as
-// an edit does. One that reaches the last level, or of a tree that heads no
-// line, copies every node and leaf set into a fresh line, as Copied does
-// without renumbering, so that the tree it replaces goes once dropped. It
-// reports the nodes re-laid and the nodes copied only to re-point their
-// children.
+// Reordered returns a successor tree with vo applied to the narrow nodes
+// that test one of attrs (none given: every narrow node). A wide node's
+// directory reads no weights, so a reorder that finds no such narrow node
+// returns the receiver itself and copies nothing. Otherwise it does not
+// mutate the receiver, and it costs what is reordered: the levels down to
+// the deepest one holding such a node are copied, those nodes with a fresh
+// layout, and everything below is shared, so readers of the old tree keep
+// consistent probe trees. A reorder above the last level of a tree that
+// heads its line carves its copies into that line, as an edit does. One that
+// reaches the last level, or of a tree that heads no line, copies every node
+// and leaf set into a fresh line, as Copied does without renumbering, so
+// that the tree it replaces goes once dropped. It reports the nodes re-laid
+// and the nodes copied only to re-point their children.
 func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copied int) {
-	sel, deepest := make([]bool, len(t.attrOrder)), 0
+	sel, to := make([]bool, len(t.attrOrder)), 0
 	for _, a := range attrs {
 		sel[a] = true
 	}
@@ -207,14 +209,17 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 			sel[a] = true
 		}
 		if sel[a] {
-			deepest = level
+			to = level
 		}
+	}
+	c := copier{t: t, sel: sel, memo: make([]int32, t.Slots())}
+	if c.deepest = c.deepestNarrow(0, t.root, to); c.deepest < 0 {
+		return t, 0, 0
 	}
 	r := *t
 	r.vo = vo
-	c := copier{t: t, nt: &r, deepest: deepest, sel: sel}
-	if deepest < len(t.attrOrder)-1 && t.line.head.CompareAndSwap(t, &r) {
-		c.memo = make([]int32, t.Slots())
+	c.nt = &r
+	if c.deepest < len(t.attrOrder)-1 && t.line.head.CompareAndSwap(t, &r) {
 		r.root = c.clone(0, t.root)
 	} else {
 		c.fresh()
@@ -225,19 +230,44 @@ func (t *Tree) Reordered(vo ValueOrder, attrs ...int) (nt *Tree, resorted, copie
 
 // copier is one copying walk of a tree's levels down to deepest into the
 // copy's line, each state once: past the last level, the leaf sets too.
-// Reordered's re-lays the nodes testing a selected attribute and counts the
-// rest; Copied's and extend's keep every probe tree, and Copied's renumbers
-// every set through renum.
+// Reordered's re-lays the narrow nodes testing a selected attribute and
+// counts the rest; Copied's and extend's keep every layout, and Copied's
+// renumbers every set through renum.
 type copier struct {
 	t, nt   *Tree
 	deepest int
-	// memo[id] is the copy of node id plus one, −1 once the sizing walk
-	// visited it, 0 before; sets[id] is the copy of leaf-set entry id alike.
+	// memo[id] is the copy of node id plus one, −1 once a walk before the
+	// copy visited it, 0 before; sets[id] is the copy of leaf-set entry id
+	// alike.
 	memo, sets []int32
 	sel        []bool
 	relay      []nodeAt
 	copied     int
 	renum      []int32
+}
+
+// relays reports whether a reorder re-lays node n: a narrow node testing a
+// selected attribute.
+func (c *copier) relays(n *Node) bool {
+	return c.sel != nil && c.sel[n.attr] && n.nSub < interpMin
+}
+
+// deepestNarrow returns the deepest level, from l down to to, that holds a
+// node the reorder re-lays, reached from node id of level l, or −1: a walk
+// that marks what it visits in the memo and stops once it finds one at to.
+func (c *copier) deepestNarrow(l int, id int32, to int) int {
+	if c.memo[id] != 0 {
+		return -1
+	}
+	c.memo[id] = -1
+	n, d := c.t.st.nodes.at(id), -1
+	if c.relays(n) {
+		d = l
+	}
+	for i, edges := 0, n.edgeRun(&c.t.st); l < to && d < to && i < len(edges); i++ {
+		d = max(d, c.deepestNarrow(l+1, edges[i].To, to))
+	}
+	return d
 }
 
 // fresh copies every node and leaf set of t into a fresh line of nt: one
@@ -293,12 +323,11 @@ func (c *copier) clone(l int, id int32) int32 {
 	rec.parked, ints = nt.newInts(len(o.extra))
 	c.renumber(ints, o.extra)
 	rec.layout, ints = nt.newInts(len(o.layout))
-	switch {
-	case c.sel == nil || !c.sel[o.Attr]:
+	if c.relays(&rec) {
+		c.relay = append(c.relay, nodeAt{l, nid})
+	} else {
 		copy(ints, o.layout)
 		c.copied++
-	default:
-		c.relay = append(c.relay, nodeAt{l, nid})
 	}
 	*out = rec
 	return nid
@@ -454,8 +483,8 @@ func (m *merger) chain(p *predicate.Profile, vo ValueOrder) (int32, bool) {
 // merge returns the merge of node old of level l, a node of the receiver
 // tree, with b, the chain's node of its level: in drop mode old itself where
 // it does not hold the profile, none where the profile was all it held. A
-// merged node keeps old's probe tree where its subrange edges are old's, and
-// is otherwise laid out afresh, where narrow (relay).
+// merged node keeps old's layout where its subrange edges are old's, and is
+// otherwise laid out afresh (relay).
 //
 //genas:builder
 func (m *merger) merge(l int, old, b int32) int32 {
@@ -590,22 +619,20 @@ func (m *merger) overlay(l int, old, b *View) ([]Edge, int32) {
 	return buf, nSub
 }
 
-// relay returns the probe tree of n, old's merge: none where n is wide, old's
-// own, which starts at layout, where their subrange edges are the same, and
-// otherwise one laid out afresh under the edit's weights, which weighs n's
-// pieces — fewer than 2·interpMin.
+// relay returns the layout of n, old's merge: old's own, which starts at
+// layout, where their subrange edges are the same, and otherwise one laid
+// out afresh — on a narrow node a probe tree under the edit's weights, which
+// weighs n's pieces (fewer than 2·interpMin), on a wide one its directory,
+// over the edges the merge copied.
 //
 //genas:builder
 func (m *merger) relay(old, n *View, layout int32) int32 {
 	ne := n.edges[:n.nSubrange]
-	switch {
-	case len(ne) >= interpMin:
-		return 0
-	case slices.EqualFunc(old.edges[:old.nSubrange], ne, func(a, b Edge) bool { return sameIv(&a, &b) }):
+	if slices.EqualFunc(old.edges[:old.nSubrange], ne, func(a, b Edge) bool { return sameIv(&a, &b) }) {
 		return layout
 	}
 	var off int32
-	off, n.layout = m.t.newInts(len(ne))
+	off, n.layout = m.t.newInts(layoutLen(n.nSubrange))
 	n.applyOrder(m.t.schema.At(int(n.Attr)).Domain, m.vo, &m.sc)
 	return off
 }

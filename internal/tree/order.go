@@ -29,20 +29,22 @@ func NaturalOrder() ValueOrder { return ValueOrder{Name: "natural"} }
 
 // orderScratch is applyOrder's working set, reused from node to node: the
 // region handed to Mass, the prefix sums of the weights and the optimal
-// tree's tables.
+// tree's tables, and a directory's buckets of its edges' ends.
 type orderScratch struct {
 	one       [1]Interval
 	cum, cost []float64
 	root      []int32
+	ends      []int32
 }
 
-// applyOrder lays the node out: the probe tree over its subrange edges under
-// the weights of vo on dom, written into the storage of n.layout, which holds
-// an entry per subrange edge. A wide node has none to lay out.
+// applyOrder lays the node out into the storage of n.layout, sized by
+// layoutLen: a narrow node's probe tree over its subrange edges under the
+// weights of vo on dom, a wide node's directory, which reads no weights.
 //
 //genas:builder
 func (n *View) applyOrder(dom schema.Domain, vo ValueOrder, sc *orderScratch) {
 	if n.nSubrange >= interpMin {
+		directory(n.layout, n.edges[:n.nSubrange], unitOf(dom), sc)
 		return
 	}
 	sc.weigh(n, dom, vo)

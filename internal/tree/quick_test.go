@@ -174,11 +174,13 @@ func fingerprint(tr *Tree) string {
 
 // TestQuickPartialReorder: for random trees — fresh from Build or grown by
 // inserts — random attribute orders and random sets of drifted attributes,
-// re-laying only the nodes that test a drifted attribute gives the same
-// matches at the same per-event cost as re-laying every node under weights
-// that changed on those attributes alone; it shares every node below the
-// deepest drifted level with the predecessor, copies every node at or above
-// it, counts both, and leaves the predecessor bit for bit as it was.
+// re-laying only the narrow nodes that test a drifted attribute gives the
+// same matches at the same per-event cost as re-laying every narrow node
+// under weights that changed on those attributes alone. It shares every node
+// below the deepest level holding such a narrow node with the predecessor,
+// copies every node at or above it, and counts both, as reorderCounts says; a
+// reorder that finds no such node is the predecessor itself. Either leaves
+// the predecessor bit for bit as it was.
 func TestQuickPartialReorder(t *testing.T) {
 	s := incrSchema(t)
 	salted := func(salts []float64) ValueOrder {
@@ -209,26 +211,33 @@ func TestQuickPartialReorder(t *testing.T) {
 
 		var drifted []int
 		newSalts := append([]float64(nil), oldSalts...)
-		deepest := -1
-		for level, attr := range old.AttrOrder() {
+		sel, every := make([]bool, s.N()), make([]bool, s.N())
+		for attr := range sel {
+			every[attr] = true
 			if pick>>attr&1 == 1 {
 				drifted = append(drifted, attr)
 				newSalts[attr] = rng.Float64() * 100
-				deepest = level
+				sel[attr] = true
 			}
 		}
 		if drifted == nil {
 			return true // no attributes given means all of them: the other test case
 		}
 		before := fingerprint(old)
+		wantResorted, wantCopied, deepest := reorderCounts(old, sel)
 		part, resorted, copied := old.Reordered(salted(newSalts), drifted...)
-		full, all, none := old.Reordered(salted(newSalts))
+		wantAll, wantRest, _ := reorderCounts(old, every)
+		full, all, rest := old.Reordered(salted(newSalts))
 		if fingerprint(old) != before {
 			t.Errorf("seed %d: Reordered mutated its receiver", seed)
 			return false
 		}
-		if all != old.Stats().Nodes || none != 0 {
-			t.Errorf("seed %d: whole reorder re-sorted %d and copied %d of %d nodes", seed, all, none, old.Stats().Nodes)
+		if all != wantAll || rest != wantRest {
+			t.Errorf("seed %d: whole reorder re-sorted %d and copied %d; want %d, %d", seed, all, rest, wantAll, wantRest)
+			return false
+		}
+		if (part == old) != (deepest < 0) {
+			t.Errorf("seed %d drifted %v: the reorder is its receiver: %v; deepest re-laid level %d", seed, drifted, part == old, deepest)
 			return false
 		}
 		for i := 0; i < 60; i++ {
@@ -240,7 +249,6 @@ func TestQuickPartialReorder(t *testing.T) {
 				return false
 			}
 		}
-		wantResorted, wantCopied := 0, 0
 		for level, nodes := range views(old) {
 			successors := views(part)[level]
 			if len(successors) != len(nodes) {
@@ -253,15 +261,9 @@ func TestQuickPartialReorder(t *testing.T) {
 			}
 			for _, n := range successors {
 				if shared := was[part.rec(n)]; shared != (level > deepest) {
-					t.Errorf("seed %d drifted %v: level %d node shared = %v, deepest drifted level %d", seed, drifted, level, shared, deepest)
+					t.Errorf("seed %d drifted %v: level %d node shared = %v, deepest copied level %d", seed, drifted, level, shared, deepest)
 					return false
 				}
-			}
-			switch {
-			case pick>>old.AttrOrder()[level]&1 == 1:
-				wantResorted += len(nodes)
-			case level < deepest:
-				wantCopied += len(nodes)
 			}
 		}
 		if resorted != wantResorted || copied != wantCopied {
@@ -273,6 +275,38 @@ func TestQuickPartialReorder(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// reorderCounts is what a reorder of tr re-laying the attributes sel must
+// report: the nodes it re-lays, the narrow ones testing a selected
+// attribute, and the nodes it copies only to re-point their children, on the
+// levels down to the deepest holding one it re-lays — on every level where
+// that one is the last or tr heads no line, since such a reorder copies the
+// whole tree — and the deepest level copied. That is −1 where the reorder
+// re-lays nothing, and returns tr itself.
+func reorderCounts(tr *Tree, sel []bool) (resorted, copied, deepest int) {
+	levels := views(tr)
+	deepest = -1
+	for l, nodes := range levels {
+		for _, n := range nodes {
+			if sel[n.Attr] && n.nSubrange < interpMin {
+				deepest = l
+			}
+		}
+	}
+	if deepest >= 0 && (deepest == len(levels)-1 || tr.line.head.Load() != tr) {
+		deepest = len(levels) - 1
+	}
+	for _, nodes := range levels[:deepest+1] {
+		for _, n := range nodes {
+			if sel[n.Attr] && n.nSubrange < interpMin {
+				resorted++
+			} else {
+				copied++
+			}
+		}
+	}
+	return resorted, copied, deepest
 }
 
 // saltedMass is a positive pseudo-random event mass over regions.
@@ -407,8 +441,8 @@ func balanced(out []int32, lo, hi int) []int32 {
 // TestQuickWeightedLayoutIsOptimal: under the weights it was laid out for, a
 // narrow node's probe tree never costs more than plain binary search's, and
 // on nodes of at most 8 subrange edges it costs the minimum over all search
-// trees. A wide node has no probe tree, and its interpolation search takes at
-// most 2·bits.Len(n) probes on any value.
+// trees. A wide node has a directory instead, and its search takes at most
+// its read, bits.Len(n) probes and the trailing test on any value.
 func TestQuickWeightedLayoutIsOptimal(t *testing.T) {
 	s := incrSchema(t)
 	small := 0
@@ -431,11 +465,11 @@ func TestQuickWeightedLayoutIsOptimal(t *testing.T) {
 		for _, nodes := range views(tr) {
 			for _, n := range nodes {
 				if n.nSubrange >= interpMin {
-					if len(n.layout) != 0 {
-						t.Errorf("seed %d: a node of %d subrange edges holds a probe tree of %d", seed, n.nSubrange, len(n.layout))
+					if len(n.layout) != layoutLen(n.nSubrange) {
+						t.Errorf("seed %d: a node of %d subrange edges holds a layout of %d", seed, n.nSubrange, len(n.layout))
 					}
 					for p := tr.Pieces(n); p.Next(); {
-						if _, ops := p.Cost(); ops > 2*bits.Len(uint(n.nSubrange))+1 {
+						if _, ops := p.Cost(); ops > bits.Len(uint(n.nSubrange))+2 {
 							t.Errorf("seed %d: piece %v of a node of %d subrange edges takes %d probes", seed, p.Iv, n.nSubrange, ops)
 						}
 					}
@@ -466,9 +500,9 @@ func TestQuickWeightedLayoutIsOptimal(t *testing.T) {
 }
 
 // TestWeightedLayoutOfAWideNode: a node of more than 512 subrange edges,
-// which no weights lay out, is searched by interpolation under uniform and
-// under skewed weights alike: the probe finds every edge, and takes at most
-// 2·bits.Len(n) probes on any piece.
+// whose directory reads no weights, is searched alike under uniform and
+// under skewed weights: the probe finds every edge, and takes at most the
+// directory's read and bits.Len(n) probes on any piece.
 func TestWeightedLayoutOfAWideNode(t *testing.T) {
 	const wide = 512
 	d, err := schema.NewIntegerDomain(0, 4*wide)
@@ -507,11 +541,11 @@ func TestWeightedLayoutOfAWideNode(t *testing.T) {
 	}
 	re, _, _ := tr.Reordered(hot)
 	sameEdges(t, "skewed", re)
-	budget := 2 * bits.Len(uint(n))
+	budget := 1 + bits.Len(uint(n))
 	for _, tr := range []*Tree{tr, re} {
 		root := tr.Root()
-		if len(root.layout) != 0 {
-			t.Fatalf("a node of %d subrange edges holds a probe tree of %d", n, len(root.layout))
+		if len(root.layout) != layoutLen(int32(n)) {
+			t.Fatalf("a node of %d subrange edges holds a layout of %d", n, len(root.layout))
 		}
 		for p := tr.Pieces(root); p.Next(); {
 			if _, ops := p.Cost(); ops > budget {
@@ -521,13 +555,19 @@ func TestWeightedLayoutOfAWideNode(t *testing.T) {
 	}
 }
 
-// TestWideNodeWorstCase: on a node of 300 subrange edges whose bounds grow
-// geometrically, where every interpolation guess lands far from the edge it
-// seeks, the probe still finds every edge, and no value takes more than
-// 2·bits.Len(n) probes, plus one for a trailing edge.
-func TestWideNodeWorstCase(t *testing.T) {
+// geometricRoot builds a tree over x and y whose root holds 300 subrange
+// edges on x, their bounds growing geometrically, so that one of the
+// directory's buckets holds most of them, and a complement edge, from a
+// profile on y alone: ranges on a numeric domain, or on a discrete one
+// single atoms spaced alike. It returns the tree and x's domain.
+func geometricRoot(t *testing.T, discrete bool) (*Tree, schema.Domain) {
+	t.Helper()
 	const edges, ratio = 300, 1.1
-	d, err := schema.NewNumericDomain(0, math.Pow(ratio, edges+1))
+	top := math.Pow(ratio, edges+1)
+	d, err := schema.NewNumericDomain(0, top)
+	if discrete {
+		d, err = schema.NewIntegerDomain(0, int(top)+edges)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,6 +576,9 @@ func TestWideNodeWorstCase(t *testing.T) {
 	for i := range edges {
 		lo := math.Pow(ratio, float64(i+1))
 		pr, err := predicate.NewRange(0, lo, lo*1.01)
+		if discrete {
+			pr, err = predicate.NewComparison(0, predicate.OpEq, float64(i)+math.Floor(lo))
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -558,12 +601,24 @@ func TestWideNodeWorstCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if root := tr.Root(); root.nSubrange != edges || int(root.nSubrange) == len(root.edges) {
+		t.Fatalf("root has %d subrange edges of %d, want %d and a trailing edge", root.nSubrange, len(root.edges), edges)
+	}
+	return tr, d
+}
+
+// TestWideNodeWorstCase: on a node of 300 subrange edges whose bounds grow
+// geometrically, so that one of the directory's buckets holds most of them,
+// the probe still finds every edge, and no value takes more than the
+// directory's read, bits.Len(n) probes and the trailing test. A node past
+// the directory's 14-bit edge index is one bucket over all its edges,
+// searched by the same bisection, and takes at most its read and
+// bits.Len(n) probes.
+func TestWideNodeWorstCase(t *testing.T) {
+	tr, d := geometricRoot(t, false)
 	root := tr.Root()
 	n := int(root.nSubrange)
-	if n != edges || n == len(root.edges) {
-		t.Fatalf("root has %d subrange edges of %d, want %d and a trailing edge", n, len(root.edges), edges)
-	}
-	budget, most := 2*bits.Len(uint(n))+1, 0
+	budget, most := 1+bits.Len(uint(n))+1, 0
 	for p := tr.Pieces(root); p.Next(); {
 		edge, ops := p.Cost()
 		if edge != scanEdge(root, d, inside(p.Iv)) {
@@ -580,16 +635,157 @@ func TestWideNodeWorstCase(t *testing.T) {
 		}
 	}
 	t.Logf("%d subrange edges: at most %d probes, budget %d", n, most, budget)
+
+	const huge = entryMask + 2
+	hd, err := schema.NewIntegerDomain(0, 2*huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := schema.MustNew(schema.Attribute{Name: "x", Domain: hd})
+	profiles := make([]*predicate.Profile, huge)
+	for i := range profiles {
+		pr, err := predicate.NewComparison(0, predicate.OpEq, float64(2*i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if profiles[i], err = predicate.New(s, predicate.ID(fmt.Sprintf("p%d", i)), pr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big, err := Build(s, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, most = big.Root(), 0
+	if n = int(root.nSubrange); n != huge || buckets(n) != 1 || len(root.layout) != 1 {
+		t.Fatalf("root has %d subrange edges in %d buckets of %d words, want %d in one", n, buckets(n), len(root.layout), huge)
+	}
+	budget = 1 + bits.Len(uint(n))
+	for p := big.Pieces(root); p.Next(); {
+		edge, ops := p.Cost()
+		if want := scanEdge(root, hd, inside(p.Iv)); edge != want || ops > budget {
+			t.Fatalf("piece %v: the probe finds edge %d in %d probes, the scan %d, budget %d", p.Iv, edge, ops, want, budget)
+		}
+		most = max(most, ops)
+	}
+	t.Logf("%d subrange edges in one bucket: at most %d probes, budget %d", n, most, budget)
+}
+
+// directoryAgrees fails where the probe of wide node n on its attribute's
+// domain dom finds another edge than the scan: at each end of every piece,
+// and at each bucket bound — the least value the lookup's slot puts into a
+// bucket — and the value next to it on either side, the next float or, on a
+// discrete domain, the next atom.
+func directoryAgrees(t *testing.T, what string, n View, dom schema.Domain) {
+	t.Helper()
+	unit, g := unitOf(dom), gridOf(n.edges[:n.nSubrange])
+	var vals []float64
+	for p := n.pieces(dom); p.Next(); {
+		vals = append(vals, p.Iv.Lo, p.Iv.Hi)
+	}
+	for i := 0; i <= g.k; i++ {
+		u := g.a + float64(i)*(g.b-g.a)/float64(g.k)
+		if unit > 0 {
+			u = math.Ceil(u)
+		}
+		for g.slot(u) < i {
+			u = step(u, unit, 1)
+		}
+		for g.slot(step(u, unit, -1)) >= i {
+			u = step(u, unit, -1)
+		}
+		vals = append(vals, step(u, unit, -1), u, step(u, unit, 1))
+	}
+	for _, v := range vals {
+		if got, ops := n.probe(v); got != scanEdge(n, dom, v) {
+			t.Fatalf("%s: a node of %d subrange edges over [%v,%v]: value %v: the probe finds edge %d in %d ops, the scan %d",
+				what, n.nSubrange, g.a, g.b, v, got, ops, scanEdge(n, dom, v))
+		}
+	}
+}
+
+// partsHaveOneCost fails where a part that Tree.Pieces yields of wide node n
+// leads the probe to another edge, or costs it other operations, at either
+// end or in the middle than Pieces.Cost says: Analyze charges each part one
+// cost.
+func partsHaveOneCost(t *testing.T, what string, tr *Tree, n View, dom schema.Domain) {
+	t.Helper()
+	unit := unitOf(dom)
+	for p := tr.Pieces(n); p.Next(); {
+		lo, hi := p.Iv.Lo, p.Iv.Hi
+		if p.Iv.LoOpen {
+			lo = step(lo, unit, 1)
+		}
+		if p.Iv.HiOpen {
+			hi = step(hi, unit, -1)
+		}
+		mid := lo + (hi-lo)/2
+		if unit > 0 {
+			mid = math.Floor(mid)
+		}
+		edge, ops := p.Cost()
+		for _, v := range []float64{lo, mid, hi} {
+			if e, o := n.probe(v); e != edge || o != ops {
+				t.Fatalf("%s: part %v of a node of %d subrange edges: value %v takes edge %d in %d ops, the part edge %d in %d",
+					what, p.Iv, n.nSubrange, v, e, o, edge, ops)
+			}
+		}
+	}
+}
+
+// TestDirectoryAgreesWithScan: on the wide nodes of churnCorpus Builds —
+// with the numeric temperature at the root, and with the integer floor
+// there — and on TestWideNodeWorstCase's geometric root over a numeric and
+// over an integer domain, the probe finds the scan's edge at the ends of
+// every piece, at every bucket bound and next to it on either side, and
+// each part Tree.Pieces yields has one cost.
+func TestDirectoryAgreesWithScan(t *testing.T) {
+	s, profile := churnCorpus(t)
+	corpus := make([]*predicate.Profile, 1000)
+	for i := range corpus {
+		corpus[i] = profile(i)
+	}
+	wide := map[bool]int{}
+	for _, order := range [][]int{{0, 1, 2, 3}, {2, 0, 1, 3}} {
+		tr, err := Build(s, corpus, WithAttributeOrder(order))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nodes := range views(tr) {
+			for _, n := range nodes {
+				if dom := s.At(int(n.Attr)).Domain; n.nSubrange >= interpMin {
+					what := fmt.Sprintf("churnCorpus in order %v", order)
+					directoryAgrees(t, what, n, dom)
+					partsHaveOneCost(t, what, tr, n, dom)
+					wide[dom.Kind() != schema.KindNumeric]++
+				}
+			}
+		}
+	}
+	if wide[false] == 0 || wide[true] == 0 {
+		t.Fatalf("%d wide nodes on numeric domains, %d on discrete ones: want both", wide[false], wide[true])
+	}
+	for _, discrete := range []bool{false, true} {
+		tr, d := geometricRoot(t, discrete)
+		what := fmt.Sprintf("geometric root, discrete %v", discrete)
+		directoryAgrees(t, what, tr.Root(), d)
+		partsHaveOneCost(t, what, tr, tr.Root(), d)
+	}
 }
 
 // TestProbeOpsAreComparisons: the operations the probe reports are the
-// interval comparisons it executes, on narrow and on wide nodes. An edge was
-// compared with the value exactly when widening its interval to take in v
-// makes the probe stop there: the widening moves only a bound that lies
-// beyond v, which no guess of the interpolation reads differently (v ≤ a
-// still, or v ≥ b), so the probes up to that edge stay as they were. The
-// trailing edge was tested exactly when moving the domain's bounds off v
-// turns its match into a miss.
+// interval comparisons it executes, plus one for a wide node's directory
+// read, on narrow and on wide nodes. An edge that does not hold v was
+// compared with it exactly when widening its interval to take in v makes the
+// probe stop there: the widening moves only a bound that lies beyond v, so
+// the probes up to that edge stay as they were. On a wide node a widening
+// that would move the directory's span — edge 0's low bound down to v, the
+// last edge's high bound up to it — is not made: a value outside the span is
+// answered by the read. The edge that holds v was compared exactly when
+// cutting v out of its interval, a cut that leaves the span as it is, makes
+// the probe move on: a bucket that lies wholly inside that edge is answered
+// by the read too. The trailing edge was tested exactly when moving the
+// domain's bounds off v turns its match into a miss.
 func TestProbeOpsAreComparisons(t *testing.T) {
 	s := incrSchema(t)
 	rng := rand.New(rand.NewSource(9))
@@ -601,29 +797,40 @@ func TestProbeOpsAreComparisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, wide := 0, 0
+	checked, wide, read := 0, 0, 0
 	for _, nodes := range views(tr) {
 		for _, n := range nodes {
+			ns := int(n.nSubrange)
 			for p := tr.Pieces(n); p.Next(); {
 				v := inside(p.Iv)
 				edge, ops := n.probe(v)
 				compared := 0
-				for k := 0; k < int(n.nSubrange); k++ {
+				for k := 0; k < ns; k++ {
 					c := n
 					c.edges = append([]Edge(nil), n.edges...)
 					iv := c.edges[k].Iv()
-					if iv.After(v) {
+					switch {
+					case k == edge && v == iv.Lo:
+						iv.LoOpen = true
+					case k == edge && v == iv.Hi:
+						iv.HiOpen = true
+					case k == edge && k == ns-1:
+						iv.Lo, iv.LoOpen = v, true
+					case k == edge:
+						iv.Hi, iv.HiOpen = v, true
+					case ns >= interpMin && (k == 0 && v < iv.Lo || k == ns-1 && v > iv.Hi):
+						continue
+					case iv.After(v):
 						iv.Lo, iv.LoOpen = v, false
-					}
-					if iv.Before(v) {
+					case iv.Before(v):
 						iv.Hi, iv.HiOpen = v, false
 					}
 					c.edges[k] = edgeOver(iv, c.edges[k].To)
-					if got, _ := c.probe(v); got == k {
+					if got, _ := c.probe(v); (got == k) != (k == edge) {
 						compared++
 					}
 				}
-				if edge >= int(n.nSubrange) {
+				if edge >= ns {
 					c := n
 					c.edges = append([]Edge(nil), n.edges...)
 					c.edges[edge] = edgeOver(schema.Closed(v+1, v+2), c.edges[edge].To)
@@ -632,17 +839,21 @@ func TestProbeOpsAreComparisons(t *testing.T) {
 					}
 					compared++
 				}
+				if ns >= interpMin {
+					compared++ // the directory's read
+					wide++
+					if ops == 1 {
+						read++
+					}
+				}
 				if ops != compared {
-					t.Fatalf("node %+v layout %v value %v: %d ops reported, %d intervals compared", n.edges, n.layout, v, ops, compared)
+					t.Fatalf("node %+v layout %v value %v: %d ops reported, %d charged", n.edges, n.layout, v, ops, compared)
 				}
 				checked++
-				if n.nSubrange >= interpMin {
-					wide++
-				}
 			}
 		}
 	}
-	if checked < 100 || wide == 0 || wide == checked {
-		t.Errorf("%d buckets checked, %d of them on wide nodes: want at least 100, on narrow and on wide nodes", checked, wide)
+	if checked < 100 || wide == 0 || wide == checked || read == 0 {
+		t.Errorf("%d buckets checked, %d of them on wide nodes, %d answered by the read alone: want at least 100, on narrow and on wide nodes, some by the read", checked, wide, read)
 	}
 }

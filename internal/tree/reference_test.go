@@ -569,7 +569,8 @@ func quickCorpus(t *testing.T, s *schema.Schema, rng *rand.Rand) []*predicate.Pr
 // one gap at most between two edges, and for a value of every piece (every
 // atom, on a discrete domain) the owner a search through the edges finds —
 // which the node's probe must find too, down a probe tree that is a search
-// tree over exactly the subrange edges.
+// tree over exactly the subrange edges or, on a wide node, through a
+// directory that agrees with the scan at every bucket bound.
 func partitions(t *testing.T, what string, tr *Tree) {
 	t.Helper()
 	for level, nodes := range views(tr) {
@@ -583,6 +584,9 @@ func partitions(t *testing.T, what string, tr *Tree) {
 			}
 			if !n.layoutIsSearchTree() {
 				fail("the probe tree is not a search tree over the subrange edges")
+			}
+			if n.nSubrange >= interpMin {
+				directoryAgrees(t, what, n, dom)
 			}
 			trailing := -1
 			if int(n.nSubrange) < len(n.edges) {

@@ -2,7 +2,7 @@ package tree
 
 import (
 	"math"
-	"math/bits"
+	"slices"
 
 	"genas/internal/schema"
 )
@@ -87,27 +87,85 @@ func (n *Node) edgeRun(s *store) []Edge {
 	return s.edges.run(n.edges, ne)
 }
 
-// interpMin is the subrange edges from which a node is wide: searched by
-// interpolation, with no probe tree to lay out, weigh or re-lay.
+// interpMin is the subrange edges from which a node is wide: searched
+// through a bucket directory, which reads no weights, where a narrow node
+// has a weighted probe tree.
 const interpMin = 16
 
-// layoutLen returns the length of the probe tree of a node of nSub subrange
-// edges: an entry per edge, none on a wide node.
+// A wide node's layout run is its directory: k buckets over the span of its
+// subrange edges, from edge 0's low bound a to the last edge's high bound b,
+// value v in bucket ⌊(v−a)·k/(b−a)⌋ (grid). A 16-bit entry per bucket, two to
+// an int32, names the first edge that meets the bucket or, where none does,
+// the first edge above it, and flags a bucket that lies wholly inside that
+// edge, or wholly inside a gap. k is two buckets per edge, or one bucket over
+// all of them where an edge index outgrows its 14 bits.
+const (
+	entryBits = 14
+	entryMask = 1<<entryBits - 1
+	inEdge    = 1 << entryBits
+	inGap     = 2 << entryBits
+)
+
+// buckets returns the directory's buckets on a wide node of nSub subrange
+// edges.
+func buckets(nSub int) int {
+	if nSub > entryMask+1 {
+		return 1
+	}
+	return 2 * nSub
+}
+
+// layoutLen returns the length of the layout run of a node of nSub subrange
+// edges: its probe tree, an entry per edge, or on a wide node its directory,
+// two entries to a word.
 func layoutLen(nSub int32) int {
 	if nSub >= interpMin {
-		return 0
+		return (buckets(int(nSub)) + 1) / 2
 	}
 	return int(nSub)
 }
 
+// grid places values into the k buckets of a wide node's directory over
+// a..b. The lookup and the directory's build both place values with it, so
+// the two agree to the last float.
+type grid struct {
+	a, b, scale float64 // scale is k/(b−a)
+	k           int
+}
+
+// gridOf returns the grid of a wide node whose subrange edges are edges.
+func gridOf(edges []Edge) grid {
+	k, a, b := buckets(len(edges)), edges[0].Lo, edges[len(edges)-1].Hi
+	return grid{a: a, b: b, scale: float64(k) / (b - a), k: k}
+}
+
+// slot returns the bucket of v: ⌊(v−a)·scale⌋, k−1 at b, −1 below a (or for
+// NaN) and k above b. It never falls as v rises.
+func (g *grid) slot(v float64) int {
+	switch {
+	case !(v >= g.a):
+		return -1
+	case v > g.b:
+		return g.k
+	}
+	return min(int((v-g.a)*g.scale), g.k-1)
+}
+
+// entry returns the directory's entry of bucket i.
+func entry(dir []int32, i int) int32 { return int32(uint32(dir[i>>1]) >> (16 * (i & 1)) & 0xFFFF) }
+
 // probe is the node search of a node whose edges are edges, the first nSub
-// of them subrange edges in natural order: down layout, its probe tree, on a
-// narrow node, and on a wide one, whose layout is empty, by interpolation
-// (guess) for bits.Len(nSub) probes, then by bisection. It compares v with
-// one edge's interval per probe — below, inside or above — and after a miss
-// tests the trailing complement or star edge, which holds what else the
-// domain holds (event.Validate admits domain values only, so its bounds
-// decide). Each comparison is one operation; nothing else counts.
+// of them subrange edges in natural order. A narrow node's layout is its
+// probe tree; a wide one's is its directory, whose read of v's bucket
+// answers a bucket wholly inside an edge or a gap and otherwise names the
+// candidates, from the bucket's entry to the next bucket's, which it
+// bisects. Either search compares v with one edge's interval per probe —
+// below, inside or above — and after a miss tests the trailing complement or
+// star edge, which holds what else the domain holds (event.Validate admits
+// domain values only, so its bounds decide; on a discrete domain, atoms
+// only, which are all a directory's flags answer for). Each comparison is
+// one operation, and so is a wide node's directory read, as the paper's hash
+// model charges it: ops = intervals compared + 1 per wide node visited.
 //
 //genas:hotpath
 func probe(edges []Edge, layout []int32, nSub int, v float64) (edge, ops int) {
@@ -126,11 +184,27 @@ func probe(edges []Edge, layout []int32, nSub int, v float64) (edge, ops int) {
 			}
 		}
 	} else {
-		for steps := bits.Len(uint(nSub)); lo <= hi; steps-- {
-			r := (lo + hi) / 2
-			if steps > 0 {
-				r = guess(edges, lo, hi, v)
+		ops++ // the directory's read
+		g := gridOf(edges[:nSub])
+		switch i := g.slot(v); {
+		case i < 0 || i == g.k:
+			lo = hi + 1
+		default:
+			w := entry(layout, i)
+			lo = int(w & entryMask)
+			switch w &^ entryMask {
+			case inEdge:
+				return lo, ops
+			case inGap:
+				lo = hi + 1
+			default:
+				if i+1 < g.k {
+					hi = min(hi, int(entry(layout, i+1)&entryMask))
+				}
 			}
+		}
+		for lo <= hi {
+			r := (lo + hi) / 2
 			ops++
 			switch e := &edges[r]; {
 			case e.after(v):
@@ -151,18 +225,73 @@ func probe(edges []Edge, layout []int32, nSub int, v float64) (edge, ops int) {
 	return nSub, ops + 1
 }
 
-// guess returns the edge of lo..hi where interpolation puts v: lo where v ≤ a,
-// edge lo's lower bound, hi where v ≥ b, edge hi's upper one, else lo +
-// ⌊(hi−lo+1)·(v−a)/(b−a)⌋, at most hi. It never falls as v rises.
-func guess(edges []Edge, lo, hi int, v float64) int {
-	a, b := edges[lo].Lo, edges[hi].Hi
-	switch {
-	case v <= a:
-		return lo
-	case v >= b:
-		return hi
+// directory writes into dir the directory of a wide node whose subrange edges
+// are edges, on a domain whose atom is unit (1 on a discrete domain, else 0,
+// a float), with sc's scratch. A first pass places each edge's lowest and
+// highest value with the grid: the edge meets the buckets from the one to
+// the other, and lies wholly over them but where the value next to an end,
+// outside the edge, falls into that end's bucket. A second pass gives bucket
+// i the first edge whose highest value lies in bucket i or above, and flags
+// it by comparing i with that edge's buckets without a branch: an edit
+// rebuilds the directory of every wide node it re-cuts, and branches on the
+// buckets mispredict.
+//
+//genas:builder
+func directory(dir []int32, edges []Edge, unit float64, sc *orderScratch) {
+	g, n := gridOf(edges), int32(len(edges))
+	sc.ends = slices.Grow(sc.ends[:0], int(3*n)+g.k+1)[:int(3*n)+g.k+1]
+	low, first, last, ending := sc.ends[:n], sc.ends[n:2*n], sc.ends[2*n:3*n], sc.ends[3*n:]
+	clear(ending)
+	for e := range edges {
+		lo, hi := edges[e].Lo, edges[e].Hi
+		if edges[e].open&openLo != 0 {
+			lo = step(lo, unit, 1)
+		}
+		if edges[e].open&openHi != 0 {
+			hi = step(hi, unit, -1)
+		}
+		s, t := g.slot(lo), g.slot(hi)
+		low[e] = int32(s)
+		first[e] = int32(s + 1 - min(s-g.slot(step(lo, unit, -1)), 1))
+		last[e] = int32(t - 1 + min(g.slot(step(hi, unit, 1))-t, 1))
+		ending[t+1]++ // ending[i+1] counts the edges whose highest value lies in bucket i
 	}
-	return lo + min(int(float64(hi-lo+1)*(v-a)/(b-a)), hi-lo)
+	clear(dir)
+	done := int32(0) // the edges whose highest value lies below bucket i
+	for i := range int32(g.k) {
+		done += ending[i]
+		e := min(done, n-1)
+		gap := below(i, low[e]) | below(n-1, done)
+		in := 1 ^ (below(i, first[e]) | below(last[e], i))
+		dir[i>>1] |= int32(uint32(e)|gap*inGap|in*inEdge) << (16 * (i & 1))
+	}
+}
+
+// below returns 1 where x < y and 0 elsewhere, for x and y far from the
+// int32 bounds.
+func below(x, y int32) uint32 { return uint32(x-y) >> 31 }
+
+// step returns the value next to u above it (dir 1) or below it (−1): the
+// next atom where unit is 1, else the next float, from u's bits, which count
+// away from zero: math.Nextafter, which does not inline, added a sixth to an
+// edit's time.
+func step(u, unit, dir float64) float64 {
+	switch {
+	case unit > 0:
+		return u + dir*unit
+	case u == 0:
+		return math.Copysign(math.SmallestNonzeroFloat64, dir)
+	}
+	b := math.Float64bits(u)
+	return math.Float64frombits(b + uint64(int64(dir)*(1+2*(int64(b)>>63))))
+}
+
+// unitOf returns the atom of dom: 1 on a discrete domain, else 0.
+func unitOf(dom schema.Domain) float64 {
+	if dom.Kind() != schema.KindNumeric {
+		return 1
+	}
+	return 0
 }
 
 // probe is the node search of the view.
@@ -184,9 +313,8 @@ func inside(iv Interval) float64 {
 // their neighbours and the domain's bounds — closed and atom-aligned on a
 // discrete domain, open wherever the neighbour is closed on a numeric one — and
 // all belong to the node's trailing edge or, without one, to D₀. On a wide
-// node Tree.Pieces yields each piece in parts, cut where one of the
-// interpolation's guesses moves on, so that the search takes the same probes
-// on every value of a part.
+// node Tree.Pieces yields each piece in parts, cut at the directory's bucket
+// bounds, so that the search takes the same probes on every value of a part.
 type Pieces struct {
 	Iv   Interval
 	Edge int // index into View.Edges(), or −1 for a D₀ gap
@@ -195,17 +323,14 @@ type Pieces struct {
 	unit float64 // the atom of a discrete domain: 1, else 0
 	gaps int     // the gaps' edge
 	at   int     // the next step: 2i is the gap below edge i, 2i+1 the edge
-	// A walk in parts yields whole, the piece, from rest, where left is set.
+	// A walk in parts yields the piece from rest, where left is set.
 	parts, left bool
-	whole, rest Interval
+	rest        Interval
 }
 
 // pieces starts a walk over the node's partition of dom, its attribute's domain.
 func (n *View) pieces(dom schema.Domain) Pieces {
-	p := Pieces{n: *n, dom: dom.Interval(), gaps: -1}
-	if dom.Kind() != schema.KindNumeric {
-		p.unit = 1
-	}
+	p := Pieces{n: *n, dom: dom.Interval(), unit: unitOf(dom), gaps: -1}
 	if int(n.nSubrange) < len(n.edges) {
 		p.gaps = int(n.nSubrange)
 	}
@@ -251,7 +376,7 @@ func (p *Pieces) Next() bool {
 		}
 		p.at++
 		if p.parts {
-			p.whole, p.rest = p.Iv, p.Iv
+			p.rest = p.Iv
 			p.Iv = p.carve()
 		}
 		return true
@@ -260,55 +385,36 @@ func (p *Pieces) Next() bool {
 }
 
 // carve cuts the next part off the rest of a wide node's piece: from the
-// rest's low end to the first value on which one of the search's guesses
-// moves on. Every probe compares a value of the piece with the same outcome,
-// so the search's ranges, and with them its guesses, hold over the part.
+// rest's low end to the end of that value's bucket, found with the lookup's
+// own slot. The directory answers every value of a bucket alike, and the
+// bisection compares every value of the piece with the same outcome.
 func (p *Pieces) carve() Interval {
-	edges, at := p.n.edges, inside(p.whole)
-	v, next := p.rest.Lo, math.Inf(1)
+	g := gridOf(p.n.edges[:p.n.nSubrange])
+	v := p.rest.Lo
 	if p.rest.LoOpen {
-		v = math.Nextafter(v, next)
+		v = step(v, p.unit, 1)
 	}
-	for lo, hi, steps := 0, int(p.n.nSubrange)-1, bits.Len(uint(p.n.nSubrange)); steps > 0 && lo <= hi; steps-- {
-		r := guess(edges, lo, hi, v)
-		if a, b := edges[lo].Lo, edges[hi].Hi; r < hi {
-			// The least value guessed above r, an atom on a discrete domain.
-			u := a + float64(r-lo+1)*(b-a)/float64(hi-lo+1)
-			if p.unit > 0 {
-				u = math.Ceil(u)
-			}
-			for guess(edges, lo, hi, u) <= r {
-				u = p.step(u, 1)
-			}
-			for guess(edges, lo, hi, p.step(u, -1)) > r {
-				u = p.step(u, -1)
-			}
-			next = min(next, u)
-		}
-		switch e := &edges[r]; {
-		case e.after(at):
-			hi = r - 1
-		case e.before(at):
-			lo = r + 1
-		default:
-			lo = hi + 1
-		}
+	part, s := p.rest, g.slot(v)
+	p.left = false
+	if s == g.k { // above the edges: one part to the piece's end
+		return part
 	}
-	part := p.rest
-	if p.left = next < part.Hi || next == part.Hi && !part.HiOpen; p.left {
-		part.Hi, part.HiOpen = next-p.unit, p.unit == 0
-		p.rest.Lo, p.rest.LoOpen = next, false
+	// The least value of a later bucket, an atom on a discrete domain.
+	u := g.a + float64(s+1)/g.scale
+	if p.unit > 0 {
+		u = math.Ceil(u)
+	}
+	for g.slot(u) <= s {
+		u = step(u, p.unit, 1)
+	}
+	for g.slot(step(u, p.unit, -1)) > s {
+		u = step(u, p.unit, -1)
+	}
+	if p.left = u < part.Hi || u == part.Hi && !part.HiOpen; p.left {
+		part.Hi, part.HiOpen = u-p.unit, p.unit == 0
+		p.rest.Lo, p.rest.LoOpen = u, false
 	}
 	return part
-}
-
-// step returns the value next to u above it (dir 1) or below it (−1): the
-// next atom on a discrete domain, else the next float.
-func (p *Pieces) step(u, dir float64) float64 {
-	if p.unit > 0 {
-		return u + dir
-	}
-	return math.Nextafter(u, dir*math.Inf(1))
 }
 
 // Cost returns the edge the node's probe takes, and the comparisons it spends,

@@ -6,7 +6,7 @@ import (
 )
 
 // A tree keeps no pointers: it stores its records in four slabs, one per
-// kind — the node records, their edges, the int32 runs of the probe trees,
+// kind — the node records, their edges, the int32 runs of the layouts,
 // parked sets and match sets, and the match-set table — and a record names
 // another by its index in the slab that holds it. A slab is one index space
 // across the levels. The garbage collector never scans the automaton, and a
@@ -183,7 +183,7 @@ func (t *Tree) newEdges(src []Edge) int32 {
 	return i
 }
 
-// newInts carves n int32s: a probe tree, a parked set or a match set.
+// newInts carves n int32s: a layout, a parked set or a match set.
 func (t *Tree) newInts(n int) (int32, []int32) {
 	return carve(t.line, &t.st.ints, &t.line.tails.ints, n, intChunk)
 }

@@ -23,8 +23,8 @@
 // polynomial in practice even for tens of thousands of profiles.
 //
 // The automaton holds no pointers (slab.go): a tree keeps its 24-byte node
-// records, its 24-byte edge records, the int32 runs of its probe trees,
-// parked sets and match sets, and the match-set table in four slabs, each
+// records, its 24-byte edge records, the int32 runs of its layouts (probe
+// trees and directories), parked sets and match sets, and the match-set table in four slabs, each
 // one index space across the levels, and a node is its index in the node
 // slab. An edge leads to the next level's node by index or, at the leaf
 // level, to an entry of the match-set table.
@@ -146,9 +146,10 @@ type Node struct {
 	// subrange edges in natural ascending order, a complement or star edge
 	// following them where trail is set.
 	edges int32
-	// layout is the first entry of the probe tree over the subrange edges, in
-	// preorder (weighted.go), in the int slab: nSub entries, none on a wide
-	// node (interpMin), which has no probe tree.
+	// layout is the first word of the node's layout in the int slab,
+	// layoutLen(nSub) words: the probe tree over the subrange edges in
+	// preorder (weighted.go), or on a wide node (interpMin) its directory
+	// (search.go).
 	layout int32
 	// parked is the first of the nParked profiles parked here in the int
 	// slab, matched by every event reaching this node: those that
@@ -544,7 +545,7 @@ func (sw *sweeper) cut(iv schema.Interval, level int, x, y []int) {
 // to. A set seen before at the next level leads to its state; a new one is
 // memoised — at the tree's height as a match set the tree stores once, above
 // it as a node of the next level, carved now and appended to the next
-// frontier. A narrow node's probe tree gets its storage, which layOut fills.
+// frontier. The node's layout gets its storage, which layOut fills.
 //
 //genas:builder
 func (b *builder) commit(level int, id int32, r swept, next []state) []state {
@@ -651,7 +652,7 @@ type Stats struct {
 	// WithoutProfile took out do not count.
 	Profiles int
 	// Bytes is the storage the automaton retains: node records, edge
-	// records, probe trees, parked profiles and each distinct leaf set with
+	// records, layouts, parked profiles and each distinct leaf set with
 	// its table entry. What successor nodes share is counted per node.
 	Bytes int
 }

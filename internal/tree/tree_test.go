@@ -302,10 +302,10 @@ func index(s, sub string) int {
 
 // layoutIsSearchTree reports whether the node's layout is the preorder of a
 // binary search tree over exactly its subrange edges or, on a wide node
-// (interpMin), which has no probe tree, empty.
+// (interpMin), which has no probe tree, a directory's run.
 func (n *View) layoutIsSearchTree() bool {
 	if n.nSubrange >= interpMin {
-		return len(n.layout) == 0
+		return len(n.layout) == layoutLen(n.nSubrange)
 	}
 	var walk func(pos, lo, hi int) (next int, ok bool)
 	walk = func(pos, lo, hi int) (int, bool) {

@@ -12,7 +12,7 @@ import (
 // least expected probes under the node's weights — the edges and the gaps
 // between them, Knuth's p and q (Optimum binary search trees, 1971). A node's
 // layout run holds it in preorder: a root r, the r−lo edges below it, the
-// rest. A wide node (interpMin) has none.
+// rest. A wide node (interpMin) has a directory there instead (search.go).
 
 // weightFloor is the share of a node's weight spread over the domain measure
 // whatever P_e says: P_e may be one window's histogram, and the floor keeps a
