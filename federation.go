@@ -44,7 +44,7 @@ func (f *Federation) Subscribe(id, profileExpr string, opts ...SubOption) (*Subs
 }
 
 // SubscribeProfile is Subscribe for an already-built profile (from
-// NewProfile's builder or ParseProfile).
+// NewProfile's builder or ParseProfile), of which it registers a copy.
 func (f *Federation) SubscribeProfile(p *Profile, opts ...SubOption) (*Subscription, error) {
 	sub, err := f.svc.subscribeWith(p, opts, func(id predicate.ID) error {
 		if err := f.svc.brk.Unsubscribe(id); err != nil {
@@ -56,7 +56,7 @@ func (f *Federation) SubscribeProfile(p *Profile, opts ...SubOption) (*Subscript
 	if err != nil {
 		return nil, err
 	}
-	// Announce the registered profile (the priority-applied clone, if any).
+	// Announce the registered copy, which carries the SubPriority weight.
 	f.fed.ProfileAdded(sub.Profile())
 	return sub, nil
 }

@@ -318,8 +318,9 @@ func (s *Service) Subscribe(id, profileExpr string, opts ...SubOption) (*Subscri
 	return s.SubscribeProfile(p, opts...)
 }
 
-// SubscribeProfile registers an already-built profile (from NewProfile's
-// builder or ParseProfile).
+// SubscribeProfile registers a copy of an already-built profile (from
+// NewProfile's builder or ParseProfile): the service never writes p, so one
+// profile may be subscribed to several services at once.
 func (s *Service) SubscribeProfile(p *Profile, opts ...SubOption) (*Subscription, error) {
 	return s.subscribeWith(p, opts, nil)
 }
@@ -335,16 +336,6 @@ func (s *Service) subscribeWith(p *Profile, opts []SubOption, stop func(predicat
 		if err := opt(&sub.o); err != nil {
 			return nil, err
 		}
-	}
-	if sub.o.priority != 0 {
-		// Register a copy rather than mutating the caller's profile: the
-		// same *Profile may be shared with (or already live in) another
-		// service, which reports and forwards the priority it registered.
-		// The predicate slice is immutable after construction, so a shallow
-		// copy suffices.
-		clone := *p
-		clone.Priority = sub.o.priority
-		p = &clone
 	}
 	bs, err := s.brk.SubscribeWith(p, sub.o.broker)
 	if err != nil {

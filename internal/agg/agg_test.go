@@ -567,3 +567,44 @@ func TestRemovalKeepsReduction(t *testing.T) {
 		checkReduction(t, po)
 	}
 }
+
+// owned is a member that owns its profile, as a broker subscription does.
+type owned struct{ p predicate.Profile }
+
+func (o *owned) Profile() *predicate.Profile { return &o.p }
+
+// TestJoinSharesOnlyOwnedColumns: a member that owns its profile and joins a
+// node whose representative is spelled alike takes the representative's
+// column; one spelled otherwise (a -0, a range for a comparison) keeps its
+// own, and a bare profile is never written, whether it makes the node or
+// joins it.
+func TestJoinSharesOnlyOwnedColumns(t *testing.T) {
+	s := testSchema(t)
+	po := NewPoset(s)
+	first := parse(t, s, "first", "profile(x >= 0; y <= 50)")
+	firstCol := &first.Preds[0]
+	po.Join(Bare(first))
+	bare := parse(t, s, "bare", "profile(x >= 0; y <= 50)")
+	bareCol := &bare.Preds[0]
+	po.Join(Bare(bare))
+	alike := &owned{p: *parse(t, s, "alike", "profile(x >= 0; y <= 50)")}
+	po.Join(alike)
+	negZero := &owned{p: *parse(t, s, "negzero", "profile(x >= -0; y <= 50)")}
+	po.Join(negZero)
+	ranged := &owned{p: *parse(t, s, "ranged", "profile(x in [0,99]; y <= 50)")}
+	po.Join(ranged)
+	if st := po.Stats(); st.Nodes != 1 || st.Subscriptions != 5 {
+		t.Fatalf("%d subscriptions on %d nodes, want 5 on one", st.Subscriptions, st.Nodes)
+	}
+	if &first.Preds[0] != firstCol || &bare.Preds[0] != bareCol {
+		t.Error("a bare profile was written")
+	}
+	if &alike.p.Preds[0] != firstCol {
+		t.Error("an owned profile spelled like the representative keeps a column of its own")
+	}
+	for _, o := range []*owned{negZero, ranged} {
+		if &o.p.Preds[0] == firstCol {
+			t.Errorf("%s took the representative's column, spelled otherwise", o.p.ID)
+		}
+	}
+}

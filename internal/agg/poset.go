@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"math"
 	"slices"
 
 	"genas/internal/par"
@@ -11,13 +12,20 @@ import (
 // Member is one concrete subscription attached to a canonical node, as the
 // caller registered it (a broker's subscription, a route): the predicate
 // structure lives once, on the node, and a match yields the members.
+//
+// A member other than Bare owns its profile: when it joins a node whose
+// representative's predicate column is spelled exactly like its own, the
+// poset points the member's column at the representative's, so equal
+// subscriptions hold one column. The member's id, priority and spelling
+// stay its own.
 type Member interface {
 	Profile() *predicate.Profile
 }
 
 // Bare makes a bare profile a member, for callers that keep nothing else per
 // subscription (route tables, the benchmark's ladder, tests). The member is
-// one pointer, so boxing it allocates nothing.
+// one pointer, so boxing it allocates nothing, and the poset never writes
+// the profile.
 func Bare(p *predicate.Profile) Member { return bare{p} }
 
 type bare struct{ p *predicate.Profile }
@@ -32,8 +40,9 @@ type node struct {
 	form []span
 	// rep is the canonical representative profile the tree indexes (for
 	// roots) and the expansion walk evaluates (for inner nodes). It has no
-	// id; its predicate column is shared with the first member. It lives in
-	// the node, so a new structure is one allocation.
+	// id; its predicate column is the first member's, which every later
+	// member spelled alike shares (attach). It lives in the node, so a new
+	// structure is one allocation.
 	rep predicate.Profile
 	// subs is append-only: frozen snapshots alias the backing array, so
 	// removal copies (COW) instead of truncating in place. subs and kids are
@@ -161,6 +170,22 @@ func (po *Poset) RootList() []NodeRef {
 	return out
 }
 
+// AnyRoot reports whether f holds for the representative of some root, in
+// node order, stopping at the first. A root covers every node beneath it:
+// it leaves open each attribute they leave open and holds each other one to
+// a superset of their values. So where a node beneath accepts a value of
+// one attribute, its root does too, and the roots answer such a question
+// for every node.
+func (po *Poset) AnyRoot(f func(*predicate.Profile) bool) bool {
+	po.ensureLinked()
+	for _, n := range po.nodes {
+		if n != nil && len(n.parents) == 0 && f(&n.rep) {
+			return true
+		}
+	}
+	return false
+}
+
 // Members returns the registered members in node order, each as it was
 // registered: its profile is its own, not the node's representative.
 func (po *Poset) Members() []Member {
@@ -176,8 +201,10 @@ func (po *Poset) Members() []Member {
 // attach registers member m on its canonical node, creating the node on an
 // interning miss (reported by created), at the index the last removal freed
 // if there is one: it is then in the tables but not yet in the order. The
-// caller has already rejected duplicates via Has; the profile's predicate
-// column is aliased, not copied.
+// caller has already rejected duplicates via Has. A new node's
+// representative aliases the profile's predicate column; on a hit, a member
+// that owns its profile takes the representative's column when the two are
+// spelled alike (Member).
 func (po *Poset) attach(m Member) (n *node, created bool) {
 	p := m.Profile()
 	po.form, po.ivs = formOf(po.sch, p, po.form[:0], po.ivs)
@@ -202,12 +229,26 @@ func (po *Poset) attach(m Member) (n *node, created bool) {
 			po.keys = append(po.keys, keyOf(n.form))
 		}
 		po.live++
+	} else if _, shared := m.(bare); !shared && sameColumn(p.Preds, n.rep.Preds) {
+		p.Preds = n.rep.Preds
 	}
 	po.setSubs(n, append(n.subs, m))
 	po.bySub[p.ID] = n
 	po.subCnt++
 	return n, created
 }
+
+// sameColumn reports whether two predicate columns are spelled alike: the
+// same attribute, operator and operands in order, the operands compared by
+// their bits, so that -0 and 0 stay apart as they print apart.
+func sameColumn(a, b []predicate.Predicate) bool {
+	return slices.EqualFunc(a, b, func(x, y predicate.Predicate) bool {
+		return x.Attr == y.Attr && x.Op == y.Op && sameBits(x.Value, y.Value) &&
+			sameBits(x.Hi, y.Hi) && slices.EqualFunc(x.Set, y.Set, sameBits)
+	})
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 // touch marks n's snapshot record stale. While nodes wait to be linked it
 // records nothing: the pending Compact re-records every node.

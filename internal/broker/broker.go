@@ -104,6 +104,9 @@ type SubOptions struct {
 	Buffer int
 	// Policy is the full-buffer drop policy.
 	Policy DropPolicy
+	// Priority, when not zero, replaces the profile's priority in the
+	// subscription's copy; the caller's profile keeps its own.
+	Priority float64
 }
 
 // Subscription is one subscriber registration. Notifications arrive on C();
@@ -113,17 +116,16 @@ type SubOptions struct {
 // realizing the paper's per-profile statistic objects without putting a mutex
 // or a map on the publish path; they end with the subscription.
 type Subscription struct {
-	profile *predicate.Profile
+	// profile is the subscription's own copy of the caller's profile: its
+	// id, priority and predicate column. The poset points the column at its
+	// canonical node's when the two are equal (agg.Member), so duplicates
+	// hold one column between them; the caller's profile is never written.
+	profile predicate.Profile
 	// ch is the delivery channel. A queue member's is its queue's, and
 	// shared is the queue's share of it; a private subscription's is its
 	// own, which it closes itself (shared is nil).
 	ch     chan Notification
 	shared *sharedChan
-	// done closes when the subscription ends (end()), before the channel
-	// itself closes: a Block-policy delivery blocked on a full buffer
-	// watches it, so ending the subscription always releases its blocked
-	// publishers promptly.
-	done chan struct{}
 	// sendMu fences Block-policy sends (read side) against the channel
 	// close (write side). Block sends happen outside the broker's send fence
 	// — a publisher stalled on one slow Block subscriber must not hold a
@@ -138,8 +140,10 @@ type Subscription struct {
 // ID returns the subscription id.
 func (s *Subscription) ID() predicate.ID { return s.profile.ID }
 
-// Profile returns the subscription's profile.
-func (s *Subscription) Profile() *predicate.Profile { return s.profile }
+// Profile returns the registered copy of the subscription's profile: the
+// caller's id and predicates, with the priority SubOptions set. Its
+// predicate column may be shared with equal subscriptions; it is read-only.
+func (s *Subscription) Profile() *predicate.Profile { return &s.profile }
 
 // C returns the notification channel. It is closed on Unsubscribe and on
 // broker shutdown (for queue members: when the queue is closed and its last
@@ -184,6 +188,13 @@ type Broker struct {
 	// without blocking under its read side, a subscription ends under its
 	// write side.
 	mu sync.RWMutex
+	// ended is the broker's one end signal: a Block-policy send waiting on a
+	// full buffer (counted in waiting) also waits on it, and signalEnd
+	// closes it, and installs a fresh one, whenever a subscription ends
+	// while some send waits. A woken send re-checks its own subscription.
+	// It holds a chan struct{}; signalEnd writes it under mu's write side.
+	ended   atomic.Value
+	waiting atomic.Int32
 	// delivered/dropped aggregate the whole history (live and ended
 	// subscriptions), so Stats does not walk every subscription.
 	delivered atomic.Uint64
@@ -208,6 +219,7 @@ func New(s *schema.Schema, opts Options) (*Broker, error) {
 		engine:        core.NewSharded(s, opts.Engine, max(opts.Shards, 1)),
 		defaultBuffer: opts.DefaultBuffer,
 	}
+	b.ended.Store(make(chan struct{}))
 	if opts.Adaptive {
 		a, err := adaptive.New(b.engine, opts.Policy)
 		if err != nil {
@@ -240,9 +252,10 @@ func (b *Broker) Profiles() []*predicate.Profile {
 // Adaptor returns the adaptive component (nil when disabled).
 func (b *Broker) Adaptor() *adaptive.Adaptor { return b.adapt }
 
-// SubscribeWith registers a profile and returns its subscription, with the
-// buffer and drop policy of o (zero values: the broker's default buffer,
-// DropNewest). The profile ID must be unique within the broker.
+// SubscribeWith registers a copy of profile p and returns its subscription,
+// with the buffer, drop policy and priority of o (zero values: the broker's
+// default buffer, DropNewest, p's priority). The profile ID must be unique
+// within the broker.
 func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscription, error) {
 	if p == nil {
 		return nil, ErrNilProfile
@@ -255,7 +268,11 @@ func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscriptio
 	}
 	b.regMu.Lock()
 	defer b.regMu.Unlock()
-	return b.register(&Subscription{profile: p, ch: make(chan Notification, o.Buffer), policy: o.Policy})
+	sub := &Subscription{profile: *p, ch: make(chan Notification, o.Buffer), policy: o.Policy}
+	if o.Priority != 0 {
+		sub.profile.Priority = o.Priority
+	}
+	return b.register(sub)
 }
 
 // register is the one registration routine: it makes sub, which delivers
@@ -267,7 +284,6 @@ func (b *Broker) register(sub *Subscription) (*Subscription, error) {
 	if b.closed.Load() || sub.shared != nil && sub.shared.closed.Load() {
 		return nil, ErrClosed
 	}
-	sub.done = make(chan struct{})
 	if err := b.engine.Add(sub); err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateSub, sub.profile.ID)
 	}
@@ -303,15 +319,15 @@ func (b *Broker) NewQueue(buffer int) (*Queue, error) {
 // C returns the queue's notification channel.
 func (q *Queue) C() <-chan Notification { return q.shared.ch }
 
-// Subscribe registers p as a member of the queue. The profile ID must be
-// unique within the broker.
+// Subscribe registers a copy of p as a member of the queue. The profile ID
+// must be unique within the broker.
 func (q *Queue) Subscribe(p *predicate.Profile) (*Subscription, error) {
 	if p == nil {
 		return nil, ErrNilProfile
 	}
 	q.b.regMu.Lock()
 	defer q.b.regMu.Unlock()
-	return q.b.register(&Subscription{profile: p, ch: q.shared.ch, shared: q.shared, policy: DropNewest})
+	return q.b.register(&Subscription{profile: *p, ch: q.shared.ch, shared: q.shared, policy: DropNewest})
 }
 
 // Close drops the owner's reference: members stay subscribed until they are
@@ -324,11 +340,23 @@ func (q *Queue) Close() {
 	})
 }
 
-// end marks the subscription closed and releases any Block-policy delivery
-// waiting on its full buffer. Idempotent. Callers hold the broker's mu.
-func (s *Subscription) end() {
-	if s.closed.CompareAndSwap(false, true) {
-		close(s.done)
+// end marks the subscription closed. Idempotent. Callers hold the broker's
+// mu, and call signalEnd once they have ended what they end, which releases
+// the Block-policy deliveries waiting on a full buffer.
+func (s *Subscription) end() { s.closed.Store(true) }
+
+// signalEnd wakes every Block-policy delivery waiting on a full buffer, if
+// there is one, so that each re-checks whether its subscription has ended:
+// it closes the end signal and installs a fresh one. Without a waiter it
+// allocates nothing. Callers hold mu's write side, having ended their
+// subscriptions first. The order is Dekker's: an ender stores closed before
+// it loads waiting, and a waiter adds itself to waiting before it loads the
+// signal and then closed, so either the ender sees the waiter, or the
+// waiter sees its subscription closed.
+func (b *Broker) signalEnd() {
+	if b.waiting.Load() > 0 {
+		close(b.ended.Load().(chan struct{}))
+		b.ended.Store(make(chan struct{}))
 	}
 }
 
@@ -364,6 +392,7 @@ func (b *Broker) Unsubscribe(id predicate.ID) error {
 	sub := m.(*Subscription)
 	b.mu.Lock()
 	sub.end()
+	b.signalEnd()
 	b.mu.Unlock()
 	// Close outside the fence: in-flight non-blocking sends completed before
 	// the write lock was granted, later ones see the subscription ended, and
@@ -605,7 +634,7 @@ func (b *Broker) deliver(ev event.Event, ms []core.Member, now time.Time, cancel
 	for _, m := range block {
 		sub := m.(*Subscription)
 		n.Profile = sub.profile.ID
-		if sub.blockingSend(n, cancel) {
+		if b.blockingSend(sub, n, cancel) {
 			b.delivered.Add(1)
 		} else {
 			b.dropped.Add(1)
@@ -642,13 +671,15 @@ func (s *Subscription) send(n Notification) (sent bool, evicted int) {
 	}
 }
 
-// blockingSend performs one Block-policy delivery outside the send fence:
-// it waits until buffer space frees, the subscription ends (done closes
-// before the channel does), or the publisher's cancel channel fires (nil
-// means no cancellation). sendMu (read side) fences the channel against
-// retireChan's close: if the closed re-check reads false, the close cannot
-// start until this send returns.
-func (s *Subscription) blockingSend(n Notification, cancel <-chan struct{}) bool {
+// blockingSend performs one Block-policy delivery to s outside the send
+// fence. With the buffer full it waits until space frees, s ends, or the
+// publisher's cancel channel fires (nil means no cancellation), counted as
+// a waiter of the end signal, which fires before s's channel closes; the
+// end of another subscription wakes it too, and it waits again. sendMu
+// (read side) fences the channel against retireChan's close: while the
+// closed re-check reads false, the close cannot start until this send
+// returns.
+func (b *Broker) blockingSend(s *Subscription, n Notification, cancel <-chan struct{}) bool {
 	s.sendMu.RLock()
 	defer s.sendMu.RUnlock()
 	if s.closed.Load() {
@@ -656,41 +687,53 @@ func (s *Subscription) blockingSend(n Notification, cancel <-chan struct{}) bool
 		// this outcome (the caller's else-branch).
 		return false
 	}
-	//genas:allow locksafe sendMu is the close fence, not the table lock: the blocking wait under its read side is this function's contract
 	select {
 	case s.ch <- n:
 		s.delivered.Add(1)
 		return true
-	case <-s.done:
-		s.dropped.Add(1)
-		return false
-	case <-cancel:
-		s.dropped.Add(1)
-		return false
+	default:
+	}
+	b.waiting.Add(1)
+	defer b.waiting.Add(-1)
+	for {
+		ended := b.ended.Load().(chan struct{})
+		if s.closed.Load() {
+			s.dropped.Add(1)
+			return false
+		}
+		//genas:allow locksafe sendMu is the close fence, not the table lock: the blocking wait under its read side is this function's contract
+		select {
+		case s.ch <- n:
+			s.delivered.Add(1)
+			return true
+		case <-ended:
+		case <-cancel:
+			s.dropped.Add(1)
+			return false
+		}
 	}
 }
 
 // Quenched reports whether events whose attribute attr falls inside iv are
 // guaranteed to match no profile, so a provider may suppress them at the
 // source (Elvin-style quenching). It is conservative: false means "someone
-// might care".
+// might care". The poset's roots decide it: a subscription's answer is its
+// canonical node's, and a node covering another leaves open every
+// attribute the other leaves open and holds the rest to supersets of its
+// values (agg.Poset.AnyRoot).
 func (b *Broker) Quenched(attr int, iv schema.Interval) bool {
 	if attr < 0 || attr >= b.schema.N() {
 		return false
 	}
 	dom := b.schema.At(attr).Domain
-	for _, m := range b.engine.Members() {
-		p := m.Profile()
+	var ivs []schema.Interval
+	return !b.engine.AnyRoot(func(p *predicate.Profile) bool {
 		if !p.Constrains(attr) {
-			return false // a don't-care profile accepts any value here
+			return true // a don't-care profile accepts any value here
 		}
-		for _, piv := range p.Pred(attr).Intervals(dom) {
-			if piv.Overlaps(iv) {
-				return false
-			}
-		}
-	}
-	return true
+		ivs = p.Pred(attr).AppendIntervals(ivs[:0], dom)
+		return slices.ContainsFunc(ivs, iv.Overlaps)
+	})
 }
 
 // Stats is the one stats record (stats.Record); the broker fills its
@@ -740,6 +783,7 @@ func (b *Broker) Close() {
 	for _, m := range ending {
 		m.(*Subscription).end()
 	}
+	b.signalEnd()
 	b.mu.Unlock()
 	for _, m := range ending {
 		retireChan(m.(*Subscription))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +179,133 @@ func TestQuenched(t *testing.T) {
 	if q := b.Quenched(0, schema.Closed(30, 40)); !q {
 		t.Error("empty broker must quench everything")
 	}
+}
+
+// TestQuenchedAsksTheRoots: Quenched, which asks the poset's roots, answers
+// as a scan of every subscription's own profile does, on randomized corpora
+// over a coarse grid, so that structures cover one another often, don't-care
+// attributes are common (roots among them), and some predicates are empty.
+// Queries include empty intervals, intervals outside the domain and bad
+// attribute indices; some corpora are queried before any match links the
+// poset, and some after unsubscribes promoted covered structures.
+func TestQuenchedAsksTheRoots(t *testing.T) {
+	temp, _ := schema.NewNumericDomain(-30, 50)
+	hum, _ := schema.NewNumericDomain(0, 100)
+	floor, _ := schema.NewIntegerDomain(0, 9)
+	s := schema.MustNew(
+		schema.Attribute{Name: "temperature", Domain: temp},
+		schema.Attribute{Name: "humidity", Domain: hum},
+		schema.Attribute{Name: "floor", Domain: floor},
+	)
+	scan := func(b *Broker, attr int, iv schema.Interval) bool {
+		if attr < 0 || attr >= s.N() {
+			return false
+		}
+		for _, p := range b.Profiles() {
+			if !p.Constrains(attr) {
+				return false
+			}
+			for _, piv := range p.Pred(attr).Intervals(s.At(attr).Domain) {
+				if piv.Overlaps(iv) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(7))
+	grid := func(attr int) float64 {
+		lo, hi := s.At(attr).Domain.Interval().Lo, s.At(attr).Domain.Interval().Hi
+		return lo + (hi-lo)*float64(rng.Intn(9)-1)/6 // a step beyond either end now and then
+	}
+	dontCare := 0 // in tenths, per corpus
+	profile := func(id string) *predicate.Profile {
+		var conds []string
+		for len(conds) == 0 { // a profile constrains something
+			conds = conds[:0]
+			for attr := range s.N() {
+				name, v, w := s.At(attr).Name, grid(attr), grid(attr)
+				if rng.Intn(10) < dontCare {
+					continue
+				}
+				switch rng.Intn(5) {
+				case 0:
+					conds = append(conds, fmt.Sprintf("%s >= %g", name, v))
+				case 1:
+					conds = append(conds, fmt.Sprintf("%s < %g", name, v))
+				case 2:
+					conds = append(conds, fmt.Sprintf("%s in [%g,%g]", name, min(v, w), max(v, w)))
+				case 3:
+					conds = append(conds, fmt.Sprintf("%s = %g", name, v))
+				case 4:
+					conds = append(conds, fmt.Sprintf("%s != %g", name, v))
+				}
+			}
+		}
+		p, err := predicate.Parse(s, predicate.ID(id), "profile("+strings.Join(conds, "; ")+")")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	var outcomes [2]int
+	for trial := range 1000 {
+		b, err := New(s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int
+		n, dontCare = 1+rng.Intn(8), rng.Intn(5)
+		for i := range n {
+			if _, err := b.SubscribeWith(profile(fmt.Sprintf("p%d", i)), SubOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if trial%3 != 0 {
+			if _, err := b.PublishValues([]float64{0, 50, 5}); err != nil { // links the poset
+				t.Fatal(err)
+			}
+		}
+		for round := range 3 {
+			for range 20 {
+				attr := rng.Intn(s.N()+2) - 1
+				var iv schema.Interval
+				if attr >= 0 && attr < s.N() {
+					v, w := grid(attr), grid(attr)
+					iv = schema.Interval{Lo: min(v, w), Hi: max(v, w), LoOpen: rng.Intn(2) == 0, HiOpen: rng.Intn(2) == 0}
+				}
+				want := scan(b, attr, iv)
+				if got := b.Quenched(attr, iv); got != want {
+					t.Fatalf("trial %d round %d: Quenched(%d, %v) = %v, the member scan says %v; profiles:\n%v",
+						trial, round, attr, iv, got, want, render(s, b.Profiles()))
+				}
+				if want {
+					outcomes[1]++
+				} else {
+					outcomes[0]++
+				}
+			}
+			for i := range n { // unsubscribe about a third, promoting what they covered
+				if rng.Intn(3) == 0 {
+					_ = b.Unsubscribe(predicate.ID(fmt.Sprintf("p%d", i)))
+				}
+			}
+		}
+		b.Close()
+	}
+	t.Logf("%d queries quenched, %d not", outcomes[1], outcomes[0])
+	if outcomes[0] < 2000 || outcomes[1] < 2000 {
+		t.Errorf("%d queries quenched and %d not: the corpora decide too few either way", outcomes[1], outcomes[0])
+	}
+}
+
+// render lists profiles one a line.
+func render(s *schema.Schema, ps []*predicate.Profile) string {
+	var b strings.Builder
+	for _, p := range ps {
+		fmt.Fprintf(&b, "%s %s\n", p.ID, p.Render(s))
+	}
+	return b.String()
 }
 
 // TestCloseRejectsOperations: after Close every operation fails with

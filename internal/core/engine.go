@@ -347,6 +347,15 @@ func (e *Engine) Members() []Member {
 	return e.agg.Members()
 }
 
+// AnyRoot reports whether f holds for the representative of some poset
+// root (agg.Poset.AnyRoot). f runs under the writer lock and must not call
+// the engine.
+func (e *Engine) AnyRoot(f func(*predicate.Profile) bool) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.agg.AnyRoot(f)
+}
+
 // eventDists returns P_e, defaulting to uniform per attribute.
 func (e *Engine) eventDists() []dist.Dist {
 	if e.cfg.EventDists != nil {

@@ -51,22 +51,22 @@ var locksafeSeeds = map[string]string{
 	"(*sync.WaitGroup).Wait":     "WaitGroup wait",
 	"(*sync.Cond).Wait":          "condition wait",
 
-	"(*genas/internal/broker.Broker).Publish":            "may stall on a Block-policy subscriber",
-	"(*genas/internal/broker.Broker).PublishCtx":         "may stall on a Block-policy subscriber",
-	"(*genas/internal/broker.Broker).PublishValues":      "may stall on a Block-policy subscriber",
-	"(*genas/internal/broker.Broker).PublishValuesCtx":   "may stall on a Block-policy subscriber",
-	"(*genas/internal/broker.Broker).PublishBatch":       "may stall on a Block-policy subscriber",
-	"(*genas/internal/broker.Broker).PublishBatchCtx":    "may stall on a Block-policy subscriber",
-	"(*genas/internal/broker.Broker).SubscribeWith":      "takes broker registration locks",
-	"(*genas/internal/broker.Queue).Subscribe":           "takes broker registration locks",
-	"(*genas/internal/broker.Queue).Close":               "takes broker registration locks",
-	"(*genas/internal/broker.Broker).Unsubscribe":        "takes broker registration locks",
-	"(*genas/internal/broker.Broker).Close":              "waits out in-flight deliveries",
-	"(*genas/internal/broker.Subscription).blockingSend": "blocks until buffer space frees",
-	"(*genas/internal/wire.Server).Close":                "waits for handler goroutines",
-	"(genas/internal/wire.Overlay).HandlePeer":           "runs a peer link to completion",
-	"(*genas/internal/federation.Fed).Close":             "waits for link goroutines",
-	"(*genas/internal/federation.Fed).Dial":              "network dial + handshake",
+	"(*genas/internal/broker.Broker).Publish":          "may stall on a Block-policy subscriber",
+	"(*genas/internal/broker.Broker).PublishCtx":       "may stall on a Block-policy subscriber",
+	"(*genas/internal/broker.Broker).PublishValues":    "may stall on a Block-policy subscriber",
+	"(*genas/internal/broker.Broker).PublishValuesCtx": "may stall on a Block-policy subscriber",
+	"(*genas/internal/broker.Broker).PublishBatch":     "may stall on a Block-policy subscriber",
+	"(*genas/internal/broker.Broker).PublishBatchCtx":  "may stall on a Block-policy subscriber",
+	"(*genas/internal/broker.Broker).SubscribeWith":    "takes broker registration locks",
+	"(*genas/internal/broker.Queue).Subscribe":         "takes broker registration locks",
+	"(*genas/internal/broker.Queue).Close":             "takes broker registration locks",
+	"(*genas/internal/broker.Broker).Unsubscribe":      "takes broker registration locks",
+	"(*genas/internal/broker.Broker).Close":            "waits out in-flight deliveries",
+	"(*genas/internal/broker.Broker).blockingSend":     "blocks until buffer space frees",
+	"(*genas/internal/wire.Server).Close":              "waits for handler goroutines",
+	"(genas/internal/wire.Overlay).HandlePeer":         "runs a peer link to completion",
+	"(*genas/internal/federation.Fed).Close":           "waits for link goroutines",
+	"(*genas/internal/federation.Fed).Dial":            "network dial + handshake",
 }
 
 // blockFact keys a function's blocking reason in Pass.Shared:

@@ -216,7 +216,9 @@ type ID string
 type Profile struct {
 	ID ID
 	// Preds is indexed by attribute position; entries with Op==0 or OpAny
-	// are don't-care.
+	// are don't-care. The column is immutable once the profile is built,
+	// Set operands included: a broker's subscriptions spelled alike share
+	// one column, so a write through any of them would change them all.
 	Preds []Predicate
 	// Priority weights user-centric optimization (paper §4.3: "faster
 	// notifications for profiles with high priority"), which the

@@ -16,9 +16,8 @@ var errHandlerMode = errors.New("genas: subscription delivers via SubHandler; C 
 type SubOption func(*subOptions) error
 
 type subOptions struct {
-	broker   broker.SubOptions
-	priority float64
-	handler  func(Notification)
+	broker  broker.SubOptions
+	handler func(Notification)
 }
 
 // SubBuffer sets this subscription's notification buffer (overriding the
@@ -40,7 +39,7 @@ func SubBuffer(n int) SubOption {
 // the reproduction (cmd/reproduce).
 func SubPriority(w float64) SubOption {
 	return func(o *subOptions) error {
-		o.priority = w
+		o.broker.Priority = w
 		return nil
 	}
 }
@@ -112,7 +111,11 @@ func handle(c <-chan Notification, fn func(Notification)) {
 // ID returns the subscription id.
 func (s *Subscription) ID() string { return string(s.sub.ID()) }
 
-// Profile returns the subscribed profile.
+// Profile returns the registered copy of the subscribed profile: the
+// caller's id and predicates, with the SubPriority weight when one was
+// given. The service never writes the profile passed to it. The copy's
+// predicate column may be shared with other subscriptions spelled alike:
+// read it, never write it.
 func (s *Subscription) Profile() *Profile { return s.sub.Profile() }
 
 // C returns the notification channel. It closes when the subscription ends

@@ -17,13 +17,14 @@ import (
 // TestEditAllocations), and the pins are exact.
 const (
 	// A SubHandler subscription: the Subscription with its options, the
-	// broker's subscription, its channel and the channel's ring, the done
-	// channel, and the handler goroutine's closure.
-	handlerSubscribeAllocs = 6.0
+	// broker's subscription with its copy of the profile, its channel and
+	// the channel's ring, and the handler goroutine's closure.
+	handlerSubscribeAllocs = 5.0
 	// A channel subscription: the same records without the goroutine.
-	channelSubscribeAllocs = 5.0
+	channelSubscribeAllocs = 4.0
 	// The profile's parse: the Profile, its predicate table and the
-	// severity set's operands.
+	// severity set's operands. A subscription joining a structure spelled
+	// alike keeps none of them: its copy shares the structure's column.
 	parseAllocs = 3.0
 	// A subscriber joining or leaving a structure another one keeps: the
 	// node's member list, the image's chunk table and the dirty chunk's

@@ -3,6 +3,7 @@ package genas
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -188,32 +189,103 @@ func TestSubBlockingPublishCtxCancel(t *testing.T) {
 	}
 }
 
+// TestSubBlockingUnsubscribeReleases: a publisher waiting on a full
+// SubBlocking buffer waits on until that subscription drains or ends. The
+// end of an unrelated subscription neither releases it nor makes it drop;
+// the end of its own releases it, and Close releases every waiting
+// publisher at once.
 func TestSubBlockingUnsubscribeReleases(t *testing.T) {
-	svc := alarmService(t)
-	sub, err := svc.Subscribe("hot", "profile(temperature >= 35)",
-		SubBuffer(1), SubBlocking())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.PublishValues(40, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	published := make(chan struct{})
-	go func() {
-		defer close(published)
-		if _, err := svc.PublishValues(41, 1, 1); err != nil {
-			t.Error(err)
+	// blocked subscribes id to text with a one-notification SubBlocking
+	// buffer, fills it with the event ev, and starts publishers goroutines
+	// that publish ev again, each to wait on the full buffer. The returned
+	// channel closes when all of them have returned.
+	blocked := func(t *testing.T, svc *Service, id, text string, ev []float64, publishers int) (*Subscription, <-chan struct{}) {
+		t.Helper()
+		sub, err := svc.Subscribe(id, text, SubBuffer(1), SubBlocking())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if err := sub.Close(); err != nil {
-		t.Fatal(err)
+		if _, err := svc.PublishValues(ev...); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for range publishers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := svc.PublishValues(ev...); err != nil && !errors.Is(err, ErrClosed) {
+					t.Error(err)
+				}
+			}()
+		}
+		published := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(published)
+		}()
+		time.Sleep(20 * time.Millisecond)
+		return sub, published
 	}
-	select {
-	case <-published:
-	case <-time.After(2 * time.Second):
-		t.Fatal("unsubscribe did not release the blocked publisher")
+	released := func(t *testing.T, published <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-published:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s did not release the blocked publisher", what)
+		}
 	}
+
+	const hot = "profile(temperature >= 35)"
+	heat := []float64{41, 1, 1}
+
+	t.Run("own unsubscribe", func(t *testing.T) {
+		svc := alarmService(t)
+		sub, published := blocked(t, svc, "hot", hot, heat, 1)
+		if err := sub.Close(); err != nil {
+			t.Fatal(err)
+		}
+		released(t, published, "unsubscribe")
+	})
+
+	t.Run("unrelated unsubscribe", func(t *testing.T) {
+		svc := alarmService(t)
+		other, err := svc.Subscribe("humid", "profile(humidity >= 90)", SubBuffer(1), SubBlocking())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, published := blocked(t, svc, "hot", hot, heat, 1)
+		if err := other.Close(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-published:
+			t.Fatal("an unrelated unsubscribe released the blocked publisher")
+		case <-time.After(50 * time.Millisecond):
+		}
+		if d := sub.Dropped(); d != 0 {
+			t.Fatalf("an unrelated unsubscribe dropped %d notifications", d)
+		}
+		for i := range 2 {
+			if n, err := sub.Next(t.Context()); err != nil || n.Event.Seq != uint64(i+1) {
+				t.Fatalf("notification %d = %+v, %v", i, n, err)
+			}
+			if i == 0 {
+				released(t, published, "draining the buffer")
+			}
+		}
+		if d, dr := sub.Delivered(), sub.Dropped(); d != 2 || dr != 0 {
+			t.Errorf("delivered %d, dropped %d, want 2 and 0", d, dr)
+		}
+	})
+
+	t.Run("Close", func(t *testing.T) {
+		svc := alarmService(t)
+		_, hotDone := blocked(t, svc, "hot", hot, heat, 3)
+		_, humidDone := blocked(t, svc, "humid", "profile(humidity >= 90)", []float64{1, 95, 1}, 2)
+		svc.Close()
+		released(t, hotDone, "Close")
+		released(t, humidDone, "Close")
+	})
 }
 
 func TestPublishCtxDoneContext(t *testing.T) {
