@@ -83,8 +83,8 @@ func run() error {
 		alarms += m
 	}
 
-	// Let the handler goroutines drain their buffers, then unsubscribe (the
-	// channels close, ending the handlers).
+	// Let the service's delivery workers drain what is queued for the
+	// handlers, then unsubscribe.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		var pending uint64

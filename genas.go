@@ -328,8 +328,8 @@ func (s *Service) SubscribeProfile(p *Profile, opts ...SubOption) (*Subscription
 // subscribeWith is the shared registration path behind Service and
 // Federation subscriptions. stop overrides the unsubscribe hook (nil keeps
 // the plain broker unsubscribe); Federation uses it to withdraw the route
-// from its peers. The options apply to the subscription's own record, and
-// nothing starts before the broker took the subscription.
+// from its peers. The options apply to the subscription's own record; a
+// SubHandler's handler goes to the broker, whose delivery workers call it.
 func (s *Service) subscribeWith(p *Profile, opts []SubOption, stop func(predicate.ID) error) (*Subscription, error) {
 	sub := &Subscription{brk: s.brk, stop: stop}
 	for _, opt := range opts {
@@ -342,9 +342,6 @@ func (s *Service) subscribeWith(p *Profile, opts []SubOption, stop func(predicat
 		return nil, err
 	}
 	sub.sub = bs
-	if sub.o.handler != nil {
-		go handle(bs.C(), sub.o.handler)
-	}
 	return sub, nil
 }
 
@@ -479,7 +476,10 @@ func (s *Service) ExpectedOpsPerEvent() (float64, error) {
 	return a.TotalOps, nil
 }
 
-// Close shuts the service down; all subscription channels are closed.
+// Close shuts the service down; all subscription channels are closed. The
+// handlers of SubHandler subscriptions still receive what was queued
+// before, and the service's delivery workers then end; Close does not wait
+// for them, so a handler may call it.
 func (s *Service) Close() { s.brk.Close() }
 
 // Now returns the current time; exposed so examples produce deterministic

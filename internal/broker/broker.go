@@ -14,6 +14,11 @@
 // of its own, and every subscription counts its own deliveries and drops
 // while it lives.
 //
+// A subscription delivers over a channel, its own or its Queue's, or, with
+// a handler (SubOptions.Handler), through one of a few delivery workers
+// the broker owns (worker.go): a handler subscription holds no channel,
+// ring or goroutine.
+//
 // Counting adds no lock to the publish path: the engine books each match in
 // two atomics, a subscription its outcomes in two more, and the broker keeps
 // broker-wide totals beside them. Stats fills the broker's part of the one
@@ -26,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -100,18 +106,26 @@ const (
 // SubOptions configure one subscription.
 type SubOptions struct {
 	// Buffer is the notification channel buffer (0 selects the broker
-	// default, negative is invalid).
+	// default, negative is invalid). A handler subscription has no
+	// channel: Buffer caps the notifications it has queued for its worker
+	// and not yet taken.
 	Buffer int
 	// Policy is the full-buffer drop policy.
 	Policy DropPolicy
 	// Priority, when not zero, replaces the profile's priority in the
 	// subscription's copy; the caller's profile keeps its own.
 	Priority float64
+	// Handler, when not nil, receives the notifications instead of a
+	// channel: a delivery worker of the broker calls it, sequentially and
+	// in queue order for the subscription, and a slow handler delays the
+	// handlers that share its worker.
+	Handler func(Notification)
 }
 
-// Subscription is one subscriber registration. Notifications arrive on C();
-// when the subscriber lags behind the buffer the drop policy decides between
-// dropping the newest, evicting the oldest, or blocking the publisher.
+// Subscription is one subscriber registration. Notifications arrive on C(),
+// or reach its handler through a delivery worker; when the subscriber lags
+// behind the buffer the drop policy decides between dropping the newest,
+// evicting the oldest, or blocking the publisher.
 // Delivery tallies live on the subscription itself (two uncontended atomics),
 // realizing the paper's per-profile statistic objects without putting a mutex
 // or a map on the publish path; they end with the subscription.
@@ -123,18 +137,26 @@ type Subscription struct {
 	profile predicate.Profile
 	// ch is the delivery channel. A queue member's is its queue's, and
 	// shared is the queue's share of it; a private subscription's is its
-	// own, which it closes itself (shared is nil).
+	// own, which it closes itself (shared is nil). A handler
+	// subscription has neither.
 	ch     chan Notification
 	shared *sharedChan
-	// sendMu fences Block-policy sends (read side) against the channel
-	// close (write side). Block sends happen outside the broker's send fence
-	// — a publisher stalled on one slow Block subscriber must not hold a
-	// lock that registration operations or other deliveries need.
-	sendMu    sync.RWMutex
+	// handler, when not nil, is called by the worker the subscription is
+	// pinned to (index worker in the broker's workers); room and skip are
+	// its counted buffer, guarded by that worker's mu (worker.go).
+	handler   func(Notification)
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 	closed    atomic.Bool
-	policy    DropPolicy
+	// senders counts the Block-policy sends in flight on the channel. They
+	// happen outside the broker's send fence — a publisher stalled on one
+	// slow Block subscriber must not hold a lock that registration
+	// operations or other deliveries need — so retire waits for them to
+	// leave before it closes the channel.
+	senders    atomic.Int32
+	room, skip int32
+	worker     uint16
+	policy     DropPolicy
 }
 
 // ID returns the subscription id.
@@ -145,16 +167,17 @@ func (s *Subscription) ID() predicate.ID { return s.profile.ID }
 // predicate column may be shared with equal subscriptions; it is read-only.
 func (s *Subscription) Profile() *predicate.Profile { return &s.profile }
 
-// C returns the notification channel. It is closed on Unsubscribe and on
-// broker shutdown (for queue members: when the queue is closed and its last
-// member is gone).
+// C returns the notification channel, nil for a handler subscription. It is
+// closed on Unsubscribe and on broker shutdown (for queue members: when the
+// queue is closed and its last member is gone).
 func (s *Subscription) C() <-chan Notification { return s.ch }
 
 // Dropped returns how many notifications were discarded because the
 // subscriber was slow (including DropOldest evictions).
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
-// Delivered returns how many notifications reached the subscriber's buffer.
+// Delivered returns how many notifications reached the subscriber's buffer
+// (a handler subscription's: its worker's queue).
 func (s *Subscription) Delivered() uint64 { return s.delivered.Load() }
 
 // Options configure a Broker.
@@ -202,6 +225,15 @@ type Broker struct {
 
 	seq       atomic.Uint64
 	published atomic.Uint64
+
+	// workers deliver to the handler subscriptions (worker.go): made at
+	// the first handler subscribe, their goroutines started once one is
+	// registered (running), and stopped by Close. next is the round robin
+	// that pins a handler subscription to one. All three change under
+	// regMu; a publisher reads workers through a subscription it matched.
+	workers []*worker
+	next    int
+	running bool
 
 	defaultBuffer int
 }
@@ -253,9 +285,10 @@ func (b *Broker) Profiles() []*predicate.Profile {
 func (b *Broker) Adaptor() *adaptive.Adaptor { return b.adapt }
 
 // SubscribeWith registers a copy of profile p and returns its subscription,
-// with the buffer, drop policy and priority of o (zero values: the broker's
-// default buffer, DropNewest, p's priority). The profile ID must be unique
-// within the broker.
+// with the buffer, drop policy, priority and handler of o (zero values: the
+// broker's default buffer, DropNewest, p's priority, a channel). The profile
+// ID must be unique within the broker. The first handler subscription
+// starts the broker's delivery workers.
 func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscription, error) {
 	if p == nil {
 		return nil, ErrNilProfile
@@ -268,18 +301,25 @@ func (b *Broker) SubscribeWith(p *predicate.Profile, o SubOptions) (*Subscriptio
 	}
 	b.regMu.Lock()
 	defer b.regMu.Unlock()
-	sub := &Subscription{profile: *p, ch: make(chan Notification, o.Buffer), policy: o.Policy}
+	sub := &Subscription{profile: *p, handler: o.Handler, policy: o.Policy}
 	if o.Priority != 0 {
 		sub.profile.Priority = o.Priority
+	}
+	if o.Handler != nil {
+		b.pin(sub, o.Buffer)
+	} else {
+		sub.ch = make(chan Notification, o.Buffer)
 	}
 	return b.register(sub)
 }
 
 // register is the one registration routine: it makes sub, which delivers
-// into its own channel (SubscribeWith) or into its queue's (Queue.Subscribe),
-// a member of the engine. Caller holds regMu, which also serializes it with
-// every release of the queue's share: a share found open here cannot close
-// before the member holds its reference.
+// into its own channel or through its worker (SubscribeWith) or into its
+// queue's channel (Queue.Subscribe), a member of the engine, and starts the
+// workers with the first handler subscription registered. Caller holds
+// regMu, which also serializes it with every release of the queue's share:
+// a share found open here cannot close before the member holds its
+// reference.
 func (b *Broker) register(sub *Subscription) (*Subscription, error) {
 	if b.closed.Load() || sub.shared != nil && sub.shared.closed.Load() {
 		return nil, ErrClosed
@@ -289,6 +329,9 @@ func (b *Broker) register(sub *Subscription) (*Subscription, error) {
 	}
 	if sub.shared != nil {
 		sub.shared.refs.Add(1)
+	}
+	if sub.handler != nil {
+		b.startWorkers()
 	}
 	return sub, nil
 }
@@ -360,25 +403,38 @@ func (b *Broker) signalEnd() {
 	}
 }
 
-// retireChan closes the subscription's channel, or drops its reference to
-// its queue's, once no send can touch it anymore. Callers must have ended
-// the subscription first (under mu's write side, which waits out the
-// non-blocking sends, and releases Block-policy sends); the sendMu write
-// acquisition then only waits for those sends to finish. A subscription is
-// retired once: by Unsubscribe, which removed it from the engine, or by
-// Close.
-func retireChan(s *Subscription) {
-	s.sendMu.Lock()
+// retire closes the subscription's channel, or drops its reference to its
+// queue's, once no send can touch it anymore. Callers must have ended the
+// subscription first (under mu's write side, which waits out the
+// non-blocking sends) and signaled the end, which releases the Block-policy
+// sends; retire then only yields until those have left. The order is
+// Dekker's, as in signalEnd: a Block send counts itself in senders before
+// it loads closed, and the ender stores closed before retire loads senders,
+// so either retire waits for the send, or the send sees the subscription
+// ended and leaves the channel alone. A handler subscription has no
+// channel: taking its worker's mu waits out a Block-policy send that found
+// it live, and what it queued is still handled. A subscription is retired
+// once: by Unsubscribe, which removed it from the engine, or by Close.
+func (b *Broker) retire(s *Subscription) {
+	if s.handler != nil {
+		w := b.workers[s.worker]
+		w.mu.Lock() // an empty critical section: taking the lock is the fence
+		w.mu.Unlock()
+		return
+	}
+	for s.senders.Load() > 0 {
+		runtime.Gosched()
+	}
 	if s.shared != nil {
 		s.shared.release()
 	} else {
 		close(s.ch)
 	}
-	s.sendMu.Unlock()
 }
 
 // Unsubscribe removes a subscription and closes its channel (ErrClosed after
-// Close, which has closed them all).
+// Close, which has closed them all). A handler subscription's handler still
+// receives what was queued before.
 func (b *Broker) Unsubscribe(id predicate.ID) error {
 	b.regMu.Lock()
 	defer b.regMu.Unlock()
@@ -396,8 +452,8 @@ func (b *Broker) Unsubscribe(id predicate.ID) error {
 	b.mu.Unlock()
 	// Close outside the fence: in-flight non-blocking sends completed before
 	// the write lock was granted, later ones see the subscription ended, and
-	// in-flight Block sends are fenced by sendMu inside retireChan.
-	retireChan(sub)
+	// in-flight Block sends are waited out inside retire.
+	b.retire(sub)
 	return nil
 }
 
@@ -548,7 +604,7 @@ func (b *Broker) publish(ev event.Event, seq uint64, sc *publishScratch, cancel 
 		if ev.Time.IsZero() {
 			ev.Time = now
 		}
-		b.deliver(ev, ms, now, cancel)
+		b.deliver(ev, ms, now, cancel, sc)
 		clear(ms)
 	}
 	sc.ms = ms[:0] // nil after an error: the pool's next user regrows it
@@ -556,12 +612,15 @@ func (b *Broker) publish(ev event.Event, seq uint64, sc *publishScratch, cancel 
 }
 
 // publishScratch is one publisher's scratch: the subscriptions an event
-// matches into, cleared after each event, and the block the matched events'
-// values are carved from. sync.Pool hands a scratch to one publisher at a
-// time, and a batch takes one for all its events.
+// matches into, cleared after each event, the block the matched events'
+// values are carved from, and the one-token channel a delivery worker wakes
+// the publisher on while it waits for room in a Block-policy handler
+// subscription (made at its first such wait). sync.Pool hands a scratch to
+// one publisher at a time, and a batch takes one for all its events.
 type publishScratch struct {
 	ms    []core.Member
 	block []float64
+	wake  chan struct{}
 }
 
 var publishPool = sync.Pool{New: func() any { return new(publishScratch) }}
@@ -591,8 +650,8 @@ func (sc *publishScratch) carve(vals []float64) []float64 {
 // closing channel. Block-policy sends are collected and performed after the
 // fence is released — a publisher stalled on one slow Block subscriber must
 // not wedge registration operations or deliveries to other subscribers —
-// fenced against close by the subscription's sendMu. cancel (possibly nil)
-// aborts Block-policy sends.
+// fenced against close by the subscription's count of them (retire).
+// cancel (possibly nil) aborts Block-policy sends.
 //
 // The notification value is built once per event, before the loop, and only
 // its Profile field is stamped per matched subscription — after the liveness
@@ -601,9 +660,11 @@ func (sc *publishScratch) carve(vals []float64) []float64 {
 //
 // ms is borrowed, not retained: deliver collects the Block-policy
 // subscriptions at its front, and publish clears it for the next event.
+// A handler subscription's notification is queued for its worker, under
+// the same policies.
 //
 //genas:hotpath
-func (b *Broker) deliver(ev event.Event, ms []core.Member, now time.Time, cancel <-chan struct{}) {
+func (b *Broker) deliver(ev event.Event, ms []core.Member, now time.Time, cancel <-chan struct{}, sc *publishScratch) {
 	n := Notification{Event: ev, Delivered: now}
 	block := ms[:0]
 	b.mu.RLock()
@@ -617,7 +678,7 @@ func (b *Broker) deliver(ev event.Event, ms []core.Member, now time.Time, cancel
 			continue
 		}
 		n.Profile = sub.profile.ID
-		sent, evicted := sub.send(n)
+		sent, evicted := b.send(sub, n)
 		if sent {
 			sub.delivered.Add(1)
 			b.delivered.Add(1)
@@ -634,7 +695,7 @@ func (b *Broker) deliver(ev event.Event, ms []core.Member, now time.Time, cancel
 	for _, m := range block {
 		sub := m.(*Subscription)
 		n.Profile = sub.profile.ID
-		if b.blockingSend(sub, n, cancel) {
+		if b.blockingSend(sub, n, cancel, sc) {
 			b.delivered.Add(1)
 		} else {
 			b.dropped.Add(1)
@@ -642,11 +703,15 @@ func (b *Broker) deliver(ev event.Event, ms []core.Member, now time.Time, cancel
 	}
 }
 
-// send places n on the subscription channel under its non-blocking drop
-// policy, reporting whether the notification reached the buffer and how many
-// older notifications were evicted to make room. Runs with the send fence's
-// read side held, so the channel cannot close mid-send.
-func (s *Subscription) send(n Notification) (sent bool, evicted int) {
+// send places n on the subscription channel, or its worker's queue, under
+// its non-blocking drop policy, reporting whether the notification reached
+// the buffer and how many older notifications were evicted to make room.
+// Runs with the send fence's read side held, so the channel cannot close
+// mid-send.
+func (b *Broker) send(s *Subscription, n Notification) (sent bool, evicted int) {
+	if s.handler != nil {
+		return b.workers[s.worker].offer(s, n)
+	}
 	if s.policy == DropOldest {
 		for {
 			select {
@@ -675,13 +740,20 @@ func (s *Subscription) send(n Notification) (sent bool, evicted int) {
 // fence. With the buffer full it waits until space frees, s ends, or the
 // publisher's cancel channel fires (nil means no cancellation), counted as
 // a waiter of the end signal, which fires before s's channel closes; the
-// end of another subscription wakes it too, and it waits again. sendMu
-// (read side) fences the channel against retireChan's close: while the
-// closed re-check reads false, the close cannot start until this send
-// returns.
-func (b *Broker) blockingSend(s *Subscription, n Notification, cancel <-chan struct{}) bool {
-	s.sendMu.RLock()
-	defer s.sendMu.RUnlock()
+// end of another subscription wakes it too, and it waits again. Counted in
+// s.senders, it fences the channel against retire's close: while the closed
+// re-check reads false, the close cannot start until this send returns. A
+// handler subscription waits on its worker instead, woken on sc's channel
+// (blockingQueue).
+func (b *Broker) blockingSend(s *Subscription, n Notification, cancel <-chan struct{}, sc *publishScratch) bool {
+	if s.handler != nil {
+		if sc.wake == nil {
+			sc.wake = make(chan struct{}, 1)
+		}
+		return b.blockingQueue(s, n, cancel, sc.wake)
+	}
+	s.senders.Add(1)
+	defer s.senders.Add(-1)
 	if s.closed.Load() {
 		// The subscription has ended: only the broker-wide drop total counts
 		// this outcome (the caller's else-branch).
@@ -701,7 +773,6 @@ func (b *Broker) blockingSend(s *Subscription, n Notification, cancel <-chan str
 			s.dropped.Add(1)
 			return false
 		}
-		//genas:allow locksafe sendMu is the close fence, not the table lock: the blocking wait under its read side is this function's contract
 		select {
 		case s.ch <- n:
 			s.delivered.Add(1)
@@ -767,7 +838,9 @@ func (b *Broker) Stats() Stats {
 }
 
 // Close shuts the broker down: all subscription channels are closed and
-// further operations fail with ErrClosed.
+// further operations fail with ErrClosed. The delivery workers handle what
+// is queued and then end; Close does not wait for them, so a handler may
+// call it.
 func (b *Broker) Close() {
 	b.regMu.Lock()
 	defer b.regMu.Unlock()
@@ -786,6 +859,9 @@ func (b *Broker) Close() {
 	b.signalEnd()
 	b.mu.Unlock()
 	for _, m := range ending {
-		retireChan(m.(*Subscription))
+		b.retire(m.(*Subscription))
+	}
+	for _, w := range b.workers {
+		w.halt()
 	}
 }

@@ -383,7 +383,7 @@ func TestReusedIDGetsOnlyItsOwnMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.deliver(event.Event{Vals: vals, Seq: 1}, ms, time.Now(), nil)
+		b.deliver(event.Event{Vals: vals, Seq: 1}, ms, time.Now(), nil, new(publishScratch))
 		select {
 		case n := <-sub.C():
 			t.Errorf("shards=%d: new subscription x (x <= 10) received event %v matched under the old profile", shards, n.Event.Vals)

@@ -179,11 +179,11 @@ func samePredicate(a, b predicate.Predicate) bool {
 // Duplicate subscription pin: what one more channel subscription of a held
 // structure keeps on a 2-core x86-64 machine (Go 1.24), measured as
 // TestConnectionHeldBytes measures: ≈ 470 B, its two records
-// (genas.Subscription 80 B, broker.Subscription 112 B), its channel and
-// one-notification ring (96 B each), its poset member and its id's map
-// entry. Its predicate column is the structure's, and it has no end channel
-// of its own: with its own 48 B profile, 112 B column and 96 B end channel
-// it held ≈ 770 B.
+// (genas.Subscription 88 B in the 96 B class, broker.Subscription 112 B),
+// its channel and one-notification ring (96 B each), its poset member and
+// its id's map entry. Its predicate column is the structure's, and it has
+// no end channel of its own: with its own 48 B profile, 112 B column and
+// 96 B end channel it held ≈ 770 B.
 const duplicateSubBytes = 512
 
 // TestDuplicateSubscriptionHeldBytes pins what a subscription of a

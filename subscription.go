@@ -16,12 +16,13 @@ var errHandlerMode = errors.New("genas: subscription delivers via SubHandler; C 
 type SubOption func(*subOptions) error
 
 type subOptions struct {
-	broker  broker.SubOptions
-	handler func(Notification)
+	broker broker.SubOptions
 }
 
 // SubBuffer sets this subscription's notification buffer (overriding the
-// service default).
+// service default). A SubHandler subscription has no channel: n caps the
+// notifications queued for its handler and not yet taken by the worker
+// that calls it, and the drop policy applies at that cap.
 func SubBuffer(n int) SubOption {
 	return func(o *subOptions) error {
 		if n <= 0 {
@@ -44,17 +45,20 @@ func SubPriority(w float64) SubOption {
 	}
 }
 
-// SubHandler delivers notifications by calling fn from a dedicated goroutine
-// instead of over a channel: C returns nil and Next fails. fn runs
-// sequentially per subscription; a slow handler fills the buffer like a slow
-// channel reader would, so combine with SubBuffer/SubDropOldest/SubBlocking
-// to pick the overload behavior.
+// SubHandler delivers notifications by calling fn instead of over a
+// channel: C returns nil and Next fails. fn runs sequentially and in publish
+// order per subscription, on one of a few delivery goroutines the service
+// owns (GOMAXPROCS of them, started by the first SubHandler subscription and
+// ended after Close), not on a goroutine of its own: a slow handler delays
+// the handlers that share its goroutine, so hand long work off. A slow
+// handler fills the buffer like a slow channel reader would, so combine
+// with SubBuffer/SubDropOldest/SubBlocking to pick the overload behavior.
 func SubHandler(fn func(Notification)) SubOption {
 	return func(o *subOptions) error {
 		if fn == nil {
 			return errors.New("genas: nil SubHandler")
 		}
-		o.handler = fn
+		o.broker.Handler = fn
 		return nil
 	}
 }
@@ -72,7 +76,11 @@ func SubDropOldest() SubOption {
 // SubBlocking stalls publishers while this subscription's buffer is full —
 // opt-in backpressure. A subscriber that stops reading stalls every publisher
 // until it drains, unsubscribes, or the publisher's PublishCtx context is
-// canceled; prefer the drop policies unless the consumer is trusted.
+// canceled; prefer the drop policies unless the consumer is trusted. A
+// handler that publishes to a SubBlocking subscription of its own service
+// can stall the service's handlers: if that subscription's buffer is full
+// and its handler shares the publishing handler's delivery goroutine, the
+// publish waits on the goroutine it runs on.
 func SubBlocking() SubOption {
 	return func(o *subOptions) error {
 		o.broker.Policy = broker.Block
@@ -99,15 +107,6 @@ type Subscription struct {
 	closeErr  error
 }
 
-// handle is a SubHandler subscription's delivery goroutine: it calls fn for
-// each notification on c until c closes. It holds the channel and the
-// handler, not the Subscription, which a caller that only handles may drop.
-func handle(c <-chan Notification, fn func(Notification)) {
-	for n := range c {
-		fn(n)
-	}
-}
-
 // ID returns the subscription id.
 func (s *Subscription) ID() string { return string(s.sub.ID()) }
 
@@ -122,7 +121,7 @@ func (s *Subscription) Profile() *Profile { return s.sub.Profile() }
 // (Close, Unsubscribe, or service shutdown). Nil for handler-driven
 // subscriptions.
 func (s *Subscription) C() <-chan Notification {
-	if s.o.handler != nil {
+	if s.o.broker.Handler != nil {
 		return nil
 	}
 	return s.sub.C()
@@ -131,7 +130,7 @@ func (s *Subscription) C() <-chan Notification {
 // Next blocks until the next notification, the context's cancellation, or
 // the end of the subscription (reported as ErrClosed).
 func (s *Subscription) Next(ctx context.Context) (Notification, error) {
-	if s.o.handler != nil {
+	if s.o.broker.Handler != nil {
 		//genas:allow senterr API misuse (mixing handler mode with Next), not a matchable runtime condition
 		return Notification{}, errHandlerMode
 	}
@@ -154,8 +153,9 @@ func (s *Subscription) Delivered() uint64 { return s.sub.Delivered() }
 // subscriber lagged (including SubDropOldest evictions).
 func (s *Subscription) Dropped() uint64 { return s.sub.Dropped() }
 
-// Close unsubscribes. Idempotent; the notification channel closes and a
-// pending handler goroutine drains out.
+// Close unsubscribes. Idempotent; the notification channel closes, and a
+// SubHandler's handler still receives what was queued before. It does not
+// wait for the handler, so a handler may close its own subscription.
 func (s *Subscription) Close() error {
 	s.closeOnce.Do(func() {
 		if id := s.sub.ID(); s.stop != nil {

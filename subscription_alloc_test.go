@@ -16,11 +16,14 @@ import (
 // engine's edit is the exact one of a join (internal/core's
 // TestEditAllocations), and the pins are exact.
 const (
-	// A SubHandler subscription: the Subscription with its options, the
-	// broker's subscription with its copy of the profile, its channel and
-	// the channel's ring, and the handler goroutine's closure.
-	handlerSubscribeAllocs = 5.0
-	// A channel subscription: the same records without the goroutine.
+	// A SubHandler subscription: the Subscription with its options and
+	// the broker's subscription with its copy of the profile. It has no
+	// channel, ring or goroutine: the service's delivery workers call its
+	// handler (5 before they did: the channel, its ring and the handler
+	// goroutine's closure).
+	handlerSubscribeAllocs = 2.0
+	// A channel subscription: the same two records, its channel and the
+	// channel's ring.
 	channelSubscribeAllocs = 4.0
 	// The profile's parse: the Profile, its predicate table and the
 	// severity set's operands. A subscription joining a structure spelled
@@ -70,10 +73,10 @@ func settledGoroutines(t *testing.T, n int) int {
 // subscribe in the benchmark's shape (SubHandler, SubBlocking,
 // SubBuffer(16)), a channel subscribe, and an unsubscribe. A subscription
 // allocates what it keeps: its record holds the applied options and the
-// unsubscribe hook, and the broker's record holds its private channel. The
-// options are made once, as a caller that subscribes in a loop would. A
-// subscribe refused for a duplicate id starts no goroutine and leaves no
-// state.
+// unsubscribe hook, and the broker's record holds a channel subscription's
+// private channel, or a handler subscription's counted buffer. The options
+// are made once, as a caller that subscribes in a loop would. A subscribe
+// refused for a duplicate id starts no goroutine and leaves no state.
 func TestSubscribeAllocations(t *testing.T) {
 	sch, err := ParseSchema(churnSchema)
 	if err != nil {
@@ -117,15 +120,6 @@ func TestSubscribeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on channel and goroutine operations")
 	}
-
-	// A process reuses the records of ended goroutines; a handler subscribe
-	// of a churning service finds some, so the pins are measured with them.
-	release := make(chan struct{})
-	for range 300 {
-		go func() { <-release }()
-	}
-	close(release)
-	settledGoroutines(t, idle)
 
 	ids := make([]string, 402)
 	for i := range ids {
